@@ -14,14 +14,24 @@
 //!   registries, with and without a delta sink attached. The hook-on series
 //!   must stay within 5% of hook-off at 100k providers — mediation work
 //!   dwarfs the append, and a disabled hook is a single branch.
+//! * `checkpoint_cut/{10k,100k}` — one checkpoint window of a one-shard
+//!   `ReplicatedMediator` at the default cadence: 256 queries in 4 batches,
+//!   32 load deltas, then `checkpoint_all`. The cut is incremental, so the
+//!   window should cost what its 256 mediations cost plus O(touched), at
+//!   either population.
+//! * `promote_rearm/100k` — `crash_shard` right after a cut (nothing to
+//!   replay): what is left is re-arming replication around the promoted
+//!   mediator, one registry clone and one satisfaction clone.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sbqa_core::allocator::StaticIntentions;
 use sbqa_core::{Mediator, ProviderRegistry, RegistryDelta};
 use sbqa_replication::{DeltaLog, SharedDeltaLog};
+use sbqa_service::ReplicatedMediator;
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
+    VirtualTime,
 };
 
 /// Number of capability classes the synthetic population spreads over.
@@ -175,5 +185,91 @@ fn bench_submit_hook(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_append, bench_replay, bench_submit_hook);
+/// A one-shard replicated service over the synthetic population, with
+/// checkpoints left to the bench.
+fn replicated(n: usize) -> ReplicatedMediator {
+    let mut service = ReplicatedMediator::sbqa(SystemConfig::default().with_knbest(20, 4), 42, 1)
+        .expect("default config validates");
+    for i in 0..n {
+        service
+            .register_provider(ProviderId::new(i as u64), capabilities(i), 1.0)
+            .expect("log is contiguous");
+    }
+    for consumer in 0..64 {
+        service.register_consumer(ConsumerId::new(consumer));
+    }
+    service.set_checkpoint_interval(0);
+    // The first cut carries the whole population (it was registered through
+    // the armed primary); the benches measure the steady state after it.
+    service.checkpoint_all().expect("standby is in step");
+    service
+}
+
+/// One checkpoint window: 4 batches of 64 queries, 32 load deltas.
+fn checkpoint_window(
+    service: &mut ReplicatedMediator,
+    oracle: &StaticIntentions,
+    size: usize,
+    tick: &mut u64,
+) {
+    for _ in 0..4 {
+        let batch: Vec<Query> = (0..64)
+            .map(|_| {
+                *tick += 1;
+                Query::builder(
+                    QueryId::new(*tick),
+                    ConsumerId::new(*tick % 64),
+                    Capability::new((*tick % u64::from(CLASSES)) as u8),
+                )
+                .issued_at(VirtualTime::new(*tick as f64 * 1e-4))
+                .build()
+            })
+            .collect();
+        service
+            .submit_batch(&batch, oracle, |_, _, _| {})
+            .expect("log is contiguous");
+    }
+    for step in 0..32u64 {
+        let id = ProviderId::new((*tick * 31 + step * 7_919) % size as u64);
+        service
+            .update_provider_load(id, (step % 16) as f64 * 0.5, (step % 4) as usize)
+            .expect("provider exists");
+    }
+}
+
+/// The incremental cut, and what a promotion still has to copy.
+fn bench_checkpoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("replication");
+    let oracle = StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.2));
+
+    for size in [10_000usize, 100_000] {
+        let mut service = replicated(size);
+        let mut tick = 0u64;
+        group.bench_function(BenchmarkId::new("checkpoint_cut", size), |b| {
+            b.iter(|| {
+                checkpoint_window(&mut service, &oracle, size, &mut tick);
+                service.checkpoint_all().expect("standby is in step");
+                black_box(service.shard(0).replication_stats().checkpoints)
+            });
+        });
+    }
+
+    let size = 100_000;
+    let mut service = replicated(size);
+    group.bench_function(BenchmarkId::new("promote_rearm", size), |b| {
+        b.iter(|| {
+            let report = service.crash_shard(0, &oracle).expect("clean promotion");
+            black_box(report.deltas_replayed)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_append,
+    bench_replay,
+    bench_submit_hook,
+    bench_checkpoint
+);
 criterion_main!(benches);

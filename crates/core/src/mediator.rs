@@ -480,24 +480,17 @@ impl Mediator {
         self.providers.take_delta_sink()
     }
 
-    /// Forks the mediator's replicable state — allocation technique (RNG
-    /// position included), provider registry and satisfaction registry —
-    /// without tearing the live mediator down. The forked registry carries
-    /// no delta sink (clones never inherit it), so the checkpoint is inert.
+    /// Forks the hosted allocation technique, RNG position included: the one
+    /// part of a checkpoint that is copied whole (it is a few words). The
+    /// registries are not forked — a standby advances its registry copy from
+    /// the delta log and its satisfaction copy from
+    /// [`SatisfactionRegistry::sync_touched_into`].
     ///
-    /// Returns `None` when the hosted technique does not support
-    /// [`QueryAllocator::fork`]. Like [`Mediator::into_parts`], the scratch
-    /// and any adaptive-`kn` controller are not part of the fork.
+    /// Returns `None` when the technique does not support
+    /// [`QueryAllocator::fork`].
     #[must_use]
-    pub fn fork_state(
-        &self,
-    ) -> Option<(
-        Box<dyn QueryAllocator>,
-        ProviderRegistry,
-        SatisfactionRegistry,
-    )> {
-        let allocator = self.allocator.fork()?;
-        Some((allocator, self.providers.clone(), self.satisfaction.clone()))
+    pub fn fork_allocator(&self) -> Option<Box<dyn QueryAllocator>> {
+        self.allocator.fork()
     }
 
     /// Immutable access to the provider registry.

@@ -4,7 +4,9 @@
 //! A counting global allocator wraps the system allocator; after warming the
 //! mediator's scratch buffers (KnBest pool, decision, satisfaction views,
 //! recycled interaction windows), a sustained run of `submit_in_place` and
-//! `submit_batch` must not allocate or reallocate at all.
+//! `submit_batch` must not allocate or reallocate at all — with the
+//! satisfaction registry's touched-id tracking off (the default) and, once
+//! its id buffers are warm, with it on (a replicated shard's primary).
 //!
 //! This file deliberately contains a single test: the counter is
 //! process-global, so a parallel test could pollute the measurement.
@@ -156,5 +158,35 @@ fn steady_state_mediation_does_not_allocate() {
     assert_eq!(
         stats.stale_rebuilds, warm_stats.stale_rebuilds,
         "nothing was invalidated mid-measurement"
+    );
+
+    // The same steady state with touched-id tracking armed, synced into a
+    // checkpoint copy every 256 queries the way a replicated shard cuts: one
+    // window warms the id buffers, after which noting the touched ids must
+    // not allocate either. (The syncs are not counted: copying a tracker the
+    // copy sees for the first time allocates its window.)
+    let mut checkpoint = mediator.satisfaction().clone();
+    mediator.satisfaction_mut().track_touched();
+    let mut allocations_tracked = 0;
+    for window in 0..4u64 {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for id in 0..256u64 {
+            let q = query(4_000 + window * 256 + id);
+            mediator.submit_in_place(&q, &oracle).unwrap();
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+        if window > 0 {
+            allocations_tracked += ALLOCATIONS.load(Ordering::SeqCst) - before;
+        }
+        let synced = mediator
+            .satisfaction_mut()
+            .sync_touched_into(&mut checkpoint)
+            .expect("tracking is armed");
+        assert!(synced > 0 && synced <= 256 * 5, "{synced} trackers synced");
+    }
+    assert_eq!(
+        allocations_tracked, 0,
+        "steady-state mediation with touched-id tracking must not touch the heap"
     );
 }

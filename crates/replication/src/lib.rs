@@ -48,6 +48,7 @@ pub use log::{DeltaLog, DeltaOp, DeltaRecord, SharedDeltaLog};
 pub use standby::{JournalEntry, ReplayReport, StandbyShard};
 
 use sbqa_core::{Mediator, RegistryDelta};
+use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::SbqaResult;
 
 /// Counters describing one shard's replication machinery, surfaced through
@@ -132,18 +133,56 @@ pub fn apply_delta(mediator: &mut Mediator, delta: &RegistryDelta) -> SbqaResult
 /// flags — the byte-identity the standby's mirror is held to.
 #[must_use]
 pub fn registry_digest(registry: &sbqa_core::ProviderRegistry) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = FNV_OFFSET;
-    let mut fold = |bytes: &[u8]| {
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
     for snapshot in registry.iter() {
-        fold(format!("{snapshot:?};").as_bytes());
+        fold(&mut hash, &format!("{snapshot:?};"));
     }
-    fold(format!("online={}", registry.online_count()).as_bytes());
+    fold(&mut hash, &format!("online={}", registry.online_count()));
     hash
+}
+
+/// Order-stable digest of a satisfaction registry's whole state: every
+/// consumer tracker, then every provider tracker, in ascending id order,
+/// folded through FNV-1a over the exact `Debug` rendering (window length,
+/// every remembered interaction with its `f64` intentions, lifetime count).
+/// Two registries with equal digests answer every satisfaction and ω query
+/// alike now and after any common sequence of further mediations — what an
+/// incrementally cut checkpoint is held to against its primary.
+#[must_use]
+pub fn satisfaction_digest(registry: &SatisfactionRegistry) -> u64 {
+    let mut hash = FNV_OFFSET;
+    fold_trackers(
+        &mut hash,
+        registry.consumer_satisfactions().map(|(id, _)| id),
+        |id| registry.consumer(id),
+    );
+    fold_trackers(
+        &mut hash,
+        registry.provider_satisfactions().map(|(id, _)| id),
+        |id| registry.provider(id),
+    );
+    hash
+}
+
+/// Folds `id=tracker;` for every id, ascending.
+fn fold_trackers<I: Ord + Copy + std::fmt::Debug, T: std::fmt::Debug>(
+    hash: &mut u64,
+    ids: impl Iterator<Item = I>,
+    tracker: impl Fn(I) -> T,
+) {
+    let mut ids: Vec<I> = ids.collect();
+    ids.sort_unstable();
+    for id in ids {
+        fold(hash, &format!("{id:?}={:?};", tracker(id)));
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fold(hash: &mut u64, text: &str) {
+    for &byte in text.as_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(FNV_PRIME);
+    }
 }

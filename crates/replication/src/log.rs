@@ -195,6 +195,22 @@ impl SharedDeltaLog {
         self.with(|log| log.tail_after(after).map(<[DeltaRecord]>::to_vec))
     }
 
+    /// Hands the records with sequence strictly greater than `after` to
+    /// `visit`, oldest first, under the log lock and without copying them,
+    /// stopping at its first error; a reader that is already up to date
+    /// pays one lock and a sequence compare. `None` if that range has been
+    /// partially pruned. `visit` must not append to this log.
+    pub fn visit_after<E>(
+        &self,
+        after: u64,
+        visit: impl FnMut(&DeltaRecord) -> Result<(), E>,
+    ) -> Option<Result<(), E>> {
+        self.with(|log| {
+            log.tail_after(after)
+                .map(|records| records.iter().try_for_each(visit))
+        })
+    }
+
     /// Drops every record with sequence at or below `through`.
     pub fn prune_through(&self, through: u64) {
         self.with(|log| log.prune_through(through));
@@ -268,6 +284,23 @@ mod tests {
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].sequence, 2);
         assert_eq!(tail[0].op, DeltaOp::Mutation(load(2, 4)));
+
+        // The visitor sees the same range in place, stops at the first
+        // error, and reports a pruned range as `None`.
+        let mut seen = Vec::new();
+        let visited = shared.visit_after(0, |record| {
+            seen.push(record.sequence);
+            if record.sequence == 1 {
+                Ok(())
+            } else {
+                Err("stop")
+            }
+        });
+        assert_eq!(visited, Some(Err("stop")));
+        assert_eq!(seen, vec![1, 2]);
+        assert_eq!(shared.visit_after(2, |_| Err("unreached")), Some(Ok(())));
+        shared.prune_through(2);
+        assert_eq!(shared.visit_after(1, |_| Ok::<(), ()>(())), None);
     }
 
     #[test]

@@ -3,13 +3,19 @@
 //! A standby owns three things:
 //!
 //! * a **checkpoint** — the primary's forked allocator (RNG position
-//!   intact), provider registry and satisfaction registry, frozen at a log
-//!   watermark;
+//!   intact) and the standby's own copies of the provider registry and the
+//!   satisfaction registry, standing at a log watermark;
 //! * a **mirror** — a lockstep registry replica that applies every delta as
 //!   it is observed, proving at any instant that snapshot + replay equals
 //!   the live registry (and measuring replay lag);
 //! * a **tail + query journal** — the mutations and queries the primary
 //!   processed after the checkpoint cut, in log order.
+//!
+//! A new checkpoint is cut **incrementally**
+//! ([`cut_checkpoint`](StandbyShard::cut_checkpoint)): the registry copy is
+//! advanced by the tail it already holds, the satisfaction copy receives the
+//! trackers the primary touched since the last cut, and only the allocator
+//! is forked — O(|tail| + touched), whatever the population.
 //!
 //! On [`promote`](StandbyShard::promote) the checkpoint is rehydrated into a
 //! [`Mediator`] and the tail and journal are replayed *interleaved by log
@@ -95,9 +101,9 @@ impl std::fmt::Debug for StandbyShard {
 }
 
 impl StandbyShard {
-    /// Bootstraps a standby from a mediator's decomposed state (the
-    /// [`Mediator::into_parts`] triple, or [`Mediator::fork_state`] of a
-    /// live one) cut at log watermark `watermark`.
+    /// Bootstraps a standby from a copy of a mediator's decomposed state
+    /// (the [`Mediator::into_parts`] triple) cut at log watermark
+    /// `watermark`.
     #[must_use]
     pub fn new(
         allocator: Box<dyn QueryAllocator>,
@@ -106,6 +112,20 @@ impl StandbyShard {
         watermark: u64,
     ) -> Self {
         let mirror = providers.clone();
+        Self::with_mirror(allocator, providers, satisfaction, mirror, watermark)
+    }
+
+    /// [`StandbyShard::new`] with a ready-made lockstep mirror, which must
+    /// equal `providers` in replicated state (a promoted shard hands over
+    /// the mirror its previous standby kept, saving a registry clone).
+    #[must_use]
+    pub fn with_mirror(
+        allocator: Box<dyn QueryAllocator>,
+        providers: ProviderRegistry,
+        satisfaction: SatisfactionRegistry,
+        mirror: ProviderRegistry,
+        watermark: u64,
+    ) -> Self {
         Self {
             allocator,
             providers,
@@ -166,18 +186,12 @@ impl StandbyShard {
     /// [`SbqaError::InvalidConfiguration`] when the log was pruned past this
     /// standby's watermark, or any [`StandbyShard::observe`] error.
     pub fn catch_up(&mut self, log: &SharedDeltaLog) -> SbqaResult<usize> {
-        let records =
-            log.collect_after(self.applied)
-                .ok_or_else(|| SbqaError::InvalidConfiguration {
-                    reason: format!(
-                        "replication gap: log pruned past standby watermark {}",
-                        self.applied
-                    ),
-                })?;
-        for record in &records {
-            self.observe(record)?;
-        }
-        Ok(records.len())
+        let before = self.applied;
+        log.visit_after(before, |record| self.observe(record))
+            .ok_or_else(|| SbqaError::InvalidConfiguration {
+                reason: format!("replication gap: log pruned past standby watermark {before}"),
+            })??;
+        Ok(usize::try_from(self.applied - before).unwrap_or(usize::MAX))
     }
 
     /// Journals a query the primary is about to mediate at
@@ -210,44 +224,84 @@ impl StandbyShard {
         self.satisfaction.register_consumer(id);
     }
 
-    /// Installs a fresh checkpoint cut at `watermark`, which must not be
-    /// behind the previous one. All journaled queries are presumed contained
-    /// in it (the orchestrator cuts checkpoints at batch boundaries, after
-    /// syncing the standby), so the journal resets and the tail keeps only
-    /// mutations past the new cut.
-    pub fn install_checkpoint(
-        &mut self,
-        allocator: Box<dyn QueryAllocator>,
-        providers: ProviderRegistry,
-        satisfaction: SatisfactionRegistry,
-        watermark: u64,
-    ) {
+    /// Cuts a fresh checkpoint of `primary` at log watermark `watermark`
+    /// (the log's last sequence; the caller holds the primary still and has
+    /// synced this standby up to it), incrementally:
+    ///
+    /// * the checkpoint registry is **advanced**, not copied — the tail
+    ///   records up to `watermark` are applied to it in place and dropped.
+    ///   Mediation changes nothing of a registry's replicated state (only
+    ///   its plan cache, which is derived and decision-neutral), so every
+    ///   change since the previous cut is in the tail;
+    /// * the checkpoint satisfaction registry receives exactly the trackers
+    ///   `primary` touched since the previous cut
+    ///   ([`SatisfactionRegistry::sync_touched_into`]);
+    /// * the allocator is forked (RNG position and configuration).
+    ///
+    /// All journaled queries are contained in the new checkpoint (cuts
+    /// happen at batch boundaries), so the journal resets.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`], with the standby left exactly as
+    /// it was, when the standby has applied less than `watermark` (a
+    /// `replication gap`: its tail cannot carry the registry to the cut),
+    /// when the technique cannot fork, or when `primary`'s satisfaction
+    /// registry is not tracking touched ids. A tail record that does not
+    /// apply is propagated; it cannot occur for a tail built by
+    /// [`StandbyShard::observe`], which applied every record to the mirror
+    /// first.
+    pub fn cut_checkpoint(&mut self, primary: &mut Mediator, watermark: u64) -> SbqaResult<()> {
         debug_assert!(watermark >= self.watermark, "checkpoints move forward");
         if watermark > self.applied {
-            // The cut is ahead of the mirror (records between were never
-            // streamed): re-seat the mirror on the checkpoint itself.
-            self.mirror = providers.clone();
-            self.applied = watermark;
+            return Err(SbqaError::InvalidConfiguration {
+                reason: format!(
+                    "replication gap: checkpoint cut at {watermark} but standby applied {}",
+                    self.applied
+                ),
+            });
+        }
+        let allocator =
+            primary
+                .fork_allocator()
+                .ok_or_else(|| SbqaError::InvalidConfiguration {
+                    reason: "primary's allocation technique cannot be checkpointed".to_string(),
+                })?;
+        primary
+            .satisfaction_mut()
+            .sync_touched_into(&mut self.satisfaction)
+            .ok_or_else(|| SbqaError::InvalidConfiguration {
+                reason: "primary's satisfaction registry does not track touched ids".to_string(),
+            })?;
+        let contained = self
+            .tail
+            .partition_point(|&(sequence, _)| sequence <= watermark);
+        for (_, delta) in self.tail.drain(..contained) {
+            delta.apply(&mut self.providers)?;
         }
         self.allocator = allocator;
-        self.providers = providers;
-        self.satisfaction = satisfaction;
         self.watermark = watermark;
-        self.tail.retain(|&(sequence, _)| sequence > watermark);
         self.journal.clear();
         self.checkpoints += 1;
+        Ok(())
     }
 
     /// Promotes the standby into a live [`Mediator`] in the primary's exact
     /// pre-crash state: the checkpoint is rehydrated and the tail and query
-    /// journal are replayed interleaved by log watermark.
+    /// journal are replayed interleaved by log watermark. The lockstep
+    /// mirror comes back beside it — equal to the promoted registry in
+    /// replicated state once the standby had caught up — for the next
+    /// standby to start from ([`StandbyShard::with_mirror`]).
     ///
     /// # Errors
     ///
     /// Any delta-application error (a corrupt or misrouted tail). Query
     /// starvation during replay is *not* an error — it is part of the
     /// decision stream being reproduced.
-    pub fn promote(mut self, oracle: &dyn IntentionOracle) -> SbqaResult<(Mediator, ReplayReport)> {
+    pub fn promote(
+        mut self,
+        oracle: &dyn IntentionOracle,
+    ) -> SbqaResult<(Mediator, ProviderRegistry, ReplayReport)> {
         let mut mediator = Mediator::from_parts(self.allocator, self.providers, self.satisfaction);
         mediator.set_degraded_kn_floor(self.degraded_floor);
         let mut report = ReplayReport::default();
@@ -280,7 +334,7 @@ impl StandbyShard {
             apply_delta(&mut mediator, &delta)?;
             report.deltas_replayed += 1;
         }
-        Ok((mediator, report))
+        Ok((mediator, self.mirror, report))
     }
 
     /// The log watermark of the installed checkpoint.
@@ -307,8 +361,8 @@ impl StandbyShard {
         self.journal.len()
     }
 
-    /// Checkpoints this standby has been seeded with (the bootstrap counts
-    /// as the first).
+    /// Checkpoints this standby has held (the bootstrap counts as the
+    /// first).
     #[must_use]
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints
@@ -318,6 +372,13 @@ impl StandbyShard {
     #[must_use]
     pub fn mirror(&self) -> &ProviderRegistry {
         &self.mirror
+    }
+
+    /// The checkpoint's provider registry and satisfaction registry, as of
+    /// [`StandbyShard::watermark`].
+    #[must_use]
+    pub fn checkpoint(&self) -> (&ProviderRegistry, &SatisfactionRegistry) {
+        (&self.providers, &self.satisfaction)
     }
 
     /// Digest of the mirror's replicated state, for byte-identity checks

@@ -2,13 +2,22 @@
 //! snapshot cut point, **snapshot + delta replay ≡ the live registry** —
 //! same slab iteration order, same online counts, same candidate answers —
 //! and the reconstruction does not depend on where the snapshot was cut.
+//!
+//! The second half holds the **incremental checkpoint** to the same
+//! standard: a standby cut incrementally at random points is, after every
+//! cut, digest-equal (registry and satisfaction) to the primary a full clone
+//! would have copied, and promoting it after a crash continues the decision
+//! stream of a mediator that never crashed.
 
 use proptest::prelude::*;
 
-use sbqa_core::{ProviderRegistry, RegistryDelta};
-use sbqa_replication::{registry_digest, DeltaOp, SharedDeltaLog};
+use sbqa_core::{Mediator, ProviderRegistry, RegistryDelta, StaticIntentions};
+use sbqa_replication::{
+    registry_digest, satisfaction_digest, DeltaOp, DeltaRecord, SharedDeltaLog, StandbyShard,
+};
 use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, Query, QueryId,
+    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
+    QueryId, SystemConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -185,4 +194,370 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental checkpoints
+// ---------------------------------------------------------------------------
+
+/// A primary mediator wired the way `ReplicatedShard` wires one — registry
+/// feeding a delta log, satisfaction registry tracking touched ids — with
+/// its standby bootstrapped from full clones.
+struct Replicated {
+    primary: Mediator,
+    log: SharedDeltaLog,
+    standby: StandbyShard,
+}
+
+/// The mediator every run starts from: 12 providers over the class space,
+/// one consumer, short satisfaction windows so they rotate within a run.
+fn seeded_mediator() -> Mediator {
+    let config = SystemConfig::default().with_knbest(6, 3).with_window(4);
+    let mut mediator = Mediator::sbqa(config, 42).expect("valid config");
+    for id in 0..12u64 {
+        mediator.register_provider(ProviderId::new(id), capability_set(1 << (id % 5)), 1.0);
+    }
+    mediator.register_consumer(ConsumerId::new(0));
+    mediator
+}
+
+fn oracle() -> StaticIntentions {
+    let mut oracle =
+        StaticIntentions::new().with_defaults(Intention::new(0.6), Intention::new(-0.2));
+    for id in 0..IDS {
+        oracle.set_provider_intention(ProviderId::new(id), Intention::new(id as f64 / 12.0 - 1.0));
+    }
+    oracle
+}
+
+impl Replicated {
+    fn new() -> Self {
+        let mut primary = seeded_mediator();
+        let log = SharedDeltaLog::new();
+        let standby = StandbyShard::new(
+            primary.fork_allocator().expect("SbQA forks"),
+            primary.providers().clone(),
+            primary.satisfaction().clone(),
+            log.last_sequence(),
+        );
+        primary.set_delta_sink(Box::new(log.clone()));
+        primary.satisfaction_mut().track_touched();
+        Self {
+            primary,
+            log,
+            standby,
+        }
+    }
+
+    fn sync(&mut self) {
+        self.standby.catch_up(&self.log).expect("contiguous log");
+    }
+
+    /// One cut, in `ReplicatedShard::checkpoint`'s order.
+    fn cut(&mut self) {
+        self.sync();
+        let watermark = self.log.last_sequence();
+        self.standby
+            .cut_checkpoint(&mut self.primary, watermark)
+            .expect("a synced standby cuts");
+        self.log.mark_snapshot();
+        self.log.prune_through(watermark);
+        self.sync();
+    }
+
+    /// What a cut must have produced: the state a full clone would hold.
+    fn checkpoint_equals_primary(&self) -> bool {
+        let (providers, satisfaction) = self.standby.checkpoint();
+        registry_digest(providers) == registry_digest(self.primary.providers())
+            && satisfaction_digest(satisfaction) == satisfaction_digest(self.primary.satisfaction())
+    }
+}
+
+/// Everything observable of a standby, for "the failed call changed nothing".
+fn standby_state(standby: &StandbyShard) -> (u64, u64, usize, usize, u64, u64, u64, u64) {
+    let (providers, satisfaction) = standby.checkpoint();
+    (
+        standby.watermark(),
+        standby.applied(),
+        standby.tail_depth(),
+        standby.journal_depth(),
+        standby.checkpoints(),
+        registry_digest(providers),
+        satisfaction_digest(satisfaction),
+        standby.mirror_digest(),
+    )
+}
+
+/// One decoded op of the incremental-checkpoint runs.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Registry(RawOp),
+    /// Forget a provider's satisfaction history, then cut: a removal for the
+    /// cut to propagate. (The removal itself is host-side churn that neither
+    /// the delta log nor the journal carries, so only a cut makes it safe.)
+    ForgetAndCut(u64),
+    Consumer(u64),
+    Query {
+        id: u64,
+        consumer: u64,
+        byte: u8,
+        multi: bool,
+        any: bool,
+    },
+    Cut,
+}
+
+fn decode(position: usize, raw: RawOp) -> Op {
+    let (selector, id, byte, flag) = raw;
+    match selector % 12 {
+        0..=3 => Op::Registry(raw),
+        4 => Op::ForgetAndCut(id % IDS),
+        5 => Op::Consumer(id % 4),
+        6 => Op::Cut,
+        selector => Op::Query {
+            id: position as u64,
+            consumer: id % 4,
+            byte,
+            multi: selector >= 10,
+            any: flag,
+        },
+    }
+}
+
+fn build_query(id: u64, consumer: u64, byte: u8, multi: bool, any: bool) -> Query {
+    let set = if multi {
+        capability_set(byte)
+    } else {
+        capability_set(1 << (byte % CLASSES))
+    };
+    let required = if any {
+        CapabilityRequirement::Any(set)
+    } else {
+        CapabilityRequirement::All(set)
+    };
+    Query::requiring(QueryId::new(id), ConsumerId::new(consumer), required)
+        .replication(1 + usize::from(byte % 2))
+        .build()
+}
+
+/// Applies a non-cut op to a bare mediator; a query returns its outcome.
+fn apply(mediator: &mut Mediator, op: Op, oracle: &StaticIntentions) -> Option<Option<Vec<u64>>> {
+    match op {
+        Op::Registry((selector, id, byte, flag)) => {
+            let id = ProviderId::new(id % IDS);
+            match selector % 4 {
+                0 => {
+                    mediator.register_provider(id, capability_set(byte), 1.0 + f64::from(byte % 4));
+                }
+                1 => {
+                    mediator.unregister_provider(id);
+                }
+                2 => {
+                    let _ = mediator.set_provider_online(id, flag);
+                }
+                _ => {
+                    let _ = mediator.update_provider_load(
+                        id,
+                        f64::from(byte) * 0.25,
+                        usize::from(byte % 8),
+                    );
+                }
+            }
+            None
+        }
+        Op::ForgetAndCut(id) => {
+            mediator
+                .satisfaction_mut()
+                .remove_provider(ProviderId::new(id));
+            None
+        }
+        Op::Consumer(id) => {
+            mediator.register_consumer(ConsumerId::new(id));
+            None
+        }
+        Op::Query {
+            id,
+            consumer,
+            byte,
+            multi,
+            any,
+        } => {
+            let query = build_query(id, consumer, byte, multi, any);
+            Some(
+                mediator
+                    .submit_in_place(&query, oracle)
+                    .ok()
+                    .map(|decision| decision.selected.iter().map(|p| p.raw()).collect()),
+            )
+        }
+        Op::Cut => None,
+    }
+}
+
+proptest! {
+    #[test]
+    fn incremental_cuts_equal_full_clones_and_promotion_continues_the_stream(
+        raw in proptest::collection::vec(
+            (0u8..12, 0u64..IDS, 0u8..=255, proptest::bool::ANY),
+            1..120,
+        ),
+        crash_fraction in 0u8..=100,
+    ) {
+        let oracle = oracle();
+        let ops: Vec<Op> = raw.iter().enumerate().map(|(i, &op)| decode(i, op)).collect();
+        let crash = ops.len() * usize::from(crash_fraction) / 100;
+
+        let mut replicated = Replicated::new();
+        let mut uninterrupted = seeded_mediator();
+        let mut outcomes = Vec::new();
+        let mut expected = Vec::new();
+
+        for &op in &ops[..crash] {
+            match op {
+                Op::Cut | Op::ForgetAndCut(_) => {
+                    apply(&mut replicated.primary, op, &oracle);
+                    replicated.cut();
+                    prop_assert!(replicated.checkpoint_equals_primary());
+                    prop_assert_eq!(replicated.standby.tail_depth(), 0);
+                    prop_assert_eq!(replicated.standby.journal_depth(), 0);
+                }
+                Op::Consumer(id) => {
+                    replicated.standby.register_consumer(ConsumerId::new(id));
+                    apply(&mut replicated.primary, op, &oracle);
+                }
+                Op::Query { id, consumer, byte, multi, any } => {
+                    replicated.sync();
+                    replicated
+                        .standby
+                        .observe_query(&build_query(id, consumer, byte, multi, any));
+                    outcomes.extend(apply(&mut replicated.primary, op, &oracle));
+                }
+                Op::Registry(_) => {
+                    apply(&mut replicated.primary, op, &oracle);
+                    replicated.sync();
+                }
+            }
+            expected.extend(apply(&mut uninterrupted, op, &oracle));
+        }
+
+        // The crash: the primary is gone; the standby alone carries on.
+        let Replicated { primary, log, mut standby } = replicated;
+        drop(primary);
+        standby.catch_up(&log).expect("contiguous log");
+        let (mut promoted, mirror, _) = standby.promote(&oracle).expect("clean replay");
+        prop_assert_eq!(
+            registry_digest(promoted.providers()),
+            registry_digest(uninterrupted.providers())
+        );
+        prop_assert_eq!(
+            satisfaction_digest(promoted.satisfaction()),
+            satisfaction_digest(uninterrupted.satisfaction())
+        );
+        // What lets a re-armed shard reuse the mirror instead of cloning.
+        prop_assert_eq!(registry_digest(&mirror), registry_digest(promoted.providers()));
+
+        for &op in &ops[crash..] {
+            outcomes.extend(apply(&mut promoted, op, &oracle));
+            expected.extend(apply(&mut uninterrupted, op, &oracle));
+        }
+        prop_assert_eq!(outcomes, expected);
+    }
+}
+
+/// A few mediations and load writes, the standby kept in step throughout.
+fn warm(replicated: &mut Replicated, queries: std::ops::Range<u64>) {
+    let oracle = oracle();
+    for id in queries {
+        replicated.sync();
+        let query = build_query(id, id % 2, id as u8, false, false);
+        replicated.standby.observe_query(&query);
+        let _ = replicated.primary.submit_in_place(&query, &oracle);
+        replicated
+            .primary
+            .update_provider_load(ProviderId::new(id % 12), id as f64, 1)
+            .expect("registered");
+    }
+    replicated.sync();
+}
+
+#[test]
+fn a_cut_on_a_lagging_standby_is_a_gap_error_that_changes_nothing() {
+    let mut replicated = Replicated::new();
+    warm(&mut replicated, 0..8);
+
+    // The primary moves on; the standby is not synced.
+    let oracle = oracle();
+    let query = build_query(100, 0, 3, false, false);
+    replicated.standby.observe_query(&query);
+    let _ = replicated.primary.submit_in_place(&query, &oracle);
+    replicated
+        .primary
+        .update_provider_load(ProviderId::new(3), 9.0, 2)
+        .expect("registered");
+    let watermark = replicated.log.last_sequence();
+    assert!(watermark > replicated.standby.applied());
+
+    let before = standby_state(&replicated.standby);
+    let error = replicated
+        .standby
+        .cut_checkpoint(&mut replicated.primary, watermark)
+        .expect_err("a lagging standby cannot be cut");
+    assert!(error.to_string().contains("replication gap"), "{error}");
+    assert_eq!(standby_state(&replicated.standby), before);
+
+    // Nothing was consumed on the primary either: once synced, the cut
+    // carries everything touched since the bootstrap.
+    replicated.cut();
+    assert!(replicated.checkpoint_equals_primary());
+}
+
+#[test]
+fn a_cut_from_an_untracked_primary_is_refused_and_changes_nothing() {
+    let mut replicated = Replicated::new();
+    warm(&mut replicated, 0..4);
+    let mut untracked = seeded_mediator();
+    let before = standby_state(&replicated.standby);
+    let watermark = replicated.log.last_sequence();
+    let error = replicated
+        .standby
+        .cut_checkpoint(&mut untracked, watermark)
+        .expect_err("no touched set to copy from");
+    assert!(error.to_string().contains("track"), "{error}");
+    assert_eq!(standby_state(&replicated.standby), before);
+}
+
+#[test]
+fn a_gapped_tail_is_an_error_that_changes_nothing() {
+    let mut replicated = Replicated::new();
+    warm(&mut replicated, 0..4);
+    let before = standby_state(&replicated.standby);
+
+    // A record that skips a sequence.
+    let skipping = DeltaRecord {
+        sequence: replicated.standby.applied() + 2,
+        op: DeltaOp::Mutation(RegistryDelta::SetOnline {
+            id: ProviderId::new(1),
+            online: false,
+        }),
+    };
+    let error = replicated.standby.observe(&skipping).expect_err("gap");
+    assert!(error.to_string().contains("replication gap"), "{error}");
+    assert_eq!(standby_state(&replicated.standby), before);
+
+    // A log pruned past the standby.
+    for round in 0..3 {
+        replicated
+            .primary
+            .update_provider_load(ProviderId::new(2), f64::from(round), 1)
+            .expect("registered");
+    }
+    replicated
+        .log
+        .prune_through(replicated.log.last_sequence() - 1);
+    let error = replicated
+        .standby
+        .catch_up(&replicated.log)
+        .expect_err("pruned past the standby");
+    assert!(error.to_string().contains("replication gap"), "{error}");
+    assert_eq!(standby_state(&replicated.standby), before);
 }

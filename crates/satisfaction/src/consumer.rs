@@ -25,7 +25,7 @@ use crate::window::InteractionWindow;
 /// The record a consumer keeps for one of its past queries: which providers
 /// performed it, with which expressed intention, and how many results were
 /// required.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConsumerInteraction {
     /// The query this interaction refers to.
     pub query: QueryId,
@@ -34,6 +34,24 @@ pub struct ConsumerInteraction {
     /// The providers that performed the query together with the intention the
     /// consumer had expressed towards each of them.
     pub performed_by: Vec<(ProviderId, Intention)>,
+}
+
+/// By hand for `clone_from`, which keeps the `performed_by` buffer (see
+/// [`InteractionWindow`]'s `Clone`).
+impl Clone for ConsumerInteraction {
+    fn clone(&self) -> Self {
+        Self {
+            query: self.query,
+            required_results: self.required_results,
+            performed_by: self.performed_by.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.query = source.query;
+        self.required_results = source.required_results;
+        self.performed_by.clone_from(&source.performed_by);
+    }
 }
 
 impl ConsumerInteraction {
@@ -80,9 +98,22 @@ impl ConsumerInteraction {
 }
 
 /// Rolling consumer satisfaction over the last `k` queries (Definition 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConsumerSatisfaction {
     window: InteractionWindow<ConsumerInteraction>,
+}
+
+/// By hand so that `clone_from` reaches the window's.
+impl Clone for ConsumerSatisfaction {
+    fn clone(&self) -> Self {
+        Self {
+            window: self.window.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.window.clone_from(&source.window);
+    }
 }
 
 impl ConsumerSatisfaction {

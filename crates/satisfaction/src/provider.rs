@@ -52,9 +52,23 @@ impl ProviderInteraction {
 
 /// Rolling provider satisfaction over the last `k` proposed queries
 /// (Definition 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProviderSatisfaction {
     window: InteractionWindow<ProviderInteraction>,
+}
+
+/// By hand so that `clone_from` reaches the window's, which copies over the
+/// stale window in place.
+impl Clone for ProviderSatisfaction {
+    fn clone(&self) -> Self {
+        Self {
+            window: self.window.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.window.clone_from(&source.window);
+    }
 }
 
 impl ProviderSatisfaction {

@@ -21,12 +21,38 @@ use serde::{Deserialize, Serialize, Value};
 /// interactions it can never hold. The manual impl re-imposes the
 /// constructor invariants (capacity at least one, at most `capacity` items,
 /// keeping the newest).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// `Clone` is implemented by hand for its `clone_from`: an incremental
+/// checkpoint copies a touched window over its stale copy, and doing that
+/// item by item reuses the copy's ring buffer and each item's own storage
+/// where the derive would allocate a whole new window.
+#[derive(Debug, PartialEq, Serialize)]
 pub struct InteractionWindow<T> {
     capacity: usize,
     items: VecDeque<T>,
     /// Total number of interactions ever recorded, including evicted ones.
     total_recorded: u64,
+}
+
+impl<T: Clone> Clone for InteractionWindow<T> {
+    fn clone(&self) -> Self {
+        Self {
+            capacity: self.capacity,
+            items: self.items.clone(),
+            total_recorded: self.total_recorded,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.capacity = source.capacity;
+        self.total_recorded = source.total_recorded;
+        self.items.truncate(source.items.len());
+        let shared = self.items.len();
+        for (item, fresh) in self.items.iter_mut().zip(&source.items) {
+            item.clone_from(fresh);
+        }
+        self.items.extend(source.items.iter().skip(shared).cloned());
+    }
 }
 
 impl<T: Deserialize> Deserialize for InteractionWindow<T> {
@@ -174,6 +200,25 @@ mod tests {
     fn zero_capacity_is_promoted_to_one() {
         let w: InteractionWindow<u32> = InteractionWindow::new(0);
         assert_eq!(w.capacity(), 1);
+    }
+
+    #[test]
+    fn clone_from_copies_over_longer_shorter_and_rotated_windows() {
+        let mut source: InteractionWindow<Vec<u32>> = InteractionWindow::new(3);
+        for i in 0..5u32 {
+            source.record(vec![i; i as usize]);
+        }
+        // Into an empty window, a fuller one of another capacity, and a
+        // stale copy of itself: always an exact copy.
+        let mut empty = InteractionWindow::new(1);
+        let mut fuller = InteractionWindow::new(8);
+        fuller.extend((10..18u32).map(|i| vec![i]));
+        let mut stale = source.clone();
+        source.record(vec![9]);
+        for target in [&mut empty, &mut fuller, &mut stale] {
+            target.clone_from(&source);
+            assert_eq!(*target, source);
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ use std::time::Instant;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{
-    Admission, BatchReport, DegradationConfig, DegradationLadder, Mediator, QueryDisposition,
+    Admission, BatchReport, DegradationConfig, DegradationLadder, Mediator, ProviderRegistry,
+    QueryAllocator, QueryDisposition,
 };
 pub use sbqa_replication::standby::ReplayReport;
 pub use sbqa_replication::ReplicationStats;
@@ -41,6 +42,19 @@ use crate::shard::MediatorShard;
 
 /// Default number of batches between automatic checkpoints.
 const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4;
+
+/// Forks a mediator's allocation technique for a standby, or says why not.
+fn fork_allocator(mediator: &Mediator) -> SbqaResult<Box<dyn QueryAllocator>> {
+    mediator
+        .fork_allocator()
+        .ok_or_else(|| SbqaError::InvalidConfiguration {
+            reason: format!(
+                "allocation technique '{}' cannot be checkpointed \
+                 (QueryAllocator::fork returned None)",
+                mediator.technique()
+            ),
+        })
+}
 
 /// One mediator shard with a promotable standby behind it.
 #[derive(Debug)]
@@ -60,47 +74,56 @@ impl ReplicatedShard {
     /// Arms replication around a mediator: the mediator is decomposed with
     /// [`Mediator::into_parts`], its allocator forked and registries cloned
     /// into the standby's bootstrap checkpoint, and the primary reassembled
-    /// with its registry feeding a fresh delta log.
+    /// with its registry feeding a fresh delta log and its satisfaction
+    /// registry tracking the ids it touches, which is what lets every later
+    /// [`checkpoint`](ReplicatedShard::checkpoint) be cut incrementally.
     ///
     /// # Errors
     ///
     /// [`SbqaError::InvalidConfiguration`] when the hosted allocation
     /// technique does not implement
-    /// [`QueryAllocator::fork`](sbqa_core::QueryAllocator::fork) — an
+    /// [`QueryAllocator::fork`] — an
     /// uncheckpointable technique would silently diverge after a failover,
     /// so arming refuses instead.
     pub fn new(index: usize, mediator: Mediator) -> SbqaResult<Self> {
-        let technique = mediator.technique();
-        let (allocator, mut providers, satisfaction) = mediator.into_parts();
-        let standby_allocator =
-            allocator
-                .fork()
-                .ok_or_else(|| SbqaError::InvalidConfiguration {
-                    reason: format!(
-                        "allocation technique '{technique}' cannot be checkpointed \
-                         (QueryAllocator::fork returned None)"
-                    ),
-                })?;
+        let standby_allocator = fork_allocator(&mediator)?;
+        Ok(Self::arm(index, mediator, standby_allocator, None))
+    }
+
+    /// The arming itself. `mirror`, when given, is a registry already equal
+    /// to the mediator's in replicated state (a promoted shard's previous
+    /// lockstep mirror); it saves the standby one of its two registry clones.
+    fn arm(
+        index: usize,
+        mediator: Mediator,
+        standby_allocator: Box<dyn QueryAllocator>,
+        mirror: Option<ProviderRegistry>,
+    ) -> Self {
+        let (allocator, mut providers, mut satisfaction) = mediator.into_parts();
         let log = SharedDeltaLog::new();
-        let standby = StandbyShard::new(
+        let checkpoint = providers.clone();
+        let mirror = mirror.unwrap_or_else(|| checkpoint.clone());
+        let standby = StandbyShard::with_mirror(
             standby_allocator,
-            providers.clone(),
+            checkpoint,
             satisfaction.clone(),
+            mirror,
             log.last_sequence(),
         );
         providers.set_delta_sink(Box::new(log.clone()));
+        satisfaction.track_touched();
         let primary = MediatorShard::new(
             index,
             Mediator::from_parts(allocator, providers, satisfaction),
         );
-        Ok(Self {
+        Self {
             index,
             primary,
             log,
             standby,
             promotions: 0,
             ladder: None,
-        })
+        }
     }
 
     /// Arms overload admission control: every subsequent
@@ -248,44 +271,51 @@ impl ReplicatedShard {
         }
     }
 
-    /// Cuts a fresh checkpoint from the live primary into the standby and
-    /// prunes the delta log up to the cut: the standby's replay window
-    /// restarts empty, and the log retains only the snapshot mark.
+    /// Cuts a fresh checkpoint of the live primary into the standby,
+    /// incrementally ([`StandbyShard::cut_checkpoint`]: the standby's
+    /// registry copy advances by its tail, its satisfaction copy receives
+    /// the trackers touched since the last cut), and prunes the delta log up
+    /// to the cut: the standby's replay window restarts empty, and the log
+    /// retains only the snapshot mark.
     ///
     /// # Errors
     ///
+    /// A replication gap on the standby sync, or
     /// [`SbqaError::InvalidConfiguration`] if the primary's technique lost
     /// fork support (cannot happen for shards built via
-    /// [`ReplicatedShard::new`]), or a replication gap on the standby sync.
+    /// [`ReplicatedShard::new`]); the standby and the log are then as they
+    /// were.
     pub fn checkpoint(&mut self) -> SbqaResult<()> {
         self.sync()?;
-        let (allocator, providers, satisfaction) =
-            self.primary.mediator().fork_state().ok_or_else(|| {
-                SbqaError::InvalidConfiguration {
-                    reason: "primary's allocation technique cannot be checkpointed".to_string(),
-                }
-            })?;
         let watermark = self.log.last_sequence();
-        self.log.mark_snapshot();
         self.standby
-            .install_checkpoint(allocator, providers, satisfaction, watermark);
+            .cut_checkpoint(self.primary.mediator_mut(), watermark)?;
+        self.log.mark_snapshot();
         self.log.prune_through(watermark);
         // Let the standby observe the snapshot mark itself, so a freshly
         // checkpointed shard reports zero replay lag.
         self.sync().map(|_| ())
     }
 
-    /// Kills the primary and promotes the standby: the primary is dropped —
-    /// its registry, satisfaction state and RNG are gone — the standby
-    /// replays its checkpoint + tail + journal into a fresh mediator, and
-    /// replication is re-armed around it (new log, new bootstrap
-    /// checkpoint). Latency/cache instrumentation restarts with the new
-    /// primary; the decision stream continues byte-identically.
+    /// Kills the primary and promotes the standby: the standby replays its
+    /// checkpoint + tail + journal into a fresh mediator, the primary is
+    /// dropped — its registry, satisfaction state and RNG are gone, and the
+    /// promotion has read none of them — and replication is re-armed around
+    /// the promoted mediator (new log, new bootstrap checkpoint, the old
+    /// standby's mirror carried over). Latency/cache instrumentation
+    /// restarts with the new primary; the decision stream continues
+    /// byte-identically.
     ///
-    /// # Errors
-    ///
-    /// Replay errors from promotion (a corrupt tail), or re-arming errors.
-    pub fn promote(self, oracle: &dyn IntentionOracle) -> SbqaResult<(Self, ReplayReport)> {
+    /// A shard always comes back. When the promotion fails (a corrupt log or
+    /// tail), the crash is called off: the broken standby and its log are
+    /// discarded, replication is re-armed around the untouched primary the
+    /// same way, and the error is returned beside the shard.
+    pub fn promote(self, oracle: &dyn IntentionOracle) -> (Self, SbqaResult<ReplayReport>) {
+        // Forked before anything is taken apart, for the calling-off path.
+        let spare = match fork_allocator(self.primary.mediator()) {
+            Ok(spare) => spare,
+            Err(error) => return (self, Err(error)),
+        };
         let Self {
             index,
             primary,
@@ -294,21 +324,35 @@ impl ReplicatedShard {
             promotions,
             ladder,
         } = self;
-        // The crash: the live mediator is dropped wholesale.
-        drop(primary);
-        standby.catch_up(&log)?;
-        let (mediator, report) = standby.promote(oracle)?;
-        let mut promoted = Self::new(index, mediator)?;
-        promoted.promotions = promotions + 1;
+        let promotion = standby
+            .catch_up(&log)
+            .and_then(|_| standby.promote(oracle))
+            .and_then(|(mediator, mirror, report)| {
+                Ok((fork_allocator(&mediator)?, mediator, mirror, report))
+            });
+        let (mut shard, outcome) = match promotion {
+            Ok((standby_allocator, mediator, mirror, report)) => {
+                // The crash: the live mediator is dropped wholesale.
+                drop(primary);
+                let mut shard = Self::arm(index, mediator, standby_allocator, Some(mirror));
+                shard.promotions = promotions + 1;
+                (shard, Ok(report))
+            }
+            Err(error) => {
+                let mut shard = Self::arm(index, primary.into_mediator(), spare, None);
+                shard.promotions = promotions;
+                (shard, Err(error))
+            }
+        };
         if let Some(ladder) = ladder {
             // The ladder survives the crash: re-seat it (and the shrink-tier
-            // floor, which re-arming reset) around the promoted mediator.
+            // floor, which re-arming reset) around the new primary.
             let floor = ladder.config().floor_kn;
-            promoted.primary.mediator_mut().set_degraded_kn_floor(floor);
-            promoted.standby.set_degraded_floor(floor);
-            promoted.ladder = Some(ladder);
+            shard.primary.mediator_mut().set_degraded_kn_floor(floor);
+            shard.standby.set_degraded_floor(floor);
+            shard.ladder = Some(ladder);
         }
-        Ok((promoted, report))
+        (shard, outcome)
     }
 
     /// `true` if the standby's mirror registry is byte-identical (slab
@@ -586,16 +630,17 @@ impl ReplicatedMediator {
     ///
     /// # Errors
     ///
-    /// Promotion replay errors (see [`ReplicatedShard::promote`]).
+    /// Promotion replay errors; the slot then holds the original primary,
+    /// re-armed (see [`ReplicatedShard::promote`]), and the service keeps
+    /// running.
     pub fn crash_shard(
         &mut self,
         index: usize,
         oracle: &dyn IntentionOracle,
     ) -> SbqaResult<ReplayReport> {
-        let shard = self.shards.remove(index);
-        let (promoted, report) = shard.promote(oracle)?;
-        self.shards.insert(index, promoted);
-        Ok(report)
+        let (shard, outcome) = self.shards.remove(index).promote(oracle);
+        self.shards.insert(index, shard);
+        outcome
     }
 
     /// `true` if every shard's standby mirror is byte-identical to its live
@@ -710,6 +755,60 @@ mod tests {
         (0..service.shard_count())
             .map(|i| service.shard(i).replication_stats().promotions)
             .sum()
+    }
+
+    #[test]
+    fn a_failed_promotion_keeps_the_slot_and_the_service_running() {
+        let oracle = oracle();
+        let mut wounded = replicated(2);
+        let mut baseline = replicated(2);
+        let stream: Vec<Query> = (0..120u64).map(|i| query(i, i as f64 * 0.1)).collect();
+        let mut wounded_outcomes = Vec::new();
+        let mut baseline_outcomes = Vec::new();
+
+        for (round, chunk) in stream.chunks(30).enumerate() {
+            if round == 2 {
+                // Corrupt shard 0's stream: a departure of a provider nobody
+                // registered. The standby cannot replay it, so the promotion
+                // fails, the crash is called off around the intact primary…
+                wounded.shards[0]
+                    .log
+                    .append_mutation(sbqa_core::RegistryDelta::Unregister {
+                        id: ProviderId::new(9_999),
+                    });
+                let error = wounded.crash_shard(0, &oracle).unwrap_err();
+                assert!(
+                    matches!(error, SbqaError::UnknownProvider { .. }),
+                    "{error}"
+                );
+                // …and the slot is still there, replication re-armed clean.
+                assert_eq!(wounded.shard_count(), 2);
+                assert_eq!(wounded.shard(0).index(), 0);
+                assert_eq!(wounded.shard(0).replication_stats().promotions, 0);
+                assert_eq!(wounded.shard(0).replication_stats().replay_lag, 0);
+                assert!(wounded.mirrors_in_lockstep());
+            }
+            wounded
+                .submit_batch(chunk, &oracle, |_, q, r| {
+                    wounded_outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
+                })
+                .unwrap();
+            baseline
+                .submit_batch(chunk, &oracle, |_, q, r| {
+                    baseline_outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
+                })
+                .unwrap();
+        }
+        assert_eq!(wounded_outcomes, baseline_outcomes);
+        assert!(wounded_outcomes
+            .iter()
+            .all(|(_, selected)| selected.is_some()));
+
+        // The re-armed shard is a full citizen: it checkpoints and promotes.
+        wounded.checkpoint_all().unwrap();
+        wounded.crash_shard(0, &oracle).unwrap();
+        assert_eq!(service_promotions(&wounded), 1);
+        assert!(wounded.mirrors_in_lockstep());
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Integration tests of the replication subsystem at the service layer:
 //! crash/promotion byte-identity under registry churn, standby lockstep,
-//! checkpoint pruning, and delta-driven live resize.
+//! checkpoint pruning, delta-driven live resize, and the allocation bound of
+//! an incremental checkpoint cut.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use sbqa_core::{DegradationConfig, Mediator, StaticIntentions};
 use sbqa_service::{ReplicatedMediator, ShardedMediator};
@@ -8,6 +12,45 @@ use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
     VirtualTime,
 };
+
+thread_local! {
+    /// Allocations (and reallocations) this thread has made. Per thread, so
+    /// the tests of this file, which run in parallel, do not count each
+    /// other's.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_allocation() {
+    // `try_with`: a thread that is tearing down its locals still allocates.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialized
+// thread-local `Cell` with no destructor: touching it cannot allocate.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn caps(class: u8) -> CapabilitySet {
     CapabilitySet::singleton(Capability::new(class))
@@ -148,6 +191,55 @@ fn checkpoints_bound_replay_state() {
     // A crash right after a checkpoint still promotes cleanly.
     let report = service.crash_shard(0, &oracle).unwrap();
     assert_eq!(report.queries_mediated + report.queries_starved, 0);
+    assert!(service.mirrors_in_lockstep());
+}
+
+#[test]
+fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
+    const PROVIDERS: u64 = 20_000;
+    let oracle = oracle();
+    let mut service = replicated(1, PROVIDERS);
+    service.set_checkpoint_interval(0); // cuts are explicit below
+    let mut next_query = 0u64;
+    let mut window = |service: &mut ReplicatedMediator| {
+        // What lies between two cuts at the default cadence: 4 batches of 64
+        // queries, and 32 load writes for the registry tail.
+        for _ in 0..4 {
+            let batch: Vec<Query> = (next_query..next_query + 64)
+                .map(|i| query(i, i as f64 * 0.01, (i % 2) as u8))
+                .collect();
+            next_query += 64;
+            service.submit_batch(&batch, &oracle, |_, _, _| {}).unwrap();
+        }
+        for step in 0..32 {
+            let p = (next_query * 31 + step * 577) % PROVIDERS;
+            service
+                .update_provider_load(ProviderId::new(p), step as f64 * 0.1, 1)
+                .unwrap();
+        }
+    };
+    for _ in 0..4 {
+        window(&mut service);
+        service.checkpoint_all().unwrap();
+    }
+
+    window(&mut service);
+    let before = ALLOCATIONS.with(Cell::get);
+    service.checkpoint_all().unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+    // A cut copies the trackers of at most 256 × (kn + 1) participants and
+    // each copy allocates at most once (a first-touched provider's window);
+    // cloning the registries allocated several times per provider.
+    assert!(
+        allocations <= 256 * 4,
+        "{allocations} allocations in one cut over {PROVIDERS} providers"
+    );
+    let stats = service.shard(0).replication_stats();
+    assert_eq!(
+        (stats.tail_depth, stats.journal_depth, stats.replay_lag),
+        (0, 0, 0)
+    );
     assert!(service.mirrors_in_lockstep());
 }
 

@@ -90,9 +90,22 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # The overload gates pin the seed-42 100x-step outcome and shed-set digests
 # (golden_overload) and assert run-to-run + chunking byte-identity of the
 # degradation ladder's admit/degrade/shed decisions (overload), including
-# crash-while-shedding promotion (failover's overload case).
+# crash-while-shedding promotion (failover's overload case). replay_prop
+# holds the incremental checkpoint to the full clone it replaced: after every
+# cut of a random op sequence the standby's registry and satisfaction digests
+# equal the primary's, and a promotion continues the uninterrupted stream.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
+cargo test --release -p sbqa_replication --test replay_prop -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload -q
+
+echo "== benchmark smoke: perf/run.sh --quick"
+# The benchmark's own correctness gates on a 2 000-provider world (its
+# timings are stamped "not comparable"): conservation, digests equal across
+# segments, 1-shard service == bare Mediator, crashed ReplicatedMediator ==
+# uncrashed ShardedMediator, all four overload tiers. perf/ is its own
+# workspace sharing target/, so this also proves it still builds against
+# the crates.
+bash perf/run.sh --quick > /dev/null
 
 echo "CI OK"
