@@ -15,7 +15,7 @@
 //!   must stay within 5% of hook-off at 100k providers — mediation work
 //!   dwarfs the append, and a disabled hook is a single branch.
 //! * `checkpoint_cut/{10k,100k}` — one checkpoint window of a one-shard
-//!   `ReplicatedMediator` at the default cadence: 256 queries in 4 batches,
+//!   replicated `ShardedMediator` at the default cadence: 256 queries in 4 batches,
 //!   32 load deltas, then `checkpoint_all`. The cut is incremental, so the
 //!   window should cost what its 256 mediations cost plus O(touched), at
 //!   either population.
@@ -28,7 +28,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use sbqa_core::allocator::StaticIntentions;
 use sbqa_core::{Mediator, ProviderRegistry, RegistryDelta};
 use sbqa_replication::{DeltaLog, SharedDeltaLog};
-use sbqa_service::ReplicatedMediator;
+use sbqa_service::ShardedMediator;
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
     VirtualTime,
@@ -187,13 +187,12 @@ fn bench_submit_hook(c: &mut Criterion) {
 
 /// A one-shard replicated service over the synthetic population, with
 /// checkpoints left to the bench.
-fn replicated(n: usize) -> ReplicatedMediator {
-    let mut service = ReplicatedMediator::sbqa(SystemConfig::default().with_knbest(20, 4), 42, 1)
+fn replicated(n: usize) -> ShardedMediator {
+    let mut service = ShardedMediator::sbqa(SystemConfig::default().with_knbest(20, 4), 42, 1)
         .expect("default config validates");
+    service.replicate().expect("SbQA forks");
     for i in 0..n {
-        service
-            .register_provider(ProviderId::new(i as u64), capabilities(i), 1.0)
-            .expect("log is contiguous");
+        service.register_provider(ProviderId::new(i as u64), capabilities(i), 1.0);
     }
     for consumer in 0..64 {
         service.register_consumer(ConsumerId::new(consumer));
@@ -207,7 +206,7 @@ fn replicated(n: usize) -> ReplicatedMediator {
 
 /// One checkpoint window: 4 batches of 64 queries, 32 load deltas.
 fn checkpoint_window(
-    service: &mut ReplicatedMediator,
+    service: &mut ShardedMediator,
     oracle: &StaticIntentions,
     size: usize,
     tick: &mut u64,
@@ -226,7 +225,7 @@ fn checkpoint_window(
             })
             .collect();
         service
-            .submit_batch(&batch, oracle, |_, _, _| {})
+            .try_submit_batch(&batch, oracle, |_, _, _| {})
             .expect("log is contiguous");
     }
     for step in 0..32u64 {

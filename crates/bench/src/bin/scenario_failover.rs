@@ -4,7 +4,7 @@
 //! Not one of the paper's seven scenarios: this harness exercises the
 //! replication subsystem end-to-end. A deterministic open-loop query stream
 //! (the `scenario_sharded` population) is driven twice through a
-//! `ReplicatedMediator` — every shard paired with a delta-log-fed standby,
+//! replicated `ShardedMediator` — every shard paired with a delta-log-fed standby,
 //! deterministic registry churn injected between batches:
 //!
 //! * once uninterrupted (the baseline trajectory), and
@@ -301,17 +301,18 @@ fn measure_promotion(
     stream: &[sbqa_types::Query],
 ) -> Result<std::time::Duration, sbqa_types::SbqaError> {
     let mut service =
-        sbqa_service::ReplicatedMediator::sbqa(config.system.clone(), config.seed, config.shards)?;
+        sbqa_service::ShardedMediator::sbqa(config.system.clone(), config.seed, config.shards)?;
+    service.replicate()?;
     service.set_checkpoint_interval(config.checkpoint_interval);
     for spec in providers {
-        service.register_provider(spec.id, spec.capabilities, spec.capacity)?;
+        service.register_provider(spec.id, spec.capabilities, spec.capacity);
     }
     for spec in consumers {
         service.register_consumer(spec.id);
     }
     let oracle = HashIntentions::new(config.seed);
     for chunk in stream[..stream.len() / 2].chunks(config.batch.max(1)) {
-        service.submit_batch(chunk, &oracle, |_, _, _| {})?;
+        service.try_submit_batch(chunk, &oracle, |_, _, _| {})?;
     }
     let start = Instant::now();
     service.crash_shard(0, &oracle)?;

@@ -200,9 +200,9 @@ proptest! {
 // Incremental checkpoints
 // ---------------------------------------------------------------------------
 
-/// A primary mediator wired the way `ReplicatedShard` wires one — registry
-/// feeding a delta log, satisfaction registry tracking touched ids — with
-/// its standby bootstrapped from full clones.
+/// A primary mediator wired the way `MediatorShard::replicate` wires one —
+/// registry feeding a delta log, satisfaction registry tracking touched ids
+/// — with its standby bootstrapped from full clones.
 struct Replicated {
     primary: Mediator,
     log: SharedDeltaLog,
@@ -253,7 +253,7 @@ impl Replicated {
         self.standby.catch_up(&self.log).expect("contiguous log");
     }
 
-    /// One cut, in `ReplicatedShard::checkpoint`'s order.
+    /// One cut, in `MediatorShard::checkpoint`'s order.
     fn cut(&mut self) {
         self.sync();
         let watermark = self.log.last_sequence();

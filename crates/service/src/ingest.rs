@@ -1,13 +1,17 @@
-//! The asynchronous ingest front.
+//! The threaded driver.
 //!
 //! [`MediationService`] turns a [`ShardedMediator`] into a running service:
 //! each shard moves into its own **mediation thread** behind a per-shard
 //! **bounded ingest ring** ([`BoundedRing`] — no external runtime).
 //! Producers enqueue queries (singly or in batches) and only block when a
 //! shard's ring is full; each shard thread drains its ring in waves through
-//! the shard's instrumented submit path and accumulates the outcome stream.
+//! [`MediatorShard::submit`] — the same per-query step the inline driver
+//! takes, so whatever the shards were armed with (a degradation ladder, a
+//! standby) works here unchanged — and accumulates the outcome stream.
 //! [`MediationService::finish`] closes the rings, joins the threads and
-//! merges the per-shard results into a [`ServiceReport`].
+//! merges the per-shard results into a [`ServiceReport`];
+//! [`MediationService::finish_with_shards`] also hands the shards back, for
+//! [`ShardedMediator::from_shards`] to crash, checkpoint or respawn.
 //!
 //! ## Back-pressure and the degradation ladder
 //!
@@ -28,9 +32,9 @@
 //!   `(VirtualTime, QueryId)` order, so the shed set is byte-reproducible
 //!   per seed and independent of chunk sizes and thread timing.
 //!
-//! Without a degradation config the service behaves exactly like the seed
-//! (the default ring is large enough that sub-saturation workloads never
-//! block), and each shard admits everything at full quality.
+//! Without a degradation config the shards run as they were armed — by
+//! default admitting everything at full quality, behind a ring large enough
+//! that sub-saturation workloads never block.
 //!
 //! ## Latency semantics
 //!
@@ -59,18 +63,27 @@
 //! per-shard arrival order itself becomes nondeterministic; byte-stability
 //! then requires the producers to agree on an enqueue order.
 //!
-//! Adaptive-`kn` keeps its producer-defined cadence: each enqueued chunk's
-//! first envelope carries a chunk marker and the shard thread runs one
-//! adaptation round when it meets one, so the cadence is independent of how
-//! ring waves happen to slice the stream.
+//! The batch boundary is producer-defined: the first and last envelope of
+//! each enqueued chunk are marked, and the shard thread opens a batch (one
+//! adaptive-`kn` round) and closes it (one step of a replicated shard's
+//! checkpoint cadence) when it meets the marks, independent of how ring
+//! waves happen to slice the stream.
+//!
+//! ## Replication faults
+//!
+//! A shard thread cannot return an error mid-stream. When its shard's
+//! replication stream faults, the thread keeps draining — so producers never
+//! deadlock on a full ring — but the shard takes no further query: those
+//! queries get no outcome, and the fault comes back on the shard
+//! ([`MediatorShard::fault`]) and in its [`ShardReport`](crate::ShardReport).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sbqa_core::allocator::IntentionOracle;
-use sbqa_core::{Admission, DegradationConfig};
-use sbqa_types::SbqaResult;
+use sbqa_core::DegradationConfig;
+use sbqa_types::{SbqaError, SbqaResult};
 
 use crate::report::{OutcomeRecord, ServiceReport};
 use crate::ring::BoundedRing;
@@ -85,8 +98,8 @@ pub struct IngestConfig {
     /// full. The default (65 536) is effectively "never block" for
     /// sub-saturation workloads, preserving the seed's behavior.
     pub ring_capacity: usize,
-    /// Arms every shard with a degradation ladder; `None` (the default)
-    /// admits everything at full quality.
+    /// Arms every shard with a fresh degradation ladder; `None` (the
+    /// default) leaves the shards as they are.
     pub degradation: Option<DegradationConfig>,
 }
 
@@ -103,11 +116,11 @@ impl Default for IngestConfig {
 struct Envelope {
     query: sbqa_types::Query,
     enqueued: Instant,
-    /// `true` on the first envelope of a producer chunk: the shard thread
-    /// runs one adaptive-`kn` round when it meets one, keeping the
-    /// adaptation cadence producer-defined (and deterministic) even though
-    /// the ring delivers envelopes in wall-clock-sized waves.
+    /// Set on the first and on the last envelope a producer chunk sends to
+    /// this shard: the batch boundary, producer-defined (and deterministic)
+    /// even though the ring delivers envelopes in wall-clock-sized waves.
     chunk_start: bool,
+    chunk_end: bool,
 }
 
 /// What a shard thread hands back when its ring closes.
@@ -197,25 +210,12 @@ impl MediationService {
         self.enqueued
     }
 
-    /// Enqueues one query on its assigned shard's ring, blocking while the
-    /// ring is full (bounded back-pressure, never unbounded growth).
+    /// Enqueues one query: a [`MediationService::enqueue_batch`] of one.
     ///
     /// # Panics
-    /// Panics if the shard's mediation thread has died (a shard panic is a
-    /// service bug, not a recoverable condition).
+    /// Panics if the shard's mediation thread has died.
     pub fn enqueue(&mut self, query: sbqa_types::Query) {
-        let shard = self.router.shard_of_query(query.id);
-        let envelope = Envelope {
-            query,
-            // sbqa-lint: allow(wall-clock, "latency instrumentation only; enqueue stamps never influence allocation results")
-            enqueued: Instant::now(),
-            chunk_start: true,
-        };
-        self.rings[shard]
-            .push(envelope)
-            // sbqa-lint: allow(panic-hygiene, "mediation threads outlive the ring by construction; a closed ring here is unrecoverable")
-            .unwrap_or_else(|_| panic!("shard mediation ring closed early"));
-        self.enqueued += 1;
+        self.enqueue_batch(std::iter::once(query));
     }
 
     /// Enqueues a batch: queries are split by assigned shard, each shard's
@@ -237,15 +237,17 @@ impl MediationService {
                 query,
                 enqueued,
                 chunk_start: false,
+                chunk_end: false,
             });
             self.enqueued += 1;
         }
         for (shard, staged) in self.staging.iter_mut().enumerate() {
-            if staged.is_empty() {
-                continue;
-            }
             // Stable drain order inside the chunk: issue time, then id.
             staged.sort_by_key(|envelope| (envelope.query.issued_at, envelope.query.id));
+            let Some(last) = staged.last_mut() else {
+                continue;
+            };
+            last.chunk_end = true;
             staged[0].chunk_start = true;
             for envelope in staged.drain(..) {
                 self.rings[shard]
@@ -300,9 +302,8 @@ impl std::fmt::Debug for MediationService {
 }
 
 /// A shard thread's life: drain ring waves until the ring closes. Envelopes
-/// arrive in producer order (the ring is FIFO), so degradation-ladder
-/// admission — which must see arrivals in `(issued_at, id)` order — runs
-/// right here, one verdict per envelope, before any mediation.
+/// arrive in producer order (the ring is FIFO), which is the
+/// `(issued_at, id)` order [`MediatorShard::submit`] asks for.
 fn drain(
     mut shard: MediatorShard,
     ring: &BoundedRing<Envelope>,
@@ -312,42 +313,31 @@ fn drain(
     let mut wave = Vec::new();
     while ring.pop_wave(&mut wave) {
         for envelope in wave.drain(..) {
-            // Chunk boundary = this front's batch boundary: one adaptation
-            // round per producer chunk (a no-op without a controller),
-            // regardless of how ring waves slice the stream.
             if envelope.chunk_start {
-                shard.mediator_mut().adapt_kn();
+                shard.begin_batch();
             }
             let query = &envelope.query;
-            match shard.admit(query.issued_at) {
-                Admission::Shed => {
-                    shard.record_shed(envelope.enqueued);
-                    outcomes.push(OutcomeRecord {
-                        shard: shard.index(),
-                        query: query.id,
-                        consumer: query.consumer,
-                        issued_at: query.issued_at,
-                        selected: Vec::new(),
-                        starved: false,
-                        shed: true,
-                    });
-                }
-                Admission::Admit(_) => {
-                    let result = shard.submit_with_start(query, oracle, envelope.enqueued);
-                    let (selected, starved) = match result {
-                        Ok(decision) => (decision.selected.clone(), false),
-                        Err(_) => (Vec::new(), true),
-                    };
-                    outcomes.push(OutcomeRecord {
-                        shard: shard.index(),
-                        query: query.id,
-                        consumer: query.consumer,
-                        issued_at: query.issued_at,
-                        selected,
-                        starved,
-                        shed: false,
-                    });
-                }
+            // A replication fault stays on the shard, which then takes no
+            // query; the loop goes on so that the ring keeps emptying.
+            if let Ok(result) = shard.submit(query, oracle, envelope.enqueued) {
+                let (selected, starved, shed) = match result {
+                    Ok(decision) => (decision.selected.clone(), false, false),
+                    Err(SbqaError::QueryShed { .. }) => (Vec::new(), false, true),
+                    Err(_) => (Vec::new(), true, false),
+                };
+                outcomes.push(OutcomeRecord {
+                    shard: shard.index(),
+                    query: query.id,
+                    consumer: query.consumer,
+                    issued_at: query.issued_at,
+                    selected,
+                    starved,
+                    shed,
+                });
+            }
+            if envelope.chunk_end {
+                // Its errors are replication faults too: kept on the shard.
+                let _ = shard.end_batch();
             }
         }
     }
@@ -466,7 +456,7 @@ mod tests {
             StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.6));
         let any_ok = shards
             .iter_mut()
-            .any(|s| s.submit_timed(&q, &static_oracle).is_ok());
+            .any(|s| matches!(s.submit(&q, &static_oracle, Instant::now()), Ok(Ok(_))));
         assert!(any_ok);
     }
 
@@ -585,5 +575,41 @@ mod tests {
                 .collect()
         };
         assert_eq!(decisions(&sorted), decisions(&reversed));
+    }
+
+    #[test]
+    fn a_faulted_shard_keeps_draining_and_hands_the_fault_back() {
+        let mut service = build_service(2, 20);
+        service.replicate().unwrap();
+        service.corrupt_log(0);
+        let router = *service.router();
+        // A ring far smaller than the stream: a worker that stopped popping
+        // would block the producer forever.
+        let config = IngestConfig {
+            ring_capacity: 4,
+            degradation: None,
+        };
+        let mut running = MediationService::spawn_with(service, oracle(), config).unwrap();
+        running.enqueue_batch((0..200).map(query));
+        let (report, shards) = running.finish_with_shards();
+
+        let fault = report.fault().expect("shard 0 faulted");
+        assert!(
+            matches!(fault, SbqaError::UnknownProvider { .. }),
+            "{fault}"
+        );
+        assert_eq!(report.shards[0].fault.as_ref(), Some(fault));
+        assert_eq!(shards[0].fault(), Some(fault));
+        assert_eq!(report.shards[1].fault, None);
+        // Shard 0 took no query — none tallied, starved, timed or recorded —
+        // and shard 1 took all of its own.
+        assert_eq!(report.shards[0].report.submitted(), 0);
+        assert_eq!(report.shards[0].latency.count(), 0);
+        assert!(report.outcomes.iter().all(|o| o.shard == 1 && !o.starved));
+        let to_shard_1 = (0..200)
+            .filter(|&id| router.shard_of_query(QueryId::new(id)) == 1)
+            .count();
+        assert_eq!(report.outcomes.len(), to_shard_1);
+        assert_eq!(report.total.mediated, to_shard_1);
     }
 }

@@ -9,28 +9,69 @@
 //! -indexed registry + satisfaction registry + allocation technique) over
 //! its slice — behind a thin deterministic [`ShardRouter`]:
 //!
-//! * [`ShardedMediator`] is the synchronous facade: the same registration /
-//!   `submit_batch` surface as a plain mediator, with queries dispatched to
-//!   their assigned shards in merged `(VirtualTime, QueryId)` order;
-//! * [`MediationService`] is the asynchronous ingest front: one bounded
-//!   ingest ring ([`BoundedRing`]) and one mediation thread per shard;
-//!   producers enqueue query batches and block only when a ring fills, an
-//!   optional per-shard degradation ladder (shrink-kn → capacity baseline →
-//!   deterministic shedding) keeps behavior defined *past* saturation, and
-//!   `finish()` merges the per-shard outcome streams and [`ShardReport`]s
-//!   (tallies + p50/p95/p99 latency + degradation counters) into one
-//!   [`ServiceReport`];
-//! * [`ReplicatedMediator`] is the fault-tolerant front: every shard is a
-//!   [`ReplicatedShard`] pairing the live mediator with a standby mirror fed
-//!   by the registry's delta log; [`crash_shard`](ReplicatedMediator::crash_shard)
-//!   kills a primary mid-run and promotes its standby with a byte-identical
-//!   decision stream.
+//! * a [`MediatorShard`] is one mediator plus everything the service keeps
+//!   about it — tallies, latency samples, an optional degradation ladder
+//!   (shrink-kn → capacity baseline → deterministic shedding) and an
+//!   optional standby fed by the registry's delta log — and owns the one
+//!   per-query step ([`MediatorShard::submit`]: sync the standby → ladder
+//!   verdict → journal → mediate → tally) and the one batch boundary;
+//! * [`ShardedMediator`] is the one front-end: it owns the router and the
+//!   shards, routes registrations and load updates, arms ladders, adaptive
+//!   `kn` and standbys on every shard, resizes live and crashes shards
+//!   ([`crash_shard`](ShardedMediator::crash_shard) promotes a standby in
+//!   place with a byte-identical decision stream);
+//! * two drivers bring queries to the shards. **Inline**,
+//!   [`ShardedMediator::submit_batch`] processes a batch in merged
+//!   `(VirtualTime, QueryId)` order on the caller's thread. **Threaded**,
+//!   [`MediationService`] gives every shard a bounded ingest ring
+//!   ([`BoundedRing`]) and a mediation thread; producers enqueue query
+//!   batches and block only when a ring fills, and `finish()` merges the
+//!   per-shard outcome streams and [`ShardReport`]s into one
+//!   [`ServiceReport`].
+//!
+//! ## What composes
+//!
+//! | | inline | threaded |
+//! |---|---|---|
+//! | plain | yes | yes |
+//! | degradation ladder | yes | yes |
+//! | replicated | yes | yes |
+//! | replicated + ladder | yes | yes |
+//! | adaptive `kn` | yes | yes |
+//! | adaptive `kn` + replicated | refused | refused |
+//!
+//! A checkpoint does not carry the `kn` controller, so arming both on one
+//! shard is an [`InvalidConfiguration`](sbqa_types::SbqaError) in either
+//! order rather than a divergence after the first promotion.
+//!
+//! ## What a crash takes
+//!
+//! A shard's `mediator` field: provider registry, satisfaction registry,
+//! allocator RNG and plan-cache counters. The promoted mediator is the
+//! standby's replay of exactly that. Everything else on the shard — ladder
+//! state, cumulative tallies, latency samples (which therefore span
+//! promotions, like the tallies), the checkpoint cadence — was never part of
+//! what crashes and stays.
+//!
+//! ## Replication faults
+//!
+//! A sequence gap, or a log record that does not apply to the standby's
+//! mirror, is detected in one place (the shard's sync) and is never folded
+//! into a query's outcome. The inline driver aborts the batch with it
+//! ([`ShardedMediator::try_submit_batch`]); a threaded shard stops taking
+//! queries, keeps draining its ring, and hands the fault back on the shard
+//! and in its [`ShardReport`]. [`ShardedMediator::crash_shard`] calls the
+//! crash off and re-arms a faulted shard around its intact mediator.
+//!
+//! [`ReplicatedMediator`] is not a third front-end: it is a
+//! [`ShardedMediator`] replicated from construction, with the two
+//! signatures that surface a pending fault as `Err`.
 //!
 //! ## Determinism contract
 //!
 //! With **one shard** the service is byte-identical to the plain mediator:
 //! routing degenerates to the identity, shard 0's allocator consumes the
-//! exact RNG stream `Mediator::sbqa(config, seed)` would, and an arrival
+//! exact RNG stream the plain `Mediator::sbqa` of that seed would, and an arrival
 //! -ordered batch is processed in the same order. With **`N` shards** the
 //! merged outcome stream is byte-stable across runs for a fixed seed and
 //! producer order: routing is a pure seeded hash, per-shard processing
@@ -54,7 +95,7 @@ pub mod router;
 pub mod shard;
 pub mod sharded;
 
-pub use failover::{ReplicatedMediator, ReplicatedShard};
+pub use failover::ReplicatedMediator;
 pub use ingest::{IngestConfig, MediationService};
 pub use report::{OutcomeRecord, ServiceReport, ShardReport};
 pub use ring::BoundedRing;

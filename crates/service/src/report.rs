@@ -14,7 +14,7 @@
 use sbqa_core::{BatchReport, DegradationStats, KnAdjustment, PlanCacheStats};
 use sbqa_metrics::{LatencyRecorder, LatencyUnit};
 use sbqa_replication::ReplicationStats;
-use sbqa_types::{ConsumerId, ProviderId, QueryId, VirtualTime};
+use sbqa_types::{ConsumerId, ProviderId, QueryId, SbqaError, VirtualTime};
 
 /// The service-visible outcome of one query's mediation.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +68,9 @@ pub struct ShardReport {
     /// Degradation-ladder counters (per-tier admissions, sheds, tier
     /// transitions); `None` when the shard runs without a ladder.
     pub degradation: Option<DegradationStats>,
+    /// The replication fault that stopped the shard, if one is pending (see
+    /// [`MediatorShard::fault`](crate::MediatorShard::fault)).
+    pub fault: Option<SbqaError>,
 }
 
 /// The merged report of a whole service run.
@@ -197,6 +200,13 @@ impl ServiceReport {
         self.degradation_stats().map_or(0, |stats| stats.shed)
     }
 
+    /// The pending replication fault of the lowest-indexed faulted shard.
+    /// Queries routed to that shard after the fault have no outcome.
+    #[must_use]
+    pub fn fault(&self) -> Option<&SbqaError> {
+        self.shards.iter().find_map(|shard| shard.fault.as_ref())
+    }
+
     /// Every shard's adaptive-`kn` trajectory, flattened in `(shard, round)`
     /// order — the service-level kn-over-time series. Empty when adaptation
     /// is disabled.
@@ -261,6 +271,7 @@ mod tests {
                 transitions: 1,
                 ..DegradationStats::default()
             }),
+            fault: None,
         }
     }
 

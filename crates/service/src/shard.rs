@@ -2,36 +2,95 @@
 //!
 //! A [`MediatorShard`] is a full [`Mediator`] (provider registry +
 //! satisfaction registry + allocation technique) over its slice of the
-//! provider population, wrapped with the service-side instrumentation the
-//! sharded front needs: cumulative [`BatchReport`] tallies and a
-//! [`LatencyRecorder`] of per-query wall-clock mediation latency.
+//! provider population, plus everything the service keeps *about* it:
+//! cumulative [`BatchReport`] tallies, a [`LatencyRecorder`], an optional
+//! [`DegradationLadder`] and an optional standby fed by the registry's delta
+//! log.
 //!
-//! The shard does not know how queries reach it — the synchronous
-//! [`ShardedMediator`](crate::ShardedMediator) calls it inline, the async
-//! [`MediationService`](crate::MediationService) moves it into a dedicated
-//! mediation thread and feeds it from an mpsc ingest queue. Either way every
-//! mediation goes through [`MediatorShard::submit_with_start`], so the two
-//! fronts produce identical decisions and comparable latency samples.
+//! The split is the crash boundary. [`MediatorShard::promote`] replaces the
+//! `mediator` field — registry, satisfaction state, allocator RNG — with the
+//! standby's replay of it and re-arms replication; the ladder, the tallies,
+//! the latency samples and the batch cadence are not part of what crashes
+//! and stay where they are.
+//!
+//! The shard does not know how queries reach it: the inline
+//! [`ShardedMediator`](crate::ShardedMediator) and the threaded
+//! [`MediationService`](crate::MediationService) both drive
+//! [`MediatorShard::submit`] per query and
+//! [`begin_batch`](MediatorShard::begin_batch) /
+//! [`end_batch`](MediatorShard::end_batch) around each batch, so they
+//! produce identical decisions and comparable latency samples.
 
 use std::time::Instant;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{
-    Admission, BatchReport, DegradationConfig, DegradationLadder, DegradationTier, Mediator,
+    Admission, BatchReport, DegradationConfig, DegradationLadder, DegradationTier,
+    KnControllerConfig, Mediator, ProviderRegistry, QueryAllocator, QueryDisposition,
 };
 use sbqa_metrics::LatencyRecorder;
-use sbqa_types::{Query, SbqaResult, VirtualTime};
+use sbqa_replication::{
+    registry_digest, ReplayReport, ReplicationStats, SharedDeltaLog, StandbyShard,
+};
+use sbqa_types::{ConsumerId, Query, SbqaError, SbqaResult};
 
-/// A mediator shard: one [`Mediator`] plus service-side instrumentation.
+use crate::report::ShardReport;
+
+/// Default number of batches between automatic checkpoints.
+const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4;
+
+/// Forks a mediator's allocation technique for a standby, or says why not.
+fn fork_allocator(mediator: &Mediator) -> SbqaResult<Box<dyn QueryAllocator>> {
+    mediator.fork_allocator().ok_or_else(|| {
+        SbqaError::invalid_config(format!(
+            "allocation technique '{}' cannot be checkpointed \
+             (QueryAllocator::fork returned None)",
+            mediator.technique()
+        ))
+    })
+}
+
+/// The standby side of a replicated shard: the log the mediator's registry
+/// feeds, the standby that mirrors it, and the first replication fault met.
+#[derive(Debug)]
+struct Replica {
+    log: SharedDeltaLog,
+    standby: StandbyShard,
+    fault: Option<SbqaError>,
+}
+
+impl Replica {
+    /// The one place a replication fault is detected: the first error of
+    /// the stream stays on the shard until it is re-armed.
+    fn keep_fault(&mut self, result: SbqaResult<()>) -> SbqaResult<()> {
+        if let Err(fault) = &result {
+            self.fault.get_or_insert_with(|| fault.clone());
+        }
+        result
+    }
+
+    fn sync(&mut self) -> SbqaResult<()> {
+        let caught_up = self.standby.catch_up(&self.log).map(drop);
+        self.keep_fault(caught_up)
+    }
+}
+
+/// A mediator shard: one [`Mediator`] plus the service-side state around it.
 #[derive(Debug)]
 pub struct MediatorShard {
     index: usize,
+    /// What a crash takes; every other field survives a promotion.
     mediator: Mediator,
-    report: BatchReport,
+    tallies: BatchReport,
     latency: LatencyRecorder,
     /// Overload admission control; `None` (the default) admits everything
-    /// at [`DegradationTier::Normal`], byte-identical to the seed behavior.
+    /// at [`DegradationTier::Normal`] and leaves the mediator untouched.
     ladder: Option<DegradationLadder>,
+    replica: Option<Replica>,
+    promotions: u64,
+    batches: u64,
+    /// Batches between automatic checkpoints of a replicated shard.
+    checkpoint_interval: u64,
 }
 
 impl MediatorShard {
@@ -41,19 +100,100 @@ impl MediatorShard {
         Self {
             index,
             mediator,
-            report: BatchReport::default(),
+            tallies: BatchReport::default(),
             latency: LatencyRecorder::new(),
             ladder: None,
+            replica: None,
+            promotions: 0,
+            batches: 0,
+            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
         }
     }
 
     /// Arms the shard with a degradation ladder: every subsequent
-    /// [`MediatorShard::admit`] runs the query through the deterministic
-    /// leaky bucket before mediation.
+    /// [`submit`](Self::submit) runs the query through the deterministic
+    /// leaky bucket before mediation. Arming again restarts the bucket.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] for an invalid ladder config.
     pub fn enable_degradation(&mut self, config: DegradationConfig) -> SbqaResult<()> {
-        self.mediator.set_degraded_kn_floor(config.floor_kn);
         self.ladder = Some(DegradationLadder::new(config)?);
+        self.mediator.set_degraded_kn_floor(config.floor_kn);
+        if let Some(replica) = &mut self.replica {
+            replica.standby.set_degraded_floor(config.floor_kn);
+        }
         Ok(())
+    }
+
+    /// Enables adaptive `kn` on the shard's mediator.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] on a replicated shard: a
+    /// checkpoint does not carry the controller, so the first promotion
+    /// would silently drop it.
+    pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) -> SbqaResult<()> {
+        if self.replica.is_some() {
+            return Err(SbqaError::invalid_config(
+                "adaptive kn is not checkpointed and cannot be enabled on a replicated shard",
+            ));
+        }
+        self.mediator.enable_adaptive_kn(config);
+        Ok(())
+    }
+
+    /// Arms replication: a standby is bootstrapped from the mediator's
+    /// current state, the registry starts feeding a fresh delta log and the
+    /// satisfaction registry starts tracking the ids it touches (which is
+    /// what lets every later [`checkpoint`](Self::checkpoint) be cut
+    /// incrementally).
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] when the allocation technique
+    /// does not implement [`QueryAllocator::fork`], or when adaptive `kn` is
+    /// enabled — either would silently diverge after a failover.
+    pub fn replicate(&mut self) -> SbqaResult<()> {
+        if self.mediator.adaptive_kn().is_some() {
+            return Err(SbqaError::invalid_config(
+                "adaptive kn is not checkpointed and cannot be replicated",
+            ));
+        }
+        let allocator = fork_allocator(&self.mediator)?;
+        self.arm(allocator, None);
+        Ok(())
+    }
+
+    /// The arming itself. `mirror`, when given, is a registry already equal
+    /// to the mediator's in replicated state (a promoted shard's previous
+    /// lockstep mirror); it saves the standby one of its two registry clones.
+    fn arm(&mut self, allocator: Box<dyn QueryAllocator>, mirror: Option<ProviderRegistry>) {
+        let log = SharedDeltaLog::new();
+        let checkpoint = self.mediator.providers().clone();
+        let mirror = mirror.unwrap_or_else(|| checkpoint.clone());
+        let mut standby = StandbyShard::with_mirror(
+            allocator,
+            checkpoint,
+            self.mediator.satisfaction().clone(),
+            mirror,
+            log.last_sequence(),
+        );
+        standby.set_degraded_floor(self.mediator.degraded_kn_floor());
+        self.mediator.set_delta_sink(Box::new(log.clone()));
+        self.mediator.satisfaction_mut().track_touched();
+        self.replica = Some(Replica {
+            log,
+            standby,
+            fault: None,
+        });
+    }
+
+    /// Sets how many batches elapse between automatic checkpoints of a
+    /// replicated shard (0 disables them; promotion then replays everything
+    /// since the last explicit [`checkpoint`](Self::checkpoint)).
+    pub fn set_checkpoint_interval(&mut self, batches: u64) {
+        self.checkpoint_interval = batches;
     }
 
     /// The shard's degradation ladder, if armed.
@@ -62,92 +202,249 @@ impl MediatorShard {
         self.ladder.as_ref()
     }
 
-    /// Runs admission control for a query arriving at `at`, setting the
-    /// mediator's degradation tier on admission. Hosts must call this in
-    /// `(issued_at, id)` order per shard and honour a
-    /// [`Admission::Shed`] verdict by *not* mediating the query (recording
-    /// it via [`MediatorShard::record_shed`] instead). Without a ladder
-    /// every query is admitted at [`DegradationTier::Normal`] and the
-    /// mediator is left untouched.
-    pub fn admit(&mut self, at: VirtualTime) -> Admission {
-        let Some(ladder) = &mut self.ladder else {
-            return Admission::Admit(DegradationTier::Normal);
-        };
-        let admission = ladder.observe_arrival(at);
-        if let Admission::Admit(tier) = admission {
-            self.mediator.set_degradation_tier(tier);
-        }
-        admission
-    }
-
-    /// Records a shed query's latency sample (enqueue → shed decision).
-    /// Sheds are not tallied in the [`BatchReport`] — conservation is
-    /// `enqueued = mediated + starved + shed`, with the shed count living in
-    /// the ladder's [`DegradationStats`](sbqa_core::DegradationStats).
-    pub fn record_shed(&mut self, start: Instant) {
-        self.latency.record(start.elapsed());
-    }
-
     /// This shard's position in the service.
     #[must_use]
     pub fn index(&self) -> usize {
         self.index
     }
 
-    /// The wrapped mediator.
+    /// The live mediator.
     #[must_use]
     pub fn mediator(&self) -> &Mediator {
         &self.mediator
     }
 
-    /// Mutable access to the wrapped mediator (registration, load updates).
-    pub fn mediator_mut(&mut self) -> &mut Mediator {
-        &mut self.mediator
+    /// The shard itself: `shard.primary().mediator()` names the live
+    /// mediator of a replicated shard, as opposed to its standby's copy.
+    #[must_use]
+    pub fn primary(&self) -> &Self {
+        self
     }
 
-    /// Cumulative tallies of every query this shard has mediated.
+    /// Cumulative tallies of every query this shard has mediated, across
+    /// promotions.
     #[must_use]
     pub fn report(&self) -> BatchReport {
-        self.report
+        self.tallies
     }
 
-    /// The per-query latency samples recorded so far.
+    /// The per-query latency samples recorded so far, across promotions.
     #[must_use]
     pub fn latency(&self) -> &LatencyRecorder {
         &self.latency
     }
 
-    /// Mediates one query, recording its latency as measured from `start` —
-    /// the ingest front passes the *enqueue* instant here, so the sample
-    /// includes the time the query spent waiting in the shard's queue, which
-    /// is exactly the quantity the batch-size/latency trade-off is about.
+    /// The first replication fault this shard's standby met since it was
+    /// last armed: a sequence gap, or a log record that does not apply to
+    /// the mirror. A faulted shard accepts no query until
+    /// [`promote`](Self::promote) has re-armed it.
+    #[must_use]
+    pub fn fault(&self) -> Option<&SbqaError> {
+        self.replica.as_ref()?.fault.as_ref()
+    }
+
+    /// Streams the log records the standby has not yet applied into it.
+    fn sync(&mut self) -> SbqaResult<()> {
+        self.replica.as_mut().map_or(Ok(()), Replica::sync)
+    }
+
+    /// Registers a consumer on the mediator and, being control-plane traffic
+    /// rather than a registry delta, directly on the standby.
+    pub fn register_consumer(&mut self, id: ConsumerId) {
+        self.mediator.register_consumer(id);
+        if let Some(replica) = &mut self.replica {
+            replica.standby.register_consumer(id);
+        }
+    }
+
+    /// Runs a registry mutation (registration, load, online flag) on the
+    /// mediator and streams it to the standby. A fault of that stream is
+    /// kept on the shard ([`fault`](Self::fault)), not mixed into the
+    /// mutation's own result.
+    pub(crate) fn mutate<T>(&mut self, mutation: impl FnOnce(&mut Mediator) -> T) -> T {
+        let result = mutation(&mut self.mediator);
+        let _ = self.sync();
+        result
+    }
+
+    /// The per-query step of every driver: sync the standby, take the
+    /// ladder's verdict, journal it, mediate at the admitted tier, tally and
+    /// record the latency as measured from `start` (the threaded driver
+    /// passes the *enqueue* instant, so its samples include queueing).
     ///
-    /// The returned decision borrows the mediator's scratch and is valid
-    /// until the next mediation, like [`Mediator::submit_in_place`].
-    pub fn submit_with_start(
+    /// The inner result is the query's outcome: the decision (borrowing the
+    /// mediator's scratch until the next mediation), a starvation, or
+    /// [`SbqaError::QueryShed`]. Sheds are not tallied in the
+    /// [`BatchReport`] — conservation is `offered = mediated + starved +
+    /// shed`, the shed count living in the ladder's stats. Callers must
+    /// offer queries in `(issued_at, id)` order per shard.
+    ///
+    /// # Errors
+    ///
+    /// A replication fault, in which case the query was neither admitted,
+    /// journaled, mediated, tallied nor timed.
+    pub fn submit(
         &mut self,
         query: &Query,
         oracle: &dyn IntentionOracle,
         start: Instant,
-    ) -> SbqaResult<&AllocationDecision> {
+    ) -> SbqaResult<SbqaResult<&AllocationDecision>> {
+        self.sync()?;
+        let disposition = match &mut self.ladder {
+            None => QueryDisposition::Mediated(DegradationTier::Normal),
+            Some(ladder) => match ladder.observe_arrival(query.issued_at) {
+                Admission::Shed => QueryDisposition::Shed,
+                Admission::Admit(tier) => {
+                    self.mediator.set_degradation_tier(tier);
+                    QueryDisposition::Mediated(tier)
+                }
+            },
+        };
+        if let Some(replica) = &mut self.replica {
+            replica.standby.observe_query_with(query, disposition);
+        }
+        if disposition == QueryDisposition::Shed {
+            self.latency.record(start.elapsed());
+            return Ok(Err(SbqaError::QueryShed { query: query.id }));
+        }
         let result = self.mediator.submit_in_place(query, oracle);
         self.latency.record(start.elapsed());
         match &result {
-            Ok(_) => self.report.mediated += 1,
-            Err(_) => self.report.starved += 1,
+            Ok(_) => self.tallies.mediated += 1,
+            Err(_) => self.tallies.starved += 1,
         }
-        result
+        Ok(result)
     }
 
-    /// Mediates one query, measuring latency from this call — the
-    /// synchronous front's path, where there is no queueing delay.
-    pub fn submit_timed(
-        &mut self,
-        query: &Query,
-        oracle: &dyn IntentionOracle,
-    ) -> SbqaResult<&AllocationDecision> {
-        // sbqa-lint: allow(wall-clock, "default submit stamp for latency measurement; allocation reads VirtualTime only")
-        self.submit_with_start(query, oracle, Instant::now())
+    /// Opens a batch: one adaptive-`kn` round (a no-op without a
+    /// controller), mirroring `Mediator::submit_batch`.
+    pub fn begin_batch(&mut self) {
+        self.mediator.adapt_kn();
+    }
+
+    /// Closes a batch: a replicated shard cuts a checkpoint every
+    /// [`checkpoint interval`](Self::set_checkpoint_interval) batches, here
+    /// and nowhere else, so a cut never splits a mediation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`checkpoint`](Self::checkpoint) errors.
+    pub fn end_batch(&mut self) -> SbqaResult<()> {
+        self.batches += 1;
+        if self.replica.is_some()
+            && self.checkpoint_interval > 0
+            && self.batches.is_multiple_of(self.checkpoint_interval)
+        {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Cuts a fresh checkpoint of the live mediator into the standby,
+    /// incrementally ([`StandbyShard::cut_checkpoint`]: the standby's
+    /// registry copy advances by its tail, its satisfaction copy receives
+    /// the trackers touched since the last cut), and prunes the delta log up
+    /// to the cut: the standby's replay window restarts empty, and the log
+    /// retains only the snapshot mark. A no-op without a standby.
+    ///
+    /// # Errors
+    ///
+    /// A replication fault on the standby sync, or
+    /// [`SbqaError::InvalidConfiguration`] if the technique lost fork
+    /// support (cannot happen after [`replicate`](Self::replicate)); the
+    /// standby and the log are then as they were.
+    pub fn checkpoint(&mut self) -> SbqaResult<()> {
+        let Some(replica) = &mut self.replica else {
+            return Ok(());
+        };
+        replica.sync()?;
+        let watermark = replica.log.last_sequence();
+        let cut = replica
+            .standby
+            .cut_checkpoint(&mut self.mediator, watermark);
+        replica.keep_fault(cut)?;
+        replica.log.mark_snapshot();
+        replica.log.prune_through(watermark);
+        // Let the standby observe the snapshot mark itself, so a freshly
+        // checkpointed shard reports zero replay lag.
+        replica.sync()
+    }
+
+    /// Kills the mediator and promotes the standby **in place**: the standby
+    /// replays its checkpoint + tail + journal into a fresh mediator, which
+    /// replaces the live one — registry, satisfaction state and RNG are
+    /// gone, and the promotion has read none of them — and replication is
+    /// re-armed around it (new log, new bootstrap checkpoint, the old
+    /// standby's mirror carried over). The decision stream continues
+    /// byte-identically; nothing else on the shard changes.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] without a standby. Otherwise the
+    /// promotion's replay error (a faulted log or tail), in which case the
+    /// crash is called off: the broken standby and its log are discarded and
+    /// replication is re-armed around the untouched mediator.
+    pub fn promote(&mut self, oracle: &dyn IntentionOracle) -> SbqaResult<ReplayReport> {
+        // Forked before anything is taken apart, for the calling-off path.
+        let spare = fork_allocator(&self.mediator)?;
+        let Some(Replica {
+            log, mut standby, ..
+        }) = self.replica.take()
+        else {
+            return Err(SbqaError::invalid_config(format!(
+                "shard {} has no standby to promote",
+                self.index
+            )));
+        };
+        let promotion = standby
+            .catch_up(&log)
+            .and_then(|_| standby.promote(oracle))
+            .and_then(|(mediator, mirror, report)| {
+                Ok((fork_allocator(&mediator)?, mediator, mirror, report))
+            });
+        match promotion {
+            Ok((allocator, mediator, mirror, report)) => {
+                // The crash: the live mediator is dropped wholesale.
+                self.mediator = mediator;
+                self.arm(allocator, Some(mirror));
+                self.promotions += 1;
+                Ok(report)
+            }
+            Err(error) => {
+                self.arm(spare, None);
+                Err(error)
+            }
+        }
+    }
+
+    /// `true` if the standby's mirror registry is byte-identical (slab
+    /// layout, load columns, online flags) to the live registry right now;
+    /// vacuously `true` without a standby.
+    #[must_use]
+    pub fn mirror_in_lockstep(&self) -> bool {
+        self.replica.as_ref().is_none_or(|replica| {
+            registry_digest(self.mediator.providers()) == replica.standby.mirror_digest()
+        })
+    }
+
+    /// The shard's replication counters (all zero without a standby).
+    #[must_use]
+    pub fn replication_stats(&self) -> ReplicationStats {
+        let Some(Replica { log, standby, .. }) = &self.replica else {
+            return ReplicationStats::default();
+        };
+        let last_appended = log.last_sequence();
+        let last_applied = standby.applied();
+        ReplicationStats {
+            log_depth: log.depth(),
+            last_appended,
+            last_applied,
+            replay_lag: last_appended.saturating_sub(last_applied),
+            tail_depth: standby.tail_depth(),
+            journal_depth: standby.journal_depth(),
+            checkpoints: standby.checkpoints(),
+            promotions: self.promotions,
+        }
     }
 
     /// The shard's adaptive-`kn` trajectory: every width change its
@@ -162,26 +459,29 @@ impl MediatorShard {
     }
 
     /// Snapshots this shard's view of a run: tallies, latency distribution,
-    /// the adaptive-`kn` trajectory and the plan-cache counters.
+    /// adaptive-`kn` trajectory, plan-cache, replication and degradation
+    /// counters, and the replication fault if one is pending.
     #[must_use]
-    pub fn report_snapshot(&self) -> crate::report::ShardReport {
-        crate::report::ShardReport {
+    pub fn report_snapshot(&self) -> ShardReport {
+        ShardReport {
             shard: self.index,
-            report: self.report,
+            report: self.tallies,
             latency: self.latency.clone(),
             kn_trail: self.kn_trail(),
             cache: self.mediator.plan_cache_stats(),
-            // A bare shard has no standby; the replicated wrapper
-            // (`crate::failover::ReplicatedShard`) fills these in.
-            replication: None,
+            replication: self.replica.as_ref().map(|_| self.replication_stats()),
             degradation: self.ladder.as_ref().map(DegradationLadder::stats),
+            fault: self.fault().cloned(),
         }
     }
 
     /// Unwraps the shard back into its mediator, dropping the
-    /// instrumentation.
+    /// instrumentation and the standby (the registry stops feeding its log).
     #[must_use]
-    pub fn into_mediator(self) -> Mediator {
+    pub fn into_mediator(mut self) -> Mediator {
+        if self.replica.is_some() {
+            self.mediator.take_delta_sink();
+        }
         self.mediator
     }
 }
@@ -211,6 +511,28 @@ mod tests {
         Query::builder(QueryId::new(id), ConsumerId::new(1), Capability::new(class)).build()
     }
 
+    impl MediatorShard {
+        /// Corrupts the shard's replication stream the way a misrouted
+        /// record would: the departure of a provider nobody registered.
+        pub(crate) fn corrupt_log(&self) {
+            let replica = self.replica.as_ref().expect("replicated shard");
+            replica
+                .log
+                .append_mutation(sbqa_core::RegistryDelta::Unregister {
+                    id: ProviderId::new(9_999),
+                });
+        }
+
+        fn submit_now(
+            &mut self,
+            query: &Query,
+            oracle: &dyn IntentionOracle,
+        ) -> SbqaResult<&AllocationDecision> {
+            self.submit(query, oracle, Instant::now())
+                .expect("no replication fault")
+        }
+    }
+
     #[test]
     fn shard_tallies_and_times_every_mediation() {
         let mut shard = shard_with_providers(5);
@@ -218,10 +540,10 @@ mod tests {
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.5));
 
-        assert!(shard.submit_timed(&query(1, 0), &oracle).is_ok());
+        assert!(shard.submit_now(&query(1, 0), &oracle).is_ok());
         // Capability 9 is advertised by nobody: a starvation.
-        assert!(shard.submit_timed(&query(2, 9), &oracle).is_err());
-        assert!(shard.submit_timed(&query(3, 0), &oracle).is_ok());
+        assert!(shard.submit_now(&query(2, 9), &oracle).is_err());
+        assert!(shard.submit_now(&query(3, 0), &oracle).is_ok());
 
         assert_eq!(shard.report().mediated, 2);
         assert_eq!(shard.report().starved, 1);
@@ -239,7 +561,7 @@ mod tests {
         for id in 0..50u64 {
             let q = query(id, 0);
             let expected = plain.submit(&q, &oracle).unwrap().decision;
-            let got = shard.submit_timed(&q, &oracle).unwrap();
+            let got = shard.submit_now(&q, &oracle).unwrap();
             assert_eq!(&expected, got, "query {id}");
         }
     }

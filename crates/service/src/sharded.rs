@@ -1,4 +1,4 @@
-//! The synchronous sharded mediator.
+//! The front-end: a router and the shards it routes to.
 //!
 //! [`ShardedMediator`] partitions the provider population across `N`
 //! [`MediatorShard`]s through a [`ShardRouter`] and presents the same
@@ -17,6 +17,15 @@
 //!   per-shard sub-batches — makes the interleaving, and with it every
 //!   shard's RNG consumption, a pure function of the batch content.
 //!
+//! Every per-shard feature is armed here, for all shards at once:
+//! [`enable_degradation`](ShardedMediator::enable_degradation),
+//! [`enable_adaptive_kn`](ShardedMediator::enable_adaptive_kn) and
+//! [`replicate`](ShardedMediator::replicate). The front-end drives its
+//! shards inline ([`submit_batch`](ShardedMediator::submit_batch)), or hands
+//! them to the threaded driver
+//! ([`MediationService::spawn_with`](crate::MediationService::spawn_with))
+//! and takes them back with [`from_shards`](ShardedMediator::from_shards).
+//!
 //! ## Determinism contract
 //!
 //! With one shard, everything routes to shard 0 and a batch that is already
@@ -28,13 +37,23 @@
 //! byte-stable across runs — because routing, per-shard order and per-shard
 //! allocator seeds are all derived from the seed, never from thread timing
 //! or hasher state.
+//!
+//! ## Replication faults
+//!
+//! A fault of a shard's replication stream (a sequence gap, or a log record
+//! that does not apply to the standby's mirror) is never a query's outcome.
+//! [`try_submit_batch`](ShardedMediator::try_submit_batch) aborts with it at
+//! the first query routed to the faulted shard — that query and the rest of
+//! the batch reach neither a mediator nor the callback — and it stays
+//! readable as [`fault`](ShardedMediator::fault) until
+//! [`crash_shard`](ShardedMediator::crash_shard) has re-armed the shard.
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
-use sbqa_core::{Admission, BatchReport, DegradationConfig, KnControllerConfig, Mediator};
-use sbqa_metrics::LatencyRecorder;
-use sbqa_replication::HandoffPackage;
+use sbqa_core::{BatchReport, DegradationConfig, KnControllerConfig, Mediator};
+use sbqa_replication::{HandoffPackage, ReplayReport};
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
     CapabilitySet, ConsumerId, ProviderId, Query, SbqaError, SbqaResult, SystemConfig,
@@ -44,7 +63,7 @@ use crate::report::ShardReport;
 use crate::router::ShardRouter;
 use crate::shard::MediatorShard;
 
-/// A mediation service facade over `N` provider-disjoint mediator shards.
+/// A mediation service front-end over `N` provider-disjoint mediator shards.
 #[derive(Debug)]
 pub struct ShardedMediator {
     router: ShardRouter,
@@ -53,42 +72,69 @@ pub struct ShardedMediator {
     order_scratch: Vec<u32>,
 }
 
+/// One SbQA mediator per shard (at least one): shard `i` hosts an
+/// [`SbqaAllocator`](sbqa_core::SbqaAllocator) seeded with `seed + i`, so
+/// shard 0 of a single-shard service consumes exactly the RNG stream the
+/// plain `Mediator::sbqa` of that seed would.
+fn sbqa_mediators(config: &SystemConfig, seed: u64, shards: usize) -> SbqaResult<Vec<Mediator>> {
+    config.validate()?;
+    (0..shards.max(1) as u64)
+        .map(|index| Mediator::sbqa(config.clone(), seed.wrapping_add(index)))
+        .collect()
+}
+
 impl ShardedMediator {
-    /// Builds a service of `shards` shards (raised to 1 if 0); `make` is
-    /// called once per shard index to construct its mediator.
-    pub fn new<F>(shards: usize, seed: u64, mut make: F) -> Self
-    where
-        F: FnMut(usize) -> Mediator,
-    {
-        let router = ShardRouter::new(shards, seed);
-        let shards = (0..router.shards())
-            .map(|index| MediatorShard::new(index, make(index)))
-            .collect();
-        Self {
+    /// Builds a service with one shard per mediator, routed by `seed`.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] for an empty `mediators`.
+    pub fn new(seed: u64, mediators: Vec<Mediator>) -> SbqaResult<Self> {
+        let router = ShardRouter::new(mediators.len(), seed);
+        let shards = mediators.into_iter().enumerate();
+        let shards = shards.map(|(index, mediator)| MediatorShard::new(index, mediator));
+        Self::from_shards(router, shards.collect())
+    }
+
+    /// Builds a sharded SbQA service of `shards` shards (raised to 1 if 0).
+    ///
+    /// # Errors
+    ///
+    /// Configuration validation errors.
+    pub fn sbqa(config: SystemConfig, seed: u64, shards: usize) -> SbqaResult<Self> {
+        Self::new(seed, sbqa_mediators(&config, seed, shards)?)
+    }
+
+    /// Reassembles a service from its router and shards — the inverse of
+    /// [`into_shards`](Self::into_shards), which is how the shards of a
+    /// finished [`MediationService`](crate::MediationService) come back to
+    /// be crashed, checkpointed, driven inline or respawned.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] unless `shards` holds exactly the
+    /// router's shards, in index order.
+    pub fn from_shards(router: ShardRouter, shards: Vec<MediatorShard>) -> SbqaResult<Self> {
+        let in_order = shards.iter().enumerate().all(|(i, s)| s.index() == i);
+        if shards.len() != router.shards() || !in_order {
+            return Err(SbqaError::invalid_config(format!(
+                "{} shards do not fit a router of {}",
+                shards.len(),
+                router.shards()
+            )));
+        }
+        Ok(Self {
             router,
             shards,
             order_scratch: Vec::new(),
-        }
+        })
     }
 
-    /// Builds a sharded SbQA service: shard `i` hosts an
-    /// [`SbqaAllocator`](sbqa_core::SbqaAllocator) seeded with
-    /// `seed + i`, so shard 0 of a single-shard service consumes exactly the
-    /// RNG stream the plain `Mediator::sbqa(config, seed)` would.
-    pub fn sbqa(config: SystemConfig, seed: u64, shards: usize) -> SbqaResult<Self> {
-        config.validate()?;
-        let mut built = Vec::new();
-        for index in 0..shards.max(1) {
-            built.push(Mediator::sbqa(
-                config.clone(),
-                seed.wrapping_add(index as u64),
-            )?);
-        }
-        let mut mediators = built.into_iter();
-        Ok(Self::new(shards, seed, |_| {
-            // sbqa-lint: allow(panic-hygiene, "builder produced exactly one mediator per shard two lines above")
-            mediators.next().expect("one mediator per shard")
-        }))
+    /// Decomposes the service into its router and shards — the handoff the
+    /// threaded driver uses to move each shard into its mediation thread.
+    #[must_use]
+    pub fn into_shards(self) -> (ShardRouter, Vec<MediatorShard>) {
+        (self.router, self.shards)
     }
 
     /// The deterministic router assigning providers and queries to shards.
@@ -122,9 +168,7 @@ impl ShardedMediator {
         capacity: f64,
     ) -> usize {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard]
-            .mediator_mut()
-            .register_provider(id, capabilities, capacity);
+        self.shards[shard].mutate(|m| m.register_provider(id, capabilities, capacity));
         shard
     }
 
@@ -132,47 +176,25 @@ impl ShardedMediator {
     /// of them).
     pub fn register_consumer(&mut self, id: ConsumerId) {
         for shard in &mut self.shards {
-            shard.mediator_mut().register_consumer(id);
+            shard.register_consumer(id);
         }
-    }
-
-    /// Enables adaptive `kn` on **every shard**: each shard hosts its own
-    /// [`KnController`](sbqa_core::KnController) fed exclusively by the
-    /// mediations *it* performed, so shards adapt independently to their own
-    /// slice of the population (a hot shard can shrink its exploration while
-    /// a cold one widens). One adaptation round per shard runs at every
-    /// [`ShardedMediator::submit_batch`] boundary; the async ingest front
-    /// adapts per drained chunk instead.
-    pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) {
-        for shard in &mut self.shards {
-            shard.mediator_mut().enable_adaptive_kn(config);
-        }
-    }
-
-    /// Arms **every shard** with a degradation ladder: each shard runs its
-    /// own deterministic leaky bucket over the arrivals routed to it, so a
-    /// hot shard can shed while a cold one still mediates at full quality.
-    /// Admission runs inside [`ShardedMediator::submit_batch`], in the same
-    /// merged `(VirtualTime, QueryId)` order as mediation; shed queries are
-    /// reported to the callback as [`SbqaError::QueryShed`] and tallied in
-    /// the shards' [`DegradationStats`](sbqa_core::DegradationStats), not in
-    /// the [`BatchReport`].
-    pub fn enable_degradation(&mut self, config: DegradationConfig) -> SbqaResult<()> {
-        for shard in &mut self.shards {
-            shard.enable_degradation(config)?;
-        }
-        Ok(())
     }
 
     /// Marks a provider online or offline at its owning shard.
+    ///
+    /// # Errors
+    ///
+    /// Unknown provider.
     pub fn set_provider_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard]
-            .mediator_mut()
-            .set_provider_online(id, online)
+        self.shards[shard].mutate(|m| m.set_provider_online(id, online))
     }
 
     /// Updates a provider's load state at its owning shard.
+    ///
+    /// # Errors
+    ///
+    /// Unknown provider.
     pub fn update_provider_load(
         &mut self,
         id: ProviderId,
@@ -180,9 +202,7 @@ impl ShardedMediator {
         queue_length: usize,
     ) -> SbqaResult<()> {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard]
-            .mediator_mut()
-            .update_provider_load(id, utilization, queue_length)
+        self.shards[shard].mutate(|m| m.update_provider_load(id, utilization, queue_length))
     }
 
     /// Total number of registered providers across all shards.
@@ -194,32 +214,143 @@ impl ShardedMediator {
             .sum()
     }
 
-    /// Mediates one query at the shard the router assigns. The returned
-    /// decision borrows that shard's scratch, like
-    /// [`Mediator::submit_in_place`].
-    pub fn submit_in_place(
+    /// Enables adaptive `kn` on **every shard**: each shard hosts its own
+    /// [`KnController`](sbqa_core::KnController) fed exclusively by the
+    /// mediations *it* performed, so shards adapt independently to their own
+    /// slice of the population (a hot shard can shrink its exploration while
+    /// a cold one widens). One adaptation round per shard runs at every
+    /// batch boundary: the [`submit_batch`](Self::submit_batch) call inline,
+    /// the producer's chunk in the threaded driver.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] on a replicated service (see
+    /// [`MediatorShard::enable_adaptive_kn`]).
+    pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) -> SbqaResult<()> {
+        self.shards
+            .iter_mut()
+            .try_for_each(|shard| shard.enable_adaptive_kn(config))
+    }
+
+    /// Arms **every shard** with a degradation ladder: each shard runs its
+    /// own deterministic leaky bucket over the arrivals routed to it, so a
+    /// hot shard can shed while a cold one still mediates at full quality.
+    /// Shed queries are reported to the batch callback as
+    /// [`SbqaError::QueryShed`] and tallied in the shards'
+    /// [`DegradationStats`](sbqa_core::DegradationStats), not in the
+    /// [`BatchReport`]. On a replicated shard every verdict is journaled, so
+    /// a promotion replays admitted queries at their tier and skips the
+    /// sheds.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] for an invalid ladder config.
+    pub fn enable_degradation(&mut self, config: DegradationConfig) -> SbqaResult<()> {
+        self.shards
+            .iter_mut()
+            .try_for_each(|shard| shard.enable_degradation(config))
+    }
+
+    /// Arms a standby behind **every shard** ([`MediatorShard::replicate`]).
+    /// From here on [`crash_shard`](Self::crash_shard) can kill a shard's
+    /// mediator mid-run and promote its standby without disturbing the
+    /// others, under either driver.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] when a shard's technique cannot
+    /// be checkpointed or adaptive `kn` is enabled.
+    pub fn replicate(&mut self) -> SbqaResult<()> {
+        self.shards
+            .iter_mut()
+            .try_for_each(MediatorShard::replicate)
+    }
+
+    /// Sets how many batches elapse between automatic checkpoints
+    /// (default 4; 0 disables them, and promotion then replays everything
+    /// since the last [`checkpoint_all`](Self::checkpoint_all)).
+    pub fn set_checkpoint_interval(&mut self, batches: u64) {
+        for shard in &mut self.shards {
+            shard.set_checkpoint_interval(batches);
+        }
+    }
+
+    /// Cuts a checkpoint on every replicated shard now.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first shard's [`MediatorShard::checkpoint`] error.
+    pub fn checkpoint_all(&mut self) -> SbqaResult<()> {
+        self.shards
+            .iter_mut()
+            .try_for_each(MediatorShard::checkpoint)
+    }
+
+    /// Kills shard `index`'s mediator and promotes its standby in place (the
+    /// other shards are untouched). Returns the promotion's replay tallies.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] for a shard that does not exist
+    /// or has no standby. Otherwise promotion replay errors; the shard then
+    /// holds its original mediator, re-armed (see
+    /// [`MediatorShard::promote`]), and the service keeps running.
+    pub fn crash_shard(
         &mut self,
-        query: &Query,
+        index: usize,
         oracle: &dyn IntentionOracle,
-    ) -> SbqaResult<&AllocationDecision> {
-        let shard = self.router.shard_of_query(query.id);
-        self.shards[shard].submit_timed(query, oracle)
+    ) -> SbqaResult<ReplayReport> {
+        self.shards
+            .get_mut(index)
+            .ok_or_else(|| SbqaError::invalid_config(format!("no shard {index}")))?
+            .promote(oracle)
+    }
+
+    /// `true` if every standby mirror is byte-identical to its shard's live
+    /// registry.
+    #[must_use]
+    pub fn mirrors_in_lockstep(&self) -> bool {
+        self.shards.iter().all(MediatorShard::mirror_in_lockstep)
+    }
+
+    /// The pending replication fault of the lowest-indexed faulted shard.
+    #[must_use]
+    pub fn fault(&self) -> Option<&SbqaError> {
+        self.shards.iter().find_map(MediatorShard::fault)
+    }
+
+    /// The shards' cumulative tallies, summed.
+    fn tallied(&self) -> BatchReport {
+        let mut total = BatchReport::default();
+        for shard in &self.shards {
+            total.merge(&shard.report());
+        }
+        total
     }
 
     /// Drains a batch of queries through the sharded pipeline.
     ///
     /// Queries are processed in `(issued_at, query id)` order (stable sort —
-    /// ties keep batch order), each at its assigned shard; `on_result` is
-    /// invoked once per query *in that merged order* with the query's
-    /// original batch position and either the borrowed decision or the
-    /// starvation error. Returns the batch tallies (also folded into the
-    /// per-shard cumulative reports).
-    pub fn submit_batch<F>(
+    /// ties keep batch order), each at its assigned shard
+    /// ([`MediatorShard::submit`]); `on_result` is invoked once per query
+    /// *in that merged order* with the query's original batch position and
+    /// the borrowed decision, the starvation error or
+    /// [`SbqaError::QueryShed`]. The call is the batch boundary: every shard
+    /// runs one adaptation round before it and counts a batch towards its
+    /// checkpoint cadence after it. Returns the batch tallies (also folded
+    /// into the per-shard cumulative reports).
+    ///
+    /// # Errors
+    ///
+    /// A replication fault (see the module docs); per-query starvation and
+    /// shedding are reported through `on_result`, not as errors. Without
+    /// [`replicate`](Self::replicate) the call cannot fail.
+    pub fn try_submit_batch<F>(
         &mut self,
         queries: &[Query],
         oracle: &dyn IntentionOracle,
         mut on_result: F,
-    ) -> BatchReport
+    ) -> SbqaResult<BatchReport>
     where
         F: FnMut(usize, &Query, SbqaResult<&AllocationDecision>),
     {
@@ -228,46 +359,42 @@ impl ShardedMediator {
             // sbqa-lint: allow(panic-hygiene, "batch length is bounded by the ingest queue, far below u32::MAX")
             .extend(0..u32::try_from(queries.len()).expect("batch fits in u32"));
         self.order_scratch
-            .sort_by_key(|&pos| merge_key(&queries[pos as usize]));
+            .sort_by_key(|&pos| (queries[pos as usize].issued_at, queries[pos as usize].id));
 
-        // Batch boundary: every shard runs one adaptation round (a no-op
-        // without a controller), mirroring `Mediator::submit_batch`.
-        for shard in &mut self.shards {
-            shard.mediator_mut().adapt_kn();
-        }
-
-        let mut report = BatchReport::default();
+        let before = self.tallied();
+        self.shards.iter_mut().for_each(MediatorShard::begin_batch);
         for &pos in &self.order_scratch {
             let query = &queries[pos as usize];
-            let shard = self.router.shard_of_query(query.id);
-            if matches!(self.shards[shard].admit(query.issued_at), Admission::Shed) {
-                // sbqa-lint: allow(wall-clock, "latency instrumentation only; the shed decision itself is virtual-time driven")
-                self.shards[shard].record_shed(std::time::Instant::now());
-                on_result(
-                    pos as usize,
-                    query,
-                    Err(SbqaError::QueryShed { query: query.id }),
-                );
-                continue;
-            }
-            let result = self.shards[shard].submit_timed(query, oracle);
-            match &result {
-                Ok(_) => report.mediated += 1,
-                Err(_) => report.starved += 1,
-            }
+            let shard = &mut self.shards[self.router.shard_of_query(query.id)];
+            // sbqa-lint: allow(wall-clock, "latency stamp only; allocation and admission read VirtualTime")
+            let result = shard.submit(query, oracle, Instant::now())?;
             on_result(pos as usize, query, result);
         }
-        report
+        self.shards
+            .iter_mut()
+            .try_for_each(MediatorShard::end_batch)?;
+        let after = self.tallied();
+        Ok(BatchReport {
+            mediated: after.mediated - before.mediated,
+            starved: after.starved - before.starved,
+        })
     }
 
-    /// Classifies a starvation the way the assigned shard sees it.
-    #[must_use]
-    pub fn starvation_error(&self, query: &Query) -> SbqaError {
-        let shard = self.router.shard_of_query(query.id);
-        self.shards[shard]
-            .mediator()
-            .providers()
-            .starvation_error(query)
+    /// [`try_submit_batch`](Self::try_submit_batch) for a service that is
+    /// not replicated and therefore cannot fault. On a replicated one a
+    /// fault empties the returned tallies and is left on
+    /// [`fault`](Self::fault).
+    pub fn submit_batch<F>(
+        &mut self,
+        queries: &[Query],
+        oracle: &dyn IntentionOracle,
+        on_result: F,
+    ) -> BatchReport
+    where
+        F: FnMut(usize, &Query, SbqaResult<&AllocationDecision>),
+    {
+        self.try_submit_batch(queries, oracle, on_result)
+            .unwrap_or_default()
     }
 
     /// Immutable access to one shard's satisfaction registry.
@@ -276,8 +403,8 @@ impl ShardedMediator {
         self.shards[shard].mediator().satisfaction()
     }
 
-    /// Snapshots the per-shard tallies, latency distributions and
-    /// adaptive-`kn` trajectories.
+    /// Snapshots every shard's view of the run
+    /// ([`MediatorShard::report_snapshot`]).
     #[must_use]
     pub fn shard_reports(&self) -> Vec<ShardReport> {
         self.shards
@@ -286,24 +413,7 @@ impl ShardedMediator {
             .collect()
     }
 
-    /// The whole-service latency distribution.
-    #[must_use]
-    pub fn aggregate_latency(&self) -> LatencyRecorder {
-        let mut merged = LatencyRecorder::new();
-        for shard in &self.shards {
-            merged.merge(shard.latency());
-        }
-        merged
-    }
-
-    /// Decomposes the service into its router and shards — the handoff the
-    /// async ingest front uses to move each shard into its mediation thread.
-    #[must_use]
-    pub fn into_shards(self) -> (ShardRouter, Vec<MediatorShard>) {
-        (self.router, self.shards)
-    }
-
-    /// Re-partitions the service across a different shard count **live**,
+    /// Re-partitions the service across `mediators.len()` shards **live**,
     /// via replication [`HandoffPackage`]s: every provider's full registry
     /// snapshot (capabilities, capacity, load columns, online flag) and its
     /// satisfaction tracker travel to the shard the re-seeded router
@@ -312,53 +422,44 @@ impl ShardedMediator {
     /// (utilization, queue depth, offline flags, satisfaction windows) is
     /// lost in transit.
     ///
-    /// `make` constructs the new shards' mediators (fresh allocators: each
-    /// new shard's RNG stream starts at its seed, exactly as if the service
-    /// had been built at this size — the resized service is deterministic,
-    /// not a byte-continuation of the old one). Consumer registrations are
+    /// `mediators` become the new shards (fresh allocators: each new shard's
+    /// RNG stream starts at its seed, exactly as if the service had been
+    /// built at this size — the resized service is deterministic, not a
+    /// byte-continuation of the old one). Consumer registrations are
     /// re-created on every new shard with fresh satisfaction windows:
     /// consumer histories are per-shard views of the mediations *that shard*
     /// performed, which the new partition redistributes anyway. Provider
     /// windows, by contrast, describe the provider itself and travel with
-    /// it.
+    /// it. Ladders, standbys and controllers describe the old shards and do
+    /// not travel: arm the resized service again.
     ///
     /// # Errors
     ///
-    /// Any handoff replay error (a corrupt package); the service is consumed
-    /// either way, so resize at a quiescent point.
-    pub fn resize<F>(self, new_shards: usize, mut make: F) -> SbqaResult<Self>
-    where
-        F: FnMut(usize) -> Mediator,
-    {
-        let (router, shards) = self.into_shards();
-        let new_router = ShardRouter::new(new_shards, router.seed());
-        let mut packages: Vec<HandoffPackage> = (0..new_router.shards())
+    /// An empty `mediators`, or any handoff replay error (a corrupt
+    /// package); the service is consumed either way, so resize at a
+    /// quiescent point.
+    pub fn resize(self, mediators: Vec<Mediator>) -> SbqaResult<Self> {
+        let mut resized = Self::new(self.router.seed(), mediators)?;
+        let mut packages: Vec<HandoffPackage> = (0..resized.shards.len())
             .map(|_| HandoffPackage::new())
             .collect();
         let mut consumers: BTreeSet<ConsumerId> = BTreeSet::new();
-        for shard in shards {
+        for shard in self.shards {
             let (_allocator, providers, mut satisfaction) = shard.into_mediator().into_parts();
             consumers.extend(satisfaction.consumer_satisfactions().map(|(id, _)| id));
             for snapshot in providers.iter() {
-                let target = new_router.shard_of_provider(snapshot.id);
+                let target = resized.router.shard_of_provider(snapshot.id);
                 let tracker = satisfaction.extract_provider(snapshot.id);
                 packages[target].push_provider(snapshot, tracker);
             }
         }
-        let mut built = Vec::with_capacity(packages.len());
-        for (index, package) in packages.into_iter().enumerate() {
-            let mut mediator = make(index);
+        for (shard, package) in resized.shards.iter_mut().zip(packages) {
             for &consumer in &consumers {
-                mediator.register_consumer(consumer);
+                shard.register_consumer(consumer);
             }
-            package.apply(&mut mediator)?;
-            built.push(MediatorShard::new(index, mediator));
+            shard.mutate(|mediator| package.apply(mediator))?;
         }
-        Ok(Self {
-            router: new_router,
-            shards: built,
-            order_scratch: Vec::new(),
-        })
+        Ok(resized)
     }
 
     /// [`resize`](Self::resize) with SbQA mediators: new shard `i` hosts an
@@ -372,26 +473,9 @@ impl ShardedMediator {
     /// Configuration validation errors, or any [`resize`](Self::resize)
     /// handoff error.
     pub fn resize_sbqa(self, config: SystemConfig, new_shards: usize) -> SbqaResult<Self> {
-        config.validate()?;
-        let seed = self.router.seed();
-        let mut built = Vec::new();
-        for index in 0..new_shards.max(1) {
-            built.push(Mediator::sbqa(
-                config.clone(),
-                seed.wrapping_add(index as u64),
-            )?);
-        }
-        let mut mediators = built.into_iter();
-        self.resize(new_shards, |_| {
-            // sbqa-lint: allow(panic-hygiene, "builder produced exactly one mediator per shard two lines above")
-            mediators.next().expect("one mediator per shard")
-        })
+        let mediators = sbqa_mediators(&config, self.router.seed(), new_shards)?;
+        self.resize(mediators)
     }
-}
-
-/// The merged processing order's sort key.
-fn merge_key(query: &Query) -> (sbqa_types::VirtualTime, sbqa_types::QueryId) {
-    (query.issued_at, query.id)
 }
 
 #[cfg(test)]
@@ -408,6 +492,13 @@ mod tests {
         Query::builder(QueryId::new(id), ConsumerId::new(1), Capability::new(0))
             .issued_at(VirtualTime::new(at))
             .build()
+    }
+
+    impl ShardedMediator {
+        /// [`MediatorShard::corrupt_log`] on shard `index`.
+        pub(crate) fn corrupt_log(&self, index: usize) {
+            self.shards[index].corrupt_log();
+        }
     }
 
     fn service(shards: usize) -> ShardedMediator {
@@ -505,7 +596,8 @@ mod tests {
             total
         };
         assert_eq!(shard_totals, report);
-        assert_eq!(service.aggregate_latency().count(), 3);
+        let samples: usize = service.shards().map(|s| s.latency().count()).sum();
+        assert_eq!(samples, 3);
     }
 
     #[test]
@@ -611,23 +703,34 @@ mod tests {
     }
 
     #[test]
-    fn starvation_error_is_shard_local() {
-        let mut service = ShardedMediator::sbqa(SystemConfig::default(), 4, 4).unwrap();
-        // One provider, capability 1: only its owning shard knows it.
-        service.register_provider(ProviderId::new(1), caps(1), 1.0);
-        let q = Query::builder(QueryId::new(1), ConsumerId::new(1), Capability::new(1)).build();
-        let err = service.starvation_error(&q);
-        let owner = service.router().shard_of_provider(ProviderId::new(1));
-        let assigned = service.router().shard_of_query(q.id);
-        if owner == assigned {
-            // The capable provider is local (and online) — the query would
-            // not actually starve; the classifier reports "offline" only
-            // when it is.
-            assert!(service
-                .submit_in_place(&q, &StaticIntentions::new())
-                .is_ok());
-        } else {
-            assert!(matches!(err, SbqaError::NoCapableProvider { .. }));
-        }
+    fn from_shards_takes_back_exactly_what_into_shards_gave() {
+        let (router, mut shards) = service(3).into_shards();
+        let lost = shards.pop().unwrap();
+        assert!(ShardedMediator::from_shards(router, shards).is_err());
+
+        let (router, mut shards) = service(3).into_shards();
+        shards.swap(0, 2);
+        assert!(ShardedMediator::from_shards(router, shards).is_err());
+        assert!(ShardedMediator::new(42, Vec::new()).is_err());
+
+        let (router, shards) = service(3).into_shards();
+        let back = ShardedMediator::from_shards(router, shards).unwrap();
+        assert_eq!(back.provider_count(), 40);
+        assert_eq!(lost.index(), 2);
+    }
+
+    #[test]
+    fn an_unreplicated_shard_has_nothing_to_promote() {
+        let mut service = service(2);
+        let oracle = StaticIntentions::new();
+        assert!(service.crash_shard(0, &oracle).is_err());
+        assert!(service.checkpoint_all().is_ok());
+        assert!(service.mirrors_in_lockstep());
+        assert!(service
+            .shard_reports()
+            .iter()
+            .all(|r| r.replication.is_none()));
+        // The mediator the failed crash found is the one it left.
+        assert_eq!(service.provider_count(), 40);
     }
 }

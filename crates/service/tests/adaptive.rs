@@ -103,7 +103,7 @@ fn build_sharded(shards: usize) -> ShardedMediator {
     for c in 1..=3u64 {
         service.register_consumer(ConsumerId::new(c));
     }
-    service.enable_adaptive_kn(controller());
+    service.enable_adaptive_kn(controller()).unwrap();
     service
 }
 

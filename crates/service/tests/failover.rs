@@ -1,13 +1,19 @@
 //! Integration tests of the replication subsystem at the service layer:
 //! crash/promotion byte-identity under registry churn, standby lockstep,
-//! checkpoint pruning, delta-driven live resize, and the allocation bound of
-//! an incremental checkpoint cut.
+//! checkpoint pruning, delta-driven live resize, the allocation bound of
+//! an incremental checkpoint cut, and the composition of replication with
+//! the threaded driver and the degradation ladder.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sbqa_core::{DegradationConfig, Mediator, StaticIntentions};
-use sbqa_service::{ReplicatedMediator, ShardedMediator};
+use std::sync::Arc;
+use std::time::Duration;
+
+use sbqa_core::{
+    DegradationConfig, DegradationStats, IntentionOracle, KnControllerConfig, StaticIntentions,
+};
+use sbqa_service::{IngestConfig, MediationService, OutcomeRecord, ServiceReport, ShardedMediator};
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
     VirtualTime,
@@ -66,24 +72,23 @@ fn oracle() -> StaticIntentions {
     StaticIntentions::new().with_defaults(Intention::new(0.6), Intention::new(-0.2))
 }
 
-fn replicated(shards: usize, providers: u64) -> ReplicatedMediator {
+fn replicated(shards: usize, providers: u64) -> ShardedMediator {
     let mut service =
-        ReplicatedMediator::sbqa(SystemConfig::default().with_knbest(10, 3), 42, shards).unwrap();
+        ShardedMediator::sbqa(SystemConfig::default().with_knbest(10, 3), 42, shards).unwrap();
+    service.replicate().unwrap();
     for p in 0..providers {
-        service
-            .register_provider(
-                ProviderId::new(p),
-                caps((p % 2) as u8),
-                1.0 + (p % 3) as f64,
-            )
-            .unwrap();
+        service.register_provider(
+            ProviderId::new(p),
+            caps((p % 2) as u8),
+            1.0 + (p % 3) as f64,
+        );
     }
     service.register_consumer(ConsumerId::new(1));
     service
 }
 
 /// Deterministic churn applied identically to two services.
-fn churn(service: &mut ReplicatedMediator, round: u64, providers: u64) {
+fn churn(service: &mut ShardedMediator, round: u64, providers: u64) {
     for step in 0..3u64 {
         let p = (round * 7 + step * 11) % providers;
         if step == 2 {
@@ -130,11 +135,11 @@ fn crash_and_promotion_preserve_the_decision_stream_under_churn() {
             _ => {}
         }
         stormy
-            .submit_batch(chunk, &oracle, |_, q, r| {
+            .try_submit_batch(chunk, &oracle, |_, q, r| {
                 stormy_outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
             })
             .unwrap();
-        calm.submit_batch(chunk, &oracle, |_, q, r| {
+        calm.try_submit_batch(chunk, &oracle, |_, q, r| {
             calm_outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
         })
         .unwrap();
@@ -160,7 +165,9 @@ fn checkpoints_bound_replay_state() {
     service.set_checkpoint_interval(0); // manual control
     let stream: Vec<Query> = (0..60u64).map(|i| query(i, i as f64, 0)).collect();
     for chunk in stream.chunks(20) {
-        service.submit_batch(chunk, &oracle, |_, _, _| {}).unwrap();
+        service
+            .try_submit_batch(chunk, &oracle, |_, _, _| {})
+            .unwrap();
     }
     let before: usize = (0..2)
         .map(|i| {
@@ -201,7 +208,7 @@ fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
     let mut service = replicated(1, PROVIDERS);
     service.set_checkpoint_interval(0); // cuts are explicit below
     let mut next_query = 0u64;
-    let mut window = |service: &mut ReplicatedMediator| {
+    let mut window = |service: &mut ShardedMediator| {
         // What lies between two cuts at the default cadence: 4 batches of 64
         // queries, and 32 load writes for the registry tail.
         for _ in 0..4 {
@@ -209,7 +216,9 @@ fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
                 .map(|i| query(i, i as f64 * 0.01, (i % 2) as u8))
                 .collect();
             next_query += 64;
-            service.submit_batch(&batch, &oracle, |_, _, _| {}).unwrap();
+            service
+                .try_submit_batch(&batch, &oracle, |_, _, _| {})
+                .unwrap();
         }
         for step in 0..32 {
             let p = (next_query * 31 + step * 577) % PROVIDERS;
@@ -289,11 +298,11 @@ fn crash_while_shedding_preserves_the_overload_decision_stream() {
             );
         }
         crashed
-            .submit_batch(chunk, &oracle, |_, q, r| {
+            .try_submit_batch(chunk, &oracle, |_, q, r| {
                 crashed_outcomes.push((q.id, classify(r)));
             })
             .unwrap();
-        calm.submit_batch(chunk, &oracle, |_, q, r| {
+        calm.try_submit_batch(chunk, &oracle, |_, q, r| {
             calm_outcomes.push((q.id, classify(r)));
         })
         .unwrap();
@@ -317,14 +326,14 @@ fn crash_while_shedding_preserves_the_overload_decision_stream() {
     assert_eq!(tallied as u64 + shed_total(&crashed), 300);
 }
 
-fn shed_total(service: &ReplicatedMediator) -> u64 {
+fn shed_total(service: &ShardedMediator) -> u64 {
     (0..service.shard_count())
         .filter_map(|i| service.shard(i).ladder())
         .map(|ladder| ladder.stats().shed)
         .sum()
 }
 
-fn degradation_totals(service: &ReplicatedMediator) -> Vec<(u64, u64, u64, u64)> {
+fn degradation_totals(service: &ShardedMediator) -> Vec<(u64, u64, u64, u64)> {
     (0..service.shard_count())
         .map(|i| {
             let stats = service.shard(i).ladder().expect("ladder armed").stats();
@@ -356,22 +365,13 @@ fn resize_then_replicate_round_trip() {
     assert_eq!(grown.shard_count(), 4);
     assert_eq!(grown.provider_count(), 24);
 
-    // Rebuild a replicated service over the same population and prove the
-    // mirrors track the resized state (load and offline flags included).
-    let (router, shards) = grown.into_shards();
-    let mut replicated = ReplicatedMediator::new(router.shards(), router.seed(), {
-        let mut mediators: Vec<Mediator> = shards
-            .into_iter()
-            .map(sbqa_service::MediatorShard::into_mediator)
-            .collect();
-        mediators.reverse();
-        move |_| mediators.pop().expect("one mediator per shard")
-    })
-    .unwrap();
+    // Arm replication on the resized service and prove the mirrors track
+    // the resized state (load and offline flags included).
+    let mut replicated = grown;
+    replicated.replicate().unwrap();
     assert!(replicated.mirrors_in_lockstep());
     let moved = replicated
         .shard(replicated.router().shard_of_provider(ProviderId::new(5)))
-        .primary()
         .mediator()
         .providers()
         .get(ProviderId::new(5))
@@ -382,8 +382,181 @@ fn resize_then_replicate_round_trip() {
     let oracle = oracle();
     let stream: Vec<Query> = (0..30u64).map(|i| query(i, i as f64, 0)).collect();
     let report = replicated
-        .submit_batch(&stream, &oracle, |_, _, _| {})
+        .try_submit_batch(&stream, &oracle, |_, _, _| {})
         .unwrap();
     assert_eq!(report.mediated + report.starved, 30);
     assert!(replicated.mirrors_in_lockstep());
+}
+
+// ---------------------------------------------------------------------------
+// Threaded + replicated + degrading, in one configuration
+// ---------------------------------------------------------------------------
+
+/// The golden burst of `tests/overload.rs`: its front-end, stream and ladder.
+fn burst_front() -> ShardedMediator {
+    let mut service =
+        ShardedMediator::sbqa(SystemConfig::default().with_knbest(12, 4), 42, 2).unwrap();
+    for p in 0..40u64 {
+        service.register_provider(
+            ProviderId::new(p),
+            caps((p % 3) as u8),
+            1.0 + (p % 2) as f64,
+        );
+    }
+    for c in 1..=3u64 {
+        service.register_consumer(ConsumerId::new(c));
+    }
+    service
+}
+
+fn burst() -> Vec<Query> {
+    (0..600u64)
+        .map(|id| {
+            Query::builder(
+                QueryId::new(id),
+                ConsumerId::new(1 + id % 3),
+                Capability::new((id % 3) as u8),
+            )
+            .issued_at(VirtualTime::new(id as f64 * 0.002))
+            .build()
+        })
+        .collect()
+}
+
+fn burst_ladder() -> DegradationConfig {
+    DegradationConfig {
+        capacity: 80,
+        drain_rate: 100.0,
+        ..DegradationConfig::default()
+    }
+}
+
+fn burst_oracle() -> Arc<dyn IntentionOracle + Send + Sync> {
+    Arc::new(StaticIntentions::new().with_defaults(Intention::new(0.35), Intention::new(0.55)))
+}
+
+/// Per query: id, winners, starved, shed.
+type Outcome = (u64, Vec<u64>, bool, bool);
+
+fn outcome(record: &OutcomeRecord) -> Outcome {
+    (
+        record.query.raw(),
+        record.selected.iter().map(|p| p.raw()).collect(),
+        record.starved,
+        record.shed,
+    )
+}
+
+/// Spawns `front` behind 64-slot rings and streams `queries` in `chunk`s.
+/// `ladder` arms fresh ladders; `None` keeps the ones the shards carry.
+fn threaded(
+    front: ShardedMediator,
+    ladder: Option<DegradationConfig>,
+    queries: &[Query],
+    chunk: usize,
+) -> (Vec<Outcome>, Option<DegradationStats>, ShardedMediator) {
+    let router = *front.router();
+    let config = IngestConfig {
+        ring_capacity: 64,
+        degradation: ladder,
+    };
+    let mut running = MediationService::spawn_with(front, burst_oracle(), config).unwrap();
+    for batch in queries.chunks(chunk) {
+        running.enqueue_batch(batch.iter().cloned());
+    }
+    let (report, shards) = running.finish_with_shards();
+    assert_eq!(report.fault(), None);
+    (
+        report.outcomes.iter().map(outcome).collect(),
+        report.degradation_stats(),
+        ShardedMediator::from_shards(router, shards).unwrap(),
+    )
+}
+
+#[test]
+fn a_threaded_replicated_degrading_run_survives_a_crash_byte_identically() {
+    let stream = burst();
+    let (first_half, second_half) = stream.split_at(stream.len() / 2);
+
+    // The references: the inline driver, and an uninterrupted, unreplicated
+    // threaded run.
+    let mut inline = burst_front();
+    inline.enable_degradation(burst_ladder()).unwrap();
+    let mut inline_outcomes = Vec::new();
+    for batch in stream.chunks(64) {
+        inline.submit_batch(batch, &*burst_oracle(), |_, q, r| {
+            inline_outcomes.push(match r {
+                Ok(d) => (
+                    q.id.raw(),
+                    d.selected.iter().map(|p| p.raw()).collect(),
+                    false,
+                    false,
+                ),
+                Err(sbqa_types::SbqaError::QueryShed { .. }) => {
+                    (q.id.raw(), Vec::new(), false, true)
+                }
+                Err(_) => (q.id.raw(), Vec::new(), true, false),
+            });
+        });
+    }
+    let inline_stats = ServiceReport::merge(inline.shard_reports(), Vec::new(), Duration::ZERO)
+        .degradation_stats()
+        .expect("ladders armed");
+    assert!(inline_stats.shed > 0 && inline_stats.degraded());
+
+    for chunk in [64usize, 17] {
+        let (plain_outcomes, plain_stats, _) =
+            threaded(burst_front(), Some(burst_ladder()), &stream, chunk);
+        assert_eq!(plain_outcomes, inline_outcomes, "chunk {chunk}");
+        assert_eq!(plain_stats, Some(inline_stats), "chunk {chunk}");
+
+        // The composition: replicated shards behind the rings, ladders
+        // armed, shard 0 crashed and promoted at the midpoint.
+        let mut front = burst_front();
+        front.replicate().unwrap();
+        let (mut outcomes, _, mut front) = threaded(front, Some(burst_ladder()), first_half, chunk);
+        let journaled: usize = front
+            .shards()
+            .map(|s| s.replication_stats().journal_depth)
+            .sum();
+        assert!(journaled > 0, "the shard threads journal what they mediate");
+        let replay = front.crash_shard(0, &*burst_oracle()).unwrap();
+        assert!(replay.queries_mediated > 0 && replay.queries_shed > 0);
+        // The ladders came back on the shards; `None` keeps them running.
+        let (rest, stats, front) = threaded(front, None, second_half, chunk);
+        outcomes.extend(rest);
+
+        assert_eq!(outcomes, inline_outcomes, "chunk {chunk}");
+        assert_eq!(stats, Some(inline_stats), "chunk {chunk}");
+        assert!(front.mirrors_in_lockstep());
+        let promotions: u64 = front
+            .shards()
+            .map(|s| s.replication_stats().promotions)
+            .sum();
+        assert_eq!(promotions, 1);
+    }
+}
+
+#[test]
+fn replication_and_adaptive_kn_refuse_each_other_in_both_orders() {
+    let refused = |result: sbqa_types::SbqaResult<()>| {
+        let error = result.unwrap_err();
+        assert!(
+            matches!(error, sbqa_types::SbqaError::InvalidConfiguration { .. }),
+            "{error}"
+        );
+    };
+    let mut adaptive_first = burst_front();
+    adaptive_first
+        .enable_adaptive_kn(KnControllerConfig::default())
+        .unwrap();
+    refused(adaptive_first.replicate());
+    assert!(adaptive_first.shard_reports()[0].replication.is_none());
+
+    let mut replicated_first = burst_front();
+    replicated_first.replicate().unwrap();
+    refused(replicated_first.enable_adaptive_kn(KnControllerConfig::default()));
+    assert!(replicated_first
+        .shards()
+        .all(|s| s.mediator().adaptive_kn().is_none()));
 }

@@ -326,7 +326,7 @@ pub fn run_adaptive_case(
         service.register_consumer(spec.id);
     }
     if let Some(controller) = config.adaptive {
-        service.enable_adaptive_kn(controller);
+        service.enable_adaptive_kn(controller)?;
     }
 
     let oracle = AdaptiveOracle::new(

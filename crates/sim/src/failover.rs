@@ -2,9 +2,9 @@
 //! their standbys, and prove the outcome stream does not care.
 //!
 //! [`run_replicated_service`] drives the same deterministic open-loop
-//! streams as [`crate::sharded`] through a
-//! [`ReplicatedMediator`] — every shard paired with a delta-log-fed standby
-//! — while a [`FaultPlan`] schedules primary crashes at virtual times.
+//! streams as [`crate::sharded`] through a replicated
+//! [`ShardedMediator`] — every shard paired with a delta-log-fed standby
+//! — while a [`FaultPlan`] schedules shard crashes at virtual times.
 //! Between batches the runner applies a deterministic registry churn (load
 //! updates and online flips, a pure hash of `(seed, batch index)`), so the
 //! replication stream carries real mutations, not just the bootstrap
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use sbqa_core::SystemConfig;
 use sbqa_service::failover::{ReplayReport, ReplicationStats};
-use sbqa_service::{OutcomeRecord, ReplicatedMediator, ShardReport};
+use sbqa_service::{OutcomeRecord, ShardReport, ShardedMediator};
 use sbqa_types::{Query, SbqaResult, VirtualTime};
 
 use crate::consumer::ConsumerSpec;
@@ -173,7 +173,7 @@ fn churn_hash(seed: u64, batch: u64, step: u64) -> u64 {
 /// `(seed, batch index)`, so a crashed run and an uninterrupted run mutate
 /// their registries identically.
 fn apply_churn(
-    service: &mut ReplicatedMediator,
+    service: &mut ShardedMediator,
     providers: &[ProviderSpec],
     config: &FailoverRunConfig,
     batch: u64,
@@ -210,10 +210,11 @@ pub fn run_replicated_service(
     stream: &[Query],
     plan: &FaultPlan,
 ) -> SbqaResult<FailoverRunReport> {
-    let mut service = ReplicatedMediator::sbqa(config.system.clone(), config.seed, config.shards)?;
+    let mut service = ShardedMediator::sbqa(config.system.clone(), config.seed, config.shards)?;
+    service.replicate()?;
     service.set_checkpoint_interval(config.checkpoint_interval);
     for spec in providers {
-        service.register_provider(spec.id, spec.capabilities, spec.capacity)?;
+        service.register_provider(spec.id, spec.capabilities, spec.capacity);
     }
     for spec in consumers {
         service.register_consumer(spec.id);
@@ -239,7 +240,7 @@ pub fn run_replicated_service(
             }
         }
         apply_churn(&mut service, providers, config, batch_index as u64)?;
-        service.submit_batch(chunk, &oracle, |_, query, result| {
+        service.try_submit_batch(chunk, &oracle, |_, query, result| {
             let (selected, starved) = match result {
                 Ok(decision) => (decision.selected.clone(), false),
                 Err(_) => (Vec::new(), true),

@@ -211,7 +211,7 @@ pub fn run_single_mediator(
     // sbqa-lint: allow(wall-clock, "throughput measurement printed to the report only; allocation is driven by VirtualTime")
     let started = Instant::now();
     for query in stream {
-        let (selected, starved) = match shard.submit_with_start(query, &oracle, started) {
+        let (selected, starved) = match shard.submit(query, &oracle, started)? {
             Ok(decision) => (decision.selected.clone(), false),
             Err(_) => (Vec::new(), true),
         };

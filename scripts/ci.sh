@@ -78,7 +78,7 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload)"
+echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, threaded+replicated+degrading composition)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. The
@@ -90,10 +90,15 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # The overload gates pin the seed-42 100x-step outcome and shed-set digests
 # (golden_overload) and assert run-to-run + chunking byte-identity of the
 # degradation ladder's admit/degrade/shed decisions (overload), including
-# crash-while-shedding promotion (failover's overload case). replay_prop
-# holds the incremental checkpoint to the full clone it replaced: after every
-# cut of a random op sequence the standby's registry and satisfaction digests
-# equal the primary's, and a promotion continues the uninterrupted stream.
+# crash-while-shedding promotion (failover's overload case) and the
+# composition no single mechanism's test covers: the golden burst threaded +
+# replicated + degrading, shard 0 crashed at the midpoint, equal to the
+# uninterrupted threaded and inline runs for two chunk sizes (failover's
+# a_threaded_replicated_degrading_run_survives_a_crash_byte_identically).
+# replay_prop holds the incremental checkpoint to the full clone it replaced:
+# after every cut of a random op sequence the standby's registry and
+# satisfaction digests equal the primary's, and a promotion continues the
+# uninterrupted stream.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication --test replay_prop -q
@@ -102,8 +107,8 @@ cargo test --release -p sbqa_sim --test golden_failover --test golden_overload -
 echo "== benchmark smoke: perf/run.sh --quick"
 # The benchmark's own correctness gates on a 2 000-provider world (its
 # timings are stamped "not comparable"): conservation, digests equal across
-# segments, 1-shard service == bare Mediator, crashed ReplicatedMediator ==
-# uncrashed ShardedMediator, all four overload tiers. perf/ is its own
+# segments, 1-shard service == bare Mediator, crashed replicated service ==
+# uncrashed unreplicated one, all four overload tiers. perf/ is its own
 # workspace sharing target/, so this also proves it still builds against
 # the crates.
 bash perf/run.sh --quick > /dev/null

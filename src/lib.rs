@@ -20,8 +20,9 @@
 //!   baselines of the paper, plus Random / Round-robin / Load-based sanity
 //!   baselines;
 //! * [`service`] — the sharded mediation service: provider-disjoint mediator
-//!   shards behind a deterministic router, with an async mpsc ingest front
-//!   and per-shard tail-latency instrumentation;
+//!   shards behind a deterministic router, driven inline or through
+//!   per-shard bounded rings and threads, with per-shard tail-latency
+//!   instrumentation, degradation ladders and promotable standbys;
 //! * [`sim`] — the discrete-event simulator standing in for SimJava, plus
 //!   the open-loop sharded runner path ([`sim::sharded`]);
 //! * [`boinc`] — the BOINC-shaped volunteer-computing workload and the seven
