@@ -1,18 +1,25 @@
 //! Micro-benchmark: the requirement-keyed candidate-plan cache.
 //!
-//! PR 6 made the postings *merge* the dominant cost of multi-capability
-//! resolution (at 100k providers: ~10µs for 2-way intersections, ~244µs for
-//! 4-way unions). The plan cache memoizes the id-sorted merge result per
+//! The postings *merge* is the dominant cost of a multi-capability
+//! resolution: a word-parallel AND/OR of the mentioned classes' membership
+//! into an id bitset (`MergedSet`), microseconds at 100k providers whatever
+//! the width (see `bench_results/BENCH_cache.json`; it was ~10µs for 2-way
+//! intersections and ~234µs for 4-way unions while a merge materialised a
+//! slot per member). The plan cache memoizes the merged membership per
 //! `CapabilityRequirement` and invalidates it with per-class epoch counters,
 //! so a warm hit is an O(#classes) generation check plus a borrowed view —
 //! no merge work at all. The series here prove the three claims the cache
 //! makes:
 //!
 //! * `resolve/cold_*` vs `resolve/warm_*` — the same merge queries with the
-//!   cache disabled (capacity 0, every resolution merges into the shared
-//!   scratch) and enabled (every resolution after the first is a hit). The
-//!   warm series must be ≥10× faster than the cold one at 100k providers;
-//!   in practice it is nanoseconds against tens-to-hundreds of microseconds.
+//!   cache disabled (capacity 0, every resolution re-merges one shared set)
+//!   and enabled (every resolution after the first is a hit). The warm
+//!   series must be ≥10× faster than the cold one at 100k providers. The
+//!   `cold_*/shard50k` series repeats the cold merges on one shard's slice of
+//!   a 100k world — 50 000 providers on every other id of `1000..101000`,
+//!   thin enough per class that every source container is an Array, the
+//!   shape the benchmark's `sync_multicap_churn` workload re-merges four
+//!   thousand times a run.
 //! * `churn/load_*` vs `churn/membership_*` — a registry mutation between
 //!   every resolution. Load updates do **not** bump class epochs, so the
 //!   cache keeps hitting; membership churn (an online/offline flip inside a
@@ -55,26 +62,45 @@ fn merge_query(width: u8, conjunctive: bool) -> Query {
         .build()
 }
 
-/// Overlapping capability profiles, identical to the `registry` bench.
-fn capabilities(i: usize) -> CapabilitySet {
-    let base = (i % CLASSES as usize) as u8;
+/// Overlapping capability profiles over `classes` classes: a base class,
+/// plus the next one for every third provider, the one after for every
+/// fifth and a third extra for every fifteenth.
+fn profile(i: usize, classes: u8) -> CapabilitySet {
+    let base = (i % classes as usize) as u8;
     let mut caps = CapabilitySet::singleton(Capability::new(base));
     if i.is_multiple_of(3) {
-        caps.insert(Capability::new((base + 1) % CLASSES));
+        caps.insert(Capability::new((base + 1) % classes));
     }
     if i.is_multiple_of(5) {
-        caps.insert(Capability::new((base + 2) % CLASSES));
+        caps.insert(Capability::new((base + 2) % classes));
     }
     if i.is_multiple_of(15) {
-        caps.insert(Capability::new((base + 3) % CLASSES));
+        caps.insert(Capability::new((base + 3) % classes));
     }
     caps
+}
+
+/// The profiles of the `registry` bench.
+fn capabilities(i: usize) -> CapabilitySet {
+    profile(i, CLASSES)
 }
 
 fn registry(n: usize) -> ProviderRegistry {
     let mut registry = ProviderRegistry::new();
     for i in 0..n {
         registry.register(ProviderId::new(i as u64), capabilities(i), 1.0);
+    }
+    registry
+}
+
+/// One shard's slice of a 100k world. Sixteen classes keep every class list
+/// in Array containers: ≈ 3.2k entries in chunk 0, ≈ 1.8k in chunk 1, so
+/// 2-way merges stay sorted keys in chunk 1 and everything else goes to
+/// words.
+fn shard_registry() -> ProviderRegistry {
+    let mut registry = ProviderRegistry::new();
+    for i in 0..50_000usize {
+        registry.register(ProviderId::new(1000 + 2 * i as u64), profile(i, 16), 1.0);
     }
     registry
 }
@@ -119,6 +145,20 @@ fn bench_resolve(c: &mut Criterion) {
                 },
             );
         }
+    }
+
+    for (label, q) in merge_cases() {
+        let mut cold = shard_registry();
+        cold.set_plan_cache_capacity(0);
+        group.bench_function(
+            BenchmarkId::new(format!("resolve/cold_{label}"), "shard50k"),
+            |b| {
+                b.iter(|| {
+                    let candidates = cold.candidates(black_box(&q));
+                    black_box(candidates.len())
+                });
+            },
+        );
     }
 
     group.finish();

@@ -9,9 +9,10 @@
 //! verbatim so the `indexed` series (postings-list lookup + O(k) partial
 //! Fisher–Yates into reused scratch) can be compared against it on the same
 //! populations. The `candidates/*` series compare the single-capability
-//! lookup against 2- and 4-way postings merges (`All` intersection / `Any`
-//! union) so regressions in the merge cost — which should scale with
-//! Σ|postings|, not |P| — are visible; the `candidates_vec/*` series
+//! lookup against 2- and 4-way `All` / `Any` requirements. Those resolve
+//! through the plan cache, so after the first iteration they time a *hit*
+//! (the cold merge is the `cache` bench's `resolve/cold_*` series); the
+//! `candidates_vec/*` series
 //! reproduce the pre-bitmap flat sorted `Vec<u32>` postings representation
 //! (galloping binary-search intersection, k-way heap-less union) on the same
 //! populations, which is the baseline the bitmap containers must beat at
@@ -22,8 +23,8 @@
 //! The top population size is **1,000,000 providers**, the head-line scale
 //! this registry targets: single-class resolution must stay sub-µs there
 //! (the borrowed postings view costs O(1) regardless of population), and the
-//! merge and mediation series must keep scaling with Σ|postings| of the
-//! mentioned classes only. The O(|P|)-per-query `legacy` scan series stops
+//! multi-class and mediation series must stay independent of |P|. The
+//! O(|P|)-per-query `legacy` scan series stops
 //! at 100k — at 1M it spends tens of milliseconds per query, which is the
 //! point of its existence but a waste of benchmark wall-clock.
 
@@ -263,12 +264,13 @@ fn bench_capable_of(c: &mut Criterion) {
     group.finish();
 }
 
-/// Merge scaling: a single-capability lookup against 2- and 4-way postings
-/// merges (intersection and union) on the same populations. The merge series
-/// should track Σ|postings| of the mentioned classes — growing with the
-/// requirement width and the population share per class — and stay far below
-/// anything O(|P|): compare against `capable_of/legacy_scan_clone`, which
-/// scans the full population per query.
+/// Resolution cost by requirement shape: a single-capability lookup against
+/// 2- and 4-way `All` / `Any` requirements on the same populations. The
+/// multi-class series resolve through the plan cache and so time a hit —
+/// flat in the population and the width; the merge itself is the `cache`
+/// bench's `resolve/cold_*` series. Compare against
+/// `capable_of/legacy_scan_clone`, which scans the full population per query,
+/// and the `candidates_vec/*` flat-list merges below.
 fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("registry");
 

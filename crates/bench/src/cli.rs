@@ -39,7 +39,7 @@ pub struct HarnessOptions {
     pub queries: Option<usize>,
 }
 
-/// The usage line shown on `--help` or a parse error.
+/// The usage line `--help` / `-h` prints.
 pub const USAGE: &str = "usage: scenarioN [--quick] [--volunteers N | --providers N] \
      [--duration S] [--arrival RATE] [--seed SEED] [--k K] [--kn KN] \
      [--shards N1,N2,...] [--batch B] [--queries Q] [--csv PATH]";
@@ -106,7 +106,6 @@ impl HarnessOptions {
                             .ok_or_else(|| "--csv requires a path".to_string())?,
                     );
                 }
-                "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag: {other}")),
             }
         }
@@ -155,11 +154,22 @@ impl HarnessOptions {
     }
 }
 
-/// Parses the process arguments, printing the error (or usage) and exiting
-/// with a failure status — the shared preamble of every harness binary.
+/// `true` if the arguments ask for the usage line.
+fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|arg| arg == "--help" || arg == "-h")
+}
+
+/// Parses the process arguments — the shared preamble of every harness
+/// binary. `--help` / `-h` prints the usage line to stdout and exits 0; a
+/// parse error goes to stderr and exits 1.
 #[must_use]
 pub fn parse_env_or_exit() -> HarnessOptions {
-    match HarnessOptions::parse(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    match HarnessOptions::parse(args) {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
@@ -208,7 +218,13 @@ mod tests {
         assert!(HarnessOptions::parse(args(&["--bogus"])).is_err());
         assert!(HarnessOptions::parse(args(&["--volunteers"])).is_err());
         assert!(HarnessOptions::parse(args(&["--volunteers", "many"])).is_err());
-        assert!(HarnessOptions::parse(args(&["--help"])).is_err());
+    }
+
+    #[test]
+    fn help_is_a_request_not_a_parse_error() {
+        assert!(wants_help(&args(&["--help"])));
+        assert!(wants_help(&args(&["--quick", "-h"])));
+        assert!(!wants_help(&args(&["--quick", "--seed", "7"])));
     }
 
     #[test]

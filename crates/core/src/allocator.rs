@@ -29,20 +29,20 @@ use sbqa_types::{Intention, ProviderId, Query, SbqaResult};
 
 pub use sbqa_types::{ProviderColumns, ProviderSnapshot};
 
-use crate::postings::{PostingsMap, SlotIter};
+use crate::postings::{MergedSet, MergedSlots, PostingsMap, SlotIter};
 
 /// Identity stamp of a resolved candidate plan, used to deduplicate dense
 /// column gathers across queries.
 ///
 /// The registry attaches a token to every view whose backing storage is
 /// *stable* (a cached plan entry or a capability's postings map — never the
-/// legacy shared scratch). Two equal tokens guarantee byte-identical view
-/// contents: `plan` names the storage (a capability class or a uniquely
-/// numbered cache-entry occupancy, never reused), and `stamp` is the
-/// registry's mutation counter, bumped by **every** mutating call including
-/// load updates. Equal stamps therefore bracket a window with no mutation at
-/// all, so a [`CandidateBlock`] gathered under a token can be reused verbatim
-/// when the same token comes around again —
+/// registry-wide set the uncached path re-merges). Two equal tokens guarantee
+/// byte-identical view contents: `plan` names the storage (a capability class
+/// or a uniquely numbered cache-entry occupancy, never reused), and `stamp` is
+/// the registry's mutation counter, bumped by **every** mutating call
+/// including load updates. Equal stamps therefore bracket a window with no
+/// mutation at all, so a [`CandidateBlock`] gathered under a token can be
+/// reused verbatim when the same token comes around again —
 /// [`Candidates::gather_all_into`] does exactly that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanToken {
@@ -61,11 +61,13 @@ pub struct PlanToken {
 ///
 /// * a contiguous slice of snapshots ([`Candidates::from_slice`], used by
 ///   tests and ad-hoc callers),
-/// * a materialised slot list into the registry's column store
-///   ([`Candidates::from_postings`], the multi-capability merge path), or
 /// * a capability's bitmap postings map wrapped directly
 ///   ([`Candidates::from_map`], the single-capability path — nothing is
-///   materialised at all; positional access rank-selects into the bitmap).
+///   materialised at all; positional access rank-selects into the bitmap), or
+/// * the merged membership of several postings maps
+///   ([`Candidates::from_merged`], the multi-capability path — positional
+///   access rank-selects into the [`MergedSet`] and reads the member's slot
+///   from the first mentioned map holding it).
 ///
 /// Positions `0..len()` address candidates in a deterministic order — for
 /// registry-backed views that order is ascending provider id by
@@ -77,7 +79,7 @@ pub struct PlanToken {
 pub struct Candidates<'a> {
     view: View<'a>,
     /// Identity stamp when the backing storage is stable (see [`PlanToken`]);
-    /// `None` for slices and scratch-backed views, which must always be
+    /// `None` for slices and uncached merges, which must always be
     /// re-gathered.
     token: Option<PlanToken>,
 }
@@ -86,16 +88,18 @@ pub struct Candidates<'a> {
 enum View<'a> {
     /// Every snapshot of the slice is a candidate.
     Slice(&'a [ProviderSnapshot]),
-    /// `slots` are positions into `columns`, in enumeration order.
-    Postings {
-        columns: &'a ProviderColumns,
-        slots: &'a [u32],
-    },
     /// The members of `map` (slot payloads into `columns`), in ascending id
     /// order.
     Map {
         columns: &'a ProviderColumns,
         map: &'a PostingsMap,
+    },
+    /// The members of `set`, a merge over some of `lists`, in ascending id
+    /// order; their slots into `columns` are read from `lists`.
+    Merged {
+        columns: &'a ProviderColumns,
+        set: &'a MergedSet,
+        lists: &'a [PostingsMap],
     },
 }
 
@@ -109,16 +113,6 @@ impl<'a> Candidates<'a> {
         }
     }
 
-    /// A view over a materialised slot list: `slots` holds positions into
-    /// the column store, in the order candidates should be enumerated.
-    #[must_use]
-    pub fn from_postings(columns: &'a ProviderColumns, slots: &'a [u32]) -> Self {
-        Self {
-            view: View::Postings { columns, slots },
-            token: None,
-        }
-    }
-
     /// A view over a bitmap postings map: candidates are the map's members
     /// in ascending id order, with nothing materialised. Positional access
     /// ([`Candidates::get`], [`Candidates::load_key`]) rank-selects into the
@@ -128,6 +122,27 @@ impl<'a> Candidates<'a> {
     pub fn from_map(columns: &'a ProviderColumns, map: &'a PostingsMap) -> Self {
         Self {
             view: View::Map { columns, map },
+            token: None,
+        }
+    }
+
+    /// A view over a merged membership: candidates are the members of `set`
+    /// in ascending id order. `lists` must be the maps `set` was merged
+    /// from, with no membership change since — slot re-pointing is fine, the
+    /// view reads each member's slot from them on access. Positional access
+    /// pays a rank-select plus one probe; sequential access streams.
+    #[must_use]
+    pub fn from_merged(
+        columns: &'a ProviderColumns,
+        set: &'a MergedSet,
+        lists: &'a [PostingsMap],
+    ) -> Self {
+        Self {
+            view: View::Merged {
+                columns,
+                set,
+                lists,
+            },
             token: None,
         }
     }
@@ -153,8 +168,8 @@ impl<'a> Candidates<'a> {
     pub fn len(&self) -> usize {
         match self.view {
             View::Slice(providers) => providers.len(),
-            View::Postings { slots, .. } => slots.len(),
             View::Map { map, .. } => map.len(),
+            View::Merged { set, .. } => set.len(),
         }
     }
 
@@ -173,8 +188,12 @@ impl<'a> Candidates<'a> {
     pub fn get(&self, pos: usize) -> ProviderSnapshot {
         match self.view {
             View::Slice(providers) => providers[pos],
-            View::Postings { columns, slots } => columns.snapshot(slots[pos] as usize),
             View::Map { columns, map } => columns.snapshot(map.select(pos) as usize),
+            View::Merged {
+                columns,
+                set,
+                lists,
+            } => columns.snapshot(set.slot_at(lists, pos) as usize),
         }
     }
 
@@ -190,31 +209,40 @@ impl<'a> Candidates<'a> {
                 let p = &providers[pos];
                 (p.utilization, p.id)
             }
-            View::Postings { columns, slots } => {
-                let slot = slots[pos] as usize;
-                (columns.utilization()[slot], columns.ids()[slot])
-            }
             View::Map { columns, map } => {
                 let slot = map.select(pos) as usize;
+                (columns.utilization()[slot], columns.ids()[slot])
+            }
+            View::Merged {
+                columns,
+                set,
+                lists,
+            } => {
+                let slot = set.slot_at(lists, pos) as usize;
                 (columns.utilization()[slot], columns.ids()[slot])
             }
         }
     }
 
     /// Iterates over the candidates in position order, streaming the backing
-    /// store sequentially (no per-item rank-select, even for map views).
+    /// store sequentially (no per-item rank-select, even for map and merged
+    /// views).
     #[must_use]
     pub fn iter(&self) -> CandidateIter<'a> {
         CandidateIter {
             inner: match self.view {
                 View::Slice(providers) => IterInner::Slice(providers.iter()),
-                View::Postings { columns, slots } => IterInner::Postings {
-                    columns,
-                    slots: slots.iter(),
-                },
                 View::Map { columns, map } => IterInner::Map {
                     columns,
                     slots: map.iter(),
+                },
+                View::Merged {
+                    columns,
+                    set,
+                    lists,
+                } => IterInner::Merged {
+                    columns,
+                    slots: set.slots(lists),
                 },
             },
         }
@@ -243,13 +271,17 @@ impl<'a> Candidates<'a> {
                     block.push(p.id, p.utilization, p.capacity, p.queue_length);
                 }
             }
-            View::Postings { columns, slots } => {
-                for &slot in slots {
+            View::Map { columns, map } => {
+                for slot in map.iter() {
                     block.push_slot(columns, slot as usize);
                 }
             }
-            View::Map { columns, map } => {
-                for slot in map.iter() {
+            View::Merged {
+                columns,
+                set,
+                lists,
+            } => {
+                for slot in set.slots(lists) {
                     block.push_slot(columns, slot as usize);
                 }
             }
@@ -264,16 +296,20 @@ pub struct CandidateIter<'a> {
     inner: IterInner<'a>,
 }
 
+// A merged view's cursors (one per mentioned class) live inline: the iterator
+// sits on its caller's stack for one pass, and boxing them would allocate on
+// every `iter()`.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum IterInner<'a> {
     Slice(std::slice::Iter<'a, ProviderSnapshot>),
-    Postings {
-        columns: &'a ProviderColumns,
-        slots: std::slice::Iter<'a, u32>,
-    },
     Map {
         columns: &'a ProviderColumns,
         slots: SlotIter<'a>,
+    },
+    Merged {
+        columns: &'a ProviderColumns,
+        slots: MergedSlots<'a>,
     },
 }
 
@@ -283,10 +319,10 @@ impl Iterator for CandidateIter<'_> {
     fn next(&mut self) -> Option<ProviderSnapshot> {
         match &mut self.inner {
             IterInner::Slice(iter) => iter.next().copied(),
-            IterInner::Postings { columns, slots } => {
-                slots.next().map(|&slot| columns.snapshot(slot as usize))
-            }
             IterInner::Map { columns, slots } => {
+                slots.next().map(|slot| columns.snapshot(slot as usize))
+            }
+            IterInner::Merged { columns, slots } => {
                 slots.next().map(|slot| columns.snapshot(slot as usize))
             }
         }
@@ -788,16 +824,63 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
+    /// A map over the given slots of `cols`.
+    fn map_of(cols: &ProviderColumns, slots: &[u32]) -> PostingsMap {
+        let mut map = PostingsMap::new();
+        for &slot in slots {
+            map.insert(cols.ids()[slot as usize], slot);
+        }
+        map
+    }
+
     #[test]
-    fn candidates_postings_view_restricts_and_orders() {
-        let cols = columns(5);
-        let postings = [4u32, 1, 3];
-        let view = Candidates::from_postings(&cols, &postings);
-        assert_eq!(view.len(), 3);
-        let ids: Vec<u64> = view.iter().map(|s| s.id.raw()).collect();
-        assert_eq!(ids, vec![4, 1, 3]);
-        assert_eq!(view.get(1).id, ProviderId::new(1));
-        assert_eq!(view.load_key(0).1, ProviderId::new(4));
+    fn candidates_merged_view_restricts_orders_and_follows_re_pointed_slots() {
+        // Slots deliberately out of id order, across two chunks.
+        let mut cols = ProviderColumns::new();
+        for raw in [9u64, 2, 70_000, 5, 7] {
+            cols.push(ProviderSnapshot::idle(
+                ProviderId::new(raw),
+                CapabilitySet::ALL,
+                1.0,
+            ));
+        }
+        let mut lists = vec![map_of(&cols, &[0, 1, 2]), map_of(&cols, &[1, 2, 3])];
+        let expect = |view: Candidates<'_>, ids: &[u64]| {
+            assert_eq!(view.len(), ids.len());
+            let streamed: Vec<u64> = view.iter().map(|s| s.id.raw()).collect();
+            assert_eq!(streamed, ids);
+            for (pos, &raw) in ids.iter().enumerate() {
+                assert_eq!(view.get(pos).id.raw(), raw);
+                assert_eq!(view.load_key(pos).1.raw(), raw);
+            }
+        };
+        let mut all = MergedSet::default();
+        all.merge(&lists, 0b11, true);
+        let mut any = MergedSet::default();
+        any.merge(&lists, 0b11, false);
+        expect(Candidates::from_merged(&cols, &all, &lists), &[2, 70_000]);
+        expect(
+            Candidates::from_merged(&cols, &any, &lists),
+            &[2, 5, 9, 70_000],
+        );
+
+        // Compaction: the row of id 2 (slot 1) is dropped in favour of id 7
+        // (slot 4), then id 2 comes back at the end. The sets were merged
+        // before and hold no slots, so they read the new rows.
+        cols.swap_remove(1);
+        cols.push(ProviderSnapshot::idle(
+            ProviderId::new(2),
+            CapabilitySet::ALL,
+            1.0,
+        ));
+        for list in &mut lists {
+            list.patch_slot(ProviderId::new(2), 4);
+        }
+        expect(Candidates::from_merged(&cols, &all, &lists), &[2, 70_000]);
+        expect(
+            Candidates::from_merged(&cols, &any, &lists),
+            &[2, 5, 9, 70_000],
+        );
     }
 
     #[test]
@@ -830,16 +913,24 @@ mod tests {
     fn gather_all_into_fills_dense_columns_in_view_order() {
         let mut cols = columns(6);
         cols.set_load(4, 2.5, 7);
-        let postings = [4u32, 0, 5];
-        let view = Candidates::from_postings(&cols, &postings);
+        let map = map_of(&cols, &[4, 0, 5]);
+        let view = Candidates::from_map(&cols, &map);
         let mut block = CandidateBlock::new();
         view.gather_all_into(&mut block);
         assert_eq!(block.len(), 3);
         let ids: Vec<u64> = block.ids().iter().map(|id| id.raw()).collect();
-        assert_eq!(ids, vec![4, 0, 5]);
-        assert_eq!(block.utilization()[0], 2.5);
-        assert_eq!(block.queue_length()[0], 7);
-        assert_eq!(block.capacity()[1], 1.0);
+        assert_eq!(ids, vec![0, 4, 5]);
+        assert_eq!(block.utilization()[1], 2.5);
+        assert_eq!(block.queue_length()[1], 7);
+        assert_eq!(block.capacity()[0], 1.0);
+        // A merged view gathers the same columns.
+        let lists = [map.clone(), map_of(&cols, &[4, 5])];
+        let mut set = MergedSet::default();
+        set.merge(&lists, 0b11, true);
+        let mut merged = CandidateBlock::new();
+        Candidates::from_merged(&cols, &set, &lists).gather_all_into(&mut merged);
+        assert_eq!(merged.ids(), &block.ids()[1..]);
+        assert_eq!(merged.utilization(), &block.utilization()[1..]);
         // Re-gathering clears first.
         view.gather_all_into(&mut block);
         assert_eq!(block.len(), 3);
@@ -850,7 +941,8 @@ mod tests {
         let view = Candidates::from_slice(&[]);
         assert!(view.is_empty());
         let cols = columns(2);
-        let view = Candidates::from_postings(&cols, &[]);
+        let set = MergedSet::default();
+        let view = Candidates::from_merged(&cols, &set, &[]);
         assert!(view.is_empty());
         assert_eq!(view.iter().count(), 0);
         let map = PostingsMap::new();
@@ -862,9 +954,9 @@ mod tests {
     #[test]
     fn gather_all_into_skips_when_tokens_match() {
         let cols = columns(6);
-        let postings = [1u32, 3, 5];
+        let map = map_of(&cols, &[1, 3, 5]);
         let token = PlanToken { plan: 70, stamp: 9 };
-        let view = Candidates::from_postings(&cols, &postings).with_token(token);
+        let view = Candidates::from_map(&cols, &map).with_token(token);
         assert_eq!(view.token(), Some(token));
 
         let mut block = CandidateBlock::new();
@@ -878,14 +970,14 @@ mod tests {
         assert_eq!(block.len(), 4);
 
         // A different stamp (a mutation happened) re-gathers for real…
-        let moved = Candidates::from_postings(&cols, &postings).with_token(PlanToken {
+        let moved = Candidates::from_map(&cols, &map).with_token(PlanToken {
             plan: 70,
             stamp: 10,
         });
         moved.gather_all_into(&mut block);
         assert_eq!(block.len(), 3);
         // …as does a different plan number under the same stamp.
-        let other = Candidates::from_postings(&cols, &postings).with_token(PlanToken {
+        let other = Candidates::from_map(&cols, &map).with_token(PlanToken {
             plan: 71,
             stamp: 10,
         });
@@ -897,8 +989,8 @@ mod tests {
     #[test]
     fn gather_all_into_without_token_always_regathers() {
         let cols = columns(6);
-        let postings = [1u32, 3, 5];
-        let view = Candidates::from_postings(&cols, &postings);
+        let map = map_of(&cols, &[1, 3, 5]);
+        let view = Candidates::from_map(&cols, &map);
         assert_eq!(view.token(), None);
 
         let mut block = CandidateBlock::new();
@@ -908,7 +1000,7 @@ mod tests {
         assert_eq!(block.len(), 3, "tokenless views never skip");
         // `clear` forgets the token, so even a tokened view re-gathers next.
         let token = PlanToken { plan: 70, stamp: 9 };
-        let tokened = Candidates::from_postings(&cols, &postings).with_token(token);
+        let tokened = Candidates::from_map(&cols, &map).with_token(token);
         tokened.gather_all_into(&mut block);
         block.clear();
         assert_eq!(block.token, None);

@@ -357,19 +357,20 @@ pub fn baseline_allocate_into(
     }
     decision.clear();
 
-    let considered = candidates.len().min(BASELINE_CONSIDERATION);
-    // (relative load, id) keys of the consideration prefix; small and
-    // stack-friendly at the cap of 64.
-    let mut keys: Vec<(f64, ProviderId)> = Vec::with_capacity(considered);
-    for pos in 0..considered {
-        let snapshot = candidates.get(pos);
+    // (relative load, id) keys of the consideration prefix, on the stack and
+    // streamed: a positional read would rank-select once per candidate.
+    let mut keys = [(0.0, ProviderId::new(0)); BASELINE_CONSIDERATION];
+    let mut considered = 0;
+    for snapshot in candidates.iter().take(BASELINE_CONSIDERATION) {
         let load = if snapshot.capacity > 0.0 {
             snapshot.utilization / snapshot.capacity
         } else {
             f64::INFINITY
         };
-        keys.push((load, snapshot.id));
+        keys[considered] = (load, snapshot.id);
+        considered += 1;
     }
+    let keys = &mut keys[..considered];
     keys.sort_unstable_by(|a, b| f64_total_cmp(a.0, b.0).then_with(|| a.1.cmp(&b.1)));
 
     let winner_count = query.replication.min(considered);

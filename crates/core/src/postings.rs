@@ -25,12 +25,28 @@
 //! per seed — positions into a postings view enumerate the same providers in
 //! the same order as the flat sorted `Vec<u32>` lists they replaced.
 //!
-//! The slot payloads exist because the registry compacts its column store
-//! with a swap-remove on unregister: the moved provider's entries are updated
-//! in place through [`PostingsMap::patch_slot`] (an id-keyed point update per
-//! list) instead of the stale-entry binary-search the flat lists needed.
+//! The slot payloads are what lets the registry compact its column store with
+//! a swap-remove on unregister: the moved provider's entries are re-pointed in
+//! place through [`PostingsMap::patch_slot`] (an id-keyed point update per
+//! list). They are also the *only* place a slot is recorded: a multi-list
+//! merge ([`MergedSet`]) keeps the merged **membership** alone — one bitset
+//! per dense chunk, sorted low keys per sparse one — and resolves a member's
+//! slot through the source lists when it is read, so a compaction never
+//! touches a merged set.
+//!
+//! ## Cost model of a merge
+//!
+//! [`MergedSet::merge`] costs O(chunks × 1 024 words × lists) word
+//! operations plus one popcount pass per dense chunk. It looks up no slot
+//! and, between Bitmap sources, does no per-member work; an Array source
+//! scatters its keys into the words and a sparse chunk bit-scans its members
+//! back out. A positional read ([`MergedSet::slot_at`]) is a rank-select in
+//! the set plus one probe of a source list (O(1) in a Bitmap container, a
+//! binary search in an Array). A set occupies 12 B per chunk, 2 B per member
+//! of a sparse chunk and 8 KiB per dense chunk, i.e. about
+//! max(2 B × members, 8 KiB × dense chunks).
 
-use sbqa_types::ProviderId;
+use sbqa_types::{ProviderId, MAX_CAPABILITY_CLASSES};
 
 /// Number of id bits indexing *within* a chunk.
 const CHUNK_BITS: u32 = 16;
@@ -74,26 +90,23 @@ fn select_in_word(mut word: u64, mut rank: u32) -> u32 {
     }
 }
 
-/// A dense chunk: bitset membership plus a slot table indexed by low bits.
+/// A 2^16-bit membership set with per-block popcount prefixes, so the
+/// `rank`-th member is found by narrowing to one 64-word block first. Backs
+/// both a dense [`PostingsMap`] chunk and a dense [`MergedSet`] chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct BitmapChunk {
-    /// Membership bitset, `WORDS_PER_CHUNK` words.
+struct Bitset {
+    /// `WORDS_PER_CHUNK` words; bit `low % 64` of word `low / 64` is `low`.
     words: Box<[u64]>,
-    /// Slot payloads, indexed by low bits; only positions whose bit is set
-    /// hold meaningful values.
-    slots: Box<[u32]>,
-    /// `blocks[b]` = number of set bits in words `0 .. b * WORDS_PER_BLOCK`,
-    /// so a positional lookup narrows to one 64-word block before scanning.
+    /// `blocks[b]` = number of set bits in words `0 .. b * WORDS_PER_BLOCK`.
     blocks: [u32; BLOCKS_PER_CHUNK],
-    /// Cached popcount of the whole chunk.
+    /// Cached popcount of the whole set.
     len: u32,
 }
 
-impl BitmapChunk {
+impl Bitset {
     fn empty() -> Self {
         Self {
             words: vec![0u64; WORDS_PER_CHUNK].into_boxed_slice(),
-            slots: vec![0u32; CHUNK_CAPACITY].into_boxed_slice(),
             blocks: [0; BLOCKS_PER_CHUNK],
             len: 0,
         }
@@ -103,15 +116,10 @@ impl BitmapChunk {
         self.words[low as usize / 64] & (1u64 << (low % 64)) != 0
     }
 
-    fn slot_of(&self, low: u16) -> Option<u32> {
-        self.contains(low).then(|| self.slots[low as usize])
-    }
-
-    /// Inserts or updates; returns `true` if the key was new.
-    fn insert(&mut self, low: u16, slot: u32) -> bool {
+    /// Sets `low`; returns `true` if it was clear.
+    fn insert(&mut self, low: u16) -> bool {
         let word = low as usize / 64;
         let bit = 1u64 << (low % 64);
-        self.slots[low as usize] = slot;
         if self.words[word] & bit != 0 {
             return false;
         }
@@ -123,6 +131,7 @@ impl BitmapChunk {
         true
     }
 
+    /// Clears `low`; returns `true` if it was set.
     fn remove(&mut self, low: u16) -> bool {
         let word = low as usize / 64;
         let bit = 1u64 << (low % 64);
@@ -137,9 +146,23 @@ impl BitmapChunk {
         true
     }
 
-    /// The slot of the `rank`-th member in ascending key order. `rank` must
-    /// be less than `self.len`.
-    fn select(&self, rank: u32) -> u32 {
+    /// Recomputes `blocks` and `len` after `words` was written wholesale.
+    fn recount(&mut self) {
+        let mut total = 0;
+        for (block, words) in self
+            .blocks
+            .iter_mut()
+            .zip(self.words.chunks_exact(WORDS_PER_BLOCK))
+        {
+            *block = total;
+            total += words.iter().map(|word| word.count_ones()).sum::<u32>();
+        }
+        self.len = total;
+    }
+
+    /// The `rank`-th member in ascending order. `rank` must be less than
+    /// `self.len`.
+    fn select(&self, rank: u32) -> u16 {
         // Narrow to the block holding the rank via the popcount prefixes,
         // then walk its words.
         let mut block = BLOCKS_PER_CHUNK - 1;
@@ -151,11 +174,85 @@ impl BitmapChunk {
             let ones = self.words[word_idx].count_ones();
             if remaining < ones {
                 let bit = select_in_word(self.words[word_idx], remaining);
-                return self.slots[word_idx * 64 + bit as usize];
+                return (word_idx * 64 + bit as usize) as u16;
             }
             remaining -= ones;
         }
-        unreachable!("rank {rank} exceeds chunk population {}", self.len)
+        unreachable!("rank {rank} exceeds bitset population {}", self.len)
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> BitIter<'_> {
+        BitIter::new(&self.words)
+    }
+}
+
+/// Bit-scan over a [`Bitset`]'s members in ascending order.
+#[derive(Debug, Clone)]
+struct BitIter<'a> {
+    words: &'a [u64],
+    word_idx: usize,
+    /// The not-yet-yielded bits of `words[word_idx]`.
+    word: u64,
+}
+
+impl<'a> BitIter<'a> {
+    /// Scans `words` (at least one) from bit 0 of the first upward.
+    fn new(words: &'a [u64]) -> Self {
+        Self {
+            words,
+            word_idx: 0,
+            word: words[0],
+        }
+    }
+}
+
+impl Iterator for BitIter<'_> {
+    type Item = u16;
+
+    fn next(&mut self) -> Option<u16> {
+        while self.word == 0 {
+            self.word_idx += 1;
+            self.word = *self.words.get(self.word_idx)?;
+        }
+        let low = self.word_idx * 64 + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(low as u16)
+    }
+}
+
+/// A dense chunk: bitset membership plus a slot table indexed by low bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BitmapChunk {
+    bits: Bitset,
+    /// Slot payloads, indexed by low bits; only positions whose bit is set
+    /// hold meaningful values.
+    slots: Box<[u32]>,
+}
+
+impl BitmapChunk {
+    fn empty() -> Self {
+        Self {
+            bits: Bitset::empty(),
+            slots: vec![0u32; CHUNK_CAPACITY].into_boxed_slice(),
+        }
+    }
+
+    fn slot_of(&self, low: u16) -> Option<u32> {
+        self.bits.contains(low).then(|| self.slots[low as usize])
+    }
+
+    /// Inserts or updates; returns `true` if the key was new.
+    fn insert(&mut self, low: u16, slot: u32) -> bool {
+        self.slots[low as usize] = slot;
+        self.bits.insert(low)
+    }
+
+    /// Visits every `(low_key, slot)` pair in ascending key order.
+    fn for_each(&self, mut f: impl FnMut(u16, u32)) {
+        for low in self.bits.iter() {
+            f(low, self.slots[low as usize]);
+        }
     }
 }
 
@@ -172,14 +269,14 @@ impl Container {
     fn len(&self) -> usize {
         match self {
             Container::Array { keys, .. } => keys.len(),
-            Container::Bitmap(chunk) => chunk.len as usize,
+            Container::Bitmap(chunk) => chunk.bits.len as usize,
         }
     }
 
     fn contains(&self, low: u16) -> bool {
         match self {
             Container::Array { keys, .. } => keys.binary_search(&low).is_ok(),
-            Container::Bitmap(chunk) => chunk.contains(low),
+            Container::Bitmap(chunk) => chunk.bits.contains(low),
         }
     }
 
@@ -231,13 +328,13 @@ impl Container {
                 Err(_) => false,
             },
             Container::Bitmap(chunk) => {
-                if !chunk.remove(low) {
+                if !chunk.bits.remove(low) {
                     return false;
                 }
-                if (chunk.len as usize) < BITMAP_MIN {
-                    let mut keys = Vec::with_capacity(chunk.len as usize);
-                    let mut slots = Vec::with_capacity(chunk.len as usize);
-                    chunk_for_each(chunk, |key, payload| {
+                if (chunk.bits.len as usize) < BITMAP_MIN {
+                    let mut keys = Vec::with_capacity(chunk.bits.len as usize);
+                    let mut slots = Vec::with_capacity(chunk.bits.len as usize);
+                    chunk.for_each(|key, payload| {
                         keys.push(key);
                         slots.push(payload);
                     });
@@ -260,7 +357,7 @@ impl Container {
                 Err(_) => false,
             },
             Container::Bitmap(chunk) => {
-                if chunk.contains(low) {
+                if chunk.bits.contains(low) {
                     chunk.slots[low as usize] = slot;
                     true
                 } else {
@@ -274,7 +371,7 @@ impl Container {
     fn select(&self, rank: usize) -> u32 {
         match self {
             Container::Array { slots, .. } => slots[rank],
-            Container::Bitmap(chunk) => chunk.select(rank as u32),
+            Container::Bitmap(chunk) => chunk.slots[chunk.bits.select(rank as u32) as usize],
         }
     }
 
@@ -286,19 +383,7 @@ impl Container {
                     f(key, slot);
                 }
             }
-            Container::Bitmap(chunk) => chunk_for_each(chunk, f),
-        }
-    }
-}
-
-/// Visits every `(low_key, slot)` pair of a bitmap chunk in ascending order.
-fn chunk_for_each(chunk: &BitmapChunk, mut f: impl FnMut(u16, u32)) {
-    for (word_idx, &word) in chunk.words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let low = word_idx * 64 + bits.trailing_zeros() as usize;
-            f(low as u16, chunk.slots[low]);
-            bits &= bits - 1;
+            Container::Bitmap(chunk) => chunk.for_each(f),
         }
     }
 }
@@ -313,15 +398,15 @@ pub struct PostingsMap {
     chunks: Vec<Container>,
     /// Total number of entries across all chunks.
     len: usize,
-    /// Mutation epoch: bumped by every call that may change membership or a
-    /// stored slot payload ([`insert`](PostingsMap::insert),
-    /// a successful [`remove`](PostingsMap::remove) or
-    /// [`patch_slot`](PostingsMap::patch_slot)). Cached merge results stamp
-    /// the epoch of every map they read; an unchanged epoch proves the map's
-    /// contribution to the merge is byte-identical, so equality over the
-    /// stamps is a sound (and O(#classes)) cache-validity check. The bump
+    /// Membership epoch: bumped by every call that may change which ids the
+    /// map holds ([`insert`](PostingsMap::insert) and a successful
+    /// [`remove`](PostingsMap::remove)). Cached merge results stamp the epoch
+    /// of every map they read; an unchanged epoch proves the map's
+    /// contribution to the merged membership is identical, so equality over
+    /// the stamps is a sound (and O(#classes)) cache-validity check. The bump
     /// lives *inside* the container rather than at the call sites so no
-    /// mutation path can forget it.
+    /// mutation path can forget it. [`patch_slot`](PostingsMap::patch_slot)
+    /// leaves it alone: a [`MergedSet`] holds no slots.
     generation: u64,
 }
 
@@ -344,9 +429,9 @@ impl PostingsMap {
         self.len == 0
     }
 
-    /// The map's mutation epoch. Strictly increases on every
-    /// membership or slot-payload change; two reads returning the same value
-    /// bracket a window in which the map was not mutated at all.
+    /// The map's membership epoch. Strictly increases on every membership
+    /// change; two reads returning the same value bracket a window in which
+    /// the map held exactly the same ids.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -418,19 +503,9 @@ impl PostingsMap {
     /// Re-points an existing entry at a new slot (the swap-remove compaction
     /// hook); returns `true` if `id` was present.
     pub fn patch_slot(&mut self, id: ProviderId, slot: u32) -> bool {
-        match self.keys.binary_search(&chunk_key(id)) {
-            Ok(chunk) => {
-                let patched = self.chunks[chunk].patch(low_bits(id), slot);
-                if patched {
-                    // Membership is unchanged but a payload moved — the one
-                    // mutation that would silently corrupt a cached plan's
-                    // slot list if it did not advance the epoch.
-                    self.generation += 1;
-                }
-                patched
-            }
-            Err(_) => false,
-        }
+        self.keys
+            .binary_search(&chunk_key(id))
+            .is_ok_and(|chunk| self.chunks[chunk].patch(low_bits(id), slot))
     }
 
     /// The slot of the `pos`-th member in ascending id order.
@@ -479,11 +554,7 @@ pub struct SlotIter<'a> {
 enum ContainerIter<'a> {
     Empty,
     Array(std::slice::Iter<'a, u32>),
-    Bitmap {
-        chunk: &'a BitmapChunk,
-        word_idx: usize,
-        word: u64,
-    },
+    Bitmap { slots: &'a [u32], lows: BitIter<'a> },
 }
 
 impl Iterator for ContainerIter<'_> {
@@ -493,22 +564,7 @@ impl Iterator for ContainerIter<'_> {
         match self {
             ContainerIter::Empty => None,
             ContainerIter::Array(slots) => slots.next().copied(),
-            ContainerIter::Bitmap {
-                chunk,
-                word_idx,
-                word,
-            } => {
-                while *word == 0 {
-                    *word_idx += 1;
-                    if *word_idx >= WORDS_PER_CHUNK {
-                        return None;
-                    }
-                    *word = chunk.words[*word_idx];
-                }
-                let low = *word_idx * 64 + word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                Some(chunk.slots[low])
-            }
+            ContainerIter::Bitmap { slots, lows } => lows.next().map(|low| slots[low as usize]),
         }
     }
 }
@@ -525,316 +581,388 @@ impl Iterator for SlotIter<'_> {
             self.current = match chunk {
                 Container::Array { slots, .. } => ContainerIter::Array(slots.iter()),
                 Container::Bitmap(chunk) => ContainerIter::Bitmap {
-                    chunk,
-                    word_idx: 0,
-                    word: chunk.words[0],
+                    slots: &chunk.slots,
+                    lows: chunk.bits.iter(),
                 },
             };
         }
     }
 }
 
-/// Reusable word buffer for bitwise chunk merges. One per registry: merges
-/// borrow it instead of allocating, keeping the query path allocation-free.
-#[derive(Debug, Clone)]
-pub struct MergeScratch {
-    words: Vec<u64>,
+/// Most lists one merge can read: one per capability class.
+const MAX_LISTS: usize = MAX_CAPABILITY_CLASSES as usize;
+
+/// Filler for the fixed-size source arrays of the merge walk.
+static NO_CONTAINER: Container = Container::Array {
+    keys: Vec::new(),
+    slots: Vec::new(),
+};
+
+/// The list indices named by a class mask, ascending.
+fn class_indices(mut classes: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (classes != 0).then(|| {
+            let class = classes.trailing_zeros() as usize;
+            classes &= classes - 1;
+            class
+        })
+    })
 }
 
-impl Default for MergeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MergeScratch {
-    /// Creates a scratch with its word buffer pre-sized, so no merge ever
-    /// allocates.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            words: vec![0u64; WORDS_PER_CHUNK],
-        }
-    }
-}
-
-/// Fills `out` with the slots of providers present in **all** of
-/// `lists[classes[..]]`, in ascending id order.
-///
-/// Chunk-wise: only chunk keys present in every list are visited (driven by
-/// the list with the fewest entries). Within a chunk, an all-Bitmap
-/// population intersects with word-parallel ANDs through `bits`; any mixed or
-/// sparse population probes the smallest container's members against the
-/// others (binary search for Arrays, O(1) bit tests for Bitmaps) — the
-/// galloping analogue for id→slot containers.
-pub fn intersect_lists(
-    lists: &[PostingsMap],
-    classes: &[usize],
-    out: &mut Vec<u32>,
-    bits: &mut MergeScratch,
+/// Visits, in ascending key order, every chunk key held by all
+/// (`conjunctive`) or any of the `classes`' lists, with the containers
+/// stored under it in class order.
+fn for_each_chunk<'l>(
+    lists: &'l [PostingsMap],
+    classes: u64,
+    conjunctive: bool,
+    mut visit: impl FnMut(u64, &[&'l Container]),
 ) {
-    out.clear();
-    debug_assert!(classes.len() >= 2, "intersection needs at least two lists");
-    let Some(&driver_class) = classes.iter().min_by_key(|&&class| lists[class].len()) else {
-        return;
-    };
-    let driver = &lists[driver_class];
-    'chunks: for (chunk_at, &key) in driver.keys.iter().enumerate() {
-        // Gather this chunk's container from every list; a missing chunk in
-        // any list empties the whole chunk's intersection.
-        let mut members: [Option<&Container>; 64] = [None; 64];
-        let mut count = 0;
-        for &class in classes {
-            if class == driver_class {
-                continue;
-            }
-            match lists[class].keys.binary_search(&key) {
-                Ok(at) => {
-                    members[count] = Some(&lists[class].chunks[at]);
-                    count += 1;
-                }
-                Err(_) => continue 'chunks,
-            }
-        }
-        let members = &members[..count];
-        intersect_chunk(&driver.chunks[chunk_at], members, out, bits);
-    }
-}
-
-/// Intersects one chunk: `driver` against `others` (all same chunk key).
-fn intersect_chunk(
-    driver: &Container,
-    others: &[Option<&Container>],
-    out: &mut Vec<u32>,
-    bits: &mut MergeScratch,
-) {
-    let all_bitmaps = matches!(driver, Container::Bitmap(_))
-        && others
-            .iter()
-            .all(|c| matches!(c, Some(Container::Bitmap(_))));
-    if all_bitmaps {
-        let Container::Bitmap(driver_chunk) = driver else {
-            unreachable!("checked above");
-        };
-        bits.words.copy_from_slice(&driver_chunk.words);
-        for other in others {
-            let Some(Container::Bitmap(chunk)) = other else {
-                unreachable!("checked above");
-            };
-            for (word, &mask) in bits.words.iter_mut().zip(chunk.words.iter()) {
-                *word &= mask;
-            }
-        }
-        for (word_idx, &word) in bits.words.iter().enumerate() {
-            let mut remaining = word;
-            while remaining != 0 {
-                let low = word_idx * 64 + remaining.trailing_zeros() as usize;
-                out.push(driver_chunk.slots[low]);
-                remaining &= remaining - 1;
-            }
-        }
-        return;
-    }
-    // Probe from the smallest container of the chunk: every member must be
-    // present everywhere, so the smallest bounds the work. Bitmap membership
-    // is an O(1) bit test; Array membership uses a forward cursor — both
-    // sides ascend, so each array is walked at most once per chunk (the same
-    // k-way cursor merge the flat `Vec<u32>` postings used, rather than a
-    // binary search per probe member).
-    let mut probe = driver;
-    for other in others.iter().flatten() {
-        if other.len() < probe.len() {
-            probe = other;
-        }
-    }
-    let mut array_cursors: [(&[u16], usize); 64] = [(&[], 0); 64];
-    let mut array_count = 0;
-    let mut bitmap_tests: [Option<&BitmapChunk>; 64] = [None; 64];
-    let mut bitmap_count = 0;
-    for container in std::iter::once(driver).chain(others.iter().flatten().copied()) {
-        if std::ptr::eq(container, probe) {
-            continue;
-        }
-        match container {
-            Container::Array { keys, .. } => {
-                array_cursors[array_count] = (keys.as_slice(), 0);
-                array_count += 1;
-            }
-            Container::Bitmap(chunk) => {
-                bitmap_tests[bitmap_count] = Some(chunk);
-                bitmap_count += 1;
-            }
-        }
-    }
-    let arrays = &mut array_cursors[..array_count];
-    let bitmaps = &bitmap_tests[..bitmap_count];
-
-    match probe {
-        Container::Array { keys, slots } => {
-            'members: for (&low, &slot) in keys.iter().zip(slots.iter()) {
-                for (keys, cursor) in arrays.iter_mut() {
-                    while *cursor < keys.len() && keys[*cursor] < low {
-                        *cursor += 1;
-                    }
-                    if *cursor == keys.len() {
-                        // This list is exhausted: no later member can match.
-                        break 'members;
-                    }
-                    if keys[*cursor] != low {
-                        continue 'members;
-                    }
-                }
-                if bitmaps.iter().flatten().all(|chunk| chunk.contains(low)) {
-                    out.push(slot);
-                }
-            }
-        }
-        Container::Bitmap(probe_chunk) => {
-            'words: for (word_idx, &word) in probe_chunk.words.iter().enumerate() {
-                let mut remaining = word;
-                'members: while remaining != 0 {
-                    let low = (word_idx * 64 + remaining.trailing_zeros() as usize) as u16;
-                    remaining &= remaining - 1;
-                    for (keys, cursor) in arrays.iter_mut() {
-                        while *cursor < keys.len() && keys[*cursor] < low {
-                            *cursor += 1;
-                        }
-                        if *cursor == keys.len() {
-                            break 'words;
-                        }
-                        if keys[*cursor] != low {
-                            continue 'members;
-                        }
-                    }
-                    if bitmaps.iter().flatten().all(|chunk| chunk.contains(low)) {
-                        out.push(probe_chunk.slots[low as usize]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Fills `out` with the slots of providers present in **any** of
-/// `lists[classes[..]]`, deduplicated and in ascending id order.
-///
-/// Chunk-wise over the union of chunk keys. A chunk with a single member
-/// container is copied straight through; a chunk containing any Bitmap is
-/// OR-ed word-parallel through `bits`; an all-Array chunk is k-way merged by
-/// low-bit key.
-pub fn union_lists(
-    lists: &[PostingsMap],
-    classes: &[usize],
-    out: &mut Vec<u32>,
-    bits: &mut MergeScratch,
-) {
-    out.clear();
-    // Per-class cursor over that list's chunk keys.
-    let mut cursors = [0usize; 64];
+    let wanted = classes.count_ones() as usize;
+    let mut cursors = [0usize; MAX_LISTS];
+    let mut sources = [&NO_CONTAINER; MAX_LISTS];
     loop {
-        // The smallest unvisited chunk key across all lists.
-        let mut next_key: Option<u64> = None;
-        for (i, &class) in classes.iter().enumerate() {
-            let keys = &lists[class].keys;
-            if cursors[i] < keys.len() {
-                let key = keys[cursors[i]];
-                if next_key.is_none_or(|best| key < best) {
-                    next_key = Some(key);
-                }
+        let mut next: Option<u64> = None;
+        for (class, &cursor) in class_indices(classes).zip(&cursors) {
+            match lists[class].keys.get(cursor) {
+                Some(&key) if next.is_none_or(|best| key < best) => next = Some(key),
+                // An exhausted list ends an intersection.
+                None if conjunctive => return,
+                Some(_) | None => {}
             }
         }
-        let Some(key) = next_key else {
-            break;
-        };
-        // Gather the chunk's member containers and advance their cursors.
-        let mut members: [Option<&Container>; 64] = [None; 64];
-        let mut count = 0;
-        for (i, &class) in classes.iter().enumerate() {
-            let list = &lists[class];
-            if cursors[i] < list.keys.len() && list.keys[cursors[i]] == key {
-                members[count] = Some(&list.chunks[cursors[i]]);
-                count += 1;
-                cursors[i] += 1;
-            }
-        }
-        union_chunk(&members[..count], out, bits);
-    }
-}
-
-/// Unions one chunk's member containers (all same chunk key) into `out`.
-fn union_chunk(members: &[Option<&Container>], out: &mut Vec<u32>, bits: &mut MergeScratch) {
-    if members.len() == 1 {
-        let Some(only) = members[0] else {
+        let Some(key) = next else {
             return;
         };
-        only.for_each(|_, slot| out.push(slot));
-        return;
-    }
-    if members
-        .iter()
-        .any(|c| matches!(c, Some(Container::Bitmap(_))))
-    {
-        // Word-parallel OR: bitmaps OR directly, arrays set their bits.
-        bits.words.fill(0);
-        for member in members.iter().flatten() {
-            match member {
-                Container::Bitmap(chunk) => {
-                    for (word, &mask) in bits.words.iter_mut().zip(chunk.words.iter()) {
-                        *word |= mask;
-                    }
-                }
-                Container::Array { keys, .. } => {
-                    for &low in keys {
-                        bits.words[low as usize / 64] |= 1u64 << (low % 64);
-                    }
-                }
+        let mut holders = 0;
+        for (class, cursor) in class_indices(classes).zip(&mut cursors) {
+            let list = &lists[class];
+            if list.keys.get(*cursor) == Some(&key) {
+                sources[holders] = &list.chunks[*cursor];
+                holders += 1;
+                *cursor += 1;
             }
         }
-        for (word_idx, &word) in bits.words.iter().enumerate() {
-            let mut remaining = word;
-            while remaining != 0 {
-                let low = (word_idx * 64 + remaining.trailing_zeros() as usize) as u16;
-                // Every member holding the id stores the same slot; the
-                // first hit resolves it (O(1) for bitmaps).
-                let slot = members
-                    .iter()
-                    .flatten()
-                    .find_map(|c| c.slot_of(low))
-                    // sbqa-lint: allow(panic-hygiene, "bitmap invariant: every set bit was installed by a member container")
-                    .expect("a member container set this bit");
-                out.push(slot);
-                remaining &= remaining - 1;
-            }
+        if !conjunctive || holders == wanted {
+            visit(key, &sources[..holders]);
         }
-        return;
     }
-    // All-Array chunk: k-way merge over the sorted key vectors.
-    let mut cursors = [0usize; 64];
-    loop {
-        let mut next: Option<(u16, u32)> = None;
-        for (i, member) in members.iter().enumerate() {
-            let Some(Container::Array { keys, slots }) = member else {
-                continue;
+}
+
+/// ORs the low `keys` into `words`.
+fn or_keys(words: &mut [u64], keys: &[u16]) {
+    for &low in keys {
+        words[low as usize / 64] |= 1u64 << (low % 64);
+    }
+}
+
+/// Overwrites `words` with the AND (`conjunctive`) or OR of one chunk's
+/// `sources`.
+fn merge_words(words: &mut [u64], sources: &[&Container], conjunctive: bool) {
+    for (nth, source) in sources.iter().enumerate() {
+        match source {
+            Container::Bitmap(chunk) if nth == 0 => words.copy_from_slice(&chunk.bits.words),
+            Container::Bitmap(chunk) if conjunctive => {
+                for (word, &mask) in words.iter_mut().zip(chunk.bits.words.iter()) {
+                    *word &= mask;
+                }
+            }
+            Container::Bitmap(chunk) => {
+                for (word, &mask) in words.iter_mut().zip(chunk.bits.words.iter()) {
+                    *word |= mask;
+                }
+            }
+            Container::Array { keys, .. } if nth == 0 => {
+                words.fill(0);
+                or_keys(words, keys);
+            }
+            Container::Array { keys, .. } if conjunctive => {
+                let mut mask = [0u64; WORDS_PER_CHUNK];
+                or_keys(&mut mask, keys);
+                for (word, &mask) in words.iter_mut().zip(mask.iter()) {
+                    *word &= mask;
+                }
+            }
+            Container::Array { keys, .. } => or_keys(words, keys),
+        }
+    }
+}
+
+/// One dense chunk of a [`MergedSet`].
+#[derive(Debug, Clone)]
+struct DenseChunk {
+    /// Index of the chunk in the set's directory.
+    chunk: u32,
+    /// Members of this and of every earlier dense chunk: what a later sparse
+    /// chunk subtracts from its first position to find its keys in `lows`.
+    through: u32,
+    bits: Bitset,
+}
+
+/// Where one [`MergedSet`] chunk keeps its members.
+enum ChunkMembers<'a> {
+    Dense(&'a Bitset),
+    Sparse(&'a [u16]),
+}
+
+/// The members of one [`MergedSet`] chunk, as low keys in ascending order.
+#[derive(Debug, Clone)]
+enum ChunkLows<'a> {
+    Sparse(std::slice::Iter<'a, u16>),
+    Dense(BitIter<'a>),
+}
+
+impl Iterator for ChunkLows<'_> {
+    type Item = u16;
+
+    fn next(&mut self) -> Option<u16> {
+        match self {
+            ChunkLows::Sparse(lows) => lows.next().copied(),
+            ChunkLows::Dense(lows) => lows.next(),
+        }
+    }
+}
+
+/// The id-sorted **membership** of an `All` (intersection) or `Any` (union)
+/// merge over several [`PostingsMap`]s — no slots: a member's slot is read
+/// from the source lists on access ([`MergedSet::slot_at`],
+/// [`MergedSet::slots`]), so the set stays valid across slot re-pointing and
+/// goes stale only when a source list's membership changes.
+///
+/// Per 2^16-id chunk the members are either a bitset with popcount-prefix
+/// blocks (*dense*: some source container is a Bitmap, or the sources hold
+/// more than [`ARRAY_MAX`] entries between them) or a run of sorted low keys
+/// in one set-wide vector (*sparse*). Provider ids are arbitrary, so a set
+/// may span a chunk per member; the sparse shape is what keeps such a set at
+/// a few bytes a member instead of 8 KiB.
+///
+/// Positions enumerate ascending provider id: chunk keys ascend and, within a
+/// chunk, bits or keys ascend. All buffers are kept across
+/// [`merge`](MergedSet::merge) calls, so re-merging into a warmed set does
+/// not allocate.
+#[derive(Debug, Clone, Default)]
+pub struct MergedSet {
+    /// Bit `i` set ⇔ list `i` was merged.
+    classes: u64,
+    /// Keys of the chunks holding at least one member, ascending.
+    keys: Vec<u64>,
+    /// `ends[i]` = members in chunks `0..=i`, parallel to `keys`.
+    ends: Vec<u32>,
+    /// The dense chunks in directory order: the first `dense_len` entries are
+    /// live, the rest are recycled bitsets.
+    dense: Vec<DenseChunk>,
+    dense_len: usize,
+    /// Low keys of the sparse chunks, concatenated in directory order.
+    lows: Vec<u16>,
+}
+
+impl MergedSet {
+    /// Number of members.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.last().map_or(0, |&end| end as usize)
+    }
+
+    /// `true` if the set has no member.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Replaces the set with the ids held by **all** (`conjunctive`) or
+    /// **any** of `lists[i]` for every bit `i` of `classes`.
+    ///
+    /// Every chunk is merged word-parallel: the first source's words — an
+    /// Array scatters its keys into zeroed words — with every other source
+    /// ANDed / ORed in. A dense chunk keeps the words and one popcount pass
+    /// fills its prefix blocks; a sparse chunk bit-scans them into low keys.
+    pub fn merge(&mut self, lists: &[PostingsMap], classes: u64, conjunctive: bool) {
+        self.classes = classes;
+        self.keys.clear();
+        self.ends.clear();
+        self.lows.clear();
+        self.dense_len = 0;
+        // The directory is sized exactly, not by doubling: with a chunk per
+        // member it is most of the set.
+        let mut chunks = 0;
+        for_each_chunk(lists, classes, conjunctive, |_, _| chunks += 1);
+        self.keys.reserve_exact(chunks);
+        self.ends.reserve_exact(chunks);
+        for_each_chunk(lists, classes, conjunctive, |key, sources| {
+            let dense = sources.iter().any(|c| matches!(c, Container::Bitmap(_)))
+                || sources.iter().map(|c| c.len()).sum::<usize>() > ARRAY_MAX;
+            let members = if dense {
+                self.merge_dense(sources, conjunctive)
+            } else {
+                self.merge_sparse(sources, conjunctive)
             };
-            if cursors[i] < keys.len() {
-                let key = keys[cursors[i]];
-                if next.is_none_or(|(best, _)| key < best) {
-                    next = Some((key, slots[cursors[i]]));
-                }
+            if members > 0 {
+                self.keys.push(key);
+                self.ends.push((self.len() + members) as u32);
+            }
+        });
+    }
+
+    /// Merges one chunk's `sources` into the next pooled bitset; returns the
+    /// member count (the bitset goes live only if it is non-zero).
+    fn merge_dense(&mut self, sources: &[&Container], conjunctive: bool) -> usize {
+        if self.dense_len == self.dense.len() {
+            self.dense.push(DenseChunk {
+                chunk: 0,
+                through: 0,
+                bits: Bitset::empty(),
+            });
+        }
+        let before = self.dense[..self.dense_len]
+            .last()
+            .map_or(0, |dense| dense.through);
+        let next = &mut self.dense[self.dense_len];
+        merge_words(&mut next.bits.words, sources, conjunctive);
+        next.bits.recount();
+        let members = next.bits.len;
+        if members > 0 {
+            next.chunk = self.keys.len() as u32;
+            next.through = before + members;
+            self.dense_len += 1;
+        }
+        members as usize
+    }
+
+    /// Merges one chunk's all-Array `sources` onto the end of `lows`;
+    /// returns the member count. The merge goes through words too: a k-way
+    /// cursor merge of the keys would mispredict a branch per key.
+    fn merge_sparse(&mut self, sources: &[&Container], conjunctive: bool) -> usize {
+        let mut words = [0u64; WORDS_PER_CHUNK];
+        merge_words(&mut words, sources, conjunctive);
+        let before = self.lows.len();
+        self.lows.extend(BitIter::new(&words));
+        self.lows.len() - before
+    }
+
+    /// The position of directory entry `chunk`'s first member.
+    fn start(&self, chunk: usize) -> usize {
+        chunk.checked_sub(1).map_or(0, |at| self.ends[at] as usize)
+    }
+
+    /// The members of directory entry `chunk`.
+    fn members(&self, chunk: usize) -> ChunkMembers<'_> {
+        let dense = &self.dense[..self.dense_len];
+        match dense.binary_search_by_key(&chunk, |d| d.chunk as usize) {
+            Ok(at) => ChunkMembers::Dense(&dense[at].bits),
+            Err(at) => {
+                // `lows` skips the members of the dense chunks before this one.
+                let skip = at.checked_sub(1).map_or(0, |at| dense[at].through as usize);
+                let (start, end) = (self.start(chunk), self.ends[chunk] as usize);
+                ChunkMembers::Sparse(&self.lows[start - skip..end - skip])
             }
         }
-        let Some((key, slot)) = next else {
-            break;
+    }
+
+    /// The id of the `pos`-th member in ascending id order.
+    ///
+    /// # Panics
+    /// Panics if `pos >= len()`.
+    #[must_use]
+    pub fn select(&self, pos: usize) -> ProviderId {
+        let chunk = self.ends.partition_point(|&end| end as usize <= pos);
+        let rank = pos - self.start(chunk);
+        let low = match self.members(chunk) {
+            ChunkMembers::Dense(bits) => bits.select(rank as u32),
+            ChunkMembers::Sparse(lows) => lows[rank],
         };
-        out.push(slot);
-        for (i, member) in members.iter().enumerate() {
-            let Some(Container::Array { keys, .. }) = member else {
-                continue;
+        ProviderId::new(self.keys[chunk] << CHUNK_BITS | u64::from(low))
+    }
+
+    /// The slot `lists` — the lists the set was merged from, unchanged in
+    /// membership since — store for the `pos`-th member: a rank-select in the
+    /// set, then a probe of the merged lists in class order until one holds
+    /// the id (for an `All` merge, the first always does).
+    ///
+    /// # Panics
+    /// Panics if `pos >= len()`.
+    #[must_use]
+    pub fn slot_at(&self, lists: &[PostingsMap], pos: usize) -> u32 {
+        let id = self.select(pos);
+        let Some(slot) = class_indices(self.classes).find_map(|class| lists[class].slot_of(id))
+        else {
+            unreachable!("merged member {id} is in none of the lists it was merged from");
+        };
+        slot
+    }
+
+    /// Streams the slots `lists` store for the members, in ascending id
+    /// order: a bit-scan (or key walk) per chunk with forward cursors into
+    /// the Array sources — no rank-select and no search per member.
+    #[must_use]
+    pub fn slots<'a>(&'a self, lists: &'a [PostingsMap]) -> MergedSlots<'a> {
+        MergedSlots {
+            set: self,
+            lists,
+            chunk: 0,
+            lows: ChunkLows::Sparse([].iter()),
+            sources: [(&NO_CONTAINER, 0); MAX_LISTS],
+            holders: 0,
+        }
+    }
+}
+
+/// Sequential iterator over the slots behind a [`MergedSet`]'s members; see
+/// [`MergedSet::slots`].
+#[derive(Debug, Clone)]
+pub struct MergedSlots<'a> {
+    set: &'a MergedSet,
+    lists: &'a [PostingsMap],
+    /// The next directory entry to open.
+    chunk: usize,
+    /// The not-yet-yielded members of the open chunk.
+    lows: ChunkLows<'a>,
+    /// The open chunk's container in each merged list holding one, in class
+    /// order, with a forward cursor into its keys if it is an Array.
+    sources: [(&'a Container, usize); MAX_LISTS],
+    holders: usize,
+}
+
+impl Iterator for MergedSlots<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let low = loop {
+            if let Some(low) = self.lows.next() {
+                break low;
+            }
+            let key = *self.set.keys.get(self.chunk)?;
+            self.lows = match self.set.members(self.chunk) {
+                ChunkMembers::Dense(bits) => ChunkLows::Dense(bits.iter()),
+                ChunkMembers::Sparse(lows) => ChunkLows::Sparse(lows.iter()),
             };
-            if cursors[i] < keys.len() && keys[cursors[i]] == key {
-                cursors[i] += 1;
+            self.chunk += 1;
+            self.holders = 0;
+            for class in class_indices(self.set.classes) {
+                let list = &self.lists[class];
+                if let Ok(at) = list.keys.binary_search(&key) {
+                    self.sources[self.holders] = (&list.chunks[at], 0);
+                    self.holders += 1;
+                }
+            }
+        };
+        for (source, cursor) in &mut self.sources[..self.holders] {
+            match source {
+                Container::Bitmap(chunk) => {
+                    if let Some(slot) = chunk.slot_of(low) {
+                        return Some(slot);
+                    }
+                }
+                Container::Array { keys, slots } => {
+                    while keys.get(*cursor).is_some_and(|&key| key < low) {
+                        *cursor += 1;
+                    }
+                    if keys.get(*cursor) == Some(&low) {
+                        return Some(slots[*cursor]);
+                    }
+                }
             }
         }
+        unreachable!("merged member {low} is in none of the lists it was merged from")
     }
 }
 
@@ -1009,54 +1137,111 @@ mod tests {
         ids
     }
 
+    /// Checks a merged set against the expected ascending ids: length,
+    /// every positional read and the streamed slots.
+    fn assert_members(set: &MergedSet, lists: &[PostingsMap], expected: &[u64], what: &str) {
+        assert_eq!(set.len(), expected.len(), "{what}: len");
+        assert_eq!(set.is_empty(), expected.is_empty(), "{what}: is_empty");
+        for (pos, &raw) in expected.iter().enumerate() {
+            assert_eq!(set.select(pos), id(raw), "{what}: select({pos})");
+            assert_eq!(
+                set.slot_at(lists, pos),
+                slot_for(raw),
+                "{what}: slot_at({pos})"
+            );
+        }
+        let streamed: Vec<u32> = set.slots(lists).collect();
+        let slots: Vec<u32> = expected.iter().map(|&raw| slot_for(raw)).collect();
+        assert_eq!(streamed, slots, "{what}: streamed slots");
+    }
+
     #[test]
     fn merges_agree_with_brute_force_across_container_shapes() {
         // Three lists spanning array chunks, bitmap chunks and chunk
-        // boundaries; list 1 is dense enough to promote.
+        // boundaries; the first is dense enough to promote.
         let dense: Vec<u64> = (0..5000u64).map(|i| i * 2).collect();
         let sparse: Vec<u64> = (0..500u64).map(|i| i * 20).collect();
         let high: Vec<u64> = (0..300u64).map(|i| 60_000 + i * 40).collect();
-
+        let sets = [dense.as_slice(), sparse.as_slice(), high.as_slice()];
         let lists = vec![build(&dense), build(&sparse), build(&high)];
-        let mut bits = MergeScratch::new();
-        let mut out = Vec::new();
+        // One set throughout: every merge recycles the previous one's buffers.
+        let mut set = MergedSet::default();
 
-        for classes in [vec![0usize, 1], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
-            let sets: Vec<&[u64]> = classes
-                .iter()
-                .map(|&c| match c {
-                    0 => dense.as_slice(),
-                    1 => sparse.as_slice(),
-                    _ => high.as_slice(),
-                })
-                .collect();
-
-            intersect_lists(&lists, &classes, &mut out, &mut bits);
-            let expected: Vec<u32> = reference_merge(&sets, true)
-                .iter()
-                .map(|&raw| slot_for(raw))
-                .collect();
-            assert_eq!(out, expected, "All over {classes:?}");
-
-            union_lists(&lists, &classes, &mut out, &mut bits);
-            let expected: Vec<u32> = reference_merge(&sets, false)
-                .iter()
-                .map(|&raw| slot_for(raw))
-                .collect();
-            assert_eq!(out, expected, "Any over {classes:?}");
+        for classes in [0b011u64, 0b101, 0b110, 0b111] {
+            let mentioned: Vec<&[u64]> = class_indices(classes).map(|c| sets[c]).collect();
+            set.merge(&lists, classes, true);
+            let expected = reference_merge(&mentioned, true);
+            assert_members(&set, &lists, &expected, &format!("All over {classes:#b}"));
+            set.merge(&lists, classes, false);
+            let expected = reference_merge(&mentioned, false);
+            assert_members(&set, &lists, &expected, &format!("Any over {classes:#b}"));
         }
     }
 
     #[test]
-    fn union_of_disjoint_chunks_concatenates_in_order() {
-        let a = build(&[1, 2, 3]);
-        let b = build(&[100_000, 100_001]);
-        let lists = vec![a, b];
-        let mut bits = MergeScratch::new();
-        let mut out = Vec::new();
-        union_lists(&lists, &[0, 1], &mut out, &mut bits);
-        assert_eq!(out.len(), 5);
-        intersect_lists(&lists, &[0, 1], &mut out, &mut bits);
-        assert!(out.is_empty());
+    fn array_sources_merge_sparse_until_they_outgrow_one_array() {
+        // Two all-Array lists over two chunks: 1 500 + 1 500 entries in the
+        // first (sparse), 2 100 + 2 100 in the second (more than ARRAY_MAX
+        // between them: dense), so one set holds both shapes and positions
+        // cross from one into the other.
+        let a: Vec<u64> = (0..1500u64)
+            .map(|i| i * 3)
+            .chain((0..2100u64).map(|i| 0x1_0000 + i * 3))
+            .collect();
+        let b: Vec<u64> = (0..1500u64)
+            .map(|i| i * 5)
+            .chain((0..2100u64).map(|i| 0x1_0000 + i * 5))
+            .collect();
+        let lists = vec![build(&a), build(&b)];
+        assert!(lists.iter().all(|list| list
+            .chunks
+            .iter()
+            .all(|c| matches!(c, Container::Array { .. }))));
+        let mut set = MergedSet::default();
+        for conjunctive in [true, false] {
+            set.merge(&lists, 0b11, conjunctive);
+            assert_eq!(set.dense_len, 1, "only the second chunk is dense");
+            assert!(!set.lows.is_empty(), "the first chunk is sparse");
+            let expected = reference_merge(&[&a, &b], conjunctive);
+            assert_members(&set, &lists, &expected, "two shapes");
+        }
+    }
+
+    #[test]
+    fn disjoint_chunks_concatenate_in_order_and_intersect_to_nothing() {
+        let lists = vec![build(&[1, 2, 3]), build(&[100_000, 100_001])];
+        let mut set = MergedSet::default();
+        set.merge(&lists, 0b11, false);
+        assert_members(&set, &lists, &[1, 2, 3, 100_000, 100_001], "Any");
+        set.merge(&lists, 0b11, true);
+        assert_members(&set, &lists, &[], "All");
+    }
+
+    #[test]
+    fn a_set_over_one_chunk_per_member_stays_a_few_bytes_a_member() {
+        // Provider ids are arbitrary: 5 000 of them 2^16 apart put every
+        // member in a chunk of its own. A bitset per chunk would cost 8 KiB
+        // a member; the sparse shape must keep the whole set under 16 B.
+        let ids = |stride: u64| -> Vec<u64> {
+            (0..5000u64)
+                .filter(|i| i % stride != 1)
+                .map(|i| i << 16)
+                .collect()
+        };
+        let (a, b, c) = (ids(2), ids(3), ids(5));
+        let lists = vec![build(&a), build(&b), build(&c)];
+        let mut set = MergedSet::default();
+        set.merge(&lists, 0b111, false);
+        let expected = reference_merge(&[&a, &b, &c], false);
+        assert_members(&set, &lists, &expected, "sparse ids");
+        let heap_bytes = set.keys.capacity() * 8
+            + set.ends.capacity() * 4
+            + set.lows.capacity() * 2
+            + set.dense.capacity() * (std::mem::size_of::<DenseChunk>() + WORDS_PER_CHUNK * 8);
+        assert!(
+            heap_bytes <= 16 * set.len(),
+            "{heap_bytes} B for {} members",
+            set.len()
+        );
     }
 }

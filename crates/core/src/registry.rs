@@ -17,18 +17,20 @@
 //! O(1)). For a single-capability query `Pq` is the class's map wrapped in a
 //! borrowed [`Candidates`] view — no scan over the population, no clone, no
 //! materialisation at all. Multi-capability requirements are answered by a
-//! chunk-wise merge of the maps — word-parallel intersection for `All`,
-//! OR-union for `Any` — into a slot scratch buffer reused across queries, so
-//! steady-state mediation stays allocation-free. Candidate order is ascending
-//! provider id *by construction* on every path (the bitmap containers
-//! enumerate in id order), which makes every downstream random draw
-//! deterministic per seed. The maps are maintained incrementally on
+//! chunk-wise merge of the maps' *membership* — word-parallel AND for `All`,
+//! OR for `Any` — into a [`MergedSet`] whose buffers are recycled across
+//! merges, so steady-state mediation stays allocation-free; a member's slot
+//! is read from the maps when the candidate is accessed. Candidate order is
+//! ascending provider id *by construction* on every path (the bitmap
+//! containers enumerate in id order), which makes every downstream random
+//! draw deterministic per seed. The maps are maintained incrementally on
 //! [`register`](ProviderRegistry::register),
 //! [`unregister`](ProviderRegistry::unregister) and
 //! [`set_online`](ProviderRegistry::set_online); load updates touch only the
 //! load columns. Slab compaction (`swap_remove` on unregister) re-points the
 //! moved provider's entries with an id-keyed
-//! [`patch_slot`](PostingsMap::patch_slot) per map.
+//! [`patch_slot`](PostingsMap::patch_slot) per map — which no merged set
+//! notices, since none holds a slot.
 
 use std::collections::HashMap;
 
@@ -41,20 +43,18 @@ use sbqa_types::{
 
 use crate::allocator::{Candidates, PlanToken, ProviderSnapshot};
 use crate::delta::{DeltaSink, RegistryDelta};
-use crate::postings::{intersect_lists, union_lists, MergeScratch, PostingsMap};
+use crate::postings::{MergedSet, PostingsMap};
 
 /// Index of the postings map that tracks every online provider (used for
 /// degenerate `All{}` requirements and the O(1) `online_count`).
 const ONLINE_LIST: usize = MAX_CAPABILITY_CLASSES as usize;
 
-/// An empty postings slice with `'static` lifetime, for requirements that
-/// match nobody by construction (`Any` over the empty set).
-const NO_POSTINGS: &[u32] = &[];
-
-/// Default number of materialised merge plans the candidate-plan cache
-/// retains. Realistic workloads issue a handful of distinct requirement sets,
-/// so the bound exists to cap memory under adversarial requirement diversity,
-/// not to be reached in normal operation.
+/// Default number of merge plans the candidate-plan cache retains. A stream
+/// over more distinct requirement sets than this evicts on every miss (the
+/// benchmark's `sync_multicap_churn` cycles through four times as many and
+/// re-merges about a fifth of its queries), which is why a cold merge is kept
+/// cheap instead of the bound being raised: a plan costs up to 8 KiB per
+/// dense chunk.
 const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 /// First occupancy number handed to a cache entry. Values `0..=ONLINE_LIST`
@@ -144,8 +144,10 @@ impl PlanCacheStats {
     }
 }
 
-/// One materialised merge plan: the id-sorted slot list of a requirement's
-/// candidate set, plus the postings epochs it was merged from.
+/// One merge plan: the id-sorted membership of a requirement's candidate
+/// set, plus the postings epochs it was merged from. It holds no slots —
+/// the view reads them from the postings maps on access — so slab compaction
+/// never invalidates it.
 #[derive(Debug, Clone)]
 struct PlanEntry {
     /// The requirement this entry currently answers.
@@ -154,9 +156,9 @@ struct PlanEntry {
     /// so a [`PlanHandle`] or [`PlanToken`] carrying it can outlive an
     /// eviction without ever matching the entry's next tenant.
     occupancy: u64,
-    /// The merged slot list — stable storage owned by the entry, unlike the
-    /// registry-wide `merge_scratch` the uncached path shares across queries.
-    slots: Vec<u32>,
+    /// The merged membership — stable storage owned by the entry, unlike the
+    /// registry-wide set the uncached path re-merges on every query.
+    set: MergedSet,
     /// `(class, generation)` of every postings map the merge read. The plan
     /// is valid iff each class's map still reports the stamped generation.
     stamps: Vec<(u32, u64)>,
@@ -169,7 +171,7 @@ impl PlanEntry {
         Self {
             key,
             occupancy: 0,
-            slots: Vec::new(),
+            set: MergedSet::default(),
             stamps: Vec::new(),
             last_used: 0,
         }
@@ -181,13 +183,13 @@ impl PlanEntry {
 #[derive(Debug, Clone)]
 struct PlanCache {
     /// Maximum number of entries; `0` disables caching entirely (the
-    /// registry falls back to the shared-scratch merge path).
+    /// registry re-merges into one shared set on every query).
     capacity: usize,
     /// Requirement key → entry position.
     // sbqa-lint: allow(hash-collection, "keyed point lookups only; eviction scans the entries Vec, never this map")
     index: HashMap<PlanKey, u32>,
     /// The materialised plans. Eviction reassigns an entry in place, so its
-    /// grown `slots`/`stamps` buffers are recycled rather than freed.
+    /// grown `set`/`stamps` buffers are recycled rather than freed.
     entries: Vec<PlanEntry>,
     /// LRU clock, advanced once per lookup.
     tick: u64,
@@ -231,12 +233,9 @@ pub struct ProviderRegistry {
     /// providers advertising it; the final entry ([`ONLINE_LIST`]) holds
     /// every online provider.
     postings: Vec<PostingsMap>,
-    /// Reusable output buffer for multi-capability merges; grows once to the
-    /// largest candidate set and is then recycled, so steady-state merges
-    /// allocate nothing.
-    merge_scratch: Vec<u32>,
-    /// Reusable 1024-word chunk buffer for the bitwise merge kernels.
-    merge_bits: MergeScratch,
+    /// Where multi-capability merges land while the plan cache is disabled;
+    /// re-merged by every such query, so views of it carry no token.
+    uncached_set: MergedSet,
     /// Number of *registered* providers (online or not) advertising each
     /// capability class. Lets `starvation_error` distinguish "nobody is able"
     /// from "the able ones are offline" without scanning the slab.
@@ -276,8 +275,7 @@ impl Clone for ProviderRegistry {
             columns: self.columns.clone(),
             index: self.index.clone(),
             postings: self.postings.clone(),
-            merge_scratch: self.merge_scratch.clone(),
-            merge_bits: self.merge_bits.clone(),
+            uncached_set: self.uncached_set.clone(),
             class_counts: self.class_counts,
             mask_counts: self.mask_counts.clone(),
             plan_cache: self.plan_cache.clone(),
@@ -294,8 +292,7 @@ impl Default for ProviderRegistry {
             // sbqa-lint: allow(hash-collection, "id-to-slot point lookups only; ordered traversal goes through the postings index")
             index: HashMap::new(),
             postings: vec![PostingsMap::new(); ONLINE_LIST + 1],
-            merge_scratch: Vec::new(),
-            merge_bits: MergeScratch::new(),
+            uncached_set: MergedSet::default(),
             class_counts: [0; MAX_CAPABILITY_CLASSES as usize],
             // sbqa-lint: allow(hash-collection, "point updates plus an order-insensitive existential scan (any), never ordered iteration")
             mask_counts: HashMap::new(),
@@ -547,15 +544,15 @@ impl ProviderRegistry {
     /// materialisation. Multi-capability requirements go through the
     /// candidate-plan cache: a requirement seen before whose mentioned
     /// classes' postings epochs are unchanged is answered from its
-    /// materialised slot list with **zero merge work** — an
+    /// materialised membership with **zero merge work** — an
     /// O(#classes-in-requirement) validity check. Misses (and stale plans)
-    /// pay the chunk-wise merge — a word-parallel intersection for `All`, an
-    /// OR-union for `Any` — into the entry's own stable buffer, so a
-    /// later resolution can no longer clobber the storage behind a
-    /// previously returned view. With the cache disabled
+    /// pay the chunk-wise merge — a word-parallel AND for `All`, an OR for
+    /// `Any`, see [`MergedSet::merge`] — into the entry's own stable set, so
+    /// a later resolution cannot clobber the storage behind a previously
+    /// returned view. With the cache disabled
     /// ([`set_plan_cache_capacity(0)`](ProviderRegistry::set_plan_cache_capacity))
-    /// merges land in a registry-wide scratch buffer reused across calls
-    /// (hence `&mut self`). Every path is allocation-free once warmed up.
+    /// merges land in one registry-wide set reused across calls (hence
+    /// `&mut self`). Every path is allocation-free once warmed up.
     #[must_use]
     pub fn candidates(&mut self, query: &Query) -> Candidates<'_> {
         self.resolve_with_handle(query).0
@@ -582,9 +579,7 @@ impl ProviderRegistry {
                         });
                     (view, None)
                 }
-                CapabilityRequirement::Any(_) => {
-                    (Candidates::from_postings(&self.columns, NO_POSTINGS), None)
-                }
+                CapabilityRequirement::Any(_) => (Candidates::from_slice(&[]), None),
             },
             // The trivial one-bit case, where All and Any coincide: wrap the
             // class's postings map directly.
@@ -599,37 +594,19 @@ impl ProviderRegistry {
                 (view, None)
             }
             _ => {
-                let mut class_buffer = [0usize; MAX_CAPABILITY_CLASSES as usize];
-                let count = Self::classes_of(set, &mut class_buffer);
-                let classes = &class_buffer[..count];
-                let conjunctive = matches!(required, CapabilityRequirement::All(_));
-                if self.plan_cache.capacity == 0 {
-                    // Caching disabled: merge into the shared scratch. The
-                    // view gets no token — its backing buffer is clobbered
-                    // by the next multi-class resolution, so nothing
-                    // downstream may memoize it.
-                    if conjunctive {
-                        intersect_lists(
-                            &self.postings,
-                            classes,
-                            &mut self.merge_scratch,
-                            &mut self.merge_bits,
-                        );
-                    } else {
-                        union_lists(
-                            &self.postings,
-                            classes,
-                            &mut self.merge_scratch,
-                            &mut self.merge_bits,
-                        );
-                    }
-                    return (
-                        Candidates::from_postings(&self.columns, &self.merge_scratch),
-                        None,
-                    );
-                }
                 let key = PlanKey::of(required);
-                let idx = self.lookup_or_merge(key, classes, conjunctive);
+                if self.plan_cache.capacity == 0 {
+                    // Caching disabled: merge into the shared set. The view
+                    // gets no token — its backing set is clobbered by the
+                    // next multi-class resolution, so nothing downstream may
+                    // memoize it.
+                    self.uncached_set
+                        .merge(&self.postings, key.bits, key.conjunctive);
+                    let view =
+                        Candidates::from_merged(&self.columns, &self.uncached_set, &self.postings);
+                    return (view, None);
+                }
+                let idx = self.lookup_or_merge(key);
                 let entry = &self.plan_cache.entries[idx];
                 let token = PlanToken {
                     plan: entry.occupancy,
@@ -639,17 +616,15 @@ impl ProviderRegistry {
                     entry: idx as u32,
                     occupancy: entry.occupancy,
                 };
-                (
-                    Candidates::from_postings(&self.columns, &entry.slots).with_token(token),
-                    Some(handle),
-                )
+                let view = Candidates::from_merged(&self.columns, &entry.set, &self.postings);
+                (view.with_token(token), Some(handle))
             }
         }
     }
 
     /// Resolves a multi-class requirement through the plan cache, returning
     /// the index of a fresh (hit) or freshly merged (miss/stale) entry.
-    fn lookup_or_merge(&mut self, key: PlanKey, classes: &[usize], conjunctive: bool) -> usize {
+    fn lookup_or_merge(&mut self, key: PlanKey) -> usize {
         let cache = &mut self.plan_cache;
         cache.tick += 1;
         let tick = cache.tick;
@@ -666,13 +641,7 @@ impl ProviderRegistry {
                 cache.hits += 1;
             } else {
                 cache.stale += 1;
-                Self::merge_into_entry(
-                    &self.postings,
-                    &mut self.merge_bits,
-                    &mut cache.entries[idx],
-                    classes,
-                    conjunctive,
-                );
+                Self::merge_into_entry(&self.postings, &mut cache.entries[idx]);
             }
             return idx;
         }
@@ -703,36 +672,22 @@ impl ProviderRegistry {
         entry.key = key;
         entry.occupancy = occupancy;
         entry.last_used = tick;
-        Self::merge_into_entry(
-            &self.postings,
-            &mut self.merge_bits,
-            entry,
-            classes,
-            conjunctive,
-        );
+        Self::merge_into_entry(&self.postings, entry);
         idx
     }
 
-    /// Merges the mentioned classes' postings into the entry's slot buffer
-    /// and stamps the epoch of every map the merge read.
-    fn merge_into_entry(
-        postings: &[PostingsMap],
-        bits: &mut MergeScratch,
-        entry: &mut PlanEntry,
-        classes: &[usize],
-        conjunctive: bool,
-    ) {
-        if conjunctive {
-            intersect_lists(postings, classes, &mut entry.slots, bits);
-        } else {
-            union_lists(postings, classes, &mut entry.slots, bits);
-        }
+    /// Merges the postings of the classes the entry's key mentions into its
+    /// set and stamps the epoch of every map the merge read.
+    fn merge_into_entry(postings: &[PostingsMap], entry: &mut PlanEntry) {
+        let PlanKey { conjunctive, bits } = entry.key;
+        entry.set.merge(postings, bits, conjunctive);
         entry.stamps.clear();
-        entry.stamps.extend(
-            classes
-                .iter()
-                .map(|&class| (class as u32, postings[class].generation())),
-        );
+        entry
+            .stamps
+            .extend(CapabilitySet::from_bits(bits).iter().map(|cap| {
+                let class = u32::from(cap.class());
+                (class, postings[class as usize].generation())
+            }));
     }
 
     /// `true` if `handle` still names a valid plan: the entry has not been
@@ -768,7 +723,7 @@ impl ProviderRegistry {
             plan: entry.occupancy,
             stamp: self.mutation_stamp,
         };
-        Candidates::from_postings(&self.columns, &entry.slots).with_token(token)
+        Candidates::from_merged(&self.columns, &entry.set, &self.postings).with_token(token)
     }
 
     /// Counters and occupancy of the candidate-plan cache.
@@ -793,28 +748,13 @@ impl ProviderRegistry {
 
     /// Re-bounds the candidate-plan cache, dropping every materialised plan
     /// (counters are kept). `0` disables caching: multi-capability merges
-    /// fall back to the registry-wide scratch buffer, re-merging on every
-    /// query — the pre-cache behaviour, kept for comparison benchmarks.
+    /// fall back to one registry-wide set, re-merged on every query — the
+    /// pre-cache behaviour, kept for comparison benchmarks.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
         let cache = &mut self.plan_cache;
         cache.capacity = capacity;
         cache.entries.clear();
         cache.index.clear();
-    }
-
-    /// Materialises the classes of `set` into a stack buffer so the merge
-    /// kernels iterate only the k mentioned classes. Returns the filled
-    /// prefix length.
-    fn classes_of(
-        set: CapabilitySet,
-        buffer: &mut [usize; MAX_CAPABILITY_CLASSES as usize],
-    ) -> usize {
-        let mut count = 0;
-        for cap in set.iter() {
-            buffer[count] = cap.class() as usize;
-            count += 1;
-        }
-        count
     }
 
     /// The set `Pq` as an owned vector, sorted by id — an allocating
@@ -1385,6 +1325,41 @@ mod tests {
             view.iter().find(|p| p.id.raw() == 1).unwrap().utilization,
             3.0
         );
+    }
+
+    #[test]
+    fn slab_compaction_leaves_cached_plans_valid() {
+        let mut reg = ProviderRegistry::new();
+        // Provider 1 shares no class with the plans; provider 4, the last
+        // row, is a member of both and moves into slot 0 when 1 leaves.
+        reg.register(ProviderId::new(1), set_of(&[5]), 1.0);
+        reg.register(ProviderId::new(2), set_of(&[0, 1]), 2.0);
+        reg.register(ProviderId::new(3), set_of(&[0]), 3.0);
+        reg.register(ProviderId::new(4), set_of(&[0, 1]), 4.0);
+        let all01 = CapabilityRequirement::All(set_of(&[0, 1]));
+        let any01 = CapabilityRequirement::Any(set_of(&[0, 1]));
+        assert_eq!(ids_of(&mut reg, all01), vec![2, 4]);
+        assert_eq!(ids_of(&mut reg, any01), vec![2, 3, 4]);
+
+        assert!(reg.unregister(ProviderId::new(1)));
+        assert_eq!(reg.columns().ids()[0], ProviderId::new(4), "4 moved");
+        reg.update_load(ProviderId::new(4), 2.5, 3).unwrap();
+
+        for (req, ids) in [(all01, vec![2u64, 4]), (any01, vec![2, 3, 4])] {
+            let view = reg.candidates(&multi_query(req));
+            let rows: Vec<ProviderSnapshot> = (0..view.len()).map(|pos| view.get(pos)).collect();
+            let keys: Vec<(f64, ProviderId)> =
+                (0..view.len()).map(|pos| view.load_key(pos)).collect();
+            for ((row, key), id) in rows.iter().zip(keys).zip(ids) {
+                let current = reg.get(ProviderId::new(id)).unwrap();
+                assert_eq!(*row, current, "get() reads provider {id}'s current row");
+                assert_eq!(key, (current.utilization, current.id));
+            }
+        }
+        // Both resolutions after the compaction were hits: no membership
+        // changed in a mentioned class, and a plan holds no slot to go stale.
+        let stats = reg.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.stale_rebuilds), (2, 2, 0));
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! `Vec<u32>` postings model it replaced: after any churn history of
 //! insert / remove / patch-slot operations, a [`PostingsMap`] must agree
 //! with a sorted associative shadow on membership, slot payloads, length,
-//! ascending-id iteration order and rank-select — and the word-parallel
-//! `All`/`Any` merge kernels must agree with the naive sorted-vector
-//! intersection and union they replaced.
+//! ascending-id iteration order and rank-select — and an `All`/`Any`
+//! [`MergedSet`] over such maps, read through a [`Candidates`] view, must
+//! agree with the naive ordered-set intersection and union on every container
+//! mix, before and after slab compactions re-point its members' slots.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use sbqa_core::postings::{intersect_lists, union_lists, MergeScratch, PostingsMap, ARRAY_MAX};
-use sbqa_types::ProviderId;
+use sbqa_core::allocator::{CandidateBlock, Candidates};
+use sbqa_core::postings::{MergedSet, PostingsMap, ARRAY_MAX, BITMAP_MIN};
+use sbqa_types::{CapabilitySet, ProviderColumns, ProviderId, ProviderSnapshot};
 
 /// The slab slot a provider id maps to in these tests. Id-keyed (not
 /// list-keyed) because in production a provider occupies exactly one slab
@@ -91,55 +94,212 @@ proptest! {
             prop_assert_eq!(map.slot_of(pid), shadow.get(&id).copied());
         }
     }
+}
 
-    /// The word-parallel merge kernels agree with naive sorted-vector
-    /// intersection/union over the member lists.
-    #[test]
-    fn merge_kernels_equal_naive_sorted_vec_merges(
-        // Per-provider membership mask over up to 4 lists; ids span two
-        // chunks so the cursor merge over chunk keys is exercised.
-        members in proptest::collection::vec((0u64..0x2_0000, 1u8..16), 1..120),
-        classes in proptest::collection::vec(0usize..4, 1..5),
-    ) {
-        let mut lists: Vec<PostingsMap> = (0..4).map(|_| PostingsMap::new()).collect();
-        let mut naive: Vec<BTreeMap<u64, u32>> = vec![BTreeMap::new(); 4];
-        for &(id, mask) in &members {
-            for list_idx in 0..4 {
-                if mask & (1 << list_idx) != 0 {
-                    lists[list_idx].insert(ProviderId::new(id), slot_for(id));
-                    naive[list_idx].insert(id, slot_for(id));
-                }
+/// Number of postings lists in the merge world.
+const LISTS: usize = 5;
+
+/// A miniature registry: a column slab plus `LISTS` postings lists over it,
+/// with an ordered-set shadow of each list's membership. `unregister` compacts
+/// the slab exactly as the registry does (swap-remove, then an id-keyed
+/// `patch_slot` in every list holding the moved row).
+#[derive(Clone)]
+struct World {
+    columns: ProviderColumns,
+    lists: Vec<PostingsMap>,
+    shadow: Vec<BTreeSet<u64>>,
+}
+
+impl World {
+    /// Two populous chunks and a third only one list reaches, shaped so the
+    /// five lists cover every container mix a merge can meet:
+    ///
+    /// * list 0 — Bitmap in both chunks (6 000 entries each);
+    /// * list 1 — Array in both (2 400 each);
+    /// * list 2 — Bitmap in chunk 0, Array in chunk 1, so merges with it see
+    ///   mixed sources, and with list 1 two Arrays that together outgrow one;
+    /// * list 3 — on the promote–demote boundary: exactly `ARRAY_MAX`
+    ///   entries in chunk 0 (an Array at its largest), and a chunk 1 that
+    ///   promoted and then shrank to just above `BITMAP_MIN` (a Bitmap at its
+    ///   smallest);
+    /// * list 4 — a few entries per chunk plus a chunk of its own.
+    fn build() -> Self {
+        let mut world = World {
+            columns: ProviderColumns::new(),
+            lists: vec![PostingsMap::new(); LISTS],
+            shadow: vec![BTreeSet::new(); LISTS],
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x3e7_2026);
+        let mut ids: Vec<u64> = (0..12_000u64)
+            .flat_map(|i| [i, 0x1_0000 + i])
+            .chain((0..40u64).map(|i| 0x2_0000 + i * 9))
+            .collect();
+        // Slots in shuffled order, so id order and slot order differ.
+        for at in (1..ids.len()).rev() {
+            ids.swap(at, rng.gen_range(0..=at));
+        }
+        for &id in &ids {
+            let (chunk, i) = (id >> 16, id & 0xffff);
+            let member = match chunk {
+                0 => [
+                    i % 2 == 0,
+                    i % 5 == 0,
+                    i % 2 == 1,
+                    i % 2 == 0 && i < 2 * ARRAY_MAX as u64,
+                    i % 997 == 0,
+                ],
+                1 => [
+                    i % 2 == 0,
+                    i % 5 == 0,
+                    i % 7 == 0,
+                    i % 2 == 1 && i < 2 * ARRAY_MAX as u64 + 2,
+                    i % 997 == 0,
+                ],
+                _ => [false, false, false, false, true],
+            };
+            if !member.contains(&true) {
+                continue;
+            }
+            let slot = world.columns.push(ProviderSnapshot::idle(
+                ProviderId::new(id),
+                CapabilitySet::EMPTY,
+                1.0,
+            )) as u32;
+            for (list, _) in member.iter().enumerate().filter(|(_, &is)| is) {
+                world.lists[list].insert(ProviderId::new(id), slot);
+                world.shadow[list].insert(id);
             }
         }
-
-        let mut dedup = classes.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-
-        // Naive intersection / union over the selected lists' id sets.
-        let ids_in_all: Vec<u32> = naive[dedup[0]]
-            .keys()
-            .filter(|id| dedup.iter().all(|&c| naive[c].contains_key(id)))
-            .map(|&id| slot_for(id))
+        // List 3, chunk 1 holds ARRAY_MAX + 1 entries and has promoted;
+        // shrink it to the smallest population that stays a Bitmap.
+        let surplus: Vec<u64> = world.shadow[3]
+            .range(0x1_0000..)
+            .copied()
+            .take(ARRAY_MAX + 1 - BITMAP_MIN)
             .collect();
-        let mut union_ids: Vec<u64> = dedup
-            .iter()
-            .flat_map(|&c| naive[c].keys().copied())
-            .collect();
-        union_ids.sort_unstable();
-        union_ids.dedup();
-        let ids_in_any: Vec<u32> = union_ids.iter().map(|&id| slot_for(id)).collect();
-
-        let mut out = Vec::new();
-        let mut bits = MergeScratch::new();
-        // The registry resolves a single class through the borrowed Map fast
-        // path; the intersection kernel's contract starts at two lists.
-        if dedup.len() >= 2 {
-            intersect_lists(&lists, &dedup, &mut out, &mut bits);
-            prop_assert_eq!(&out, &ids_in_all, "All merge over {:?}", &dedup);
+        for id in surplus {
+            world.lists[3].remove(ProviderId::new(id));
+            world.shadow[3].remove(&id);
         }
-        union_lists(&lists, &dedup, &mut out, &mut bits);
-        prop_assert_eq!(&out, &ids_in_any, "Any merge over {:?}", &dedup);
+        world
+    }
+
+    /// Removes a provider for good; returns the lists it was a member of.
+    fn unregister(&mut self, id: u64) -> u64 {
+        let pid = ProviderId::new(id);
+        let slot = (0..self.columns.len())
+            .find(|&slot| self.columns.ids()[slot] == pid)
+            .expect("victims are registered");
+        let mut was_in = 0u64;
+        for list in 0..LISTS {
+            if self.lists[list].remove(pid) {
+                self.shadow[list].remove(&id);
+                was_in |= 1 << list;
+            }
+        }
+        self.columns.swap_remove(slot);
+        if slot < self.columns.len() {
+            let moved = self.columns.ids()[slot];
+            for list in &mut self.lists {
+                list.patch_slot(moved, slot as u32);
+            }
+        }
+        was_in
+    }
+
+    /// The ids in all / any of the mentioned lists, ascending.
+    fn expected(&self, classes: u64, conjunctive: bool) -> Vec<u64> {
+        let mentioned: Vec<&BTreeSet<u64>> = (0..LISTS)
+            .filter(|list| classes & (1 << list) != 0)
+            .map(|list| &self.shadow[list])
+            .collect();
+        let union: BTreeSet<u64> = mentioned
+            .iter()
+            .flat_map(|set| set.iter().copied())
+            .collect();
+        union
+            .into_iter()
+            .filter(|id| !conjunctive || mentioned.iter().all(|set| set.contains(id)))
+            .collect()
+    }
+
+    /// Holds a view of `set` to the naive merge: length, every positional
+    /// read, the streamed order and the dense gather — each resolving the
+    /// member's *current* row.
+    fn assert_view_matches(&self, set: &MergedSet, classes: u64, conjunctive: bool) {
+        let expected = self.expected(classes, conjunctive);
+        let view = Candidates::from_merged(&self.columns, set, &self.lists);
+        assert_eq!(view.len(), expected.len());
+        assert_eq!(view.is_empty(), expected.is_empty());
+        for (pos, &id) in expected.iter().enumerate() {
+            assert_eq!(set.select(pos).raw(), id, "select({pos})");
+            assert_eq!(view.load_key(pos).1.raw(), id, "load_key({pos})");
+            assert_eq!(view.get(pos).id.raw(), id, "get({pos})");
+        }
+        let streamed: Vec<u64> = view.iter().map(|row| row.id.raw()).collect();
+        assert_eq!(streamed, expected, "iter()");
+        let mut block = CandidateBlock::new();
+        view.gather_all_into(&mut block);
+        let gathered: Vec<u64> = block.ids().iter().map(|id| id.raw()).collect();
+        assert_eq!(gathered, expected, "gather_all_into");
+    }
+}
+
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(World::build)
+}
+
+#[test]
+fn merge_world_covers_every_container_mix() {
+    // The shapes `World::build` promises, read back through what a map
+    // exposes: a chunk's population against the two thresholds.
+    let world = world();
+    let in_chunk = |list: usize, chunk: u64| {
+        world.shadow[list]
+            .range(chunk << 16..(chunk + 1) << 16)
+            .count()
+    };
+    assert!(in_chunk(0, 0) > ARRAY_MAX && in_chunk(0, 1) > ARRAY_MAX);
+    assert!(in_chunk(1, 0) < BITMAP_MIN && in_chunk(1, 1) < BITMAP_MIN);
+    assert!(in_chunk(2, 0) > ARRAY_MAX && in_chunk(2, 1) < BITMAP_MIN);
+    assert!(in_chunk(1, 1) + in_chunk(2, 1) > ARRAY_MAX);
+    assert_eq!(in_chunk(3, 0), ARRAY_MAX);
+    assert_eq!(in_chunk(3, 1), BITMAP_MIN);
+    assert!(in_chunk(4, 2) > 0 && (0..4).all(|list| in_chunk(list, 2) == 0));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A merged set read through a candidates view agrees with the naive
+    /// ordered-set merge — on every container mix, and after compactions:
+    /// unregistering a provider re-points a survivor's slot, which the set
+    /// must follow without a re-merge unless its own membership changed.
+    #[test]
+    fn merged_views_equal_naive_set_merges_across_compactions(
+        picks in proptest::collection::vec(0usize..LISTS, 2..8),
+        conjunctive in proptest::bool::ANY,
+        victims in proptest::collection::vec(0usize..1 << 20, 0..5),
+    ) {
+        // 2–5 of the five lists: a repeated pick widens to its neighbour.
+        let mut classes = picks.iter().fold(0u64, |mask, list| mask | 1 << list);
+        if classes.count_ones() < 2 {
+            classes |= 1 << ((picks[0] + 1) % LISTS);
+        }
+        let mut world = world().clone();
+        let mut set = MergedSet::default();
+        set.merge(&world.lists, classes, conjunctive);
+        world.assert_view_matches(&set, classes, conjunctive);
+
+        for victim in victims {
+            let id = world.columns.ids()[victim % world.columns.len()].raw();
+            if world.unregister(id) & classes != 0 {
+                // A source list lost a member: the set is stale by contract.
+                set.merge(&world.lists, classes, conjunctive);
+            }
+            world.assert_view_matches(&set, classes, conjunctive);
+        }
     }
 }
 
@@ -214,17 +374,15 @@ fn container_promotion_and_demotion_preserve_equivalence() {
         other.insert(ProviderId::new(id), slot_of_id(id, &shadow));
     }
 
-    let mut out = Vec::new();
-    let mut bits = MergeScratch::new();
-
     let expected_all: Vec<u32> = shadow
         .iter()
         .filter(|(id, _)| other.contains(ProviderId::new(**id)))
         .map(|(_, &slot)| slot)
         .collect();
     let lists = [map, other];
-    intersect_lists(&lists, &[0, 1], &mut out, &mut bits);
-    assert_eq!(out, expected_all);
+    let mut set = MergedSet::default();
+    set.merge(&lists, 0b11, true);
+    assert_eq!(set.slots(&lists).collect::<Vec<u32>>(), expected_all);
 
     let mut union_ids: Vec<u64> = shadow.keys().copied().collect();
     union_ids.extend(other_ids.iter().copied());
@@ -234,6 +392,6 @@ fn container_promotion_and_demotion_preserve_equivalence() {
         .iter()
         .map(|&id| slot_of_id(id, &shadow))
         .collect();
-    union_lists(&lists, &[0, 1], &mut out, &mut bits);
-    assert_eq!(out, expected_any);
+    set.merge(&lists, 0b11, false);
+    assert_eq!(set.slots(&lists).collect::<Vec<u32>>(), expected_any);
 }

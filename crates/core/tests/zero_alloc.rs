@@ -4,7 +4,8 @@
 //! A counting global allocator wraps the system allocator; after warming the
 //! mediator's scratch buffers (KnBest pool, decision, satisfaction views,
 //! recycled interaction windows), a sustained run of `submit_in_place` and
-//! `submit_batch` must not allocate or reallocate at all — with the
+//! `submit_batch` must not allocate or reallocate at all — on plan-cache
+//! hits, on eviction and stale re-merges into recycled plan entries, with the
 //! satisfaction registry's touched-id tracking off (the default) and, once
 //! its id buffers are warm, with it on (a replicated shard's primary).
 //!
@@ -101,7 +102,7 @@ fn steady_state_mediation_does_not_allocate() {
     let oracle = StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
 
     // Warm-up: fill every satisfaction window and grow all scratch buffers,
-    // including the registry's merge scratch. The class populations are
+    // including the plan entries' merged sets. The class populations are
     // static here, so every All/Any class pair reaches its maximal merge
     // output size during warm-up.
     for id in 0..800u64 {
@@ -159,6 +160,39 @@ fn steady_state_mediation_does_not_allocate() {
         stats.stale_rebuilds, warm_stats.stale_rebuilds,
         "nothing was invalidated mid-measurement"
     );
+
+    // Re-merges into recycled plan entries. With the cache bounded below
+    // the six requirements `multi_query` cycles through, the first
+    // resolution of each id below evicts; provider 0 (classes {0, 1}, one of
+    // which every requirement mentions) flips between the two, so the second
+    // finds its plan stale. One lap warms the two entries' sets, after which
+    // neither kind of re-merge may allocate.
+    mediator.set_plan_cache_capacity(2);
+    let churn = |mediator: &mut Mediator, ids: std::ops::Range<u64>| {
+        for id in ids {
+            for online in [false, true] {
+                mediator
+                    .set_provider_online(ProviderId::new(0), online)
+                    .unwrap();
+                mediator.submit_in_place(&multi_query(id), &oracle).unwrap();
+            }
+        }
+    };
+    churn(&mut mediator, 5_000..5_006);
+    let warm_stats = mediator.plan_cache_stats();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    churn(&mut mediator, 5_006..5_306);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocations, 0,
+        "re-merging into a recycled plan entry must not touch the heap"
+    );
+    let stats = mediator.plan_cache_stats();
+    assert_eq!(stats.evictions, warm_stats.evictions + 300);
+    assert_eq!(stats.stale_rebuilds, warm_stats.stale_rebuilds + 300);
+    assert_eq!(stats.hits, warm_stats.hits, "every resolution re-merged");
 
     // The same steady state with touched-id tracking armed, synced into a
     // checkpoint copy every 256 queries the way a replicated shard cuts: one

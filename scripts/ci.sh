@@ -36,7 +36,7 @@ echo "== examples and benches compile"
 cargo build --examples
 cargo bench --no-run -p sbqa_bench
 
-echo "== bench smoke: scenario1 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry bench"
+echo "== bench smoke: scenario1 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry and cache benches"
 # Exercises the allocation hot path end-to-end (golden-output protected by
 # tests/golden_scenario1.rs), the multi-capability postings-merge path
 # (golden-output protected by tests/golden_multicap.rs; the candidate-plan
@@ -47,8 +47,10 @@ echo "== bench smoke: scenario1 --quick, scenario_multicap --quick, scenario_sha
 # adaptive-kn controller — whose run asserts the self-adaptation claim
 # (adaptive ≥ best static kn on aggregate consumer satisfaction) — and the
 # capability-index micro-bench — whose candidates/* series cover single-cap
-# lookup vs 2- and 4-way All/Any merges — so a hot-path regression that only
-# shows up at runtime still fails CI. The failover smoke crashes every
+# lookup vs 2- and 4-way All/Any requirements — so a hot-path regression that
+# only shows up at runtime still fails CI. The cache bench is the only one
+# that drives cold merges, LRU eviction and stale rebuilds of the id-bitset
+# plans end to end, on Bitmap and on all-Array class lists. The failover smoke crashes every
 # shard's primary at the stream midpoint and exits non-zero unless the
 # promoted run's merged outcome stream is byte-identical to the
 # uninterrupted one, so replication replay is exercised end-to-end on every
@@ -59,6 +61,7 @@ cargo run --release -p sbqa_bench --bin scenario_sharded -- --quick --shards 1,2
 cargo run --release -p sbqa_bench --bin scenario_adaptive -- --quick > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_failover -- --quick > /dev/null
 cargo bench -p sbqa_bench --bench registry > /dev/null
+cargo bench -p sbqa_bench --bench cache > /dev/null
 
 echo "== overload smoke: scenario_overload --quick"
 # Drives sustained 1x/10x/100x arrival steps through the bounded-ring
@@ -78,7 +81,7 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, threaded+replicated+degrading composition)"
+echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, threaded+replicated+degrading composition, replay_prop, postings_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. The
@@ -98,10 +101,14 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # replay_prop holds the incremental checkpoint to the full clone it replaced:
 # after every cut of a random op sequence the standby's registry and
 # satisfaction digests equal the primary's, and a promotion continues the
-# uninterrupted stream.
+# uninterrupted stream. postings_prop holds a merged candidate plan to the
+# naive ordered-set merge on every container mix (Array, Bitmap, mixed, the
+# promote-demote boundary), before and after slab compactions re-point its
+# members' slots.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication --test replay_prop -q
+cargo test --release -p sbqa_core --test postings_prop -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload -q
 
 echo "== benchmark smoke: perf/run.sh --quick"
