@@ -5,7 +5,7 @@
 //! (`sbqa_core::adaptive`) claims to make the sweep unnecessary. This
 //! harness puts both on the **same deterministic open-loop stream** and
 //! closes the feedback loops that make the choice of `kn` consequential
-//! (see `sbqa_sim::adaptive`):
+//! (see `sbqa_sim::LoadFeedback`):
 //!
 //! * persistent consumer↔provider preferences, so intention-driven
 //!   allocation concentrates work,
@@ -30,43 +30,19 @@
 
 use std::process::ExitCode;
 
-use sbqa_bench::cli;
-use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
+use sbqa_bench::{cli, world};
+use sbqa_core::intention::ConsumerProfile;
 use sbqa_core::KnControllerConfig;
 use sbqa_metrics::{Table, TimeSeries};
+use sbqa_service::ServiceReport;
 use sbqa_sim::{
-    generate_stepped_stream, run_adaptive_case, AdaptiveRunConfig, AdaptiveRunReport, ConsumerSpec,
-    LoadStep, ProviderSpec, WorkloadModel,
+    generate_query_stream, run, AdaptiveOracle, ConsumerSpec, LoadFeedback, LoadStep, ServiceRun,
+    WorkloadModel,
 };
-use sbqa_types::{Capability, CapabilitySet, ConsumerId, ProviderId, SystemConfig};
+use sbqa_types::{Capability, ConsumerId, SystemConfig};
 
-/// Capability classes the population spreads over.
-const CLASSES: u8 = 8;
 /// The static widths of the paper's Scenario-6 sweep.
 const STATIC_KNS: [usize; 4] = [2, 4, 8, 16];
-
-/// Overlapping capability profiles (the `scenario_sharded` shape), so every
-/// class keeps a healthy candidate pool.
-fn providers(count: usize) -> Vec<ProviderSpec> {
-    (0..count as u64)
-        .map(|i| {
-            let base = (i % u64::from(CLASSES)) as u8;
-            let mut caps = CapabilitySet::singleton(Capability::new(base));
-            if i % 3 == 0 {
-                caps.insert(Capability::new((base + 1) % CLASSES));
-            }
-            if i % 5 == 0 {
-                caps.insert(Capability::new((base + 2) % CLASSES));
-            }
-            ProviderSpec::new(
-                ProviderId::new(1_000 + i),
-                caps,
-                1.0 + (i % 3) as f64 * 0.5,
-                ProviderProfile::default(),
-            )
-        })
-        .collect()
-}
 
 /// Twenty-four consumers spread over the classes, with conflicting
 /// persistent preference sets (many consumers per class means no small
@@ -77,7 +53,7 @@ fn consumers(rate_scale: f64) -> Vec<ConsumerSpec> {
         .map(|c| {
             ConsumerSpec::new(
                 ConsumerId::new(1 + c),
-                Capability::new((c % u64::from(CLASSES)) as u8),
+                Capability::new((c % u64::from(world::CLASSES)) as u8),
                 rate_scale * if c % 3 == 0 { 1.5 } else { 1.0 } / 4.0,
                 1.0,
                 1 + (c % 2) as usize,
@@ -87,69 +63,60 @@ fn consumers(rate_scale: f64) -> Vec<ConsumerSpec> {
         .collect()
 }
 
-fn run_row(
-    label: &str,
-    config: &AdaptiveRunConfig,
-    providers: &[ProviderSpec],
-    consumers: &[ConsumerSpec],
-    stream: &[sbqa_types::Query],
-    step_at: Option<sbqa_types::VirtualTime>,
-) -> Result<(String, AdaptiveRunReport), String> {
-    run_adaptive_case(config, providers, consumers, stream, step_at)
-        .map(|report| (label.to_string(), report))
-        .map_err(|err| format!("{label}: {err}"))
+fn main() -> ExitCode {
+    cli::exit(compare(&cli::parse_env_or_exit()))
 }
 
-fn main() -> ExitCode {
-    let options = cli::parse_env_or_exit();
-    let provider_count = options
-        .volunteers
-        .unwrap_or(if options.quick { 320 } else { 1_200 });
-    let query_count = options
-        .queries
-        .unwrap_or(if options.quick { 10_000 } else { 40_000 });
-    let seed = options.seed.unwrap_or(42);
-    let shards = options
-        .shards
-        .as_ref()
-        .and_then(|list| list.first().copied())
-        .unwrap_or(1);
-    let batch = options.batch.unwrap_or(128);
-    let k = options.knbest_k.unwrap_or(20);
+fn compare(options: &cli::HarnessOptions) -> Result<(), String> {
+    let scale = world::Scale::new(options, [320, 1_200], [10_000, 40_000], &[1], 128);
+    let (shards, batch, seed, k) = (scale.shards[0], scale.batch, scale.seed, scale.k);
 
     // Comfortably under drain capacity before the step, decidedly over it
     // after: the optimal static width genuinely changes mid-run.
-    let rate_scale = provider_count as f64 / 160.0;
+    let rate_scale = scale.providers as f64 / 160.0;
     let step = LoadStep {
         at_fraction: 0.5,
         rate_multiplier: 5.0,
     };
 
     eprintln!(
-        "adaptive kn sweep: {provider_count} providers, {query_count} queries, \
+        "adaptive kn sweep: {} providers, {} queries, \
          {shards} shard(s), batch {batch}, load step ×{} at {:.0}%, seed {seed}…",
+        scale.providers,
+        scale.queries,
         step.rate_multiplier,
         step.at_fraction * 100.0
     );
 
-    let providers = providers(provider_count);
+    // The `scenario_sharded` shape, so every class keeps a healthy candidate
+    // pool, over capacities 1 / 1.5 / 2.
+    let providers = world::providers_with(scale.providers, |i| 1.0 + (i % 3) as f64 * 0.5);
     let consumers = consumers(rate_scale);
     let workload = WorkloadModel::default();
-    let stream = generate_stepped_stream(&consumers, &workload, query_count, seed, Some(step));
+    let stream = generate_query_stream(&consumers, &workload, scale.queries, seed, Some(step));
     let step_at = stream
-        .get(((query_count as f64) * step.at_fraction) as usize)
+        .get(((scale.queries as f64) * step.at_fraction) as usize)
         .map(|q| q.issued_at);
 
-    let base = |kn: usize| {
-        let mut config =
-            AdaptiveRunConfig::new(SystemConfig::default().with_knbest(k, kn.min(k)), seed);
-        config.shards = shards;
-        config.batch = batch;
-        // Load has real authority over provider intentions: an overloaded
-        // provider refuses work it would otherwise love, which is what makes
-        // over-exploration costly once the step hits.
-        config.preference_weight = 0.4;
-        config
+    let case = |label: String, kn: usize, adaptive_kn: Option<KnControllerConfig>| {
+        let failed = |err: sbqa_types::SbqaError| format!("{label}: {err}");
+        let config = ServiceRun {
+            shards,
+            batch,
+            adaptive_kn,
+            ..ServiceRun::new(SystemConfig::default().with_knbest(k, kn.min(k)), seed)
+        };
+        // Load has real authority over provider intentions (weight 0.4 on
+        // preference): an overloaded provider refuses work it would
+        // otherwise love, which is what makes over-exploration costly once
+        // the step hits.
+        let oracle = AdaptiveOracle::new(seed, 0.4, 3.0, &providers).map_err(failed)?;
+        let mut world = LoadFeedback::new(oracle);
+        world.step_at = step_at;
+        let report = run(&config, &providers, &consumers, &stream, &mut world)
+            .map_err(failed)?
+            .report;
+        Ok::<_, String>((label, report, world))
     };
     // Clamp the whole width range to k so a small `--k` degrades cleanly
     // instead of producing an invalid controller configuration.
@@ -173,41 +140,23 @@ fn main() -> ExitCode {
         deadband: 0.04,
     };
 
-    let mut rows: Vec<(String, AdaptiveRunReport)> = Vec::new();
+    let mut rows: Vec<(String, ServiceReport, LoadFeedback)> = Vec::new();
     for kn in STATIC_KNS {
         if kn > k {
             eprintln!("skipping static kn {kn}: exceeds k {k}");
             continue;
         }
-        match run_row(
-            &format!("static kn={kn}"),
-            &base(kn),
-            &providers,
-            &consumers,
-            &stream,
-            step_at,
-        ) {
-            Ok(row) => rows.push(row),
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        rows.push(case(format!("static kn={kn}"), kn, None)?);
     }
-    let adaptive_row = match run_row(
-        "adaptive",
-        &base(controller.initial_kn).with_adaptive(controller),
-        &providers,
-        &consumers,
-        &stream,
-        step_at,
-    ) {
-        Ok(row) => row,
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let best_static = rows
+        .iter()
+        .map(|(_, _, world)| world.mean_query_satisfaction())
+        .fold(f64::NEG_INFINITY, f64::max);
+    rows.push(case(
+        "adaptive".to_string(),
+        controller.initial_kn,
+        Some(controller),
+    )?);
 
     let mut table = Table::new(
         "Scenario adaptive — self-tuned kn vs the static sweep under a ×5 load step",
@@ -221,26 +170,24 @@ fn main() -> ExitCode {
             "final kn",
         ],
     );
-    let best_static = rows
-        .iter()
-        .map(|(_, report)| report.mean_query_satisfaction)
-        .fold(f64::NEG_INFINITY, f64::max);
-    for (label, report) in rows.iter().chain(std::iter::once(&adaptive_row)) {
+    for (label, report, world) in &rows {
         table.add_row(&[
             label.clone(),
             report.total.mediated.to_string(),
             report.total.starved.to_string(),
-            report.departed.to_string(),
-            format!("{:.4}", report.mean_query_satisfaction),
-            format!("{:.4}", report.post_step_satisfaction),
-            format!("{:.1}", report.final_mean_kn),
+            world.departed().to_string(),
+            format!("{:.4}", world.mean_query_satisfaction()),
+            format!("{:.4}", world.post_step_satisfaction()),
+            world
+                .final_mean_kn()
+                .map_or_else(String::new, |kn| format!("{kn:.1}")),
         ]);
     }
     println!("{}", table.render());
 
     // The adaptive width over time, downsampled for the terminal.
-    let (_, adaptive_report) = &adaptive_row;
-    let kn_curve = adaptive_report.kn_series.downsample(16);
+    let (_, adaptive_report, adaptive_world) = &rows[rows.len() - 1];
+    let kn_curve = adaptive_world.kn_series.downsample(16);
     let curve: Vec<String> = kn_curve
         .points()
         .iter()
@@ -250,45 +197,37 @@ fn main() -> ExitCode {
         "adaptive mean kn over virtual time (t:kn): {}",
         curve.join(" ")
     );
-    let adjustments: usize = adaptive_report.kn_trails.iter().map(Vec::len).sum();
+    let trails = adaptive_report.shards.iter().map(|s| s.kn_trail.len());
     println!(
-        "controller adjustments: {adjustments} across {} shard(s)",
-        adaptive_report.kn_trails.len()
+        "controller adjustments: {} across {} shard(s)",
+        trails.sum::<usize>(),
+        adaptive_report.shards.len()
     );
 
     if let Some(path) = &options.csv {
         let mut all: Vec<TimeSeries> = Vec::new();
-        for (label, report) in rows.iter().chain(std::iter::once(&adaptive_row)) {
-            let mut kn = report.kn_series.clone();
+        for (label, _, world) in &rows {
+            let mut kn = world.kn_series.clone();
             kn.name = format!("kn/{label}");
-            let mut sat = report.satisfaction_series.clone();
+            let mut sat = world.satisfaction_series.clone();
             sat.name = format!("satisfaction/{label}");
             all.push(kn);
             all.push(sat);
         }
         let csv = sbqa_metrics::CsvWriter::render_series(&all);
-        match std::fs::write(path, csv) {
-            Ok(()) => eprintln!("time series written to {path}"),
-            Err(err) => {
-                eprintln!("cannot write {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        std::fs::write(path, csv).map_err(|err| format!("cannot write {path}: {err}"))?;
+        eprintln!("time series written to {path}");
     }
 
     // The self-adaptation check: the adaptive row must match or beat the
     // best static width on aggregate consumer satisfaction. Deterministic
     // per seed — a failure is a real controller regression, not noise.
-    let adaptive_sat = adaptive_row.1.mean_query_satisfaction;
-    if adaptive_sat + 1e-3 >= best_static {
-        eprintln!(
-            "self-adaptation check: adaptive {adaptive_sat:.4} ≥ best static {best_static:.4} ✓"
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
+    let adaptive_sat = adaptive_world.mean_query_satisfaction();
+    if adaptive_sat + 1e-3 < best_static {
+        return Err(format!(
             "self-adaptation check FAILED: adaptive {adaptive_sat:.4} < best static {best_static:.4}"
-        );
-        ExitCode::FAILURE
+        ));
     }
+    eprintln!("self-adaptation check: adaptive {adaptive_sat:.4} ≥ best static {best_static:.4} ✓");
+    Ok(())
 }

@@ -17,187 +17,98 @@
 //! a replay regression even without the golden test. Reported per run:
 //! tallies, wall clock, throughput, per-shard replication counters (log
 //! depth, applied sequence, replay lag, checkpoints, promotions) and the
-//! per-promotion replay work, plus a directly measured promotion latency.
+//! per-promotion replay work, and shard 0's measured kill-to-promoted latency.
 //!
 //! Flags (see `sbqa_bench::cli`): `--quick`, `--providers N`, `--queries Q`,
 //! `--shards N` (first value; default 2), `--batch B`, `--seed SEED`,
 //! `--k K`, `--kn KN`.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use sbqa_bench::cli;
-use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
+use sbqa_bench::{cli, world};
 use sbqa_metrics::Table;
+use sbqa_service::ServiceReport;
 use sbqa_sim::{
-    generate_query_stream, run_replicated_service, ConsumerSpec, FailoverRunConfig,
-    FailoverRunReport, FaultPlan, HashIntentions, ProviderSpec, WorkloadModel,
-};
-use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, SystemConfig,
+    generate_query_stream, run, timed_outcome_digest, HashWorld, RunEvent, ServiceRun, Timeline,
+    WorkloadModel,
 };
 
-/// Capability classes the population spreads over.
-const CLASSES: u8 = 8;
-
-fn set(classes: &[u8]) -> CapabilitySet {
-    CapabilitySet::from_capabilities(classes.iter().copied().map(Capability::new))
-}
-
-/// The `scenario_sharded` population shape: overlapping capability profiles.
-fn providers(count: usize) -> Vec<ProviderSpec> {
-    (0..count as u64)
-        .map(|i| {
-            let base = (i % u64::from(CLASSES)) as u8;
-            let mut caps = CapabilitySet::singleton(Capability::new(base));
-            if i % 3 == 0 {
-                caps.insert(Capability::new((base + 1) % CLASSES));
-            }
-            if i % 5 == 0 {
-                caps.insert(Capability::new((base + 2) % CLASSES));
-            }
-            ProviderSpec::new(
-                ProviderId::new(1_000 + i),
-                caps,
-                1.0 + (i % 4) as f64,
-                ProviderProfile::default(),
-            )
-        })
-        .collect()
-}
-
-/// Four consumers, mixed single- and multi-capability requirements.
-fn consumers() -> Vec<ConsumerSpec> {
-    vec![
-        ConsumerSpec::new(
-            ConsumerId::new(1),
-            Capability::new(0),
-            10.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        ),
-        ConsumerSpec::new(
-            ConsumerId::new(2),
-            Capability::new(3),
-            10.0,
-            1.0,
-            2,
-            ConsumerProfile::default(),
-        ),
-        ConsumerSpec::new(
-            ConsumerId::new(3),
-            Capability::new(1),
-            5.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        )
-        .with_requirement(CapabilityRequirement::All(set(&[1, 2]))),
-        ConsumerSpec::new(
-            ConsumerId::new(4),
-            Capability::new(4),
-            5.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        )
-        .with_requirement(CapabilityRequirement::Any(set(&[4, 5, 6]))),
-    ]
-}
-
-fn run_row(label: &str, report: &FailoverRunReport) -> [String; 6] {
-    let throughput = {
-        let secs = report.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            report.outcomes.len() as f64 / secs
-        }
-    };
+fn run_row(label: &str, report: &ServiceReport, crashes: usize) -> [String; 6] {
     [
         label.to_string(),
-        report.mediated().to_string(),
-        report.starved().to_string(),
-        report.crashes_fired.to_string(),
+        report.total.mediated.to_string(),
+        report.total.starved.to_string(),
+        crashes.to_string(),
         format!("{:.1}", report.wall.as_secs_f64() * 1e3),
-        format!("{throughput:.0}"),
+        format!("{:.0}", report.throughput_per_sec()),
     ]
 }
 
 fn main() -> ExitCode {
-    let options = cli::parse_env_or_exit();
-    let provider_count = options
-        .volunteers
-        .unwrap_or(if options.quick { 2_000 } else { 100_000 });
-    let query_count = options
-        .queries
-        .unwrap_or(if options.quick { 5_000 } else { 50_000 });
-    let shards = options
-        .shards
-        .as_ref()
-        .and_then(|counts| counts.first().copied())
-        .unwrap_or(2);
-    let batch = options.batch.unwrap_or(64);
-    let seed = options.seed.unwrap_or(42);
-    let system = SystemConfig::default().with_knbest(
-        options.knbest_k.unwrap_or(20),
-        options.knbest_kn.unwrap_or(4),
-    );
-    let config = FailoverRunConfig {
+    cli::exit(crash_and_compare(&cli::parse_env_or_exit()))
+}
+
+fn crash_and_compare(options: &cli::HarnessOptions) -> Result<(), String> {
+    let scale = world::Scale::service(options, &[2]);
+    let (shards, batch, seed) = (scale.shards[0], scale.batch, scale.seed);
+    let replicated = |timeline| ServiceRun {
         shards,
         batch,
-        seed,
-        system,
         // Deliberately co-prime with the crash point's batch index, so the
         // promotions land mid-checkpoint-window and replay real work.
-        checkpoint_interval: 7,
-        churn_per_batch: 6,
+        replicate: Some(7),
+        timeline,
+        ..ServiceRun::new(scale.system(), seed)
     };
 
     eprintln!(
-        "failover scenario: {provider_count} providers, {query_count} queries, \
-         {shards} replicated shards, batch {batch}, seed {seed}…"
+        "failover scenario: {} providers, {} queries, \
+         {shards} replicated shards, batch {batch}, seed {seed}…",
+        scale.providers, scale.queries
     );
-    let providers = providers(provider_count);
-    let consumers = consumers();
-    let stream = generate_query_stream(&consumers, &WorkloadModel::default(), query_count, seed);
+    let providers = world::providers(scale.providers);
+    let consumers = world::consumers();
+    let stream = generate_query_stream(
+        &consumers,
+        &WorkloadModel::default(),
+        scale.queries,
+        seed,
+        None,
+    );
+    // Six registry mutations before every batch: the standbys replay real
+    // deltas, not just the bootstrap registrations.
+    let drive = |label: &str, timeline| {
+        let mut world = HashWorld::new(seed, 6);
+        run(
+            &replicated(timeline),
+            &providers,
+            &consumers,
+            &stream,
+            &mut world,
+        )
+        .map_err(|err| format!("{label} run failed: {err}"))
+    };
 
-    let calm =
-        match run_replicated_service(&config, &providers, &consumers, &stream, &FaultPlan::new()) {
-            Ok(report) => report,
-            Err(err) => {
-                eprintln!("uninterrupted run failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-
+    let calm = drive("uninterrupted", Timeline::new())?;
     // Kill every shard's primary at the stream's virtual midpoint.
     let crash_time = stream[stream.len() / 2].issued_at;
-    let mut plan = FaultPlan::new();
-    for shard in 0..shards {
-        plan = plan.crash_at(crash_time, shard);
-    }
-    let stormy = match run_replicated_service(&config, &providers, &consumers, &stream, &plan) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("crashed run failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let plan = (0..shards).fold(Timeline::new(), |plan, shard| {
+        plan.at(crash_time, RunEvent::Crash { shard })
+    });
+    let stormy = drive("crashed", plan)?;
 
     // The failover contract, checked at runtime: losing every primary
     // mid-stream must not change a single outcome byte.
-    if calm.outcomes == stormy.outcomes && calm.outcome_digest() == stormy.outcome_digest() {
-        eprintln!(
-            "failover check: crashed run ≡ uninterrupted run \
-             (digest {:#018x}) ✓",
-            calm.outcome_digest()
+    if calm.report.outcomes != stormy.report.outcomes {
+        return Err(
+            "failover check FAILED: crashed run diverged from the uninterrupted run".to_string(),
         );
-    } else {
-        eprintln!("failover check FAILED: crashed run diverged from the uninterrupted run");
-        return ExitCode::FAILURE;
     }
+    eprintln!(
+        "failover check: crashed run ≡ uninterrupted run \
+         (digest {:#018x}) ✓",
+        timed_outcome_digest(&calm.report.outcomes)
+    );
 
     let mut table = Table::new(
         "Scenario failover — replicated service, crashed vs uninterrupted",
@@ -210,14 +121,15 @@ fn main() -> ExitCode {
             "queries/s",
         ],
     );
-    table.add_row(&run_row("uninterrupted", &calm));
+    table.add_row(&run_row("uninterrupted", &calm.report, calm.events_fired));
     table.add_row(&run_row(
         &format!(
             "{} crashes at t={:.1}s",
-            stormy.crashes_fired,
+            stormy.events_fired,
             crash_time.seconds()
         ),
-        &stormy,
+        &stormy.report,
+        stormy.events_fired,
     ));
 
     // Replication counters, one row per shard of each run — one shared
@@ -235,8 +147,8 @@ fn main() -> ExitCode {
             "promotions",
         ],
     );
-    for (label, report) in [("uninterrupted", &calm), ("crashed", &stormy)] {
-        for shard in &report.shards {
+    for (label, run) in [("uninterrupted", &calm), ("crashed", &stormy)] {
+        for shard in &run.report.shards {
             let Some(stats) = shard.replication else {
                 continue;
             };
@@ -262,59 +174,27 @@ fn main() -> ExitCode {
             "starved on replay",
         ],
     );
-    for (shard, replay) in &stormy.replays {
+    for promotion in &stormy.promotions {
+        let replay = &promotion.replay;
         replay_table.add_row(&[
-            shard.to_string(),
+            promotion.shard.to_string(),
             replay.deltas_replayed.to_string(),
             (replay.queries_mediated + replay.queries_starved).to_string(),
             replay.queries_starved.to_string(),
         ]);
     }
 
-    // Directly measured promotion latency: arm a replicated service, run
-    // half the stream, then time kill-to-promoted for shard 0.
-    let promotion = measure_promotion(&config, &providers, &consumers, &stream);
-
     println!("{}", table.render());
     println!("{}", replication_table.render());
     println!("{}", replay_table.render());
-    match promotion {
-        Ok(duration) => println!(
-            "promotion latency (shard 0, {} providers, mid-stream): {:.2} ms",
-            provider_count,
-            duration.as_secs_f64() * 1e3
-        ),
-        Err(err) => {
-            eprintln!("promotion measurement failed: {err}");
-            return ExitCode::FAILURE;
-        }
+    // The kill-to-promoted span a deployment would observe.
+    if let Some(promotion) = stormy.promotions.first() {
+        println!(
+            "promotion latency (shard {}, {} providers, mid-stream): {:.2} ms",
+            promotion.shard,
+            scale.providers,
+            promotion.wall.as_secs_f64() * 1e3
+        );
     }
-    ExitCode::SUCCESS
-}
-
-/// Runs half the stream, then times `crash_shard(0)` — the kill-to-promoted
-/// span a deployment would observe.
-fn measure_promotion(
-    config: &FailoverRunConfig,
-    providers: &[ProviderSpec],
-    consumers: &[ConsumerSpec],
-    stream: &[sbqa_types::Query],
-) -> Result<std::time::Duration, sbqa_types::SbqaError> {
-    let mut service =
-        sbqa_service::ShardedMediator::sbqa(config.system.clone(), config.seed, config.shards)?;
-    service.replicate()?;
-    service.set_checkpoint_interval(config.checkpoint_interval);
-    for spec in providers {
-        service.register_provider(spec.id, spec.capabilities, spec.capacity);
-    }
-    for spec in consumers {
-        service.register_consumer(spec.id);
-    }
-    let oracle = HashIntentions::new(config.seed);
-    for chunk in stream[..stream.len() / 2].chunks(config.batch.max(1)) {
-        service.try_submit_batch(chunk, &oracle, |_, _, _| {})?;
-    }
-    let start = Instant::now();
-    service.crash_shard(0, &oracle)?;
-    Ok(start.elapsed())
+    Ok(())
 }

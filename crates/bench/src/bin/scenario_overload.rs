@@ -36,21 +36,14 @@
 
 use std::process::ExitCode;
 
-use sbqa_bench::cli;
-use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
+use sbqa_bench::{cli, world};
 use sbqa_core::DegradationConfig;
 use sbqa_metrics::Table;
-use sbqa_service::IngestConfig;
+use sbqa_service::{IngestConfig, ServiceReport};
 use sbqa_sim::{
-    generate_stepped_stream, run_overload_service, ConsumerSpec, LoadStep, OverloadRunConfig,
-    OverloadRunReport, ProviderSpec, WorkloadModel,
+    admitted_satisfaction, generate_query_stream, outcome_digest, run, shed_digest, HashIntentions,
+    HashWorld, LoadStep, ServiceRun, WorkloadModel,
 };
-use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, SystemConfig,
-};
-
-/// Capability classes the population spreads over.
-const CLASSES: u8 = 8;
 
 /// The arrival steps swept, as multiples of the base rate.
 const STEPS: [f64; 3] = [1.0, 10.0, 100.0];
@@ -62,73 +55,6 @@ const P99_BOUND_MS: f64 = 500.0;
 /// Admitted satisfaction at 10× must stay within this fraction of the
 /// unloaded run's.
 const SATISFACTION_TOLERANCE: f64 = 0.05;
-
-fn set(classes: &[u8]) -> CapabilitySet {
-    CapabilitySet::from_capabilities(classes.iter().copied().map(Capability::new))
-}
-
-/// The `scenario_sharded` population shape: overlapping capability profiles.
-fn providers(count: usize) -> Vec<ProviderSpec> {
-    (0..count as u64)
-        .map(|i| {
-            let base = (i % u64::from(CLASSES)) as u8;
-            let mut caps = CapabilitySet::singleton(Capability::new(base));
-            if i % 3 == 0 {
-                caps.insert(Capability::new((base + 1) % CLASSES));
-            }
-            if i % 5 == 0 {
-                caps.insert(Capability::new((base + 2) % CLASSES));
-            }
-            ProviderSpec::new(
-                ProviderId::new(1_000 + i),
-                caps,
-                1.0 + (i % 4) as f64,
-                ProviderProfile::default(),
-            )
-        })
-        .collect()
-}
-
-/// Four consumers, mixed single- and multi-capability requirements
-/// (≈ 30 queries per virtual second at the base rates).
-fn consumers() -> Vec<ConsumerSpec> {
-    vec![
-        ConsumerSpec::new(
-            ConsumerId::new(1),
-            Capability::new(0),
-            10.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        ),
-        ConsumerSpec::new(
-            ConsumerId::new(2),
-            Capability::new(3),
-            10.0,
-            1.0,
-            2,
-            ConsumerProfile::default(),
-        ),
-        ConsumerSpec::new(
-            ConsumerId::new(3),
-            Capability::new(1),
-            5.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        )
-        .with_requirement(CapabilityRequirement::All(set(&[1, 2]))),
-        ConsumerSpec::new(
-            ConsumerId::new(4),
-            Capability::new(4),
-            5.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        )
-        .with_requirement(CapabilityRequirement::Any(set(&[4, 5, 6]))),
-    ]
-}
 
 /// The ladder the bounded runs arm. The drain model (250 admitted queries
 /// per virtual second, per shard) sits far above the base rate — the 1×
@@ -142,44 +68,23 @@ fn ladder() -> DegradationConfig {
     }
 }
 
+/// One run of the sweep: a 1 024-slot ring with the ladder armed, or the
+/// seed's never-blocking ring without one.
 struct Cell {
     step: f64,
     bounded: bool,
-    report: OverloadRunReport,
-}
-
-fn run_cell(
-    step: f64,
-    bounded: bool,
-    base: &OverloadRunConfig,
-    providers: &[ProviderSpec],
-    consumers: &[ConsumerSpec],
-    stream: &[sbqa_types::Query],
-) -> Result<Cell, sbqa_types::SbqaError> {
-    let mut config = base.clone();
-    config.ingest = if bounded {
-        IngestConfig {
-            ring_capacity: 1_024,
-            degradation: Some(ladder()),
-        }
-    } else {
-        IngestConfig::default()
-    };
-    let report = run_overload_service(&config, providers, consumers, stream)?;
-    Ok(Cell {
-        step,
-        bounded,
-        report,
-    })
+    report: ServiceReport,
+    /// Mean consumer satisfaction over the admitted queries.
+    satisfaction: f64,
 }
 
 fn row(cell: &Cell) -> [String; 11] {
     let report = &cell.report;
-    let latency = report.report.aggregate_latency();
+    let latency = report.aggregate_latency();
     let percentiles = latency.percentiles(&[0.5, 0.99]);
-    let (normal, shrunk, baseline) = match &report.degradation {
+    let (normal, shrunk, baseline) = match report.degradation_stats() {
         Some(stats) => (stats.normal, stats.shrink_kn, stats.baseline),
-        None => (report.report.total.submitted() as u64, 0, 0),
+        None => (report.total.submitted() as u64, 0, 0),
     };
     [
         format!("{:.0}x", cell.step),
@@ -191,48 +96,44 @@ fn row(cell: &Cell) -> [String; 11] {
         normal.to_string(),
         shrunk.to_string(),
         baseline.to_string(),
-        report.shed.to_string(),
-        report.report.total.starved.to_string(),
+        report.shed().to_string(),
+        report.total.starved.to_string(),
         format!("{:.2}", percentiles[0] as f64 / 1e6),
         format!("{:.2}", percentiles[1] as f64 / 1e6),
-        format!("{:.4}", report.admitted_satisfaction),
-        format!("{:.0}", report.report.throughput_per_sec()),
+        format!("{:.4}", cell.satisfaction),
+        format!("{:.0}", report.throughput_per_sec()),
     ]
 }
 
 fn main() -> ExitCode {
-    let options = cli::parse_env_or_exit();
-    let provider_count = options
-        .volunteers
-        .unwrap_or(if options.quick { 2_000 } else { 100_000 });
-    let query_count = options
-        .queries
-        .unwrap_or(if options.quick { 5_000 } else { 50_000 });
-    let shards = options
-        .shards
-        .as_ref()
-        .and_then(|counts| counts.first().copied())
-        .unwrap_or(2);
-    let batch = options.batch.unwrap_or(64);
-    let seed = options.seed.unwrap_or(42);
-    let system = SystemConfig::default().with_knbest(
-        options.knbest_k.unwrap_or(20),
-        options.knbest_kn.unwrap_or(4),
-    );
+    cli::exit(frontier(&cli::parse_env_or_exit()))
+}
+
+fn frontier(options: &cli::HarnessOptions) -> Result<(), String> {
+    let scale = world::Scale::service(options, &[2]);
+    let (shards, batch, seed) = (scale.shards[0], scale.batch, scale.seed);
 
     eprintln!(
-        "overload scenario: {provider_count} providers, {query_count} queries per step, \
-         {shards} shards, batch {batch}, seed {seed}…"
+        "overload scenario: {} providers, {} queries per step, \
+         {shards} shards, batch {batch}, seed {seed}…",
+        scale.providers, scale.queries
     );
-    let providers = providers(provider_count);
-    let consumers = consumers();
-    let base = OverloadRunConfig {
-        shards,
-        batch,
-        seed,
-        system,
-        ingest: IngestConfig::default(),
-        step: None,
+    let providers = world::providers(scale.providers);
+    let consumers = world::consumers();
+    let drive = |bounded: bool, batch: usize, stream: &[sbqa_types::Query]| {
+        let config = ServiceRun {
+            shards,
+            batch,
+            threaded: Some(if bounded {
+                1_024
+            } else {
+                IngestConfig::default().ring_capacity
+            }),
+            ladder: bounded.then(ladder),
+            ..ServiceRun::new(scale.system(), seed)
+        };
+        let mut world = HashWorld::new(seed, 0);
+        run(&config, &providers, &consumers, stream, &mut world).map(|run| run.report)
     };
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -241,77 +142,67 @@ fn main() -> ExitCode {
             at_fraction: 0.25,
             rate_multiplier: multiplier,
         });
-        let stream = generate_stepped_stream(
+        let stream = generate_query_stream(
             &consumers,
             &WorkloadModel::default(),
-            query_count,
+            scale.queries,
             seed,
             step,
         );
-        let mut config = base.clone();
-        config.step = step;
         for bounded in [false, true] {
-            match run_cell(
-                multiplier, bounded, &config, &providers, &consumers, &stream,
-            ) {
-                Ok(cell) => cells.push(cell),
-                Err(err) => {
-                    eprintln!("run at {multiplier}x (bounded: {bounded}) failed: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let report = drive(bounded, batch, &stream).map_err(|err| {
+                format!("run at {multiplier}x (bounded: {bounded}) failed: {err}")
+            })?;
+            cells.push(Cell {
+                step: multiplier,
+                bounded,
+                satisfaction: admitted_satisfaction(
+                    &report.outcomes,
+                    &stream,
+                    &HashIntentions::new(seed),
+                ),
+                report,
+            });
         }
         // Determinism gate at the heaviest step: re-run and re-chunk the
         // bounded configuration; every digest must agree.
         if (multiplier - STEPS[STEPS.len() - 1]).abs() < f64::EPSILON {
-            let golden = &cells
-                .iter()
-                .rfind(|cell| cell.bounded)
-                .expect("bounded cell just pushed")
-                .report;
+            let digests = |report: &ServiceReport| {
+                (
+                    outcome_digest(&report.outcomes),
+                    shed_digest(&report.outcomes),
+                )
+            };
+            let golden = digests(&cells[cells.len() - 1].report);
             for rechunk in [batch, batch / 2 + 1] {
-                let mut check = config.clone();
-                check.batch = rechunk.max(1);
-                check.ingest = IngestConfig {
-                    ring_capacity: 1_024,
-                    degradation: Some(ladder()),
-                };
-                let again = match run_overload_service(&check, &providers, &consumers, &stream) {
-                    Ok(report) => report,
-                    Err(err) => {
-                        eprintln!("determinism re-run failed: {err}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if again.digest != golden.digest || again.shed_digest != golden.shed_digest {
-                    eprintln!(
+                let again = drive(true, rechunk, &stream)
+                    .map_err(|err| format!("determinism re-run failed: {err}"))?;
+                let again = digests(&again);
+                if again != golden {
+                    return Err(format!(
                         "determinism check FAILED at {multiplier}x chunk {rechunk}: \
                          digest {:#018x} vs {:#018x}, shed {:#018x} vs {:#018x}",
-                        again.digest, golden.digest, again.shed_digest, golden.shed_digest
-                    );
-                    return ExitCode::FAILURE;
+                        again.0, golden.0, again.1, golden.1
+                    ));
                 }
             }
             eprintln!(
                 "determinism check: {multiplier}x outcome digest {:#018x}, \
                  shed digest {:#018x}, stable across runs and chunkings ✓",
-                golden.digest, golden.shed_digest
+                golden.0, golden.1
             );
         }
     }
 
     // Coverage gate: the 100x bounded run must exercise every tier.
-    let heaviest = cells
-        .iter()
-        .rfind(|cell| cell.bounded)
-        .expect("bounded cells exist");
-    let stats = heaviest
+    let stats = cells[cells.len() - 1]
         .report
-        .degradation
+        .degradation_stats()
         .expect("bounded runs arm the ladder");
     if stats.normal == 0 || stats.shrink_kn == 0 || stats.baseline == 0 || stats.shed == 0 {
-        eprintln!("coverage check FAILED: 100x run missed a tier: {stats:?}");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "coverage check FAILED: 100x run missed a tier: {stats:?}"
+        ));
     }
     eprintln!(
         "coverage check: 100x tiers normal {} / shrunk {} / baseline {} / shed {} \
@@ -342,33 +233,32 @@ fn main() -> ExitCode {
 
     // Full-run acceptance gates: tail latency and admitted quality at 10x.
     if !options.quick {
-        let bounded_10x = cells
-            .iter()
-            .find(|cell| cell.bounded && (cell.step - 10.0).abs() < f64::EPSILON)
-            .expect("10x bounded cell exists");
-        let p99_ms = bounded_10x.report.report.aggregate_latency().p99() as f64 / 1e6;
+        let bounded_at = |step: f64| {
+            cells
+                .iter()
+                .find(|cell| cell.bounded && (cell.step - step).abs() < f64::EPSILON)
+                .expect("every step has a bounded cell")
+        };
+        let bounded_10x = bounded_at(10.0);
+        let p99_ms = bounded_10x.report.aggregate_latency().p99() as f64 / 1e6;
         if p99_ms > P99_BOUND_MS {
-            eprintln!("latency check FAILED: bounded 10x p99 {p99_ms:.1} ms > {P99_BOUND_MS} ms");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "latency check FAILED: bounded 10x p99 {p99_ms:.1} ms > {P99_BOUND_MS} ms"
+            ));
         }
-        let unloaded = cells
-            .iter()
-            .find(|cell| cell.bounded && (cell.step - 1.0).abs() < f64::EPSILON)
-            .expect("1x bounded cell exists");
-        let reference = unloaded.report.admitted_satisfaction;
-        let at_10x = bounded_10x.report.admitted_satisfaction;
+        let reference = bounded_at(1.0).satisfaction;
+        let at_10x = bounded_10x.satisfaction;
         let drop = if reference.abs() > f64::EPSILON {
             (reference - at_10x) / reference.abs()
         } else {
             0.0
         };
         if drop > SATISFACTION_TOLERANCE {
-            eprintln!(
+            return Err(format!(
                 "quality check FAILED: admitted satisfaction fell {:.1}% under the 10x step \
                  ({at_10x:.4} vs {reference:.4} unloaded)",
                 drop * 100.0
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         eprintln!(
             "acceptance: bounded 10x p99 {p99_ms:.1} ms ≤ {P99_BOUND_MS} ms, \
@@ -377,5 +267,5 @@ fn main() -> ExitCode {
             -drop * 100.0
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

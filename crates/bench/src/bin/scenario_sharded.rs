@@ -25,89 +25,12 @@
 
 use std::process::ExitCode;
 
-use sbqa_bench::cli;
-use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
+use sbqa_bench::{cli, world};
 use sbqa_metrics::{LatencyRecorder, Table};
+use sbqa_service::{IngestConfig, ServiceReport};
 use sbqa_sim::{
-    generate_query_stream, run_sharded_service, run_single_mediator, ConsumerSpec, ProviderSpec,
-    ShardedRunConfig, WorkloadModel,
+    generate_query_stream, run, run_single_mediator, HashWorld, ServiceRun, WorkloadModel,
 };
-use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, SystemConfig,
-};
-
-/// Capability classes the population spreads over.
-const CLASSES: u8 = 8;
-
-fn set(classes: &[u8]) -> CapabilitySet {
-    CapabilitySet::from_capabilities(classes.iter().copied().map(Capability::new))
-}
-
-/// Overlapping capability profiles: each provider advertises its base class
-/// plus, for thirds/fifths of the population, one or two neighbours — the
-/// same shape the registry bench uses, so multi-class merges see non-empty
-/// intersections on every shard.
-fn providers(count: usize) -> Vec<ProviderSpec> {
-    (0..count as u64)
-        .map(|i| {
-            let base = (i % u64::from(CLASSES)) as u8;
-            let mut caps = CapabilitySet::singleton(Capability::new(base));
-            if i % 3 == 0 {
-                caps.insert(Capability::new((base + 1) % CLASSES));
-            }
-            if i % 5 == 0 {
-                caps.insert(Capability::new((base + 2) % CLASSES));
-            }
-            ProviderSpec::new(
-                ProviderId::new(1_000 + i),
-                caps,
-                1.0 + (i % 4) as f64,
-                ProviderProfile::default(),
-            )
-        })
-        .collect()
-}
-
-/// Four consumers: two plain single-capability issuers, one conjunctive and
-/// one disjunctive multi-capability issuer.
-fn consumers() -> Vec<ConsumerSpec> {
-    vec![
-        ConsumerSpec::new(
-            ConsumerId::new(1),
-            Capability::new(0),
-            10.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        ),
-        ConsumerSpec::new(
-            ConsumerId::new(2),
-            Capability::new(3),
-            10.0,
-            1.0,
-            2,
-            ConsumerProfile::default(),
-        ),
-        ConsumerSpec::new(
-            ConsumerId::new(3),
-            Capability::new(1),
-            5.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        )
-        .with_requirement(CapabilityRequirement::All(set(&[1, 2]))),
-        ConsumerSpec::new(
-            ConsumerId::new(4),
-            Capability::new(4),
-            5.0,
-            1.0,
-            1,
-            ConsumerProfile::default(),
-        )
-        .with_requirement(CapabilityRequirement::Any(set(&[4, 5, 6]))),
-    ]
-}
 
 fn latency_row(latency: &LatencyRecorder) -> [String; 4] {
     // One sort answers the whole percentile row.
@@ -121,29 +44,23 @@ fn latency_row(latency: &LatencyRecorder) -> [String; 4] {
 }
 
 fn main() -> ExitCode {
-    let options = cli::parse_env_or_exit();
-    let provider_count = options
-        .volunteers
-        .unwrap_or(if options.quick { 2_000 } else { 100_000 });
-    let query_count = options
-        .queries
-        .unwrap_or(if options.quick { 5_000 } else { 50_000 });
-    let shard_counts = options.shards.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let batch = options.batch.unwrap_or(64);
-    let seed = options.seed.unwrap_or(42);
-    let system = SystemConfig::default().with_knbest(
-        options.knbest_k.unwrap_or(20),
-        options.knbest_kn.unwrap_or(4),
-    );
+    cli::exit(sweep(&cli::parse_env_or_exit()))
+}
+
+fn sweep(options: &cli::HarnessOptions) -> Result<(), String> {
+    let scale = world::Scale::service(options, &[1, 2, 4, 8]);
+    let (batch, seed) = (scale.batch, scale.seed);
+    let system = scale.system();
 
     eprintln!(
-        "sharded mediation sweep: {provider_count} providers, {query_count} queries, \
-         batch {batch}, shards {shard_counts:?}, seed {seed}…"
+        "sharded mediation sweep: {} providers, {} queries, \
+         batch {batch}, shards {:?}, seed {seed}…",
+        scale.providers, scale.queries, scale.shards
     );
-    let providers = providers(provider_count);
-    let consumers = consumers();
+    let providers = world::providers(scale.providers);
+    let consumers = world::consumers();
     let workload = WorkloadModel::default();
-    let stream = generate_query_stream(&consumers, &workload, query_count, seed);
+    let stream = generate_query_stream(&consumers, &workload, scale.queries, seed, None);
 
     let mut table = Table::new(
         "Scenario sharded — mediation service vs single-mediator baseline",
@@ -174,83 +91,12 @@ fn main() -> ExitCode {
             "hit rate",
         ],
     );
-    let cache_row = |label: String, cache: sbqa_core::PlanCacheStats| {
-        [
-            label,
-            cache.hits.to_string(),
-            cache.misses.to_string(),
-            cache.stale_rebuilds.to_string(),
-            cache.evictions.to_string(),
-            Table::num(cache.hit_rate()),
-        ]
-    };
-
-    let baseline = match run_single_mediator(system.clone(), seed, &providers, &consumers, &stream)
-    {
-        Ok(run) => run,
-        Err(err) => {
-            eprintln!("baseline run failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let [p50, p95, p99, max] = latency_row(&baseline.shard.latency);
-    table.add_row(&[
-        "single mediator".to_string(),
-        baseline.shard.report.mediated.to_string(),
-        baseline.shard.report.starved.to_string(),
-        p50,
-        p95,
-        p99,
-        max,
-        format!("{:.1}", baseline.wall.as_secs_f64() * 1e3),
-        format!("{:.0}", baseline.throughput_per_sec()),
-    ]);
-    cache_table.add_row(&cache_row(
-        "single mediator".to_string(),
-        baseline.shard.cache,
-    ));
-
-    for &shards in &shard_counts {
-        let config = ShardedRunConfig {
-            shards,
-            batch,
-            seed,
-            system: system.clone(),
-        };
-        let report = match run_sharded_service(&config, &providers, &consumers, &stream) {
-            Ok(report) => report,
-            Err(err) => {
-                eprintln!("sharded run ({shards} shards) failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-        // Determinism contract: one shard must reproduce the baseline
-        // decision-for-decision (same queries, same winners, same order).
-        if shards == 1 {
-            let matches = report.outcomes.len() == baseline.outcomes.len()
-                && report
-                    .outcomes
-                    .iter()
-                    .zip(&baseline.outcomes)
-                    .all(|(s, b)| {
-                        s.query == b.query && s.selected == b.selected && s.starved == b.starved
-                    });
-            if matches {
-                eprintln!("determinism check: 1-shard service ≡ single mediator ✓");
-            } else {
-                eprintln!("determinism check FAILED: 1-shard service diverged from baseline");
-                return ExitCode::FAILURE;
-            }
-        }
-
-        let aggregate = report.aggregate_latency();
-        let [p50, p95, p99, max] = latency_row(&aggregate);
+    // The baseline and the service report in one shape, so one row printer
+    // serves both.
+    let mut add_rows = |label: String, report: &ServiceReport| {
+        let [p50, p95, p99, max] = latency_row(&report.aggregate_latency());
         table.add_row(&[
-            format!(
-                "service, {shards} shard{}",
-                if shards == 1 { "" } else { "s" }
-            ),
+            label.clone(),
             report.total.mediated.to_string(),
             report.total.starved.to_string(),
             p50,
@@ -260,16 +106,54 @@ fn main() -> ExitCode {
             format!("{:.1}", report.wall.as_secs_f64() * 1e3),
             format!("{:.0}", report.throughput_per_sec()),
         ]);
-        // One shared unit per configuration (picked from the widest shard
-        // p99), so the shard rows compare at a glance instead of flipping
-        // units mid-column.
-        cache_table.add_row(&cache_row(
+        let cache = report.cache_stats();
+        cache_table.add_row(&[
+            label,
+            cache.hits.to_string(),
+            cache.misses.to_string(),
+            cache.stale_rebuilds.to_string(),
+            cache.evictions.to_string(),
+            Table::num(cache.hit_rate()),
+        ]);
+    };
+
+    let baseline = run_single_mediator(system.clone(), seed, &providers, &consumers, &stream)
+        .map_err(|err| format!("baseline run failed: {err}"))?;
+    add_rows("single mediator".to_string(), &baseline);
+
+    for &shards in &scale.shards {
+        let config = ServiceRun {
+            shards,
+            batch,
+            threaded: Some(IngestConfig::default().ring_capacity),
+            ..ServiceRun::new(system.clone(), seed)
+        };
+        let mut world = HashWorld::new(seed, 0);
+        let report = run(&config, &providers, &consumers, &stream, &mut world)
+            .map_err(|err| format!("sharded run ({shards} shards) failed: {err}"))?
+            .report;
+
+        // Determinism contract: one shard must reproduce the baseline
+        // decision-for-decision (same queries, same winners, same order).
+        if shards == 1 {
+            if report.outcomes != baseline.outcomes {
+                return Err(
+                    "determinism check FAILED: 1-shard service diverged from baseline".to_string(),
+                );
+            }
+            eprintln!("determinism check: 1-shard service ≡ single mediator ✓");
+        }
+
+        add_rows(
             format!(
                 "service, {shards} shard{}",
                 if shards == 1 { "" } else { "s" }
             ),
-            report.cache_stats(),
-        ));
+            &report,
+        );
+        // One shared unit per configuration (picked from the widest shard
+        // p99), so the shard rows compare at a glance instead of flipping
+        // units mid-column.
         let unit = report.shard_latency_unit();
         for shard in &report.shards {
             let quantiles = shard.latency.percentiles(&[0.50, 0.95, 0.99]);
@@ -287,5 +171,5 @@ fn main() -> ExitCode {
     println!("{}", table.render());
     println!("{}", shard_table.render());
     println!("{}", cache_table.render());
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,13 +1,15 @@
 //! Command-line flag parsing shared by every scenario binary.
 //!
-//! All eleven harness binaries (`scenario1` … `scenario7`,
-//! `scenario_k_sweep`, `scenario_multicap`, `scenario_sharded`,
-//! `scenario_adaptive`) accept one flag vocabulary,
+//! All seven harness binaries (`scenario <N>`, `scenario_k_sweep`,
+//! `scenario_multicap`, `scenario_sharded`, `scenario_adaptive`,
+//! `scenario_failover`, `scenario_overload`) accept one flag vocabulary,
 //! parsed here — scale (`--quick`, `--volunteers`/`--providers`,
 //! `--duration`, `--arrival`, `--queries`), determinism (`--seed`), the
 //! KnBest knobs (`--k`, `--kn`), the sharded-service knobs (`--shards`,
 //! `--batch`) and output (`--csv`). Binaries that do not use a flag simply
 //! ignore it, so adding a knob (like `--shards`) lands in exactly one place.
+
+use std::process::ExitCode;
 
 use sbqa_boinc::{Scenario, ScenarioId};
 
@@ -39,8 +41,8 @@ pub struct HarnessOptions {
     pub queries: Option<usize>,
 }
 
-/// The usage line `--help` / `-h` prints.
-pub const USAGE: &str = "usage: scenarioN [--quick] [--volunteers N | --providers N] \
+/// The usage line `--help` / `-h` prints (only `scenario` takes the `N`).
+pub const USAGE: &str = "usage: scenario N [--quick] [--volunteers N | --providers N] \
      [--duration S] [--arrival RATE] [--seed SEED] [--k K] [--kn KN] \
      [--shards N1,N2,...] [--batch B] [--queries Q] [--csv PATH]";
 
@@ -160,11 +162,16 @@ fn wants_help(args: &[String]) -> bool {
 }
 
 /// Parses the process arguments — the shared preamble of every harness
-/// binary. `--help` / `-h` prints the usage line to stdout and exits 0; a
-/// parse error goes to stderr and exits 1.
+/// binary.
 #[must_use]
 pub fn parse_env_or_exit() -> HarnessOptions {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_or_exit(std::env::args().skip(1).collect())
+}
+
+/// Parses `args`. `--help` / `-h` prints the usage line to stdout and exits
+/// 0; a parse error goes to stderr and exits 1.
+#[must_use]
+pub fn parse_or_exit(args: Vec<String>) -> HarnessOptions {
     if wants_help(&args) {
         println!("{USAGE}");
         std::process::exit(0);
@@ -174,6 +181,19 @@ pub fn parse_env_or_exit() -> HarnessOptions {
         Err(message) => {
             eprintln!("{message}");
             std::process::exit(1);
+        }
+    }
+}
+
+/// Turns a harness body's verdict into the process exit code, printing the
+/// failure to stderr.
+#[must_use]
+pub fn exit(verdict: Result<(), String>) -> ExitCode {
+    match verdict {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -1,10 +1,13 @@
 //! # sbqa-bench
 //!
-//! The experiment harness: scenario binaries (one per demonstration scenario,
-//! `scenario1` … `scenario7`, plus the `scenario_k_sweep` ablation, the
-//! `scenario_multicap` postings-merge experiment, the `scenario_sharded`
-//! mediation-service sweep and the `scenario_adaptive` self-tuned-`kn`
-//! comparison) and the Criterion micro-benchmarks in `benches/`.
+//! The experiment harness: scenario binaries (`scenario <N>` for the paper's
+//! seven demonstration scenarios, plus the `scenario_k_sweep` ablation, the
+//! `scenario_multicap` postings-merge experiment and the four service-level
+//! harnesses over [`world`]'s population — the `scenario_sharded`
+//! mediation-service sweep, the `scenario_adaptive` self-tuned-`kn`
+//! comparison, the `scenario_failover` crash-and-promote check and the
+//! `scenario_overload` degradation frontier) and the Criterion
+//! micro-benchmarks in `benches/`.
 //!
 //! Every binary accepts the same flags, parsed by the shared [`cli`] module:
 //!
@@ -15,14 +18,14 @@
 //!   `--arrival RATE`, `--seed SEED` — override individual scale parameters;
 //! * `--k K`, `--kn KN` — override the KnBest knobs of the preset;
 //! * `--shards N1,N2,...`, `--batch B`, `--queries Q` — the sharded
-//!   mediation-service knobs (used by `scenario_sharded` and
-//!   `scenario_adaptive`);
+//!   mediation-service knobs (used by the four service-level harnesses);
 //! * `--csv PATH` — additionally dump every time series (the analogue of the
 //!   demo's live plots) as long-format CSV.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod world;
 
 use std::fs;
 use std::process::ExitCode;
@@ -42,10 +45,26 @@ pub fn emit(outcome: &ScenarioOutcome, options: &HarnessOptions) -> Result<(), S
     Ok(())
 }
 
-/// Entry point shared by the seven scenario binaries.
+/// Entry point of the `scenario` binary: `scenario <1-7> [flags]`.
 #[must_use]
-pub fn scenario_main(id: ScenarioId) -> ExitCode {
-    let options = cli::parse_env_or_exit();
+pub fn scenario_main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let id = args.first().and_then(|raw| {
+        let number = raw.parse().ok()?;
+        ScenarioId::all()
+            .into_iter()
+            .find(|id| id.number() == number)
+    });
+    if id.is_some() {
+        args.remove(0);
+    }
+    let options = cli::parse_or_exit(args);
+    let Some(id) = id else {
+        return cli::exit(Err(format!(
+            "expected a scenario number (1-7) before the flags\n{}",
+            cli::USAGE
+        )));
+    };
     let scenario = options.scenario(id);
     eprintln!(
         "running scenario {} ({} volunteers, {:.0} virtual seconds)…",
@@ -53,19 +72,12 @@ pub fn scenario_main(id: ScenarioId) -> ExitCode {
         scenario.population.volunteers,
         scenario.sim.duration
     );
-    match scenario.run() {
-        Ok(outcome) => match emit(&outcome, &options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(err) => {
-            eprintln!("scenario failed: {err}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit(
+        scenario
+            .run()
+            .map_err(|err| format!("scenario failed: {err}"))
+            .and_then(|outcome| emit(&outcome, &options)),
+    )
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ mod tests {
         assert_eq!(lib.crate_name, "core");
         assert_eq!(lib.kind, FileKind::Library);
 
-        let bin = classify(Path::new("crates/bench/src/bin/scenario1.rs")).unwrap();
+        let bin = classify(Path::new("crates/bench/src/bin/scenario.rs")).unwrap();
         assert_eq!(bin.crate_name, "bench");
         assert_eq!(bin.kind, FileKind::Library);
 

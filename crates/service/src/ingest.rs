@@ -83,7 +83,7 @@ use std::time::Instant;
 
 use sbqa_core::allocator::IntentionOracle;
 use sbqa_core::DegradationConfig;
-use sbqa_types::{SbqaError, SbqaResult};
+use sbqa_types::SbqaResult;
 
 use crate::report::{OutcomeRecord, ServiceReport};
 use crate::ring::BoundedRing;
@@ -319,21 +319,9 @@ fn drain(
             let query = &envelope.query;
             // A replication fault stays on the shard, which then takes no
             // query; the loop goes on so that the ring keeps emptying.
+            let index = shard.index();
             if let Ok(result) = shard.submit(query, oracle, envelope.enqueued) {
-                let (selected, starved, shed) = match result {
-                    Ok(decision) => (decision.selected.clone(), false, false),
-                    Err(SbqaError::QueryShed { .. }) => (Vec::new(), false, true),
-                    Err(_) => (Vec::new(), true, false),
-                };
-                outcomes.push(OutcomeRecord {
-                    shard: shard.index(),
-                    query: query.id,
-                    consumer: query.consumer,
-                    issued_at: query.issued_at,
-                    selected,
-                    starved,
-                    shed,
-                });
+                outcomes.push(OutcomeRecord::from_result(index, query, result));
             }
             if envelope.chunk_end {
                 // Its errors are replication faults too: kept on the shard.
@@ -349,8 +337,8 @@ mod tests {
     use super::*;
     use sbqa_core::StaticIntentions;
     use sbqa_types::{
-        Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
-        VirtualTime,
+        Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SbqaError,
+        SystemConfig, VirtualTime,
     };
 
     fn build_service(shards: usize, providers: u64) -> ShardedMediator {

@@ -11,10 +11,11 @@
 //!   latency can be compared *across* shards;
 //! * the aggregate [`BatchReport`] and latency distribution.
 
+use sbqa_core::allocator::AllocationDecision;
 use sbqa_core::{BatchReport, DegradationStats, KnAdjustment, PlanCacheStats};
 use sbqa_metrics::{LatencyRecorder, LatencyUnit};
 use sbqa_replication::ReplicationStats;
-use sbqa_types::{ConsumerId, ProviderId, QueryId, SbqaError, VirtualTime};
+use sbqa_types::{ConsumerId, ProviderId, Query, QueryId, SbqaError, SbqaResult, VirtualTime};
 
 /// The service-visible outcome of one query's mediation.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +41,31 @@ pub struct OutcomeRecord {
 }
 
 impl OutcomeRecord {
+    /// Classifies what [`MediatorShard::submit`](crate::MediatorShard::submit)
+    /// answered for `query` at `shard`: a decision, a shed
+    /// ([`SbqaError::QueryShed`]) or — any other error — a starvation.
+    #[must_use]
+    pub fn from_result(
+        shard: usize,
+        query: &Query,
+        result: SbqaResult<&AllocationDecision>,
+    ) -> Self {
+        let (selected, starved, shed) = match result {
+            Ok(decision) => (decision.selected.clone(), false, false),
+            Err(SbqaError::QueryShed { .. }) => (Vec::new(), false, true),
+            Err(_) => (Vec::new(), true, false),
+        };
+        Self {
+            shard,
+            query: query.id,
+            consumer: query.consumer,
+            issued_at: query.issued_at,
+            selected,
+            starved,
+            shed,
+        }
+    }
+
     /// The merge key: outcomes are ordered by issue time, ties broken by
     /// query id.
     #[must_use]

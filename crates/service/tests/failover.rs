@@ -485,18 +485,7 @@ fn a_threaded_replicated_degrading_run_survives_a_crash_byte_identically() {
     let mut inline_outcomes = Vec::new();
     for batch in stream.chunks(64) {
         inline.submit_batch(batch, &*burst_oracle(), |_, q, r| {
-            inline_outcomes.push(match r {
-                Ok(d) => (
-                    q.id.raw(),
-                    d.selected.iter().map(|p| p.raw()).collect(),
-                    false,
-                    false,
-                ),
-                Err(sbqa_types::SbqaError::QueryShed { .. }) => {
-                    (q.id.raw(), Vec::new(), false, true)
-                }
-                Err(_) => (q.id.raw(), Vec::new(), true, false),
-            });
+            inline_outcomes.push(outcome(&OutcomeRecord::from_result(0, q, r)));
         });
     }
     let inline_stats = ServiceReport::merge(inline.shard_reports(), Vec::new(), Duration::ZERO)

@@ -21,43 +21,42 @@
 //!
 //! Everything is driven by a virtual clock and a binary-heap event queue;
 //! runs are fully deterministic for a given seed.
+//!
+//! That closed loop ([`Simulation`] on the [`EventQueue`]) measures the
+//! *system* around one mediator. The crate's second — and only other — loop
+//! is the open one: [`openloop::run`] drives a pre-generated arrival stream
+//! ([`generate_query_stream`]) through the mediation *service* a
+//! [`ServiceRun`] declares (shards, driver, ladder, standbys, adaptive `kn`,
+//! a [`Timeline`] of crashes and resizes) inside a [`World`]
+//! ([`HashWorld`], [`LoadFeedback`]), consulting the seeded [`oracle`]s.
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod config;
 pub mod consumer;
 pub mod departure;
 pub mod event;
-pub mod failover;
 pub mod network;
-pub mod overload;
+pub mod openloop;
+pub mod oracle;
 pub mod provider;
 pub mod report;
 pub mod rng;
 pub mod runner;
-pub mod sharded;
 pub mod workload;
 
-pub use adaptive::{
-    generate_stepped_stream, run_adaptive_case, AdaptiveOracle, AdaptiveRunConfig,
-    AdaptiveRunReport, LoadStep,
-};
 pub use config::{DeparturePolicy, NetworkConfig, SimulationConfig};
 pub use consumer::{ConsumerSpec, ConsumerState};
 pub use event::{Event, EventQueue, ScheduledEvent};
-pub use failover::{run_replicated_service, FailoverRunConfig, FailoverRunReport, FaultPlan};
 pub use network::NetworkModel;
-pub use overload::{
-    admitted_satisfaction, outcome_digest, run_overload_service, shed_digest, OverloadRunConfig,
-    OverloadRunReport,
+pub use openloop::{
+    admitted_satisfaction, outcome_digest, run, run_single_mediator, shed_digest,
+    timed_outcome_digest, Boundary, HashWorld, LoadFeedback, Promotion, RunEvent, ServiceRun,
+    ServiceRunReport, Timeline, World,
 };
+pub use oracle::{mix, AdaptiveOracle, HashIntentions};
 pub use provider::{ProviderSpec, ProviderState};
 pub use report::{ParticipantCounts, SimulationReport};
 pub use rng::SimRng;
 pub use runner::{Simulation, SimulationBuilder};
-pub use sharded::{
-    generate_query_stream, run_sharded_service, run_single_mediator, BaselineRun, HashIntentions,
-    ShardedRunConfig,
-};
-pub use workload::WorkloadModel;
+pub use workload::{generate_query_stream, LoadStep, WorkloadModel};

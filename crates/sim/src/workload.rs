@@ -7,9 +7,14 @@
 //! when the consumer declares extra capability classes — a configurable mix
 //! of single- and multi-capability requirements (`All`/`Any` semantics).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use serde::{Deserialize, Serialize};
 
-use sbqa_types::{CapabilityRequirement, Duration, Query, QueryClass, QueryId, VirtualTime};
+use sbqa_types::{
+    CapabilityRequirement, Duration, IdGenerator, Query, QueryClass, QueryId, VirtualTime,
+};
 
 use crate::consumer::ConsumerSpec;
 use crate::rng::SimRng;
@@ -152,6 +157,77 @@ impl WorkloadModel {
     }
 }
 
+/// A mid-stream arrival-rate step: after `at_fraction` of the stream has
+/// been generated, every consumer's arrival rate is multiplied by
+/// `rate_multiplier`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadStep {
+    /// Fraction of the stream (in `[0, 1]`) generated at the base rates.
+    pub at_fraction: f64,
+    /// Rate multiplier applied from that point on (≥ 1 steps the load up).
+    pub rate_multiplier: f64,
+}
+
+/// Generates a deterministic open-loop arrival stream: every consumer emits
+/// queries as an independent Poisson process (via the shared
+/// [`WorkloadModel`]), merged in arrival order with ids minted in that
+/// order — so the stream is sorted by `(issued_at, id)`, the natural batch
+/// order both mediation fronts expect.
+///
+/// A [`LoadStep`] divides the sampled inter-arrival delays by its multiplier
+/// rather than re-parameterising the distribution, so per-event RNG
+/// consumption is unchanged; the post-step interleaving of consumers can
+/// still differ from the unstepped stream (denser arrivals pop in a
+/// different merge order). Techniques compared on the *same* generated
+/// stream see byte-identical queries either way.
+#[must_use]
+pub fn generate_query_stream(
+    consumers: &[ConsumerSpec],
+    workload: &WorkloadModel,
+    count: usize,
+    seed: u64,
+    step: Option<LoadStep>,
+) -> Vec<Query> {
+    assert!(
+        !consumers.is_empty(),
+        "a stream needs at least one consumer"
+    );
+    // (first stepped position, divisor of the delays sampled from there on).
+    let (switch_at, multiplier) = step.map_or((usize::MAX, 1.0), |step| {
+        let valid = step.rate_multiplier.is_finite() && step.rate_multiplier > 0.0;
+        (
+            ((count as f64) * step.at_fraction.clamp(0.0, 1.0)) as usize,
+            if valid { step.rate_multiplier } else { 1.0 },
+        )
+    });
+    let master = SimRng::new(seed);
+    // Mirror the event-driven runner's stream split so the two paths stay
+    // decorrelated the same way.
+    let mut arrival_rng = master.derive(1);
+    let mut workload_rng = master.derive(3);
+    let mut ids = IdGenerator::new();
+
+    // (next arrival time, consumer position), min-first.
+    let mut heap: BinaryHeap<Reverse<(VirtualTime, usize)>> = BinaryHeap::new();
+    for (position, spec) in consumers.iter().enumerate() {
+        let delay = workload.next_arrival(spec, &mut arrival_rng);
+        heap.push(Reverse((VirtualTime::ZERO + delay, position)));
+    }
+
+    let mut stream = Vec::with_capacity(count);
+    while stream.len() < count {
+        let Reverse((at, position)) = heap.pop().expect("heap holds every consumer");
+        let spec = &consumers[position];
+        stream.push(workload.next_query(ids.next_query(), spec, at, &mut workload_rng));
+        let mut delay = workload.next_arrival(spec, &mut arrival_rng);
+        if stream.len() >= switch_at {
+            delay = Duration::new(delay.seconds() / multiplier);
+        }
+        heap.push(Reverse((at + delay, position)));
+    }
+    stream
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +243,69 @@ mod tests {
             2,
             ConsumerProfile::default(),
         )
+    }
+
+    fn consumers(n: u64) -> Vec<ConsumerSpec> {
+        (0..n)
+            .map(|c| {
+                ConsumerSpec::new(
+                    ConsumerId::new(c),
+                    Capability::new((c % 3) as u8),
+                    2.0,
+                    1.0,
+                    1,
+                    ConsumerProfile::default(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stream_generation_is_deterministic_and_ordered() {
+        let consumers = consumers(3);
+        let workload = WorkloadModel::default();
+        let a = generate_query_stream(&consumers, &workload, 200, 9, None);
+        let b = generate_query_stream(&consumers, &workload, 200, 9, None);
+        assert_eq!(a, b);
+        let c = generate_query_stream(&consumers, &workload, 200, 10, None);
+        assert_ne!(a, c);
+        // Sorted by (issued_at, id); ids minted in arrival order.
+        assert!(a
+            .windows(2)
+            .all(|w| (w[0].issued_at, w[0].id) <= (w[1].issued_at, w[1].id)));
+        assert_eq!(a[0].id, QueryId::new(0));
+        assert_eq!(a.len(), 200);
+    }
+
+    #[test]
+    fn load_step_compresses_arrivals_after_the_switch() {
+        let consumers = consumers(3);
+        let workload = WorkloadModel::default();
+        let step = LoadStep {
+            at_fraction: 0.5,
+            rate_multiplier: 4.0,
+        };
+        let stream = generate_query_stream(&consumers, &workload, 2_000, 7, Some(step));
+        assert_eq!(stream.len(), 2_000);
+        // Ids are minted in arrival order, like the unstepped generator.
+        assert!(stream
+            .iter()
+            .enumerate()
+            .all(|(i, q)| q.id == QueryId::new(i as u64)));
+        // The second half arrives ~4x denser.
+        let span =
+            |qs: &[Query]| (qs.last().unwrap().issued_at - qs.first().unwrap().issued_at).seconds();
+        let first = span(&stream[..1_000]);
+        let second = span(&stream[1_000..]);
+        assert!(
+            second < first / 2.0,
+            "post-step half spans {second}s vs {first}s before"
+        );
+        // Virtual time still advances monotonically.
+        assert!(stream.windows(2).all(|w| w[0].issued_at <= w[1].issued_at));
+        // Up to the switch the step changes nothing.
+        let plain = generate_query_stream(&consumers, &workload, 2_000, 7, None);
+        assert_eq!(stream[..1_000], plain[..1_000]);
     }
 
     #[test]

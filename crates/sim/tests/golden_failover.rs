@@ -12,8 +12,8 @@
 use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
 use sbqa_core::SystemConfig;
 use sbqa_sim::{
-    generate_query_stream, run_replicated_service, ConsumerSpec, FailoverRunConfig, FaultPlan,
-    ProviderSpec, WorkloadModel,
+    generate_query_stream, run, timed_outcome_digest, ConsumerSpec, HashWorld, ProviderSpec,
+    RunEvent, ServiceRun, ServiceRunReport, Timeline, WorkloadModel,
 };
 use sbqa_types::{Capability, CapabilitySet, ConsumerId, ProviderId, VirtualTime};
 
@@ -54,76 +54,76 @@ fn providers() -> Vec<ProviderSpec> {
         .collect()
 }
 
-fn config() -> FailoverRunConfig {
-    FailoverRunConfig {
+fn replicated(timeline: Timeline, stream: &[sbqa_types::Query]) -> ServiceRunReport {
+    let config = ServiceRun {
         shards: 2,
         batch: 32,
-        seed: 42,
-        system: SystemConfig::default().with_knbest(10, 3),
-        checkpoint_interval: 4,
-        churn_per_batch: 5,
-    }
+        replicate: Some(4),
+        timeline,
+        ..ServiceRun::new(SystemConfig::default().with_knbest(10, 3), 42)
+    };
+    let mut world = HashWorld::new(42, 5);
+    run(&config, &providers(), &consumers(), stream, &mut world).unwrap()
 }
 
 #[test]
 fn failover_run_seed42_is_byte_identical_and_pinned() {
-    let consumers = consumers();
-    let providers = providers();
-    let stream = generate_query_stream(&consumers, &WorkloadModel::default(), 400, 42);
-    let config = config();
+    let stream = generate_query_stream(&consumers(), &WorkloadModel::default(), 400, 42, None);
 
-    let calm = run_replicated_service(&config, &providers, &consumers, &stream, &FaultPlan::new())
-        .unwrap();
+    let calm = replicated(Timeline::new(), &stream);
     let crash_time = stream[stream.len() / 2].issued_at;
-    let plan = FaultPlan::new()
-        .crash_at(crash_time, 0)
-        .crash_at(crash_time, 1);
-    let stormy = run_replicated_service(&config, &providers, &consumers, &stream, &plan).unwrap();
+    let plan = Timeline::new()
+        .at(crash_time, RunEvent::Crash { shard: 0 })
+        .at(crash_time, RunEvent::Crash { shard: 1 });
+    let stormy = replicated(plan, &stream);
+    let digest = |run: &ServiceRunReport| timed_outcome_digest(&run.report.outcomes);
 
     // On drift, these are the replacement values for the GOLDEN constants.
     println!(
         "mediated {} starved {} digest {:#018x} crash at {}",
-        calm.mediated(),
-        calm.starved(),
-        calm.outcome_digest(),
+        calm.report.total.mediated,
+        calm.report.total.starved,
+        digest(&calm),
         crash_time.seconds(),
     );
 
     // The headline property: a run that loses both primaries mid-stream is
     // byte-identical to one that never crashed.
-    assert_eq!(stormy.crashes_fired, 2);
-    assert_eq!(calm.outcomes, stormy.outcomes);
-    assert_eq!(calm.outcome_digest(), stormy.outcome_digest());
+    assert_eq!(stormy.events_fired, 2);
+    assert_eq!(calm.report.outcomes, stormy.report.outcomes);
+    assert_eq!(digest(&calm), digest(&stormy));
 
     // The pinned trajectory: both runs must also match history.
-    assert_eq!(calm.mediated(), GOLDEN_MEDIATED, "mediated count drifted");
-    assert_eq!(calm.starved(), GOLDEN_STARVED, "starved count drifted");
+    let total = calm.report.total;
+    assert_eq!(total.mediated, GOLDEN_MEDIATED, "mediated count drifted");
+    assert_eq!(total.starved, GOLDEN_STARVED, "starved count drifted");
     assert_eq!(
-        calm.outcome_digest(),
+        digest(&calm),
         GOLDEN_DIGEST,
         "outcome stream digest drifted"
     );
 
     // Promotion really happened and really replayed work.
-    let stats = stormy.replication_stats().unwrap();
+    let stats = stormy.report.replication_stats().unwrap();
     assert_eq!(stats.promotions, 2);
     let replayed: usize = stormy
-        .replays
+        .promotions
         .iter()
-        .map(|(_, r)| r.queries_mediated + r.queries_starved)
+        .map(|p| p.replay.queries_mediated + p.replay.queries_starved)
         .sum();
     assert!(replayed > 0, "promotion replayed no journaled queries");
 }
 
 #[test]
 fn failover_run_seed42_is_reproducible() {
-    let consumers = consumers();
-    let providers = providers();
-    let stream = generate_query_stream(&consumers, &WorkloadModel::default(), 400, 42);
-    let plan = FaultPlan::new().crash_at(VirtualTime::new(10.0), 1);
-    let a = run_replicated_service(&config(), &providers, &consumers, &stream, &plan).unwrap();
-    let b = run_replicated_service(&config(), &providers, &consumers, &stream, &plan).unwrap();
-    assert_eq!(a.outcomes, b.outcomes);
-    assert_eq!(a.crashes_fired, b.crashes_fired);
-    assert_eq!(a.outcome_digest(), b.outcome_digest());
+    let stream = generate_query_stream(&consumers(), &WorkloadModel::default(), 400, 42, None);
+    let plan = Timeline::new().at(VirtualTime::new(10.0), RunEvent::Crash { shard: 1 });
+    let a = replicated(plan.clone(), &stream);
+    let b = replicated(plan, &stream);
+    assert_eq!(a.report.outcomes, b.report.outcomes);
+    assert_eq!(a.events_fired, b.events_fired);
+    assert_eq!(
+        timed_outcome_digest(&a.report.outcomes),
+        timed_outcome_digest(&b.report.outcomes)
+    );
 }

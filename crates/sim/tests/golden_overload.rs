@@ -10,10 +10,10 @@
 
 use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
 use sbqa_core::{DegradationConfig, SystemConfig};
-use sbqa_service::IngestConfig;
+use sbqa_service::ServiceReport;
 use sbqa_sim::{
-    generate_stepped_stream, run_overload_service, ConsumerSpec, LoadStep, OverloadRunConfig,
-    ProviderSpec, WorkloadModel,
+    generate_query_stream, outcome_digest, run, shed_digest, ConsumerSpec, HashWorld, LoadStep,
+    ProviderSpec, ServiceRun, WorkloadModel,
 };
 use sbqa_types::{Capability, CapabilitySet, ConsumerId, ProviderId};
 
@@ -56,93 +56,90 @@ fn providers() -> Vec<ProviderSpec> {
         .collect()
 }
 
-fn config(batch: usize) -> OverloadRunConfig {
-    OverloadRunConfig {
+const STEP: LoadStep = LoadStep {
+    at_fraction: 0.25,
+    rate_multiplier: 100.0,
+};
+
+fn overloaded(batch: usize, stream: &[sbqa_types::Query]) -> ServiceReport {
+    let config = ServiceRun {
         shards: 2,
         batch,
-        seed: 42,
-        system: SystemConfig::default().with_knbest(10, 3),
-        ingest: IngestConfig {
-            ring_capacity: 256,
-            // The base arrival rate of the 4 consumers is ~8/s; the ladder's
-            // drain model sits comfortably above it, so the pre-step stream
-            // rides Normal. The 100× step (→ ~800/s) buries the model and
-            // must climb every tier.
-            degradation: Some(DegradationConfig {
-                capacity: 64,
-                drain_rate: 40.0,
-                ..DegradationConfig::default()
-            }),
-        },
-        step: Some(LoadStep {
-            at_fraction: 0.25,
-            rate_multiplier: 100.0,
+        threaded: Some(256),
+        // The base arrival rate of the 4 consumers is ~8/s; the ladder's
+        // drain model sits comfortably above it, so the pre-step stream
+        // rides Normal. The 100× step (→ ~800/s) buries the model and
+        // must climb every tier.
+        ladder: Some(DegradationConfig {
+            capacity: 64,
+            drain_rate: 40.0,
+            ..DegradationConfig::default()
         }),
-    }
+        ..ServiceRun::new(SystemConfig::default().with_knbest(10, 3), 42)
+    };
+    let mut world = HashWorld::new(42, 0);
+    run(&config, &providers(), &consumers(), stream, &mut world)
+        .unwrap()
+        .report
 }
 
 #[test]
 fn overload_run_seed42_is_byte_identical_and_pinned() {
-    let consumers = consumers();
-    let providers = providers();
-    let config = config(64);
-    let stream = generate_stepped_stream(
-        &consumers,
+    let stream = generate_query_stream(
+        &consumers(),
         &WorkloadModel::default(),
         STREAM_LEN,
-        config.seed,
-        config.step,
+        42,
+        Some(STEP),
     );
 
-    let golden = run_overload_service(&config, &providers, &consumers, &stream).unwrap();
+    let golden = overloaded(64, &stream);
+    let digest = outcome_digest(&golden.outcomes);
+    let shed = shed_digest(&golden.outcomes);
 
     // On drift, these are the replacement values for the GOLDEN constants.
     println!(
-        "digest {:#018x} shed_digest {:#018x} shed {}",
-        golden.digest, golden.shed_digest, golden.shed
+        "digest {digest:#018x} shed_digest {shed:#018x} shed {}",
+        golden.shed()
     );
 
     // All three degraded tiers (and Normal) are exercised and counted.
-    let stats = golden.degradation.expect("ladder armed");
+    let stats = golden.degradation_stats().expect("ladder armed");
     assert!(stats.normal > 0, "tier counters: {stats:?}");
     assert!(stats.shrink_kn > 0, "tier counters: {stats:?}");
     assert!(stats.baseline > 0, "tier counters: {stats:?}");
     assert!(stats.shed > 0, "tier counters: {stats:?}");
     // Conservation over the whole stream.
     assert_eq!(stats.observed() as usize, STREAM_LEN);
-    assert_eq!(golden.report.outcomes.len(), STREAM_LEN);
+    assert_eq!(golden.outcomes.len(), STREAM_LEN);
     assert_eq!(
         stats.admitted() as usize,
-        golden.report.total.submitted(),
+        golden.total.submitted(),
         "admitted = mediated + starved"
     );
 
     // Byte-identical across runs.
-    let again = run_overload_service(&config, &providers, &consumers, &stream).unwrap();
-    assert_eq!(golden.digest, again.digest);
-    assert_eq!(golden.shed_digest, again.shed_digest);
+    let again = overloaded(64, &stream);
+    assert_eq!(digest, outcome_digest(&again.outcomes));
+    assert_eq!(shed, shed_digest(&again.outcomes));
 
     // Byte-identical across producer chunk sizes.
     for batch in [16usize, 999] {
-        let mut rechunked_config = config.clone();
-        rechunked_config.batch = batch;
-        let rechunked =
-            run_overload_service(&rechunked_config, &providers, &consumers, &stream).unwrap();
+        let rechunked = overloaded(batch, &stream);
         assert_eq!(
-            golden.digest, rechunked.digest,
+            digest,
+            outcome_digest(&rechunked.outcomes),
             "chunk size {batch} changed the outcome stream"
         );
         assert_eq!(
-            golden.shed_digest, rechunked.shed_digest,
+            shed,
+            shed_digest(&rechunked.outcomes),
             "chunk size {batch} changed the shed set"
         );
     }
 
     // The pinned trajectory: the run must also match history.
-    assert_eq!(golden.digest, GOLDEN_DIGEST, "outcome digest drifted");
-    assert_eq!(
-        golden.shed_digest, GOLDEN_SHED_DIGEST,
-        "shed-set digest drifted"
-    );
-    assert_eq!(golden.shed, GOLDEN_SHED, "shed count drifted");
+    assert_eq!(digest, GOLDEN_DIGEST, "outcome digest drifted");
+    assert_eq!(shed, GOLDEN_SHED_DIGEST, "shed-set digest drifted");
+    assert_eq!(golden.shed(), GOLDEN_SHED, "shed count drifted");
 }

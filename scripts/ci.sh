@@ -36,7 +36,7 @@ echo "== examples and benches compile"
 cargo build --examples
 cargo bench --no-run -p sbqa_bench
 
-echo "== bench smoke: scenario1 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry and cache benches"
+echo "== bench smoke: scenario 1 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry and cache benches"
 # Exercises the allocation hot path end-to-end (golden-output protected by
 # tests/golden_scenario1.rs), the multi-capability postings-merge path
 # (golden-output protected by tests/golden_multicap.rs; the candidate-plan
@@ -55,7 +55,7 @@ echo "== bench smoke: scenario1 --quick, scenario_multicap --quick, scenario_sha
 # promoted run's merged outcome stream is byte-identical to the
 # uninterrupted one, so replication replay is exercised end-to-end on every
 # CI run.
-cargo run --release -p sbqa_bench --bin scenario1 -- --quick > /dev/null
+cargo run --release -p sbqa_bench --bin scenario -- 1 --quick > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_multicap -- --quick > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_sharded -- --quick --shards 1,2 > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_adaptive -- --quick > /dev/null
@@ -81,7 +81,7 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, threaded+replicated+degrading composition, replay_prop, postings_prop)"
+echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. The
@@ -104,12 +104,18 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # uninterrupted stream. postings_prop holds a merged candidate plan to the
 # naive ordered-set merge on every container mix (Array, Bitmap, mixed, the
 # promote-demote boundary), before and after slab compactions re-point its
-# members' slots.
+# members' slots. golden_adaptive pins a stepped load-feedback run of the
+# open-loop driver (tallies, departures, satisfaction bits, controller
+# trail); golden_compositions pins what one declared run composes: a crash
+# while shedding after a live resize (crashed = uncrashed, inline = threaded,
+# chunk 64 = chunk 17) and both primaries lost behind a churned standby that
+# never checkpoints.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication --test replay_prop -q
 cargo test --release -p sbqa_core --test postings_prop -q
-cargo test --release -p sbqa_sim --test golden_failover --test golden_overload -q
+cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
+    --test golden_adaptive --test golden_compositions -q
 
 echo "== benchmark smoke: perf/run.sh --quick"
 # The benchmark's own correctness gates on a 2 000-provider world (its

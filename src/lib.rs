@@ -24,7 +24,7 @@
 //!   per-shard bounded rings and threads, with per-shard tail-latency
 //!   instrumentation, degradation ladders and promotable standbys;
 //! * [`sim`] — the discrete-event simulator standing in for SimJava, plus
-//!   the open-loop sharded runner path ([`sim::sharded`]);
+//!   the open-loop driver of the mediation service ([`sim::openloop`]);
 //! * [`boinc`] — the BOINC-shaped volunteer-computing workload and the seven
 //!   demonstration scenarios;
 //! * [`metrics`] — the measurement toolkit shared by every experiment.
