@@ -2,7 +2,10 @@
 //! population size (`|Pq|`) and of `k`/`kn`. KnBest's point is precisely to
 //! keep the per-query work bounded even when thousands of providers are
 //! capable, so the interesting series is how flat the cost stays as `|Pq|`
-//! grows.
+//! grows. The slice series time the draw and the filter alone; the
+//! `select_block/map_100k` series adds what a registry-backed view costs on
+//! top — a rank-select per drawn position into Bitmap postings chunks and a
+//! gather from a 100 000-row column slab.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -10,7 +13,8 @@ use rand::SeedableRng;
 
 use sbqa_core::allocator::{Candidates, ProviderSnapshot};
 use sbqa_core::knbest::{KnBestScratch, KnBestSelector};
-use sbqa_types::{CapabilitySet, ProviderId};
+use sbqa_core::PostingsMap;
+use sbqa_types::{CapabilitySet, ProviderColumns, ProviderId};
 
 fn population(n: usize) -> Vec<ProviderSnapshot> {
     (0..n)
@@ -69,6 +73,25 @@ fn bench_knbest(c: &mut Criterion) {
             },
         );
     }
+
+    // 100 000 members on every third id: five Bitmap chunks of ~21 845.
+    let mut columns = ProviderColumns::new();
+    let mut map = PostingsMap::new();
+    for row in population(100_000) {
+        let id = ProviderId::new(row.id.raw() * 3);
+        let slot = columns.push(ProviderSnapshot { id, ..row });
+        map.insert(id, slot as u32);
+    }
+    group.bench_function("select_block/map_100k", |b| {
+        let selector = KnBestSelector::new(20, 4);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut scratch = KnBestScratch::new();
+        b.iter(|| {
+            let view = Candidates::from_map(black_box(&columns), black_box(&map));
+            let kn = selector.select_block(view, &mut rng, &mut scratch);
+            black_box(kn.len())
+        });
+    });
 
     group.finish();
 }

@@ -67,6 +67,15 @@ fn bench_windows(c: &mut Criterion) {
         );
     }
 
+    // The read alone, as SbQA pays it per candidate to resolve ω.
+    group.bench_function("provider_read/window=50", |b| {
+        let mut tracker = ProviderSatisfaction::new(50);
+        for i in 0..50u64 {
+            tracker.record_proposal(QueryId::new(i), Intention::new(0.3), i % 2 == 0);
+        }
+        b.iter(|| black_box(black_box(&tracker).satisfaction()));
+    });
+
     group.bench_function("registry_record_mediation/kn=4", |b| {
         let mut registry = SatisfactionRegistry::new(50);
         let proposals: Vec<(ProviderId, Intention, bool)> = (0..4)

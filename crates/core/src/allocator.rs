@@ -72,9 +72,10 @@ pub struct PlanToken {
 /// Positions `0..len()` address candidates in a deterministic order — for
 /// registry-backed views that order is ascending provider id by
 /// construction. [`Candidates::get`] assembles a row by value from the
-/// columns; hot paths that rank by a single field should prefer
-/// [`Candidates::load_key`] (utilization + id only) or gather the whole set
-/// once into a dense [`CandidateBlock`] and score column-wise.
+/// columns; hot paths that rank a few drawn positions should prefer
+/// [`Candidates::load_keys`] (utilization + id only, gathered as a batch),
+/// those that rank the whole set gather it once into a dense
+/// [`CandidateBlock`] and score column-wise.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidates<'a> {
     view: View<'a>,
@@ -115,7 +116,7 @@ impl<'a> Candidates<'a> {
 
     /// A view over a bitmap postings map: candidates are the map's members
     /// in ascending id order, with nothing materialised. Positional access
-    /// ([`Candidates::get`], [`Candidates::load_key`]) rank-selects into the
+    /// ([`Candidates::get`], [`Candidates::load_keys`]) rank-selects into the
     /// map; sequential access ([`Candidates::iter`],
     /// [`Candidates::gather_all_into`]) streams it.
     #[must_use]
@@ -188,39 +189,52 @@ impl<'a> Candidates<'a> {
     pub fn get(&self, pos: usize) -> ProviderSnapshot {
         match self.view {
             View::Slice(providers) => providers[pos],
-            View::Map { columns, map } => columns.snapshot(map.select(pos) as usize),
+            View::Map { columns, map } => columns.snapshot(map.select(pos).1 as usize),
             View::Merged {
                 columns,
                 set,
                 lists,
-            } => columns.snapshot(set.slot_at(lists, pos) as usize),
+            } => columns.snapshot(set.slot_at(lists, pos).1 as usize),
         }
     }
 
-    /// The `(utilization, id)` ranking key of the candidate at `pos`,
-    /// touching only the two columns KnBest orders by.
+    /// Gathers the ranking keys of the candidates at `positions` into `keys`
+    /// (cleared first), in the order given, touching only what KnBest orders
+    /// by.
+    ///
+    /// The gather runs in two phases over the whole batch: every position is
+    /// first resolved to its `(id, slot)` — the id rebuilt from the postings
+    /// key, so the id column is never read — and only then is the
+    /// utilization column read at the resolved slots. The cache misses of
+    /// one phase do not depend on one another, so they overlap instead of
+    /// queueing behind each position's rank-select.
     ///
     /// # Panics
-    /// Panics if `pos` is out of bounds.
-    #[must_use]
-    pub fn load_key(&self, pos: usize) -> (f64, ProviderId) {
+    /// Panics if a position is out of bounds.
+    pub fn load_keys(&self, positions: &[u32], keys: &mut Vec<RankKey>) {
         match self.view {
-            View::Slice(providers) => {
-                let p = &providers[pos];
-                (p.utilization, p.id)
-            }
-            View::Map { columns, map } => {
-                let slot = map.select(pos) as usize;
-                (columns.utilization()[slot], columns.ids()[slot])
-            }
+            View::Slice(providers) => gather_keys(
+                positions,
+                keys,
+                |pos| (providers[pos].id, pos as u32),
+                |slot| providers[slot].utilization,
+            ),
+            View::Map { columns, map } => gather_keys(
+                positions,
+                keys,
+                |pos| map.select(pos),
+                |slot| columns.utilization()[slot],
+            ),
             View::Merged {
                 columns,
                 set,
                 lists,
-            } => {
-                let slot = set.slot_at(lists, pos) as usize;
-                (columns.utilization()[slot], columns.ids()[slot])
-            }
+            } => gather_keys(
+                positions,
+                keys,
+                |pos| set.slot_at(lists, pos),
+                |slot| columns.utilization()[slot],
+            ),
         }
     }
 
@@ -288,6 +302,44 @@ impl<'a> Candidates<'a> {
         }
         block.token = self.token;
     }
+}
+
+/// The two phases of [`Candidates::load_keys`]: `resolve` every position to
+/// its `(id, slot)`, then read `utilization` at every resolved slot.
+fn gather_keys(
+    positions: &[u32],
+    keys: &mut Vec<RankKey>,
+    resolve: impl Fn(usize) -> (ProviderId, u32),
+    utilization: impl Fn(usize) -> f64,
+) {
+    keys.clear();
+    keys.extend(positions.iter().map(|&position| {
+        let (id, slot) = resolve(position as usize);
+        RankKey {
+            utilization: 0.0,
+            id,
+            position,
+            slot,
+        }
+    }));
+    for key in keys.iter_mut() {
+        key.utilization = utilization(key.slot as usize);
+    }
+}
+
+/// The ranking key of one candidate, as [`Candidates::load_keys`] gathers it:
+/// KnBest orders by `(utilization, id)`.
+#[derive(Debug, Clone, Copy)]
+pub struct RankKey {
+    /// The candidate's current utilization.
+    pub utilization: f64,
+    /// The candidate's id.
+    pub id: ProviderId,
+    /// The candidate's position in the view.
+    pub position: u32,
+    /// The candidate's slot in the backing columns (the position itself for
+    /// a slice view), carried from the gather's first phase to its second.
+    slot: u32,
 }
 
 /// Iterator over a [`Candidates`] view, yielding snapshots by value.
@@ -812,6 +864,19 @@ mod tests {
         cols
     }
 
+    /// The ids `load_keys` gathers for `positions`, which must come back
+    /// with their positions and the rows' utilizations.
+    fn key_ids(view: Candidates<'_>, positions: &[u32]) -> Vec<u64> {
+        let mut keys = Vec::new();
+        view.load_keys(positions, &mut keys);
+        for (key, &position) in keys.iter().zip(positions) {
+            assert_eq!(key.position, position);
+            assert_eq!(key.utilization, view.get(position as usize).utilization);
+        }
+        assert_eq!(keys.len(), positions.len());
+        keys.iter().map(|key| key.id.raw()).collect()
+    }
+
     #[test]
     fn candidates_slice_view_covers_everything() {
         let snapshots = slab(4);
@@ -819,7 +884,7 @@ mod tests {
         assert_eq!(view.len(), 4);
         assert!(!view.is_empty());
         assert_eq!(view.get(2).id, ProviderId::new(2));
-        assert_eq!(view.load_key(2), (0.0, ProviderId::new(2)));
+        assert_eq!(key_ids(view, &[2, 0]), vec![2, 0]);
         let ids: Vec<u64> = view.iter().map(|s| s.id.raw()).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
@@ -851,8 +916,9 @@ mod tests {
             assert_eq!(streamed, ids);
             for (pos, &raw) in ids.iter().enumerate() {
                 assert_eq!(view.get(pos).id.raw(), raw);
-                assert_eq!(view.load_key(pos).1.raw(), raw);
             }
+            let all: Vec<u32> = (0..ids.len() as u32).collect();
+            assert_eq!(key_ids(view, &all), ids);
         };
         let mut all = MergedSet::default();
         all.merge(&lists, 0b11, true);
@@ -905,8 +971,8 @@ mod tests {
         // Positional access rank-selects to the same enumeration.
         for (pos, &raw) in [2u64, 5, 9, 70_000].iter().enumerate() {
             assert_eq!(view.get(pos).id.raw(), raw);
-            assert_eq!(view.load_key(pos).1.raw(), raw);
         }
+        assert_eq!(key_ids(view, &[3, 0, 2, 1]), vec![70_000, 2, 9, 5]);
     }
 
     #[test]

@@ -19,15 +19,21 @@
 //! The draw is a *partial* Fisher–Yates over a persistent identity
 //! permutation ([`IndexPool`]): `k` swaps forward, `k` swaps undone, so one
 //! selection costs O(k) — independent of `|Pq|` — and, once the pool has
-//! grown to the population size, performs zero heap allocation. The
-//! utilization filter is a `select_nth_unstable` partition of the `k` drawn
-//! positions followed by a full sort of only the `kn` survivors.
+//! grown to the population size, performs zero heap allocation. The ranking
+//! keys of the `k` drawn positions are gathered as one batch
+//! ([`Candidates::load_keys`]: positions → slots first, the utilization
+//! column second, so the cache misses overlap). The utilization filter is a
+//! bounded insertion: the `kn` best keys seen so far are kept sorted, and a
+//! drawn key that does not beat the worst of them — most do not, once the
+//! buffer is full — costs one comparison. The order `(utilization, id)` is
+//! total, so the `kn` survivors and their order do not depend on how they
+//! were found.
 
 use rand::Rng;
 
 use sbqa_types::ProviderId;
 
-use crate::allocator::{Candidates, ProviderSnapshot};
+use crate::allocator::{Candidates, ProviderSnapshot, RankKey};
 
 /// A persistent identity permutation used to draw `count` distinct positions
 /// out of `0..population` uniformly at random in O(count) time.
@@ -82,11 +88,11 @@ impl IndexPool {
 #[derive(Debug, Clone, Default)]
 pub struct KnBestScratch {
     pool: IndexPool,
-    /// `(utilization, raw id, position)` ranking keys of the drawn set K —
-    /// gathered once from the candidate columns so the partition and sort
-    /// compare dense tuples instead of re-reading the view per comparison
-    /// (which, for bitmap-backed views, would rank-select every time).
-    keys: Vec<(f64, u64, u32)>,
+    /// Ranking keys of the drawn set K — gathered once from the candidate
+    /// columns so the filter compares dense keys instead of re-reading the
+    /// view per comparison (which, for bitmap-backed views, would rank-select
+    /// every time).
+    keys: Vec<RankKey>,
     /// Output columns of the selection, parallel and in ranking order.
     positions: Vec<u32>,
     ids: Vec<ProviderId>,
@@ -156,7 +162,7 @@ impl KnBestSelector {
     /// provider id as the tie-breaker — deterministic for a given RNG stream
     /// and candidate order.
     ///
-    /// Costs O(k + kn·log kn) regardless of `|Pq|` and performs no heap
+    /// Costs O(k·kn) at worst, regardless of `|Pq|`, and performs no heap
     /// allocation once `scratch` has warmed up to the population size.
     pub fn select_into<'s, R: Rng>(
         &self,
@@ -173,17 +179,17 @@ impl KnBestSelector {
     /// deterministic for a given RNG stream and candidate order.
     ///
     /// The ranking keys of the drawn set K are gathered from the view
-    /// *once*; the partition and sort then run over dense tuples, so a
+    /// *once*, as a batch; the filter then runs over dense keys, so a
     /// bitmap-backed view pays `k` rank-selects total instead of one per
-    /// comparison. Costs O(k + kn·log kn) regardless of `|Pq|` and performs
-    /// no heap allocation once `scratch` has warmed up.
+    /// comparison. Costs O(k) plus a shift of at most `kn` keys for each
+    /// key that enters the buffer — O(k·kn) at worst — regardless of `|Pq|`,
+    /// and performs no heap allocation once `scratch` has warmed up.
     pub fn select_block<'s, R: Rng>(
         &self,
         candidates: Candidates<'_>,
         rng: &mut R,
         scratch: &'s mut KnBestScratch,
     ) -> KnSelection<'s> {
-        scratch.keys.clear();
         scratch.positions.clear();
         scratch.ids.clear();
         scratch.utilization.clear();
@@ -192,26 +198,37 @@ impl KnBestSelector {
             // Step 1: the random subset K of size min(k, |Pq|), as
             // positions, with each position's ranking key gathered once.
             let drawn = scratch.pool.draw(n, self.k, rng);
-            for &pos in drawn {
-                let (utilization, id) = candidates.load_key(pos as usize);
-                scratch.keys.push((utilization, id.raw(), pos));
-            }
+            candidates.load_keys(drawn, &mut scratch.keys);
 
-            // Step 2: the kn least-utilized providers of K. Partition first
-            // so only the kn survivors pay for a full (deterministic) sort.
-            let by_load = |a: &(f64, u64, u32), b: &(f64, u64, u32)| {
-                sbqa_types::f64_total_cmp(a.0, b.0).then_with(|| a.1.cmp(&b.1))
+            // Step 2: the kn least-utilized providers of K, by bounded
+            // insertion: `keys[..min(i, kn)]` holds, sorted, the best of the
+            // first `i` keys.
+            let lighter = |a: &RankKey, b: &RankKey| {
+                sbqa_types::f64_total_cmp(a.utilization, b.utilization)
+                    .then_with(|| a.id.cmp(&b.id))
+                    .is_lt()
             };
-            let kn = self.kn.min(scratch.keys.len());
-            if kn < scratch.keys.len() {
-                scratch.keys.select_nth_unstable_by(kn - 1, by_load);
-                scratch.keys.truncate(kn);
+            let keys = &mut scratch.keys;
+            let kn = self.kn.min(keys.len());
+            for i in 1..keys.len() {
+                let key = keys[i];
+                if i >= kn && !lighter(&key, &keys[kn - 1]) {
+                    continue;
+                }
+                // Shift the worse keys up one place from the end — a full
+                // buffer drops its last — until the key's place opens.
+                let mut at = i.min(kn - 1);
+                while at > 0 && lighter(&key, &keys[at - 1]) {
+                    keys[at] = keys[at - 1];
+                    at -= 1;
+                }
+                keys[at] = key;
             }
-            scratch.keys.sort_unstable_by(by_load);
-            for &(utilization, id, pos) in &scratch.keys {
-                scratch.positions.push(pos);
-                scratch.ids.push(ProviderId::new(id));
-                scratch.utilization.push(utilization);
+            keys.truncate(kn);
+            for key in keys.iter() {
+                scratch.positions.push(key.position);
+                scratch.ids.push(key.id);
+                scratch.utilization.push(key.utilization);
             }
         }
         KnSelection {

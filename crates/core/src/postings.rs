@@ -9,10 +9,15 @@
 //!   `Vec<u32>` of slot payloads. Compact and cache-friendly while the chunk
 //!   is sparse.
 //! * **Bitmap** — a 1024-word (`u64`) bitset plus a dense `u32` slot table
-//!   indexed by the low bits, with per-64-word-block popcount prefixes so
-//!   positional lookup (`select`) stays cheap. Used once a chunk is populous:
-//!   membership and slot lookup become O(1) and intersections become word-
-//!   parallel AND loops.
+//!   indexed by the low bits, with a two-level popcount directory (a prefix
+//!   per 64-word block, and per 8-word group within its block) so positional
+//!   lookup (`select`) reads one cache line of words. Used once a chunk is
+//!   populous: membership and slot lookup become O(1) and intersections
+//!   become word-parallel AND loops.
+//!
+//! Beside the sorted chunk keys a map keeps the cumulative chunk lengths, so
+//! the chunk holding a position is found in one array, whatever the number
+//! of chunks.
 //!
 //! A chunk promotes from Array to Bitmap when it outgrows
 //! [`ARRAY_MAX`] entries and demotes below [`BITMAP_MIN`]; the hysteresis gap
@@ -58,6 +63,12 @@ const WORDS_PER_CHUNK: usize = CHUNK_CAPACITY / 64;
 const WORDS_PER_BLOCK: usize = 64;
 /// Popcount-prefix blocks per chunk.
 const BLOCKS_PER_CHUNK: usize = WORDS_PER_CHUNK / WORDS_PER_BLOCK;
+/// Words covered by one second-level popcount prefix (one cache line).
+const WORDS_PER_GROUP: usize = 8;
+/// Second-level prefixes per block.
+const GROUPS_PER_BLOCK: usize = WORDS_PER_BLOCK / WORDS_PER_GROUP;
+/// Second-level prefixes per chunk.
+const GROUPS_PER_CHUNK: usize = WORDS_PER_CHUNK / WORDS_PER_GROUP;
 
 /// An Array chunk promotes to Bitmap when it would exceed this many entries.
 pub const ARRAY_MAX: usize = 4096;
@@ -90,15 +101,20 @@ fn select_in_word(mut word: u64, mut rank: u32) -> u32 {
     }
 }
 
-/// A 2^16-bit membership set with per-block popcount prefixes, so the
-/// `rank`-th member is found by narrowing to one 64-word block first. Backs
-/// both a dense [`PostingsMap`] chunk and a dense [`MergedSet`] chunk.
+/// A 2^16-bit membership set with a two-level popcount directory, so the
+/// `rank`-th member is found by narrowing to one 64-word block, then to one
+/// 8-word group (a cache line of words) inside it. Backs both a dense
+/// [`PostingsMap`] chunk and a dense [`MergedSet`] chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Bitset {
     /// `WORDS_PER_CHUNK` words; bit `low % 64` of word `low / 64` is `low`.
     words: Box<[u64]>,
     /// `blocks[b]` = number of set bits in words `0 .. b * WORDS_PER_BLOCK`.
     blocks: [u32; BLOCKS_PER_CHUNK],
+    /// `groups[g]` = number of set bits between the start of group `g`'s
+    /// block and the start of the group: at most 56 words' worth (3 584), so
+    /// a `u16` holds it even in a full chunk.
+    groups: [u16; GROUPS_PER_CHUNK],
     /// Cached popcount of the whole set.
     len: u32,
 }
@@ -108,12 +124,32 @@ impl Bitset {
         Self {
             words: vec![0u64; WORDS_PER_CHUNK].into_boxed_slice(),
             blocks: [0; BLOCKS_PER_CHUNK],
+            groups: [0; GROUPS_PER_CHUNK],
             len: 0,
         }
     }
 
     fn contains(&self, low: u16) -> bool {
         self.words[low as usize / 64] & (1u64 << (low % 64)) != 0
+    }
+
+    /// Accounts for one bit set (`inserted`) or cleared in `word`: every
+    /// later block's prefix and every later group's of its own block move
+    /// by one — at most 15 + 7 counters.
+    fn count_bit(&mut self, word: usize, inserted: bool) {
+        let block = word / WORDS_PER_BLOCK;
+        let group = word / WORDS_PER_GROUP;
+        let blocks = &mut self.blocks[block + 1..];
+        let groups = &mut self.groups[group + 1..(block + 1) * GROUPS_PER_BLOCK];
+        if inserted {
+            self.len += 1;
+            blocks.iter_mut().for_each(|count| *count += 1);
+            groups.iter_mut().for_each(|count| *count += 1);
+        } else {
+            self.len -= 1;
+            blocks.iter_mut().for_each(|count| *count -= 1);
+            groups.iter_mut().for_each(|count| *count -= 1);
+        }
     }
 
     /// Sets `low`; returns `true` if it was clear.
@@ -124,10 +160,7 @@ impl Bitset {
             return false;
         }
         self.words[word] |= bit;
-        self.len += 1;
-        for block in (word / WORDS_PER_BLOCK + 1)..BLOCKS_PER_CHUNK {
-            self.blocks[block] += 1;
-        }
+        self.count_bit(word, true);
         true
     }
 
@@ -139,23 +172,22 @@ impl Bitset {
             return false;
         }
         self.words[word] &= !bit;
-        self.len -= 1;
-        for block in (word / WORDS_PER_BLOCK + 1)..BLOCKS_PER_CHUNK {
-            self.blocks[block] -= 1;
-        }
+        self.count_bit(word, false);
         true
     }
 
-    /// Recomputes `blocks` and `len` after `words` was written wholesale.
+    /// Recomputes the directory and `len` after `words` was written
+    /// wholesale.
     fn recount(&mut self) {
         let mut total = 0;
-        for (block, words) in self
-            .blocks
-            .iter_mut()
-            .zip(self.words.chunks_exact(WORDS_PER_BLOCK))
-        {
+        let blocks = self.words.chunks_exact(WORDS_PER_BLOCK);
+        let directory = self.groups.chunks_exact_mut(GROUPS_PER_BLOCK);
+        for ((block, groups), words) in self.blocks.iter_mut().zip(directory).zip(blocks) {
             *block = total;
-            total += words.iter().map(|word| word.count_ones()).sum::<u32>();
+            for (group, words) in groups.iter_mut().zip(words.chunks_exact(WORDS_PER_GROUP)) {
+                *group = (total - *block) as u16;
+                total += words.iter().map(|word| word.count_ones()).sum::<u32>();
+            }
         }
         self.len = total;
     }
@@ -163,14 +195,20 @@ impl Bitset {
     /// The `rank`-th member in ascending order. `rank` must be less than
     /// `self.len`.
     fn select(&self, rank: u32) -> u16 {
-        // Narrow to the block holding the rank via the popcount prefixes,
-        // then walk its words.
+        // Narrow to the block, then to the group holding the rank via the
+        // two prefix levels, then walk the group's words: at most
+        // 16 + 8 + 8 steps, the last 8 within one cache line.
         let mut block = BLOCKS_PER_CHUNK - 1;
         while self.blocks[block] > rank {
             block -= 1;
         }
         let mut remaining = rank - self.blocks[block];
-        for word_idx in (block * WORDS_PER_BLOCK)..((block + 1) * WORDS_PER_BLOCK) {
+        let mut group = (block + 1) * GROUPS_PER_BLOCK - 1;
+        while u32::from(self.groups[group]) > remaining {
+            group -= 1;
+        }
+        remaining -= u32::from(self.groups[group]);
+        for word_idx in (group * WORDS_PER_GROUP)..((group + 1) * WORDS_PER_GROUP) {
             let ones = self.words[word_idx].count_ones();
             if remaining < ones {
                 let bit = select_in_word(self.words[word_idx], remaining);
@@ -367,11 +405,14 @@ impl Container {
         }
     }
 
-    /// The slot of the `rank`-th member in ascending key order.
-    fn select(&self, rank: usize) -> u32 {
+    /// The low key and slot of the `rank`-th member in ascending key order.
+    fn select(&self, rank: usize) -> (u16, u32) {
         match self {
-            Container::Array { slots, .. } => slots[rank],
-            Container::Bitmap(chunk) => chunk.slots[chunk.bits.select(rank as u32) as usize],
+            Container::Array { keys, slots } => (keys[rank], slots[rank]),
+            Container::Bitmap(chunk) => {
+                let low = chunk.bits.select(rank as u32);
+                (low, chunk.slots[low as usize])
+            }
         }
     }
 
@@ -394,10 +435,12 @@ impl Container {
 pub struct PostingsMap {
     /// Sorted chunk keys (`id >> 16`).
     keys: Vec<u64>,
+    /// `ends[i]` = entries in chunks `0..=i`, parallel to `keys`: the chunk
+    /// holding a position is found in this one array, without visiting the
+    /// containers. An insert or remove moves every later entry by one.
+    ends: Vec<usize>,
     /// Containers, parallel to `keys`.
     chunks: Vec<Container>,
-    /// Total number of entries across all chunks.
-    len: usize,
     /// Membership epoch: bumped by every call that may change which ids the
     /// map holds ([`insert`](PostingsMap::insert) and a successful
     /// [`remove`](PostingsMap::remove)). Cached merge results stamp the epoch
@@ -420,13 +463,13 @@ impl PostingsMap {
     /// Total number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.ends.last().copied().unwrap_or(0)
     }
 
     /// `true` if the map holds no entry.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ends.is_empty()
     }
 
     /// The map's membership epoch. Strictly increases on every membership
@@ -435,6 +478,11 @@ impl PostingsMap {
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The position of chunk `chunk`'s first member.
+    fn start(&self, chunk: usize) -> usize {
+        chunk.checked_sub(1).map_or(0, |before| self.ends[before])
     }
 
     /// Inserts (or re-points) `id → slot`; returns `true` if the id was new.
@@ -448,6 +496,7 @@ impl PostingsMap {
             Ok(at) => at,
             Err(at) => {
                 self.keys.insert(at, key);
+                self.ends.insert(at, self.start(at));
                 self.chunks.insert(
                     at,
                     Container::Array {
@@ -460,7 +509,7 @@ impl PostingsMap {
         };
         let inserted = self.chunks[chunk].insert(low_bits(id), slot);
         if inserted {
-            self.len += 1;
+            self.ends[chunk..].iter_mut().for_each(|end| *end += 1);
         }
         inserted
     }
@@ -475,9 +524,10 @@ impl PostingsMap {
             return false;
         }
         self.generation += 1;
-        self.len -= 1;
+        self.ends[chunk..].iter_mut().for_each(|end| *end -= 1);
         if self.chunks[chunk].len() == 0 {
             self.keys.remove(chunk);
+            self.ends.remove(chunk);
             self.chunks.remove(chunk);
         }
         true
@@ -508,22 +558,24 @@ impl PostingsMap {
             .is_ok_and(|chunk| self.chunks[chunk].patch(low_bits(id), slot))
     }
 
-    /// The slot of the `pos`-th member in ascending id order.
+    /// The id and slot of the `pos`-th member in ascending id order. The id
+    /// is rebuilt from the chunk key and the member's low key, so no column
+    /// is read for it.
     ///
     /// # Panics
     /// Panics if `pos >= len()`.
     #[must_use]
-    pub fn select(&self, pos: usize) -> u32 {
-        let mut remaining = pos;
-        for chunk in &self.chunks {
-            let chunk_len = chunk.len();
-            if remaining < chunk_len {
-                return chunk.select(remaining);
-            }
-            remaining -= chunk_len;
-        }
-        // sbqa-lint: allow(panic-hygiene, "out-of-bounds position mirrors the slice-indexing contract; callers pass validated cursors")
-        panic!("postings position {pos} out of bounds (len {})", self.len)
+    pub fn select(&self, pos: usize) -> (ProviderId, u32) {
+        let chunk = self.ends.partition_point(|&end| end <= pos);
+        let Some(container) = self.chunks.get(chunk) else {
+            // sbqa-lint: allow(panic-hygiene, "out-of-bounds position mirrors the slice-indexing contract; callers pass validated cursors")
+            panic!("postings position {pos} out of bounds (len {})", self.len())
+        };
+        let (low, slot) = container.select(pos - self.start(chunk));
+        (
+            ProviderId::new(self.keys[chunk] << CHUNK_BITS | u64::from(low)),
+            slot,
+        )
     }
 
     /// Iterates the stored slots in ascending id order.
@@ -729,8 +781,8 @@ impl Iterator for ChunkLows<'_> {
 /// [`MergedSet::slots`]), so the set stays valid across slot re-pointing and
 /// goes stale only when a source list's membership changes.
 ///
-/// Per 2^16-id chunk the members are either a bitset with popcount-prefix
-/// blocks (*dense*: some source container is a Bitmap, or the sources hold
+/// Per 2^16-id chunk the members are either a bitset with its popcount
+/// directory (*dense*: some source container is a Bitmap, or the sources hold
 /// more than [`ARRAY_MAX`] entries between them) or a run of sorted low keys
 /// in one set-wide vector (*sparse*). Provider ids are arbitrary, so a set
 /// may span a chunk per member; the sparse shape is what keeps such a set at
@@ -873,21 +925,22 @@ impl MergedSet {
         ProviderId::new(self.keys[chunk] << CHUNK_BITS | u64::from(low))
     }
 
-    /// The slot `lists` — the lists the set was merged from, unchanged in
-    /// membership since — store for the `pos`-th member: a rank-select in the
-    /// set, then a probe of the merged lists in class order until one holds
-    /// the id (for an `All` merge, the first always does).
+    /// The `pos`-th member and the slot `lists` — the lists the set was
+    /// merged from, unchanged in membership since — store for it: a
+    /// rank-select in the set, then a probe of the merged lists in class
+    /// order until one holds the id (for an `All` merge, the first always
+    /// does).
     ///
     /// # Panics
     /// Panics if `pos >= len()`.
     #[must_use]
-    pub fn slot_at(&self, lists: &[PostingsMap], pos: usize) -> u32 {
+    pub fn slot_at(&self, lists: &[PostingsMap], pos: usize) -> (ProviderId, u32) {
         let id = self.select(pos);
         let Some(slot) = class_indices(self.classes).find_map(|class| lists[class].slot_of(id))
         else {
             unreachable!("merged member {id} is in none of the lists it was merged from");
         };
-        slot
+        (id, slot)
     }
 
     /// Streams the slots `lists` store for the members, in ascending id
@@ -1013,7 +1066,7 @@ mod tests {
         map.collect_into(&mut collected);
         assert_eq!(collected, slots);
         for (pos, &slot) in slots.iter().enumerate() {
-            assert_eq!(map.select(pos), slot, "select({pos})");
+            assert_eq!(map.select(pos).1, slot, "select({pos})");
         }
     }
 
@@ -1033,7 +1086,7 @@ mod tests {
         let slots: Vec<u32> = map.iter().collect();
         assert_eq!(slots.len(), n);
         assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(map.select(7), 7);
+        assert_eq!(map.select(7), (id(21), 7));
 
         // Shrink below the hysteresis floor: the chunk demotes back.
         for raw in 0..n as u64 {
@@ -1094,7 +1147,7 @@ mod tests {
         let slots: Vec<u32> = map.iter().collect();
         assert_eq!(slots.len(), map.len());
         for (pos, &slot) in slots.iter().enumerate() {
-            assert_eq!(map.select(pos), slot, "select({pos})");
+            assert_eq!(map.select(pos).1, slot, "select({pos})");
         }
     }
 
@@ -1146,7 +1199,7 @@ mod tests {
             assert_eq!(set.select(pos), id(raw), "{what}: select({pos})");
             assert_eq!(
                 set.slot_at(lists, pos),
-                slot_for(raw),
+                (id(raw), slot_for(raw)),
                 "{what}: slot_at({pos})"
             );
         }

@@ -1348,12 +1348,13 @@ mod tests {
         for (req, ids) in [(all01, vec![2u64, 4]), (any01, vec![2, 3, 4])] {
             let view = reg.candidates(&multi_query(req));
             let rows: Vec<ProviderSnapshot> = (0..view.len()).map(|pos| view.get(pos)).collect();
-            let keys: Vec<(f64, ProviderId)> =
-                (0..view.len()).map(|pos| view.load_key(pos)).collect();
+            let positions: Vec<u32> = (0..view.len() as u32).collect();
+            let mut keys = Vec::new();
+            view.load_keys(&positions, &mut keys);
             for ((row, key), id) in rows.iter().zip(keys).zip(ids) {
                 let current = reg.get(ProviderId::new(id)).unwrap();
                 assert_eq!(*row, current, "get() reads provider {id}'s current row");
-                assert_eq!(key, (current.utilization, current.id));
+                assert_eq!((key.utilization, key.id), (current.utilization, current.id));
             }
         }
         // Both resolutions after the compaction were hits: no membership

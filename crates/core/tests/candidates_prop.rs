@@ -3,11 +3,15 @@
 //! answer (`ProviderRegistry::candidates`) must equal the brute-force slab
 //! filter — same providers, ascending id order, no duplicates — for both
 //! `All` (k-way intersection) and `Any` (k-way union) semantics, including
-//! the borrowed single-capability fast path.
+//! the borrowed single-capability fast path. On top of such a view, KnBest's
+//! bounded-insertion filter must return exactly what a partition-and-sort of
+//! the same draw returns.
 
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
-use sbqa_core::ProviderRegistry;
+use sbqa_core::{IndexPool, KnBestScratch, KnBestSelector, ProviderRegistry};
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, Query, QueryId,
 };
@@ -137,6 +141,63 @@ proptest! {
                 prop_assert!(
                     matches!(err, sbqa_types::SbqaError::NoCapableProvider { .. }),
                     "requirement {}: expected NoCapableProvider, got {err:?}", req
+                );
+            }
+        }
+    }
+
+    /// `select_block` equals the reference it replaced — `select_nth` to
+    /// the kn least utilized of the drawn k, then a sort by
+    /// `(utilization, id)` — over the same draw of the same seed: for kn = 1,
+    /// the default 4 and kn = k, for views smaller than k, and with
+    /// utilizations that tie so the id decides.
+    #[test]
+    fn select_block_equals_partition_and_sort_of_the_same_draw(
+        // (id, utilization level) per provider; few levels force ties.
+        providers in proptest::collection::vec((0u64..200_000, 0u8..6), 1..120),
+        k in 1usize..40,
+        seed in 0u64..1_000,
+    ) {
+        let mut registry = ProviderRegistry::new();
+        for (id, level) in &providers {
+            registry.register(ProviderId::new(*id), capability_set(1), 1.0);
+            registry
+                .update_load(ProviderId::new(*id), f64::from(*level) * 0.25, 0)
+                .unwrap();
+        }
+        let q = query(requirement(1, true));
+        let view = registry.candidates(&q);
+        let by_load = |a: &(f64, u64, u32), b: &(f64, u64, u32)| {
+            sbqa_types::f64_total_cmp(a.0, b.0).then_with(|| a.1.cmp(&b.1))
+        };
+        let mut scratch = KnBestScratch::new();
+        for kn in [1, 4, k] {
+            let selector = KnBestSelector::new(k, kn);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let got = selector.select_block(view, &mut rng, &mut scratch);
+
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut keys: Vec<(f64, u64, u32)> = IndexPool::new()
+                .draw(view.len(), selector.k, &mut rng)
+                .iter()
+                .map(|&pos| {
+                    let row = view.get(pos as usize);
+                    (row.utilization, row.id.raw(), pos)
+                })
+                .collect();
+            let keep = selector.kn.min(keys.len());
+            if keep < keys.len() {
+                keys.select_nth_unstable_by(keep - 1, by_load);
+                keys.truncate(keep);
+            }
+            keys.sort_unstable_by(by_load);
+
+            prop_assert_eq!(got.len(), keys.len(), "k {} kn {}", k, kn);
+            for (rank, &(utilization, id, pos)) in keys.iter().enumerate() {
+                prop_assert_eq!(
+                    (got.utilization[rank], got.ids[rank].raw(), got.positions[rank]),
+                    (utilization, id, pos),
+                    "k {} kn {} rank {}", k, kn, rank
                 );
             }
         }

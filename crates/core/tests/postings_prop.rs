@@ -6,6 +6,13 @@
 //! [`MergedSet`] over such maps, read through a [`Candidates`] view, must
 //! agree with the naive ordered-set intersection and union on every container
 //! mix, before and after slab compactions re-point its members' slots.
+//!
+//! Rank-select is held to the shadow *after every operation*: the two-level
+//! popcount directory of a Bitmap chunk and the map's cumulative chunk
+//! lengths are updated incrementally, so a stale counter shows at the next
+//! read, not only at the end of a history — on Array and Bitmap chunks, on
+//! the promote/demote boundary and in a completely full chunk, where the
+//! `u16` group prefixes reach their largest values.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -14,7 +21,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use sbqa_core::allocator::{CandidateBlock, Candidates};
+use sbqa_core::allocator::{CandidateBlock, Candidates, RankKey};
 use sbqa_core::postings::{MergedSet, PostingsMap, ARRAY_MAX, BITMAP_MIN};
 use sbqa_types::{CapabilitySet, ProviderColumns, ProviderId, ProviderSnapshot};
 
@@ -35,9 +42,13 @@ fn assert_matches_shadow(map: &PostingsMap, shadow: &BTreeMap<u64, u32>) {
     let expected: Vec<u32> = shadow.values().copied().collect();
     assert_eq!(got, expected, "iteration order / payload mismatch");
 
-    // Rank-select agrees with iteration at every position.
-    for (pos, &slot) in expected.iter().enumerate() {
-        assert_eq!(map.select(pos), slot, "select({pos})");
+    // Rank-select yields the shadow's `(id, slot)` at every position.
+    for (pos, (&id, &slot)) in shadow.iter().enumerate() {
+        assert_eq!(
+            map.select(pos),
+            (ProviderId::new(id), slot),
+            "select({pos})"
+        );
     }
 
     // collect_into is iteration.
@@ -83,9 +94,8 @@ proptest! {
                     prop_assert_eq!(patched, was_present, "patch_slot({})", id);
                 }
             }
+            assert_matches_shadow(&map, &shadow);
         }
-
-        assert_matches_shadow(&map, &shadow);
 
         // Membership probes: hits and misses both agree.
         for &id in probes.iter().chain(shadow.keys()) {
@@ -93,6 +103,169 @@ proptest! {
             prop_assert_eq!(map.contains(pid), shadow.contains_key(&id));
             prop_assert_eq!(map.slot_of(pid), shadow.get(&id).copied());
         }
+    }
+}
+
+/// Rows of the column slab behind [`Shapes`]: a map entry's slot is a row
+/// index, and row `r` has utilization `r`, so a gathered key names its slot.
+const ROWS: u32 = 1 << 12;
+
+/// One map over five chunks, one per container shape a rank-select can land
+/// in, with its `id → slot` shadow:
+///
+/// * chunk 0 — a small Array (300 entries);
+/// * chunk 1 — a Bitmap (6 000 entries, every 7th id);
+/// * chunk 2 — exactly `ARRAY_MAX` entries: an Array one insert from
+///   promoting;
+/// * chunk 3 — a Bitmap shrunk to exactly `BITMAP_MIN` entries: one remove
+///   from demoting;
+/// * chunk 4 — completely full, all 65 536 ids.
+#[derive(Clone)]
+struct Shapes {
+    map: PostingsMap,
+    shadow: BTreeMap<u64, u32>,
+}
+
+impl Shapes {
+    fn build() -> Self {
+        let mut shapes = Shapes {
+            map: PostingsMap::new(),
+            shadow: BTreeMap::new(),
+        };
+        let chunk = |index: u64| index << 16;
+        let ids = (0..300u64)
+            .map(|i| chunk(0) + i * 211)
+            .chain((0..6_000u64).map(|i| chunk(1) + i * 7))
+            .chain((0..ARRAY_MAX as u64).map(|i| chunk(2) + i * 16))
+            .chain((0..=ARRAY_MAX as u64).map(|i| chunk(3) + i * 3))
+            .chain((0..1u64 << 16).map(|i| chunk(4) + i));
+        for id in ids {
+            shapes.insert(id, slot_for(id) % ROWS);
+        }
+        for i in 0..(ARRAY_MAX + 1 - BITMAP_MIN) as u64 {
+            shapes.remove(chunk(3) + i * 3);
+        }
+        shapes
+    }
+
+    fn insert(&mut self, id: u64, slot: u32) {
+        let inserted = self.map.insert(ProviderId::new(id), slot);
+        assert_eq!(inserted, self.shadow.insert(id, slot).is_none());
+    }
+
+    fn remove(&mut self, id: u64) {
+        let removed = self.map.remove(ProviderId::new(id));
+        assert_eq!(removed, self.shadow.remove(&id).is_some());
+    }
+
+    fn patch(&mut self, id: u64, slot: u32) {
+        let patched = self.map.patch_slot(ProviderId::new(id), slot);
+        assert_eq!(patched, self.shadow.contains_key(&id));
+        if patched {
+            self.shadow.insert(id, slot);
+        }
+    }
+
+    /// Holds `select` and a batched `load_keys` over `positions` to the
+    /// shadow's `(id, slot)` at those positions.
+    fn assert_positions(&self, columns: &ProviderColumns, positions: &[u32]) {
+        let entries: Vec<(u64, u32)> = self.shadow.iter().map(|(&id, &slot)| (id, slot)).collect();
+        assert_eq!(self.map.len(), entries.len());
+        let mut keys: Vec<RankKey> = Vec::new();
+        Candidates::from_map(columns, &self.map).load_keys(positions, &mut keys);
+        assert_eq!(keys.len(), positions.len());
+        for (key, &position) in keys.iter().zip(positions) {
+            let (id, slot) = entries[position as usize];
+            assert_eq!(
+                self.map.select(position as usize),
+                (ProviderId::new(id), slot),
+                "select({position})"
+            );
+            assert_eq!(
+                (key.id.raw(), key.utilization, key.position),
+                (id, f64::from(slot), position),
+                "load_keys at {position}"
+            );
+        }
+    }
+}
+
+/// The slab behind [`Shapes`]. Its id column is deliberately wrong for every
+/// row: a gathered key's id must come from the postings key alone.
+fn shape_columns() -> &'static ProviderColumns {
+    static COLUMNS: OnceLock<ProviderColumns> = OnceLock::new();
+    COLUMNS.get_or_init(|| {
+        let mut columns = ProviderColumns::new();
+        for row in 0..ROWS {
+            columns.push(ProviderSnapshot {
+                utilization: f64::from(row),
+                ..ProviderSnapshot::idle(ProviderId::new(u64::MAX), CapabilitySet::EMPTY, 1.0)
+            });
+        }
+        columns
+    })
+}
+
+fn shapes() -> &'static Shapes {
+    static SHAPES: OnceLock<Shapes> = OnceLock::new();
+    SHAPES.get_or_init(Shapes::build)
+}
+
+#[test]
+fn shapes_cover_every_container_a_select_can_land_in() {
+    let shapes = shapes();
+    let in_chunk = |chunk: u64| shapes.shadow.range(chunk << 16..(chunk + 1) << 16).count();
+    assert_eq!(in_chunk(0), 300);
+    assert!(in_chunk(1) > ARRAY_MAX);
+    assert_eq!(in_chunk(2), ARRAY_MAX);
+    assert_eq!(in_chunk(3), BITMAP_MIN);
+    assert_eq!(in_chunk(4), 1 << 16);
+    // Every position, every shape — including the last member of the full
+    // chunk, behind the largest prefixes the directory can hold.
+    let all: Vec<u32> = (0..shapes.map.len() as u32).collect();
+    shapes.assert_positions(shape_columns(), &all);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After every insert, remove and re-point — in an Array, in a Bitmap,
+    /// across a promotion and a demotion, and in the full chunk — rank-select
+    /// and the batched key gather read the shadow's `(id, slot)`: at the
+    /// positions around the touched id, at both ends, and on a stride that
+    /// visits every block and group of every chunk; at every position once
+    /// the history is over.
+    #[test]
+    fn select_and_load_keys_follow_the_shadow_after_every_op(
+        // (op, chunk, low): 0 = insert, 1 = remove, 2 = re-point.
+        ops in proptest::collection::vec((0u8..3, 0u64..5, 0u64..1 << 16), 1..40),
+    ) {
+        let columns = shape_columns();
+        let mut shapes = shapes().clone();
+        for (step, &(op, chunk, low)) in ops.iter().enumerate() {
+            // Inserts take the drawn id; two removes and re-points in three
+            // are steered onto an id the map holds (a uniform low mostly
+            // misses the sparse chunks).
+            let id = if op == 0 || step % 3 == 0 {
+                chunk << 16 | low
+            } else {
+                let nth = low as usize % shapes.shadow.len();
+                *shapes.shadow.keys().nth(nth).expect("nth < len")
+            };
+            match op {
+                0 => shapes.insert(id, slot_for(low) % ROWS),
+                1 => shapes.remove(id),
+                _ => shapes.patch(id, slot_for(id ^ step as u64) % ROWS),
+            }
+            let len = shapes.map.len() as u32;
+            let rank = shapes.shadow.range(..id).count() as u32;
+            let mut positions: Vec<u32> = (rank.saturating_sub(2)..(rank + 3).min(len)).collect();
+            positions.extend([0, len - 1]);
+            positions.extend((0..len).step_by(509));
+            shapes.assert_positions(columns, &positions);
+        }
+        let all: Vec<u32> = (0..shapes.map.len() as u32).collect();
+        shapes.assert_positions(columns, &all);
     }
 }
 
@@ -160,11 +333,11 @@ impl World {
             if !member.contains(&true) {
                 continue;
             }
-            let slot = world.columns.push(ProviderSnapshot::idle(
-                ProviderId::new(id),
-                CapabilitySet::EMPTY,
-                1.0,
-            )) as u32;
+            // A utilization per row, so a gathered key names the row it read.
+            let slot = world.columns.push(ProviderSnapshot {
+                utilization: (id % 1_013) as f64,
+                ..ProviderSnapshot::idle(ProviderId::new(id), CapabilitySet::EMPTY, 1.0)
+            }) as u32;
             for (list, _) in member.iter().enumerate().filter(|(_, &is)| is) {
                 world.lists[list].insert(ProviderId::new(id), slot);
                 world.shadow[list].insert(id);
@@ -233,7 +406,6 @@ impl World {
         assert_eq!(view.is_empty(), expected.is_empty());
         for (pos, &id) in expected.iter().enumerate() {
             assert_eq!(set.select(pos).raw(), id, "select({pos})");
-            assert_eq!(view.load_key(pos).1.raw(), id, "load_key({pos})");
             assert_eq!(view.get(pos).id.raw(), id, "get({pos})");
         }
         let streamed: Vec<u64> = view.iter().map(|row| row.id.raw()).collect();
@@ -242,6 +414,45 @@ impl World {
         view.gather_all_into(&mut block);
         let gathered: Vec<u64> = block.ids().iter().map(|id| id.raw()).collect();
         assert_eq!(gathered, expected, "gather_all_into");
+        assert_keys_match_rows(view);
+        // The same for the views that need no merge: each mentioned list on
+        // its own, and the merged rows as a plain slice.
+        for list in (0..LISTS).filter(|list| classes & (1 << list) != 0) {
+            assert_keys_match_rows(Candidates::from_map(&self.columns, &self.lists[list]));
+        }
+        let rows: Vec<ProviderSnapshot> = view.iter().collect();
+        assert_keys_match_rows(Candidates::from_slice(&rows));
+    }
+}
+
+/// Holds one batched `load_keys` over every position of `view`, in a
+/// scattered order, to the per-position `get`.
+fn assert_keys_match_rows(view: Candidates<'_>) {
+    let len = view.len() as u32;
+    // A stride coprime to the length visits every position once.
+    let stride = (1..).map(|i| 7_919 + i).find(|s| gcd(*s, len.max(1)) == 1);
+    let stride = stride.expect("some stride is coprime");
+    let positions: Vec<u32> = (0..len)
+        .map(|i| (u64::from(i) * u64::from(stride) % u64::from(len.max(1))) as u32)
+        .collect();
+    let mut keys: Vec<RankKey> = Vec::new();
+    view.load_keys(&positions, &mut keys);
+    assert_eq!(keys.len(), positions.len());
+    for (key, &position) in keys.iter().zip(&positions) {
+        let row = view.get(position as usize);
+        assert_eq!(
+            (key.id, key.utilization, key.position),
+            (row.id, row.utilization, position),
+            "load_keys at {position}"
+        );
+    }
+}
+
+fn gcd(a: u32, b: u32) -> u32 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 

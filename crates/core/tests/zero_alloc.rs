@@ -2,12 +2,17 @@
 //! allocation.
 //!
 //! A counting global allocator wraps the system allocator; after warming the
-//! mediator's scratch buffers (KnBest pool, decision, satisfaction views,
-//! recycled interaction windows), a sustained run of `submit_in_place` and
-//! `submit_batch` must not allocate or reallocate at all — on plan-cache
-//! hits, on eviction and stale re-merges into recycled plan entries, with the
-//! satisfaction registry's touched-id tracking off (the default) and, once
-//! its id buffers are warm, with it on (a replicated shard's primary).
+//! mediator's scratch buffers (KnBest pool, decision, satisfaction views)
+//! and growing every participant's interaction window to its final ring
+//! size, a sustained run of `submit_in_place` and `submit_batch` must not
+//! allocate or reallocate at all — on plan-cache hits, on eviction and stale
+//! re-merges into recycled plan entries, with the satisfaction registry's
+//! touched-id tracking off (the default) and, once its id buffers are warm,
+//! with it on (a replicated shard's primary).
+//!
+//! Windows grow on demand, so "steady state" is reached per participant: the
+//! test first bounds what getting there costs — a window allocates at most
+//! ⌈log2(k / 8)⌉ + 1 times in its life and never holds more than `k` slots.
 //!
 //! This file deliberately contains a single test: the counter is
 //! process-global, so a parallel test could pollute the measurement.
@@ -16,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use sbqa_core::{Mediator, StaticIntentions};
+use sbqa_satisfaction::{InteractionWindow, ProviderInteraction};
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
     QueryId, SystemConfig,
@@ -90,6 +96,32 @@ fn steady_state_mediation_does_not_allocate() {
     const PROVIDERS: u64 = 13_000;
 
     let config = SystemConfig::default().with_knbest(20, 4);
+
+    // What a participant pays before its steady state: the window behind
+    // either tracker kind doubles from 8 slots up to its capacity, so over
+    // any number of records it allocates ⌈log2(capacity / 8)⌉ + 1 times at
+    // most, and its ring never outgrows the capacity.
+    let capacity = config.satisfaction_window;
+    let growth_bound = (capacity as f64 / 8.0).log2().ceil().max(0.0) as usize + 1;
+    let mut window = InteractionWindow::new(capacity);
+    COUNTING.store(true, Ordering::SeqCst);
+    for id in 0..4 * capacity as u64 {
+        window.record(ProviderInteraction::new(
+            QueryId::new(id),
+            Intention::NEUTRAL,
+            true,
+        ));
+        assert!(window.allocated_slots() <= capacity);
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    let growth = ALLOCATIONS.swap(0, Ordering::SeqCst);
+    assert!(
+        (1..=growth_bound).contains(&growth),
+        "{growth} growth allocations for a window of {capacity} (bound {growth_bound})"
+    );
+    assert_eq!(window.allocated_slots(), capacity);
+    drop(window);
+
     let mut mediator = Mediator::sbqa(config, 42).unwrap();
     for p in 0..PROVIDERS {
         let caps = CapabilitySet::from_capabilities([
@@ -101,10 +133,28 @@ fn steady_state_mediation_does_not_allocate() {
     mediator.register_consumer(ConsumerId::new(1));
     let oracle = StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
 
-    // Warm-up: fill every satisfaction window and grow all scratch buffers,
-    // including the plan entries' merged sets. The class populations are
-    // static here, so every All/Any class pair reaches its maximal merge
-    // output size during warm-up.
+    // Warm-up, part one: every participant's window at its final ring size.
+    // KnBest's draw only ever reaches some of the providers in a short run
+    // (ties on utilization go to the lowest ids), so the windows are filled
+    // through the satisfaction registry directly, `capacity` proposals each.
+    for round in 0..capacity as u64 {
+        for first in (0..PROVIDERS).step_by(4) {
+            let proposals: Vec<(ProviderId, Intention, bool)> = (first..PROVIDERS.min(first + 4))
+                .map(|p| (ProviderId::new(p), Intention::new(0.2), p.is_multiple_of(2)))
+                .collect();
+            mediator.satisfaction_mut().record_mediation(
+                QueryId::new(1_000_000 + round * PROVIDERS + first),
+                ConsumerId::new(1),
+                2,
+                &[],
+                &proposals,
+            );
+        }
+    }
+
+    // Part two: grow all scratch buffers, including the plan entries' merged
+    // sets. The class populations are static here, so every All/Any class
+    // pair reaches its maximal merge output size during warm-up.
     for id in 0..800u64 {
         mediator.submit_in_place(&query(id), &oracle).unwrap();
         mediator.submit_in_place(&multi_query(id), &oracle).unwrap();

@@ -16,11 +16,13 @@
 //! The long-run satisfaction `δs(c)` (Definition 1) is the mean of `δs(c, q)`
 //! over the consumer's last `k` queries.
 
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+
+use serde::{Deserialize, Serialize, Value};
 
 use sbqa_types::{Intention, ProviderId, QueryId, Satisfaction};
 
-use crate::window::InteractionWindow;
+use crate::window::{tracker_to_value, tracker_window, InteractionWindow};
 
 /// The record a consumer keeps for one of its past queries: which providers
 /// performed it, with which expressed intention, and how many results were
@@ -98,9 +100,19 @@ impl ConsumerInteraction {
 }
 
 /// Rolling consumer satisfaction over the last `k` queries (Definition 1).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+///
+/// The per-query values `δs(c, q)` are kept in a ring of their own beside
+/// the interactions, in step with them, so the long-run mean sums one
+/// contiguous run of `f64`s instead of re-deriving each value from its
+/// interaction's provider list. The ring holds exactly what
+/// [`ConsumerInteraction::satisfaction`] returns for each remembered
+/// interaction, oldest first, and is not part of the serialized form: a
+/// tracker read back rebuilds it from its window.
+#[derive(Debug, PartialEq)]
 pub struct ConsumerSatisfaction {
     window: InteractionWindow<ConsumerInteraction>,
+    /// `δs(c, q)` of every remembered interaction, parallel to `window`.
+    values: VecDeque<f64>,
 }
 
 /// By hand so that `clone_from` reaches the window's.
@@ -108,11 +120,27 @@ impl Clone for ConsumerSatisfaction {
     fn clone(&self) -> Self {
         Self {
             window: self.window.clone(),
+            values: self.values.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.window.clone_from(&source.window);
+        self.values.clone_from(&source.values);
+    }
+}
+
+impl Serialize for ConsumerSatisfaction {
+    fn to_value(&self) -> Value {
+        tracker_to_value(&self.window)
+    }
+}
+
+impl Deserialize for ConsumerSatisfaction {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let window: InteractionWindow<ConsumerInteraction> = tracker_window(value)?;
+        let values = window.iter().map(|i| i.satisfaction().value()).collect();
+        Ok(Self { window, values })
     }
 }
 
@@ -122,6 +150,7 @@ impl ConsumerSatisfaction {
     pub fn new(k: usize) -> Self {
         Self {
             window: InteractionWindow::new(k),
+            values: VecDeque::new(),
         }
     }
 
@@ -139,7 +168,13 @@ impl ConsumerSatisfaction {
 
     /// Records the outcome of a query.
     pub fn record(&mut self, interaction: ConsumerInteraction) {
+        let value = interaction.satisfaction().value();
         self.window.record(interaction);
+        if self.values.len() == self.window.len() {
+            // The window evicted its oldest (here or in `record_outcome`).
+            self.values.pop_front();
+        }
+        self.values.push_back(value);
     }
 
     /// Convenience wrapper over [`ConsumerSatisfaction::record`] that copies
@@ -174,15 +209,11 @@ impl ConsumerSatisfaction {
     /// spurious departures at simulation start.
     #[must_use]
     pub fn satisfaction(&self) -> Satisfaction {
-        if self.window.is_empty() {
+        if self.values.is_empty() {
             return Satisfaction::MAX;
         }
-        let sum: f64 = self
-            .window
-            .iter()
-            .map(|interaction| interaction.satisfaction().value())
-            .sum();
-        Satisfaction::new(sum / self.window.len() as f64)
+        let sum: f64 = self.values.iter().sum();
+        Satisfaction::new(sum / self.values.len() as f64)
     }
 
     /// Satisfaction of the most recent query, if any.

@@ -18,11 +18,11 @@
 //! well-matching queries is still satisfied — starvation is penalised through
 //! the empty-set clause, not through dilution.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use sbqa_types::{Intention, QueryId, Satisfaction};
 
-use crate::window::InteractionWindow;
+use crate::window::{tracker_to_value, tracker_window, InteractionWindow};
 
 /// One proposal the provider received: the query, the intention the provider
 /// expressed for performing it, and whether the mediator selected it.
@@ -52,9 +52,20 @@ impl ProviderInteraction {
 
 /// Rolling provider satisfaction over the last `k` proposed queries
 /// (Definition 2).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Definition 2's numerator and denominator — the sum of `(PPIp[q] + 1) / 2`
+/// over the performed proposals of the window and their count — are kept
+/// beside the window, so [`ProviderSatisfaction::satisfaction`] is one
+/// division. They are bit-equal to a fresh oldest→newest sum over the window
+/// at all times (see [`ProviderSatisfaction::record`]) and are not part of
+/// the serialized form: a tracker read back rebuilds them from its window.
+#[derive(Debug, PartialEq)]
 pub struct ProviderSatisfaction {
     window: InteractionWindow<ProviderInteraction>,
+    /// `Σ (intention + 1) / 2` over the performed proposals, oldest first.
+    sum: f64,
+    /// Number of performed proposals in the window (`|SQ^k_p|`).
+    performed: usize,
 }
 
 /// By hand so that `clone_from` reaches the window's, which copies over the
@@ -63,12 +74,47 @@ impl Clone for ProviderSatisfaction {
     fn clone(&self) -> Self {
         Self {
             window: self.window.clone(),
+            sum: self.sum,
+            performed: self.performed,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.window.clone_from(&source.window);
+        self.sum = source.sum;
+        self.performed = source.performed;
     }
+}
+
+impl Serialize for ProviderSatisfaction {
+    fn to_value(&self) -> Value {
+        tracker_to_value(&self.window)
+    }
+}
+
+impl Deserialize for ProviderSatisfaction {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let window = tracker_window(value)?;
+        let (sum, performed) = sum_performed(&window);
+        Ok(Self {
+            window,
+            sum,
+            performed,
+        })
+    }
+}
+
+/// Definition 2's numerator and denominator over a window: the sum of
+/// `(intention + 1) / 2` over its performed proposals, oldest first, and
+/// their count.
+fn sum_performed(window: &InteractionWindow<ProviderInteraction>) -> (f64, usize) {
+    let mut sum = 0.0;
+    let mut performed = 0;
+    for interaction in window.iter().filter(|i| i.performed) {
+        sum += interaction.intention.to_unit().value();
+        performed += 1;
+    }
+    (sum, performed)
 }
 
 impl ProviderSatisfaction {
@@ -77,6 +123,8 @@ impl ProviderSatisfaction {
     pub fn new(k: usize) -> Self {
         Self {
             window: InteractionWindow::new(k),
+            sum: 0.0,
+            performed: 0,
         }
     }
 
@@ -93,8 +141,28 @@ impl ProviderSatisfaction {
     }
 
     /// Records a proposal and whether the provider performed it.
+    ///
+    /// The maintained sum stays the oldest→newest sum of the window: a
+    /// performed proposal appended at the newest end is that sum's next
+    /// addend, an evicted unperformed one was no addend at all, and only an
+    /// evicted performed one — the *first* addend, which floating-point
+    /// addition cannot take back out — makes the window be summed again.
     pub fn record(&mut self, interaction: ProviderInteraction) {
-        self.window.record(interaction);
+        let evicted = self.window.record(interaction);
+        if evicted.is_some_and(|oldest| oldest.performed) {
+            (self.sum, self.performed) = sum_performed(&self.window);
+        } else if interaction.performed {
+            self.sum += interaction.intention.to_unit().value();
+            self.performed += 1;
+        }
+        debug_assert_eq!(
+            (self.sum.to_bits(), self.performed),
+            {
+                let (sum, performed) = sum_performed(&self.window);
+                (sum.to_bits(), performed)
+            },
+            "the maintained sum left the window's"
+        );
     }
 
     /// Convenience wrapper over [`ProviderSatisfaction::record`].
@@ -108,30 +176,25 @@ impl ProviderSatisfaction {
     /// provider that has received *no proposal at all* is treated as fully
     /// satisfied (it has not been wronged yet), whereas a provider that has
     /// been proposed queries but performed none of them gets the paper's `0`.
+    ///
+    /// Reads the maintained sum: this sits on the mediation hot path (SbQA
+    /// reads every candidate's satisfaction to resolve ω).
     #[must_use]
     pub fn satisfaction(&self) -> Satisfaction {
         if self.window.is_empty() {
             return Satisfaction::MAX;
         }
-        // Single allocation-free pass: this sits on the mediation hot path
-        // (SbQA reads every candidate's satisfaction to resolve ω).
-        let mut sum = 0.0;
-        let mut performed = 0usize;
-        for interaction in self.window.iter().filter(|i| i.performed) {
-            sum += interaction.intention.to_unit().value();
-            performed += 1;
-        }
-        if performed == 0 {
+        if self.performed == 0 {
             return Satisfaction::MIN;
         }
-        Satisfaction::new(sum / performed as f64)
+        Satisfaction::new(self.sum / self.performed as f64)
     }
 
     /// Number of remembered proposals the provider actually performed
     /// (`|SQ^k_p|`).
     #[must_use]
     pub fn performed_count(&self) -> usize {
-        self.window.iter().filter(|i| i.performed).count()
+        self.performed
     }
 
     /// Fraction of remembered proposals the provider performed. Returns 1.0

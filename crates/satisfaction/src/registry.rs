@@ -275,15 +275,17 @@ impl SatisfactionRegistry {
                 note(&mut touched.providers, *provider);
             }
         }
-        self.register_consumer(consumer);
-        if let Some(tracker) = self.consumers.get_mut(&consumer) {
-            tracker.record_outcome(query, required_results, performed_by);
-        }
+        // One probe per participant; an unknown one is registered here.
+        let window = self.window;
+        self.consumers
+            .entry(consumer)
+            .or_insert_with(|| ConsumerSatisfaction::new(window))
+            .record_outcome(query, required_results, performed_by);
         for (provider, intention, performed) in proposals {
-            self.register_provider(*provider);
-            if let Some(tracker) = self.providers.get_mut(provider) {
-                tracker.record_proposal(query, *intention, *performed);
-            }
+            self.providers
+                .entry(*provider)
+                .or_insert_with(|| ProviderSatisfaction::new(window))
+                .record_proposal(query, *intention, *performed);
         }
     }
 

@@ -7,10 +7,19 @@
 //! [`InteractionWindow`] is a fixed-capacity FIFO over interaction records.
 //! When a new interaction arrives and the window is full, the oldest record is
 //! evicted, so satisfaction always reflects the most recent `k` interactions.
+//!
+//! The ring behind a window is allocated on demand: most participants of a
+//! large population hold a handful of interactions, so a window starts with
+//! no storage, takes 8 slots at its first record and doubles
+//! from there, never past `k`. A window that has reached `k` slots (or its
+//! participant's working size) records without allocating.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize, Value};
+
+/// Slots a window's ring takes at its first record (or `k`, if smaller).
+const FIRST_RING: usize = 8;
 
 /// A bounded FIFO window over the last `k` interactions of a participant.
 ///
@@ -51,6 +60,12 @@ impl<T: Clone> Clone for InteractionWindow<T> {
         for (item, fresh) in self.items.iter_mut().zip(&source.items) {
             item.clone_from(fresh);
         }
+        // Take the source's ring size rather than `extend`'s own doubling,
+        // which could pass `capacity`.
+        if self.items.capacity() < source.items.len() {
+            self.items
+                .reserve_exact(source.items.capacity() - self.items.len());
+        }
         self.items.extend(source.items.iter().skip(shared).cloned());
     }
 }
@@ -76,6 +91,27 @@ impl<T: Deserialize> Deserialize for InteractionWindow<T> {
     }
 }
 
+/// The serialized form of a satisfaction tracker: its window alone, as the
+/// one-field map a derive would write. What a tracker keeps derived from the
+/// window is rebuilt when it is read back ([`tracker_window`]), exactly as
+/// the window re-imposes its own invariants.
+pub(crate) fn tracker_to_value<T: Serialize>(window: &InteractionWindow<T>) -> Value {
+    Value::Map(vec![(
+        Value::String("window".to_owned()),
+        window.to_value(),
+    )])
+}
+
+/// Reads the window back out of [`tracker_to_value`]'s form.
+pub(crate) fn tracker_window<T: Deserialize>(
+    value: &Value,
+) -> Result<InteractionWindow<T>, serde::Error> {
+    let entries = value
+        .as_map()
+        .ok_or_else(|| serde::Error::custom("expected map"))?;
+    InteractionWindow::from_value(serde::__find(entries, "window")?)
+}
+
 impl<T> InteractionWindow<T> {
     /// Creates a window remembering at most `k` interactions.
     ///
@@ -86,7 +122,7 @@ impl<T> InteractionWindow<T> {
     pub fn new(k: usize) -> Self {
         Self {
             capacity: k.max(1),
-            items: VecDeque::with_capacity(k.max(1)),
+            items: VecDeque::new(),
             total_recorded: 0,
         }
     }
@@ -121,6 +157,13 @@ impl<T> InteractionWindow<T> {
         self.total_recorded
     }
 
+    /// Slots the ring currently has storage for: at most `k` for a window
+    /// grown by [`InteractionWindow::record`].
+    #[must_use]
+    pub fn allocated_slots(&self) -> usize {
+        self.items.capacity()
+    }
+
     /// Removes and returns the oldest interaction if the window is full.
     ///
     /// This is the eviction half of [`InteractionWindow::record`], split out
@@ -144,6 +187,12 @@ impl<T> InteractionWindow<T> {
         } else {
             None
         };
+        let slots = self.items.capacity();
+        if self.items.len() == slots {
+            // Grow geometrically, but never past the `k` the window can use.
+            let target = (slots * 2).max(FIRST_RING).min(self.capacity);
+            self.items.reserve_exact(target - slots);
+        }
         self.items.push_back(item);
         evicted
     }
@@ -200,6 +249,32 @@ mod tests {
     fn zero_capacity_is_promoted_to_one() {
         let w: InteractionWindow<u32> = InteractionWindow::new(0);
         assert_eq!(w.capacity(), 1);
+    }
+
+    #[test]
+    fn the_ring_grows_on_demand_and_never_past_the_capacity() {
+        let mut w = InteractionWindow::new(50);
+        assert_eq!(w.allocated_slots(), 0, "no storage before the first record");
+        let mut sizes = Vec::new();
+        for i in 0..200u32 {
+            w.record(i);
+            if sizes.last() != Some(&w.allocated_slots()) {
+                sizes.push(w.allocated_slots());
+            }
+        }
+        assert_eq!(sizes, vec![8, 16, 32, 50]);
+        assert_eq!(w.len(), 50);
+
+        let mut small = InteractionWindow::new(3);
+        small.extend(0..10u32);
+        assert_eq!(small.allocated_slots(), 3);
+
+        // A copy takes the source's ring size, not a doubling past it.
+        let mut copy = InteractionWindow::new(50);
+        copy.extend(0..32u32);
+        copy.clone_from(&w);
+        assert_eq!(copy, w);
+        assert_eq!(copy.allocated_slots(), 50);
     }
 
     #[test]

@@ -1,0 +1,229 @@
+//! Property tests holding the *maintained* satisfaction values to the
+//! definitions they replace: whatever sequence of records, clones, in-place
+//! copies, serde round trips and registry hand-offs a tracker goes through,
+//! `satisfaction()` must be bit-equal to a from-scratch evaluation of
+//! Definition 1 (consumer) or Definition 2 (provider) over `interactions()`.
+//! Release builds have no `debug_assert`, so this is the proof there.
+
+use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
+
+use sbqa_satisfaction::{ConsumerSatisfaction, ProviderSatisfaction, SatisfactionRegistry};
+use sbqa_types::{ConsumerId, Intention, ProviderId, QueryId, Satisfaction};
+
+/// Intentions drawn by index: the extremes, neutral, and repeated inexact
+/// values whose sums depend on the order of addition.
+const INTENTIONS: [f64; 8] = [-1.0, 0.0, 1.0, 0.1, 0.1, -0.7, 0.3, 0.3];
+
+/// Definition 2 evaluated from nothing but the remembered proposals,
+/// oldest first — the loop `ProviderSatisfaction::satisfaction` used to run.
+fn definition_two(tracker: &ProviderSatisfaction) -> Satisfaction {
+    if tracker.interactions().next().is_none() {
+        return Satisfaction::MAX;
+    }
+    let mut sum = 0.0;
+    let mut performed = 0usize;
+    for interaction in tracker.interactions().filter(|i| i.performed) {
+        sum += interaction.intention.to_unit().value();
+        performed += 1;
+    }
+    if performed == 0 {
+        return Satisfaction::MIN;
+    }
+    Satisfaction::new(sum / performed as f64)
+}
+
+/// Definition 1 evaluated from nothing but the remembered interactions.
+fn definition_one(tracker: &ConsumerSatisfaction) -> Satisfaction {
+    let count = tracker.interactions().count();
+    if count == 0 {
+        return Satisfaction::MAX;
+    }
+    let sum: f64 = tracker
+        .interactions()
+        .map(|interaction| interaction.satisfaction().value())
+        .sum();
+    Satisfaction::new(sum / count as f64)
+}
+
+fn assert_exact(provider: &ProviderSatisfaction, consumer: &ConsumerSatisfaction, what: &str) {
+    assert_eq!(
+        provider.satisfaction().value().to_bits(),
+        definition_two(provider).value().to_bits(),
+        "provider after {what}"
+    );
+    assert_eq!(
+        provider.performed_count(),
+        provider.interactions().filter(|i| i.performed).count(),
+        "performed count after {what}"
+    );
+    assert_eq!(
+        consumer.satisfaction().value().to_bits(),
+        definition_one(consumer).value().to_bits(),
+        "consumer after {what}"
+    );
+}
+
+/// Records one proposal and one query outcome decoded from `(a, b)`.
+fn record(
+    provider: &mut ProviderSatisfaction,
+    consumer: &mut ConsumerSatisfaction,
+    query: u64,
+    a: u8,
+    b: u8,
+) {
+    let intention = Intention::new(INTENTIONS[a as usize % INTENTIONS.len()]);
+    provider.record_proposal(QueryId::new(query), intention, !b.is_multiple_of(3));
+    let performers: Vec<(ProviderId, Intention)> = (0..b % 4)
+        .map(|i| {
+            let value = INTENTIONS[(a as usize + i as usize) % INTENTIONS.len()];
+            (ProviderId::new(u64::from(i)), Intention::new(value))
+        })
+        .collect();
+    consumer.record_outcome(QueryId::new(query), 1 + a as usize % 3, &performers);
+}
+
+fn round_trip<T: Serialize + Deserialize>(tracker: &T) -> T {
+    serde::from_str(&serde::to_string(tracker)).expect("trackers round-trip")
+}
+
+proptest! {
+    #[test]
+    fn maintained_values_equal_the_definitions_after_every_step(
+        k in 1usize..9,
+        // (op, a, b): 0–3 record, 4 clone, 5 clone_from over the stale copy,
+        // 6 serde round trip, 7 extract/adopt hand-off, 8 record on the
+        // stale copy only (so it ends up longer, shorter or rotated).
+        ops in proptest::collection::vec((0u8..9, 0u8..=255, 0u8..=255), 1..120),
+    ) {
+        let mut provider = ProviderSatisfaction::new(k);
+        let mut consumer = ConsumerSatisfaction::new(k);
+        // Stale copies: `clone_from` targets of another length and rotation.
+        let mut stale_provider = ProviderSatisfaction::new(k + 3);
+        let mut stale_consumer = ConsumerSatisfaction::new(k + 3);
+        let mut home = SatisfactionRegistry::new(k);
+        let mut away = SatisfactionRegistry::new(k + 1);
+        let id = ProviderId::new(7);
+
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            let query = step as u64;
+            match op {
+                0..=3 => record(&mut provider, &mut consumer, query, a, b),
+                4 => {
+                    provider = provider.clone();
+                    consumer = consumer.clone();
+                }
+                5 => {
+                    stale_provider.clone_from(&provider);
+                    stale_consumer.clone_from(&consumer);
+                    prop_assert_eq!(&stale_provider, &provider);
+                    prop_assert_eq!(&stale_consumer, &consumer);
+                    std::mem::swap(&mut stale_provider, &mut provider);
+                    std::mem::swap(&mut stale_consumer, &mut consumer);
+                }
+                6 => {
+                    let back = round_trip(&provider);
+                    prop_assert_eq!(&back, &provider);
+                    provider = back;
+                    let back = round_trip(&consumer);
+                    prop_assert_eq!(&back, &consumer);
+                    consumer = back;
+                }
+                7 => {
+                    home.adopt_provider(id, provider);
+                    let moved = home.extract_provider(id).expect("just adopted");
+                    away.adopt_provider(id, moved);
+                    prop_assert_eq!(
+                        away.provider_satisfaction(id).value().to_bits(),
+                        definition_two(away.provider(id).expect("adopted")).value().to_bits()
+                    );
+                    provider = away.extract_provider(id).expect("just adopted");
+                }
+                _ => record(&mut stale_provider, &mut stale_consumer, query, b, a),
+            }
+            assert_exact(&provider, &consumer, &format!("step {step} (op {op})"));
+            assert_exact(&stale_provider, &stale_consumer, &format!("step {step}, stale copy"));
+        }
+    }
+
+    /// The same through the registry's own recording path: one probe per
+    /// participant, unknown ones registered on first record.
+    #[test]
+    fn registry_reads_equal_the_definitions_after_every_mediation(
+        k in 1usize..9,
+        mediations in proptest::collection::vec((0u8..3, 0u8..=255, 0u8..=255), 1..80),
+    ) {
+        let mut registry = SatisfactionRegistry::new(k);
+        for (step, &(who, a, b)) in mediations.iter().enumerate() {
+            let consumer = ConsumerId::new(u64::from(who));
+            let proposals: Vec<(ProviderId, Intention, bool)> = (0..1 + b % 4)
+                .map(|i| {
+                    let value = INTENTIONS[(a as usize + i as usize) % INTENTIONS.len()];
+                    let provider = ProviderId::new(u64::from((a.wrapping_add(i)) % 5));
+                    (provider, Intention::new(value), (b >> i) & 1 == 1)
+                })
+                .collect();
+            let performed_by: Vec<(ProviderId, Intention)> = proposals
+                .iter()
+                .filter(|(.., performed)| *performed)
+                .map(|&(provider, intention, _)| (provider, intention))
+                .collect();
+            registry.record_mediation(
+                QueryId::new(step as u64),
+                consumer,
+                1 + a as usize % 3,
+                &performed_by,
+                &proposals,
+            );
+            prop_assert_eq!(
+                registry.consumer_satisfaction(consumer).value().to_bits(),
+                definition_one(registry.consumer(consumer).expect("registered")).value().to_bits()
+            );
+            for (provider, ..) in &proposals {
+                prop_assert_eq!(
+                    registry.provider_satisfaction(*provider).value().to_bits(),
+                    definition_two(registry.provider(*provider).expect("registered"))
+                        .value()
+                        .to_bits()
+                );
+            }
+        }
+    }
+}
+
+/// A payload carrying derived fields that disagree with its window (none is
+/// serialized today; a future or foreign writer might) loads with the
+/// window's values.
+#[test]
+fn a_payload_whose_derived_fields_disagree_loads_with_the_windows_values() {
+    let mut provider = ProviderSatisfaction::new(4);
+    let mut consumer = ConsumerSatisfaction::new(4);
+    for query in 0..6u64 {
+        record(
+            &mut provider,
+            &mut consumer,
+            query,
+            query as u8,
+            1 + query as u8,
+        );
+    }
+    let lie = |mut value: Value| {
+        let Value::Map(entries) = &mut value else {
+            panic!("trackers serialize as maps");
+        };
+        for (key, lie) in [
+            ("sum", Value::F64(99.0)),
+            ("performed", Value::U64(1)),
+            ("values", Value::Seq(vec![Value::F64(0.0)])),
+        ] {
+            entries.push((Value::String(key.to_owned()), lie));
+        }
+        value
+    };
+    let loaded = ProviderSatisfaction::from_value(&lie(provider.to_value())).expect("loads");
+    assert_eq!(loaded, provider);
+    assert_eq!(loaded.satisfaction(), definition_two(&provider));
+    let loaded = ConsumerSatisfaction::from_value(&lie(consumer.to_value())).expect("loads");
+    assert_eq!(loaded, consumer);
+    assert_eq!(loaded.satisfaction(), definition_one(&consumer));
+}

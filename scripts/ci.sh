@@ -81,7 +81,7 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop)"
+echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, maintained_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. The
@@ -104,16 +104,26 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # uninterrupted stream. postings_prop holds a merged candidate plan to the
 # naive ordered-set merge on every container mix (Array, Bitmap, mixed, the
 # promote-demote boundary), before and after slab compactions re-point its
-# members' slots. golden_adaptive pins a stepped load-feedback run of the
-# open-loop driver (tallies, departures, satisfaction bits, controller
-# trail); golden_compositions pins what one declared run composes: a crash
+# members' slots — and rank-select (`select`, the batched `load_keys`) to the
+# shadow's (id, slot) after every insert, remove and re-point, on Array and
+# Bitmap chunks, across a promotion and a demotion and in a completely full
+# chunk; candidates_prop holds KnBest's bounded-insertion filter to a
+# partition-and-sort of the same draw. maintained_prop holds the maintained
+# satisfaction values (a provider's running Definition-2 sum, a consumer's
+# ring of per-query values) bit-equal to a from-scratch evaluation over the
+# window after every record, clone, in-place copy, serde round trip and
+# registry hand-off. Release builds compile the tracker's `debug_assert` out,
+# so under --release these proptests are the proof. golden_adaptive pins a
+# stepped load-feedback run of the open-loop driver (tallies, departures,
+# satisfaction bits, controller trail); golden_compositions pins what one declared run composes: a crash
 # while shedding after a live resize (crashed = uncrashed, inline = threaded,
 # chunk 64 = chunk 17) and both primaries lost behind a churned standby that
 # never checkpoints.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication --test replay_prop -q
-cargo test --release -p sbqa_core --test postings_prop -q
+cargo test --release -p sbqa_core --test postings_prop --test candidates_prop -q
+cargo test --release -p sbqa_satisfaction --test maintained_prop -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
     --test golden_adaptive --test golden_compositions -q
 
