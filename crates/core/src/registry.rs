@@ -37,8 +37,8 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize, Value};
 
 use sbqa_types::{
-    CapabilityRequirement, CapabilitySet, ProviderColumns, ProviderId, Query, SbqaError,
-    SbqaResult, MAX_CAPABILITY_CLASSES,
+    CapabilityRequirement, CapabilitySet, IdDirectory, ProviderColumns, ProviderId, Query,
+    SbqaError, SbqaResult, MAX_CAPABILITY_CLASSES,
 };
 
 use crate::allocator::{Candidates, PlanToken, ProviderSnapshot};
@@ -226,9 +226,8 @@ pub struct ProviderRegistry {
     /// column-wise `swap_remove` on unregister, so a slot index is only
     /// stable between mutations.
     columns: ProviderColumns,
-    /// id → slot position in `columns`.
-    // sbqa-lint: allow(hash-collection, "id-to-slot point lookups only; ordered traversal goes through the postings index")
-    index: HashMap<ProviderId, u32>,
+    /// id → slot position in `columns`, confirmed against its id column.
+    index: IdDirectory,
     /// For each capability class, the id→slot bitmap postings of online
     /// providers advertising it; the final entry ([`ONLINE_LIST`]) holds
     /// every online provider.
@@ -289,8 +288,7 @@ impl Default for ProviderRegistry {
     fn default() -> Self {
         Self {
             columns: ProviderColumns::new(),
-            // sbqa-lint: allow(hash-collection, "id-to-slot point lookups only; ordered traversal goes through the postings index")
-            index: HashMap::new(),
+            index: IdDirectory::new(),
             postings: vec![PostingsMap::new(); ONLINE_LIST + 1],
             uncached_set: MergedSet::default(),
             class_counts: [0; MAX_CAPABILITY_CLASSES as usize],
@@ -308,6 +306,12 @@ impl ProviderRegistry {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The slab slot of a registered provider.
+    fn slot_of(&self, id: ProviderId) -> Option<u32> {
+        let ids = self.columns.ids();
+        self.index.find(id.raw(), |slot| ids[slot as usize].raw())
     }
 
     /// The postings maps a provider belongs to while online: one per
@@ -359,7 +363,7 @@ impl ProviderRegistry {
     /// any existing provider with the same id.
     fn insert_snapshot(&mut self, snapshot: ProviderSnapshot) {
         self.mutation_stamp += 1;
-        if let Some(&slot) = self.index.get(&snapshot.id) {
+        if let Some(slot) = self.slot_of(snapshot.id) {
             let previous = self.columns.snapshot(slot as usize);
             if previous.online {
                 self.unindex_slot(slot);
@@ -373,7 +377,9 @@ impl ProviderRegistry {
             // sbqa-lint: allow(panic-hygiene, "slot ids are u32 by design; a 4-billion-provider registry exceeds the design envelope")
             let slot = u32::try_from(self.columns.len()).expect("provider population fits in u32");
             self.columns.push(snapshot);
-            self.index.insert(snapshot.id, slot);
+            let ids = self.columns.ids();
+            self.index
+                .insert(snapshot.id.raw(), slot, |slot| ids[slot as usize].raw());
             if snapshot.online {
                 self.index_slot(slot);
             }
@@ -421,7 +427,8 @@ impl ProviderRegistry {
     /// Removes a provider entirely (it left the system for good).
     /// Returns `true` if the provider existed.
     pub fn unregister(&mut self, id: ProviderId) -> bool {
-        let Some(slot) = self.index.remove(&id) else {
+        let ids = self.columns.ids();
+        let Some(slot) = self.index.remove(id.raw(), |slot| ids[slot as usize].raw()) else {
             return false;
         };
         self.mutation_stamp += 1;
@@ -438,7 +445,7 @@ impl ProviderRegistry {
             // by provider id — which did not change — so each is an id-keyed
             // point update, no ordering to repair.
             let moved = self.columns.snapshot(slot as usize);
-            self.index.insert(moved.id, slot);
+            self.index.repoint(moved.id.raw(), last, slot);
             if moved.online {
                 for list in Self::lists_of(moved.capabilities) {
                     self.postings[list].patch_slot(moved.id, slot);
@@ -451,7 +458,7 @@ impl ProviderRegistry {
 
     /// Marks a provider online or offline. Unknown providers are an error.
     pub fn set_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
-        let Some(&slot) = self.index.get(&id) else {
+        let Some(slot) = self.slot_of(id) else {
             return Err(SbqaError::UnknownProvider { provider: id });
         };
         let was_online = self.columns.online()[slot as usize];
@@ -478,8 +485,8 @@ impl ProviderRegistry {
         utilization: f64,
         queue_length: usize,
     ) -> SbqaResult<()> {
-        match self.index.get(&id) {
-            Some(&slot) => {
+        match self.slot_of(id) {
+            Some(slot) => {
                 // Load changes never invalidate cached plans (membership and
                 // slots are untouched) but they do change column values, so
                 // the token stamp must move or a memoized column gather
@@ -501,9 +508,8 @@ impl ProviderRegistry {
     /// Looks up one provider's snapshot (assembled from the columns).
     #[must_use]
     pub fn get(&self, id: ProviderId) -> Option<ProviderSnapshot> {
-        self.index
-            .get(&id)
-            .map(|&slot| self.columns.snapshot(slot as usize))
+        self.slot_of(id)
+            .map(|slot| self.columns.snapshot(slot as usize))
     }
 
     /// Number of registered providers.

@@ -2,17 +2,24 @@
 //! allocation.
 //!
 //! A counting global allocator wraps the system allocator; after warming the
-//! mediator's scratch buffers (KnBest pool, decision, satisfaction views)
-//! and growing every participant's interaction window to its final ring
-//! size, a sustained run of `submit_in_place` and `submit_batch` must not
-//! allocate or reallocate at all — on plan-cache hits, on eviction and stale
+//! mediator's scratch buffers (KnBest pool, decision, satisfaction views), a
+//! sustained run of `submit_in_place` and `submit_batch` must not allocate
+//! or reallocate at all — on plan-cache hits, on eviction and stale
 //! re-merges into recycled plan entries, with the satisfaction registry's
 //! touched-id tracking off (the default) and, once its id buffers are warm,
-//! with it on (a replicated shard's primary).
+//! with it on and synced into a checkpoint copy (a replicated shard's
+//! primary cutting checkpoints).
 //!
-//! Windows grow on demand, so "steady state" is reached per participant: the
-//! test first bounds what getting there costs — a window allocates at most
-//! ⌈log2(k / 8)⌉ + 1 times in its life and never holds more than `k` slots.
+//! Provider windows grow on demand *inside* those runs — nobody fills them
+//! first. A growth step takes a block from the registry's pool, so the only
+//! thing a registry ever asks the allocator for is a whole chunk of blocks:
+//! the test first counts that on fresh providers (a chunk per 1 024 blocks
+//! of a size class, where the per-participant trackers it replaces
+//! allocated once per window per size), then gives those blocks back, which
+//! leaves the pool able to serve every later growth step without a chunk.
+//! A standalone window still grows through the allocator; its bound —
+//! ⌈log2(k / 8)⌉ + 1 allocations in its life, never more than `k` slots — is
+//! checked too.
 //!
 //! This file deliberately contains a single test: the counter is
 //! process-global, so a parallel test could pollute the measurement.
@@ -133,26 +140,76 @@ fn steady_state_mediation_does_not_allocate() {
     mediator.register_consumer(ConsumerId::new(1));
     let oracle = StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
 
-    // Warm-up, part one: every participant's window at its final ring size.
-    // KnBest's draw only ever reaches some of the providers in a short run
-    // (ties on utilization go to the lowest ids), so the windows are filled
-    // through the satisfaction registry directly, `capacity` proposals each.
+    // The consumer's own window first (it is one tracker of provider lists,
+    // not pooled): `capacity` outcomes of two performers each.
+    let performers = [
+        (ProviderId::new(0), Intention::new(0.4)),
+        (ProviderId::new(1), Intention::new(0.4)),
+    ];
     for round in 0..capacity as u64 {
-        for first in (0..PROVIDERS).step_by(4) {
-            let proposals: Vec<(ProviderId, Intention, bool)> = (first..PROVIDERS.min(first + 4))
-                .map(|p| (ProviderId::new(p), Intention::new(0.2), p.is_multiple_of(2)))
-                .collect();
+        mediator.satisfaction_mut().record_mediation(
+            QueryId::new(900_000 + round),
+            ConsumerId::new(1),
+            2,
+            &performers,
+            &[],
+        );
+    }
+
+    // What the provider side asks the allocator for: pool chunks, nothing
+    // per participant. As many fresh providers again as the population —
+    // known to the satisfaction registry only — take `capacity` proposals
+    // each, round-robin, so all of them hold a block of the same size class
+    // at once and every class up to the final one is carved to its peak.
+    for p in PROVIDERS..2 * PROVIDERS {
+        mediator
+            .satisfaction_mut()
+            .register_provider(ProviderId::new(p));
+    }
+    COUNTING.store(true, Ordering::SeqCst);
+    for round in 0..capacity as u64 {
+        for first in (PROVIDERS..2 * PROVIDERS).step_by(4) {
+            let proposals: [(ProviderId, Intention, bool); 4] = std::array::from_fn(|i| {
+                let p = first + i as u64;
+                (ProviderId::new(p), Intention::new(0.2), p.is_multiple_of(2))
+            });
             mediator.satisfaction_mut().record_mediation(
                 QueryId::new(1_000_000 + round * PROVIDERS + first),
                 ConsumerId::new(1),
                 2,
-                &[],
+                &performers,
                 &proposals,
             );
         }
     }
+    COUNTING.store(false, Ordering::SeqCst);
+    let pool_allocations = ALLOCATIONS.swap(0, Ordering::SeqCst);
+    // One chunk per 1 024 blocks of each of the `growth_bound` size classes
+    // (8, 16, 32, 64 slots for k = 50), a few doublings of each class's
+    // chunk table, and the class table itself.
+    let chunks = (PROVIDERS as usize).div_ceil(1024);
+    assert!(
+        (growth_bound * chunks..=growth_bound * (chunks + 4) + 1).contains(&pool_allocations),
+        "{pool_allocations} allocations to give {PROVIDERS} fresh providers full windows \
+         ({chunks} chunks in each of {growth_bound} classes expected)"
+    );
+    // Their departure hands every block back — without touching the heap —
+    // so from here on the pool holds a free block of every class for every
+    // provider of the population: no growth step below can need a chunk.
+    COUNTING.store(true, Ordering::SeqCst);
+    for p in PROVIDERS..2 * PROVIDERS {
+        assert!(mediator
+            .satisfaction_mut()
+            .remove_provider(ProviderId::new(p)));
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    assert_eq!(
+        ALLOCATIONS.swap(0, Ordering::SeqCst),
+        0,
+        "giving blocks back must not touch the heap"
+    );
 
-    // Part two: grow all scratch buffers, including the plan entries' merged
+    // Warm-up: grow all scratch buffers, including the plan entries' merged
     // sets. The class populations are static here, so every All/Any class
     // pair reaches its maximal merge output size during warm-up.
     for id in 0..800u64 {
@@ -246,9 +303,10 @@ fn steady_state_mediation_does_not_allocate() {
 
     // The same steady state with touched-id tracking armed, synced into a
     // checkpoint copy every 256 queries the way a replicated shard cuts: one
-    // window warms the id buffers, after which noting the touched ids must
-    // not allocate either. (The syncs are not counted: copying a tracker the
-    // copy sees for the first time allocates its window.)
+    // window warms the id buffers, after which neither noting the touched
+    // ids nor the sync — a touched row's header and block copied over, the
+    // copy taking a block of the row's new class from its own pool where the
+    // window grew — may allocate.
     let mut checkpoint = mediator.satisfaction().clone();
     mediator.satisfaction_mut().track_touched();
     let mut allocations_tracked = 0;
@@ -259,18 +317,18 @@ fn steady_state_mediation_does_not_allocate() {
             let q = query(4_000 + window * 256 + id);
             mediator.submit_in_place(&q, &oracle).unwrap();
         }
-        COUNTING.store(false, Ordering::SeqCst);
-        if window > 0 {
-            allocations_tracked += ALLOCATIONS.load(Ordering::SeqCst) - before;
-        }
         let synced = mediator
             .satisfaction_mut()
             .sync_touched_into(&mut checkpoint)
             .expect("tracking is armed");
+        COUNTING.store(false, Ordering::SeqCst);
+        if window > 0 {
+            allocations_tracked += ALLOCATIONS.load(Ordering::SeqCst) - before;
+        }
         assert!(synced > 0 && synced <= 256 * 5, "{synced} trackers synced");
     }
     assert_eq!(
         allocations_tracked, 0,
-        "steady-state mediation with touched-id tracking must not touch the heap"
+        "steady-state mediation with touched-id tracking and checkpoint syncs must not touch the heap"
     );
 }

@@ -144,7 +144,10 @@ pub fn registry_digest(registry: &sbqa_core::ProviderRegistry) -> u64 {
 /// Order-stable digest of a satisfaction registry's whole state: every
 /// consumer tracker, then every provider tracker, in ascending id order,
 /// folded through FNV-1a over the exact `Debug` rendering (window length,
-/// every remembered interaction with its `f64` intentions, lifetime count).
+/// every remembered interaction with its `f64` intentions, lifetime count)
+/// of the tracker — a provider's materialised from its row
+/// ([`sbqa_satisfaction::ProviderView::to_tracker`]), so the digest sees
+/// what the registry remembers and nothing of how it stores it.
 /// Two registries with equal digests answer every satisfaction and ω query
 /// alike now and after any common sequence of further mediations — what an
 /// incrementally cut checkpoint is held to against its primary.
@@ -159,7 +162,7 @@ pub fn satisfaction_digest(registry: &SatisfactionRegistry) -> u64 {
     fold_trackers(
         &mut hash,
         registry.provider_satisfactions().map(|(id, _)| id),
-        |id| registry.provider(id),
+        |id| registry.provider(id).map(|view| view.to_tracker()),
     );
     hash
 }

@@ -90,9 +90,10 @@ impl SatisfactionSnapshot {
         provider_threshold: f64,
     ) -> Self {
         // Order the values by participant id before aggregating: the
-        // registry iterates hash maps, and float summation in hasher order
-        // would make the aggregate means differ in their last bits between
-        // identically-seeded runs.
+        // registry iterates in row order, which depends on the registration
+        // and removal history (a restored checkpoint's differs from its
+        // primary's), and float summation in another order would change the
+        // aggregate means in their last bits.
         let mut consumers: Vec<(sbqa_types::ConsumerId, Satisfaction)> =
             registry.consumer_satisfactions().collect();
         consumers.sort_unstable_by_key(|(id, _)| *id);

@@ -36,6 +36,7 @@ pub mod consumer;
 pub mod gap;
 pub mod provider;
 pub mod registry;
+mod rows;
 pub mod window;
 
 pub use adequation::{AllocationEfficiency, ConsumerAdequation, ProviderAdequation};
@@ -44,4 +45,5 @@ pub use consumer::{ConsumerInteraction, ConsumerSatisfaction};
 pub use gap::{GapSample, GapWindow};
 pub use provider::{ProviderInteraction, ProviderSatisfaction};
 pub use registry::SatisfactionRegistry;
+pub use rows::ProviderView;
 pub use window::InteractionWindow;

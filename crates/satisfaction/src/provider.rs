@@ -50,40 +50,104 @@ impl ProviderInteraction {
     }
 }
 
+/// Definition 2's numerator and denominator over a window: the sum of
+/// `(PPIp[q] + 1) / 2` over its performed proposals, oldest first, and their
+/// count (`|SQ^k_p|`).
+///
+/// Kept beside a window — by the standalone [`ProviderSatisfaction`] and by
+/// a registry's pooled rows alike — so that reading a satisfaction is one
+/// division. [`PerformedSum::after_record`] is the one rule that keeps the
+/// pair bit-equal to a fresh oldest→newest sum over the window at all times.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct PerformedSum {
+    pub(crate) sum: f64,
+    pub(crate) performed: usize,
+}
+
+impl PerformedSum {
+    /// The pair summed from scratch over `window`, oldest first.
+    pub(crate) fn over<'a>(window: impl Iterator<Item = &'a ProviderInteraction>) -> Self {
+        let mut fresh = Self::default();
+        for interaction in window.filter(|i| i.performed) {
+            fresh.sum += interaction.intention.to_unit().value();
+            fresh.performed += 1;
+        }
+        fresh
+    }
+
+    /// The pair after `recorded` entered the window at its newest end and
+    /// `evicted`, if any, left it at the oldest; `window` yields the window
+    /// as it is now.
+    ///
+    /// A performed proposal appended at the newest end is the sum's next
+    /// addend, an evicted unperformed one was no addend at all, and only an
+    /// evicted performed one — the *first* addend, which floating-point
+    /// addition cannot take back out — makes the window be summed again.
+    pub(crate) fn after_record<'a, W>(
+        mut self,
+        recorded: &ProviderInteraction,
+        evicted: Option<ProviderInteraction>,
+        window: impl Fn() -> W,
+    ) -> Self
+    where
+        W: Iterator<Item = &'a ProviderInteraction>,
+    {
+        if evicted.is_some_and(|oldest| oldest.performed) {
+            self = Self::over(window());
+        } else if recorded.performed {
+            self.sum += recorded.intention.to_unit().value();
+            self.performed += 1;
+        }
+        debug_assert_eq!(
+            (self.sum.to_bits(), self.performed),
+            {
+                let fresh = Self::over(window());
+                (fresh.sum.to_bits(), fresh.performed)
+            },
+            "the maintained sum left the window's"
+        );
+        self
+    }
+
+    /// `δs(p)` over a window of `observed` proposals (Definition 2, with the
+    /// cold-start refinement of [`ProviderSatisfaction::satisfaction`]).
+    pub(crate) fn satisfaction(self, observed: usize) -> Satisfaction {
+        if observed == 0 {
+            return Satisfaction::MAX;
+        }
+        if self.performed == 0 {
+            return Satisfaction::MIN;
+        }
+        Satisfaction::new(self.sum / self.performed as f64)
+    }
+
+    /// Fraction of `observed` proposals that were performed; 1.0 for none.
+    pub(crate) fn selection_rate(self, observed: usize) -> f64 {
+        if observed == 0 {
+            return 1.0;
+        }
+        self.performed as f64 / observed as f64
+    }
+}
+
 /// Rolling provider satisfaction over the last `k` proposed queries
 /// (Definition 2).
 ///
-/// Definition 2's numerator and denominator — the sum of `(PPIp[q] + 1) / 2`
-/// over the performed proposals of the window and their count — are kept
-/// beside the window, so [`ProviderSatisfaction::satisfaction`] is one
-/// division. They are bit-equal to a fresh oldest→newest sum over the window
-/// at all times (see [`ProviderSatisfaction::record`]) and are not part of
-/// the serialized form: a tracker read back rebuilds them from its window.
-#[derive(Debug, PartialEq)]
+/// Definition 2's numerator and denominator are kept beside the window, so
+/// [`ProviderSatisfaction::satisfaction`] is one division. They are
+/// bit-equal to a fresh oldest→newest sum over the window at all times (see
+/// [`ProviderSatisfaction::record`]) and are not part of the serialized
+/// form: a tracker read back rebuilds them from its window.
+///
+/// This is the standalone form of a provider's state — what a participant
+/// keeps for itself, what travels in a shard handoff and what goes on the
+/// wire. Inside a [`SatisfactionRegistry`](crate::SatisfactionRegistry) the
+/// same state lives in pooled rows, read through
+/// [`ProviderView`](crate::ProviderView).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderSatisfaction {
     window: InteractionWindow<ProviderInteraction>,
-    /// `Σ (intention + 1) / 2` over the performed proposals, oldest first.
-    sum: f64,
-    /// Number of performed proposals in the window (`|SQ^k_p|`).
-    performed: usize,
-}
-
-/// By hand so that `clone_from` reaches the window's, which copies over the
-/// stale window in place.
-impl Clone for ProviderSatisfaction {
-    fn clone(&self) -> Self {
-        Self {
-            window: self.window.clone(),
-            sum: self.sum,
-            performed: self.performed,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.window.clone_from(&source.window);
-        self.sum = source.sum;
-        self.performed = source.performed;
-    }
+    maintained: PerformedSum,
 }
 
 impl Serialize for ProviderSatisfaction {
@@ -95,26 +159,9 @@ impl Serialize for ProviderSatisfaction {
 impl Deserialize for ProviderSatisfaction {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let window = tracker_window(value)?;
-        let (sum, performed) = sum_performed(&window);
-        Ok(Self {
-            window,
-            sum,
-            performed,
-        })
+        let maintained = PerformedSum::over(window.iter());
+        Ok(Self { window, maintained })
     }
-}
-
-/// Definition 2's numerator and denominator over a window: the sum of
-/// `(intention + 1) / 2` over its performed proposals, oldest first, and
-/// their count.
-fn sum_performed(window: &InteractionWindow<ProviderInteraction>) -> (f64, usize) {
-    let mut sum = 0.0;
-    let mut performed = 0;
-    for interaction in window.iter().filter(|i| i.performed) {
-        sum += interaction.intention.to_unit().value();
-        performed += 1;
-    }
-    (sum, performed)
 }
 
 impl ProviderSatisfaction {
@@ -123,9 +170,21 @@ impl ProviderSatisfaction {
     pub fn new(k: usize) -> Self {
         Self {
             window: InteractionWindow::new(k),
-            sum: 0.0,
-            performed: 0,
+            maintained: PerformedSum::default(),
         }
+    }
+
+    /// Reassembles a tracker from a window and the pair maintained over it.
+    pub(crate) fn from_parts(
+        window: InteractionWindow<ProviderInteraction>,
+        maintained: PerformedSum,
+    ) -> Self {
+        Self { window, maintained }
+    }
+
+    /// The window and the pair maintained over it.
+    pub(crate) fn into_parts(self) -> (InteractionWindow<ProviderInteraction>, PerformedSum) {
+        (self.window, self.maintained)
     }
 
     /// The window size `k`.
@@ -140,29 +199,15 @@ impl ProviderSatisfaction {
         self.window.len()
     }
 
-    /// Records a proposal and whether the provider performed it.
-    ///
-    /// The maintained sum stays the oldest→newest sum of the window: a
-    /// performed proposal appended at the newest end is that sum's next
-    /// addend, an evicted unperformed one was no addend at all, and only an
-    /// evicted performed one — the *first* addend, which floating-point
-    /// addition cannot take back out — makes the window be summed again.
+    /// Records a proposal and whether the provider performed it, keeping
+    /// the maintained sum the oldest→newest sum of the window
+    /// (`PerformedSum::after_record`).
     pub fn record(&mut self, interaction: ProviderInteraction) {
         let evicted = self.window.record(interaction);
-        if evicted.is_some_and(|oldest| oldest.performed) {
-            (self.sum, self.performed) = sum_performed(&self.window);
-        } else if interaction.performed {
-            self.sum += interaction.intention.to_unit().value();
-            self.performed += 1;
-        }
-        debug_assert_eq!(
-            (self.sum.to_bits(), self.performed),
-            {
-                let (sum, performed) = sum_performed(&self.window);
-                (sum.to_bits(), performed)
-            },
-            "the maintained sum left the window's"
-        );
+        let window = &self.window;
+        self.maintained = self
+            .maintained
+            .after_record(&interaction, evicted, || window.iter());
     }
 
     /// Convenience wrapper over [`ProviderSatisfaction::record`].
@@ -181,30 +226,21 @@ impl ProviderSatisfaction {
     /// reads every candidate's satisfaction to resolve ω).
     #[must_use]
     pub fn satisfaction(&self) -> Satisfaction {
-        if self.window.is_empty() {
-            return Satisfaction::MAX;
-        }
-        if self.performed == 0 {
-            return Satisfaction::MIN;
-        }
-        Satisfaction::new(self.sum / self.performed as f64)
+        self.maintained.satisfaction(self.window.len())
     }
 
     /// Number of remembered proposals the provider actually performed
     /// (`|SQ^k_p|`).
     #[must_use]
     pub fn performed_count(&self) -> usize {
-        self.performed
+        self.maintained.performed
     }
 
     /// Fraction of remembered proposals the provider performed. Returns 1.0
     /// when there is no proposal yet.
     #[must_use]
     pub fn selection_rate(&self) -> f64 {
-        if self.window.is_empty() {
-            return 1.0;
-        }
-        self.performed_count() as f64 / self.window.len() as f64
+        self.maintained.selection_rate(self.window.len())
     }
 
     /// Mean intention expressed over all remembered proposals, performed or

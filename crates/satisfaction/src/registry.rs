@@ -3,10 +3,26 @@
 //! To compute ω (Equation 2) the mediator needs to know, at mediation time,
 //! the current satisfaction of the issuing consumer and of every candidate
 //! provider. [`SatisfactionRegistry`] is that bookkeeping: it owns one
-//! [`ConsumerSatisfaction`] per registered consumer and one
+//! [`ConsumerSatisfaction`] per registered consumer and the state of one
 //! [`ProviderSatisfaction`] per registered provider, and is updated after
 //! every mediation with the information the paper says the mediator sends out
 //! ("the mediation result to the consumer and all providers in set Kn").
+//!
+//! ## Layout
+//!
+//! Both sides are dense rows behind an [`IdDirectory`]: an id resolves to a
+//! row by one keyless probe, and nothing in the registry is hashed. The
+//! consumers — few, each with a window of provider lists — are a column of
+//! ids beside a column of [`ConsumerSatisfaction`] trackers. The providers —
+//! the large side, read `kn` times and written `kn` times per mediation —
+//! are one-cache-line rows over a shared pool of windows (the `rows`
+//! module), read through [`ProviderView`]. Iteration is in row order:
+//! registration order, except that a removal moves the last row into the
+//! freed place. That order is a pure function of the calls made, so it
+//! repeats from run to run, but it is not id order and a synced copy's may
+//! differ from its source's — aggregate over sorted ids, as
+//! [`SatisfactionSnapshot::capture`](crate::SatisfactionSnapshot::capture)
+//! does.
 //!
 //! The registry is also the instrument of Scenario 1: because it only relies
 //! on expressed intentions and observed allocations, it can score *any*
@@ -19,20 +35,21 @@
 //! (the replication standby's checkpoint) arms
 //! [`SatisfactionRegistry::track_touched`]: from then on every mutator notes
 //! the ids it changed, and [`SatisfactionRegistry::sync_touched_into`]
-//! brings the copy up to date by copying exactly those trackers — O(touched)
-//! instead of a clone of every participant. Like the provider registry's
+//! brings the copy up to date by copying exactly those rows — O(touched)
+//! instead of a clone of every participant. Ids, not rows, are noted: rows
+//! move under compaction. Like the provider registry's
 //! delta sink the hook is `None` by default (one null check per mutating
 //! call) and never inherited by clones.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use sbqa_types::{ConsumerId, Intention, ProviderId, QueryId, Satisfaction};
+use sbqa_types::{ConsumerId, IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
 
 use crate::consumer::ConsumerSatisfaction;
-use crate::provider::ProviderSatisfaction;
+use crate::provider::{ProviderInteraction, ProviderSatisfaction};
+use crate::rows::{ProviderRows, ProviderView};
 
 /// The ids whose trackers changed (were created, recorded into, replaced or
 /// removed) since the last [`SatisfactionRegistry::sync_touched_into`], in
@@ -70,26 +87,82 @@ impl Clone for TouchedHook {
     }
 }
 
-impl Serialize for TouchedHook {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Option(None)
-    }
+/// The consumers' rows: a column of ids beside a column of trackers.
+#[derive(Debug, Clone, Default)]
+struct ConsumerRows {
+    ids: Vec<ConsumerId>,
+    trackers: Vec<ConsumerSatisfaction>,
+    directory: IdDirectory,
 }
 
-impl Deserialize for TouchedHook {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self(None))
+impl ConsumerRows {
+    fn find(&self, id: ConsumerId) -> Option<usize> {
+        let ids = &self.ids;
+        self.directory
+            .find(id.raw(), |row| ids[row as usize].raw())
+            .map(|row| row as usize)
+    }
+
+    /// Appends a consumer (its id must be absent) and returns its row.
+    fn push(&mut self, id: ConsumerId, tracker: ConsumerSatisfaction) -> usize {
+        let at = self.ids.len();
+        assert!(at < u32::MAX as usize, "consumer rows fit in u32");
+        self.ids.push(id);
+        self.trackers.push(tracker);
+        let ids = &self.ids;
+        self.directory
+            .insert(id.raw(), at as u32, |row| ids[row as usize].raw());
+        at
+    }
+
+    /// The consumer's tracker, registered with a window of `window` first
+    /// if it is unknown.
+    fn tracker_mut(&mut self, id: ConsumerId, window: usize) -> &mut ConsumerSatisfaction {
+        let at = match self.find(id) {
+            Some(at) => at,
+            None => self.push(id, ConsumerSatisfaction::new(window)),
+        };
+        &mut self.trackers[at]
+    }
+
+    /// Removes a consumer; the last row moves into its place.
+    fn remove(&mut self, id: ConsumerId) -> bool {
+        let Some(at) = self.find(id) else {
+            return false;
+        };
+        let ids = &self.ids;
+        self.directory
+            .remove(id.raw(), |row| ids[row as usize].raw());
+        self.ids.swap_remove(at);
+        self.trackers.swap_remove(at);
+        if let Some(moved) = self.ids.get(at) {
+            self.directory
+                .repoint(moved.raw(), self.ids.len() as u32, at as u32);
+        }
+        true
+    }
+
+    /// Makes this side's tracker of `id` equal to `source`'s: copied over
+    /// in place (reusing its buffers), appended, or removed.
+    fn sync_from(&mut self, source: &ConsumerRows, id: ConsumerId) {
+        match (source.find(id), self.find(id)) {
+            (Some(live), Some(stale)) => self.trackers[stale].clone_from(&source.trackers[live]),
+            (Some(live), None) => {
+                self.push(id, source.trackers[live].clone());
+            }
+            (None, _) => {
+                self.remove(id);
+            }
+        }
     }
 }
 
 /// Mediator-side record of every participant's satisfaction state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SatisfactionRegistry {
     window: usize,
-    // sbqa-lint: allow(hash-collection, "per-id point lookups on the hot path; aggregation sorts ids before summing (analysis.rs)")
-    consumers: HashMap<ConsumerId, ConsumerSatisfaction>,
-    // sbqa-lint: allow(hash-collection, "per-id point lookups on the hot path; aggregation sorts ids before summing (analysis.rs)")
-    providers: HashMap<ProviderId, ProviderSatisfaction>,
+    consumers: ConsumerRows,
+    providers: ProviderRows,
     touched: TouchedHook,
 }
 
@@ -100,10 +173,8 @@ impl SatisfactionRegistry {
     pub fn new(satisfaction_window: usize) -> Self {
         Self {
             window: satisfaction_window.max(1),
-            // sbqa-lint: allow(hash-collection, "per-id point lookups on the hot path; aggregation sorts ids before summing (analysis.rs)")
-            consumers: HashMap::new(),
-            // sbqa-lint: allow(hash-collection, "per-id point lookups on the hot path; aggregation sorts ids before summing (analysis.rs)")
-            providers: HashMap::new(),
+            consumers: ConsumerRows::default(),
+            providers: ProviderRows::default(),
             touched: TouchedHook(None),
         }
     }
@@ -116,12 +187,15 @@ impl SatisfactionRegistry {
     }
 
     /// Brings `copy` — equal to this registry when tracking was armed or
-    /// last synced — up to date: every tracker touched since is copied into
-    /// it with `clone_from` (reusing the copy's buffers), every tracker
-    /// removed since is removed from it, and the touched set restarts empty.
-    /// Ids are visited in ascending order, each once. Returns the number of
-    /// distinct ids visited, or `None`, leaving `copy` as it was, when
-    /// tracking is not armed.
+    /// last synced — up to date: every consumer tracker touched since is
+    /// copied into it with `clone_from` (reusing the copy's buffers), every
+    /// touched provider row has its header and the live part of its window
+    /// block copied over (the copy taking a block of the source's class
+    /// from its own pool when its row held another), every participant
+    /// removed since is removed from it, and the touched set restarts
+    /// empty. Ids are visited in ascending order, each once. Returns the
+    /// number of distinct ids visited, or `None`, leaving `copy` as it was,
+    /// when tracking is not armed.
     pub fn sync_touched_into(&mut self, copy: &mut SatisfactionRegistry) -> Option<usize> {
         let touched = self.touched.0.as_mut()?;
         touched.consumers.sort_unstable();
@@ -130,10 +204,10 @@ impl SatisfactionRegistry {
         touched.providers.dedup();
         let visited = touched.consumers.len() + touched.providers.len();
         for id in touched.consumers.drain(..) {
-            sync_entry(self.consumers.get(&id), copy.consumers.entry(id));
+            copy.consumers.sync_from(&self.consumers, id);
         }
         for id in touched.providers.drain(..) {
-            sync_entry(self.providers.get(&id), copy.providers.entry(id));
+            copy.providers.sync_from(&self.providers, id);
         }
         Some(visited)
     }
@@ -159,11 +233,11 @@ impl SatisfactionRegistry {
     /// Registers a consumer if it is not yet known. Returns `true` if it was
     /// newly registered.
     pub fn register_consumer(&mut self, consumer: ConsumerId) -> bool {
-        if self.consumers.contains_key(&consumer) {
+        if self.consumers.find(consumer).is_some() {
             return false;
         }
         self.consumers
-            .insert(consumer, ConsumerSatisfaction::new(self.window));
+            .push(consumer, ConsumerSatisfaction::new(self.window));
         self.touch_consumer(consumer);
         true
     }
@@ -171,48 +245,48 @@ impl SatisfactionRegistry {
     /// Registers a provider if it is not yet known. Returns `true` if it was
     /// newly registered.
     pub fn register_provider(&mut self, provider: ProviderId) -> bool {
-        if self.providers.contains_key(&provider) {
-            return false;
+        let registered = self.providers.register(provider, self.window);
+        if registered {
+            self.touch_provider(provider);
         }
-        self.providers
-            .insert(provider, ProviderSatisfaction::new(self.window));
-        self.touch_provider(provider);
-        true
+        registered
     }
 
     /// Removes a consumer (it left the system). Returns `true` if it existed.
     pub fn remove_consumer(&mut self, consumer: ConsumerId) -> bool {
         self.touch_consumer(consumer);
-        self.consumers.remove(&consumer).is_some()
+        self.consumers.remove(consumer)
     }
 
-    /// Removes a provider (it left the system). Returns `true` if it existed.
+    /// Removes a provider (it left the system); its window's block goes
+    /// back to the registry's pool. Returns `true` if it existed.
     pub fn remove_provider(&mut self, provider: ProviderId) -> bool {
-        self.extract_provider(provider).is_some()
+        self.touch_provider(provider);
+        self.providers.remove(provider)
     }
 
-    /// Takes a provider's tracker out of the registry, history intact, so a
-    /// shard handoff can move the provider's satisfaction state to another
-    /// registry instead of resetting it. The counterpart of
+    /// Takes a provider's state out of the registry as a tracker, history
+    /// intact, so a shard handoff can move the provider's satisfaction state
+    /// to another registry instead of resetting it. The counterpart of
     /// [`SatisfactionRegistry::adopt_provider`].
     pub fn extract_provider(&mut self, provider: ProviderId) -> Option<ProviderSatisfaction> {
         self.touch_provider(provider);
-        self.providers.remove(&provider)
+        self.providers.extract(provider)
     }
 
     /// Installs a provider tracker extracted from another registry
-    /// (replacing any existing tracker for that id). The tracker keeps its
+    /// (replacing any existing state for that id). The tracker keeps its
     /// own window length: a provider mid-handoff must not have its
     /// interaction history rescaled by the destination's configuration.
     pub fn adopt_provider(&mut self, provider: ProviderId, tracker: ProviderSatisfaction) {
         self.touch_provider(provider);
-        self.providers.insert(provider, tracker);
+        self.providers.install(provider, tracker);
     }
 
     /// Number of registered consumers.
     #[must_use]
     pub fn consumer_count(&self) -> usize {
-        self.consumers.len()
+        self.consumers.ids.len()
     }
 
     /// Number of registered providers.
@@ -225,30 +299,34 @@ impl SatisfactionRegistry {
     /// fully satisfied newcomers, mirroring the tracker's cold-start rule.
     #[must_use]
     pub fn consumer_satisfaction(&self, consumer: ConsumerId) -> Satisfaction {
-        self.consumers
-            .get(&consumer)
+        self.consumer(consumer)
             .map_or(Satisfaction::MAX, ConsumerSatisfaction::satisfaction)
     }
 
     /// Current satisfaction of a provider; unknown providers count as fully
-    /// satisfied newcomers.
+    /// satisfied newcomers. Reads the provider's row only — the maintained
+    /// sum — never its window.
     #[must_use]
     pub fn provider_satisfaction(&self, provider: ProviderId) -> Satisfaction {
         self.providers
-            .get(&provider)
-            .map_or(Satisfaction::MAX, ProviderSatisfaction::satisfaction)
+            .satisfaction(provider)
+            .unwrap_or(Satisfaction::MAX)
     }
 
     /// Immutable access to a consumer's tracker.
     #[must_use]
     pub fn consumer(&self, consumer: ConsumerId) -> Option<&ConsumerSatisfaction> {
-        self.consumers.get(&consumer)
+        self.consumers
+            .find(consumer)
+            .map(|at| &self.consumers.trackers[at])
     }
 
-    /// Immutable access to a provider's tracker.
+    /// A view of a provider's state: the accessors of
+    /// [`ProviderSatisfaction`] over the registry's own storage, nothing
+    /// copied ([`ProviderView::to_tracker`] materialises the owned tracker).
     #[must_use]
-    pub fn provider(&self, provider: ProviderId) -> Option<&ProviderSatisfaction> {
-        self.providers.get(&provider)
+    pub fn provider(&self, provider: ProviderId) -> Option<ProviderView<'_>> {
+        self.providers.view(provider)
     }
 
     /// Records the outcome of a mediation.
@@ -276,31 +354,32 @@ impl SatisfactionRegistry {
             }
         }
         // One probe per participant; an unknown one is registered here.
-        let window = self.window;
         self.consumers
-            .entry(consumer)
-            .or_insert_with(|| ConsumerSatisfaction::new(window))
+            .tracker_mut(consumer, self.window)
             .record_outcome(query, required_results, performed_by);
-        for (provider, intention, performed) in proposals {
-            self.providers
-                .entry(*provider)
-                .or_insert_with(|| ProviderSatisfaction::new(window))
-                .record_proposal(query, *intention, *performed);
+        for &(provider, intention, performed) in proposals {
+            self.providers.record(
+                provider,
+                self.window,
+                ProviderInteraction::new(query, intention, performed),
+            );
         }
     }
 
-    /// Iterates over `(id, satisfaction)` for every registered consumer.
+    /// Iterates over `(id, satisfaction)` for every registered consumer, in
+    /// row order (see the module documentation).
     pub fn consumer_satisfactions(&self) -> impl Iterator<Item = (ConsumerId, Satisfaction)> + '_ {
         self.consumers
+            .ids
             .iter()
+            .zip(&self.consumers.trackers)
             .map(|(id, tracker)| (*id, tracker.satisfaction()))
     }
 
-    /// Iterates over `(id, satisfaction)` for every registered provider.
+    /// Iterates over `(id, satisfaction)` for every registered provider, in
+    /// row order (see the module documentation).
     pub fn provider_satisfactions(&self) -> impl Iterator<Item = (ProviderId, Satisfaction)> + '_ {
-        self.providers
-            .iter()
-            .map(|(id, tracker)| (*id, tracker.satisfaction()))
+        self.providers.satisfactions()
     }
 
     /// The balancing parameter ω of Equation 2 for a given consumer/provider
@@ -312,18 +391,57 @@ impl SatisfactionRegistry {
     }
 }
 
-/// Makes the copy's entry equal to the live tracker: copied over (in place
-/// when the copy already has one) or removed.
-fn sync_entry<K, V: Clone>(live: Option<&V>, entry: Entry<'_, K, V>) {
-    match (live, entry) {
-        (Some(tracker), Entry::Occupied(mut stale)) => stale.get_mut().clone_from(tracker),
-        (Some(tracker), Entry::Vacant(slot)) => {
-            slot.insert(tracker.clone());
+// The wire form is older than the row layout and independent of it: a map
+// of `window`, `consumers` (id → tracker), `providers` (id → tracker) and
+// `touched` (always `None`), both participant maps in ascending id order.
+// The directories and the pool are derived data.
+impl Serialize for SatisfactionRegistry {
+    fn to_value(&self) -> Value {
+        let consumers: BTreeMap<ConsumerId, &ConsumerSatisfaction> = self
+            .consumers
+            .ids
+            .iter()
+            .copied()
+            .zip(&self.consumers.trackers)
+            .collect();
+        let providers: BTreeMap<ProviderId, ProviderSatisfaction> = self
+            .providers
+            .views()
+            .map(|(id, view)| (id, view.to_tracker()))
+            .collect();
+        let field = |name: &str, value| (Value::String(name.to_owned()), value);
+        Value::Map(vec![
+            field("window", self.window.to_value()),
+            field("consumers", consumers.to_value()),
+            field("providers", providers.to_value()),
+            field("touched", Value::Option(None)),
+        ])
+    }
+}
+
+/// Reads participants in whatever order the payload lists them (a repeated
+/// id keeps its last tracker) and installs them in ascending id order.
+impl Deserialize for SatisfactionRegistry {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map"))?;
+        let mut registry = Self::new(usize::from_value(serde::__find(entries, "window")?)?);
+        let consumers = BTreeMap::<ConsumerId, ConsumerSatisfaction>::from_value(serde::__find(
+            entries,
+            "consumers",
+        )?)?;
+        for (id, tracker) in consumers {
+            registry.consumers.push(id, tracker);
         }
-        (None, Entry::Occupied(gone)) => {
-            gone.remove();
+        let providers = BTreeMap::<ProviderId, ProviderSatisfaction>::from_value(serde::__find(
+            entries,
+            "providers",
+        )?)?;
+        for (id, tracker) in providers {
+            registry.providers.install(id, tracker);
         }
-        (None, Entry::Vacant(_)) => {}
+        Ok(registry)
     }
 }
 
@@ -429,10 +547,17 @@ mod tests {
 
     /// Every tracker of a registry rendered in id order, for equality checks.
     fn trackers(reg: &SatisfactionRegistry) -> String {
-        let mut consumers: Vec<_> = reg.consumers.iter().collect();
-        consumers.sort_by_key(|(id, _)| **id);
-        let mut providers: Vec<_> = reg.providers.iter().collect();
-        providers.sort_by_key(|(id, _)| **id);
+        let consumers: BTreeMap<_, _> = reg
+            .consumers
+            .ids
+            .iter()
+            .zip(&reg.consumers.trackers)
+            .collect();
+        let providers: BTreeMap<_, _> = reg
+            .providers
+            .views()
+            .map(|(id, view)| (id, view.to_tracker()))
+            .collect();
         format!("{consumers:?} {providers:?}")
     }
 
@@ -458,6 +583,61 @@ mod tests {
         let back = SatisfactionRegistry::from_value(&reg.to_value()).expect("round trip");
         assert_eq!(trackers(&back), trackers(&reg));
         assert!(back.touched.0.is_none(), "nor are deserialized registries");
+    }
+
+    /// A payload written before the row layout — participant maps in no
+    /// particular order (here descending), `touched` present — loads; an
+    /// over-full window keeps its newest `capacity` proposals, as a
+    /// standalone tracker does. What goes back out is in ascending id order.
+    #[test]
+    fn a_payload_older_than_the_row_layout_loads_and_output_is_id_ordered() {
+        let payload = concat!(
+            r#"{"window":2,"#,
+            r#""consumers":{"2":{"window":{"capacity":2,"items":[{"query":1,"required_results":1,"#,
+            r#""performed_by":[[9,0.5]]}],"total_recorded":1}},"#,
+            r#""1":{"window":{"capacity":2,"items":[],"total_recorded":0}}},"#,
+            r#""providers":{"9":{"window":{"capacity":2,"items":["#,
+            r#"{"query":1,"intention":0.25,"performed":true},"#,
+            r#"{"query":2,"intention":1.0,"performed":true},"#,
+            r#"{"query":3,"intention":-1.0,"performed":true}],"total_recorded":3}},"#,
+            r#""4":{"window":{"capacity":5,"items":["#,
+            r#"{"query":1,"intention":-0.5,"performed":false}],"total_recorded":1}}},"#,
+            r#""touched":null}"#
+        );
+        let reg: SatisfactionRegistry = serde::from_str(payload).expect("today's form loads");
+        assert_eq!(reg.window(), 2);
+        assert_eq!((reg.consumer_count(), reg.provider_count()), (2, 2));
+        assert!((reg.consumer_satisfaction(cid(2)).value() - 0.75).abs() < 1e-12);
+        let over_full = reg.provider(pid(9)).expect("loaded");
+        let kept: Vec<u64> = over_full.interactions().map(|i| i.query.raw()).collect();
+        assert_eq!(kept, vec![2, 3], "the newest two of three");
+        // (1 + 0) / 2 over the kept proposals.
+        assert!((over_full.satisfaction().value() - 0.5).abs() < 1e-12);
+        assert_eq!(reg.provider(pid(4)).expect("loaded").window_size(), 5);
+        assert_eq!(reg.provider_satisfaction(pid(4)), Satisfaction::MIN);
+        assert!(reg.touched.0.is_none());
+
+        let Value::Map(fields) = reg.to_value() else {
+            panic!("a registry serializes as a map");
+        };
+        let names: Vec<&str> = fields
+            .iter()
+            .filter_map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(names, ["window", "consumers", "providers", "touched"]);
+        for (field, expected) in [(1, [1u64, 2]), (2, [4, 9])] {
+            let ids: Vec<Value> = fields[field]
+                .1
+                .as_map()
+                .expect("participants serialize as a map")
+                .iter()
+                .map(|(id, _)| id.clone())
+                .collect();
+            assert_eq!(ids, expected.map(Value::U64), "ascending ids");
+        }
+        assert_eq!(fields[3].1, Value::Option(None));
+        let back = SatisfactionRegistry::from_value(&reg.to_value()).expect("round trip");
+        assert_eq!(trackers(&back), trackers(&reg));
     }
 
     #[test]

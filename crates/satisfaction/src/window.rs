@@ -127,6 +127,17 @@ impl<T> InteractionWindow<T> {
         }
     }
 
+    /// Reassembles a window from its parts; `items` holds at most `capacity`
+    /// interactions, oldest first.
+    pub(crate) fn from_parts(capacity: usize, items: VecDeque<T>, total_recorded: u64) -> Self {
+        debug_assert!(capacity >= 1 && items.len() <= capacity);
+        Self {
+            capacity,
+            items,
+            total_recorded,
+        }
+    }
+
     /// The window capacity `k`.
     #[must_use]
     pub fn capacity(&self) -> usize {

@@ -237,11 +237,12 @@ fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
     service.checkpoint_all().unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
 
-    // A cut copies the trackers of at most 256 × (kn + 1) participants and
-    // each copy allocates at most once (a first-touched provider's window);
-    // cloning the registries allocated several times per provider.
+    // A cut copies the rows of at most 256 × (kn + 1) participants into
+    // blocks from the copy's own pool, which allocates only for a whole
+    // chunk — one per 1 024 first-touched providers; cloning the registries
+    // allocated several times per provider.
     assert!(
-        allocations <= 256 * 4,
+        allocations <= 16,
         "{allocations} allocations in one cut over {PROVIDERS} providers"
     );
     let stats = service.shard(0).replication_stats();

@@ -10,6 +10,8 @@
 //! * the [`Query`] structure carried through mediation,
 //! * capability classes used to determine which providers can perform a query,
 //! * virtual-time primitives used by the simulator,
+//! * the keyless id → row [`IdDirectory`] behind every dense, id-addressed
+//!   registry,
 //! * shared error and configuration types.
 //!
 //! The crate is deliberately free of allocation-policy logic: it only encodes
@@ -20,6 +22,7 @@
 
 pub mod capability;
 pub mod config;
+pub mod directory;
 pub mod error;
 pub mod float_ord;
 pub mod id;
@@ -31,6 +34,7 @@ pub mod time;
 
 pub use capability::{Capability, CapabilityRequirement, CapabilitySet, MAX_CAPABILITY_CLASSES};
 pub use config::{AllocationPolicyKind, OmegaPolicy, SystemConfig};
+pub use directory::IdDirectory;
 pub use error::{SbqaError, SbqaResult};
 pub use float_ord::f64_total_cmp;
 pub use id::{ConsumerId, IdGenerator, ParticipantId, ProviderId, QueryId};

@@ -1,0 +1,136 @@
+//! Shadow-model property test of [`IdDirectory`]: random inserts and
+//! removals — the removals compacting the owner's rows by `swap_remove` and
+//! re-pointing the moved row, the inserts growing the table through several
+//! doublings — against a `BTreeMap<u64, u32>` beside the dense id column
+//! the directory confirms its probes with. After every operation every
+//! present key must resolve to its row and 64 absent keys to nothing.
+//!
+//! The vendored proptest stub does not shrink, so sequences stay short
+//! (≤ 120 operations) and a failing one is printed whole.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+
+use sbqa_types::IdDirectory;
+
+/// The directory's Fibonacci multiplier (`directory.rs`), needed to build
+/// keys that collide on purpose.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The multiplicative inverse of an odd `x` modulo 2⁶⁴ (Newton's iteration
+/// doubles the correct low bits each round).
+fn inverse(x: u64) -> u64 {
+    let mut inverse = x;
+    for _ in 0..6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inverse)));
+    }
+    inverse
+}
+
+/// The `i`-th key of a family.
+fn key(family: u8, i: u64) -> u64 {
+    match family {
+        // Sequential ids, the benchmark's shape.
+        0 => i,
+        // Ids that differ only above bit 16.
+        1 => i << 16,
+        // Ids whose Fibonacci products share their top 16 bits, so they
+        // share a home slot in every table of up to 2¹⁶ slots.
+        2 => inverse(FIBONACCI).wrapping_mul((0xABCD << 48) | i),
+        // All three at once.
+        _ => key((i % 3) as u8, i / 3),
+    }
+}
+
+/// The directory beside its owner's id column and the shadow map.
+#[derive(Default)]
+struct Model {
+    directory: IdDirectory,
+    ids: Vec<u64>,
+    shadow: BTreeMap<u64, u32>,
+}
+
+impl Model {
+    fn insert(&mut self, key: u64) {
+        if self.shadow.contains_key(&key) {
+            return;
+        }
+        let row = self.ids.len() as u32;
+        self.ids.push(key);
+        let ids = &self.ids;
+        self.directory.insert(key, row, |row| ids[row as usize]);
+        self.shadow.insert(key, row);
+    }
+
+    /// Removes `key` the way every owner does: out of the directory while
+    /// the rows are intact, then `swap_remove`, then re-point the moved row.
+    fn remove(&mut self, key: u64) {
+        let ids = &self.ids;
+        let removed = self.directory.remove(key, |row| ids[row as usize]);
+        assert_eq!(removed, self.shadow.remove(&key), "remove({key:#x})");
+        let Some(row) = removed else {
+            return;
+        };
+        let last = self.ids.len() as u32 - 1;
+        self.ids.swap_remove(row as usize);
+        if row != last {
+            let moved = self.ids[row as usize];
+            self.directory.repoint(moved, last, row);
+            self.shadow.insert(moved, row);
+        }
+    }
+
+    fn check(&self, family: u8, what: &str) {
+        assert_eq!(self.directory.len(), self.ids.len(), "{what}");
+        assert_eq!(self.directory.is_empty(), self.ids.is_empty(), "{what}");
+        let find = |key| self.directory.find(key, |row| self.ids[row as usize]);
+        for (&key, &row) in &self.shadow {
+            assert_eq!(find(key), Some(row), "find({key:#x}) {what}");
+            assert_eq!(self.ids[row as usize], key, "shadow and rows agree");
+        }
+        let absent = (0..)
+            .map(|i| key(family, i))
+            .filter(|key| !self.shadow.contains_key(key));
+        for key in absent.take(64) {
+            assert_eq!(find(key), None, "find of absent {key:#x} {what}");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn the_directory_equals_an_ordered_map_after_every_operation(
+        family in 0u8..4,
+        // (op, a): 0–4 insert the `a`-th key of the family, 5 remove the last
+        // row, 6 the first, 7 a middle one, 8 a key that may be absent.
+        ops in proptest::collection::vec((0u8..9, 0u64..160), 1..120),
+    ) {
+        let mut model = Model::default();
+        model.check(family, "when empty");
+        for (step, &(op, a)) in ops.iter().enumerate() {
+            let rows = model.ids.len();
+            match op {
+                0..=4 => model.insert(key(family, a)),
+                5 if rows > 0 => model.remove(model.ids[rows - 1]),
+                6 if rows > 0 => model.remove(model.ids[0]),
+                7 if rows > 0 => model.remove(model.ids[a as usize % rows]),
+                _ => model.remove(key(family, a)),
+            }
+            model.check(family, &format!("after step {step} (op {op}, a {a})"));
+        }
+        // Drain to empty, first row first: every removal re-points.
+        while let Some(&first) = model.ids.first() {
+            model.remove(first);
+            model.check(family, "while draining");
+        }
+    }
+}
+
+#[test]
+fn colliding_keys_share_a_home_slot_by_construction() {
+    // What `key(2, _)` relies on: the product's top 16 bits are fixed.
+    for i in 0..1000 {
+        assert_eq!(key(2, i).wrapping_mul(FIBONACCI) >> 48, 0xABCD);
+    }
+}

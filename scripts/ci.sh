@@ -25,6 +25,16 @@ echo "== sbqa-lint (repo-specific static analysis, warnings are errors)"
 # bench_results/LINT_baseline.json.
 cargo run --release -p sbqa-lint -- --deny-warnings
 
+echo "== no hash collection behind the satisfaction registry or the provider index"
+# Both resolve ids through sbqa_types::IdDirectory (keyless open addressing,
+# no per-process hasher state, never iterated). A waiver would get a HashMap
+# past sbqa-lint; nothing gets it past this.
+if grep -rnE "Hash(Map|Set)" crates/satisfaction/src \
+    || grep -n "HashMap<ProviderId" crates/core/src/registry.rs; then
+    echo "hash collections are not allowed here (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -81,7 +91,7 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, maintained_prop)"
+echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, maintained_prop, directory_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. The
@@ -112,8 +122,14 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # satisfaction values (a provider's running Definition-2 sum, a consumer's
 # ring of per-query values) bit-equal to a from-scratch evaluation over the
 # window after every record, clone, in-place copy, serde round trip and
-# registry hand-off. Release builds compile the tracker's `debug_assert` out,
-# so under --release these proptests are the proof. golden_adaptive pins a
+# registry hand-off — and a registry's pooled provider rows equal to a shadow
+# of standalone trackers through record, removal, re-registration, hand-off
+# between registries, clone, serde and an armed sync onto a stale copy.
+# directory_prop holds the keyless id directory under both registries to an
+# ordered map through inserts, growth, removals and the re-pointing that
+# follows a swap_remove, on sequential, shifted and colliding ids. Release
+# builds compile the `debug_assert`s out, so under --release these proptests
+# are the proof. golden_adaptive pins a
 # stepped load-feedback run of the open-loop driver (tallies, departures,
 # satisfaction bits, controller trail); golden_compositions pins what one declared run composes: a crash
 # while shedding after a live resize (crashed = uncrashed, inline = threaded,
@@ -122,8 +138,9 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication --test replay_prop -q
-cargo test --release -p sbqa_core --test postings_prop --test candidates_prop -q
+cargo test --release -p sbqa_core --test postings_prop --test candidates_prop --test zero_alloc -q
 cargo test --release -p sbqa_satisfaction --test maintained_prop -q
+cargo test --release -p sbqa_types --test directory_prop -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
     --test golden_adaptive --test golden_compositions -q
 
