@@ -8,30 +8,26 @@
 //! slot per member). The plan cache memoizes the merged membership per
 //! `CapabilityRequirement` and invalidates it with per-class epoch counters,
 //! so a warm hit is an O(#classes) generation check plus a borrowed view —
-//! no merge work at all. The series here prove the three claims the cache
-//! makes:
+//! no merge work at all. The series here prove the claims the cache makes:
 //!
-//! * `resolve/cold_*` vs `resolve/warm_*` — the same merge queries with the
-//!   cache disabled (capacity 0, every resolution re-merges one shared set)
-//!   and enabled (every resolution after the first is a hit). The warm
-//!   series must be ≥10× faster than the cold one at 100k providers. The
-//!   `cold_*/shard50k` series repeats the cold merges on one shard's slice of
-//!   a 100k world — 50 000 providers on every other id of `1000..101000`,
-//!   thin enough per class that every source container is an Array, the
-//!   shape the benchmark's `sync_multicap_churn` workload re-merges four
-//!   thousand times a run.
-//! * `churn/load_*` vs `churn/membership_*` — a registry mutation between
-//!   every resolution. Load updates do **not** bump class epochs, so the
-//!   cache keeps hitting; membership churn (an online/offline flip inside a
-//!   mentioned class) bumps the epoch and forces a stale rebuild, which
-//!   costs the same as a cold merge plus the validity bookkeeping. The gap
-//!   between the two is the cache's selling point for SbQA workloads, where
-//!   load changes vastly outnumber membership changes.
-//! * `dedup/*` — full `submit_batch` mediation of multi-capability batches
-//!   with (a) plan cache + batch dedup (the default), (b) plan cache but no
-//!   batch memo, and (c) neither. Batches repeat a handful of requirements,
-//!   as real consumer populations do, so (a) resolves each distinct
-//!   requirement once per validity window while (c) merges per query.
+//! * `resolve/cold_*` vs `resolve/warm_*` — the same merge queries when
+//!   every resolution finds its plan stale (an online/offline flip inside a
+//!   mentioned class precedes it, the way production forces a re-merge; the
+//!   flip's own ~0.1 µs is inside the figure) and when every resolution
+//!   after the first is a hit. The warm series must be ≥10× faster than the
+//!   cold one at 100k providers. The `cold_*/shard50k` series repeats the
+//!   cold merges on one shard's slice of a 100k world — 50 000 providers on
+//!   every other id of `1000..101000`, thin enough per class that every
+//!   source container is an Array, the shape the benchmark's
+//!   `sync_multicap_churn` workload re-merges four thousand times a run.
+//! * `churn/load_*` — a load update between every resolution. Load updates
+//!   do **not** bump class epochs, so the cache keeps hitting; set beside
+//!   `resolve/cold_*` (membership churn) the gap is the cache's selling
+//!   point for SbQA workloads, where load changes vastly outnumber
+//!   membership changes.
+//! * `batch/*` — full `submit_batch` mediation of multi-capability batches.
+//!   Batches repeat a handful of requirements, as real consumer populations
+//!   do, so each distinct requirement is merged once per validity window.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -114,22 +110,41 @@ fn merge_cases() -> [(&'static str, Query); 4] {
     ]
 }
 
-/// Cold (cache off) vs warm (cache on, steady-state hits) resolution.
+/// Cold: the plan goes stale before every resolution — `churned`, a member
+/// of a mentioned class, flips online/offline — so each one re-merges.
+fn bench_cold(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    mut registry: ProviderRegistry,
+    churned: ProviderId,
+    q: &Query,
+) {
+    let _ = registry.candidates(q);
+    let mut online = false;
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            registry.set_online(churned, online).unwrap();
+            online = !online;
+            let candidates = registry.candidates(black_box(q));
+            black_box(candidates.len())
+        });
+    });
+}
+
+/// Cold (every plan stale) vs warm (steady-state hits) resolution.
 fn bench_resolve(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
 
     for size in [10_000usize, 100_000] {
         for (label, q) in merge_cases() {
-            let mut cold = registry(size);
-            cold.set_plan_cache_capacity(0);
-            group.bench_function(
+            // Provider 3 advertises base class 3 (and, being a multiple of
+            // 3, class 4) — inside every merge window.
+            bench_cold(
+                &mut group,
                 BenchmarkId::new(format!("resolve/cold_{label}"), size),
-                |b| {
-                    b.iter(|| {
-                        let candidates = cold.candidates(black_box(&q));
-                        black_box(candidates.len())
-                    });
-                },
+                registry(size),
+                ProviderId::new(3),
+                &q,
             );
 
             let mut warm = registry(size);
@@ -148,24 +163,21 @@ fn bench_resolve(c: &mut Criterion) {
     }
 
     for (label, q) in merge_cases() {
-        let mut cold = shard_registry();
-        cold.set_plan_cache_capacity(0);
-        group.bench_function(
+        // The shard's fourth provider (i = 3): classes 3 and 4 again.
+        bench_cold(
+            &mut group,
             BenchmarkId::new(format!("resolve/cold_{label}"), "shard50k"),
-            |b| {
-                b.iter(|| {
-                    let candidates = cold.candidates(black_box(&q));
-                    black_box(candidates.len())
-                });
-            },
+            shard_registry(),
+            ProviderId::new(1006),
+            &q,
         );
     }
 
     group.finish();
 }
 
-/// A registry mutation between every resolution: load churn keeps hitting
-/// (epochs untouched), membership churn forces a stale rebuild per hit.
+/// A load update between every resolution: epochs untouched, the cache keeps
+/// hitting.
 fn bench_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
 
@@ -174,9 +186,7 @@ fn bench_churn(c: &mut Criterion) {
             ("all_4way", merge_query(4, true)),
             ("any_4way", merge_query(4, false)),
         ] {
-            // Provider 3 advertises base class 3 (and, being a multiple of
-            // 3, class 4) — inside the merge window, so flipping it online
-            // and offline bumps the epochs of mentioned classes.
+            // A member of the merged plan (see `bench_resolve`).
             let churned = ProviderId::new(3);
 
             let mut reg = registry(size);
@@ -190,34 +200,16 @@ fn bench_churn(c: &mut Criterion) {
                     black_box(candidates.len())
                 });
             });
-
-            let mut reg = registry(size);
-            let _ = reg.candidates(&q);
-            group.bench_function(
-                BenchmarkId::new(format!("churn/membership_{label}"), size),
-                |b| {
-                    let mut online = false;
-                    b.iter(|| {
-                        reg.set_online(churned, online).unwrap();
-                        online = !online;
-                        let candidates = reg.candidates(black_box(&q));
-                        black_box(candidates.len())
-                    });
-                },
-            );
         }
     }
 
     group.finish();
 }
 
-/// Full mediation of multi-capability batches under the three cache
-/// configurations. Each batch cycles over four distinct requirements, so
-/// with dedup every repetition after the first per requirement rides the
-/// batch memo, and without any cache every query pays its merge.
-fn bench_dedup(c: &mut Criterion) {
-    type MediatorBuilder = Box<dyn Fn() -> Mediator>;
-
+/// Full mediation of multi-capability batches. Each batch cycles over four
+/// distinct requirements, so every repetition after the first per
+/// requirement is a plan-cache hit.
+fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
     let oracle = StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.3));
 
@@ -247,54 +239,24 @@ fn bench_dedup(c: &mut Criterion) {
     for size in [10_000usize, 100_000] {
         for batch_len in [16usize, 64, 256] {
             let batch = batch_of(batch_len);
-            let configs: [(&str, MediatorBuilder); 3] = [
-                (
-                    "dedup_on",
-                    Box::new(move || build(size)), // cache + memo: the default
-                ),
-                (
-                    "dedup_off",
-                    Box::new(move || {
-                        let mut m = build(size);
-                        m.set_batch_dedup(false);
-                        m
-                    }),
-                ),
-                (
-                    "uncached",
-                    Box::new(move || {
-                        let mut m = build(size);
-                        m.set_plan_cache_capacity(0);
-                        m
-                    }),
-                ),
-            ];
-            for (label, make) in configs {
-                let mut mediator = make();
-                group.bench_function(
-                    BenchmarkId::new(format!("dedup/{label}/batch_{batch_len}"), size),
-                    |b| {
-                        b.iter(|| {
-                            let mut selected = 0usize;
-                            let report = mediator.submit_batch(
-                                black_box(&batch),
-                                &oracle,
-                                |_, _, result| {
-                                    if let Ok(decision) = result {
-                                        selected += decision.selected.len();
-                                    }
-                                },
-                            );
-                            black_box((report.mediated, selected))
+            let mut mediator = build(size);
+            group.bench_function(BenchmarkId::new(format!("batch/{batch_len}"), size), |b| {
+                b.iter(|| {
+                    let mut selected = 0usize;
+                    let report =
+                        mediator.submit_batch(black_box(&batch), &oracle, |_, _, result| {
+                            if let Ok(decision) = result {
+                                selected += decision.selected.len();
+                            }
                         });
-                    },
-                );
-            }
+                    black_box((report.mediated, selected))
+                });
+            });
         }
     }
 
     group.finish();
 }
 
-criterion_group!(benches, bench_resolve, bench_churn, bench_dedup);
+criterion_group!(benches, bench_resolve, bench_churn, bench_batch);
 criterion_main!(benches);

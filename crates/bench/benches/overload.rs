@@ -1,25 +1,15 @@
-//! Micro-benchmarks of the overload machinery.
+//! Micro-benchmark of the overload machinery.
 //!
-//! Three costs the degradation ladder adds to the ingest path, each
-//! measured directly so regressions show up in `BENCH_overload.json`:
-//!
-//! * `ring/push_pop` — one push + one pop through the bounded ring
-//!   (uncontended): the per-query cost of the bounded queue versus the
-//!   seed's unbounded mpsc.
-//! * `ladder/observe` — one admission verdict: a leak computation, a tier
-//!   adjustment and a counter bump. This runs once per enqueued query, so
-//!   it must stay trivially cheap.
-//! * `submit/{normal,shrunk,baseline}` — one mediation at each admission
-//!   tier against a 10k-provider registry: what a degraded query costs
-//!   relative to a full-quality one. Baseline-tier mediation skips scoring
-//!   and RNG entirely and should be the cheapest of the three.
+//! `submit/{normal,shrunk,baseline}` — one mediation at each admission tier
+//! against a 10k-provider registry: what a degraded query costs relative to
+//! a full-quality one. Baseline-tier mediation skips scoring and RNG
+//! entirely and should be the cheapest of the three. (The ring's push + pop
+//! and the ladder's admission verdict are the benchmark's
+//! `service.ring.push_pop_ns` and `core.degrade.observe_ns` probes.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use sbqa_core::{
-    DegradationConfig, DegradationLadder, DegradationTier, Mediator, StaticIntentions,
-};
-use sbqa_service::BoundedRing;
+use sbqa_core::{DegradationTier, Mediator, StaticIntentions};
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
     VirtualTime,
@@ -57,27 +47,6 @@ fn query(id: u64) -> Query {
     .build()
 }
 
-fn bench_ring(c: &mut Criterion) {
-    let ring: BoundedRing<u64> = BoundedRing::new(1_024);
-    c.bench_function("ring/push_pop", |b| {
-        b.iter(|| {
-            ring.try_push(black_box(7u64)).expect("ring has room");
-            black_box(ring.try_pop())
-        });
-    });
-}
-
-fn bench_ladder(c: &mut Criterion) {
-    let mut ladder = DegradationLadder::new(DegradationConfig::default()).expect("valid config");
-    let mut tick = 0u64;
-    c.bench_function("ladder/observe", |b| {
-        b.iter(|| {
-            tick += 1;
-            black_box(ladder.observe_arrival(VirtualTime::new(tick as f64 * 1e-3)))
-        });
-    });
-}
-
 fn bench_tiered_submit(c: &mut Criterion) {
     let oracle = StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.6));
     let mut group = c.benchmark_group("submit");
@@ -101,5 +70,5 @@ fn bench_tiered_submit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ring, bench_ladder, bench_tiered_submit);
+criterion_group!(benches, bench_tiered_submit);
 criterion_main!(benches);

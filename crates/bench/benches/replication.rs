@@ -1,11 +1,9 @@
 //! Micro-benchmarks of the replication subsystem.
 //!
-//! Three claims the delta log makes, each measured directly:
+//! The claims the delta log makes, each measured directly (appending one
+//! record — a sequence increment and a `Vec` push — is the benchmark's
+//! `replication.log.append_ns` probe):
 //!
-//! * `log/append` — appending one mutation record to the log: a sequence
-//!   increment and a `Vec` push (tens of nanoseconds), which is the entire
-//!   cost a registry mutation pays on top of its own work when a sink is
-//!   attached.
 //! * `replay/churn_1k` — applying a 1k-record churn tail to a standby
 //!   registry: the per-record cost of catch-up and promotion replay.
 //! * `submit/hook_{off,on}` — the acceptance series: one load update (the
@@ -26,8 +24,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sbqa_core::allocator::StaticIntentions;
-use sbqa_core::{Mediator, ProviderRegistry, RegistryDelta};
-use sbqa_replication::{DeltaLog, SharedDeltaLog};
+use sbqa_core::{Mediator, ProviderRegistry};
+use sbqa_replication::SharedDeltaLog;
 use sbqa_service::ShardedMediator;
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
@@ -72,29 +70,6 @@ fn query() -> Query {
     Query::builder(QueryId::new(1), ConsumerId::new(1), Capability::new(3))
         .replication(2)
         .build()
-}
-
-/// Appending one mutation record to a plain log.
-fn bench_append(c: &mut Criterion) {
-    let mut group = c.benchmark_group("replication");
-    let delta = RegistryDelta::UpdateLoad {
-        id: ProviderId::new(7),
-        utilization: 1.5,
-        queue_length: 3,
-    };
-    let mut log = DeltaLog::new();
-    group.bench_function("log/append", |b| {
-        b.iter(|| {
-            let sequence = log.append_mutation(black_box(delta));
-            // Bound memory: drop the retained prefix once in a while
-            // (amortized to nothing per iteration).
-            if log.depth() >= 1 << 20 {
-                log.prune_through(sequence);
-            }
-            black_box(sequence)
-        });
-    });
-    group.finish();
 }
 
 /// Replaying a 1k-record churn tail into a standby registry.
@@ -264,11 +239,5 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_append,
-    bench_replay,
-    bench_submit_hook,
-    bench_checkpoint
-);
+criterion_group!(benches, bench_replay, bench_submit_hook, bench_checkpoint);
 criterion_main!(benches);

@@ -1,21 +1,17 @@
 //! Micro-benchmark: the sharded mediation service's ingest path.
 //!
-//! Two questions:
-//!
-//! * **batch size vs latency** — `submit_batch` amortizes the routing scratch
-//!   and per-shard buffers over a drain; the `ingest/batch=N` series measures
-//!   the per-query cost of draining chunks of 1, 16, 128 and 1024 queries
-//!   through a 1-shard and a 4-shard service, which is the synchronous core
-//!   of the trade-off the threaded front exposes (bigger producer chunks →
-//!   fewer channel sends, longer queueing);
-//! * **routing overhead** — `router/assign` pins the pure cost of the seeded
-//!   hash that places a query, which must stay a few nanoseconds so the thin
-//!   router never becomes the bottleneck of a multi-core drain.
+//! **Batch size vs latency** — `submit_batch` amortizes the routing scratch
+//! and per-shard buffers over a drain; the `ingest/batch=N` series measures
+//! the per-query cost of draining chunks of 1, 16, 128 and 1024 queries
+//! through a 1-shard and a 4-shard service, which is the synchronous core of
+//! the trade-off the threaded front exposes (bigger producer chunks → fewer
+//! channel sends, longer queueing). The pure cost of the seeded hash that
+//! places a query is the benchmark's `service.router.assign_ns` probe.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sbqa_core::StaticIntentions;
-use sbqa_service::{ShardRouter, ShardedMediator};
+use sbqa_service::ShardedMediator;
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
     VirtualTime,
@@ -78,16 +74,5 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_router(c: &mut Criterion) {
-    let router = ShardRouter::new(8, 42);
-    c.bench_function("router/assign", |b| {
-        let mut id = 0u64;
-        b.iter(|| {
-            id = id.wrapping_add(1);
-            black_box(router.shard_of_query(QueryId::new(black_box(id))))
-        });
-    });
-}
-
-criterion_group!(benches, bench_ingest, bench_router);
+criterion_group!(benches, bench_ingest);
 criterion_main!(benches);

@@ -34,9 +34,9 @@ use crate::postings::{MergedSet, MergedSlots, PostingsMap, SlotIter};
 /// Identity stamp of a resolved candidate plan, used to deduplicate dense
 /// column gathers across queries.
 ///
-/// The registry attaches a token to every view whose backing storage is
-/// *stable* (a cached plan entry or a capability's postings map — never the
-/// registry-wide set the uncached path re-merges). Two equal tokens guarantee
+/// The registry attaches a token to every view it resolves: the backing
+/// storage is *stable* (a cached plan entry or a capability's postings map;
+/// an ad-hoc slice carries none). Two equal tokens guarantee
 /// byte-identical view contents: `plan` names the storage (a capability class
 /// or a uniquely numbered cache-entry occupancy, never reused), and `stamp` is
 /// the registry's mutation counter, bumped by **every** mutating call
@@ -80,8 +80,8 @@ pub struct PlanToken {
 pub struct Candidates<'a> {
     view: View<'a>,
     /// Identity stamp when the backing storage is stable (see [`PlanToken`]);
-    /// `None` for slices and uncached merges, which must always be
-    /// re-gathered.
+    /// `None` for views built outside the registry (slices), which must
+    /// always be re-gathered.
     token: Option<PlanToken>,
 }
 

@@ -61,7 +61,7 @@ pub use knbest::{IndexPool, KnBestScratch, KnBestSelector, KnSelection};
 pub use mediator::{BatchReport, MediationOutcome, MediationScratch, Mediator};
 pub use postings::PostingsMap;
 pub use ranking::rank_by_score;
-pub use registry::{PlanCacheStats, PlanHandle, ProviderRegistry};
+pub use registry::{PlanCacheStats, ProviderRegistry};
 pub use sbqa_types::{OmegaPolicy, SystemConfig};
 pub use scoring::{provider_score, resolve_omega, ScoreInputs};
 

@@ -37,7 +37,7 @@ use crate::allocator::{
 use crate::degrade::{baseline_allocate_into, DegradationTier};
 use crate::knbest::{KnBestScratch, KnBestSelector};
 use crate::ranking::rank_indices_by_score;
-use crate::registry::{PlanCacheStats, PlanHandle, PlanKey, ProviderRegistry};
+use crate::registry::{PlanCacheStats, ProviderRegistry};
 use crate::scoring::{provider_score, resolve_omega};
 
 /// The Satisfaction-based Query Allocation technique (KnBest + SQLB).
@@ -237,69 +237,14 @@ impl MediationOutcome {
     }
 }
 
-/// Reusable per-mediator working memory: the decision buffer, the two
-/// satisfaction views derived from it, and the batch-level plan memo. One
-/// scratch per mediator makes steady-state mediation allocation-free.
+/// Reusable per-mediator working memory: the decision buffer and the two
+/// satisfaction views derived from it. One scratch per mediator makes
+/// steady-state mediation allocation-free.
 #[derive(Debug, Default)]
 pub struct MediationScratch {
     decision: AllocationDecision,
     consumer_view: Vec<(ProviderId, Intention)>,
     provider_view: Vec<(ProviderId, Intention, bool)>,
-    memo: BatchMemo,
-}
-
-/// Upper bound on memoized requirement groups. Realistic traffic issues a
-/// handful of distinct requirement sets; the bound keeps the linear-scan
-/// lookup fast and the memory constant under adversarial diversity.
-const BATCH_MEMO_LIMIT: usize = 64;
-
-/// Requirement → cached-plan memo for batch-level query-plan deduplication.
-///
-/// A tiny linear-scan table (distinct requirements per drain are few, so a
-/// scan beats hashing) from a requirement's [`PlanKey`] to the
-/// [`PlanHandle`] its first resolution produced. Later same-requirement
-/// queries re-enter the registry through
-/// [`ProviderRegistry::cached_plan_view`] — no key hash, no per-class epoch
-/// walk — after a [`ProviderRegistry::plan_is_current`] check, so a stale or
-/// evicted handle degrades to a normal resolution instead of serving wrong
-/// candidates. The handles stay sound across registry mutations for exactly
-/// that reason, which is why the memo survives between
-/// [`Mediator::submit_in_place`] calls and is only reset at
-/// [`Mediator::submit_batch`] boundaries.
-#[derive(Debug, Default)]
-struct BatchMemo {
-    entries: Vec<(PlanKey, PlanHandle)>,
-}
-
-impl BatchMemo {
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    fn get(&self, key: PlanKey) -> Option<PlanHandle> {
-        self.entries
-            .iter()
-            .find(|&&(memoized, _)| memoized == key)
-            .map(|&(_, handle)| handle)
-    }
-
-    fn put(&mut self, key: PlanKey, handle: PlanHandle) {
-        if let Some(slot) = self
-            .entries
-            .iter_mut()
-            .find(|&&mut (memoized, _)| memoized == key)
-        {
-            slot.1 = handle;
-            return;
-        }
-        if self.entries.len() >= BATCH_MEMO_LIMIT {
-            // Pathological requirement diversity: start over rather than
-            // grow. The next occurrence of each dropped key re-resolves
-            // once — correctness is untouched.
-            self.entries.clear();
-        }
-        self.entries.push((key, handle));
-    }
 }
 
 /// Tallies of one [`Mediator::submit_batch`] drain.
@@ -338,12 +283,6 @@ pub struct Mediator {
     /// Adaptive-`kn` controller; `None` (the default) leaves the hosted
     /// technique's static width untouched, byte-for-byte.
     kn_controller: Option<KnController>,
-    /// Batch-level query-plan deduplication (on by default): same-requirement
-    /// queries within a drain share one resolution through the
-    /// [`BatchMemo`]. Per-query Kn selection still draws independently, so
-    /// RNG consumption — and therefore the decision stream — is
-    /// byte-identical with the memo on or off.
-    batch_dedup: bool,
     /// The degradation tier the next mediation runs under; set per query by
     /// an overload-aware host (the service layer's
     /// [`DegradationLadder`](crate::degrade::DegradationLadder)). `Normal`
@@ -365,7 +304,6 @@ impl Mediator {
             satisfaction: SatisfactionRegistry::new(satisfaction_window),
             scratch: MediationScratch::default(),
             kn_controller: None,
-            batch_dedup: true,
             degradation_tier: DegradationTier::Normal,
             degraded_floor: 2,
         }
@@ -400,7 +338,6 @@ impl Mediator {
             satisfaction,
             scratch: MediationScratch::default(),
             kn_controller: None,
-            batch_dedup: true,
             degradation_tier: DegradationTier::Normal,
             degraded_floor: 2,
         }
@@ -499,36 +436,16 @@ impl Mediator {
         &self.providers
     }
 
-    /// Counters of the registry's candidate-plan cache (hits include
-    /// batch-memo re-entries).
+    /// Counters of the registry's candidate-plan cache.
     #[must_use]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.providers.plan_cache_stats()
     }
 
-    /// Re-bounds the registry's candidate-plan cache; `0` disables caching
-    /// (and with it batch-level plan deduplication, which requires stable
-    /// cached storage to memoize).
+    /// Re-bounds the registry's candidate-plan cache (at least one plan; see
+    /// [`ProviderRegistry::set_plan_cache_capacity`]).
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
         self.providers.set_plan_cache_capacity(capacity);
-        self.scratch.memo.clear();
-    }
-
-    /// Enables or disables batch-level query-plan deduplication (on by
-    /// default). Purely a fast path: the decision stream is byte-identical
-    /// either way.
-    pub fn set_batch_dedup(&mut self, enabled: bool) {
-        self.batch_dedup = enabled;
-        if !enabled {
-            self.scratch.memo.clear();
-        }
-    }
-
-    /// `true` if same-requirement queries within a drain share one cached
-    /// plan resolution.
-    #[must_use]
-    pub fn batch_dedup(&self) -> bool {
-        self.batch_dedup
     }
 
     /// Immutable access to the satisfaction registry.
@@ -617,22 +534,21 @@ impl Mediator {
         self.degraded_floor
     }
 
-    /// The shared mediation core: computes `Pq` as a borrowed view (through
-    /// the plan memo when batch dedup applies), lets the allocation
-    /// technique fill the scratch decision, and records the mediation result
-    /// on both sides' satisfaction — all without allocating in steady state.
+    /// The shared mediation core: computes `Pq` as a borrowed view, lets the
+    /// allocation technique fill the scratch decision, and records the
+    /// mediation result on both sides' satisfaction — all without allocating
+    /// in steady state.
     fn mediate(&mut self, query: &Query, oracle: &dyn IntentionOracle) -> SbqaResult<()> {
         // Split the borrows by field: `candidates` may merge postings lists
         // into the registry's cache (hence `&mut providers`), while the
-        // allocator, the satisfaction registry and the scratch memo are
-        // borrowed alongside.
+        // allocator, the satisfaction registry and the scratch are borrowed
+        // alongside.
         let Self {
             allocator,
             providers,
             satisfaction,
             scratch,
             kn_controller,
-            batch_dedup,
             degradation_tier,
             degraded_floor,
         } = self;
@@ -640,31 +556,7 @@ impl Mediator {
         if let Some(controller) = kn_controller {
             allocator.set_exploration_width(controller.kn_for_query(query));
         }
-        let dedup =
-            *batch_dedup && providers.plan_cache_enabled() && query.required.classes().len() >= 2;
-        let candidates = if dedup {
-            let key = PlanKey::of(query.required);
-            match scratch.memo.get(key) {
-                // The memoized plan is still the same tenant and none of its
-                // postings epochs moved: serve it without touching the cache
-                // index.
-                Some(handle) if providers.plan_is_current(handle) => {
-                    providers.cached_plan_view(handle)
-                }
-                // First occurrence in this drain (or the handle went stale /
-                // was evicted): resolve normally and memoize the plan for
-                // the rest of the group.
-                _ => {
-                    let (view, handle) = providers.resolve_with_handle(query);
-                    if let Some(handle) = handle {
-                        scratch.memo.put(key, handle);
-                    }
-                    view
-                }
-            }
-        } else {
-            providers.candidates(query)
-        };
+        let candidates = providers.candidates(query);
         if candidates.is_empty() {
             return Err(providers.starvation_error(query));
         }
@@ -723,7 +615,6 @@ impl Mediator {
             decision,
             consumer_view,
             provider_view,
-            ..
         } = &mut self.scratch;
         decision.consumer_view_into(consumer_view);
         decision.provider_view_into(provider_view);
@@ -779,11 +670,8 @@ impl Mediator {
     {
         // Batch boundary: one adaptation round before the drain, so every
         // query of the batch is drawn with the widths the previous batches'
-        // evidence decided (a pure no-op when adaptation is disabled), and a
-        // fresh plan memo so the drain's requirement groups are deduplicated
-        // against this batch's resolutions.
+        // evidence decided (a pure no-op when adaptation is disabled).
         self.adapt_kn();
-        self.scratch.memo.clear();
         let mut report = BatchReport::default();
         for (position, query) in queries.iter().enumerate() {
             match self.mediate(query, oracle) {
@@ -1423,15 +1311,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_dedup_resolves_each_requirement_once_per_batch() {
+    fn same_requirement_queries_share_one_cached_plan() {
         let mut mediator = multi_mediator(5);
-        assert!(mediator.batch_dedup());
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
 
-        // 24 queries over 6 distinct requirements: the plan cache should see
-        // one miss per requirement and the rest served (memo hits re-enter
-        // the cache's hit counter through `cached_plan_view`).
+        // 24 queries over 6 distinct requirements: the plan cache sees one
+        // miss per requirement and serves every repetition as a hit.
         let batch: Vec<Query> = (0..24u64).map(multi_query).collect();
         let report = mediator.submit_batch(&batch, &oracle, |_, _, result| {
             assert!(result.is_ok());
@@ -1439,12 +1325,11 @@ mod tests {
         assert_eq!(report.mediated, 24);
         let stats = mediator.plan_cache_stats();
         assert_eq!(stats.misses, 6, "one merge per distinct requirement");
-        assert_eq!(stats.hits, 18, "every repetition rode the memo");
+        assert_eq!(stats.hits, 18, "every repetition was served from the cache");
         assert_eq!(stats.stale_rebuilds, 0);
 
-        // A second identical batch is all hits: the memo is cleared at the
-        // batch boundary, but its first probe per requirement revalidates
-        // against the (unchanged) cache.
+        // A second identical batch is all hits: plans outlive the batch
+        // boundary as long as their classes' postings are unchanged.
         mediator.submit_batch(&batch, &oracle, |_, _, _| {});
         let stats = mediator.plan_cache_stats();
         assert_eq!(stats.misses, 6);
@@ -1452,46 +1337,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_dedup_off_and_disabled_cache_stay_byte_identical() {
-        let oracle =
-            StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
-        let batch: Vec<Query> = (0..30u64).map(multi_query).collect();
-
-        let run = |mut mediator: Mediator| -> Vec<AllocationDecision> {
-            let mut decisions = Vec::new();
-            // Mid-run churn: offline/online flips between batches invalidate
-            // plans without changing the candidate sets the queries see.
-            for chunk in batch.chunks(10) {
-                mediator.submit_batch(chunk, &oracle, |_, _, result| {
-                    decisions.push(result.unwrap().clone());
-                });
-                mediator
-                    .set_provider_online(ProviderId::new(11), false)
-                    .unwrap();
-                mediator
-                    .set_provider_online(ProviderId::new(11), true)
-                    .unwrap();
-            }
-            decisions
-        };
-
-        let expected = run(multi_mediator(5));
-        let mut no_dedup = multi_mediator(5);
-        no_dedup.set_batch_dedup(false);
-        assert!(!no_dedup.batch_dedup());
-        let mut no_cache = multi_mediator(5);
-        no_cache.set_plan_cache_capacity(0);
-
-        assert_eq!(run(no_dedup), expected);
-        assert_eq!(run(no_cache), expected);
-    }
-
-    #[test]
-    fn batch_dedup_survives_a_thrashing_plan_cache() {
-        // Cache capacity 1 with 6 distinct requirements: every memoized
-        // handle is evicted before its next use, so `plan_is_current` fails
-        // and the memo falls back to a fresh resolution — correctness must
-        // not depend on the memo ever hitting.
+    fn a_thrashing_plan_cache_decides_like_a_roomy_one() {
+        // Cache capacity 1 with 6 distinct requirements: every plan is
+        // evicted before its next use, so every query re-merges —
+        // correctness must not depend on the cache ever hitting.
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
         let batch: Vec<Query> = (0..24u64).map(multi_query).collect();
@@ -1618,11 +1467,12 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats, mediator.providers().plan_cache_stats());
 
-        // Disabling the cache through the mediator clears the entries and
-        // the memo but keeps the counters.
+        // Re-bounding through the mediator drops the plans but keeps the
+        // counters; the bound is a size, not a mode, so 0 clamps to 1.
         mediator.set_plan_cache_capacity(0);
         let stats = mediator.plan_cache_stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.hits, 1);
+        assert_eq!(stats.capacity, 1);
     }
 }

@@ -67,31 +67,19 @@ const FIRST_OCCUPANCY: u64 = ONLINE_LIST as u64 + 1;
 /// mentioned-class bit set. Two queries with equal keys have byte-identical
 /// candidate plans against the same registry state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PlanKey {
+struct PlanKey {
     conjunctive: bool,
     bits: u64,
 }
 
 impl PlanKey {
     /// The cache key of a requirement.
-    pub(crate) fn of(required: CapabilityRequirement) -> Self {
+    fn of(required: CapabilityRequirement) -> Self {
         Self {
             conjunctive: matches!(required, CapabilityRequirement::All(_)),
             bits: required.classes().bits(),
         }
     }
-}
-
-/// An opaque reference to a cached candidate plan, as returned by
-/// [`ProviderRegistry::resolve_with_handle`]. The handle names the entry
-/// *and* its occupancy number, so a holder can detect (via
-/// [`ProviderRegistry::plan_is_current`]) that the entry has since been
-/// evicted and reassigned to a different requirement, or invalidated by a
-/// registry mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanHandle {
-    entry: u32,
-    occupancy: u64,
 }
 
 /// Counters and occupancy of the candidate-plan cache.
@@ -108,7 +96,7 @@ pub struct PlanCacheStats {
     pub evictions: u64,
     /// Plans currently materialised.
     pub entries: usize,
-    /// Configured entry bound (`0` = caching disabled).
+    /// Configured entry bound (at least 1).
     pub capacity: usize,
 }
 
@@ -153,11 +141,10 @@ struct PlanEntry {
     /// The requirement this entry currently answers.
     key: PlanKey,
     /// Unique occupancy number of this (entry, key) assignment; never reused,
-    /// so a [`PlanHandle`] or [`PlanToken`] carrying it can outlive an
-    /// eviction without ever matching the entry's next tenant.
+    /// so a [`PlanToken`] carrying it can outlive an eviction without ever
+    /// matching the entry's next tenant.
     occupancy: u64,
-    /// The merged membership — stable storage owned by the entry, unlike the
-    /// registry-wide set the uncached path re-merges on every query.
+    /// The merged membership — stable storage owned by the entry.
     set: MergedSet,
     /// `(class, generation)` of every postings map the merge read. The plan
     /// is valid iff each class's map still reports the stamped generation.
@@ -182,8 +169,7 @@ impl PlanEntry {
 /// with per-class epoch invalidation and an LRU entry bound.
 #[derive(Debug, Clone)]
 struct PlanCache {
-    /// Maximum number of entries; `0` disables caching entirely (the
-    /// registry re-merges into one shared set on every query).
+    /// Maximum number of entries, at least 1.
     capacity: usize,
     /// Requirement key → entry position.
     // sbqa-lint: allow(hash-collection, "keyed point lookups only; eviction scans the entries Vec, never this map")
@@ -232,9 +218,6 @@ pub struct ProviderRegistry {
     /// providers advertising it; the final entry ([`ONLINE_LIST`]) holds
     /// every online provider.
     postings: Vec<PostingsMap>,
-    /// Where multi-capability merges land while the plan cache is disabled;
-    /// re-merged by every such query, so views of it carry no token.
-    uncached_set: MergedSet,
     /// Number of *registered* providers (online or not) advertising each
     /// capability class. Lets `starvation_error` distinguish "nobody is able"
     /// from "the able ones are offline" without scanning the slab.
@@ -274,7 +257,6 @@ impl Clone for ProviderRegistry {
             columns: self.columns.clone(),
             index: self.index.clone(),
             postings: self.postings.clone(),
-            uncached_set: self.uncached_set.clone(),
             class_counts: self.class_counts,
             mask_counts: self.mask_counts.clone(),
             plan_cache: self.plan_cache.clone(),
@@ -290,7 +272,6 @@ impl Default for ProviderRegistry {
             columns: ProviderColumns::new(),
             index: IdDirectory::new(),
             postings: vec![PostingsMap::new(); ONLINE_LIST + 1],
-            uncached_set: MergedSet::default(),
             class_counts: [0; MAX_CAPABILITY_CLASSES as usize],
             // sbqa-lint: allow(hash-collection, "point updates plus an order-insensitive existential scan (any), never ordered iteration")
             mask_counts: HashMap::new(),
@@ -543,7 +524,8 @@ impl ProviderRegistry {
     }
 
     /// The set `Pq` as a borrowed, zero-clone view: every online provider
-    /// able to perform `query`, in ascending id order.
+    /// able to perform `query`, in ascending id order. This is the only way a
+    /// `Pq` is resolved.
     ///
     /// Single-capability requirements (and degenerate `All{}` / `Any{}`) wrap
     /// the class's postings map directly — O(1), no scan, no
@@ -553,24 +535,12 @@ impl ProviderRegistry {
     /// materialised membership with **zero merge work** — an
     /// O(#classes-in-requirement) validity check. Misses (and stale plans)
     /// pay the chunk-wise merge — a word-parallel AND for `All`, an OR for
-    /// `Any`, see [`MergedSet::merge`] — into the entry's own stable set, so
-    /// a later resolution cannot clobber the storage behind a previously
-    /// returned view. With the cache disabled
-    /// ([`set_plan_cache_capacity(0)`](ProviderRegistry::set_plan_cache_capacity))
-    /// merges land in one registry-wide set reused across calls (hence
-    /// `&mut self`). Every path is allocation-free once warmed up.
+    /// `Any`, see [`MergedSet::merge`] — into the entry's own stable set
+    /// (hence `&mut self`), so a later resolution cannot clobber the storage
+    /// behind a previously returned view. Every path is allocation-free once
+    /// warmed up.
     #[must_use]
     pub fn candidates(&mut self, query: &Query) -> Candidates<'_> {
-        self.resolve_with_handle(query).0
-    }
-
-    /// [`candidates`](ProviderRegistry::candidates), additionally returning a
-    /// [`PlanHandle`] when the view came from the candidate-plan cache.
-    /// Batch drains memoize the handle per requirement and re-enter through
-    /// [`cached_plan_view`](ProviderRegistry::cached_plan_view), skipping
-    /// even the key lookup for the second and later queries of a group.
-    #[must_use]
-    pub fn resolve_with_handle(&mut self, query: &Query) -> (Candidates<'_>, Option<PlanHandle>) {
         let required = query.required;
         let set = required.classes();
         match set.len() {
@@ -578,52 +548,35 @@ impl ProviderRegistry {
             // `Any{}` by none.
             0 => match required {
                 CapabilityRequirement::All(_) => {
-                    let view = Candidates::from_map(&self.columns, &self.postings[ONLINE_LIST])
-                        .with_token(PlanToken {
+                    Candidates::from_map(&self.columns, &self.postings[ONLINE_LIST]).with_token(
+                        PlanToken {
                             plan: ONLINE_LIST as u64,
                             stamp: self.mutation_stamp,
-                        });
-                    (view, None)
+                        },
+                    )
                 }
-                CapabilityRequirement::Any(_) => (Candidates::from_slice(&[]), None),
+                CapabilityRequirement::Any(_) => Candidates::from_slice(&[]),
             },
             // The trivial one-bit case, where All and Any coincide: wrap the
             // class's postings map directly.
             1 => {
                 // sbqa-lint: allow(panic-hygiene, "arm is reached only when the set has exactly one class")
                 let class = set.iter().next().expect("singleton set").class();
-                let view = Candidates::from_map(&self.columns, &self.postings[class as usize])
-                    .with_token(PlanToken {
+                Candidates::from_map(&self.columns, &self.postings[class as usize]).with_token(
+                    PlanToken {
                         plan: u64::from(class),
                         stamp: self.mutation_stamp,
-                    });
-                (view, None)
+                    },
+                )
             }
             _ => {
-                let key = PlanKey::of(required);
-                if self.plan_cache.capacity == 0 {
-                    // Caching disabled: merge into the shared set. The view
-                    // gets no token — its backing set is clobbered by the
-                    // next multi-class resolution, so nothing downstream may
-                    // memoize it.
-                    self.uncached_set
-                        .merge(&self.postings, key.bits, key.conjunctive);
-                    let view =
-                        Candidates::from_merged(&self.columns, &self.uncached_set, &self.postings);
-                    return (view, None);
-                }
-                let idx = self.lookup_or_merge(key);
+                let idx = self.lookup_or_merge(PlanKey::of(required));
                 let entry = &self.plan_cache.entries[idx];
                 let token = PlanToken {
                     plan: entry.occupancy,
                     stamp: self.mutation_stamp,
                 };
-                let handle = PlanHandle {
-                    entry: idx as u32,
-                    occupancy: entry.occupancy,
-                };
-                let view = Candidates::from_merged(&self.columns, &entry.set, &self.postings);
-                (view.with_token(token), Some(handle))
+                Candidates::from_merged(&self.columns, &entry.set, &self.postings).with_token(token)
             }
         }
     }
@@ -696,42 +649,6 @@ impl ProviderRegistry {
             }));
     }
 
-    /// `true` if `handle` still names a valid plan: the entry has not been
-    /// reassigned to another requirement (occupancy match) and no postings
-    /// map it was merged from has been mutated since (epoch match).
-    #[must_use]
-    pub fn plan_is_current(&self, handle: PlanHandle) -> bool {
-        match self.plan_cache.entries.get(handle.entry as usize) {
-            Some(entry) if entry.occupancy == handle.occupancy => {
-                entry.stamps.iter().all(|&(class, generation)| {
-                    self.postings[class as usize].generation() == generation
-                })
-            }
-            _ => false,
-        }
-    }
-
-    /// The cached plan behind `handle` as a candidates view, counting a
-    /// cache hit and refreshing the entry's LRU position. Callers must have
-    /// just checked [`plan_is_current`](ProviderRegistry::plan_is_current);
-    /// serving a non-current handle would return another requirement's (or a
-    /// stale) candidate set.
-    #[must_use]
-    pub fn cached_plan_view(&mut self, handle: PlanHandle) -> Candidates<'_> {
-        debug_assert!(self.plan_is_current(handle), "handle validated by caller");
-        let cache = &mut self.plan_cache;
-        cache.tick += 1;
-        cache.hits += 1;
-        let tick = cache.tick;
-        let entry = &mut cache.entries[handle.entry as usize];
-        entry.last_used = tick;
-        let token = PlanToken {
-            plan: entry.occupancy,
-            stamp: self.mutation_stamp,
-        };
-        Candidates::from_merged(&self.columns, &entry.set, &self.postings).with_token(token)
-    }
-
     /// Counters and occupancy of the candidate-plan cache.
     #[must_use]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
@@ -746,19 +663,13 @@ impl ProviderRegistry {
         }
     }
 
-    /// `true` if multi-capability resolutions go through the plan cache.
-    #[must_use]
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_cache.capacity > 0
-    }
-
-    /// Re-bounds the candidate-plan cache, dropping every materialised plan
-    /// (counters are kept). `0` disables caching: multi-capability merges
-    /// fall back to one registry-wide set, re-merged on every query — the
-    /// pre-cache behaviour, kept for comparison benchmarks.
+    /// Re-bounds the candidate-plan cache to `capacity` plans (at least one:
+    /// `0` is clamped to `1`), dropping every materialised plan; counters are
+    /// kept. It is a size, not a mode — every multi-capability resolution
+    /// goes through the cache whatever the bound.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
         let cache = &mut self.plan_cache;
-        cache.capacity = capacity;
+        cache.capacity = capacity.max(1);
         cache.entries.clear();
         cache.index.clear();
     }
@@ -1252,7 +1163,6 @@ mod tests {
     #[test]
     fn plan_cache_counts_hits_and_misses() {
         let mut reg = cache_registry();
-        assert!(reg.plan_cache_enabled());
         let all01 = CapabilityRequirement::All(set_of(&[0, 1]));
         let any12 = CapabilityRequirement::Any(set_of(&[1, 2]));
 
@@ -1370,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_lru_evicts_at_capacity_and_capacity_zero_disables() {
+    fn plan_cache_lru_evicts_at_capacity() {
         let mut reg = cache_registry();
         reg.set_plan_cache_capacity(2);
         let reqs = [
@@ -1391,46 +1301,6 @@ mod tests {
         assert_eq!(reg.plan_cache_stats().misses, 4);
         let _ = ids_of(&mut reg, reqs[2]);
         assert_eq!(reg.plan_cache_stats().hits, 1);
-
-        // Capacity 0: the legacy always-merge path, no cache traffic at all,
-        // same answers.
-        reg.set_plan_cache_capacity(0);
-        assert!(!reg.plan_cache_enabled());
-        assert_eq!(ids_of(&mut reg, reqs[0]), vec![1, 3]);
-        assert_eq!(reg.plan_cache_stats().lookups(), 5);
-        assert_eq!(reg.plan_cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn plan_handles_validate_and_expire() {
-        let mut reg = cache_registry();
-        let q = multi_query(CapabilityRequirement::All(set_of(&[0, 1])));
-
-        let (view, handle) = reg.resolve_with_handle(&q);
-        assert_eq!(view.len(), 2);
-        let handle = handle.expect("multi-class resolution is cacheable");
-        assert!(reg.plan_is_current(handle));
-
-        // A cached view through the handle is the same plan — and a hit.
-        let hits_before = reg.plan_cache_stats().hits;
-        let ids: Vec<u64> = reg
-            .cached_plan_view(handle)
-            .iter()
-            .map(|p| p.id.raw())
-            .collect();
-        assert_eq!(ids, vec![1, 3]);
-        assert_eq!(reg.plan_cache_stats().hits, hits_before + 1);
-
-        // Any mutation of a mentioned class expires the handle.
-        reg.set_online(ProviderId::new(2), false).unwrap();
-        assert!(!reg.plan_is_current(handle));
-
-        // Single-class and disabled-cache resolutions carry no handle.
-        let (_, single) = reg.resolve_with_handle(&query(0));
-        assert!(single.is_none());
-        reg.set_plan_cache_capacity(0);
-        let (_, none) = reg.resolve_with_handle(&q);
-        assert!(none.is_none());
     }
 
     #[test]

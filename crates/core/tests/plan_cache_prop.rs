@@ -1,24 +1,29 @@
 //! Property tests pinning the candidate-plan cache to its specification:
-//! resolution through the cache must be *observably identical* to resolution
-//! without it, for any population, churn history and requirement sequence —
-//! the cache may only change how fast an answer arrives, never the answer.
+//! resolution through the cache must be *observably identical* to a
+//! brute-force filter of the slab, for any population, churn history and
+//! requirement sequence — the cache may only change how fast an answer
+//! arrives, never the answer.
 //!
 //! Three layers are pinned:
 //!
-//! * the registry layer — cached `candidates` equals the capacity-0
-//!   (always-merge) path and the brute-force slab filter, with churn
-//!   interleaved *between* probes so hit, stale-rebuild and miss paths all
-//!   execute;
+//! * the registry layer — `candidates` through a roomy cache and through a
+//!   one-plan (thrashing) cache equals the brute-force slab filter, with
+//!   churn interleaved *between* probes so hit, stale-rebuild, miss and
+//!   eviction paths all execute;
 //! * the LRU layer — a requirement working set larger than the cache
 //!   capacity (evictions on every probe) stays correct;
-//! * the mediation layer — full `submit_batch` mediation with batch dedup,
-//!   with the plan cache but no dedup, and with neither, produces
-//!   decision-for-decision identical outcomes from the same seed, i.e. the
-//!   memoized paths consume no extra randomness and serve no stale bytes.
+//! * the mediation layer — full `submit_batch` mediation with the default
+//!   cache and with a one-plan cache is decision-for-decision and
+//!   satisfaction-bit-for-bit identical to a [`Reference`] step that shares
+//!   none of the resolution path: no postings, no merge kernel, no cache.
 
 use proptest::prelude::*;
 
-use sbqa_core::{Mediator, ProviderRegistry, StaticIntentions};
+use sbqa_core::{
+    AllocationDecision, Candidates, Mediator, ProviderRegistry, ProviderSnapshot, QueryAllocator,
+    SbqaAllocator, StaticIntentions,
+};
+use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
     QueryId, SystemConfig,
@@ -113,10 +118,71 @@ fn apply(registry: &mut ProviderRegistry, churn: Churn) {
     }
 }
 
+/// The dumbest correct mediation step, as the oracle for the mediation
+/// layer: `Pq` by scanning every registered provider, sorted by id and
+/// handed over as a plain slice; the same allocation technique under the
+/// same seed; the same feedback. It reads the registry's rows and nothing
+/// else of it.
+struct Reference {
+    providers: ProviderRegistry,
+    allocator: SbqaAllocator,
+    satisfaction: SatisfactionRegistry,
+}
+
+impl Reference {
+    fn new(config: SystemConfig, seed: u64) -> Self {
+        Self {
+            providers: ProviderRegistry::new(),
+            satisfaction: SatisfactionRegistry::new(config.satisfaction_window),
+            allocator: SbqaAllocator::new(config, seed).unwrap(),
+        }
+    }
+
+    fn register_provider(&mut self, id: ProviderId, capabilities: CapabilitySet) {
+        self.providers.register(id, capabilities, 1.0);
+        self.satisfaction.register_provider(id);
+    }
+
+    /// One mediation; `None` when no capable provider is online.
+    fn submit(&mut self, query: &Query, oracle: &StaticIntentions) -> Option<AllocationDecision> {
+        let mut pq: Vec<ProviderSnapshot> = self
+            .providers
+            .iter()
+            .filter(|p| p.can_perform(query))
+            .collect();
+        pq.sort_unstable_by_key(|p| p.id);
+        if pq.is_empty() {
+            return None;
+        }
+        let mut decision = AllocationDecision::default();
+        self.allocator
+            .allocate_into(
+                query,
+                Candidates::from_slice(&pq),
+                oracle,
+                &self.satisfaction,
+                &mut decision,
+            )
+            .unwrap();
+        let (mut consumer_view, mut provider_view) = (Vec::new(), Vec::new());
+        decision.consumer_view_into(&mut consumer_view);
+        decision.provider_view_into(&mut provider_view);
+        self.satisfaction.record_mediation(
+            query.id,
+            query.consumer,
+            query.replication,
+            &consumer_view,
+            &provider_view,
+        );
+        Some(decision)
+    }
+}
+
 proptest! {
-    /// Cached, uncached and brute-force resolution agree after every churn
-    /// step. Each probe runs *twice* against the cached registry so the
-    /// second resolution exercises the pure hit path, not just the rebuild.
+    /// Resolution through a roomy cache and through a one-plan cache agrees
+    /// with the brute-force filter after every churn step. Each probe runs
+    /// *twice* against the roomy registry so the second resolution exercises
+    /// the pure hit path, not just the rebuild.
     #[test]
     fn cached_resolution_is_invisible(
         seed_providers in proptest::collection::vec((0u64..40, 1u8..64), 1..24),
@@ -126,37 +192,35 @@ proptest! {
         ),
     ) {
         let mut cached = ProviderRegistry::new();
-        let mut uncached = ProviderRegistry::new();
-        uncached.set_plan_cache_capacity(0);
-        prop_assert!(cached.plan_cache_enabled());
-        prop_assert!(!uncached.plan_cache_enabled());
+        let mut thrashing = ProviderRegistry::new();
+        thrashing.set_plan_cache_capacity(1);
 
         for (id, mask) in &seed_providers {
             cached.register(ProviderId::new(*id), capability_set(*mask), 1.0);
-            uncached.register(ProviderId::new(*id), capability_set(*mask), 1.0);
+            thrashing.register(ProviderId::new(*id), capability_set(*mask), 1.0);
         }
 
         for &(churn, mask, conjunctive) in &steps {
             let churn = decode(churn);
             apply(&mut cached, churn);
-            apply(&mut uncached, churn);
+            apply(&mut thrashing, churn);
 
             let req = requirement(mask, conjunctive);
             let expected = brute_force(&cached, req);
             prop_assert_eq!(&resolve(&mut cached, req), &expected, "rebuild probe {}", req);
             prop_assert_eq!(&resolve(&mut cached, req), &expected, "hit probe {}", req);
-            prop_assert_eq!(&resolve(&mut uncached, req), &expected, "uncached probe {}", req);
+            prop_assert_eq!(&resolve(&mut thrashing, req), &expected, "thrashing probe {}", req);
         }
 
-        // The uncached registry never counts cache traffic; the cached one
-        // must have taken the hit path on every repeated probe.
-        prop_assert_eq!(uncached.plan_cache_stats().lookups(), 0);
+        // The roomy registry must have taken the hit path on every repeated
+        // probe; the one-plan registry never holds more than its bound.
         let stats = cached.plan_cache_stats();
         let multi_probes = steps
             .iter()
             .filter(|(_, mask, _)| mask.count_ones() >= 2)
             .count() as u64;
         prop_assert!(stats.hits >= multi_probes, "every second probe must hit");
+        prop_assert!(thrashing.plan_cache_stats().entries <= 1);
     }
 
     /// A working set wider than the cache thrashes the LRU (evictions on
@@ -180,12 +244,13 @@ proptest! {
         prop_assert!(registry.plan_cache_stats().entries <= capacity);
     }
 
-    /// Full mediation under the three cache configurations is
-    /// decision-for-decision identical: same winners, same proposals, same
-    /// RNG consumption, regardless of requirement repetition inside batches
-    /// or churn between them.
+    /// Full mediation through the default cache and through a one-plan cache
+    /// equals the reference step: same winners, same proposals, same RNG
+    /// consumption, the same satisfaction on both sides bit for bit,
+    /// regardless of requirement repetition inside batches or churn between
+    /// them.
     #[test]
-    fn mediation_is_byte_identical_across_cache_configs(
+    fn mediation_matches_the_brute_force_reference(
         providers in proptest::collection::vec((0u64..40, 1u8..64), 4..24),
         batches in proptest::collection::vec(
             (
@@ -198,20 +263,21 @@ proptest! {
     ) {
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.3));
-        let build = |configure: fn(&mut Mediator)| -> Mediator {
-            let mut mediator =
-                Mediator::sbqa(SystemConfig::default().with_knbest(6, 2), seed).unwrap();
-            configure(&mut mediator);
-            for (id, mask) in &providers {
-                mediator.register_provider(ProviderId::new(*id), capability_set(*mask), 1.0);
-            }
-            mediator.register_consumer(ConsumerId::new(1));
-            mediator
-        };
-        let mut deduped = build(|_| {});
-        let mut undeduped = build(|m| m.set_batch_dedup(false));
-        let mut uncached = build(|m| m.set_plan_cache_capacity(0));
-        prop_assert!(deduped.batch_dedup());
+        let config = SystemConfig::default().with_knbest(6, 2);
+        let consumer = ConsumerId::new(1);
+        let mut roomy = Mediator::sbqa(config.clone(), seed).unwrap();
+        let mut thrashing = Mediator::sbqa(config.clone(), seed).unwrap();
+        thrashing.set_plan_cache_capacity(1);
+        let mut reference = Reference::new(config, seed);
+        for (id, mask) in &providers {
+            let (id, caps) = (ProviderId::new(*id), capability_set(*mask));
+            roomy.register_provider(id, caps, 1.0);
+            thrashing.register_provider(id, caps, 1.0);
+            reference.register_provider(id, caps);
+        }
+        roomy.register_consumer(consumer);
+        thrashing.register_consumer(consumer);
+        reference.satisfaction.register_consumer(consumer);
 
         let mut next_query = 0u64;
         for (probes, churn) in &batches {
@@ -221,7 +287,7 @@ proptest! {
                     next_query += 1;
                     Query::requiring(
                         QueryId::new(next_query),
-                        ConsumerId::new(1),
+                        consumer,
                         requirement(mask, conjunctive),
                     )
                     .replication(2)
@@ -231,30 +297,43 @@ proptest! {
 
             let run = |mediator: &mut Mediator| {
                 let mut outcomes = Vec::new();
-                mediator.submit_batch(&batch, &oracle, |index, _, result| {
-                    outcomes.push((index, result.ok().cloned()));
+                mediator.submit_batch(&batch, &oracle, |_, _, result| {
+                    outcomes.push(result.ok().cloned());
                 });
                 outcomes
             };
-            let expected = run(&mut deduped);
-            prop_assert_eq!(&run(&mut undeduped), &expected);
-            prop_assert_eq!(&run(&mut uncached), &expected);
+            let expected: Vec<Option<AllocationDecision>> =
+                batch.iter().map(|q| reference.submit(q, &oracle)).collect();
+            prop_assert_eq!(&run(&mut roomy), &expected);
+            prop_assert_eq!(&run(&mut thrashing), &expected);
 
-            // Churn between batches, applied to all three mediators alike.
-            for mediator in [&mut deduped, &mut undeduped, &mut uncached] {
-                match decode(*churn) {
+            // Feedback landed identically: the consumer's satisfaction and
+            // that of every provider a decision of this batch touched.
+            let want = &reference.satisfaction;
+            for mediator in [&roomy, &thrashing] {
+                let got = mediator.satisfaction();
+                prop_assert_eq!(
+                    got.consumer_satisfaction(consumer).value().to_bits(),
+                    want.consumer_satisfaction(consumer).value().to_bits()
+                );
+                for proposal in expected.iter().flatten().flat_map(|d| &d.proposals) {
+                    prop_assert_eq!(
+                        got.provider_satisfaction(proposal.provider).value().to_bits(),
+                        want.provider_satisfaction(proposal.provider).value().to_bits(),
+                        "provider {}", proposal.provider
+                    );
+                }
+            }
+
+            // Churn between batches, applied to all three alike.
+            let churn = decode(*churn);
+            for mediator in [&mut roomy, &mut thrashing] {
+                match churn {
                     Churn::Register(id, mask) => {
                         mediator.register_provider(ProviderId::new(id), capability_set(mask), 1.0);
                     }
-                    // The mediator has no unregister; re-registering with a
-                    // rotated profile is the closest membership churn (it
-                    // replaces the provider and bumps the touched epochs).
                     Churn::Unregister(id) => {
-                        mediator.register_provider(
-                            ProviderId::new(id),
-                            capability_set(((id as u8) | 1) & 63),
-                            1.0,
-                        );
+                        mediator.unregister_provider(ProviderId::new(id));
                     }
                     Churn::SetOnline(id, online) => {
                         let _ = mediator.set_provider_online(ProviderId::new(id), online);
@@ -268,8 +347,13 @@ proptest! {
                     }
                 }
             }
+            if let Churn::Register(id, mask) = churn {
+                reference.register_provider(ProviderId::new(id), capability_set(mask));
+            } else {
+                apply(&mut reference.providers, churn);
+            }
         }
 
-        prop_assert_eq!(uncached.plan_cache_stats().lookups(), 0);
+        prop_assert!(thrashing.plan_cache_stats().entries <= 1);
     }
 }

@@ -218,8 +218,7 @@ fn steady_state_mediation_does_not_allocate() {
     }
     let batch: Vec<Query> = (10_000..10_064u64).map(query).collect();
     let multi_batch: Vec<Query> = (20_000..20_064u64).map(multi_query).collect();
-    // One warm-up pass per batch so the batch-dedup memo's entry vector has
-    // grown to its steady-state capacity before counting starts.
+    // One warm-up pass per batch before counting starts.
     mediator.submit_batch(&batch, &oracle, |_, _, result| assert!(result.is_ok()));
     mediator.submit_batch(&multi_batch, &oracle, |_, _, result| {
         assert!(result.is_ok());

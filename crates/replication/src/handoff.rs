@@ -9,11 +9,10 @@
 //! * a snapshot expanded into the **same delta vocabulary the log uses**
 //!   (`Register` + `UpdateLoad` + `SetOnline` reproduce the full column
 //!   state, including offline providers), and
-//! * the provider's satisfaction tracker, transplanted window-intact;
+//! * the provider's satisfaction tracker, transplanted window-intact.
 //!
-//! plus any tail deltas that arrived after the snapshots were cut, replayed
-//! in log order on top. Applying a package to a destination mediator leaves
-//! every shipped provider byte-identical to its source-shard state.
+//! Applying a package to a destination mediator leaves every shipped
+//! provider byte-identical to its source-shard state.
 
 use sbqa_core::{Mediator, ProviderSnapshot, RegistryDelta};
 use sbqa_satisfaction::ProviderSatisfaction;
@@ -21,12 +20,11 @@ use sbqa_types::SbqaResult;
 
 use crate::apply_delta;
 
-/// A batch of providers (snapshots + satisfaction trackers) and tail deltas
-/// being moved to one destination shard.
+/// A batch of providers (snapshots + satisfaction trackers) being moved to
+/// one destination shard.
 #[derive(Debug, Default)]
 pub struct HandoffPackage {
     providers: Vec<(ProviderSnapshot, Option<ProviderSatisfaction>)>,
-    tail: Vec<RegistryDelta>,
 }
 
 impl HandoffPackage {
@@ -47,22 +45,10 @@ impl HandoffPackage {
         self.providers.push((snapshot, satisfaction));
     }
 
-    /// Appends a tail delta to replay after the snapshots (a mutation the
-    /// source shard emitted after the snapshots were cut).
-    pub fn push_delta(&mut self, delta: RegistryDelta) {
-        self.tail.push(delta);
-    }
-
     /// Providers carried by this package.
     #[must_use]
     pub fn provider_count(&self) -> usize {
         self.providers.len()
-    }
-
-    /// Tail deltas carried by this package.
-    #[must_use]
-    pub fn delta_count(&self) -> usize {
-        self.tail.len()
     }
 
     /// The delta sequence that reproduces `snapshot` on a registry that does
@@ -91,9 +77,8 @@ impl HandoffPackage {
     }
 
     /// Applies the package to a destination mediator: every provider is
-    /// rebuilt through its snapshot deltas, its satisfaction tracker is
-    /// adopted window-intact, and the tail deltas are replayed on top in
-    /// order. Returns the number of deltas applied.
+    /// rebuilt through its snapshot deltas and its satisfaction tracker is
+    /// adopted window-intact. Returns the number of deltas applied.
     ///
     /// # Errors
     ///
@@ -112,10 +97,6 @@ impl HandoffPackage {
                     .satisfaction_mut()
                     .adopt_provider(snapshot.id, tracker);
             }
-        }
-        for delta in self.tail {
-            apply_delta(mediator, &delta)?;
-            applied += 1;
         }
         Ok(applied)
     }

@@ -152,12 +152,6 @@ impl<T> BoundedRing<T> {
     pub fn capacity(&self) -> usize {
         self.lock().capacity
     }
-
-    /// `true` once [`BoundedRing::close`] has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
 }
 
 #[cfg(test)]

@@ -272,3 +272,89 @@ fn async_and_sync_fronts_agree_on_selections() {
         }
     }
 }
+
+/// More distinct multi-class requirements than the plan cache holds (64):
+/// both kinds over every class pair of 12 classes — 132 keys — of which the
+/// stream below cycles through 96, interleaved with a hot set of 8.
+fn wide_requirements() -> Vec<CapabilityRequirement> {
+    let mut requirements = Vec::new();
+    for a in 0..12u8 {
+        for b in a + 1..12 {
+            let set = CapabilitySet::from_capabilities([Capability::new(a), Capability::new(b)]);
+            requirements.push(CapabilityRequirement::All(set));
+            requirements.push(CapabilityRequirement::Any(set));
+        }
+    }
+    requirements
+}
+
+#[test]
+fn plan_cache_eviction_is_identical_under_both_service_drivers() {
+    let requirements = wide_requirements();
+    let queries: Vec<Query> = (0..QUERIES)
+        .map(|id| {
+            let requirement = if id % 2 == 0 { id / 2 % 96 } else { id % 8 };
+            Query::requiring(
+                QueryId::new(id),
+                ConsumerId::new(1),
+                requirements[requirement as usize],
+            )
+            .replication(2)
+            .issued_at(VirtualTime::new((id / 8) as f64))
+            .build()
+        })
+        .collect();
+    let wide = |p: u64| {
+        CapabilitySet::from_capabilities(
+            [p, p + 1, 5 * p + 3].map(|class| Capability::new((class % 12) as u8)),
+        )
+    };
+    let oracle = oracle();
+
+    let mut plain = Mediator::sbqa(config(), GOLDEN_SEED).unwrap();
+    let mut inline = ShardedMediator::sbqa(config(), GOLDEN_SEED, 1).unwrap();
+    let mut threaded = ShardedMediator::sbqa(config(), GOLDEN_SEED, 1).unwrap();
+    for p in 0..PROVIDERS {
+        plain.register_provider(ProviderId::new(p), wide(p), 1.0);
+        inline.register_provider(ProviderId::new(p), wide(p), 1.0);
+        threaded.register_provider(ProviderId::new(p), wide(p), 1.0);
+    }
+    plain.register_consumer(ConsumerId::new(1));
+    inline.register_consumer(ConsumerId::new(1));
+    threaded.register_consumer(ConsumerId::new(1));
+
+    let mut expected: Vec<Option<AllocationDecision>> = Vec::new();
+    let mut got: Vec<Option<AllocationDecision>> = Vec::new();
+    for batch in queries.chunks(50) {
+        plain.submit_batch(batch, &oracle, |_, _, result| {
+            expected.push(result.ok().cloned());
+        });
+        inline
+            .try_submit_batch(batch, &oracle, |_, _, result| {
+                got.push(result.ok().cloned());
+            })
+            .unwrap();
+    }
+    assert_eq!(got, expected, "inline 1 shard vs plain mediator");
+    assert!(expected.iter().flatten().count() > 300);
+
+    let mut running = MediationService::spawn(threaded, Arc::new(oracle));
+    for batch in queries.chunks(32) {
+        running.enqueue_batch(batch.iter().cloned());
+    }
+    let report = running.finish();
+    assert_eq!(report.outcomes.len(), expected.len());
+    for (outcome, decision) in report.outcomes.iter().zip(&expected) {
+        let selected = decision.as_ref().map_or(&[][..], |d| &d.selected);
+        assert_eq!(outcome.selected, selected, "query {}", outcome.query);
+        assert_eq!(outcome.starved, decision.is_none());
+    }
+
+    // The cache saw the same traffic whoever drove it: the hot set hits,
+    // the cycling set outruns the 64-plan bound and evicts.
+    let stats = plain.plan_cache_stats();
+    assert!(stats.evictions > 0 && stats.hits > 0, "{stats:?}");
+    assert_eq!(stats.lookups(), QUERIES);
+    assert_eq!(inline.shard_reports()[0].cache, stats);
+    assert_eq!(report.shards[0].cache, stats);
+}

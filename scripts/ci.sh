@@ -35,6 +35,16 @@ if grep -rnE "Hash(Map|Set)" crates/satisfaction/src \
     exit 1
 fi
 
+echo "== one way to resolve Pq: no batch memo, plan handle or uncached merge path"
+# ProviderRegistry::candidates is the only resolution entry point and the
+# LRU plan cache the only cache (its capacity is a size, clamped to >= 1).
+# The names of the mechanisms it replaced must not come back.
+if grep -rnE "set_batch_dedup|BatchMemo|PlanHandle|uncached_set|plan_is_current|cached_plan_view|resolve_with_handle|plan_cache_enabled" \
+    crates src tests examples; then
+    echo "a second Pq resolution path is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -49,9 +59,9 @@ cargo bench --no-run -p sbqa_bench
 echo "== bench smoke: scenario 1 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry and cache benches"
 # Exercises the allocation hot path end-to-end (golden-output protected by
 # tests/golden_scenario1.rs), the multi-capability postings-merge path
-# (golden-output protected by tests/golden_multicap.rs; the candidate-plan
-# cache and batch dedup are on by default, so this smoke drives the cached
-# resolution path and prints the cache hit/miss table), the sharded
+# (golden-output protected by tests/golden_multicap.rs; every multi-class
+# resolution goes through the candidate-plan cache, so this smoke drives it
+# and prints the cache hit/miss table), the sharded
 # mediation service — the run itself asserts the 1-shard ≡ single-mediator
 # determinism contract and exercises the threaded ingest front — the
 # adaptive-kn controller — whose run asserts the self-adaptation claim
@@ -91,13 +101,14 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, maintained_prop, directory_prop)"
+echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, plan_cache_prop, maintained_prop, directory_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
-# filtered or partial test invocation can never skip them silently. The
-# plan cache and batch-level dedup are enabled by default in every one of
-# these runs, so the golden outputs double as proof that caching serves the
-# exact bytes the uncached merge path produced. The failover gates pin the
+# filtered or partial test invocation can never skip them silently. Every
+# one of these runs resolves Pq through the plan cache — there is no other
+# path — and plan_cache_prop is the proof that what it serves is right: the
+# default and a one-plan (thrashing) mediator against a brute-force
+# reference step, decisions and both satisfactions bit for bit. The failover gates pin the
 # seed-42 crash-and-promote outcome digest (golden_failover) and assert the
 # crashed-run ≡ uninterrupted-run byte-identity under churn (failover).
 # The overload gates pin the seed-42 100x-step outcome and shed-set digests
@@ -138,7 +149,8 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication --test replay_prop -q
-cargo test --release -p sbqa_core --test postings_prop --test candidates_prop --test zero_alloc -q
+cargo test --release -p sbqa_core --test postings_prop --test candidates_prop --test zero_alloc \
+    --test plan_cache_prop -q
 cargo test --release -p sbqa_satisfaction --test maintained_prop -q
 cargo test --release -p sbqa_types --test directory_prop -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
