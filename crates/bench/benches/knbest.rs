@@ -4,8 +4,9 @@
 //! capable, so the interesting series is how flat the cost stays as `|Pq|`
 //! grows. The slice series time the draw and the filter alone; the
 //! `select_block/map_100k` series adds what a registry-backed view costs on
-//! top — a rank-select per drawn position into Bitmap postings chunks and a
-//! gather from a 100 000-row column slab.
+//! top — a rank-select per drawn position into Bitmap postings chunks, a
+//! probe of the column slab's id directory and a gather from its 100 000
+//! rows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -79,8 +80,8 @@ fn bench_knbest(c: &mut Criterion) {
     let mut map = PostingsMap::new();
     for row in population(100_000) {
         let id = ProviderId::new(row.id.raw() * 3);
-        let slot = columns.push(ProviderSnapshot { id, ..row });
-        map.insert(id, slot as u32);
+        columns.push(ProviderSnapshot { id, ..row });
+        map.insert(id);
     }
     group.bench_function("select_block/map_100k", |b| {
         let selector = KnBestSelector::new(20, 4);

@@ -29,7 +29,7 @@ use sbqa_types::{Intention, ProviderId, Query, SbqaResult};
 
 pub use sbqa_types::{ProviderColumns, ProviderSnapshot};
 
-use crate::postings::{MergedSet, MergedSlots, PostingsMap, SlotIter};
+use crate::postings::{IdIter, IdSet, MergedSet, PostingsMap};
 
 /// Identity stamp of a resolved candidate plan, used to deduplicate dense
 /// column gathers across queries.
@@ -63,11 +63,14 @@ pub struct PlanToken {
 ///   tests and ad-hoc callers),
 /// * a capability's bitmap postings map wrapped directly
 ///   ([`Candidates::from_map`], the single-capability path — nothing is
-///   materialised at all; positional access rank-selects into the bitmap), or
+///   materialised at all), or
 /// * the merged membership of several postings maps
-///   ([`Candidates::from_merged`], the multi-capability path — positional
-///   access rank-selects into the [`MergedSet`] and reads the member's slot
-///   from the first mentioned map holding it).
+///   ([`Candidates::from_merged`], the multi-capability path).
+///
+/// The last two are id sets over a column store: a position rank-selects to
+/// a provider id in the set, and the id resolves to its row through the
+/// store's own directory ([`ProviderColumns::slot_of`]) — the one place a
+/// slot is recorded, so a view is indifferent to slab compaction.
 ///
 /// Positions `0..len()` address candidates in a deterministic order — for
 /// registry-backed views that order is ascending provider id by
@@ -89,19 +92,19 @@ pub struct Candidates<'a> {
 enum View<'a> {
     /// Every snapshot of the slice is a candidate.
     Slice(&'a [ProviderSnapshot]),
-    /// The members of `map` (slot payloads into `columns`), in ascending id
-    /// order.
-    Map {
+    /// The members of `set`, each a row of `columns`, in ascending id order.
+    Ids {
         columns: &'a ProviderColumns,
-        map: &'a PostingsMap,
+        set: IdSet<'a>,
     },
-    /// The members of `set`, a merge over some of `lists`, in ascending id
-    /// order; their slots into `columns` are read from `lists`.
-    Merged {
-        columns: &'a ProviderColumns,
-        set: &'a MergedSet,
-        lists: &'a [PostingsMap],
-    },
+}
+
+/// The row of `columns` holding set member `id`.
+fn slot_of(columns: &ProviderColumns, id: ProviderId) -> u32 {
+    match columns.slot_of(id) {
+        Some(slot) => slot,
+        None => unreachable!("candidate {id} has no row in the column store"),
+    }
 }
 
 impl<'a> Candidates<'a> {
@@ -115,34 +118,30 @@ impl<'a> Candidates<'a> {
     }
 
     /// A view over a bitmap postings map: candidates are the map's members
-    /// in ascending id order, with nothing materialised. Positional access
-    /// ([`Candidates::get`], [`Candidates::load_keys`]) rank-selects into the
-    /// map; sequential access ([`Candidates::iter`],
-    /// [`Candidates::gather_all_into`]) streams it.
+    /// in ascending id order, with nothing materialised. Every member must
+    /// be a row of `columns`. Positional access ([`Candidates::get`],
+    /// [`Candidates::load_keys`]) rank-selects into the map; sequential
+    /// access ([`Candidates::iter`], [`Candidates::gather_all_into`]) streams
+    /// it.
     #[must_use]
     pub fn from_map(columns: &'a ProviderColumns, map: &'a PostingsMap) -> Self {
         Self {
-            view: View::Map { columns, map },
+            view: View::Ids {
+                columns,
+                set: IdSet::Map(map),
+            },
             token: None,
         }
     }
 
     /// A view over a merged membership: candidates are the members of `set`
-    /// in ascending id order. `lists` must be the maps `set` was merged
-    /// from, with no membership change since — slot re-pointing is fine, the
-    /// view reads each member's slot from them on access. Positional access
-    /// pays a rank-select plus one probe; sequential access streams.
+    /// in ascending id order. Every member must be a row of `columns`.
     #[must_use]
-    pub fn from_merged(
-        columns: &'a ProviderColumns,
-        set: &'a MergedSet,
-        lists: &'a [PostingsMap],
-    ) -> Self {
+    pub fn from_merged(columns: &'a ProviderColumns, set: &'a MergedSet) -> Self {
         Self {
-            view: View::Merged {
+            view: View::Ids {
                 columns,
-                set,
-                lists,
+                set: IdSet::Merged(set),
             },
             token: None,
         }
@@ -169,8 +168,7 @@ impl<'a> Candidates<'a> {
     pub fn len(&self) -> usize {
         match self.view {
             View::Slice(providers) => providers.len(),
-            View::Map { map, .. } => map.len(),
-            View::Merged { set, .. } => set.len(),
+            View::Ids { set, .. } => set.len(),
         }
     }
 
@@ -189,12 +187,9 @@ impl<'a> Candidates<'a> {
     pub fn get(&self, pos: usize) -> ProviderSnapshot {
         match self.view {
             View::Slice(providers) => providers[pos],
-            View::Map { columns, map } => columns.snapshot(map.select(pos).1 as usize),
-            View::Merged {
-                columns,
-                set,
-                lists,
-            } => columns.snapshot(set.slot_at(lists, pos).1 as usize),
+            View::Ids { columns, set } => {
+                columns.snapshot(slot_of(columns, set.select(pos)) as usize)
+            }
         }
     }
 
@@ -202,39 +197,42 @@ impl<'a> Candidates<'a> {
     /// (cleared first), in the order given, touching only what KnBest orders
     /// by.
     ///
-    /// The gather runs in two phases over the whole batch: every position is
-    /// first resolved to its `(id, slot)` — the id rebuilt from the postings
-    /// key, so the id column is never read — and only then is the
-    /// utilization column read at the resolved slots. The cache misses of
-    /// one phase do not depend on one another, so they overlap instead of
-    /// queueing behind each position's rank-select.
+    /// Over an id set the gather runs in three phases, each over the whole
+    /// batch: positions → ids (a rank-select in the set, the id rebuilt from
+    /// the postings key), ids → slots (a probe of the column store's
+    /// directory), slots → utilization. The cache misses of one phase do not
+    /// depend on one another, so they overlap instead of queueing behind
+    /// each position's rank-select; fusing the probe into the first phase
+    /// gives that up.
     ///
     /// # Panics
     /// Panics if a position is out of bounds.
     pub fn load_keys(&self, positions: &[u32], keys: &mut Vec<RankKey>) {
+        keys.clear();
         match self.view {
-            View::Slice(providers) => gather_keys(
-                positions,
-                keys,
-                |pos| (providers[pos].id, pos as u32),
-                |slot| providers[slot].utilization,
-            ),
-            View::Map { columns, map } => gather_keys(
-                positions,
-                keys,
-                |pos| map.select(pos),
-                |slot| columns.utilization()[slot],
-            ),
-            View::Merged {
-                columns,
-                set,
-                lists,
-            } => gather_keys(
-                positions,
-                keys,
-                |pos| set.slot_at(lists, pos),
-                |slot| columns.utilization()[slot],
-            ),
+            View::Slice(providers) => keys.extend(positions.iter().map(|&position| {
+                let provider = &providers[position as usize];
+                RankKey {
+                    utilization: provider.utilization,
+                    id: provider.id,
+                    position,
+                    slot: position,
+                }
+            })),
+            View::Ids { columns, set } => {
+                keys.extend(positions.iter().map(|&position| RankKey {
+                    utilization: 0.0,
+                    id: set.select(position as usize),
+                    position,
+                    slot: 0,
+                }));
+                for key in keys.iter_mut() {
+                    key.slot = slot_of(columns, key.id);
+                }
+                for key in keys.iter_mut() {
+                    key.utilization = columns.utilization()[key.slot as usize];
+                }
+            }
         }
     }
 
@@ -246,17 +244,9 @@ impl<'a> Candidates<'a> {
         CandidateIter {
             inner: match self.view {
                 View::Slice(providers) => IterInner::Slice(providers.iter()),
-                View::Map { columns, map } => IterInner::Map {
+                View::Ids { columns, set } => IterInner::Ids {
                     columns,
-                    slots: map.iter(),
-                },
-                View::Merged {
-                    columns,
-                    set,
-                    lists,
-                } => IterInner::Merged {
-                    columns,
-                    slots: set.slots(lists),
+                    ids: set.iter(),
                 },
             },
         }
@@ -285,45 +275,13 @@ impl<'a> Candidates<'a> {
                     block.push(p.id, p.utilization, p.capacity, p.queue_length);
                 }
             }
-            View::Map { columns, map } => {
-                for slot in map.iter() {
-                    block.push_slot(columns, slot as usize);
-                }
-            }
-            View::Merged {
-                columns,
-                set,
-                lists,
-            } => {
-                for slot in set.slots(lists) {
-                    block.push_slot(columns, slot as usize);
+            View::Ids { columns, set } => {
+                for id in set.iter() {
+                    block.push_slot(columns, slot_of(columns, id) as usize);
                 }
             }
         }
         block.token = self.token;
-    }
-}
-
-/// The two phases of [`Candidates::load_keys`]: `resolve` every position to
-/// its `(id, slot)`, then read `utilization` at every resolved slot.
-fn gather_keys(
-    positions: &[u32],
-    keys: &mut Vec<RankKey>,
-    resolve: impl Fn(usize) -> (ProviderId, u32),
-    utilization: impl Fn(usize) -> f64,
-) {
-    keys.clear();
-    keys.extend(positions.iter().map(|&position| {
-        let (id, slot) = resolve(position as usize);
-        RankKey {
-            utilization: 0.0,
-            id,
-            position,
-            slot,
-        }
-    }));
-    for key in keys.iter_mut() {
-        key.utilization = utilization(key.slot as usize);
     }
 }
 
@@ -338,7 +296,7 @@ pub struct RankKey {
     /// The candidate's position in the view.
     pub position: u32,
     /// The candidate's slot in the backing columns (the position itself for
-    /// a slice view), carried from the gather's first phase to its second.
+    /// a slice view), carried from the gather's second phase to its third.
     slot: u32,
 }
 
@@ -348,20 +306,12 @@ pub struct CandidateIter<'a> {
     inner: IterInner<'a>,
 }
 
-// A merged view's cursors (one per mentioned class) live inline: the iterator
-// sits on its caller's stack for one pass, and boxing them would allocate on
-// every `iter()`.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum IterInner<'a> {
     Slice(std::slice::Iter<'a, ProviderSnapshot>),
-    Map {
+    Ids {
         columns: &'a ProviderColumns,
-        slots: SlotIter<'a>,
-    },
-    Merged {
-        columns: &'a ProviderColumns,
-        slots: MergedSlots<'a>,
+        ids: IdIter<'a>,
     },
 }
 
@@ -371,12 +321,9 @@ impl Iterator for CandidateIter<'_> {
     fn next(&mut self) -> Option<ProviderSnapshot> {
         match &mut self.inner {
             IterInner::Slice(iter) => iter.next().copied(),
-            IterInner::Map { columns, slots } => {
-                slots.next().map(|slot| columns.snapshot(slot as usize))
-            }
-            IterInner::Merged { columns, slots } => {
-                slots.next().map(|slot| columns.snapshot(slot as usize))
-            }
+            IterInner::Ids { columns, ids } => ids
+                .next()
+                .map(|id| columns.snapshot(slot_of(columns, id) as usize)),
         }
     }
 }
@@ -598,17 +545,10 @@ impl AllocationDecision {
         self.omega = None;
     }
 
-    /// The consumer-side view of the allocation: the selected providers with
-    /// the consumer's intention towards each, in ranking order. This is what
-    /// feeds Definition 1.
-    #[must_use]
-    pub fn consumer_view(&self) -> Vec<(ProviderId, Intention)> {
-        let mut view = Vec::new();
-        self.consumer_view_into(&mut view);
-        view
-    }
-
-    /// Fills `out` with the consumer-side view, reusing its capacity.
+    /// Fills `out` (cleared first, capacity kept) with the consumer-side
+    /// view of the allocation: the selected providers with the consumer's
+    /// intention towards each, in ranking order. This is what feeds
+    /// Definition 1.
     pub fn consumer_view_into(&self, out: &mut Vec<(ProviderId, Intention)>) {
         out.clear();
         out.extend(self.selected.iter().map(|id| {
@@ -621,16 +561,9 @@ impl AllocationDecision {
         }));
     }
 
-    /// The provider-side view: every consulted provider with its expressed
-    /// intention and selection flag. This is what feeds Definition 2.
-    #[must_use]
-    pub fn provider_view(&self) -> Vec<(ProviderId, Intention, bool)> {
-        let mut view = Vec::new();
-        self.provider_view_into(&mut view);
-        view
-    }
-
-    /// Fills `out` with the provider-side view, reusing its capacity.
+    /// Fills `out` (cleared first, capacity kept) with the provider-side
+    /// view: every consulted provider with its expressed intention and
+    /// selection flag. This is what feeds Definition 2.
     pub fn provider_view_into(&self, out: &mut Vec<(ProviderId, Intention, bool)>) {
         out.clear();
         out.extend(
@@ -792,19 +725,21 @@ mod tests {
             omega: Some(0.5),
         };
         assert!(!decision.is_starved());
+        // Dirty buffers: both views must clear before they fill.
+        let mut consumer_view = vec![(ProviderId::new(99), Intention::NEUTRAL)];
+        decision.consumer_view_into(&mut consumer_view);
         assert_eq!(
-            decision.consumer_view(),
+            consumer_view,
             vec![(ProviderId::new(2), Intention::new(0.9))]
         );
-        let provider_view = decision.provider_view();
-        assert_eq!(provider_view.len(), 2);
+        let mut provider_view = vec![(ProviderId::new(99), Intention::NEUTRAL, true)];
+        decision.provider_view_into(&mut provider_view);
         assert_eq!(
-            provider_view[0],
-            (ProviderId::new(1), Intention::new(0.5), false)
-        );
-        assert_eq!(
-            provider_view[1],
-            (ProviderId::new(2), Intention::new(0.8), true)
+            provider_view,
+            vec![
+                (ProviderId::new(1), Intention::new(0.5), false),
+                (ProviderId::new(2), Intention::new(0.8), true),
+            ]
         );
     }
 
@@ -817,11 +752,15 @@ mod tests {
             proposals: vec![],
             omega: None,
         };
+        let mut consumer_view = Vec::new();
+        decision.consumer_view_into(&mut consumer_view);
         assert_eq!(
-            decision.consumer_view(),
+            consumer_view,
             vec![(ProviderId::new(7), Intention::NEUTRAL)]
         );
-        assert!(decision.provider_view().is_empty());
+        let mut provider_view = vec![(ProviderId::new(99), Intention::NEUTRAL, true)];
+        decision.provider_view_into(&mut provider_view);
+        assert!(provider_view.is_empty());
     }
 
     #[test]
@@ -889,33 +828,34 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
-    /// A map over the given slots of `cols`.
+    /// A map over the providers in the given slots of `cols`.
     fn map_of(cols: &ProviderColumns, slots: &[u32]) -> PostingsMap {
         let mut map = PostingsMap::new();
         for &slot in slots {
-            map.insert(cols.ids()[slot as usize], slot);
+            map.insert(cols.ids()[slot as usize]);
         }
         map
     }
 
     #[test]
-    fn candidates_merged_view_restricts_orders_and_follows_re_pointed_slots() {
+    fn candidates_merged_view_restricts_orders_and_follows_moved_rows() {
         // Slots deliberately out of id order, across two chunks.
         let mut cols = ProviderColumns::new();
         for raw in [9u64, 2, 70_000, 5, 7] {
             cols.push(ProviderSnapshot::idle(
                 ProviderId::new(raw),
                 CapabilitySet::ALL,
-                1.0,
+                raw as f64,
             ));
         }
-        let mut lists = vec![map_of(&cols, &[0, 1, 2]), map_of(&cols, &[1, 2, 3])];
+        let lists = vec![map_of(&cols, &[0, 1, 2]), map_of(&cols, &[1, 2, 3])];
         let expect = |view: Candidates<'_>, ids: &[u64]| {
             assert_eq!(view.len(), ids.len());
             let streamed: Vec<u64> = view.iter().map(|s| s.id.raw()).collect();
             assert_eq!(streamed, ids);
             for (pos, &raw) in ids.iter().enumerate() {
-                assert_eq!(view.get(pos).id.raw(), raw);
+                let row = view.get(pos);
+                assert_eq!((row.id.raw(), row.capacity), (raw, raw as f64));
             }
             let all: Vec<u32> = (0..ids.len() as u32).collect();
             assert_eq!(key_ids(view, &all), ids);
@@ -924,29 +864,22 @@ mod tests {
         all.merge(&lists, 0b11, true);
         let mut any = MergedSet::default();
         any.merge(&lists, 0b11, false);
-        expect(Candidates::from_merged(&cols, &all, &lists), &[2, 70_000]);
-        expect(
-            Candidates::from_merged(&cols, &any, &lists),
-            &[2, 5, 9, 70_000],
-        );
+        expect(Candidates::from_merged(&cols, &all), &[2, 70_000]);
+        expect(Candidates::from_merged(&cols, &any), &[2, 5, 9, 70_000]);
 
-        // Compaction: the row of id 2 (slot 1) is dropped in favour of id 7
-        // (slot 4), then id 2 comes back at the end. The sets were merged
-        // before and hold no slots, so they read the new rows.
-        cols.swap_remove(1);
-        cols.push(ProviderSnapshot::idle(
-            ProviderId::new(2),
-            CapabilitySet::ALL,
-            1.0,
-        ));
-        for list in &mut lists {
-            list.patch_slot(ProviderId::new(2), 4);
-        }
-        expect(Candidates::from_merged(&cols, &all, &lists), &[2, 70_000]);
-        expect(
-            Candidates::from_merged(&cols, &any, &lists),
-            &[2, 5, 9, 70_000],
-        );
+        // Compaction: dropping id 9 (slot 0) moves id 7 into its row, then
+        // dropping id 7 moves id 5 there. The sets were merged before and
+        // name ids only, so — once 9 is out of their lists — they read the
+        // rows where the column store's directory now finds them.
+        cols.swap_remove(0);
+        cols.swap_remove(0);
+        assert_eq!(cols.ids()[0], ProviderId::new(5), "5 moved to slot 0");
+        let lists = vec![map_of(&cols, &[1, 2]), map_of(&cols, &[1, 2, 0])];
+        all.merge(&lists, 0b11, true);
+        any.merge(&lists, 0b11, false);
+        expect(Candidates::from_merged(&cols, &all), &[2, 70_000]);
+        expect(Candidates::from_merged(&cols, &any), &[2, 5, 70_000]);
+        expect(Candidates::from_map(&cols, &lists[1]), &[2, 5, 70_000]);
     }
 
     #[test]
@@ -960,10 +893,7 @@ mod tests {
                 1.0,
             ));
         }
-        let mut map = PostingsMap::new();
-        for slot in 0..cols.len() {
-            map.insert(cols.ids()[slot], slot as u32);
-        }
+        let map = map_of(&cols, &[0, 1, 2, 3]);
         let view = Candidates::from_map(&cols, &map);
         assert_eq!(view.len(), 4);
         let ids: Vec<u64> = view.iter().map(|s| s.id.raw()).collect();
@@ -994,7 +924,7 @@ mod tests {
         let mut set = MergedSet::default();
         set.merge(&lists, 0b11, true);
         let mut merged = CandidateBlock::new();
-        Candidates::from_merged(&cols, &set, &lists).gather_all_into(&mut merged);
+        Candidates::from_merged(&cols, &set).gather_all_into(&mut merged);
         assert_eq!(merged.ids(), &block.ids()[1..]);
         assert_eq!(merged.utilization(), &block.utilization()[1..]);
         // Re-gathering clears first.
@@ -1008,7 +938,7 @@ mod tests {
         assert!(view.is_empty());
         let cols = columns(2);
         let set = MergedSet::default();
-        let view = Candidates::from_merged(&cols, &set, &[]);
+        let view = Candidates::from_merged(&cols, &set);
         assert!(view.is_empty());
         assert_eq!(view.iter().count(), 0);
         let map = PostingsMap::new();

@@ -21,8 +21,9 @@
 //! selection costs O(k) — independent of `|Pq|` — and, once the pool has
 //! grown to the population size, performs zero heap allocation. The ranking
 //! keys of the `k` drawn positions are gathered as one batch
-//! ([`Candidates::load_keys`]: positions → slots first, the utilization
-//! column second, so the cache misses overlap). The utilization filter is a
+//! ([`Candidates::load_keys`]: positions → ids, ids → slots, slots →
+//! utilization, each step over the whole batch, so the cache misses of a
+//! step overlap). The utilization filter is a
 //! bounded insertion: the `kn` best keys seen so far are kept sorted, and a
 //! drawn key that does not beat the worst of them — most do not, once the
 //! buffer is full — costs one comparison. The order `(utilization, id)` is

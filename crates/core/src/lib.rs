@@ -60,10 +60,9 @@ pub use intention::{
 pub use knbest::{IndexPool, KnBestScratch, KnBestSelector, KnSelection};
 pub use mediator::{BatchReport, MediationOutcome, MediationScratch, Mediator};
 pub use postings::PostingsMap;
-pub use ranking::rank_by_score;
 pub use registry::{PlanCacheStats, ProviderRegistry};
 pub use sbqa_types::{OmegaPolicy, SystemConfig};
-pub use scoring::{provider_score, resolve_omega, ScoreInputs};
+pub use scoring::{provider_score, resolve_omega};
 
 /// The SbQA allocator itself, implementing [`QueryAllocator`] with KnBest
 /// pre-selection and SQLB scoring. Re-exported from [`mediator`].

@@ -1,19 +1,18 @@
 //! Roaring-style bitmap postings: the registry's per-capability index of
 //! online providers, scaled for millions of entries.
 //!
-//! A [`PostingsMap`] maps *provider ids* to *slab slots*. Ids are split into
-//! 2^16-sized chunks by their high bits; each chunk stores its members in one
-//! of two container shapes, exactly as in the Roaring bitmap design:
+//! A [`PostingsMap`] is an ordered **set of provider ids** — membership and
+//! nothing else. Ids are split into 2^16-sized chunks by their high bits;
+//! each chunk stores its members in one of two container shapes, exactly as
+//! in the Roaring bitmap design:
 //!
-//! * **Array** — a sorted `Vec<u16>` of low-bit keys with a parallel
-//!   `Vec<u32>` of slot payloads. Compact and cache-friendly while the chunk
-//!   is sparse.
-//! * **Bitmap** — a 1024-word (`u64`) bitset plus a dense `u32` slot table
-//!   indexed by the low bits, with a two-level popcount directory (a prefix
-//!   per 64-word block, and per 8-word group within its block) so positional
-//!   lookup (`select`) reads one cache line of words. Used once a chunk is
-//!   populous: membership and slot lookup become O(1) and intersections
-//!   become word-parallel AND loops.
+//! * **Array** — a sorted `Vec<u16>` of low-bit keys. Compact and
+//!   cache-friendly while the chunk is sparse.
+//! * **Bitmap** — a 1024-word (`u64`) bitset with a two-level popcount
+//!   directory (a prefix per 64-word block, and per 8-word group within its
+//!   block) so positional lookup (`select`) reads one cache line of words.
+//!   Used once a chunk is populous: membership becomes O(1) and
+//!   intersections become word-parallel AND loops.
 //!
 //! Beside the sorted chunk keys a map keeps the cumulative chunk lengths, so
 //! the chunk holding a position is found in one array, whatever the number
@@ -30,26 +29,24 @@
 //! per seed — positions into a postings view enumerate the same providers in
 //! the same order as the flat sorted `Vec<u32>` lists they replaced.
 //!
-//! The slot payloads are what lets the registry compact its column store with
-//! a swap-remove on unregister: the moved provider's entries are re-pointed in
-//! place through [`PostingsMap::patch_slot`] (an id-keyed point update per
-//! list). They are also the *only* place a slot is recorded: a multi-list
-//! merge ([`MergedSet`]) keeps the merged **membership** alone — one bitset
-//! per dense chunk, sorted low keys per sparse one — and resolves a member's
-//! slot through the source lists when it is read, so a compaction never
-//! touches a merged set.
+//! No slot is recorded here. Where a member's row sits in the registry's
+//! column store is the business of that store's id directory
+//! (`ProviderColumns::slot_of`), the one id → slot map there is: a
+//! candidate view rank-selects a position to an id in a map or in a
+//! [`MergedSet`] — the id-sorted membership of an `All`/`Any` merge, one
+//! bitset per dense chunk, sorted low keys per sparse one — and resolves the
+//! id there. A slab compaction therefore touches no postings at all, and a
+//! set goes stale only when membership changes.
 //!
 //! ## Cost model of a merge
 //!
 //! [`MergedSet::merge`] costs O(chunks × 1 024 words × lists) word
-//! operations plus one popcount pass per dense chunk. It looks up no slot
-//! and, between Bitmap sources, does no per-member work; an Array source
-//! scatters its keys into the words and a sparse chunk bit-scans its members
-//! back out. A positional read ([`MergedSet::slot_at`]) is a rank-select in
-//! the set plus one probe of a source list (O(1) in a Bitmap container, a
-//! binary search in an Array). A set occupies 12 B per chunk, 2 B per member
-//! of a sparse chunk and 8 KiB per dense chunk, i.e. about
-//! max(2 B × members, 8 KiB × dense chunks).
+//! operations plus one popcount pass per dense chunk. Between Bitmap sources
+//! it does no per-member work; an Array source scatters its keys into the
+//! words and a sparse chunk bit-scans its members back out. A positional
+//! read ([`MergedSet::select`]) is a rank-select in the set. A set occupies
+//! 12 B per chunk, 2 B per member of a sparse chunk and 8 KiB per dense
+//! chunk, i.e. about max(2 B × members, 8 KiB × dense chunks).
 
 use sbqa_types::{ProviderId, MAX_CAPABILITY_CLASSES};
 
@@ -86,6 +83,11 @@ fn chunk_key(id: ProviderId) -> u64 {
 /// The within-chunk key (low 16 bits) of a provider id.
 fn low_bits(id: ProviderId) -> u16 {
     (id.raw() & (CHUNK_CAPACITY as u64 - 1)) as u16
+}
+
+/// The id with chunk key `key` and within-chunk key `low`.
+fn id_of(key: u64, low: u16) -> ProviderId {
+    ProviderId::new(key << CHUNK_BITS | u64::from(low))
 }
 
 /// Selects the index of the `rank`-th (0-based) set bit of `word`.
@@ -259,37 +261,46 @@ impl Iterator for BitIter<'_> {
     }
 }
 
-/// A dense chunk: bitset membership plus a slot table indexed by low bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BitmapChunk {
-    bits: Bitset,
-    /// Slot payloads, indexed by low bits; only positions whose bit is set
-    /// hold meaningful values.
-    slots: Box<[u32]>,
+/// The members of one chunk of a [`PostingsMap`] or a [`MergedSet`]: a
+/// bitset, or sorted low keys.
+#[derive(Debug, Clone, Copy)]
+enum ChunkMembers<'a> {
+    Dense(&'a Bitset),
+    Sparse(&'a [u16]),
 }
 
-impl BitmapChunk {
-    fn empty() -> Self {
-        Self {
-            bits: Bitset::empty(),
-            slots: vec![0u32; CHUNK_CAPACITY].into_boxed_slice(),
+impl<'a> ChunkMembers<'a> {
+    /// The low key of the `rank`-th member in ascending key order.
+    fn select(self, rank: usize) -> u16 {
+        match self {
+            ChunkMembers::Dense(bits) => bits.select(rank as u32),
+            ChunkMembers::Sparse(lows) => lows[rank],
         }
     }
 
-    fn slot_of(&self, low: u16) -> Option<u32> {
-        self.bits.contains(low).then(|| self.slots[low as usize])
+    /// The low keys in ascending order.
+    fn lows(self) -> ChunkLows<'a> {
+        match self {
+            ChunkMembers::Dense(bits) => ChunkLows::Dense(bits.iter()),
+            ChunkMembers::Sparse(lows) => ChunkLows::Sparse(lows.iter()),
+        }
     }
+}
 
-    /// Inserts or updates; returns `true` if the key was new.
-    fn insert(&mut self, low: u16, slot: u32) -> bool {
-        self.slots[low as usize] = slot;
-        self.bits.insert(low)
-    }
+/// The members of one chunk, as low keys in ascending order.
+#[derive(Debug, Clone)]
+enum ChunkLows<'a> {
+    Sparse(std::slice::Iter<'a, u16>),
+    Dense(BitIter<'a>),
+}
 
-    /// Visits every `(low_key, slot)` pair in ascending key order.
-    fn for_each(&self, mut f: impl FnMut(u16, u32)) {
-        for low in self.bits.iter() {
-            f(low, self.slots[low as usize]);
+impl Iterator for ChunkLows<'_> {
+    type Item = u16;
+
+    fn next(&mut self) -> Option<u16> {
+        match self {
+            ChunkLows::Sparse(lows) => lows.next().copied(),
+            ChunkLows::Dense(lows) => lows.next(),
         }
     }
 }
@@ -297,59 +308,47 @@ impl BitmapChunk {
 /// One chunk's container: sparse Array or dense Bitmap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Container {
-    /// Sorted low-bit keys with parallel slot payloads.
-    Array { keys: Vec<u16>, slots: Vec<u32> },
-    /// Bitset membership with a dense slot table.
-    Bitmap(Box<BitmapChunk>),
+    /// Sorted low-bit keys.
+    Array(Vec<u16>),
+    /// Bitset membership.
+    Bitmap(Box<Bitset>),
 }
 
 impl Container {
     fn len(&self) -> usize {
         match self {
-            Container::Array { keys, .. } => keys.len(),
-            Container::Bitmap(chunk) => chunk.bits.len as usize,
+            Container::Array(keys) => keys.len(),
+            Container::Bitmap(bits) => bits.len as usize,
         }
     }
 
     fn contains(&self, low: u16) -> bool {
         match self {
-            Container::Array { keys, .. } => keys.binary_search(&low).is_ok(),
-            Container::Bitmap(chunk) => chunk.bits.contains(low),
+            Container::Array(keys) => keys.binary_search(&low).is_ok(),
+            Container::Bitmap(bits) => bits.contains(low),
         }
     }
 
-    fn slot_of(&self, low: u16) -> Option<u32> {
+    /// Inserts; returns `true` if the key was new. Promotes an Array that
+    /// outgrows [`ARRAY_MAX`] to a Bitmap.
+    fn insert(&mut self, low: u16) -> bool {
         match self {
-            Container::Array { keys, slots } => keys.binary_search(&low).ok().map(|at| slots[at]),
-            Container::Bitmap(chunk) => chunk.slot_of(low),
-        }
-    }
-
-    /// Inserts or updates; returns `true` if the key was new. Promotes an
-    /// Array that outgrows [`ARRAY_MAX`] to a Bitmap.
-    fn insert(&mut self, low: u16, slot: u32) -> bool {
-        match self {
-            Container::Array { keys, slots } => match keys.binary_search(&low) {
-                Ok(at) => {
-                    slots[at] = slot;
-                    false
+            Container::Array(keys) => {
+                let Err(at) = keys.binary_search(&low) else {
+                    return false;
+                };
+                if keys.len() >= ARRAY_MAX {
+                    let mut bits = Bitset::empty();
+                    or_keys(&mut bits.words, keys);
+                    bits.recount();
+                    bits.insert(low);
+                    *self = Container::Bitmap(Box::new(bits));
+                } else {
+                    keys.insert(at, low);
                 }
-                Err(at) => {
-                    if keys.len() >= ARRAY_MAX {
-                        let mut chunk = BitmapChunk::empty();
-                        for (&key, &payload) in keys.iter().zip(slots.iter()) {
-                            chunk.insert(key, payload);
-                        }
-                        chunk.insert(low, slot);
-                        *self = Container::Bitmap(Box::new(chunk));
-                    } else {
-                        keys.insert(at, low);
-                        slots.insert(at, slot);
-                    }
-                    true
-                }
-            },
-            Container::Bitmap(chunk) => chunk.insert(low, slot),
+                true
+            }
+            Container::Bitmap(bits) => bits.insert(low),
         }
     }
 
@@ -357,80 +356,34 @@ impl Container {
     /// shrinks below [`BITMAP_MIN`] back to an Array.
     fn remove(&mut self, low: u16) -> bool {
         match self {
-            Container::Array { keys, slots } => match keys.binary_search(&low) {
+            Container::Array(keys) => match keys.binary_search(&low) {
                 Ok(at) => {
                     keys.remove(at);
-                    slots.remove(at);
                     true
                 }
                 Err(_) => false,
             },
-            Container::Bitmap(chunk) => {
-                if !chunk.bits.remove(low) {
+            Container::Bitmap(bits) => {
+                if !bits.remove(low) {
                     return false;
                 }
-                if (chunk.bits.len as usize) < BITMAP_MIN {
-                    let mut keys = Vec::with_capacity(chunk.bits.len as usize);
-                    let mut slots = Vec::with_capacity(chunk.bits.len as usize);
-                    chunk.for_each(|key, payload| {
-                        keys.push(key);
-                        slots.push(payload);
-                    });
-                    *self = Container::Array { keys, slots };
+                if (bits.len as usize) < BITMAP_MIN {
+                    *self = Container::Array(bits.iter().collect());
                 }
                 true
             }
         }
     }
 
-    /// Overwrites the slot payload of an existing key; returns `true` if the
-    /// key was present.
-    fn patch(&mut self, low: u16, slot: u32) -> bool {
+    fn members(&self) -> ChunkMembers<'_> {
         match self {
-            Container::Array { keys, slots } => match keys.binary_search(&low) {
-                Ok(at) => {
-                    slots[at] = slot;
-                    true
-                }
-                Err(_) => false,
-            },
-            Container::Bitmap(chunk) => {
-                if chunk.bits.contains(low) {
-                    chunk.slots[low as usize] = slot;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// The low key and slot of the `rank`-th member in ascending key order.
-    fn select(&self, rank: usize) -> (u16, u32) {
-        match self {
-            Container::Array { keys, slots } => (keys[rank], slots[rank]),
-            Container::Bitmap(chunk) => {
-                let low = chunk.bits.select(rank as u32);
-                (low, chunk.slots[low as usize])
-            }
-        }
-    }
-
-    /// Visits every `(low_key, slot)` pair in ascending key order.
-    fn for_each(&self, mut f: impl FnMut(u16, u32)) {
-        match self {
-            Container::Array { keys, slots } => {
-                for (&key, &slot) in keys.iter().zip(slots.iter()) {
-                    f(key, slot);
-                }
-            }
-            Container::Bitmap(chunk) => chunk.for_each(f),
+            Container::Array(keys) => ChunkMembers::Sparse(keys),
+            Container::Bitmap(bits) => ChunkMembers::Dense(bits),
         }
     }
 }
 
-/// A bitmap-postings map from provider ids to slab slots, enumerated in
-/// ascending id order.
+/// A bitmap-postings set of provider ids, enumerated in ascending id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingsMap {
     /// Sorted chunk keys (`id >> 16`).
@@ -441,15 +394,15 @@ pub struct PostingsMap {
     ends: Vec<usize>,
     /// Containers, parallel to `keys`.
     chunks: Vec<Container>,
-    /// Membership epoch: bumped by every call that may change which ids the
-    /// map holds ([`insert`](PostingsMap::insert) and a successful
-    /// [`remove`](PostingsMap::remove)). Cached merge results stamp the epoch
-    /// of every map they read; an unchanged epoch proves the map's
-    /// contribution to the merged membership is identical, so equality over
-    /// the stamps is a sound (and O(#classes)) cache-validity check. The bump
-    /// lives *inside* the container rather than at the call sites so no
-    /// mutation path can forget it. [`patch_slot`](PostingsMap::patch_slot)
-    /// leaves it alone: a [`MergedSet`] holds no slots.
+    /// Membership epoch: bumped by every call that changes which ids the
+    /// map holds — an [`insert`](PostingsMap::insert) of an absent id, a
+    /// [`remove`](PostingsMap::remove) of a present one — and by nothing
+    /// else. Cached merge results stamp the epoch of every map they read; an
+    /// unchanged epoch proves the map's contribution to the merged
+    /// membership is identical, so equality over the stamps is a sound (and
+    /// O(#classes)) cache-validity check. The bump lives *inside* the
+    /// container rather than at the call sites so no mutation path can
+    /// forget it.
     generation: u64,
 }
 
@@ -485,30 +438,21 @@ impl PostingsMap {
         chunk.checked_sub(1).map_or(0, |before| self.ends[before])
     }
 
-    /// Inserts (or re-points) `id → slot`; returns `true` if the id was new.
-    pub fn insert(&mut self, id: ProviderId, slot: u32) -> bool {
-        // An existing id may be re-pointed at a new slot, which `inserted`
-        // does not report: bump unconditionally. A spurious bump only costs a
-        // cache re-merge, never a stale hit.
-        self.generation += 1;
+    /// Inserts `id`; returns `true` if it was absent.
+    pub fn insert(&mut self, id: ProviderId) -> bool {
         let key = chunk_key(id);
         let chunk = match self.keys.binary_search(&key) {
             Ok(at) => at,
             Err(at) => {
                 self.keys.insert(at, key);
                 self.ends.insert(at, self.start(at));
-                self.chunks.insert(
-                    at,
-                    Container::Array {
-                        keys: Vec::new(),
-                        slots: Vec::new(),
-                    },
-                );
+                self.chunks.insert(at, Container::Array(Vec::new()));
                 at
             }
         };
-        let inserted = self.chunks[chunk].insert(low_bits(id), slot);
+        let inserted = self.chunks[chunk].insert(low_bits(id));
         if inserted {
+            self.generation += 1;
             self.ends[chunk..].iter_mut().for_each(|end| *end += 1);
         }
         inserted
@@ -541,103 +485,26 @@ impl PostingsMap {
             .is_ok_and(|chunk| self.chunks[chunk].contains(low_bits(id)))
     }
 
-    /// The slot stored for `id`, if present.
-    #[must_use]
-    pub fn slot_of(&self, id: ProviderId) -> Option<u32> {
-        self.keys
-            .binary_search(&chunk_key(id))
-            .ok()
-            .and_then(|chunk| self.chunks[chunk].slot_of(low_bits(id)))
-    }
-
-    /// Re-points an existing entry at a new slot (the swap-remove compaction
-    /// hook); returns `true` if `id` was present.
-    pub fn patch_slot(&mut self, id: ProviderId, slot: u32) -> bool {
-        self.keys
-            .binary_search(&chunk_key(id))
-            .is_ok_and(|chunk| self.chunks[chunk].patch(low_bits(id), slot))
-    }
-
-    /// The id and slot of the `pos`-th member in ascending id order. The id
-    /// is rebuilt from the chunk key and the member's low key, so no column
-    /// is read for it.
+    /// The id of the `pos`-th member in ascending id order, rebuilt from the
+    /// chunk key and the member's low key.
     ///
     /// # Panics
     /// Panics if `pos >= len()`.
     #[must_use]
-    pub fn select(&self, pos: usize) -> (ProviderId, u32) {
+    pub fn select(&self, pos: usize) -> ProviderId {
         let chunk = self.ends.partition_point(|&end| end <= pos);
         let Some(container) = self.chunks.get(chunk) else {
             // sbqa-lint: allow(panic-hygiene, "out-of-bounds position mirrors the slice-indexing contract; callers pass validated cursors")
             panic!("postings position {pos} out of bounds (len {})", self.len())
         };
-        let (low, slot) = container.select(pos - self.start(chunk));
-        (
-            ProviderId::new(self.keys[chunk] << CHUNK_BITS | u64::from(low)),
-            slot,
-        )
+        let low = container.members().select(pos - self.start(chunk));
+        id_of(self.keys[chunk], low)
     }
 
-    /// Iterates the stored slots in ascending id order.
+    /// Iterates the members in ascending id order.
     #[must_use]
-    pub fn iter(&self) -> SlotIter<'_> {
-        SlotIter {
-            chunks: self.chunks.iter(),
-            current: ContainerIter::Empty,
-        }
-    }
-
-    /// Appends every slot, in ascending id order, to `out`.
-    pub fn collect_into(&self, out: &mut Vec<u32>) {
-        for chunk in &self.chunks {
-            chunk.for_each(|_, slot| out.push(slot));
-        }
-    }
-}
-
-/// Sequential iterator over a [`PostingsMap`]'s slots in ascending id order.
-#[derive(Debug, Clone)]
-pub struct SlotIter<'a> {
-    chunks: std::slice::Iter<'a, Container>,
-    current: ContainerIter<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum ContainerIter<'a> {
-    Empty,
-    Array(std::slice::Iter<'a, u32>),
-    Bitmap { slots: &'a [u32], lows: BitIter<'a> },
-}
-
-impl Iterator for ContainerIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            ContainerIter::Empty => None,
-            ContainerIter::Array(slots) => slots.next().copied(),
-            ContainerIter::Bitmap { slots, lows } => lows.next().map(|low| slots[low as usize]),
-        }
-    }
-}
-
-impl Iterator for SlotIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            if let Some(slot) = self.current.next() {
-                return Some(slot);
-            }
-            let chunk = self.chunks.next()?;
-            self.current = match chunk {
-                Container::Array { slots, .. } => ContainerIter::Array(slots.iter()),
-                Container::Bitmap(chunk) => ContainerIter::Bitmap {
-                    slots: &chunk.slots,
-                    lows: chunk.bits.iter(),
-                },
-            };
-        }
+    pub fn iter(&self) -> IdIter<'_> {
+        IdSet::Map(self).iter()
     }
 }
 
@@ -645,10 +512,7 @@ impl Iterator for SlotIter<'_> {
 const MAX_LISTS: usize = MAX_CAPABILITY_CLASSES as usize;
 
 /// Filler for the fixed-size source arrays of the merge walk.
-static NO_CONTAINER: Container = Container::Array {
-    keys: Vec::new(),
-    slots: Vec::new(),
-};
+static NO_CONTAINER: Container = Container::Array(Vec::new());
 
 /// The list indices named by a class mask, ascending.
 fn class_indices(mut classes: u64) -> impl Iterator<Item = usize> {
@@ -713,29 +577,29 @@ fn or_keys(words: &mut [u64], keys: &[u16]) {
 fn merge_words(words: &mut [u64], sources: &[&Container], conjunctive: bool) {
     for (nth, source) in sources.iter().enumerate() {
         match source {
-            Container::Bitmap(chunk) if nth == 0 => words.copy_from_slice(&chunk.bits.words),
-            Container::Bitmap(chunk) if conjunctive => {
-                for (word, &mask) in words.iter_mut().zip(chunk.bits.words.iter()) {
+            Container::Bitmap(bits) if nth == 0 => words.copy_from_slice(&bits.words),
+            Container::Bitmap(bits) if conjunctive => {
+                for (word, &mask) in words.iter_mut().zip(bits.words.iter()) {
                     *word &= mask;
                 }
             }
-            Container::Bitmap(chunk) => {
-                for (word, &mask) in words.iter_mut().zip(chunk.bits.words.iter()) {
+            Container::Bitmap(bits) => {
+                for (word, &mask) in words.iter_mut().zip(bits.words.iter()) {
                     *word |= mask;
                 }
             }
-            Container::Array { keys, .. } if nth == 0 => {
+            Container::Array(keys) if nth == 0 => {
                 words.fill(0);
                 or_keys(words, keys);
             }
-            Container::Array { keys, .. } if conjunctive => {
+            Container::Array(keys) if conjunctive => {
                 let mut mask = [0u64; WORDS_PER_CHUNK];
                 or_keys(&mut mask, keys);
                 for (word, &mask) in words.iter_mut().zip(mask.iter()) {
                     *word &= mask;
                 }
             }
-            Container::Array { keys, .. } => or_keys(words, keys),
+            Container::Array(keys) => or_keys(words, keys),
         }
     }
 }
@@ -751,35 +615,9 @@ struct DenseChunk {
     bits: Bitset,
 }
 
-/// Where one [`MergedSet`] chunk keeps its members.
-enum ChunkMembers<'a> {
-    Dense(&'a Bitset),
-    Sparse(&'a [u16]),
-}
-
-/// The members of one [`MergedSet`] chunk, as low keys in ascending order.
-#[derive(Debug, Clone)]
-enum ChunkLows<'a> {
-    Sparse(std::slice::Iter<'a, u16>),
-    Dense(BitIter<'a>),
-}
-
-impl Iterator for ChunkLows<'_> {
-    type Item = u16;
-
-    fn next(&mut self) -> Option<u16> {
-        match self {
-            ChunkLows::Sparse(lows) => lows.next().copied(),
-            ChunkLows::Dense(lows) => lows.next(),
-        }
-    }
-}
-
 /// The id-sorted **membership** of an `All` (intersection) or `Any` (union)
-/// merge over several [`PostingsMap`]s — no slots: a member's slot is read
-/// from the source lists on access ([`MergedSet::slot_at`],
-/// [`MergedSet::slots`]), so the set stays valid across slot re-pointing and
-/// goes stale only when a source list's membership changes.
+/// merge over several [`PostingsMap`]s. It goes stale only when a source
+/// list's membership changes.
 ///
 /// Per 2^16-id chunk the members are either a bitset with its popcount
 /// directory (*dense*: some source container is a Bitmap, or the sources hold
@@ -794,8 +632,6 @@ impl Iterator for ChunkLows<'_> {
 /// not allocate.
 #[derive(Debug, Clone, Default)]
 pub struct MergedSet {
-    /// Bit `i` set ⇔ list `i` was merged.
-    classes: u64,
     /// Keys of the chunks holding at least one member, ascending.
     keys: Vec<u64>,
     /// `ends[i]` = members in chunks `0..=i`, parallel to `keys`.
@@ -829,7 +665,6 @@ impl MergedSet {
     /// ANDed / ORed in. A dense chunk keeps the words and one popcount pass
     /// fills its prefix blocks; a sparse chunk bit-scans them into low keys.
     pub fn merge(&mut self, lists: &[PostingsMap], classes: u64, conjunctive: bool) {
-        self.classes = classes;
         self.keys.clear();
         self.ends.clear();
         self.lows.clear();
@@ -917,105 +752,92 @@ impl MergedSet {
     #[must_use]
     pub fn select(&self, pos: usize) -> ProviderId {
         let chunk = self.ends.partition_point(|&end| end as usize <= pos);
-        let rank = pos - self.start(chunk);
-        let low = match self.members(chunk) {
-            ChunkMembers::Dense(bits) => bits.select(rank as u32),
-            ChunkMembers::Sparse(lows) => lows[rank],
-        };
-        ProviderId::new(self.keys[chunk] << CHUNK_BITS | u64::from(low))
+        let low = self.members(chunk).select(pos - self.start(chunk));
+        id_of(self.keys[chunk], low)
     }
 
-    /// The `pos`-th member and the slot `lists` — the lists the set was
-    /// merged from, unchanged in membership since — store for it: a
-    /// rank-select in the set, then a probe of the merged lists in class
-    /// order until one holds the id (for an `All` merge, the first always
-    /// does).
+    /// Iterates the members in ascending id order: a bit-scan (or key walk)
+    /// per chunk, no rank-select per member.
+    #[must_use]
+    pub fn iter(&self) -> IdIter<'_> {
+        IdSet::Merged(self).iter()
+    }
+}
+
+/// A borrowed id-sorted set of providers — one postings map, or the merged
+/// membership of several: what a candidate view enumerates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum IdSet<'a> {
+    /// The members of one map.
+    Map(&'a PostingsMap),
+    /// The members of a merge.
+    Merged(&'a MergedSet),
+}
+
+impl<'a> IdSet<'a> {
+    /// Number of members.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            IdSet::Map(map) => map.len(),
+            IdSet::Merged(set) => set.len(),
+        }
+    }
+
+    /// The id of the `pos`-th member in ascending id order.
     ///
     /// # Panics
     /// Panics if `pos >= len()`.
-    #[must_use]
-    pub fn slot_at(&self, lists: &[PostingsMap], pos: usize) -> (ProviderId, u32) {
-        let id = self.select(pos);
-        let Some(slot) = class_indices(self.classes).find_map(|class| lists[class].slot_of(id))
-        else {
-            unreachable!("merged member {id} is in none of the lists it was merged from");
-        };
-        (id, slot)
+    pub(crate) fn select(self, pos: usize) -> ProviderId {
+        match self {
+            IdSet::Map(map) => map.select(pos),
+            IdSet::Merged(set) => set.select(pos),
+        }
     }
 
-    /// Streams the slots `lists` store for the members, in ascending id
-    /// order: a bit-scan (or key walk) per chunk with forward cursors into
-    /// the Array sources — no rank-select and no search per member.
-    #[must_use]
-    pub fn slots<'a>(&'a self, lists: &'a [PostingsMap]) -> MergedSlots<'a> {
-        MergedSlots {
+    /// Iterates the members in ascending id order.
+    pub(crate) fn iter(self) -> IdIter<'a> {
+        IdIter {
             set: self,
-            lists,
             chunk: 0,
+            key: 0,
             lows: ChunkLows::Sparse([].iter()),
-            sources: [(&NO_CONTAINER, 0); MAX_LISTS],
-            holders: 0,
         }
+    }
+
+    /// The key and the members of the `chunk`-th chunk, if there is one.
+    fn chunk(self, chunk: usize) -> Option<(u64, ChunkLows<'a>)> {
+        let (key, members) = match self {
+            IdSet::Map(map) => (*map.keys.get(chunk)?, map.chunks[chunk].members()),
+            IdSet::Merged(set) => (*set.keys.get(chunk)?, set.members(chunk)),
+        };
+        Some((key, members.lows()))
     }
 }
 
-/// Sequential iterator over the slots behind a [`MergedSet`]'s members; see
-/// [`MergedSet::slots`].
+/// Sequential iterator over the members of a [`PostingsMap`] or a
+/// [`MergedSet`] in ascending id order.
 #[derive(Debug, Clone)]
-pub struct MergedSlots<'a> {
-    set: &'a MergedSet,
-    lists: &'a [PostingsMap],
-    /// The next directory entry to open.
+pub struct IdIter<'a> {
+    set: IdSet<'a>,
+    /// The next chunk to open.
     chunk: usize,
+    /// Key of the open chunk.
+    key: u64,
     /// The not-yet-yielded members of the open chunk.
     lows: ChunkLows<'a>,
-    /// The open chunk's container in each merged list holding one, in class
-    /// order, with a forward cursor into its keys if it is an Array.
-    sources: [(&'a Container, usize); MAX_LISTS],
-    holders: usize,
 }
 
-impl Iterator for MergedSlots<'_> {
-    type Item = u32;
+impl Iterator for IdIter<'_> {
+    type Item = ProviderId;
 
-    fn next(&mut self) -> Option<u32> {
-        let low = loop {
+    fn next(&mut self) -> Option<ProviderId> {
+        loop {
             if let Some(low) = self.lows.next() {
-                break low;
+                return Some(id_of(self.key, low));
             }
-            let key = *self.set.keys.get(self.chunk)?;
-            self.lows = match self.set.members(self.chunk) {
-                ChunkMembers::Dense(bits) => ChunkLows::Dense(bits.iter()),
-                ChunkMembers::Sparse(lows) => ChunkLows::Sparse(lows.iter()),
-            };
+            (self.key, self.lows) = self.set.chunk(self.chunk)?;
             self.chunk += 1;
-            self.holders = 0;
-            for class in class_indices(self.set.classes) {
-                let list = &self.lists[class];
-                if let Ok(at) = list.keys.binary_search(&key) {
-                    self.sources[self.holders] = (&list.chunks[at], 0);
-                    self.holders += 1;
-                }
-            }
-        };
-        for (source, cursor) in &mut self.sources[..self.holders] {
-            match source {
-                Container::Bitmap(chunk) => {
-                    if let Some(slot) = chunk.slot_of(low) {
-                        return Some(slot);
-                    }
-                }
-                Container::Array { keys, slots } => {
-                    while keys.get(*cursor).is_some_and(|&key| key < low) {
-                        *cursor += 1;
-                    }
-                    if keys.get(*cursor) == Some(&low) {
-                        return Some(slots[*cursor]);
-                    }
-                }
-            }
         }
-        unreachable!("merged member {low} is in none of the lists it was merged from")
     }
 }
 
@@ -1027,46 +849,60 @@ mod tests {
         ProviderId::new(raw)
     }
 
+    fn build(ids: &[u64]) -> PostingsMap {
+        let mut map = PostingsMap::new();
+        for &raw in ids {
+            map.insert(id(raw));
+        }
+        map
+    }
+
+    fn ids_of(map: &PostingsMap) -> Vec<u64> {
+        map.iter().map(ProviderId::raw).collect()
+    }
+
     #[test]
     fn insert_contains_remove_round_trip() {
         let mut map = PostingsMap::new();
         assert!(map.is_empty());
-        assert!(map.insert(id(5), 50));
-        assert!(map.insert(id(70_000), 7));
-        assert!(!map.insert(id(5), 51), "re-insert only re-points");
+        assert!(map.insert(id(5)));
+        assert!(map.insert(id(70_000)));
+        assert!(!map.insert(id(5)), "already a member");
         assert_eq!(map.len(), 2);
         assert!(map.contains(id(5)));
-        assert_eq!(map.slot_of(id(5)), Some(51));
-        assert_eq!(map.slot_of(id(70_000)), Some(7));
+        assert!(map.contains(id(70_000)));
         assert!(!map.contains(id(6)));
         assert!(map.remove(id(5)));
         assert!(!map.remove(id(5)));
         assert_eq!(map.len(), 1);
-        assert_eq!(map.slot_of(id(5)), None);
+        assert!(!map.contains(id(5)));
+    }
+
+    #[test]
+    fn generation_moves_only_when_membership_does() {
+        let mut map = PostingsMap::new();
+        let start = map.generation();
+        map.insert(id(5));
+        let inserted = map.generation();
+        assert!(inserted > start);
+        // A repeated insert and a remove of an absent id change nothing: a
+        // bump would cost every plan over this class a needless re-merge.
+        map.insert(id(5));
+        map.remove(id(6));
+        map.remove(id(900_000));
+        assert_eq!(map.generation(), inserted);
+        map.remove(id(5));
+        assert!(map.generation() > inserted);
     }
 
     #[test]
     fn iteration_is_ascending_by_id_across_chunks() {
-        let mut map = PostingsMap::new();
         // Deliberately shuffled insert order across three chunks.
-        for (raw, slot) in [
-            (200_000u64, 1u32),
-            (3, 2),
-            (65_536, 3),
-            (65_535, 4),
-            (131_071, 5),
-            (9, 6),
-        ] {
-            map.insert(id(raw), slot);
-        }
-        let slots: Vec<u32> = map.iter().collect();
-        // Ascending id order: 3, 9, 65535, 65536, 131071, 200000.
-        assert_eq!(slots, vec![2, 6, 4, 3, 5, 1]);
-        let mut collected = Vec::new();
-        map.collect_into(&mut collected);
-        assert_eq!(collected, slots);
-        for (pos, &slot) in slots.iter().enumerate() {
-            assert_eq!(map.select(pos).1, slot, "select({pos})");
+        let map = build(&[200_000, 3, 65_536, 65_535, 131_071, 9]);
+        let ids = ids_of(&map);
+        assert_eq!(ids, vec![3, 9, 65_535, 65_536, 131_071, 200_000]);
+        for (pos, &raw) in ids.iter().enumerate() {
+            assert_eq!(map.select(pos), id(raw), "select({pos})");
         }
     }
 
@@ -1075,7 +911,7 @@ mod tests {
         let mut map = PostingsMap::new();
         let n = ARRAY_MAX + 200;
         for raw in 0..n as u64 {
-            map.insert(id(raw * 3), raw as u32);
+            map.insert(id(raw * 3));
         }
         assert!(
             matches!(map.chunks.first(), Some(Container::Bitmap(_))),
@@ -1083,31 +919,26 @@ mod tests {
         );
         assert_eq!(map.len(), n);
         // Every member still resolves, in order.
-        let slots: Vec<u32> = map.iter().collect();
-        assert_eq!(slots.len(), n);
-        assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(map.select(7), (id(21), 7));
+        let expected: Vec<u64> = (0..n as u64).map(|raw| raw * 3).collect();
+        assert_eq!(ids_of(&map), expected);
+        assert_eq!(map.select(7), id(21));
 
         // Shrink below the hysteresis floor: the chunk demotes back.
-        for raw in 0..n as u64 {
-            if raw as usize >= BITMAP_MIN - 100 {
-                assert!(map.remove(id(raw * 3)));
-            }
+        for raw in (BITMAP_MIN - 100) as u64..n as u64 {
+            assert!(map.remove(id(raw * 3)));
         }
         assert!(
-            matches!(map.chunks.first(), Some(Container::Array { .. })),
+            matches!(map.chunks.first(), Some(Container::Array(_))),
             "chunk should have demoted below BITMAP_MIN"
         );
-        let slots: Vec<u32> = map.iter().collect();
-        assert_eq!(slots.len(), BITMAP_MIN - 100);
-        assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids_of(&map), expected[..BITMAP_MIN - 100]);
     }
 
     #[test]
     fn hysteresis_gap_avoids_reshaping_on_the_boundary() {
         let mut map = PostingsMap::new();
         for raw in 0..=ARRAY_MAX as u64 {
-            map.insert(id(raw), raw as u32);
+            map.insert(id(raw));
         }
         assert!(matches!(map.chunks[0], Container::Bitmap(_)));
         // Oscillate one entry around the promotion point: the container must
@@ -1115,63 +946,29 @@ mod tests {
         for _ in 0..10 {
             map.remove(id(0));
             assert!(matches!(map.chunks[0], Container::Bitmap(_)));
-            map.insert(id(0), 0);
+            map.insert(id(0));
         }
-    }
-
-    #[test]
-    fn patch_slot_re_points_existing_entries_only() {
-        let mut map = PostingsMap::new();
-        map.insert(id(10), 1);
-        for raw in 0..(ARRAY_MAX + 10) as u64 {
-            map.insert(id(100_000 + raw), raw as u32);
-        }
-        assert!(map.patch_slot(id(10), 99), "array entry");
-        assert_eq!(map.slot_of(id(10)), Some(99));
-        assert!(map.patch_slot(id(100_005), 77), "bitmap entry");
-        assert_eq!(map.slot_of(id(100_005)), Some(77));
-        assert!(!map.patch_slot(id(11), 5), "absent id");
-        assert!(!map.patch_slot(id(900_000), 5), "absent chunk");
     }
 
     #[test]
     fn select_matches_iteration_in_bitmap_chunks() {
-        let mut map = PostingsMap::new();
         // A dense low chunk (bitmap) plus a sparse high chunk (array).
-        for raw in 0..6000u64 {
-            map.insert(id(raw * 2), raw as u32);
-        }
-        for raw in 0..10u64 {
-            map.insert(id(1_000_000 + raw), (90_000 + raw) as u32);
-        }
-        let slots: Vec<u32> = map.iter().collect();
-        assert_eq!(slots.len(), map.len());
-        for (pos, &slot) in slots.iter().enumerate() {
-            assert_eq!(map.select(pos).1, slot, "select({pos})");
+        let ids: Vec<u64> = (0..6000u64)
+            .map(|raw| raw * 2)
+            .chain((0..10u64).map(|raw| 1_000_000 + raw))
+            .collect();
+        let map = build(&ids);
+        assert_eq!(ids_of(&map), ids);
+        for (pos, &raw) in ids.iter().enumerate() {
+            assert_eq!(map.select(pos), id(raw), "select({pos})");
         }
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn select_out_of_bounds_panics() {
-        let mut map = PostingsMap::new();
-        map.insert(id(1), 1);
+        let map = build(&[1]);
         let _ = map.select(1);
-    }
-
-    /// Slot payload for an id. Every list stores the same id→slot mapping
-    /// (as the registry guarantees: one slab slot per provider), so merges
-    /// may emit the payload from whichever member container is cheapest.
-    fn slot_for(raw: u64) -> u32 {
-        (raw as u32).wrapping_mul(3).wrapping_add(1)
-    }
-
-    fn build(ids: &[u64]) -> PostingsMap {
-        let mut map = PostingsMap::new();
-        for &raw in ids {
-            map.insert(id(raw), slot_for(raw));
-        }
-        map
     }
 
     /// Brute-force reference: ids in all / any of the given sets.
@@ -1191,21 +988,15 @@ mod tests {
     }
 
     /// Checks a merged set against the expected ascending ids: length,
-    /// every positional read and the streamed slots.
-    fn assert_members(set: &MergedSet, lists: &[PostingsMap], expected: &[u64], what: &str) {
+    /// every positional read and the streamed members.
+    fn assert_members(set: &MergedSet, expected: &[u64], what: &str) {
         assert_eq!(set.len(), expected.len(), "{what}: len");
         assert_eq!(set.is_empty(), expected.is_empty(), "{what}: is_empty");
         for (pos, &raw) in expected.iter().enumerate() {
             assert_eq!(set.select(pos), id(raw), "{what}: select({pos})");
-            assert_eq!(
-                set.slot_at(lists, pos),
-                (id(raw), slot_for(raw)),
-                "{what}: slot_at({pos})"
-            );
         }
-        let streamed: Vec<u32> = set.slots(lists).collect();
-        let slots: Vec<u32> = expected.iter().map(|&raw| slot_for(raw)).collect();
-        assert_eq!(streamed, slots, "{what}: streamed slots");
+        let streamed: Vec<u64> = set.iter().map(ProviderId::raw).collect();
+        assert_eq!(streamed, expected, "{what}: streamed members");
     }
 
     #[test]
@@ -1224,10 +1015,10 @@ mod tests {
             let mentioned: Vec<&[u64]> = class_indices(classes).map(|c| sets[c]).collect();
             set.merge(&lists, classes, true);
             let expected = reference_merge(&mentioned, true);
-            assert_members(&set, &lists, &expected, &format!("All over {classes:#b}"));
+            assert_members(&set, &expected, &format!("All over {classes:#b}"));
             set.merge(&lists, classes, false);
             let expected = reference_merge(&mentioned, false);
-            assert_members(&set, &lists, &expected, &format!("Any over {classes:#b}"));
+            assert_members(&set, &expected, &format!("Any over {classes:#b}"));
         }
     }
 
@@ -1246,17 +1037,16 @@ mod tests {
             .chain((0..2100u64).map(|i| 0x1_0000 + i * 5))
             .collect();
         let lists = vec![build(&a), build(&b)];
-        assert!(lists.iter().all(|list| list
-            .chunks
+        assert!(lists
             .iter()
-            .all(|c| matches!(c, Container::Array { .. }))));
+            .all(|list| list.chunks.iter().all(|c| matches!(c, Container::Array(_)))));
         let mut set = MergedSet::default();
         for conjunctive in [true, false] {
             set.merge(&lists, 0b11, conjunctive);
             assert_eq!(set.dense_len, 1, "only the second chunk is dense");
             assert!(!set.lows.is_empty(), "the first chunk is sparse");
             let expected = reference_merge(&[&a, &b], conjunctive);
-            assert_members(&set, &lists, &expected, "two shapes");
+            assert_members(&set, &expected, "two shapes");
         }
     }
 
@@ -1265,9 +1055,9 @@ mod tests {
         let lists = vec![build(&[1, 2, 3]), build(&[100_000, 100_001])];
         let mut set = MergedSet::default();
         set.merge(&lists, 0b11, false);
-        assert_members(&set, &lists, &[1, 2, 3, 100_000, 100_001], "Any");
+        assert_members(&set, &[1, 2, 3, 100_000, 100_001], "Any");
         set.merge(&lists, 0b11, true);
-        assert_members(&set, &lists, &[], "All");
+        assert_members(&set, &[], "All");
     }
 
     #[test]
@@ -1286,7 +1076,7 @@ mod tests {
         let mut set = MergedSet::default();
         set.merge(&lists, 0b111, false);
         let expected = reference_merge(&[&a, &b, &c], false);
-        assert_members(&set, &lists, &expected, "sparse ids");
+        assert_members(&set, &expected, "sparse ids");
         let heap_bytes = set.keys.capacity() * 8
             + set.ends.capacity() * 4
             + set.lows.capacity() * 2

@@ -8,8 +8,6 @@
 //! Ties are broken by provider id so that the process stays deterministic
 //! under a fixed RNG stream, which matters for reproducible experiments.
 
-use sbqa_types::ProviderId;
-
 /// Maps non-finite scores to the bottom of the ranking (they should not
 /// occur — Definition 3 is total — but a baseline plugged into the same
 /// interface could misbehave).
@@ -43,24 +41,24 @@ where
     });
 }
 
-/// Ranks `(provider, score)` pairs from the highest to the lowest score and
-/// returns the ordered provider ids (the vector `R`) — the allocating
-/// convenience form of [`rank_indices_by_score`].
-#[must_use]
-pub fn rank_by_score(scored: &[(ProviderId, f64)]) -> Vec<ProviderId> {
-    let scores: Vec<f64> = scored.iter().map(|(_, score)| *score).collect();
-    let mut order = Vec::new();
-    rank_indices_by_score(&scores, |i| scored[i].0, &mut order);
-    order.into_iter().map(|i| scored[i as usize].0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sbqa_types::ProviderId;
 
     fn pid(raw: u64) -> ProviderId {
         ProviderId::new(raw)
+    }
+
+    /// The vector `R` of `(provider, score)` pairs, ties broken by provider
+    /// id the way the engine does.
+    fn rank_by_score(scored: &[(ProviderId, f64)]) -> Vec<ProviderId> {
+        let scores: Vec<f64> = scored.iter().map(|(_, score)| *score).collect();
+        // A dirty scratch vector: the ranking must clear it first.
+        let mut order = vec![7, 7, 7];
+        rank_indices_by_score(&scores, |i| scored[i].0, &mut order);
+        order.into_iter().map(|i| scored[i as usize].0).collect()
     }
 
     #[test]

@@ -8,37 +8,38 @@
 //! ## Representation
 //!
 //! Provider state lives in a dense struct-of-arrays slab
-//! ([`ProviderColumns`]: one column per field, addressed by slot through an
-//! id→slot map), so batch scoring reads only the columns it ranks by. One
-//! [`PostingsMap`] per capability class — a Roaring-style id→slot bitmap
-//! container, see [`crate::postings`] — holds every *online* provider
-//! advertising that capability (one extra map tracks *every* online provider,
-//! which answers degenerate `All{}` requirements and makes `online_count`
-//! O(1)). For a single-capability query `Pq` is the class's map wrapped in a
-//! borrowed [`Candidates`] view — no scan over the population, no clone, no
-//! materialisation at all. Multi-capability requirements are answered by a
-//! chunk-wise merge of the maps' *membership* — word-parallel AND for `All`,
-//! OR for `Any` — into a [`MergedSet`] whose buffers are recycled across
-//! merges, so steady-state mediation stays allocation-free; a member's slot
-//! is read from the maps when the candidate is accessed. Candidate order is
-//! ascending provider id *by construction* on every path (the bitmap
-//! containers enumerate in id order), which makes every downstream random
-//! draw deterministic per seed. The maps are maintained incrementally on
-//! [`register`](ProviderRegistry::register),
+//! ([`ProviderColumns`]: one column per field, addressed by slot), so batch
+//! scoring reads only the columns it ranks by. The slab owns the one id →
+//! slot map there is ([`ProviderColumns::slot_of`]); the registry keeps no
+//! index of its own. One [`PostingsMap`] per capability class — a
+//! Roaring-style bitmap set of provider ids, see [`crate::postings`] — holds
+//! every *online* provider advertising that capability (one extra map tracks
+//! *every* online provider, which answers degenerate `All{}` requirements
+//! and makes `online_count` O(1)). For a single-capability query `Pq` is the
+//! class's map wrapped in a borrowed [`Candidates`] view — no scan over the
+//! population, no clone, no materialisation at all. Multi-capability
+//! requirements are answered by a chunk-wise merge of the maps — word-parallel
+//! AND for `All`, OR for `Any` — into a [`MergedSet`] whose buffers are
+//! recycled across merges, so steady-state mediation stays allocation-free.
+//! Either way the view names its members by id and finds a member's row
+//! through the slab's directory when the candidate is accessed. Candidate
+//! order is ascending provider id *by construction* on every path (the
+//! bitmap containers enumerate in id order), which makes every downstream
+//! random draw deterministic per seed. The maps are maintained incrementally
+//! on [`register`](ProviderRegistry::register),
 //! [`unregister`](ProviderRegistry::unregister) and
 //! [`set_online`](ProviderRegistry::set_online); load updates touch only the
-//! load columns. Slab compaction (`swap_remove` on unregister) re-points the
-//! moved provider's entries with an id-keyed
-//! [`patch_slot`](PostingsMap::patch_slot) per map — which no merged set
-//! notices, since none holds a slot.
+//! load columns. Slab compaction (`swap_remove` on unregister) re-points one
+//! directory entry inside [`ProviderColumns::swap_remove`] and nothing else:
+//! no postings map and no merged set holds a slot.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize, Value};
 
 use sbqa_types::{
-    CapabilityRequirement, CapabilitySet, IdDirectory, ProviderColumns, ProviderId, Query,
-    SbqaError, SbqaResult, MAX_CAPABILITY_CLASSES,
+    CapabilityRequirement, CapabilitySet, ProviderColumns, ProviderId, Query, SbqaError,
+    SbqaResult, MAX_CAPABILITY_CLASSES,
 };
 
 use crate::allocator::{Candidates, PlanToken, ProviderSnapshot};
@@ -133,9 +134,8 @@ impl PlanCacheStats {
 }
 
 /// One merge plan: the id-sorted membership of a requirement's candidate
-/// set, plus the postings epochs it was merged from. It holds no slots —
-/// the view reads them from the postings maps on access — so slab compaction
-/// never invalidates it.
+/// set, plus the postings epochs it was merged from. It holds no slots, so
+/// slab compaction never invalidates it.
 #[derive(Debug, Clone)]
 struct PlanEntry {
     /// The requirement this entry currently answers.
@@ -208,15 +208,13 @@ impl PlanCache {
 /// plus a per-capability bitmap index of online providers.
 #[derive(Debug)]
 pub struct ProviderRegistry {
-    /// Dense column store of provider state; slots are compacted with a
-    /// column-wise `swap_remove` on unregister, so a slot index is only
-    /// stable between mutations.
+    /// Dense column store of provider state, with its id → slot directory;
+    /// slots are compacted with a column-wise `swap_remove` on unregister,
+    /// so a slot index is only stable between mutations.
     columns: ProviderColumns,
-    /// id → slot position in `columns`, confirmed against its id column.
-    index: IdDirectory,
-    /// For each capability class, the id→slot bitmap postings of online
-    /// providers advertising it; the final entry ([`ONLINE_LIST`]) holds
-    /// every online provider.
+    /// For each capability class, the bitmap postings of online providers
+    /// advertising it; the final entry ([`ONLINE_LIST`]) holds every online
+    /// provider.
     postings: Vec<PostingsMap>,
     /// Number of *registered* providers (online or not) advertising each
     /// capability class. Lets `starvation_error` distinguish "nobody is able"
@@ -255,7 +253,6 @@ impl Clone for ProviderRegistry {
     fn clone(&self) -> Self {
         Self {
             columns: self.columns.clone(),
-            index: self.index.clone(),
             postings: self.postings.clone(),
             class_counts: self.class_counts,
             mask_counts: self.mask_counts.clone(),
@@ -270,7 +267,6 @@ impl Default for ProviderRegistry {
     fn default() -> Self {
         Self {
             columns: ProviderColumns::new(),
-            index: IdDirectory::new(),
             postings: vec![PostingsMap::new(); ONLINE_LIST + 1],
             class_counts: [0; MAX_CAPABILITY_CLASSES as usize],
             // sbqa-lint: allow(hash-collection, "point updates plus an order-insensitive existential scan (any), never ordered iteration")
@@ -289,12 +285,6 @@ impl ProviderRegistry {
         Self::default()
     }
 
-    /// The slab slot of a registered provider.
-    fn slot_of(&self, id: ProviderId) -> Option<u32> {
-        let ids = self.columns.ids();
-        self.index.find(id.raw(), |slot| ids[slot as usize].raw())
-    }
-
     /// The postings maps a provider belongs to while online: one per
     /// advertised capability class, plus the all-online map.
     fn lists_of(capabilities: CapabilitySet) -> impl Iterator<Item = usize> {
@@ -304,23 +294,16 @@ impl ProviderRegistry {
             .chain(std::iter::once(ONLINE_LIST))
     }
 
-    /// Inserts `slot` into the postings maps of every capability the
-    /// provider advertises, and into the online map. The provider must be
-    /// online.
-    fn index_slot(&mut self, slot: u32) {
-        let snapshot = self.columns.snapshot(slot as usize);
-        debug_assert!(snapshot.online);
-        for list in Self::lists_of(snapshot.capabilities) {
-            self.postings[list].insert(snapshot.id, slot);
-        }
-    }
-
-    /// Removes the provider in `slot` from the postings maps of every
-    /// capability it advertises, and from the online map.
-    fn unindex_slot(&mut self, slot: u32) {
-        let snapshot = self.columns.snapshot(slot as usize);
-        for list in Self::lists_of(snapshot.capabilities) {
-            self.postings[list].remove(snapshot.id);
+    /// Inserts the provider into (`indexed`) or removes it from the postings
+    /// maps of every capability it advertises and the online map. Only
+    /// online providers are ever indexed.
+    fn set_indexed(&mut self, provider: ProviderSnapshot, indexed: bool) {
+        for list in Self::lists_of(provider.capabilities) {
+            if indexed {
+                self.postings[list].insert(provider.id);
+            } else {
+                self.postings[list].remove(provider.id);
+            }
         }
     }
 
@@ -344,26 +327,18 @@ impl ProviderRegistry {
     /// any existing provider with the same id.
     fn insert_snapshot(&mut self, snapshot: ProviderSnapshot) {
         self.mutation_stamp += 1;
-        if let Some(slot) = self.slot_of(snapshot.id) {
+        if let Some(slot) = self.columns.slot_of(snapshot.id) {
             let previous = self.columns.snapshot(slot as usize);
             if previous.online {
-                self.unindex_slot(slot);
+                self.set_indexed(previous, false);
             }
             self.count_profile(previous.capabilities, -1);
             self.columns.set(slot as usize, snapshot);
-            if snapshot.online {
-                self.index_slot(slot);
-            }
         } else {
-            // sbqa-lint: allow(panic-hygiene, "slot ids are u32 by design; a 4-billion-provider registry exceeds the design envelope")
-            let slot = u32::try_from(self.columns.len()).expect("provider population fits in u32");
             self.columns.push(snapshot);
-            let ids = self.columns.ids();
-            self.index
-                .insert(snapshot.id.raw(), slot, |slot| ids[slot as usize].raw());
-            if snapshot.online {
-                self.index_slot(slot);
-            }
+        }
+        if snapshot.online {
+            self.set_indexed(snapshot, true);
         }
         self.count_profile(snapshot.capabilities, 1);
     }
@@ -408,52 +383,34 @@ impl ProviderRegistry {
     /// Removes a provider entirely (it left the system for good).
     /// Returns `true` if the provider existed.
     pub fn unregister(&mut self, id: ProviderId) -> bool {
-        let ids = self.columns.ids();
-        let Some(slot) = self.index.remove(id.raw(), |slot| ids[slot as usize].raw()) else {
+        let Some(slot) = self.columns.slot_of(id) else {
             return false;
         };
         self.mutation_stamp += 1;
         let removed = self.columns.snapshot(slot as usize);
         if removed.online {
-            self.unindex_slot(slot);
+            self.set_indexed(removed, false);
         }
         self.count_profile(removed.capabilities, -1);
-        let last = (self.columns.len() - 1) as u32;
+        // The last row moves into `slot`; the column store re-points its
+        // directory entry, and nothing else names a slot.
         self.columns.swap_remove(slot as usize);
-        if slot != last {
-            // The former last row moved into `slot`: re-point its index entry
-            // and, if it is online, its postings payloads. The maps are keyed
-            // by provider id — which did not change — so each is an id-keyed
-            // point update, no ordering to repair.
-            let moved = self.columns.snapshot(slot as usize);
-            self.index.repoint(moved.id.raw(), last, slot);
-            if moved.online {
-                for list in Self::lists_of(moved.capabilities) {
-                    self.postings[list].patch_slot(moved.id, slot);
-                }
-            }
-        }
         self.emit(RegistryDelta::Unregister { id });
         true
     }
 
     /// Marks a provider online or offline. Unknown providers are an error.
     pub fn set_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
-        let Some(slot) = self.slot_of(id) else {
+        let Some(slot) = self.columns.slot_of(id) else {
             return Err(SbqaError::UnknownProvider { provider: id });
         };
-        let was_online = self.columns.online()[slot as usize];
-        if was_online == online {
+        let provider = self.columns.snapshot(slot as usize);
+        if provider.online == online {
             return Ok(());
         }
         self.mutation_stamp += 1;
-        if was_online {
-            self.unindex_slot(slot);
-        }
         self.columns.set_online(slot as usize, online);
-        if online {
-            self.index_slot(slot);
-        }
+        self.set_indexed(provider, online);
         self.emit(RegistryDelta::SetOnline { id, online });
         Ok(())
     }
@@ -466,10 +423,10 @@ impl ProviderRegistry {
         utilization: f64,
         queue_length: usize,
     ) -> SbqaResult<()> {
-        match self.slot_of(id) {
+        match self.columns.slot_of(id) {
             Some(slot) => {
-                // Load changes never invalidate cached plans (membership and
-                // slots are untouched) but they do change column values, so
+                // Load changes never invalidate cached plans (membership is
+                // untouched) but they do change column values, so
                 // the token stamp must move or a memoized column gather
                 // would serve yesterday's utilization.
                 self.mutation_stamp += 1;
@@ -489,7 +446,8 @@ impl ProviderRegistry {
     /// Looks up one provider's snapshot (assembled from the columns).
     #[must_use]
     pub fn get(&self, id: ProviderId) -> Option<ProviderSnapshot> {
-        self.slot_of(id)
+        self.columns
+            .slot_of(id)
             .map(|slot| self.columns.snapshot(slot as usize))
     }
 
@@ -576,7 +534,7 @@ impl ProviderRegistry {
                     plan: entry.occupancy,
                     stamp: self.mutation_stamp,
                 };
-                Candidates::from_merged(&self.columns, &entry.set, &self.postings).with_token(token)
+                Candidates::from_merged(&self.columns, &entry.set).with_token(token)
             }
         }
     }
@@ -892,10 +850,10 @@ mod tests {
     }
 
     #[test]
-    fn unregister_patches_the_moved_slots_postings() {
+    fn unregister_re_points_the_moved_row() {
         // Unregistering a middle provider swap-removes the slab: the last
-        // row moves into the freed slot and its postings payloads must
-        // follow, or the index would point at stale (or out-of-range) slots.
+        // row moves into the freed slot and its directory entry must follow,
+        // or its id would resolve to a stale (or out-of-range) slot.
         let mut reg = ProviderRegistry::new();
         for id in 1..=5u64 {
             reg.register(ProviderId::new(id), caps(0), id as f64);
@@ -1203,8 +1161,8 @@ mod tests {
         assert_eq!(ids_of(&mut reg, all01), vec![1]);
         assert_eq!(reg.plan_cache_stats().stale_rebuilds, 1);
 
-        // Unregister with slab compaction (provider 1 is not last: the
-        // swap-remove re-points the moved row's postings): rebuild again.
+        // Unregister with slab compaction (provider 1 is not last, so the
+        // swap-remove moves a row): rebuild again.
         assert!(reg.unregister(ProviderId::new(1)));
         assert!(ids_of(&mut reg, all01).is_empty());
         assert_eq!(reg.plan_cache_stats().stale_rebuilds, 2);

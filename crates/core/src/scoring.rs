@@ -26,33 +26,6 @@
 
 use sbqa_types::{Intention, OmegaPolicy, Satisfaction};
 
-/// The inputs of one score evaluation, mostly useful for ablation benches
-/// that sweep them independently.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreInputs {
-    /// The provider's intention to perform the query (`PIq[p]`).
-    pub provider_intention: Intention,
-    /// The consumer's intention towards the provider (`CIq[p]`).
-    pub consumer_intention: Intention,
-    /// The balance ω ∈ [0, 1].
-    pub omega: f64,
-    /// The ε > 0 of Definition 3.
-    pub epsilon: f64,
-}
-
-impl ScoreInputs {
-    /// Evaluates Definition 3 on these inputs.
-    #[must_use]
-    pub fn score(&self) -> f64 {
-        provider_score(
-            self.provider_intention,
-            self.consumer_intention,
-            self.omega,
-            self.epsilon,
-        )
-    }
-}
-
 /// Computes the provider score of Definition 3.
 ///
 /// `omega` is clamped to `[0, 1]` and `epsilon` to a small positive minimum,
@@ -219,17 +192,6 @@ mod tests {
             ),
             0.5
         );
-    }
-
-    #[test]
-    fn score_inputs_struct_matches_free_function() {
-        let inputs = ScoreInputs {
-            provider_intention: i(0.4),
-            consumer_intention: i(0.6),
-            omega: 0.3,
-            epsilon: 1.0,
-        };
-        assert_eq!(inputs.score(), provider_score(i(0.4), i(0.6), 0.3, 1.0));
     }
 
     proptest! {

@@ -3,17 +3,24 @@
 //! answer (`ProviderRegistry::candidates`) must equal the brute-force slab
 //! filter — same providers, ascending id order, no duplicates — for both
 //! `All` (k-way intersection) and `Any` (k-way union) semantics, including
-//! the borrowed single-capability fast path. On top of such a view, KnBest's
-//! bounded-insertion filter must return exactly what a partition-and-sort of
-//! the same draw returns.
+//! the borrowed single-capability fast path. The views name their members by
+//! id and find each member's row through the column store's directory, so a
+//! second property holds every read of every view (`get`, `load_keys`, `iter`,
+//! `gather_all_into`) to a shadow of the rows after every registry mutation —
+//! including the `unregister` that has just moved a row under a cached plan.
+//! On top of such a view, KnBest's bounded-insertion filter must return
+//! exactly what a partition-and-sort of the same draw returns.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use sbqa_core::{IndexPool, KnBestScratch, KnBestSelector, ProviderRegistry};
+use sbqa_core::{CandidateBlock, IndexPool, KnBestScratch, KnBestSelector, ProviderRegistry};
 use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, Query, QueryId,
+    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, ProviderId, ProviderSnapshot,
+    Query, QueryId,
 };
 
 /// Capability classes the generated populations draw from. Small on purpose:
@@ -62,7 +69,117 @@ fn indexed(registry: &mut ProviderRegistry, req: CapabilityRequirement) -> Vec<u
         .collect()
 }
 
+/// Holds every read of the view of every requirement to the shadow: the
+/// members are the shadow's online, capable rows in ascending id order, and
+/// each position returns that member's row — not whichever row sits where
+/// the member used to be.
+fn assert_views_read_the_shadow_rows(
+    registry: &mut ProviderRegistry,
+    shadow: &BTreeMap<u64, ProviderSnapshot>,
+    requirements: &[CapabilityRequirement],
+) {
+    for &req in requirements {
+        let q = query(req);
+        let expected: Vec<ProviderSnapshot> = shadow
+            .values()
+            .filter(|row| row.can_perform(&q))
+            .copied()
+            .collect();
+        let view = registry.candidates(&q);
+        assert_eq!(view.len(), expected.len(), "{req}: len");
+        for (pos, row) in expected.iter().enumerate() {
+            assert_eq!(view.get(pos), *row, "{req}: get({pos})");
+        }
+        assert_eq!(view.iter().collect::<Vec<_>>(), expected, "{req}: iter");
+
+        let positions: Vec<u32> = (0..expected.len() as u32).rev().collect();
+        let mut keys = Vec::new();
+        view.load_keys(&positions, &mut keys);
+        assert_eq!(keys.len(), positions.len());
+        for (key, &position) in keys.iter().zip(&positions) {
+            let row = expected[position as usize];
+            assert_eq!(
+                (key.id, key.utilization, key.position),
+                (row.id, row.utilization, position),
+                "{req}: load_keys at {position}"
+            );
+        }
+
+        let mut block = CandidateBlock::new();
+        view.gather_all_into(&mut block);
+        let column = |field: fn(&ProviderSnapshot) -> f64| -> Vec<f64> {
+            expected.iter().map(field).collect()
+        };
+        let ids: Vec<ProviderId> = expected.iter().map(|row| row.id).collect();
+        assert_eq!(block.ids(), ids, "{req}: gathered ids");
+        assert_eq!(block.utilization(), column(|row| row.utilization));
+        assert_eq!(block.capacity(), column(|row| row.capacity));
+        let queues: Vec<usize> = expected.iter().map(|row| row.queue_length).collect();
+        assert_eq!(block.queue_length(), queues);
+    }
+}
+
 proptest! {
+    /// Random register / unregister / `set_online` / load sequences: after
+    /// every one, every position of every single-class view, of the
+    /// all-online view and of six cached merged views returns the row of the
+    /// id its set names. Every unregister but that of the last row moves a
+    /// row; a plan whose classes the leaver does not advertise stays cached
+    /// across it and must still find the moved member.
+    #[test]
+    fn every_view_reads_the_row_its_set_names_after_every_mutation(
+        // (op, provider, capability mask): 0–2 register, 3–4 unregister,
+        // 5 offline, 6 online, 7 load.
+        ops in proptest::collection::vec((0u8..8, 0u64..40, 1u8..64), 1..60),
+    ) {
+        let mut requirements: Vec<CapabilityRequirement> = (0..CLASSES)
+            .map(|class| requirement(1 << class, true))
+            .collect();
+        requirements.push(CapabilityRequirement::All(CapabilitySet::EMPTY));
+        requirements.extend([
+            requirement(0b00_0011, true),
+            requirement(0b00_0011, false),
+            requirement(0b00_1110, true),
+            requirement(0b01_0100, false),
+            requirement(0b10_0001, true),
+            requirement(0b11_1000, false),
+        ]);
+        let mut registry = ProviderRegistry::new();
+        let mut shadow: BTreeMap<u64, ProviderSnapshot> = BTreeMap::new();
+        for (step, &(op, provider, mask)) in ops.iter().enumerate() {
+            // Three id chunks; capacity and load name the step that wrote
+            // them, so no two rows are ever equal.
+            let raw = (provider % 3) << 16 | provider;
+            let id = ProviderId::new(raw);
+            let stamp = 1.0 + step as f64;
+            match op {
+                0..=2 => {
+                    registry.register(id, capability_set(mask), stamp);
+                    shadow.insert(raw, ProviderSnapshot::idle(id, capability_set(mask), stamp));
+                }
+                3 | 4 => {
+                    prop_assert_eq!(registry.unregister(id), shadow.remove(&raw).is_some());
+                }
+                5 | 6 => {
+                    let known = registry.set_online(id, op == 6).is_ok();
+                    prop_assert_eq!(known, shadow.contains_key(&raw));
+                    if let Some(row) = shadow.get_mut(&raw) {
+                        row.online = op == 6;
+                    }
+                }
+                _ => {
+                    let known = registry.update_load(id, stamp, step).is_ok();
+                    prop_assert_eq!(known, shadow.contains_key(&raw));
+                    if let Some(row) = shadow.get_mut(&raw) {
+                        (row.utilization, row.queue_length) = (stamp, step);
+                    }
+                }
+            }
+            prop_assert_eq!(registry.len(), shadow.len());
+            assert_views_read_the_shadow_rows(&mut registry, &shadow, &requirements);
+        }
+    }
+
     #[test]
     fn candidates_equal_brute_force_filter(
         // (id, capability mask) per provider; duplicate ids re-register.

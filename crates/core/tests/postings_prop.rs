@@ -1,11 +1,11 @@
-//! Property tests pinning the bitmap postings container to the legacy
-//! `Vec<u32>` postings model it replaced: after any churn history of
-//! insert / remove / patch-slot operations, a [`PostingsMap`] must agree
-//! with a sorted associative shadow on membership, slot payloads, length,
-//! ascending-id iteration order and rank-select — and an `All`/`Any`
+//! Property tests pinning the bitmap postings container to the model it
+//! implements — an ordered set of provider ids: after any churn history of
+//! insert / remove operations, a [`PostingsMap`] must agree with a
+//! `BTreeSet` shadow on membership, length, ascending-id iteration order,
+//! rank-select and when its generation moves — and an `All`/`Any`
 //! [`MergedSet`] over such maps, read through a [`Candidates`] view, must
 //! agree with the naive ordered-set intersection and union on every container
-//! mix, before and after slab compactions re-point its members' slots.
+//! mix, before and after slab compactions move its members' rows.
 //!
 //! Rank-select is held to the shadow *after every operation*: the two-level
 //! popcount directory of a Bitmap chunk and the map's cumulative chunk
@@ -14,7 +14,7 @@
 //! the promote/demote boundary and in a completely full chunk, where the
 //! `u16` group prefixes reach their largest values.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -25,93 +25,70 @@ use sbqa_core::allocator::{CandidateBlock, Candidates, RankKey};
 use sbqa_core::postings::{MergedSet, PostingsMap, ARRAY_MAX, BITMAP_MIN};
 use sbqa_types::{CapabilitySet, ProviderColumns, ProviderId, ProviderSnapshot};
 
-/// The slab slot a provider id maps to in these tests. Id-keyed (not
-/// list-keyed) because in production a provider occupies exactly one slab
-/// slot, recorded identically in every postings list that contains it.
-fn slot_for(raw: u64) -> u32 {
-    (raw as u32).wrapping_mul(2_654_435_761).wrapping_add(17)
-}
-
-/// Checks every equivalence the legacy `Vec<u32>` postings offered.
-fn assert_matches_shadow(map: &PostingsMap, shadow: &BTreeMap<u64, u32>) {
+/// Checks every equivalence with the ordered set.
+fn assert_matches_shadow(map: &PostingsMap, shadow: &BTreeSet<u64>) {
     assert_eq!(map.len(), shadow.len());
     assert_eq!(map.is_empty(), shadow.is_empty());
 
-    // Iteration yields the shadow's payloads in ascending-id order.
-    let got: Vec<u32> = map.iter().collect();
-    let expected: Vec<u32> = shadow.values().copied().collect();
-    assert_eq!(got, expected, "iteration order / payload mismatch");
+    // Iteration yields the shadow's ids in ascending order.
+    let got: Vec<u64> = map.iter().map(ProviderId::raw).collect();
+    let expected: Vec<u64> = shadow.iter().copied().collect();
+    assert_eq!(got, expected, "iteration order mismatch");
 
-    // Rank-select yields the shadow's `(id, slot)` at every position.
-    for (pos, (&id, &slot)) in shadow.iter().enumerate() {
-        assert_eq!(
-            map.select(pos),
-            (ProviderId::new(id), slot),
-            "select({pos})"
-        );
+    // Rank-select yields the shadow's id at every position.
+    for (pos, &id) in expected.iter().enumerate() {
+        assert_eq!(map.select(pos), ProviderId::new(id), "select({pos})");
     }
-
-    // collect_into is iteration.
-    let mut collected = Vec::new();
-    map.collect_into(&mut collected);
-    assert_eq!(collected, expected);
 }
 
 proptest! {
-    /// Membership, payloads, iteration order and rank-select agree with a
-    /// sorted shadow model under arbitrary interleaved churn.
+    /// Membership, iteration order, rank-select and the generation agree
+    /// with a sorted shadow model under arbitrary interleaved churn.
     #[test]
     fn postings_map_equals_sorted_shadow_under_churn(
-        // (op, id): 0 = insert, 1 = remove, 2 = patch slot. Ids span three
-        // 2^16 chunks so the chunk directory itself churns too.
-        ops in proptest::collection::vec((0u8..3, 0u64..0x3_0000), 1..250),
+        // (insert?, id). Ids span three 2^16 chunks so the chunk directory
+        // itself churns too.
+        ops in proptest::collection::vec((proptest::bool::ANY, 0u64..0x3_0000), 1..250),
         probes in proptest::collection::vec(0u64..0x3_0000, 1..40),
     ) {
         let mut map = PostingsMap::new();
-        let mut shadow: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut generation: u32 = 0;
+        let mut shadow: BTreeSet<u64> = BTreeSet::new();
 
-        for &(op, id) in &ops {
-            match op {
-                0 => {
-                    let inserted = map.insert(ProviderId::new(id), slot_for(id));
-                    let was_absent = shadow.insert(id, slot_for(id)).is_none();
-                    prop_assert_eq!(inserted, was_absent, "insert({})", id);
-                }
-                1 => {
-                    let removed = map.remove(ProviderId::new(id));
-                    let was_present = shadow.remove(&id).is_some();
-                    prop_assert_eq!(removed, was_present, "remove({})", id);
-                }
-                _ => {
-                    generation = generation.wrapping_add(1);
-                    let new_slot = slot_for(id).wrapping_add(generation);
-                    let patched = map.patch_slot(ProviderId::new(id), new_slot);
-                    let was_present = shadow.contains_key(&id);
-                    if was_present {
-                        shadow.insert(id, new_slot);
-                    }
-                    prop_assert_eq!(patched, was_present, "patch_slot({})", id);
-                }
-            }
+        for &(insert, id) in &ops {
+            let before = map.generation();
+            let changed = if insert {
+                let inserted = map.insert(ProviderId::new(id));
+                prop_assert_eq!(inserted, shadow.insert(id), "insert({})", id);
+                inserted
+            } else {
+                let removed = map.remove(ProviderId::new(id));
+                prop_assert_eq!(removed, shadow.remove(&id), "remove({})", id);
+                removed
+            };
+            // The generation moves exactly when membership does: a bump
+            // without a change would re-merge every cached plan for nothing.
+            prop_assert_eq!(map.generation() > before, changed, "generation after {}", id);
             assert_matches_shadow(&map, &shadow);
         }
 
         // Membership probes: hits and misses both agree.
-        for &id in probes.iter().chain(shadow.keys()) {
-            let pid = ProviderId::new(id);
-            prop_assert_eq!(map.contains(pid), shadow.contains_key(&id));
-            prop_assert_eq!(map.slot_of(pid), shadow.get(&id).copied());
+        for &id in probes.iter().chain(shadow.iter()) {
+            prop_assert_eq!(map.contains(ProviderId::new(id)), shadow.contains(&id));
         }
     }
 }
 
-/// Rows of the column slab behind [`Shapes`]: a map entry's slot is a row
-/// index, and row `r` has utilization `r`, so a gathered key names its slot.
-const ROWS: u32 = 1 << 12;
+/// Chunks [`Shapes`] spans, and so the ids its histories can draw.
+const SHAPE_CHUNKS: u64 = 5;
+
+/// The utilization of the row holding `id` in [`shape_columns`], so a
+/// gathered key names the row it read.
+fn shape_utilization(id: u64) -> f64 {
+    (id % 1_013) as f64
+}
 
 /// One map over five chunks, one per container shape a rank-select can land
-/// in, with its `id → slot` shadow:
+/// in, with its ordered-set shadow:
 ///
 /// * chunk 0 — a small Array (300 entries);
 /// * chunk 1 — a Bitmap (6 000 entries, every 7th id);
@@ -123,14 +100,14 @@ const ROWS: u32 = 1 << 12;
 #[derive(Clone)]
 struct Shapes {
     map: PostingsMap,
-    shadow: BTreeMap<u64, u32>,
+    shadow: BTreeSet<u64>,
 }
 
 impl Shapes {
     fn build() -> Self {
         let mut shapes = Shapes {
             map: PostingsMap::new(),
-            shadow: BTreeMap::new(),
+            shadow: BTreeSet::new(),
         };
         let chunk = |index: u64| index << 16;
         let ids = (0..300u64)
@@ -140,7 +117,7 @@ impl Shapes {
             .chain((0..=ARRAY_MAX as u64).map(|i| chunk(3) + i * 3))
             .chain((0..1u64 << 16).map(|i| chunk(4) + i));
         for id in ids {
-            shapes.insert(id, slot_for(id) % ROWS);
+            shapes.insert(id);
         }
         for i in 0..(ARRAY_MAX + 1 - BITMAP_MIN) as u64 {
             shapes.remove(chunk(3) + i * 3);
@@ -148,58 +125,53 @@ impl Shapes {
         shapes
     }
 
-    fn insert(&mut self, id: u64, slot: u32) {
-        let inserted = self.map.insert(ProviderId::new(id), slot);
-        assert_eq!(inserted, self.shadow.insert(id, slot).is_none());
+    fn insert(&mut self, id: u64) {
+        let inserted = self.map.insert(ProviderId::new(id));
+        assert_eq!(inserted, self.shadow.insert(id));
     }
 
     fn remove(&mut self, id: u64) {
         let removed = self.map.remove(ProviderId::new(id));
-        assert_eq!(removed, self.shadow.remove(&id).is_some());
-    }
-
-    fn patch(&mut self, id: u64, slot: u32) {
-        let patched = self.map.patch_slot(ProviderId::new(id), slot);
-        assert_eq!(patched, self.shadow.contains_key(&id));
-        if patched {
-            self.shadow.insert(id, slot);
-        }
+        assert_eq!(removed, self.shadow.remove(&id));
     }
 
     /// Holds `select` and a batched `load_keys` over `positions` to the
-    /// shadow's `(id, slot)` at those positions.
+    /// shadow's id at those positions and that id's row.
     fn assert_positions(&self, columns: &ProviderColumns, positions: &[u32]) {
-        let entries: Vec<(u64, u32)> = self.shadow.iter().map(|(&id, &slot)| (id, slot)).collect();
+        let entries: Vec<u64> = self.shadow.iter().copied().collect();
         assert_eq!(self.map.len(), entries.len());
         let mut keys: Vec<RankKey> = Vec::new();
         Candidates::from_map(columns, &self.map).load_keys(positions, &mut keys);
         assert_eq!(keys.len(), positions.len());
         for (key, &position) in keys.iter().zip(positions) {
-            let (id, slot) = entries[position as usize];
+            let id = entries[position as usize];
             assert_eq!(
                 self.map.select(position as usize),
-                (ProviderId::new(id), slot),
+                ProviderId::new(id),
                 "select({position})"
             );
             assert_eq!(
                 (key.id.raw(), key.utilization, key.position),
-                (id, f64::from(slot), position),
+                (id, shape_utilization(id), position),
                 "load_keys at {position}"
             );
         }
     }
 }
 
-/// The slab behind [`Shapes`]. Its id column is deliberately wrong for every
-/// row: a gathered key's id must come from the postings key alone.
+/// The slab behind [`Shapes`]: a row for every id of its five chunks, in
+/// scrambled order, so id order, slot order and position order all differ.
 fn shape_columns() -> &'static ProviderColumns {
     static COLUMNS: OnceLock<ProviderColumns> = OnceLock::new();
     COLUMNS.get_or_init(|| {
+        let ids = SHAPE_CHUNKS << 16;
         let mut columns = ProviderColumns::new();
-        for row in 0..ROWS {
+        for row in 0..ids {
+            // 7 919 is coprime to 5 · 2^16: every id is visited once.
+            let id = row * 7_919 % ids;
             columns.push(ProviderSnapshot {
-                utilization: f64::from(row),
-                ..ProviderSnapshot::idle(ProviderId::new(u64::MAX), CapabilitySet::EMPTY, 1.0)
+                utilization: shape_utilization(id),
+                ..ProviderSnapshot::idle(ProviderId::new(id), CapabilitySet::EMPTY, 1.0)
             });
         }
         columns
@@ -229,33 +201,35 @@ fn shapes_cover_every_container_a_select_can_land_in() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After every insert, remove and re-point — in an Array, in a Bitmap,
-    /// across a promotion and a demotion, and in the full chunk — rank-select
-    /// and the batched key gather read the shadow's `(id, slot)`: at the
-    /// positions around the touched id, at both ends, and on a stride that
-    /// visits every block and group of every chunk; at every position once
-    /// the history is over.
+    /// After every insert and remove — in an Array, in a Bitmap, across a
+    /// promotion and a demotion, and in the full chunk — rank-select and the
+    /// batched key gather read the shadow's id and its row: at the positions
+    /// around the touched id, at both ends, and on a stride that visits
+    /// every block and group of every chunk; at every position once the
+    /// history is over.
     #[test]
     fn select_and_load_keys_follow_the_shadow_after_every_op(
-        // (op, chunk, low): 0 = insert, 1 = remove, 2 = re-point.
-        ops in proptest::collection::vec((0u8..3, 0u64..5, 0u64..1 << 16), 1..40),
+        ops in proptest::collection::vec(
+            (proptest::bool::ANY, 0u64..SHAPE_CHUNKS, 0u64..1 << 16),
+            1..40,
+        ),
     ) {
         let columns = shape_columns();
         let mut shapes = shapes().clone();
-        for (step, &(op, chunk, low)) in ops.iter().enumerate() {
-            // Inserts take the drawn id; two removes and re-points in three
-            // are steered onto an id the map holds (a uniform low mostly
-            // misses the sparse chunks).
-            let id = if op == 0 || step % 3 == 0 {
+        for (step, &(insert, chunk, low)) in ops.iter().enumerate() {
+            // Inserts take the drawn id; two removes in three are steered
+            // onto an id the map holds (a uniform low mostly misses the
+            // sparse chunks).
+            let id = if insert || step % 3 == 0 {
                 chunk << 16 | low
             } else {
                 let nth = low as usize % shapes.shadow.len();
-                *shapes.shadow.keys().nth(nth).expect("nth < len")
+                *shapes.shadow.iter().nth(nth).expect("nth < len")
             };
-            match op {
-                0 => shapes.insert(id, slot_for(low) % ROWS),
-                1 => shapes.remove(id),
-                _ => shapes.patch(id, slot_for(id ^ step as u64) % ROWS),
+            if insert {
+                shapes.insert(id);
+            } else {
+                shapes.remove(id);
             }
             let len = shapes.map.len() as u32;
             let rank = shapes.shadow.range(..id).count() as u32;
@@ -274,8 +248,9 @@ const LISTS: usize = 5;
 
 /// A miniature registry: a column slab plus `LISTS` postings lists over it,
 /// with an ordered-set shadow of each list's membership. `unregister` compacts
-/// the slab exactly as the registry does (swap-remove, then an id-keyed
-/// `patch_slot` in every list holding the moved row).
+/// the slab exactly as the registry does (out of the lists, then a
+/// `swap_remove` of the row, which re-points the moved row's directory entry
+/// and nothing in any list).
 #[derive(Clone)]
 struct World {
     columns: ProviderColumns,
@@ -334,12 +309,12 @@ impl World {
                 continue;
             }
             // A utilization per row, so a gathered key names the row it read.
-            let slot = world.columns.push(ProviderSnapshot {
+            world.columns.push(ProviderSnapshot {
                 utilization: (id % 1_013) as f64,
                 ..ProviderSnapshot::idle(ProviderId::new(id), CapabilitySet::EMPTY, 1.0)
-            }) as u32;
+            });
             for (list, _) in member.iter().enumerate().filter(|(_, &is)| is) {
-                world.lists[list].insert(ProviderId::new(id), slot);
+                world.lists[list].insert(ProviderId::new(id));
                 world.shadow[list].insert(id);
             }
         }
@@ -360,9 +335,7 @@ impl World {
     /// Removes a provider for good; returns the lists it was a member of.
     fn unregister(&mut self, id: u64) -> u64 {
         let pid = ProviderId::new(id);
-        let slot = (0..self.columns.len())
-            .find(|&slot| self.columns.ids()[slot] == pid)
-            .expect("victims are registered");
+        let slot = self.columns.slot_of(pid).expect("victims are registered");
         let mut was_in = 0u64;
         for list in 0..LISTS {
             if self.lists[list].remove(pid) {
@@ -370,13 +343,7 @@ impl World {
                 was_in |= 1 << list;
             }
         }
-        self.columns.swap_remove(slot);
-        if slot < self.columns.len() {
-            let moved = self.columns.ids()[slot];
-            for list in &mut self.lists {
-                list.patch_slot(moved, slot as u32);
-            }
-        }
+        self.columns.swap_remove(slot as usize);
         was_in
     }
 
@@ -401,13 +368,15 @@ impl World {
     /// member's *current* row.
     fn assert_view_matches(&self, set: &MergedSet, classes: u64, conjunctive: bool) {
         let expected = self.expected(classes, conjunctive);
-        let view = Candidates::from_merged(&self.columns, set, &self.lists);
+        let view = Candidates::from_merged(&self.columns, set);
         assert_eq!(view.len(), expected.len());
         assert_eq!(view.is_empty(), expected.is_empty());
         for (pos, &id) in expected.iter().enumerate() {
             assert_eq!(set.select(pos).raw(), id, "select({pos})");
             assert_eq!(view.get(pos).id.raw(), id, "get({pos})");
         }
+        let members: Vec<u64> = set.iter().map(ProviderId::raw).collect();
+        assert_eq!(members, expected, "MergedSet::iter()");
         let streamed: Vec<u64> = view.iter().map(|row| row.id.raw()).collect();
         assert_eq!(streamed, expected, "iter()");
         let mut block = CandidateBlock::new();
@@ -445,6 +414,8 @@ fn assert_keys_match_rows(view: Candidates<'_>) {
             (row.id, row.utilization, position),
             "load_keys at {position}"
         );
+        // The row is the member's own: its utilization names its id.
+        assert_eq!(row.utilization, (row.id.raw() % 1_013) as f64);
     }
 }
 
@@ -485,8 +456,8 @@ proptest! {
 
     /// A merged set read through a candidates view agrees with the naive
     /// ordered-set merge — on every container mix, and after compactions:
-    /// unregistering a provider re-points a survivor's slot, which the set
-    /// must follow without a re-merge unless its own membership changed.
+    /// unregistering a provider moves a survivor's row, which the view must
+    /// follow without a re-merge unless the set's own membership changed.
     #[test]
     fn merged_views_equal_naive_set_merges_across_compactions(
         picks in proptest::collection::vec(0usize..LISTS, 2..8),
@@ -522,47 +493,32 @@ proptest! {
 fn container_promotion_and_demotion_preserve_equivalence() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5b9a_2026);
     let mut map = PostingsMap::new();
-    let mut shadow: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut shadow: BTreeSet<u64> = BTreeSet::new();
 
     // Phase 1: grow one chunk well past ARRAY_MAX (promotion), with a second
     // chunk staying sparse (array) so mixed-shape directories are covered.
     while shadow.len() < ARRAY_MAX + 1_500 {
         let id = rng.gen_range(0u64..0x1_8000);
-        map.insert(ProviderId::new(id), slot_for(id));
-        shadow.insert(id, slot_for(id));
+        map.insert(ProviderId::new(id));
+        shadow.insert(id);
     }
     assert_matches_shadow(&map, &shadow);
 
-    // Phase 2: interleaved churn at scale — removals, re-inserts and slot
-    // patches against the bitmap container.
+    // Phase 2: interleaved churn at scale — removals and re-inserts against
+    // the bitmap container.
     for _ in 0..4_000 {
         let id = rng.gen_range(0u64..0x1_8000);
-        match rng.gen_range(0u8..3) {
-            0 => {
-                map.insert(ProviderId::new(id), slot_for(id));
-                shadow.insert(id, slot_for(id));
-            }
-            1 => {
-                assert_eq!(
-                    map.remove(ProviderId::new(id)),
-                    shadow.remove(&id).is_some()
-                );
-            }
-            _ => {
-                let new_slot = slot_for(id) ^ 0xdead_beef;
-                let patched = map.patch_slot(ProviderId::new(id), new_slot);
-                assert_eq!(patched, shadow.contains_key(&id));
-                if patched {
-                    shadow.insert(id, new_slot);
-                }
-            }
+        if rng.gen_range(0u8..2) == 0 {
+            assert_eq!(map.insert(ProviderId::new(id)), shadow.insert(id));
+        } else {
+            assert_eq!(map.remove(ProviderId::new(id)), shadow.remove(&id));
         }
     }
     assert_matches_shadow(&map, &shadow);
 
     // Phase 3: drain far below the demotion threshold (bitmap → array), then
     // verify equivalence survives the shape change.
-    let victims: Vec<u64> = shadow.keys().copied().collect();
+    let victims: Vec<u64> = shadow.iter().copied().collect();
     for id in victims {
         if shadow.len() <= 512 {
             break;
@@ -573,36 +529,21 @@ fn container_promotion_and_demotion_preserve_equivalence() {
     assert_matches_shadow(&map, &shadow);
 
     // Phase 4: merges against the churned shapes still match the naive
-    // model. Payloads stay id-consistent across lists (the production
-    // invariant): `other` reuses the shadow's current slot where the id is
-    // shared.
-    let slot_of_id =
-        |id: u64, shadow: &BTreeMap<u64, u32>| shadow.get(&id).copied().unwrap_or(slot_for(id));
-    let mut other_ids: Vec<u64> = shadow.keys().copied().step_by(2).collect();
+    // model.
+    let mut other_ids: BTreeSet<u64> = shadow.iter().copied().step_by(2).collect();
     other_ids.extend((0..64u64).map(|i| 0x2_0000 + i)); // a chunk only `other` has
     let mut other = PostingsMap::new();
     for &id in &other_ids {
-        other.insert(ProviderId::new(id), slot_of_id(id, &shadow));
+        other.insert(ProviderId::new(id));
     }
 
-    let expected_all: Vec<u32> = shadow
-        .iter()
-        .filter(|(id, _)| other.contains(ProviderId::new(**id)))
-        .map(|(_, &slot)| slot)
-        .collect();
     let lists = [map, other];
     let mut set = MergedSet::default();
+    let members = |set: &MergedSet| set.iter().map(ProviderId::raw).collect::<Vec<u64>>();
     set.merge(&lists, 0b11, true);
-    assert_eq!(set.slots(&lists).collect::<Vec<u32>>(), expected_all);
-
-    let mut union_ids: Vec<u64> = shadow.keys().copied().collect();
-    union_ids.extend(other_ids.iter().copied());
-    union_ids.sort_unstable();
-    union_ids.dedup();
-    let expected_any: Vec<u32> = union_ids
-        .iter()
-        .map(|&id| slot_of_id(id, &shadow))
-        .collect();
+    let expected_all: Vec<u64> = shadow.intersection(&other_ids).copied().collect();
+    assert_eq!(members(&set), expected_all);
     set.merge(&lists, 0b11, false);
-    assert_eq!(set.slots(&lists).collect::<Vec<u32>>(), expected_any);
+    let expected_any: Vec<u64> = shadow.union(&other_ids).copied().collect();
+    assert_eq!(members(&set), expected_any);
 }

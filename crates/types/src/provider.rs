@@ -9,10 +9,20 @@
 //! reads utilization and id; capability checks read the mask column), one
 //! cache-friendly linear pass instead of striding over 48-byte rows for a
 //! single 8-byte field.
+//!
+//! The column store also owns the **only** id → slot map: a keyless
+//! [`IdDirectory`] confirmed against the id column, kept in step by the two
+//! calls that move rows ([`ProviderColumns::push`] and
+//! [`ProviderColumns::swap_remove`]) and read by
+//! [`ProviderColumns::slot_of`]. Everything that names a provider by id —
+//! the registry's point updates, a candidate view resolving the members of
+//! a postings set — finds the row there, so a compaction has one entry to
+//! re-point.
 
 use serde::{Deserialize, Serialize};
 
 use crate::capability::CapabilitySet;
+use crate::directory::IdDirectory;
 use crate::id::ProviderId;
 use crate::query::Query;
 
@@ -66,8 +76,9 @@ impl ProviderSnapshot {
 /// between mutations — the registry compacts with a swap-remove on
 /// unregister). The row form of slot `s` is [`ProviderColumns::snapshot`];
 /// the columns themselves are exposed as slices so hot paths can read just
-/// the field they rank by.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// the field they rank by. Ids are unique: a provider has one row, and
+/// [`ProviderColumns::slot_of`] finds it.
+#[derive(Debug, Clone, Default)]
 pub struct ProviderColumns {
     ids: Vec<ProviderId>,
     capabilities: Vec<CapabilitySet>,
@@ -75,6 +86,9 @@ pub struct ProviderColumns {
     utilization: Vec<f64>,
     queue_length: Vec<usize>,
     online: Vec<bool>,
+    /// id → slot, confirmed against `ids`. Derived data: rebuilt by `push`
+    /// on the way back in from the row vector.
+    directory: IdDirectory,
 }
 
 impl ProviderColumns {
@@ -96,10 +110,25 @@ impl ProviderColumns {
         self.ids.is_empty()
     }
 
-    /// Appends a snapshot, returning its slot.
+    /// The slot of the row holding `id`, if there is one.
+    #[inline]
+    #[must_use]
+    pub fn slot_of(&self, id: ProviderId) -> Option<u32> {
+        self.directory
+            .find(id.raw(), |row| self.ids[row as usize].raw())
+    }
+
+    /// Appends a snapshot, returning its slot. The id must not be stored
+    /// already (check with [`slot_of`](ProviderColumns::slot_of) and
+    /// [`set`](ProviderColumns::set) the row instead).
     pub fn push(&mut self, snapshot: ProviderSnapshot) -> usize {
         let slot = self.ids.len();
+        // sbqa-lint: allow(panic-hygiene, "slot ids are u32 by design; a 4-billion-provider registry exceeds the design envelope")
+        let row = u32::try_from(slot).expect("provider population fits in u32");
         self.ids.push(snapshot.id);
+        let ids = &self.ids;
+        self.directory
+            .insert(snapshot.id.raw(), row, |row| ids[row as usize].raw());
         self.capabilities.push(snapshot.capabilities);
         self.capacity.push(snapshot.capacity);
         self.utilization.push(snapshot.utilization);
@@ -108,9 +137,10 @@ impl ProviderColumns {
         slot
     }
 
-    /// Overwrites every column of `slot` with the snapshot's fields.
+    /// Overwrites the columns of `slot` with the snapshot's fields. A row
+    /// keeps its id: the snapshot must carry the one stored.
     pub fn set(&mut self, slot: usize, snapshot: ProviderSnapshot) {
-        self.ids[slot] = snapshot.id;
+        debug_assert_eq!(self.ids[slot], snapshot.id, "a row keeps its id");
         self.capabilities[slot] = snapshot.capabilities;
         self.capacity[slot] = snapshot.capacity;
         self.utilization[slot] = snapshot.utilization;
@@ -119,9 +149,18 @@ impl ProviderColumns {
     }
 
     /// Removes `slot` by moving the last row into it (column-wise
-    /// `swap_remove`), mirroring the registry's slab compaction.
+    /// `swap_remove`) and re-pointing the moved row's directory entry — the
+    /// one thing a compaction has to patch.
     pub fn swap_remove(&mut self, slot: usize) {
+        let ids = &self.ids;
+        self.directory
+            .remove(ids[slot].raw(), |row| ids[row as usize].raw());
+        let last = self.ids.len() - 1;
         self.ids.swap_remove(slot);
+        if slot != last {
+            self.directory
+                .repoint(self.ids[slot].raw(), last as u32, slot as u32);
+        }
         self.capabilities.swap_remove(slot);
         self.capacity.swap_remove(slot);
         self.utilization.swap_remove(slot);
@@ -217,6 +256,12 @@ impl Deserialize for ProviderColumns {
         let rows = Vec::<ProviderSnapshot>::from_value(value)?;
         let mut columns = Self::new();
         for row in rows {
+            if columns.slot_of(row.id).is_some() {
+                return Err(serde::Error::custom(format!(
+                    "duplicate provider {}",
+                    row.id
+                )));
+            }
             columns.push(row);
         }
         Ok(columns)
@@ -267,9 +312,17 @@ mod tests {
         }
         columns.swap_remove(1);
         assert_eq!(columns.len(), 3);
-        // The former last row (id 3) moved into slot 1 across every column.
+        // The former last row (id 3) moved into slot 1 across every column,
+        // and the directory followed it.
         assert_eq!(columns.ids()[1], ProviderId::new(3));
         assert_eq!(columns.snapshot(1).id, ProviderId::new(3));
+        assert_eq!(columns.slot_of(ProviderId::new(3)), Some(1));
+        assert_eq!(columns.slot_of(ProviderId::new(1)), None);
+        // Removing the last row moves nothing.
+        columns.swap_remove(2);
+        assert_eq!(columns.slot_of(ProviderId::new(2)), None);
+        assert_eq!(columns.slot_of(ProviderId::new(0)), Some(0));
+        assert_eq!(columns.slot_of(ProviderId::new(3)), Some(1));
     }
 
     #[test]
@@ -295,6 +348,10 @@ mod tests {
         let rows: Vec<ProviderSnapshot> = columns.snapshots().collect();
         assert_eq!(serde::to_string(&columns), serde::to_string(&rows));
         let back: ProviderColumns = serde::from_str(&serde::to_string(&columns)).unwrap();
-        assert_eq!(back, columns);
+        assert_eq!(back.snapshots().collect::<Vec<_>>(), rows);
+        // The directory is rebuilt on the way in; a repeated id is refused.
+        assert_eq!(back.slot_of(ProviderId::new(1)), Some(1));
+        let twice = serde::to_string(&[rows[0], rows[0]].to_vec());
+        assert!(serde::from_str::<ProviderColumns>(&twice).is_err());
     }
 }

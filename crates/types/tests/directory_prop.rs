@@ -3,16 +3,19 @@
 //! re-pointing the moved row, the inserts growing the table through several
 //! doublings — against a `BTreeMap<u64, u32>` beside the dense id column
 //! the directory confirms its probes with. After every operation every
-//! present key must resolve to its row and 64 absent keys to nothing.
+//! present key must resolve to its row and 64 absent keys to nothing. The
+//! same histories then run against [`ProviderColumns`], the owner that keeps
+//! its directory inside: `push`, `swap_remove` and `slot_of` must keep every
+//! id on its own row.
 //!
 //! The vendored proptest stub does not shrink, so sequences stay short
 //! (≤ 120 operations) and a failing one is printed whole.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use proptest::prelude::*;
 
-use sbqa_types::IdDirectory;
+use sbqa_types::{CapabilitySet, IdDirectory, ProviderColumns, ProviderId, ProviderSnapshot};
 
 /// The directory's Fibonacci multiplier (`directory.rs`), needed to build
 /// keys that collide on purpose.
@@ -123,6 +126,70 @@ proptest! {
         while let Some(&first) = model.ids.first() {
             model.remove(first);
             model.check(family, "while draining");
+        }
+    }
+}
+
+/// Holds `columns` to the shadow of `id → capacity`: every id resolves to a
+/// row carrying that id and capacity, and 64 absent ids to nothing.
+fn check_columns(columns: &ProviderColumns, shadow: &BTreeMap<u64, f64>, family: u8, what: &str) {
+    assert_eq!(columns.len(), shadow.len(), "{what}");
+    for (&id, &capacity) in shadow {
+        let slot = columns.slot_of(ProviderId::new(id));
+        let slot = slot.unwrap_or_else(|| panic!("slot_of({id:#x}) {what}")) as usize;
+        assert_eq!(columns.ids()[slot].raw(), id, "slot_of({id:#x}) {what}");
+        assert_eq!(columns.capacity()[slot], capacity, "row of {id:#x} {what}");
+    }
+    let absent = (0..)
+        .map(|i| key(family, i))
+        .filter(|key| !shadow.contains_key(key));
+    for id in absent.take(64) {
+        assert_eq!(columns.slot_of(ProviderId::new(id)), None, "{what}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn provider_columns_keep_every_id_on_its_row_after_every_operation(
+        family in 0u8..4,
+        // (op, a): 0–4 push the `a`-th key of the family unless present,
+        // 5 swap-remove the last row, 6 the first, 7 a middle one.
+        ops in proptest::collection::vec((0u8..8, 0u64..160), 1..120),
+    ) {
+        let mut columns = ProviderColumns::new();
+        let mut shadow: BTreeMap<u64, f64> = BTreeMap::new();
+        check_columns(&columns, &shadow, family, "when empty");
+        for (step, &(op, a)) in ops.iter().enumerate() {
+            let rows = columns.len();
+            let victim = match op {
+                0..=4 => {
+                    let id = key(family, a);
+                    if let Entry::Vacant(absent) = shadow.entry(id) {
+                        // A capacity per push, so a row names the push that made it.
+                        let capacity = 1.0 + step as f64;
+                        absent.insert(capacity);
+                        let pid = ProviderId::new(id);
+                        let row = ProviderSnapshot::idle(pid, CapabilitySet::EMPTY, capacity);
+                        prop_assert_eq!(columns.push(row), rows);
+                    }
+                    None
+                }
+                _ if rows == 0 => None,
+                5 => Some(rows - 1),
+                6 => Some(0),
+                _ => Some(a as usize % rows),
+            };
+            if let Some(slot) = victim {
+                shadow.remove(&columns.ids()[slot].raw());
+                columns.swap_remove(slot);
+            }
+            check_columns(&columns, &shadow, family, &format!("after step {step} (op {op}, a {a})"));
+        }
+        // Drain to empty, first row first: every removal re-points.
+        while !columns.is_empty() {
+            shadow.remove(&columns.ids()[0].raw());
+            columns.swap_remove(0);
+            check_columns(&columns, &shadow, family, "while draining");
         }
     }
 }

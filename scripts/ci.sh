@@ -45,6 +45,17 @@ if grep -rnE "set_batch_dedup|BatchMemo|PlanHandle|uncached_set|plan_is_current|
     exit 1
 fi
 
+echo "== one id -> slot map: postings hold membership only"
+# A provider's slab slot is recorded in one structure, the keyless directory
+# inside sbqa_types::ProviderColumns (push / swap_remove / slot_of). The
+# postings maps and merged sets name ids; a compaction re-points one
+# directory entry. The per-list slot payloads and their readers must not
+# come back.
+if grep -rnE "patch_slot|slot_at|MergedSlots|BitmapChunk|SlotIter" crates src tests examples; then
+    echo "a second id -> slot record is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -122,14 +133,20 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # replay_prop holds the incremental checkpoint to the full clone it replaced:
 # after every cut of a random op sequence the standby's registry and
 # satisfaction digests equal the primary's, and a promotion continues the
-# uninterrupted stream. postings_prop holds a merged candidate plan to the
-# naive ordered-set merge on every container mix (Array, Bitmap, mixed, the
-# promote-demote boundary), before and after slab compactions re-point its
-# members' slots — and rank-select (`select`, the batched `load_keys`) to the
-# shadow's (id, slot) after every insert, remove and re-point, on Array and
-# Bitmap chunks, across a promotion and a demotion and in a completely full
-# chunk; candidates_prop holds KnBest's bounded-insertion filter to a
-# partition-and-sort of the same draw. maintained_prop holds the maintained
+# uninterrupted stream. postings_prop holds a postings map to an ordered id
+# set (membership, order, rank-select, and a generation that moves exactly
+# when membership does), a merged candidate plan to the naive ordered-set
+# merge on every container mix (Array, Bitmap, mixed, the promote-demote
+# boundary), before and after slab compactions move its members' rows — and
+# rank-select (`select`, the batched `load_keys`) to the shadow's id and
+# that id's row after every insert and remove, on Array and Bitmap chunks,
+# across a promotion and a demotion and in a completely full chunk;
+# candidates_prop holds every read of every registry view (`get`,
+# `load_keys`, `iter`, `gather_all_into`; single-class, all-online and
+# cached merged) to a shadow of the rows after every register, unregister,
+# online flip and load update — the property the per-list slot payloads
+# used to need a `patch_slot` for — and KnBest's bounded-insertion filter to
+# a partition-and-sort of the same draw. maintained_prop holds the maintained
 # satisfaction values (a provider's running Definition-2 sum, a consumer's
 # ring of per-query values) bit-equal to a from-scratch evaluation over the
 # window after every record, clone, in-place copy, serde round trip and
@@ -138,7 +155,8 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # between registries, clone, serde and an armed sync onto a stale copy.
 # directory_prop holds the keyless id directory under both registries to an
 # ordered map through inserts, growth, removals and the re-pointing that
-# follows a swap_remove, on sequential, shifted and colliding ids. Release
+# follows a swap_remove, on sequential, shifted and colliding ids — on its
+# own and inside ProviderColumns (push / swap_remove / slot_of). Release
 # builds compile the `debug_assert`s out, so under --release these proptests
 # are the proof. golden_adaptive pins a
 # stepped load-feedback run of the open-loop driver (tallies, departures,
