@@ -31,30 +31,6 @@ pub use sbqa_types::{ProviderColumns, ProviderSnapshot};
 
 use crate::postings::{IdIter, IdSet, MergedSet, PostingsMap};
 
-/// Identity stamp of a resolved candidate plan, used to deduplicate dense
-/// column gathers across queries.
-///
-/// The registry attaches a token to every view it resolves: the backing
-/// storage is *stable* (a cached plan entry or a capability's postings map;
-/// an ad-hoc slice carries none). Two equal tokens guarantee
-/// byte-identical view contents: `plan` names the storage (a capability class
-/// or a uniquely numbered cache-entry occupancy, never reused), and `stamp` is
-/// the registry's mutation counter, bumped by **every** mutating call
-/// including load updates. Equal stamps therefore bracket a window with no
-/// mutation at all, so a [`CandidateBlock`] gathered under a token can be
-/// reused verbatim when the same token comes around again —
-/// [`Candidates::gather_all_into`] does exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanToken {
-    /// Which stable storage backs the view: `0..=64` name a capability
-    /// class's postings map (the single-class fast path), higher values are
-    /// cache-entry occupancy numbers, unique per (entry, requirement)
-    /// assignment for the registry's lifetime.
-    pub plan: u64,
-    /// The registry-wide mutation stamp at resolve time.
-    pub stamp: u64,
-}
-
 /// A borrowed, zero-clone view of the candidate set `Pq`.
 ///
 /// The view covers one of three shapes:
@@ -82,10 +58,6 @@ pub struct PlanToken {
 #[derive(Debug, Clone, Copy)]
 pub struct Candidates<'a> {
     view: View<'a>,
-    /// Identity stamp when the backing storage is stable (see [`PlanToken`]);
-    /// `None` for views built outside the registry (slices), which must
-    /// always be re-gathered.
-    token: Option<PlanToken>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +85,6 @@ impl<'a> Candidates<'a> {
     pub fn from_slice(providers: &'a [ProviderSnapshot]) -> Self {
         Self {
             view: View::Slice(providers),
-            token: None,
         }
     }
 
@@ -130,7 +101,6 @@ impl<'a> Candidates<'a> {
                 columns,
                 set: IdSet::Map(map),
             },
-            token: None,
         }
     }
 
@@ -143,24 +113,7 @@ impl<'a> Candidates<'a> {
                 columns,
                 set: IdSet::Merged(set),
             },
-            token: None,
         }
-    }
-
-    /// Attaches a [`PlanToken`] to the view, asserting that its backing
-    /// storage is stable and that the token uniquely identifies the view's
-    /// contents. Only the registry should do this — an incorrect token makes
-    /// gather deduplication serve stale columns.
-    #[must_use]
-    pub fn with_token(mut self, token: PlanToken) -> Self {
-        self.token = Some(token);
-        self
-    }
-
-    /// The view's identity stamp, when its backing storage is stable.
-    #[must_use]
-    pub fn token(&self) -> Option<PlanToken> {
-        self.token
     }
 
     /// Number of candidates in the view.
@@ -256,18 +209,7 @@ impl<'a> Candidates<'a> {
     /// first), one sequential pass over the backing store. Techniques that
     /// rank the whole set sort the block's dense columns instead of paying a
     /// positional lookup per comparison.
-    ///
-    /// When both the view and the block carry the same [`PlanToken`], the
-    /// gather is skipped entirely: the token proves the block's columns are
-    /// already byte-identical to what a fresh pass would produce. This is
-    /// what lets a batch of same-requirement queries share one column gather
-    /// — each technique keeps its block across queries, so the second and
-    /// later members of the group pay a two-word comparison instead of an
-    /// O(|Pq|) pass.
     pub fn gather_all_into(&self, block: &mut CandidateBlock) {
-        if self.token.is_some() && self.token == block.token {
-            return;
-        }
         block.clear();
         match self.view {
             View::Slice(providers) => {
@@ -281,7 +223,6 @@ impl<'a> Candidates<'a> {
                 }
             }
         }
-        block.token = self.token;
     }
 }
 
@@ -328,18 +269,6 @@ impl Iterator for CandidateIter<'_> {
     }
 }
 
-impl<'a> From<&'a [ProviderSnapshot]> for Candidates<'a> {
-    fn from(providers: &'a [ProviderSnapshot]) -> Self {
-        Self::from_slice(providers)
-    }
-}
-
-impl<'a> From<&'a Vec<ProviderSnapshot>> for Candidates<'a> {
-    fn from(providers: &'a Vec<ProviderSnapshot>) -> Self {
-        Self::from_slice(providers.as_slice())
-    }
-}
-
 /// A dense struct-of-arrays gather of one candidate set's scoring fields.
 ///
 /// Baseline techniques rank the *entire* candidate set by some field
@@ -355,10 +284,6 @@ pub struct CandidateBlock {
     utilization: Vec<f64>,
     capacity: Vec<f64>,
     queue_length: Vec<usize>,
-    /// The token of the view the block was last gathered from, when that
-    /// view's storage was stable. Lets [`Candidates::gather_all_into`] skip
-    /// re-gathering a set it provably already holds.
-    token: Option<PlanToken>,
 }
 
 impl CandidateBlock {
@@ -380,14 +305,12 @@ impl CandidateBlock {
         self.ids.is_empty()
     }
 
-    /// Empties the block, keeping the column capacities. Also forgets the
-    /// gather token, so the next gather runs unconditionally.
+    /// Empties the block, keeping the column capacities.
     pub fn clear(&mut self) {
         self.ids.clear();
         self.utilization.clear();
         self.capacity.clear();
         self.queue_length.clear();
-        self.token = None;
     }
 
     fn push(&mut self, id: ProviderId, utilization: f64, capacity: f64, queue_length: usize) {
@@ -945,62 +868,5 @@ mod tests {
         let view = Candidates::from_map(&cols, &map);
         assert!(view.is_empty());
         assert_eq!(view.iter().count(), 0);
-    }
-
-    #[test]
-    fn gather_all_into_skips_when_tokens_match() {
-        let cols = columns(6);
-        let map = map_of(&cols, &[1, 3, 5]);
-        let token = PlanToken { plan: 70, stamp: 9 };
-        let view = Candidates::from_map(&cols, &map).with_token(token);
-        assert_eq!(view.token(), Some(token));
-
-        let mut block = CandidateBlock::new();
-        view.gather_all_into(&mut block);
-        assert_eq!(block.len(), 3);
-
-        // Tamper with the block, then re-gather under the same token: the
-        // gather is skipped, so the tampering survives — proof no pass ran.
-        block.ids.push(ProviderId::new(999));
-        view.gather_all_into(&mut block);
-        assert_eq!(block.len(), 4);
-
-        // A different stamp (a mutation happened) re-gathers for real…
-        let moved = Candidates::from_map(&cols, &map).with_token(PlanToken {
-            plan: 70,
-            stamp: 10,
-        });
-        moved.gather_all_into(&mut block);
-        assert_eq!(block.len(), 3);
-        // …as does a different plan number under the same stamp.
-        let other = Candidates::from_map(&cols, &map).with_token(PlanToken {
-            plan: 71,
-            stamp: 10,
-        });
-        block.ids.push(ProviderId::new(999));
-        other.gather_all_into(&mut block);
-        assert_eq!(block.len(), 3);
-    }
-
-    #[test]
-    fn gather_all_into_without_token_always_regathers() {
-        let cols = columns(6);
-        let map = map_of(&cols, &[1, 3, 5]);
-        let view = Candidates::from_map(&cols, &map);
-        assert_eq!(view.token(), None);
-
-        let mut block = CandidateBlock::new();
-        view.gather_all_into(&mut block);
-        block.ids.push(ProviderId::new(999));
-        view.gather_all_into(&mut block);
-        assert_eq!(block.len(), 3, "tokenless views never skip");
-        // `clear` forgets the token, so even a tokened view re-gathers next.
-        let token = PlanToken { plan: 70, stamp: 9 };
-        let tokened = Candidates::from_map(&cols, &map).with_token(token);
-        tokened.gather_all_into(&mut block);
-        block.clear();
-        assert_eq!(block.token, None);
-        tokened.gather_all_into(&mut block);
-        assert_eq!(block.len(), 3);
     }
 }

@@ -3,9 +3,9 @@
 //! Every state change a [`ProviderRegistry`]
 //! can undergo is describable by one of four [`RegistryDelta`] records. A
 //! registry with a [`DeltaSink`] attached emits one record per *effective*
-//! mutation — the emission rule mirrors the mutation-stamp rule exactly, so a
-//! replica that replays the stream performs the same stamp bumps as the
-//! primary:
+//! mutation — a call that changed state — and nothing for a no-op, so a
+//! replica that replays the stream performs exactly the primary's mutations.
+//! Per mutator:
 //!
 //! * `register` always mutates (it inserts or replaces) → always emits;
 //! * `unregister` emits only when the provider existed;
@@ -17,7 +17,7 @@
 //! Records carry the *arguments* of the mutation, not a diff of the result:
 //! replaying a record through the identically-named public mutator on any
 //! registry that has seen the same prefix reproduces the same state,
-//! including the slab layout, postings membership and mutation stamp. The
+//! including the slab layout, postings membership and load columns. The
 //! records derive serde, so a delta stream survives serialization unchanged
 //! (the replication crate's log round-trip tests pin this).
 //!

@@ -46,7 +46,7 @@ pub mod scoring;
 
 pub use adaptive::{KnAdjustment, KnController, KnControllerConfig};
 pub use allocator::{
-    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, PlanToken, ProposalRecord,
+    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, ProposalRecord,
     ProviderColumns, ProviderSnapshot, QueryAllocator, StaticIntentions,
 };
 pub use degrade::{

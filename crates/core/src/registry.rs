@@ -42,7 +42,7 @@ use sbqa_types::{
     SbqaResult, MAX_CAPABILITY_CLASSES,
 };
 
-use crate::allocator::{Candidates, PlanToken, ProviderSnapshot};
+use crate::allocator::{Candidates, ProviderSnapshot};
 use crate::delta::{DeltaSink, RegistryDelta};
 use crate::postings::{MergedSet, PostingsMap};
 
@@ -57,12 +57,6 @@ const ONLINE_LIST: usize = MAX_CAPABILITY_CLASSES as usize;
 /// cheap instead of the bound being raised: a plan costs up to 8 KiB per
 /// dense chunk.
 const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
-
-/// First occupancy number handed to a cache entry. Values `0..=ONLINE_LIST`
-/// are reserved as [`PlanToken::plan`] names for the per-class postings maps
-/// (the single-capability fast path), so entry occupancies start above them
-/// and the two namespaces can never collide.
-const FIRST_OCCUPANCY: u64 = ONLINE_LIST as u64 + 1;
 
 /// Cache key of a multi-capability requirement: the `All`/`Any` kind plus the
 /// mentioned-class bit set. Two queries with equal keys have byte-identical
@@ -140,10 +134,6 @@ impl PlanCacheStats {
 struct PlanEntry {
     /// The requirement this entry currently answers.
     key: PlanKey,
-    /// Unique occupancy number of this (entry, key) assignment; never reused,
-    /// so a [`PlanToken`] carrying it can outlive an eviction without ever
-    /// matching the entry's next tenant.
-    occupancy: u64,
     /// The merged membership — stable storage owned by the entry.
     set: MergedSet,
     /// `(class, generation)` of every postings map the merge read. The plan
@@ -157,7 +147,6 @@ impl PlanEntry {
     fn vacant(key: PlanKey) -> Self {
         Self {
             key,
-            occupancy: 0,
             set: MergedSet::default(),
             stamps: Vec::new(),
             last_used: 0,
@@ -179,8 +168,6 @@ struct PlanCache {
     entries: Vec<PlanEntry>,
     /// LRU clock, advanced once per lookup.
     tick: u64,
-    /// Next occupancy number to hand out (see [`PlanEntry::occupancy`]).
-    next_occupancy: u64,
     hits: u64,
     misses: u64,
     stale: u64,
@@ -195,7 +182,6 @@ impl PlanCache {
             index: HashMap::new(),
             entries: Vec::new(),
             tick: 0,
-            next_occupancy: FIRST_OCCUPANCY,
             hits: 0,
             misses: 0,
             stale: 0,
@@ -232,17 +218,11 @@ pub struct ProviderRegistry {
     /// Materialised multi-capability merge plans, keyed by requirement (see
     /// [`PlanCache`]).
     plan_cache: PlanCache,
-    /// Registry-wide mutation stamp: bumped by **every** mutating call —
-    /// register, unregister, online toggles *and load updates*. Stamps the
-    /// [`PlanToken`] of every stable view, so equal tokens bracket a window
-    /// with no mutation at all and a gathered [`CandidateBlock`]
-    /// (`crate::allocator::CandidateBlock`) can be reused verbatim.
-    mutation_stamp: u64,
-    /// Replication hook: observes every *effective* mutation (exactly the
-    /// calls that bump `mutation_stamp`) in commit order. `None` — the
-    /// default — costs one null check per mutation. Clones never inherit it
-    /// (see [`Clone`] below): a clone is a state fork, and two registries
-    /// feeding one log would corrupt its sequencing.
+    /// Replication hook: observes every *effective* mutation (the rule is in
+    /// [`crate::delta`]) in commit order. `None` — the default — costs one
+    /// null check per mutation. Clones never inherit it (see [`Clone`]
+    /// below): a clone is a state fork, and two registries feeding one log
+    /// would corrupt its sequencing.
     sink: Option<Box<dyn DeltaSink>>,
 }
 
@@ -257,7 +237,6 @@ impl Clone for ProviderRegistry {
             class_counts: self.class_counts,
             mask_counts: self.mask_counts.clone(),
             plan_cache: self.plan_cache.clone(),
-            mutation_stamp: self.mutation_stamp,
             sink: None,
         }
     }
@@ -272,7 +251,6 @@ impl Default for ProviderRegistry {
             // sbqa-lint: allow(hash-collection, "point updates plus an order-insensitive existential scan (any), never ordered iteration")
             mask_counts: HashMap::new(),
             plan_cache: PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY),
-            mutation_stamp: 0,
             sink: None,
         }
     }
@@ -326,7 +304,6 @@ impl ProviderRegistry {
     /// Inserts a snapshot into the slab and indexes it if online. Replaces
     /// any existing provider with the same id.
     fn insert_snapshot(&mut self, snapshot: ProviderSnapshot) {
-        self.mutation_stamp += 1;
         if let Some(slot) = self.columns.slot_of(snapshot.id) {
             let previous = self.columns.snapshot(slot as usize);
             if previous.online {
@@ -343,9 +320,9 @@ impl ProviderRegistry {
         self.count_profile(snapshot.capabilities, 1);
     }
 
-    /// Hands the effective mutation to the attached sink, if any. Call sites
-    /// mirror the `mutation_stamp` bumps one-for-one — that equivalence is
-    /// what lets a replica reproduce the primary's stamp by replay.
+    /// Hands the effective mutation to the attached sink, if any: each
+    /// mutator calls it once after a call that changed state, never on a
+    /// no-op.
     fn emit(&mut self, delta: RegistryDelta) {
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.record(&delta);
@@ -386,7 +363,6 @@ impl ProviderRegistry {
         let Some(slot) = self.columns.slot_of(id) else {
             return false;
         };
-        self.mutation_stamp += 1;
         let removed = self.columns.snapshot(slot as usize);
         if removed.online {
             self.set_indexed(removed, false);
@@ -408,7 +384,6 @@ impl ProviderRegistry {
         if provider.online == online {
             return Ok(());
         }
-        self.mutation_stamp += 1;
         self.columns.set_online(slot as usize, online);
         self.set_indexed(provider, online);
         self.emit(RegistryDelta::SetOnline { id, online });
@@ -425,11 +400,8 @@ impl ProviderRegistry {
     ) -> SbqaResult<()> {
         match self.columns.slot_of(id) {
             Some(slot) => {
-                // Load changes never invalidate cached plans (membership is
-                // untouched) but they do change column values, so
-                // the token stamp must move or a memoized column gather
-                // would serve yesterday's utilization.
-                self.mutation_stamp += 1;
+                // Load changes never invalidate cached plans: membership is
+                // untouched.
                 self.columns
                     .set_load(slot as usize, utilization, queue_length);
                 self.emit(RegistryDelta::UpdateLoad {
@@ -506,12 +478,7 @@ impl ProviderRegistry {
             // `Any{}` by none.
             0 => match required {
                 CapabilityRequirement::All(_) => {
-                    Candidates::from_map(&self.columns, &self.postings[ONLINE_LIST]).with_token(
-                        PlanToken {
-                            plan: ONLINE_LIST as u64,
-                            stamp: self.mutation_stamp,
-                        },
-                    )
+                    Candidates::from_map(&self.columns, &self.postings[ONLINE_LIST])
                 }
                 CapabilityRequirement::Any(_) => Candidates::from_slice(&[]),
             },
@@ -520,21 +487,11 @@ impl ProviderRegistry {
             1 => {
                 // sbqa-lint: allow(panic-hygiene, "arm is reached only when the set has exactly one class")
                 let class = set.iter().next().expect("singleton set").class();
-                Candidates::from_map(&self.columns, &self.postings[class as usize]).with_token(
-                    PlanToken {
-                        plan: u64::from(class),
-                        stamp: self.mutation_stamp,
-                    },
-                )
+                Candidates::from_map(&self.columns, &self.postings[class as usize])
             }
             _ => {
                 let idx = self.lookup_or_merge(PlanKey::of(required));
-                let entry = &self.plan_cache.entries[idx];
-                let token = PlanToken {
-                    plan: entry.occupancy,
-                    stamp: self.mutation_stamp,
-                };
-                Candidates::from_merged(&self.columns, &entry.set).with_token(token)
+                Candidates::from_merged(&self.columns, &self.plan_cache.entries[idx].set)
             }
         }
     }
@@ -582,12 +539,9 @@ impl ProviderRegistry {
             cache.index.remove(&old_key);
             idx
         };
-        let occupancy = cache.next_occupancy;
-        cache.next_occupancy += 1;
         cache.index.insert(key, idx as u32);
         let entry = &mut cache.entries[idx];
         entry.key = key;
-        entry.occupancy = occupancy;
         entry.last_used = tick;
         Self::merge_into_entry(&self.postings, entry);
         idx
@@ -1259,42 +1213,5 @@ mod tests {
         assert_eq!(reg.plan_cache_stats().misses, 4);
         let _ = ids_of(&mut reg, reqs[2]);
         assert_eq!(reg.plan_cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn plan_tokens_name_distinct_storage() {
-        let mut reg = cache_registry();
-        let all01 = multi_query(CapabilityRequirement::All(set_of(&[0, 1])));
-        let any12 = multi_query(CapabilityRequirement::Any(set_of(&[1, 2])));
-
-        // Distinct plans carry distinct token plan-numbers; the same plan
-        // re-resolved without intervening mutation carries the same token.
-        let token_a = reg.candidates(&all01).token().unwrap();
-        let token_b = reg.candidates(&any12).token().unwrap();
-        let token_a2 = reg.candidates(&all01).token().unwrap();
-        assert_ne!(token_a.plan, token_b.plan);
-        assert_eq!(token_a, token_a2);
-        // Cached-plan numbers never collide with the class-list namespace
-        // (0..=ONLINE_LIST), which single-class views use.
-        assert!(token_a.plan > ONLINE_LIST as u64);
-        assert!(token_b.plan > ONLINE_LIST as u64);
-        let single = reg.candidates(&query(0)).token().unwrap();
-        assert_eq!(single.plan, 0);
-
-        // Any mutation — even a pure load update — moves the stamp, so
-        // memoized column gathers can never serve stale utilization.
-        reg.update_load(ProviderId::new(1), 1.0, 1).unwrap();
-        let token_a3 = reg.candidates(&all01).token().unwrap();
-        assert_eq!(token_a3.plan, token_a.plan, "same storage, still a hit");
-        assert_ne!(token_a3.stamp, token_a.stamp, "stamp must move");
-
-        // An evicted-and-reassigned entry gets a fresh occupancy number, so
-        // a stale token can never alias recycled storage.
-        reg.set_plan_cache_capacity(1);
-        let token_c = reg.candidates(&all01).token().unwrap();
-        let token_d = reg.candidates(&any12).token().unwrap(); // evicts all01
-        let token_e = reg.candidates(&all01).token().unwrap(); // evicts any12
-        assert_ne!(token_c.plan, token_e.plan);
-        assert_ne!(token_d.plan, token_e.plan);
     }
 }

@@ -7,7 +7,8 @@
 //! id and find each member's row through the column store's directory, so a
 //! second property holds every read of every view (`get`, `load_keys`, `iter`,
 //! `gather_all_into`) to a shadow of the rows after every registry mutation —
-//! including the `unregister` that has just moved a row under a cached plan.
+//! including the `unregister` that has just moved a row under a cached plan,
+//! and gathered into one block per requirement that lives across them all.
 //! On top of such a view, KnBest's bounded-insertion filter must return
 //! exactly what a partition-and-sort of the same draw returns.
 
@@ -72,13 +73,16 @@ fn indexed(registry: &mut ProviderRegistry, req: CapabilityRequirement) -> Vec<u
 /// Holds every read of the view of every requirement to the shadow: the
 /// members are the shadow's online, capable rows in ascending id order, and
 /// each position returns that member's row — not whichever row sits where
-/// the member used to be.
+/// the member used to be. `blocks[i]` is requirement `i`'s gather block,
+/// reused across calls the way a baseline technique keeps its own, so a
+/// gather that served a previous call's columns would fail here.
 fn assert_views_read_the_shadow_rows(
     registry: &mut ProviderRegistry,
     shadow: &BTreeMap<u64, ProviderSnapshot>,
     requirements: &[CapabilityRequirement],
+    blocks: &mut [CandidateBlock],
 ) {
-    for &req in requirements {
+    for (&req, block) in requirements.iter().zip(blocks) {
         let q = query(req);
         let expected: Vec<ProviderSnapshot> = shadow
             .values()
@@ -105,8 +109,7 @@ fn assert_views_read_the_shadow_rows(
             );
         }
 
-        let mut block = CandidateBlock::new();
-        view.gather_all_into(&mut block);
+        view.gather_all_into(block);
         let column = |field: fn(&ProviderSnapshot) -> f64| -> Vec<f64> {
             expected.iter().map(field).collect()
         };
@@ -125,7 +128,8 @@ proptest! {
     /// all-online view and of six cached merged views returns the row of the
     /// id its set names. Every unregister but that of the last row moves a
     /// row; a plan whose classes the leaver does not advertise stays cached
-    /// across it and must still find the moved member.
+    /// across it and must still find the moved member. Each requirement
+    /// gathers into the same block for the whole sequence.
     #[test]
     fn every_view_reads_the_row_its_set_names_after_every_mutation(
         // (op, provider, capability mask): 0–2 register, 3–4 unregister,
@@ -144,6 +148,7 @@ proptest! {
             requirement(0b10_0001, true),
             requirement(0b11_1000, false),
         ]);
+        let mut blocks = vec![CandidateBlock::new(); requirements.len()];
         let mut registry = ProviderRegistry::new();
         let mut shadow: BTreeMap<u64, ProviderSnapshot> = BTreeMap::new();
         for (step, &(op, provider, mask)) in ops.iter().enumerate() {
@@ -176,7 +181,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(registry.len(), shadow.len());
-            assert_views_read_the_shadow_rows(&mut registry, &shadow, &requirements);
+            assert_views_read_the_shadow_rows(&mut registry, &shadow, &requirements, &mut blocks);
         }
     }
 

@@ -12,9 +12,11 @@
 //! construction), the satisfaction registry (ω per pair) and the allocator's
 //! RNG position. All three are reproducible:
 //!
-//! * registry state replays from the [delta log](log::DeltaLog) — the
-//!   emission rule mirrors the mutation-stamp rule one-for-one, so a replica
-//!   that applies the stream performs exactly the primary's mutations;
+//! * registry state replays from the [delta log](log::DeltaLog) — a registry
+//!   emits one record per effective mutation (every `register`, an
+//!   `unregister` or `update_load` of a known provider, a `set_online` that
+//!   toggles the flag) and none for a no-op, so a replica that applies the
+//!   stream performs exactly the primary's mutations;
 //! * the allocator forks ([`sbqa_core::QueryAllocator::fork`]) with its RNG
 //!   stream position intact;
 //! * satisfaction and RNG state *between* checkpoint and crash depend on the

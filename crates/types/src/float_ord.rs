@@ -43,10 +43,13 @@ use std::cmp::Ordering;
 /// ```
 #[must_use]
 pub fn f64_total_cmp(a: f64, b: f64) -> Ordering {
-    // `x + 0.0` maps `-0.0` to `+0.0` and leaves every other value (including
-    // NaN) in its equivalence class, so the only place this differs from raw
-    // `total_cmp` is the signed-zero pair.
-    (a + 0.0).total_cmp(&(b + 0.0))
+    // Maps `-0.0` to `+0.0` by comparison, so the only place this differs
+    // from raw `total_cmp` is the signed-zero pair. Not `x + 0.0`: that
+    // leaves a NaN's sign to the arithmetic — LLVM folds `-NaN + 0.0` to
+    // `+NaN` at compile time while x86 keeps the sign at run time — and the
+    // order of a NaN would then depend on inlining and the build profile.
+    let zero = |x: f64| if x == 0.0 { 0.0 } else { x };
+    zero(a).total_cmp(&zero(b))
 }
 
 /// Sorts a slice of `f64` ascending under [`f64_total_cmp`].
@@ -61,6 +64,8 @@ pub fn sort_descending(values: &mut [f64]) {
 
 #[cfg(test)]
 mod tests {
+    use std::hint::black_box;
+
     use super::*;
 
     #[test]
@@ -91,6 +96,13 @@ mod tests {
         assert_eq!(f64_total_cmp(f64::NAN, f64::INFINITY), Ordering::Greater);
         assert_eq!(f64_total_cmp(-f64::NAN, -f64::INFINITY), Ordering::Less);
         assert_eq!(f64_total_cmp(f64::NAN, f64::NAN), Ordering::Equal);
+        // The same pairs through `black_box`, which the optimiser cannot
+        // fold: the run-time path must order NaN exactly as the folded one.
+        let cmp = |a: f64, b: f64| f64_total_cmp(black_box(a), black_box(b));
+        assert_eq!(cmp(f64::NAN, f64::INFINITY), Ordering::Greater);
+        assert_eq!(cmp(-f64::NAN, -f64::INFINITY), Ordering::Less);
+        assert_eq!(cmp(f64::NAN, f64::NAN), Ordering::Equal);
+        assert_eq!(cmp(-0.0, 0.0), Ordering::Equal);
     }
 
     #[test]

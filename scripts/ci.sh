@@ -56,6 +56,17 @@ if grep -rnE "patch_slot|slot_at|MergedSlots|BitmapChunk|SlotIter" crates src te
     exit 1
 fi
 
+echo "== a candidate view carries no identity: no plan token, mutation stamp or gather memo"
+# Candidates::gather_all_into always gathers; a CandidateBlock is scratch that
+# remembers nothing about the view it came from. The registry keeps no
+# registry-wide mutation counter and numbers no plan-cache entry. The names
+# of the deleted dedup mechanism must not come back.
+if grep -rnE "PlanToken|with_token|mutation_stamp|next_occupancy|FIRST_OCCUPANCY" \
+    crates src tests examples; then
+    echo "gather dedup by view identity is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -145,7 +156,9 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # `load_keys`, `iter`, `gather_all_into`; single-class, all-online and
 # cached merged) to a shadow of the rows after every register, unregister,
 # online flip and load update — the property the per-list slot payloads
-# used to need a `patch_slot` for — and KnBest's bounded-insertion filter to
+# used to need a `patch_slot` for — gathering into one block per requirement
+# kept for the whole sequence, so a gather memo that missed a mutation would
+# fail it; and KnBest's bounded-insertion filter to
 # a partition-and-sort of the same draw. maintained_prop holds the maintained
 # satisfaction values (a provider's running Definition-2 sum, a consumer's
 # ring of per-query values) bit-equal to a from-scratch evaluation over the
@@ -156,7 +169,9 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # directory_prop holds the keyless id directory under both registries to an
 # ordered map through inserts, growth, removals and the re-pointing that
 # follows a swap_remove, on sequential, shifted and colliding ids — on its
-# own and inside ProviderColumns (push / swap_remove / slot_of). Release
+# own and inside ProviderColumns (push / swap_remove / slot_of); the rest of
+# sbqa_types' tests ride along, among them f64_total_cmp's NaN order, which
+# only a release build can get wrong (constant folding). Release
 # builds compile the `debug_assert`s out, so under --release these proptests
 # are the proof. golden_adaptive pins a
 # stepped load-feedback run of the open-loop driver (tallies, departures,
@@ -170,7 +185,7 @@ cargo test --release -p sbqa_replication --test replay_prop -q
 cargo test --release -p sbqa_core --test postings_prop --test candidates_prop --test zero_alloc \
     --test plan_cache_prop -q
 cargo test --release -p sbqa_satisfaction --test maintained_prop -q
-cargo test --release -p sbqa_types --test directory_prop -q
+cargo test --release -p sbqa_types -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
     --test golden_adaptive --test golden_compositions -q
 
