@@ -38,12 +38,14 @@ fn build_mediator(adaptive: bool) -> Mediator {
         // every per-query lookup, every gap-sample push and every adaptation
         // round, but the KnBest draw stays identical to the static build —
         // the measured difference is purely the controller tax.
-        mediator.enable_adaptive_kn(KnControllerConfig {
-            initial_kn: 4,
-            min_kn: 4,
-            max_kn: 4,
-            ..KnControllerConfig::default()
-        });
+        mediator
+            .enable_adaptive_kn(KnControllerConfig {
+                initial_kn: 4,
+                min_kn: 4,
+                max_kn: 4,
+                ..KnControllerConfig::default()
+            })
+            .expect("pinned controller config validates");
     }
     mediator
 }

@@ -56,14 +56,12 @@ fn bench_tiered_submit(c: &mut Criterion) {
         ("baseline", DegradationTier::Baseline),
     ] {
         let mut mediator = mediator(10_000);
-        mediator.set_degraded_kn_floor(2);
-        mediator.set_degradation_tier(tier);
         let mut id = 0u64;
         group.bench_function(label, |b| {
             b.iter(|| {
                 id += 1;
                 let q = query(id);
-                black_box(mediator.submit_in_place(&q, &oracle).is_ok())
+                black_box(mediator.submit_at(&q, &oracle, tier).is_ok())
             });
         });
     }

@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use sbqa_bench::{cli, world};
 use sbqa_core::DegradationConfig;
 use sbqa_metrics::Table;
-use sbqa_service::{IngestConfig, ServiceReport};
+use sbqa_service::ServiceReport;
 use sbqa_sim::{
     admitted_satisfaction, generate_query_stream, outcome_digest, run, shed_digest, HashIntentions,
     HashWorld, LoadStep, ServiceRun, WorkloadModel,
@@ -55,6 +55,10 @@ const P99_BOUND_MS: f64 = 500.0;
 /// Admitted satisfaction at 10× must stay within this fraction of the
 /// unloaded run's.
 const SATISFACTION_TOLERANCE: f64 = 0.05;
+
+/// The unbounded arm's ring: more slots than a step of the quick or full
+/// preset has queries (5 000 / 50 000), so its producer never blocks.
+const UNBOUNDED_RING: usize = 65_536;
 
 /// The ladder the bounded runs arm. The drain model (250 admitted queries
 /// per virtual second, per shard) sits far above the base rate — the 1×
@@ -124,11 +128,7 @@ fn frontier(options: &cli::HarnessOptions) -> Result<(), String> {
         let config = ServiceRun {
             shards,
             batch,
-            threaded: Some(if bounded {
-                1_024
-            } else {
-                IngestConfig::default().ring_capacity
-            }),
+            threaded: Some(if bounded { 1_024 } else { UNBOUNDED_RING }),
             ladder: bounded.then(ladder),
             ..ServiceRun::new(scale.system(), seed)
         };

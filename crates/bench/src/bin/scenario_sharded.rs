@@ -27,10 +27,14 @@ use std::process::ExitCode;
 
 use sbqa_bench::{cli, world};
 use sbqa_metrics::{LatencyRecorder, Table};
-use sbqa_service::{IngestConfig, ServiceReport};
+use sbqa_service::ServiceReport;
 use sbqa_sim::{
     generate_query_stream, run, run_single_mediator, HashWorld, ServiceRun, WorkloadModel,
 };
+
+/// Each shard's ingest ring: the 4 096 slots of the benchmark's
+/// `open_single` workload.
+const RING: usize = 4_096;
 
 fn latency_row(latency: &LatencyRecorder) -> [String; 4] {
     // One sort answers the whole percentile row.
@@ -125,7 +129,7 @@ fn sweep(options: &cli::HarnessOptions) -> Result<(), String> {
         let config = ServiceRun {
             shards,
             batch,
-            threaded: Some(IngestConfig::default().ring_capacity),
+            threaded: Some(RING),
             ..ServiceRun::new(system.clone(), seed)
         };
         let mut world = HashWorld::new(seed, 0);

@@ -63,7 +63,8 @@
 //!     max_kn: 6,
 //!     alpha: 0.5,
 //!     ..KnControllerConfig::default()
-//! });
+//! })
+//! .unwrap();
 //!
 //! // The consumer loves every allocation (+0.8) while providers hate the
 //! // work (-0.8): provider satisfaction collapses, the gap EWMA rises.

@@ -6,9 +6,10 @@
 //! This module defines what the system does when the ingest queue grows
 //! faster than mediation drains it, as an explicit, deterministic ladder:
 //!
-//! 1. **ShrinkKn** — clamp the KnBest exploration width toward a floor. The
-//!    allocation stays intention-aware (SQLB scoring over a narrower `Kn`),
-//!    it just explores less. Cheapest quality concession first.
+//! 1. **ShrinkKn** — clamp the KnBest exploration width to
+//!    [`SHRINK_KN_FLOOR`]. The allocation stays intention-aware (SQLB
+//!    scoring over a narrower `Kn`), it just explores less. Cheapest quality
+//!    concession first.
 //! 2. **Baseline** — fall back to a capacity-based allocation
 //!    ([`baseline_allocate_into`]): no random pre-selection, no scoring over
 //!    `kn` candidates, intentions gathered for the winners only.
@@ -46,6 +47,10 @@ use crate::allocator::{AllocationDecision, Candidates, IntentionOracle, Proposal
 /// position order is registry order, which is replicated state).
 pub const BASELINE_CONSIDERATION: usize = 64;
 
+/// The exploration width the ShrinkKn tier clamps `kn` to (a narrower
+/// configured or adapted width is kept as it is).
+pub const SHRINK_KN_FLOOR: usize = 2;
+
 /// The degradation tier a query is mediated under. Ordered by severity:
 /// `Normal < ShrinkKn < Baseline < Shed`.
 #[derive(
@@ -55,7 +60,7 @@ pub enum DegradationTier {
     /// Full SbQA mediation at the controller-chosen exploration width.
     #[default]
     Normal,
-    /// SbQA mediation with `kn` clamped to the configured floor.
+    /// SbQA mediation with `kn` clamped to [`SHRINK_KN_FLOOR`].
     ShrinkKn,
     /// Capacity-based fallback allocation; no KnBest draw, no SQLB scoring.
     Baseline,
@@ -76,23 +81,14 @@ impl DegradationTier {
     }
 }
 
-/// The ladder's verdict on one arriving query.
+/// The ladder's verdict on one arriving query: plain data the host passes to
+/// [`Mediator::submit_at`](crate::Mediator::submit_at) with the query and
+/// journals for its standby.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Mediate the query under the given tier (never [`DegradationTier::Shed`]).
     Admit(DegradationTier),
     /// Reject the query before mediation.
-    Shed,
-}
-
-/// What happened to a query, as recorded in the replication journal: the
-/// standby must replay mediated queries under the same tier the primary used
-/// and skip shed ones, or promotion would fork the decision stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueryDisposition {
-    /// The query was mediated under this tier.
-    Mediated(DegradationTier),
-    /// The query was shed by admission control.
     Shed,
 }
 
@@ -119,8 +115,6 @@ pub struct DegradationConfig {
     /// A tier is left only once depth falls `hysteresis × capacity` below
     /// its entry threshold.
     pub hysteresis: f64,
-    /// The exploration-width floor ShrinkKn clamps `kn` to.
-    pub floor_kn: usize,
 }
 
 impl Default for DegradationConfig {
@@ -132,7 +126,6 @@ impl Default for DegradationConfig {
             baseline_threshold: 0.85,
             shed_threshold: 0.90,
             hysteresis: 0.05,
-            floor_kn: 2,
         }
     }
 }
@@ -165,11 +158,6 @@ impl DegradationConfig {
         {
             return Err(SbqaError::invalid_config(
                 "degradation hysteresis must be in [0, shrink_threshold)",
-            ));
-        }
-        if self.floor_kn == 0 {
-            return Err(SbqaError::invalid_config(
-                "degradation floor_kn must be ≥ 1",
             ));
         }
         Ok(())
@@ -435,11 +423,6 @@ mod tests {
             ..config()
         };
         assert!(bad.validate().is_err(), "hysteresis swallows shrink band");
-        let bad = DegradationConfig {
-            floor_kn: 0,
-            ..config()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use allocator::{
 };
 pub use degrade::{
     baseline_allocate_into, Admission, DegradationConfig, DegradationLadder, DegradationStats,
-    DegradationTier, QueryDisposition,
+    DegradationTier,
 };
 pub use delta::{DeltaSink, RegistryDelta};
 pub use intention::{

@@ -34,7 +34,7 @@ use crate::adaptive::{KnController, KnControllerConfig};
 use crate::allocator::{
     AllocationDecision, Candidates, IntentionOracle, ProposalRecord, QueryAllocator,
 };
-use crate::degrade::{baseline_allocate_into, DegradationTier};
+use crate::degrade::{baseline_allocate_into, DegradationTier, SHRINK_KN_FLOOR};
 use crate::knbest::{KnBestScratch, KnBestSelector};
 use crate::ranking::rank_indices_by_score;
 use crate::registry::{PlanCacheStats, ProviderRegistry};
@@ -283,14 +283,6 @@ pub struct Mediator {
     /// Adaptive-`kn` controller; `None` (the default) leaves the hosted
     /// technique's static width untouched, byte-for-byte.
     kn_controller: Option<KnController>,
-    /// The degradation tier the next mediation runs under; set per query by
-    /// an overload-aware host (the service layer's
-    /// [`DegradationLadder`](crate::degrade::DegradationLadder)). `Normal`
-    /// (the default) leaves mediation byte-identical to a mediator without
-    /// degradation support.
-    degradation_tier: DegradationTier,
-    /// The exploration-width floor the ShrinkKn tier clamps `kn` to.
-    degraded_floor: usize,
 }
 
 impl Mediator {
@@ -304,8 +296,6 @@ impl Mediator {
             satisfaction: SatisfactionRegistry::new(satisfaction_window),
             scratch: MediationScratch::default(),
             kn_controller: None,
-            degradation_tier: DegradationTier::Normal,
-            degraded_floor: 2,
         }
     }
 
@@ -338,8 +328,6 @@ impl Mediator {
             satisfaction,
             scratch: MediationScratch::default(),
             kn_controller: None,
-            degradation_tier: DegradationTier::Normal,
-            degraded_floor: 2,
         }
     }
 
@@ -467,19 +455,13 @@ impl Mediator {
     /// adaptation round runs at the start of every [`Mediator::submit_batch`]
     /// (hosts with their own batching cadence call [`Mediator::adapt_kn`]).
     ///
-    /// # Panics
-    /// Panics on an invalid controller configuration — adaptation is enabled
-    /// at setup time, where a loud failure beats a silently inert controller.
-    pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) {
-        self.kn_controller =
-            // sbqa-lint: allow(panic-hygiene, "documented # Panics contract: loud failure at setup beats a silently inert controller")
-            Some(KnController::new(config).expect("adaptive-kn configuration must be valid"));
-    }
-
-    /// Disables adaptive `kn`, freezing the hosted technique at whatever
-    /// width it currently has.
-    pub fn disable_adaptive_kn(&mut self) {
-        self.kn_controller = None;
+    /// # Errors
+    ///
+    /// [`SbqaError::InvalidConfiguration`] for an invalid controller
+    /// configuration; the mediator then keeps the controller it had.
+    pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) -> SbqaResult<()> {
+        self.kn_controller = Some(KnController::new(config)?);
+        Ok(())
     }
 
     /// The adaptive-`kn` controller, if enabled.
@@ -505,40 +487,16 @@ impl Mediator {
         self.kn_controller.as_mut().map_or(0, KnController::adapt)
     }
 
-    /// Sets the degradation tier the next mediations run under. Overload
-    /// hosts call this per query with the
-    /// [`DegradationLadder`](crate::degrade::DegradationLadder)'s admission
-    /// tier; `Normal` restores full-quality mediation. A `Shed` tier is
-    /// treated as `Baseline` — shedding happens *before* mediation, so a
-    /// query that reaches the mediator is by definition admitted.
-    pub fn set_degradation_tier(&mut self, tier: DegradationTier) {
-        self.degradation_tier = tier;
-    }
-
-    /// The degradation tier currently in force.
-    #[must_use]
-    pub fn degradation_tier(&self) -> DegradationTier {
-        self.degradation_tier
-    }
-
-    /// Sets the exploration-width floor the ShrinkKn tier clamps `kn` to
-    /// (default 2). Values are used as-is; the allocator itself clamps to
-    /// its legal `[1, k]` range.
-    pub fn set_degraded_kn_floor(&mut self, floor: usize) {
-        self.degraded_floor = floor.max(1);
-    }
-
-    /// The ShrinkKn exploration-width floor.
-    #[must_use]
-    pub fn degraded_kn_floor(&self) -> usize {
-        self.degraded_floor
-    }
-
     /// The shared mediation core: computes `Pq` as a borrowed view, lets the
-    /// allocation technique fill the scratch decision, and records the
-    /// mediation result on both sides' satisfaction — all without allocating
-    /// in steady state.
-    fn mediate(&mut self, query: &Query, oracle: &dyn IntentionOracle) -> SbqaResult<()> {
+    /// allocation technique fill the scratch decision at degradation tier
+    /// `tier`, and records the mediation result on both sides' satisfaction
+    /// — all without allocating in steady state.
+    fn mediate(
+        &mut self,
+        query: &Query,
+        oracle: &dyn IntentionOracle,
+        tier: DegradationTier,
+    ) -> SbqaResult<()> {
         // Split the borrows by field: `candidates` may merge postings lists
         // into the registry's cache (hence `&mut providers`), while the
         // allocator, the satisfaction registry and the scratch are borrowed
@@ -549,10 +507,7 @@ impl Mediator {
             satisfaction,
             scratch,
             kn_controller,
-            degradation_tier,
-            degraded_floor,
         } = self;
-        let tier = *degradation_tier;
         if let Some(controller) = kn_controller {
             allocator.set_exploration_width(controller.kn_for_query(query));
         }
@@ -563,8 +518,8 @@ impl Mediator {
 
         match tier {
             DegradationTier::Normal | DegradationTier::ShrinkKn => {
-                // ShrinkKn clamps the exploration width to the floor for
-                // this one draw and restores it afterwards, so the tier
+                // ShrinkKn clamps the exploration width to `SHRINK_KN_FLOOR`
+                // for this one draw and restores it afterwards, so the tier
                 // leaves no width residue once pressure subsides. The KnBest
                 // draw consumes RNG independently of the width, so the RNG
                 // stream — and with it replay byte-identity — is unaffected
@@ -572,7 +527,7 @@ impl Mediator {
                 let saved = if tier == DegradationTier::ShrinkKn {
                     let previous = allocator.exploration_width();
                     if let Some(previous) = previous {
-                        allocator.set_exploration_width(previous.min(*degraded_floor));
+                        allocator.set_exploration_width(previous.min(SHRINK_KN_FLOOR));
                     }
                     previous
                 } else {
@@ -636,7 +591,7 @@ impl Mediator {
         query: &Query,
         oracle: &dyn IntentionOracle,
     ) -> SbqaResult<MediationOutcome> {
-        self.mediate(query, oracle)?;
+        self.mediate(query, oracle, DegradationTier::Normal)?;
         Ok(MediationOutcome {
             query: query.clone(),
             decision: self.scratch.decision.clone(),
@@ -650,7 +605,22 @@ impl Mediator {
         query: &Query,
         oracle: &dyn IntentionOracle,
     ) -> SbqaResult<&AllocationDecision> {
-        self.mediate(query, oracle)?;
+        self.submit_at(query, oracle, DegradationTier::Normal)
+    }
+
+    /// [`Mediator::submit_in_place`] at an admission tier: the verdict of
+    /// an overload host's
+    /// [`DegradationLadder`](crate::degrade::DegradationLadder), passed per
+    /// query and kept nowhere. `Normal` is full-quality mediation. A `Shed`
+    /// tier is served as `Baseline`: shedding happens *before* mediation, so
+    /// a query that reaches the mediator has been admitted.
+    pub fn submit_at(
+        &mut self,
+        query: &Query,
+        oracle: &dyn IntentionOracle,
+        tier: DegradationTier,
+    ) -> SbqaResult<&AllocationDecision> {
+        self.mediate(query, oracle, tier)?;
         Ok(&self.scratch.decision)
     }
 
@@ -674,7 +644,7 @@ impl Mediator {
         self.adapt_kn();
         let mut report = BatchReport::default();
         for (position, query) in queries.iter().enumerate() {
-            match self.mediate(query, oracle) {
+            match self.mediate(query, oracle, DegradationTier::Normal) {
                 Ok(()) => {
                     report.mediated += 1;
                     on_result(position, query, Ok(&self.scratch.decision));
@@ -1174,7 +1144,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_kn_moves_width_per_batch_and_disabling_freezes_it() {
+    fn adaptive_kn_moves_width_per_batch() {
         use crate::adaptive::KnControllerConfig;
 
         let config = SystemConfig::default().with_knbest(10, 4);
@@ -1186,7 +1156,7 @@ mod tests {
         assert!(mediator.adaptive_kn().is_none());
         assert_eq!(mediator.adapt_kn(), 0, "no controller: adapt is a no-op");
 
-        mediator.enable_adaptive_kn(KnControllerConfig {
+        let controller = KnControllerConfig {
             initial_kn: 4,
             min_kn: 2,
             max_kn: 8,
@@ -1195,7 +1165,8 @@ mod tests {
             deadband: 0.1,
             step: 1,
             window: 32,
-        });
+        };
+        mediator.enable_adaptive_kn(controller).unwrap();
 
         // Providers hate the work (-0.9): performed-query satisfaction
         // collapses while the consumer stays pleased — the gap rises and kn
@@ -1207,49 +1178,22 @@ mod tests {
             mediator.submit_batch(&batch, &oracle, |_, _, _| {});
         }
         assert_eq!(mediator.current_kn(0), Some(2), "width hit the floor");
-        let controller = mediator.adaptive_kn().unwrap();
-        assert!(controller.rounds() >= 6);
-        assert!(!controller.trail().is_empty());
+        let adapted = mediator.adaptive_kn().unwrap();
+        assert!(adapted.rounds() >= 6);
+        assert!(!adapted.trail().is_empty());
+        let adapted = format!("{adapted:?}");
 
-        // Disabling freezes the allocator at its adapted width.
-        mediator.disable_adaptive_kn();
-        assert!(mediator.adaptive_kn().is_none());
-        assert_eq!(mediator.current_kn(0), None);
-    }
-
-    #[test]
-    fn disabled_adaptation_is_byte_identical_to_a_plain_mediator() {
-        let build = || {
-            let config = SystemConfig::default().with_knbest(10, 4);
-            let mut mediator = Mediator::sbqa(config, 99).unwrap();
-            for p in 0..10u64 {
-                mediator.register_provider(ProviderId::new(p), caps(), 1.0);
-            }
-            mediator.register_consumer(ConsumerId::new(1));
-            mediator
+        // A refused configuration leaves the running controller as it was.
+        let invalid = KnControllerConfig {
+            min_kn: 0,
+            ..controller
         };
-        let oracle =
-            StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
-        let queries: Vec<Query> = (0..60u64).map(|q| query(q, 2)).collect();
-
-        let mut plain = build();
-        let mut toggled = build();
-        // Enabling and immediately disabling before any mediation must leave
-        // no trace on the decision stream.
-        toggled.enable_adaptive_kn(crate::adaptive::KnControllerConfig::default());
-        toggled.disable_adaptive_kn();
-
-        for chunk in queries.chunks(15) {
-            let mut expected = Vec::new();
-            plain.submit_batch(chunk, &oracle, |_, _, result| {
-                expected.push(result.unwrap().clone());
-            });
-            let mut got = Vec::new();
-            toggled.submit_batch(chunk, &oracle, |_, _, result| {
-                got.push(result.unwrap().clone());
-            });
-            assert_eq!(expected, got);
-        }
+        assert!(matches!(
+            mediator.enable_adaptive_kn(invalid),
+            Err(SbqaError::InvalidConfiguration { .. })
+        ));
+        assert_eq!(format!("{:?}", mediator.adaptive_kn().unwrap()), adapted);
+        assert_eq!(mediator.current_kn(0), Some(2));
     }
 
     #[test]
@@ -1377,15 +1321,15 @@ mod tests {
             StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.2));
         let mut plain = build();
         let mut tiered = build();
-        // Setting Normal explicitly (what a ladder-free host does) must
+        // Passing Normal explicitly (what a ladder-free host does) must
         // leave no trace on the decision stream.
-        tiered.set_degradation_tier(DegradationTier::Normal);
-        tiered.set_degraded_kn_floor(1);
         for q in 0..40u64 {
             let query = query(q, 2);
-            let expected = plain.submit(&query, &oracle).unwrap();
-            let got = tiered.submit(&query, &oracle).unwrap();
-            assert_eq!(expected, got, "query {q}");
+            let expected = plain.submit(&query, &oracle).unwrap().decision;
+            let got = tiered
+                .submit_at(&query, &oracle, DegradationTier::Normal)
+                .unwrap();
+            assert_eq!(&expected, got, "query {q}");
         }
     }
 
@@ -1401,19 +1345,20 @@ mod tests {
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.5));
 
-        mediator.set_degradation_tier(DegradationTier::ShrinkKn);
-        mediator.set_degraded_kn_floor(2);
-        let outcome = mediator.submit(&query(1, 6), &oracle).unwrap();
+        let decision = mediator
+            .submit_at(&query(1, 6), &oracle, DegradationTier::ShrinkKn)
+            .unwrap();
         assert_eq!(
-            outcome.decision.proposals.len(),
-            2,
+            decision.proposals.len(),
+            SHRINK_KN_FLOOR,
             "the draw ran at the floor width"
         );
 
         // Back at Normal, the full width is restored.
-        mediator.set_degradation_tier(DegradationTier::Normal);
-        let outcome = mediator.submit(&query(2, 6), &oracle).unwrap();
-        assert_eq!(outcome.decision.proposals.len(), 6);
+        let decision = mediator
+            .submit_at(&query(2, 6), &oracle, DegradationTier::Normal)
+            .unwrap();
+        assert_eq!(decision.proposals.len(), 6);
     }
 
     #[test]
@@ -1436,23 +1381,30 @@ mod tests {
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.5));
 
-        // Mediator A serves 20 queries under the Baseline tier; mediator B
-        // serves none. If the fallback consumed RNG, their next Normal-tier
-        // decisions would diverge.
-        let mut detoured = build();
-        detoured.set_degradation_tier(DegradationTier::Baseline);
-        for q in 0..20u64 {
-            let outcome = detoured.submit(&query(q, 1), &oracle).unwrap();
-            assert!(outcome.decision.omega.is_none(), "fallback carries no ω");
-        }
-        detoured.set_degradation_tier(DegradationTier::Normal);
+        // The detoured mediator serves 20 queries under the tier; the fresh
+        // one serves none. If the fallback consumed RNG, their next
+        // Normal-tier decisions would diverge. A `Shed` tier that reaches
+        // the mediator is served exactly as `Baseline`.
+        for tier in [DegradationTier::Baseline, DegradationTier::Shed] {
+            let mut detoured = build();
+            let mut baseline = build();
+            for q in 0..20u64 {
+                let got = detoured.submit_at(&query(q, 1), &oracle, tier).unwrap();
+                assert!(got.omega.is_none(), "fallback carries no ω");
+                let expected = baseline
+                    .submit_at(&query(q, 1), &oracle, DegradationTier::Baseline)
+                    .unwrap();
+                assert_eq!(got, expected, "{tier:?} query {q}");
+            }
 
-        let mut fresh = build();
-        let probe = query(100, 2);
-        assert_eq!(
-            detoured.submit(&probe, &oracle).unwrap().decision,
-            fresh.submit(&probe, &oracle).unwrap().decision,
-        );
+            let mut fresh = build();
+            let probe = query(100, 2);
+            assert_eq!(
+                detoured.submit(&probe, &oracle).unwrap().decision,
+                fresh.submit(&probe, &oracle).unwrap().decision,
+                "{tier:?}"
+            );
+        }
     }
 
     #[test]

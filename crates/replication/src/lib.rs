@@ -47,7 +47,7 @@ pub mod standby;
 
 pub use handoff::HandoffPackage;
 pub use log::{DeltaLog, DeltaOp, DeltaRecord, SharedDeltaLog};
-pub use standby::{JournalEntry, ReplayReport, StandbyShard};
+pub use standby::{ReplayReport, StandbyShard};
 
 use sbqa_core::{Mediator, RegistryDelta};
 use sbqa_satisfaction::SatisfactionRegistry;

@@ -27,8 +27,7 @@
 //! one that crashed.
 
 use sbqa_core::{
-    DegradationTier, IntentionOracle, Mediator, ProviderRegistry, QueryAllocator, QueryDisposition,
-    RegistryDelta,
+    Admission, IntentionOracle, Mediator, ProviderRegistry, QueryAllocator, RegistryDelta,
 };
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{ConsumerId, Query, SbqaError, SbqaResult};
@@ -51,19 +50,6 @@ pub struct ReplayReport {
     pub queries_shed: usize,
 }
 
-/// One journaled query together with its admission disposition on the
-/// primary. Replaying the disposition — rather than re-running admission —
-/// is what keeps promotion byte-identical under overload: the promoted
-/// mediator mediates exactly the queries the primary admitted, at exactly
-/// the degradation tier the primary used, and skips exactly the sheds.
-#[derive(Debug, Clone)]
-pub struct JournalEntry {
-    /// The query as the primary saw it.
-    pub query: Query,
-    /// What the primary's admission control decided for it.
-    pub disposition: QueryDisposition,
-}
-
 /// A promotable mirror of one mediator shard.
 pub struct StandbyShard {
     /// Checkpoint state, frozen at `watermark`.
@@ -77,11 +63,12 @@ pub struct StandbyShard {
     /// Mutations observed after `watermark`, in sequence order.
     tail: Vec<(u64, RegistryDelta)>,
     /// Queries the primary observed after the checkpoint — admitted *and*
-    /// shed — each tagged with the log watermark in force when it arrived.
-    journal: Vec<(u64, JournalEntry)>,
-    /// The degraded-`kn` floor the primary's mediator clamps to under
-    /// [`DegradationTier::ShrinkKn`]; replay must clamp to the same floor.
-    degraded_floor: usize,
+    /// shed — each tagged with the log watermark in force when it arrived
+    /// and with the primary's admission verdict. Replaying the verdict
+    /// rather than re-running admission is what keeps promotion
+    /// byte-identical under overload: replay mediates exactly the queries
+    /// the primary admitted, at the tier it used, and skips the sheds.
+    journal: Vec<(u64, Query, Admission)>,
     checkpoints: u64,
 }
 
@@ -135,17 +122,8 @@ impl StandbyShard {
             applied: watermark,
             tail: Vec::new(),
             journal: Vec::new(),
-            degraded_floor: 2,
             checkpoints: 1,
         }
-    }
-
-    /// Sets the degraded-`kn` floor the promoted mediator clamps to when a
-    /// journaled query replays at [`DegradationTier::ShrinkKn`]. Must match
-    /// the primary's floor or a shrink-tier replay would draw a different
-    /// candidate count than the primary did.
-    pub fn set_degraded_floor(&mut self, floor: usize) {
-        self.degraded_floor = floor.max(1);
     }
 
     /// Observes one log record. Records at or below the applied watermark
@@ -194,27 +172,14 @@ impl StandbyShard {
         Ok(usize::try_from(self.applied - before).unwrap_or(usize::MAX))
     }
 
-    /// Journals a query the primary is about to mediate at
-    /// [`DegradationTier::Normal`], tagged with the current applied
-    /// watermark so promotion can interleave it with the tail at exactly
-    /// the primary's position.
-    pub fn observe_query(&mut self, query: &Query) {
-        self.observe_query_with(query, QueryDisposition::Mediated(DegradationTier::Normal));
-    }
-
-    /// Journals a query with the admission disposition the primary decided
-    /// for it: the degradation tier it mediated at, or [`QueryDisposition::Shed`]
-    /// for a query its admission control rejected. Shed entries replay as
+    /// Journals a query with the admission verdict the primary decided for
+    /// it (`Admit(Normal)` without a ladder), tagged with the current
+    /// applied watermark so promotion can interleave it with the tail at
+    /// exactly the primary's position. [`Admission::Shed`] entries replay as
     /// skips — no mediation, no RNG — so promotion under overload continues
     /// byte-identically.
-    pub fn observe_query_with(&mut self, query: &Query, disposition: QueryDisposition) {
-        self.journal.push((
-            self.applied,
-            JournalEntry {
-                query: query.clone(),
-                disposition,
-            },
-        ));
+    pub fn observe_query(&mut self, query: &Query, admission: Admission) {
+        self.journal.push((self.applied, query.clone(), admission));
     }
 
     /// Mirrors a control-plane consumer registration. Consumer churn is not
@@ -303,10 +268,9 @@ impl StandbyShard {
         oracle: &dyn IntentionOracle,
     ) -> SbqaResult<(Mediator, ProviderRegistry, ReplayReport)> {
         let mut mediator = Mediator::from_parts(self.allocator, self.providers, self.satisfaction);
-        mediator.set_degraded_kn_floor(self.degraded_floor);
         let mut report = ReplayReport::default();
         let mut deltas = self.tail.drain(..).peekable();
-        for (watermark, entry) in self.journal.drain(..) {
+        for (watermark, query, admission) in self.journal.drain(..) {
             while let Some(&(sequence, delta)) = deltas.peek() {
                 if sequence > watermark {
                     break;
@@ -315,14 +279,11 @@ impl StandbyShard {
                 report.deltas_replayed += 1;
                 deltas.next();
             }
-            match entry.disposition {
-                QueryDisposition::Shed => {
-                    // The primary never mediated it; neither does replay.
-                    report.queries_shed += 1;
-                }
-                QueryDisposition::Mediated(tier) => {
-                    mediator.set_degradation_tier(tier);
-                    if mediator.submit_in_place(&entry.query, oracle).is_ok() {
+            match admission {
+                // The primary never mediated it; neither does replay.
+                Admission::Shed => report.queries_shed += 1,
+                Admission::Admit(tier) => {
+                    if mediator.submit_at(&query, oracle, tier).is_ok() {
                         report.queries_mediated += 1;
                     } else {
                         report.queries_starved += 1;

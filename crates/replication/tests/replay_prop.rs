@@ -11,7 +11,9 @@
 
 use proptest::prelude::*;
 
-use sbqa_core::{Mediator, ProviderRegistry, RegistryDelta, StaticIntentions};
+use sbqa_core::{
+    Admission, DegradationTier, Mediator, ProviderRegistry, RegistryDelta, StaticIntentions,
+};
 use sbqa_replication::{
     registry_digest, satisfaction_digest, DeltaOp, DeltaRecord, SharedDeltaLog, StandbyShard,
 };
@@ -23,6 +25,9 @@ use serde::{Deserialize, Serialize};
 
 /// Capability classes the generated populations draw from.
 const CLASSES: u8 = 5;
+
+/// The verdict of a primary without a degradation ladder.
+const ADMITTED: Admission = Admission::Admit(DegradationTier::Normal);
 /// Provider id space; small so churn revisits the same providers.
 const IDS: u64 = 24;
 
@@ -429,7 +434,7 @@ proptest! {
                     replicated.sync();
                     replicated
                         .standby
-                        .observe_query(&build_query(id, consumer, byte, multi, any));
+                        .observe_query(&build_query(id, consumer, byte, multi, any), ADMITTED);
                     outcomes.extend(apply(&mut replicated.primary, op, &oracle));
                 }
                 Op::Registry(_) => {
@@ -470,7 +475,7 @@ fn warm(replicated: &mut Replicated, queries: std::ops::Range<u64>) {
     for id in queries {
         replicated.sync();
         let query = build_query(id, id % 2, id as u8, false, false);
-        replicated.standby.observe_query(&query);
+        replicated.standby.observe_query(&query, ADMITTED);
         let _ = replicated.primary.submit_in_place(&query, &oracle);
         replicated
             .primary
@@ -488,7 +493,7 @@ fn a_cut_on_a_lagging_standby_is_a_gap_error_that_changes_nothing() {
     // The primary moves on; the standby is not synced.
     let oracle = oracle();
     let query = build_query(100, 0, 3, false, false);
-    replicated.standby.observe_query(&query);
+    replicated.standby.observe_query(&query, ADMITTED);
     let _ = replicated.primary.submit_in_place(&query, &oracle);
     replicated
         .primary

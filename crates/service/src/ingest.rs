@@ -27,14 +27,17 @@
 //! * the **degradation ladder** ([`IngestConfig::degradation`], a
 //!   [`DegradationLadder`](sbqa_core::DegradationLadder) per shard) decides
 //!   *deterministically* what to sacrifice as modeled pressure rises:
-//!   shrink the KnBest exploration width toward the floor, fall back to a
-//!   capacity-based allocation, and finally shed — in stable
+//!   shrink the KnBest exploration width to
+//!   [`SHRINK_KN_FLOOR`](sbqa_core::degrade::SHRINK_KN_FLOOR), fall back to
+//!   a capacity-based allocation, and finally shed — in stable
 //!   `(VirtualTime, QueryId)` order, so the shed set is byte-reproducible
-//!   per seed and independent of chunk sizes and thread timing.
+//!   per seed and independent of chunk sizes and thread timing. Each
+//!   verdict is an [`Admission`](sbqa_core::Admission) that the shard hands
+//!   to its mediator with the query and journals for its standby.
 //!
 //! Without a degradation config the shards run as they were armed — by
-//! default admitting everything at full quality, behind a ring large enough
-//! that sub-saturation workloads never block.
+//! default admitting everything at full quality. The caller always names
+//! the ring's capacity.
 //!
 //! ## Latency semantics
 //!
@@ -95,21 +98,11 @@ use crate::sharded::ShardedMediator;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestConfig {
     /// Capacity of each shard's ingest ring. Producers block once a ring is
-    /// full. The default (65 536) is effectively "never block" for
-    /// sub-saturation workloads, preserving the seed's behavior.
+    /// full. Decisions do not depend on it; queueing latency does.
     pub ring_capacity: usize,
-    /// Arms every shard with a fresh degradation ladder; `None` (the
-    /// default) leaves the shards as they are.
+    /// Arms every shard with a fresh degradation ladder; `None` leaves the
+    /// shards as they are.
     pub degradation: Option<DegradationConfig>,
-}
-
-impl Default for IngestConfig {
-    fn default() -> Self {
-        Self {
-            ring_capacity: 65_536,
-            degradation: None,
-        }
-    }
 }
 
 /// A query travelling through an ingest ring with its enqueue timestamp.
@@ -142,15 +135,6 @@ pub struct MediationService {
 }
 
 impl MediationService {
-    /// Spawns one mediation thread per shard of `service` with the default
-    /// [`IngestConfig`]: a large ring, no degradation — the seed's behavior.
-    #[must_use]
-    pub fn spawn(service: ShardedMediator, oracle: Arc<dyn IntentionOracle + Send + Sync>) -> Self {
-        Self::spawn_with(service, oracle, IngestConfig::default())
-            // sbqa-lint: allow(panic-hygiene, "the default IngestConfig carries no degradation config, the only fallible part of spawn_with")
-            .expect("default ingest configuration is valid")
-    }
-
     /// Spawns one mediation thread per shard of `service`, each behind its
     /// own bounded ingest ring, optionally armed with a degradation ladder.
     /// The oracle is shared by all shards (in a real deployment it is the
@@ -369,9 +353,19 @@ mod tests {
         Arc::new(StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(0.6)))
     }
 
+    /// A ring without a ladder; decisions do not depend on its size.
+    const RING: IngestConfig = IngestConfig {
+        ring_capacity: 1_024,
+        degradation: None,
+    };
+
+    fn spawn(service: ShardedMediator) -> MediationService {
+        MediationService::spawn_with(service, oracle(), RING).unwrap()
+    }
+
     #[test]
     fn service_drains_everything_and_merges_in_order() {
-        let mut running = MediationService::spawn(build_service(3, 30), oracle());
+        let mut running = spawn(build_service(3, 30));
         assert_eq!(running.shard_count(), 3);
 
         // A mix of single enqueues and chunked batches.
@@ -412,7 +406,7 @@ mod tests {
             );
         }
         service.register_consumer(ConsumerId::new(1));
-        let mut running = MediationService::spawn(service, oracle());
+        let mut running = spawn(service);
         running.enqueue_batch((0..20).map(query));
         let report = running.finish();
         assert_eq!(report.total.mediated, 10);
@@ -431,7 +425,7 @@ mod tests {
 
     #[test]
     fn finish_with_shards_returns_reusable_mediators() {
-        let mut running = MediationService::spawn(build_service(2, 20), oracle());
+        let mut running = spawn(build_service(2, 20));
         running.enqueue_batch((0..16).map(query));
         let (report, mut shards) = running.finish_with_shards();
         assert_eq!(report.total.submitted(), 16);
@@ -546,7 +540,7 @@ mod tests {
         // the chunking-note fix.
         let run = |reverse: bool| {
             // One shard so every query lands in the same ring.
-            let mut running = MediationService::spawn(build_service(1, 20), oracle());
+            let mut running = spawn(build_service(1, 20));
             let mut ids: Vec<u64> = (0..40).collect();
             if reverse {
                 ids.reverse();

@@ -26,7 +26,7 @@ use std::time::Instant;
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{
     Admission, BatchReport, DegradationConfig, DegradationLadder, DegradationTier,
-    KnControllerConfig, Mediator, ProviderRegistry, QueryAllocator, QueryDisposition,
+    KnControllerConfig, Mediator, ProviderRegistry, QueryAllocator,
 };
 use sbqa_metrics::LatencyRecorder;
 use sbqa_replication::{
@@ -84,7 +84,7 @@ pub struct MediatorShard {
     tallies: BatchReport,
     latency: LatencyRecorder,
     /// Overload admission control; `None` (the default) admits everything
-    /// at [`DegradationTier::Normal`] and leaves the mediator untouched.
+    /// at [`DegradationTier::Normal`].
     ladder: Option<DegradationLadder>,
     replica: Option<Replica>,
     promotions: u64,
@@ -119,10 +119,6 @@ impl MediatorShard {
     /// [`SbqaError::InvalidConfiguration`] for an invalid ladder config.
     pub fn enable_degradation(&mut self, config: DegradationConfig) -> SbqaResult<()> {
         self.ladder = Some(DegradationLadder::new(config)?);
-        self.mediator.set_degraded_kn_floor(config.floor_kn);
-        if let Some(replica) = &mut self.replica {
-            replica.standby.set_degraded_floor(config.floor_kn);
-        }
         Ok(())
     }
 
@@ -130,17 +126,16 @@ impl MediatorShard {
     ///
     /// # Errors
     ///
-    /// [`SbqaError::InvalidConfiguration`] on a replicated shard: a
-    /// checkpoint does not carry the controller, so the first promotion
-    /// would silently drop it.
+    /// [`SbqaError::InvalidConfiguration`] for an invalid controller
+    /// configuration, or on a replicated shard: a checkpoint does not carry
+    /// the controller, so the first promotion would silently drop it.
     pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) -> SbqaResult<()> {
         if self.replica.is_some() {
             return Err(SbqaError::invalid_config(
                 "adaptive kn is not checkpointed and cannot be enabled on a replicated shard",
             ));
         }
-        self.mediator.enable_adaptive_kn(config);
-        Ok(())
+        self.mediator.enable_adaptive_kn(config)
     }
 
     /// Arms replication: a standby is bootstrapped from the mediator's
@@ -172,14 +167,13 @@ impl MediatorShard {
         let log = SharedDeltaLog::new();
         let checkpoint = self.mediator.providers().clone();
         let mirror = mirror.unwrap_or_else(|| checkpoint.clone());
-        let mut standby = StandbyShard::with_mirror(
+        let standby = StandbyShard::with_mirror(
             allocator,
             checkpoint,
             self.mediator.satisfaction().clone(),
             mirror,
             log.last_sequence(),
         );
-        standby.set_degraded_floor(self.mediator.degraded_kn_floor());
         self.mediator.set_delta_sink(Box::new(log.clone()));
         self.mediator.satisfaction_mut().track_touched();
         self.replica = Some(Replica {
@@ -290,24 +284,18 @@ impl MediatorShard {
         start: Instant,
     ) -> SbqaResult<SbqaResult<&AllocationDecision>> {
         self.sync()?;
-        let disposition = match &mut self.ladder {
-            None => QueryDisposition::Mediated(DegradationTier::Normal),
-            Some(ladder) => match ladder.observe_arrival(query.issued_at) {
-                Admission::Shed => QueryDisposition::Shed,
-                Admission::Admit(tier) => {
-                    self.mediator.set_degradation_tier(tier);
-                    QueryDisposition::Mediated(tier)
-                }
-            },
+        let admission = match &mut self.ladder {
+            None => Admission::Admit(DegradationTier::Normal),
+            Some(ladder) => ladder.observe_arrival(query.issued_at),
         };
         if let Some(replica) = &mut self.replica {
-            replica.standby.observe_query_with(query, disposition);
+            replica.standby.observe_query(query, admission);
         }
-        if disposition == QueryDisposition::Shed {
+        let Admission::Admit(tier) = admission else {
             self.latency.record(start.elapsed());
             return Ok(Err(SbqaError::QueryShed { query: query.id }));
-        }
-        let result = self.mediator.submit_in_place(query, oracle);
+        };
+        let result = self.mediator.submit_at(query, oracle, tier);
         self.latency.record(start.elapsed());
         match &result {
             Ok(_) => self.tallies.mediated += 1,

@@ -224,7 +224,8 @@ impl ShardedMediator {
     ///
     /// # Errors
     ///
-    /// [`SbqaError::InvalidConfiguration`] on a replicated service (see
+    /// [`SbqaError::InvalidConfiguration`] for an invalid controller
+    /// configuration, or on a replicated service (see
     /// [`MediatorShard::enable_adaptive_kn`]).
     pub fn enable_adaptive_kn(&mut self, config: KnControllerConfig) -> SbqaResult<()> {
         self.shards

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{KnControllerConfig, Mediator, StaticIntentions};
-use sbqa_service::{MediationService, ServiceReport, ShardedMediator};
+use sbqa_service::{IngestConfig, MediationService, ServiceReport, ShardedMediator};
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
     VirtualTime,
@@ -27,6 +27,12 @@ const SEED: u64 = 42;
 const PROVIDERS: u64 = 48;
 const QUERIES: u64 = 600;
 const BATCH: usize = 40;
+/// The threaded front's ring, without a ladder; decisions do not depend on
+/// its size.
+const RING: IngestConfig = IngestConfig {
+    ring_capacity: 1_024,
+    degradation: None,
+};
 
 fn config() -> SystemConfig {
     SystemConfig::default().with_knbest(16, 4)
@@ -84,7 +90,7 @@ fn run_plain_adaptive(queries: &[Query]) -> Vec<Option<AllocationDecision>> {
     for c in 1..=3u64 {
         mediator.register_consumer(ConsumerId::new(c));
     }
-    mediator.enable_adaptive_kn(controller());
+    mediator.enable_adaptive_kn(controller()).unwrap();
     let oracle = oracle();
     let mut decisions = Vec::new();
     for batch in queries.chunks(BATCH) {
@@ -123,7 +129,7 @@ fn run_sharded_adaptive(queries: &[Query], shards: usize) -> Vec<Option<Allocati
 fn run_async_adaptive(queries: &[Query], shards: usize) -> ServiceReport {
     let service = build_sharded(shards);
     let oracle: Arc<dyn IntentionOracle + Send + Sync> = Arc::new(oracle());
-    let mut running = MediationService::spawn(service, oracle);
+    let mut running = MediationService::spawn_with(service, oracle, RING).unwrap();
     for batch in queries.chunks(BATCH) {
         running.enqueue_batch(batch.iter().cloned());
     }

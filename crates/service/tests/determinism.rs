@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{Mediator, StaticIntentions};
-use sbqa_service::{MediationService, OutcomeRecord, ShardedMediator};
+use sbqa_service::{IngestConfig, MediationService, OutcomeRecord, ShardedMediator};
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
     QueryId, SystemConfig, VirtualTime,
@@ -26,6 +26,12 @@ use sbqa_types::{
 const GOLDEN_SEED: u64 = 42;
 const PROVIDERS: u64 = 60;
 const QUERIES: u64 = 400;
+/// The threaded front's ring, without a ladder; decisions do not depend on
+/// its size.
+const RING: IngestConfig = IngestConfig {
+    ring_capacity: 1_024,
+    degradation: None,
+};
 
 fn config() -> SystemConfig {
     SystemConfig::default().with_knbest(16, 4)
@@ -183,7 +189,7 @@ fn run_service_async(queries: &[Query], shards: usize, chunk: usize) -> Vec<Outc
         service.register_consumer(ConsumerId::new(c));
     }
     let oracle: Arc<dyn IntentionOracle + Send + Sync> = Arc::new(oracle());
-    let mut running = MediationService::spawn(service, oracle);
+    let mut running = MediationService::spawn_with(service, oracle, RING).unwrap();
     for batch in queries.chunks(chunk) {
         running.enqueue_batch(batch.iter().cloned());
     }
@@ -338,7 +344,7 @@ fn plan_cache_eviction_is_identical_under_both_service_drivers() {
     assert_eq!(got, expected, "inline 1 shard vs plain mediator");
     assert!(expected.iter().flatten().count() > 300);
 
-    let mut running = MediationService::spawn(threaded, Arc::new(oracle));
+    let mut running = MediationService::spawn_with(threaded, Arc::new(oracle), RING).unwrap();
     for batch in queries.chunks(32) {
         running.enqueue_batch(batch.iter().cloned());
     }

@@ -878,9 +878,8 @@ mod tests {
         run(config, providers, consumers, stream, &mut world).unwrap()
     }
 
-    /// The ring `MediationService::spawn` picks: never blocks below
-    /// saturation.
-    const UNBOUNDED: Option<usize> = Some(65_536);
+    /// A threaded run's ring; decisions do not depend on its size.
+    const THREADED: Option<usize> = Some(1_024);
 
     #[test]
     fn timeline_orders_by_time_and_keeps_declaration_order_on_ties() {
@@ -908,7 +907,7 @@ mod tests {
 
         let baseline =
             run_single_mediator(system.clone(), 42, &providers, &consumers, &stream).unwrap();
-        for threaded in [UNBOUNDED, None] {
+        for threaded in [THREADED, None] {
             let config = ServiceRun {
                 batch: 32,
                 threaded,
@@ -928,7 +927,7 @@ mod tests {
         let config = ServiceRun {
             shards: 4,
             batch: 16,
-            threaded: UNBOUNDED,
+            threaded: THREADED,
             ..ServiceRun::new(SystemConfig::default().with_knbest(8, 2), 7)
         };
         let report = hash_run(&config, 0, &providers, &consumers, &stream).report;
@@ -994,20 +993,20 @@ mod tests {
         assert_eq!(shed_digest(&a.outcomes), shed_digest(&c.outcomes));
     }
 
-    fn unbounded_config() -> ServiceRun {
+    fn ladderless_config() -> ServiceRun {
         ServiceRun {
-            threaded: UNBOUNDED,
+            threaded: THREADED,
             ladder: None,
             ..overload_config(64)
         }
     }
 
     #[test]
-    fn unbounded_run_sheds_nothing() {
+    fn ladderless_run_sheds_nothing() {
         let providers = providers(24, 2, 1, 1);
         let consumers = consumers(4, 2, 4.0, 0.5);
         let stream = stepped_stream(&consumers, 600, STEP_50X);
-        let report = hash_run(&unbounded_config(), 0, &providers, &consumers, &stream).report;
+        let report = hash_run(&ladderless_config(), 0, &providers, &consumers, &stream).report;
         assert_eq!(report.shed(), 0);
         assert!(report.degradation_stats().is_none());
         assert_eq!(report.total.submitted(), 600);
@@ -1019,7 +1018,7 @@ mod tests {
         let consumers = consumers(4, 2, 4.0, 0.5);
         let stream = stepped_stream(&consumers, 800, STEP_50X);
         let with_ladder = hash_run(&overload_config(64), 0, &providers, &consumers, &stream);
-        let without = hash_run(&unbounded_config(), 0, &providers, &consumers, &stream);
+        let without = hash_run(&ladderless_config(), 0, &providers, &consumers, &stream);
         assert_ne!(
             outcome_digest(&with_ladder.report.outcomes),
             outcome_digest(&without.report.outcomes),
@@ -1242,7 +1241,7 @@ mod tests {
         // The load mirror is written between batches on the caller's thread.
         refused(
             &ServiceRun {
-                threaded: UNBOUNDED,
+                threaded: THREADED,
                 ..inline.clone()
             },
             &stream,
@@ -1252,6 +1251,17 @@ mod tests {
             &ServiceRun {
                 replicate: Some(4),
                 adaptive_kn: Some(KnControllerConfig::default()),
+                ..inline.clone()
+            },
+            &stream,
+        );
+        // An invalid controller is an error, not a panic.
+        refused(
+            &ServiceRun {
+                adaptive_kn: Some(KnControllerConfig {
+                    min_kn: 0,
+                    ..KnControllerConfig::default()
+                }),
                 ..inline.clone()
             },
             &stream,

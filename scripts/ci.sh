@@ -67,6 +67,18 @@ if grep -rnE "PlanToken|with_token|mutation_stamp|next_occupancy|FIRST_OCCUPANCY
     exit 1
 fi
 
+echo "== the admission verdict is an argument: no tier mode, copied floor or second verdict type"
+# The ladder's Admission goes to Mediator::submit_at with each query and into
+# the standby's journal beside it; the mediator keeps no tier between queries
+# and ShrinkKn clamps to the constant SHRINK_KN_FLOOR. Adaptive kn is enabled
+# fallibly and never toggled off, and a threaded service always names its
+# ring. The names of the deleted modes, knobs and defaults must not come back.
+if grep -rnE "set_degradation_tier|degraded_kn_floor|set_degraded_floor|QueryDisposition|JournalEntry|observe_query_with|floor_kn|disable_adaptive_kn|IngestConfig::default|MediationService::spawn\(" \
+    crates src tests examples; then
+    echo "a per-query mode, a copied floor or a ring default is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
