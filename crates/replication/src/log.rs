@@ -217,6 +217,16 @@ impl SharedDeltaLog {
     }
 }
 
+/// Shares a log — one read back from its serialized form, say — so a
+/// standby can [`catch_up`](crate::StandbyShard::catch_up) from it.
+impl From<DeltaLog> for SharedDeltaLog {
+    fn from(log: DeltaLog) -> Self {
+        Self {
+            inner: Arc::new(Mutex::new(log)),
+        }
+    }
+}
+
 impl DeltaSink for SharedDeltaLog {
     fn record(&mut self, delta: &RegistryDelta) {
         self.append_mutation(*delta);
@@ -314,5 +324,38 @@ mod tests {
         assert_eq!(back.depth(), log.depth());
         assert_eq!(back.records(), log.records());
         assert_eq!(back.tail_after(0), log.tail_after(0));
+    }
+
+    /// Every strict prefix of a serialized log or record — a transfer cut
+    /// short anywhere — is a deserialization error, never a panic or a
+    /// shorter log.
+    #[test]
+    fn a_truncated_log_or_record_fails_to_deserialize() {
+        let mut log = DeltaLog::new();
+        for i in 1..=4u64 {
+            log.append_mutation(load(i, i as usize));
+        }
+        log.append_mutation(RegistryDelta::SetOnline {
+            id: ProviderId::new(2),
+            online: false,
+        });
+        log.mark_snapshot();
+        log.prune_through(2);
+        let text = serde_json::to_string(&log).expect("serializes");
+        let record = serde_json::to_string(&log.records()[0]).expect("serializes");
+        assert!(serde_json::from_str::<DeltaLog>(&text).is_ok());
+        assert!(serde_json::from_str::<DeltaRecord>(&record).is_ok());
+        for cut in 0..text.len() {
+            assert!(
+                serde_json::from_str::<DeltaLog>(&text[..cut]).is_err(),
+                "log prefix {cut}"
+            );
+        }
+        for cut in 0..record.len() {
+            assert!(
+                serde_json::from_str::<DeltaRecord>(&record[..cut]).is_err(),
+                "record prefix {cut}"
+            );
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! ([`cut_checkpoint`](StandbyShard::cut_checkpoint)): the registry copy is
 //! advanced by the tail it already holds, the satisfaction copy receives the
 //! trackers the primary touched since the last cut, and only the allocator
-//! is forked — O(|tail| + touched), whatever the population.
+//! is forked. Where the changes since the last cut are at least as many as
+//! the rows they would change (the first cut after a bulk load), that half
+//! is copied whole instead of replayed — O(min(changes, state)).
 //!
 //! On [`promote`](StandbyShard::promote) the checkpoint is rehydrated into a
 //! [`Mediator`] and the tail and journal are replayed *interleaved by log
@@ -191,15 +193,21 @@ impl StandbyShard {
 
     /// Cuts a fresh checkpoint of `primary` at log watermark `watermark`
     /// (the log's last sequence; the caller holds the primary still and has
-    /// synced this standby up to it), incrementally:
+    /// synced this standby up to it). Each half of the state is brought to
+    /// the cut by whichever is shorter, replaying the changes since the
+    /// previous cut or copying the state they would change:
     ///
-    /// * the checkpoint registry is **advanced**, not copied — the tail
-    ///   records up to `watermark` are applied to it in place and dropped.
-    ///   Mediation changes nothing of a registry's replicated state (only
-    ///   its plan cache, which is derived and decision-neutral), so every
-    ///   change since the previous cut is in the tail;
+    /// * the checkpoint registry is **advanced** — the tail records up to
+    ///   `watermark` are applied to it in place and dropped. Mediation
+    ///   changes nothing of a registry's replicated state (only its plan
+    ///   cache, which is derived and decision-neutral), so every change
+    ///   since the previous cut is in the tail. When the cut is at the
+    ///   mirror's position and the tail is at least as long as the mirror
+    ///   has providers (the first cut after a bulk load), the registry
+    ///   becomes a clone of the mirror instead, plan cache included;
     /// * the checkpoint satisfaction registry receives exactly the trackers
-    ///   `primary` touched since the previous cut
+    ///   `primary` touched since the previous cut, or a whole copy when
+    ///   those are as many as its participants
     ///   ([`SatisfactionRegistry::sync_touched_into`]);
     /// * the allocator is forked (RNG position and configuration).
     ///
@@ -209,15 +217,23 @@ impl StandbyShard {
     /// # Errors
     ///
     /// [`SbqaError::InvalidConfiguration`], with the standby left exactly as
-    /// it was, when the standby has applied less than `watermark` (a
-    /// `replication gap`: its tail cannot carry the registry to the cut),
-    /// when the technique cannot fork, or when `primary`'s satisfaction
-    /// registry is not tracking touched ids. A tail record that does not
-    /// apply is propagated; it cannot occur for a tail built by
+    /// it was, when `watermark` is below the installed checkpoint's
+    /// (checkpoints move forward), when the standby has applied less than
+    /// `watermark` (a `replication gap`: its tail cannot carry the registry
+    /// to the cut), when the technique cannot fork, or when `primary`'s
+    /// satisfaction registry is not tracking touched ids. A tail record that
+    /// does not apply is propagated; it cannot occur for a tail built by
     /// [`StandbyShard::observe`], which applied every record to the mirror
     /// first.
     pub fn cut_checkpoint(&mut self, primary: &mut Mediator, watermark: u64) -> SbqaResult<()> {
-        debug_assert!(watermark >= self.watermark, "checkpoints move forward");
+        if watermark < self.watermark {
+            return Err(SbqaError::InvalidConfiguration {
+                reason: format!(
+                    "checkpoint cut at {watermark} is behind the installed checkpoint at {}",
+                    self.watermark
+                ),
+            });
+        }
         if watermark > self.applied {
             return Err(SbqaError::InvalidConfiguration {
                 reason: format!(
@@ -241,8 +257,13 @@ impl StandbyShard {
         let contained = self
             .tail
             .partition_point(|&(sequence, _)| sequence <= watermark);
-        for (_, delta) in self.tail.drain(..contained) {
-            delta.apply(&mut self.providers)?;
+        if watermark == self.applied && contained >= self.mirror.len() {
+            self.providers = self.mirror.clone();
+            self.tail.clear();
+        } else {
+            for (_, delta) in self.tail.drain(..contained) {
+                delta.apply(&mut self.providers)?;
+            }
         }
         self.allocator = allocator;
         self.watermark = watermark;
@@ -347,5 +368,107 @@ impl StandbyShard {
     #[must_use]
     pub fn mirror_digest(&self) -> u64 {
         registry_digest(&self.mirror)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::satisfaction_digest;
+    use sbqa_core::{DegradationTier, StaticIntentions};
+    use sbqa_types::{
+        Capability, CapabilityRequirement, CapabilitySet, Intention, ProviderId, QueryId,
+        SystemConfig,
+    };
+
+    /// An empty mediator armed the way `MediatorShard::replicate` arms one,
+    /// then loaded through its log — 40 providers, a consumer registered on
+    /// both sides, one provider gone, mediations and load writes — with its
+    /// standby caught up.
+    fn bulk_loaded() -> (Mediator, SharedDeltaLog, StandbyShard) {
+        let config = SystemConfig::default().with_knbest(4, 2).with_window(3);
+        let mut primary = Mediator::sbqa(config, 7).expect("valid config");
+        let log = SharedDeltaLog::new();
+        let mut standby = StandbyShard::new(
+            primary.fork_allocator().expect("SbQA forks"),
+            primary.providers().clone(),
+            primary.satisfaction().clone(),
+            log.last_sequence(),
+        );
+        primary.set_delta_sink(Box::new(log.clone()));
+        primary.satisfaction_mut().track_touched();
+
+        for id in 0..40u64 {
+            let class = Capability::new((id % 3) as u8);
+            primary.register_provider(ProviderId::new(id), CapabilitySet::singleton(class), 1.0);
+        }
+        primary.register_consumer(ConsumerId::new(0));
+        standby.register_consumer(ConsumerId::new(0));
+        primary.unregister_provider(ProviderId::new(5));
+        let oracle =
+            StaticIntentions::new().with_defaults(Intention::new(0.4), Intention::new(-0.3));
+        for id in 0..6u64 {
+            standby.catch_up(&log).expect("contiguous log");
+            let class = CapabilitySet::singleton(Capability::new((id % 3) as u8));
+            let query = Query::requiring(
+                QueryId::new(id),
+                ConsumerId::new(0),
+                CapabilityRequirement::All(class),
+            )
+            .build();
+            let admitted = Admission::Admit(DegradationTier::Normal);
+            standby.observe_query(&query, admitted);
+            primary
+                .submit_in_place(&query, &oracle)
+                .expect("capable providers");
+            primary
+                .update_provider_load(ProviderId::new(10 + id), id as f64, 1)
+                .expect("registered");
+        }
+        standby.catch_up(&log).expect("contiguous log");
+        (primary, log, standby)
+    }
+
+    #[test]
+    fn a_copying_cut_and_a_replaying_cut_of_one_history_agree() {
+        let (mut copying_primary, copying_log, mut copying) = bulk_loaded();
+        let (mut replaying_primary, replaying_log, mut replaying) = bulk_loaded();
+        let watermark = copying_log.last_sequence();
+
+        // At the mirror's position with a tail longer than the mirror: the
+        // registry is copied from the mirror.
+        assert_eq!(copying.applied(), watermark);
+        assert!(copying.tail_depth() >= copying.mirror().len());
+        copying
+            .cut_checkpoint(&mut copying_primary, watermark)
+            .expect("a synced standby cuts");
+
+        // This standby has observed one record past the cut, a snapshot mark
+        // that changes no state; the cut is not at its position, so the same
+        // tail is replayed into the registry.
+        replaying_log.mark_snapshot();
+        replaying.catch_up(&replaying_log).expect("contiguous log");
+        assert!(replaying.applied() > watermark);
+        replaying
+            .cut_checkpoint(&mut replaying_primary, watermark)
+            .expect("a standby ahead of the cut cuts");
+
+        let digests = |standby: &StandbyShard| {
+            let (providers, satisfaction) = standby.checkpoint();
+            (
+                registry_digest(providers),
+                satisfaction_digest(satisfaction),
+            )
+        };
+        let primary = (
+            registry_digest(copying_primary.providers()),
+            satisfaction_digest(copying_primary.satisfaction()),
+        );
+        assert_eq!(digests(&copying), primary);
+        assert_eq!(digests(&replaying), primary);
+        for standby in [&copying, &replaying] {
+            assert_eq!((standby.watermark(), standby.tail_depth()), (watermark, 0));
+            assert_eq!(standby.journal_depth(), 0);
+        }
     }
 }

@@ -7,7 +7,10 @@
 //! standard: a standby cut incrementally at random points is, after every
 //! cut, digest-equal (registry and satisfaction) to the primary a full clone
 //! would have copied, and promoting it after a crash continues the decision
-//! stream of a mediator that never crashed.
+//! stream of a mediator that never crashed — whether a cut replays the
+//! changes since the last one or copies the state they would change.
+
+use std::cell::Cell;
 
 use proptest::prelude::*;
 
@@ -15,8 +18,10 @@ use sbqa_core::{
     Admission, DegradationTier, Mediator, ProviderRegistry, RegistryDelta, StaticIntentions,
 };
 use sbqa_replication::{
-    registry_digest, satisfaction_digest, DeltaOp, DeltaRecord, SharedDeltaLog, StandbyShard,
+    registry_digest, satisfaction_digest, DeltaLog, DeltaOp, DeltaRecord, SharedDeltaLog,
+    StandbyShard,
 };
+use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
     QueryId, SystemConfig,
@@ -212,17 +217,36 @@ struct Replicated {
     primary: Mediator,
     log: SharedDeltaLog,
     standby: StandbyShard,
+    /// An upper bound on the satisfaction ids the primary touched since the
+    /// last cut, kept by the caller ([`may_touch`]).
+    may_touch: usize,
+    /// Every satisfaction participant arrived since the last cut: the
+    /// bootstrap shape before its first cut.
+    all_touched: bool,
 }
 
-/// The mediator every run starts from: 12 providers over the class space,
-/// one consumer, short satisfaction windows so they rotate within a run.
-fn seeded_mediator() -> Mediator {
-    let config = SystemConfig::default().with_knbest(6, 3).with_window(4);
-    let mut mediator = Mediator::sbqa(config, 42).expect("valid config");
+/// `kn` of every run's mediator: a mediation touches at most the consumer
+/// and `KN` providers.
+const KN: usize = 3;
+
+/// The mediator every run starts from, before its population: short
+/// satisfaction windows so they rotate within a run.
+fn unpopulated_mediator() -> Mediator {
+    let config = SystemConfig::default().with_knbest(6, KN).with_window(4);
+    Mediator::sbqa(config, 42).expect("valid config")
+}
+
+/// Every run's population: 12 providers over the class space, one consumer.
+fn populate(mediator: &mut Mediator) {
     for id in 0..12u64 {
         mediator.register_provider(ProviderId::new(id), capability_set(1 << (id % 5)), 1.0);
     }
     mediator.register_consumer(ConsumerId::new(0));
+}
+
+fn seeded_mediator() -> Mediator {
+    let mut mediator = unpopulated_mediator();
+    populate(&mut mediator);
     mediator
 }
 
@@ -235,9 +259,21 @@ fn oracle() -> StaticIntentions {
     oracle
 }
 
+/// Which way the two halves of a cut went, as far as a caller can tell from
+/// outside: copied whole (`true`) or replayed row by row (`false`); `None`
+/// when the satisfaction half could have gone either way.
+#[derive(Debug, Clone, Copy)]
+struct CutBranches {
+    registry: bool,
+    satisfaction: Option<bool>,
+}
+
+fn participants(satisfaction: &SatisfactionRegistry) -> usize {
+    satisfaction.consumer_count() + satisfaction.provider_count()
+}
+
 impl Replicated {
-    fn new() -> Self {
-        let mut primary = seeded_mediator();
+    fn arm(mut primary: Mediator) -> Self {
         let log = SharedDeltaLog::new();
         let standby = StandbyShard::new(
             primary.fork_allocator().expect("SbQA forks"),
@@ -245,13 +281,31 @@ impl Replicated {
             primary.satisfaction().clone(),
             log.last_sequence(),
         );
+        let all_touched = participants(primary.satisfaction()) == 0;
         primary.set_delta_sink(Box::new(log.clone()));
         primary.satisfaction_mut().track_touched();
         Self {
             primary,
             log,
             standby,
+            may_touch: 0,
+            all_touched,
         }
+    }
+
+    /// The population registered before arming.
+    fn new() -> Self {
+        Self::arm(seeded_mediator())
+    }
+
+    /// The shape `ReplicatedMediator` has: an empty mediator armed, then the
+    /// population registered through the log.
+    fn bootstrap() -> Self {
+        let mut replicated = Self::arm(unpopulated_mediator());
+        populate(&mut replicated.primary);
+        replicated.standby.register_consumer(ConsumerId::new(0));
+        replicated.sync();
+        replicated
     }
 
     fn sync(&mut self) {
@@ -259,15 +313,30 @@ impl Replicated {
     }
 
     /// One cut, in `MediatorShard::checkpoint`'s order.
-    fn cut(&mut self) {
+    fn cut(&mut self) -> CutBranches {
         self.sync();
         let watermark = self.log.last_sequence();
+        let branches = CutBranches {
+            // The cut is at the standby's position, so the registry rule
+            // reads off what the standby shows.
+            registry: self.standby.tail_depth() >= self.standby.mirror().len(),
+            satisfaction: if self.all_touched {
+                Some(true)
+            } else if self.may_touch < participants(self.primary.satisfaction()) {
+                Some(false)
+            } else {
+                None
+            },
+        };
         self.standby
             .cut_checkpoint(&mut self.primary, watermark)
             .expect("a synced standby cuts");
         self.log.mark_snapshot();
         self.log.prune_through(watermark);
         self.sync();
+        self.may_touch = 0;
+        self.all_touched = false;
+        branches
     }
 
     /// What a cut must have produced: the state a full clone would hold.
@@ -326,6 +395,17 @@ fn decode(position: usize, raw: RawOp) -> Op {
             multi: selector >= 10,
             any: flag,
         },
+    }
+}
+
+/// At most how many satisfaction ids `op` touches on a primary: a
+/// registration or removal its one, a mediation its consumer and `Kn`.
+fn may_touch(op: Op) -> usize {
+    match op {
+        Op::Registry((selector, ..)) => usize::from(selector % 4 == 0),
+        Op::ForgetAndCut(_) | Op::Consumer(_) => 1,
+        Op::Query { .. } => 1 + KN,
+        Op::Cut => 0,
     }
 }
 
@@ -399,29 +479,64 @@ fn apply(mediator: &mut Mediator, op: Op, oracle: &StaticIntentions) -> Option<O
     }
 }
 
+thread_local! {
+    /// Cuts of the property below by the branch each half took: registry
+    /// copied, registry replayed, satisfaction copied, satisfaction
+    /// replayed.
+    static BRANCHES: Cell<[usize; 4]> = const { Cell::new([0; 4]) };
+}
+
+fn tally(branches: CutBranches) {
+    BRANCHES.with(|tally| {
+        let mut counts = tally.get();
+        counts[usize::from(!branches.registry)] += 1;
+        if let Some(copied) = branches.satisfaction {
+            counts[2 + usize::from(!copied)] += 1;
+        }
+        tally.set(counts);
+    });
+}
+
+#[test]
+fn incremental_cuts_equal_full_clones_and_promotion_continues_the_stream() {
+    cuts_and_promotion_under_random_histories();
+    let counts = BRANCHES.with(Cell::get);
+    assert!(
+        counts.iter().all(|&cuts| cuts > 0),
+        "every branch of a cut ran: {counts:?}"
+    );
+}
+
 proptest! {
-    #[test]
-    fn incremental_cuts_equal_full_clones_and_promotion_continues_the_stream(
+    /// Both shapes: the population registered before arming, or through
+    /// the log after it (`bootstrap`), whose first cut copies both halves.
+    fn cuts_and_promotion_under_random_histories(
         raw in proptest::collection::vec(
             (0u8..12, 0u64..IDS, 0u8..=255, proptest::bool::ANY),
             1..120,
         ),
         crash_fraction in 0u8..=100,
+        bootstrap in proptest::bool::ANY,
     ) {
         let oracle = oracle();
         let ops: Vec<Op> = raw.iter().enumerate().map(|(i, &op)| decode(i, op)).collect();
         let crash = ops.len() * usize::from(crash_fraction) / 100;
 
-        let mut replicated = Replicated::new();
+        let mut replicated = if bootstrap {
+            Replicated::bootstrap()
+        } else {
+            Replicated::new()
+        };
         let mut uninterrupted = seeded_mediator();
         let mut outcomes = Vec::new();
         let mut expected = Vec::new();
 
         for &op in &ops[..crash] {
+            replicated.may_touch += may_touch(op);
             match op {
                 Op::Cut | Op::ForgetAndCut(_) => {
                     apply(&mut replicated.primary, op, &oracle);
-                    replicated.cut();
+                    tally(replicated.cut());
                     prop_assert!(replicated.checkpoint_equals_primary());
                     prop_assert_eq!(replicated.standby.tail_depth(), 0);
                     prop_assert_eq!(replicated.standby.journal_depth(), 0);
@@ -446,7 +561,7 @@ proptest! {
         }
 
         // The crash: the primary is gone; the standby alone carries on.
-        let Replicated { primary, log, mut standby } = replicated;
+        let Replicated { primary, log, mut standby, .. } = replicated;
         drop(primary);
         standby.catch_up(&log).expect("contiguous log");
         let (mut promoted, mirror, _) = standby.promote(&oracle).expect("clean replay");
@@ -514,6 +629,71 @@ fn a_cut_on_a_lagging_standby_is_a_gap_error_that_changes_nothing() {
     // carries everything touched since the bootstrap.
     replicated.cut();
     assert!(replicated.checkpoint_equals_primary());
+}
+
+#[test]
+fn a_backwards_cut_is_refused_and_changes_nothing() {
+    let mut replicated = Replicated::new();
+    warm(&mut replicated, 0..4);
+    replicated.cut();
+    let installed = replicated.standby.watermark();
+    warm(&mut replicated, 4..8);
+
+    let before = standby_state(&replicated.standby);
+    let error = replicated
+        .standby
+        .cut_checkpoint(&mut replicated.primary, installed - 1)
+        .expect_err("checkpoints move forward");
+    assert!(error.to_string().contains("behind"), "{error}");
+    assert_eq!(standby_state(&replicated.standby), before);
+
+    // The refused cut consumed nothing on the primary: the next proper cut
+    // carries everything touched since the installed checkpoint.
+    replicated.cut();
+    assert!(replicated.checkpoint_equals_primary());
+}
+
+#[test]
+fn a_deserialized_log_with_a_sequence_gap_is_refused_and_changes_nothing() {
+    let mut replicated = Replicated::new();
+    warm(&mut replicated, 0..4);
+    let before = standby_state(&replicated.standby);
+
+    // The live log, three more records, shipped through serde with the
+    // first record the standby has not seen lost on the way.
+    let mut shipped = DeltaLog::new();
+    for record in replicated.log.collect_after(0).expect("nothing pruned") {
+        if let DeltaOp::Mutation(delta) = record.op {
+            shipped.append_mutation(delta);
+        }
+    }
+    assert_eq!(shipped.last_sequence(), replicated.standby.applied());
+    for round in 0..3 {
+        shipped.append_mutation(RegistryDelta::UpdateLoad {
+            id: ProviderId::new(round),
+            utilization: 2.0,
+            queue_length: 1,
+        });
+    }
+    let mut value = shipped.to_value();
+    let serde::Value::Map(fields) = &mut value else {
+        panic!("a log serializes as a map");
+    };
+    let Some((_, serde::Value::Seq(records))) = fields
+        .iter_mut()
+        .find(|(name, _)| name.as_str() == Some("records"))
+    else {
+        panic!("a log serializes its records as a sequence");
+    };
+    records.remove(usize::try_from(replicated.standby.applied()).expect("small"));
+    let gapped = SharedDeltaLog::from(DeltaLog::from_value(&value).expect("well-formed"));
+
+    let error = replicated
+        .standby
+        .catch_up(&gapped)
+        .expect_err("a gap in the shipped log");
+    assert!(error.to_string().contains("replication gap"), "{error}");
+    assert_eq!(standby_state(&replicated.standby), before);
 }
 
 #[test]

@@ -36,10 +36,11 @@
 //! [`SatisfactionRegistry::track_touched`]: from then on every mutator notes
 //! the ids it changed, and [`SatisfactionRegistry::sync_touched_into`]
 //! brings the copy up to date by copying exactly those rows — O(touched)
-//! instead of a clone of every participant. Ids, not rows, are noted: rows
-//! move under compaction. Like the provider registry's
-//! delta sink the hook is `None` by default (one null check per mutating
-//! call) and never inherited by clones.
+//! instead of a clone of every participant, unless the touched ids are as
+//! many as the participants, when one clone is the cheaper copy. Ids, not
+//! rows, are noted: rows move under compaction. Like the provider
+//! registry's delta sink the hook is `None` by default (one null check per
+//! mutating call) and never inherited by clones.
 
 use std::collections::BTreeMap;
 
@@ -193,9 +194,13 @@ impl SatisfactionRegistry {
     /// block copied over (the copy taking a block of the source's class
     /// from its own pool when its row held another), every participant
     /// removed since is removed from it, and the touched set restarts
-    /// empty. Ids are visited in ascending order, each once. Returns the
-    /// number of distinct ids visited, or `None`, leaving `copy` as it was,
-    /// when tracking is not armed.
+    /// empty. Ids are visited in ascending order, each once. When the
+    /// distinct touched ids are at least as many as this registry's
+    /// participants (the first sync after a bulk load), `copy` becomes a
+    /// clone of this registry instead — untracked, as every clone is — and
+    /// its row order is then this registry's. Returns the number of
+    /// distinct ids touched, or `None`, leaving `copy` as it was, when
+    /// tracking is not armed.
     pub fn sync_touched_into(&mut self, copy: &mut SatisfactionRegistry) -> Option<usize> {
         let touched = self.touched.0.as_mut()?;
         touched.consumers.sort_unstable();
@@ -203,11 +208,17 @@ impl SatisfactionRegistry {
         touched.providers.sort_unstable();
         touched.providers.dedup();
         let visited = touched.consumers.len() + touched.providers.len();
-        for id in touched.consumers.drain(..) {
-            copy.consumers.sync_from(&self.consumers, id);
-        }
-        for id in touched.providers.drain(..) {
-            copy.providers.sync_from(&self.providers, id);
+        if visited >= self.consumers.ids.len() + self.providers.len() {
+            touched.consumers.clear();
+            touched.providers.clear();
+            *copy = self.clone();
+        } else {
+            for id in touched.consumers.drain(..) {
+                copy.consumers.sync_from(&self.consumers, id);
+            }
+            for id in touched.providers.drain(..) {
+                copy.providers.sync_from(&self.providers, id);
+            }
         }
         Some(visited)
     }
@@ -643,12 +654,17 @@ mod tests {
     #[test]
     fn syncing_the_touched_trackers_equals_a_full_clone() {
         let mut reg = SatisfactionRegistry::new(3);
-        for p in 0..6 {
+        // Ten idle providers keep the touched ids fewer than the
+        // participants, so every sync below goes id by id.
+        for p in (0..6).chain(20..30) {
             reg.register_provider(pid(p));
         }
         reg.register_consumer(cid(1));
         let mut copy = reg.clone();
         reg.track_touched();
+        // Armed only to tell the branches apart: an id-by-id sync leaves the
+        // copy's own hook as it was.
+        copy.track_touched();
 
         // Every mutator: mediations (which also register an unknown consumer
         // and provider), removals, a handoff out and one in, a re-register.
@@ -689,6 +705,88 @@ mod tests {
         );
         assert_eq!(reg.sync_touched_into(&mut copy), Some(2));
         assert_eq!(trackers(&copy), trackers(&reg));
+        assert!(copy.touched.0.is_some(), "never copied whole");
+    }
+
+    /// One step of the history both sync branches are held to. A consumer
+    /// registration reaches the copy directly as well, the way the
+    /// replication standby mirrors one.
+    fn churn_step(reg: &mut SatisfactionRegistry, copy: &mut SatisfactionRegistry, step: u64) {
+        match step {
+            3 => {
+                reg.register_consumer(cid(3));
+                copy.register_consumer(cid(3));
+            }
+            5 => {
+                reg.remove_provider(pid(2));
+            }
+            7 => {
+                reg.remove_consumer(cid(1));
+            }
+            _ => {
+                let provider = pid([0, 1, 3, 4, 5][step as usize % 5]);
+                let other = pid([0, 1, 3, 4, 5][(step as usize + 1) % 5]);
+                let consumer = if step < 3 { cid(2) } else { cid(2 + step % 2) };
+                reg.record_mediation(
+                    QueryId::new(step),
+                    consumer,
+                    1,
+                    &[(provider, Intention::new(0.5))],
+                    &[
+                        (provider, Intention::new(0.25), true),
+                        (other, Intention::new(-0.5), false),
+                    ],
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_whole_copy_sync_equals_the_id_by_id_sync() {
+        // Two primaries with one history. `bulk` syncs once at the end, when
+        // it has touched every participant, so its copy is replaced by a
+        // clone; `steady` syncs after every step, each touching fewer ids
+        // than it has participants, so its copy is synced id by id.
+        let seeded = || {
+            let mut reg = SatisfactionRegistry::new(3);
+            for p in 0..6 {
+                reg.register_provider(pid(p));
+            }
+            reg.register_consumer(cid(1));
+            reg.register_consumer(cid(2));
+            let mut copy = reg.clone();
+            reg.track_touched();
+            // Armed only to tell the branches apart (see below).
+            copy.track_touched();
+            (reg, copy)
+        };
+        let (mut bulk, mut bulk_copy) = seeded();
+        let (mut steady, mut steady_copy) = seeded();
+        for step in 0..12 {
+            churn_step(&mut bulk, &mut bulk_copy, step);
+            churn_step(&mut steady, &mut steady_copy, step);
+            assert!(steady.sync_touched_into(&mut steady_copy).is_some());
+        }
+        // Distinct ids: consumers {1, 2, 3}, providers {0, 1, 2, 3, 4, 5},
+        // against 2 + 5 participants left.
+        assert_eq!(bulk.sync_touched_into(&mut bulk_copy), Some(9));
+
+        assert_eq!(trackers(&bulk), trackers(&steady));
+        for copy in [&bulk_copy, &steady_copy] {
+            assert_eq!(trackers(copy), trackers(&bulk));
+            assert!(copy.provider(pid(2)).is_none() && copy.consumer(cid(1)).is_none());
+            assert!(copy.consumer(cid(3)).is_some());
+        }
+        assert!(bulk_copy.touched.0.is_none(), "a whole copy is untracked");
+        assert!(
+            steady_copy.touched.0.is_some(),
+            "synced id by id throughout"
+        );
+        // A whole copy also takes the source's row order.
+        let rows = |reg: &SatisfactionRegistry| -> Vec<ProviderId> {
+            reg.provider_satisfactions().map(|(id, _)| id).collect()
+        };
+        assert_eq!(rows(&bulk_copy), rows(&bulk));
     }
 
     #[test]

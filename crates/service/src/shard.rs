@@ -331,7 +331,8 @@ impl MediatorShard {
     /// Cuts a fresh checkpoint of the live mediator into the standby,
     /// incrementally ([`StandbyShard::cut_checkpoint`]: the standby's
     /// registry copy advances by its tail, its satisfaction copy receives
-    /// the trackers touched since the last cut), and prunes the delta log up
+    /// the trackers touched since the last cut, and either half is copied
+    /// whole when its changes outnumber its rows), and prunes the delta log up
     /// to the cut: the standby's replay window restarts empty, and the log
     /// retains only the snapshot mark. A no-op without a standby.
     ///

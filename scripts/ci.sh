@@ -156,7 +156,12 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # replay_prop holds the incremental checkpoint to the full clone it replaced:
 # after every cut of a random op sequence the standby's registry and
 # satisfaction digests equal the primary's, and a promotion continues the
-# uninterrupted stream. postings_prop holds a postings map to an ordered id
+# uninterrupted stream — on a primary populated before it was armed and on
+# the bootstrap shape (armed empty, populated through the log), whose first
+# cut copies both halves whole; the property fails unless the copying and the
+# replaying branch each ran, for the registry and for satisfaction. The whole
+# replication and satisfaction suites run here, so the unit tests of those
+# two branches run under --release too. postings_prop holds a postings map to an ordered id
 # set (membership, order, rank-select, and a generation that moves exactly
 # when membership does), a merged candidate plan to the naive ordered-set
 # merge on every container mix (Array, Bitmap, mixed, the promote-demote
@@ -193,10 +198,10 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # never checkpoints.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
-cargo test --release -p sbqa_replication --test replay_prop -q
+cargo test --release -p sbqa_replication -q
 cargo test --release -p sbqa_core --test postings_prop --test candidates_prop --test zero_alloc \
     --test plan_cache_prop -q
-cargo test --release -p sbqa_satisfaction --test maintained_prop -q
+cargo test --release -p sbqa_satisfaction -q
 cargo test --release -p sbqa_types -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
     --test golden_adaptive --test golden_compositions -q
