@@ -6,13 +6,15 @@
 //! each chunk stores its members in one of two container shapes, exactly as
 //! in the Roaring bitmap design:
 //!
-//! * **Array** — a sorted `Vec<u16>` of low-bit keys. Compact and
-//!   cache-friendly while the chunk is sparse.
+//! * **Array** — a sorted `Vec<u16>` of low-bit keys, which a positional
+//!   lookup indexes directly. Compact and cache-friendly while the chunk is
+//!   sparse. Once it has reached [`WORDS_MIN`] keys it also keeps the same
+//!   members as 1024 bitset words, set and cleared beside the keys, so a
+//!   merge reads them word-parallel instead of scattering the keys.
 //! * **Bitmap** — a 1024-word (`u64`) bitset with a two-level popcount
 //!   directory (a prefix per 64-word block, and per 8-word group within its
 //!   block) so positional lookup (`select`) reads one cache line of words.
-//!   Used once a chunk is populous: membership becomes O(1) and
-//!   intersections become word-parallel AND loops.
+//!   Used once a chunk is populous: membership becomes O(1).
 //!
 //! Beside the sorted chunk keys a map keeps the cumulative chunk lengths, so
 //! the chunk holding a position is found in one array, whatever the number
@@ -21,7 +23,10 @@
 //! A chunk promotes from Array to Bitmap when it outgrows
 //! [`ARRAY_MAX`] entries and demotes below [`BITMAP_MIN`]; the hysteresis gap
 //! keeps a provider flapping on the boundary (e.g. toggling online/offline)
-//! from re-shaping its chunk on every transition.
+//! from re-shaping its chunk on every transition. The words move with the
+//! shape: a promoting Array's become the Bitmap's, a demoting Bitmap's stay
+//! with the Array. An Array keeps its words until it empties or promotes, so
+//! a chunk flapping around [`WORDS_MIN`] does not allocate either.
 //!
 //! Iteration order is ascending provider id *by construction*: chunk keys are
 //! kept sorted, Array keys are sorted, and Bitmap words are scanned from bit
@@ -41,12 +46,17 @@
 //! ## Cost model of a merge
 //!
 //! [`MergedSet::merge`] costs O(chunks × 1 024 words × lists) word
-//! operations plus one popcount pass per dense chunk. Between Bitmap sources
-//! it does no per-member work; an Array source scatters its keys into the
-//! words and a sparse chunk bit-scans its members back out. A positional
-//! read ([`MergedSet::select`]) is a rank-select in the set. A set occupies
-//! 12 B per chunk, 2 B per member of a sparse chunk and 8 KiB per dense
-//! chunk, i.e. about max(2 B × members, 8 KiB × dense chunks).
+//! operations plus one popcount pass per dense chunk. Between sources that
+//! have words (a Bitmap, an Array of at least [`WORDS_MIN`] keys) it does no
+//! per-member work: an AND / OR over a chunk's words is ~0.1–0.25 µs, where
+//! scattering 3 000 keys is ~2.4 µs. Only an Array under [`WORDS_MIN`]
+//! scatters its keys into the words, and only a sparse merged chunk — all
+//! its sources under [`WORDS_MIN`] — bit-scans its members back out. A
+//! positional read ([`MergedSet::select`]) is a rank-select in the set. A set
+//! occupies 12 B per chunk, 2 B per member of a sparse chunk and 8 KiB per
+//! dense chunk, i.e. about max(2 B × members, 8 KiB × dense chunks). A map
+//! occupies 2 B per Array member, 8 KiB more per Array that keeps words
+//! (at most 8 B a member) and ~8.3 KiB per Bitmap.
 
 use sbqa_types::{ProviderId, MAX_CAPABILITY_CLASSES};
 
@@ -69,6 +79,11 @@ const GROUPS_PER_CHUNK: usize = WORDS_PER_CHUNK / WORDS_PER_GROUP;
 
 /// An Array chunk promotes to Bitmap when it would exceed this many entries.
 pub const ARRAY_MAX: usize = 4096;
+/// An Array chunk that reaches this many entries also keeps its bitset
+/// words, and keeps them until it empties or promotes: one member per word
+/// on average, so the words cost at most 8 B a member (4× the keys) and a
+/// merge reads them instead of scattering the keys.
+pub const WORDS_MIN: usize = 1024;
 /// A Bitmap chunk demotes back to Array when it shrinks below this many
 /// entries. The gap to [`ARRAY_MAX`] is deliberate hysteresis: a chunk
 /// sitting on the boundary can churn by hundreds of entries without
@@ -123,12 +138,20 @@ struct Bitset {
 
 impl Bitset {
     fn empty() -> Self {
-        Self {
-            words: vec![0u64; WORDS_PER_CHUNK].into_boxed_slice(),
+        Self::from_words(words_of(&[]))
+    }
+
+    /// A bitset over `words` (`WORDS_PER_CHUNK` of them), its directory
+    /// counted.
+    fn from_words(words: Box<[u64]>) -> Self {
+        let mut bits = Self {
+            words,
             blocks: [0; BLOCKS_PER_CHUNK],
             groups: [0; GROUPS_PER_CHUNK],
             len: 0,
-        }
+        };
+        bits.recount();
+        bits
     }
 
     fn contains(&self, low: u16) -> bool {
@@ -305,46 +328,73 @@ impl Iterator for ChunkLows<'_> {
     }
 }
 
+/// The `WORDS_PER_CHUNK` words of the low `keys`: one scatter.
+fn words_of(keys: &[u16]) -> Box<[u64]> {
+    let mut words = vec![0u64; WORDS_PER_CHUNK].into_boxed_slice();
+    or_keys(&mut words, keys);
+    words
+}
+
 /// One chunk's container: sparse Array or dense Bitmap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Container {
-    /// Sorted low-bit keys.
-    Array(Vec<u16>),
+    /// Sorted low-bit keys and, once the chunk has reached [`WORDS_MIN`]
+    /// keys, the same members as bitset words, kept in step with the keys.
+    Array {
+        keys: Vec<u16>,
+        words: Option<Box<[u64]>>,
+    },
     /// Bitset membership.
     Bitmap(Box<Bitset>),
 }
 
 impl Container {
+    const EMPTY: Container = Container::Array {
+        keys: Vec::new(),
+        words: None,
+    };
+
     fn len(&self) -> usize {
         match self {
-            Container::Array(keys) => keys.len(),
+            Container::Array { keys, .. } => keys.len(),
             Container::Bitmap(bits) => bits.len as usize,
         }
     }
 
+    /// `true` unless the chunk is an Array that has never reached
+    /// [`WORDS_MIN`] keys: what a merge reads without scattering keys.
+    fn has_words(&self) -> bool {
+        !matches!(self, Container::Array { words: None, .. })
+    }
+
     fn contains(&self, low: u16) -> bool {
         match self {
-            Container::Array(keys) => keys.binary_search(&low).is_ok(),
+            Container::Array { keys, .. } => keys.binary_search(&low).is_ok(),
             Container::Bitmap(bits) => bits.contains(low),
         }
     }
 
-    /// Inserts; returns `true` if the key was new. Promotes an Array that
-    /// outgrows [`ARRAY_MAX`] to a Bitmap.
+    /// Inserts; returns `true` if the key was new. An Array reaching
+    /// [`WORDS_MIN`] keys builds its words; one outgrowing [`ARRAY_MAX`]
+    /// promotes to a Bitmap over them.
     fn insert(&mut self, low: u16) -> bool {
         match self {
-            Container::Array(keys) => {
+            Container::Array { keys, words } => {
                 let Err(at) = keys.binary_search(&low) else {
                     return false;
                 };
                 if keys.len() >= ARRAY_MAX {
-                    let mut bits = Bitset::empty();
-                    or_keys(&mut bits.words, keys);
-                    bits.recount();
+                    let words = words.take().unwrap_or_else(|| words_of(keys));
+                    let mut bits = Bitset::from_words(words);
                     bits.insert(low);
                     *self = Container::Bitmap(Box::new(bits));
-                } else {
-                    keys.insert(at, low);
+                    return true;
+                }
+                keys.insert(at, low);
+                match words {
+                    Some(words) => words[low as usize / 64] |= 1u64 << (low % 64),
+                    None if keys.len() >= WORDS_MIN => *words = Some(words_of(keys)),
+                    None => {}
                 }
                 true
             }
@@ -352,23 +402,30 @@ impl Container {
         }
     }
 
-    /// Removes; returns `true` if the key was present. Demotes a Bitmap that
-    /// shrinks below [`BITMAP_MIN`] back to an Array.
+    /// Removes; returns `true` if the key was present. An Array keeps its
+    /// words; a Bitmap that shrinks below [`BITMAP_MIN`] demotes to an Array
+    /// and hands it its words.
     fn remove(&mut self, low: u16) -> bool {
         match self {
-            Container::Array(keys) => match keys.binary_search(&low) {
-                Ok(at) => {
-                    keys.remove(at);
-                    true
+            Container::Array { keys, words } => {
+                let Ok(at) = keys.binary_search(&low) else {
+                    return false;
+                };
+                keys.remove(at);
+                if let Some(words) = words {
+                    words[low as usize / 64] &= !(1u64 << (low % 64));
                 }
-                Err(_) => false,
-            },
+                true
+            }
             Container::Bitmap(bits) => {
                 if !bits.remove(low) {
                     return false;
                 }
                 if (bits.len as usize) < BITMAP_MIN {
-                    *self = Container::Array(bits.iter().collect());
+                    *self = Container::Array {
+                        keys: bits.iter().collect(),
+                        words: Some(std::mem::take(&mut bits.words)),
+                    };
                 }
                 true
             }
@@ -377,7 +434,7 @@ impl Container {
 
     fn members(&self) -> ChunkMembers<'_> {
         match self {
-            Container::Array(keys) => ChunkMembers::Sparse(keys),
+            Container::Array { keys, .. } => ChunkMembers::Sparse(keys),
             Container::Bitmap(bits) => ChunkMembers::Dense(bits),
         }
     }
@@ -446,7 +503,7 @@ impl PostingsMap {
             Err(at) => {
                 self.keys.insert(at, key);
                 self.ends.insert(at, self.start(at));
-                self.chunks.insert(at, Container::Array(Vec::new()));
+                self.chunks.insert(at, Container::EMPTY);
                 at
             }
         };
@@ -512,7 +569,7 @@ impl PostingsMap {
 const MAX_LISTS: usize = MAX_CAPABILITY_CLASSES as usize;
 
 /// Filler for the fixed-size source arrays of the merge walk.
-static NO_CONTAINER: Container = Container::Array(Vec::new());
+static NO_CONTAINER: Container = Container::EMPTY;
 
 /// The list indices named by a class mask, ascending.
 fn class_indices(mut classes: u64) -> impl Iterator<Item = usize> {
@@ -573,33 +630,41 @@ fn or_keys(words: &mut [u64], keys: &[u16]) {
 }
 
 /// Overwrites `words` with the AND (`conjunctive`) or OR of one chunk's
-/// `sources`.
+/// `sources`: word-parallel over every source that has words, a scatter of
+/// the keys for an Array that has none.
 fn merge_words(words: &mut [u64], sources: &[&Container], conjunctive: bool) {
+    // Folds one source's words into `words`, or copies the first.
+    let fold = |words: &mut [u64], mask: &[u64], first: bool| {
+        if first {
+            words.copy_from_slice(mask);
+        } else if conjunctive {
+            words
+                .iter_mut()
+                .zip(mask)
+                .for_each(|(word, &mask)| *word &= mask);
+        } else {
+            words
+                .iter_mut()
+                .zip(mask)
+                .for_each(|(word, &mask)| *word |= mask);
+        }
+    };
     for (nth, source) in sources.iter().enumerate() {
         match source {
-            Container::Bitmap(bits) if nth == 0 => words.copy_from_slice(&bits.words),
-            Container::Bitmap(bits) if conjunctive => {
-                for (word, &mask) in words.iter_mut().zip(bits.words.iter()) {
-                    *word &= mask;
-                }
-            }
-            Container::Bitmap(bits) => {
-                for (word, &mask) in words.iter_mut().zip(bits.words.iter()) {
-                    *word |= mask;
-                }
-            }
-            Container::Array(keys) if nth == 0 => {
+            Container::Bitmap(bits) => fold(words, &bits.words, nth == 0),
+            Container::Array {
+                words: Some(mask), ..
+            } => fold(words, mask, nth == 0),
+            Container::Array { keys, words: None } if nth == 0 => {
                 words.fill(0);
                 or_keys(words, keys);
             }
-            Container::Array(keys) if conjunctive => {
+            Container::Array { keys, words: None } if conjunctive => {
                 let mut mask = [0u64; WORDS_PER_CHUNK];
                 or_keys(&mut mask, keys);
-                for (word, &mask) in words.iter_mut().zip(mask.iter()) {
-                    *word &= mask;
-                }
+                fold(words, &mask, false);
             }
-            Container::Array(keys) => or_keys(words, keys),
+            Container::Array { keys, words: None } => or_keys(words, keys),
         }
     }
 }
@@ -620,7 +685,7 @@ struct DenseChunk {
 /// list's membership changes.
 ///
 /// Per 2^16-id chunk the members are either a bitset with its popcount
-/// directory (*dense*: some source container is a Bitmap, or the sources hold
+/// directory (*dense*: some source container has words, or the sources hold
 /// more than [`ARRAY_MAX`] entries between them) or a run of sorted low keys
 /// in one set-wide vector (*sparse*). Provider ids are arbitrary, so a set
 /// may span a chunk per member; the sparse shape is what keeps such a set at
@@ -661,9 +726,10 @@ impl MergedSet {
     /// **any** of `lists[i]` for every bit `i` of `classes`.
     ///
     /// Every chunk is merged word-parallel: the first source's words — an
-    /// Array scatters its keys into zeroed words — with every other source
-    /// ANDed / ORed in. A dense chunk keeps the words and one popcount pass
-    /// fills its prefix blocks; a sparse chunk bit-scans them into low keys.
+    /// Array under [`WORDS_MIN`] keys scatters its keys into zeroed words —
+    /// with every other source ANDed / ORed in. A dense chunk keeps the words
+    /// and one popcount pass fills its prefix blocks; a sparse chunk
+    /// bit-scans them into low keys.
     pub fn merge(&mut self, lists: &[PostingsMap], classes: u64, conjunctive: bool) {
         self.keys.clear();
         self.ends.clear();
@@ -676,7 +742,7 @@ impl MergedSet {
         self.keys.reserve_exact(chunks);
         self.ends.reserve_exact(chunks);
         for_each_chunk(lists, classes, conjunctive, |key, sources| {
-            let dense = sources.iter().any(|c| matches!(c, Container::Bitmap(_)))
+            let dense = sources.iter().any(|c| c.has_words())
                 || sources.iter().map(|c| c.len()).sum::<usize>() > ARRAY_MAX;
             let members = if dense {
                 self.merge_dense(sources, conjunctive)
@@ -715,7 +781,7 @@ impl MergedSet {
         members as usize
     }
 
-    /// Merges one chunk's all-Array `sources` onto the end of `lows`;
+    /// Merges one chunk's key-only `sources` onto the end of `lows`;
     /// returns the member count. The merge goes through words too: a k-way
     /// cursor merge of the keys would mispredict a branch per key.
     fn merge_sparse(&mut self, sources: &[&Container], conjunctive: bool) -> usize {
@@ -906,16 +972,93 @@ mod tests {
         }
     }
 
+    /// The three states a map chunk can be in.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Shape {
+        /// An Array that has never reached `WORDS_MIN` keys.
+        Keys,
+        /// An Array that keeps its words.
+        KeysAndWords,
+        Bitmap,
+    }
+
+    fn shape(map: &PostingsMap, chunk: usize) -> Shape {
+        match &map.chunks[chunk] {
+            Container::Array { words: None, .. } => Shape::Keys,
+            Container::Array { words: Some(_), .. } => Shape::KeysAndWords,
+            Container::Bitmap(_) => Shape::Bitmap,
+        }
+    }
+
+    /// Where the chunk's words live, so a moved buffer can be told from a
+    /// rebuilt one.
+    fn words_at(map: &PostingsMap, chunk: usize) -> Option<*const u64> {
+        match &map.chunks[chunk] {
+            Container::Array { words, .. } => words.as_ref().map(|words| words.as_ptr()),
+            Container::Bitmap(bits) => Some(bits.words.as_ptr()),
+        }
+    }
+
+    /// Holds an Array's words to its keys, bit for bit.
+    fn assert_words_match_keys(map: &PostingsMap, chunk: usize) {
+        let Container::Array {
+            keys,
+            words: Some(words),
+        } = &map.chunks[chunk]
+        else {
+            panic!("chunk {chunk} is not an Array with words");
+        };
+        for low in 0..=u16::MAX {
+            let bit = words[low as usize / 64] >> (low % 64) & 1 == 1;
+            assert_eq!(bit, keys.binary_search(&low).is_ok(), "bit {low}");
+        }
+    }
+
     #[test]
-    fn promotion_and_demotion_preserve_contents() {
-        let mut map = PostingsMap::new();
+    fn an_array_builds_its_words_at_words_min_and_keeps_them_below() {
+        let mut map = build(&(0..WORDS_MIN as u64 - 1).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(shape(&map, 0), Shape::Keys);
+        map.insert(id(1));
+        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
+        assert_words_match_keys(&map, 0);
+        let words = words_at(&map, 0);
+
+        // Below WORDS_MIN the words stay, in step with the keys, and a
+        // provider flapping on the boundary reuses them.
+        for raw in 0..300u64 {
+            assert!(map.remove(id(raw * 3)));
+        }
+        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
+        assert_words_match_keys(&map, 0);
+        for _ in 0..10 {
+            map.insert(id(2));
+            map.remove(id(2));
+        }
+        assert_eq!(words_at(&map, 0), words, "the words were rebuilt");
+        assert_words_match_keys(&map, 0);
+        let expected: Vec<u64> = std::iter::once(1)
+            .chain((300..WORDS_MIN as u64 - 1).map(|i| i * 3))
+            .collect();
+        assert_eq!(ids_of(&map), expected);
+        for (pos, &raw) in expected.iter().enumerate() {
+            assert_eq!(map.select(pos), id(raw), "select({pos})");
+        }
+    }
+
+    #[test]
+    fn promotion_moves_the_words_and_demotion_hands_them_back() {
+        let mut map = build(&(0..ARRAY_MAX as u64).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
+        let words = words_at(&map, 0);
         let n = ARRAY_MAX + 200;
-        for raw in 0..n as u64 {
+        for raw in ARRAY_MAX as u64..n as u64 {
             map.insert(id(raw * 3));
         }
-        assert!(
-            matches!(map.chunks.first(), Some(Container::Bitmap(_))),
-            "chunk should have promoted past ARRAY_MAX"
+        assert_eq!(shape(&map, 0), Shape::Bitmap);
+        assert_eq!(
+            words_at(&map, 0),
+            words,
+            "the Bitmap took the Array's words"
         );
         assert_eq!(map.len(), n);
         // Every member still resolves, in order.
@@ -923,15 +1066,25 @@ mod tests {
         assert_eq!(ids_of(&map), expected);
         assert_eq!(map.select(7), id(21));
 
-        // Shrink below the hysteresis floor: the chunk demotes back.
+        // Shrink below the hysteresis floor: the chunk demotes back to an
+        // Array, which keeps the Bitmap's words.
         for raw in (BITMAP_MIN - 100) as u64..n as u64 {
             assert!(map.remove(id(raw * 3)));
         }
-        assert!(
-            matches!(map.chunks.first(), Some(Container::Array(_))),
-            "chunk should have demoted below BITMAP_MIN"
+        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
+        assert_eq!(
+            words_at(&map, 0),
+            words,
+            "the Array took the Bitmap's words"
         );
+        assert_words_match_keys(&map, 0);
         assert_eq!(ids_of(&map), expected[..BITMAP_MIN - 100]);
+
+        // Emptied, the chunk goes, words and all.
+        for &raw in &expected[..BITMAP_MIN - 100] {
+            assert!(map.remove(id(raw)));
+        }
+        assert!(map.is_empty() && map.chunks.is_empty());
     }
 
     #[test]
@@ -940,12 +1093,12 @@ mod tests {
         for raw in 0..=ARRAY_MAX as u64 {
             map.insert(id(raw));
         }
-        assert!(matches!(map.chunks[0], Container::Bitmap(_)));
+        assert_eq!(shape(&map, 0), Shape::Bitmap);
         // Oscillate one entry around the promotion point: the container must
         // stay a bitmap (no demotion until BITMAP_MIN).
         for _ in 0..10 {
             map.remove(id(0));
-            assert!(matches!(map.chunks[0], Container::Bitmap(_)));
+            assert_eq!(shape(&map, 0), Shape::Bitmap);
             map.insert(id(0));
         }
     }
@@ -1001,17 +1154,21 @@ mod tests {
 
     #[test]
     fn merges_agree_with_brute_force_across_container_shapes() {
-        // Three lists spanning array chunks, bitmap chunks and chunk
-        // boundaries; the first is dense enough to promote.
+        // Four lists spanning key-only Arrays, Arrays with words, Bitmaps
+        // and chunk boundaries; the first is dense enough to promote.
         let dense: Vec<u64> = (0..5000u64).map(|i| i * 2).collect();
         let sparse: Vec<u64> = (0..500u64).map(|i| i * 20).collect();
         let high: Vec<u64> = (0..300u64).map(|i| 60_000 + i * 40).collect();
-        let sets = [dense.as_slice(), sparse.as_slice(), high.as_slice()];
-        let lists = vec![build(&dense), build(&sparse), build(&high)];
+        let middling: Vec<u64> = (0..2000u64).map(|i| i * 7).collect();
+        let sets = [&dense[..], &sparse, &high, &middling];
+        let lists: Vec<PostingsMap> = sets.iter().map(|ids| build(ids)).collect();
+        assert_eq!(shape(&lists[0], 0), Shape::Bitmap);
+        assert_eq!(shape(&lists[1], 0), Shape::Keys);
+        assert_eq!(shape(&lists[3], 0), Shape::KeysAndWords);
         // One set throughout: every merge recycles the previous one's buffers.
         let mut set = MergedSet::default();
 
-        for classes in [0b011u64, 0b101, 0b110, 0b111] {
+        for classes in (0b11u64..1 << sets.len()).filter(|c| c.count_ones() >= 2) {
             let mentioned: Vec<&[u64]> = class_indices(classes).map(|c| sets[c]).collect();
             set.merge(&lists, classes, true);
             let expected = reference_merge(&mentioned, true);
@@ -1023,30 +1180,46 @@ mod tests {
     }
 
     #[test]
-    fn array_sources_merge_sparse_until_they_outgrow_one_array() {
-        // Two all-Array lists over two chunks: 1 500 + 1 500 entries in the
-        // first (sparse), 2 100 + 2 100 in the second (more than ARRAY_MAX
-        // between them: dense), so one set holds both shapes and positions
-        // cross from one into the other.
-        let a: Vec<u64> = (0..1500u64)
-            .map(|i| i * 3)
-            .chain((0..2100u64).map(|i| 0x1_0000 + i * 3))
-            .collect();
-        let b: Vec<u64> = (0..1500u64)
-            .map(|i| i * 5)
-            .chain((0..2100u64).map(|i| 0x1_0000 + i * 5))
-            .collect();
-        let lists = vec![build(&a), build(&b)];
+    fn key_only_sources_merge_sparse_and_sources_with_words_dense() {
+        // Five Array lists over three chunks, so one set holds both shapes
+        // and positions cross from one into the other:
+        // * chunk 0 — 600 + 600 keys in lists 0 and 1, key-only: sparse;
+        // * chunk 1 — 1 500 keys (with words) + 500 in lists 0 and 1: dense,
+        //   though the sources hold fewer than ARRAY_MAX between them;
+        // * chunk 2 — 1 000 key-only keys in every list: sparse between two,
+        //   dense between five (more than ARRAY_MAX between them).
+        let low_chunks = |stride: u64, in_chunk1: u64| {
+            (0..600u64)
+                .map(move |i| i * stride)
+                .chain((0..in_chunk1).map(move |i| 0x1_0000 + i * stride))
+        };
+        let chunk2 = |step: u64| (0..1000u64).map(move |i| 0x2_0000 + i * step);
+        let mut lists_ids: Vec<Vec<u64>> = vec![
+            low_chunks(3, 1500).chain(chunk2(1)).collect(),
+            low_chunks(5, 500).chain(chunk2(2)).collect(),
+        ];
+        lists_ids.extend((3..=5).map(|step| chunk2(step).collect()));
+        let lists: Vec<PostingsMap> = lists_ids.iter().map(|ids| build(ids)).collect();
+        assert_eq!(shape(&lists[0], 0), Shape::Keys);
+        assert_eq!(shape(&lists[0], 1), Shape::KeysAndWords);
+        assert_eq!(shape(&lists[1], 1), Shape::Keys);
         assert!(lists
             .iter()
-            .all(|list| list.chunks.iter().all(|c| matches!(c, Container::Array(_)))));
+            .all(|list| shape(list, list.chunks.len() - 1) == Shape::Keys));
         let mut set = MergedSet::default();
-        for conjunctive in [true, false] {
-            set.merge(&lists, 0b11, conjunctive);
-            assert_eq!(set.dense_len, 1, "only the second chunk is dense");
-            assert!(!set.lows.is_empty(), "the first chunk is sparse");
-            let expected = reference_merge(&[&a, &b], conjunctive);
-            assert_members(&set, &expected, "two shapes");
+        for (classes, conjunctive, dense, sparse) in [
+            (0b11, true, 1, true),
+            (0b11, false, 1, true),
+            (0b11111, false, 2, true),
+            (0b11111, true, 1, false),
+        ] {
+            set.merge(&lists, classes, conjunctive);
+            let what = format!("{classes:#b}, conjunctive {conjunctive}");
+            assert_eq!(set.dense_len, dense, "{what}: dense chunks");
+            assert_eq!(!set.lows.is_empty(), sparse, "{what}: sparse members");
+            let mentioned: Vec<&[u64]> =
+                class_indices(classes).map(|c| &lists_ids[c][..]).collect();
+            assert_members(&set, &reference_merge(&mentioned, conjunctive), &what);
         }
     }
 

@@ -472,11 +472,11 @@ impl ProviderRegistry {
     #[must_use]
     pub fn candidates(&mut self, query: &Query) -> Candidates<'_> {
         let required = query.required;
-        let set = required.classes();
-        match set.len() {
+        let mut classes = required.classes().iter();
+        match (classes.next(), classes.next()) {
             // `All{}` is vacuously satisfied by every online provider;
             // `Any{}` by none.
-            0 => match required {
+            (None, _) => match required {
                 CapabilityRequirement::All(_) => {
                     Candidates::from_map(&self.columns, &self.postings[ONLINE_LIST])
                 }
@@ -484,12 +484,10 @@ impl ProviderRegistry {
             },
             // The trivial one-bit case, where All and Any coincide: wrap the
             // class's postings map directly.
-            1 => {
-                // sbqa-lint: allow(panic-hygiene, "arm is reached only when the set has exactly one class")
-                let class = set.iter().next().expect("singleton set").class();
-                Candidates::from_map(&self.columns, &self.postings[class as usize])
+            (Some(only), None) => {
+                Candidates::from_map(&self.columns, &self.postings[only.class() as usize])
             }
-            _ => {
+            (Some(_), Some(_)) => {
                 let idx = self.lookup_or_merge(PlanKey::of(required));
                 Candidates::from_merged(&self.columns, &self.plan_cache.entries[idx].set)
             }
@@ -520,24 +518,29 @@ impl ProviderRegistry {
             return idx;
         }
         cache.misses += 1;
-        let idx = if cache.entries.len() < cache.capacity {
-            cache.entries.push(PlanEntry::vacant(key));
-            cache.entries.len() - 1
+        // A full cache evicts its least-recently-used entry in place: its
+        // grown buffers are recycled for the new tenant.
+        let lru = if cache.entries.len() < cache.capacity {
+            None
         } else {
-            // Evict the least-recently-used entry in place: its grown
-            // buffers are recycled for the new tenant.
-            let idx = cache
+            cache
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(pos, _)| pos)
-                // sbqa-lint: allow(panic-hygiene, "guarded by capacity > 0: a non-empty cache always has a minimum element")
-                .expect("capacity > 0 implies at least one entry");
-            cache.evictions += 1;
-            let old_key = cache.entries[idx].key;
-            cache.index.remove(&old_key);
-            idx
+        };
+        let idx = match lru {
+            Some(idx) => {
+                cache.evictions += 1;
+                let old_key = cache.entries[idx].key;
+                cache.index.remove(&old_key);
+                idx
+            }
+            None => {
+                cache.entries.push(PlanEntry::vacant(key));
+                cache.entries.len() - 1
+            }
         };
         cache.index.insert(key, idx as u32);
         let entry = &mut cache.entries[idx];

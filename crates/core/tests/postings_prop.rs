@@ -5,16 +5,20 @@
 //! rank-select and when its generation moves — and an `All`/`Any`
 //! [`MergedSet`] over such maps, read through a [`Candidates`] view, must
 //! agree with the naive ordered-set intersection and union on every container
-//! mix, before and after slab compactions move its members' rows.
+//! mix — key-only Arrays, Arrays that keep their words, Bitmaps — before and
+//! after slab compactions move its members' rows.
 //!
 //! Rank-select is held to the shadow *after every operation*: the two-level
 //! popcount directory of a Bitmap chunk and the map's cumulative chunk
 //! lengths are updated incrementally, so a stale counter shows at the next
 //! read, not only at the end of a history — on Array and Bitmap chunks, on
-//! the promote/demote boundary and in a completely full chunk, where the
-//! `u16` group prefixes reach their largest values.
+//! both sides of the word boundary (`WORDS_MIN`), on the promote/demote
+//! boundary and in a completely full chunk, where the `u16` group prefixes
+//! reach their largest values. An Array's words are read only by a merge, so
+//! the merge property is what holds them in step with the keys.
 
 use std::collections::BTreeSet;
+use std::ops::RangeBounds;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -22,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use sbqa_core::allocator::{CandidateBlock, Candidates, RankKey};
-use sbqa_core::postings::{MergedSet, PostingsMap, ARRAY_MAX, BITMAP_MIN};
+use sbqa_core::postings::{MergedSet, PostingsMap, ARRAY_MAX, BITMAP_MIN, WORDS_MIN};
 use sbqa_types::{CapabilitySet, ProviderColumns, ProviderId, ProviderSnapshot};
 
 /// Checks every equivalence with the ordered set.
@@ -79,7 +83,7 @@ proptest! {
 }
 
 /// Chunks [`Shapes`] spans, and so the ids its histories can draw.
-const SHAPE_CHUNKS: u64 = 5;
+const SHAPE_CHUNKS: u64 = 9;
 
 /// The utilization of the row holding `id` in [`shape_columns`], so a
 /// gathered key names the row it read.
@@ -87,21 +91,33 @@ fn shape_utilization(id: u64) -> f64 {
     (id % 1_013) as f64
 }
 
-/// One map over five chunks, one per container shape a rank-select can land
+/// One map over nine chunks, one per container shape a rank-select can land
 /// in, with its ordered-set shadow:
 ///
 /// * chunk 0 — a small Array (300 entries);
 /// * chunk 1 — a Bitmap (6 000 entries, every 7th id);
-/// * chunk 2 — exactly `ARRAY_MAX` entries: an Array one insert from
-///   promoting;
+/// * chunk 2 — exactly `ARRAY_MAX` entries: an Array (with words) one insert
+///   from promoting;
 /// * chunk 3 — a Bitmap shrunk to exactly `BITMAP_MIN` entries: one remove
 ///   from demoting;
-/// * chunk 4 — completely full, all 65 536 ids.
+/// * chunk 4 — completely full, all 65 536 ids;
+/// * chunk 5 — `WORDS_MIN − 1` entries: an Array one insert from building
+///   its words;
+/// * chunk 6 — exactly `WORDS_MIN` entries: an Array that has just built
+///   them;
+/// * chunk 7 — an Array that grew past `WORDS_MIN` and shrank back below it,
+///   keeping its words;
+/// * chunk 8 — a Bitmap demoted into an Array, which holds the Bitmap's
+///   words.
 #[derive(Clone)]
 struct Shapes {
     map: PostingsMap,
     shadow: BTreeSet<u64>,
 }
+
+/// Entries of [`Shapes`]' chunk 7 at its largest and after it shrank.
+const GREW_TO: u64 = WORDS_MIN as u64 + 500;
+const SHRANK_TO: usize = WORDS_MIN - 200;
 
 impl Shapes {
     fn build() -> Self {
@@ -115,12 +131,22 @@ impl Shapes {
             .chain((0..6_000u64).map(|i| chunk(1) + i * 7))
             .chain((0..ARRAY_MAX as u64).map(|i| chunk(2) + i * 16))
             .chain((0..=ARRAY_MAX as u64).map(|i| chunk(3) + i * 3))
-            .chain((0..1u64 << 16).map(|i| chunk(4) + i));
+            .chain((0..1u64 << 16).map(|i| chunk(4) + i))
+            .chain((0..WORDS_MIN as u64 - 1).map(|i| chunk(5) + i * 61))
+            .chain((0..WORDS_MIN as u64).map(|i| chunk(6) + i * 59))
+            .chain((0..GREW_TO).map(|i| chunk(7) + i * 37))
+            .chain((0..=ARRAY_MAX as u64).map(|i| chunk(8) + i * 13));
         for id in ids {
             shapes.insert(id);
         }
         for i in 0..(ARRAY_MAX + 1 - BITMAP_MIN) as u64 {
             shapes.remove(chunk(3) + i * 3);
+        }
+        for i in 0..GREW_TO - SHRANK_TO as u64 {
+            shapes.remove(chunk(7) + i * 37);
+        }
+        for i in 0..(ARRAY_MAX + 2 - BITMAP_MIN) as u64 {
+            shapes.remove(chunk(8) + i * 13);
         }
         shapes
     }
@@ -192,6 +218,10 @@ fn shapes_cover_every_container_a_select_can_land_in() {
     assert_eq!(in_chunk(2), ARRAY_MAX);
     assert_eq!(in_chunk(3), BITMAP_MIN);
     assert_eq!(in_chunk(4), 1 << 16);
+    assert_eq!(in_chunk(5), WORDS_MIN - 1);
+    assert_eq!(in_chunk(6), WORDS_MIN);
+    assert_eq!(in_chunk(7), SHRANK_TO);
+    assert_eq!(in_chunk(8), BITMAP_MIN - 1);
     // Every position, every shape — including the last member of the full
     // chunk, behind the largest prefixes the directory can hold.
     let all: Vec<u32> = (0..shapes.map.len() as u32).collect();
@@ -201,12 +231,12 @@ fn shapes_cover_every_container_a_select_can_land_in() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After every insert and remove — in an Array, in a Bitmap, across a
-    /// promotion and a demotion, and in the full chunk — rank-select and the
-    /// batched key gather read the shadow's id and its row: at the positions
-    /// around the touched id, at both ends, and on a stride that visits
-    /// every block and group of every chunk; at every position once the
-    /// history is over.
+    /// After every insert and remove — in an Array, in a Bitmap, across the
+    /// word boundary, a promotion and a demotion, and in the full chunk —
+    /// rank-select and the batched key gather read the shadow's id and its
+    /// row: at the positions around the touched id, at both ends, and on a
+    /// stride that visits every block and group of every chunk; at every
+    /// position once the history is over.
     #[test]
     fn select_and_load_keys_follow_the_shadow_after_every_op(
         ops in proptest::collection::vec(
@@ -244,7 +274,7 @@ proptest! {
 }
 
 /// Number of postings lists in the merge world.
-const LISTS: usize = 5;
+const LISTS: usize = 7;
 
 /// A miniature registry: a column slab plus `LISTS` postings lists over it,
 /// with an ordered-set shadow of each list's membership. `unregister` compacts
@@ -260,17 +290,22 @@ struct World {
 
 impl World {
     /// Two populous chunks and a third only one list reaches, shaped so the
-    /// five lists cover every container mix a merge can meet:
+    /// seven lists cover every container mix a merge can meet:
     ///
     /// * list 0 — Bitmap in both chunks (6 000 entries each);
-    /// * list 1 — Array in both (2 400 each);
-    /// * list 2 — Bitmap in chunk 0, Array in chunk 1, so merges with it see
-    ///   mixed sources, and with list 1 two Arrays that together outgrow one;
+    /// * list 1 — Array with words in both (2 400 each);
+    /// * list 2 — Bitmap in chunk 0, Array with words in chunk 1 (1 715), so
+    ///   merges with it see mixed sources;
     /// * list 3 — on the promote–demote boundary: exactly `ARRAY_MAX`
     ///   entries in chunk 0 (an Array at its largest), and a chunk 1 that
     ///   promoted and then shrank to just above `BITMAP_MIN` (a Bitmap at its
     ///   smallest);
-    /// * list 4 — a few entries per chunk plus a chunk of its own.
+    /// * list 4 — a few entries per chunk plus a chunk of its own;
+    /// * list 5 — key-only Arrays: `WORDS_MIN − 1` entries in chunk 0, 924
+    ///   in chunk 1;
+    /// * list 6 — an Array that grew past `WORDS_MIN` and shrank below it in
+    ///   chunk 0 (933 entries, with words), and a Bitmap demoted into an
+    ///   Array in chunk 1 (`BITMAP_MIN − 1`, holding the Bitmap's words).
     fn build() -> Self {
         let mut world = World {
             columns: ProviderColumns::new(),
@@ -295,6 +330,8 @@ impl World {
                     i % 2 == 1,
                     i % 2 == 0 && i < 2 * ARRAY_MAX as u64,
                     i % 997 == 0,
+                    i % 11 == 3 && i < 11 * (WORDS_MIN as u64 - 1),
+                    i % 9 == 4,
                 ],
                 1 => [
                     i % 2 == 0,
@@ -302,8 +339,10 @@ impl World {
                     i % 7 == 0,
                     i % 2 == 1 && i < 2 * ARRAY_MAX as u64 + 2,
                     i % 997 == 0,
+                    i % 13 == 0,
+                    i % 2 == 0 && i < 2 * ARRAY_MAX as u64 + 2,
                 ],
-                _ => [false, false, false, false, true],
+                _ => [false, false, false, false, true, false, false],
             };
             if !member.contains(&true) {
                 continue;
@@ -319,17 +358,28 @@ impl World {
             }
         }
         // List 3, chunk 1 holds ARRAY_MAX + 1 entries and has promoted;
-        // shrink it to the smallest population that stays a Bitmap.
-        let surplus: Vec<u64> = world.shadow[3]
-            .range(0x1_0000..)
+        // shrink it to the smallest population that stays a Bitmap. List 6's
+        // has promoted too: shrink it one further, so it demotes. List 6,
+        // chunk 0 holds 1 333 entries and has built its words: shrink it
+        // below WORDS_MIN.
+        world.shrink(3, 0x1_0000.., ARRAY_MAX + 1 - BITMAP_MIN);
+        world.shrink(6, 0x1_0000.., ARRAY_MAX + 2 - BITMAP_MIN);
+        world.shrink(6, ..0x1_0000, 400);
+        world
+    }
+
+    /// Removes the `count` lowest members of `list` in `range` from the list
+    /// (not from the slab).
+    fn shrink(&mut self, list: usize, range: impl RangeBounds<u64>, count: usize) {
+        let surplus: Vec<u64> = self.shadow[list]
+            .range(range)
             .copied()
-            .take(ARRAY_MAX + 1 - BITMAP_MIN)
+            .take(count)
             .collect();
         for id in surplus {
-            world.lists[3].remove(ProviderId::new(id));
-            world.shadow[3].remove(&id);
+            self.lists[list].remove(ProviderId::new(id));
+            self.shadow[list].remove(&id);
         }
-        world
     }
 
     /// Removes a provider for good; returns the lists it was a member of.
@@ -442,13 +492,20 @@ fn merge_world_covers_every_container_mix() {
             .range(chunk << 16..(chunk + 1) << 16)
             .count()
     };
+    // A chunk that grew to WORDS_MIN..BITMAP_MIN entries and never shrank
+    // is an Array with words.
+    let with_words = |list, chunk| (WORDS_MIN..BITMAP_MIN).contains(&in_chunk(list, chunk));
     assert!(in_chunk(0, 0) > ARRAY_MAX && in_chunk(0, 1) > ARRAY_MAX);
-    assert!(in_chunk(1, 0) < BITMAP_MIN && in_chunk(1, 1) < BITMAP_MIN);
-    assert!(in_chunk(2, 0) > ARRAY_MAX && in_chunk(2, 1) < BITMAP_MIN);
-    assert!(in_chunk(1, 1) + in_chunk(2, 1) > ARRAY_MAX);
+    assert!(with_words(1, 0) && with_words(1, 1));
+    assert!(in_chunk(2, 0) > ARRAY_MAX && with_words(2, 1));
     assert_eq!(in_chunk(3, 0), ARRAY_MAX);
     assert_eq!(in_chunk(3, 1), BITMAP_MIN);
-    assert!(in_chunk(4, 2) > 0 && (0..4).all(|list| in_chunk(list, 2) == 0));
+    assert!(in_chunk(4, 2) > 0);
+    assert!((0..LISTS).all(|list| list == 4 || in_chunk(list, 2) == 0));
+    assert_eq!(in_chunk(5, 0), WORDS_MIN - 1);
+    assert!(in_chunk(5, 1) < WORDS_MIN);
+    assert_eq!(in_chunk(6, 0), 933);
+    assert_eq!(in_chunk(6, 1), BITMAP_MIN - 1);
 }
 
 proptest! {

@@ -27,6 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use sbqa_core::postings::WORDS_MIN;
 use sbqa_core::{Mediator, StaticIntentions};
 use sbqa_satisfaction::{InteractionWindow, ProviderInteraction};
 use sbqa_types::{
@@ -97,9 +98,10 @@ fn multi_query(id: u64) -> Query {
 fn steady_state_mediation_does_not_allocate() {
     // 13,000 providers over overlapping two-class capability sets on classes
     // {0, 1, 2}: each class's postings list holds ~8,666 providers and the
-    // online list 13,000 — both far past the array→bitmap promotion
-    // threshold (`postings::ARRAY_MAX` = 4,096), so the measured merges run
-    // against bitmap containers, not the small-array fast shape.
+    // online list 13,000 — both far past the Array→Bitmap promotion
+    // threshold (`postings::ARRAY_MAX` = 4,096), so most measured merges
+    // run against Bitmap containers. A class-3 list added near the end sits
+    // on the Array's word boundary (`postings::WORDS_MIN` = 1,024) instead.
     const PROVIDERS: u64 = 13_000;
 
     let config = SystemConfig::default().with_knbest(20, 4);
@@ -299,6 +301,49 @@ fn steady_state_mediation_does_not_allocate() {
     assert_eq!(stats.evictions, warm_stats.evictions + 300);
     assert_eq!(stats.stale_rebuilds, warm_stats.stale_rebuilds + 300);
     assert_eq!(stats.hits, warm_stats.hits, "every resolution re-merged");
+
+    // A class list on the word boundary: 1,024 providers of class 3 alone
+    // make its one chunk an Array that has just built its words. One of them
+    // flapping offline and online takes the list below WORDS_MIN and back,
+    // and each flip re-merges a plan over it. Once warm, neither may
+    // allocate: the Array keeps its words below WORDS_MIN rather than
+    // dropping and rebuilding them.
+    let boundary = 2 * PROVIDERS;
+    for p in boundary..boundary + WORDS_MIN as u64 {
+        let caps = CapabilitySet::singleton(Capability::new(3));
+        mediator.register_provider(ProviderId::new(p), caps, 1.0);
+    }
+    let either = CapabilitySet::from_capabilities([Capability::new(0), Capability::new(3)]);
+    let flap = |mediator: &mut Mediator, ids: std::ops::Range<u64>| {
+        for id in ids {
+            for online in [false, true] {
+                mediator
+                    .set_provider_online(ProviderId::new(boundary), online)
+                    .unwrap();
+                let q = Query::requiring(
+                    QueryId::new(id),
+                    ConsumerId::new(1),
+                    CapabilityRequirement::Any(either),
+                )
+                .replication(2)
+                .build();
+                mediator.submit_in_place(&q, &oracle).unwrap();
+            }
+        }
+    };
+    flap(&mut mediator, 5_400..5_404);
+    let warm_stats = mediator.plan_cache_stats();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    flap(&mut mediator, 5_404..5_604);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocations, 0,
+        "a provider flapping on the word boundary must not touch the heap"
+    );
+    let stats = mediator.plan_cache_stats();
+    assert_eq!(stats.stale_rebuilds, warm_stats.stale_rebuilds + 400);
 
     // The same steady state with touched-id tracking armed, synced into a
     // checkpoint copy every 256 queries the way a replicated shard cuts: one

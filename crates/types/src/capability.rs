@@ -154,15 +154,16 @@ impl CapabilitySet {
         Self(bits)
     }
 
-    /// Iterates over the capabilities in ascending class order.
+    /// Iterates over the capabilities in ascending class order: one step per
+    /// member, lowest set bit first.
     pub fn iter(self) -> impl Iterator<Item = Capability> {
-        (0..MAX_CAPABILITY_CLASSES).filter_map(move |class| {
-            let cap = Capability(class);
-            if self.contains(cap) {
-                Some(cap)
-            } else {
-                None
-            }
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let class = bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                Capability(class)
+            })
         })
     }
 }

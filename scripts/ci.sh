@@ -161,13 +161,21 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # cut copies both halves whole; the property fails unless the copying and the
 # replaying branch each ran, for the registry and for satisfaction. The whole
 # replication and satisfaction suites run here, so the unit tests of those
-# two branches run under --release too. postings_prop holds a postings map to an ordered id
+# two branches run under --release too. The whole core suite runs here as
+# well, so postings.rs' own unit tests (the word-carrying Array's build at
+# WORDS_MIN, its words moving on promotion and demotion, which sources merge
+# sparse or dense) and nonfinite_intentions run under --release too.
+# postings_prop holds a postings map to an ordered id
 # set (membership, order, rank-select, and a generation that moves exactly
 # when membership does), a merged candidate plan to the naive ordered-set
-# merge on every container mix (Array, Bitmap, mixed, the promote-demote
-# boundary), before and after slab compactions move its members' rows — and
-# rank-select (`select`, the batched `load_keys`) to the shadow's id and
-# that id's row after every insert and remove, on Array and Bitmap chunks,
+# merge on every container mix (key-only Arrays, Arrays that keep their
+# words, Bitmaps, mixed, the promote-demote boundary), before and after slab
+# compactions move its members' rows — and rank-select (`select`, the
+# batched `load_keys`) to the shadow's id and that id's row after every
+# insert and remove, on Array and Bitmap chunks, on both sides of the word
+# boundary (an Array reaching WORDS_MIN = 1 024 keys keeps bitset words
+# beside its keys until it empties or promotes: one at WORDS_MIN - 1, one
+# at exactly WORDS_MIN, one that shrank back below it, a demoted Bitmap),
 # across a promotion and a demotion and in a completely full chunk;
 # candidates_prop holds every read of every registry view (`get`,
 # `load_keys`, `iter`, `gather_all_into`; single-class, all-online and
@@ -199,8 +207,7 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication -q
-cargo test --release -p sbqa_core --test postings_prop --test candidates_prop --test zero_alloc \
-    --test plan_cache_prop -q
+cargo test --release -p sbqa_core -q
 cargo test --release -p sbqa_satisfaction -q
 cargo test --release -p sbqa_types -q
 cargo test --release -p sbqa_sim --test golden_failover --test golden_overload \
