@@ -1,24 +1,28 @@
-//! Sharded mediation service vs the single-mediator baseline.
+//! Sharded mediation service vs its inline one-shard run.
 //!
 //! Not one of the paper's seven scenarios: this harness measures the
 //! mediation *service* itself. A deterministic open-loop query stream (four
 //! consumers with mixed single- and multi-capability requirements) is
 //! generated once, then driven
 //!
-//! * through one plain instrumented `Mediator` (the baseline row), and
-//! * through the sharded `MediationService` for each `--shards` count
+//! * inline through a one-shard `ShardedMediator`, `--batch`-sized batches
+//!   on the caller's thread (the baseline row, `inline, 1 shard`), and
+//! * through the threaded `MediationService` for each `--shards` count
 //!   (default `1,2,4,8`): providers hash-partitioned across the shards,
 //!   producers enqueueing `--batch`-sized chunks, one mediation thread per
 //!   shard.
 //!
-//! Reported per configuration: mediated/starved tallies, ingest-to-decision
-//! latency percentiles (p50/p95/p99, wall-clock) and aggregate throughput;
-//! plus a per-shard latency breakdown. Both sides measure the *same*
-//! quantity — availability → decision, queueing included: the service
-//! stamps queries at enqueue, the baseline stamps them at drain start (the
-//! whole open-loop stream is available up front). The run also *checks* the
-//! service's determinism contract: with one shard the outcome stream must
-//! match the baseline decision-for-decision.
+//! Reported per configuration: mediated/starved tallies, latency
+//! percentiles (p50/p95/p99, wall-clock) and aggregate throughput; plus a
+//! per-shard latency breakdown and the plan-cache counters. The latency
+//! columns measure different spans: the threaded service stamps a query at
+//! enqueue, so its samples include the time spent queued behind the ring;
+//! the inline row stamps each query as it is submitted to its shard, so its
+//! samples are the mediation alone. Throughput and cache columns compare
+//! like for like. The run also *checks* the service's determinism
+//! contract: the threaded one-shard outcome stream must match the inline
+//! one decision for decision (the plain-`Mediator` equivalence is the
+//! service crate's determinism suite).
 //!
 //! Flags (see `sbqa_bench::cli`): `--quick`, `--providers N`, `--queries Q`,
 //! `--shards N1,N2,...`, `--batch B`, `--seed SEED`, `--k K`, `--kn KN`.
@@ -28,9 +32,7 @@ use std::process::ExitCode;
 use sbqa_bench::{cli, world};
 use sbqa_metrics::{LatencyRecorder, Table};
 use sbqa_service::ServiceReport;
-use sbqa_sim::{
-    generate_query_stream, run, run_single_mediator, HashWorld, ServiceRun, WorkloadModel,
-};
+use sbqa_sim::{generate_query_stream, run, HashWorld, ServiceRun, WorkloadModel};
 
 /// Each shard's ingest ring: the 4 096 slots of the benchmark's
 /// `open_single` workload.
@@ -67,7 +69,7 @@ fn sweep(options: &cli::HarnessOptions) -> Result<(), String> {
     let stream = generate_query_stream(&consumers, &workload, scale.queries, seed, None);
 
     let mut table = Table::new(
-        "Scenario sharded — mediation service vs single-mediator baseline",
+        "Scenario sharded — mediation service vs its inline one-shard run",
         &[
             "config",
             "mediated",
@@ -95,8 +97,7 @@ fn sweep(options: &cli::HarnessOptions) -> Result<(), String> {
             "hit rate",
         ],
     );
-    // The baseline and the service report in one shape, so one row printer
-    // serves both.
+    // Both drivers report in one shape, so one row printer serves both.
     let mut add_rows = |label: String, report: &ServiceReport| {
         let [p50, p95, p99, max] = latency_row(&report.aggregate_latency());
         table.add_row(&[
@@ -121,31 +122,43 @@ fn sweep(options: &cli::HarnessOptions) -> Result<(), String> {
         ]);
     };
 
-    let baseline = run_single_mediator(system.clone(), seed, &providers, &consumers, &stream)
-        .map_err(|err| format!("baseline run failed: {err}"))?;
-    add_rows("single mediator".to_string(), &baseline);
+    let inline = ServiceRun {
+        batch,
+        ..ServiceRun::new(system.clone(), seed)
+    };
+    let baseline = run(
+        &inline,
+        &providers,
+        &consumers,
+        &stream,
+        &mut HashWorld::new(seed, 0),
+    )
+    .map_err(|err| format!("inline run failed: {err}"))?
+    .report;
+    add_rows("inline, 1 shard".to_string(), &baseline);
 
     for &shards in &scale.shards {
         let config = ServiceRun {
             shards,
-            batch,
             threaded: Some(RING),
-            ..ServiceRun::new(system.clone(), seed)
+            ..inline.clone()
         };
         let mut world = HashWorld::new(seed, 0);
         let report = run(&config, &providers, &consumers, &stream, &mut world)
             .map_err(|err| format!("sharded run ({shards} shards) failed: {err}"))?
             .report;
 
-        // Determinism contract: one shard must reproduce the baseline
-        // decision-for-decision (same queries, same winners, same order).
+        // Determinism contract: the threaded driver must reproduce the
+        // inline one decision for decision (same queries, same winners,
+        // same order).
         if shards == 1 {
             if report.outcomes != baseline.outcomes {
                 return Err(
-                    "determinism check FAILED: 1-shard service diverged from baseline".to_string(),
+                    "determinism check FAILED: threaded 1-shard service diverged from inline"
+                        .to_string(),
                 );
             }
-            eprintln!("determinism check: 1-shard service ≡ single mediator ✓");
+            eprintln!("determinism check: threaded 1-shard service ≡ inline ✓");
         }
 
         add_rows(

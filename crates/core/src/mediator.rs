@@ -385,10 +385,10 @@ impl Mediator {
     }
 
     /// Removes a provider from the registry entirely. Returns `true` if the
-    /// provider existed. Its satisfaction history is deliberately retained —
-    /// a returning provider resumes its window — and hosts that model
-    /// permanent departure remove it through
-    /// [`Mediator::satisfaction_mut`].
+    /// provider existed. Its satisfaction history is deliberately retained:
+    /// a returning provider resumes its window. A departure is not modelled
+    /// this way — a leaving provider goes offline
+    /// ([`Mediator::set_provider_online`]) and keeps its row.
     pub fn unregister_provider(&mut self, id: ProviderId) -> bool {
         self.providers.unregister(id)
     }
@@ -442,8 +442,9 @@ impl Mediator {
         &self.satisfaction
     }
 
-    /// Mutable access to the satisfaction registry, for hosts that manage
-    /// participant churn themselves (e.g. the simulator's departure model).
+    /// Mutable access to the satisfaction registry, for replication (arming
+    /// touched-id tracking, handing trackers between shards) and tests.
+    /// Departures do not go through it: a leaving participant keeps its row.
     pub fn satisfaction_mut(&mut self) -> &mut SatisfactionRegistry {
         &mut self.satisfaction
     }

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use sbqa_satisfaction::{ConsumerSatisfaction, ProviderView};
 use sbqa_types::{Duration, SbqaError, SbqaResult, SystemConfig};
 
 /// Network latency model parameters.
@@ -58,7 +59,9 @@ pub enum DeparturePolicy {
     /// Autonomous environment (Scenarios 2 and 4): a participant departs for
     /// good as soon as its satisfaction falls below its threshold, provided
     /// it has accumulated at least `min_interactions` interactions (so a
-    /// single unlucky first mediation does not expel a newcomer).
+    /// single unlucky first mediation does not expel a newcomer). One rule
+    /// for both loops: [`consumer_leaves`](Self::consumer_leaves) and
+    /// [`provider_leaves`](Self::provider_leaves).
     Autonomous {
         /// Consumers leave below this satisfaction (the paper uses 0.5).
         consumer_threshold: f64,
@@ -85,6 +88,42 @@ impl DeparturePolicy {
     #[must_use]
     pub const fn is_autonomous(&self) -> bool {
         matches!(self, DeparturePolicy::Autonomous { .. })
+    }
+
+    /// `true` if a consumer with this history leaves: it has seen at least
+    /// `min_interactions` queries — capped at its window, so a window shorter
+    /// than the protection cannot make departure impossible — and its
+    /// satisfaction is below `consumer_threshold`. Never under `Captive`.
+    #[must_use]
+    pub fn consumer_leaves(&self, tracker: &ConsumerSatisfaction) -> bool {
+        match *self {
+            DeparturePolicy::Captive => false,
+            DeparturePolicy::Autonomous {
+                consumer_threshold,
+                min_interactions,
+                ..
+            } => {
+                tracker.observed_queries() >= min_interactions.min(tracker.window_size())
+                    && tracker.satisfaction().is_below(consumer_threshold)
+            }
+        }
+    }
+
+    /// The same rule for a provider, over the proposals it has seen and
+    /// `provider_threshold`.
+    #[must_use]
+    pub fn provider_leaves(&self, tracker: ProviderView<'_>) -> bool {
+        match *self {
+            DeparturePolicy::Captive => false,
+            DeparturePolicy::Autonomous {
+                provider_threshold,
+                min_interactions,
+                ..
+            } => {
+                tracker.observed_proposals() >= min_interactions.min(tracker.window_size())
+                    && tracker.satisfaction().is_below(provider_threshold)
+            }
+        }
     }
 
     /// Validates thresholds.
@@ -199,6 +238,8 @@ impl SimulationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbqa_satisfaction::SatisfactionRegistry;
+    use sbqa_types::{ConsumerId, Intention, ProviderId, QueryId};
 
     #[test]
     fn default_configuration_is_valid() {
@@ -266,6 +307,86 @@ mod tests {
         assert_eq!(cfg.duration, 100.0);
         assert!(cfg.departure.is_autonomous());
         assert_eq!(cfg.run_length().seconds(), 100.0);
+    }
+
+    fn autonomous(min_interactions: usize) -> DeparturePolicy {
+        DeparturePolicy::Autonomous {
+            consumer_threshold: 0.5,
+            provider_threshold: 0.35,
+            min_interactions,
+        }
+    }
+
+    /// A registry of window `window` in which consumer 1 and provider 1
+    /// went through `n` mediations, every intention `intention`.
+    fn history(window: usize, n: u64, intention: f64) -> SatisfactionRegistry {
+        let mut registry = SatisfactionRegistry::new(window);
+        for i in 0..n {
+            registry.record_mediation(
+                QueryId::new(i),
+                ConsumerId::new(1),
+                1,
+                &[(ProviderId::new(1), Intention::new(intention))],
+                &[(ProviderId::new(1), Intention::new(intention), true)],
+            );
+        }
+        registry
+    }
+
+    /// Both predicates for participant 1, as the loops call them.
+    fn leaves(policy: DeparturePolicy, registry: &SatisfactionRegistry) -> (bool, bool) {
+        (
+            policy.consumer_leaves(registry.consumer(ConsumerId::new(1)).unwrap()),
+            policy.provider_leaves(registry.provider(ProviderId::new(1)).unwrap()),
+        )
+    }
+
+    #[test]
+    fn captive_participants_never_leave() {
+        let registry = history(10, 20, -1.0);
+        assert_eq!(leaves(DeparturePolicy::Captive, &registry), (false, false));
+    }
+
+    #[test]
+    fn dissatisfied_participants_leave_in_autonomous_mode() {
+        let registry = history(10, 20, -1.0);
+        assert_eq!(leaves(autonomous(5), &registry), (true, true));
+    }
+
+    #[test]
+    fn newcomers_are_protected_by_min_interactions() {
+        let registry = history(10, 3, -1.0);
+        assert_eq!(leaves(autonomous(10), &registry), (false, false));
+    }
+
+    #[test]
+    fn satisfied_participants_stay() {
+        let registry = history(10, 20, 1.0);
+        assert_eq!(leaves(autonomous(5), &registry), (false, false));
+    }
+
+    #[test]
+    fn min_interactions_above_the_window_still_lets_a_participant_leave() {
+        // A window of 10 never holds 50 interactions: the protection is
+        // capped at the window, or nobody could ever leave.
+        let registry = history(10, 20, -1.0);
+        assert_eq!(leaves(autonomous(50), &registry), (true, true));
+        let newcomer = history(10, 9, -1.0);
+        assert_eq!(leaves(autonomous(50), &newcomer), (false, false));
+    }
+
+    #[test]
+    fn unknown_participants_without_history_are_skipped() {
+        // The loops ask the registry first; a participant it does not know
+        // has no tracker and is never handed to the rule.
+        let registry = SatisfactionRegistry::new(10);
+        let policy = autonomous(0);
+        assert!(!registry
+            .consumer(ConsumerId::new(9))
+            .is_some_and(|tracker| policy.consumer_leaves(tracker)));
+        assert!(!registry
+            .provider(ProviderId::new(9))
+            .is_some_and(|tracker| policy.provider_leaves(tracker)));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The event-driven [`Simulation`](crate::runner::Simulation) measures the
 //! *system* (satisfaction, departures, response times in virtual seconds)
-//! around a single mediator. This module measures the *mediation service
-//! itself*: a deterministic arrival stream
+//! around the service at one shard. This module measures the *mediation
+//! service itself*: a deterministic arrival stream
 //! ([`generate_query_stream`](crate::generate_query_stream)) is cut into
 //! batches and driven through a [`ShardedMediator`] that a [`ServiceRun`]
 //! declares — how many shards, inline or behind shard threads, with or
@@ -30,8 +30,9 @@
 //! Two worlds cover the experiments: [`HashWorld`] (a stateless hash oracle
 //! plus seeded registry churn — sharding, overload and failover runs) and
 //! [`LoadFeedback`] (persistent preferences, allocation backlog mirrored into
-//! load, dissatisfaction departures — the adaptive-`kn` comparison; inline
-//! only). Everything is a pure function of `(run, population, stream)`:
+//! load, dissatisfaction departures by the closed loop's
+//! [`DeparturePolicy`] — the adaptive-`kn` comparison; inline only).
+//! Everything is a pure function of `(run, population, stream)`:
 //! crashes and resizes are scheduled in virtual time, ladders read the
 //! stream's `issued_at`, and the wall clock only stamps latency samples.
 
@@ -45,6 +46,7 @@ use sbqa_service::failover::ReplayReport;
 use sbqa_service::{IngestConfig, MediationService, OutcomeRecord, ServiceReport, ShardedMediator};
 use sbqa_types::{Query, SbqaError, SbqaResult, VirtualTime};
 
+use crate::config::DeparturePolicy;
 use crate::consumer::ConsumerSpec;
 use crate::oracle::{mix, AdaptiveOracle, HashIntentions};
 use crate::provider::ProviderSpec;
@@ -299,8 +301,8 @@ impl Mean {
 ///   they are mirrored into the registry and the oracle — an overloaded
 ///   provider performs queries it now dislikes, which drags its Definition-2
 ///   satisfaction (and with it the gap signal) down;
-/// * **dissatisfaction departures**: every fourth batch, providers whose
-///   long-run satisfaction fell below a threshold leave for good — the
+/// * **dissatisfaction departures**: every fourth batch, providers that
+///   [`departure`](Self::departure) says leave go offline for good — the
 ///   paper's premise that capacity follows satisfaction.
 ///
 /// Under a load step a *large static* `kn` buys consumer satisfaction in calm
@@ -309,12 +311,10 @@ impl Mean {
 /// the table. After the run the world holds what the comparison ranks by.
 #[derive(Debug, Clone)]
 pub struct LoadFeedback {
-    /// Providers whose long-run satisfaction drops below this threshold
-    /// depart for good (0 disables departures).
-    pub departure_threshold: f64,
-    /// Minimum proposals a provider must have seen before the departure
-    /// rule may fire (shields cold-start windows).
-    pub min_observations: usize,
+    /// The closed loop's departure rule, applied to providers
+    /// ([`DeparturePolicy::provider_leaves`]); the stream's consumers never
+    /// stop issuing. [`DeparturePolicy::Captive`] disables departures.
+    pub departure: DeparturePolicy,
     /// Virtual time of the stream's load step, if it has one: splits off
     /// [`post_step_satisfaction`](Self::post_step_satisfaction).
     pub step_at: Option<VirtualTime>,
@@ -339,13 +339,16 @@ pub struct LoadFeedback {
 impl LoadFeedback {
     /// A world around `oracle` (and the population it was built over):
     /// departures at the paper's provider threshold 0.35 after 20
-    /// observations, no load step.
+    /// proposals, no load step.
     #[must_use]
     pub fn new(oracle: AdaptiveOracle) -> Self {
         let population = oracle.population();
         Self {
-            departure_threshold: 0.35,
-            min_observations: 20,
+            departure: DeparturePolicy::Autonomous {
+                consumer_threshold: 0.0,
+                provider_threshold: 0.35,
+                min_interactions: 20,
+            },
             step_at: None,
             satisfaction_series: TimeSeries::new("consumer_query_satisfaction"),
             kn_series: TimeSeries::new("mean_kn"),
@@ -453,18 +456,14 @@ impl World for LoadFeedback {
             self.gap_series.push(now, gap);
         }
 
-        if self.departure_threshold > 0.0 && (at.index + 1).is_multiple_of(DEPARTURE_CHECK_EVERY) {
+        if (at.index + 1).is_multiple_of(DEPARTURE_CHECK_EVERY) {
             for (i, spec) in at.providers.iter().enumerate() {
                 if self.departed[i] {
                     continue;
                 }
                 let shard = service.router().shard_of_provider(spec.id);
-                let Some(tracker) = service.satisfaction(shard).provider(spec.id) else {
-                    continue;
-                };
-                if tracker.observed_proposals() >= self.min_observations
-                    && tracker.satisfaction().value() < self.departure_threshold
-                {
+                let tracker = service.satisfaction(shard).provider(spec.id);
+                if tracker.is_some_and(|tracker| self.departure.provider_leaves(tracker)) {
                     self.departed[i] = true;
                     service.set_provider_online(spec.id, false)?;
                 }
@@ -601,8 +600,10 @@ pub struct Promotion {
 pub struct ServiceRunReport {
     /// Every query's outcome in `(VirtualTime, QueryId)` order, and the
     /// per-shard tallies, latency and counters of the shards alive at the
-    /// end: a [`RunEvent::Resize`] retires the old shards with theirs, so
-    /// across one the tallies count from the resize on.
+    /// end. The two differ across a [`RunEvent::Resize`]: `outcomes` holds
+    /// every query of the stream, but the resize retires the old shards
+    /// with their tallies, so `total.submitted()` (and every per-shard
+    /// count) covers only the queries from the resize on.
     pub report: ServiceReport,
     /// One entry per crash fired.
     pub promotions: Vec<Promotion>,
@@ -610,8 +611,8 @@ pub struct ServiceRunReport {
     pub events_fired: usize,
 }
 
-/// The wall clock, for what a report prints: drain-start latency stamps,
-/// throughput, promotion latency.
+/// The wall clock, for what a report prints: the run's span (throughput)
+/// and promotion latency.
 fn wall_clock() -> Instant {
     // sbqa-lint: allow(wall-clock, "measurements printed to the report only; allocation is driven by VirtualTime")
     Instant::now()
@@ -785,44 +786,6 @@ pub fn run(
     })
 }
 
-/// Drives the stream through one plain (unrouted, unbatched, unthreaded)
-/// mediator shard under [`HashIntentions`] — the reference every shard count
-/// is compared against, reported in the service's own shape.
-///
-/// Latency semantics match the service side: in an open-loop run the whole
-/// stream is available up front, so every query is stamped at **drain
-/// start** and its sample spans availability → decision — including the
-/// time it spent waiting behind earlier queries of the same drain, exactly
-/// like the service's enqueue-stamped samples. (Per-mediation cost without
-/// queueing is the registry bench's `mediate/*` series, not this report.)
-///
-/// # Errors
-///
-/// Configuration validation errors.
-pub fn run_single_mediator(
-    system: SystemConfig,
-    seed: u64,
-    providers: &[ProviderSpec],
-    consumers: &[ConsumerSpec],
-    stream: &[Query],
-) -> SbqaResult<ServiceReport> {
-    let front = populated(&ServiceRun::new(system, seed), providers, consumers)?;
-    let mut shard = front.into_shards().1.swap_remove(0);
-    let oracle = HashIntentions::new(seed);
-    let mut outcomes = Vec::with_capacity(stream.len());
-    let started = wall_clock();
-    for query in stream {
-        let result = shard.submit(query, &oracle, started)?;
-        outcomes.push(OutcomeRecord::from_result(0, query, result));
-    }
-    let wall = started.elapsed();
-    Ok(ServiceReport::merge(
-        vec![shard.report_snapshot()],
-        outcomes,
-        wall,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,19 +867,45 @@ mod tests {
         let consumers = consumers(3, 3, 2.0, 1.0);
         let stream = plain_stream(&consumers, 150, 42);
         let system = SystemConfig::default().with_knbest(10, 3);
+        let config = |batch, threaded| ServiceRun {
+            batch,
+            threaded,
+            ..ServiceRun::new(system.clone(), 42)
+        };
 
-        let baseline =
-            run_single_mediator(system.clone(), 42, &providers, &consumers, &stream).unwrap();
-        for threaded in [THREADED, None] {
-            let config = ServiceRun {
-                batch: 32,
-                threaded,
-                ..ServiceRun::new(system.clone(), 42)
-            };
-            let report = hash_run(&config, 0, &providers, &consumers, &stream).report;
-            assert_eq!(report.total, baseline.total);
-            assert_eq!(report.outcomes, baseline.outcomes);
+        // The plain-mediator reference is the service crate's determinism
+        // suite; here every driver and chunking must match the inline run.
+        let baseline = hash_run(&config(32, None), 0, &providers, &consumers, &stream).report;
+        assert_eq!(baseline.total.submitted(), 150);
+        for batch in [32, 64] {
+            for threaded in [THREADED, None] {
+                let report =
+                    hash_run(&config(batch, threaded), 0, &providers, &consumers, &stream).report;
+                assert_eq!(report.total, baseline.total);
+                assert_eq!(report.outcomes, baseline.outcomes);
+            }
         }
+    }
+
+    #[test]
+    fn a_resize_keeps_every_outcome_but_restarts_the_tallies() {
+        let providers = providers(30, 3, 1, 2);
+        let consumers = consumers(3, 3, 2.0, 1.0);
+        let stream = plain_stream(&consumers, 200, 11);
+        // Batches of 20: the resize fires at the boundary of query 120.
+        let resized_at = stream[120].issued_at;
+        let config = ServiceRun {
+            shards: 2,
+            batch: 20,
+            timeline: Timeline::new().at(resized_at, RunEvent::Resize { shards: 3 }),
+            ..ServiceRun::new(SystemConfig::default().with_knbest(10, 3), 11)
+        };
+        let run = hash_run(&config, 0, &providers, &consumers, &stream);
+        assert_eq!(run.events_fired, 1);
+        let report = run.report;
+        assert_eq!(report.outcomes.len(), stream.len());
+        assert_eq!(report.total.submitted(), stream.len() - 120);
+        assert_eq!(report.shards.len(), 3);
     }
 
     #[test]
@@ -1198,13 +1187,17 @@ mod tests {
     }
 
     #[test]
-    fn harsh_departure_threshold_sheds_providers() {
+    fn a_harsh_departure_policy_sheds_providers() {
         let providers = providers(16, 2, 0, 1);
         let consumers = consumers(4, 2, 4.0, 0.5);
         let stream = plain_stream(&consumers, 1_200, 3);
         let mut world = feedback(3, &providers);
-        world.departure_threshold = 0.9; // nearly everyone is "dissatisfied"
-        world.min_observations = 10;
+        // Nearly everyone is "dissatisfied".
+        world.departure = DeparturePolicy::Autonomous {
+            consumer_threshold: 0.0,
+            provider_threshold: 0.9,
+            min_interactions: 10,
+        };
         run(
             &adaptive_config(8, 3),
             &providers,

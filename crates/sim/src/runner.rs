@@ -1,30 +1,39 @@
 //! The simulation runner: builds the world, drives the event loop, produces
 //! the report.
 //!
-//! The runner hosts a full [`Mediator`] (provider registry + satisfaction
-//! registry + the allocation technique) and drives it through
-//! [`Mediator::submit_batch`]: query arrivals that land on the same virtual
-//! instant are coalesced into one batch, so the mediation scratch and
-//! registry lookups are amortized over the drain exactly as they would be in
-//! a production ingest queue. Provider load changes (accept/complete) and
-//! departures are mirrored into the mediator's capability-indexed registry
+//! The runner hosts the mediation service at one shard — a
+//! [`ShardedMediator`] around one [`Mediator`] (provider registry +
+//! satisfaction registry + the allocation technique) — and drives it through
+//! [`ShardedMediator::submit_batch`], the same shard step every open-loop
+//! run takes: query arrivals that land on the same virtual instant are
+//! coalesced into one batch, so the mediation scratch and registry lookups
+//! are amortized over the drain exactly as they would be in a production
+//! ingest queue. One shard is byte-identical to the plain mediator.
+//! Provider load changes (accept/complete) are mirrored into the registry
 //! incrementally, which keeps the per-query candidate computation an index
 //! lookup instead of a population scan.
+//!
+//! A departure ([`DeparturePolicy`], checked at every sample) is what the
+//! open loop's is: a provider goes offline — one registry delta, so it
+//! leaves `Pq` — and a consumer stops issuing. Nobody's satisfaction row is
+//! removed; snapshots and final satisfactions read the online participants
+//! only, in id order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use sbqa_core::allocator::{IntentionOracle, QueryAllocator};
 use sbqa_core::Mediator;
 use sbqa_metrics::{ResponseTimeStats, TimeSeries};
-use sbqa_satisfaction::{SatisfactionAnalysis, SatisfactionSnapshot};
+use sbqa_satisfaction::{SatisfactionAnalysis, SatisfactionSnapshot, SideSummary};
+use sbqa_service::ShardedMediator;
 use sbqa_types::{
-    ConsumerId, IdGenerator, Intention, ProviderId, Query, QueryId, QueryOutcome, SbqaError,
-    SbqaResult, VirtualTime,
+    ConsumerId, IdGenerator, Intention, ProviderId, Query, QueryId, QueryOutcome, Satisfaction,
+    SbqaError, SbqaResult, VirtualTime,
 };
 
 use crate::config::{DeparturePolicy, SimulationConfig};
 use crate::consumer::{ConsumerSpec, ConsumerState};
-use crate::departure::evaluate_departures;
 use crate::event::{Event, EventQueue};
 use crate::network::NetworkModel;
 use crate::provider::{ProviderSpec, ProviderState};
@@ -120,13 +129,13 @@ impl SimulationBuilder {
         if self.providers.is_empty() {
             return Err(SbqaError::empty_scenario("no providers were added"));
         }
-        Ok(Simulation::new(
+        Simulation::new(
             self.config,
             allocator,
             self.consumers,
             self.providers,
             self.workload,
-        ))
+        )
     }
 
     /// Builds and runs the simulation in one call.
@@ -141,7 +150,6 @@ struct PendingQuery {
     query: Query,
     allocated_to: Vec<ProviderId>,
     received: usize,
-    completed: bool,
 }
 
 /// Intention oracle backed by the simulated participants' profiles.
@@ -179,7 +187,7 @@ impl IntentionOracle for SimOracle<'_> {
 pub struct Simulation {
     config: SimulationConfig,
     technique: String,
-    mediator: Mediator,
+    service: ShardedMediator,
     consumers: BTreeMap<ConsumerId, ConsumerState>,
     providers: BTreeMap<ProviderId, ProviderState>,
     workload: WorkloadModel,
@@ -190,8 +198,8 @@ pub struct Simulation {
     network_rng: SimRng,
     workload_rng: SimRng,
     query_ids: IdGenerator,
-    // sbqa-lint: allow(hash-collection, "keyed point lookups by QueryId; completions are drained in departure-heap order")
-    pending: HashMap<QueryId, PendingQuery>,
+    /// Allocated queries whose last result has not been delivered yet.
+    pending: BTreeMap<QueryId, PendingQuery>,
     /// Queries staged for the next mediation batch (arrivals at one instant).
     batch: Vec<Query>,
     /// Per-batch-entry outcome: the selected providers, or `None` if starved.
@@ -214,41 +222,41 @@ impl Simulation {
         consumer_specs: Vec<ConsumerSpec>,
         provider_specs: Vec<ProviderSpec>,
         workload: WorkloadModel,
-    ) -> Self {
+    ) -> SbqaResult<Self> {
         let technique = allocator.name().to_string();
         let master = SimRng::new(config.seed);
-        let mut mediator = Mediator::new(allocator, config.system.satisfaction_window);
+        let mediator = Mediator::new(allocator, config.system.satisfaction_window);
+        let mut service = ShardedMediator::new(config.seed, vec![mediator])?;
 
         let mut consumers = BTreeMap::new();
         for spec in consumer_specs {
-            mediator.register_consumer(spec.id);
+            service.register_consumer(spec.id);
             consumers.insert(spec.id, ConsumerState::new(spec));
         }
         let mut providers = BTreeMap::new();
         let mut initial_capacity = 0.0;
         for spec in provider_specs {
-            mediator.register_provider(spec.id, spec.capabilities, spec.capacity);
+            service.register_provider(spec.id, spec.capabilities, spec.capacity);
             initial_capacity += spec.capacity;
             providers.insert(spec.id, ProviderState::new(spec));
         }
 
         let analysis = SatisfactionAnalysis::new(technique.clone());
-        Self {
+        Ok(Self {
             network: NetworkModel::new(config.network),
             arrival_rng: master.derive(1),
             network_rng: master.derive(2),
             workload_rng: master.derive(3),
             config,
             technique,
-            mediator,
+            service,
             consumers,
             providers,
             workload,
             events: EventQueue::new(),
             clock: VirtualTime::ZERO,
             query_ids: IdGenerator::new(),
-            // sbqa-lint: allow(hash-collection, "keyed point lookups by QueryId; completions are drained in departure-heap order")
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             batch: Vec::new(),
             batch_outcomes: Vec::new(),
             response: ResponseTimeStats::new(),
@@ -259,7 +267,7 @@ impl Simulation {
             ts_mean_response: TimeSeries::new(series_names::MEAN_RESPONSE_TIME),
             queries_issued: 0,
             initial_capacity,
-        }
+        })
     }
 
     /// The allocation technique being simulated.
@@ -362,26 +370,30 @@ impl Simulation {
         self.batch.push(query);
     }
 
-    /// Drains the staged queries through `Mediator::submit_batch` and turns
-    /// each decision into simulator events.
+    /// Drains the staged queries through `ShardedMediator::submit_batch` and
+    /// turns each decision into simulator events. The staged queries share
+    /// the instant and carry increasing ids, so the service's `(issued_at,
+    /// id)` order is the staging order.
     fn flush_batch(&mut self) {
         if self.batch.is_empty() {
             return;
         }
         let mut batch = std::mem::take(&mut self.batch);
         self.batch_outcomes.clear();
+        self.batch_outcomes.resize(batch.len(), None);
         {
             let oracle = SimOracle {
                 consumers: &self.consumers,
                 providers: &self.providers,
             };
             let outcomes = &mut self.batch_outcomes;
-            self.mediator.submit_batch(&batch, &oracle, |_, _, result| {
-                outcomes.push(match result {
-                    Ok(decision) if !decision.is_starved() => Some(decision.selected.clone()),
-                    _ => None,
+            self.service
+                .submit_batch(&batch, &oracle, |position, _, result| {
+                    outcomes[position] = match result {
+                        Ok(decision) if !decision.is_starved() => Some(decision.selected.clone()),
+                        _ => None,
+                    };
                 });
-            });
         }
 
         for (position, query) in batch.drain(..).enumerate() {
@@ -403,7 +415,6 @@ impl Simulation {
                         PendingQuery {
                             allocated_to: selected,
                             received: 0,
-                            completed: false,
                             query,
                         },
                     );
@@ -420,7 +431,7 @@ impl Simulation {
     /// next mediation sees it. Called on every accept/complete transition.
     fn sync_provider_load(&mut self, provider_id: ProviderId) {
         if let Some(provider) = self.providers.get(&provider_id) {
-            self.mediator
+            self.service
                 .update_provider_load(
                     provider_id,
                     provider.backlog_seconds(),
@@ -480,30 +491,45 @@ impl Simulation {
     }
 
     fn on_result_delivered(&mut self, _provider: ProviderId, query: QueryId) {
-        let Some(pending) = self.pending.get_mut(&query) else {
+        let Entry::Occupied(mut entry) = self.pending.entry(query) else {
             return;
         };
-        if pending.completed {
-            return;
-        }
+        let pending = entry.get_mut();
         pending.received += 1;
         if pending.received < pending.allocated_to.len() {
             return;
         }
-        pending.completed = true;
-        let outcome = QueryOutcome {
+        let pending = entry.remove();
+        let consumer = pending.query.consumer;
+        self.response.record_outcome(&QueryOutcome {
             query,
-            consumer: pending.query.consumer,
-            performed_by: pending.allocated_to.clone(),
+            consumer,
+            performed_by: pending.allocated_to,
             issued_at: pending.query.issued_at,
             completed_at: Some(self.clock),
             starved: false,
-        };
-        let consumer = pending.query.consumer;
-        self.response.record_outcome(&outcome);
+        });
         if let Some(state) = self.consumers.get_mut(&consumer) {
             state.queries_completed += 1;
         }
+    }
+
+    /// `(id, satisfaction)` of every online consumer, in id order.
+    fn online_consumers(&self) -> impl Iterator<Item = (ConsumerId, Satisfaction)> + '_ {
+        let registry = self.service.satisfaction(0);
+        self.consumers
+            .values()
+            .filter(|c| c.online)
+            .map(|c| (c.id(), registry.consumer_satisfaction(c.id())))
+    }
+
+    /// `(id, satisfaction)` of every online provider, in id order.
+    fn online_providers(&self) -> impl Iterator<Item = (ProviderId, Satisfaction)> + '_ {
+        let registry = self.service.satisfaction(0);
+        self.providers
+            .values()
+            .filter(|p| p.online)
+            .map(|p| (p.id(), registry.provider_satisfaction(p.id())))
     }
 
     fn on_sample(&mut self) {
@@ -516,48 +542,51 @@ impl Simulation {
             DeparturePolicy::Captive => (0.5, 0.35),
         };
 
-        let snapshot = SatisfactionSnapshot::capture(
-            self.mediator.satisfaction(),
-            self.clock,
-            consumer_threshold,
-            provider_threshold,
-        );
+        let consumers: Vec<Satisfaction> = self.online_consumers().map(|(_, s)| s).collect();
+        let providers: Vec<Satisfaction> = self.online_providers().map(|(_, s)| s).collect();
+        let snapshot = SatisfactionSnapshot {
+            at: self.clock,
+            consumers: SideSummary::from_values(&consumers, consumer_threshold),
+            providers: SideSummary::from_values(&providers, provider_threshold),
+        };
         self.ts_consumer_sat
             .push(self.clock, snapshot.consumers.mean);
         self.ts_provider_sat
             .push(self.clock, snapshot.providers.mean);
-        self.ts_online_providers.push(
-            self.clock,
-            self.providers.values().filter(|p| p.online).count() as f64,
-        );
+        self.ts_online_providers
+            .push(self.clock, providers.len() as f64);
         if self.response.completed() > 0 {
             self.ts_mean_response.push(self.clock, self.response.mean());
         }
         self.analysis.push(snapshot);
 
-        // Departures (autonomous environments only).
-        let round = evaluate_departures(
-            &self.config.departure,
-            self.consumers.values(),
-            self.providers.values(),
-            self.mediator.satisfaction(),
-        );
-        for consumer in round.consumers {
-            if let Some(state) = self.consumers.get_mut(&consumer) {
-                state.depart(self.clock);
+        // Departures (autonomous environments only): a consumer stops
+        // issuing; a provider goes offline, which takes it out of `Pq`.
+        let policy = self.config.departure;
+        let registry = self.service.satisfaction(0);
+        for consumer in self.consumers.values_mut().filter(|c| c.online) {
+            let tracker = registry.consumer(consumer.id());
+            if tracker.is_some_and(|tracker| policy.consumer_leaves(tracker)) {
+                consumer.depart(self.clock);
             }
-            self.mediator.satisfaction_mut().remove_consumer(consumer);
         }
-        for provider in round.providers {
+        let leaving: Vec<ProviderId> = self
+            .providers
+            .values()
+            .filter(|p| p.online)
+            .filter(|p| {
+                let tracker = registry.provider(p.id());
+                tracker.is_some_and(|tracker| policy.provider_leaves(tracker))
+            })
+            .map(ProviderState::id)
+            .collect();
+        for provider in leaving {
             if let Some(state) = self.providers.get_mut(&provider) {
                 state.depart(self.clock);
             }
-            // The provider leaves the candidate index and the satisfaction
-            // bookkeeping; its slab entry stays for final reporting.
-            self.mediator
+            self.service
                 .set_provider_online(provider, false)
                 .expect("departing provider is registered with the mediator");
-            self.mediator.satisfaction_mut().remove_provider(provider);
         }
 
         let next = self.clock + sbqa_types::Duration::new(self.config.sample_interval);
@@ -582,10 +611,8 @@ impl Simulation {
 
     fn finish(mut self) -> SimulationReport {
         // Queries still in flight at the end of the run.
-        for pending in self.pending.values() {
-            if !pending.completed {
-                self.response.record_unfinished();
-            }
+        for _ in 0..self.pending.len() {
+            self.response.record_unfinished();
         }
 
         let final_capacity: f64 = self
@@ -602,32 +629,12 @@ impl Simulation {
         };
 
         let consumer_final_satisfaction: Vec<(ConsumerId, f64)> = self
-            .consumers
-            .values()
-            .filter(|c| c.online)
-            .map(|c| {
-                (
-                    c.id(),
-                    self.mediator
-                        .satisfaction()
-                        .consumer_satisfaction(c.id())
-                        .value(),
-                )
-            })
+            .online_consumers()
+            .map(|(id, satisfaction)| (id, satisfaction.value()))
             .collect();
         let provider_final_satisfaction: Vec<(ProviderId, f64)> = self
-            .providers
-            .values()
-            .filter(|p| p.online)
-            .map(|p| {
-                (
-                    p.id(),
-                    self.mediator
-                        .satisfaction()
-                        .provider_satisfaction(p.id())
-                        .value(),
-                )
-            })
+            .online_providers()
+            .map(|(id, satisfaction)| (id, satisfaction.value()))
             .collect();
 
         SimulationReport {
@@ -661,7 +668,7 @@ impl Simulation {
             ],
             consumer_final_satisfaction,
             provider_final_satisfaction,
-            plan_cache: self.mediator.plan_cache_stats(),
+            plan_cache: self.service.shard(0).mediator().plan_cache_stats(),
         }
     }
 }
@@ -876,6 +883,54 @@ mod tests {
             report.participants.initial_providers
         );
         assert!(report.capacity_retention < 1.0);
+    }
+
+    #[test]
+    fn departed_participants_keep_their_rows_and_are_not_evaluated_again() {
+        let mut config = base_config(100.0);
+        config.departure = DeparturePolicy::Autonomous {
+            consumer_threshold: 0.5,
+            provider_threshold: 0.35,
+            min_interactions: 5,
+        };
+        let mut sim = SimulationBuilder::new(config.clone())
+            .allocator(sbqa(&config))
+            .add_consumer(consumer(1, 1.0))
+            .add_provider(provider(100, 1.0))
+            .add_provider(provider(101, 1.0))
+            .build()
+            .unwrap();
+        // Twenty mediations both sides hate: consumer 1 and whichever
+        // providers it was shown fall to satisfaction 0.
+        let hated = sbqa_core::StaticIntentions::new()
+            .with_defaults(Intention::new(-1.0), Intention::new(-1.0));
+        let queries: Vec<Query> = (0..20)
+            .map(|i| {
+                Query::builder(QueryId::new(i), ConsumerId::new(1), Capability::new(0)).build()
+            })
+            .collect();
+        sim.service.submit_batch(&queries, &hated, |_, _, _| {});
+
+        let first = VirtualTime::new(5.0);
+        sim.clock = first;
+        sim.on_sample();
+        let departed = |sim: &Simulation| {
+            let consumer = sim.consumers[&ConsumerId::new(1)].departed_at;
+            let providers: Vec<_> = sim.providers.values().map(|p| p.departed_at).collect();
+            (consumer, providers)
+        };
+        assert_eq!(departed(&sim), (Some(first), vec![Some(first); 2]));
+        // The rows stay, still below the thresholds; the next tick skips
+        // the leavers instead of departing them again.
+        let registry = sim.service.satisfaction(0);
+        assert!(registry.consumer(ConsumerId::new(1)).is_some());
+        assert_eq!(registry.provider_count(), 2);
+        sim.clock = VirtualTime::new(10.0);
+        sim.on_sample();
+        assert_eq!(departed(&sim), (Some(first), vec![Some(first); 2]));
+        // Snapshots read the online participants only.
+        let latest = sim.analysis.latest().unwrap();
+        assert_eq!((latest.consumers.count, latest.providers.count), (0, 0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use sbqa_core::intention::{ConsumerProfile, ProviderProfile};
 use sbqa_core::{KnControllerConfig, SystemConfig};
 use sbqa_sim::{
-    generate_query_stream, run, AdaptiveOracle, ConsumerSpec, LoadFeedback, LoadStep, ProviderSpec,
-    ServiceRun, WorkloadModel,
+    generate_query_stream, run, AdaptiveOracle, ConsumerSpec, DeparturePolicy, LoadFeedback,
+    LoadStep, ProviderSpec, ServiceRun, WorkloadModel,
 };
 use sbqa_types::{Capability, CapabilitySet, ConsumerId, ProviderId};
 
@@ -84,7 +84,11 @@ fn adaptive_run_seed13_matches_the_pinned_trajectory() {
         ..ServiceRun::new(SystemConfig::default().with_knbest(12, 4), 13)
     };
     let mut world = LoadFeedback::new(AdaptiveOracle::new(13, 0.4, 3.0, &providers).unwrap());
-    world.departure_threshold = 0.55;
+    world.departure = DeparturePolicy::Autonomous {
+        consumer_threshold: 0.0,
+        provider_threshold: 0.55,
+        min_interactions: 20,
+    };
     world.step_at = Some(stream[STREAM_LEN / 2].issued_at);
 
     let report = run(&config, &providers, &consumers, &stream, &mut world)

@@ -79,6 +79,18 @@ if grep -rnE "set_degradation_tier|degraded_kn_floor|set_degraded_floor|QueryDis
     exit 1
 fi
 
+echo "== one host, one departure rule: the closed loop leaves through an offline flag"
+# The closed loop drives a one-shard ShardedMediator, the service's one
+# shard step. A leaving participant goes offline (provider) or stops issuing
+# (consumer) and keeps its satisfaction row; both loops ask
+# DeparturePolicy::{consumer_leaves, provider_leaves}. The names of the
+# deleted second rule, third driver and row removal must not come back.
+if grep -rnE "evaluate_departures|DepartureRound|run_single_mediator|departure_threshold|min_observations|satisfaction_mut" \
+    crates/sim/src; then
+    echo "a second departure rule or host is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -90,13 +102,15 @@ echo "== examples and benches compile"
 cargo build --examples
 cargo bench --no-run -p sbqa_bench
 
-echo "== bench smoke: scenario 1 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry and cache benches"
+echo "== bench smoke: scenario 1 --quick, scenario 4 --quick, scenario_multicap --quick, scenario_sharded --quick, scenario_adaptive --quick, scenario_failover --quick and the registry and cache benches"
 # Exercises the allocation hot path end-to-end (golden-output protected by
-# tests/golden_scenario1.rs), the multi-capability postings-merge path
+# tests/golden_scenario1.rs), the closed loop's departure path (autonomous
+# Scenario 4, golden-output protected by tests/golden_scenario4.rs), the
+# multi-capability postings-merge path
 # (golden-output protected by tests/golden_multicap.rs; every multi-class
 # resolution goes through the candidate-plan cache, so this smoke drives it
 # and prints the cache hit/miss table), the sharded
-# mediation service — the run itself asserts the 1-shard ≡ single-mediator
+# mediation service — the run itself asserts the threaded 1-shard ≡ inline
 # determinism contract and exercises the threaded ingest front — the
 # adaptive-kn controller — whose run asserts the self-adaptation claim
 # (adaptive ≥ best static kn on aggregate consumer satisfaction) — and the
@@ -110,6 +124,7 @@ echo "== bench smoke: scenario 1 --quick, scenario_multicap --quick, scenario_sh
 # uninterrupted one, so replication replay is exercised end-to-end on every
 # CI run.
 cargo run --release -p sbqa_bench --bin scenario -- 1 --quick > /dev/null
+cargo run --release -p sbqa_bench --bin scenario -- 4 --quick > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_multicap -- --quick > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_sharded -- --quick --shards 1,2 > /dev/null
 cargo run --release -p sbqa_bench --bin scenario_adaptive -- --quick > /dev/null
@@ -135,14 +150,17 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, plan_cache_prop, maintained_prop, directory_prop)"
+echo "== golden determinism gates (scenario1, scenario4, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, plan_cache_prop, maintained_prop, directory_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. Every
 # one of these runs resolves Pq through the plan cache — there is no other
 # path — and plan_cache_prop is the proof that what it serves is right: the
 # default and a one-plan (thrashing) mediator against a brute-force
-# reference step, decisions and both satisfactions bit for bit. The failover gates pin the
+# reference step, decisions and both satisfactions bit for bit.
+# golden_scenario4 pins the autonomous closed loop — who left, the tallies,
+# both final satisfactions and every time-series point, bit for bit — and
+# with it the departure rule and the one-shard host. The failover gates pin the
 # seed-42 crash-and-promote outcome digest (golden_failover) and assert the
 # crashed-run ≡ uninterrupted-run byte-identity under churn (failover).
 # The overload gates pin the seed-42 100x-step outcome and shed-set digests
@@ -204,7 +222,8 @@ echo "== golden determinism gates (scenario1, multicap, sharded service, failove
 # while shedding after a live resize (crashed = uncrashed, inline = threaded,
 # chunk 64 = chunk 17) and both primaries lost behind a churned standby that
 # never checkpoints.
-cargo test --release -p sbqa --test golden_scenario1 --test golden_multicap --test determinism -q
+cargo test --release -p sbqa --test golden_scenario1 --test golden_scenario4 --test golden_multicap \
+    --test determinism -q
 cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
 cargo test --release -p sbqa_replication -q
 cargo test --release -p sbqa_core -q
