@@ -1,7 +1,7 @@
 //! # sbqa-replication
 //!
 //! Crash-tolerance for the mediator: an append-only, monotonically-sequenced
-//! log of registry mutations, a standby that mirrors a live shard by
+//! log of registry mutations, a standby that reproduces a live shard by
 //! snapshot + replay, and the handoff package that moves providers between
 //! shards without re-registering the world.
 //!
@@ -36,7 +36,7 @@
 //! Log sequences start at 1 and increase by exactly 1 per appended record —
 //! including [`DeltaOp::SnapshotMark`]s, which occupy a sequence so a
 //! checkpoint's cut point is totally ordered against mutations. A standby
-//! tracks the last sequence it applied and refuses gaps: a pruned-past-its-
+//! tracks the last sequence it observed and refuses gaps: a pruned-past-its-
 //! watermark log is reported as an error, never silently skipped. One
 //! checkpoint + contiguous tail is therefore sufficient *and necessary* to
 //! reconstruct the primary.
@@ -61,7 +61,7 @@ pub struct ReplicationStats {
     pub log_depth: usize,
     /// Highest sequence ever appended to the log.
     pub last_appended: u64,
-    /// Highest sequence the standby has applied to its mirror.
+    /// Highest sequence the standby has observed.
     pub last_applied: u64,
     /// `last_appended - last_applied`: how far the standby trails the log.
     pub replay_lag: u64,
@@ -132,7 +132,8 @@ pub fn apply_delta(mediator: &mut Mediator, delta: &RegistryDelta) -> SbqaResult
 /// slot order plus the online tally, folded through FNV-1a over the exact
 /// `Debug` rendering (which round-trips `f64` values). Two registries with
 /// equal digests agree on membership, slab layout, load columns and online
-/// flags — the byte-identity the standby's mirror is held to.
+/// flags — the byte-identity a standby's snapshot + replay is held to
+/// ([`StandbyShard::replay_digest`]).
 #[must_use]
 pub fn registry_digest(registry: &sbqa_core::ProviderRegistry) -> u64 {
     let mut hash = FNV_OFFSET;

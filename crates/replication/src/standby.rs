@@ -1,15 +1,17 @@
-//! The standby: a mirror of a live mediator shard, promotable on crash.
+//! The standby: a promotable copy of a live mediator shard.
 //!
-//! A standby owns three things:
+//! A standby owns two things:
 //!
 //! * a **checkpoint** — the primary's forked allocator (RNG position
 //!   intact) and the standby's own copies of the provider registry and the
 //!   satisfaction registry, standing at a log watermark;
-//! * a **mirror** — a lockstep registry replica that applies every delta as
-//!   it is observed, proving at any instant that snapshot + replay equals
-//!   the live registry (and measuring replay lag);
 //! * a **tail + query journal** — the mutations and queries the primary
 //!   processed after the checkpoint cut, in log order.
+//!
+//! Observing the log checks sequences and pushes mutations onto the tail,
+//! unapplied: a record is applied only where the checkpoint moves (a
+//! replaying cut, a promotion), so that is where one that does not apply is
+//! met.
 //!
 //! A new checkpoint is cut **incrementally**
 //! ([`cut_checkpoint`](StandbyShard::cut_checkpoint)): the registry copy is
@@ -17,7 +19,8 @@
 //! trackers the primary touched since the last cut, and only the allocator
 //! is forked. Where the changes since the last cut are at least as many as
 //! the rows they would change (the first cut after a bulk load), that half
-//! is copied whole instead of replayed — O(min(changes, state)).
+//! is copied whole from the primary instead of replayed —
+//! O(min(changes, state)).
 //!
 //! On [`promote`](StandbyShard::promote) the checkpoint is rehydrated into a
 //! [`Mediator`] and the tail and journal are replayed *interleaved by log
@@ -52,15 +55,14 @@ pub struct ReplayReport {
     pub queries_shed: usize,
 }
 
-/// A promotable mirror of one mediator shard.
+/// A promotable copy of one mediator shard.
 pub struct StandbyShard {
     /// Checkpoint state, frozen at `watermark`.
     allocator: Box<dyn QueryAllocator>,
     providers: ProviderRegistry,
     satisfaction: SatisfactionRegistry,
     watermark: u64,
-    /// Lockstep registry replica, at `applied`.
-    mirror: ProviderRegistry,
+    /// The last log sequence observed.
     applied: u64,
     /// Mutations observed after `watermark`, in sequence order.
     tail: Vec<(u64, RegistryDelta)>,
@@ -100,27 +102,11 @@ impl StandbyShard {
         satisfaction: SatisfactionRegistry,
         watermark: u64,
     ) -> Self {
-        let mirror = providers.clone();
-        Self::with_mirror(allocator, providers, satisfaction, mirror, watermark)
-    }
-
-    /// [`StandbyShard::new`] with a ready-made lockstep mirror, which must
-    /// equal `providers` in replicated state (a promoted shard hands over
-    /// the mirror its previous standby kept, saving a registry clone).
-    #[must_use]
-    pub fn with_mirror(
-        allocator: Box<dyn QueryAllocator>,
-        providers: ProviderRegistry,
-        satisfaction: SatisfactionRegistry,
-        mirror: ProviderRegistry,
-        watermark: u64,
-    ) -> Self {
         Self {
             allocator,
             providers,
             satisfaction,
             watermark,
-            mirror,
             applied: watermark,
             tail: Vec::new(),
             journal: Vec::new(),
@@ -128,16 +114,17 @@ impl StandbyShard {
         }
     }
 
-    /// Observes one log record. Records at or below the applied watermark
-    /// are duplicates of something already observed and are skipped; a gap
-    /// above it is an error — the log was pruned past this standby, which
-    /// can then only be recovered by a fresh checkpoint.
+    /// Observes one log record: a mutation joins the tail, unapplied.
+    /// Records at or below the last observed sequence are duplicates and are
+    /// skipped; a gap above it is an error — the log was pruned past this
+    /// standby, which can then only be recovered by a fresh checkpoint.
     ///
     /// # Errors
     ///
-    /// [`SbqaError::InvalidConfiguration`] on a sequence gap, or any
-    /// registry error from applying a mutation to the mirror (both mean the
-    /// stream does not extend this standby's state).
+    /// [`SbqaError::InvalidConfiguration`] on a sequence gap, with the
+    /// standby left as it was. A mutation that does not apply is met only
+    /// where it is applied (a replaying cut, a promotion, a
+    /// [`replay_digest`](Self::replay_digest)).
     pub fn observe(&mut self, record: &DeltaRecord) -> SbqaResult<()> {
         if record.sequence <= self.applied {
             return Ok(());
@@ -145,13 +132,12 @@ impl StandbyShard {
         if record.sequence != self.applied + 1 {
             return Err(SbqaError::InvalidConfiguration {
                 reason: format!(
-                    "replication gap: standby applied {} but next record is {}",
+                    "replication gap: standby observed {} but next record is {}",
                     self.applied, record.sequence
                 ),
             });
         }
         if let DeltaOp::Mutation(delta) = record.op {
-            delta.apply(&mut self.mirror)?;
             self.tail.push((record.sequence, delta));
         }
         self.applied = record.sequence;
@@ -159,12 +145,12 @@ impl StandbyShard {
     }
 
     /// Pulls every record the standby has not yet observed from the shared
-    /// log. Returns the number of new records applied.
+    /// log. Returns the number of new records observed.
     ///
     /// # Errors
     ///
     /// [`SbqaError::InvalidConfiguration`] when the log was pruned past this
-    /// standby's watermark, or any [`StandbyShard::observe`] error.
+    /// standby's watermark, or a [`StandbyShard::observe`] gap.
     pub fn catch_up(&mut self, log: &SharedDeltaLog) -> SbqaResult<usize> {
         let before = self.applied;
         log.visit_after(before, |record| self.observe(record))
@@ -202,9 +188,11 @@ impl StandbyShard {
     ///   changes nothing of a registry's replicated state (only its plan
     ///   cache, which is derived and decision-neutral), so every change
     ///   since the previous cut is in the tail. When the cut is at the
-    ///   mirror's position and the tail is at least as long as the mirror
+    ///   standby's position and the tail is at least as long as `primary`
     ///   has providers (the first cut after a bulk load), the registry
-    ///   becomes a clone of the mirror instead, plan cache included;
+    ///   becomes a clone of `primary`'s instead, plan cache included. That
+    ///   clone supersedes the tail, so a record in it that would not apply
+    ///   is dropped unapplied, never met;
     /// * the checkpoint satisfaction registry receives exactly the trackers
     ///   `primary` touched since the previous cut, or a whole copy when
     ///   those are as many as its participants
@@ -218,13 +206,14 @@ impl StandbyShard {
     ///
     /// [`SbqaError::InvalidConfiguration`], with the standby left exactly as
     /// it was, when `watermark` is below the installed checkpoint's
-    /// (checkpoints move forward), when the standby has applied less than
+    /// (checkpoints move forward), when the standby has observed less than
     /// `watermark` (a `replication gap`: its tail cannot carry the registry
     /// to the cut), when the technique cannot fork, or when `primary`'s
-    /// satisfaction registry is not tracking touched ids. A tail record that
-    /// does not apply is propagated; it cannot occur for a tail built by
-    /// [`StandbyShard::observe`], which applied every record to the mirror
-    /// first.
+    /// satisfaction registry is not tracking touched ids. A replayed tail
+    /// record that does not apply is propagated, and it leaves the standby
+    /// half-cut: the rule is that a standby whose cut failed is never cut or
+    /// promoted again, only discarded (the service discards it at the next
+    /// crash of its shard).
     pub fn cut_checkpoint(&mut self, primary: &mut Mediator, watermark: u64) -> SbqaResult<()> {
         if watermark < self.watermark {
             return Err(SbqaError::InvalidConfiguration {
@@ -237,7 +226,7 @@ impl StandbyShard {
         if watermark > self.applied {
             return Err(SbqaError::InvalidConfiguration {
                 reason: format!(
-                    "replication gap: checkpoint cut at {watermark} but standby applied {}",
+                    "replication gap: checkpoint cut at {watermark} but standby observed {}",
                     self.applied
                 ),
             });
@@ -257,8 +246,8 @@ impl StandbyShard {
         let contained = self
             .tail
             .partition_point(|&(sequence, _)| sequence <= watermark);
-        if watermark == self.applied && contained >= self.mirror.len() {
-            self.providers = self.mirror.clone();
+        if watermark == self.applied && contained >= primary.providers().len() {
+            self.providers = primary.providers().clone();
             self.tail.clear();
         } else {
             for (_, delta) in self.tail.drain(..contained) {
@@ -274,20 +263,14 @@ impl StandbyShard {
 
     /// Promotes the standby into a live [`Mediator`] in the primary's exact
     /// pre-crash state: the checkpoint is rehydrated and the tail and query
-    /// journal are replayed interleaved by log watermark. The lockstep
-    /// mirror comes back beside it — equal to the promoted registry in
-    /// replicated state once the standby had caught up — for the next
-    /// standby to start from ([`StandbyShard::with_mirror`]).
+    /// journal are replayed interleaved by log watermark.
     ///
     /// # Errors
     ///
     /// Any delta-application error (a corrupt or misrouted tail). Query
     /// starvation during replay is *not* an error — it is part of the
     /// decision stream being reproduced.
-    pub fn promote(
-        mut self,
-        oracle: &dyn IntentionOracle,
-    ) -> SbqaResult<(Mediator, ProviderRegistry, ReplayReport)> {
+    pub fn promote(mut self, oracle: &dyn IntentionOracle) -> SbqaResult<(Mediator, ReplayReport)> {
         let mut mediator = Mediator::from_parts(self.allocator, self.providers, self.satisfaction);
         let mut report = ReplayReport::default();
         let mut deltas = self.tail.drain(..).peekable();
@@ -316,7 +299,7 @@ impl StandbyShard {
             apply_delta(&mut mediator, &delta)?;
             report.deltas_replayed += 1;
         }
-        Ok((mediator, self.mirror, report))
+        Ok((mediator, report))
     }
 
     /// The log watermark of the installed checkpoint.
@@ -325,7 +308,7 @@ impl StandbyShard {
         self.watermark
     }
 
-    /// The last log sequence applied to the mirror.
+    /// The last log sequence observed.
     #[must_use]
     pub fn applied(&self) -> u64 {
         self.applied
@@ -350,12 +333,6 @@ impl StandbyShard {
         self.checkpoints
     }
 
-    /// The lockstep mirror registry.
-    #[must_use]
-    pub fn mirror(&self) -> &ProviderRegistry {
-        &self.mirror
-    }
-
     /// The checkpoint's provider registry and satisfaction registry, as of
     /// [`StandbyShard::watermark`].
     #[must_use]
@@ -363,11 +340,20 @@ impl StandbyShard {
         (&self.providers, &self.satisfaction)
     }
 
-    /// Digest of the mirror's replicated state, for byte-identity checks
-    /// against the live registry (see [`registry_digest`]).
-    #[must_use]
-    pub fn mirror_digest(&self) -> u64 {
-        registry_digest(&self.mirror)
+    /// Digest (see [`registry_digest`]) of the registry a promotion would
+    /// reach: a copy of the checkpoint's, advanced by the whole tail. Equal
+    /// to the live registry's digest whenever snapshot + replay reproduces
+    /// it. A check run on demand; it costs a registry clone.
+    ///
+    /// # Errors
+    ///
+    /// A tail record that does not apply to the checkpoint.
+    pub fn replay_digest(&self) -> SbqaResult<u64> {
+        let mut providers = self.providers.clone();
+        for (_, delta) in &self.tail {
+            delta.apply(&mut providers)?;
+        }
+        Ok(registry_digest(&providers))
     }
 }
 
@@ -435,10 +421,10 @@ mod tests {
         let (mut replaying_primary, replaying_log, mut replaying) = bulk_loaded();
         let watermark = copying_log.last_sequence();
 
-        // At the mirror's position with a tail longer than the mirror: the
-        // registry is copied from the mirror.
+        // At the standby's position with a tail longer than the primary's
+        // registry: the registry is copied from the primary.
         assert_eq!(copying.applied(), watermark);
-        assert!(copying.tail_depth() >= copying.mirror().len());
+        assert!(copying.tail_depth() >= copying_primary.providers().len());
         copying
             .cut_checkpoint(&mut copying_primary, watermark)
             .expect("a synced standby cuts");
@@ -453,22 +439,89 @@ mod tests {
             .cut_checkpoint(&mut replaying_primary, watermark)
             .expect("a standby ahead of the cut cuts");
 
-        let digests = |standby: &StandbyShard| {
-            let (providers, satisfaction) = standby.checkpoint();
-            (
-                registry_digest(providers),
-                satisfaction_digest(satisfaction),
-            )
-        };
-        let primary = (
-            registry_digest(copying_primary.providers()),
-            satisfaction_digest(copying_primary.satisfaction()),
-        );
-        assert_eq!(digests(&copying), primary);
-        assert_eq!(digests(&replaying), primary);
+        let primary = primary_digests(&copying_primary);
+        assert_eq!(checkpoint_digests(&copying), primary);
+        assert_eq!(checkpoint_digests(&replaying), primary);
         for standby in [&copying, &replaying] {
             assert_eq!((standby.watermark(), standby.tail_depth()), (watermark, 0));
             assert_eq!(standby.journal_depth(), 0);
         }
+    }
+
+    fn checkpoint_digests(standby: &StandbyShard) -> (u64, u64) {
+        let (providers, satisfaction) = standby.checkpoint();
+        (
+            registry_digest(providers),
+            satisfaction_digest(satisfaction),
+        )
+    }
+
+    fn primary_digests(primary: &Mediator) -> (u64, u64) {
+        (
+            registry_digest(primary.providers()),
+            satisfaction_digest(primary.satisfaction()),
+        )
+    }
+
+    /// Appends the departure of a provider nobody registered: a record that
+    /// applies to no registry of this history. Observing it is a sequence
+    /// check only, so the standby takes it into its tail.
+    fn observe_misrouted(log: &SharedDeltaLog, standby: &mut StandbyShard) {
+        log.append_mutation(RegistryDelta::Unregister {
+            id: ProviderId::new(9_999),
+        });
+        standby.catch_up(log).expect("contiguous log");
+    }
+
+    #[test]
+    fn a_replaying_cut_meets_a_record_that_does_not_apply() {
+        let (mut primary, log, mut standby) = bulk_loaded();
+        // The first cut copies the bulk load, so the next tail is short.
+        standby
+            .cut_checkpoint(&mut primary, log.last_sequence())
+            .expect("a synced standby cuts");
+        primary
+            .update_provider_load(ProviderId::new(1), 2.0, 1)
+            .expect("registered");
+        observe_misrouted(&log, &mut standby);
+        assert!(standby.tail_depth() < primary.providers().len());
+
+        let error = standby
+            .cut_checkpoint(&mut primary, log.last_sequence())
+            .expect_err("the tail is replayed");
+        assert!(
+            matches!(error, SbqaError::UnknownProvider { .. }),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn a_copying_cut_supersedes_a_record_that_does_not_apply() {
+        let (mut primary, log, mut standby) = bulk_loaded();
+        observe_misrouted(&log, &mut standby);
+        assert!(standby.tail_depth() >= primary.providers().len());
+
+        standby
+            .cut_checkpoint(&mut primary, log.last_sequence())
+            .expect("the tail is copied over, not replayed");
+        assert_eq!(checkpoint_digests(&standby), primary_digests(&primary));
+        assert_eq!(standby.tail_depth(), 0);
+    }
+
+    #[test]
+    fn replay_digest_meets_a_record_that_does_not_apply_before_any_cut() {
+        let (primary, log, mut standby) = bulk_loaded();
+        assert_eq!(
+            standby.replay_digest(),
+            Ok(registry_digest(primary.providers()))
+        );
+
+        observe_misrouted(&log, &mut standby);
+        assert_eq!(standby.checkpoints(), 1);
+        let error = standby.replay_digest().expect_err("the tail is replayed");
+        assert!(
+            matches!(error, SbqaError::UnknownProvider { .. }),
+            "{error}"
+        );
     }
 }

@@ -318,8 +318,8 @@ impl Replicated {
         let watermark = self.log.last_sequence();
         let branches = CutBranches {
             // The cut is at the standby's position, so the registry rule
-            // reads off what the standby shows.
-            registry: self.standby.tail_depth() >= self.standby.mirror().len(),
+            // reads off the standby's tail and the primary's registry.
+            registry: self.standby.tail_depth() >= self.primary.providers().len(),
             satisfaction: if self.all_touched {
                 Some(true)
             } else if self.may_touch < participants(self.primary.satisfaction()) {
@@ -358,7 +358,7 @@ fn standby_state(standby: &StandbyShard) -> (u64, u64, usize, usize, u64, u64, u
         standby.checkpoints(),
         registry_digest(providers),
         satisfaction_digest(satisfaction),
-        standby.mirror_digest(),
+        standby.replay_digest().expect("the tail replays"),
     )
 }
 
@@ -558,13 +558,18 @@ proptest! {
                 }
             }
             expected.extend(apply(&mut uninterrupted, op, &oracle));
+            // Snapshot + replay equals the live registry after every op.
+            prop_assert_eq!(
+                replicated.standby.replay_digest(),
+                Ok(registry_digest(replicated.primary.providers()))
+            );
         }
 
         // The crash: the primary is gone; the standby alone carries on.
         let Replicated { primary, log, mut standby, .. } = replicated;
         drop(primary);
         standby.catch_up(&log).expect("contiguous log");
-        let (mut promoted, mirror, _) = standby.promote(&oracle).expect("clean replay");
+        let (mut promoted, _) = standby.promote(&oracle).expect("clean replay");
         prop_assert_eq!(
             registry_digest(promoted.providers()),
             registry_digest(uninterrupted.providers())
@@ -573,8 +578,6 @@ proptest! {
             satisfaction_digest(promoted.satisfaction()),
             satisfaction_digest(uninterrupted.satisfaction())
         );
-        // What lets a re-armed shard reuse the mirror instead of cloning.
-        prop_assert_eq!(registry_digest(&mirror), registry_digest(promoted.providers()));
 
         for &op in &ops[crash..] {
             outcomes.extend(apply(&mut promoted, op, &oracle));

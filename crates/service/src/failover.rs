@@ -116,16 +116,16 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_stay_in_lockstep_through_churn() {
+    fn standbys_stay_in_lockstep_through_churn() {
         let mut service = replicated(2);
-        assert!(service.mirrors_in_lockstep());
+        assert!(service.standbys_in_lockstep());
         service
             .update_provider_load(ProviderId::new(3), 2.0, 4)
             .unwrap();
         service
             .set_provider_online(ProviderId::new(5), false)
             .unwrap();
-        assert!(service.mirrors_in_lockstep());
+        assert!(service.standbys_in_lockstep());
         let stats = service.shard(0).replication_stats();
         assert_eq!(stats.replay_lag, 0);
     }
@@ -159,7 +159,7 @@ mod tests {
 
         assert_eq!(crashed_outcomes, baseline_outcomes);
         assert_eq!(service_promotions(&crashed), 1);
-        assert!(crashed.mirrors_in_lockstep());
+        assert!(crashed.standbys_in_lockstep());
     }
 
     fn service_promotions(service: &ReplicatedMediator) -> u64 {
@@ -193,7 +193,7 @@ mod tests {
                 assert_eq!(wounded.shard(0).index(), 0);
                 assert_eq!(wounded.shard(0).replication_stats().promotions, 0);
                 assert_eq!(wounded.shard(0).replication_stats().replay_lag, 0);
-                assert!(wounded.mirrors_in_lockstep());
+                assert!(wounded.standbys_in_lockstep());
             }
             wounded
                 .submit_batch(chunk, &oracle, |_, q, r| {
@@ -215,7 +215,7 @@ mod tests {
         wounded.checkpoint_all().unwrap();
         wounded.crash_shard(0, &oracle).unwrap();
         assert_eq!(service_promotions(&wounded), 1);
-        assert!(wounded.mirrors_in_lockstep());
+        assert!(wounded.standbys_in_lockstep());
     }
 
     #[test]
@@ -223,8 +223,11 @@ mod tests {
         let oracle = oracle();
         let mut faulted = replicated(2);
         let mut baseline = replicated(2);
+        // Copy the registrations into the checkpoint now, so the cut closing
+        // round 3 (every fourth batch) replays its tail.
+        faulted.checkpoint_all().unwrap();
         let router = *faulted.router();
-        let stream: Vec<Query> = (0..120u64).map(|i| query(i, i as f64 * 0.1)).collect();
+        let stream: Vec<Query> = (0..180u64).map(|i| query(i, i as f64 * 0.1)).collect();
         let mut outcomes = Vec::new();
         let mut expected = Vec::new();
 
@@ -234,46 +237,114 @@ mod tests {
                     expected.push((q.id, r.map(|d| d.selected.clone()).ok()));
                 })
                 .unwrap();
-            let mut rest = chunk;
             if round == 2 {
                 // A record shard 0's standby cannot apply: not a gap, so not
                 // an `InvalidConfiguration`, and still not a query outcome.
+                // Observing it is a sequence check, so every query up to the
+                // next cut is served as the baseline serves it.
                 faulted.corrupt_log(0);
-                let before = outcomes.len();
-                let error = faulted
-                    .submit_batch(chunk, &oracle, |_, q, r| {
-                        outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
-                    })
-                    .unwrap_err();
+            }
+            let mut rest = chunk;
+            if round == 4 {
+                // The cut closing round 3 met the record and kept the fault.
+                assert_eq!(outcomes, expected[..outcomes.len()]);
+                let error = faulted.fault().cloned().expect("the cut met it");
                 assert!(
                     matches!(error, SbqaError::UnknownProvider { .. }),
                     "{error}"
                 );
+                let taken = faulted.shard(0).report();
+                let timed = faulted.shard(0).latency().count();
+                let before = outcomes.len();
+                let aborted = faulted.submit_batch(chunk, &oracle, |_, q, r| {
+                    outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
+                });
+                assert_eq!(aborted, Err(error.clone()));
                 // The batch stopped at shard 0's first query: only shard 1's
-                // queries ahead of it were mediated and called back.
+                // queries ahead of it were mediated and called back, and
+                // shard 0 tallied, starved and timed nothing.
                 let handled = &outcomes[before..];
                 assert!(handled
                     .iter()
                     .all(|(id, selected)| router.shard_of_query(*id) == 1 && selected.is_some()));
+                assert_eq!(faulted.shard(0).report(), taken);
+                assert_eq!(faulted.shard(0).latency().count(), timed);
                 let reports = faulted.shard_reports();
                 assert_eq!(reports.iter().map(|r| r.report.starved).sum::<usize>(), 0);
                 assert_eq!(reports[0].fault.as_ref(), Some(&error));
                 assert_eq!(reports[1].fault, None);
-                assert_eq!(faulted.fault(), Some(&error));
-                // The fault is as sticky as the log is broken…
+                // The fault is sticky…
+                rest = &chunk[handled.len()..];
                 assert_eq!(
-                    faulted.submit_batch(chunk, &oracle, |_, _, _| unreachable!()),
+                    faulted.submit_batch(rest, &oracle, |_, _, _| unreachable!()),
                     Err(error.clone())
                 );
                 // …until the crash that cannot succeed re-arms the shard.
                 assert_eq!(faulted.crash_shard(0, &oracle), Err(error));
                 assert_eq!(faulted.fault(), None);
-                assert!(faulted.mirrors_in_lockstep());
-                rest = &chunk[handled.len()..];
+                assert!(faulted.standbys_in_lockstep());
             }
             faulted
                 .submit_batch(rest, &oracle, |_, q, r| {
                     outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
+                })
+                .unwrap();
+        }
+        assert_eq!(outcomes, expected);
+        assert_eq!(service_promotions(&faulted), 0);
+    }
+
+    #[test]
+    fn a_shard_whose_cut_failed_partway_is_never_promoted() {
+        let oracle = oracle();
+        let mut faulted = replicated(2);
+        let mut baseline = replicated(2);
+        faulted.checkpoint_all().unwrap();
+        let router = *faulted.router();
+        let on_shard_0: Vec<ProviderId> = (0..24u64)
+            .map(ProviderId::new)
+            .filter(|&id| router.shard_of_provider(id) == 0)
+            .collect();
+        // A short tail beside the shard's population: the cut replays it.
+        let (early, late) = (&on_shard_0[..2], &on_shard_0[2..4]);
+        let stream: Vec<Query> = (0..120u64).map(|i| query(i, i as f64 * 0.1)).collect();
+        let mut outcomes = Vec::new();
+        let mut expected = Vec::new();
+
+        for (round, chunk) in stream.chunks(30).enumerate() {
+            if round == 2 {
+                // Shard 0's tail: providers going offline, a record that does
+                // not apply, more providers going offline. The cut applies
+                // the first ones, fails at the record and drops the rest.
+                for &id in early {
+                    faulted.set_provider_online(id, false).unwrap();
+                    baseline.set_provider_online(id, false).unwrap();
+                }
+                faulted.corrupt_log(0);
+                for &id in late {
+                    faulted.set_provider_online(id, false).unwrap();
+                    baseline.set_provider_online(id, false).unwrap();
+                }
+                let error = faulted.checkpoint_all().unwrap_err();
+                assert!(
+                    matches!(error, SbqaError::UnknownProvider { .. }),
+                    "{error}"
+                );
+                assert_eq!(faulted.fault(), Some(&error));
+                // The half-cut standby is not promoted: the crash is called
+                // off around the live mediator, and replication re-armed.
+                assert_eq!(faulted.crash_shard(0, &oracle), Err(error));
+                assert_eq!(faulted.fault(), None);
+                assert!(faulted.standbys_in_lockstep());
+            }
+            faulted
+                .submit_batch(chunk, &oracle, |_, q, r| {
+                    outcomes.push((q.id, r.map(|d| d.selected.clone()).ok()));
+                })
+                .unwrap();
+            baseline
+                .submit_batch(chunk, &oracle, |_, q, r| {
+                    expected.push((q.id, r.map(|d| d.selected.clone()).ok()));
                 })
                 .unwrap();
         }
@@ -290,7 +361,7 @@ mod tests {
             "{error}"
         );
         assert_eq!(service.shard_count(), 2);
-        assert!(service.mirrors_in_lockstep());
+        assert!(service.standbys_in_lockstep());
     }
 
     #[test]

@@ -75,10 +75,12 @@
 //! ## Replication faults
 //!
 //! A shard thread cannot return an error mid-stream. When its shard's
-//! replication stream faults, the thread keeps draining — so producers never
-//! deadlock on a full ring — but the shard takes no further query: those
-//! queries get no outcome, and the fault comes back on the shard
-//! ([`MediatorShard::fault`]) and in its [`ShardReport`](crate::ShardReport).
+//! replication stream faults — a gap met by a query's sync, or a record
+//! that does not apply, met by a checkpoint cut at a chunk's end — the
+//! thread keeps draining, so producers never deadlock on a full ring, but
+//! the shard takes no further query: those queries get no outcome, and the
+//! fault comes back on the shard ([`MediatorShard::fault`]) and in its
+//! [`ShardReport`](crate::ShardReport).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -308,8 +310,7 @@ fn drain(
                 outcomes.push(OutcomeRecord::from_result(index, query, result));
             }
             if envelope.chunk_end {
-                // Its errors are replication faults too: kept on the shard.
-                let _ = shard.end_batch();
+                shard.end_batch();
             }
         }
     }
@@ -561,19 +562,33 @@ mod tests {
 
     #[test]
     fn a_faulted_shard_keeps_draining_and_hands_the_fault_back() {
-        let mut service = build_service(2, 20);
-        service.replicate().unwrap();
-        service.corrupt_log(0);
-        let router = *service.router();
-        // A ring far smaller than the stream: a worker that stopped popping
-        // would block the producer forever.
-        let config = IngestConfig {
-            ring_capacity: 4,
-            degradation: None,
+        // Two chunks, each closed by a checkpoint cut. Replication is armed
+        // after the registrations, so shard 0's first cut replays its tail.
+        let run = |corrupt: bool| {
+            let mut service = build_service(2, 20);
+            service.replicate().unwrap();
+            service.set_checkpoint_interval(1);
+            if corrupt {
+                service.corrupt_log(0);
+            }
+            let router = *service.router();
+            // A ring far smaller than the stream: a worker that stopped
+            // popping would block the producer forever.
+            let config = IngestConfig {
+                ring_capacity: 4,
+                degradation: None,
+            };
+            let mut running = MediationService::spawn_with(service, oracle(), config).unwrap();
+            running.enqueue_batch((0..100).map(query));
+            running.enqueue_batch((100..200).map(query));
+            let (report, shards) = running.finish_with_shards();
+            (
+                report,
+                ShardedMediator::from_shards(router, shards).unwrap(),
+            )
         };
-        let mut running = MediationService::spawn_with(service, oracle(), config).unwrap();
-        running.enqueue_batch((0..200).map(query));
-        let (report, shards) = running.finish_with_shards();
+        let (baseline, _) = run(false);
+        let (report, mut service) = run(true);
 
         let fault = report.fault().expect("shard 0 faulted");
         assert!(
@@ -581,17 +596,27 @@ mod tests {
             "{fault}"
         );
         assert_eq!(report.shards[0].fault.as_ref(), Some(fault));
-        assert_eq!(shards[0].fault(), Some(fault));
+        assert_eq!(service.fault(), Some(fault));
         assert_eq!(report.shards[1].fault, None);
-        // Shard 0 took no query — none tallied, starved, timed or recorded —
-        // and shard 1 took all of its own.
-        assert_eq!(report.shards[0].report.submitted(), 0);
-        assert_eq!(report.shards[0].latency.count(), 0);
-        assert!(report.outcomes.iter().all(|o| o.shard == 1 && !o.starved));
-        let to_shard_1 = (0..200)
-            .filter(|&id| router.shard_of_query(QueryId::new(id)) == 1)
-            .count();
-        assert_eq!(report.outcomes.len(), to_shard_1);
-        assert_eq!(report.total.mediated, to_shard_1);
+        // Up to its cut, which closed the first chunk, shard 0 decided as it
+        // would have without the record. From the cut on it took no query —
+        // none tallied, starved, timed or recorded — and shard 1 took all of
+        // its own.
+        let served: Vec<&OutcomeRecord> = baseline
+            .outcomes
+            .iter()
+            .filter(|o| o.shard == 1 || o.query.raw() < 100)
+            .collect();
+        assert_eq!(report.outcomes.iter().collect::<Vec<_>>(), served);
+        let before_cut = served.iter().filter(|o| o.shard == 0).count();
+        assert!(before_cut > 0);
+        assert_eq!(report.shards[0].report.submitted(), before_cut);
+        assert_eq!(report.shards[0].latency.count(), before_cut);
+        assert_eq!(report.total.starved, 0);
+
+        // The crash that cannot succeed hands the fault back and re-arms.
+        assert_eq!(service.crash_shard(0, &*oracle()), Err(fault.clone()));
+        assert_eq!(service.fault(), None);
+        assert!(service.standbys_in_lockstep());
     }
 }

@@ -55,13 +55,16 @@
 //!
 //! ## Replication faults
 //!
-//! A sequence gap, or a log record that does not apply to the standby's
-//! mirror, is detected in one place (the shard's sync) and is never folded
-//! into a query's outcome. The inline driver aborts the batch with it
+//! A sequence gap is met when the standby reads the log; a log record that
+//! does not apply is met where it is applied, at a replaying checkpoint cut
+//! or a promotion. Either is kept on the shard, surfaces in one place (the
+//! shard's sync, at the next query routed there) and is never folded into a
+//! query's outcome. The inline driver aborts the batch with it
 //! ([`ShardedMediator::try_submit_batch`]); a threaded shard stops taking
 //! queries, keeps draining its ring, and hands the fault back on the shard
-//! and in its [`ShardReport`]. [`ShardedMediator::crash_shard`] calls the
-//! crash off and re-arms a faulted shard around its intact mediator.
+//! and in its [`ShardReport`]. A faulted standby is never cut or promoted
+//! again: [`ShardedMediator::crash_shard`] calls the crash off and re-arms
+//! the shard around its intact mediator.
 //!
 //! [`ReplicatedMediator`] is not a third front-end: it is a
 //! [`ShardedMediator`] replicated from construction, with the two

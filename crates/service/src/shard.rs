@@ -26,7 +26,7 @@ use std::time::Instant;
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{
     Admission, BatchReport, DegradationConfig, DegradationLadder, DegradationTier,
-    KnControllerConfig, Mediator, ProviderRegistry, QueryAllocator,
+    KnControllerConfig, Mediator, QueryAllocator,
 };
 use sbqa_metrics::LatencyRecorder;
 use sbqa_replication::{
@@ -51,7 +51,7 @@ fn fork_allocator(mediator: &Mediator) -> SbqaResult<Box<dyn QueryAllocator>> {
 }
 
 /// The standby side of a replicated shard: the log the mediator's registry
-/// feeds, the standby that mirrors it, and the first replication fault met.
+/// feeds, the standby that follows it, and the first replication fault met.
 #[derive(Debug)]
 struct Replica {
     log: SharedDeltaLog,
@@ -60,8 +60,8 @@ struct Replica {
 }
 
 impl Replica {
-    /// The one place a replication fault is detected: the first error of
-    /// the stream stays on the shard until it is re-armed.
+    /// Keeps the first error of the stream on the shard until it is
+    /// re-armed.
     fn keep_fault(&mut self, result: SbqaResult<()>) -> SbqaResult<()> {
         if let Err(fault) = &result {
             self.fault.get_or_insert_with(|| fault.clone());
@@ -69,7 +69,12 @@ impl Replica {
         result
     }
 
+    /// The one place a replication fault surfaces: the kept fault, before
+    /// the log is read, or else a gap met reading it.
     fn sync(&mut self) -> SbqaResult<()> {
+        if let Some(fault) = &self.fault {
+            return Err(fault.clone());
+        }
         let caught_up = self.standby.catch_up(&self.log).map(drop);
         self.keep_fault(caught_up)
     }
@@ -156,22 +161,18 @@ impl MediatorShard {
             ));
         }
         let allocator = fork_allocator(&self.mediator)?;
-        self.arm(allocator, None);
+        self.arm(allocator);
         Ok(())
     }
 
-    /// The arming itself. `mirror`, when given, is a registry already equal
-    /// to the mediator's in replicated state (a promoted shard's previous
-    /// lockstep mirror); it saves the standby one of its two registry clones.
-    fn arm(&mut self, allocator: Box<dyn QueryAllocator>, mirror: Option<ProviderRegistry>) {
+    /// The arming itself: the standby's checkpoint is one clone of the live
+    /// registry and one of the live satisfaction registry.
+    fn arm(&mut self, allocator: Box<dyn QueryAllocator>) {
         let log = SharedDeltaLog::new();
-        let checkpoint = self.mediator.providers().clone();
-        let mirror = mirror.unwrap_or_else(|| checkpoint.clone());
-        let standby = StandbyShard::with_mirror(
+        let standby = StandbyShard::new(
             allocator,
-            checkpoint,
+            self.mediator.providers().clone(),
             self.mediator.satisfaction().clone(),
-            mirror,
             log.last_sequence(),
         );
         self.mediator.set_delta_sink(Box::new(log.clone()));
@@ -229,15 +230,16 @@ impl MediatorShard {
     }
 
     /// The first replication fault this shard's standby met since it was
-    /// last armed: a sequence gap, or a log record that does not apply to
-    /// the mirror. A faulted shard accepts no query until
+    /// last armed: a sequence gap, met reading the log, or a log record that
+    /// does not apply, met where a checkpoint cut replays it. A faulted
+    /// shard accepts no query and cuts no checkpoint until
     /// [`promote`](Self::promote) has re-armed it.
     #[must_use]
     pub fn fault(&self) -> Option<&SbqaError> {
         self.replica.as_ref()?.fault.as_ref()
     }
 
-    /// Streams the log records the standby has not yet applied into it.
+    /// Streams the log records the standby has not yet observed into it.
     fn sync(&mut self) -> SbqaResult<()> {
         self.replica.as_mut().map_or(Ok(()), Replica::sync)
     }
@@ -275,8 +277,8 @@ impl MediatorShard {
     ///
     /// # Errors
     ///
-    /// A replication fault, in which case the query was neither admitted,
-    /// journaled, mediated, tallied nor timed.
+    /// A replication fault ([`fault`](Self::fault)), in which case the query
+    /// was neither admitted, journaled, mediated, tallied nor timed.
     pub fn submit(
         &mut self,
         query: &Query,
@@ -312,20 +314,17 @@ impl MediatorShard {
 
     /// Closes a batch: a replicated shard cuts a checkpoint every
     /// [`checkpoint interval`](Self::set_checkpoint_interval) batches, here
-    /// and nowhere else, so a cut never splits a mediation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`checkpoint`](Self::checkpoint) errors.
-    pub fn end_batch(&mut self) -> SbqaResult<()> {
+    /// and nowhere else, so a cut never splits a mediation. A fault the cut
+    /// meets is kept on the shard like every other
+    /// ([`fault`](Self::fault)): the next query routed here meets it.
+    pub fn end_batch(&mut self) {
         self.batches += 1;
         if self.replica.is_some()
             && self.checkpoint_interval > 0
             && self.batches.is_multiple_of(self.checkpoint_interval)
         {
-            self.checkpoint()?;
+            let _ = self.checkpoint();
         }
-        Ok(())
     }
 
     /// Cuts a fresh checkpoint of the live mediator into the standby,
@@ -338,10 +337,13 @@ impl MediatorShard {
     ///
     /// # Errors
     ///
-    /// A replication fault on the standby sync, or
+    /// A replication fault, kept on the shard ([`fault`](Self::fault)): the
+    /// pending one, a gap, a tail record the cut's replay meets, or
     /// [`SbqaError::InvalidConfiguration`] if the technique lost fork
-    /// support (cannot happen after [`replicate`](Self::replicate)); the
-    /// standby and the log are then as they were.
+    /// support (cannot happen after [`replicate`](Self::replicate)). A
+    /// record that fails mid-replay leaves the standby half-cut, so a
+    /// faulted standby is never cut or promoted again; the next
+    /// [`promote`](Self::promote) discards it.
     pub fn checkpoint(&mut self) -> SbqaResult<()> {
         let Some(replica) = &mut self.replica else {
             return Ok(());
@@ -363,56 +365,52 @@ impl MediatorShard {
     /// replays its checkpoint + tail + journal into a fresh mediator, which
     /// replaces the live one — registry, satisfaction state and RNG are
     /// gone, and the promotion has read none of them — and replication is
-    /// re-armed around it (new log, new bootstrap checkpoint, the old
-    /// standby's mirror carried over). The decision stream continues
-    /// byte-identically; nothing else on the shard changes.
+    /// re-armed around it (new log, new bootstrap checkpoint). The decision
+    /// stream continues byte-identically; nothing else on the shard changes.
     ///
     /// # Errors
     ///
     /// [`SbqaError::InvalidConfiguration`] without a standby. Otherwise the
-    /// promotion's replay error (a faulted log or tail), in which case the
-    /// crash is called off: the broken standby and its log are discarded and
-    /// replication is re-armed around the untouched mediator.
+    /// shard's pending fault, met before any replay, or the promotion's
+    /// replay error (a faulted log or tail). Either way the crash is called
+    /// off: the broken standby and its log are discarded and replication is
+    /// re-armed around the untouched mediator.
     pub fn promote(&mut self, oracle: &dyn IntentionOracle) -> SbqaResult<ReplayReport> {
         // Forked before anything is taken apart, for the calling-off path.
         let spare = fork_allocator(&self.mediator)?;
-        let Some(Replica {
-            log, mut standby, ..
-        }) = self.replica.take()
-        else {
+        let Some(mut replica) = self.replica.take() else {
             return Err(SbqaError::invalid_config(format!(
                 "shard {} has no standby to promote",
                 self.index
             )));
         };
-        let promotion = standby
-            .catch_up(&log)
-            .and_then(|_| standby.promote(oracle))
-            .and_then(|(mediator, mirror, report)| {
-                Ok((fork_allocator(&mediator)?, mediator, mirror, report))
-            });
+        let promotion = replica
+            .sync()
+            .and_then(|()| replica.standby.promote(oracle))
+            .and_then(|(mediator, report)| Ok((fork_allocator(&mediator)?, mediator, report)));
         match promotion {
-            Ok((allocator, mediator, mirror, report)) => {
+            Ok((allocator, mediator, report)) => {
                 // The crash: the live mediator is dropped wholesale.
                 self.mediator = mediator;
-                self.arm(allocator, Some(mirror));
+                self.arm(allocator);
                 self.promotions += 1;
                 Ok(report)
             }
             Err(error) => {
-                self.arm(spare, None);
+                self.arm(spare);
                 Err(error)
             }
         }
     }
 
-    /// `true` if the standby's mirror registry is byte-identical (slab
-    /// layout, load columns, online flags) to the live registry right now;
-    /// vacuously `true` without a standby.
+    /// `true` if the standby's checkpoint, advanced by its tail
+    /// ([`StandbyShard::replay_digest`]), is byte-identical (slab layout,
+    /// load columns, online flags) to the live registry right now;
+    /// vacuously `true` without a standby. Costs a registry clone.
     #[must_use]
-    pub fn mirror_in_lockstep(&self) -> bool {
+    pub fn standby_in_lockstep(&self) -> bool {
         self.replica.as_ref().is_none_or(|replica| {
-            registry_digest(self.mediator.providers()) == replica.standby.mirror_digest()
+            replica.standby.replay_digest() == Ok(registry_digest(self.mediator.providers()))
         })
     }
 

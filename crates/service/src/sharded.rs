@@ -41,7 +41,8 @@
 //! ## Replication faults
 //!
 //! A fault of a shard's replication stream (a sequence gap, or a log record
-//! that does not apply to the standby's mirror) is never a query's outcome.
+//! that does not apply, met when a checkpoint cut replays it) is never a
+//! query's outcome. It is kept on the shard, and
 //! [`try_submit_batch`](ShardedMediator::try_submit_batch) aborts with it at
 //! the first query routed to the faulted shard — that query and the rest of
 //! the batch reach neither a mediator nor the callback — and it stays
@@ -307,11 +308,12 @@ impl ShardedMediator {
             .promote(oracle)
     }
 
-    /// `true` if every standby mirror is byte-identical to its shard's live
-    /// registry.
+    /// `true` if every standby's checkpoint, advanced by its tail, is
+    /// byte-identical to its shard's live registry
+    /// ([`MediatorShard::standby_in_lockstep`]).
     #[must_use]
-    pub fn mirrors_in_lockstep(&self) -> bool {
-        self.shards.iter().all(MediatorShard::mirror_in_lockstep)
+    pub fn standbys_in_lockstep(&self) -> bool {
+        self.shards.iter().all(MediatorShard::standby_in_lockstep)
     }
 
     /// The pending replication fault of the lowest-indexed faulted shard.
@@ -343,9 +345,11 @@ impl ShardedMediator {
     ///
     /// # Errors
     ///
-    /// A replication fault (see the module docs); per-query starvation and
-    /// shedding are reported through `on_result`, not as errors. Without
-    /// [`replicate`](Self::replicate) the call cannot fail.
+    /// A replication fault met by a query (see the module docs); per-query
+    /// starvation and shedding are reported through `on_result`, not as
+    /// errors. A fault the closing checkpoint cut meets is kept on its shard
+    /// for the next batch. Without [`replicate`](Self::replicate) the call
+    /// cannot fail.
     pub fn try_submit_batch<F>(
         &mut self,
         queries: &[Query],
@@ -371,9 +375,7 @@ impl ShardedMediator {
             let result = shard.submit(query, oracle, Instant::now())?;
             on_result(pos as usize, query, result);
         }
-        self.shards
-            .iter_mut()
-            .try_for_each(MediatorShard::end_batch)?;
+        self.shards.iter_mut().for_each(MediatorShard::end_batch);
         let after = self.tallied();
         Ok(BatchReport {
             mediated: after.mediated - before.mediated,
@@ -726,7 +728,7 @@ mod tests {
         let oracle = StaticIntentions::new();
         assert!(service.crash_shard(0, &oracle).is_err());
         assert!(service.checkpoint_all().is_ok());
-        assert!(service.mirrors_in_lockstep());
+        assert!(service.standbys_in_lockstep());
         assert!(service
             .shard_reports()
             .iter()

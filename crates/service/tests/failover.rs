@@ -146,8 +146,8 @@ fn crash_and_promotion_preserve_the_decision_stream_under_churn() {
     }
 
     assert_eq!(stormy_outcomes, calm_outcomes);
-    assert!(stormy.mirrors_in_lockstep());
-    assert!(calm.mirrors_in_lockstep());
+    assert!(stormy.standbys_in_lockstep());
+    assert!(calm.standbys_in_lockstep());
 
     // Cumulative tallies survive the promotions.
     let stormy_total: usize = stormy
@@ -198,7 +198,7 @@ fn checkpoints_bound_replay_state() {
     // A crash right after a checkpoint still promotes cleanly.
     let report = service.crash_shard(0, &oracle).unwrap();
     assert_eq!(report.queries_mediated + report.queries_starved, 0);
-    assert!(service.mirrors_in_lockstep());
+    assert!(service.standbys_in_lockstep());
 }
 
 #[test]
@@ -250,7 +250,7 @@ fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
         (stats.tail_depth, stats.journal_depth, stats.replay_lag),
         (0, 0, 0)
     );
-    assert!(service.mirrors_in_lockstep());
+    assert!(service.standbys_in_lockstep());
 }
 
 #[test]
@@ -311,7 +311,7 @@ fn crash_while_shedding_preserves_the_overload_decision_stream() {
 
     assert_eq!(crashed_outcomes, calm_outcomes);
     assert!(crashed_outcomes.iter().any(|(_, (_, shed))| *shed));
-    assert!(crashed.mirrors_in_lockstep());
+    assert!(crashed.standbys_in_lockstep());
 
     // The surviving ladders tell the same overload story.
     assert_eq!(shed_total(&crashed), shed_total(&calm));
@@ -370,7 +370,7 @@ fn resize_then_replicate_round_trip() {
     // the resized state (load and offline flags included).
     let mut replicated = grown;
     replicated.replicate().unwrap();
-    assert!(replicated.mirrors_in_lockstep());
+    assert!(replicated.standbys_in_lockstep());
     let moved = replicated
         .shard(replicated.router().shard_of_provider(ProviderId::new(5)))
         .mediator()
@@ -386,7 +386,7 @@ fn resize_then_replicate_round_trip() {
         .try_submit_batch(&stream, &oracle, |_, _, _| {})
         .unwrap();
     assert_eq!(report.mediated + report.starved, 30);
-    assert!(replicated.mirrors_in_lockstep());
+    assert!(replicated.standbys_in_lockstep());
 }
 
 // ---------------------------------------------------------------------------
@@ -518,7 +518,7 @@ fn a_threaded_replicated_degrading_run_survives_a_crash_byte_identically() {
 
         assert_eq!(outcomes, inline_outcomes, "chunk {chunk}");
         assert_eq!(stats, Some(inline_stats), "chunk {chunk}");
-        assert!(front.mirrors_in_lockstep());
+        assert!(front.standbys_in_lockstep());
         let promotions: u64 = front
             .shards()
             .map(|s| s.replication_stats().promotions)

@@ -91,6 +91,18 @@ if grep -rnE "evaluate_departures|DepartureRound|run_single_mediator|departure_t
     exit 1
 fi
 
+echo "== a standby keeps one registry: no lockstep mirror"
+# A standby holds its checkpoint and the tail observed since. A record is
+# applied where the checkpoint moves (a replaying cut, a promotion), and
+# StandbyShard::replay_digest checks snapshot + replay against the live
+# registry on demand. The names of the deleted second registry must not
+# come back.
+if grep -rnE "with_mirror|mirror_digest|mirror_in_lockstep|mirrors_in_lockstep|\.mirror\(\)" \
+    crates src tests examples; then
+    echo "a lockstep mirror registry is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -177,9 +189,14 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # uninterrupted stream — on a primary populated before it was armed and on
 # the bootstrap shape (armed empty, populated through the log), whose first
 # cut copies both halves whole; the property fails unless the copying and the
-# replaying branch each ran, for the registry and for satisfaction. The whole
-# replication and satisfaction suites run here, so the unit tests of those
-# two branches run under --release too. The whole core suite runs here as
+# replaying branch each ran, for the registry and for satisfaction, and
+# after every op the standby's replay_digest (checkpoint + tail) equals the
+# primary's registry digest. The whole replication and satisfaction suites
+# run here, so the unit tests of those two branches run under --release too,
+# and so do standby.rs' three fates of a record that does not apply
+# (a_replaying_cut_meets_a_record_that_does_not_apply,
+# a_copying_cut_supersedes_a_record_that_does_not_apply,
+# replay_digest_meets_a_record_that_does_not_apply_before_any_cut). The whole core suite runs here as
 # well, so postings.rs' own unit tests (the word-carrying Array's build at
 # WORDS_MIN, its words moving on promotion and demotion, which sources merge
 # sparse or dense) and nonfinite_intentions run under --release too.
