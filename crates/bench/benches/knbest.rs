@@ -4,7 +4,7 @@
 //! capable, so the interesting series is how flat the cost stays as `|Pq|`
 //! grows. The slice series time the draw and the filter alone; the
 //! `select_block/map_100k` series adds what a registry-backed view costs on
-//! top — a rank-select per drawn position into Bitmap postings chunks, a
+//! top — an index per drawn position into a postings chunk's sorted keys, a
 //! probe of the column slab's id directory and a gather from its 100 000
 //! rows.
 
@@ -75,7 +75,7 @@ fn bench_knbest(c: &mut Criterion) {
         );
     }
 
-    // 100 000 members on every third id: five Bitmap chunks of ~21 845.
+    // 100 000 members on every third id: five chunks of ~21 845 sorted keys.
     let mut columns = ProviderColumns::new();
     let mut map = PostingsMap::new();
     for row in population(100_000) {

@@ -37,14 +37,14 @@ use crate::postings::{IdIter, IdSet, MergedSet, PostingsMap};
 ///
 /// * a contiguous slice of snapshots ([`Candidates::from_slice`], used by
 ///   tests and ad-hoc callers),
-/// * a capability's bitmap postings map wrapped directly
+/// * a capability's postings map wrapped directly
 ///   ([`Candidates::from_map`], the single-capability path — nothing is
 ///   materialised at all), or
 /// * the merged membership of several postings maps
 ///   ([`Candidates::from_merged`], the multi-capability path).
 ///
-/// The last two are id sets over a column store: a position rank-selects to
-/// a provider id in the set, and the id resolves to its row through the
+/// The last two are id sets over a column store: a position selects a
+/// provider id in the set, and the id resolves to its row through the
 /// store's own directory ([`ProviderColumns::slot_of`]) — the one place a
 /// slot is recorded, so a view is indifferent to slab compaction.
 ///
@@ -88,10 +88,10 @@ impl<'a> Candidates<'a> {
         }
     }
 
-    /// A view over a bitmap postings map: candidates are the map's members
-    /// in ascending id order, with nothing materialised. Every member must
-    /// be a row of `columns`. Positional access ([`Candidates::get`],
-    /// [`Candidates::load_keys`]) rank-selects into the map; sequential
+    /// A view over a postings map: candidates are the map's members in
+    /// ascending id order, with nothing materialised. Every member must be a
+    /// row of `columns`. Positional access ([`Candidates::get`],
+    /// [`Candidates::load_keys`]) indexes the map's chunk keys; sequential
     /// access ([`Candidates::iter`], [`Candidates::gather_all_into`]) streams
     /// it.
     #[must_use]
@@ -151,12 +151,13 @@ impl<'a> Candidates<'a> {
     /// by.
     ///
     /// Over an id set the gather runs in three phases, each over the whole
-    /// batch: positions → ids (a rank-select in the set, the id rebuilt from
-    /// the postings key), ids → slots (a probe of the column store's
-    /// directory), slots → utilization. The cache misses of one phase do not
-    /// depend on one another, so they overlap instead of queueing behind
-    /// each position's rank-select; fusing the probe into the first phase
-    /// gives that up.
+    /// batch: positions → ids (an index into a chunk's sorted keys — a
+    /// rank-select only in a dense merged chunk — the id rebuilt from the
+    /// chunk key), ids → slots (a probe of the column store's directory),
+    /// slots → utilization. The cache misses of one phase do not depend on
+    /// one another, so they overlap instead of queueing behind each
+    /// position's lookup; fusing the probe into the first phase gives that
+    /// up.
     ///
     /// # Panics
     /// Panics if a position is out of bounds.
@@ -190,8 +191,8 @@ impl<'a> Candidates<'a> {
     }
 
     /// Iterates over the candidates in position order, streaming the backing
-    /// store sequentially (no per-item rank-select, even for map and merged
-    /// views).
+    /// store sequentially (no per-item positional lookup, even for map and
+    /// merged views).
     #[must_use]
     pub fn iter(&self) -> CandidateIter<'a> {
         CandidateIter {
@@ -273,8 +274,8 @@ impl Iterator for CandidateIter<'_> {
 ///
 /// Baseline techniques rank the *entire* candidate set by some field
 /// (utilization, capacity headroom, queue length, bid). Sorting through
-/// [`Candidates::get`] would pay a positional lookup — for bitmap-backed
-/// views a rank-select — *per comparison*; gathering once into parallel
+/// [`Candidates::get`] would pay a positional lookup and a directory probe
+/// *per comparison*; gathering once into parallel
 /// columns makes the sort read dense, cache-friendly arrays. The block is
 /// scratch: it lives in the technique and is reused across queries, so
 /// steady-state gathering allocates nothing once the columns have grown.
@@ -821,7 +822,7 @@ mod tests {
         assert_eq!(view.len(), 4);
         let ids: Vec<u64> = view.iter().map(|s| s.id.raw()).collect();
         assert_eq!(ids, vec![2, 5, 9, 70_000]);
-        // Positional access rank-selects to the same enumeration.
+        // Positional access selects the same enumeration.
         for (pos, &raw) in [2u64, 5, 9, 70_000].iter().enumerate() {
             assert_eq!(view.get(pos).id.raw(), raw);
         }

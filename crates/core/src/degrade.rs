@@ -346,7 +346,7 @@ pub fn baseline_allocate_into(
     decision.clear();
 
     // (relative load, id) keys of the consideration prefix, on the stack and
-    // streamed: a positional read would rank-select once per candidate.
+    // streamed: a positional read would select and probe once per candidate.
     let mut keys = [(0.0, ProviderId::new(0)); BASELINE_CONSIDERATION];
     let mut considered = 0;
     for snapshot in candidates.iter().take(BASELINE_CONSIDERATION) {

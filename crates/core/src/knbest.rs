@@ -23,7 +23,10 @@
 //! keys of the `k` drawn positions are gathered as one batch
 //! ([`Candidates::load_keys`]: positions → ids, ids → slots, slots →
 //! utilization, each step over the whole batch, so the cache misses of a
-//! step overlap). The utilization filter is a
+//! step overlap). Over a single class's postings the first step is an index
+//! into a chunk's sorted keys, so its `k` loads do not depend on one
+//! another either; only a dense merged chunk pays a rank-select. The
+//! utilization filter is a
 //! bounded insertion: the `kn` best keys seen so far are kept sorted, and a
 //! drawn key that does not beat the worst of them — most do not, once the
 //! buffer is full — costs one comparison. The order `(utilization, id)` is
@@ -91,8 +94,8 @@ pub struct KnBestScratch {
     pool: IndexPool,
     /// Ranking keys of the drawn set K — gathered once from the candidate
     /// columns so the filter compares dense keys instead of re-reading the
-    /// view per comparison (which, for bitmap-backed views, would rank-select
-    /// every time).
+    /// view per comparison (which, for a registry-backed view, would select
+    /// in the postings and probe the id directory every time).
     keys: Vec<RankKey>,
     /// Output columns of the selection, parallel and in ranking order.
     positions: Vec<u32>,
@@ -181,8 +184,8 @@ impl KnBestSelector {
     ///
     /// The ranking keys of the drawn set K are gathered from the view
     /// *once*, as a batch; the filter then runs over dense keys, so a
-    /// bitmap-backed view pays `k` rank-selects total instead of one per
-    /// comparison. Costs O(k) plus a shift of at most `kn` keys for each
+    /// registry-backed view pays `k` positional lookups total instead of one
+    /// per comparison. Costs O(k) plus a shift of at most `kn` keys for each
     /// key that enters the buffer — O(k·kn) at worst — regardless of `|Pq|`,
     /// and performs no heap allocation once `scratch` has warmed up.
     pub fn select_block<'s, R: Rng>(

@@ -1,62 +1,60 @@
-//! Roaring-style bitmap postings: the registry's per-capability index of
-//! online providers, scaled for millions of entries.
+//! Chunked postings: the registry's per-capability index of online
+//! providers, scaled for millions of entries.
 //!
 //! A [`PostingsMap`] is an ordered **set of provider ids** — membership and
-//! nothing else. Ids are split into 2^16-sized chunks by their high bits;
-//! each chunk stores its members in one of two container shapes, exactly as
-//! in the Roaring bitmap design:
-//!
-//! * **Array** — a sorted `Vec<u16>` of low-bit keys, which a positional
-//!   lookup indexes directly. Compact and cache-friendly while the chunk is
-//!   sparse. Once it has reached [`WORDS_MIN`] keys it also keeps the same
-//!   members as 1024 bitset words, set and cleared beside the keys, so a
-//!   merge reads them word-parallel instead of scattering the keys.
-//! * **Bitmap** — a 1024-word (`u64`) bitset with a two-level popcount
-//!   directory (a prefix per 64-word block, and per 8-word group within its
-//!   block) so positional lookup (`select`) reads one cache line of words.
-//!   Used once a chunk is populous: membership becomes O(1).
+//! nothing else. Ids are split into 2^16-sized chunks by their high bits, as
+//! in the Roaring bitmap design, but every chunk has one shape: a sorted
+//! `Vec<u16>` of its members' low keys, which a positional lookup indexes
+//! directly. Once a chunk has reached [`WORDS_MIN`] keys it also keeps the
+//! same members as 1024 bitset words, set and cleared beside the keys, so a
+//! merge reads them word-parallel instead of scattering the keys; it keeps
+//! them until it empties, so a chunk flapping around [`WORDS_MIN`] does not
+//! allocate.
 //!
 //! Beside the sorted chunk keys a map keeps the cumulative chunk lengths, so
-//! the chunk holding a position is found in one array, whatever the number
-//! of chunks.
+//! a positional lookup ([`PostingsMap::select`]) is one search of that array
+//! and one index into the chunk's keys: the `k` draws of a KnBest selection
+//! are independent loads that overlap, not `k` chains of dependent
+//! popcount-directory reads.
 //!
-//! A chunk promotes from Array to Bitmap when it outgrows
-//! [`ARRAY_MAX`] entries and demotes below [`BITMAP_MIN`]; the hysteresis gap
-//! keeps a provider flapping on the boundary (e.g. toggling online/offline)
-//! from re-shaping its chunk on every transition. The words move with the
-//! shape: a promoting Array's become the Bitmap's, a demoting Bitmap's stay
-//! with the Array. An Array keeps its words until it empties or promotes, so
-//! a chunk flapping around [`WORDS_MIN`] does not allocate either.
-//!
-//! Iteration order is ascending provider id *by construction*: chunk keys are
-//! kept sorted, Array keys are sorted, and Bitmap words are scanned from bit
-//! 0 upward. This is what keeps every downstream random draw byte-identical
-//! per seed — positions into a postings view enumerate the same providers in
-//! the same order as the flat sorted `Vec<u32>` lists they replaced.
+//! Iteration order is ascending provider id *by construction*: chunk keys and
+//! the low keys within a chunk are kept sorted. This is what keeps every
+//! downstream random draw byte-identical per seed — positions into a
+//! postings view enumerate the same providers in the same order as the flat
+//! sorted `Vec<u32>` lists they replaced.
 //!
 //! No slot is recorded here. Where a member's row sits in the registry's
 //! column store is the business of that store's id directory
 //! (`ProviderColumns::slot_of`), the one id → slot map there is: a
-//! candidate view rank-selects a position to an id in a map or in a
+//! candidate view selects a position's id in a map or in a
 //! [`MergedSet`] — the id-sorted membership of an `All`/`Any` merge, one
 //! bitset per dense chunk, sorted low keys per sparse one — and resolves the
 //! id there. A slab compaction therefore touches no postings at all, and a
 //! set goes stale only when membership changes.
 //!
+//! ## Cost model of a membership change
+//!
+//! An insert whose low key is above the chunk's last pushes it, with no
+//! search and no move: registering providers in ascending id order, as every
+//! world build does, appends. Any other insert, and every remove, binary
+//! searches the keys and moves the ones after it — at most
+//! 2 B × 65 536 = 128 KiB in a full chunk, a few µs — and flips one word bit.
+//! The map's cumulative lengths move by one for every later chunk.
+//!
 //! ## Cost model of a merge
 //!
 //! [`MergedSet::merge`] costs O(chunks × 1 024 words × lists) word
 //! operations plus one popcount pass per dense chunk. Between sources that
-//! have words (a Bitmap, an Array of at least [`WORDS_MIN`] keys) it does no
-//! per-member work: an AND / OR over a chunk's words is ~0.1–0.25 µs, where
-//! scattering 3 000 keys is ~2.4 µs. Only an Array under [`WORDS_MIN`]
-//! scatters its keys into the words, and only a sparse merged chunk — all
-//! its sources under [`WORDS_MIN`] — bit-scans its members back out. A
-//! positional read ([`MergedSet::select`]) is a rank-select in the set. A set
-//! occupies 12 B per chunk, 2 B per member of a sparse chunk and 8 KiB per
-//! dense chunk, i.e. about max(2 B × members, 8 KiB × dense chunks). A map
-//! occupies 2 B per Array member, 8 KiB more per Array that keeps words
-//! (at most 8 B a member) and ~8.3 KiB per Bitmap.
+//! have words (chunks of at least [`WORDS_MIN`] keys) it does no per-member
+//! work: an AND / OR over a chunk's words is ~0.1–0.25 µs, where scattering
+//! 3 000 keys is ~2.4 µs. Only a chunk under [`WORDS_MIN`] scatters its keys
+//! into the words, and only a sparse merged chunk — all its sources under
+//! [`WORDS_MIN`] — bit-scans its members back out. A positional read
+//! ([`MergedSet::select`]) is a rank-select in a dense merged chunk, an
+//! index into a sparse one. A set occupies 12 B per chunk, 2 B per member of
+//! a sparse chunk and 8 KiB per dense chunk, i.e. about
+//! max(2 B × members, 8 KiB × dense chunks). A map occupies 2 B per member
+//! and 8 KiB more per chunk that keeps words (at most 8 B a member).
 
 use sbqa_types::{ProviderId, MAX_CAPABILITY_CLASSES};
 
@@ -77,18 +75,16 @@ const GROUPS_PER_BLOCK: usize = WORDS_PER_BLOCK / WORDS_PER_GROUP;
 /// Second-level prefixes per chunk.
 const GROUPS_PER_CHUNK: usize = WORDS_PER_CHUNK / WORDS_PER_GROUP;
 
-/// An Array chunk promotes to Bitmap when it would exceed this many entries.
+/// A [`MergedSet`] chunk whose sources hold more than this many entries
+/// between them is merged dense — a bitset with its popcount directory —
+/// even if none of them keeps words. The constant shapes merged sets only:
+/// a [`PostingsMap`] chunk is sorted keys at any size.
 pub const ARRAY_MAX: usize = 4096;
-/// An Array chunk that reaches this many entries also keeps its bitset
-/// words, and keeps them until it empties or promotes: one member per word
-/// on average, so the words cost at most 8 B a member (4× the keys) and a
-/// merge reads them instead of scattering the keys.
+/// A chunk that reaches this many entries also keeps its bitset words, and
+/// keeps them until it empties: one member per word on average, so the
+/// words cost at most 8 B a member (4× the keys) and a merge reads them
+/// instead of scattering the keys.
 pub const WORDS_MIN: usize = 1024;
-/// A Bitmap chunk demotes back to Array when it shrinks below this many
-/// entries. The gap to [`ARRAY_MAX`] is deliberate hysteresis: a chunk
-/// sitting on the boundary can churn by hundreds of entries without
-/// re-shaping (and therefore without reallocating) its container.
-pub const BITMAP_MIN: usize = 3584;
 
 /// The chunk key (high bits) of a provider id.
 fn chunk_key(id: ProviderId) -> u64 {
@@ -120,9 +116,9 @@ fn select_in_word(mut word: u64, mut rank: u32) -> u32 {
 
 /// A 2^16-bit membership set with a two-level popcount directory, so the
 /// `rank`-th member is found by narrowing to one 64-word block, then to one
-/// 8-word group (a cache line of words) inside it. Backs both a dense
-/// [`PostingsMap`] chunk and a dense [`MergedSet`] chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// 8-word group (a cache line of words) inside it. Backs a dense
+/// [`MergedSet`] chunk.
+#[derive(Debug, Clone)]
 struct Bitset {
     /// `WORDS_PER_CHUNK` words; bit `low % 64` of word `low / 64` is `low`.
     words: Box<[u64]>,
@@ -138,67 +134,12 @@ struct Bitset {
 
 impl Bitset {
     fn empty() -> Self {
-        Self::from_words(words_of(&[]))
-    }
-
-    /// A bitset over `words` (`WORDS_PER_CHUNK` of them), its directory
-    /// counted.
-    fn from_words(words: Box<[u64]>) -> Self {
-        let mut bits = Self {
-            words,
+        Self {
+            words: words_of(&[]),
             blocks: [0; BLOCKS_PER_CHUNK],
             groups: [0; GROUPS_PER_CHUNK],
             len: 0,
-        };
-        bits.recount();
-        bits
-    }
-
-    fn contains(&self, low: u16) -> bool {
-        self.words[low as usize / 64] & (1u64 << (low % 64)) != 0
-    }
-
-    /// Accounts for one bit set (`inserted`) or cleared in `word`: every
-    /// later block's prefix and every later group's of its own block move
-    /// by one — at most 15 + 7 counters.
-    fn count_bit(&mut self, word: usize, inserted: bool) {
-        let block = word / WORDS_PER_BLOCK;
-        let group = word / WORDS_PER_GROUP;
-        let blocks = &mut self.blocks[block + 1..];
-        let groups = &mut self.groups[group + 1..(block + 1) * GROUPS_PER_BLOCK];
-        if inserted {
-            self.len += 1;
-            blocks.iter_mut().for_each(|count| *count += 1);
-            groups.iter_mut().for_each(|count| *count += 1);
-        } else {
-            self.len -= 1;
-            blocks.iter_mut().for_each(|count| *count -= 1);
-            groups.iter_mut().for_each(|count| *count -= 1);
         }
-    }
-
-    /// Sets `low`; returns `true` if it was clear.
-    fn insert(&mut self, low: u16) -> bool {
-        let word = low as usize / 64;
-        let bit = 1u64 << (low % 64);
-        if self.words[word] & bit != 0 {
-            return false;
-        }
-        self.words[word] |= bit;
-        self.count_bit(word, true);
-        true
-    }
-
-    /// Clears `low`; returns `true` if it was set.
-    fn remove(&mut self, low: u16) -> bool {
-        let word = low as usize / 64;
-        let bit = 1u64 << (low % 64);
-        if self.words[word] & bit == 0 {
-            return false;
-        }
-        self.words[word] &= !bit;
-        self.count_bit(word, false);
-        true
     }
 
     /// Recomputes the directory and `len` after `words` was written
@@ -284,8 +225,8 @@ impl Iterator for BitIter<'_> {
     }
 }
 
-/// The members of one chunk of a [`PostingsMap`] or a [`MergedSet`]: a
-/// bitset, or sorted low keys.
+/// The members of one chunk: a dense [`MergedSet`] chunk's bitset, or the
+/// sorted low keys of a sparse one or of a [`PostingsMap`] chunk.
 #[derive(Debug, Clone, Copy)]
 enum ChunkMembers<'a> {
     Dense(&'a Bitset),
@@ -335,121 +276,64 @@ fn words_of(keys: &[u16]) -> Box<[u64]> {
     words
 }
 
-/// One chunk's container: sparse Array or dense Bitmap.
+/// One chunk of a [`PostingsMap`]: its members' sorted low keys and, once
+/// the chunk has reached [`WORDS_MIN`] keys, the same members as bitset
+/// words, kept in step with the keys until the chunk empties.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Container {
-    /// Sorted low-bit keys and, once the chunk has reached [`WORDS_MIN`]
-    /// keys, the same members as bitset words, kept in step with the keys.
-    Array {
-        keys: Vec<u16>,
-        words: Option<Box<[u64]>>,
-    },
-    /// Bitset membership.
-    Bitmap(Box<Bitset>),
+struct Container {
+    keys: Vec<u16>,
+    words: Option<Box<[u64]>>,
 }
 
 impl Container {
-    const EMPTY: Container = Container::Array {
+    const EMPTY: Container = Container {
         keys: Vec::new(),
         words: None,
     };
 
-    fn len(&self) -> usize {
-        match self {
-            Container::Array { keys, .. } => keys.len(),
-            Container::Bitmap(bits) => bits.len as usize,
-        }
-    }
-
-    /// `true` unless the chunk is an Array that has never reached
-    /// [`WORDS_MIN`] keys: what a merge reads without scattering keys.
-    fn has_words(&self) -> bool {
-        !matches!(self, Container::Array { words: None, .. })
-    }
-
-    fn contains(&self, low: u16) -> bool {
-        match self {
-            Container::Array { keys, .. } => keys.binary_search(&low).is_ok(),
-            Container::Bitmap(bits) => bits.contains(low),
-        }
-    }
-
-    /// Inserts; returns `true` if the key was new. An Array reaching
-    /// [`WORDS_MIN`] keys builds its words; one outgrowing [`ARRAY_MAX`]
-    /// promotes to a Bitmap over them.
+    /// Inserts; returns `true` if the key was new. A key above the last is
+    /// pushed without a search; a chunk reaching [`WORDS_MIN`] keys builds
+    /// its words.
     fn insert(&mut self, low: u16) -> bool {
-        match self {
-            Container::Array { keys, words } => {
-                let Err(at) = keys.binary_search(&low) else {
-                    return false;
-                };
-                if keys.len() >= ARRAY_MAX {
-                    let words = words.take().unwrap_or_else(|| words_of(keys));
-                    let mut bits = Bitset::from_words(words);
-                    bits.insert(low);
-                    *self = Container::Bitmap(Box::new(bits));
-                    return true;
-                }
-                keys.insert(at, low);
-                match words {
-                    Some(words) => words[low as usize / 64] |= 1u64 << (low % 64),
-                    None if keys.len() >= WORDS_MIN => *words = Some(words_of(keys)),
-                    None => {}
-                }
-                true
-            }
-            Container::Bitmap(bits) => bits.insert(low),
+        if self.keys.last().is_none_or(|&last| last < low) {
+            self.keys.push(low);
+        } else {
+            let Err(at) = self.keys.binary_search(&low) else {
+                return false;
+            };
+            self.keys.insert(at, low);
         }
+        match &mut self.words {
+            Some(words) => words[low as usize / 64] |= 1u64 << (low % 64),
+            None if self.keys.len() >= WORDS_MIN => self.words = Some(words_of(&self.keys)),
+            None => {}
+        }
+        true
     }
 
-    /// Removes; returns `true` if the key was present. An Array keeps its
-    /// words; a Bitmap that shrinks below [`BITMAP_MIN`] demotes to an Array
-    /// and hands it its words.
+    /// Removes; returns `true` if the key was present. The words stay.
     fn remove(&mut self, low: u16) -> bool {
-        match self {
-            Container::Array { keys, words } => {
-                let Ok(at) = keys.binary_search(&low) else {
-                    return false;
-                };
-                keys.remove(at);
-                if let Some(words) = words {
-                    words[low as usize / 64] &= !(1u64 << (low % 64));
-                }
-                true
-            }
-            Container::Bitmap(bits) => {
-                if !bits.remove(low) {
-                    return false;
-                }
-                if (bits.len as usize) < BITMAP_MIN {
-                    *self = Container::Array {
-                        keys: bits.iter().collect(),
-                        words: Some(std::mem::take(&mut bits.words)),
-                    };
-                }
-                true
-            }
+        let Ok(at) = self.keys.binary_search(&low) else {
+            return false;
+        };
+        self.keys.remove(at);
+        if let Some(words) = &mut self.words {
+            words[low as usize / 64] &= !(1u64 << (low % 64));
         }
-    }
-
-    fn members(&self) -> ChunkMembers<'_> {
-        match self {
-            Container::Array { keys, .. } => ChunkMembers::Sparse(keys),
-            Container::Bitmap(bits) => ChunkMembers::Dense(bits),
-        }
+        true
     }
 }
 
-/// A bitmap-postings set of provider ids, enumerated in ascending id order.
+/// A chunked postings set of provider ids, enumerated in ascending id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingsMap {
     /// Sorted chunk keys (`id >> 16`).
     keys: Vec<u64>,
     /// `ends[i]` = entries in chunks `0..=i`, parallel to `keys`: the chunk
     /// holding a position is found in this one array, without visiting the
-    /// containers. An insert or remove moves every later entry by one.
+    /// chunks. An insert or remove moves every later entry by one.
     ends: Vec<usize>,
-    /// Containers, parallel to `keys`.
+    /// Chunk members, parallel to `keys`.
     chunks: Vec<Container>,
     /// Membership epoch: bumped by every call that changes which ids the
     /// map holds — an [`insert`](PostingsMap::insert) of an absent id, a
@@ -526,7 +410,7 @@ impl PostingsMap {
         }
         self.generation += 1;
         self.ends[chunk..].iter_mut().for_each(|end| *end -= 1);
-        if self.chunks[chunk].len() == 0 {
+        if self.chunks[chunk].keys.is_empty() {
             self.keys.remove(chunk);
             self.ends.remove(chunk);
             self.chunks.remove(chunk);
@@ -539,11 +423,11 @@ impl PostingsMap {
     pub fn contains(&self, id: ProviderId) -> bool {
         self.keys
             .binary_search(&chunk_key(id))
-            .is_ok_and(|chunk| self.chunks[chunk].contains(low_bits(id)))
+            .is_ok_and(|chunk| self.chunks[chunk].keys.binary_search(&low_bits(id)).is_ok())
     }
 
-    /// The id of the `pos`-th member in ascending id order, rebuilt from the
-    /// chunk key and the member's low key.
+    /// The id of the `pos`-th member in ascending id order: a search of the
+    /// cumulative chunk lengths and an index into the chunk's keys.
     ///
     /// # Panics
     /// Panics if `pos >= len()`.
@@ -554,8 +438,7 @@ impl PostingsMap {
             // sbqa-lint: allow(panic-hygiene, "out-of-bounds position mirrors the slice-indexing contract; callers pass validated cursors")
             panic!("postings position {pos} out of bounds (len {})", self.len())
         };
-        let low = container.members().select(pos - self.start(chunk));
-        id_of(self.keys[chunk], low)
+        id_of(self.keys[chunk], container.keys[pos - self.start(chunk)])
     }
 
     /// Iterates the members in ascending id order.
@@ -631,7 +514,7 @@ fn or_keys(words: &mut [u64], keys: &[u16]) {
 
 /// Overwrites `words` with the AND (`conjunctive`) or OR of one chunk's
 /// `sources`: word-parallel over every source that has words, a scatter of
-/// the keys for an Array that has none.
+/// the keys for one that has none.
 fn merge_words(words: &mut [u64], sources: &[&Container], conjunctive: bool) {
     // Folds one source's words into `words`, or copies the first.
     let fold = |words: &mut [u64], mask: &[u64], first: bool| {
@@ -650,21 +533,18 @@ fn merge_words(words: &mut [u64], sources: &[&Container], conjunctive: bool) {
         }
     };
     for (nth, source) in sources.iter().enumerate() {
-        match source {
-            Container::Bitmap(bits) => fold(words, &bits.words, nth == 0),
-            Container::Array {
-                words: Some(mask), ..
-            } => fold(words, mask, nth == 0),
-            Container::Array { keys, words: None } if nth == 0 => {
+        match &source.words {
+            Some(mask) => fold(words, mask, nth == 0),
+            None if nth == 0 => {
                 words.fill(0);
-                or_keys(words, keys);
+                or_keys(words, &source.keys);
             }
-            Container::Array { keys, words: None } if conjunctive => {
+            None if conjunctive => {
                 let mut mask = [0u64; WORDS_PER_CHUNK];
-                or_keys(&mut mask, keys);
+                or_keys(&mut mask, &source.keys);
                 fold(words, &mask, false);
             }
-            Container::Array { keys, words: None } => or_keys(words, keys),
+            None => or_keys(words, &source.keys),
         }
     }
 }
@@ -725,8 +605,8 @@ impl MergedSet {
     /// Replaces the set with the ids held by **all** (`conjunctive`) or
     /// **any** of `lists[i]` for every bit `i` of `classes`.
     ///
-    /// Every chunk is merged word-parallel: the first source's words — an
-    /// Array under [`WORDS_MIN`] keys scatters its keys into zeroed words —
+    /// Every chunk is merged word-parallel: the first source's words — a
+    /// chunk under [`WORDS_MIN`] keys scatters its keys into zeroed words —
     /// with every other source ANDed / ORed in. A dense chunk keeps the words
     /// and one popcount pass fills its prefix blocks; a sparse chunk
     /// bit-scans them into low keys.
@@ -742,8 +622,8 @@ impl MergedSet {
         self.keys.reserve_exact(chunks);
         self.ends.reserve_exact(chunks);
         for_each_chunk(lists, classes, conjunctive, |key, sources| {
-            let dense = sources.iter().any(|c| c.has_words())
-                || sources.iter().map(|c| c.len()).sum::<usize>() > ARRAY_MAX;
+            let dense = sources.iter().any(|c| c.words.is_some())
+                || sources.iter().map(|c| c.keys.len()).sum::<usize>() > ARRAY_MAX;
             let members = if dense {
                 self.merge_dense(sources, conjunctive)
             } else {
@@ -873,7 +753,10 @@ impl<'a> IdSet<'a> {
     /// The key and the members of the `chunk`-th chunk, if there is one.
     fn chunk(self, chunk: usize) -> Option<(u64, ChunkLows<'a>)> {
         let (key, members) = match self {
-            IdSet::Map(map) => (*map.keys.get(chunk)?, map.chunks[chunk].members()),
+            IdSet::Map(map) => (
+                *map.keys.get(chunk)?,
+                ChunkMembers::Sparse(&map.chunks[chunk].keys),
+            ),
             IdSet::Merged(set) => (*set.keys.get(chunk)?, set.members(chunk)),
         };
         Some((key, members.lows()))
@@ -972,41 +855,25 @@ mod tests {
         }
     }
 
-    /// The three states a map chunk can be in.
-    #[derive(Debug, PartialEq, Eq)]
-    enum Shape {
-        /// An Array that has never reached `WORDS_MIN` keys.
-        Keys,
-        /// An Array that keeps its words.
-        KeysAndWords,
-        Bitmap,
+    /// `true` if the chunk keeps bitset words beside its keys.
+    fn has_words(map: &PostingsMap, chunk: usize) -> bool {
+        map.chunks[chunk].words.is_some()
     }
 
-    fn shape(map: &PostingsMap, chunk: usize) -> Shape {
-        match &map.chunks[chunk] {
-            Container::Array { words: None, .. } => Shape::Keys,
-            Container::Array { words: Some(_), .. } => Shape::KeysAndWords,
-            Container::Bitmap(_) => Shape::Bitmap,
-        }
-    }
-
-    /// Where the chunk's words live, so a moved buffer can be told from a
+    /// Where the chunk's words live, so a kept buffer can be told from a
     /// rebuilt one.
     fn words_at(map: &PostingsMap, chunk: usize) -> Option<*const u64> {
-        match &map.chunks[chunk] {
-            Container::Array { words, .. } => words.as_ref().map(|words| words.as_ptr()),
-            Container::Bitmap(bits) => Some(bits.words.as_ptr()),
-        }
+        map.chunks[chunk].words.as_ref().map(|words| words.as_ptr())
     }
 
-    /// Holds an Array's words to its keys, bit for bit.
+    /// Holds a chunk's words to its keys, bit for bit.
     fn assert_words_match_keys(map: &PostingsMap, chunk: usize) {
-        let Container::Array {
+        let Container {
             keys,
             words: Some(words),
         } = &map.chunks[chunk]
         else {
-            panic!("chunk {chunk} is not an Array with words");
+            panic!("chunk {chunk} keeps no words");
         };
         for low in 0..=u16::MAX {
             let bit = words[low as usize / 64] >> (low % 64) & 1 == 1;
@@ -1017,9 +884,9 @@ mod tests {
     #[test]
     fn an_array_builds_its_words_at_words_min_and_keeps_them_below() {
         let mut map = build(&(0..WORDS_MIN as u64 - 1).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(shape(&map, 0), Shape::Keys);
+        assert!(!has_words(&map, 0));
         map.insert(id(1));
-        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
+        assert!(has_words(&map, 0));
         assert_words_match_keys(&map, 0);
         let words = words_at(&map, 0);
 
@@ -1028,7 +895,7 @@ mod tests {
         for raw in 0..300u64 {
             assert!(map.remove(id(raw * 3)));
         }
-        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
+        assert!(has_words(&map, 0));
         assert_words_match_keys(&map, 0);
         for _ in 0..10 {
             map.insert(id(2));
@@ -1043,69 +910,50 @@ mod tests {
         for (pos, &raw) in expected.iter().enumerate() {
             assert_eq!(map.select(pos), id(raw), "select({pos})");
         }
-    }
-
-    #[test]
-    fn promotion_moves_the_words_and_demotion_hands_them_back() {
-        let mut map = build(&(0..ARRAY_MAX as u64).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
-        let words = words_at(&map, 0);
-        let n = ARRAY_MAX + 200;
-        for raw in ARRAY_MAX as u64..n as u64 {
-            map.insert(id(raw * 3));
-        }
-        assert_eq!(shape(&map, 0), Shape::Bitmap);
-        assert_eq!(
-            words_at(&map, 0),
-            words,
-            "the Bitmap took the Array's words"
-        );
-        assert_eq!(map.len(), n);
-        // Every member still resolves, in order.
-        let expected: Vec<u64> = (0..n as u64).map(|raw| raw * 3).collect();
-        assert_eq!(ids_of(&map), expected);
-        assert_eq!(map.select(7), id(21));
-
-        // Shrink below the hysteresis floor: the chunk demotes back to an
-        // Array, which keeps the Bitmap's words.
-        for raw in (BITMAP_MIN - 100) as u64..n as u64 {
-            assert!(map.remove(id(raw * 3)));
-        }
-        assert_eq!(shape(&map, 0), Shape::KeysAndWords);
-        assert_eq!(
-            words_at(&map, 0),
-            words,
-            "the Array took the Bitmap's words"
-        );
-        assert_words_match_keys(&map, 0);
-        assert_eq!(ids_of(&map), expected[..BITMAP_MIN - 100]);
 
         // Emptied, the chunk goes, words and all.
-        for &raw in &expected[..BITMAP_MIN - 100] {
+        for &raw in &expected {
             assert!(map.remove(id(raw)));
         }
         assert!(map.is_empty() && map.chunks.is_empty());
     }
 
     #[test]
-    fn hysteresis_gap_avoids_reshaping_on_the_boundary() {
-        let mut map = PostingsMap::new();
-        for raw in 0..=ARRAY_MAX as u64 {
-            map.insert(id(raw));
-        }
-        assert_eq!(shape(&map, 0), Shape::Bitmap);
-        // Oscillate one entry around the promotion point: the container must
-        // stay a bitmap (no demotion until BITMAP_MIN).
-        for _ in 0..10 {
-            map.remove(id(0));
-            assert_eq!(shape(&map, 0), Shape::Bitmap);
-            map.insert(id(0));
+    fn insert_order_does_not_change_the_map() {
+        // A chunk of 6 000 keys (past ARRAY_MAX), one that keeps words and a
+        // key-only one. Ascending inserts take the append path throughout,
+        // descending ones the mid-array path throughout, interleaved ones
+        // both: all three must build the same keys, words and positions.
+        let ids: Vec<u64> = (0..6000u64)
+            .map(|i| i * 3)
+            .chain((0..1100u64).map(|i| 0x1_0000 + i * 5))
+            .chain((0..500u64).map(|i| 0x2_0000 + i * 7))
+            .collect();
+        let descending: Vec<u64> = ids.iter().rev().copied().collect();
+        let interleaved: Vec<u64> = ids
+            .iter()
+            .step_by(2)
+            .chain(ids.iter().skip(1).step_by(2).rev())
+            .copied()
+            .collect();
+        let ascending = build(&ids);
+        assert!(has_words(&ascending, 0) && has_words(&ascending, 1));
+        assert!(!has_words(&ascending, 2));
+        for (order, map) in [
+            ("descending", build(&descending)),
+            ("interleaved", build(&interleaved)),
+        ] {
+            assert_eq!(map, ascending, "{order}: keys, words and lengths");
+            assert_eq!(ids_of(&map), ids, "{order}: iter");
+            for (pos, &raw) in ids.iter().enumerate() {
+                assert_eq!(map.select(pos), id(raw), "{order}: select({pos})");
+            }
         }
     }
 
     #[test]
-    fn select_matches_iteration_in_bitmap_chunks() {
-        // A dense low chunk (bitmap) plus a sparse high chunk (array).
+    fn select_matches_iteration_in_dense_chunks() {
+        // A dense low chunk (6 000 keys) plus a sparse high chunk.
         let ids: Vec<u64> = (0..6000u64)
             .map(|raw| raw * 2)
             .chain((0..10u64).map(|raw| 1_000_000 + raw))
@@ -1154,17 +1002,17 @@ mod tests {
 
     #[test]
     fn merges_agree_with_brute_force_across_container_shapes() {
-        // Four lists spanning key-only Arrays, Arrays with words, Bitmaps
-        // and chunk boundaries; the first is dense enough to promote.
+        // Four lists spanning key-only chunks, chunks with words, a chunk
+        // past ARRAY_MAX keys and chunk boundaries.
         let dense: Vec<u64> = (0..5000u64).map(|i| i * 2).collect();
         let sparse: Vec<u64> = (0..500u64).map(|i| i * 20).collect();
         let high: Vec<u64> = (0..300u64).map(|i| 60_000 + i * 40).collect();
         let middling: Vec<u64> = (0..2000u64).map(|i| i * 7).collect();
         let sets = [&dense[..], &sparse, &high, &middling];
         let lists: Vec<PostingsMap> = sets.iter().map(|ids| build(ids)).collect();
-        assert_eq!(shape(&lists[0], 0), Shape::Bitmap);
-        assert_eq!(shape(&lists[1], 0), Shape::Keys);
-        assert_eq!(shape(&lists[3], 0), Shape::KeysAndWords);
+        assert!(lists[0].chunks[0].keys.len() > ARRAY_MAX && has_words(&lists[0], 0));
+        assert!(!has_words(&lists[1], 0));
+        assert!(has_words(&lists[3], 0));
         // One set throughout: every merge recycles the previous one's buffers.
         let mut set = MergedSet::default();
 
@@ -1181,7 +1029,7 @@ mod tests {
 
     #[test]
     fn key_only_sources_merge_sparse_and_sources_with_words_dense() {
-        // Five Array lists over three chunks, so one set holds both shapes
+        // Five lists over three chunks, so one set holds both shapes
         // and positions cross from one into the other:
         // * chunk 0 — 600 + 600 keys in lists 0 and 1, key-only: sparse;
         // * chunk 1 — 1 500 keys (with words) + 500 in lists 0 and 1: dense,
@@ -1200,12 +1048,12 @@ mod tests {
         ];
         lists_ids.extend((3..=5).map(|step| chunk2(step).collect()));
         let lists: Vec<PostingsMap> = lists_ids.iter().map(|ids| build(ids)).collect();
-        assert_eq!(shape(&lists[0], 0), Shape::Keys);
-        assert_eq!(shape(&lists[0], 1), Shape::KeysAndWords);
-        assert_eq!(shape(&lists[1], 1), Shape::Keys);
+        assert!(!has_words(&lists[0], 0));
+        assert!(has_words(&lists[0], 1));
+        assert!(!has_words(&lists[1], 1));
         assert!(lists
             .iter()
-            .all(|list| shape(list, list.chunks.len() - 1) == Shape::Keys));
+            .all(|list| !has_words(list, list.chunks.len() - 1)));
         let mut set = MergedSet::default();
         for (classes, conjunctive, dense, sparse) in [
             (0b11, true, 1, true),

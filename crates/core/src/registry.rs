@@ -12,7 +12,7 @@
 //! scoring reads only the columns it ranks by. The slab owns the one id →
 //! slot map there is ([`ProviderColumns::slot_of`]); the registry keeps no
 //! index of its own. One [`PostingsMap`] per capability class — a
-//! Roaring-style bitmap set of provider ids, see [`crate::postings`] — holds
+//! Roaring-style chunked set of provider ids, see [`crate::postings`] — holds
 //! every *online* provider advertising that capability (one extra map tracks
 //! *every* online provider, which answers degenerate `All{}` requirements
 //! and makes `online_count` O(1)). For a single-capability query `Pq` is the
@@ -24,7 +24,7 @@
 //! Either way the view names its members by id and finds a member's row
 //! through the slab's directory when the candidate is accessed. Candidate
 //! order is ascending provider id *by construction* on every path (the
-//! bitmap containers enumerate in id order), which makes every downstream
+//! postings chunks enumerate in id order), which makes every downstream
 //! random draw deterministic per seed. The maps are maintained incrementally
 //! on [`register`](ProviderRegistry::register),
 //! [`unregister`](ProviderRegistry::unregister) and
@@ -191,14 +191,14 @@ impl PlanCache {
 }
 
 /// Mediator-side registry of provider state: a dense struct-of-arrays slab
-/// plus a per-capability bitmap index of online providers.
+/// plus a per-capability postings index of online providers.
 #[derive(Debug)]
 pub struct ProviderRegistry {
     /// Dense column store of provider state, with its id → slot directory;
     /// slots are compacted with a column-wise `swap_remove` on unregister,
     /// so a slot index is only stable between mutations.
     columns: ProviderColumns,
-    /// For each capability class, the bitmap postings of online providers
+    /// For each capability class, the postings of online providers
     /// advertising it; the final entry ([`ONLINE_LIST`]) holds every online
     /// provider.
     postings: Vec<PostingsMap>,
@@ -1039,10 +1039,10 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_scale_population_keeps_candidates_id_sorted() {
-        // Enough providers in one class to promote its chunk containers to
-        // bitmaps, with churn in the middle: the id-ordered enumeration
-        // contract must hold regardless of container shape.
+    fn populous_chunk_keeps_candidates_id_sorted() {
+        // More providers in one class chunk than ARRAY_MAX, with churn in
+        // the middle: the id-ordered enumeration contract must hold at any
+        // chunk size.
         let mut reg = ProviderRegistry::new();
         let n = 6000u64;
         for id in 0..n {

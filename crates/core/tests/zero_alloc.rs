@@ -8,7 +8,8 @@
 //! re-merges into recycled plan entries, with the satisfaction registry's
 //! touched-id tracking off (the default) and, once its id buffers are warm,
 //! with it on and synced into a checkpoint copy (a replicated shard's
-//! primary cutting checkpoints).
+//! primary cutting checkpoints). Nor may a provider toggling offline and
+//! online inside a populous postings chunk, once warm.
 //!
 //! Provider windows grow on demand *inside* those runs — nobody fills them
 //! first. A growth step takes a block from the registry's pool, so the only
@@ -98,10 +99,11 @@ fn multi_query(id: u64) -> Query {
 fn steady_state_mediation_does_not_allocate() {
     // 13,000 providers over overlapping two-class capability sets on classes
     // {0, 1, 2}: each class's postings list holds ~8,666 providers and the
-    // online list 13,000 — both far past the Array→Bitmap promotion
-    // threshold (`postings::ARRAY_MAX` = 4,096), so most measured merges
-    // run against Bitmap containers. A class-3 list added near the end sits
-    // on the Array's word boundary (`postings::WORDS_MIN` = 1,024) instead.
+    // online list 13,000, all in one chunk of sorted keys that keeps its
+    // bitset words — far past `postings::ARRAY_MAX` = 4,096, so most
+    // measured merges are dense and read words only. A class-3 list added
+    // near the end sits on the word boundary (`postings::WORDS_MIN` = 1,024)
+    // instead.
     const PROVIDERS: u64 = 13_000;
 
     let config = SystemConfig::default().with_knbest(20, 4);
@@ -236,7 +238,7 @@ fn steady_state_mediation_does_not_allocate() {
     let report = mediator.submit_batch(&batch, &oracle, |_, _, result| {
         assert!(result.is_ok());
     });
-    // …and the multi-capability merge path (bitmap intersections & unions).
+    // …and the multi-capability merge path (word-parallel intersections & unions).
     for id in 3_000..3_500u64 {
         let decision = mediator.submit_in_place(&multi_query(id), &oracle).unwrap();
         assert_eq!(decision.selected.len(), 2);
@@ -267,6 +269,30 @@ fn steady_state_mediation_does_not_allocate() {
     assert_eq!(
         stats.stale_rebuilds, warm_stats.stale_rebuilds,
         "nothing was invalidated mid-measurement"
+    );
+
+    // A provider in the middle of those populous chunks toggling offline and
+    // online: each flip moves the keys after it within the chunk's sorted
+    // keys and flips one word bit. The keys keep their capacity and the
+    // words stay, so once warm no flip may allocate.
+    let toggle = |mediator: &mut Mediator, flips: usize| {
+        for _ in 0..flips {
+            for online in [false, true] {
+                mediator
+                    .set_provider_online(ProviderId::new(PROVIDERS / 2), online)
+                    .unwrap();
+            }
+        }
+    };
+    toggle(&mut mediator, 2);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    toggle(&mut mediator, 200);
+    COUNTING.store(false, Ordering::SeqCst);
+    assert_eq!(
+        ALLOCATIONS.load(Ordering::SeqCst) - before,
+        0,
+        "a provider toggling inside a populous chunk must not touch the heap"
     );
 
     // Re-merges into recycled plan entries. With the cache bounded below

@@ -103,6 +103,16 @@ if grep -rnE "with_mirror|mirror_digest|mirror_in_lockstep|mirrors_in_lockstep|\
     exit 1
 fi
 
+echo "== a postings chunk has one shape: sorted keys, no Bitmap container"
+# A PostingsMap chunk is its sorted low keys at any size (plus bitset words
+# from WORDS_MIN keys on), so a select is an index. The names of the deleted
+# bitset container, its demotion floor and its hysteresis test must not come
+# back.
+if grep -rnE "Container::Bitmap|BITMAP_MIN|hysteresis_gap" crates/core/src; then
+    echo "a second postings chunk shape is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -130,7 +140,8 @@ echo "== bench smoke: scenario 1 --quick, scenario 4 --quick, scenario_multicap 
 # lookup vs 2- and 4-way All/Any requirements — so a hot-path regression that
 # only shows up at runtime still fails CI. The cache bench is the only one
 # that drives cold merges, LRU eviction and stale rebuilds of the id-bitset
-# plans end to end, on Bitmap and on all-Array class lists. The failover smoke crashes every
+# plans end to end, on class lists whose chunks keep words (100k) and on
+# lists of key-only chunks. The failover smoke crashes every
 # shard's primary at the stream midpoint and exits non-zero unless the
 # promoted run's merged outcome stream is byte-identical to the
 # uninterrupted one, so replication replay is exercised end-to-end on every
@@ -155,7 +166,7 @@ echo "== overload smoke: scenario_overload --quick"
 cargo run --release -p sbqa_bench --bin scenario_overload -- --quick > /dev/null
 
 echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
-# The headline scale: one million registered providers behind the bitmap
+# The headline scale: one million registered providers behind the chunked
 # postings index. A quick query stream over 1 and 2 shards proves
 # registration, candidate resolution and mediation all hold up at 1M (the
 # run re-asserts the 1-shard determinism contract at that scale too).
@@ -197,21 +208,27 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # (a_replaying_cut_meets_a_record_that_does_not_apply,
 # a_copying_cut_supersedes_a_record_that_does_not_apply,
 # replay_digest_meets_a_record_that_does_not_apply_before_any_cut). The whole core suite runs here as
-# well, so postings.rs' own unit tests (the word-carrying Array's build at
-# WORDS_MIN, its words moving on promotion and demotion, which sources merge
-# sparse or dense) and nonfinite_intentions run under --release too.
+# well, so postings.rs' own unit tests (a chunk's words built at WORDS_MIN
+# and kept below it, insert_order_does_not_change_the_map — ascending,
+# descending and interleaved inserts of the same ids build equal keys,
+# words and positions, so the append path and the mid-array path agree —
+# and which sources merge sparse or dense) and nonfinite_intentions run
+# under --release too.
 # postings_prop holds a postings map to an ordered id
-# set (membership, order, rank-select, and a generation that moves exactly
-# when membership does), a merged candidate plan to the naive ordered-set
-# merge on every container mix (key-only Arrays, Arrays that keep their
-# words, Bitmaps, mixed, the promote-demote boundary), before and after slab
-# compactions move its members' rows — and rank-select (`select`, the
+# set (membership, order, positional select, and a generation that moves
+# exactly when membership does), a merged candidate plan to the naive
+# ordered-set merge on every chunk mix (key-only chunks, chunks that keep
+# their words, chunks past ARRAY_MAX keys, mixed), before and after slab
+# compactions move its members' rows — and positional select (`select`, the
 # batched `load_keys`) to the shadow's id and that id's row after every
-# insert and remove, on Array and Bitmap chunks, on both sides of the word
-# boundary (an Array reaching WORDS_MIN = 1 024 keys keeps bitset words
-# beside its keys until it empties or promotes: one at WORDS_MIN - 1, one
-# at exactly WORDS_MIN, one that shrank back below it, a demoted Bitmap),
-# across a promotion and a demotion and in a completely full chunk;
+# insert and remove, in small and populous chunks, on both sides of the word
+# boundary (a chunk reaching WORDS_MIN = 1 024 keys keeps bitset words
+# beside its keys until it empties: one at WORDS_MIN - 1, one at exactly
+# WORDS_MIN, one that shrank back below it) and in a completely full chunk;
+# a_merge_over_a_full_chunk_selects_every_position drives a dense merged
+# chunk's popcount directory to its largest prefixes, and
+# populous_chunk_churn_and_drain_preserve_equivalence churns and drains a
+# chunk grown past ARRAY_MAX;
 # candidates_prop holds every read of every registry view (`get`,
 # `load_keys`, `iter`, `gather_all_into`; single-class, all-online and
 # cached merged) to a shadow of the rows after every register, unregister,
