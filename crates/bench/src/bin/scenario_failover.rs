@@ -141,7 +141,6 @@ fn crash_and_compare(options: &cli::HarnessOptions) -> Result<(), String> {
             "shard",
             "log depth",
             "appended",
-            "applied",
             "lag",
             "checkpoints",
             "promotions",
@@ -157,7 +156,6 @@ fn crash_and_compare(options: &cli::HarnessOptions) -> Result<(), String> {
                 shard.shard.to_string(),
                 stats.log_depth.to_string(),
                 stats.last_appended.to_string(),
-                stats.last_applied.to_string(),
                 stats.replay_lag.to_string(),
                 stats.checkpoints.to_string(),
                 stats.promotions.to_string(),

@@ -83,8 +83,8 @@ impl DegradationTier {
 
 /// The ladder's verdict on one arriving query: plain data the host passes to
 /// [`Mediator::submit_at`](crate::Mediator::submit_at) with the query and
-/// journals for its standby.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// appends to a replicated shard's log beside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Admission {
     /// Mediate the query under the given tier (never [`DegradationTier::Shed`]).
     Admit(DegradationTier),

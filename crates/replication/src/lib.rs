@@ -1,9 +1,9 @@
 //! # sbqa-replication
 //!
 //! Crash-tolerance for the mediator: an append-only, monotonically-sequenced
-//! log of registry mutations, a standby that reproduces a live shard by
-//! snapshot + replay, and the handoff package that moves providers between
-//! shards without re-registering the world.
+//! log of everything a shard did, a standby that reproduces a live shard by
+//! checkpoint + replay of that log, and the handoff package that moves
+//! providers between shards without re-registering the world.
 //!
 //! ## Why replay can promise byte-identity
 //!
@@ -12,7 +12,7 @@
 //! construction), the satisfaction registry (ω per pair) and the allocator's
 //! RNG position. All three are reproducible:
 //!
-//! * registry state replays from the [delta log](log::DeltaLog) — a registry
+//! * registry state replays from the [log](log::DeltaLog) — a registry
 //!   emits one record per effective mutation (every `register`, an
 //!   `unregister` or `update_load` of a known provider, a `set_online` that
 //!   toggles the flag) and none for a no-op, so a replica that applies the
@@ -21,32 +21,33 @@
 //!   stream position intact;
 //! * satisfaction and RNG state *between* checkpoint and crash depend on the
 //!   queries mediated in that window — a starved query consumes no RNG, a
-//!   mediated one consumes draws proportional to `k` — so the standby keeps
-//!   a [query journal](standby::StandbyShard::observe_query) and, at
-//!   promotion, replays deltas and queries interleaved by log watermark: the
-//!   exact order the primary saw them.
+//!   mediated one consumes draws proportional to `k` — so the shard appends
+//!   every offered query, with its admission verdict, and every consumer
+//!   registration to the same log, and a
+//!   [promotion](standby::StandbyShard::promote) replays it in order: the
+//!   exact order the primary met them.
 //!
 //! After promotion the standby's mediator is in the primary's precise
 //! pre-crash state, and the decision stream continues byte-identically (the
 //! service crate's failover tests and `scenario_failover` pin this on seed
 //! 42).
 //!
-//! ## Sequence and epoch invariants
+//! ## Sequence invariants
 //!
-//! Log sequences start at 1 and increase by exactly 1 per appended record —
-//! including [`DeltaOp::SnapshotMark`]s, which occupy a sequence so a
-//! checkpoint's cut point is totally ordered against mutations. A standby
-//! tracks the last sequence it observed and refuses gaps: a pruned-past-its-
-//! watermark log is reported as an error, never silently skipped. One
-//! checkpoint + contiguous tail is therefore sufficient *and necessary* to
-//! reconstruct the primary.
+//! Log sequences start at 1 and increase by exactly 1 per appended record.
+//! A standby stands at the watermark of its checkpoint, and every read of
+//! the log checks that the records past it follow on without a gap: a log
+//! that ends before the watermark, is pruned past it, skips a sequence or
+//! lost a query's body is reported as a `replication gap`, never silently
+//! skipped. One checkpoint + the contiguous log past it is therefore
+//! sufficient *and necessary* to reconstruct the primary.
 
 pub mod handoff;
 pub mod log;
 pub mod standby;
 
 pub use handoff::HandoffPackage;
-pub use log::{DeltaLog, DeltaOp, DeltaRecord, SharedDeltaLog};
+pub use log::{DeltaLog, DeltaOp, DeltaRecord, Entry, SharedDeltaLog};
 pub use standby::{ReplayReport, StandbyShard};
 
 use sbqa_core::{Mediator, RegistryDelta};
@@ -57,18 +58,14 @@ use sbqa_types::SbqaResult;
 /// the service's `ShardReport` tables next to the cache and latency rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicationStats {
-    /// Records currently retained in the shard's delta log.
+    /// Records in the shard's log past the standby's checkpoint: what a
+    /// promotion replays.
     pub log_depth: usize,
     /// Highest sequence ever appended to the log.
     pub last_appended: u64,
-    /// Highest sequence the standby has observed.
-    pub last_applied: u64,
-    /// `last_appended - last_applied`: how far the standby trails the log.
+    /// `last_appended` minus the checkpoint's watermark: how far the
+    /// checkpoint trails the log.
     pub replay_lag: u64,
-    /// Mutation records the standby holds beyond its checkpoint.
-    pub tail_depth: usize,
-    /// Queries journaled since the last checkpoint.
-    pub journal_depth: usize,
     /// Checkpoints installed into the standby over its lifetime.
     pub checkpoints: u64,
     /// Promotions this shard slot has survived.
@@ -77,15 +74,12 @@ pub struct ReplicationStats {
 
 impl ReplicationStats {
     /// Folds another shard's counters into a service-wide aggregate: depths
-    /// sum, sequence high-water marks and lag take the maximum (the
+    /// sum, the sequence high-water mark and lag take the maximum (the
     /// service-level lag is its worst shard's lag).
     pub fn merge(&mut self, other: &ReplicationStats) {
         self.log_depth += other.log_depth;
         self.last_appended = self.last_appended.max(other.last_appended);
-        self.last_applied = self.last_applied.max(other.last_applied);
         self.replay_lag = self.replay_lag.max(other.replay_lag);
-        self.tail_depth += other.tail_depth;
-        self.journal_depth += other.journal_depth;
         self.checkpoints += other.checkpoints;
         self.promotions += other.promotions;
     }

@@ -8,7 +8,12 @@
 //! cut, digest-equal (registry and satisfaction) to the primary a full clone
 //! would have copied, and promoting it after a crash continues the decision
 //! stream of a mediator that never crashed — whether a cut replays the
-//! changes since the last one or copies the state they would change.
+//! changes since the last one or copies the state they would change. The
+//! promotion replays one log: mutations, queries with their verdicts and
+//! consumer registrations, in the order the primary met them. A log that
+//! cannot carry the checkpoint forward (pruned past it, ending before it,
+//! gapped, or missing a query's body) is a `replication gap` to every
+//! reader, and changes neither the standby nor the log.
 
 use std::cell::Cell;
 
@@ -18,13 +23,12 @@ use sbqa_core::{
     Admission, DegradationTier, Mediator, ProviderRegistry, RegistryDelta, StaticIntentions,
 };
 use sbqa_replication::{
-    registry_digest, satisfaction_digest, DeltaLog, DeltaOp, DeltaRecord, SharedDeltaLog,
-    StandbyShard,
+    registry_digest, satisfaction_digest, DeltaLog, Entry, SharedDeltaLog, StandbyShard,
 };
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
-    QueryId, SystemConfig,
+    QueryId, SbqaError, SystemConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -93,15 +97,26 @@ fn observe(registry: &mut ProviderRegistry) -> (Vec<String>, usize, Vec<Vec<u64>
     (rows, online, candidates)
 }
 
+/// The mutations the log holds past `watermark`, oldest first.
+fn mutations_after(log: &SharedDeltaLog, watermark: u64) -> Vec<RegistryDelta> {
+    let mut mutations = Vec::new();
+    log.visit_after(watermark, |_, entry| {
+        if let Some(Entry::Mutation(delta)) = entry {
+            mutations.push(delta);
+        }
+        Ok::<(), ()>(())
+    })
+    .expect("log never pruned here")
+    .expect("the visit cannot fail");
+    mutations
+}
+
 /// Replays the log tail after `watermark` into `replica`.
 fn replay(replica: &mut ProviderRegistry, log: &SharedDeltaLog, watermark: u64) {
-    let records = log.collect_after(watermark).expect("log never pruned here");
-    for record in records {
-        if let DeltaOp::Mutation(delta) = record.op {
-            delta
-                .apply(replica)
-                .expect("a recorded mutation replays cleanly");
-        }
+    for delta in mutations_after(log, watermark) {
+        delta
+            .apply(replica)
+            .expect("a recorded mutation replays cleanly");
     }
 }
 
@@ -195,13 +210,10 @@ proptest! {
         for &op in &ops {
             apply_op(&mut live, op);
         }
-        let records = log.collect_after(0).expect("nothing pruned");
-        for record in records {
-            if let DeltaOp::Mutation(delta) = record.op {
-                let value = delta.to_value();
-                let back = RegistryDelta::from_value(&value).expect("round trip");
-                prop_assert_eq!(back, delta);
-            }
+        for delta in mutations_after(&log, 0) {
+            let value = delta.to_value();
+            let back = RegistryDelta::from_value(&value).expect("round trip");
+            prop_assert_eq!(back, delta);
         }
     }
 }
@@ -211,8 +223,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// A primary mediator wired the way `MediatorShard::replicate` wires one —
-/// registry feeding a delta log, satisfaction registry tracking touched ids
-/// — with its standby bootstrapped from full clones.
+/// registry feeding the shard's log, satisfaction registry tracking touched
+/// ids — with its standby bootstrapped from full clones. Queries and
+/// consumer registrations are appended to the log the way
+/// `MediatorShard::{submit, register_consumer}` append them.
 struct Replicated {
     primary: Mediator,
     log: SharedDeltaLog,
@@ -303,23 +317,26 @@ impl Replicated {
     fn bootstrap() -> Self {
         let mut replicated = Self::arm(unpopulated_mediator());
         populate(&mut replicated.primary);
-        replicated.standby.register_consumer(ConsumerId::new(0));
-        replicated.sync();
+        replicated.log.append_consumer(ConsumerId::new(0));
         replicated
     }
 
-    fn sync(&mut self) {
-        self.standby.catch_up(&self.log).expect("contiguous log");
+    /// Offers `query` to the primary, logged first as the shard logs it.
+    fn submit(&mut self, query: &Query, oracle: &StaticIntentions) -> Option<Vec<u64>> {
+        self.log.append_query(query, ADMITTED);
+        self.primary
+            .submit_in_place(query, oracle)
+            .ok()
+            .map(|decision| decision.selected.iter().map(|p| p.raw()).collect())
     }
 
-    /// One cut, in `MediatorShard::checkpoint`'s order.
+    /// One cut, as `MediatorShard::checkpoint` makes it.
     fn cut(&mut self) -> CutBranches {
-        self.sync();
-        let watermark = self.log.last_sequence();
         let branches = CutBranches {
-            // The cut is at the standby's position, so the registry rule
-            // reads off the standby's tail and the primary's registry.
-            registry: self.standby.tail_depth() >= self.primary.providers().len(),
+            // The registry rule reads the mutations the log holds past the
+            // checkpoint against the primary's registry.
+            registry: mutations_after(&self.log, self.standby.watermark()).len()
+                >= self.primary.providers().len(),
             satisfaction: if self.all_touched {
                 Some(true)
             } else if self.may_touch < participants(self.primary.satisfaction()) {
@@ -329,11 +346,8 @@ impl Replicated {
             },
         };
         self.standby
-            .cut_checkpoint(&mut self.primary, watermark)
-            .expect("a synced standby cuts");
-        self.log.mark_snapshot();
-        self.log.prune_through(watermark);
-        self.sync();
+            .cut_checkpoint(&mut self.primary, &self.log)
+            .expect("a contiguous log cuts");
         self.may_touch = 0;
         self.all_touched = false;
         branches
@@ -347,18 +361,19 @@ impl Replicated {
     }
 }
 
-/// Everything observable of a standby, for "the failed call changed nothing".
-fn standby_state(standby: &StandbyShard) -> (u64, u64, usize, usize, u64, u64, u64, u64) {
+/// Everything observable of a standby and the log it reads, for "the failed
+/// call changed nothing".
+type State = (u64, u64, u64, u64, usize, u64);
+
+fn standby_state(standby: &StandbyShard, log: &SharedDeltaLog) -> State {
     let (providers, satisfaction) = standby.checkpoint();
     (
         standby.watermark(),
-        standby.applied(),
-        standby.tail_depth(),
-        standby.journal_depth(),
         standby.checkpoints(),
         registry_digest(providers),
         satisfaction_digest(satisfaction),
-        standby.replay_digest().expect("the tail replays"),
+        log.depth(),
+        log.last_sequence(),
     )
 }
 
@@ -367,8 +382,8 @@ fn standby_state(standby: &StandbyShard) -> (u64, u64, usize, usize, u64, u64, u
 enum Op {
     Registry(RawOp),
     /// Forget a provider's satisfaction history, then cut: a removal for the
-    /// cut to propagate. (The removal itself is host-side churn that neither
-    /// the delta log nor the journal carries, so only a cut makes it safe.)
+    /// cut to propagate. (The removal itself is host-side churn that the
+    /// log does not carry, so only a cut makes it safe.)
     ForgetAndCut(u64),
     Consumer(u64),
     Query {
@@ -466,15 +481,12 @@ fn apply(mediator: &mut Mediator, op: Op, oracle: &StaticIntentions) -> Option<O
             byte,
             multi,
             any,
-        } => {
-            let query = build_query(id, consumer, byte, multi, any);
-            Some(
-                mediator
-                    .submit_in_place(&query, oracle)
-                    .ok()
-                    .map(|decision| decision.selected.iter().map(|p| p.raw()).collect()),
-            )
-        }
+        } => Some(
+            mediator
+                .submit_in_place(&build_query(id, consumer, byte, multi, any), oracle)
+                .ok()
+                .map(|decision| decision.selected.iter().map(|p| p.raw()).collect()),
+        ),
         Op::Cut => None,
     }
 }
@@ -538,29 +550,28 @@ proptest! {
                     apply(&mut replicated.primary, op, &oracle);
                     tally(replicated.cut());
                     prop_assert!(replicated.checkpoint_equals_primary());
-                    prop_assert_eq!(replicated.standby.tail_depth(), 0);
-                    prop_assert_eq!(replicated.standby.journal_depth(), 0);
+                    prop_assert_eq!(replicated.log.depth(), 0);
+                    prop_assert_eq!(
+                        replicated.standby.watermark(),
+                        replicated.log.last_sequence()
+                    );
                 }
                 Op::Consumer(id) => {
-                    replicated.standby.register_consumer(ConsumerId::new(id));
                     apply(&mut replicated.primary, op, &oracle);
+                    replicated.log.append_consumer(ConsumerId::new(id));
                 }
                 Op::Query { id, consumer, byte, multi, any } => {
-                    replicated.sync();
-                    replicated
-                        .standby
-                        .observe_query(&build_query(id, consumer, byte, multi, any), ADMITTED);
-                    outcomes.extend(apply(&mut replicated.primary, op, &oracle));
+                    let query = build_query(id, consumer, byte, multi, any);
+                    outcomes.push(replicated.submit(&query, &oracle));
                 }
                 Op::Registry(_) => {
                     apply(&mut replicated.primary, op, &oracle);
-                    replicated.sync();
                 }
             }
             expected.extend(apply(&mut uninterrupted, op, &oracle));
             // Snapshot + replay equals the live registry after every op.
             prop_assert_eq!(
-                replicated.standby.replay_digest(),
+                replicated.standby.replay_digest(&replicated.log),
                 Ok(registry_digest(replicated.primary.providers()))
             );
         }
@@ -568,8 +579,9 @@ proptest! {
         // The crash: the primary is gone; the standby alone carries on.
         let Replicated { primary, log, mut standby, .. } = replicated;
         drop(primary);
-        standby.catch_up(&log).expect("contiguous log");
-        let (mut promoted, _) = standby.promote(&oracle).expect("clean replay");
+        let past = standby.catch_up(&log).expect("contiguous log");
+        prop_assert_eq!(past, log.depth());
+        let (mut promoted, _) = standby.promote(&log, &oracle).expect("clean replay");
         prop_assert_eq!(
             registry_digest(promoted.providers()),
             registry_digest(uninterrupted.providers())
@@ -587,71 +599,104 @@ proptest! {
     }
 }
 
-/// A few mediations and load writes, the standby kept in step throughout.
+/// A few mediations and load writes, all logged.
 fn warm(replicated: &mut Replicated, queries: std::ops::Range<u64>) {
     let oracle = oracle();
     for id in queries {
-        replicated.sync();
-        let query = build_query(id, id % 2, id as u8, false, false);
-        replicated.standby.observe_query(&query, ADMITTED);
-        let _ = replicated.primary.submit_in_place(&query, &oracle);
+        replicated.submit(&build_query(id, id % 2, id as u8, false, false), &oracle);
         replicated
             .primary
             .update_provider_load(ProviderId::new(id % 12), id as f64, 1)
             .expect("registered");
     }
-    replicated.sync();
+}
+
+/// Asserts that `log` is a `replication gap` to every reader of `standby` —
+/// `catch_up`, `cut_checkpoint` and `promote` — and that the reads and the
+/// refused cut changed neither the standby nor the log.
+fn assert_a_gap(replicated: &mut Replicated, log: &SharedDeltaLog) {
+    let is_gap = |error: SbqaError| {
+        assert!(error.to_string().contains("replication gap"), "{error}");
+    };
+    let before = standby_state(&replicated.standby, log);
+    is_gap(replicated.standby.catch_up(log).expect_err("a gap"));
+    is_gap(
+        replicated
+            .standby
+            .cut_checkpoint(&mut replicated.primary, log)
+            .expect_err("a gap"),
+    );
+    is_gap(replicated.standby.replay_digest(log).expect_err("a gap"));
+    assert_eq!(standby_state(&replicated.standby, log), before);
+    let standby = StandbyShard::new(
+        replicated.primary.fork_allocator().expect("SbQA forks"),
+        replicated.standby.checkpoint().0.clone(),
+        replicated.standby.checkpoint().1.clone(),
+        replicated.standby.watermark(),
+    );
+    is_gap(standby.promote(log, &oracle()).expect_err("a gap"));
+}
+
+/// The live log, never pruned, rebuilt entry by entry into a `DeltaLog` (as
+/// a shipping primary would serialize it).
+fn shipped(log: &SharedDeltaLog) -> DeltaLog {
+    let mut shipped = DeltaLog::new();
+    log.visit_after(0, |_, entry| {
+        match entry.expect("every query record has its body") {
+            Entry::Mutation(delta) => shipped.append_mutation(delta),
+            Entry::Query(query, admission) => shipped.append_query(query, admission),
+            Entry::RegisterConsumer(id) => shipped.append_consumer(id),
+        };
+        Ok::<(), ()>(())
+    })
+    .expect("nothing pruned")
+    .expect("the visit cannot fail");
+    shipped
+}
+
+/// `log` through serde, with element `index` of its serialized `field`
+/// (`records` or `queries`) lost on the way.
+fn lossy_transfer(log: &DeltaLog, field: &str, index: usize) -> SharedDeltaLog {
+    let mut value = log.to_value();
+    let serde::Value::Map(fields) = &mut value else {
+        panic!("a log serializes as a map");
+    };
+    let Some((_, serde::Value::Seq(items))) = fields
+        .iter_mut()
+        .find(|(name, _)| name.as_str() == Some(field))
+    else {
+        panic!("a log serializes its {field} as a sequence");
+    };
+    items.remove(index);
+    SharedDeltaLog::from(DeltaLog::from_value(&value).expect("well-formed"))
 }
 
 #[test]
-fn a_cut_on_a_lagging_standby_is_a_gap_error_that_changes_nothing() {
+fn a_log_pruned_past_the_checkpoint_is_a_gap_that_changes_nothing() {
     let mut replicated = Replicated::new();
     warm(&mut replicated, 0..8);
-
-    // The primary moves on; the standby is not synced.
-    let oracle = oracle();
-    let query = build_query(100, 0, 3, false, false);
-    replicated.standby.observe_query(&query, ADMITTED);
-    let _ = replicated.primary.submit_in_place(&query, &oracle);
-    replicated
-        .primary
-        .update_provider_load(ProviderId::new(3), 9.0, 2)
-        .expect("registered");
-    let watermark = replicated.log.last_sequence();
-    assert!(watermark > replicated.standby.applied());
-
-    let before = standby_state(&replicated.standby);
-    let error = replicated
-        .standby
-        .cut_checkpoint(&mut replicated.primary, watermark)
-        .expect_err("a lagging standby cannot be cut");
-    assert!(error.to_string().contains("replication gap"), "{error}");
-    assert_eq!(standby_state(&replicated.standby), before);
-
-    // Nothing was consumed on the primary either: once synced, the cut
-    // carries everything touched since the bootstrap.
-    replicated.cut();
-    assert!(replicated.checkpoint_equals_primary());
+    let log = replicated.log.clone();
+    log.prune_through(log.last_sequence() - 1);
+    assert!(replicated.standby.watermark() < log.last_sequence() - 1);
+    assert_a_gap(&mut replicated, &log);
 }
 
 #[test]
-fn a_backwards_cut_is_refused_and_changes_nothing() {
+fn a_log_ending_before_the_checkpoint_is_a_gap_that_changes_nothing() {
     let mut replicated = Replicated::new();
     warm(&mut replicated, 0..4);
     replicated.cut();
     let installed = replicated.standby.watermark();
+
+    // A log of some other shard, shorter than this checkpoint.
+    let short = SharedDeltaLog::new();
+    short.append_consumer(ConsumerId::new(0));
+    assert!(short.last_sequence() < installed);
+    assert_a_gap(&mut replicated, &short);
+
+    // The refused cut consumed nothing on the primary: the next cut on the
+    // shard's own log carries everything touched since the checkpoint.
     warm(&mut replicated, 4..8);
-
-    let before = standby_state(&replicated.standby);
-    let error = replicated
-        .standby
-        .cut_checkpoint(&mut replicated.primary, installed - 1)
-        .expect_err("checkpoints move forward");
-    assert!(error.to_string().contains("behind"), "{error}");
-    assert_eq!(standby_state(&replicated.standby), before);
-
-    // The refused cut consumed nothing on the primary: the next proper cut
-    // carries everything touched since the installed checkpoint.
     replicated.cut();
     assert!(replicated.checkpoint_equals_primary());
 }
@@ -660,43 +705,34 @@ fn a_backwards_cut_is_refused_and_changes_nothing() {
 fn a_deserialized_log_with_a_sequence_gap_is_refused_and_changes_nothing() {
     let mut replicated = Replicated::new();
     warm(&mut replicated, 0..4);
-    let before = standby_state(&replicated.standby);
 
-    // The live log, three more records, shipped through serde with the
-    // first record the standby has not seen lost on the way.
-    let mut shipped = DeltaLog::new();
-    for record in replicated.log.collect_after(0).expect("nothing pruned") {
-        if let DeltaOp::Mutation(delta) = record.op {
-            shipped.append_mutation(delta);
-        }
-    }
-    assert_eq!(shipped.last_sequence(), replicated.standby.applied());
+    // The live log and three more records, shipped through serde with the
+    // first of the three lost on the way.
+    let mut log = shipped(&replicated.log);
+    let lost = usize::try_from(log.last_sequence()).expect("small");
     for round in 0..3 {
-        shipped.append_mutation(RegistryDelta::UpdateLoad {
+        log.append_mutation(RegistryDelta::UpdateLoad {
             id: ProviderId::new(round),
             utilization: 2.0,
             queue_length: 1,
         });
     }
-    let mut value = shipped.to_value();
-    let serde::Value::Map(fields) = &mut value else {
-        panic!("a log serializes as a map");
-    };
-    let Some((_, serde::Value::Seq(records))) = fields
-        .iter_mut()
-        .find(|(name, _)| name.as_str() == Some("records"))
-    else {
-        panic!("a log serializes its records as a sequence");
-    };
-    records.remove(usize::try_from(replicated.standby.applied()).expect("small"));
-    let gapped = SharedDeltaLog::from(DeltaLog::from_value(&value).expect("well-formed"));
+    assert_a_gap(&mut replicated, &lossy_transfer(&log, "records", lost));
+}
 
-    let error = replicated
-        .standby
-        .catch_up(&gapped)
-        .expect_err("a gap in the shipped log");
-    assert!(error.to_string().contains("replication gap"), "{error}");
-    assert_eq!(standby_state(&replicated.standby), before);
+#[test]
+fn a_query_body_lost_in_transit_is_a_gap_that_changes_nothing() {
+    let mut replicated = Replicated::new();
+    warm(&mut replicated, 0..4);
+    let log = shipped(&replicated.log);
+    // Intact, the shipped log carries the standby as far as the live one.
+    assert_eq!(
+        replicated
+            .standby
+            .catch_up(&SharedDeltaLog::from(log.clone())),
+        replicated.standby.catch_up(&replicated.log)
+    );
+    assert_a_gap(&mut replicated, &lossy_transfer(&log, "queries", 3));
 }
 
 #[test]
@@ -704,48 +740,16 @@ fn a_cut_from_an_untracked_primary_is_refused_and_changes_nothing() {
     let mut replicated = Replicated::new();
     warm(&mut replicated, 0..4);
     let mut untracked = seeded_mediator();
-    let before = standby_state(&replicated.standby);
-    let watermark = replicated.log.last_sequence();
+    let before = standby_state(&replicated.standby, &replicated.log);
     let error = replicated
         .standby
-        .cut_checkpoint(&mut untracked, watermark)
+        .cut_checkpoint(&mut untracked, &replicated.log)
         .expect_err("no touched set to copy from");
     assert!(error.to_string().contains("track"), "{error}");
-    assert_eq!(standby_state(&replicated.standby), before);
-}
+    assert_eq!(standby_state(&replicated.standby, &replicated.log), before);
 
-#[test]
-fn a_gapped_tail_is_an_error_that_changes_nothing() {
-    let mut replicated = Replicated::new();
-    warm(&mut replicated, 0..4);
-    let before = standby_state(&replicated.standby);
-
-    // A record that skips a sequence.
-    let skipping = DeltaRecord {
-        sequence: replicated.standby.applied() + 2,
-        op: DeltaOp::Mutation(RegistryDelta::SetOnline {
-            id: ProviderId::new(1),
-            online: false,
-        }),
-    };
-    let error = replicated.standby.observe(&skipping).expect_err("gap");
-    assert!(error.to_string().contains("replication gap"), "{error}");
-    assert_eq!(standby_state(&replicated.standby), before);
-
-    // A log pruned past the standby.
-    for round in 0..3 {
-        replicated
-            .primary
-            .update_provider_load(ProviderId::new(2), f64::from(round), 1)
-            .expect("registered");
-    }
-    replicated
-        .log
-        .prune_through(replicated.log.last_sequence() - 1);
-    let error = replicated
-        .standby
-        .catch_up(&replicated.log)
-        .expect_err("pruned past the standby");
-    assert!(error.to_string().contains("replication gap"), "{error}");
-    assert_eq!(standby_state(&replicated.standby), before);
+    // The refused cut consumed nothing on the primary: the next proper cut
+    // carries everything touched since the bootstrap.
+    replicated.cut();
+    assert!(replicated.checkpoint_equals_primary());
 }

@@ -126,8 +126,10 @@ mod tests {
             .set_provider_online(ProviderId::new(5), false)
             .unwrap();
         assert!(service.standbys_in_lockstep());
+        // Mid-run the checkpoint trails the log by exactly what it retains.
         let stats = service.shard(0).replication_stats();
-        assert_eq!(stats.replay_lag, 0);
+        assert!(stats.log_depth > 0);
+        assert_eq!(stats.replay_lag, stats.log_depth as u64);
     }
 
     #[test]
@@ -224,7 +226,7 @@ mod tests {
         let mut faulted = replicated(2);
         let mut baseline = replicated(2);
         // Copy the registrations into the checkpoint now, so the cut closing
-        // round 3 (every fourth batch) replays its tail.
+        // round 3 (every fourth batch) replays the log.
         faulted.checkpoint_all().unwrap();
         let router = *faulted.router();
         let stream: Vec<Query> = (0..180u64).map(|i| query(i, i as f64 * 0.1)).collect();
@@ -240,8 +242,8 @@ mod tests {
             if round == 2 {
                 // A record shard 0's standby cannot apply: not a gap, so not
                 // an `InvalidConfiguration`, and still not a query outcome.
-                // Observing it is a sequence check, so every query up to the
-                // next cut is served as the baseline serves it.
+                // Nothing reads the log before the next cut, so every query
+                // up to it is served as the baseline serves it.
                 faulted.corrupt_log(0);
             }
             let mut rest = chunk;
@@ -305,7 +307,7 @@ mod tests {
             .map(ProviderId::new)
             .filter(|&id| router.shard_of_provider(id) == 0)
             .collect();
-        // A short tail beside the shard's population: the cut replays it.
+        // A short log beside the shard's population: the cut replays it.
         let (early, late) = (&on_shard_0[..2], &on_shard_0[2..4]);
         let stream: Vec<Query> = (0..120u64).map(|i| query(i, i as f64 * 0.1)).collect();
         let mut outcomes = Vec::new();
@@ -313,7 +315,7 @@ mod tests {
 
         for (round, chunk) in stream.chunks(30).enumerate() {
             if round == 2 {
-                // Shard 0's tail: providers going offline, a record that does
+                // Shard 0's log: providers going offline, a record that does
                 // not apply, more providers going offline. The cut applies
                 // the first ones, fails at the record and drops the rest.
                 for &id in early {
@@ -375,7 +377,7 @@ mod tests {
         assert_eq!(reports.len(), 2);
         for report in &reports {
             let stats = report.replication.expect("replicated shard");
-            assert_eq!(stats.replay_lag, 0);
+            assert_eq!(stats.replay_lag, stats.log_depth as u64);
             assert!(stats.checkpoints >= 1);
         }
         let total: usize = reports.iter().map(|r| r.report.submitted()).sum();

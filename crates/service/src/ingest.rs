@@ -33,7 +33,8 @@
 //!   `(VirtualTime, QueryId)` order, so the shed set is byte-reproducible
 //!   per seed and independent of chunk sizes and thread timing. Each
 //!   verdict is an [`Admission`](sbqa_core::Admission) that the shard hands
-//!   to its mediator with the query and journals for its standby.
+//!   to its mediator with the query and, on a replicated shard, appends to
+//!   its log.
 //!
 //! Without a degradation config the shards run as they were armed — by
 //! default admitting everything at full quality. The caller always names
@@ -563,7 +564,7 @@ mod tests {
     #[test]
     fn a_faulted_shard_keeps_draining_and_hands_the_fault_back() {
         // Two chunks, each closed by a checkpoint cut. Replication is armed
-        // after the registrations, so shard 0's first cut replays its tail.
+        // after the registrations, so shard 0's first cut replays its log.
         let run = |corrupt: bool| {
             let mut service = build_service(2, 20);
             service.replicate().unwrap();

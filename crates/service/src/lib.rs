@@ -12,9 +12,10 @@
 //! * a [`MediatorShard`] is one mediator plus everything the service keeps
 //!   about it — tallies, latency samples, an optional degradation ladder
 //!   (shrink-kn → capacity baseline → deterministic shedding) and an
-//!   optional standby fed by the registry's delta log — and owns the one
-//!   per-query step ([`MediatorShard::submit`]: sync the standby → ladder
-//!   verdict → journal → mediate → tally) and the one batch boundary;
+//!   optional standby behind the shard's one log — and owns the one
+//!   per-query step ([`MediatorShard::submit`]: kept-fault check → ladder
+//!   verdict → append to the log → mediate → tally) and the one batch
+//!   boundary;
 //! * [`ShardedMediator`] is the one front-end: it owns the router and the
 //!   shards, routes registrations and load updates, arms ladders, adaptive
 //!   `kn` and standbys on every shard, resizes live and crashes shards

@@ -287,7 +287,6 @@ mod tests {
             replication: Some(ReplicationStats {
                 log_depth: 3,
                 last_appended: 10 + shard as u64,
-                last_applied: 10 + shard as u64,
                 replay_lag: shard as u64,
                 ..ReplicationStats::default()
             }),

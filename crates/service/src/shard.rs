@@ -4,8 +4,10 @@
 //! satisfaction registry + allocation technique) over its slice of the
 //! provider population, plus everything the service keeps *about* it:
 //! cumulative [`BatchReport`] tallies, a [`LatencyRecorder`], an optional
-//! [`DegradationLadder`] and an optional standby fed by the registry's delta
-//! log.
+//! [`DegradationLadder`] and an optional standby behind a log of everything
+//! the shard did: the registry's mutations, each offered query with its
+//! admission verdict and each consumer registration. Between two
+//! checkpoints a replicated shard only appends to that log.
 //!
 //! The split is the crash boundary. [`MediatorShard::promote`] replaces the
 //! `mediator` field — registry, satisfaction state, allocator RNG — with the
@@ -50,8 +52,8 @@ fn fork_allocator(mediator: &Mediator) -> SbqaResult<Box<dyn QueryAllocator>> {
     })
 }
 
-/// The standby side of a replicated shard: the log the mediator's registry
-/// feeds, the standby that follows it, and the first replication fault met.
+/// The standby side of a replicated shard: the shard's log, the standby
+/// checkpoint it carries forward, and the first replication fault met.
 #[derive(Debug)]
 struct Replica {
     log: SharedDeltaLog,
@@ -68,16 +70,11 @@ impl Replica {
         }
         result
     }
+}
 
-    /// The one place a replication fault surfaces: the kept fault, before
-    /// the log is read, or else a gap met reading it.
-    fn sync(&mut self) -> SbqaResult<()> {
-        if let Some(fault) = &self.fault {
-            return Err(fault.clone());
-        }
-        let caught_up = self.standby.catch_up(&self.log).map(drop);
-        self.keep_fault(caught_up)
-    }
+/// The one place a replication fault surfaces: the kept fault, if any.
+fn check(fault: Option<&SbqaError>) -> SbqaResult<()> {
+    fault.cloned().map_or(Ok(()), Err)
 }
 
 /// A mediator shard: one [`Mediator`] plus the service-side state around it.
@@ -144,7 +141,7 @@ impl MediatorShard {
     }
 
     /// Arms replication: a standby is bootstrapped from the mediator's
-    /// current state, the registry starts feeding a fresh delta log and the
+    /// current state, the registry starts feeding a fresh log and the
     /// satisfaction registry starts tracking the ids it touches (which is
     /// what lets every later [`checkpoint`](Self::checkpoint) be cut
     /// incrementally).
@@ -230,43 +227,36 @@ impl MediatorShard {
     }
 
     /// The first replication fault this shard's standby met since it was
-    /// last armed: a sequence gap, met reading the log, or a log record that
-    /// does not apply, met where a checkpoint cut replays it. A faulted
-    /// shard accepts no query and cuts no checkpoint until
-    /// [`promote`](Self::promote) has re-armed it.
+    /// last armed, where a checkpoint cut reads the log: a sequence gap, or
+    /// a logged mutation that does not apply. A faulted shard accepts no
+    /// query and cuts no checkpoint until [`promote`](Self::promote) has
+    /// re-armed it.
     #[must_use]
     pub fn fault(&self) -> Option<&SbqaError> {
         self.replica.as_ref()?.fault.as_ref()
     }
 
-    /// Streams the log records the standby has not yet observed into it.
-    fn sync(&mut self) -> SbqaResult<()> {
-        self.replica.as_mut().map_or(Ok(()), Replica::sync)
-    }
-
-    /// Registers a consumer on the mediator and, being control-plane traffic
-    /// rather than a registry delta, directly on the standby.
+    /// Registers a consumer on the mediator and appends the registration to
+    /// a replicated shard's log.
     pub fn register_consumer(&mut self, id: ConsumerId) {
         self.mediator.register_consumer(id);
-        if let Some(replica) = &mut self.replica {
-            replica.standby.register_consumer(id);
+        if let Some(replica) = &self.replica {
+            replica.log.append_consumer(id);
         }
     }
 
-    /// Runs a registry mutation (registration, load, online flag) on the
-    /// mediator and streams it to the standby. A fault of that stream is
-    /// kept on the shard ([`fault`](Self::fault)), not mixed into the
-    /// mutation's own result.
-    pub(crate) fn mutate<T>(&mut self, mutation: impl FnOnce(&mut Mediator) -> T) -> T {
-        let result = mutation(&mut self.mediator);
-        let _ = self.sync();
-        result
+    /// The live mediator, for a registry mutation (registration, load,
+    /// online flag): a replicated shard's registry appends each one to the
+    /// log itself.
+    pub(crate) fn mediator_mut(&mut self) -> &mut Mediator {
+        &mut self.mediator
     }
 
-    /// The per-query step of every driver: sync the standby, take the
-    /// ladder's verdict, journal it, mediate at the admitted tier, tally and
-    /// record the latency as measured from `start` (the threaded driver
-    /// passes the *enqueue* instant, so its samples include queueing).
+    /// The per-query step of every driver: take the ladder's verdict, log
+    /// it with the query on a replicated shard, mediate at the admitted
+    /// tier, tally and record the latency as measured from `start` (the
+    /// threaded driver passes the *enqueue* instant, so its samples include
+    /// queueing).
     ///
     /// The inner result is the query's outcome: the decision (borrowing the
     /// mediator's scratch until the next mediation), a starvation, or
@@ -278,20 +268,20 @@ impl MediatorShard {
     /// # Errors
     ///
     /// A replication fault ([`fault`](Self::fault)), in which case the query
-    /// was neither admitted, journaled, mediated, tallied nor timed.
+    /// was neither admitted, logged, mediated, tallied nor timed.
     pub fn submit(
         &mut self,
         query: &Query,
         oracle: &dyn IntentionOracle,
         start: Instant,
     ) -> SbqaResult<SbqaResult<&AllocationDecision>> {
-        self.sync()?;
+        check(self.fault())?;
         let admission = match &mut self.ladder {
             None => Admission::Admit(DegradationTier::Normal),
             Some(ladder) => ladder.observe_arrival(query.issued_at),
         };
-        if let Some(replica) = &mut self.replica {
-            replica.standby.observe_query(query, admission);
+        if let Some(replica) = &self.replica {
+            replica.log.append_query(query, admission);
         }
         let Admission::Admit(tier) = admission else {
             self.latency.record(start.elapsed());
@@ -327,18 +317,18 @@ impl MediatorShard {
         }
     }
 
-    /// Cuts a fresh checkpoint of the live mediator into the standby,
-    /// incrementally ([`StandbyShard::cut_checkpoint`]: the standby's
-    /// registry copy advances by its tail, its satisfaction copy receives
-    /// the trackers touched since the last cut, and either half is copied
-    /// whole when its changes outnumber its rows), and prunes the delta log up
-    /// to the cut: the standby's replay window restarts empty, and the log
-    /// retains only the snapshot mark. A no-op without a standby.
+    /// Cuts a fresh checkpoint of the live mediator into the standby at the
+    /// log's end, incrementally ([`StandbyShard::cut_checkpoint`]: the
+    /// standby's registry copy advances by the logged mutations, its
+    /// satisfaction copy receives the trackers touched since the last cut,
+    /// and either half is copied whole when its changes outnumber its rows),
+    /// and prunes the log up to the cut: the replay window restarts empty.
+    /// A no-op without a standby.
     ///
     /// # Errors
     ///
     /// A replication fault, kept on the shard ([`fault`](Self::fault)): the
-    /// pending one, a gap, a tail record the cut's replay meets, or
+    /// pending one, a gap, a logged mutation the cut's replay meets, or
     /// [`SbqaError::InvalidConfiguration`] if the technique lost fork
     /// support (cannot happen after [`replicate`](Self::replicate)). A
     /// record that fails mid-replay leaves the standby half-cut, so a
@@ -348,21 +338,15 @@ impl MediatorShard {
         let Some(replica) = &mut self.replica else {
             return Ok(());
         };
-        replica.sync()?;
-        let watermark = replica.log.last_sequence();
+        check(replica.fault.as_ref())?;
         let cut = replica
             .standby
-            .cut_checkpoint(&mut self.mediator, watermark);
-        replica.keep_fault(cut)?;
-        replica.log.mark_snapshot();
-        replica.log.prune_through(watermark);
-        // Let the standby observe the snapshot mark itself, so a freshly
-        // checkpointed shard reports zero replay lag.
-        replica.sync()
+            .cut_checkpoint(&mut self.mediator, &replica.log);
+        replica.keep_fault(cut)
     }
 
     /// Kills the mediator and promotes the standby **in place**: the standby
-    /// replays its checkpoint + tail + journal into a fresh mediator, which
+    /// replays its checkpoint + the log past it into a fresh mediator, which
     /// replaces the live one — registry, satisfaction state and RNG are
     /// gone, and the promotion has read none of them — and replication is
     /// re-armed around it (new log, new bootstrap checkpoint). The decision
@@ -372,21 +356,25 @@ impl MediatorShard {
     ///
     /// [`SbqaError::InvalidConfiguration`] without a standby. Otherwise the
     /// shard's pending fault, met before any replay, or the promotion's
-    /// replay error (a faulted log or tail). Either way the crash is called
-    /// off: the broken standby and its log are discarded and replication is
-    /// re-armed around the untouched mediator.
+    /// replay error (a gapped or faulted log). Either way the crash is
+    /// called off: the broken standby and its log are discarded and
+    /// replication is re-armed around the untouched mediator.
     pub fn promote(&mut self, oracle: &dyn IntentionOracle) -> SbqaResult<ReplayReport> {
         // Forked before anything is taken apart, for the calling-off path.
         let spare = fork_allocator(&self.mediator)?;
-        let Some(mut replica) = self.replica.take() else {
+        let Some(Replica {
+            log,
+            standby,
+            fault,
+        }) = self.replica.take()
+        else {
             return Err(SbqaError::invalid_config(format!(
                 "shard {} has no standby to promote",
                 self.index
             )));
         };
-        let promotion = replica
-            .sync()
-            .and_then(|()| replica.standby.promote(oracle))
+        let promotion = check(fault.as_ref())
+            .and_then(|()| standby.promote(&log, oracle))
             .and_then(|(mediator, report)| Ok((fork_allocator(&mediator)?, mediator, report)));
         match promotion {
             Ok((allocator, mediator, report)) => {
@@ -403,14 +391,15 @@ impl MediatorShard {
         }
     }
 
-    /// `true` if the standby's checkpoint, advanced by its tail
-    /// ([`StandbyShard::replay_digest`]), is byte-identical (slab layout,
-    /// load columns, online flags) to the live registry right now;
+    /// `true` if the standby's checkpoint, advanced by the logged mutations
+    /// past it ([`StandbyShard::replay_digest`]), is byte-identical (slab
+    /// layout, load columns, online flags) to the live registry right now;
     /// vacuously `true` without a standby. Costs a registry clone.
     #[must_use]
     pub fn standby_in_lockstep(&self) -> bool {
         self.replica.as_ref().is_none_or(|replica| {
-            replica.standby.replay_digest() == Ok(registry_digest(self.mediator.providers()))
+            replica.standby.replay_digest(&replica.log)
+                == Ok(registry_digest(self.mediator.providers()))
         })
     }
 
@@ -421,14 +410,10 @@ impl MediatorShard {
             return ReplicationStats::default();
         };
         let last_appended = log.last_sequence();
-        let last_applied = standby.applied();
         ReplicationStats {
             log_depth: log.depth(),
             last_appended,
-            last_applied,
-            replay_lag: last_appended.saturating_sub(last_applied),
-            tail_depth: standby.tail_depth(),
-            journal_depth: standby.journal_depth(),
+            replay_lag: last_appended.saturating_sub(standby.watermark()),
             checkpoints: standby.checkpoints(),
             promotions: self.promotions,
         }

@@ -41,7 +41,7 @@
 //! ## Replication faults
 //!
 //! A fault of a shard's replication stream (a sequence gap, or a log record
-//! that does not apply, met when a checkpoint cut replays it) is never a
+//! that does not apply, met where a checkpoint cut reads the log) is never a
 //! query's outcome. It is kept on the shard, and
 //! [`try_submit_batch`](ShardedMediator::try_submit_batch) aborts with it at
 //! the first query routed to the faulted shard — that query and the rest of
@@ -169,7 +169,9 @@ impl ShardedMediator {
         capacity: f64,
     ) -> usize {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard].mutate(|m| m.register_provider(id, capabilities, capacity));
+        self.shards[shard]
+            .mediator_mut()
+            .register_provider(id, capabilities, capacity);
         shard
     }
 
@@ -188,7 +190,9 @@ impl ShardedMediator {
     /// Unknown provider.
     pub fn set_provider_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard].mutate(|m| m.set_provider_online(id, online))
+        self.shards[shard]
+            .mediator_mut()
+            .set_provider_online(id, online)
     }
 
     /// Updates a provider's load state at its owning shard.
@@ -203,7 +207,9 @@ impl ShardedMediator {
         queue_length: usize,
     ) -> SbqaResult<()> {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard].mutate(|m| m.update_provider_load(id, utilization, queue_length))
+        self.shards[shard]
+            .mediator_mut()
+            .update_provider_load(id, utilization, queue_length)
     }
 
     /// Total number of registered providers across all shards.
@@ -240,9 +246,9 @@ impl ShardedMediator {
     /// Shed queries are reported to the batch callback as
     /// [`SbqaError::QueryShed`] and tallied in the shards'
     /// [`DegradationStats`](sbqa_core::DegradationStats), not in the
-    /// [`BatchReport`]. On a replicated shard every verdict is journaled, so
-    /// a promotion replays admitted queries at their tier and skips the
-    /// sheds.
+    /// [`BatchReport`]. On a replicated shard every verdict is logged with
+    /// its query, so a promotion replays admitted queries at their tier and
+    /// skips the sheds.
     ///
     /// # Errors
     ///
@@ -308,7 +314,7 @@ impl ShardedMediator {
             .promote(oracle)
     }
 
-    /// `true` if every standby's checkpoint, advanced by its tail, is
+    /// `true` if every standby's checkpoint, advanced by its log, is
     /// byte-identical to its shard's live registry
     /// ([`MediatorShard::standby_in_lockstep`]).
     #[must_use]
@@ -460,7 +466,7 @@ impl ShardedMediator {
             for &consumer in &consumers {
                 shard.register_consumer(consumer);
             }
-            shard.mutate(|mediator| package.apply(mediator))?;
+            package.apply(shard.mediator_mut())?;
         }
         Ok(resized)
     }

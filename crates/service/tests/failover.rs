@@ -170,10 +170,7 @@ fn checkpoints_bound_replay_state() {
             .unwrap();
     }
     let before: usize = (0..2)
-        .map(|i| {
-            let stats = service.shard(i).replication_stats();
-            stats.journal_depth + stats.log_depth
-        })
+        .map(|i| service.shard(i).replication_stats().log_depth)
         .sum();
     assert!(
         before > 0,
@@ -183,16 +180,9 @@ fn checkpoints_bound_replay_state() {
     service.checkpoint_all().unwrap();
     for i in 0..2 {
         let stats = service.shard(i).replication_stats();
-        assert_eq!(stats.journal_depth, 0, "checkpoint clears the journal");
-        assert_eq!(stats.tail_depth, 0, "checkpoint clears the tail");
+        assert_eq!(stats.log_depth, 0, "checkpoint prunes the log");
         assert_eq!(stats.replay_lag, 0);
         assert!(stats.checkpoints >= 2);
-        // The log keeps only the snapshot mark.
-        assert!(
-            stats.log_depth <= 1,
-            "log depth {} after prune",
-            stats.log_depth
-        );
     }
 
     // A crash right after a checkpoint still promotes cleanly.
@@ -210,7 +200,7 @@ fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
     let mut next_query = 0u64;
     let mut window = |service: &mut ShardedMediator| {
         // What lies between two cuts at the default cadence: 4 batches of 64
-        // queries, and 32 load writes for the registry tail.
+        // queries, and 32 load writes for the registry.
         for _ in 0..4 {
             let batch: Vec<Query> = (next_query..next_query + 64)
                 .map(|i| query(i, i as f64 * 0.01, (i % 2) as u8))
@@ -246,10 +236,7 @@ fn a_warm_checkpoint_cut_allocates_for_the_touched_not_for_the_population() {
         "{allocations} allocations in one cut over {PROVIDERS} providers"
     );
     let stats = service.shard(0).replication_stats();
-    assert_eq!(
-        (stats.tail_depth, stats.journal_depth, stats.replay_lag),
-        (0, 0, 0)
-    );
+    assert_eq!((stats.log_depth, stats.replay_lag), (0, 0));
     assert!(service.standbys_in_lockstep());
 }
 
@@ -259,7 +246,7 @@ fn crash_while_shedding_preserves_the_overload_decision_stream() {
     // a dense burst that climbs the ladder into shedding — and crash one of
     // them mid-shed. The outcome streams (decisions, starvations AND shed
     // rejections) must stay byte-identical: the ladder survives on the
-    // replicated shard, and the journal replays admitted queries at their
+    // replicated shard, and the log replays admitted queries at their
     // recorded tier while skipping the recorded sheds.
     let oracle = oracle();
     let degradation = DegradationConfig {
@@ -295,7 +282,7 @@ fn crash_while_shedding_preserves_the_overload_decision_stream() {
             let replay = crashed.crash_shard(0, &oracle).unwrap();
             assert!(
                 replay.queries_shed > 0,
-                "the journal must have replayed shed entries"
+                "the log must have replayed shed entries"
             );
         }
         crashed
@@ -505,11 +492,11 @@ fn a_threaded_replicated_degrading_run_survives_a_crash_byte_identically() {
         let mut front = burst_front();
         front.replicate().unwrap();
         let (mut outcomes, _, mut front) = threaded(front, Some(burst_ladder()), first_half, chunk);
-        let journaled: usize = front
+        let logged: usize = front
             .shards()
-            .map(|s| s.replication_stats().journal_depth)
+            .map(|s| s.replication_stats().log_depth)
             .sum();
-        assert!(journaled > 0, "the shard threads journal what they mediate");
+        assert!(logged > 0, "the shard threads log what they mediate");
         let replay = front.crash_shard(0, &*burst_oracle()).unwrap();
         assert!(replay.queries_mediated > 0 && replay.queries_shed > 0);
         // The ladders came back on the shards; `None` keeps them running.

@@ -8,7 +8,7 @@
 //!   the driver (inline or shard threads), nor about the producer's chunking.
 //! * **A churn storm behind a standby that never checkpoints**: eight
 //!   registry mutations before every batch, no automatic checkpoint — so a
-//!   promotion replays the whole journal — and both primaries killed in the
+//!   promotion replays the whole log — and both primaries killed in the
 //!   last quarter, against the uninterrupted run.
 //!
 //! Each composition's digest is pinned, so a refactor that moves the shared
@@ -99,7 +99,7 @@ fn a_crash_while_shedding_after_a_resize_changes_nothing() {
                 ..DegradationConfig::default()
             }),
             // Co-prime with both chunkings' batch counts at the crash, so
-            // every variant's promotion has a journal to replay.
+            // every variant's promotion has logged queries to replay.
             replicate: Some(5),
             timeline: timeline.clone(),
             ..ServiceRun::new(SystemConfig::default().with_knbest(10, 3), 42)

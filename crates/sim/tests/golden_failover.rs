@@ -111,7 +111,7 @@ fn failover_run_seed42_is_byte_identical_and_pinned() {
         .iter()
         .map(|p| p.replay.queries_mediated + p.replay.queries_starved)
         .sum();
-    assert!(replayed > 0, "promotion replayed no journaled queries");
+    assert!(replayed > 0, "promotion replayed no logged queries");
 }
 
 #[test]

@@ -69,7 +69,7 @@ fi
 
 echo "== the admission verdict is an argument: no tier mode, copied floor or second verdict type"
 # The ladder's Admission goes to Mediator::submit_at with each query and into
-# the standby's journal beside it; the mediator keeps no tier between queries
+# the shard's log beside it; the mediator keeps no tier between queries
 # and ShrinkKn clamps to the constant SHRINK_KN_FLOOR. Adaptive kn is enabled
 # fallibly and never toggled off, and a threaded service always names its
 # ring. The names of the deleted modes, knobs and defaults must not come back.
@@ -92,14 +92,28 @@ if grep -rnE "evaluate_departures|DepartureRound|run_single_mediator|departure_t
 fi
 
 echo "== a standby keeps one registry: no lockstep mirror"
-# A standby holds its checkpoint and the tail observed since. A record is
-# applied where the checkpoint moves (a replaying cut, a promotion), and
-# StandbyShard::replay_digest checks snapshot + replay against the live
-# registry on demand. The names of the deleted second registry must not
-# come back.
+# A standby holds its checkpoint, and the shard's log holds what happened
+# since. A record is applied where the checkpoint moves (a replaying cut, a
+# promotion), and StandbyShard::replay_digest checks snapshot + replay
+# against the live registry on demand. The names of the deleted second
+# registry must not come back.
 if grep -rnE "with_mirror|mirror_digest|mirror_in_lockstep|mirrors_in_lockstep|\.mirror\(\)" \
     crates src tests examples; then
     echo "a lockstep mirror registry is not allowed (see above)" >&2
+    exit 1
+fi
+
+echo "== a replicated shard writes one log: no tail copy, query journal or snapshot mark"
+# Every registry mutation, offered query (with its admission verdict) and
+# consumer registration is one record of the shard's log, in the order the
+# shard met them; a standby is a checkpoint that reads that log at a cut, a
+# promotion and replay_digest, and a promotion is one in-order replay. The
+# names of the deleted tail copy, query journal, snapshot mark and their
+# counters must not come back. Scoped to the two crates, because core's
+# KnController::observe_query is a different thing and stays.
+if grep -rnE "SnapshotMark|mark_snapshot|observe_query|journal_depth|tail_depth|last_applied" \
+    crates/replication crates/service; then
+    echo "a second record of a shard's history is not allowed (see above)" >&2
     exit 1
 fi
 
@@ -196,18 +210,26 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # a_threaded_replicated_degrading_run_survives_a_crash_byte_identically).
 # replay_prop holds the incremental checkpoint to the full clone it replaced:
 # after every cut of a random op sequence the standby's registry and
-# satisfaction digests equal the primary's, and a promotion continues the
+# satisfaction digests equal the primary's, and a promotion replaying the
+# one log (mutations, queries, consumer registrations) continues the
 # uninterrupted stream — on a primary populated before it was armed and on
 # the bootstrap shape (armed empty, populated through the log), whose first
 # cut copies both halves whole; the property fails unless the copying and the
 # replaying branch each ran, for the registry and for satisfaction, and
-# after every op the standby's replay_digest (checkpoint + tail) equals the
-# primary's registry digest. The whole replication and satisfaction suites
-# run here, so the unit tests of those two branches run under --release too,
-# and so do standby.rs' three fates of a record that does not apply
+# after every op the standby's replay_digest (checkpoint + log) equals the
+# primary's registry digest. Its four refusals each leave standby and log as
+# they were: a_log_pruned_past_the_checkpoint_is_a_gap_that_changes_nothing,
+# a_log_ending_before_the_checkpoint_is_a_gap_that_changes_nothing,
+# a_deserialized_log_with_a_sequence_gap_is_refused_and_changes_nothing and
+# a_cut_from_an_untracked_primary_is_refused_and_changes_nothing; beside them,
+# a_query_body_lost_in_transit_is_a_gap_that_changes_nothing. The whole
+# replication and satisfaction suites run here, so the unit tests of those
+# two branches run under --release too, and so do standby.rs' three fates of
+# a record that does not apply
 # (a_replaying_cut_meets_a_record_that_does_not_apply,
 # a_copying_cut_supersedes_a_record_that_does_not_apply,
-# replay_digest_meets_a_record_that_does_not_apply_before_any_cut). The whole core suite runs here as
+# replay_digest_meets_a_record_that_does_not_apply_before_any_cut) and
+# log.rs' a_record_stays_the_size_of_a_registry_delta. The whole core suite runs here as
 # well, so postings.rs' own unit tests (a chunk's words built at WORDS_MIN
 # and kept below it, insert_order_does_not_change_the_map — ascending,
 # descending and interleaved inserts of the same ids build equal keys,
