@@ -17,20 +17,19 @@
 //! Scenario 1 is designed to expose.
 
 use sbqa_core::allocator::{
-    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, ProviderSnapshot,
-    QueryAllocator,
+    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, QueryAllocator,
 };
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{Query, SbqaError, SbqaResult};
 
 use crate::{fill_baseline_decision, DEFAULT_CONSIDERATION};
 
-/// Economic (bidding) allocator: cheapest bid wins.
+/// Economic (bidding) allocator: cheapest bid wins. A provider's bid is the
+/// virtual time it would take to deliver the result, `service_time +
+/// current_backlog` (queueing plus service), which is also a natural
+/// monetary proxy in the Mariposa model.
 #[derive(Debug, Clone)]
 pub struct EconomicAllocator {
-    /// Weight of the provider's existing backlog in its price. A provider's
-    /// bid is `service_time + backlog_weight · current_backlog`.
-    backlog_weight: f64,
     /// Number of providers reported as "considered" for satisfaction
     /// accounting.
     consideration: usize,
@@ -48,7 +47,6 @@ pub struct EconomicAllocator {
 impl Default for EconomicAllocator {
     fn default() -> Self {
         Self {
-            backlog_weight: 1.0,
             consideration: DEFAULT_CONSIDERATION,
             bids: Vec::new(),
             order: Vec::new(),
@@ -65,32 +63,11 @@ impl EconomicAllocator {
         Self::default()
     }
 
-    /// Overrides the weight of existing backlog in a provider's bid.
-    #[must_use]
-    pub fn with_backlog_weight(mut self, weight: f64) -> Self {
-        self.backlog_weight = if weight.is_finite() && weight >= 0.0 {
-            weight
-        } else {
-            1.0
-        };
-        self
-    }
-
     /// Overrides how many providers are reported as considered per mediation.
     #[must_use]
     pub fn with_consideration(mut self, consideration: usize) -> Self {
         self.consideration = consideration.max(1);
         self
-    }
-
-    /// The bid a provider quotes for a query: the virtual time it would take
-    /// to deliver the result (queueing plus service), which is also a natural
-    /// monetary proxy in the Mariposa model.
-    #[must_use]
-    pub fn bid(&self, snapshot: &ProviderSnapshot, query: &Query) -> f64 {
-        let service = query.service_time(snapshot.capacity).seconds();
-        let backlog = snapshot.utilization.max(0.0);
-        service + self.backlog_weight * backlog
     }
 }
 
@@ -120,8 +97,7 @@ impl QueryAllocator for EconomicAllocator {
             .zip(self.block.utilization().iter())
         {
             let service = query.service_time(capacity).seconds();
-            self.bids
-                .push(service + self.backlog_weight * utilization.max(0.0));
+            self.bids.push(service + utilization.max(0.0));
         }
         let bids = &self.bids;
         let ids = self.block.ids();
@@ -163,7 +139,7 @@ impl QueryAllocator for EconomicAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbqa_core::allocator::StaticIntentions;
+    use sbqa_core::allocator::{ProviderSnapshot, StaticIntentions};
     use sbqa_types::{Capability, CapabilitySet, ConsumerId, ProviderId, QueryId};
 
     fn query(replication: usize, work: f64) -> Query {
@@ -186,13 +162,18 @@ mod tests {
 
     #[test]
     fn bid_combines_service_time_and_backlog() {
-        let alloc = EconomicAllocator::new();
-        let q = query(1, 10.0);
-        // Capacity 2 -> service 5s, backlog 3s -> bid 8.
-        assert!((alloc.bid(&snapshot(1, 3.0, 2.0), &q) - 8.0).abs() < 1e-12);
-        // Zero backlog weight ignores backlog.
-        let alloc = EconomicAllocator::new().with_backlog_weight(0.0);
-        assert!((alloc.bid(&snapshot(1, 3.0, 2.0), &q) - 5.0).abs() < 1e-12);
+        let mut alloc = EconomicAllocator::new();
+        let decision = alloc
+            .allocate(
+                &query(1, 10.0),
+                Candidates::from_slice(&[snapshot(1, 3.0, 2.0)]),
+                &StaticIntentions::new(),
+                &SatisfactionRegistry::new(10),
+            )
+            .unwrap();
+        // Capacity 2 -> service 5s, backlog 3s -> bid 8, reported negated.
+        let score = decision.proposals[0].score.unwrap();
+        assert!((score + 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -252,13 +233,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(decision.selected, vec![ProviderId::new(2)]);
-    }
-
-    #[test]
-    fn degenerate_backlog_weight_is_sanitised() {
-        let alloc = EconomicAllocator::new().with_backlog_weight(f64::NAN);
-        let q = query(1, 1.0);
-        assert!(alloc.bid(&snapshot(1, 1.0, 1.0), &q).is_finite());
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl HarnessOptions {
             scenario.population = scenario.population.with_arrival_rate(arrival);
         }
         if let Some(duration) = self.duration {
-            scenario.sim = scenario.sim.clone().with_duration(duration);
+            scenario.sim.duration = duration;
             scenario.sim.sample_interval = (duration / 30.0).max(1.0);
         }
         if let Some(seed) = self.seed {

@@ -2,7 +2,7 @@
 //!
 //! In the demo, people in the audience set their own preferences and watch
 //! how the different mediations treat them. The programmatic equivalent is an
-//! [`InteractiveParticipant`]: a single scripted consumer or provider with
+//! [`InteractiveParticipant`]: a single scripted volunteer (provider) with
 //! explicit preferences, injected into an otherwise ordinary population. The
 //! scenario then reports how well each mediation served *that* participant —
 //! the paper's claim being that only the SQLB mediation (used by SbQA) lets
@@ -10,38 +10,22 @@
 
 use serde::{Deserialize, Serialize};
 
-use sbqa_core::intention::{
-    ConsumerIntentionStrategy, ConsumerProfile, ProviderIntentionStrategy, ProviderProfile,
-};
-use sbqa_sim::{ConsumerSpec, ProviderSpec, SimulationReport};
-use sbqa_types::{Capability, CapabilitySet, ConsumerId, Intention, ProviderId};
+use sbqa_core::intention::{ProviderIntentionStrategy, ProviderProfile};
+use sbqa_sim::{ProviderSpec, SimulationReport};
+use sbqa_types::{CapabilitySet, ConsumerId, Intention, ProviderId};
 
 use crate::population::BoincPopulation;
-use crate::project::Project;
 
-/// Which side of the market the scripted participant plays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InteractiveRole {
-    /// The participant is a volunteer (provider).
-    Provider,
-    /// The participant is a project (consumer).
-    Consumer,
-}
-
-/// A scripted participant with explicit preferences.
+/// A scripted volunteer with explicit preferences.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InteractiveParticipant {
-    /// Which side it plays.
-    pub role: InteractiveRole,
     /// Identity it will use inside the simulation.
     pub id: u64,
-    /// Preferences towards the three projects (for a provider) — project
-    /// consumer-id to intention.
+    /// Preferences towards the three projects — project consumer-id to
+    /// intention.
     pub project_preferences: Vec<(ConsumerId, Intention)>,
-    /// Capacity donated (providers only).
+    /// Capacity donated.
     pub capacity: f64,
-    /// Query arrival rate (consumers only).
-    pub arrival_rate: f64,
 }
 
 impl InteractiveParticipant {
@@ -57,88 +41,36 @@ impl InteractiveParticipant {
             }
         }
         Self {
-            role: InteractiveRole::Provider,
             id,
             project_preferences: prefs,
             capacity: 2.0,
-            arrival_rate: 0.0,
         }
     }
 
-    /// A project that only trusts one specific volunteer population segment
-    /// is modelled more simply as a consumer with strong default distrust;
-    /// its objective is to get its queries answered by providers it rates
-    /// highly.
-    #[must_use]
-    pub fn picky_project(id: u64, arrival_rate: f64) -> Self {
-        Self {
-            role: InteractiveRole::Consumer,
-            id,
-            project_preferences: Vec::new(),
-            capacity: 0.0,
-            arrival_rate,
-        }
-    }
-
-    /// The provider id this participant uses (providers only).
+    /// The provider id this participant uses.
     #[must_use]
     pub fn provider_id(&self) -> ProviderId {
         ProviderId::new(self.id)
     }
 
-    /// The consumer id this participant uses (consumers only).
-    #[must_use]
-    pub fn consumer_id(&self) -> ConsumerId {
-        ConsumerId::new(self.id)
-    }
-
-    /// Injects the participant into a generated population.
-    ///
-    /// Providers are appended to the volunteer list with a *pure preference*
-    /// intention strategy (their stated objective is exactly their
-    /// preference, un-blended with load); consumers are appended as an extra
-    /// project-like query source with a neutral reputation profile.
+    /// Injects the participant into a generated population: it is appended
+    /// to the volunteer list with a *pure preference* intention strategy
+    /// (its stated objective is exactly its preference, un-blended with
+    /// load).
     pub fn inject(&self, population: &mut BoincPopulation) {
-        match self.role {
-            InteractiveRole::Provider => {
-                let mut profile =
-                    ProviderProfile::new(ProviderIntentionStrategy::Preference, Intention::MIN);
-                for (project, preference) in &self.project_preferences {
-                    profile.set_consumer_preference(*project, *preference);
-                }
-                let capabilities: CapabilitySet =
-                    population.projects.iter().map(|p| p.capability).collect();
-                population.providers.push(ProviderSpec::new(
-                    self.provider_id(),
-                    capabilities,
-                    self.capacity,
-                    profile,
-                ));
-            }
-            InteractiveRole::Consumer => {
-                let capability = population
-                    .projects
-                    .first()
-                    .map_or(Capability::new(0), |p| p.capability);
-                let profile = ConsumerProfile::new(
-                    ConsumerIntentionStrategy::Preference,
-                    Intention::new(0.2),
-                );
-                population.consumers.push(ConsumerSpec::new(
-                    self.consumer_id(),
-                    capability,
-                    self.arrival_rate,
-                    Project::demo(
-                        self.consumer_id(),
-                        crate::project::ProjectKind::Normal,
-                        capability,
-                    )
-                    .mean_work_units,
-                    1,
-                    profile,
-                ));
-            }
+        let mut profile =
+            ProviderProfile::new(ProviderIntentionStrategy::Preference, Intention::MIN);
+        for (project, preference) in &self.project_preferences {
+            profile.set_consumer_preference(*project, *preference);
         }
+        let capabilities: CapabilitySet =
+            population.projects.iter().map(|p| p.capability).collect();
+        population.providers.push(ProviderSpec::new(
+            self.provider_id(),
+            capabilities,
+            self.capacity,
+            profile,
+        ));
     }
 
     /// Reads this participant's final satisfaction out of a simulation
@@ -147,10 +79,7 @@ impl InteractiveParticipant {
     /// the mediation).
     #[must_use]
     pub fn satisfaction_in(&self, report: &SimulationReport) -> Option<f64> {
-        match self.role {
-            InteractiveRole::Provider => report.provider_satisfaction_of(self.provider_id()),
-            InteractiveRole::Consumer => report.consumer_satisfaction_of(self.consumer_id()),
-        }
+        report.provider_satisfaction_of(self.provider_id())
     }
 }
 
@@ -166,7 +95,6 @@ mod tests {
             ConsumerId::new(2),
             &[ConsumerId::new(0), ConsumerId::new(1), ConsumerId::new(2)],
         );
-        assert_eq!(participant.role, InteractiveRole::Provider);
         assert_eq!(participant.project_preferences.len(), 3);
         assert_eq!(
             participant.project_preferences[0],
@@ -180,11 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn injection_appends_the_right_kind_of_participant() {
+    fn injection_appends_a_volunteer_serving_every_project() {
         let mut population =
             BoincPopulation::generate(&PopulationConfig::default().with_volunteers(10));
         let providers_before = population.providers.len();
-        let consumers_before = population.consumers.len();
 
         let volunteer = InteractiveParticipant::devoted_volunteer(
             9_999,
@@ -199,18 +126,10 @@ mod tests {
         for project in &population.projects {
             assert!(injected.capabilities.contains(project.capability));
         }
-
-        let project = InteractiveParticipant::picky_project(8_888, 2.0);
-        project.inject(&mut population);
-        assert_eq!(population.consumers.len(), consumers_before + 1);
-        assert_eq!(
-            population.consumers.last().unwrap().id,
-            ConsumerId::new(8_888)
-        );
     }
 
     #[test]
-    fn satisfaction_lookup_dispatches_on_role() {
+    fn satisfaction_lookup_reads_the_provider_row() {
         use sbqa_metrics::ResponseTimeStats;
         use sbqa_satisfaction::SatisfactionAnalysis;
 

@@ -30,7 +30,7 @@ pub mod replication;
 pub mod scenarios;
 pub mod volunteer;
 
-pub use interactive::{InteractiveParticipant, InteractiveRole};
+pub use interactive::InteractiveParticipant;
 pub use population::{BoincPopulation, PopulationConfig};
 pub use project::{Project, ProjectKind};
 pub use replication::ReplicationPolicy;

@@ -28,8 +28,7 @@ pub enum ProjectBehaviour {
 pub struct PopulationConfig {
     /// Number of volunteers.
     pub volunteers: usize,
-    /// Volunteer generation parameters (capacity range, hybrid weights,
-    /// malicious fraction).
+    /// Volunteer generation parameters (capacity range, hybrid weights).
     pub volunteer: VolunteerConfig,
     /// Work units issued per virtual second, per project.
     pub arrival_rate_per_project: f64,
@@ -178,35 +177,6 @@ impl BoincPopulation {
             providers,
         }
     }
-
-    /// Total computational capacity donated by the volunteers.
-    #[must_use]
-    pub fn total_capacity(&self) -> f64 {
-        self.providers.iter().map(|p| p.capacity).sum()
-    }
-
-    /// Aggregate query arrival rate across projects.
-    #[must_use]
-    pub fn total_arrival_rate(&self) -> f64 {
-        self.consumers.iter().map(|c| c.arrival_rate).sum()
-    }
-
-    /// Mean offered load: work units requested per unit of donated capacity
-    /// per virtual second (values near or above 1 mean the system is
-    /// saturated).
-    #[must_use]
-    pub fn offered_load(&self) -> f64 {
-        let capacity = self.total_capacity();
-        if capacity <= 0.0 {
-            return 0.0;
-        }
-        let work_rate: f64 = self
-            .consumers
-            .iter()
-            .map(|c| c.arrival_rate * c.mean_work_units * c.replication as f64)
-            .sum();
-        work_rate / capacity
-    }
 }
 
 #[cfg(test)]
@@ -220,8 +190,6 @@ mod tests {
         assert_eq!(population.projects.len(), 3);
         assert_eq!(population.consumers.len(), 3);
         assert_eq!(population.providers.len(), 50);
-        assert!(population.total_capacity() > 0.0);
-        assert!(population.total_arrival_rate() > 0.0);
     }
 
     #[test]
@@ -281,14 +249,6 @@ mod tests {
         for project in &population.projects {
             assert_eq!(project.replication, 3);
         }
-    }
-
-    #[test]
-    fn offered_load_scales_with_arrival_rate() {
-        let base = PopulationConfig::default().with_volunteers(50);
-        let light = BoincPopulation::generate(&base.clone().with_arrival_rate(1.0));
-        let heavy = BoincPopulation::generate(&base.with_arrival_rate(50.0));
-        assert!(heavy.offered_load() > light.offered_load());
     }
 
     #[test]

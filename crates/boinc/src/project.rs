@@ -33,7 +33,7 @@ impl ProjectKind {
 
     /// The demo project name associated with the kind.
     #[must_use]
-    pub const fn demo_name(self) -> &'static str {
+    const fn demo_name(self) -> &'static str {
         match self {
             ProjectKind::Popular => "SETI@home",
             ProjectKind::Normal => "proteins@home",
@@ -149,15 +149,6 @@ impl Project {
         )
     }
 
-    /// The default consumer profile used by the BOINC scenarios: a mild
-    /// positive default preference towards volunteers (projects are mostly
-    /// happy that *someone* computes for them), refined per volunteer by the
-    /// population builder when reputations are assigned.
-    #[must_use]
-    pub fn default_profile() -> ConsumerProfile {
-        ConsumerProfile::new(ConsumerIntentionStrategy::Preference, Intention::new(0.3))
-    }
-
     /// The Scenario 5 profile: the project only cares about response times.
     #[must_use]
     pub fn response_time_profile() -> ConsumerProfile {
@@ -209,7 +200,7 @@ mod tests {
         assert_eq!(project.replication, 2);
         assert_eq!(project.mean_work_units, 0.5);
 
-        let spec = project.to_consumer_spec(Project::default_profile());
+        let spec = project.to_consumer_spec(ConsumerProfile::default());
         assert_eq!(spec.id, ConsumerId::new(1));
         assert_eq!(
             spec.requirement,

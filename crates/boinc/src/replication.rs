@@ -83,7 +83,7 @@ impl ReplicationPolicy {
 /// Probability that at least ⌈(n+1)/2⌉ of `n` independent replicas are
 /// malicious when each is malicious with probability `p`.
 #[must_use]
-pub fn corrupted_majority_probability(n: usize, p: f64) -> f64 {
+fn corrupted_majority_probability(n: usize, p: f64) -> f64 {
     if n == 0 {
         return 1.0;
     }

@@ -93,6 +93,7 @@ impl ScenarioId {
 
 /// The result of running one technique inside a scenario.
 #[derive(Debug, Clone)]
+// sbqa-lint: allow(dead-pub, "the element of ScenarioOutcome::results; result_for and the golden tests read it unnamed")
 pub struct TechniqueResult {
     /// Label of the technique (or SbQA variant).
     pub label: String,
@@ -255,7 +256,7 @@ impl Scenario {
     /// The standard techniques compared by this scenario (Scenario 6 builds
     /// its own SbQA variants instead).
     #[must_use]
-    pub fn techniques(&self) -> Vec<AllocationPolicyKind> {
+    fn techniques(&self) -> Vec<AllocationPolicyKind> {
         match self.id {
             ScenarioId::S1 | ScenarioId::S2 => vec![
                 AllocationPolicyKind::Capacity,

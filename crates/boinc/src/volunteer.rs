@@ -27,10 +27,6 @@ pub struct VolunteerConfig {
     /// Backlog (in virtual seconds) a volunteer considers acceptable before
     /// its load-driven component starts refusing work.
     pub acceptable_backlog: f64,
-    /// Fraction of volunteers that are malicious (they return wrong results,
-    /// which is why projects replicate work units). Malicious volunteers
-    /// behave identically for allocation purposes.
-    pub malicious_fraction: f64,
 }
 
 impl Default for VolunteerConfig {
@@ -40,7 +36,6 @@ impl Default for VolunteerConfig {
             max_capacity: 4.0,
             preference_weight: 0.7,
             acceptable_backlog: 4.0,
-            malicious_fraction: 0.05,
         }
     }
 }
@@ -123,12 +118,6 @@ impl VolunteerGenerator {
                 )
             })
             .collect()
-    }
-
-    /// `true` if a volunteer drawn right now would be malicious.
-    #[must_use]
-    pub fn draw_malicious(&self, rng: &mut SimRng) -> bool {
-        rng.chance(self.config.malicious_fraction)
     }
 }
 
@@ -223,21 +212,5 @@ mod tests {
             spec.profile.strategy,
             ProviderIntentionStrategy::LoadDriven { .. }
         ));
-    }
-
-    #[test]
-    fn malicious_fraction_is_respected() {
-        let generator = VolunteerGenerator::new(VolunteerConfig {
-            malicious_fraction: 0.3,
-            ..VolunteerConfig::default()
-        });
-        let mut rng = SimRng::new(5);
-        let n = 10_000;
-        let malicious = (0..n)
-            .filter(|_| generator.draw_malicious(&mut rng))
-            .count();
-        let fraction = malicious as f64 / n as f64;
-        assert!((fraction - 0.3).abs() < 0.02, "fraction {fraction}");
-        assert_eq!(generator.config().malicious_fraction, 0.3);
     }
 }

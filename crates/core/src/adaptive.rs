@@ -90,14 +90,14 @@ use sbqa_types::{Query, SbqaError, SbqaResult, MAX_CAPABILITY_CLASSES};
 
 /// The class bucket used for queries that mention no capability class at all
 /// (an `All{}` wildcard requirement).
-pub const WILDCARD_CLASS: u8 = MAX_CAPABILITY_CLASSES;
+const WILDCARD_CLASS: u8 = MAX_CAPABILITY_CLASSES;
 
 /// Upper bound on the retained [`KnController::trail`]: when reached, the
 /// oldest half is discarded. Generous for experiment runs (the full
 /// `scenario_adaptive` preset records well under a hundred adjustments)
 /// while keeping a permanently-oscillating long-lived service at a few
 /// hundred KiB of trajectory, not an unbounded leak.
-pub const TRAIL_CAPACITY: usize = 8_192;
+const TRAIL_CAPACITY: usize = 8_192;
 
 /// Knobs of the adaptive-`kn` controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -188,8 +188,8 @@ pub struct KnAdjustment {
     /// Adaptation round (batch boundary) at which the change happened,
     /// counted from 1.
     pub round: u64,
-    /// Capability class the change applies to ([`WILDCARD_CLASS`] for the
-    /// class-less bucket).
+    /// Capability class the change applies to (`MAX_CAPABILITY_CLASSES` for
+    /// the class-less wildcard bucket).
     pub class: u8,
     /// The new exploration width.
     pub kn: usize,
@@ -263,8 +263,7 @@ impl KnController {
     /// requirement mentions, or [`WILDCARD_CLASS`] for class-less wildcard
     /// requirements. Multi-capability queries share the bucket of their
     /// lowest mentioned class.
-    #[must_use]
-    pub fn class_of(query: &Query) -> u8 {
+    fn class_of(query: &Query) -> u8 {
         query
             .required
             .classes()
@@ -370,25 +369,10 @@ impl KnController {
             .and_then(|s| s.ewma)
     }
 
-    /// Mean current `kn` across every contacted class — the scalar the
-    /// kn-over-time series plot.
-    #[must_use]
-    pub fn mean_kn(&self) -> f64 {
-        let mut sum = 0usize;
-        let mut count = 0usize;
-        for state in self.states.iter().flatten() {
-            sum += state.kn;
-            count += 1;
-        }
-        if count == 0 {
-            return self.config.initial_kn as f64;
-        }
-        sum as f64 / count as f64
-    }
-
     /// The recorded `kn` changes, in adaptation order. Bounded: only the
-    /// most recent [`TRAIL_CAPACITY`] adjustments are retained, so
-    /// long-lived controllers do not grow without limit.
+    /// most recent 8 192 adjustments are retained (the oldest half is
+    /// discarded when the trail is full), so long-lived controllers do not
+    /// grow without limit.
     #[must_use]
     pub fn trail(&self) -> &[KnAdjustment] {
         &self.trail
@@ -499,7 +483,6 @@ mod tests {
         assert_eq!(controller.current_kn(5), None, "uncontacted class");
         let widths: Vec<(u8, usize)> = controller.class_widths().collect();
         assert_eq!(widths, vec![(0, 2), (7, 8)]);
-        assert!((controller.mean_kn() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! allocating; the provided [`QueryAllocator::allocate`] wrapper returns an
 //! owned decision for tests and one-off callers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -193,15 +193,12 @@ impl<'a> Candidates<'a> {
     /// Iterates over the candidates in position order, streaming the backing
     /// store sequentially (no per-item positional lookup, even for map and
     /// merged views).
-    #[must_use]
-    pub fn iter(&self) -> CandidateIter<'a> {
-        CandidateIter {
-            inner: match self.view {
-                View::Slice(providers) => IterInner::Slice(providers.iter()),
-                View::Ids { columns, set } => IterInner::Ids {
-                    columns,
-                    ids: set.iter(),
-                },
+    pub fn iter(&self) -> impl Iterator<Item = ProviderSnapshot> + 'a {
+        match self.view {
+            View::Slice(providers) => CandidateIter::Slice(providers.iter()),
+            View::Ids { columns, set } => CandidateIter::Ids {
+                columns,
+                ids: set.iter(),
             },
         }
     }
@@ -243,13 +240,7 @@ pub struct RankKey {
 }
 
 /// Iterator over a [`Candidates`] view, yielding snapshots by value.
-#[derive(Debug, Clone)]
-pub struct CandidateIter<'a> {
-    inner: IterInner<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum IterInner<'a> {
+enum CandidateIter<'a> {
     Slice(std::slice::Iter<'a, ProviderSnapshot>),
     Ids {
         columns: &'a ProviderColumns,
@@ -261,9 +252,9 @@ impl Iterator for CandidateIter<'_> {
     type Item = ProviderSnapshot;
 
     fn next(&mut self) -> Option<ProviderSnapshot> {
-        match &mut self.inner {
-            IterInner::Slice(iter) => iter.next().copied(),
-            IterInner::Ids { columns, ids } => ids
+        match self {
+            CandidateIter::Slice(iter) => iter.next().copied(),
+            CandidateIter::Ids { columns, ids } => ids
                 .next()
                 .map(|id| columns.snapshot(slot_of(columns, id) as usize)),
         }
@@ -375,10 +366,8 @@ pub trait IntentionOracle {
 /// example where a scripted participant fixes its intentions in advance.
 #[derive(Debug, Clone, Default)]
 pub struct StaticIntentions {
-    // sbqa-lint: allow(hash-collection, "keyed point lookups only; the oracle is never iterated")
-    consumer: HashMap<ProviderId, Intention>,
-    // sbqa-lint: allow(hash-collection, "keyed point lookups only; the oracle is never iterated")
-    provider: HashMap<ProviderId, Intention>,
+    consumer: BTreeMap<ProviderId, Intention>,
+    provider: BTreeMap<ProviderId, Intention>,
     consumer_default: Intention,
     provider_default: Intention,
 }

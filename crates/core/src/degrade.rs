@@ -45,7 +45,7 @@ use crate::allocator::{AllocationDecision, Candidates, IntentionOracle, Proposal
 /// front of the candidate view. Bounds the fallback's per-query cost on huge
 /// capability classes while keeping the choice deterministic (the view's
 /// position order is registry order, which is replicated state).
-pub const BASELINE_CONSIDERATION: usize = 64;
+const BASELINE_CONSIDERATION: usize = 64;
 
 /// The exploration width the ShrinkKn tier clamps `kn` to (a narrower
 /// configured or adapted width is kept as it is).
@@ -328,7 +328,7 @@ impl DegradationLadder {
 
 /// The Baseline-tier allocation: a deterministic capacity-based fallback.
 ///
-/// Considers the first [`BASELINE_CONSIDERATION`] candidates of the view (in
+/// Considers the first 64 candidates of the view (in
 /// registry order), ranks them by `(utilization / capacity, id)` ascending
 /// and selects the `min(q.n, considered)` least-loaded. No RNG is consumed,
 /// no scoring over `kn` runs; intentions are gathered for the winners only,

@@ -80,17 +80,12 @@ impl ProviderProfile {
         self
     }
 
-    /// Sets an additional preference for a class of queries (e.g. a volunteer
-    /// that dislikes long work units). Class preferences are averaged with the
+    /// Adds a preference for a class of queries (e.g. a volunteer that
+    /// dislikes long work units). Class preferences are averaged with the
     /// consumer preference when present.
-    pub fn set_class_preference(&mut self, class: QueryClass, preference: Intention) {
-        self.class_preferences.insert(class, preference);
-    }
-
-    /// Builder-style version of [`ProviderProfile::set_class_preference`].
     #[must_use]
     pub fn with_class_preference(mut self, class: QueryClass, preference: Intention) -> Self {
-        self.set_class_preference(class, preference);
+        self.class_preferences.insert(class, preference);
         self
     }
 

@@ -117,6 +117,7 @@ impl KnBestScratch {
 /// ids and utilizations straight from here instead of re-resolving each
 /// position against the view.
 #[derive(Debug, Clone, Copy)]
+// sbqa-lint: allow(dead-pub, "returned by KnBestSelector::select_block; the benchmark's trace replay reads it unnamed")
 pub struct KnSelection<'s> {
     /// Positions into the candidate view, in ranking order.
     pub positions: &'s [u32],

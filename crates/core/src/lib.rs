@@ -58,7 +58,7 @@ pub use intention::{
     ConsumerIntentionStrategy, ConsumerProfile, ProviderIntentionStrategy, ProviderProfile,
 };
 pub use knbest::{IndexPool, KnBestScratch, KnBestSelector, KnSelection};
-pub use mediator::{BatchReport, MediationOutcome, MediationScratch, Mediator};
+pub use mediator::{BatchReport, MediationOutcome, Mediator};
 pub use postings::PostingsMap;
 pub use registry::{PlanCacheStats, ProviderRegistry};
 pub use sbqa_types::{OmegaPolicy, SystemConfig};

@@ -16,7 +16,7 @@
 //! The hot path is allocation-free once warmed up: `Pq` is a borrowed
 //! [`Candidates`] view into the registry slab, the KnBest draw works in the
 //! allocator's [`KnBestScratch`], the decision and the satisfaction views are
-//! reused buffers in the mediator's [`MediationScratch`]. Use
+//! reused buffers in the mediator's scratch. Use
 //! [`Mediator::submit_in_place`] (or [`Mediator::submit_batch`] to drain a
 //! queue) for the zero-allocation path; [`Mediator::submit`] clones the
 //! decision into an owned [`MediationOutcome`] for callers that want one.
@@ -222,6 +222,7 @@ impl QueryAllocator for SbqaAllocator {
 
 /// The result of one mediation, as reported to the rest of the system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// sbqa-lint: allow(dead-pub, "returned by Mediator::submit, the quickstart entry point; callers read it unnamed")
 pub struct MediationOutcome {
     /// The mediated query.
     pub query: Query,
@@ -241,7 +242,7 @@ impl MediationOutcome {
 /// satisfaction views derived from it. One scratch per mediator makes
 /// steady-state mediation allocation-free.
 #[derive(Debug, Default)]
-pub struct MediationScratch {
+struct MediationScratch {
     decision: AllocationDecision,
     consumer_view: Vec<(ProviderId, Intention)>,
     provider_view: Vec<(ProviderId, Intention, bool)>,

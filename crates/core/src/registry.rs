@@ -33,7 +33,7 @@
 //! directory entry inside [`ProviderColumns::swap_remove`] and nothing else:
 //! no postings map and no merged set holds a slot.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -213,8 +213,7 @@ pub struct ProviderRegistry {
     /// is the number of *distinct capability profiles*, which real
     /// populations keep tiny (a handful of deployment configurations) even
     /// though an adversarial population could make it approach |P|.
-    // sbqa-lint: allow(hash-collection, "point updates plus an order-insensitive existential scan (any), never ordered iteration")
-    mask_counts: HashMap<u64, usize>,
+    mask_counts: BTreeMap<u64, usize>,
     /// Materialised multi-capability merge plans, keyed by requirement (see
     /// [`PlanCache`]).
     plan_cache: PlanCache,
@@ -248,8 +247,7 @@ impl Default for ProviderRegistry {
             columns: ProviderColumns::new(),
             postings: vec![PostingsMap::new(); ONLINE_LIST + 1],
             class_counts: [0; MAX_CAPABILITY_CLASSES as usize],
-            // sbqa-lint: allow(hash-collection, "point updates plus an order-insensitive existential scan (any), never ordered iteration")
-            mask_counts: HashMap::new(),
+            mask_counts: BTreeMap::new(),
             plan_cache: PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY),
             sink: None,
         }

@@ -31,7 +31,7 @@ pub struct Suppression {
 
 /// A pragma that could not be parsed, with the reason.
 #[derive(Debug, Clone)]
-pub struct BadPragma {
+pub(crate) struct BadPragma {
     /// Line the malformed pragma sits on.
     pub line: u32,
     /// Human-readable description of what is wrong.
@@ -39,14 +39,14 @@ pub struct BadPragma {
 }
 
 /// The marker every pragma starts with (after the comment delimiter).
-pub const PRAGMA_MARKER: &str = "sbqa-lint:";
+const PRAGMA_MARKER: &str = "sbqa-lint:";
 
 /// Extracts suppressions from a file's comments.
 ///
 /// `line_has_code` reports whether a 1-based source line carries any
 /// non-comment token; a pragma on a code line targets that line, a pragma on
 /// a comment-only line targets the next code line.
-pub fn collect<F>(
+pub(crate) fn collect<F>(
     comments: &[Comment<'_>],
     last_line: u32,
     line_has_code: F,

@@ -61,14 +61,28 @@ pub struct SuppressionSite {
     pub suppression: Suppression,
 }
 
+impl SuppressionSite {
+    /// What the waiver waives, then where: its canonical sort key.
+    fn key(&self) -> (&str, &str, &str, u32) {
+        (
+            &self.path,
+            &self.suppression.rule,
+            &self.suppression.justification,
+            self.suppression.comment_line,
+        )
+    }
+}
+
 /// The aggregate result of linting a set of files.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Unsuppressed findings, sorted by (path, line, col, rule).
     pub findings: Vec<Finding>,
-    /// Used (justified) suppressions, sorted by (path, line).
+    /// Used (justified) suppressions, sorted by (path, rule, justification,
+    /// line).
     pub suppressions: Vec<SuppressionSite>,
-    /// Number of files scanned.
+    /// Number of files scanned (reported in the human summary, not in the
+    /// JSON, so the baseline moves only when a waiver does).
     pub files_scanned: usize,
 }
 
@@ -78,10 +92,8 @@ impl Report {
         self.findings.sort_by(|a, b| {
             (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
         });
-        self.suppressions.sort_by(|a, b| {
-            (a.path.as_str(), a.suppression.comment_line)
-                .cmp(&(b.path.as_str(), b.suppression.comment_line))
-        });
+        self.suppressions
+            .sort_by(|a, b| SuppressionSite::key(a).cmp(&SuppressionSite::key(b)));
     }
 
     /// Counts findings at the given severity.
@@ -99,10 +111,8 @@ impl Report {
         self.count(Severity::Deny) > 0 || (deny_warnings && self.count(Severity::Warn) > 0)
     }
 
-    /// Per-rule suppression counts, sorted by rule name — the number future
-    /// sessions diff against `bench_results/LINT_baseline.json`.
-    #[must_use]
-    pub fn suppression_counts(&self) -> Vec<(String, usize)> {
+    /// Per-rule suppression counts, sorted by rule name.
+    fn suppression_counts(&self) -> Vec<(String, usize)> {
         let mut counts = std::collections::BTreeMap::new();
         for site in &self.suppressions {
             *counts.entry(site.suppression.rule.clone()).or_insert(0) += 1;
@@ -112,12 +122,13 @@ impl Report {
 
     /// Renders the machine-readable JSON report (hand-rolled writer: the
     /// output is committed as a baseline, so it must be deterministic and
-    /// dependency-free). Contains no timestamps by design.
+    /// dependency-free). Contains no timestamps by design, and a waiver is
+    /// keyed by what it waives — path, rule, justification — not by its
+    /// line, so an edit elsewhere in a file does not move the baseline.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sbqa-lint/v1\",\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
+        out.push_str("  \"schema\": \"sbqa-lint/v2\",\n");
         out.push_str(&format!(
             "  \"deny_findings\": {},\n  \"warn_findings\": {},\n",
             self.count(Severity::Deny),
@@ -151,9 +162,8 @@ impl Report {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"path\": {}, \"line\": {}, \"rule\": {}, \"justification\": {}}}",
+                "\n    {{\"path\": {}, \"rule\": {}, \"justification\": {}}}",
                 json_str(&s.path),
-                s.suppression.comment_line,
                 json_str(&s.suppression.rule),
                 json_str(&s.suppression.justification)
             ));

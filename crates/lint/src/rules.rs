@@ -20,12 +20,17 @@
 //!   `sbqa_types::float_ord::f64_total_cmp`.
 //! * **`unsafe-audit`** — every `unsafe` block or impl must be preceded by a
 //!   `// SAFETY:` comment.
+//! * **`dead-pub`** — a `pub` item of library code that no other file names
+//!   is either dead or private in all but spelling. The rule is textual: it
+//!   runs once over the whole workspace ([`check_files`]) and matches names,
+//!   not paths, so an item called `new` or `value` is hidden by every other
+//!   `new` or `value`; it errs towards silence.
 //!
 //! Two meta rules police the waiver mechanism itself: `bad-pragma` (deny)
 //! for malformed/unjustified pragmas and `unused-suppression` (warn) for
 //! waivers that no longer suppress anything.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use crate::pragma;
@@ -61,7 +66,7 @@ pub struct FileClass {
 
 /// Crates whose library code must stay a pure function of
 /// `(registry state, seed)`.
-pub const DETERMINISTIC_CRATES: &[&str] = &[
+const DETERMINISTIC_CRATES: &[&str] = &[
     "core",
     "service",
     "sim",
@@ -71,10 +76,11 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// Crates whose library code must not panic.
-pub const PANIC_FREE_CRATES: &[&str] = &["core", "service", "types", "replication"];
+const PANIC_FREE_CRATES: &[&str] = &["core", "service", "types", "replication"];
 
 /// A rule's identity, severity and documentation.
 #[derive(Debug, Clone, Copy)]
+// sbqa-lint: allow(dead-pub, "the element of the public RULES catalog; the binary's --list-rules reads it unnamed")
 pub struct RuleSpec {
     /// Stable rule name, used in diagnostics and pragmas.
     pub name: &'static str,
@@ -131,6 +137,13 @@ pub const RULES: &[RuleSpec] = &[
                `// SAFETY:` comment directly above the unsafe block",
     },
     RuleSpec {
+        name: "dead-pub",
+        severity: Severity::Deny,
+        summary: "every pub item of library code is named by some other file",
+        help: "delete the item or drop its `pub`; an item only a doc-test or an outside \
+               user calls needs `// sbqa-lint: allow(dead-pub, \"<who calls it>\")`",
+    },
+    RuleSpec {
         name: "bad-pragma",
         severity: Severity::Deny,
         summary: "suppression pragmas must parse and carry a non-empty justification",
@@ -155,8 +168,7 @@ fn spec(name: &str) -> &'static RuleSpec {
 }
 
 /// Whether `rule_name` applies to files of `class` at all.
-#[must_use]
-pub fn applies(rule_name: &str, class: &FileClass) -> bool {
+fn applies(rule_name: &str, class: &FileClass) -> bool {
     let crate_name = class.crate_name.as_str();
     match rule_name {
         // unsafe-audit holds everywhere, including tests/benches/examples:
@@ -166,7 +178,7 @@ pub fn applies(rule_name: &str, class: &FileClass) -> bool {
         _ if class.kind.exempt() => false,
         "wall-clock" | "hash-collection" => DETERMINISTIC_CRATES.contains(&crate_name),
         "panic-hygiene" => PANIC_FREE_CRATES.contains(&crate_name),
-        "unseeded-rng" | "float-ordering" => true,
+        "unseeded-rng" | "float-ordering" | "dead-pub" => true,
         _ => false,
     }
 }
@@ -179,22 +191,24 @@ struct RawFinding {
     message: String,
 }
 
-/// Lints one file's source text under an explicit classification.
-///
-/// Returns the unsuppressed findings plus the used, justified suppressions
-/// (the documented contract sites the JSON report aggregates).
-#[must_use]
-pub fn check_file(
-    path_label: &str,
-    source: &str,
-    class: &FileClass,
-) -> (Vec<Finding>, Vec<SuppressionSite>) {
+/// One file's scan before suppressions are applied.
+struct FileScan<'a> {
+    label: &'a str,
+    class: &'a FileClass,
+    lexed: Lexed<'a>,
+    exempt: Vec<bool>,
+    suppressions: Vec<pragma::Suppression>,
+    raw: Vec<RawFinding>,
+}
+
+/// Lexes a file, runs the per-file matchers and collects its pragmas.
+fn scan_file<'a>(label: &'a str, source: &'a str, class: &'a FileClass) -> FileScan<'a> {
     let lexed = lex(source);
     let exempt = cfg_test_token_flags(&lexed.tokens);
     let code_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
     let last_line = source.lines().count() as u32 + 1;
 
-    let (mut suppressions, bad_pragmas) =
+    let (suppressions, bad_pragmas) =
         pragma::collect(&lexed.comments, last_line, |l| code_lines.contains(&l));
 
     let mut raw = scan_tokens(&lexed, &exempt, source, class);
@@ -218,10 +232,71 @@ pub fn check_file(
             });
         }
     }
+    FileScan {
+        label,
+        class,
+        lexed,
+        exempt,
+        suppressions,
+        raw,
+    }
+}
 
-    // Apply suppressions: a finding on a pragma's target line whose rule
-    // matches is converted into a documented suppression site. The meta
-    // rules themselves are deliberately not suppressible.
+/// Lints one file's source text under an explicit classification, with
+/// every rule but the cross-file `dead-pub`.
+///
+/// Returns the unsuppressed findings plus the used, justified suppressions
+/// (the documented contract sites the JSON report aggregates).
+#[must_use]
+pub fn check_file(
+    path_label: &str,
+    source: &str,
+    class: &FileClass,
+) -> (Vec<Finding>, Vec<SuppressionSite>) {
+    resolve(scan_file(path_label, source, class))
+}
+
+/// Lints a set of files, `(label, source, class)` each, with every rule,
+/// `dead-pub` included. `name_sources` are files read only for the names
+/// they use (a dependent workspace), never linted.
+#[must_use]
+pub fn check_files(
+    files: &[(String, String, FileClass)],
+    name_sources: &[String],
+) -> (Vec<Finding>, Vec<SuppressionSite>) {
+    let mut scans: Vec<FileScan<'_>> = files
+        .iter()
+        .map(|(label, source, class)| scan_file(label, source, class))
+        .collect();
+    let outside: BTreeSet<&str> = name_sources
+        .iter()
+        .flat_map(|source| used_names(&lex(source).tokens))
+        .collect();
+    for (i, finding) in dead_pub(&scans, &outside) {
+        scans[i].raw.push(finding);
+    }
+    let mut findings = Vec::new();
+    let mut sites = Vec::new();
+    for scan in scans {
+        let (f, s) = resolve(scan);
+        findings.extend(f);
+        sites.extend(s);
+    }
+    (findings, sites)
+}
+
+/// Applies a file's suppressions to its raw findings.
+fn resolve(scan: FileScan<'_>) -> (Vec<Finding>, Vec<SuppressionSite>) {
+    let FileScan {
+        label,
+        suppressions,
+        raw,
+        ..
+    } = scan;
+
+    // A finding on a pragma's target line whose rule matches is converted
+    // into a documented suppression site. The meta rules themselves are
+    // deliberately not suppressible.
     let mut used = vec![false; suppressions.len()];
     let mut findings = Vec::new();
     for f in raw {
@@ -236,7 +311,7 @@ pub fn check_file(
         if !suppressed {
             let s = spec(f.rule);
             findings.push(Finding {
-                path: path_label.to_string(),
+                path: label.to_string(),
                 line: f.line,
                 col: f.col,
                 rule: s.name,
@@ -250,19 +325,19 @@ pub fn check_file(
     // Unused pragmas (valid rule name, nothing suppressed) are warn-level
     // findings so stale waivers cannot linger.
     let mut sites = Vec::new();
-    for (i, sup) in suppressions.drain(..).enumerate() {
+    for (i, sup) in suppressions.into_iter().enumerate() {
         if rule(&sup.rule).is_none() {
             continue; // already reported as bad-pragma
         }
         if used[i] {
             sites.push(SuppressionSite {
-                path: path_label.to_string(),
+                path: label.to_string(),
                 suppression: sup,
             });
         } else {
             let s = spec("unused-suppression");
             findings.push(Finding {
-                path: path_label.to_string(),
+                path: label.to_string(),
                 line: sup.comment_line,
                 col: 1,
                 rule: s.name,
@@ -277,6 +352,85 @@ pub fn check_file(
     }
 
     (findings, sites)
+}
+
+/// The `dead-pub` pass: every `pub` item of a library file, outside
+/// `#[cfg(test)]`, whose name no other file uses as an identifier outside a
+/// `use` declaration and that is not among the `outside` names (those of
+/// the name sources). Returns `(file index, finding)`.
+fn dead_pub(scans: &[FileScan<'_>], outside: &BTreeSet<&str>) -> Vec<(usize, RawFinding)> {
+    let names: Vec<BTreeSet<&str>> = scans.iter().map(|s| used_names(&s.lexed.tokens)).collect();
+    let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for name in names.iter().flatten() {
+        *files_naming.entry(name).or_insert(0) += 1;
+    }
+
+    let mut dead = Vec::new();
+    for (i, scan) in scans.iter().enumerate() {
+        if !applies("dead-pub", scan.class) {
+            continue;
+        }
+        for (kind, name) in pub_items(&scan.lexed.tokens, &scan.exempt) {
+            let elsewhere = files_naming.get(name.text).copied().unwrap_or(0)
+                - usize::from(names[i].contains(name.text));
+            if elsewhere == 0 && !outside.contains(name.text) {
+                dead.push((
+                    i,
+                    RawFinding {
+                        rule: "dead-pub",
+                        line: name.line,
+                        col: name.col,
+                        message: format!("`pub {kind} {}` is named in no other file", name.text),
+                    },
+                ));
+            }
+        }
+    }
+    dead
+}
+
+/// Every identifier a token stream uses outside `use …;` declarations.
+fn used_names<'a>(tokens: &[Token<'a>]) -> BTreeSet<&'a str> {
+    let mut names = BTreeSet::new();
+    let mut in_use = false;
+    for tok in tokens {
+        match (tok.kind, tok.text) {
+            (TokKind::Ident, "use") => in_use = true,
+            (TokKind::Punct, ";") => in_use = false,
+            (TokKind::Ident, text) if !in_use => {
+                names.insert(text);
+            }
+            _ => {}
+        }
+    }
+    names
+}
+
+/// The `pub` items outside `#[cfg(test)]`, as (item keyword, name token).
+/// `pub(crate)`, `pub mod`, `pub use` and fields are not items here.
+fn pub_items<'t, 'a>(tokens: &'t [Token<'a>], exempt: &[bool]) -> Vec<(&'a str, &'t Token<'a>)> {
+    const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let text = |j: usize| tokens.get(j).map_or("", |t| t.text);
+    let mut items = Vec::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        if tok.kind != TokKind::Ident || tok.text != "pub" || exempt[i] {
+            continue;
+        }
+        let mut j = i + 1;
+        // Qualifiers before the item keyword: `const fn`, `unsafe fn`.
+        while text(j) == "unsafe" || (text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe"))
+        {
+            j += 1;
+        }
+        let kind = text(j);
+        if !KINDS.contains(&kind) {
+            continue;
+        }
+        if let Some(name) = tokens.get(j + 1).filter(|t| t.kind == TokKind::Ident) {
+            items.push((kind, name));
+        }
+    }
+    items
 }
 
 /// Runs the token matchers.

@@ -57,6 +57,31 @@ pub fn discover(root: &Path) -> io::Result<Vec<(PathBuf, String, FileClass)>> {
     Ok(files)
 }
 
+/// Every `.rs` file under `perf/src`, sorted: read only for the identifiers
+/// it uses. The benchmark is its own workspace and is never linted, but what
+/// it calls is not dead.
+pub fn name_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    let dir = root.join("perf/src");
+    if dir.is_dir() {
+        collect_rs(&dir, &mut files)?;
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
 fn walk(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String, FileClass)>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;

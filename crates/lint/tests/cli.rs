@@ -1,6 +1,6 @@
 //! End-to-end tests of the `sbqa-lint` binary: exit codes, `--json` output
-//! and the acceptance scenario from the issue — an `Instant::now()` injected
-//! into `crates/core/src` must fail the gate.
+//! and the two injection scenarios — an `Instant::now()` or an uncalled
+//! `pub fn` put into `crates/core/src` must fail the gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,7 +11,8 @@ fn bin() -> Command {
 }
 
 /// Builds a miniature workspace under `target/tmp` with one deterministic
-/// crate and returns its root.
+/// crate and returns its root. The crate's integration test calls
+/// `stamp` and `double`, so a `pub fn` of either name is not dead.
 fn scratch_workspace(name: &str, core_src: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let src_dir = root.join("crates/core/src");
@@ -25,6 +26,13 @@ fn scratch_workspace(name: &str, core_src: &str) -> PathBuf {
     )
     .expect("root manifest written");
     fs::write(src_dir.join("lib.rs"), core_src).expect("source written");
+    let tests_dir = root.join("crates/core/tests");
+    fs::create_dir_all(&tests_dir).expect("scratch tests created");
+    fs::write(
+        tests_dir.join("calls.rs"),
+        "#[test]\nfn calls() {\n    let _ = (core::stamp, core::double);\n}\n",
+    )
+    .expect("caller written");
     root
 }
 
@@ -50,6 +58,35 @@ fn injected_instant_now_in_core_fails_the_gate() {
     assert!(
         stdout.contains("crates/core/src/lib.rs:3:") && stdout.contains("wall-clock"),
         "diagnostic names the injected site: {stdout}"
+    );
+}
+
+#[test]
+fn injected_uncalled_pub_fn_in_core_fails_the_gate() {
+    let root = scratch_workspace(
+        "lint-cli-dead-pub",
+        "//! Scratch crate.\npub fn double(x: u64) -> u64 {\n    x * 2\n}\n\npub fn uncalled() {}\n",
+    );
+    let output = bin()
+        .arg("--root")
+        .arg(&root)
+        .arg("--deny-warnings")
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "stdout: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("crates/core/src/lib.rs:6:") && stdout.contains("dead-pub"),
+        "diagnostic names the injected site: {stdout}"
+    );
+    assert!(
+        !stdout.contains("lib.rs:2:"),
+        "the called fn is not dead: {stdout}"
     );
 }
 
@@ -91,7 +128,7 @@ fn json_report_is_deterministic_and_parseable() {
     let first = run();
     let second = run();
     assert_eq!(first, second, "repeated runs are byte-identical");
-    assert!(first.contains("\"schema\": \"sbqa-lint/v1\""));
+    assert!(first.contains("\"schema\": \"sbqa-lint/v2\""));
     assert!(first.contains("\"rule\": \"wall-clock\""));
     assert!(first.contains("\"deny_findings\": 1"));
     assert_balanced_json(&first);

@@ -8,7 +8,7 @@
 //! leak into the self-lint gate.
 
 use sbqa_lint::report::{Finding, Severity, SuppressionSite};
-use sbqa_lint::rules::{check_file, FileClass, FileKind};
+use sbqa_lint::rules::{check_file, check_files, FileClass, FileKind};
 
 fn lib(crate_name: &str) -> FileClass {
     FileClass {
@@ -225,10 +225,107 @@ fn every_fixture_rule_is_in_the_catalog() {
         "unsafe-audit",
         "bad-pragma",
         "unused-suppression",
+        "dead-pub",
     ] {
         assert!(
             sbqa_lint::rules::rule(name).is_some(),
             "missing rule {name}"
         );
     }
+}
+
+/// Lints the `dead-pub` fixture beside its user file (both library files of
+/// crate `core`), plus `extra` files, with `name_sources` read for names
+/// only. Returns the names `dead-pub` flagged, in source order, and the
+/// suppression sites.
+fn dead_pub(
+    extra: &[(&str, &str, FileClass)],
+    name_sources: &[&str],
+) -> (Vec<String>, Vec<SuppressionSite>) {
+    let mut files = vec![
+        (
+            "crates/core/src/dead_pub.rs".to_string(),
+            include_str!("fixtures/dead_pub.rs").to_string(),
+            lib("core"),
+        ),
+        (
+            "crates/core/src/dead_pub_user.rs".to_string(),
+            include_str!("fixtures/dead_pub_user.rs").to_string(),
+            lib("core"),
+        ),
+    ];
+    for (label, source, class) in extra {
+        files.push((label.to_string(), source.to_string(), class.clone()));
+    }
+    let sources: Vec<String> = name_sources.iter().map(ToString::to_string).collect();
+    let (findings, sites) = check_files(&files, &sources);
+    let flagged = findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.rule, "dead-pub", "only dead-pub fires: {findings:?}");
+            assert_eq!(f.severity, Severity::Deny);
+            let name = f.message.split('`').nth(1).unwrap_or_default();
+            format!("{}:{} {name}", f.path, f.line)
+        })
+        .collect();
+    (flagged, sites)
+}
+
+const PERF: &str = "fn workload() { sbqa::called_by_perf(); }";
+
+#[test]
+fn dead_pub_flags_exactly_the_items_no_other_file_names() {
+    let (flagged, _) = dead_pub(&[], &[PERF]);
+    assert_eq!(
+        flagged,
+        vec![
+            "crates/core/src/dead_pub.rs:3 pub fn uncalled",
+            "crates/core/src/dead_pub.rs:8 pub fn reexported_only",
+            "crates/core/src/dead_pub.rs:10 pub fn mentioned_only",
+            "crates/core/src/dead_pub.rs:16 pub fn const_uncalled",
+            "crates/core/src/dead_pub.rs:20 pub struct Unnamed",
+        ],
+        "an uncalled item is flagged even when its own file calls it; a name \
+         another file uses only in `use` / `pub use`, a comment or a string \
+         does not keep it alive; pub(crate), pub mod, fields and \
+         #[cfg(test)] items are not looked at"
+    );
+}
+
+#[test]
+fn dead_pub_is_waived_by_a_justified_pragma() {
+    let (flagged, sites) = dead_pub(&[], &[PERF]);
+    assert!(!flagged.iter().any(|f| f.ends_with(" waived")));
+    assert_eq!(sites.len(), 1);
+    assert_eq!(sites[0].suppression.rule, "dead-pub");
+    assert_eq!(sites[0].path, "crates/core/src/dead_pub.rs");
+}
+
+#[test]
+fn dead_pub_counts_a_name_source_but_never_lints_it() {
+    let (with_perf, _) = dead_pub(&[], &[PERF]);
+    assert!(!with_perf.iter().any(|f| f.ends_with("called_by_perf")));
+    let (without_perf, _) = dead_pub(&[], &[]);
+    assert!(without_perf
+        .iter()
+        .any(|f| f == "crates/core/src/dead_pub.rs:14 pub fn called_by_perf"));
+    // A name source's own pub items are never judged.
+    let (flagged, _) = dead_pub(&[], &[PERF, "pub fn perf_only() {}"]);
+    assert_eq!(flagged, with_perf);
+}
+
+#[test]
+fn dead_pub_never_looks_at_test_files_and_counts_their_names() {
+    let test_file = (
+        "crates/core/tests/uses.rs",
+        "pub fn test_helper() {}\n#[test]\nfn t() { sbqa_core::uncalled(); }\n",
+        test_kind("core"),
+    );
+    let (flagged, _) = dead_pub(&[test_file], &[PERF]);
+    assert!(
+        !flagged
+            .iter()
+            .any(|f| f.contains("test_helper") || f.ends_with(" uncalled")),
+        "a test file is a caller, never a subject: {flagged:?}"
+    );
 }

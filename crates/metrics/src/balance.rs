@@ -33,7 +33,7 @@ impl LoadBalanceReport {
     /// Builds a report from the per-provider load (e.g. queries performed or
     /// busy time).
     #[must_use]
-    pub fn from_loads(loads: &[f64]) -> Self {
+    fn from_loads(loads: &[f64]) -> Self {
         let summary = Summary::from_values(loads);
         let mean = summary.mean();
         let std_dev = summary.std_dev();
@@ -67,13 +67,6 @@ impl LoadBalanceReport {
             .collect();
         Self::from_loads(&normalised)
     }
-
-    /// `true` if this report describes a more even distribution than `other`,
-    /// judged by the Gini coefficient.
-    #[must_use]
-    pub fn is_more_balanced_than(&self, other: &LoadBalanceReport) -> bool {
-        self.gini < other.gini
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +87,7 @@ mod tests {
     fn skewed_load_is_detected() {
         let even = LoadBalanceReport::from_loads(&[10.0, 10.0, 10.0, 10.0]);
         let skewed = LoadBalanceReport::from_loads(&[40.0, 0.0, 0.0, 0.0]);
-        assert!(even.is_more_balanced_than(&skewed));
+        assert!(even.gini < skewed.gini);
         assert!(skewed.max_over_mean > 3.9);
         assert!(skewed.gini > 0.7);
     }

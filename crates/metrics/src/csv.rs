@@ -23,7 +23,7 @@ impl CsvWriter {
     }
 
     /// Appends one row.
-    pub fn write_row<S: AsRef<str>>(&mut self, cells: &[S]) {
+    fn write_row<S: AsRef<str>>(&mut self, cells: &[S]) {
         let escaped: Vec<String> = cells.iter().map(|c| Self::escape(c.as_ref())).collect();
         let _ = writeln!(self.buffer, "{}", escaped.join(","));
     }

@@ -64,15 +64,6 @@ impl LatencyRecorder {
         self.samples.is_empty()
     }
 
-    /// Mean latency in nanoseconds, or 0 if empty.
-    #[must_use]
-    pub fn mean_nanos(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.total_nanos as f64 / self.samples.len() as f64
-    }
-
     /// Largest recorded sample in nanoseconds, or 0 if empty.
     #[must_use]
     pub fn max_nanos(&self) -> u64 {
@@ -126,7 +117,7 @@ impl LatencyRecorder {
     /// sorted sample; 0 if empty. For several quantiles at once, prefer
     /// [`LatencyRecorder::percentiles`], which copies the sample once.
     #[must_use]
-    pub fn percentile_nanos(&self, q: f64) -> u64 {
+    fn percentile_nanos(&self, q: f64) -> u64 {
         self.percentiles(&[q])[0]
     }
 
@@ -211,7 +202,7 @@ impl LatencyUnit {
 
     /// Converts a nanosecond figure into this unit.
     #[must_use]
-    pub fn convert(self, nanos: u64) -> f64 {
+    fn convert(self, nanos: u64) -> f64 {
         let nanos = nanos as f64;
         match self {
             LatencyUnit::Nanos => nanos,
@@ -241,7 +232,6 @@ mod tests {
         let recorder = LatencyRecorder::new();
         assert!(recorder.is_empty());
         assert_eq!(recorder.count(), 0);
-        assert_eq!(recorder.mean_nanos(), 0.0);
         assert_eq!(recorder.max_nanos(), 0);
         assert_eq!(recorder.p50(), 0);
         assert_eq!(recorder.p99(), 0);
@@ -260,7 +250,6 @@ mod tests {
         assert_eq!(recorder.percentile_nanos(1.0), 500);
         assert_eq!(recorder.p95(), 500);
         assert_eq!(recorder.max_nanos(), 500);
-        assert!((recorder.mean_nanos() - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -335,7 +324,6 @@ mod tests {
         b.record_nanos(400);
         a.merge(&b);
         assert_eq!(a.count(), 4);
-        assert!((a.mean_nanos() - 250.0).abs() < 1e-9);
         assert_eq!(a.percentile_nanos(1.0), 400);
 
         // Merging an empty recorder changes nothing.

@@ -32,12 +32,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Adds a row of pre-formatted cells. Rows shorter than the header are
     /// padded with empty cells; longer rows are truncated.
     pub fn add_row<S: ToString>(&mut self, cells: &[S]) {
@@ -109,7 +103,6 @@ mod tests {
         assert!(text.contains("technique"));
         assert!(text.contains("Capacity"));
         assert!(text.contains("0.402"));
-        assert_eq!(table.row_count(), 2);
         assert_eq!(table.title(), "Scenario 1");
         // Display and render agree.
         assert_eq!(text, table.to_string());

@@ -12,6 +12,7 @@ use sbqa_types::VirtualTime;
 
 /// One `(time, value)` observation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+// sbqa-lint: allow(dead-pub, "returned by TimeSeries::points and last; the CSV writer and the open-loop report read it unnamed")
 pub struct TimePoint {
     /// Virtual time of the observation.
     pub at: VirtualTime,
@@ -78,22 +79,6 @@ impl TimeSeries {
         self.points.iter().map(|p| p.value).sum::<f64>() / self.points.len() as f64
     }
 
-    /// Mean of the values observed at or after `from` — used to report
-    /// steady-state values while skipping the warm-up phase.
-    #[must_use]
-    pub fn mean_after(&self, from: VirtualTime) -> f64 {
-        let tail: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.at >= from)
-            .map(|p| p.value)
-            .collect();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter().sum::<f64>() / tail.len() as f64
-    }
-
     /// Downsamples the series to at most `max_points` observations, keeping
     /// the first and last point. Useful before rendering long runs.
     #[must_use]
@@ -142,13 +127,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.last(), None);
-    }
-
-    #[test]
-    fn mean_after_skips_warmup() {
-        let s = series(&[(0.0, 100.0), (10.0, 1.0), (20.0, 3.0)]);
-        assert!((s.mean_after(VirtualTime::new(10.0)) - 2.0).abs() < 1e-12);
-        assert_eq!(s.mean_after(VirtualTime::new(100.0)), 0.0);
     }
 
     #[test]

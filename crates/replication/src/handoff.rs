@@ -57,7 +57,7 @@ impl HandoffPackage {
     /// emitted even when the provider is online — a no-op toggle costs
     /// nothing and keeps the expansion shape uniform for tests and tools.
     #[must_use]
-    pub fn snapshot_deltas(snapshot: &ProviderSnapshot) -> [RegistryDelta; 3] {
+    fn snapshot_deltas(snapshot: &ProviderSnapshot) -> [RegistryDelta; 3] {
         [
             RegistryDelta::Register {
                 id: snapshot.id,

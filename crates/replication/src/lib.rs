@@ -47,7 +47,7 @@ pub mod log;
 pub mod standby;
 
 pub use handoff::HandoffPackage;
-pub use log::{DeltaLog, DeltaOp, DeltaRecord, Entry, SharedDeltaLog};
+pub use log::{DeltaLog, Entry, SharedDeltaLog};
 pub use standby::{ReplayReport, StandbyShard};
 
 use sbqa_core::{Mediator, RegistryDelta};

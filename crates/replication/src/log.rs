@@ -21,7 +21,7 @@ use sbqa_types::{ConsumerId, Query};
 
 /// One entry of the log: what happened, and its position in the total order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeltaRecord {
+struct DeltaRecord {
     /// Position in the log's total order; starts at 1, increases by exactly
     /// 1 per appended record.
     pub sequence: u64,
@@ -31,7 +31,7 @@ pub struct DeltaRecord {
 
 /// The payload of a [`DeltaRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DeltaOp {
+enum DeltaOp {
     /// An effective registry mutation, as emitted by the primary.
     Mutation(RegistryDelta),
     /// A query the shard was offered, with the admission verdict it took.
@@ -58,7 +58,7 @@ pub enum Entry<'a> {
 /// An append-only, monotonically-sequenced log with front pruning.
 ///
 /// Retained records are contiguous: `records[i].sequence` is
-/// `first_retained + i`, so tail reads are a slice, not a scan. `queries`
+/// `pruned + 1 + i`, so tail reads are a slice, not a scan. `queries`
 /// holds the body of every retained query record, in record order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeltaLog {
@@ -116,13 +116,6 @@ impl DeltaLog {
         self.appended
     }
 
-    /// Sequence of the oldest retained record, or `None` if the log holds
-    /// nothing (empty or fully pruned).
-    #[must_use]
-    pub fn first_retained(&self) -> Option<u64> {
-        self.records.first().map(|record| record.sequence)
-    }
-
     /// Number of records currently retained.
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -135,7 +128,7 @@ impl DeltaLog {
     /// short). `None` if pruning has already dropped part of that range —
     /// the signal that a reader at watermark `after` can no longer be
     /// carried forward by this log and needs a fresh checkpoint.
-    pub fn tail_after(
+    fn tail_after(
         &self,
         after: u64,
     ) -> Option<impl ExactSizeIterator<Item = (u64, Option<Entry<'_>>)>> {
@@ -176,12 +169,6 @@ impl DeltaLog {
         self.records.drain(..keep);
         self.queries.drain(..bodies);
         self.pruned = self.pruned.max(through.min(self.appended));
-    }
-
-    /// All retained records, oldest first.
-    #[must_use]
-    pub fn records(&self) -> &[DeltaRecord] {
-        &self.records
     }
 }
 
@@ -239,9 +226,10 @@ impl SharedDeltaLog {
     }
 
     /// Hands the records with sequence strictly greater than `after` to
-    /// `visit` as [`DeltaLog::tail_after`] yields them, oldest first, under the log lock and
-    /// without copying them, stopping at its first error. `None` if that
-    /// range has been partially pruned. `visit` must not append to this log.
+    /// `visit` as `(sequence, entry)`, oldest first, under the log lock and
+    /// without copying them, stopping at its first error. The entry is
+    /// `None` for a query record whose body is missing. `None` if that range
+    /// has been partially pruned. `visit` must not append to this log.
     pub fn visit_after<E>(
         &self,
         after: u64,
@@ -314,7 +302,7 @@ mod tests {
     fn sequences_are_dense_and_monotonic() {
         let mut log = DeltaLog::new();
         assert_eq!(log.last_sequence(), 0);
-        assert_eq!(log.first_retained(), None);
+        assert_eq!(log.depth(), 0);
         for i in 1..=4u64 {
             assert_eq!(log.append_mutation(load(i, 1)), i);
         }
@@ -322,7 +310,7 @@ mod tests {
         assert_eq!(log.append_consumer(ConsumerId::new(3)), 6);
         assert_eq!(log.last_sequence(), 6);
         assert_eq!(log.depth(), 6);
-        let seqs: Vec<u64> = log.records().iter().map(|r| r.sequence).collect();
+        let seqs: Vec<u64> = log.records.iter().map(|r| r.sequence).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6]);
     }
 
@@ -348,7 +336,7 @@ mod tests {
 
         log.prune_through(5);
         assert_eq!(log.depth(), 3);
-        assert_eq!(log.first_retained(), Some(6));
+        assert_eq!(log.records[0].sequence, 6);
         let len = |after| log.tail_after(after).map(|tail| tail.len());
         // A reader at watermark >= 5 can still be carried forward…
         assert_eq!(len(5), Some(3));
@@ -430,7 +418,7 @@ mod tests {
         let back = DeltaLog::from_value(&log.to_value()).expect("round trip");
         assert_eq!(back.last_sequence(), log.last_sequence());
         assert_eq!(back.depth(), log.depth());
-        assert_eq!(back.records(), log.records());
+        assert_eq!(back.records, log.records);
         assert!(back.tail_after(0).is_none());
         assert_eq!(
             read(back.tail_after(1).expect("retained")),
@@ -462,7 +450,7 @@ mod tests {
                 "log prefix {cut}"
             );
         }
-        let records = log.records();
+        let records = &log.records;
         for record in [
             records[0],
             records[records.len() - 2],

@@ -108,13 +108,6 @@ impl SatisfactionSnapshot {
             providers: SideSummary::from_values(&provider_values, provider_threshold),
         }
     }
-
-    /// Absolute gap between the two sides' mean satisfaction — the fairness
-    /// indicator SbQA's adaptive ω is designed to keep small.
-    #[must_use]
-    pub fn side_gap(&self) -> f64 {
-        (self.consumers.mean - self.providers.mean).abs()
-    }
 }
 
 /// A labelled time series of snapshots for one allocation technique.
@@ -157,12 +150,6 @@ impl SatisfactionAnalysis {
     #[must_use]
     pub fn mean_provider_satisfaction(&self) -> f64 {
         Self::mean(self.snapshots.iter().map(|s| s.providers.mean))
-    }
-
-    /// Mean gap between the two sides over the run — lower is fairer.
-    #[must_use]
-    pub fn mean_side_gap(&self) -> f64 {
-        Self::mean(self.snapshots.iter().map(SatisfactionSnapshot::side_gap))
     }
 
     fn mean(values: impl Iterator<Item = f64>) -> f64 {
@@ -223,7 +210,6 @@ mod tests {
         // Provider means: 1.0 (performed a loved query) and 0.0 (ignored).
         assert!((snap.providers.mean - 0.5).abs() < 1e-12);
         assert!((snap.providers.fraction_below_threshold - 0.5).abs() < 1e-12);
-        assert!((snap.side_gap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -255,7 +241,6 @@ mod tests {
         }
         assert!((analysis.mean_consumer_satisfaction() - 0.7).abs() < 1e-12);
         assert!((analysis.mean_provider_satisfaction() - 0.3).abs() < 1e-12);
-        assert!((analysis.mean_side_gap() - 0.4).abs() < 1e-12);
         assert_eq!(analysis.latest().unwrap().at, VirtualTime::new(2.0));
         assert_eq!(analysis.technique, "Capacity");
     }

@@ -28,6 +28,7 @@ use crate::window::{tracker_to_value, tracker_window, InteractionWindow};
 /// performed it, with which expressed intention, and how many results were
 /// required.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
+// sbqa-lint: allow(dead-pub, "yielded by ConsumerSatisfaction::interactions; maintained_prop reads it unnamed")
 pub struct ConsumerInteraction {
     /// The query this interaction refers to.
     pub query: QueryId,
@@ -90,12 +91,6 @@ impl ConsumerInteraction {
             .map(|(_, intention)| intention.to_unit().value())
             .sum();
         Satisfaction::new(sum / n)
-    }
-
-    /// `true` if the consumer obtained at least as many results as required.
-    #[must_use]
-    pub fn fully_served(&self) -> bool {
-        self.performed_by.len() >= self.required_results
     }
 }
 
@@ -167,7 +162,7 @@ impl ConsumerSatisfaction {
     }
 
     /// Records the outcome of a query.
-    pub fn record(&mut self, interaction: ConsumerInteraction) {
+    fn record(&mut self, interaction: ConsumerInteraction) {
         let value = interaction.satisfaction().value();
         self.window.record(interaction);
         if self.values.len() == self.window.len() {
@@ -177,8 +172,8 @@ impl ConsumerSatisfaction {
         self.values.push_back(value);
     }
 
-    /// Convenience wrapper over [`ConsumerSatisfaction::record`] that copies
-    /// the performed-by pairs out of a slice.
+    /// Records the outcome of a query, copying the performed-by pairs out of
+    /// a slice.
     ///
     /// When the window is full — the steady state — the evicted
     /// interaction's buffer is recycled for the new record, so recording
@@ -216,26 +211,6 @@ impl ConsumerSatisfaction {
         Satisfaction::new(sum / self.values.len() as f64)
     }
 
-    /// Satisfaction of the most recent query, if any.
-    #[must_use]
-    pub fn latest_query_satisfaction(&self) -> Option<Satisfaction> {
-        self.window.latest().map(ConsumerInteraction::satisfaction)
-    }
-
-    /// Fraction of remembered queries that received all required results.
-    #[must_use]
-    pub fn full_service_rate(&self) -> f64 {
-        if self.window.is_empty() {
-            return 1.0;
-        }
-        let served = self
-            .window
-            .iter()
-            .filter(|interaction| interaction.fully_served())
-            .count();
-        served as f64 / self.window.len() as f64
-    }
-
     /// Iterates over the remembered interactions, oldest first.
     pub fn interactions(&self) -> impl Iterator<Item = &ConsumerInteraction> {
         self.window.iter()
@@ -270,7 +245,6 @@ mod tests {
         let interaction =
             ConsumerInteraction::new(QueryId::new(1), 3, vec![(pid(1), Intention::new(1.0))]);
         assert!((interaction.satisfaction().value() - 1.0 / 3.0).abs() < 1e-12);
-        assert!(!interaction.fully_served());
     }
 
     #[test]
@@ -348,19 +322,6 @@ mod tests {
         assert_eq!(sat.satisfaction(), Satisfaction::MIN);
         assert_eq!(sat.observed_queries(), 2);
         assert_eq!(sat.window_size(), 2);
-    }
-
-    #[test]
-    fn latest_and_service_rate() {
-        let mut sat = ConsumerSatisfaction::new(10);
-        assert_eq!(sat.latest_query_satisfaction(), None);
-        assert_eq!(sat.full_service_rate(), 1.0);
-
-        sat.record_outcome(QueryId::new(1), 2, &[(pid(1), Intention::new(1.0))]);
-        sat.record_outcome(QueryId::new(2), 1, &[(pid(2), Intention::new(0.5))]);
-        assert_eq!(sat.full_service_rate(), 0.5);
-        assert!(sat.latest_query_satisfaction().is_some());
-        assert_eq!(sat.interactions().count(), 2);
     }
 
     proptest! {

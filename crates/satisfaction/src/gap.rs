@@ -21,8 +21,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use sbqa_types::{Intention, ProviderId, Satisfaction};
-
 /// One mediation's view of both sides' satisfaction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GapSample {
@@ -51,12 +49,6 @@ impl GapSample {
         }
     }
 
-    /// Builds a sample from registry satisfaction values.
-    #[must_use]
-    pub fn from_satisfactions(consumer: Satisfaction, provider: Satisfaction) -> Self {
-        Self::new(consumer.value(), provider.value())
-    }
-
     /// Builds the instantaneous per-mediation sample from pre-accumulated
     /// unit-interval gains: `consumer_gain` is the sum of `(CIq[p] + 1) / 2`
     /// over the *selected* providers (normalised by `q.n` per Definition 1 —
@@ -65,10 +57,9 @@ impl GapSample {
     /// number of *consulted* providers: every rejected proposal contributes
     /// a zero, the per-proposal Definition-2 reading).
     ///
-    /// This is the single normalisation every instantaneous-sample producer
-    /// goes through — [`GapSample::from_views`] and SbQA's allocator both
-    /// delegate here, so the two cannot drift. A mediation that consulted
-    /// nobody reports the neutral `0.5` on the provider side.
+    /// This is the normalisation SbQA's allocator goes through for its
+    /// instantaneous samples. A mediation that consulted nobody reports the
+    /// neutral `0.5` on the provider side.
     #[must_use]
     pub fn from_sums(
         consumer_gain: f64,
@@ -83,40 +74,6 @@ impl GapSample {
             provider_gain / consulted as f64
         };
         Self::new(consumer, provider)
-    }
-
-    /// Builds the *instantaneous* sample of one mediation from the decision
-    /// views the mediator already computes for [`record_mediation`]: the
-    /// consumer side is the per-query satisfaction `δs(c, q)` of Definition 1
-    /// (missing results count as zero), the provider side the mean
-    /// per-proposal value of Definition 2 (`(PIq[p]+1)/2` if performed, `0`
-    /// otherwise) over the consulted set.
-    ///
-    /// This variant needs no registry at all, which makes it usable by
-    /// allocation techniques that do not track satisfaction.
-    ///
-    /// [`record_mediation`]: crate::SatisfactionRegistry::record_mediation
-    #[must_use]
-    pub fn from_views(
-        required_results: usize,
-        performed_by: &[(ProviderId, Intention)],
-        proposals: &[(ProviderId, Intention, bool)],
-    ) -> Self {
-        let consumer_gain: f64 = performed_by
-            .iter()
-            .map(|(_, intention)| intention.to_unit().value())
-            .sum();
-        let provider_gain: f64 = proposals
-            .iter()
-            .filter(|(_, _, performed)| *performed)
-            .map(|(_, intention, _)| intention.to_unit().value())
-            .sum();
-        Self::from_sums(
-            consumer_gain,
-            required_results,
-            provider_gain,
-            proposals.len(),
-        )
     }
 
     /// The signed gap `consumer − provider`: positive when consumers are the
@@ -231,11 +188,6 @@ impl GapWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbqa_types::QueryId;
-
-    fn pid(raw: u64) -> ProviderId {
-        ProviderId::new(raw)
-    }
 
     #[test]
     fn sample_gap_is_signed() {
@@ -256,38 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn from_satisfactions_reads_registry_values() {
-        let sample =
-            GapSample::from_satisfactions(Satisfaction::new(0.75), Satisfaction::new(0.25));
-        assert!((sample.gap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_views_matches_the_satisfaction_definitions() {
-        // Consumer required 2 results, got providers with intentions 1 and 0:
-        // δs(c, q) = ((1+1)/2 + (0+1)/2) / 2 = 0.75 — the Definition 1 value.
-        let performed = vec![(pid(1), Intention::new(1.0)), (pid(2), Intention::new(0.0))];
-        // Three proposals, two performed (intentions 1 and 0), one rejected:
-        // mean over proposals = ((1+1)/2 + (0+1)/2 + 0) / 3 = 0.5.
-        let proposals = vec![
-            (pid(1), Intention::new(1.0), true),
-            (pid(2), Intention::new(0.0), true),
-            (pid(3), Intention::new(0.9), false),
-        ];
-        let sample = GapSample::from_views(2, &performed, &proposals);
-        assert!((sample.consumer - 0.75).abs() < 1e-12);
-        assert!((sample.provider - 0.5).abs() < 1e-12);
-
-        // The consumer-interaction equivalence: the same numbers Definition 1
-        // produces through the registry path.
-        let interaction = crate::ConsumerInteraction::new(QueryId::new(1), 2, performed);
-        assert!((interaction.satisfaction().value() - sample.consumer).abs() < 1e-12);
-    }
-
-    #[test]
     fn from_sums_is_the_shared_normalisation() {
-        // (1 + 0.5) consumer gain over q.n = 2, (1 + 0.5) provider gain over
-        // 3 consulted — the same figures the from_views test derives.
+        // Consumer required 2 results and got providers with intentions 1
+        // and 0: (1 + 0.5) / 2 = 0.75, the Definition 1 value. Three
+        // proposals, those two performed and one rejected: (1 + 0.5) / 3.
         let sample = GapSample::from_sums(1.5, 2, 1.5, 3);
         assert!((sample.consumer - 0.75).abs() < 1e-12);
         assert!((sample.provider - 0.5).abs() < 1e-12);
@@ -295,14 +219,6 @@ mod tests {
         // behaves like 1.
         let sample = GapSample::from_sums(0.9, 0, 0.0, 0);
         assert!((sample.consumer - 0.9).abs() < 1e-12);
-        assert_eq!(sample.provider, 0.5);
-    }
-
-    #[test]
-    fn from_views_handles_starvation_and_zero_divisors() {
-        // A starved query: nobody performed, nobody proposed.
-        let sample = GapSample::from_views(0, &[], &[]);
-        assert_eq!(sample.consumer, 0.0);
         assert_eq!(sample.provider, 0.5);
     }
 

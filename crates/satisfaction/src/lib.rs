@@ -15,11 +15,6 @@
 //! * **provider satisfaction** ([`ProviderSatisfaction`]): over the last `k`
 //!   queries *proposed* to the provider, how much it wanted the ones it
 //!   actually got to perform (Definition 2);
-//! * **adequation and allocation efficiency** ([`adequation`]): how well the
-//!   system's proposals match a participant's interests irrespective of the
-//!   final allocation, and which fraction of the attainable satisfaction the
-//!   mediator actually delivered (reconstructed from the SQLB paper, see the
-//!   module documentation).
 //!
 //! The mediator keeps its own mirror of everybody's satisfaction in a
 //! [`SatisfactionRegistry`], which is what the ω computation of Equation 2
@@ -30,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adequation;
 pub mod analysis;
 pub mod consumer;
 pub mod gap;
@@ -39,7 +33,6 @@ pub mod registry;
 mod rows;
 pub mod window;
 
-pub use adequation::{AllocationEfficiency, ConsumerAdequation, ProviderAdequation};
 pub use analysis::{SatisfactionAnalysis, SatisfactionSnapshot, SideSummary};
 pub use consumer::{ConsumerInteraction, ConsumerSatisfaction};
 pub use gap::{GapSample, GapWindow};

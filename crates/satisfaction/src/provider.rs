@@ -243,14 +243,6 @@ impl ProviderSatisfaction {
         self.maintained.selection_rate(self.window.len())
     }
 
-    /// Mean intention expressed over all remembered proposals, performed or
-    /// not. This is the raw interest signal used by the adequation notion.
-    #[must_use]
-    pub fn mean_proposed_intention(&self) -> Intention {
-        let values: Vec<Intention> = self.window.iter().map(|i| i.intention).collect();
-        Intention::mean(&values)
-    }
-
     /// Iterates over the remembered proposals, oldest first.
     pub fn interactions(&self) -> impl Iterator<Item = &ProviderInteraction> {
         self.window.iter()
@@ -289,7 +281,6 @@ mod tests {
         let sat = ProviderSatisfaction::new(5);
         assert_eq!(sat.satisfaction(), Satisfaction::MAX);
         assert_eq!(sat.selection_rate(), 1.0);
-        assert_eq!(sat.mean_proposed_intention(), Intention::NEUTRAL);
     }
 
     #[test]

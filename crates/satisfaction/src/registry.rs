@@ -126,33 +126,17 @@ impl ConsumerRows {
         &mut self.trackers[at]
     }
 
-    /// Removes a consumer; the last row moves into its place.
-    fn remove(&mut self, id: ConsumerId) -> bool {
-        let Some(at) = self.find(id) else {
-            return false;
-        };
-        let ids = &self.ids;
-        self.directory
-            .remove(id.raw(), |row| ids[row as usize].raw());
-        self.ids.swap_remove(at);
-        self.trackers.swap_remove(at);
-        if let Some(moved) = self.ids.get(at) {
-            self.directory
-                .repoint(moved.raw(), self.ids.len() as u32, at as u32);
-        }
-        true
-    }
-
     /// Makes this side's tracker of `id` equal to `source`'s: copied over
-    /// in place (reusing its buffers), appended, or removed.
+    /// in place (reusing its buffers) or appended. A consumer is never
+    /// removed, so a touched id is always live in `source`.
     fn sync_from(&mut self, source: &ConsumerRows, id: ConsumerId) {
-        match (source.find(id), self.find(id)) {
-            (Some(live), Some(stale)) => self.trackers[stale].clone_from(&source.trackers[live]),
-            (Some(live), None) => {
+        let Some(live) = source.find(id) else {
+            return;
+        };
+        match self.find(id) {
+            Some(stale) => self.trackers[stale].clone_from(&source.trackers[live]),
+            None => {
                 self.push(id, source.trackers[live].clone());
-            }
-            (None, _) => {
-                self.remove(id);
             }
         }
     }
@@ -261,12 +245,6 @@ impl SatisfactionRegistry {
             self.touch_provider(provider);
         }
         registered
-    }
-
-    /// Removes a consumer (it left the system). Returns `true` if it existed.
-    pub fn remove_consumer(&mut self, consumer: ConsumerId) -> bool {
-        self.touch_consumer(consumer);
-        self.consumers.remove(consumer)
     }
 
     /// Removes a provider (it left the system); its window's block goes
@@ -534,11 +512,9 @@ mod tests {
         let mut reg = SatisfactionRegistry::new(5);
         reg.register_consumer(cid(1));
         reg.register_provider(pid(1));
-        assert!(reg.remove_consumer(cid(1)));
-        assert!(!reg.remove_consumer(cid(1)));
         assert!(reg.remove_provider(pid(1)));
         assert!(!reg.remove_provider(pid(1)));
-        assert_eq!(reg.consumer_count(), 0);
+        assert_eq!(reg.consumer_count(), 1);
         assert_eq!(reg.provider_count(), 0);
     }
 
@@ -681,7 +657,6 @@ mod tests {
             );
         }
         reg.remove_provider(pid(4));
-        reg.remove_consumer(cid(1));
         let moved = reg.extract_provider(pid(0)).expect("registered");
         reg.adopt_provider(pid(9), moved);
         reg.remove_provider(pid(5));
@@ -691,7 +666,7 @@ mod tests {
         // Distinct ids: consumers {1, 2}, providers {0, 1, 2, 4, 5, 7, 9, 77}.
         assert_eq!(reg.sync_touched_into(&mut copy), Some(10));
         assert_eq!(trackers(&copy), trackers(&reg));
-        assert!(copy.provider(pid(4)).is_none() && copy.consumer(cid(1)).is_none());
+        assert!(copy.provider(pid(4)).is_none());
 
         // The touched set restarted empty; the next sync carries only what
         // happened since.
@@ -719,9 +694,6 @@ mod tests {
             }
             5 => {
                 reg.remove_provider(pid(2));
-            }
-            7 => {
-                reg.remove_consumer(cid(1));
             }
             _ => {
                 let provider = pid([0, 1, 3, 4, 5][step as usize % 5]);
@@ -767,14 +739,14 @@ mod tests {
             churn_step(&mut steady, &mut steady_copy, step);
             assert!(steady.sync_touched_into(&mut steady_copy).is_some());
         }
-        // Distinct ids: consumers {1, 2, 3}, providers {0, 1, 2, 3, 4, 5},
-        // against 2 + 5 participants left.
-        assert_eq!(bulk.sync_touched_into(&mut bulk_copy), Some(9));
+        // Distinct ids: consumers {2, 3}, providers {0, 1, 2, 3, 4, 5},
+        // against 3 + 5 participants left.
+        assert_eq!(bulk.sync_touched_into(&mut bulk_copy), Some(8));
 
         assert_eq!(trackers(&bulk), trackers(&steady));
         for copy in [&bulk_copy, &steady_copy] {
             assert_eq!(trackers(copy), trackers(&bulk));
-            assert!(copy.provider(pid(2)).is_none() && copy.consumer(cid(1)).is_none());
+            assert!(copy.provider(pid(2)).is_none());
             assert!(copy.consumer(cid(3)).is_some());
         }
         assert!(bulk_copy.touched.0.is_none(), "a whole copy is untracked");

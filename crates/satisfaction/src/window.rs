@@ -156,12 +156,6 @@ impl<T> InteractionWindow<T> {
         self.items.is_empty()
     }
 
-    /// `true` once the window holds exactly `k` interactions.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
     /// Total number of interactions ever recorded (monotonically increasing).
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
@@ -313,7 +307,7 @@ mod tests {
         assert_eq!(w.record(1), None);
         assert_eq!(w.record(2), None);
         assert_eq!(w.record(3), None);
-        assert!(w.is_full());
+        assert_eq!(w.len(), w.capacity());
         assert_eq!(w.record(4), Some(1));
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
         assert_eq!(w.oldest(), Some(&2));
@@ -346,7 +340,7 @@ mod tests {
         assert_eq!(patched.capacity(), 1);
         assert_eq!(patched.len(), 1);
         assert_eq!(patched.latest(), Some(&4));
-        assert!(patched.is_full());
+        assert_eq!(patched.len(), patched.capacity());
         // Recording still works and evicts rather than overflowing.
         let mut patched = patched;
         assert_eq!(patched.record(9), Some(4));

@@ -191,20 +191,6 @@ impl MediationService {
         self.rings.len()
     }
 
-    /// Number of queries enqueued so far.
-    #[must_use]
-    pub fn enqueued(&self) -> usize {
-        self.enqueued
-    }
-
-    /// Enqueues one query: a [`MediationService::enqueue_batch`] of one.
-    ///
-    /// # Panics
-    /// Panics if the shard's mediation thread has died.
-    pub fn enqueue(&mut self, query: sbqa_types::Query) {
-        self.enqueue_batch(std::iter::once(query));
-    }
-
     /// Enqueues a batch: queries are split by assigned shard, each shard's
     /// sub-batch is sorted into stable `(issued_at, id)` order, and the
     /// envelopes enter the shard's ring in that order. The sort is what
@@ -370,13 +356,12 @@ mod tests {
         let mut running = spawn(build_service(3, 30));
         assert_eq!(running.shard_count(), 3);
 
-        // A mix of single enqueues and chunked batches.
+        // A mix of single-query and chunked batches.
         for id in 0..10u64 {
-            running.enqueue(query(id));
+            running.enqueue_batch(std::iter::once(query(id)));
         }
         running.enqueue_batch((10..64).map(query));
-        assert_eq!(running.enqueued(), 64);
-        assert!(format!("{running:?}").contains("enqueued"));
+        assert!(format!("{running:?}").contains("enqueued: 64"));
 
         let report = running.finish();
         assert_eq!(report.total.submitted(), 64);

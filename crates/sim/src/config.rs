@@ -213,20 +213,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Builder-style departure-policy override.
-    #[must_use]
-    pub fn with_departure(mut self, departure: DeparturePolicy) -> Self {
-        self.departure = departure;
-        self
-    }
-
-    /// Builder-style duration override.
-    #[must_use]
-    pub fn with_duration(mut self, duration: f64) -> Self {
-        self.duration = duration;
-        self
-    }
-
     /// Builder-style system-configuration override.
     #[must_use]
     pub fn with_system(mut self, system: SystemConfig) -> Self {
@@ -288,7 +274,10 @@ mod tests {
 
     #[test]
     fn simulation_validation_rejects_degenerate_durations() {
-        let bad = SimulationConfig::default().with_duration(0.0);
+        let bad = SimulationConfig {
+            duration: 0.0,
+            ..SimulationConfig::default()
+        };
         assert!(bad.validate().is_err());
         let bad = SimulationConfig {
             sample_interval: -1.0,
@@ -299,10 +288,12 @@ mod tests {
 
     #[test]
     fn builder_overrides_apply() {
-        let cfg = SimulationConfig::default()
-            .with_seed(7)
-            .with_duration(100.0)
-            .with_departure(DeparturePolicy::paper_autonomous());
+        let cfg = SimulationConfig {
+            duration: 100.0,
+            departure: DeparturePolicy::paper_autonomous(),
+            ..SimulationConfig::default()
+        }
+        .with_seed(7);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.duration, 100.0);
         assert!(cfg.departure.is_autonomous());

@@ -11,7 +11,7 @@ use sbqa_types::{ConsumerId, ProviderId, Query, QueryId, VirtualTime};
 
 /// Something that happens at a point in virtual time.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+pub(crate) enum Event {
     /// A consumer issues its next query (and schedules the following one).
     QueryIssued {
         /// The issuing consumer.
@@ -44,7 +44,7 @@ pub enum Event {
 
 /// An event scheduled at a specific virtual time.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScheduledEvent {
+pub(crate) struct ScheduledEvent {
     /// When the event fires.
     pub at: VirtualTime,
     /// Tie-breaking sequence number (assigned by the queue).
@@ -73,7 +73,7 @@ impl Ord for ScheduledEvent {
 
 /// A time-ordered event queue.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<ScheduledEvent>,
     next_seq: u64,
 }
@@ -103,24 +103,6 @@ impl EventQueue {
     pub fn peek(&self) -> Option<&ScheduledEvent> {
         self.heap.peek()
     }
-
-    /// Peeks at the time of the earliest event without removing it.
-    #[must_use]
-    pub fn next_time(&self) -> Option<VirtualTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no event is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +121,7 @@ mod tests {
             .map(|e| e.at.seconds())
             .collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -168,15 +150,6 @@ mod tests {
             }
             other => panic!("unexpected events {other:?}"),
         }
-    }
-
-    #[test]
-    fn next_time_peeks_without_removing() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.next_time(), None);
-        q.schedule(VirtualTime::new(4.0), Event::Sample);
-        assert_eq!(q.next_time(), Some(VirtualTime::new(4.0)));
-        assert_eq!(q.len(), 1);
     }
 
     proptest! {

@@ -25,7 +25,7 @@
 //! Everything is driven by a virtual clock and a binary-heap event queue;
 //! runs are fully deterministic for a given seed.
 //!
-//! That closed loop ([`Simulation`] on the [`EventQueue`]) measures the
+//! That closed loop ([`SimulationBuilder`]) measures the
 //! *system* around the mediation service at one shard. The crate's second —
 //! and only other — loop is the open one: [`openloop::run`] drives a
 //! pre-generated arrival stream ([`generate_query_stream`]) through the
@@ -38,7 +38,7 @@
 
 pub mod config;
 pub mod consumer;
-pub mod event;
+mod event;
 pub mod network;
 pub mod openloop;
 pub mod oracle;
@@ -50,15 +50,14 @@ pub mod workload;
 
 pub use config::{DeparturePolicy, NetworkConfig, SimulationConfig};
 pub use consumer::{ConsumerSpec, ConsumerState};
-pub use event::{Event, EventQueue, ScheduledEvent};
 pub use network::NetworkModel;
 pub use openloop::{
     admitted_satisfaction, outcome_digest, run, shed_digest, timed_outcome_digest, Boundary,
     HashWorld, LoadFeedback, Promotion, RunEvent, ServiceRun, ServiceRunReport, Timeline, World,
 };
 pub use oracle::{mix, AdaptiveOracle, HashIntentions};
-pub use provider::{ProviderSpec, ProviderState};
+pub use provider::ProviderSpec;
 pub use report::{ParticipantCounts, SimulationReport};
 pub use rng::SimRng;
-pub use runner::{Simulation, SimulationBuilder};
+pub use runner::SimulationBuilder;
 pub use workload::{generate_query_stream, LoadStep, WorkloadModel};

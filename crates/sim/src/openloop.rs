@@ -1,9 +1,9 @@
 //! The open-loop experiment driver: one declared run, one loop.
 //!
-//! The event-driven [`Simulation`](crate::runner::Simulation) measures the
-//! *system* (satisfaction, departures, response times in virtual seconds)
-//! around the service at one shard. This module measures the *mediation
-//! service itself*: a deterministic arrival stream
+//! The event-driven loop ([`SimulationBuilder`](crate::SimulationBuilder))
+//! measures the *system* (satisfaction, departures, response times in
+//! virtual seconds) around the service at one shard. This module measures
+//! the *mediation service itself*: a deterministic arrival stream
 //! ([`generate_query_stream`](crate::generate_query_stream)) is cut into
 //! batches and driven through a [`ShardedMediator`] that a [`ServiceRun`]
 //! declares — how many shards, inline or behind shard threads, with or
@@ -148,6 +148,7 @@ impl ServiceRun {
 
 /// What a [`World`] is shown at a batch boundary.
 #[derive(Debug, Clone, Copy)]
+// sbqa-lint: allow(dead-pub, "the argument of the public World::before_batch hook; worlds read it unnamed")
 pub struct Boundary<'a> {
     /// The run being driven.
     pub run: &'a ServiceRun,
@@ -586,6 +587,7 @@ pub fn timed_outcome_digest(outcomes: &[OutcomeRecord]) -> u64 {
 
 /// One fired [`RunEvent::Crash`].
 #[derive(Debug, Clone)]
+// sbqa-lint: allow(dead-pub, "the element of ServiceRunReport::promotions; the failover goldens read it unnamed")
 pub struct Promotion {
     /// The shard that was crashed.
     pub shard: usize,

@@ -51,7 +51,7 @@ impl ProviderSpec {
 
 /// The execution a provider starts when it picks up a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StartedExecution {
+pub(crate) struct StartedExecution {
     /// The query being executed.
     pub query: QueryId,
     /// How long the execution will take.
@@ -60,7 +60,7 @@ pub struct StartedExecution {
 
 /// Runtime state of a simulated provider.
 #[derive(Debug, Clone)]
-pub struct ProviderState {
+pub(crate) struct ProviderState {
     /// The static spec this state was built from.
     pub spec: ProviderSpec,
     /// `true` while the provider is part of the system.
@@ -108,12 +108,6 @@ impl ProviderState {
     #[must_use]
     pub fn queue_length(&self) -> usize {
         self.queue.len() + usize::from(self.executing.is_some())
-    }
-
-    /// `true` if the provider is executing a query right now.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.executing.is_some()
     }
 
     /// The mediator-visible snapshot of this provider.
@@ -194,16 +188,6 @@ impl ProviderState {
         self.executing = None;
         self.backlog_seconds = 0.0;
     }
-
-    /// Utilization of the provider over a run of the given length: fraction
-    /// of time spent executing queries, in `[0, 1]`.
-    #[must_use]
-    pub fn utilization_over(&self, run_length: Duration) -> f64 {
-        if run_length.seconds() <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_time.seconds() / run_length.seconds()).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -236,13 +220,11 @@ mod tests {
     #[test]
     fn idle_provider_starts_immediately() {
         let mut p = ProviderState::new(spec(2.0));
-        assert!(!p.is_busy());
         let started = p
             .accept(query(1, 10.0))
             .expect("idle provider starts at once");
         assert_eq!(started.query, QueryId::new(1));
         assert_eq!(started.service_time.seconds(), 5.0);
-        assert!(p.is_busy());
         assert_eq!(p.queue_length(), 1);
         assert_eq!(p.backlog_seconds(), 5.0);
     }
@@ -266,7 +248,6 @@ mod tests {
         let next = p.complete(QueryId::new(2)).expect("one more queued");
         assert_eq!(next.query, QueryId::new(3));
         assert!(p.complete(QueryId::new(3)).is_none());
-        assert!(!p.is_busy());
         assert_eq!(p.queries_performed, 3);
         assert_eq!(p.backlog_seconds(), 0.0);
     }
@@ -294,15 +275,5 @@ mod tests {
         assert_eq!(p.queue_length(), 0);
         assert_eq!(p.backlog_seconds(), 0.0);
         assert!(!p.snapshot().online);
-    }
-
-    #[test]
-    fn utilization_over_run_is_bounded() {
-        let mut p = ProviderState::new(spec(1.0));
-        p.accept(query(1, 5.0)).unwrap();
-        p.complete(QueryId::new(1));
-        assert!((p.utilization_over(Duration::new(10.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(p.utilization_over(Duration::ZERO), 0.0);
-        assert!(p.utilization_over(Duration::new(1.0)) <= 1.0);
     }
 }

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use sbqa_core::PlanCacheStats;
 use sbqa_metrics::{LoadBalanceReport, ResponseTimeStats, TimeSeries};
 use sbqa_satisfaction::SatisfactionAnalysis;
-use sbqa_types::{ProviderId, VirtualTime};
+use sbqa_types::ProviderId;
 
 /// How many participants the run started with and kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -23,27 +23,6 @@ pub struct ParticipantCounts {
     pub final_consumers: usize,
     /// Providers still online at the end of the run.
     pub final_providers: usize,
-}
-
-impl ParticipantCounts {
-    /// Fraction of providers still online at the end (1.0 when the run
-    /// started without providers).
-    #[must_use]
-    pub fn provider_retention(&self) -> f64 {
-        if self.initial_providers == 0 {
-            return 1.0;
-        }
-        self.final_providers as f64 / self.initial_providers as f64
-    }
-
-    /// Fraction of consumers still online at the end.
-    #[must_use]
-    pub fn consumer_retention(&self) -> f64 {
-        if self.initial_consumers == 0 {
-            return 1.0;
-        }
-        self.final_consumers as f64 / self.initial_consumers as f64
-    }
 }
 
 /// The full outcome of one simulation run.
@@ -130,15 +109,6 @@ impl SimulationReport {
         self.series.iter().find(|s| s.name == name)
     }
 
-    /// Steady-state mean of a named series, skipping the first
-    /// `warmup_fraction` of the run.
-    #[must_use]
-    pub fn steady_state_mean(&self, name: &str, warmup_fraction: f64) -> f64 {
-        let warmup = VirtualTime::new(self.duration * warmup_fraction.clamp(0.0, 1.0));
-        self.series_named(name)
-            .map_or(0.0, |s| s.mean_after(warmup))
-    }
-
     /// The final satisfaction of a specific provider, if it is still online
     /// at the end of the run (departed providers return `None`).
     #[must_use]
@@ -148,16 +118,6 @@ impl SimulationReport {
             .find(|(id, _)| *id == provider)
             .map(|(_, s)| *s)
     }
-
-    /// The final satisfaction of a specific consumer, if it is still online
-    /// at the end of the run.
-    #[must_use]
-    pub fn consumer_satisfaction_of(&self, consumer: sbqa_types::ConsumerId) -> Option<f64> {
-        self.consumer_final_satisfaction
-            .iter()
-            .find(|(id, _)| *id == consumer)
-            .map(|(_, s)| *s)
-    }
 }
 
 #[cfg(test)]
@@ -165,6 +125,7 @@ mod tests {
     use super::*;
     use sbqa_metrics::TimeSeries;
     use sbqa_satisfaction::{SatisfactionAnalysis, SatisfactionSnapshot, SideSummary};
+    use sbqa_types::VirtualTime;
 
     fn snapshot(at: f64, consumer_mean: f64, provider_mean: f64) -> SatisfactionSnapshot {
         SatisfactionSnapshot {
@@ -233,23 +194,6 @@ mod tests {
         let r = report();
         assert_eq!(r.provider_satisfaction_of(ProviderId::new(1)), Some(0.6));
         assert_eq!(r.provider_satisfaction_of(ProviderId::new(99)), None);
-        assert_eq!(
-            r.consumer_satisfaction_of(sbqa_types::ConsumerId::new(1)),
-            Some(0.8)
-        );
-        assert_eq!(
-            r.consumer_satisfaction_of(sbqa_types::ConsumerId::new(9)),
-            None
-        );
-    }
-
-    #[test]
-    fn retention_fractions() {
-        let counts = report().participants;
-        assert!((counts.provider_retention() - 0.75).abs() < 1e-12);
-        assert!((counts.consumer_retention() - 1.0).abs() < 1e-12);
-        assert_eq!(ParticipantCounts::default().provider_retention(), 1.0);
-        assert_eq!(ParticipantCounts::default().consumer_retention(), 1.0);
     }
 
     #[test]
@@ -269,15 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn series_lookup_and_steady_state() {
+    fn series_lookup() {
         let r = report();
         assert!(r.series_named("online_providers").is_some());
         assert!(r.series_named("missing").is_none());
-        // Skipping the first three quarters of the run leaves only the
-        // sample at t = 20 (value 2.0); skipping half keeps both samples.
-        assert!((r.steady_state_mean("online_providers", 0.75) - 2.0).abs() < 1e-12);
-        assert!((r.steady_state_mean("online_providers", 0.5) - 2.5).abs() < 1e-12);
-        assert_eq!(r.steady_state_mean("missing", 0.5), 0.0);
     }
 
     #[test]

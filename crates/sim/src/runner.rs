@@ -41,18 +41,6 @@ use crate::report::{ParticipantCounts, SimulationReport};
 use crate::rng::SimRng;
 use crate::workload::WorkloadModel;
 
-/// Names of the time series every run produces.
-pub mod series_names {
-    /// Mean satisfaction of online consumers.
-    pub const CONSUMER_SATISFACTION: &str = "consumer_satisfaction";
-    /// Mean satisfaction of online providers.
-    pub const PROVIDER_SATISFACTION: &str = "provider_satisfaction";
-    /// Number of providers still online.
-    pub const ONLINE_PROVIDERS: &str = "online_providers";
-    /// Cumulative mean response time of completed queries.
-    pub const MEAN_RESPONSE_TIME: &str = "mean_response_time";
-}
-
 /// Builder for a simulation run.
 pub struct SimulationBuilder {
     config: SimulationConfig,
@@ -82,24 +70,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Adds one consumer.
-    #[must_use]
-    pub fn add_consumer(mut self, spec: ConsumerSpec) -> Self {
-        self.consumers.push(spec);
-        self
-    }
-
     /// Adds a collection of consumers.
     #[must_use]
     pub fn consumers(mut self, specs: impl IntoIterator<Item = ConsumerSpec>) -> Self {
         self.consumers.extend(specs);
-        self
-    }
-
-    /// Adds one provider.
-    #[must_use]
-    pub fn add_provider(mut self, spec: ProviderSpec) -> Self {
-        self.providers.push(spec);
         self
     }
 
@@ -118,7 +92,7 @@ impl SimulationBuilder {
     }
 
     /// Validates the ingredients and builds a runnable [`Simulation`].
-    pub fn build(self) -> SbqaResult<Simulation> {
+    fn build(self) -> SbqaResult<Simulation> {
         self.config.validate()?;
         let allocator = self.allocator.ok_or_else(|| {
             SbqaError::invalid_config("a simulation needs an allocation technique")
@@ -184,7 +158,7 @@ impl IntentionOracle for SimOracle<'_> {
 }
 
 /// A fully-assembled simulation, ready to run.
-pub struct Simulation {
+struct Simulation {
     config: SimulationConfig,
     technique: String,
     service: ShardedMediator,
@@ -261,19 +235,13 @@ impl Simulation {
             batch_outcomes: Vec::new(),
             response: ResponseTimeStats::new(),
             analysis,
-            ts_consumer_sat: TimeSeries::new(series_names::CONSUMER_SATISFACTION),
-            ts_provider_sat: TimeSeries::new(series_names::PROVIDER_SATISFACTION),
-            ts_online_providers: TimeSeries::new(series_names::ONLINE_PROVIDERS),
-            ts_mean_response: TimeSeries::new(series_names::MEAN_RESPONSE_TIME),
+            ts_consumer_sat: TimeSeries::new("consumer_satisfaction"),
+            ts_provider_sat: TimeSeries::new("provider_satisfaction"),
+            ts_online_providers: TimeSeries::new("online_providers"),
+            ts_mean_response: TimeSeries::new("mean_response_time"),
             queries_issued: 0,
             initial_capacity,
         })
-    }
-
-    /// The allocation technique being simulated.
-    #[must_use]
-    pub fn technique(&self) -> &str {
-        &self.technique
     }
 
     /// Runs the simulation to completion and produces the report.
@@ -731,8 +699,8 @@ mod tests {
         let config = base_config(10.0);
         // No allocator.
         let err = SimulationBuilder::new(config.clone())
-            .add_consumer(consumer(1, 1.0))
-            .add_provider(provider(100, 1.0))
+            .consumers([consumer(1, 1.0)])
+            .providers([provider(100, 1.0)])
             .build()
             .unwrap_err();
         assert!(matches!(err, SbqaError::InvalidConfiguration { .. }));
@@ -740,7 +708,7 @@ mod tests {
         // No consumers.
         let err = SimulationBuilder::new(config.clone())
             .allocator(sbqa(&config))
-            .add_provider(provider(100, 1.0))
+            .providers([provider(100, 1.0)])
             .build()
             .unwrap_err();
         assert!(matches!(err, SbqaError::EmptyScenario { .. }));
@@ -748,7 +716,7 @@ mod tests {
         // No providers.
         let err = SimulationBuilder::new(config.clone())
             .allocator(sbqa(&config))
-            .add_consumer(consumer(1, 1.0))
+            .consumers([consumer(1, 1.0)])
             .build()
             .unwrap_err();
         assert!(matches!(err, SbqaError::EmptyScenario { .. }));
@@ -779,13 +747,10 @@ mod tests {
         assert!((report.capacity_retention - 1.0).abs() < 1e-12);
         // Series were sampled.
         assert!(!report
-            .series_named(series_names::CONSUMER_SATISFACTION)
+            .series_named("consumer_satisfaction")
             .unwrap()
             .is_empty());
-        assert!(!report
-            .series_named(series_names::ONLINE_PROVIDERS)
-            .unwrap()
-            .is_empty());
+        assert!(!report.series_named("online_providers").unwrap().is_empty());
     }
 
     #[test]
@@ -818,13 +783,13 @@ mod tests {
         // Providers advertise capability 1, consumers require capability 0.
         let report = SimulationBuilder::new(config.clone())
             .allocator(sbqa(&config))
-            .add_consumer(consumer(1, 1.0))
-            .add_provider(ProviderSpec::new(
+            .consumers([consumer(1, 1.0)])
+            .providers([ProviderSpec::new(
                 ProviderId::new(100),
                 CapabilitySet::singleton(Capability::new(1)),
                 1.0,
                 ProviderProfile::default(),
-            ))
+            )])
             .run()
             .unwrap();
         assert!(report.response.starved() > 0);
@@ -837,8 +802,8 @@ mod tests {
         let config = base_config(100.0);
         let report = SimulationBuilder::new(config.clone())
             .allocator(sbqa(&config))
-            .add_consumer(consumer(1, 5.0))
-            .add_provider(provider(100, 0.2))
+            .consumers([consumer(1, 5.0)])
+            .providers([provider(100, 0.2)])
             .run()
             .unwrap();
         assert!(report.response.unfinished() > 0);
@@ -871,7 +836,7 @@ mod tests {
         });
         let report = SimulationBuilder::new(config.clone())
             .allocator(Box::new(sbqa_baselines::CapacityAllocator::new()))
-            .add_consumer(consumer(1, 2.0))
+            .consumers([consumer(1, 2.0)])
             .providers(providers)
             .run()
             .unwrap();
@@ -895,9 +860,8 @@ mod tests {
         };
         let mut sim = SimulationBuilder::new(config.clone())
             .allocator(sbqa(&config))
-            .add_consumer(consumer(1, 1.0))
-            .add_provider(provider(100, 1.0))
-            .add_provider(provider(101, 1.0))
+            .consumers([consumer(1, 1.0)])
+            .providers([provider(100, 1.0), provider(101, 1.0)])
             .build()
             .unwrap();
         // Twenty mediations both sides hate: consumer 1 and whichever
@@ -934,15 +898,14 @@ mod tests {
     }
 
     #[test]
-    fn debug_and_technique_accessors() {
+    fn debug_names_the_technique() {
         let config = base_config(10.0);
         let sim = SimulationBuilder::new(config.clone())
             .allocator(sbqa(&config))
-            .add_consumer(consumer(1, 1.0))
-            .add_provider(provider(100, 1.0))
+            .consumers([consumer(1, 1.0)])
+            .providers([provider(100, 1.0)])
             .build()
             .unwrap();
-        assert_eq!(sim.technique(), "SbQA");
         assert!(format!("{sim:?}").contains("SbQA"));
     }
 }

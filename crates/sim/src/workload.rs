@@ -58,19 +58,6 @@ impl Default for WorkloadModel {
 }
 
 impl WorkloadModel {
-    /// A model that only generates medium queries of exactly the consumer's
-    /// mean size — useful for tests that need predictable service times.
-    #[must_use]
-    pub const fn deterministic() -> Self {
-        Self {
-            short_fraction: 0.0,
-            long_fraction: 0.0,
-            min_work_units: 0.0,
-            multi_capability_fraction: 0.0,
-            any_semantics_fraction: 0.0,
-        }
-    }
-
     /// Builder-style override of the multi-capability query mix: `multi` is
     /// the probability that a query widens to the consumer's extra classes,
     /// `any` the probability that a widened query uses `Any` semantics.
@@ -89,7 +76,7 @@ impl WorkloadModel {
 
     /// Samples a query class according to the configured mix.
     #[must_use]
-    pub fn sample_class(&self, rng: &mut SimRng) -> QueryClass {
+    fn sample_class(&self, rng: &mut SimRng) -> QueryClass {
         let u = rng.uniform();
         let short = self.short_fraction.clamp(0.0, 1.0);
         let long = self.long_fraction.clamp(0.0, 1.0 - short);
@@ -109,11 +96,7 @@ impl WorkloadModel {
     /// randomness*, which keeps pre-existing single-capability workloads
     /// byte-identical per seed.
     #[must_use]
-    pub fn sample_requirement(
-        &self,
-        spec: &ConsumerSpec,
-        rng: &mut SimRng,
-    ) -> CapabilityRequirement {
+    fn sample_requirement(&self, spec: &ConsumerSpec, rng: &mut SimRng) -> CapabilityRequirement {
         if self.multi_capability_fraction <= 0.0 || spec.extra_capabilities.is_empty() {
             return spec.requirement;
         }
@@ -309,8 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_model_reproduces_mean_work() {
-        let model = WorkloadModel::deterministic();
+    fn a_medium_only_model_reproduces_mean_work() {
+        let model = WorkloadModel {
+            short_fraction: 0.0,
+            long_fraction: 0.0,
+            min_work_units: 0.0,
+            ..WorkloadModel::default()
+        };
         let mut rng = SimRng::new(1);
         let q = model.next_query(
             QueryId::new(1),

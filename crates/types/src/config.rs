@@ -39,12 +39,6 @@ impl OmegaPolicy {
             }
         }
     }
-
-    /// `true` for the adaptive (Equation 2) policy.
-    #[must_use]
-    pub const fn is_adaptive(self) -> bool {
-        matches!(self, OmegaPolicy::Adaptive)
-    }
 }
 
 /// The allocation strategies available in this reproduction.
@@ -206,8 +200,6 @@ mod tests {
         assert!(OmegaPolicy::Fixed(1.5).validate().is_err());
         assert!(OmegaPolicy::Fixed(-0.1).validate().is_err());
         assert!(OmegaPolicy::Fixed(f64::NAN).validate().is_err());
-        assert!(OmegaPolicy::Adaptive.is_adaptive());
-        assert!(!OmegaPolicy::Fixed(0.5).is_adaptive());
     }
 
     #[test]

@@ -57,11 +57,6 @@ pub fn sort_ascending(values: &mut [f64]) {
     values.sort_unstable_by(|a, b| f64_total_cmp(*a, *b));
 }
 
-/// Sorts a slice of `f64` descending under [`f64_total_cmp`].
-pub fn sort_descending(values: &mut [f64]) {
-    values.sort_unstable_by(|a, b| f64_total_cmp(*b, *a));
-}
-
 #[cfg(test)]
 mod tests {
     use std::hint::black_box;
@@ -112,7 +107,7 @@ mod tests {
         for pair in values.windows(2) {
             assert_ne!(f64_total_cmp(pair[0], pair[1]), Ordering::Greater);
         }
-        sort_descending(&mut values);
+        values.sort_unstable_by(|a, b| f64_total_cmp(*b, *a));
         for pair in values.windows(2) {
             assert_ne!(f64_total_cmp(pair[0], pair[1]), Ordering::Less);
         }

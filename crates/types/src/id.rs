@@ -88,38 +88,6 @@ pub enum ParticipantId {
     Provider(ProviderId),
 }
 
-impl ParticipantId {
-    /// Returns `true` if this participant is a consumer.
-    #[must_use]
-    pub const fn is_consumer(self) -> bool {
-        matches!(self, ParticipantId::Consumer(_))
-    }
-
-    /// Returns `true` if this participant is a provider.
-    #[must_use]
-    pub const fn is_provider(self) -> bool {
-        matches!(self, ParticipantId::Provider(_))
-    }
-
-    /// Returns the consumer id if this participant is a consumer.
-    #[must_use]
-    pub const fn as_consumer(self) -> Option<ConsumerId> {
-        match self {
-            ParticipantId::Consumer(c) => Some(c),
-            ParticipantId::Provider(_) => None,
-        }
-    }
-
-    /// Returns the provider id if this participant is a provider.
-    #[must_use]
-    pub const fn as_provider(self) -> Option<ProviderId> {
-        match self {
-            ParticipantId::Provider(p) => Some(p),
-            ParticipantId::Consumer(_) => None,
-        }
-    }
-}
-
 impl From<ConsumerId> for ParticipantId {
     fn from(id: ConsumerId) -> Self {
         ParticipantId::Consumer(id)
@@ -157,27 +125,11 @@ impl IdGenerator {
         Self { next: 0 }
     }
 
-    /// Creates a generator that starts at `first`.
-    #[must_use]
-    pub const fn starting_at(first: u64) -> Self {
-        Self { next: first }
-    }
-
     /// Returns the next raw identifier value.
-    pub fn next_raw(&mut self) -> u64 {
+    fn next_raw(&mut self) -> u64 {
         let id = self.next;
         self.next += 1;
         id
-    }
-
-    /// Mints a fresh consumer id.
-    pub fn next_consumer(&mut self) -> ConsumerId {
-        ConsumerId::new(self.next_raw())
-    }
-
-    /// Mints a fresh provider id.
-    pub fn next_provider(&mut self) -> ProviderId {
-        ProviderId::new(self.next_raw())
     }
 
     /// Mints a fresh query id.
@@ -224,13 +176,8 @@ mod tests {
     fn participant_id_discriminates_sides() {
         let c: ParticipantId = ConsumerId::new(1).into();
         let p: ParticipantId = ProviderId::new(1).into();
-        assert!(c.is_consumer());
-        assert!(!c.is_provider());
-        assert!(p.is_provider());
-        assert_eq!(c.as_consumer(), Some(ConsumerId::new(1)));
-        assert_eq!(c.as_provider(), None);
-        assert_eq!(p.as_provider(), Some(ProviderId::new(1)));
-        assert_eq!(p.as_consumer(), None);
+        assert_eq!(c, ParticipantId::Consumer(ConsumerId::new(1)));
+        assert_eq!(p, ParticipantId::Provider(ProviderId::new(1)));
         assert_ne!(c, p);
     }
 
@@ -241,9 +188,6 @@ mod tests {
         let b = gen.next_query();
         assert!(a < b);
         assert_eq!(gen.issued(), 2);
-
-        let mut gen = IdGenerator::starting_at(100);
-        assert_eq!(gen.next_provider().raw(), 100);
     }
 
     #[test]

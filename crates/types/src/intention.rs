@@ -62,20 +62,6 @@ impl Intention {
         self.0
     }
 
-    /// Returns `true` if the participant is in favour of the interaction
-    /// (strictly positive intention).
-    #[must_use]
-    pub fn is_positive(self) -> bool {
-        self.0 > 0.0
-    }
-
-    /// Returns `true` if the participant opposes the interaction
-    /// (strictly negative intention).
-    #[must_use]
-    pub fn is_negative(self) -> bool {
-        self.0 < 0.0
-    }
-
     /// Maps the intention onto the unit interval: `(i + 1) / 2`.
     ///
     /// This is the transformation used by both satisfaction definitions in
@@ -84,13 +70,6 @@ impl Intention {
     #[must_use]
     pub fn to_unit(self) -> Satisfaction {
         Satisfaction::new((self.0 + 1.0) / 2.0)
-    }
-
-    /// Builds an intention from a unit-interval value, the inverse of
-    /// [`Intention::to_unit`].
-    #[must_use]
-    pub fn from_unit(unit: f64) -> Self {
-        Self::new(unit.mul_add(2.0, -1.0))
     }
 
     /// Linear interpolation between two intentions: `self * (1 - t) + other * t`.
@@ -215,15 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn from_unit_is_inverse_of_to_unit() {
-        for raw in [-1.0, -0.4, 0.0, 0.3, 1.0] {
-            let i = Intention::new(raw);
-            let back = Intention::from_unit(i.to_unit().value());
-            assert!((back.value() - i.value()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn blend_interpolates_linearly() {
         let a = Intention::new(-1.0);
         let b = Intention::new(1.0);
@@ -242,12 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn ordering_and_sign_helpers() {
+    fn ordering_and_negation() {
         assert!(Intention::new(0.9) > Intention::new(0.1));
-        assert!(Intention::new(0.1).is_positive());
-        assert!(Intention::new(-0.1).is_negative());
-        assert!(!Intention::NEUTRAL.is_positive());
-        assert!(!Intention::NEUTRAL.is_negative());
         assert_eq!(-Intention::new(0.4), Intention::new(-0.4));
     }
 

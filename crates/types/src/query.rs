@@ -117,6 +117,7 @@ impl Query {
 /// Builder for [`Query`] with sensible defaults (replication 1, one work
 /// unit, medium class, issued at time zero).
 #[derive(Debug, Clone)]
+// sbqa-lint: allow(dead-pub, "returned by Query::builder and Query::requiring; callers chain it unnamed")
 pub struct QueryBuilder {
     id: QueryId,
     consumer: ConsumerId,
@@ -147,13 +148,6 @@ impl QueryBuilder {
             class: QueryClass::Medium,
             issued_at: VirtualTime::ZERO,
         }
-    }
-
-    /// Replaces the capability requirement.
-    #[must_use]
-    pub fn require(mut self, required: CapabilityRequirement) -> Self {
-        self.required = required;
-        self
     }
 
     /// Sets the replication factor (`q.n`). Values below 1 are raised to 1.
@@ -230,12 +224,6 @@ impl QueryOutcome {
     pub fn response_time(&self) -> Option<Duration> {
         self.completed_at.map(|done| done.since(self.issued_at))
     }
-
-    /// `true` if at least one provider performed the query.
-    #[must_use]
-    pub fn was_performed(&self) -> bool {
-        !self.performed_by.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -280,12 +268,6 @@ mod tests {
         .build();
         assert_eq!(q.required, CapabilityRequirement::Any(set));
         assert_eq!(q.required.as_single(), None);
-
-        // `require` overrides the builder shim's singleton.
-        let q = Query::builder(QueryId::new(9), ConsumerId::new(3), Capability::new(0))
-            .require(CapabilityRequirement::All(set))
-            .build();
-        assert_eq!(q.required, CapabilityRequirement::All(set));
     }
 
     #[test]
@@ -336,7 +318,6 @@ mod tests {
             starved: false,
         };
         assert_eq!(outcome.response_time().unwrap().seconds(), 4.0);
-        assert!(outcome.was_performed());
 
         let starved = QueryOutcome {
             completed_at: None,
@@ -345,7 +326,6 @@ mod tests {
             ..outcome
         };
         assert_eq!(starved.response_time(), None);
-        assert!(!starved.was_performed());
     }
 
     proptest! {

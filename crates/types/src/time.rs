@@ -68,12 +68,6 @@ impl Duration {
         self.0
     }
 
-    /// `true` if the duration is exactly zero.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-
     /// Scales the duration by a non-negative factor.
     #[must_use]
     pub fn scaled(self, factor: f64) -> Duration {
@@ -198,7 +192,6 @@ mod tests {
         assert!(VirtualTime::new(1.0) < VirtualTime::new(2.0));
         let total: Duration = [Duration::new(1.0), Duration::new(2.0)].into_iter().sum();
         assert_eq!(total.seconds(), 3.0);
-        assert!(Duration::new(0.0).is_zero());
         assert_eq!(Duration::new(2.0).scaled(1.5).seconds(), 3.0);
         assert_eq!(Duration::new(2.0).scaled(-1.0), Duration::ZERO);
     }

@@ -21,9 +21,19 @@ echo "== sbqa-lint (repo-specific static analysis, warnings are errors)"
 # contracts (ARCHITECTURE.md "Statically-enforced invariants"): no wall
 # clock, hash-ordered collections or entropy-seeded RNG in deterministic
 # crates, no panics in mediator library code, no partial_cmp float ordering,
-# SAFETY comments on every unsafe block — with justified waivers pinned in
-# bench_results/LINT_baseline.json.
+# SAFETY comments on every unsafe block, no pub item that no other file
+# names — with justified waivers pinned in bench_results/LINT_baseline.json.
 cargo run --release -p sbqa-lint -- --deny-warnings
+
+echo "== sbqa-lint baseline: the --json report equals bench_results/LINT_baseline.json"
+# Waivers are keyed by path, rule and justification (no line numbers), so
+# the report changes only when a waiver is added, removed or reworded; such
+# a change must re-pin the committed baseline in the same commit.
+if ! diff -u bench_results/LINT_baseline.json \
+    <(cargo run --release -q -p sbqa-lint -- --json); then
+    echo "the lint report differs from bench_results/LINT_baseline.json (see above)" >&2
+    exit 1
+fi
 
 echo "== no hash collection behind the satisfaction registry or the provider index"
 # Both resolve ids through sbqa_types::IdDirectory (keyless open addressing,

@@ -10,8 +10,8 @@
 //!
 //! * [`types`] — identifiers, the `[-1, 1]` intention and `[0, 1]`
 //!   satisfaction domains, queries, capabilities, configuration;
-//! * [`satisfaction`] — the long-run satisfaction model (Definitions 1 and 2)
-//!   plus adequation / allocation-efficiency analysis;
+//! * [`satisfaction`] — the long-run satisfaction model (Definitions 1 and 2),
+//!   the registry the mediator reads ω from, and the satisfaction-gap signal;
 //! * [`core`] — the SbQA allocation process: KnBest pre-selection, SQLB
 //!   scoring (Definition 3) with the self-adapting ω of Equation 2, the
 //!   mediator, and the [`core::QueryAllocator`] trait every technique
@@ -73,6 +73,7 @@ pub use sbqa_sim as sim;
 pub use sbqa_types as types;
 
 /// The crate version, kept in sync with the workspace.
+// sbqa-lint: allow(dead-pub, "the crate version for downstream users, pinned by version_is_exported")
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 #[cfg(test)]
