@@ -10,9 +10,7 @@ use sbqa_types::{AllocationPolicyKind, SbqaResult, SystemConfig};
 
 use crate::capacity::CapacityAllocator;
 use crate::economic::EconomicAllocator;
-use crate::load_based::LoadBasedAllocator;
 use crate::random_alloc::RandomAllocator;
-use crate::round_robin::RoundRobinAllocator;
 
 /// Builds the allocator for a policy kind.
 ///
@@ -37,10 +35,6 @@ pub fn build_allocator(
             Box::new(EconomicAllocator::new().with_consideration(consideration))
         }
         AllocationPolicyKind::Random => Box::new(RandomAllocator::new(seed)),
-        AllocationPolicyKind::RoundRobin => Box::new(RoundRobinAllocator::new()),
-        AllocationPolicyKind::LoadBased => {
-            Box::new(LoadBasedAllocator::new().with_consideration(consideration))
-        }
     })
 }
 

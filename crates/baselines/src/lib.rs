@@ -11,9 +11,8 @@
 //! * [`EconomicAllocator`] — the economic baseline (\[13\], Mariposa): each
 //!   provider bids a price derived from its load and capacity, the lowest
 //!   bids win.
-//! * [`RandomAllocator`], [`RoundRobinAllocator`], [`LoadBasedAllocator`] —
-//!   sanity baselines (uniform random, cyclic, shortest-queue-first) used by
-//!   tests and ablations.
+//! * [`RandomAllocator`] — a sanity baseline (uniform random) used by tests
+//!   and by the multi-capability workload.
 //!
 //! Even though these techniques ignore intentions when *deciding*, they still
 //! report, for every mediation, which providers they considered and what
@@ -27,16 +26,12 @@
 pub mod capacity;
 pub mod economic;
 pub mod factory;
-pub mod load_based;
 pub mod random_alloc;
-pub mod round_robin;
 
 pub use capacity::CapacityAllocator;
 pub use economic::EconomicAllocator;
 pub use factory::build_allocator;
-pub use load_based::LoadBasedAllocator;
 pub use random_alloc::RandomAllocator;
-pub use round_robin::RoundRobinAllocator;
 
 use sbqa_core::allocator::{AllocationDecision, Candidates, IntentionOracle, ProposalRecord};
 use sbqa_types::Query;
@@ -87,7 +82,7 @@ pub(crate) const DEFAULT_CONSIDERATION: usize = 4;
 /// read by the ranking baselines, so the prefix is partitioned out with
 /// `select_nth_unstable_by` first and the full sort pays O(c·log c) on the
 /// `c = considered_len` survivors, not O(n·log n) on the population. Shared
-/// by the capacity, economic and load-based baselines so their ranking
+/// by the capacity and economic baselines so their ranking
 /// mechanics cannot drift apart.
 pub(crate) fn rank_considered_prefix(
     order: &mut Vec<u32>,

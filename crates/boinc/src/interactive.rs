@@ -8,8 +8,6 @@
 //! the paper's claim being that only the SQLB mediation (used by SbQA) lets
 //! it reach its objectives regardless of what those objectives are.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::intention::{ProviderIntentionStrategy, ProviderProfile};
 use sbqa_sim::{ProviderSpec, SimulationReport};
 use sbqa_types::{CapabilitySet, ConsumerId, Intention, ProviderId};
@@ -17,7 +15,7 @@ use sbqa_types::{CapabilitySet, ConsumerId, Intention, ProviderId};
 use crate::population::BoincPopulation;
 
 /// A scripted volunteer with explicit preferences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractiveParticipant {
     /// Identity it will use inside the simulation.
     pub id: u64,

@@ -1,8 +1,6 @@
 //! Assembly of the full BOINC population: three projects plus a volunteer
 //! population, ready to drop into the simulator.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::intention::{ConsumerIntentionStrategy, ConsumerProfile, ProviderIntentionStrategy};
 use sbqa_sim::{ConsumerSpec, ProviderSpec, SimRng};
 use sbqa_types::{Capability, ConsumerId, Intention};
@@ -12,7 +10,7 @@ use crate::replication::ReplicationPolicy;
 use crate::volunteer::{VolunteerConfig, VolunteerGenerator};
 
 /// How the projects (consumers) compute their intentions towards volunteers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProjectBehaviour {
     /// Reputation-driven static preferences (the default demo behaviour):
     /// each volunteer gets a reputation drawn at population-build time and
@@ -24,7 +22,7 @@ pub enum ProjectBehaviour {
 }
 
 /// Parameters of the generated population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     /// Number of volunteers.
     pub volunteers: usize,

@@ -1,13 +1,11 @@
 //! BOINC projects (the consumers of the demonstration).
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::intention::{ConsumerIntentionStrategy, ConsumerProfile};
 use sbqa_sim::ConsumerSpec;
 use sbqa_types::{Capability, ConsumerId, Intention};
 
 /// How popular a project is among the volunteer population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProjectKind {
     /// "The majority of providers want to collaborate in this project"
     /// (SETI@home in the demo).
@@ -77,7 +75,7 @@ impl ProjectKind {
 }
 
 /// A BOINC project: a consumer that issues replicated work units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Project {
     /// The consumer identity of the project.
     pub id: ConsumerId,

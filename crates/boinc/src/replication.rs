@@ -10,10 +10,8 @@
 //! majority vote over replicas — because allocation behaviour, not Byzantine
 //! fault tolerance, is what the scenarios study.
 
-use serde::{Deserialize, Serialize};
-
 /// A project's replication policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplicationPolicy {
     /// Always use a fixed number of replicas.
     Fixed(usize),

@@ -16,8 +16,6 @@
 //! | S6 | autonomous | SbQA(kn, ω) grid | kn and ω adapt the process to the application |
 //! | S7 | autonomous | SbQA, Capacity, Economic | a participant with its own objectives is served best by SQLB |
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_baselines::build_allocator;
 use sbqa_core::intention::ProviderIntentionStrategy;
 use sbqa_core::SbqaAllocator;
@@ -29,7 +27,7 @@ use crate::interactive::InteractiveParticipant;
 use crate::population::{BoincPopulation, PopulationConfig, ProjectBehaviour};
 
 /// Identifier of a demonstration scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioId {
     /// Satisfaction model applied to the baselines, captive environment.
     S1,

@@ -6,8 +6,6 @@
 //! generated [`ProviderSpec`]s carry those preferences in their intention
 //! profile so any allocation technique runs against the same population.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::intention::{ProviderIntentionStrategy, ProviderProfile};
 use sbqa_sim::{ProviderSpec, SimRng};
 use sbqa_types::{CapabilitySet, Intention, ProviderId};
@@ -15,7 +13,7 @@ use sbqa_types::{CapabilitySet, Intention, ProviderId};
 use crate::project::Project;
 
 /// Parameters of the volunteer population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VolunteerConfig {
     /// Lowest volunteer capacity (work units per virtual second).
     pub min_capacity: f64,

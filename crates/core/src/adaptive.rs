@@ -83,8 +83,6 @@
 //! assert!(!controller.trail().is_empty(), "adjustments were recorded");
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_satisfaction::{GapSample, GapWindow};
 use sbqa_types::{Query, SbqaError, SbqaResult, MAX_CAPABILITY_CLASSES};
 
@@ -100,7 +98,7 @@ const WILDCARD_CLASS: u8 = MAX_CAPABILITY_CLASSES;
 const TRAIL_CAPACITY: usize = 8_192;
 
 /// Knobs of the adaptive-`kn` controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnControllerConfig {
     /// Exploration width every class starts from.
     pub initial_kn: usize,
@@ -183,7 +181,7 @@ impl KnControllerConfig {
 }
 
 /// One recorded `kn` change — an entry of the controller's trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnAdjustment {
     /// Adaptation round (batch boundary) at which the change happened,
     /// counted from 1.
@@ -467,6 +465,23 @@ mod tests {
             controller.adapt();
         }
         assert_eq!(controller.current_kn(1), Some(4));
+        assert!(controller.trail().is_empty());
+
+        // An EWMA exactly on either edge is inside the band. The edges are
+        // binary-exact: 0.125 ± 0.25 is [-0.125, 0.375].
+        let mut controller = KnController::new(KnControllerConfig {
+            target_gap: 0.125,
+            deadband: 0.25,
+            ..config()
+        })
+        .unwrap();
+        controller.observe(0, sample(0.875, 0.5));
+        controller.observe(1, sample(0.5, 0.625));
+        controller.adapt();
+        assert_eq!(controller.gap_ewma(0), Some(0.375));
+        assert_eq!(controller.gap_ewma(1), Some(-0.125));
+        assert_eq!(controller.current_kn(0), Some(4), "upper edge");
+        assert_eq!(controller.current_kn(1), Some(4), "lower edge");
         assert!(controller.trail().is_empty());
     }
 

@@ -22,8 +22,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_satisfaction::{GapSample, SatisfactionRegistry};
 use sbqa_types::{Intention, ProviderId, Query, SbqaResult};
 
@@ -416,7 +414,7 @@ impl IntentionOracle for StaticIntentions {
 
 /// One proposal made during a mediation: a provider that was asked for its
 /// intention, what it answered, and whether it was selected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProposalRecord {
     /// The consulted provider.
     pub provider: ProviderId,
@@ -431,7 +429,7 @@ pub struct ProposalRecord {
 }
 
 /// The outcome of one allocation decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AllocationDecision {
     /// Providers selected to perform the query, best-ranked first
     /// (the vector `R` truncated to `min(q.n, kn)` entries).

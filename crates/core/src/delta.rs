@@ -17,14 +17,10 @@
 //! Records carry the *arguments* of the mutation, not a diff of the result:
 //! replaying a record through the identically-named public mutator on any
 //! registry that has seen the same prefix reproduces the same state,
-//! including the slab layout, postings membership and load columns. The
-//! records derive serde, so a delta stream survives serialization unchanged
-//! (the replication crate's log round-trip tests pin this).
+//! including the slab layout, postings membership and load columns.
 //!
 //! The hook is zero-cost when disabled: an unattached registry pays one
 //! `Option` null check per mutation, no allocation, no dynamic dispatch.
-
-use serde::{Deserialize, Serialize};
 
 use sbqa_types::{CapabilitySet, ProviderId, SbqaError, SbqaResult};
 
@@ -32,7 +28,7 @@ use crate::registry::ProviderRegistry;
 
 /// One effective mutation of a [`ProviderRegistry`], carrying the arguments
 /// of the public mutator that caused it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RegistryDelta {
     /// A provider registered (or re-registered, replacing its previous
     /// state) with the given capabilities and capacity, initially online and
@@ -235,33 +231,5 @@ mod tests {
         let fork = registry.clone();
         assert!(!fork.delta_sink_attached());
         assert!(registry.delta_sink_attached());
-    }
-
-    #[test]
-    fn records_round_trip_through_serde() {
-        let deltas = [
-            RegistryDelta::Register {
-                id: ProviderId::new(1),
-                capabilities: caps(2),
-                capacity: 3.5,
-            },
-            RegistryDelta::Unregister {
-                id: ProviderId::new(1),
-            },
-            RegistryDelta::SetOnline {
-                id: ProviderId::new(1),
-                online: false,
-            },
-            RegistryDelta::UpdateLoad {
-                id: ProviderId::new(1),
-                utilization: 0.25,
-                queue_length: 4,
-            },
-        ];
-        for delta in deltas {
-            let value = delta.to_value();
-            let back = RegistryDelta::from_value(&value).expect("deserialize");
-            assert_eq!(delta, back);
-        }
     }
 }

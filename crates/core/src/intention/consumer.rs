@@ -7,15 +7,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::{Intention, ProviderId};
 
 use super::load_to_intention;
 use crate::allocator::ProviderSnapshot;
 
 /// How a consumer derives its intention towards a provider.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ConsumerIntentionStrategy {
     /// Intention is the consumer's static preference for the provider
     /// (reputation, trust, past experience). This is the default behaviour
@@ -41,7 +39,7 @@ pub enum ConsumerIntentionStrategy {
 }
 
 /// A consumer's intention-producing profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsumerProfile {
     /// The strategy used to combine the signals below.
     pub strategy: ConsumerIntentionStrategy,

@@ -8,14 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::{ConsumerId, Intention, Query, QueryClass};
 
 use super::load_to_intention;
 
 /// How a provider derives its intention towards a query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ProviderIntentionStrategy {
     /// Intention is the provider's static preference for the issuing
     /// consumer (and, secondarily, the query class).
@@ -40,7 +38,7 @@ pub enum ProviderIntentionStrategy {
 }
 
 /// A provider's intention-producing profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderProfile {
     /// The strategy used to combine the signals below.
     pub strategy: ProviderIntentionStrategy,

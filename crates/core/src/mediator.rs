@@ -23,7 +23,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use sbqa_satisfaction::{GapSample, SatisfactionRegistry};
 use sbqa_types::{
@@ -221,7 +220,7 @@ impl QueryAllocator for SbqaAllocator {
 }
 
 /// The result of one mediation, as reported to the rest of the system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 // sbqa-lint: allow(dead-pub, "returned by Mediator::submit, the quickstart entry point; callers read it unnamed")
 pub struct MediationOutcome {
     /// The mediated query.

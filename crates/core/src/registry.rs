@@ -35,8 +35,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize, Value};
-
 use sbqa_types::{
     CapabilityRequirement, CapabilitySet, ProviderColumns, ProviderId, Query, SbqaError,
     SbqaResult, MAX_CAPABILITY_CLASSES,
@@ -78,7 +76,7 @@ impl PlanKey {
 }
 
 /// Counters and occupancy of the candidate-plan cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups answered from a still-valid cached plan (zero merge work).
     pub hits: u64,
@@ -299,25 +297,6 @@ impl ProviderRegistry {
         }
     }
 
-    /// Inserts a snapshot into the slab and indexes it if online. Replaces
-    /// any existing provider with the same id.
-    fn insert_snapshot(&mut self, snapshot: ProviderSnapshot) {
-        if let Some(slot) = self.columns.slot_of(snapshot.id) {
-            let previous = self.columns.snapshot(slot as usize);
-            if previous.online {
-                self.set_indexed(previous, false);
-            }
-            self.count_profile(previous.capabilities, -1);
-            self.columns.set(slot as usize, snapshot);
-        } else {
-            self.columns.push(snapshot);
-        }
-        if snapshot.online {
-            self.set_indexed(snapshot, true);
-        }
-        self.count_profile(snapshot.capabilities, 1);
-    }
-
     /// Hands the effective mutation to the attached sink, if any: each
     /// mutator calls it once after a call that changed state, never on a
     /// no-op.
@@ -347,7 +326,19 @@ impl ProviderRegistry {
     /// Registers (or replaces) a provider with the given capabilities and
     /// capacity, initially online and idle.
     pub fn register(&mut self, id: ProviderId, capabilities: CapabilitySet, capacity: f64) {
-        self.insert_snapshot(ProviderSnapshot::idle(id, capabilities, capacity));
+        let snapshot = ProviderSnapshot::idle(id, capabilities, capacity);
+        if let Some(slot) = self.columns.slot_of(id) {
+            let previous = self.columns.snapshot(slot as usize);
+            if previous.online {
+                self.set_indexed(previous, false);
+            }
+            self.count_profile(previous.capabilities, -1);
+            self.columns.set(slot as usize, snapshot);
+        } else {
+            self.columns.push(snapshot);
+        }
+        self.set_indexed(snapshot, true);
+        self.count_profile(capabilities, 1);
         self.emit(RegistryDelta::Register {
             id,
             capabilities,
@@ -643,27 +634,6 @@ impl ProviderRegistry {
                         .any(|&mask| CapabilitySet::from_bits(mask).is_superset_of(set))
             }
         }
-    }
-}
-
-// The slab's index and postings are derived data: serialize only the
-// snapshots and rebuild the indexes on the way back in. The column store
-// serializes as the row vector, so the wire format is unchanged from the
-// array-of-structs layout.
-impl Serialize for ProviderRegistry {
-    fn to_value(&self) -> Value {
-        self.columns.to_value()
-    }
-}
-
-impl Deserialize for ProviderRegistry {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let rows = Vec::<ProviderSnapshot>::from_value(value)?;
-        let mut registry = Self::new();
-        for snapshot in rows {
-            registry.insert_snapshot(snapshot);
-        }
-        Ok(registry)
     }
 }
 
@@ -1011,29 +981,6 @@ mod tests {
         assert_eq!(reg.online_count(), 3);
         reg.set_online(ProviderId::new(2), true).unwrap();
         assert_eq!(reg.online_count(), 4);
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_the_index() {
-        let mut reg = ProviderRegistry::new();
-        for id in [3u64, 1, 2] {
-            reg.register(ProviderId::new(id), caps(0), 1.0);
-        }
-        reg.set_online(ProviderId::new(2), false).unwrap();
-        reg.update_load(ProviderId::new(1), 4.5, 2).unwrap();
-
-        let text = serde::to_string(&reg);
-        let mut back: ProviderRegistry = serde::from_str(&text).unwrap();
-
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.online_count(), 2);
-        assert_eq!(back.get(ProviderId::new(1)).unwrap().utilization, 4.5);
-        let ids: Vec<u64> = back
-            .candidates(&query(0))
-            .iter()
-            .map(|p| p.id.raw())
-            .collect();
-        assert_eq!(ids, vec![1, 3]);
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //! capacity), it reports the coefficient of variation, the max/mean ratio and
 //! the Gini coefficient of the distribution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gini::gini_coefficient;
 use crate::summary::Summary;
 
 /// Aggregate description of how evenly load was spread over providers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadBalanceReport {
     /// Number of providers considered.
     pub providers: usize,

@@ -18,6 +18,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Collector of per-query latency samples with percentile queries.
+///
+/// The one serde type of the domain: the benchmark reads the raw samples by
+/// serializing a recorder.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct LatencyRecorder {
     /// Raw samples in nanoseconds, in arrival order.
@@ -160,7 +163,7 @@ impl LatencyRecorder {
 /// Pick the unit from the group's largest figure with
 /// [`LatencyUnit::for_nanos`], then format every member with
 /// [`LatencyUnit::format`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyUnit {
     /// Nanoseconds (`ns`).
     Nanos,

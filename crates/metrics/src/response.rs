@@ -6,14 +6,12 @@
 //! (because capacity stays online). [`ResponseTimeStats`] collects completed
 //! and starved queries and produces the columns used by the scenario tables.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::{Duration, QueryOutcome, VirtualTime};
 
 use crate::summary::Summary;
 
 /// Collector for query response times and completion counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResponseTimeStats {
     completed: Summary,
     starved: u64,

@@ -5,10 +5,8 @@
 //! percentile queries. It is the workhorse behind the response-time and
 //! satisfaction columns of every scenario table.
 
-use serde::{Deserialize, Serialize};
-
 /// Online summary of a stream of `f64` observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

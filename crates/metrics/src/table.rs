@@ -5,10 +5,8 @@
 //! output format is a simple aligned text table, stable enough to diff across
 //! runs.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned text table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

@@ -6,12 +6,10 @@
 //! binary can dump its series as CSV, which is the textual analogue of the
 //! paper's plots.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::VirtualTime;
 
 /// One `(time, value)` observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 // sbqa-lint: allow(dead-pub, "returned by TimeSeries::points and last; the CSV writer and the open-loop report read it unnamed")
 pub struct TimePoint {
     /// Virtual time of the observation.
@@ -21,7 +19,7 @@ pub struct TimePoint {
 }
 
 /// A named series of observations ordered by insertion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Name of the series (e.g. `"consumer_satisfaction/SbQA"`).
     pub name: String,

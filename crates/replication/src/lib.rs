@@ -12,7 +12,7 @@
 //! construction), the satisfaction registry (ω per pair) and the allocator's
 //! RNG position. All three are reproducible:
 //!
-//! * registry state replays from the [log](log::DeltaLog) — a registry
+//! * registry state replays from the [log](log::SharedDeltaLog) — a registry
 //!   emits one record per effective mutation (every `register`, an
 //!   `unregister` or `update_load` of a known provider, a `set_online` that
 //!   toggles the flag) and none for a no-op, so a replica that applies the
@@ -47,7 +47,7 @@ pub mod log;
 pub mod standby;
 
 pub use handoff::HandoffPackage;
-pub use log::{DeltaLog, Entry, SharedDeltaLog};
+pub use log::{Entry, SharedDeltaLog};
 pub use standby::{ReplayReport, StandbyShard};
 
 use sbqa_core::{Mediator, RegistryDelta};

@@ -8,19 +8,15 @@
 //! the order the shard met them. A promotion replays it in that order.
 //!
 //! A query's body is kept beside the records, not in its record, so every
-//! record stays the size of a registry delta. Records and bodies are serde
-//! round-trippable: a log shipped through serialization replays to the same
-//! state as the in-memory one.
+//! record stays the size of a registry delta.
 
 use std::sync::{Arc, Mutex, PoisonError};
-
-use serde::{Deserialize, Serialize};
 
 use sbqa_core::{Admission, DeltaSink, RegistryDelta};
 use sbqa_types::{ConsumerId, Query};
 
 /// One entry of the log: what happened, and its position in the total order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct DeltaRecord {
     /// Position in the log's total order; starts at 1, increases by exactly
     /// 1 per appended record.
@@ -30,7 +26,7 @@ struct DeltaRecord {
 }
 
 /// The payload of a [`DeltaRecord`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum DeltaOp {
     /// An effective registry mutation, as emitted by the primary.
     Mutation(RegistryDelta),
@@ -60,8 +56,8 @@ pub enum Entry<'a> {
 /// Retained records are contiguous: `records[i].sequence` is
 /// `pruned + 1 + i`, so tail reads are a slice, not a scan. `queries`
 /// holds the body of every retained query record, in record order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DeltaLog {
+#[derive(Debug, Clone, Default)]
+struct DeltaLog {
     records: Vec<DeltaRecord>,
     queries: Vec<Query>,
     /// Sequence of the most recently appended record (0 = nothing ever).
@@ -78,12 +74,6 @@ fn queries_in(records: &[DeltaRecord]) -> usize {
 }
 
 impl DeltaLog {
-    /// Creates an empty log whose first append gets sequence 1.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends a mutation record, returning its sequence.
     pub fn append_mutation(&mut self, delta: RegistryDelta) -> u64 {
         self.append(DeltaOp::Mutation(delta))
@@ -124,10 +114,10 @@ impl DeltaLog {
 
     /// The retained records with sequence strictly greater than `after`,
     /// oldest first, as `(sequence, entry)`; the entry is `None` for a query
-    /// record whose body is missing (a log deserialized with its bodies cut
-    /// short). `None` if pruning has already dropped part of that range —
-    /// the signal that a reader at watermark `after` can no longer be
-    /// carried forward by this log and needs a fresh checkpoint.
+    /// record whose body is missing. `None` if pruning has already dropped
+    /// part of that range — the signal that a reader at watermark `after`
+    /// can no longer be carried forward by this log and needs a fresh
+    /// checkpoint.
     fn tail_after(
         &self,
         after: u64,
@@ -172,7 +162,7 @@ impl DeltaLog {
     }
 }
 
-/// A cloneable handle on a shared [`DeltaLog`]: the form the registry's
+/// A cloneable handle on a shared append-only log: the form the registry's
 /// delta hook consumes (the registry owns one erased handle, the shard
 /// holds another).
 ///
@@ -247,16 +237,6 @@ impl SharedDeltaLog {
     }
 }
 
-/// Shares a log — one read back from its serialized form, say — so a
-/// standby can read it.
-impl From<DeltaLog> for SharedDeltaLog {
-    fn from(log: DeltaLog) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(log)),
-        }
-    }
-}
-
 impl DeltaSink for SharedDeltaLog {
     fn record(&mut self, delta: &RegistryDelta) {
         self.append_mutation(*delta);
@@ -266,8 +246,10 @@ impl DeltaSink for SharedDeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbqa_core::DegradationTier;
-    use sbqa_types::{Capability, ProviderId, QueryId};
+    use crate::standby::tests::bulk_loaded;
+    use crate::{registry_digest, satisfaction_digest, StandbyShard};
+    use sbqa_core::{DegradationTier, Mediator, StaticIntentions};
+    use sbqa_types::{Capability, ProviderId, QueryId, SbqaError};
 
     fn load(id: u64, queue: usize) -> RegistryDelta {
         RegistryDelta::UpdateLoad {
@@ -300,7 +282,7 @@ mod tests {
 
     #[test]
     fn sequences_are_dense_and_monotonic() {
-        let mut log = DeltaLog::new();
+        let mut log = DeltaLog::default();
         assert_eq!(log.last_sequence(), 0);
         assert_eq!(log.depth(), 0);
         for i in 1..=4u64 {
@@ -324,7 +306,7 @@ mod tests {
 
     #[test]
     fn tail_and_prune_respect_the_watermark() {
-        let mut log = DeltaLog::new();
+        let mut log = DeltaLog::default();
         for i in 1..=8u64 {
             log.append_mutation(load(i, i as usize));
         }
@@ -347,7 +329,7 @@ mod tests {
 
     #[test]
     fn every_query_record_reads_its_own_body_across_prunes() {
-        let mut log = DeltaLog::new();
+        let mut log = DeltaLog::default();
         log.append_query(&query(10), ADMITTED);
         log.append_mutation(load(1, 1));
         log.append_query(&query(11), Admission::Shed);
@@ -407,70 +389,76 @@ mod tests {
         assert_eq!(shared.visit_after(1, |_, _| Ok::<(), ()>(())), None);
     }
 
-    #[test]
-    fn log_round_trips_through_serde() {
-        let mut log = DeltaLog::new();
-        log.append_mutation(load(3, 7));
-        log.append_query(&query(5), ADMITTED);
-        log.append_consumer(ConsumerId::new(2));
-        log.append_query(&query(6), Admission::Shed);
-        log.prune_through(1);
-        let back = DeltaLog::from_value(&log.to_value()).expect("round trip");
-        assert_eq!(back.last_sequence(), log.last_sequence());
-        assert_eq!(back.depth(), log.depth());
-        assert_eq!(back.records, log.records);
-        assert!(back.tail_after(0).is_none());
-        assert_eq!(
-            read(back.tail_after(1).expect("retained")),
-            read(log.tail_after(1).expect("retained"))
+    /// A copy of `log` with `lose` applied to its vectors: what a faulty
+    /// transfer of the log would deliver.
+    fn damaged(log: &SharedDeltaLog, lose: impl FnOnce(&mut DeltaLog)) -> SharedDeltaLog {
+        let mut copy = log.with(|log| log.clone());
+        lose(&mut copy);
+        SharedDeltaLog {
+            inner: Arc::new(Mutex::new(copy)),
+        }
+    }
+
+    /// Asserts that `log` is a `replication gap` to every reader of
+    /// `standby` — `catch_up`, `cut_checkpoint`, `replay_digest` and
+    /// `promote` — and that the refused reads changed neither the standby
+    /// nor the log.
+    fn assert_a_gap(primary: &mut Mediator, standby: &mut StandbyShard, log: &SharedDeltaLog) {
+        let is_gap = |error: SbqaError| {
+            assert!(error.to_string().contains("replication gap"), "{error}");
+        };
+        let state = |standby: &StandbyShard| {
+            let (providers, satisfaction) = standby.checkpoint();
+            (
+                standby.watermark(),
+                standby.checkpoints(),
+                registry_digest(providers),
+                satisfaction_digest(satisfaction),
+                log.depth(),
+                log.last_sequence(),
+            )
+        };
+        let before = state(standby);
+        is_gap(standby.catch_up(log).expect_err("a gap"));
+        is_gap(standby.cut_checkpoint(primary, log).expect_err("a gap"));
+        is_gap(standby.replay_digest(log).expect_err("a gap"));
+        assert_eq!(state(standby), before);
+        let (providers, satisfaction) = standby.checkpoint();
+        let copy = StandbyShard::new(
+            primary.fork_allocator().expect("SbQA forks"),
+            providers.clone(),
+            satisfaction.clone(),
+            standby.watermark(),
+        );
+        is_gap(
+            copy.promote(log, &StaticIntentions::new())
+                .expect_err("a gap"),
         );
     }
 
-    /// Every strict prefix of a serialized log or record — a transfer cut
-    /// short anywhere, in a record or in a query body — is a deserialization
-    /// error, never a panic or a shorter log.
     #[test]
-    fn a_truncated_log_or_record_fails_to_deserialize() {
-        let mut log = DeltaLog::new();
-        for i in 1..=4u64 {
-            log.append_mutation(load(i, i as usize));
-        }
-        log.append_mutation(RegistryDelta::SetOnline {
-            id: ProviderId::new(2),
-            online: false,
-        });
-        log.append_query(&query(8), ADMITTED);
-        log.append_consumer(ConsumerId::new(3));
-        log.prune_through(2);
-        let text = serde_json::to_string(&log).expect("serializes");
-        assert!(serde_json::from_str::<DeltaLog>(&text).is_ok());
-        for cut in 0..text.len() {
-            assert!(
-                serde_json::from_str::<DeltaLog>(&text[..cut]).is_err(),
-                "log prefix {cut}"
-            );
-        }
-        let records = &log.records;
-        for record in [
-            records[0],
-            records[records.len() - 2],
-            records[records.len() - 1],
-        ] {
-            let text = serde_json::to_string(&record).expect("serializes");
-            assert!(serde_json::from_str::<DeltaRecord>(&text).is_ok());
-            for cut in 0..text.len() {
-                assert!(
-                    serde_json::from_str::<DeltaRecord>(&text[..cut]).is_err(),
-                    "record {text} prefix {cut}"
-                );
+    fn a_log_with_a_sequence_gap_is_refused_and_changes_nothing() {
+        let (mut primary, log, mut standby) = bulk_loaded(false);
+        // Three more records, the first of them lost.
+        let lossy = damaged(&log, |log| {
+            let lost = log.records.len();
+            for id in 0..3 {
+                log.append_mutation(load(id, 1));
             }
-        }
-        let body = serde_json::to_string(&query(8)).expect("serializes");
-        for cut in 0..body.len() {
-            assert!(
-                serde_json::from_str::<Query>(&body[..cut]).is_err(),
-                "query body prefix {cut}"
-            );
-        }
+            log.records.remove(lost);
+        });
+        assert_a_gap(&mut primary, &mut standby, &lossy);
+    }
+
+    #[test]
+    fn a_query_body_lost_in_transit_is_a_gap_that_changes_nothing() {
+        let (mut primary, log, mut standby) = bulk_loaded(false);
+        // Intact, the copy carries the standby as far as the live log.
+        let intact = damaged(&log, |_| {});
+        assert_eq!(standby.catch_up(&intact), standby.catch_up(&log));
+        let lossy = damaged(&log, |log| {
+            log.queries.remove(3);
+        });
+        assert_a_gap(&mut primary, &mut standby, &lossy);
     }
 }

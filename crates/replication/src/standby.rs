@@ -301,7 +301,7 @@ impl StandbyShard {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::satisfaction_digest;
     use sbqa_core::{DegradationTier, RegistryDelta, StaticIntentions};
@@ -315,7 +315,7 @@ mod tests {
     /// one provider gone, mediations and load writes — with a standby
     /// bootstrapped before any of it. With `mid_cut` the standby is also
     /// cut once, after the registrations, so the log past it is short.
-    fn bulk_loaded(mid_cut: bool) -> (Mediator, SharedDeltaLog, StandbyShard) {
+    pub(crate) fn bulk_loaded(mid_cut: bool) -> (Mediator, SharedDeltaLog, StandbyShard) {
         let config = SystemConfig::default().with_knbest(4, 2).with_window(3);
         let mut primary = Mediator::sbqa(config, 7).expect("valid config");
         let log = SharedDeltaLog::new();

@@ -22,15 +22,12 @@ use proptest::prelude::*;
 use sbqa_core::{
     Admission, DegradationTier, Mediator, ProviderRegistry, RegistryDelta, StaticIntentions,
 };
-use sbqa_replication::{
-    registry_digest, satisfaction_digest, DeltaLog, Entry, SharedDeltaLog, StandbyShard,
-};
+use sbqa_replication::{registry_digest, satisfaction_digest, Entry, SharedDeltaLog, StandbyShard};
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
     QueryId, SbqaError, SystemConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// Capability classes the generated populations draw from.
 const CLASSES: u8 = 5;
@@ -197,25 +194,6 @@ proptest! {
         prop_assert_eq!(registry_digest(&late_replica), reference);
     }
 
-    #[test]
-    fn recorded_deltas_round_trip_through_serde(
-        ops in proptest::collection::vec(
-            (0u8..8, 0u64..IDS, 0u8..=255, proptest::bool::ANY),
-            1..30,
-        ),
-    ) {
-        let log = SharedDeltaLog::new();
-        let mut live = ProviderRegistry::new();
-        live.set_delta_sink(Box::new(log.clone()));
-        for &op in &ops {
-            apply_op(&mut live, op);
-        }
-        for delta in mutations_after(&log, 0) {
-            let value = delta.to_value();
-            let back = RegistryDelta::from_value(&value).expect("round trip");
-            prop_assert_eq!(back, delta);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -637,40 +615,6 @@ fn assert_a_gap(replicated: &mut Replicated, log: &SharedDeltaLog) {
     is_gap(standby.promote(log, &oracle()).expect_err("a gap"));
 }
 
-/// The live log, never pruned, rebuilt entry by entry into a `DeltaLog` (as
-/// a shipping primary would serialize it).
-fn shipped(log: &SharedDeltaLog) -> DeltaLog {
-    let mut shipped = DeltaLog::new();
-    log.visit_after(0, |_, entry| {
-        match entry.expect("every query record has its body") {
-            Entry::Mutation(delta) => shipped.append_mutation(delta),
-            Entry::Query(query, admission) => shipped.append_query(query, admission),
-            Entry::RegisterConsumer(id) => shipped.append_consumer(id),
-        };
-        Ok::<(), ()>(())
-    })
-    .expect("nothing pruned")
-    .expect("the visit cannot fail");
-    shipped
-}
-
-/// `log` through serde, with element `index` of its serialized `field`
-/// (`records` or `queries`) lost on the way.
-fn lossy_transfer(log: &DeltaLog, field: &str, index: usize) -> SharedDeltaLog {
-    let mut value = log.to_value();
-    let serde::Value::Map(fields) = &mut value else {
-        panic!("a log serializes as a map");
-    };
-    let Some((_, serde::Value::Seq(items))) = fields
-        .iter_mut()
-        .find(|(name, _)| name.as_str() == Some(field))
-    else {
-        panic!("a log serializes its {field} as a sequence");
-    };
-    items.remove(index);
-    SharedDeltaLog::from(DeltaLog::from_value(&value).expect("well-formed"))
-}
-
 #[test]
 fn a_log_pruned_past_the_checkpoint_is_a_gap_that_changes_nothing() {
     let mut replicated = Replicated::new();
@@ -699,40 +643,6 @@ fn a_log_ending_before_the_checkpoint_is_a_gap_that_changes_nothing() {
     warm(&mut replicated, 4..8);
     replicated.cut();
     assert!(replicated.checkpoint_equals_primary());
-}
-
-#[test]
-fn a_deserialized_log_with_a_sequence_gap_is_refused_and_changes_nothing() {
-    let mut replicated = Replicated::new();
-    warm(&mut replicated, 0..4);
-
-    // The live log and three more records, shipped through serde with the
-    // first of the three lost on the way.
-    let mut log = shipped(&replicated.log);
-    let lost = usize::try_from(log.last_sequence()).expect("small");
-    for round in 0..3 {
-        log.append_mutation(RegistryDelta::UpdateLoad {
-            id: ProviderId::new(round),
-            utilization: 2.0,
-            queue_length: 1,
-        });
-    }
-    assert_a_gap(&mut replicated, &lossy_transfer(&log, "records", lost));
-}
-
-#[test]
-fn a_query_body_lost_in_transit_is_a_gap_that_changes_nothing() {
-    let mut replicated = Replicated::new();
-    warm(&mut replicated, 0..4);
-    let log = shipped(&replicated.log);
-    // Intact, the shipped log carries the standby as far as the live one.
-    assert_eq!(
-        replicated
-            .standby
-            .catch_up(&SharedDeltaLog::from(log.clone())),
-        replicated.standby.catch_up(&replicated.log)
-    );
-    assert_a_gap(&mut replicated, &lossy_transfer(&log, "queries", 3));
 }
 
 #[test]

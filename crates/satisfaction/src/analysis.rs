@@ -8,14 +8,12 @@
 //! [`SatisfactionAnalysis`] that accumulates snapshots for a given allocation
 //! technique so they can be compared side by side.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::{Satisfaction, VirtualTime};
 
 use crate::registry::SatisfactionRegistry;
 
 /// Aggregate satisfaction statistics for one side (consumers or providers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SideSummary {
     /// Number of participants on this side.
     pub count: usize,
@@ -66,7 +64,7 @@ impl SideSummary {
 }
 
 /// A point-in-time summary of every participant's satisfaction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SatisfactionSnapshot {
     /// Virtual time at which the snapshot was taken.
     pub at: VirtualTime,
@@ -111,7 +109,7 @@ impl SatisfactionSnapshot {
 }
 
 /// A labelled time series of snapshots for one allocation technique.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SatisfactionAnalysis {
     /// Label of the allocation technique being analysed.
     pub technique: String,

@@ -18,16 +18,14 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize, Value};
-
 use sbqa_types::{Intention, ProviderId, QueryId, Satisfaction};
 
-use crate::window::{tracker_to_value, tracker_window, InteractionWindow};
+use crate::window::InteractionWindow;
 
 /// The record a consumer keeps for one of its past queries: which providers
 /// performed it, with which expressed intention, and how many results were
 /// required.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 // sbqa-lint: allow(dead-pub, "yielded by ConsumerSatisfaction::interactions; maintained_prop reads it unnamed")
 pub struct ConsumerInteraction {
     /// The query this interaction refers to.
@@ -76,8 +74,8 @@ impl ConsumerInteraction {
     ///
     /// The divisor is clamped to at least one even though
     /// [`ConsumerInteraction::new`] already enforces `required_results ≥ 1`:
-    /// the fields are public and the record derives `Deserialize`, so a
-    /// record with `required_results == 0` can still be materialised. An
+    /// the fields are public, so a record with `required_results == 0` can
+    /// still be materialised. An
     /// unguarded division would then yield `0/0 = NaN` or `sum/0 = ∞` —
     /// which the [`Satisfaction`] clamp masks as *minimum* or *maximum*
     /// satisfaction respectively, silently skewing every window mean
@@ -101,8 +99,7 @@ impl ConsumerInteraction {
 /// contiguous run of `f64`s instead of re-deriving each value from its
 /// interaction's provider list. The ring holds exactly what
 /// [`ConsumerInteraction::satisfaction`] returns for each remembered
-/// interaction, oldest first, and is not part of the serialized form: a
-/// tracker read back rebuilds it from its window.
+/// interaction, oldest first.
 #[derive(Debug, PartialEq)]
 pub struct ConsumerSatisfaction {
     window: InteractionWindow<ConsumerInteraction>,
@@ -122,20 +119,6 @@ impl Clone for ConsumerSatisfaction {
     fn clone_from(&mut self, source: &Self) {
         self.window.clone_from(&source.window);
         self.values.clone_from(&source.values);
-    }
-}
-
-impl Serialize for ConsumerSatisfaction {
-    fn to_value(&self) -> Value {
-        tracker_to_value(&self.window)
-    }
-}
-
-impl Deserialize for ConsumerSatisfaction {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let window: InteractionWindow<ConsumerInteraction> = tracker_window(value)?;
-        let values = window.iter().map(|i| i.satisfaction().value()).collect();
-        Ok(Self { window, values })
     }
 }
 
@@ -266,8 +249,8 @@ mod tests {
 
     #[test]
     fn zero_required_results_cannot_skew_satisfaction() {
-        // `new` clamps, but the public fields and the serde path can still
-        // materialise a zero divisor; the satisfaction must stay finite and
+        // `new` clamps, but the public fields can still materialise a zero
+        // divisor; the satisfaction must stay finite and
         // behave as if one result had been required.
         let degenerate = ConsumerInteraction {
             query: QueryId::new(1),
@@ -295,16 +278,6 @@ mod tests {
             (mean - 0.75).abs() < 1e-12,
             "mean over (1.0, 0.5), got {mean}"
         );
-
-        // The serde round-trip preserves the zero and still cannot skew.
-        let text = serde::to_string(&ConsumerInteraction {
-            query: QueryId::new(4),
-            required_results: 0,
-            performed_by: vec![(pid(3), Intention::new(1.0))],
-        });
-        let back: ConsumerInteraction = serde::from_str(&text).unwrap();
-        assert_eq!(back.required_results, 0);
-        assert!((back.satisfaction().value() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,10 +19,8 @@
 //! pure function of the sample stream — no clocks, no randomness — which is
 //! what lets controllers built on it keep golden outputs byte-stable.
 
-use serde::{Deserialize, Serialize};
-
 /// One mediation's view of both sides' satisfaction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapSample {
     /// Satisfaction of the issuing consumer, in `[0, 1]`.
     pub consumer: f64,
@@ -90,7 +88,7 @@ impl GapSample {
 /// both sides, so recording evicts-and-adds in constant time and the means
 /// are single divisions. All state is a pure function of the recorded
 /// sample stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GapWindow {
     samples: Vec<GapSample>,
     /// Position the next sample overwrites once the ring is full.

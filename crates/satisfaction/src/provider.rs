@@ -18,15 +18,13 @@
 //! well-matching queries is still satisfied — starvation is penalised through
 //! the empty-set clause, not through dilution.
 
-use serde::{Deserialize, Serialize, Value};
-
 use sbqa_types::{Intention, QueryId, Satisfaction};
 
-use crate::window::{tracker_to_value, tracker_window, InteractionWindow};
+use crate::window::InteractionWindow;
 
 /// One proposal the provider received: the query, the intention the provider
 /// expressed for performing it, and whether the mediator selected it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderInteraction {
     /// The proposed query.
     pub query: QueryId,
@@ -136,32 +134,16 @@ impl PerformedSum {
 /// Definition 2's numerator and denominator are kept beside the window, so
 /// [`ProviderSatisfaction::satisfaction`] is one division. They are
 /// bit-equal to a fresh oldest→newest sum over the window at all times (see
-/// [`ProviderSatisfaction::record`]) and are not part of the serialized
-/// form: a tracker read back rebuilds them from its window.
+/// [`ProviderSatisfaction::record`]).
 ///
 /// This is the standalone form of a provider's state — what a participant
-/// keeps for itself, what travels in a shard handoff and what goes on the
-/// wire. Inside a [`SatisfactionRegistry`](crate::SatisfactionRegistry) the
-/// same state lives in pooled rows, read through
-/// [`ProviderView`](crate::ProviderView).
+/// keeps for itself and what travels in a shard handoff. Inside a
+/// [`SatisfactionRegistry`](crate::SatisfactionRegistry) the same state lives
+/// in pooled rows, read through [`ProviderView`](crate::ProviderView).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProviderSatisfaction {
     window: InteractionWindow<ProviderInteraction>,
     maintained: PerformedSum,
-}
-
-impl Serialize for ProviderSatisfaction {
-    fn to_value(&self) -> Value {
-        tracker_to_value(&self.window)
-    }
-}
-
-impl Deserialize for ProviderSatisfaction {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let window = tracker_window(value)?;
-        let maintained = PerformedSum::over(window.iter());
-        Ok(Self { window, maintained })
-    }
 }
 
 impl ProviderSatisfaction {

@@ -42,10 +42,6 @@
 //! registry's delta sink the hook is `None` by default (one null check per
 //! mutating call) and never inherited by clones.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize, Value};
-
 use sbqa_types::{ConsumerId, IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
 
 use crate::consumer::ConsumerSatisfaction;
@@ -76,9 +72,8 @@ fn note<T: Ord>(ids: &mut Vec<T>, id: T) {
     ids.push(id);
 }
 
-/// The tracking hook as a field: a clone, or a registry read back from its
-/// serialized form, is a state fork with no copy to keep in step, so both
-/// come back with tracking off (it serializes as `None`).
+/// The tracking hook as a field: a clone is a state fork with no copy to
+/// keep in step, so it comes back with tracking off.
 #[derive(Debug, Default)]
 struct TouchedHook(Option<Touched>);
 
@@ -380,62 +375,10 @@ impl SatisfactionRegistry {
     }
 }
 
-// The wire form is older than the row layout and independent of it: a map
-// of `window`, `consumers` (id → tracker), `providers` (id → tracker) and
-// `touched` (always `None`), both participant maps in ascending id order.
-// The directories and the pool are derived data.
-impl Serialize for SatisfactionRegistry {
-    fn to_value(&self) -> Value {
-        let consumers: BTreeMap<ConsumerId, &ConsumerSatisfaction> = self
-            .consumers
-            .ids
-            .iter()
-            .copied()
-            .zip(&self.consumers.trackers)
-            .collect();
-        let providers: BTreeMap<ProviderId, ProviderSatisfaction> = self
-            .providers
-            .views()
-            .map(|(id, view)| (id, view.to_tracker()))
-            .collect();
-        let field = |name: &str, value| (Value::String(name.to_owned()), value);
-        Value::Map(vec![
-            field("window", self.window.to_value()),
-            field("consumers", consumers.to_value()),
-            field("providers", providers.to_value()),
-            field("touched", Value::Option(None)),
-        ])
-    }
-}
-
-/// Reads participants in whatever order the payload lists them (a repeated
-/// id keeps its last tracker) and installs them in ascending id order.
-impl Deserialize for SatisfactionRegistry {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map"))?;
-        let mut registry = Self::new(usize::from_value(serde::__find(entries, "window")?)?);
-        let consumers = BTreeMap::<ConsumerId, ConsumerSatisfaction>::from_value(serde::__find(
-            entries,
-            "consumers",
-        )?)?;
-        for (id, tracker) in consumers {
-            registry.consumers.push(id, tracker);
-        }
-        let providers = BTreeMap::<ProviderId, ProviderSatisfaction>::from_value(serde::__find(
-            entries,
-            "providers",
-        )?)?;
-        for (id, tracker) in providers {
-            registry.providers.install(id, tracker);
-        }
-        Ok(registry)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn cid(raw: u64) -> ConsumerId {
@@ -542,8 +485,8 @@ mod tests {
             .collect();
         let providers: BTreeMap<_, _> = reg
             .providers
-            .views()
-            .map(|(id, view)| (id, view.to_tracker()))
+            .satisfactions()
+            .map(|(id, _)| (id, reg.providers.view(id).map(|view| view.to_tracker())))
             .collect();
         format!("{consumers:?} {providers:?}")
     }
@@ -567,64 +510,6 @@ mod tests {
             None,
             "clones are not armed"
         );
-        let back = SatisfactionRegistry::from_value(&reg.to_value()).expect("round trip");
-        assert_eq!(trackers(&back), trackers(&reg));
-        assert!(back.touched.0.is_none(), "nor are deserialized registries");
-    }
-
-    /// A payload written before the row layout — participant maps in no
-    /// particular order (here descending), `touched` present — loads; an
-    /// over-full window keeps its newest `capacity` proposals, as a
-    /// standalone tracker does. What goes back out is in ascending id order.
-    #[test]
-    fn a_payload_older_than_the_row_layout_loads_and_output_is_id_ordered() {
-        let payload = concat!(
-            r#"{"window":2,"#,
-            r#""consumers":{"2":{"window":{"capacity":2,"items":[{"query":1,"required_results":1,"#,
-            r#""performed_by":[[9,0.5]]}],"total_recorded":1}},"#,
-            r#""1":{"window":{"capacity":2,"items":[],"total_recorded":0}}},"#,
-            r#""providers":{"9":{"window":{"capacity":2,"items":["#,
-            r#"{"query":1,"intention":0.25,"performed":true},"#,
-            r#"{"query":2,"intention":1.0,"performed":true},"#,
-            r#"{"query":3,"intention":-1.0,"performed":true}],"total_recorded":3}},"#,
-            r#""4":{"window":{"capacity":5,"items":["#,
-            r#"{"query":1,"intention":-0.5,"performed":false}],"total_recorded":1}}},"#,
-            r#""touched":null}"#
-        );
-        let reg: SatisfactionRegistry = serde::from_str(payload).expect("today's form loads");
-        assert_eq!(reg.window(), 2);
-        assert_eq!((reg.consumer_count(), reg.provider_count()), (2, 2));
-        assert!((reg.consumer_satisfaction(cid(2)).value() - 0.75).abs() < 1e-12);
-        let over_full = reg.provider(pid(9)).expect("loaded");
-        let kept: Vec<u64> = over_full.interactions().map(|i| i.query.raw()).collect();
-        assert_eq!(kept, vec![2, 3], "the newest two of three");
-        // (1 + 0) / 2 over the kept proposals.
-        assert!((over_full.satisfaction().value() - 0.5).abs() < 1e-12);
-        assert_eq!(reg.provider(pid(4)).expect("loaded").window_size(), 5);
-        assert_eq!(reg.provider_satisfaction(pid(4)), Satisfaction::MIN);
-        assert!(reg.touched.0.is_none());
-
-        let Value::Map(fields) = reg.to_value() else {
-            panic!("a registry serializes as a map");
-        };
-        let names: Vec<&str> = fields
-            .iter()
-            .filter_map(|(name, _)| name.as_str())
-            .collect();
-        assert_eq!(names, ["window", "consumers", "providers", "touched"]);
-        for (field, expected) in [(1, [1u64, 2]), (2, [4, 9])] {
-            let ids: Vec<Value> = fields[field]
-                .1
-                .as_map()
-                .expect("participants serialize as a map")
-                .iter()
-                .map(|(id, _)| id.clone())
-                .collect();
-            assert_eq!(ids, expected.map(Value::U64), "ascending ids");
-        }
-        assert_eq!(fields[3].1, Value::Option(None));
-        let back = SatisfactionRegistry::from_value(&reg.to_value()).expect("round trip");
-        assert_eq!(trackers(&back), trackers(&reg));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! Rows are compacted by `swap_remove`, so a row index is only stable
 //! between removals; everything outside this module addresses providers by
-//! id. The tracker a provider travels as — between registries, and on the
-//! wire — is still [`ProviderSatisfaction`]: [`ProviderView::to_tracker`]
+//! id. The tracker a provider travels as between registries is still
+//! [`ProviderSatisfaction`]: [`ProviderView::to_tracker`]
 //! materialises it and [`ProviderRows::install`] takes it apart.
 
 use sbqa_types::{IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
@@ -365,11 +365,6 @@ impl ProviderRows {
     /// A provider's satisfaction: directory line, row line, no window.
     pub(crate) fn satisfaction(&self, id: ProviderId) -> Option<Satisfaction> {
         self.find(id).map(|row| self.rows[row].satisfaction())
-    }
-
-    /// Every provider's view, in row order.
-    pub(crate) fn views(&self) -> impl Iterator<Item = (ProviderId, ProviderView<'_>)> {
-        self.rows.iter().map(|row| (row.id, self.view_at(row)))
     }
 
     /// Every provider's `(id, satisfaction)`, in row order, off the rows alone.

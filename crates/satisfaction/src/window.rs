@@ -16,26 +16,16 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize, Value};
-
 /// Slots a window's ring takes at its first record (or `k`, if smaller).
 const FIRST_RING: usize = 8;
 
 /// A bounded FIFO window over the last `k` interactions of a participant.
 ///
-/// `Deserialize` is implemented by hand rather than derived: the derive
-/// would write whatever `capacity` the payload carries straight into the
-/// field, bypassing the `k ≥ 1` promotion of [`InteractionWindow::new`] — a
-/// deserialized window could then have `capacity == 0` and record
-/// interactions it can never hold. The manual impl re-imposes the
-/// constructor invariants (capacity at least one, at most `capacity` items,
-/// keeping the newest).
-///
 /// `Clone` is implemented by hand for its `clone_from`: an incremental
 /// checkpoint copies a touched window over its stale copy, and doing that
 /// item by item reuses the copy's ring buffer and each item's own storage
 /// where the derive would allocate a whole new window.
-#[derive(Debug, PartialEq, Serialize)]
+#[derive(Debug, PartialEq)]
 pub struct InteractionWindow<T> {
     capacity: usize,
     items: VecDeque<T>,
@@ -68,48 +58,6 @@ impl<T: Clone> Clone for InteractionWindow<T> {
         }
         self.items.extend(source.items.iter().skip(shared).cloned());
     }
-}
-
-impl<T: Deserialize> Deserialize for InteractionWindow<T> {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map"))?;
-        let capacity = usize::from_value(serde::__find(entries, "capacity")?)?.max(1);
-        let mut items = VecDeque::<T>::from_value(serde::__find(entries, "items")?)?;
-        let total_recorded = u64::from_value(serde::__find(entries, "total_recorded")?)?;
-        // An over-full payload keeps the newest `capacity` interactions,
-        // mirroring `resize`'s shrink-from-the-oldest-side behaviour.
-        while items.len() > capacity {
-            items.pop_front();
-        }
-        Ok(Self {
-            capacity,
-            items,
-            total_recorded,
-        })
-    }
-}
-
-/// The serialized form of a satisfaction tracker: its window alone, as the
-/// one-field map a derive would write. What a tracker keeps derived from the
-/// window is rebuilt when it is read back ([`tracker_window`]), exactly as
-/// the window re-imposes its own invariants.
-pub(crate) fn tracker_to_value<T: Serialize>(window: &InteractionWindow<T>) -> Value {
-    Value::Map(vec![(
-        Value::String("window".to_owned()),
-        window.to_value(),
-    )])
-}
-
-/// Reads the window back out of [`tracker_to_value`]'s form.
-pub(crate) fn tracker_window<T: Deserialize>(
-    value: &Value,
-) -> Result<InteractionWindow<T>, serde::Error> {
-    let entries = value
-        .as_map()
-        .ok_or_else(|| serde::Error::custom("expected map"))?;
-    InteractionWindow::from_value(serde::__find(entries, "window")?)
 }
 
 impl<T> InteractionWindow<T> {
@@ -313,41 +261,6 @@ mod tests {
         assert_eq!(w.oldest(), Some(&2));
         assert_eq!(w.latest(), Some(&4));
         assert_eq!(w.total_recorded(), 4);
-    }
-
-    #[test]
-    fn deserialization_enforces_the_capacity_invariant() {
-        // A normal window round-trips unchanged.
-        let mut w = InteractionWindow::new(3);
-        w.extend([1u32, 2, 3, 4]);
-        let back: InteractionWindow<u32> = serde::from_str(&serde::to_string(&w)).unwrap();
-        assert_eq!(back, w);
-
-        // A payload claiming capacity 0 (which `new` can never produce) is
-        // promoted to 1 on the way in, keeping only the newest item — the
-        // window can hold what it records.
-        let mut value = w.to_value();
-        if let Value::Map(entries) = &mut value {
-            for (key, slot) in entries.iter_mut() {
-                if matches!(key, Value::String(s) if s == "capacity") {
-                    *slot = 0usize.to_value();
-                }
-            }
-        } else {
-            panic!("windows serialize as maps");
-        }
-        let patched: InteractionWindow<u32> = InteractionWindow::from_value(&value).unwrap();
-        assert_eq!(patched.capacity(), 1);
-        assert_eq!(patched.len(), 1);
-        assert_eq!(patched.latest(), Some(&4));
-        assert_eq!(patched.len(), patched.capacity());
-        // Recording still works and evicts rather than overflowing.
-        let mut patched = patched;
-        assert_eq!(patched.record(9), Some(4));
-        assert_eq!(patched.len(), 1);
-
-        // Non-map payloads are rejected, not misread.
-        assert!(InteractionWindow::<u32>::from_value(&Value::Unit).is_err());
     }
 
     #[test]

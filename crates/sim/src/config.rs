@@ -1,12 +1,10 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_satisfaction::{ConsumerSatisfaction, ProviderView};
 use sbqa_types::{Duration, SbqaError, SbqaResult, SystemConfig};
 
 /// Network latency model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Fixed one-way latency added to every message, in virtual seconds.
     pub base_latency: f64,
@@ -51,7 +49,7 @@ impl NetworkConfig {
 }
 
 /// Whether (and when) participants may leave the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DeparturePolicy {
     /// Captive environment (Scenarios 1 and 3): participants cannot leave.
     #[default]
@@ -150,7 +148,7 @@ impl DeparturePolicy {
 }
 
 /// Full configuration of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Mediator / allocation configuration (KnBest parameters, ω policy,
     /// satisfaction window).

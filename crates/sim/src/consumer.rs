@@ -6,13 +6,11 @@
 //! `replication` times for result validation. Its intention profile decides
 //! how it ranks providers.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::intention::ConsumerProfile;
 use sbqa_types::{Capability, CapabilityRequirement, CapabilitySet, ConsumerId, VirtualTime};
 
 /// Static description of a consumer in a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsumerSpec {
     /// The consumer's identity.
     pub id: ConsumerId,

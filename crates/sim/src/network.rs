@@ -7,15 +7,13 @@
 //! topology-free: allocation effects, not routing effects, are what the
 //! scenarios study.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::Duration;
 
 use crate::config::NetworkConfig;
 use crate::rng::SimRng;
 
 /// Samples message latencies according to a [`NetworkConfig`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkModel {
     config: NetworkConfig,
 }

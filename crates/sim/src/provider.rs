@@ -8,14 +8,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::allocator::ProviderSnapshot;
 use sbqa_core::intention::ProviderProfile;
 use sbqa_types::{CapabilitySet, Duration, ProviderId, Query, QueryId, VirtualTime};
 
 /// Static description of a provider in a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderSpec {
     /// The provider's identity.
     pub id: ProviderId,

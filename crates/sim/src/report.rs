@@ -5,15 +5,13 @@
 //! over time, load-balance indicators, and the participant head-count
 //! (who stayed, who left) that Scenario 4 is really about.
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_core::PlanCacheStats;
 use sbqa_metrics::{LoadBalanceReport, ResponseTimeStats, TimeSeries};
 use sbqa_satisfaction::SatisfactionAnalysis;
 use sbqa_types::ProviderId;
 
 /// How many participants the run started with and kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParticipantCounts {
     /// Consumers present at the start of the run.
     pub initial_consumers: usize,
@@ -26,7 +24,7 @@ pub struct ParticipantCounts {
 }
 
 /// The full outcome of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// Name of the allocation technique that was simulated.
     pub technique: String,

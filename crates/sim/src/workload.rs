@@ -10,8 +10,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use sbqa_types::{
     CapabilityRequirement, Duration, IdGenerator, Query, QueryClass, QueryId, VirtualTime,
 };
@@ -20,7 +18,7 @@ use crate::consumer::ConsumerSpec;
 use crate::rng::SimRng;
 
 /// Probabilities of each query class in the generated mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadModel {
     /// Probability of a short query.
     pub short_fraction: f64,

@@ -14,16 +14,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of distinct capability classes supported by the bitmask
 /// representation.
 pub const MAX_CAPABILITY_CLASSES: u8 = 64;
 
 /// A single capability class (e.g. "can run SETI@home work units",
 /// "sells books", "answers SQL range queries").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Capability(u8);
 
 impl Capability {
@@ -60,8 +57,7 @@ impl fmt::Display for Capability {
 }
 
 /// A set of capability classes, stored as a 64-bit mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CapabilitySet(u64);
 
 impl CapabilitySet {
@@ -200,7 +196,7 @@ impl fmt::Display for CapabilitySet {
 /// Degenerate empty sets follow the usual quantifier semantics: `All` over
 /// the empty set is satisfied by every provider, `Any` over the empty set by
 /// none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CapabilityRequirement {
     /// The provider must advertise every capability in the set.
     All(CapabilitySet),

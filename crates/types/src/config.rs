@@ -5,12 +5,10 @@
 //! shared across them so that scenario descriptions can be serialised as a
 //! single document.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{SbqaError, SbqaResult};
 
 /// How the mediator chooses the balancing parameter ω of Definition 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum OmegaPolicy {
     /// Self-adapting ω computed from the satisfaction gap (Equation 2):
     /// `ω = ((δs(c) − δs(p)) + 1) / 2`. This is the SbQA default.
@@ -43,9 +41,10 @@ impl OmegaPolicy {
 
 /// The allocation strategies available in this reproduction.
 ///
-/// `SbQA` is the paper's contribution; the others are the baselines used in
-/// the evaluation scenarios plus two sanity baselines (random, round-robin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+/// `SbQA` is the paper's contribution. `Capacity` and `Economic` are the
+/// baselines of the paper's scenarios; `Random` is a sanity baseline that
+/// the multi-capability workload also runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllocationPolicyKind {
     /// Satisfaction-based query allocation (KnBest + SQLB scoring).
     #[default]
@@ -57,23 +56,17 @@ pub enum AllocationPolicyKind {
     Economic,
     /// Uniformly random selection among capable providers.
     Random,
-    /// Round-robin over capable providers.
-    RoundRobin,
-    /// Shortest-queue-first (pure load-based) allocation.
-    LoadBased,
 }
 
 impl AllocationPolicyKind {
     /// All policy kinds, in the order reports list them.
     #[must_use]
-    pub const fn all() -> [AllocationPolicyKind; 6] {
+    pub const fn all() -> [AllocationPolicyKind; 4] {
         [
             AllocationPolicyKind::SbQA,
             AllocationPolicyKind::Capacity,
             AllocationPolicyKind::Economic,
             AllocationPolicyKind::Random,
-            AllocationPolicyKind::RoundRobin,
-            AllocationPolicyKind::LoadBased,
         ]
     }
 
@@ -85,8 +78,6 @@ impl AllocationPolicyKind {
             AllocationPolicyKind::Capacity => "Capacity",
             AllocationPolicyKind::Economic => "Economic",
             AllocationPolicyKind::Random => "Random",
-            AllocationPolicyKind::RoundRobin => "RoundRobin",
-            AllocationPolicyKind::LoadBased => "LoadBased",
         }
     }
 
@@ -102,7 +93,7 @@ impl AllocationPolicyKind {
 }
 
 /// System-level configuration shared by the mediator and the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Length `k` of the interaction window used for satisfaction
     /// (the "k last interactions" of Section II). The paper assumes all

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{ConsumerId, ProviderId, QueryId};
 
 /// Convenience alias for results produced by the SbQA stack.
 pub type SbqaResult<T> = Result<T, SbqaError>;
 
 /// Errors that can arise during query allocation and simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SbqaError {
     /// No provider in the system is capable of performing the query.
     NoCapableProvider {

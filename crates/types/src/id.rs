@@ -7,15 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
-        #[serde(transparent)]
         pub struct $name(u64);
 
         impl $name {
@@ -75,45 +72,11 @@ define_id!(
     "q"
 );
 
-/// Either side of a mediation: a consumer or a provider.
-///
-/// Several parts of the framework (satisfaction tracking, departure rules,
-/// reporting) treat both kinds of participants uniformly; this enum lets them
-/// do so without erasing the underlying type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum ParticipantId {
-    /// A consumer-side participant.
-    Consumer(ConsumerId),
-    /// A provider-side participant.
-    Provider(ProviderId),
-}
-
-impl From<ConsumerId> for ParticipantId {
-    fn from(id: ConsumerId) -> Self {
-        ParticipantId::Consumer(id)
-    }
-}
-
-impl From<ProviderId> for ParticipantId {
-    fn from(id: ProviderId) -> Self {
-        ParticipantId::Provider(id)
-    }
-}
-
-impl fmt::Display for ParticipantId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParticipantId::Consumer(c) => write!(f, "{c}"),
-            ParticipantId::Provider(p) => write!(f, "{p}"),
-        }
-    }
-}
-
 /// A monotonically increasing generator of identifiers.
 ///
 /// Used by workload generators and the simulator to mint fresh query ids and
 /// participant ids without coordination.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IdGenerator {
     next: u64,
 }
@@ -162,8 +125,6 @@ mod tests {
         assert_eq!(ConsumerId::new(3).to_string(), "c3");
         assert_eq!(ProviderId::new(4).to_string(), "p4");
         assert_eq!(QueryId::new(5).to_string(), "q5");
-        assert_eq!(ParticipantId::from(ConsumerId::new(3)).to_string(), "c3");
-        assert_eq!(ParticipantId::from(ProviderId::new(9)).to_string(), "p9");
     }
 
     #[test]
@@ -173,29 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn participant_id_discriminates_sides() {
-        let c: ParticipantId = ConsumerId::new(1).into();
-        let p: ParticipantId = ProviderId::new(1).into();
-        assert_eq!(c, ParticipantId::Consumer(ConsumerId::new(1)));
-        assert_eq!(p, ParticipantId::Provider(ProviderId::new(1)));
-        assert_ne!(c, p);
-    }
-
-    #[test]
     fn generator_is_monotonic_and_counts() {
         let mut gen = IdGenerator::new();
         let a = gen.next_query();
         let b = gen.next_query();
         assert!(a < b);
         assert_eq!(gen.issued(), 2);
-    }
-
-    #[test]
-    fn serde_round_trip_is_transparent() {
-        let id = ProviderId::new(42);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "42");
-        let back: ProviderId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

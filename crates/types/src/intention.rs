@@ -17,22 +17,11 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::Neg;
 
-use serde::{Deserialize, Serialize};
-
 use crate::satisfaction_value::Satisfaction;
 
 /// A participant's intention towards a mediation, clamped to `[-1, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Intention(f64);
-
-/// Reads the bare `f64` through [`Intention::new`], so a value from outside
-/// the domain is clamped and a NaN tamed exactly as on construction.
-impl Deserialize for Intention {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        f64::from_value(value).map(Self::new)
-    }
-}
 
 impl Intention {
     /// The strongest positive intention.
@@ -169,21 +158,6 @@ mod tests {
         assert_eq!(Intention::new(f64::NAN), Intention::NEUTRAL);
         assert_eq!(Intention::new(f64::INFINITY), Intention::MAX);
         assert_eq!(Intention::new(f64::NEG_INFINITY), Intention::MIN);
-    }
-
-    #[test]
-    fn deserialization_clamps_into_the_domain() {
-        let read = |text: &str| serde_json::from_str::<Intention>(text).unwrap();
-        assert_eq!(read("7.0"), Intention::MAX);
-        assert_eq!(read("-3"), Intention::MIN);
-        assert_eq!(read(r#"{"__f64":"nan"}"#), Intention::NEUTRAL);
-        assert_eq!(read(r#"{"__f64":"inf"}"#), Intention::MAX);
-        assert_eq!(read(r#"{"__f64":"-inf"}"#), Intention::MIN);
-        // In-domain values round-trip bit for bit, the sign of zero included.
-        for raw in [-1.0, -0.25, -0.0, 0.0, 0.3, 1.0] {
-            let text = serde_json::to_string(&Intention::new(raw)).unwrap();
-            assert_eq!(read(&text).value().to_bits(), raw.to_bits(), "{text}");
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use config::{AllocationPolicyKind, OmegaPolicy, SystemConfig};
 pub use directory::IdDirectory;
 pub use error::{SbqaError, SbqaResult};
 pub use float_ord::f64_total_cmp;
-pub use id::{ConsumerId, IdGenerator, ParticipantId, ProviderId, QueryId};
+pub use id::{ConsumerId, IdGenerator, ProviderId, QueryId};
 pub use intention::Intention;
 pub use provider::{ProviderColumns, ProviderSnapshot};
 pub use query::{Query, QueryBuilder, QueryClass, QueryOutcome};

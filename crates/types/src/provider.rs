@@ -2,8 +2,7 @@
 //! struct-of-arrays column store the registry keeps it in.
 //!
 //! [`ProviderSnapshot`] is the *row* view — what one provider looks like at
-//! allocation time. It is the unit of serialization and the convenient shape
-//! for tests and ad-hoc callers. The registry, however, stores the population
+//! allocation time, and the convenient shape for tests and ad-hoc callers. The registry, however, stores the population
 //! as [`ProviderColumns`]: one dense, slot-indexed column per field. Scoring
 //! a merged candidate block then touches only the columns it needs (KnBest
 //! reads utilization and id; capability checks read the mask column), one
@@ -19,15 +18,13 @@
 //! a postings set — finds the row there, so a compaction has one entry to
 //! re-point.
 
-use serde::{Deserialize, Serialize};
-
 use crate::capability::CapabilitySet;
 use crate::directory::IdDirectory;
 use crate::id::ProviderId;
 use crate::query::Query;
 
 /// The mediator-visible state of a provider at allocation time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderSnapshot {
     /// The provider's identity.
     pub id: ProviderId,
@@ -242,32 +239,6 @@ impl ProviderColumns {
     }
 }
 
-// The column store serializes as the vector of row snapshots, so the wire
-// format is identical to the array-of-structs layout it replaced.
-impl Serialize for ProviderColumns {
-    fn to_value(&self) -> serde::Value {
-        let rows: Vec<ProviderSnapshot> = self.snapshots().collect();
-        rows.to_value()
-    }
-}
-
-impl Deserialize for ProviderColumns {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let rows = Vec::<ProviderSnapshot>::from_value(value)?;
-        let mut columns = Self::new();
-        for row in rows {
-            if columns.slot_of(row.id).is_some() {
-                return Err(serde::Error::custom(format!(
-                    "duplicate provider {}",
-                    row.id
-                )));
-            }
-            columns.push(row);
-        }
-        Ok(columns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,21 +308,5 @@ mod tests {
         // Degenerate utilization is clamped to zero, as in the row form.
         columns.set_load(0, f64::NAN, 0);
         assert_eq!(columns.utilization()[0], 0.0);
-    }
-
-    #[test]
-    fn serde_matches_the_row_vector_format() {
-        let mut columns = ProviderColumns::new();
-        for id in [3u64, 1, 2] {
-            columns.push(ProviderSnapshot::idle(ProviderId::new(id), caps(0), 1.0));
-        }
-        let rows: Vec<ProviderSnapshot> = columns.snapshots().collect();
-        assert_eq!(serde::to_string(&columns), serde::to_string(&rows));
-        let back: ProviderColumns = serde::from_str(&serde::to_string(&columns)).unwrap();
-        assert_eq!(back.snapshots().collect::<Vec<_>>(), rows);
-        // The directory is rebuilt on the way in; a repeated id is refused.
-        assert_eq!(back.slot_of(ProviderId::new(1)), Some(1));
-        let twice = serde::to_string(&[rows[0], rows[0]].to_vec());
-        assert!(serde::from_str::<ProviderColumns>(&twice).is_err());
     }
 }

@@ -14,17 +14,13 @@
 //! * how much work it represents ([`Query::work_units`], used by the
 //!   simulator to derive service times).
 
-use serde::{Deserialize, Serialize};
-
 use crate::capability::{Capability, CapabilityRequirement};
 use crate::id::{ConsumerId, ProviderId, QueryId};
 use crate::time::{Duration, VirtualTime};
 
 /// A coarse class of query, used by workload generators to vary work size and
 /// by intention functions that prefer some query types over others.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum QueryClass {
     /// A short, cheap query (e.g. a small work unit).
     Short,
@@ -56,7 +52,7 @@ impl QueryClass {
 
 /// An independent unit of work submitted by a consumer and allocated by the
 /// mediator to one or more providers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Unique identifier of the query.
     pub id: QueryId,
@@ -200,7 +196,7 @@ impl QueryBuilder {
 
 /// The outcome of a completed query, recorded once every selected provider
 /// has finished (or the query was dropped).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The query this outcome describes.
     pub query: QueryId,

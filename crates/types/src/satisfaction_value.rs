@@ -11,21 +11,9 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A satisfaction level in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Satisfaction(f64);
-
-/// Reads the bare `f64` through [`Satisfaction::new`], so a value from
-/// outside the domain is clamped and a NaN mapped exactly as on
-/// construction.
-impl Deserialize for Satisfaction {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        f64::from_value(value).map(Self::new)
-    }
-}
 
 impl Satisfaction {
     /// Complete satisfaction.
@@ -175,21 +163,6 @@ mod tests {
         assert_eq!(Satisfaction::new(-0.5), Satisfaction::MIN);
         assert_eq!(Satisfaction::new(f64::NAN), Satisfaction::MIN);
         assert_eq!(Satisfaction::new(0.75).value(), 0.75);
-    }
-
-    #[test]
-    fn deserialization_clamps_into_the_unit_interval() {
-        let read = |text: &str| serde_json::from_str::<Satisfaction>(text).unwrap();
-        assert_eq!(read("1.5"), Satisfaction::MAX);
-        assert_eq!(read("-0.5"), Satisfaction::MIN);
-        assert_eq!(read("2"), Satisfaction::MAX);
-        assert_eq!(read(r#"{"__f64":"nan"}"#), Satisfaction::MIN);
-        assert_eq!(read(r#"{"__f64":"inf"}"#), Satisfaction::MAX);
-        // In-domain values round-trip bit for bit.
-        for raw in [0.0, 0.35, 0.5, 1.0] {
-            let text = serde_json::to_string(&Satisfaction::new(raw)).unwrap();
-            assert_eq!(read(&text).value().to_bits(), raw.to_bits(), "{text}");
-        }
     }
 
     #[test]

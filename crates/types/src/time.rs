@@ -11,16 +11,12 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in seconds since the start of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VirtualTime(f64);
 
 /// A span of virtual time, in seconds. Always non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Duration(f64);
 
 impl VirtualTime {

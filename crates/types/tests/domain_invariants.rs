@@ -1,23 +1,11 @@
 //! Property-based coverage of the `sbqa_types` domain invariants:
 //!
 //! * [`Intention`] clamps every input into `[-1, 1]` (NaN → neutral),
-//! * [`Satisfaction`] clamps every input into `[0, 1]` (NaN → minimum),
-//! * serde round-trips preserve values exactly, for the bounded domains,
-//!   identifiers, capability sets, queries, and the error/configuration enums.
+//! * [`Satisfaction`] clamps every input into `[0, 1]` (NaN → minimum).
 
 use proptest::prelude::*;
 
-use sbqa_types::{
-    AllocationPolicyKind, Capability, CapabilitySet, ConsumerId, Duration, Intention,
-    ParticipantId, ProviderId, Query, QueryClass, QueryId, Satisfaction, SbqaError, SystemConfig,
-    VirtualTime,
-};
-
-/// Serializes with the workspace serde stub and reads the value back.
-fn round_trip<T: serde::Serialize + serde::Deserialize>(value: &T) -> T {
-    let text = serde::to_string(value);
-    serde::from_str(&text).unwrap_or_else(|err| panic!("{err} while re-parsing {text}"))
-}
+use sbqa_types::{Intention, Satisfaction};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -45,82 +33,6 @@ proptest! {
         let intention = Intention::new(value);
         prop_assert_eq!(intention.value(), value);
     }
-
-    #[test]
-    fn bounded_domains_round_trip_through_serde(
-        intention_raw in -1.0f64..=1.0,
-        satisfaction_raw in 0.0f64..=1.0,
-    ) {
-        let intention = Intention::new(intention_raw);
-        prop_assert_eq!(round_trip(&intention).value(), intention.value());
-
-        let satisfaction = Satisfaction::new(satisfaction_raw);
-        prop_assert_eq!(round_trip(&satisfaction).value(), satisfaction.value());
-    }
-
-    #[test]
-    fn identifiers_round_trip_through_serde(raw in 0u64..u64::MAX) {
-        prop_assert_eq!(round_trip(&ConsumerId::new(raw)), ConsumerId::new(raw));
-        prop_assert_eq!(round_trip(&ProviderId::new(raw)), ProviderId::new(raw));
-        prop_assert_eq!(round_trip(&QueryId::new(raw)), QueryId::new(raw));
-        // The participant wrapper is a data-carrying enum.
-        let consumer = ParticipantId::Consumer(ConsumerId::new(raw));
-        prop_assert_eq!(round_trip(&consumer), consumer);
-        let provider = ParticipantId::Provider(ProviderId::new(raw));
-        prop_assert_eq!(round_trip(&provider), provider);
-    }
-
-    #[test]
-    fn capability_sets_round_trip_through_serde(classes in proptest::collection::vec(0u8..64, 0..12)) {
-        let set = CapabilitySet::from_capabilities(classes.iter().copied().map(Capability::new));
-        prop_assert_eq!(round_trip(&set), set);
-    }
-
-    #[test]
-    fn capability_requirements_round_trip_through_serde(
-        classes in proptest::collection::vec(0u8..64, 0..12),
-        conjunctive in proptest::bool::ANY,
-    ) {
-        use sbqa_types::CapabilityRequirement;
-
-        let set = CapabilitySet::from_capabilities(classes.iter().copied().map(Capability::new));
-        let requirement = if conjunctive {
-            CapabilityRequirement::All(set)
-        } else {
-            CapabilityRequirement::Any(set)
-        };
-        prop_assert_eq!(round_trip(&requirement), requirement);
-
-        // A query carrying the requirement round-trips too.
-        let query = Query::requiring(QueryId::new(1), ConsumerId::new(2), requirement).build();
-        prop_assert_eq!(round_trip(&query).required, requirement);
-    }
-
-    #[test]
-    fn queries_round_trip_through_serde(
-        id in 0u64..1_000_000,
-        consumer in 0u64..1_000_000,
-        class in 0u8..64,
-        replication in 1usize..5,
-        work in 0.01f64..1e4,
-        issued in 0.0f64..1e6,
-    ) {
-        let query = Query::builder(QueryId::new(id), ConsumerId::new(consumer), Capability::new(class))
-            .replication(replication)
-            .work_units(work)
-            .class(QueryClass::all()[(class % 3) as usize])
-            .issued_at(VirtualTime::new(issued))
-            .build();
-        prop_assert_eq!(round_trip(&query), query);
-    }
-
-    #[test]
-    fn time_values_round_trip_through_serde(seconds in 0.0f64..1e9) {
-        let time = VirtualTime::new(seconds);
-        prop_assert_eq!(round_trip(&time), time);
-        let duration = Duration::new(seconds);
-        prop_assert_eq!(round_trip(&duration), duration);
-    }
 }
 
 #[test]
@@ -139,29 +51,4 @@ fn satisfaction_extremes_clamp() {
     assert_eq!(Satisfaction::new(1.5).value(), 1.0);
     assert_eq!(Satisfaction::new(-0.5).value(), 0.0);
     assert_eq!(Satisfaction::new(f64::NAN), Satisfaction::MIN);
-}
-
-#[test]
-fn config_and_error_enums_round_trip_through_serde() {
-    let config = SystemConfig::default();
-    assert_eq!(round_trip(&config), config);
-
-    for kind in AllocationPolicyKind::all() {
-        assert_eq!(round_trip(&kind), kind);
-    }
-
-    let errors = [
-        SbqaError::NoCapableProvider {
-            query: QueryId::new(7),
-        },
-        SbqaError::UnknownProvider {
-            provider: ProviderId::new(3),
-        },
-        SbqaError::InvalidConfiguration {
-            reason: "kn must be ≥ k".to_string(),
-        },
-    ];
-    for error in errors {
-        assert_eq!(round_trip(&error), error);
-    }
 }

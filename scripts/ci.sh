@@ -227,19 +227,20 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # cut copies both halves whole; the property fails unless the copying and the
 # replaying branch each ran, for the registry and for satisfaction, and
 # after every op the standby's replay_digest (checkpoint + log) equals the
-# primary's registry digest. Its four refusals each leave standby and log as
-# they were: a_log_pruned_past_the_checkpoint_is_a_gap_that_changes_nothing,
-# a_log_ending_before_the_checkpoint_is_a_gap_that_changes_nothing,
-# a_deserialized_log_with_a_sequence_gap_is_refused_and_changes_nothing and
-# a_cut_from_an_untracked_primary_is_refused_and_changes_nothing; beside them,
-# a_query_body_lost_in_transit_is_a_gap_that_changes_nothing. The whole
+# primary's registry digest. Its three refusals each leave standby and log
+# as they were: a_log_pruned_past_the_checkpoint_is_a_gap_that_changes_nothing,
+# a_log_ending_before_the_checkpoint_is_a_gap_that_changes_nothing and
+# a_cut_from_an_untracked_primary_is_refused_and_changes_nothing. The whole
 # replication and satisfaction suites run here, so the unit tests of those
 # two branches run under --release too, and so do standby.rs' three fates of
 # a record that does not apply
 # (a_replaying_cut_meets_a_record_that_does_not_apply,
 # a_copying_cut_supersedes_a_record_that_does_not_apply,
 # replay_digest_meets_a_record_that_does_not_apply_before_any_cut) and
-# log.rs' a_record_stays_the_size_of_a_registry_delta. The whole core suite runs here as
+# log.rs' a_record_stays_the_size_of_a_registry_delta and its two refusals
+# of a log that lost a record or a query body from its vectors
+# (a_log_with_a_sequence_gap_is_refused_and_changes_nothing,
+# a_query_body_lost_in_transit_is_a_gap_that_changes_nothing). The whole core suite runs here as
 # well, so postings.rs' own unit tests (a chunk's words built at WORDS_MIN
 # and kept below it, insert_order_does_not_change_the_map — ascending,
 # descending and interleaved inserts of the same ids build equal keys,
@@ -271,10 +272,11 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # a partition-and-sort of the same draw. maintained_prop holds the maintained
 # satisfaction values (a provider's running Definition-2 sum, a consumer's
 # ring of per-query values) bit-equal to a from-scratch evaluation over the
-# window after every record, clone, in-place copy, serde round trip and
-# registry hand-off — and a registry's pooled provider rows equal to a shadow
-# of standalone trackers through record, removal, re-registration, hand-off
-# between registries, clone, serde and an armed sync onto a stale copy.
+# window after every record, clone, in-place copy, copy materialised from a
+# registry row and registry hand-off — and a registry's pooled provider rows
+# equal to a shadow of standalone trackers through record, removal,
+# re-registration, hand-off between registries, clone, a rebuild from the
+# trackers and an armed sync onto a stale copy.
 # directory_prop holds the keyless id directory under both registries to an
 # ordered map through inserts, growth, removals and the re-pointing that
 # follows a swap_remove, on sequential, shifted and colliding ids — on its

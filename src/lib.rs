@@ -17,8 +17,7 @@
 //!   mediator, and the [`core::QueryAllocator`] trait every technique
 //!   implements;
 //! * [`baselines`] — the Capacity-based and Economic (Mariposa-style)
-//!   baselines of the paper, plus Random / Round-robin / Load-based sanity
-//!   baselines;
+//!   baselines of the paper, plus a Random sanity baseline;
 //! * [`service`] — the sharded mediation service: provider-disjoint mediator
 //!   shards behind a deterministic router, driven inline or through
 //!   per-shard bounded rings and threads, with per-shard tail-latency

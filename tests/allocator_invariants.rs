@@ -125,7 +125,7 @@ proptest! {
         prop_assert!(chosen_rel <= best + 1e-9);
     }
 
-    /// Every technique — SbQA and all five baselines — honours
+    /// Every technique — SbQA and all three baselines — honours
     /// multi-capability requirements when fed the registry's merged
     /// candidate view: whatever providers it selects satisfy the query's
     /// `All`/`Any` requirement, and selections stay within the merged set.
@@ -214,5 +214,36 @@ proptest! {
             let score = proposal.score.expect("SbQA scores every proposal");
             prop_assert!(score.is_finite());
         }
+    }
+}
+
+/// KnBest keeps the `kn` least-utilized providers of its `k` draws. With
+/// `k` equal to the candidate count the draw is every candidate, in an order
+/// that varies with the seed, so SbQA's proposals must be exactly the two
+/// lightest whatever that order: a heavier provider drawn after the buffer
+/// filled must never take the place of the `kn`-th lightest.
+#[test]
+fn knbest_proposes_the_kn_lightest_of_its_draws_in_any_draw_order() {
+    let pool = candidates(&[2.0, 0.5, 1.0]);
+    let config = SystemConfig::default().with_knbest(3, 2);
+    let satisfaction = SatisfactionRegistry::new(config.satisfaction_window);
+    let oracle = StaticIntentions::new();
+    for seed in 0..32 {
+        let mut allocator = build_allocator(AllocationPolicyKind::SbQA, &config, seed).unwrap();
+        let decision = allocator
+            .allocate(
+                &query(1),
+                Candidates::from_slice(&pool),
+                &oracle,
+                &satisfaction,
+            )
+            .unwrap();
+        let mut proposed: Vec<u64> = decision
+            .proposals
+            .iter()
+            .map(|p| p.provider.raw())
+            .collect();
+        proposed.sort_unstable();
+        assert_eq!(proposed, [1, 2], "seed {seed}");
     }
 }
