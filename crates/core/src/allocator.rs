@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use sbqa_satisfaction::{GapSample, SatisfactionRegistry};
+use sbqa_satisfaction::{GapSample, RowHint, SatisfactionRegistry};
 use sbqa_types::{Intention, ProviderId, Query, SbqaResult};
 
 pub use sbqa_types::{ProviderColumns, ProviderSnapshot};
@@ -146,21 +146,32 @@ impl<'a> Candidates<'a> {
 
     /// Gathers the ranking keys of the candidates at `positions` into `keys`
     /// (cleared first), in the order given, touching only what KnBest orders
-    /// by.
-    ///
-    /// Over an id set the gather runs in three phases, each over the whole
-    /// batch: positions → ids (an index into a chunk's sorted keys — a
-    /// rank-select only in a dense merged chunk — the id rebuilt from the
-    /// chunk key), ids → slots (a probe of the column store's directory),
-    /// slots → utilization. The cache misses of one phase do not depend on
-    /// one another, so they overlap instead of queueing behind each
-    /// position's lookup; fusing the probe into the first phase gives that
-    /// up.
+    /// by: [`Candidates::load_ids`], then the rest of the gather over the
+    /// view's columns.
     ///
     /// # Panics
     /// Panics if a position is out of bounds.
     pub fn load_keys(&self, positions: &[u32], keys: &mut Vec<RankKey>) {
         keys.clear();
+        self.load_ids(positions, keys);
+        if let View::Ids { columns, .. } = self.view {
+            resolve_keys(columns, keys);
+        }
+    }
+
+    /// Appends the keys of the candidates at `positions` to `keys`, in the
+    /// order given. A slice view fills them in whole. Over an id set this is
+    /// the first of the gather's three steps — positions → ids, an index
+    /// into a chunk's sorted keys (a rank-select only in a dense merged
+    /// chunk), the id rebuilt from the chunk key — and the keys leave with
+    /// their slot and utilization unresolved, for the gather's other two
+    /// steps over the view's columns — which the mediator runs over a whole
+    /// group of queries' keys at once. The ids are owned, so the keys
+    /// outlive the view.
+    ///
+    /// # Panics
+    /// Panics if a position is out of bounds.
+    pub fn load_ids(&self, positions: &[u32], keys: &mut Vec<RankKey>) {
         match self.view {
             View::Slice(providers) => keys.extend(positions.iter().map(|&position| {
                 let provider = &providers[position as usize];
@@ -171,20 +182,11 @@ impl<'a> Candidates<'a> {
                     slot: position,
                 }
             })),
-            View::Ids { columns, set } => {
-                keys.extend(positions.iter().map(|&position| RankKey {
-                    utilization: 0.0,
-                    id: set.select(position as usize),
-                    position,
-                    slot: 0,
-                }));
-                for key in keys.iter_mut() {
-                    key.slot = slot_of(columns, key.id);
-                }
-                for key in keys.iter_mut() {
-                    key.utilization = columns.utilization()[key.slot as usize];
-                }
-            }
+            View::Ids { set, .. } => keys.extend(
+                positions
+                    .iter()
+                    .map(|&position| RankKey::unresolved(set.select(position as usize), position)),
+            ),
         }
     }
 
@@ -233,8 +235,37 @@ pub struct RankKey {
     /// The candidate's position in the view.
     pub position: u32,
     /// The candidate's slot in the backing columns (the position itself for
-    /// a slice view), carried from the gather's second phase to its third.
+    /// a slice view), carried from the gather's second step to its third.
     slot: u32,
+}
+
+impl RankKey {
+    /// The key of candidate `id` at `position`, its row not looked up yet.
+    pub(crate) fn unresolved(id: ProviderId, position: u32) -> Self {
+        Self {
+            utilization: 0.0,
+            id,
+            position,
+            slot: 0,
+        }
+    }
+}
+
+/// The last two steps of the key gather, for keys that
+/// [`Candidates::load_ids`] left unresolved over id-set views of `columns`
+/// — any number of draws' keys at once: ids → slots (a probe of the column
+/// store's directory each), then slots → utilization. The cache misses of
+/// one step do not depend on one another, so they overlap instead of
+/// queueing behind each key's lookup, and the more keys a call takes, the
+/// more of them are in flight; fusing the probe into the first step gives
+/// that up.
+pub(crate) fn resolve_keys(columns: &ProviderColumns, keys: &mut [RankKey]) {
+    for key in keys.iter_mut() {
+        key.slot = slot_of(columns, key.id);
+    }
+    for key in keys.iter_mut() {
+        key.utilization = columns.utilization()[key.slot as usize];
+    }
 }
 
 /// Iterator over a [`Candidates`] view, yielding snapshots by value.
@@ -552,6 +583,70 @@ pub trait QueryAllocator: Send {
     fn fork(&self) -> Option<Box<dyn QueryAllocator>> {
         None
     }
+
+    /// The technique's two phases, for a technique that splits its work
+    /// between a batch's select phase and its score phase (see
+    /// [`Mediator::select_at`](crate::Mediator::select_at)). `None` (the
+    /// default) leaves all of it to
+    /// [`allocate_into`](QueryAllocator::allocate_into), in the score phase.
+    fn phased(&mut self) -> Option<&mut dyn PhasedAllocator> {
+        None
+    }
+}
+
+/// What a select phase drew for one query, as its score phase reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct Drawn<'a> {
+    /// The providers to consult, in the order the score phase consults them.
+    pub ids: &'a [ProviderId],
+    /// The satisfaction rows of `ids`, position for position, resolved
+    /// ahead; a position past the end is looked up.
+    pub rows: &'a [RowHint],
+    /// The satisfaction row of the query's consumer.
+    pub consumer_row: RowHint,
+}
+
+impl Drawn<'_> {
+    /// The row hint of the provider at `position` of [`Drawn::ids`].
+    #[must_use]
+    pub fn row(&self, position: usize) -> RowHint {
+        self.rows.get(position).copied().unwrap_or(RowHint::NONE)
+    }
+}
+
+/// A technique's work, split in two (see [`QueryAllocator::phased`]).
+///
+/// The select phase runs ahead of the scoring of earlier queries, so it may
+/// read only what they cannot change — the candidate view and the
+/// technique's own draw state — and must consume that state exactly as the
+/// whole allocation would. The score phase runs in stream order and does
+/// the rest. `select_into`, then the kept keys' ids, then `score_into` must
+/// decide what [`QueryAllocator::allocate_into`] decides.
+pub trait PhasedAllocator {
+    /// The select phase: appends the keys of the providers the query draws
+    /// to `drawn` ([`Candidates::load_ids`]: slots and utilizations may be
+    /// left unresolved for the mediator to gather with other queries' keys)
+    /// and returns how many of the least-utilized of them to keep, KnBest's
+    /// kn-of-k filter; `None` keeps every drawn key, in the order drawn,
+    /// whatever its utilization. `candidates` is never empty.
+    fn select_into(
+        &mut self,
+        query: &Query,
+        candidates: Candidates<'_>,
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize>;
+
+    /// The score phase over the providers [`select_into`](Self::select_into)
+    /// kept: gathers intentions, reads satisfaction and fills `decision`
+    /// (cleared first).
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
+        oracle: &dyn IntentionOracle,
+        satisfaction: &SatisfactionRegistry,
+        decision: &mut AllocationDecision,
+    ) -> SbqaResult<()>;
 }
 
 #[cfg(test)]

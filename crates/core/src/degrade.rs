@@ -11,7 +11,7 @@
 //!    scoring over a narrower `Kn`), it just explores less. Cheapest quality
 //!    concession first.
 //! 2. **Baseline** — fall back to a capacity-based allocation
-//!    ([`baseline_allocate_into`]): no random pre-selection, no scoring over
+//!    ([`BaselineFallback`]): no random pre-selection, no scoring over
 //!    `kn` candidates, intentions gathered for the winners only.
 //! 3. **Shed** — reject the query before mediation, in stable
 //!    `(VirtualTime, QueryId)` arrival order, so the shed *set* is a pure
@@ -35,9 +35,13 @@
 //! entered at `threshold × capacity` and left only once the modeled depth
 //! falls below `(threshold − hysteresis) × capacity`.
 
+use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{f64_total_cmp, ProviderId, Query, SbqaError, SbqaResult, VirtualTime};
 
-use crate::allocator::{AllocationDecision, Candidates, IntentionOracle, ProposalRecord};
+use crate::allocator::{
+    AllocationDecision, Candidates, Drawn, IntentionOracle, PhasedAllocator, ProposalRecord,
+    RankKey,
+};
 
 /// How many candidates the capacity fallback considers, counted from the
 /// front of the candidate view. Bounds the fallback's per-query cost on huge
@@ -329,55 +333,73 @@ impl DegradationLadder {
 /// and selects the `min(q.n, considered)` least-loaded. No RNG is consumed,
 /// no scoring over `kn` runs; intentions are gathered for the winners only,
 /// so the satisfaction registry keeps tracking — at proposal breadth zero —
-/// while the system rides out the overload.
-pub fn baseline_allocate_into(
-    query: &Query,
-    candidates: Candidates<'_>,
-    oracle: &dyn IntentionOracle,
-    decision: &mut AllocationDecision,
-) -> SbqaResult<()> {
-    if candidates.is_empty() {
-        return Err(SbqaError::NoProviderOnline { query: query.id });
-    }
-    decision.clear();
+/// while the system rides out the overload. The ranking reads only the
+/// view, so it is the select phase; the intentions are the score phase.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BaselineFallback;
 
-    // (relative load, id) keys of the consideration prefix, on the stack and
-    // streamed: a positional read would select and probe once per candidate.
-    let mut keys = [(0.0, ProviderId::new(0)); BASELINE_CONSIDERATION];
-    let mut considered = 0;
-    for snapshot in candidates.iter().take(BASELINE_CONSIDERATION) {
-        let load = if snapshot.capacity > 0.0 {
-            snapshot.utilization / snapshot.capacity
-        } else {
-            f64::INFINITY
-        };
-        keys[considered] = (load, snapshot.id);
-        considered += 1;
+impl PhasedAllocator for BaselineFallback {
+    fn select_into(
+        &mut self,
+        query: &Query,
+        candidates: Candidates<'_>,
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize> {
+        // (relative load, id) keys of the consideration prefix, on the stack
+        // and streamed: a positional read would select and probe once per
+        // candidate.
+        let mut keys = [(0.0, ProviderId::new(0)); BASELINE_CONSIDERATION];
+        let mut considered = 0;
+        for snapshot in candidates.iter().take(BASELINE_CONSIDERATION) {
+            let load = if snapshot.capacity > 0.0 {
+                snapshot.utilization / snapshot.capacity
+            } else {
+                f64::INFINITY
+            };
+            keys[considered] = (load, snapshot.id);
+            considered += 1;
+        }
+        let keys = &mut keys[..considered];
+        keys.sort_unstable_by(|a, b| f64_total_cmp(a.0, b.0).then_with(|| a.1.cmp(&b.1)));
+        let winners = keys.iter().take(query.replication.min(considered));
+        drawn.extend(
+            (0..)
+                .zip(winners)
+                .map(|(rank, &(_, provider))| RankKey::unresolved(provider, rank)),
+        );
+        None
     }
-    let keys = &mut keys[..considered];
-    keys.sort_unstable_by(|a, b| f64_total_cmp(a.0, b.0).then_with(|| a.1.cmp(&b.1)));
 
-    let winner_count = query.replication.min(considered);
-    for &(_, provider) in keys.iter().take(winner_count) {
-        let consumer_intention = oracle.consumer_intention(query, provider);
-        let provider_intention = oracle.provider_intention(provider, query);
-        decision.proposals.push(ProposalRecord {
-            provider,
-            provider_intention,
-            consumer_intention,
-            score: None,
-            selected: true,
-        });
-        decision.selected.push(provider);
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
+        oracle: &dyn IntentionOracle,
+        _satisfaction: &SatisfactionRegistry,
+        decision: &mut AllocationDecision,
+    ) -> SbqaResult<()> {
+        decision.clear();
+        for &provider in drawn.ids {
+            let consumer_intention = oracle.consumer_intention(query, provider);
+            let provider_intention = oracle.provider_intention(provider, query);
+            decision.proposals.push(ProposalRecord {
+                provider,
+                provider_intention,
+                consumer_intention,
+                score: None,
+                selected: true,
+            });
+            decision.selected.push(provider);
+        }
+        Ok(())
     }
-    decision.omega = None;
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::allocator::StaticIntentions;
+    use sbqa_satisfaction::RowHint;
     use sbqa_types::{Capability, CapabilitySet, ConsumerId, Intention, ProviderSnapshot, QueryId};
 
     fn config() -> DegradationConfig {
@@ -580,19 +602,42 @@ mod tests {
             .build()
     }
 
+    /// The whole fallback, both phases.
+    fn fallback(
+        query: &Query,
+        candidates: Candidates<'_>,
+        oracle: &dyn IntentionOracle,
+        decision: &mut AllocationDecision,
+    ) {
+        let mut keys = Vec::new();
+        assert_eq!(
+            BaselineFallback.select_into(query, candidates, &mut keys),
+            None
+        );
+        let drawn: Vec<ProviderId> = keys.iter().map(|key| key.id).collect();
+        let drawn = Drawn {
+            ids: &drawn,
+            rows: &[],
+            consumer_row: RowHint::NONE,
+        };
+        let satisfaction = SatisfactionRegistry::new(1);
+        BaselineFallback
+            .score_into(query, drawn, oracle, &satisfaction, decision)
+            .unwrap();
+    }
+
     #[test]
     fn baseline_fallback_picks_least_relative_load_with_id_tiebreak() {
         let providers = snapshots(10);
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.5));
         let mut decision = AllocationDecision::default();
-        baseline_allocate_into(
+        fallback(
             &query(1, 2),
             Candidates::from_slice(&providers),
             &oracle,
             &mut decision,
-        )
-        .unwrap();
+        );
         // Providers 0 and 7 have utilization 0 (relative load 0): lowest id
         // first.
         assert_eq!(
@@ -611,13 +656,12 @@ mod tests {
             StaticIntentions::new().with_defaults(Intention::new(0.2), Intention::new(0.1));
         let run = || {
             let mut decision = AllocationDecision::default();
-            baseline_allocate_into(
+            fallback(
                 &query(9, 3),
                 Candidates::from_slice(&providers),
                 &oracle,
                 &mut decision,
-            )
-            .unwrap();
+            );
             decision
         };
         let first = run();
@@ -631,15 +675,13 @@ mod tests {
 
     #[test]
     fn baseline_fallback_starves_on_empty_candidates() {
+        // The mediator asks the fallback only for a non-empty `Pq`: an
+        // empty one is the query's starvation, at every tier.
         let oracle = StaticIntentions::new();
-        let mut decision = AllocationDecision::default();
-        let err = baseline_allocate_into(
-            &query(1, 1),
-            Candidates::from_slice(&[]),
-            &oracle,
-            &mut decision,
-        )
-        .unwrap_err();
-        assert!(err.is_starvation());
+        let mut mediator = crate::Mediator::sbqa(sbqa_types::SystemConfig::default(), 1).unwrap();
+        for tier in [DegradationTier::Baseline, DegradationTier::Shed] {
+            let err = mediator.submit_at(&query(1, 1), &oracle, tier).unwrap_err();
+            assert!(err.is_starvation(), "{tier:?}");
+        }
     }
 }

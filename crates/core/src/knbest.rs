@@ -23,7 +23,9 @@
 //! keys of the `k` drawn positions are gathered as one batch
 //! ([`Candidates::load_keys`]: positions → ids, ids → slots, slots →
 //! utilization, each step over the whole batch, so the cache misses of a
-//! step overlap). Over a single class's postings the first step is an index
+//! step overlap; a mediator batch stops after the first step,
+//! [`KnBestSelector::draw_into`], and takes the other two over a whole group
+//! of draws at once). Over a single class's postings the first step is an index
 //! into a chunk's sorted keys, so its `k` loads do not depend on one
 //! another either; only a dense merged chunk pays a rank-select. The
 //! utilization filter is a
@@ -204,33 +206,9 @@ impl KnBestSelector {
             // positions, with each position's ranking key gathered once.
             let drawn = scratch.pool.draw(n, self.k, rng);
             candidates.load_keys(drawn, &mut scratch.keys);
-
-            // Step 2: the kn least-utilized providers of K, by bounded
-            // insertion: `keys[..min(i, kn)]` holds, sorted, the best of the
-            // first `i` keys.
-            let lighter = |a: &RankKey, b: &RankKey| {
-                sbqa_types::f64_total_cmp(a.utilization, b.utilization)
-                    .then_with(|| a.id.cmp(&b.id))
-                    .is_lt()
-            };
-            let keys = &mut scratch.keys;
-            let kn = self.kn.min(keys.len());
-            for i in 1..keys.len() {
-                let key = keys[i];
-                if i >= kn && !lighter(&key, &keys[kn - 1]) {
-                    continue;
-                }
-                // Shift the worse keys up one place from the end — a full
-                // buffer drops its last — until the key's place opens.
-                let mut at = i.min(kn - 1);
-                while at > 0 && lighter(&key, &keys[at - 1]) {
-                    keys[at] = keys[at - 1];
-                    at -= 1;
-                }
-                keys[at] = key;
-            }
-            keys.truncate(kn);
-            for key in keys.iter() {
+            // Step 2: the kn least-utilized providers of K.
+            let kept = keep_lightest(&mut scratch.keys, self.kn);
+            for key in &scratch.keys[..kept] {
                 scratch.positions.push(key.position);
                 scratch.ids.push(key.id);
                 scratch.utilization.push(key.utilization);
@@ -240,6 +218,25 @@ impl KnBestSelector {
             positions: &scratch.positions,
             ids: &scratch.ids,
             utilization: &scratch.utilization,
+        }
+    }
+
+    /// Step 1 alone, for a caller that gathers the keys of many draws at
+    /// once: draws the random subset K of size min(k, |Pq|) and appends the
+    /// keys of its positions to `keys` ([`Candidates::load_ids`]: the ids
+    /// are owned; over an id-set view, slots and utilizations are left for
+    /// the caller to gather).
+    /// Consumes the RNG exactly as [`select_block`](Self::select_block) does.
+    pub fn draw_into<R: Rng>(
+        &self,
+        candidates: Candidates<'_>,
+        rng: &mut R,
+        scratch: &mut KnBestScratch,
+        keys: &mut Vec<RankKey>,
+    ) {
+        let n = candidates.len();
+        if n > 0 {
+            candidates.load_ids(scratch.pool.draw(n, self.k, rng), keys);
         }
     }
 
@@ -258,6 +255,39 @@ impl KnBestSelector {
             .map(|&pos| candidates[pos as usize])
             .collect()
     }
+}
+
+/// Step 2 of KnBest: moves the `min(kn, keys.len())` least-utilized keys
+/// to the front of `keys`, in ranking order — ascending utilization, id
+/// tie-break — and returns how many that is. Bounded insertion:
+/// `keys[..min(i, kn)]` holds, sorted, the best of the first `i` keys, so a
+/// key that does not beat the worst of them — most do not, once the buffer
+/// is full — costs one comparison.
+pub(crate) fn keep_lightest(keys: &mut [RankKey], kn: usize) -> usize {
+    let lighter = |a: &RankKey, b: &RankKey| {
+        sbqa_types::f64_total_cmp(a.utilization, b.utilization)
+            .then_with(|| a.id.cmp(&b.id))
+            .is_lt()
+    };
+    let kn = kn.min(keys.len());
+    if kn == 0 {
+        return 0;
+    }
+    for i in 1..keys.len() {
+        let key = keys[i];
+        if i >= kn && !lighter(&key, &keys[kn - 1]) {
+            continue;
+        }
+        // Shift the worse keys up one place from the end — a full buffer
+        // drops its last — until the key's place opens.
+        let mut at = i.min(kn - 1);
+        while at > 0 && lighter(&key, &keys[at - 1]) {
+            keys[at] = keys[at - 1];
+            at -= 1;
+        }
+        keys[at] = key;
+    }
+    kn
 }
 
 #[cfg(test)]

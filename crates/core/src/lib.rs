@@ -46,11 +46,11 @@ pub mod scoring;
 
 pub use adaptive::{KnAdjustment, KnController, KnControllerConfig};
 pub use allocator::{
-    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, ProposalRecord,
-    ProviderColumns, ProviderSnapshot, QueryAllocator, StaticIntentions,
+    AllocationDecision, CandidateBlock, Candidates, Drawn, IntentionOracle, PhasedAllocator,
+    ProposalRecord, ProviderColumns, ProviderSnapshot, QueryAllocator, StaticIntentions,
 };
 pub use degrade::{
-    baseline_allocate_into, Admission, DegradationConfig, DegradationLadder, DegradationStats,
+    Admission, BaselineFallback, DegradationConfig, DegradationLadder, DegradationStats,
     DegradationTier,
 };
 pub use delta::{DeltaSink, RegistryDelta};
@@ -58,7 +58,7 @@ pub use intention::{
     ConsumerIntentionStrategy, ConsumerProfile, ProviderIntentionStrategy, ProviderProfile,
 };
 pub use knbest::{IndexPool, KnBestScratch, KnBestSelector, KnSelection};
-pub use mediator::{BatchReport, MediationOutcome, Mediator};
+pub use mediator::{BatchReport, MediationOutcome, Mediator, SELECT_GROUP};
 pub use postings::PostingsMap;
 pub use registry::{PlanCacheStats, ProviderRegistry};
 pub use sbqa_types::{OmegaPolicy, SystemConfig};

@@ -20,21 +20,39 @@
 //! [`Mediator::submit_in_place`] (or [`Mediator::submit_batch`] to drain a
 //! queue) for the zero-allocation path; [`Mediator::submit`] clones the
 //! decision into an owned [`MediationOutcome`] for callers that want one.
+//!
+//! ## Two phases
+//!
+//! A mediation is a select phase ([`Mediator::select_at`]) and a score phase
+//! ([`Mediator::score_next`]). Only the score phase — intentions, ω, scores,
+//! ranking, the satisfaction feedback — reads what the previous query wrote.
+//! The select phase — `Pq`, the KnBest draw, the draw's keys and the
+//! satisfaction rows of what it keeps — reads only the registry, which is
+//! read-only within a batch. So a batch selects a group of queries ahead
+//! ([`SELECT_GROUP`]), draws in stream order, gathers the whole group's keys
+//! and rows at once, and then scores the group in order: many queries' cache
+//! misses are in flight together instead of one query's at a time. At
+//! 100 000 providers that is most of what a query waits on. A single
+//! `submit_in_place` is the same two phases over a group of one, so both
+//! paths decide, consume RNG and count plan-cache events alike.
+
+use std::ops::Range;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use sbqa_satisfaction::{GapSample, SatisfactionRegistry};
+use sbqa_satisfaction::{GapSample, RowHint, SatisfactionRegistry};
 use sbqa_types::{
     CapabilitySet, Intention, ProviderId, Query, SbqaError, SbqaResult, SystemConfig,
 };
 
 use crate::adaptive::{KnController, KnControllerConfig};
 use crate::allocator::{
-    AllocationDecision, Candidates, IntentionOracle, ProposalRecord, QueryAllocator,
+    resolve_keys, AllocationDecision, Candidates, Drawn, IntentionOracle, PhasedAllocator,
+    ProposalRecord, QueryAllocator, RankKey,
 };
-use crate::degrade::{baseline_allocate_into, DegradationTier, SHRINK_KN_FLOOR};
-use crate::knbest::{KnBestScratch, KnBestSelector};
+use crate::degrade::{BaselineFallback, DegradationTier, SHRINK_KN_FLOOR};
+use crate::knbest::{keep_lightest, KnBestScratch, KnBestSelector};
 use crate::ranking::rank_indices_by_score;
 use crate::registry::{PlanCacheStats, ProviderRegistry};
 use crate::scoring::{provider_score, resolve_omega};
@@ -47,6 +65,9 @@ pub struct SbqaAllocator {
     rng: ChaCha8Rng,
     /// Working memory for the KnBest draw, reused across queries.
     knbest: KnBestScratch,
+    /// The kept ids of a whole [`QueryAllocator::allocate_into`] and their
+    /// satisfaction rows.
+    kept: (Vec<ProviderId>, Vec<RowHint>),
     /// Scores aligned with the proposals of the current decision.
     scores: Vec<f64>,
     /// Proposal indices in ranking order (the vector `R`).
@@ -73,6 +94,7 @@ impl SbqaAllocator {
             selector,
             rng: ChaCha8Rng::seed_from_u64(seed),
             knbest: KnBestScratch::new(),
+            kept: (Vec::new(), Vec::new()),
             scores: Vec::new(),
             ranking: Vec::new(),
             last_signal: None,
@@ -107,6 +129,7 @@ impl QueryAllocator for SbqaAllocator {
             selector: self.selector,
             rng: self.rng.clone(),
             knbest: KnBestScratch::new(),
+            kept: (Vec::new(), Vec::new()),
             scores: Vec::new(),
             ranking: Vec::new(),
             last_signal: self.last_signal,
@@ -124,26 +147,86 @@ impl QueryAllocator for SbqaAllocator {
         if candidates.is_empty() {
             return Err(SbqaError::NoProviderOnline { query: query.id });
         }
-        decision.clear();
-
         // Step 1 — KnBest: the kn least-utilized of k random capable
-        // providers, returned as dense columns (ids included) so step 2
-        // never resolves a position against the view again.
+        // providers, as owned ids, and their satisfaction rows found in one
+        // pass before any is read: the two halves of a batch's select phase,
+        // for one query.
+        let (mut kept, mut rows) = std::mem::take(&mut self.kept);
+        kept.clear();
+        rows.clear();
         let kn = self
             .selector
             .select_block(candidates, &mut self.rng, &mut self.knbest);
+        kept.extend_from_slice(kn.ids);
+        rows.extend(
+            kept.iter()
+                .map(|&provider| satisfaction.provider_row(provider)),
+        );
+        let drawn = Drawn {
+            ids: &kept,
+            rows: &rows,
+            consumer_row: satisfaction.consumer_row(query.consumer),
+        };
+        let outcome = self.score_into(query, drawn, oracle, satisfaction, decision);
+        self.kept = (kept, rows);
+        outcome
+    }
+
+    fn set_exploration_width(&mut self, kn: usize) {
+        self.selector.kn = kn.clamp(1, self.selector.k);
+    }
+
+    fn exploration_width(&self) -> Option<usize> {
+        Some(self.selector.kn)
+    }
+
+    fn satisfaction_signal(&self) -> Option<GapSample> {
+        self.last_signal
+    }
+
+    fn phased(&mut self) -> Option<&mut dyn PhasedAllocator> {
+        Some(self)
+    }
+}
+
+impl PhasedAllocator for SbqaAllocator {
+    /// Step 1 — KnBest's random draw of k capable providers, keeping the kn
+    /// least utilized: the same RNG the whole allocation consumes, at the
+    /// width set for this query.
+    fn select_into(
+        &mut self,
+        _query: &Query,
+        candidates: Candidates<'_>,
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize> {
+        self.selector
+            .draw_into(candidates, &mut self.rng, &mut self.knbest, drawn);
+        Some(self.selector.kn)
+    }
+
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
+        oracle: &dyn IntentionOracle,
+        satisfaction: &SatisfactionRegistry,
+        decision: &mut AllocationDecision,
+    ) -> SbqaResult<()> {
+        decision.clear();
+        let kn = drawn.ids;
 
         // Step 2 — gather intentions from the consumer and the Kn providers,
         // and score each pair with a per-pair ω (Equation 2 compares the
         // consumer's satisfaction with *that provider's* satisfaction).
-        let consumer_sat = satisfaction.consumer_satisfaction(query.consumer);
+        let consumer_sat =
+            satisfaction.consumer_satisfaction_at(query.consumer, drawn.consumer_row);
         self.scores.clear();
         let mut omega_sum = 0.0;
 
-        for &provider in kn.ids {
+        for (position, &provider) in kn.iter().enumerate() {
             let consumer_intention = oracle.consumer_intention(query, provider);
             let provider_intention = oracle.provider_intention(provider, query);
-            let provider_sat = satisfaction.provider_satisfaction(provider);
+            let provider_sat = satisfaction.provider_satisfaction_at(provider, drawn.row(position));
             let omega = resolve_omega(self.config.omega, consumer_sat, provider_sat);
             let score = provider_score(
                 provider_intention,
@@ -205,18 +288,6 @@ impl QueryAllocator for SbqaAllocator {
         };
         Ok(())
     }
-
-    fn set_exploration_width(&mut self, kn: usize) {
-        self.selector.kn = kn.clamp(1, self.selector.k);
-    }
-
-    fn exploration_width(&self) -> Option<usize> {
-        Some(self.selector.kn)
-    }
-
-    fn satisfaction_signal(&self) -> Option<GapSample> {
-        self.last_signal
-    }
 }
 
 /// The result of one mediation, as reported to the rest of the system.
@@ -237,14 +308,86 @@ impl MediationOutcome {
     }
 }
 
-/// Reusable per-mediator working memory: the decision buffer and the two
-/// satisfaction views derived from it. One scratch per mediator makes
-/// steady-state mediation allocation-free.
+/// Queries a batch selects ahead of scoring at most, in stream order: the
+/// select phase of this many queries puts their memory reads in flight
+/// together before the first of them is scored. Measured at 100 000
+/// providers: 16 or more gain a few per cent of throughput over 8, but the
+/// first decision of a group waits for every select phase in it, cold
+/// plan merges included, which moved the inline multi-class p50.
+pub const SELECT_GROUP: usize = 8;
+
+/// A query between its select phase and its score phase.
+#[derive(Debug)]
+enum Selected {
+    /// No capable provider was online.
+    Starved(SbqaError),
+    /// The query drew `keys[drawn]` at `tier`, of which its technique keeps
+    /// `keep` ([`PhasedAllocator::select_into`]); the group step of the
+    /// select phase puts the kept ids at `ids[kept]` and their rows at
+    /// `rows[kept]`.
+    Drawn {
+        tier: DegradationTier,
+        drawn: Range<usize>,
+        keep: Option<usize>,
+        kept: Range<usize>,
+        consumer_row: RowHint,
+    },
+    /// A technique that does not split: its whole mediation at `tier`
+    /// waits for the score phase.
+    Whole(DegradationTier),
+}
+
+/// Reusable per-mediator working memory: the queries selected and not yet
+/// scored with what they drew, the decision buffer and the two satisfaction
+/// views derived from it. One scratch per mediator makes steady-state
+/// mediation allocation-free.
 #[derive(Debug, Default)]
 struct MediationScratch {
+    /// Selected queries, oldest first from `next`; the group step has run
+    /// for those before `finished`, and for the keys before `resolved`.
+    selected: Vec<Selected>,
+    next: usize,
+    finished: usize,
+    resolved: usize,
+    /// What the selected queries drew, what they kept and its rows.
+    keys: Vec<RankKey>,
+    ids: Vec<ProviderId>,
+    rows: Vec<RowHint>,
     decision: AllocationDecision,
     consumer_view: Vec<(ProviderId, Intention)>,
     provider_view: Vec<(ProviderId, Intention, bool)>,
+}
+
+impl MediationScratch {
+    /// The select phase's group step, for every query selected since it
+    /// last ran: the drawn keys' slots and utilizations in one gather
+    /// ([`resolve_keys`]), each query's kept providers, then their
+    /// satisfaction rows. Its reads do not depend on one another, so the
+    /// misses of many queries are in flight together. Within a batch the
+    /// registry is read-only and satisfaction rows are only appended, so
+    /// nothing it resolves goes stale before the queries are scored.
+    fn finish(&mut self, providers: &ProviderRegistry, satisfaction: &SatisfactionRegistry) {
+        resolve_keys(providers.columns(), &mut self.keys[self.resolved..]);
+        self.resolved = self.keys.len();
+        let rows_from = self.ids.len();
+        for selected in &mut self.selected[self.finished..] {
+            if let Selected::Drawn {
+                drawn, keep, kept, ..
+            } = selected
+            {
+                let keys = &mut self.keys[drawn.clone()];
+                let count = keep.map_or(keys.len(), |kn| keep_lightest(keys, kn));
+                *kept = self.ids.len()..self.ids.len() + count;
+                self.ids.extend(keys[..count].iter().map(|key| key.id));
+            }
+        }
+        self.rows.extend(
+            self.ids[rows_from..]
+                .iter()
+                .map(|&provider| satisfaction.provider_row(provider)),
+        );
+        self.finished = self.selected.len();
+    }
 }
 
 /// Tallies of one [`Mediator::submit_batch`] drain.
@@ -488,20 +631,22 @@ impl Mediator {
         self.kn_controller.as_mut().map_or(0, KnController::adapt)
     }
 
-    /// The shared mediation core: computes `Pq` as a borrowed view, lets the
-    /// allocation technique fill the scratch decision at degradation tier
-    /// `tier`, and records the mediation result on both sides' satisfaction
-    /// — all without allocating in steady state.
-    fn mediate(
-        &mut self,
-        query: &Query,
-        oracle: &dyn IntentionOracle,
-        tier: DegradationTier,
-    ) -> SbqaResult<()> {
-        // Split the borrows by field: `candidates` may merge postings lists
-        // into the registry's cache (hence `&mut providers`), while the
-        // allocator, the satisfaction registry and the scratch are borrowed
-        // alongside.
+    /// The select phase of one query at admission tier `tier`: the
+    /// query's width (adaptive `kn`, then the ShrinkKn clamp), `Pq`, the
+    /// technique's draw over it — mapped to owned ids at once, because a
+    /// later query's cold resolve may recycle the plan behind the view — and
+    /// the satisfaction rows the score phase will read and write. It reads
+    /// nothing an earlier query's score phase writes: within a batch the
+    /// registry is read-only, the width moves only at a batch boundary and
+    /// the draw consumes the same RNG whatever the width.
+    ///
+    /// The query waits for [`score_next`](Self::score_next), which must see
+    /// the selected queries in the order they were selected. Returns `false`
+    /// when the query could not be selected ahead — its technique does not
+    /// split ([`QueryAllocator::phased`]) — and must be scored before the
+    /// next query is selected.
+    #[must_use = "a query that cannot be selected ahead must be scored before the next is selected"]
+    pub fn select_at(&mut self, query: &Query, tier: DegradationTier) -> bool {
         let Self {
             allocator,
             providers,
@@ -509,79 +654,154 @@ impl Mediator {
             scratch,
             kn_controller,
         } = self;
+        if scratch.next == scratch.selected.len() {
+            scratch.selected.clear();
+            scratch.next = 0;
+            scratch.finished = 0;
+            scratch.resolved = 0;
+            scratch.keys.clear();
+            scratch.ids.clear();
+            scratch.rows.clear();
+        }
+        // The Baseline tier is the capacity fallback: no KnBest draw, no SQLB
+        // scoring, no RNG consumed. (A `Shed` tier reaching mediation means
+        // the host admitted the query anyway; serve it at the cheapest
+        // quality rather than inventing a starvation.)
+        let fallback = matches!(tier, DegradationTier::Baseline | DegradationTier::Shed);
+        if !fallback && allocator.phased().is_none() {
+            scratch.selected.push(Selected::Whole(tier));
+            return false;
+        }
         if let Some(controller) = kn_controller {
             allocator.set_exploration_width(controller.kn_for_query(query));
         }
         let candidates = providers.candidates(query);
         if candidates.is_empty() {
-            return Err(providers.starvation_error(query));
+            let starved = providers.starvation_error(query);
+            scratch.selected.push(Selected::Starved(starved));
+            return true;
         }
+        let start = scratch.keys.len();
+        let keep = if fallback {
+            BaselineFallback.select_into(query, candidates, &mut scratch.keys)
+        } else {
+            with_tier_width(allocator.as_mut(), tier, |allocator| {
+                allocator
+                    .phased()
+                    .and_then(|phased| phased.select_into(query, candidates, &mut scratch.keys))
+            })
+        };
+        scratch.selected.push(Selected::Drawn {
+            tier,
+            drawn: start..scratch.keys.len(),
+            keep,
+            kept: 0..0,
+            consumer_row: satisfaction.consumer_row(query.consumer),
+        });
+        true
+    }
 
-        match tier {
-            DegradationTier::Normal | DegradationTier::ShrinkKn => {
-                // ShrinkKn clamps the exploration width to `SHRINK_KN_FLOOR`
-                // for this one draw and restores it afterwards, so the tier
-                // leaves no width residue once pressure subsides. The KnBest
-                // draw consumes RNG independently of the width, so the RNG
-                // stream — and with it replay byte-identity — is unaffected
-                // by when the clamp engages.
-                let saved = if tier == DegradationTier::ShrinkKn {
-                    let previous = allocator.exploration_width();
-                    if let Some(previous) = previous {
-                        allocator.set_exploration_width(previous.min(SHRINK_KN_FLOOR));
-                    }
-                    previous
-                } else {
-                    None
-                };
-                let outcome = allocator.allocate_into(
-                    query,
-                    candidates,
-                    oracle,
-                    satisfaction,
-                    &mut scratch.decision,
-                );
-                if let Some(previous) = saved {
-                    allocator.set_exploration_width(previous);
-                }
-                outcome?;
-                // The controller adapts only on evidence from widths it
-                // chose itself: forced-floor samples would read as "small kn
-                // is fine" exactly when the system is drowning.
-                if tier == DegradationTier::Normal {
-                    if let Some(controller) = kn_controller {
-                        if let Some(sample) = allocator.satisfaction_signal() {
-                            controller.observe_query(query, sample);
-                        }
-                    }
-                }
-            }
-            DegradationTier::Baseline | DegradationTier::Shed => {
-                // The capacity fallback: no KnBest draw, no SQLB scoring, no
-                // RNG consumed. (A `Shed` tier reaching mediation means the
-                // host admitted the query anyway; serve it at the cheapest
-                // quality rather than inventing a starvation.)
-                baseline_allocate_into(query, candidates, oracle, &mut scratch.decision)?;
-            }
+    /// The score phase of the oldest selected query, which must be `query`:
+    /// intentions, ω, scores and ranking by its technique, then the
+    /// mediation result recorded on both sides' satisfaction ("…sends the
+    /// mediation result to the consumer and all providers in set Kn"). The
+    /// decision borrows the mediator's scratch until the next score phase.
+    ///
+    /// # Errors
+    ///
+    /// The query's starvation, or [`SbqaError::InvalidConfiguration`] when
+    /// no query is waiting.
+    pub fn score_next(
+        &mut self,
+        query: &Query,
+        oracle: &dyn IntentionOracle,
+    ) -> SbqaResult<&AllocationDecision> {
+        let Self {
+            allocator,
+            providers,
+            satisfaction,
+            scratch,
+            kn_controller,
+        } = self;
+        if scratch.finished < scratch.selected.len() {
+            scratch.finish(providers, satisfaction);
         }
-
-        // "…sends the mediation result to the consumer and all providers in
-        // set Kn": both sides update their satisfaction windows.
         let MediationScratch {
+            selected,
+            next,
+            ids,
+            rows,
             decision,
             consumer_view,
             provider_view,
-        } = &mut self.scratch;
+            ..
+        } = scratch;
+        let Some(step) = selected.get(*next) else {
+            return Err(SbqaError::invalid_config(
+                "score_next without a selected query",
+            ));
+        };
+        *next += 1;
+        let (tier, rows, consumer_row) = match step {
+            Selected::Starved(starved) => return Err(starved.clone()),
+            Selected::Drawn {
+                tier,
+                kept,
+                consumer_row,
+                ..
+            } => {
+                let drawn = Drawn {
+                    ids: &ids[kept.clone()],
+                    rows: &rows[kept.clone()],
+                    consumer_row: *consumer_row,
+                };
+                if matches!(tier, DegradationTier::Baseline | DegradationTier::Shed) {
+                    BaselineFallback.score_into(query, drawn, oracle, satisfaction, decision)?;
+                } else {
+                    let Some(phased) = allocator.phased() else {
+                        return Err(SbqaError::invalid_config(
+                            "the technique stopped splitting between its phases",
+                        ));
+                    };
+                    phased.score_into(query, drawn, oracle, satisfaction, decision)?;
+                }
+                (*tier, &rows[kept.clone()], *consumer_row)
+            }
+            &Selected::Whole(tier) => {
+                if let Some(controller) = kn_controller.as_mut() {
+                    allocator.set_exploration_width(controller.kn_for_query(query));
+                }
+                let candidates = providers.candidates(query);
+                if candidates.is_empty() {
+                    return Err(providers.starvation_error(query));
+                }
+                with_tier_width(allocator.as_mut(), tier, |allocator| {
+                    allocator.allocate_into(query, candidates, oracle, satisfaction, decision)
+                })?;
+                (tier, &[][..], RowHint::NONE)
+            }
+        };
+        // The controller adapts only on evidence from widths it chose
+        // itself: forced-floor samples would read as "small kn is fine"
+        // exactly when the system is drowning.
+        if tier == DegradationTier::Normal {
+            if let Some(controller) = kn_controller {
+                if let Some(sample) = allocator.satisfaction_signal() {
+                    controller.observe_query(query, sample);
+                }
+            }
+        }
         decision.consumer_view_into(consumer_view);
         decision.provider_view_into(provider_view);
-        self.satisfaction.record_mediation(
+        satisfaction.record_mediation_at(
             query.id,
-            query.consumer,
+            (query.consumer, consumer_row),
             query.replication,
             consumer_view,
             provider_view,
+            rows,
         );
-        Ok(())
+        Ok(decision)
     }
 
     /// Mediates one query: computes `Pq`, lets the allocation technique pick
@@ -592,10 +812,10 @@ impl Mediator {
         query: &Query,
         oracle: &dyn IntentionOracle,
     ) -> SbqaResult<MediationOutcome> {
-        self.mediate(query, oracle, DegradationTier::Normal)?;
+        let decision = self.submit_in_place(query, oracle)?.clone();
         Ok(MediationOutcome {
             query: query.clone(),
-            decision: self.scratch.decision.clone(),
+            decision,
         })
     }
 
@@ -621,14 +841,19 @@ impl Mediator {
         oracle: &dyn IntentionOracle,
         tier: DegradationTier,
     ) -> SbqaResult<&AllocationDecision> {
-        self.mediate(query, oracle, tier)?;
-        Ok(&self.scratch.decision)
+        // Scored at once, so whether it could wait does not matter.
+        let _ = self.select_at(query, tier);
+        self.score_next(query, oracle)
     }
 
-    /// Drains a batch of queries through the mediation pipeline, amortizing
-    /// the scratch buffers and satisfaction-registry lookups over the whole
-    /// drain. `on_result` is invoked once per query, in order, with the
-    /// query's position in the batch and either the borrowed decision or the
+    /// Drains a batch of queries through the mediation pipeline in two
+    /// phases: the select phase of up to [`SELECT_GROUP`] queries
+    /// ([`select_at`](Self::select_at)), then their score phases
+    /// ([`score_next`](Self::score_next)) in order, and so on — decisions
+    /// byte-identical to [`submit_in_place`](Self::submit_in_place) per
+    /// query, with many queries' memory reads in flight together.
+    /// `on_result` is invoked once per query, in order, with the query's
+    /// position in the batch and either the borrowed decision or the
     /// starvation error. Returns the batch tallies.
     pub fn submit_batch<F>(
         &mut self,
@@ -644,20 +869,53 @@ impl Mediator {
         // evidence decided (a pure no-op when adaptation is disabled).
         self.adapt_kn();
         let mut report = BatchReport::default();
-        for (position, query) in queries.iter().enumerate() {
-            match self.mediate(query, oracle, DegradationTier::Normal) {
-                Ok(()) => {
-                    report.mediated += 1;
-                    on_result(position, query, Ok(&self.scratch.decision));
-                }
-                Err(err) => {
-                    report.starved += 1;
-                    on_result(position, query, Err(err));
+        let mut scored = 0;
+        while scored < queries.len() {
+            let mut selected = scored;
+            while selected < queries.len() && selected - scored < SELECT_GROUP {
+                selected += 1;
+                if !self.select_at(&queries[selected - 1], DegradationTier::Normal) {
+                    break;
                 }
             }
+            for (position, query) in queries.iter().enumerate().take(selected).skip(scored) {
+                let result = self.score_next(query, oracle);
+                match result {
+                    Ok(_) => report.mediated += 1,
+                    Err(_) => report.starved += 1,
+                }
+                on_result(position, query, result);
+            }
+            scored = selected;
         }
         report
     }
+}
+
+/// Runs `f` with the technique's exploration width clamped to
+/// [`SHRINK_KN_FLOOR`] under the ShrinkKn tier, and restores the width
+/// afterwards, so the tier leaves no width residue once pressure subsides.
+/// The KnBest draw consumes RNG independently of the width, so the RNG
+/// stream — and with it replay byte-identity — is unaffected by when the
+/// clamp engages.
+fn with_tier_width<R>(
+    allocator: &mut dyn QueryAllocator,
+    tier: DegradationTier,
+    f: impl FnOnce(&mut dyn QueryAllocator) -> R,
+) -> R {
+    let saved = if tier == DegradationTier::ShrinkKn {
+        allocator.exploration_width()
+    } else {
+        None
+    };
+    if let Some(previous) = saved {
+        allocator.set_exploration_width(previous.min(SHRINK_KN_FLOOR));
+    }
+    let outcome = f(allocator);
+    if let Some(previous) = saved {
+        allocator.set_exploration_width(previous);
+    }
+    outcome
 }
 
 impl std::fmt::Debug for Mediator {
@@ -1199,31 +1457,71 @@ mod tests {
 
     #[test]
     fn submit_batch_matches_sequential_submits() {
+        // Single-class queries beside All/Any multi-class ones, some
+        // starving, over a plan cache of one entry: every multi-class resolve
+        // of a group evicts the plan an earlier query of the group drew
+        // from. Loads differ, so KnBest's gather decides the draws.
         let build = || {
-            let config = SystemConfig::default().with_knbest(8, 3);
-            let mut mediator = Mediator::sbqa(config, 77).unwrap();
-            for p in 0..10u64 {
-                mediator.register_provider(ProviderId::new(p), caps(), 1.0);
+            let mut mediator = multi_mediator(77);
+            for p in 0..12u64 {
+                mediator
+                    .update_provider_load(ProviderId::new(p), (p * 5 % 7) as f64, 0)
+                    .unwrap();
             }
-            mediator.register_consumer(ConsumerId::new(1));
+            mediator.set_plan_cache_capacity(1);
             mediator
         };
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.3), Intention::new(0.6));
-        let queries: Vec<Query> = (0..40u64).map(|q| query(q, 1)).collect();
+        let queries: Vec<Query> = (0..60u64)
+            .map(|q| match q % 4 {
+                0 => query(q, 1 + q as usize % 3),
+                1 if q % 9 == 1 => {
+                    Query::builder(QueryId::new(q), ConsumerId::new(1), Capability::new(9)).build()
+                }
+                _ => multi_query(q),
+            })
+            .collect();
 
         let mut sequential = build();
-        let expected: Vec<Vec<ProviderId>> = queries
+        let expected: Vec<Option<AllocationDecision>> = queries
             .iter()
-            .map(|q| sequential.submit(q, &oracle).unwrap().decision.selected)
+            .map(|q| {
+                sequential
+                    .submit(q, &oracle)
+                    .ok()
+                    .map(|outcome| outcome.decision)
+            })
             .collect();
 
         let mut batched = build();
         let mut got = Vec::new();
         batched.submit_batch(&queries, &oracle, |_, _, result| {
-            got.push(result.unwrap().selected.clone());
+            got.push(result.ok().cloned());
         });
         assert_eq!(expected, got);
+        assert!(got.iter().any(Option::is_none), "a query starved mid-batch");
+        let stats = batched.plan_cache_stats();
+        assert!(stats.evictions > 0);
+        assert_eq!(stats, sequential.plan_cache_stats());
+        let sums = |mediator: &Mediator| -> Vec<(ProviderId, u64)> {
+            let mut sums: Vec<_> = mediator
+                .satisfaction()
+                .provider_satisfactions()
+                .map(|(id, sat)| (id, sat.value().to_bits()))
+                .collect();
+            sums.sort_unstable();
+            sums
+        };
+        assert_eq!(sums(&batched), sums(&sequential));
+        assert_eq!(
+            batched
+                .satisfaction()
+                .consumer_satisfaction(ConsumerId::new(1)),
+            sequential
+                .satisfaction()
+                .consumer_satisfaction(ConsumerId::new(1))
+        );
     }
 
     /// A multi-capability query cycling over overlapping class pairs.

@@ -22,6 +22,12 @@
 //! ⌈log2(k / 8)⌉ + 1 allocations in its life, never more than `k` slots — is
 //! checked too.
 //!
+//! Both batch paths are phased — the select phases of a group of queries,
+//! then their score phases — and both are measured warm: the mediator's own
+//! `submit_batch`, and the service's batch step (`ShardedMediator` over one
+//! shard) with a degradation ladder armed, through a burst that takes the
+//! ladder through every tier and back.
+//!
 //! This file deliberately contains a single test: the counter is
 //! process-global, so a parallel test could pollute the measurement.
 
@@ -29,11 +35,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use sbqa_core::postings::WORDS_MIN;
-use sbqa_core::{Mediator, StaticIntentions};
+use sbqa_core::{DegradationConfig, Mediator, StaticIntentions};
 use sbqa_satisfaction::{InteractionWindow, ProviderInteraction};
+use sbqa_service::ShardedMediator;
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
-    QueryId, SystemConfig,
+    QueryId, SystemConfig, VirtualTime,
 };
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
@@ -133,7 +140,7 @@ fn steady_state_mediation_does_not_allocate() {
     assert_eq!(window.allocated_slots(), capacity);
     drop(window);
 
-    let mut mediator = Mediator::sbqa(config, 42).unwrap();
+    let mut mediator = Mediator::sbqa(config.clone(), 42).unwrap();
     for p in 0..PROVIDERS {
         let caps = CapabilitySet::from_capabilities([
             Capability::new((p % 3) as u8),
@@ -401,4 +408,72 @@ fn steady_state_mediation_does_not_allocate() {
         allocations_tracked, 0,
         "steady-state mediation with touched-id tracking and checkpoint syncs must not touch the heap"
     );
+
+    // The service's batch step with a ladder armed: one shard over a slice
+    // of the same population, fed bursts of single- and multi-class queries
+    // (a query every 0.1 ms against a drain of 1 000/s) separated by calms
+    // that empty the bucket, so every batch walks the tiers Normal →
+    // ShrinkKn → Baseline → Shed and back. The shard's latency recorder
+    // keeps a sample per query in a vector that doubles: 17 warm batches
+    // leave it 1 088 samples in a capacity of 2 048, and the 14 measured
+    // ones stay inside it.
+    let mut service = ShardedMediator::sbqa(config, 42, 1).unwrap();
+    for p in 0..PROVIDERS / 4 {
+        let caps = CapabilitySet::from_capabilities([
+            Capability::new((p % 3) as u8),
+            Capability::new(((p + 1) % 3) as u8),
+        ]);
+        service.register_provider(ProviderId::new(p), caps, 1.0);
+    }
+    service.register_consumer(ConsumerId::new(1));
+    service
+        .enable_degradation(DegradationConfig {
+            capacity: 32,
+            drain_rate: 1_000.0,
+            ..DegradationConfig::default()
+        })
+        .unwrap();
+    let bursts: Vec<Vec<Query>> = (0..31u64)
+        .map(|batch| {
+            (0..64u64)
+                .map(|i| {
+                    let id = 50_000 + batch * 64 + i;
+                    let mut q = if i % 2 == 0 {
+                        query(id)
+                    } else {
+                        multi_query(id)
+                    };
+                    q.issued_at = VirtualTime::new(batch as f64 + i as f64 * 1e-4);
+                    q
+                })
+                .collect()
+        })
+        .collect();
+    let mut tiers = [0u64; 4];
+    let mut run = |service: &mut ShardedMediator, batches: &[Vec<Query>]| {
+        for batch in batches {
+            service.submit_batch(batch, &oracle, |_, _, result| match result {
+                Ok(decision) if decision.omega.is_none() => tiers[2] += 1,
+                Ok(decision) if decision.proposals.len() == 2 => tiers[1] += 1,
+                Ok(_) => tiers[0] += 1,
+                Err(_) => tiers[3] += 1,
+            });
+        }
+    };
+    run(&mut service, &bursts[..17]);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    run(&mut service, &bursts[17..]);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocations, 0,
+        "the service's phased batch step with a ladder armed must not touch the heap"
+    );
+    let stats = service.shard(0).ladder().expect("armed").stats();
+    assert!(
+        stats.normal > 0 && stats.shrink_kn > 0 && stats.baseline > 0 && stats.shed > 0,
+        "every tier was met: {stats:?}"
+    );
+    assert!(tiers.iter().all(|&count| count > 0), "{tiers:?}");
 }

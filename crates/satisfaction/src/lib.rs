@@ -37,6 +37,6 @@ pub use analysis::{SatisfactionAnalysis, SatisfactionSnapshot, SideSummary};
 pub use consumer::{ConsumerInteraction, ConsumerSatisfaction};
 pub use gap::{GapSample, GapWindow};
 pub use provider::{ProviderInteraction, ProviderSatisfaction};
-pub use registry::SatisfactionRegistry;
+pub use registry::{RowHint, SatisfactionRegistry};
 pub use rows::ProviderView;
 pub use window::InteractionWindow;

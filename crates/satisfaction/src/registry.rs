@@ -48,6 +48,29 @@ use crate::consumer::ConsumerSatisfaction;
 use crate::provider::{ProviderInteraction, ProviderSatisfaction};
 use crate::rows::{ProviderRows, ProviderView};
 
+/// Where a participant's row was found ([`SatisfactionRegistry::provider_row`],
+/// [`SatisfactionRegistry::consumer_row`]): a hint that a later read or write
+/// of the same participant confirms against the row's id — on the line it
+/// reads anyway — before using it, and otherwise re-finds through the
+/// directory. So a hint is never wrong, only slow when stale. Rows are only
+/// appended between removals, so a batch can resolve its rows ahead of
+/// scoring and read them by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowHint(u32);
+
+impl RowHint {
+    /// No row: the participant is found through the directory.
+    pub const NONE: Self = Self(u32::MAX);
+
+    pub(crate) fn of(row: Option<usize>) -> Self {
+        row.map_or(Self::NONE, |row| Self(row as u32))
+    }
+
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The ids whose trackers changed (were created, recorded into, replaced or
 /// removed) since the last [`SatisfactionRegistry::sync_touched_into`], in
 /// call order, duplicates included until a buffer fills.
@@ -99,6 +122,15 @@ impl ConsumerRows {
             .map(|row| row as usize)
     }
 
+    /// The row of `id`: `hint` if that row is still the consumer's, else
+    /// the directory's answer.
+    fn find_hinted(&self, id: ConsumerId, hint: RowHint) -> Option<usize> {
+        match self.ids.get(hint.index()) {
+            Some(&at) if at == id => Some(hint.index()),
+            _ => self.find(id),
+        }
+    }
+
     /// Appends a consumer (its id must be absent) and returns its row.
     fn push(&mut self, id: ConsumerId, tracker: ConsumerSatisfaction) -> usize {
         let at = self.ids.len();
@@ -111,10 +143,15 @@ impl ConsumerRows {
         at
     }
 
-    /// The consumer's tracker, registered with a window of `window` first
-    /// if it is unknown.
-    fn tracker_mut(&mut self, id: ConsumerId, window: usize) -> &mut ConsumerSatisfaction {
-        let at = match self.find(id) {
+    /// The consumer's tracker (its row tried at `hint` first), registered
+    /// with a window of `window` first if it is unknown.
+    fn tracker_mut(
+        &mut self,
+        id: ConsumerId,
+        hint: RowHint,
+        window: usize,
+    ) -> &mut ConsumerSatisfaction {
+        let at = match self.find_hinted(id, hint) {
             Some(at) => at,
             None => self.push(id, ConsumerSatisfaction::new(window)),
         };
@@ -283,8 +320,18 @@ impl SatisfactionRegistry {
     /// fully satisfied newcomers, mirroring the tracker's cold-start rule.
     #[must_use]
     pub fn consumer_satisfaction(&self, consumer: ConsumerId) -> Satisfaction {
-        self.consumer(consumer)
-            .map_or(Satisfaction::MAX, ConsumerSatisfaction::satisfaction)
+        self.consumer_satisfaction_at(consumer, RowHint::NONE)
+    }
+
+    /// [`consumer_satisfaction`](Self::consumer_satisfaction), its row tried
+    /// at `hint` first.
+    #[must_use]
+    pub fn consumer_satisfaction_at(&self, consumer: ConsumerId, hint: RowHint) -> Satisfaction {
+        self.consumers
+            .find_hinted(consumer, hint)
+            .map_or(Satisfaction::MAX, |at| {
+                self.consumers.trackers[at].satisfaction()
+            })
     }
 
     /// Current satisfaction of a provider; unknown providers count as fully
@@ -292,9 +339,30 @@ impl SatisfactionRegistry {
     /// sum — never its window.
     #[must_use]
     pub fn provider_satisfaction(&self, provider: ProviderId) -> Satisfaction {
+        self.provider_satisfaction_at(provider, RowHint::NONE)
+    }
+
+    /// [`provider_satisfaction`](Self::provider_satisfaction), its row tried
+    /// at `hint` first.
+    #[must_use]
+    pub fn provider_satisfaction_at(&self, provider: ProviderId, hint: RowHint) -> Satisfaction {
         self.providers
-            .satisfaction(provider)
+            .satisfaction(provider, hint)
             .unwrap_or(Satisfaction::MAX)
+    }
+
+    /// Where the consumer's row is now ([`RowHint::NONE`] if unknown).
+    #[must_use]
+    pub fn consumer_row(&self, consumer: ConsumerId) -> RowHint {
+        RowHint::of(self.consumers.find(consumer))
+    }
+
+    /// Where the provider's row is now ([`RowHint::NONE`] if unknown). The
+    /// lookup reads the row, so a batch that resolves the rows of many
+    /// queries in one pass has all their lines on the way at once.
+    #[must_use]
+    pub fn provider_row(&self, provider: ProviderId) -> RowHint {
+        self.providers.hint(provider)
     }
 
     /// Immutable access to a consumer's tracker.
@@ -331,19 +399,45 @@ impl SatisfactionRegistry {
         performed_by: &[(ProviderId, Intention)],
         proposals: &[(ProviderId, Intention, bool)],
     ) {
+        let consumer = (consumer, RowHint::NONE);
+        self.record_mediation_at(
+            query,
+            consumer,
+            required_results,
+            performed_by,
+            proposals,
+            &[],
+        );
+    }
+
+    /// [`record_mediation`](Self::record_mediation) with the rows resolved
+    /// ahead: the consumer's row is tried at its hint, and each proposal's
+    /// at the hint of the same position in `provider_rows` (a proposal past
+    /// its end has none).
+    pub fn record_mediation_at(
+        &mut self,
+        query: QueryId,
+        (consumer, consumer_row): (ConsumerId, RowHint),
+        required_results: usize,
+        performed_by: &[(ProviderId, Intention)],
+        proposals: &[(ProviderId, Intention, bool)],
+        provider_rows: &[RowHint],
+    ) {
         if let Some(touched) = &mut self.touched.0 {
             note(&mut touched.consumers, consumer);
             for (provider, ..) in proposals {
                 note(&mut touched.providers, *provider);
             }
         }
-        // One probe per participant; an unknown one is registered here.
+        // One probe per participant whose hint is stale or missing; an
+        // unknown one is registered here.
         self.consumers
-            .tracker_mut(consumer, self.window)
+            .tracker_mut(consumer, consumer_row, self.window)
             .record_outcome(query, required_results, performed_by);
-        for &(provider, intention, performed) in proposals {
+        for (at, &(provider, intention, performed)) in proposals.iter().enumerate() {
             self.providers.record(
                 provider,
+                provider_rows.get(at).copied().unwrap_or(RowHint::NONE),
                 self.window,
                 ProviderInteraction::new(query, intention, performed),
             );
@@ -448,6 +542,57 @@ mod tests {
         assert!((reg.omega(cid(1), pid(2)) - 1.0).abs() < 1e-12);
         // Against the satisfied provider 1 the weight stays balanced-ish.
         assert!(reg.omega(cid(1), pid(1)) < 1.0);
+    }
+
+    #[test]
+    fn a_stale_row_hint_falls_back_to_the_directory() {
+        let build = || {
+            let mut reg = SatisfactionRegistry::new(4);
+            for p in 1..=4 {
+                reg.register_provider(pid(p));
+            }
+            reg.register_consumer(cid(1));
+            reg
+        };
+        let mut hinted = build();
+        let mut plain = build();
+        let (two, four) = (hinted.provider_row(pid(2)), hinted.provider_row(pid(4)));
+        let consumer = hinted.consumer_row(cid(1));
+        assert_eq!(hinted.provider_row(pid(9)), RowHint::NONE);
+        // Provider 4's row moves into provider 2's place: the hint for 2
+        // now names another provider's row, the hint for 4 no row at all.
+        for reg in [&mut hinted, &mut plain] {
+            reg.remove_provider(pid(2));
+        }
+        assert_eq!(
+            hinted.provider_satisfaction_at(pid(2), two),
+            Satisfaction::MAX,
+            "2 is gone, whatever its hint names"
+        );
+        let proposals = [
+            (pid(4), Intention::new(-1.0), false),
+            (pid(2), Intention::new(0.5), true),
+        ];
+        hinted.record_mediation_at(
+            QueryId::new(1),
+            (cid(1), consumer),
+            1,
+            &[(pid(2), Intention::new(0.5))],
+            &proposals,
+            &[four, two],
+        );
+        plain.record_mediation(
+            QueryId::new(1),
+            cid(1),
+            1,
+            &[(pid(2), Intention::new(0.5))],
+            &proposals,
+        );
+        assert_eq!(trackers(&hinted), trackers(&plain));
+        assert_eq!(
+            hinted.provider_satisfaction_at(pid(4), four),
+            Satisfaction::MIN
+        );
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use sbqa_types::{IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
 
 use crate::provider::{PerformedSum, ProviderInteraction, ProviderSatisfaction};
+use crate::registry::RowHint;
 use crate::window::InteractionWindow;
 
 /// Slots of a class-0 block, the ring a window takes at its first record.
@@ -348,6 +349,21 @@ impl ProviderRows {
             .map(|row| row as usize)
     }
 
+    /// The row of `id`: `hint` if that row is still the provider's, else
+    /// the directory's answer.
+    fn find_hinted(&self, id: ProviderId, hint: RowHint) -> Option<usize> {
+        match self.rows.get(hint.index()) {
+            Some(row) if row.id == id => Some(hint.index()),
+            _ => self.find(id),
+        }
+    }
+
+    /// Where the row of `id` is now: the directory probe and the read of
+    /// the row that confirms it.
+    pub(crate) fn hint(&self, id: ProviderId) -> RowHint {
+        RowHint::of(self.find(id))
+    }
+
     fn view_at<'a>(&'a self, row: &'a Row) -> ProviderView<'a> {
         let block: &[ProviderInteraction] = if row.class == NO_BLOCK {
             &[]
@@ -362,9 +378,11 @@ impl ProviderRows {
         self.find(id).map(|row| self.view_at(&self.rows[row]))
     }
 
-    /// A provider's satisfaction: directory line, row line, no window.
-    pub(crate) fn satisfaction(&self, id: ProviderId) -> Option<Satisfaction> {
-        self.find(id).map(|row| self.rows[row].satisfaction())
+    /// A provider's satisfaction: directory line (skipped on a good
+    /// `hint`), row line, no window.
+    pub(crate) fn satisfaction(&self, id: ProviderId, hint: RowHint) -> Option<Satisfaction> {
+        self.find_hinted(id, hint)
+            .map(|row| self.rows[row].satisfaction())
     }
 
     /// Every provider's `(id, satisfaction)`, in row order, off the rows alone.
@@ -383,10 +401,10 @@ impl ProviderRows {
         at
     }
 
-    /// The row of `id`, appended with an empty window of `capacity` first
-    /// if the provider is unknown.
-    fn row_or_new(&mut self, id: ProviderId, capacity: usize) -> usize {
-        match self.find(id) {
+    /// The row of `id` (tried at `hint` first), appended with an empty
+    /// window of `capacity` first if the provider is unknown.
+    fn row_or_new(&mut self, id: ProviderId, hint: RowHint, capacity: usize) -> usize {
+        match self.find_hinted(id, hint) {
             Some(at) => at,
             None => self.push(Row::empty(id, capacity)),
         }
@@ -440,7 +458,7 @@ impl ProviderRows {
     /// tracker keeps its own window size.
     pub(crate) fn install(&mut self, id: ProviderId, tracker: ProviderSatisfaction) {
         let (window, maintained) = tracker.into_parts();
-        let at = self.row_or_new(id, window.capacity());
+        let at = self.row_or_new(id, RowHint::NONE, window.capacity());
         let len = window.len();
         let class = if len == 0 { NO_BLOCK } else { class_for(len) };
         self.reblock(at, class);
@@ -474,15 +492,16 @@ impl ProviderRows {
         }
     }
 
-    /// Records a proposal for `id`, registering it with a window of
-    /// `capacity` first if it is unknown.
+    /// Records a proposal for `id` (its row tried at `hint` first),
+    /// registering it with a window of `capacity` first if it is unknown.
     pub(crate) fn record(
         &mut self,
         id: ProviderId,
+        hint: RowHint,
         capacity: usize,
         recorded: ProviderInteraction,
     ) {
-        let at = self.row_or_new(id, capacity);
+        let at = self.row_or_new(id, hint, capacity);
         let row = &mut self.rows[at];
         row.total_recorded += 1;
         let evicted = if row.len == row.limit() {
@@ -522,7 +541,7 @@ impl ProviderRows {
             self.remove(id);
             return;
         };
-        let at = self.row_or_new(id, live.capacity);
+        let at = self.row_or_new(id, RowHint::NONE, live.capacity);
         self.reblock(at, live.class);
         let block = self.rows[at].block;
         self.rows[at] = Row { block, ..live };

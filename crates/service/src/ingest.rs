@@ -5,9 +5,10 @@
 //! **bounded ingest ring** ([`BoundedRing`] — no external runtime).
 //! Producers enqueue queries (singly or in batches) and only block when a
 //! shard's ring is full; each shard thread drains its ring in waves through
-//! [`MediatorShard::submit`] — the same per-query step the inline driver
-//! takes, so whatever the shards were armed with (a degradation ladder, a
-//! standby) works here unchanged — and accumulates the outcome stream.
+//! the shard's batch step — [`MediatorShard::submit`] taken in two phases
+//! over a group of queries, as the inline driver takes it, so whatever the
+//! shards were armed with (a degradation ladder, a standby) works here
+//! unchanged — and accumulates the outcome stream.
 //! [`MediationService::finish`] closes the rings, joins the threads and
 //! merges the per-shard results into a [`ServiceReport`];
 //! [`MediationService::finish_with_shards`] also hands the shards back, for
@@ -22,8 +23,11 @@
 //! two coupled mechanisms:
 //!
 //! * the **bounded ring** ([`IngestConfig::ring_capacity`]) bounds the
-//!   physical queue, so wall-clock queue wait — and with it ingest-to-
-//!   decision latency — is capped at roughly `capacity / drain-rate`;
+//!   physical queue. A shard takes the whole ring as one wave
+//!   ([`BoundedRing::pop_wave`]) and the producer refills it while the wave
+//!   is mediated, so a query can wait behind up to two ring-lengths — the
+//!   wave ahead of it and the ring it sits in — and the wall-clock queue
+//!   wait is capped at roughly `2 × capacity / drain-rate`;
 //! * the **degradation ladder** ([`IngestConfig::degradation`], a
 //!   [`DegradationLadder`](sbqa_core::DegradationLadder) per shard) decides
 //!   *deterministically* what to sacrifice as modeled pressure rises:
@@ -94,7 +98,7 @@ use sbqa_types::SbqaResult;
 use crate::report::{OutcomeRecord, ServiceReport};
 use crate::ring::BoundedRing;
 use crate::router::ShardRouter;
-use crate::shard::MediatorShard;
+use crate::shard::{submit_grouped, MediatorShard};
 use crate::sharded::ShardedMediator;
 
 /// Configuration of the ingest front.
@@ -276,7 +280,9 @@ impl std::fmt::Debug for MediationService {
 
 /// A shard thread's life: drain ring waves until the ring closes. Envelopes
 /// arrive in producer order (the ring is FIFO), which is the
-/// `(issued_at, id)` order [`MediatorShard::submit`] asks for.
+/// `(issued_at, id)` order [`MediatorShard::submit`] asks for. Each run of a
+/// wave's envelopes inside one producer chunk goes through the batch step
+/// ([`submit_grouped`]), opened and closed by the chunk's marks.
 fn drain(
     mut shard: MediatorShard,
     ring: &BoundedRing<Envelope>,
@@ -285,21 +291,35 @@ fn drain(
     let mut outcomes = Vec::new();
     let mut wave = Vec::new();
     while ring.pop_wave(&mut wave) {
-        for envelope in wave.drain(..) {
-            if envelope.chunk_start {
+        let mut rest = &wave[..];
+        while !rest.is_empty() {
+            let run = rest
+                .iter()
+                .position(|envelope| envelope.chunk_end)
+                .map_or(rest.len(), |last| last + 1);
+            let (chunk, after) = rest.split_at(run);
+            rest = after;
+            if chunk[0].chunk_start {
                 shard.begin_batch();
             }
-            let query = &envelope.query;
             // A replication fault stays on the shard, which then takes no
             // query; the loop goes on so that the ring keeps emptying.
             let index = shard.index();
-            if let Ok(result) = shard.submit(query, oracle, envelope.enqueued) {
-                outcomes.push(OutcomeRecord::from_result(index, query, result));
-            }
-            if envelope.chunk_end {
+            let query_at = |at: usize| (0, &chunk[at].query, chunk[at].enqueued);
+            let _ = submit_grouped(
+                std::slice::from_mut(&mut shard),
+                chunk.len(),
+                query_at,
+                oracle,
+                |_, _, query, result| {
+                    outcomes.push(OutcomeRecord::from_result(index, query, result));
+                },
+            );
+            if chunk[chunk.len() - 1].chunk_end {
                 shard.end_batch();
             }
         }
+        wave.clear();
     }
     ShardResult { shard, outcomes }
 }

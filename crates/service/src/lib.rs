@@ -14,7 +14,8 @@
 //!   (shrink-kn → capacity baseline → deterministic shedding) and an
 //!   optional standby behind the shard's one log — and owns the one
 //!   per-query step ([`MediatorShard::submit`]: kept-fault check → ladder
-//!   verdict → append to the log → mediate → tally) and the one batch
+//!   verdict → append to the log → mediate → tally), the one batch step
+//!   that takes it in two phases over a group of queries, and the one batch
 //!   boundary;
 //! * [`ShardedMediator`] is the one front-end: it owns the router and the
 //!   shards, routes registrations and load updates, arms ladders, adaptive

@@ -6,7 +6,12 @@
 //! query eventually got full-quality mediation seconds too late.
 //! [`BoundedRing`] is the physical back-pressure half of the fix: a
 //! fixed-capacity FIFO where producers block once the ring is full, which
-//! bounds the wall-clock time any admitted query can spend waiting.
+//! bounds the wall-clock time any admitted query can spend waiting. The
+//! bound is two ring-lengths, not one: [`BoundedRing::pop_wave`] moves the
+//! whole ring into the consumer's wave at once, so producers fill the ring
+//! again while that wave is still being worked off, and a query that
+//! enters a full ring then waits for the wave ahead of it and for the ring
+//! ahead of it in turn.
 //!
 //! The ring is deliberately *dumb*: it preserves FIFO order, enforces
 //! capacity, and nothing else. All degradation decisions (shrink-kn,
@@ -203,6 +208,24 @@ mod tests {
         assert!(ring.pop_wave(&mut wave), "closed ring still drains");
         assert_eq!(wave, vec![1]);
         assert!(!ring.pop_wave(&mut wave), "closed and dry terminates");
+    }
+
+    #[test]
+    fn a_popped_wave_frees_the_whole_ring_while_it_is_held() {
+        // What the queue bound is two ring-lengths for: the wave holds a
+        // full ring's items and the ring takes a full ring more behind it.
+        let ring = BoundedRing::new(4);
+        for i in 0..4 {
+            ring.try_push(i).unwrap();
+        }
+        let mut wave = Vec::new();
+        assert!(ring.pop_wave(&mut wave));
+        for i in 4..8 {
+            ring.try_push(i).unwrap();
+        }
+        assert!(ring.try_push(8).is_err(), "the refilled ring is full");
+        assert_eq!(wave, vec![0, 1, 2, 3]);
+        assert_eq!(ring.len(), 4);
     }
 
     #[test]

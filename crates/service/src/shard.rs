@@ -17,8 +17,9 @@
 //!
 //! The shard does not know how queries reach it: the inline
 //! [`ShardedMediator`](crate::ShardedMediator) and the threaded
-//! [`MediationService`](crate::MediationService) both drive
-//! [`MediatorShard::submit`] per query and
+//! [`MediationService`](crate::MediationService) both drive its per-query
+//! step ([`MediatorShard::submit`]) through one batch step that takes it in
+//! two phases over a group of queries, and call
 //! [`begin_batch`](MediatorShard::begin_batch) /
 //! [`end_batch`](MediatorShard::end_batch) around each batch, so they
 //! produce identical decisions and comparable latency samples.
@@ -28,7 +29,7 @@ use std::time::Instant;
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{
     Admission, BatchReport, DegradationConfig, DegradationLadder, DegradationTier,
-    KnControllerConfig, Mediator, QueryAllocator,
+    KnControllerConfig, Mediator, QueryAllocator, SELECT_GROUP,
 };
 use sbqa_metrics::LatencyRecorder;
 use sbqa_replication::{
@@ -252,18 +253,18 @@ impl MediatorShard {
         &mut self.mediator
     }
 
-    /// The per-query step of every driver: take the ladder's verdict, log
-    /// it with the query on a replicated shard, mediate at the admitted
-    /// tier, tally and record the latency as measured from `start` (the
-    /// threaded driver passes the *enqueue* instant, so its samples include
-    /// queueing).
+    /// The per-query step: take the ladder's verdict, log it with the
+    /// query on a replicated shard, mediate at the admitted tier, tally and
+    /// record the latency as measured from `start`.
     ///
     /// The inner result is the query's outcome: the decision (borrowing the
     /// mediator's scratch until the next mediation), a starvation, or
     /// [`SbqaError::QueryShed`]. Sheds are not tallied in the
     /// [`BatchReport`] — conservation is `offered = mediated + starved +
     /// shed`, the shed count living in the ladder's stats. Callers must
-    /// offer queries in `(issued_at, id)` order per shard.
+    /// offer queries in `(issued_at, id)` order per shard. Both drivers take
+    /// this step in two phases over many queries at once (the batch step the
+    /// module docs describe), deciding exactly what it decides.
     ///
     /// # Errors
     ///
@@ -275,6 +276,16 @@ impl MediatorShard {
         oracle: &dyn IntentionOracle,
         start: Instant,
     ) -> SbqaResult<SbqaResult<&AllocationDecision>> {
+        let (admission, _) = self.select(query)?;
+        Ok(self.score(query, admission, oracle, start))
+    }
+
+    /// The select phase of [`submit`](Self::submit): the fault check, the
+    /// ladder's verdict, its log append and, for an admitted query, the
+    /// mediator's select phase ([`Mediator::select_at`]). Returns the
+    /// verdict, for [`score`](Self::score), and whether the next query may
+    /// be selected before this one is scored.
+    fn select(&mut self, query: &Query) -> SbqaResult<(Admission, bool)> {
         check(self.fault())?;
         let admission = match &mut self.ladder {
             None => Admission::Admit(DegradationTier::Normal),
@@ -283,17 +294,33 @@ impl MediatorShard {
         if let Some(replica) = &self.replica {
             replica.log.append_query(query, admission);
         }
-        let Admission::Admit(tier) = admission else {
-            self.latency.record(start.elapsed());
-            return Ok(Err(SbqaError::QueryShed { query: query.id }));
+        let ahead = match admission {
+            Admission::Admit(tier) => self.mediator.select_at(query, tier),
+            Admission::Shed => true,
         };
-        let result = self.mediator.submit_at(query, oracle, tier);
+        Ok((admission, ahead))
+    }
+
+    /// The score phase of [`submit`](Self::submit) for the oldest query
+    /// [`select`](Self::select) took, under the verdict it returned.
+    fn score(
+        &mut self,
+        query: &Query,
+        admission: Admission,
+        oracle: &dyn IntentionOracle,
+        start: Instant,
+    ) -> SbqaResult<&AllocationDecision> {
+        if admission == Admission::Shed {
+            self.latency.record(start.elapsed());
+            return Err(SbqaError::QueryShed { query: query.id });
+        }
+        let result = self.mediator.score_next(query, oracle);
         self.latency.record(start.elapsed());
         match &result {
             Ok(_) => self.tallies.mediated += 1,
             Err(_) => self.tallies.starved += 1,
         }
-        Ok(result)
+        result
     }
 
     /// Opens a batch: one adaptive-`kn` round (a no-op without a
@@ -456,6 +483,66 @@ impl MediatorShard {
         }
         self.mediator
     }
+}
+
+/// The batch step of both drivers: [`MediatorShard::submit`] for `len`
+/// queries — query `i` is `query_at(i)`, its shard, the query and the
+/// instant its latency counts from (the threaded driver passes the
+/// *enqueue* instant, so its samples include queueing; the inline one the
+/// instant it asks, as the query's select phase starts) — in two phases. The select phases of up
+/// to [`SELECT_GROUP`] queries run first, in order, cut short after a query
+/// whose technique does not split; then their score phases run in the same
+/// order, each outcome going to `on_result` with the query's index and
+/// shard. Every shard sees its queries in the order given, the ladder's
+/// verdicts and log appends included, so each decides what per-query
+/// submits would; only the reads of up to a group's worth of queries are in
+/// flight together. The group is kept small because the first outcome of a
+/// group waits for all of its select phases.
+///
+/// # Errors
+///
+/// A replication fault met by a query: the queries before it are scored and
+/// reported, it and the rest are neither.
+pub(crate) fn submit_grouped<'q>(
+    shards: &mut [MediatorShard],
+    len: usize,
+    mut query_at: impl FnMut(usize) -> (usize, &'q Query, Instant),
+    oracle: &dyn IntentionOracle,
+    mut on_result: impl FnMut(usize, usize, &Query, SbqaResult<&AllocationDecision>),
+) -> SbqaResult<()> {
+    let mut group = [None; SELECT_GROUP];
+    let mut scored = 0;
+    while scored < len {
+        let mut selected = scored;
+        let mut fault = None;
+        while selected < len && selected - scored < SELECT_GROUP {
+            let (shard, query, start) = query_at(selected);
+            match shards[shard].select(query) {
+                Ok((admission, ahead)) => {
+                    group[selected - scored] = Some((shard, query, admission, start));
+                    selected += 1;
+                    if !ahead {
+                        break;
+                    }
+                }
+                Err(error) => {
+                    fault = Some(error);
+                    break;
+                }
+            }
+        }
+        for (index, slot) in (scored..).zip(&group[..selected - scored]) {
+            if let Some((shard, query, admission, start)) = *slot {
+                let result = shards[shard].score(query, admission, oracle, start);
+                on_result(index, shard, query, result);
+            }
+        }
+        if let Some(fault) = fault {
+            return Err(fault);
+        }
+        scored = selected;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

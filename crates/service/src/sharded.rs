@@ -62,7 +62,7 @@ use sbqa_types::{
 
 use crate::report::ShardReport;
 use crate::router::ShardRouter;
-use crate::shard::MediatorShard;
+use crate::shard::{submit_grouped, MediatorShard};
 
 /// A mediation service front-end over `N` provider-disjoint mediator shards.
 #[derive(Debug)]
@@ -341,8 +341,10 @@ impl ShardedMediator {
     ///
     /// Queries are processed in `(issued_at, query id)` order (stable sort —
     /// ties keep batch order), each at its assigned shard
-    /// ([`MediatorShard::submit`]); `on_result` is invoked once per query
-    /// *in that merged order* with the query's original batch position and
+    /// ([`MediatorShard::submit`], taken in two phases over groups of
+    /// queries, as the shard module describes); `on_result` is invoked once
+    /// per query *in that merged order* with the query's original batch
+    /// position and
     /// the borrowed decision, the starvation error or
     /// [`SbqaError::QueryShed`]. The call is the batch boundary: every shard
     /// runs one adaptation round before it and counts a batch towards its
@@ -374,13 +376,25 @@ impl ShardedMediator {
 
         let before = self.tallied();
         self.shards.iter_mut().for_each(MediatorShard::begin_batch);
-        for &pos in &self.order_scratch {
-            let query = &queries[pos as usize];
-            let shard = &mut self.shards[self.router.shard_of_query(query.id)];
+        let Self {
+            router,
+            shards,
+            order_scratch,
+        } = self;
+        let query_at = |index: usize| {
+            let query = &queries[order_scratch[index] as usize];
             // sbqa-lint: allow(wall-clock, "latency stamp only; allocation and admission read VirtualTime")
-            let result = shard.submit(query, oracle, Instant::now())?;
-            on_result(pos as usize, query, result);
-        }
+            (router.shard_of_query(query.id), query, Instant::now())
+        };
+        submit_grouped(
+            shards,
+            queries.len(),
+            query_at,
+            oracle,
+            |index, _, query, result| {
+                on_result(order_scratch[index] as usize, query, result);
+            },
+        )?;
         self.shards.iter_mut().for_each(MediatorShard::end_batch);
         let after = self.tallied();
         Ok(BatchReport {

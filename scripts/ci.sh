@@ -292,7 +292,9 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # never checkpoints.
 cargo test --release -p sbqa --test golden_scenario1 --test golden_scenario4 --test golden_multicap \
     --test determinism -q
-cargo test --release -p sbqa_service --test determinism --test failover --test overload -q
+# batch_phases_prop: both fronts' phased batch step decides, records and logs what per-query submits do.
+cargo test --release -p sbqa_service --test determinism --test failover --test overload \
+    --test batch_phases_prop -q
 cargo test --release -p sbqa_replication -q
 cargo test --release -p sbqa_core -q
 cargo test --release -p sbqa_satisfaction -q
