@@ -13,12 +13,12 @@
 //! A new checkpoint is cut **incrementally**
 //! ([`cut_checkpoint`](StandbyShard::cut_checkpoint)) at the log's end: the
 //! registry copy is advanced by the mutations logged since the last cut, the
-//! satisfaction copy receives the trackers the primary touched since the
-//! last cut, and only the allocator is forked. Where the changes since the
-//! last cut are at least as many as the rows they would change (the first
-//! cut after a bulk load), that half is copied whole from the primary
-//! instead of replayed — O(min(changes, state)). The cut then prunes the
-//! log up to itself.
+//! satisfaction copy receives what the participants the primary touched
+//! recorded since the last cut, and only the allocator is forked. Where the
+//! changes since the last cut are at least as many as the rows they would
+//! change (the first cut after a bulk load), that half is copied whole from
+//! the primary instead of replayed — O(min(changes, state)). The cut then
+//! prunes the log up to itself.
 //!
 //! On [`promote`](StandbyShard::promote) the checkpoint is rehydrated into a
 //! [`Mediator`] and the log past it is replayed record by record — the exact
@@ -127,7 +127,10 @@ fn replay_mutations(
 impl StandbyShard {
     /// Bootstraps a standby from a copy of a mediator's decomposed state
     /// (the [`Mediator::into_parts`] triple) cut at log watermark
-    /// `watermark`.
+    /// `watermark`. A host re-arming after a promotion writes the
+    /// satisfaction copy into the dead primary's registry with
+    /// [`SatisfactionRegistry::clone_from`], which reads none of what it
+    /// held.
     #[must_use]
     pub fn new(
         allocator: Box<dyn QueryAllocator>,
@@ -173,10 +176,15 @@ impl StandbyShard {
     ///   clone of `primary`'s instead, plan cache included. That clone
     ///   supersedes the log, so a record in it that would not apply is
     ///   pruned unapplied, never met;
-    /// * the checkpoint satisfaction registry receives exactly the trackers
-    ///   `primary` touched since the previous cut — consumer registrations
-    ///   included — or a whole copy when those are as many as its
-    ///   participants ([`SatisfactionRegistry::sync_touched_into`]);
+    /// * the checkpoint satisfaction registry receives what `primary`
+    ///   changed since the previous cut, participant by participant touched
+    ///   ([`SatisfactionRegistry::sync_touched_into`]): a touched consumer's
+    ///   tracker advances by the queries it recorded since, into the
+    ///   buffers of the ones they evict, and a touched provider's row and
+    ///   live window are copied over. When the touched participants are as
+    ///   many as the registry's, it is copied whole instead, with
+    ///   `clone_from` into the memory the checkpoint already owns, reading
+    ///   none of it;
     /// * the allocator is forked (RNG position and configuration).
     ///
     /// # Errors

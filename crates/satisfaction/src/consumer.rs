@@ -144,6 +144,24 @@ impl ConsumerSatisfaction {
         self.window.len()
     }
 
+    /// Brings this tracker level with `source`, a later state of the same
+    /// consumer: the queries `source` recorded since this tracker's last
+    /// are copied over, into the buffers of the ones they evict
+    /// ([`InteractionWindow::catch_up`]), with their values. Where that
+    /// cannot make the two equal — a whole window recorded since, or
+    /// histories that do not line up — `source` is copied whole with
+    /// `clone_from`.
+    pub(crate) fn catch_up(&mut self, source: &Self) {
+        let Some(gap) = self.window.catch_up(&source.window) else {
+            self.clone_from(source);
+            return;
+        };
+        let fresh = source.values.len() - gap;
+        self.values
+            .drain(..self.values.len() + gap - source.values.len());
+        self.values.extend(source.values.range(fresh..));
+    }
+
     /// Records the outcome of a query.
     fn record(&mut self, interaction: ConsumerInteraction) {
         let value = interaction.satisfaction().value();

@@ -22,12 +22,13 @@ use sbqa_types::{Intention, QueryId, Satisfaction};
 
 use crate::window::InteractionWindow;
 
-/// One proposal the provider received: the query, the intention the provider
-/// expressed for performing it, and whether the mediator selected it.
+/// One proposal the provider received: the intention the provider expressed
+/// for performing the query, and whether the mediator selected it.
+///
+/// Definition 2 reads nothing else, so the record does not keep the query's
+/// id: it is 16 bytes, and a registry holds `k` of them per provider.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderInteraction {
-    /// The proposed query.
-    pub query: QueryId,
     /// The intention the provider expressed for performing the query
     /// (an entry of the vector `PPIp`).
     pub intention: Intention,
@@ -37,11 +38,11 @@ pub struct ProviderInteraction {
 }
 
 impl ProviderInteraction {
-    /// Builds a proposal record.
+    /// Builds the record of a proposal of a query, whose id is not kept
+    /// (see the type's docs).
     #[must_use]
-    pub fn new(query: QueryId, intention: Intention, performed: bool) -> Self {
+    pub fn new(_query: QueryId, intention: Intention, performed: bool) -> Self {
         Self {
-            query,
             intention,
             performed,
         }
@@ -235,6 +236,11 @@ impl ProviderSatisfaction {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_proposal_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<ProviderInteraction>(), 16);
+    }
 
     #[test]
     fn satisfaction_matches_definition_two() {

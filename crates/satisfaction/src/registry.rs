@@ -35,12 +35,23 @@
 //! (the replication standby's checkpoint) arms
 //! [`SatisfactionRegistry::track_touched`]: from then on every mutator notes
 //! the ids it changed, and [`SatisfactionRegistry::sync_touched_into`]
-//! brings the copy up to date by copying exactly those rows — O(touched)
-//! instead of a clone of every participant, unless the touched ids are as
-//! many as the participants, when one clone is the cheaper copy. Ids, not
-//! rows, are noted: rows move under compaction. Like the provider
-//! registry's delta sink the hook is `None` by default (one null check per
-//! mutating call) and never inherited by clones.
+//! brings the copy up to date by copying what changed of exactly those
+//! participants — O(touched) instead of a clone of every participant:
+//!
+//! * a touched consumer's tracker is advanced by the queries it recorded
+//!   since the last sync, counted from the windows' `total_recorded`, each
+//!   written into the buffers of the query it evicts; a tracker a whole
+//!   window behind, or whose history does not line up, is copied whole;
+//! * a touched provider's row header and the live part of its window block
+//!   are copied over, sixteen rows at a time, each group's rows on both
+//!   sides found before any is written;
+//! * a provider gone from this registry is removed from the copy.
+//!
+//! When the touched ids are as many as the participants, the copy becomes
+//! a clone instead, written with `clone_from` into the memory the copy
+//! already owns. Ids, not rows, are noted: rows move under compaction. Like
+//! the provider registry's delta sink the hook is `None` by default (one
+//! null check per mutating call) and never inherited by clones.
 
 use sbqa_types::{ConsumerId, IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
 
@@ -95,19 +106,8 @@ fn note<T: Ord>(ids: &mut Vec<T>, id: T) {
     ids.push(id);
 }
 
-/// The tracking hook as a field: a clone is a state fork with no copy to
-/// keep in step, so it comes back with tracking off.
-#[derive(Debug, Default)]
-struct TouchedHook(Option<Touched>);
-
-impl Clone for TouchedHook {
-    fn clone(&self) -> Self {
-        Self(None)
-    }
-}
-
 /// The consumers' rows: a column of ids beside a column of trackers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ConsumerRows {
     ids: Vec<ConsumerId>,
     trackers: Vec<ConsumerSatisfaction>,
@@ -158,15 +158,16 @@ impl ConsumerRows {
         &mut self.trackers[at]
     }
 
-    /// Makes this side's tracker of `id` equal to `source`'s: copied over
-    /// in place (reusing its buffers) or appended. A consumer is never
-    /// removed, so a touched id is always live in `source`.
+    /// Makes this side's tracker of `id` equal to `source`'s: advanced by
+    /// the queries recorded since ([`ConsumerSatisfaction::catch_up`],
+    /// reusing its buffers) or appended. A consumer is never removed, so a
+    /// touched id is always live in `source`.
     fn sync_from(&mut self, source: &ConsumerRows, id: ConsumerId) {
         let Some(live) = source.find(id) else {
             return;
         };
         match self.find(id) {
-            Some(stale) => self.trackers[stale].clone_from(&source.trackers[live]),
+            Some(stale) => self.trackers[stale].catch_up(&source.trackers[live]),
             None => {
                 self.push(id, source.trackers[live].clone());
             }
@@ -174,13 +175,56 @@ impl ConsumerRows {
     }
 }
 
+/// By hand for `clone_from`, which writes every column into the buffers
+/// this side already owns, each tracker into a tracker's.
+impl Clone for ConsumerRows {
+    fn clone(&self) -> Self {
+        Self {
+            ids: self.ids.clone(),
+            trackers: self.trackers.clone(),
+            directory: self.directory.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ids.clone_from(&source.ids);
+        self.trackers.clone_from(&source.trackers);
+        self.directory.clone_from(&source.directory);
+    }
+}
+
 /// Mediator-side record of every participant's satisfaction state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SatisfactionRegistry {
     window: usize,
     consumers: ConsumerRows,
     providers: ProviderRows,
-    touched: TouchedHook,
+    /// The tracking hook; `None` until armed, and never inherited by a
+    /// clone.
+    touched: Option<Touched>,
+}
+
+/// A clone is a state fork with no copy to keep in step, so it comes back
+/// with tracking off. `clone_from` makes `self` that same clone inside the
+/// buffers `self` already owns — its windows, rows, directories and pool
+/// chunks — overwriting every one and reading none, so a replication
+/// standby re-armed into a dead primary's registry touches no fresh memory.
+impl Clone for SatisfactionRegistry {
+    fn clone(&self) -> Self {
+        Self {
+            window: self.window,
+            consumers: self.consumers.clone(),
+            providers: self.providers.clone(),
+            touched: None,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.window = source.window;
+        self.consumers.clone_from(&source.consumers);
+        self.providers.clone_from(&source.providers);
+        self.touched = None;
+    }
 }
 
 impl SatisfactionRegistry {
@@ -192,7 +236,7 @@ impl SatisfactionRegistry {
             window: satisfaction_window.max(1),
             consumers: ConsumerRows::default(),
             providers: ProviderRows::default(),
-            touched: TouchedHook(None),
+            touched: None,
         }
     }
 
@@ -200,25 +244,26 @@ impl SatisfactionRegistry {
     /// from an empty touched set: the copy to keep in step must equal this
     /// registry now.
     pub fn track_touched(&mut self) {
-        self.touched = TouchedHook(Some(Touched::default()));
+        self.touched = Some(Touched::default());
     }
 
     /// Brings `copy` — equal to this registry when tracking was armed or
     /// last synced — up to date: every consumer tracker touched since is
-    /// copied into it with `clone_from` (reusing the copy's buffers), every
-    /// touched provider row has its header and the live part of its window
-    /// block copied over (the copy taking a block of the source's class
-    /// from its own pool when its row held another), every participant
-    /// removed since is removed from it, and the touched set restarts
-    /// empty. Ids are visited in ascending order, each once. When the
-    /// distinct touched ids are at least as many as this registry's
-    /// participants (the first sync after a bulk load), `copy` becomes a
-    /// clone of this registry instead — untracked, as every clone is — and
-    /// its row order is then this registry's. Returns the number of
-    /// distinct ids touched, or `None`, leaving `copy` as it was, when
-    /// tracking is not armed.
+    /// advanced by the queries recorded since (or copied whole, see the
+    /// module documentation), every touched provider row has its header and
+    /// the live part of its window block copied over (the copy taking a
+    /// block of the source's class from its own pool when its row held
+    /// another), every participant removed since is removed from it, and
+    /// the touched set restarts empty. Ids are visited in ascending order,
+    /// each once. When the distinct touched ids are at least as many as
+    /// this registry's participants (the first sync after a bulk load),
+    /// `copy` becomes a clone of this registry instead — untracked, as every
+    /// clone is — written into its own memory with `clone_from`, and its
+    /// row order is then this registry's. Returns the number of distinct
+    /// ids touched, or `None`, leaving `copy` as it was, when tracking is
+    /// not armed.
     pub fn sync_touched_into(&mut self, copy: &mut SatisfactionRegistry) -> Option<usize> {
-        let touched = self.touched.0.as_mut()?;
+        let touched = self.touched.as_mut()?;
         touched.consumers.sort_unstable();
         touched.consumers.dedup();
         touched.providers.sort_unstable();
@@ -227,26 +272,26 @@ impl SatisfactionRegistry {
         if visited >= self.consumers.ids.len() + self.providers.len() {
             touched.consumers.clear();
             touched.providers.clear();
-            *copy = self.clone();
+            copy.clone_from(self);
         } else {
             for id in touched.consumers.drain(..) {
                 copy.consumers.sync_from(&self.consumers, id);
             }
-            for id in touched.providers.drain(..) {
-                copy.providers.sync_from(&self.providers, id);
-            }
+            copy.providers
+                .sync_from(&self.providers, &touched.providers);
+            touched.providers.clear();
         }
         Some(visited)
     }
 
     fn touch_consumer(&mut self, consumer: ConsumerId) {
-        if let Some(touched) = &mut self.touched.0 {
+        if let Some(touched) = &mut self.touched {
             note(&mut touched.consumers, consumer);
         }
     }
 
     fn touch_provider(&mut self, provider: ProviderId) {
-        if let Some(touched) = &mut self.touched.0 {
+        if let Some(touched) = &mut self.touched {
             note(&mut touched.providers, provider);
         }
     }
@@ -423,7 +468,7 @@ impl SatisfactionRegistry {
         proposals: &[(ProviderId, Intention, bool)],
         provider_rows: &[RowHint],
     ) {
-        if let Some(touched) = &mut self.touched.0 {
+        if let Some(touched) = &mut self.touched {
             note(&mut touched.consumers, consumer);
             for (provider, ..) in proposals {
                 note(&mut touched.providers, *provider);
@@ -710,7 +755,52 @@ mod tests {
         );
         assert_eq!(reg.sync_touched_into(&mut copy), Some(2));
         assert_eq!(trackers(&copy), trackers(&reg));
-        assert!(copy.touched.0.is_some(), "never copied whole");
+        assert!(copy.touched.is_some(), "never copied whole");
+
+        // Many syncs, each after one to four queries per consumer, so the
+        // windows (k = 3) wrap between syncs and a touched consumer is one,
+        // two or a whole window of queries behind; consumers join between
+        // syncs, and one sync touches every participant and is whole.
+        let mut whole = 0;
+        for round in 0..40u64 {
+            if round % 9 == 4 {
+                reg.register_consumer(cid(10 + round));
+            }
+            let everyone = round == 23;
+            let consumers: Vec<ConsumerId> = reg.consumers.ids.clone();
+            for (at, &consumer) in consumers.iter().enumerate() {
+                let queries = if everyone { 1 } else { (round + at as u64) % 5 };
+                for q in 0..queries {
+                    let provider = pid([1, 2, 3, 9][(round + q) as usize % 4]);
+                    reg.record_mediation(
+                        QueryId::new(1000 * round + 10 * at as u64 + q),
+                        consumer,
+                        1 + q as usize % 2,
+                        &[(provider, Intention::new(0.25 * q as f64))],
+                        &[(provider, Intention::new(-0.5), q % 2 == 0)],
+                    );
+                }
+            }
+            if everyone {
+                let providers: Vec<ProviderId> =
+                    reg.provider_satisfactions().map(|(id, _)| id).collect();
+                for provider in providers {
+                    reg.record_mediation(
+                        QueryId::new(1000 * round + 999),
+                        cid(1),
+                        1,
+                        &[],
+                        &[(provider, Intention::new(0.75), false)],
+                    );
+                }
+            }
+            copy.track_touched();
+            reg.sync_touched_into(&mut copy).expect("armed");
+            whole += usize::from(copy.touched.is_none());
+            assert_eq!(trackers(&copy), trackers(&reg), "round {round}");
+            assert_eq!(trackers(&copy), trackers(&reg.clone()), "round {round}");
+        }
+        assert_eq!(whole, 1, "one whole-copy sync among the incremental ones");
     }
 
     /// One step of the history both sync branches are held to. A consumer
@@ -779,11 +869,8 @@ mod tests {
             assert!(copy.provider(pid(2)).is_none());
             assert!(copy.consumer(cid(3)).is_some());
         }
-        assert!(bulk_copy.touched.0.is_none(), "a whole copy is untracked");
-        assert!(
-            steady_copy.touched.0.is_some(),
-            "synced id by id throughout"
-        );
+        assert!(bulk_copy.touched.is_none(), "a whole copy is untracked");
+        assert!(steady_copy.touched.is_some(), "synced id by id throughout");
         // A whole copy also takes the source's row order.
         let rows = |reg: &SatisfactionRegistry| -> Vec<ProviderId> {
             reg.provider_satisfactions().map(|(id, _)| id).collect()
@@ -804,7 +891,7 @@ mod tests {
                 &[(pid(q % 16), Intention::new(0.0), false)],
             );
         }
-        let touched = reg.touched.0.as_ref().expect("armed");
+        let touched = reg.touched.as_ref().expect("armed");
         assert!(touched.consumers.capacity() <= 16, "4 distinct consumers");
         assert!(touched.providers.capacity() <= 64, "16 distinct providers");
         let mut copy = SatisfactionRegistry::new(2);

@@ -14,15 +14,22 @@
 //!   window;
 //! * one [`IdDirectory`] from id to row, confirmed against the rows' ids;
 //! * one [`WindowPool`] holding every window's ring in size-classed blocks
-//!   (8, 16, 32, 64 … proposals) carved from large chunks, with one free
-//!   list per class. A window's growth step takes a block of the next class,
-//!   copies itself over and gives the old block back — no `malloc` — and the
-//!   pool only goes to the allocator for a whole new chunk, which it then
-//!   writes one block at a time as the blocks are taken.
+//!   of 16-byte proposals — 8, 16, 32, 64 … slots, so 128 B, 256 B, 512 B,
+//!   1 KiB … — carved from large chunks, with one free list per class. A
+//!   window's growth step takes a block of the next class, copies itself
+//!   over and gives the old block back — no `malloc` — and the pool only
+//!   goes to the allocator for a whole new chunk, which it then writes one
+//!   block at a time as the blocks are taken. A proposal keeps no query id,
+//!   so a free list threads through its blocks' first slots' intentions
+//!   instead (see [`link`]), and giving a block back never allocates
+//!   either.
 //!
 //! `Clone` is therefore a handful of `Vec` copies and `Drop` a handful of
-//! frees, whatever the population, and [`ProviderRows::sync_from`] copies a
-//! row's header and the live part of its block with `copy_from_slice`.
+//! frees, whatever the population, and `clone_from` writes the same copies
+//! into the buffers a registry already owns (a standby re-armed into a dead
+//! primary's memory), reading none of what they held.
+//! [`ProviderRows::sync_from`] copies a touched row's header and the live
+//! part of its block with `copy_from_slice`.
 //!
 //! Rows are compacted by `swap_remove`, so a row index is only stable
 //! between removals; everything outside this module addresses providers by
@@ -30,7 +37,7 @@
 //! [`ProviderSatisfaction`]: [`ProviderView::to_tracker`]
 //! materialises it and [`ProviderRows::install`] takes it apart.
 
-use sbqa_types::{IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
+use sbqa_types::{IdDirectory, Intention, ProviderId, Satisfaction};
 
 use crate::provider::{PerformedSum, ProviderInteraction, ProviderSatisfaction};
 use crate::registry::RowHint;
@@ -47,7 +54,7 @@ const MAX_CLASS: u8 = 28;
 const CHUNK_BLOCKS_SHIFT: u32 = 10;
 
 /// `log2` of the slots a chunk stops at: 1 024 blocks of 64 proposals
-/// (1.5 MiB). Larger classes put fewer blocks in a chunk — down to one — so
+/// (1 MiB). Larger classes put fewer blocks in a chunk — down to one — so
 /// a single long window never reserves a thousand of its kind.
 const CHUNK_SLOTS_SHIFT: u32 = 16;
 
@@ -57,12 +64,33 @@ const NO_BLOCK: u8 = u8::MAX;
 /// End of a free list.
 const NO_FREE: u32 = u32::MAX;
 
+/// `2³²`: a free-list link is a block index over this (see [`link`]).
+const LINK_SCALE: f64 = 4_294_967_296.0;
+
+/// Rows [`ProviderRows::sync_from`] resolves ahead, as one group.
+const SYNC_GROUP: usize = 16;
+
 /// What a freshly carved block is filled with; never read as a proposal.
 const VACANT: ProviderInteraction = ProviderInteraction {
-    query: QueryId::new(0),
     intention: Intention::NEUTRAL,
     performed: false,
 };
+
+/// What a free block's first slot holds: the index of the next free block
+/// as the intention `next / 2³²`. That is exact for every `u32` — the
+/// quotient needs 32 of an `f64`'s 53 mantissa bits, the divisor is a power
+/// of two — and lies in `[0, 1)`, which [`Intention::new`] keeps as it is.
+fn link(next: u32) -> ProviderInteraction {
+    ProviderInteraction {
+        intention: Intention::new(f64::from(next) / LINK_SCALE),
+        performed: false,
+    }
+}
+
+/// The block index a free block's first slot links to (see [`link`]).
+fn next_free(slot: &ProviderInteraction) -> u32 {
+    (slot.intention.value() * LINK_SCALE) as u32
+}
 
 /// Slots of one block of `class`.
 fn slots_of(class: u8) -> usize {
@@ -99,15 +127,25 @@ struct SizeClass {
     /// its length is the part carved into blocks so far. Only the last chunk
     /// can be short: a chunk's memory is first written block by block as the
     /// blocks are taken, not all at once when the chunk is allocated — a
-    /// whole chunk filled in the middle of a batch is 192 KiB to 1.5 MiB of
+    /// whole chunk filled in the middle of a batch is 128 KiB to 1 MiB of
     /// writes that one query pays for a thousand.
     chunks: Vec<Vec<ProviderInteraction>>,
     /// Blocks carved out of the chunks so far: the next fresh block's index.
     carved: u32,
-    /// Head of the free list, threaded through the released blocks (a free
-    /// block keeps its successor in its first slot's query id), so giving a
+    /// Head of the free list, threaded through the released blocks (each
+    /// keeps its successor in its first slot, see [`link`]), so giving a
     /// block back allocates nothing.
     free: u32,
+}
+
+impl Default for SizeClass {
+    fn default() -> Self {
+        Self {
+            chunks: Vec::new(),
+            carved: 0,
+            free: NO_FREE,
+        }
+    }
 }
 
 /// Every window's ring storage, by size class (see the module docs).
@@ -117,24 +155,31 @@ struct WindowPool {
 }
 
 /// Chunk for chunk at full capacity, so the copy's last chunk can go on
-/// being carved where the original's stopped.
+/// being carved where the original's stopped; `clone_from` writes into the
+/// chunks the copy already has and allocates only those it lacks.
 impl Clone for WindowPool {
     fn clone(&self) -> Self {
-        let classes = (0u8..).zip(&self.classes).map(|(class, sized)| SizeClass {
-            chunks: sized
-                .chunks
-                .iter()
-                .map(|chunk| {
-                    let mut copy = Vec::with_capacity(chunk_slots(class));
-                    copy.extend_from_slice(chunk);
-                    copy
-                })
-                .collect(),
-            carved: sized.carved,
-            free: sized.free,
-        });
-        Self {
-            classes: classes.collect(),
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.classes
+            .resize_with(source.classes.len(), SizeClass::default);
+        for ((class, sized), from) in (0u8..).zip(&mut self.classes).zip(&source.classes) {
+            sized.chunks.truncate(from.chunks.len());
+            for (chunk, from) in sized.chunks.iter_mut().zip(&from.chunks) {
+                chunk.clear();
+                chunk.extend_from_slice(from);
+            }
+            for from in &from.chunks[sized.chunks.len()..] {
+                let mut chunk = Vec::with_capacity(chunk_slots(class));
+                chunk.extend_from_slice(from);
+                sized.chunks.push(chunk);
+            }
+            sized.carved = from.carved;
+            sized.free = from.free;
         }
     }
 }
@@ -143,17 +188,13 @@ impl WindowPool {
     /// Takes a block of `class`: the most recently released one, else a
     /// fresh one, allocating a chunk when the last is used up.
     fn take(&mut self, class: u8) -> u32 {
-        while self.classes.len() <= usize::from(class) {
-            self.classes.push(SizeClass {
-                chunks: Vec::new(),
-                carved: 0,
-                free: NO_FREE,
-            });
+        if self.classes.len() <= usize::from(class) {
+            self.classes
+                .resize_with(usize::from(class) + 1, SizeClass::default);
         }
         let free = self.classes[usize::from(class)].free;
         if free != NO_FREE {
-            let next = self.block(class, free)[0].query.raw() as u32;
-            self.classes[usize::from(class)].free = next;
+            self.classes[usize::from(class)].free = next_free(&self.block(class, free)[0]);
             return free;
         }
         let sized = &mut self.classes[usize::from(class)];
@@ -172,7 +213,7 @@ impl WindowPool {
     /// Gives a block back to its class's free list.
     fn release(&mut self, class: u8, block: u32) {
         let next = self.classes[usize::from(class)].free;
-        self.block_mut(class, block)[0].query = QueryId::new(u64::from(next));
+        self.block_mut(class, block)[0] = link(next);
         self.classes[usize::from(class)].free = block;
     }
 
@@ -330,11 +371,29 @@ impl<'a> ProviderView<'a> {
 }
 
 /// Every provider's satisfaction state (see the module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ProviderRows {
     rows: Vec<Row>,
     directory: IdDirectory,
     pool: WindowPool,
+}
+
+/// By hand for `clone_from`, which writes every column into the buffers
+/// this side already owns.
+impl Clone for ProviderRows {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows.clone(),
+            directory: self.directory.clone(),
+            pool: self.pool.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.clone_from(&source.rows);
+        self.directory.clone_from(&source.directory);
+        self.pool.clone_from(&source.pool);
+    }
 }
 
 impl ProviderRows {
@@ -533,15 +592,46 @@ impl ProviderRows {
             .after_record(&recorded, evicted, || window_of(row, block));
     }
 
-    /// Makes this registry's state of `id` equal to `source`'s: the row
-    /// header and the live part of its block copied over (into a block of
-    /// the source's class), or the row removed when `source` has none.
-    pub(crate) fn sync_from(&mut self, source: &ProviderRows, id: ProviderId) {
-        let Some(live) = source.find(id).map(|at| source.rows[at]) else {
-            self.remove(id);
+    /// Makes this registry's state of every provider of `ids` (distinct)
+    /// equal to `source`'s: the row header and the live part of its block
+    /// copied over (into a block of the source's class), or the row removed
+    /// when `source` has none.
+    ///
+    /// The ids go [`SYNC_GROUP`] at a time, and a group's rows on both sides
+    /// are found before any is written, so their directory probes and row
+    /// reads are in flight together. A removal moves the last row into the
+    /// removed one's place, so each row found on this side is confirmed
+    /// against its id when it is written, as a [`RowHint`] is.
+    pub(crate) fn sync_from(&mut self, source: &ProviderRows, ids: &[ProviderId]) {
+        for group in ids.chunks(SYNC_GROUP) {
+            let mut live = [None; SYNC_GROUP];
+            let mut stale = [RowHint::NONE; SYNC_GROUP];
+            for ((&id, live), stale) in group.iter().zip(&mut live).zip(&mut stale) {
+                *live = source.find(id);
+                *stale = self.hint(id);
+            }
+            for ((&id, live), stale) in group.iter().zip(live).zip(stale) {
+                self.sync_row(source, id, live, stale);
+            }
+        }
+    }
+
+    /// One row of [`sync_from`](Self::sync_from): `live` is the source's
+    /// row of `id`, `hint` where this side's was.
+    fn sync_row(
+        &mut self,
+        source: &ProviderRows,
+        id: ProviderId,
+        live: Option<usize>,
+        hint: RowHint,
+    ) {
+        let Some(live) = live.map(|at| source.rows[at]) else {
+            if let Some(at) = self.find_hinted(id, hint) {
+                self.remove_at(at);
+            }
             return;
         };
-        let at = self.row_or_new(id, RowHint::NONE, live.capacity);
+        let at = self.row_or_new(id, hint, live.capacity);
         self.reblock(at, live.class);
         let block = self.rows[at].block;
         self.rows[at] = Row { block, ..live };
@@ -556,6 +646,13 @@ impl ProviderRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_free_list_link_holds_every_block_index() {
+        for next in [0, 1, 1023, 1 << 20, u32::MAX - 1, NO_FREE] {
+            assert_eq!(next_free(&link(next)), next);
+        }
+    }
 
     #[test]
     fn a_copied_pool_goes_on_carving_its_last_chunk_in_place() {

@@ -135,11 +135,13 @@ impl<T> InteractionWindow<T> {
     /// full. Returns the evicted interaction, if any.
     pub fn record(&mut self, item: T) -> Option<T> {
         self.total_recorded += 1;
-        let evicted = if self.items.len() == self.capacity {
-            self.items.pop_front()
-        } else {
-            None
-        };
+        let evicted = self.take_oldest_if_full();
+        self.push_newest(item);
+        evicted
+    }
+
+    /// Appends `item` at the newest end of a window that is not full.
+    fn push_newest(&mut self, item: T) {
         let slots = self.items.capacity();
         if self.items.len() == slots {
             // Grow geometrically, but never past the `k` the window can use.
@@ -147,7 +149,6 @@ impl<T> InteractionWindow<T> {
             self.items.reserve_exact(target - slots);
         }
         self.items.push_back(item);
-        evicted
     }
 
     /// Iterates over the remembered interactions from oldest to newest.
@@ -182,6 +183,40 @@ impl<T> InteractionWindow<T> {
             self.items.pop_front();
         }
         self.capacity = new_k;
+    }
+}
+
+impl<T: Clone + PartialEq> InteractionWindow<T> {
+    /// Brings this window level with `source`, a later state of the same
+    /// history: the interactions `source` recorded since this window's
+    /// [`total_recorded`](Self::total_recorded) are recorded here, each
+    /// cloned into the interaction it evicts, so their buffers are reused.
+    /// Returns how many, or `None`, leaving the window as it was, when that
+    /// would not make the two equal: `source` is behind or has another
+    /// capacity, has recorded a whole window since (a `clone_from` copies no
+    /// more), or does not hold this window's newest interaction where the
+    /// count puts it.
+    pub(crate) fn catch_up(&mut self, source: &Self) -> Option<usize> {
+        let gap = usize::try_from(source.total_recorded.checked_sub(self.total_recorded)?).ok()?;
+        let len = source.items.len();
+        if source.capacity != self.capacity
+            || gap >= len
+            || (self.items.len() + gap).min(self.capacity) != len
+            || self.items.back() != source.items.get(len - 1 - gap)
+        {
+            return None;
+        }
+        for fresh in source.items.range(len - gap..) {
+            match self.take_oldest_if_full() {
+                Some(mut slot) => {
+                    slot.clone_from(fresh);
+                    self.push_newest(slot);
+                }
+                None => self.push_newest(fresh.clone()),
+            }
+        }
+        self.total_recorded = source.total_recorded;
+        Some(gap)
     }
 }
 
@@ -247,6 +282,42 @@ mod tests {
             target.clone_from(&source);
             assert_eq!(*target, source);
         }
+    }
+
+    #[test]
+    fn catch_up_records_what_the_source_recorded_since_or_declines() {
+        let mut source: InteractionWindow<Vec<u32>> = InteractionWindow::new(3);
+        source.extend((0..4u32).map(|i| vec![i]));
+        let mut copy = source.clone();
+        let early = source.clone();
+        source.extend((4..6u32).map(|i| vec![i; 2]));
+        assert_eq!(copy.catch_up(&source), Some(2));
+        assert_eq!(copy, source);
+        assert_eq!(copy.catch_up(&source), Some(0));
+
+        // Not yet full: the records since are appended.
+        let mut young = InteractionWindow::new(8);
+        young.extend([1u32, 2]);
+        let mut grown = young.clone();
+        grown.extend([3, 4, 5]);
+        assert_eq!(young.catch_up(&grown), Some(3));
+        assert_eq!(young, grown);
+
+        // A whole window since, a source behind, another capacity, another
+        // history: declined, and the window is left as it was.
+        let mut far = source.clone();
+        far.extend((6..9u32).map(|i| vec![i]));
+        let mut wide = InteractionWindow::new(4);
+        wide.clone_from(&source);
+        wide.capacity = 4;
+        let mut forked = early.clone();
+        forked.extend([vec![4], vec![9]]);
+        for other in [&far, &early, &wide, &forked] {
+            assert_eq!(copy.catch_up(other), None);
+            assert_eq!(copy, source);
+        }
+        let mut empty = InteractionWindow::new(3);
+        assert_eq!(empty.catch_up(&source), None, "a whole window behind");
     }
 
     #[test]

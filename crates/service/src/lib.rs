@@ -102,7 +102,7 @@ pub mod sharded;
 
 pub use failover::ReplicatedMediator;
 pub use ingest::{IngestConfig, MediationService};
-pub use report::{OutcomeRecord, ServiceReport, ShardReport};
+pub use report::{OutcomeRecord, Selected, ServiceReport, ShardReport};
 pub use ring::BoundedRing;
 pub use router::ShardRouter;
 pub use shard::MediatorShard;

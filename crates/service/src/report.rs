@@ -17,6 +17,78 @@ use sbqa_metrics::{LatencyRecorder, LatencyUnit};
 use sbqa_replication::ReplicationStats;
 use sbqa_types::{ConsumerId, ProviderId, Query, QueryId, SbqaError, SbqaResult, VirtualTime};
 
+/// Providers an outcome kept in place: every replication factor the
+/// benchmark and the scenarios use.
+const INLINE: usize = 3;
+
+/// The providers a query was allocated to, best-ranked first. Up to three
+/// of them are held in place and more on the heap, so recording an outcome
+/// allocates nothing at the usual replication factors. Reads as the
+/// `&[ProviderId]` it derefs to.
+#[derive(Clone)]
+pub struct Selected(Slots);
+
+#[derive(Clone)]
+enum Slots {
+    Inline { len: u8, ids: [ProviderId; INLINE] },
+    Heap(Vec<ProviderId>),
+}
+
+impl Selected {
+    /// No provider: a starved or shed query's outcome.
+    const NONE: Self = Self(Slots::Inline {
+        len: 0,
+        ids: [ProviderId::new(0); INLINE],
+    });
+}
+
+impl From<&[ProviderId]> for Selected {
+    fn from(providers: &[ProviderId]) -> Self {
+        if providers.len() > INLINE {
+            return Self(Slots::Heap(providers.to_vec()));
+        }
+        let mut ids = [ProviderId::new(0); INLINE];
+        ids[..providers.len()].copy_from_slice(providers);
+        Self(Slots::Inline {
+            len: providers.len() as u8,
+            ids,
+        })
+    }
+}
+
+impl std::ops::Deref for Selected {
+    type Target = [ProviderId];
+
+    fn deref(&self) -> &[ProviderId] {
+        match &self.0 {
+            Slots::Inline { len, ids } => &ids[..usize::from(*len)],
+            Slots::Heap(ids) => ids,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Selected {
+    type Item = &'a ProviderId;
+    type IntoIter = std::slice::Iter<'a, ProviderId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Equal when the provider lists are, however each is held.
+impl PartialEq for Selected {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Selected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The service-visible outcome of one query's mediation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutcomeRecord {
@@ -31,7 +103,7 @@ pub struct OutcomeRecord {
     pub issued_at: VirtualTime,
     /// Providers the query was allocated to, best-ranked first; empty if the
     /// query starved or was shed.
-    pub selected: Vec<ProviderId>,
+    pub selected: Selected,
     /// `true` if the shard found no capable online provider.
     pub starved: bool,
     /// `true` if the degradation ladder rejected the query before mediation.
@@ -51,9 +123,9 @@ impl OutcomeRecord {
         result: SbqaResult<&AllocationDecision>,
     ) -> Self {
         let (selected, starved, shed) = match result {
-            Ok(decision) => (decision.selected.clone(), false, false),
-            Err(SbqaError::QueryShed { .. }) => (Vec::new(), false, true),
-            Err(_) => (Vec::new(), true, false),
+            Ok(decision) => (Selected::from(&decision.selected[..]), false, false),
+            Err(SbqaError::QueryShed { .. }) => (Selected::NONE, false, true),
+            Err(_) => (Selected::NONE, true, false),
         };
         Self {
             shard,
@@ -263,7 +335,7 @@ mod tests {
             query: QueryId::new(id),
             consumer: ConsumerId::new(1),
             issued_at: VirtualTime::new(at),
-            selected: vec![ProviderId::new(id)],
+            selected: Selected::from(&[ProviderId::new(id)][..]),
             starved: false,
             shed: false,
         }

@@ -35,6 +35,7 @@ use sbqa_metrics::LatencyRecorder;
 use sbqa_replication::{
     registry_digest, ReplayReport, ReplicationStats, SharedDeltaLog, StandbyShard,
 };
+use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{ConsumerId, Query, SbqaError, SbqaResult};
 
 use crate::report::ShardReport;
@@ -159,18 +160,23 @@ impl MediatorShard {
             ));
         }
         let allocator = fork_allocator(&self.mediator)?;
-        self.arm(allocator);
+        // Nothing to reuse yet: the copy goes into an empty registry.
+        self.arm(allocator, SatisfactionRegistry::new(1));
         Ok(())
     }
 
-    /// The arming itself: the standby's checkpoint is one clone of the live
-    /// registry and one of the live satisfaction registry.
-    fn arm(&mut self, allocator: Box<dyn QueryAllocator>) {
+    /// The arming itself: the standby's checkpoint is a clone of the live
+    /// registry and a copy of the live satisfaction registry written into
+    /// `memory`, a registry the shard has no further use for (the dead
+    /// primary's, on a promotion), with `clone_from`: its windows, rows and
+    /// pool chunks are reused and none of their contents is read.
+    fn arm(&mut self, allocator: Box<dyn QueryAllocator>, mut memory: SatisfactionRegistry) {
         let log = SharedDeltaLog::new();
+        memory.clone_from(self.mediator.satisfaction());
         let standby = StandbyShard::new(
             allocator,
             self.mediator.providers().clone(),
-            self.mediator.satisfaction().clone(),
+            memory,
             log.last_sequence(),
         );
         self.mediator.set_delta_sink(Box::new(log.clone()));
@@ -347,10 +353,10 @@ impl MediatorShard {
     /// Cuts a fresh checkpoint of the live mediator into the standby at the
     /// log's end, incrementally ([`StandbyShard::cut_checkpoint`]: the
     /// standby's registry copy advances by the logged mutations, its
-    /// satisfaction copy receives the trackers touched since the last cut,
-    /// and either half is copied whole when its changes outnumber its rows),
-    /// and prunes the log up to the cut: the replay window restarts empty.
-    /// A no-op without a standby.
+    /// satisfaction copy by what the participants touched since the last
+    /// cut recorded, and either half is copied whole when its changes
+    /// outnumber its rows), and prunes the log up to the cut: the replay
+    /// window restarts empty. A no-op without a standby.
     ///
     /// # Errors
     ///
@@ -379,6 +385,13 @@ impl MediatorShard {
     /// re-armed around it (new log, new bootstrap checkpoint). The decision
     /// stream continues byte-identically; nothing else on the shard changes.
     ///
+    /// The re-arm goes into the dead mediator's memory: it is taken apart
+    /// ([`Mediator::into_parts`]), its provider registry is freed before
+    /// the live one is cloned, and the new standby's satisfaction copy is
+    /// written into its satisfaction registry's buffers
+    /// ([`SatisfactionRegistry::clone_from`]), which overwrites them all and
+    /// reads none — what the dead primary held never reaches the standby.
+    ///
     /// # Errors
     ///
     /// [`SbqaError::InvalidConfiguration`] without a standby. Otherwise the
@@ -405,14 +418,17 @@ impl MediatorShard {
             .and_then(|(mediator, report)| Ok((fork_allocator(&mediator)?, mediator, report)));
         match promotion {
             Ok((allocator, mediator, report)) => {
-                // The crash: the live mediator is dropped wholesale.
-                self.mediator = mediator;
-                self.arm(allocator);
+                // The crash: the live mediator is taken apart, its
+                // satisfaction registry kept only as memory to re-arm into.
+                let (_, dead, memory) =
+                    std::mem::replace(&mut self.mediator, mediator).into_parts();
+                drop(dead);
+                self.arm(allocator, memory);
                 self.promotions += 1;
                 Ok(report)
             }
             Err(error) => {
-                self.arm(spare);
+                self.arm(spare, SatisfactionRegistry::new(1));
                 Err(error)
             }
         }

@@ -159,7 +159,7 @@ fn one_shard_adaptive_async_matches_when_chunk_cadence_matches() {
             Some(decision) => {
                 assert!(!outcome.starved);
                 assert_eq!(
-                    outcome.selected, decision.selected,
+                    *outcome.selected, *decision.selected,
                     "query {}",
                     outcome.query
                 );

@@ -223,7 +223,7 @@ fn one_shard_async_selections_match_the_plain_mediator() {
             Some(decision) => {
                 assert!(!outcome.starved);
                 assert_eq!(
-                    outcome.selected, decision.selected,
+                    *outcome.selected, *decision.selected,
                     "query {}",
                     outcome.query
                 );
@@ -273,7 +273,7 @@ fn async_and_sync_fronts_agree_on_selections() {
     let outcomes = run_service_async(&queries, 4, 32);
     for (outcome, decision) in outcomes.iter().zip(&sync) {
         match decision {
-            Some(decision) => assert_eq!(outcome.selected, decision.selected),
+            Some(decision) => assert_eq!(*outcome.selected, *decision.selected),
             None => assert!(outcome.starved),
         }
     }
@@ -352,7 +352,7 @@ fn plan_cache_eviction_is_identical_under_both_service_drivers() {
     assert_eq!(report.outcomes.len(), expected.len());
     for (outcome, decision) in report.outcomes.iter().zip(&expected) {
         let selected = decision.as_ref().map_or(&[][..], |d| &d.selected);
-        assert_eq!(outcome.selected, selected, "query {}", outcome.query);
+        assert_eq!(*outcome.selected, *selected, "query {}", outcome.query);
         assert_eq!(outcome.starved, decision.is_none());
     }
 

@@ -28,12 +28,28 @@ const FIRST_SLOTS: usize = 8;
 /// Rows must stay below `u32::MAX`. Every method taking `key_of` calls it
 /// only with rows currently in the directory, and expects the id the owner
 /// stores for that row.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct IdDirectory {
     /// `row + 1` per slot, `0` for an empty one; empty or a power of two
     /// long, and at most half occupied.
     slots: Vec<u32>,
     len: usize,
+}
+
+/// By hand for `clone_from`, which copies the table into the one `self`
+/// already owns, reading none of its slots.
+impl Clone for IdDirectory {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.len = source.len;
+    }
 }
 
 impl IdDirectory {

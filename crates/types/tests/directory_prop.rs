@@ -6,10 +6,12 @@
 //! present key must resolve to its row and 64 absent keys to nothing. The
 //! same histories then run against [`ProviderColumns`], the owner that keeps
 //! its directory inside: `push`, `swap_remove` and `slot_of` must keep every
-//! id on its own row.
+//! id on its own row. And a directory written with `clone_from` over one of
+//! another history and table size must go on as a clone of its source does:
+//! the copy reads nothing of the table it overwrites.
 //!
 //! The vendored proptest stub does not shrink, so sequences stay short
-//! (≤ 120 operations) and a failing one is printed whole.
+//! (≤ 160 operations) and a failing one is printed whole.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -112,20 +114,66 @@ proptest! {
         let mut model = Model::default();
         model.check(family, "when empty");
         for (step, &(op, a)) in ops.iter().enumerate() {
-            let rows = model.ids.len();
-            match op {
-                0..=4 => model.insert(key(family, a)),
-                5 if rows > 0 => model.remove(model.ids[rows - 1]),
-                6 if rows > 0 => model.remove(model.ids[0]),
-                7 if rows > 0 => model.remove(model.ids[a as usize % rows]),
-                _ => model.remove(key(family, a)),
-            }
+            model.apply(family, (op, a));
             model.check(family, &format!("after step {step} (op {op}, a {a})"));
         }
         // Drain to empty, first row first: every removal re-points.
         while let Some(&first) = model.ids.first() {
             model.remove(first);
             model.check(family, "while draining");
+        }
+    }
+}
+
+impl Model {
+    /// Applies one operation of the `(op, a)` encoding the property tests
+    /// share.
+    fn apply(&mut self, family: u8, (op, a): (u8, u64)) {
+        let rows = self.ids.len();
+        match op {
+            0..=4 => self.insert(key(family, a)),
+            5 if rows > 0 => self.remove(self.ids[rows - 1]),
+            6 if rows > 0 => self.remove(self.ids[0]),
+            7 if rows > 0 => self.remove(self.ids[a as usize % rows]),
+            _ => self.remove(key(family, a)),
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_directory_copied_with_clone_from_behaves_like_a_clone(
+        family in 0u8..4,
+        // The source's history, the target's (larger or smaller, another
+        // table size), and the history both go through after the copy.
+        source_ops in proptest::collection::vec((0u8..9, 0u64..400), 0..160),
+        target_ops in proptest::collection::vec((0u8..9, 0u64..400), 0..160),
+        after in proptest::collection::vec((0u8..9, 0u64..400), 1..80),
+    ) {
+        let mut source = Model::default();
+        let mut target = Model::default();
+        for &op in &source_ops {
+            source.apply(family, op);
+        }
+        for &op in &target_ops {
+            target.apply(family, (op.0, op.1 + 7));
+        }
+        target.directory.clone_from(&source.directory);
+        target.ids.clone_from(&source.ids);
+        target.shadow.clone_from(&source.shadow);
+        let mut clone = Model {
+            directory: source.directory.clone(),
+            ids: source.ids.clone(),
+            shadow: source.shadow.clone(),
+        };
+        target.check(family, "after the copy");
+        for (step, &op) in after.iter().enumerate() {
+            target.apply(family, op);
+            clone.apply(family, op);
+            let what = format!("after step {step} ({op:?})");
+            target.check(family, &what);
+            clone.check(family, &what);
+            prop_assert_eq!(&target.ids, &clone.ids);
         }
     }
 }

@@ -277,10 +277,16 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # equal to a shadow of standalone trackers through record, removal,
 # re-registration, hand-off between registries, clone, a rebuild from the
 # trackers and an armed sync onto a stale copy.
+# clone_from_prop (sbqa_replication) holds a satisfaction registry written
+# with clone_from over one of another size — more or fewer provider rows,
+# pool chunks and consumers, a removed provider on either side — to a plain
+# clone of its source (satisfaction_digest, row order, every view) through
+# a stream of records, removals, registrations and hand-offs.
 # directory_prop holds the keyless id directory under both registries to an
 # ordered map through inserts, growth, removals and the re-pointing that
 # follows a swap_remove, on sequential, shifted and colliding ids — on its
-# own and inside ProviderColumns (push / swap_remove / slot_of); the rest of
+# own and inside ProviderColumns (push / swap_remove / slot_of), and a
+# directory written with clone_from over another to a clone; the rest of
 # sbqa_types' tests ride along, among them f64_total_cmp's NaN order, which
 # only a release build can get wrong (constant folding). Release
 # builds compile the `debug_assert`s out, so under --release these proptests
