@@ -22,20 +22,10 @@ fn bench_windows(c: &mut Criterion) {
                 let mut tracker = ProviderSatisfaction::new(*k);
                 // Pre-fill the window so the benchmark measures steady state.
                 for i in 0..*k {
-                    tracker.record_proposal(
-                        QueryId::new(i as u64),
-                        Intention::new(0.3),
-                        i % 2 == 0,
-                    );
+                    tracker.record_proposal(Intention::new(0.3), i % 2 == 0);
                 }
-                let mut next = *k as u64;
                 b.iter(|| {
-                    tracker.record_proposal(
-                        QueryId::new(next),
-                        black_box(Intention::new(0.4)),
-                        true,
-                    );
-                    next += 1;
+                    tracker.record_proposal(black_box(Intention::new(0.4)), true);
                     black_box(tracker.satisfaction())
                 });
             },
@@ -71,7 +61,7 @@ fn bench_windows(c: &mut Criterion) {
     group.bench_function("provider_read/window=50", |b| {
         let mut tracker = ProviderSatisfaction::new(50);
         for i in 0..50u64 {
-            tracker.record_proposal(QueryId::new(i), Intention::new(0.3), i % 2 == 0);
+            tracker.record_proposal(Intention::new(0.3), i % 2 == 0);
         }
         b.iter(|| black_box(black_box(&tracker).satisfaction()));
     });

@@ -28,16 +28,23 @@
 //! shard) with a degradation ladder armed, through a burst that takes the
 //! ladder through every tier and back.
 //!
+//! Last, a warm one-shard `MediationService`: the producer's chunk buffers
+//! come back to it through the ingest ring, so a further chunk allocates
+//! only the doubling steps of the two vectors that keep a value per query,
+//! the outcome stream and the latency samples, and the test counts those
+//! exactly.
+//!
 //! This file deliberately contains a single test: the counter is
 //! process-global, so a parallel test could pollute the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use sbqa_core::postings::WORDS_MIN;
 use sbqa_core::{DegradationConfig, Mediator, StaticIntentions};
 use sbqa_satisfaction::{InteractionWindow, ProviderInteraction};
-use sbqa_service::ShardedMediator;
+use sbqa_service::{IngestConfig, MediationService, ShardedMediator};
 use sbqa_types::{
     Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
     QueryId, SystemConfig, VirtualTime,
@@ -86,6 +93,15 @@ fn query(id: u64) -> Query {
         .build()
 }
 
+/// Allocations a vector makes while pushes one at a time take it from
+/// `from` to `to` elements: std's amortized growth allocates 4 slots at the
+/// first push and doubles whenever the length reaches the capacity.
+fn doublings(from: usize, to: usize) -> usize {
+    (from..to)
+        .filter(|&len| len == 0 || (len >= 4 && len.is_power_of_two()))
+        .count()
+}
+
 /// A query whose `Pq` requires a postings-list merge: intersection for even
 /// ids, union for odd ids, cycling over overlapping class pairs.
 fn multi_query(id: u64) -> Query {
@@ -123,12 +139,8 @@ fn steady_state_mediation_does_not_allocate() {
     let growth_bound = (capacity as f64 / 8.0).log2().ceil().max(0.0) as usize + 1;
     let mut window = InteractionWindow::new(capacity);
     COUNTING.store(true, Ordering::SeqCst);
-    for id in 0..4 * capacity as u64 {
-        window.record(ProviderInteraction::new(
-            QueryId::new(id),
-            Intention::NEUTRAL,
-            true,
-        ));
+    for _ in 0..4 * capacity {
+        window.record(ProviderInteraction::new(Intention::NEUTRAL, true));
         assert!(window.allocated_slots() <= capacity);
     }
     COUNTING.store(false, Ordering::SeqCst);
@@ -476,4 +488,52 @@ fn steady_state_mediation_does_not_allocate() {
         "every tier was met: {stats:?}"
     );
     assert!(tiers.iter().all(|&count| count > 0), "{tiers:?}");
+
+    // A warm one-shard threaded service. Its ring holds exactly one chunk
+    // of 64, so `enqueue_batch` of chunk n returns only once chunk n - 1's
+    // mediation has ended and its buffer has come back to the producer: two
+    // buffers take turns from chunk 2 on. Eight providers share the
+    // proposals, so 6 warm chunks (384 queries) fill the windows of a
+    // capacity of 50. Counted from chunk 6's
+    // enqueue to chunk 31's, the shard thread may still be in chunk 5 when
+    // counting starts and already in chunk 31 when it stops; neither crosses
+    // a doubling, so the count is exact.
+    let size = 64;
+    let mut service =
+        ShardedMediator::sbqa(SystemConfig::default().with_knbest(20, 4), 7, 1).unwrap();
+    for p in 0..8 {
+        let caps = CapabilitySet::singleton(Capability::new(0));
+        service.register_provider(ProviderId::new(p), caps, 1.0);
+    }
+    service.register_consumer(ConsumerId::new(1));
+    let ring = IngestConfig {
+        ring_capacity: size,
+        degradation: None,
+    };
+    let mut running = MediationService::spawn_with(service, Arc::new(oracle), ring).unwrap();
+    let mut enqueue = |chunks: std::ops::Range<usize>| {
+        for chunk in chunks {
+            let first = (60_000 + chunk * size) as u64;
+            running.enqueue_batch((first..first + size as u64).map(query));
+        }
+    };
+    enqueue(0..6);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    enqueue(6..32);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(doublings(5 * size, 6 * size), 0);
+    assert_eq!(doublings(31 * size, 32 * size), 0);
+    let expected = 2 * doublings(5 * size, 32 * size);
+    assert_eq!(
+        expected, 4,
+        "the outcomes and the latency samples at 512 and 1 024"
+    );
+    assert_eq!(
+        allocations, expected,
+        "a warm threaded service allocates only its per-query vectors' doublings"
+    );
+    let report = running.finish();
+    assert_eq!(report.total.mediated, 32 * size);
 }

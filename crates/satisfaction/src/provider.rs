@@ -18,7 +18,7 @@
 //! well-matching queries is still satisfied — starvation is penalised through
 //! the empty-set clause, not through dilution.
 
-use sbqa_types::{Intention, QueryId, Satisfaction};
+use sbqa_types::{Intention, Satisfaction};
 
 use crate::window::InteractionWindow;
 
@@ -38,10 +38,9 @@ pub struct ProviderInteraction {
 }
 
 impl ProviderInteraction {
-    /// Builds the record of a proposal of a query, whose id is not kept
-    /// (see the type's docs).
+    /// Builds the record of a proposal.
     #[must_use]
-    pub fn new(_query: QueryId, intention: Intention, performed: bool) -> Self {
+    pub fn new(intention: Intention, performed: bool) -> Self {
         Self {
             intention,
             performed,
@@ -194,8 +193,8 @@ impl ProviderSatisfaction {
     }
 
     /// Convenience wrapper over [`ProviderSatisfaction::record`].
-    pub fn record_proposal(&mut self, query: QueryId, intention: Intention, performed: bool) {
-        self.record(ProviderInteraction::new(query, intention, performed));
+    pub fn record_proposal(&mut self, intention: Intention, performed: bool) {
+        self.record(ProviderInteraction::new(intention, performed));
     }
 
     /// Long-run satisfaction `δs(p)` over the remembered window.
@@ -248,9 +247,9 @@ mod tests {
         // Performed a wanted query (intention 1) and an unwanted one (-1),
         // plus a proposal it did not perform (ignored by the numerator):
         // δs = ((1+1)/2 + (-1+1)/2) / 2 = (1 + 0) / 2 = 0.5
-        sat.record_proposal(QueryId::new(1), Intention::new(1.0), true);
-        sat.record_proposal(QueryId::new(2), Intention::new(-1.0), true);
-        sat.record_proposal(QueryId::new(3), Intention::new(1.0), false);
+        sat.record_proposal(Intention::new(1.0), true);
+        sat.record_proposal(Intention::new(-1.0), true);
+        sat.record_proposal(Intention::new(1.0), false);
         assert!((sat.satisfaction().value() - 0.5).abs() < 1e-12);
         assert_eq!(sat.performed_count(), 2);
     }
@@ -258,8 +257,8 @@ mod tests {
     #[test]
     fn proposed_but_never_selected_means_zero() {
         let mut sat = ProviderSatisfaction::new(5);
-        sat.record_proposal(QueryId::new(1), Intention::new(0.9), false);
-        sat.record_proposal(QueryId::new(2), Intention::new(0.8), false);
+        sat.record_proposal(Intention::new(0.9), false);
+        sat.record_proposal(Intention::new(0.8), false);
         assert_eq!(sat.satisfaction(), Satisfaction::MIN);
         assert_eq!(sat.selection_rate(), 0.0);
     }
@@ -276,9 +275,9 @@ mod tests {
         let mut sat = ProviderSatisfaction::new(100);
         // One performed query it loved, many proposals it did not perform:
         // satisfaction stays 1.0 because the mean is over performed queries.
-        sat.record_proposal(QueryId::new(0), Intention::new(1.0), true);
-        for i in 1..50 {
-            sat.record_proposal(QueryId::new(i), Intention::new(0.5), false);
+        sat.record_proposal(Intention::new(1.0), true);
+        for _ in 1..50 {
+            sat.record_proposal(Intention::new(0.5), false);
         }
         assert_eq!(sat.satisfaction(), Satisfaction::MAX);
         assert!((sat.selection_rate() - 0.02).abs() < 1e-12);
@@ -287,12 +286,12 @@ mod tests {
     #[test]
     fn window_eviction_forgets_old_interactions() {
         let mut sat = ProviderSatisfaction::new(2);
-        sat.record_proposal(QueryId::new(1), Intention::new(1.0), true);
-        sat.record_proposal(QueryId::new(2), Intention::new(1.0), true);
+        sat.record_proposal(Intention::new(1.0), true);
+        sat.record_proposal(Intention::new(1.0), true);
         assert_eq!(sat.satisfaction(), Satisfaction::MAX);
         // Two bad interactions push the good ones out of the window.
-        sat.record_proposal(QueryId::new(3), Intention::new(-1.0), true);
-        sat.record_proposal(QueryId::new(4), Intention::new(-1.0), true);
+        sat.record_proposal(Intention::new(-1.0), true);
+        sat.record_proposal(Intention::new(-1.0), true);
         assert_eq!(sat.satisfaction(), Satisfaction::MIN);
         assert_eq!(sat.observed_proposals(), 2);
         assert_eq!(sat.window_size(), 2);
@@ -306,8 +305,8 @@ mod tests {
             k in 1usize..60,
         ) {
             let mut sat = ProviderSatisfaction::new(k);
-            for (i, (intent, performed)) in proposals.iter().enumerate() {
-                sat.record_proposal(QueryId::new(i as u64), Intention::new(*intent), *performed);
+            for (intent, performed) in &proposals {
+                sat.record_proposal(Intention::new(*intent), *performed);
             }
             let s = sat.satisfaction().value();
             prop_assert!((0.0..=1.0).contains(&s));
@@ -318,8 +317,8 @@ mod tests {
             count in 1usize..30,
         ) {
             let mut sat = ProviderSatisfaction::new(64);
-            for i in 0..count {
-                sat.record_proposal(QueryId::new(i as u64), Intention::MAX, true);
+            for _ in 0..count {
+                sat.record_proposal(Intention::MAX, true);
             }
             prop_assert_eq!(sat.satisfaction(), Satisfaction::MAX);
         }
@@ -329,8 +328,8 @@ mod tests {
             proposals in proptest::collection::vec(proptest::bool::ANY, 0..50),
         ) {
             let mut sat = ProviderSatisfaction::new(32);
-            for (i, performed) in proposals.iter().enumerate() {
-                sat.record_proposal(QueryId::new(i as u64), Intention::NEUTRAL, *performed);
+            for performed in &proposals {
+                sat.record_proposal(Intention::NEUTRAL, *performed);
             }
             let rate = sat.selection_rate();
             prop_assert!((0.0..=1.0).contains(&rate));

@@ -484,7 +484,7 @@ impl SatisfactionRegistry {
                 provider,
                 provider_rows.get(at).copied().unwrap_or(RowHint::NONE),
                 self.window,
-                ProviderInteraction::new(query, intention, performed),
+                ProviderInteraction::new(intention, performed),
             );
         }
     }

@@ -86,7 +86,7 @@ fn record(
     b: u8,
 ) {
     let intention = Intention::new(INTENTIONS[a as usize % INTENTIONS.len()]);
-    provider.record_proposal(QueryId::new(query), intention, !b.is_multiple_of(3));
+    provider.record_proposal(intention, !b.is_multiple_of(3));
     let performers: Vec<(ProviderId, Intention)> = (0..b % 4)
         .map(|i| {
             let value = INTENTIONS[(a as usize + i as usize) % INTENTIONS.len()];
@@ -314,7 +314,7 @@ proptest! {
                         shadow
                             .entry(provider)
                             .or_insert_with(|| ProviderSatisfaction::new(window))
-                            .record_proposal(QueryId::new(step as u64), intention, performed);
+                            .record_proposal(intention, performed);
                     }
                 }
                 6 => {

@@ -3,12 +3,13 @@
 //! [`MediationService`] turns a [`ShardedMediator`] into a running service:
 //! each shard moves into its own **mediation thread** behind a per-shard
 //! **bounded ingest ring** ([`BoundedRing`] — no external runtime).
-//! Producers enqueue queries (singly or in batches) and only block when a
-//! shard's ring is full; each shard thread drains its ring in waves through
-//! the shard's batch step — [`MediatorShard::submit`] taken in two phases
-//! over a group of queries, as the inline driver takes it, so whatever the
-//! shards were armed with (a degradation ladder, a standby) works here
-//! unchanged — and accumulates the outcome stream.
+//! Producers enqueue queries in batches; each batch enters a shard's ring as
+//! one **chunk** (the shard's sorted share of the batch), and a producer
+//! only blocks when the chunk does not fit. Each shard thread takes one
+//! chunk at a time through the shard's batch step — [`MediatorShard::submit`]
+//! taken in two phases over a group of queries, as the inline driver takes
+//! it, so whatever the shards were armed with (a degradation ladder, a
+//! standby) works here unchanged — and accumulates the outcome stream.
 //! [`MediationService::finish`] closes the rings, joins the threads and
 //! merges the per-shard results into a [`ServiceReport`];
 //! [`MediationService::finish_with_shards`] also hands the shards back, for
@@ -22,12 +23,12 @@
 //! mediation, far too late to matter. [`IngestConfig`] replaces that with
 //! two coupled mechanisms:
 //!
-//! * the **bounded ring** ([`IngestConfig::ring_capacity`]) bounds the
-//!   physical queue. A shard takes the whole ring as one wave
-//!   ([`BoundedRing::pop_wave`]) and the producer refills it while the wave
-//!   is mediated, so a query can wait behind up to two ring-lengths — the
-//!   wave ahead of it and the ring it sits in — and the wall-clock queue
-//!   wait is capped at roughly `2 × capacity / drain-rate`;
+//! * the **bounded ring** ([`IngestConfig::ring_capacity`], in queries)
+//!   bounds the physical queue. A chunk keeps its room until its mediation
+//!   ends, so the chunks queued and the one being mediated never hold more
+//!   than the capacity: a query waits behind at most one ring-length, and
+//!   the wall-clock queue wait is capped at roughly `capacity / drain-rate`.
+//!   A chunk larger than the whole ring enters an empty ring, alone;
 //! * the **degradation ladder** ([`IngestConfig::degradation`], a
 //!   [`DegradationLadder`](sbqa_core::DegradationLadder) per shard) decides
 //!   *deterministically* what to sacrifice as modeled pressure rises:
@@ -46,12 +47,16 @@
 //!
 //! ## Latency semantics
 //!
-//! Every query is stamped with a wall-clock [`Instant`] *at enqueue time*,
-//! before any blocking push; its latency sample spans enqueue → decision
-//! (or enqueue → shed), so it includes both the time spent blocked on a
-//! full ring and the time waiting inside it. Enqueueing in larger chunks
-//! amortizes ring traffic — the batch-size/latency trade-off the `service`
-//! bench sweeps.
+//! Every chunk is stamped with one wall-clock [`Instant`] *at enqueue
+//! time*, before any blocking push; each of its queries' latency samples
+//! spans enqueue → decision (or enqueue → shed), so it includes both the
+//! time spent blocked on a full ring and the time waiting inside it. A
+//! producer takes a ring's lock and wakes its shard thread once per chunk,
+//! so larger batches amortize ring traffic — the batch-size/latency
+//! trade-off the `service` bench sweeps. Emptied chunk buffers go back
+//! through the ring to the producer, so a warm front allocates nothing per
+//! chunk beyond the doubling steps of the shard's outcome and latency
+//! vectors (`zero_alloc.rs` counts them).
 //!
 //! ## Determinism
 //!
@@ -71,21 +76,24 @@
 //! per-shard arrival order itself becomes nondeterministic; byte-stability
 //! then requires the producers to agree on an enqueue order.
 //!
-//! The batch boundary is producer-defined: the first and last envelope of
-//! each enqueued chunk are marked, and the shard thread opens a batch (one
-//! adaptive-`kn` round) and closes it (one step of a replicated shard's
-//! checkpoint cadence) when it meets the marks, independent of how ring
-//! waves happen to slice the stream.
+//! The batch boundary is producer-defined: the chunk is the batch. The
+//! shard thread opens a batch (one adaptive-`kn` round) before a chunk's
+//! first query and closes it (one step of a replicated shard's checkpoint
+//! cadence) after its last, independent of how fast the ring fills.
 //!
 //! ## Replication faults
 //!
 //! A shard thread cannot return an error mid-stream. When its shard's
 //! replication stream faults — a gap met by a query's sync, or a record
 //! that does not apply, met by a checkpoint cut at a chunk's end — the
-//! thread keeps draining, so producers never deadlock on a full ring, but
-//! the shard takes no further query: those queries get no outcome, and the
-//! fault comes back on the shard ([`MediatorShard::fault`]) and in its
-//! [`ShardReport`](crate::ShardReport).
+//! thread keeps draining and freeing each chunk's room, so producers never
+//! deadlock on a full ring, but the shard takes no further query: those
+//! queries get no outcome, and the fault comes back on the shard
+//! ([`MediatorShard::fault`]) and in its [`ShardReport`](crate::ShardReport).
+//!
+//! A shard thread that panics closes its ring as it unwinds, so the
+//! producer's next [`MediationService::enqueue_batch`] to that shard panics
+//! instead of blocking forever on a ring nobody drains.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,23 +112,31 @@ use crate::sharded::ShardedMediator;
 /// Configuration of the ingest front.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestConfig {
-    /// Capacity of each shard's ingest ring. Producers block once a ring is
-    /// full. Decisions do not depend on it; queueing latency does.
+    /// Capacity of each shard's ingest ring, in queries. A producer blocks
+    /// while its chunk does not fit; a chunk larger than the ring enters an
+    /// empty ring. Decisions do not depend on it; queueing latency does.
     pub ring_capacity: usize,
     /// Arms every shard with a fresh degradation ladder; `None` leaves the
     /// shards as they are.
     pub degradation: Option<DegradationConfig>,
 }
 
-/// A query travelling through an ingest ring with its enqueue timestamp.
-struct Envelope {
-    query: sbqa_types::Query,
+/// One shard's share of one [`MediationService::enqueue_batch`], sorted by
+/// `(issued_at, id)`, with the batch's enqueue timestamp: the ring's item
+/// and the shard's batch.
+struct Chunk {
+    queries: Vec<sbqa_types::Query>,
     enqueued: Instant,
-    /// Set on the first and on the last envelope a producer chunk sends to
-    /// this shard: the batch boundary, producer-defined (and deterministic)
-    /// even though the ring delivers envelopes in wall-clock-sized waves.
-    chunk_start: bool,
-    chunk_end: bool,
+}
+
+/// Closes a shard's ring when its thread ends, unwinding included, so a
+/// producer never waits on a ring that nobody drains.
+struct CloseOnExit<'a>(&'a BoundedRing<Chunk>);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// What a shard thread hands back when its ring closes.
@@ -133,10 +149,11 @@ struct ShardResult {
 /// front of per-shard mediation threads.
 pub struct MediationService {
     router: ShardRouter,
-    rings: Vec<Arc<BoundedRing<Envelope>>>,
+    rings: Vec<Arc<BoundedRing<Chunk>>>,
     workers: Vec<JoinHandle<ShardResult>>,
-    /// Per-shard staging buffers reused by [`MediationService::enqueue_batch`].
-    staging: Vec<Vec<Envelope>>,
+    /// Per-shard staging buffers of [`MediationService::enqueue_batch`],
+    /// each replaced by a spare from its ring when it leaves as a chunk.
+    staging: Vec<Vec<sbqa_types::Query>>,
     enqueued: usize,
     started: Instant,
 }
@@ -196,12 +213,13 @@ impl MediationService {
     }
 
     /// Enqueues a batch: queries are split by assigned shard, each shard's
-    /// sub-batch is sorted into stable `(issued_at, id)` order, and the
-    /// envelopes enter the shard's ring in that order. The sort is what
+    /// sub-batch is sorted into `(issued_at, id)` order and enters the
+    /// shard's ring as one chunk, weighing its query count. The sort is what
     /// keeps the per-shard drain order — and everything keyed on it, like
     /// degradation-ladder admission — independent of how the producer
     /// chunked the stream. All queries of the batch share one enqueue
-    /// timestamp; the call blocks while a target ring is full.
+    /// timestamp; the call blocks while a target ring has no room for the
+    /// chunk.
     ///
     /// # Panics
     /// Panics if a shard's mediation thread has died.
@@ -210,28 +228,29 @@ impl MediationService {
         let enqueued = Instant::now();
         for query in queries {
             let shard = self.router.shard_of_query(query.id);
-            self.staging[shard].push(Envelope {
-                query,
-                enqueued,
-                chunk_start: false,
-                chunk_end: false,
-            });
+            self.staging[shard].push(query);
             self.enqueued += 1;
         }
-        for (shard, staged) in self.staging.iter_mut().enumerate() {
-            // Stable drain order inside the chunk: issue time, then id.
-            staged.sort_by_key(|envelope| (envelope.query.issued_at, envelope.query.id));
-            let Some(last) = staged.last_mut() else {
+        for (shard, (staged, ring)) in self.staging.iter_mut().zip(&self.rings).enumerate() {
+            if staged.is_empty() {
                 continue;
-            };
-            last.chunk_end = true;
-            staged[0].chunk_start = true;
-            for envelope in staged.drain(..) {
-                self.rings[shard]
-                    .push(envelope)
-                    // sbqa-lint: allow(panic-hygiene, "mediation threads outlive the ring by construction; a closed ring here is unrecoverable")
-                    .unwrap_or_else(|_| panic!("shard mediation ring closed early"));
             }
+            // A stable sort takes scratch memory; a sorted chunk skips it.
+            let key = |query: &sbqa_types::Query| (query.issued_at, query.id);
+            if !staged.is_sorted_by_key(key) {
+                staged.sort_by_key(key);
+            }
+            let weight = staged.len();
+            let chunk = Chunk {
+                queries: std::mem::take(staged),
+                enqueued,
+            };
+            let spare = ring
+                .push_weighted(chunk, weight)
+                // sbqa-lint: allow(panic-hygiene, "a ring closes before finish only when its shard thread died, and its queries have nowhere to go")
+                .unwrap_or_else(|_| panic!("shard {shard}'s mediation thread has died"));
+            // Without a spare yet, a buffer the size of this chunk.
+            *staged = spare.map_or_else(|| Vec::with_capacity(weight), |spare| spare.queries);
         }
     }
 
@@ -278,48 +297,37 @@ impl std::fmt::Debug for MediationService {
     }
 }
 
-/// A shard thread's life: drain ring waves until the ring closes. Envelopes
-/// arrive in producer order (the ring is FIFO), which is the
-/// `(issued_at, id)` order [`MediatorShard::submit`] asks for. Each run of a
-/// wave's envelopes inside one producer chunk goes through the batch step
-/// ([`submit_grouped`]), opened and closed by the chunk's marks.
+/// A shard thread's life: take one chunk at a time until the ring closes.
+/// Chunks arrive in producer order (the ring is FIFO) and each is sorted,
+/// which is the `(issued_at, id)` order [`MediatorShard::submit`] asks for.
+/// Each chunk is one batch through the batch step ([`submit_grouped`]); its
+/// room is freed and its buffer handed back once the batch ends.
 fn drain(
     mut shard: MediatorShard,
-    ring: &BoundedRing<Envelope>,
+    ring: &BoundedRing<Chunk>,
     oracle: &dyn IntentionOracle,
 ) -> ShardResult {
+    let _close = CloseOnExit(ring);
     let mut outcomes = Vec::new();
-    let mut wave = Vec::new();
-    while ring.pop_wave(&mut wave) {
-        let mut rest = &wave[..];
-        while !rest.is_empty() {
-            let run = rest
-                .iter()
-                .position(|envelope| envelope.chunk_end)
-                .map_or(rest.len(), |last| last + 1);
-            let (chunk, after) = rest.split_at(run);
-            rest = after;
-            if chunk[0].chunk_start {
-                shard.begin_batch();
-            }
-            // A replication fault stays on the shard, which then takes no
-            // query; the loop goes on so that the ring keeps emptying.
-            let index = shard.index();
-            let query_at = |at: usize| (0, &chunk[at].query, chunk[at].enqueued);
-            let _ = submit_grouped(
-                std::slice::from_mut(&mut shard),
-                chunk.len(),
-                query_at,
-                oracle,
-                |_, _, query, result| {
-                    outcomes.push(OutcomeRecord::from_result(index, query, result));
-                },
-            );
-            if chunk[chunk.len() - 1].chunk_end {
-                shard.end_batch();
-            }
-        }
-        wave.clear();
+    while let Some((mut chunk, weight)) = ring.pop() {
+        shard.begin_batch();
+        // A replication fault stays on the shard, which then takes no
+        // query; the loop goes on so that the ring keeps emptying.
+        let index = shard.index();
+        let queries = &chunk.queries;
+        let query_at = |at: usize| (0, &queries[at], chunk.enqueued);
+        let _ = submit_grouped(
+            std::slice::from_mut(&mut shard),
+            queries.len(),
+            query_at,
+            oracle,
+            |_, _, query, result| {
+                outcomes.push(OutcomeRecord::from_result(index, query, result));
+            },
+        );
+        shard.end_batch();
+        chunk.queries.clear();
+        ring.release(weight, Some(chunk));
     }
     ShardResult { shard, outcomes }
 }
@@ -564,6 +572,45 @@ mod tests {
                 .collect()
         };
         assert_eq!(decisions(&sorted), decisions(&reversed));
+    }
+
+    /// An oracle whose every answer panics, as a participant call that
+    /// fails hard would.
+    struct PanickingOracle;
+
+    impl IntentionOracle for PanickingOracle {
+        fn consumer_intention(&self, _: &Query, _: ProviderId) -> Intention {
+            panic!("oracle unreachable")
+        }
+
+        fn provider_intention(&self, _: ProviderId, _: &Query) -> Intention {
+            panic!("oracle unreachable")
+        }
+    }
+
+    #[test]
+    fn a_dead_shard_thread_fails_the_producer_instead_of_hanging_it() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        // One-query batches into a ring of 4: once the ring is full, a
+        // producer waiting on a ring nobody drains would block forever.
+        let config = IngestConfig {
+            ring_capacity: 4,
+            degradation: None,
+        };
+        let mut running =
+            MediationService::spawn_with(build_service(1, 20), Arc::new(PanickingOracle), config)
+                .unwrap();
+        let enqueued = catch_unwind(AssertUnwindSafe(|| {
+            for id in 0..64 {
+                running.enqueue_batch(std::iter::once(query(id)));
+            }
+        }));
+        let panic = enqueued.expect_err("the producer meets the dead shard");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert_eq!(message, "shard 0's mediation thread has died");
+        // The shard thread's own panic comes back out of finish.
+        assert!(catch_unwind(AssertUnwindSafe(|| running.finish())).is_err());
     }
 
     #[test]

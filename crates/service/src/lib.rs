@@ -27,7 +27,9 @@
 //!   `(VirtualTime, QueryId)` order on the caller's thread. **Threaded**,
 //!   [`MediationService`] gives every shard a bounded ingest ring
 //!   ([`BoundedRing`]) and a mediation thread; producers enqueue query
-//!   batches and block only when a ring fills, and `finish()` merges the
+//!   batches, each entering a shard's ring as one chunk that the shard
+//!   mediates as one batch, and block only when a ring has no room for a
+//!   chunk; a query waits behind at most one ring-length. `finish()` merges the
 //!   per-shard outcome streams and [`ShardReport`]s into one
 //!   [`ServiceReport`].
 //!

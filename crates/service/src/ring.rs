@@ -6,12 +6,23 @@
 //! query eventually got full-quality mediation seconds too late.
 //! [`BoundedRing`] is the physical back-pressure half of the fix: a
 //! fixed-capacity FIFO where producers block once the ring is full, which
-//! bounds the wall-clock time any admitted query can spend waiting. The
-//! bound is two ring-lengths, not one: [`BoundedRing::pop_wave`] moves the
-//! whole ring into the consumer's wave at once, so producers fill the ring
-//! again while that wave is still being worked off, and a query that
-//! enters a full ring then waits for the wave ahead of it and for the ring
-//! ahead of it in turn.
+//! bounds the wall-clock time any admitted query can spend waiting.
+//!
+//! Room is counted in weight units, not items: the ingest front pushes one
+//! producer chunk as one item weighing its query count
+//! ([`BoundedRing::push_weighted`]), so a producer takes the lock and wakes
+//! the consumer once per chunk. The consumer takes one item at a time
+//! ([`BoundedRing::pop`]) and its room stays taken until the consumer hands
+//! it back ([`BoundedRing::release`]) once it is done with the item. What is
+//! queued plus what is being worked off therefore never exceeds the
+//! capacity, and a query waits behind at most one ring-length. The one
+//! exception is an item heavier than the whole ring: it enters an empty
+//! ring, alone. [`BoundedRing::push`] and [`BoundedRing::pop_wave`] keep the
+//! unit-weight form, in which a wave frees its room as it leaves the ring.
+//!
+//! A released item may come back as a spare: the next push hands it to the
+//! producer to fill again, so buffers circulate instead of being allocated
+//! per chunk. Each side is woken only when it is actually waiting.
 //!
 //! The ring is deliberately *dumb*: it preserves FIFO order, enforces
 //! capacity, and nothing else. All degradation decisions (shrink-kn,
@@ -39,21 +50,51 @@ pub struct BoundedRing<T> {
 
 #[derive(Debug)]
 struct RingInner<T> {
-    queue: VecDeque<T>,
+    /// Queued items with their weights, oldest first.
+    queue: VecDeque<(T, usize)>,
+    /// Released items waiting for a producer to reuse them.
+    spares: Vec<T>,
     capacity: usize,
+    /// Room taken: the weights of the queued items and of the popped ones
+    /// not yet released.
+    taken: usize,
     closed: bool,
+    /// Threads blocked on each condvar; a side is notified only when some
+    /// thread waits on it.
+    producers_waiting: usize,
+    consumers_waiting: usize,
+}
+
+impl<T> RingInner<T> {
+    /// Whether an item of `weight` may enter now: it fits in the free room,
+    /// or the ring is empty, which admits an item heavier than the ring.
+    fn fits(&self, weight: usize) -> bool {
+        self.taken == 0 || self.taken + weight <= self.capacity
+    }
+
+    /// Queues `item` and takes a spare for the producer, if one is there.
+    fn enqueue(&mut self, item: T, weight: usize) -> Option<T> {
+        self.taken += weight;
+        self.queue.push_back((item, weight));
+        self.spares.pop()
+    }
 }
 
 impl<T> BoundedRing<T> {
-    /// Creates a ring holding at most `capacity` items (clamped to ≥ 1).
+    /// Creates a ring holding at most `capacity` weight units (clamped to
+    /// ≥ 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             inner: Mutex::new(RingInner {
                 queue: VecDeque::with_capacity(capacity.min(4096)),
+                spares: Vec::new(),
                 capacity,
+                taken: 0,
                 closed: false,
+                producers_waiting: 0,
+                consumers_waiting: 0,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -64,74 +105,115 @@ impl<T> BoundedRing<T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until the ring has room, then enqueues `item`. Returns
-    /// `Err(item)` if the ring was closed while waiting.
+    /// Unlocks, then wakes the consumer if it waits for an item.
+    fn wake_consumer(&self, inner: MutexGuard<'_, RingInner<T>>) {
+        let waiting = inner.consumers_waiting > 0;
+        drop(inner);
+        if waiting {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Unlocks, then wakes every producer waiting for room: each checks
+    /// whether its own item fits now.
+    fn wake_producers(&self, inner: MutexGuard<'_, RingInner<T>>) {
+        let waiting = inner.producers_waiting > 0;
+        drop(inner);
+        if waiting {
+            self.not_full.notify_all();
+        }
+    }
+
+    /// Blocks until the ring has room for one unit, then enqueues `item`.
+    /// Returns `Err(item)` if the ring was closed while waiting.
     pub fn push(&self, item: T) -> Result<(), T> {
+        self.push_weighted(item, 1).map(drop)
+    }
+
+    /// Blocks until `item` fits (see the module docs), then enqueues it as
+    /// `weight` units of room and returns a spare the consumer released, if
+    /// there is one. Returns `Err(item)` if the ring was closed while
+    /// waiting.
+    pub fn push_weighted(&self, item: T, weight: usize) -> Result<Option<T>, T> {
         let mut inner = self.lock();
-        while inner.queue.len() >= inner.capacity && !inner.closed {
+        while !inner.closed && !inner.fits(weight) {
+            inner.producers_waiting += 1;
             inner = self
                 .not_full
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.producers_waiting -= 1;
         }
         if inner.closed {
             return Err(item);
         }
-        inner.queue.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
+        let spare = inner.enqueue(item, weight);
+        self.wake_consumer(inner);
+        Ok(spare)
     }
 
-    /// Enqueues `item` only if the ring has room right now. Returns
-    /// `Err(item)` when full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
+    /// [`BoundedRing::push_weighted`] without blocking: returns `Err(item)`
+    /// when `item` does not fit right now or the ring is closed.
+    pub fn try_push_weighted(&self, item: T, weight: usize) -> Result<Option<T>, T> {
         let mut inner = self.lock();
-        if inner.closed || inner.queue.len() >= inner.capacity {
+        if inner.closed || !inner.fits(weight) {
             return Err(item);
         }
-        inner.queue.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
+        let spare = inner.enqueue(item, weight);
+        self.wake_consumer(inner);
+        Ok(spare)
     }
 
-    /// Dequeues one item if any is ready, without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut inner = self.lock();
-        let item = inner.queue.pop_front();
-        if item.is_some() {
-            drop(inner);
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Blocks until at least one item is available (or the ring is closed),
-    /// then drains *everything* currently queued into `buf` (cleared first).
-    /// Returns `false` once the ring is closed and empty — the consumer's
-    /// termination signal.
-    pub fn pop_wave(&self, buf: &mut Vec<T>) -> bool {
-        buf.clear();
+    /// Blocks until an item is queued, or returns `None` once the ring is
+    /// closed and dry.
+    fn wait_for_item(&self) -> Option<MutexGuard<'_, RingInner<T>>> {
         let mut inner = self.lock();
         while inner.queue.is_empty() && !inner.closed {
+            inner.consumers_waiting += 1;
             inner = self
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.consumers_waiting -= 1;
         }
-        if inner.queue.is_empty() {
-            return false; // closed and dry
-        }
-        buf.extend(inner.queue.drain(..));
-        drop(inner);
-        // A full wave frees many slots: wake every blocked producer.
-        self.not_full.notify_all();
+        (!inner.queue.is_empty()).then_some(inner)
+    }
+
+    /// Blocks until an item is queued, then takes the oldest one with its
+    /// weight. Its room stays taken until [`BoundedRing::release`]. Returns
+    /// `None` once the ring is closed and dry — the consumer's termination
+    /// signal.
+    pub fn pop(&self) -> Option<(T, usize)> {
+        self.wait_for_item()?.queue.pop_front()
+    }
+
+    /// Frees the `weight` units of room of an item [`BoundedRing::pop`]
+    /// took, and keeps `spare` for a producer to reuse.
+    pub fn release(&self, weight: usize, spare: Option<T>) {
+        let mut inner = self.lock();
+        inner.taken = inner.taken.saturating_sub(weight);
+        inner.spares.extend(spare);
+        self.wake_producers(inner);
+    }
+
+    /// Blocks until at least one item is available (or the ring is closed),
+    /// then drains *everything* currently queued into `buf` (cleared first)
+    /// and frees its room. Returns `false` once the ring is closed and empty
+    /// — the consumer's termination signal.
+    pub fn pop_wave(&self, buf: &mut Vec<T>) -> bool {
+        buf.clear();
+        let Some(mut inner) = self.wait_for_item() else {
+            return false;
+        };
+        let freed: usize = inner.queue.iter().map(|&(_, weight)| weight).sum();
+        inner.taken -= freed;
+        buf.extend(inner.queue.drain(..).map(|(item, _)| item));
+        self.wake_producers(inner);
         true
     }
 
     /// Closes the ring: blocked producers fail their push, and the consumer
-    /// drains what is left before [`BoundedRing::pop_wave`] returns `false`.
+    /// drains what is left before [`BoundedRing::pop`] returns `None`.
     pub fn close(&self) {
         let mut inner = self.lock();
         inner.closed = true;
@@ -152,7 +234,14 @@ impl<T> BoundedRing<T> {
         self.len() == 0
     }
 
-    /// The ring's fixed capacity.
+    /// Room taken: the weights of the queued items and of the popped ones
+    /// not yet released.
+    #[must_use]
+    pub fn taken(&self) -> usize {
+        self.lock().taken
+    }
+
+    /// The ring's fixed capacity, in weight units.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.lock().capacity
@@ -169,30 +258,33 @@ mod tests {
         let ring = BoundedRing::new(4);
         assert_eq!(ring.capacity(), 4);
         for i in 0..4 {
-            ring.try_push(i).unwrap();
+            ring.push(i).unwrap();
         }
         assert_eq!(ring.len(), 4);
-        assert!(ring.try_push(99).is_err(), "full ring rejects try_push");
+        assert!(
+            ring.try_push_weighted(99, 1).is_err(),
+            "full ring rejects a push"
+        );
         let mut wave = Vec::new();
         assert!(ring.pop_wave(&mut wave));
         assert_eq!(wave, vec![0, 1, 2, 3]);
         assert!(ring.is_empty());
+        assert_eq!(ring.taken(), 0, "a wave frees its room");
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let ring = BoundedRing::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.try_push(7).unwrap();
-        assert!(ring.try_push(8).is_err());
-        assert_eq!(ring.try_pop(), Some(7));
-        assert_eq!(ring.try_pop(), None);
+        ring.push(7).unwrap();
+        assert!(ring.try_push_weighted(8, 1).is_err());
+        assert_eq!(ring.pop(), Some((7, 1)));
     }
 
     #[test]
     fn close_unblocks_both_sides() {
         let ring: Arc<BoundedRing<u32>> = Arc::new(BoundedRing::new(1));
-        ring.try_push(1).unwrap();
+        ring.push(1).unwrap();
 
         // A producer blocked on a full ring fails its push once closed.
         let producer = {
@@ -204,28 +296,31 @@ mod tests {
         ring.close();
         assert_eq!(producer.join().unwrap(), Err(2));
 
+        assert_eq!(ring.pop(), Some((1, 1)), "closed ring still drains");
+        assert_eq!(ring.pop(), None, "closed and dry terminates");
         let mut wave = Vec::new();
-        assert!(ring.pop_wave(&mut wave), "closed ring still drains");
-        assert_eq!(wave, vec![1]);
-        assert!(!ring.pop_wave(&mut wave), "closed and dry terminates");
+        assert!(!ring.pop_wave(&mut wave));
     }
 
     #[test]
-    fn a_popped_wave_frees_the_whole_ring_while_it_is_held() {
-        // What the queue bound is two ring-lengths for: the wave holds a
-        // full ring's items and the ring takes a full ring more behind it.
-        let ring = BoundedRing::new(4);
-        for i in 0..4 {
-            ring.try_push(i).unwrap();
-        }
-        let mut wave = Vec::new();
-        assert!(ring.pop_wave(&mut wave));
-        for i in 4..8 {
-            ring.try_push(i).unwrap();
-        }
-        assert!(ring.try_push(8).is_err(), "the refilled ring is full");
-        assert_eq!(wave, vec![0, 1, 2, 3]);
-        assert_eq!(ring.len(), 4);
+    fn a_popped_chunk_holds_its_room_until_released() {
+        // What the queue bound is one ring-length for: the chunk being
+        // worked off and the chunks queued behind it share the capacity.
+        let ring = BoundedRing::new(8);
+        ring.try_push_weighted('a', 5).unwrap();
+        assert_eq!(ring.pop(), Some(('a', 5)));
+        ring.try_push_weighted('b', 3).unwrap();
+        assert!(
+            ring.try_push_weighted('c', 1).is_err(),
+            "the held chunk still takes its room"
+        );
+        assert_eq!(ring.taken(), 8);
+        // Releasing it frees its room and hands its buffer back.
+        ring.release(5, Some('a'));
+        assert_eq!(ring.try_push_weighted('c', 5), Ok(Some('a')));
+        assert_eq!(ring.try_push_weighted('d', 1), Err('d'));
+        assert_eq!(ring.pop(), Some(('b', 3)));
+        assert_eq!(ring.pop(), Some(('c', 5)));
     }
 
     #[test]

@@ -181,6 +181,16 @@ fn run_sharded_sync(
 /// The same run through the threaded ingest front (no churn: the producers
 /// only enqueue). Returns the merged outcome stream.
 fn run_service_async(queries: &[Query], shards: usize, chunk: usize) -> Vec<OutcomeRecord> {
+    run_service_ring(queries, shards, chunk, RING)
+}
+
+/// [`run_service_async`] behind rings of the given configuration.
+fn run_service_ring(
+    queries: &[Query],
+    shards: usize,
+    chunk: usize,
+    ring: IngestConfig,
+) -> Vec<OutcomeRecord> {
     let mut service = ShardedMediator::sbqa(config(), GOLDEN_SEED, shards).unwrap();
     register_all(&mut |id, caps, capacity| {
         service.register_provider(id, caps, capacity);
@@ -189,7 +199,7 @@ fn run_service_async(queries: &[Query], shards: usize, chunk: usize) -> Vec<Outc
         service.register_consumer(ConsumerId::new(c));
     }
     let oracle: Arc<dyn IntentionOracle + Send + Sync> = Arc::new(oracle());
-    let mut running = MediationService::spawn_with(service, oracle, RING).unwrap();
+    let mut running = MediationService::spawn_with(service, oracle, ring).unwrap();
     for batch in queries.chunks(chunk) {
         running.enqueue_batch(batch.iter().cloned());
     }
@@ -275,6 +285,33 @@ fn async_and_sync_fronts_agree_on_selections() {
         match decision {
             Some(decision) => assert_eq!(*outcome.selected, *decision.selected),
             None => assert!(outcome.starved),
+        }
+    }
+}
+
+#[test]
+fn rings_smaller_than_a_chunk_decide_as_the_inline_front() {
+    // A chunk heavier than the whole ring enters it empty, alone: the
+    // producer and the shard thread then take turns, and the decisions
+    // must not notice.
+    let queries = stream();
+    for shards in [1usize, 2] {
+        let sync = run_sharded_sync(&queries, shards, false);
+        let roomy = run_service_async(&queries, shards, 64);
+        for ring_capacity in [1usize, 3, 63] {
+            let ring = IngestConfig {
+                ring_capacity,
+                degradation: None,
+            };
+            let outcomes = run_service_ring(&queries, shards, 64, ring);
+            assert_eq!(outcomes, roomy, "{shards} shards, ring {ring_capacity}");
+            assert_eq!(outcomes.len(), sync.len());
+            for (outcome, decision) in outcomes.iter().zip(&sync) {
+                match decision {
+                    Some(decision) => assert_eq!(*outcome.selected, *decision.selected),
+                    None => assert!(outcome.starved),
+                }
+            }
         }
     }
 }

@@ -299,8 +299,13 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 cargo test --release -p sbqa --test golden_scenario1 --test golden_scenario4 --test golden_multicap \
     --test determinism -q
 # batch_phases_prop: both fronts' phased batch step decides, records and logs what per-query submits do.
+# ring_prop: the ingest ring's room (a popped chunk holds its room until released; only a lone chunk
+# heavier than the ring exceeds it), FIFO order, buffer recycling, drain on close and the wake of a
+# producer blocked for room. The shard-panic test: a shard thread that dies closes its ring, so the
+# producer panics instead of blocking forever on a full ring.
 cargo test --release -p sbqa_service --test determinism --test failover --test overload \
-    --test batch_phases_prop -q
+    --test batch_phases_prop --test ring_prop -q
+cargo test --release -p sbqa_service --lib a_dead_shard_thread_fails_the_producer_instead_of_hanging_it -q
 cargo test --release -p sbqa_replication -q
 cargo test --release -p sbqa_core -q
 cargo test --release -p sbqa_satisfaction -q
