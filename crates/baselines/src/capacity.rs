@@ -15,10 +15,10 @@
 //! computing power.
 
 use sbqa_core::allocator::{
-    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, QueryAllocator,
+    AllocationDecision, CandidateBlock, Candidates, Drawn, IntentionOracle, QueryAllocator, RankKey,
 };
 use sbqa_satisfaction::SatisfactionRegistry;
-use sbqa_types::{Query, SbqaError, SbqaResult};
+use sbqa_types::{Query, SbqaResult};
 
 use crate::{fill_baseline_decision, DEFAULT_CONSIDERATION};
 
@@ -75,18 +75,17 @@ impl QueryAllocator for CapacityAllocator {
         "Capacity"
     }
 
-    fn allocate_into(
+    fn fork(&self) -> Box<dyn QueryAllocator> {
+        Box::new(Self::new().with_consideration(self.consideration))
+    }
+
+    /// Ranks the view by spare capacity and keeps the considered prefix.
+    fn select_into(
         &mut self,
         query: &Query,
         candidates: Candidates<'_>,
-        oracle: &dyn IntentionOracle,
-        _satisfaction: &SatisfactionRegistry,
-        decision: &mut AllocationDecision,
-    ) -> SbqaResult<()> {
-        if candidates.is_empty() {
-            return Err(SbqaError::NoProviderOnline { query: query.id });
-        }
-
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize> {
         candidates.gather_all_into(&mut self.block);
         let utilization = self.block.utilization();
         let capacity = self.block.capacity();
@@ -99,24 +98,26 @@ impl QueryAllocator for CapacityAllocator {
             )
             .then_with(|| ids[a].cmp(&ids[b]))
         };
-        let selected_count = query.replication.min(candidates.len());
-        let considered_len = self.consideration.max(selected_count).min(candidates.len());
-
+        let considered_len = crate::considered_len(self.consideration, query, candidates.len());
         crate::rank_considered_prefix(
             &mut self.order,
             candidates.len(),
             considered_len,
             by_spare_capacity,
         );
-        fill_baseline_decision(
-            query,
-            candidates,
-            &self.order[..considered_len],
-            selected_count,
-            oracle,
-            None,
-            decision,
-        );
+        candidates.load_ids(&self.order[..considered_len], drawn);
+        None
+    }
+
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
+        oracle: &dyn IntentionOracle,
+        _satisfaction: &SatisfactionRegistry,
+        decision: &mut AllocationDecision,
+    ) -> SbqaResult<()> {
+        fill_baseline_decision(query, drawn.ids, oracle, None, decision);
         Ok(())
     }
 }

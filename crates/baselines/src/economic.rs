@@ -16,11 +16,13 @@
 //! well-provisioned providers — the behaviour the satisfaction analysis of
 //! Scenario 1 is designed to expose.
 
+use std::collections::VecDeque;
+
 use sbqa_core::allocator::{
-    AllocationDecision, CandidateBlock, Candidates, IntentionOracle, QueryAllocator,
+    AllocationDecision, CandidateBlock, Candidates, Drawn, IntentionOracle, QueryAllocator, RankKey,
 };
 use sbqa_satisfaction::SatisfactionRegistry;
-use sbqa_types::{Query, SbqaError, SbqaResult};
+use sbqa_types::{Query, SbqaResult};
 
 use crate::{fill_baseline_decision, DEFAULT_CONSIDERATION};
 
@@ -37,8 +39,10 @@ pub struct EconomicAllocator {
     bids: Vec<f64>,
     /// Candidate positions in ascending-bid order.
     order: Vec<u32>,
-    /// Negated bids of the considered prefix (the reported scores).
-    scores: Vec<f64>,
+    /// Negated bids of the considered prefixes of the queries selected and
+    /// not yet scored, oldest first: the reported scores, which only the
+    /// select phase can compute (the score phase does not see the view).
+    pending: VecDeque<f64>,
     /// Dense gather of the candidate set's scoring columns; bids and
     /// tie-breaks are computed from these in one linear pass.
     block: CandidateBlock,
@@ -50,7 +54,7 @@ impl Default for EconomicAllocator {
             consideration: DEFAULT_CONSIDERATION,
             bids: Vec::new(),
             order: Vec::new(),
-            scores: Vec::new(),
+            pending: VecDeque::new(),
             block: CandidateBlock::new(),
         }
     }
@@ -76,18 +80,21 @@ impl QueryAllocator for EconomicAllocator {
         "Economic"
     }
 
-    fn allocate_into(
+    fn fork(&self) -> Box<dyn QueryAllocator> {
+        Box::new(Self {
+            pending: self.pending.clone(),
+            ..Self::new().with_consideration(self.consideration)
+        })
+    }
+
+    /// Prices every candidate, keeps the cheapest considered prefix and
+    /// queues its scores for the score phase.
+    fn select_into(
         &mut self,
         query: &Query,
         candidates: Candidates<'_>,
-        oracle: &dyn IntentionOracle,
-        _satisfaction: &SatisfactionRegistry,
-        decision: &mut AllocationDecision,
-    ) -> SbqaResult<()> {
-        if candidates.is_empty() {
-            return Err(SbqaError::NoProviderOnline { query: query.id });
-        }
-
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize> {
         candidates.gather_all_into(&mut self.block);
         self.bids.clear();
         for (&capacity, &utilization) in self
@@ -105,33 +112,34 @@ impl QueryAllocator for EconomicAllocator {
             sbqa_types::f64_total_cmp(bids[a as usize], bids[b as usize])
                 .then_with(|| ids[a as usize].cmp(&ids[b as usize]))
         };
-        let selected_count = query.replication.min(candidates.len());
-        let considered_len = self.consideration.max(selected_count).min(candidates.len());
-
+        let considered_len = crate::considered_len(self.consideration, query, candidates.len());
         crate::rank_considered_prefix(
             &mut self.order,
             candidates.len(),
             considered_len,
             by_cheapest_bid,
         );
+        let considered = &self.order[..considered_len];
         // Report the (negated) bid as the technique's score so that higher
         // is better, consistent with the other techniques' score columns.
-        self.scores.clear();
-        self.scores.extend(
-            self.order[..considered_len]
-                .iter()
-                .map(|&pos| -self.bids[pos as usize]),
-        );
+        self.pending
+            .extend(considered.iter().map(|&pos| -self.bids[pos as usize]));
+        candidates.load_ids(considered, drawn);
+        None
+    }
 
-        fill_baseline_decision(
-            query,
-            candidates,
-            &self.order[..considered_len],
-            selected_count,
-            oracle,
-            Some(&self.scores),
-            decision,
-        );
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
+        oracle: &dyn IntentionOracle,
+        _satisfaction: &SatisfactionRegistry,
+        decision: &mut AllocationDecision,
+    ) -> SbqaResult<()> {
+        let considered = drawn.ids.len();
+        let scores = &self.pending.make_contiguous()[..considered];
+        fill_baseline_decision(query, drawn.ids, oracle, Some(scores), decision);
+        self.pending.drain(..considered);
         Ok(())
     }
 }

@@ -20,6 +20,11 @@
 //! analyse them (Scenario 1: "the proposed satisfaction model allows
 //! analyzing different query allocation techniques no matter their query
 //! allocation principle").
+//!
+//! Each runs in SbQA's two phases: the select phase ranks the view
+//! (Capacity, Economic) or draws from it (Random) and keeps the considered
+//! providers' ids in rank order; the score phase asks the oracle about them
+//! and marks the first `min(q.n, considered)` as selected.
 
 #![forbid(unsafe_code)]
 
@@ -33,38 +38,36 @@ pub use economic::EconomicAllocator;
 pub use factory::build_allocator;
 pub use random_alloc::RandomAllocator;
 
-use sbqa_core::allocator::{AllocationDecision, Candidates, IntentionOracle, ProposalRecord};
-use sbqa_types::Query;
+use sbqa_core::allocator::{AllocationDecision, IntentionOracle, ProposalRecord};
+use sbqa_types::{ProviderId, Query};
 
-/// Fills an [`AllocationDecision`] for a baseline technique without
-/// allocating (beyond growing the reused decision's buffers).
+/// The score phase of a baseline technique: fills an [`AllocationDecision`]
+/// without allocating (beyond growing the reused decision's buffers).
 ///
-/// `considered` holds candidate positions in the technique's rank order —
-/// its analogue of SbQA's `Kn` — and the first `selected_count` of them are
-/// the winners. `scores`, when present, is aligned with `considered`. The
-/// function resolves both sides' intentions through the oracle so that the
-/// satisfaction model can judge the technique, even though the technique
-/// itself ignored those intentions.
+/// `considered` holds provider ids in the technique's rank order — its
+/// analogue of SbQA's `Kn` — and the first `min(q.n, considered)` of them
+/// are the winners. `scores`, when present, is aligned with `considered`.
+/// The function resolves both sides' intentions through the oracle,
+/// provider first, so that the satisfaction model can judge the technique,
+/// even though the technique itself ignored those intentions.
 pub(crate) fn fill_baseline_decision(
     query: &Query,
-    candidates: Candidates<'_>,
-    considered: &[u32],
-    selected_count: usize,
+    considered: &[ProviderId],
     oracle: &dyn IntentionOracle,
     scores: Option<&[f64]>,
     decision: &mut AllocationDecision,
 ) {
     decision.clear();
-    for (rank, &pos) in considered.iter().enumerate() {
-        let snapshot = candidates.get(pos as usize);
-        let selected = rank < selected_count;
+    let winners = query.replication.min(considered.len());
+    for (rank, &provider) in considered.iter().enumerate() {
+        let selected = rank < winners;
         if selected {
-            decision.selected.push(snapshot.id);
+            decision.selected.push(provider);
         }
         decision.proposals.push(ProposalRecord {
-            provider: snapshot.id,
-            provider_intention: oracle.provider_intention(snapshot.id, query),
-            consumer_intention: oracle.consumer_intention(query, snapshot.id),
+            provider,
+            provider_intention: oracle.provider_intention(provider, query),
+            consumer_intention: oracle.consumer_intention(query, provider),
             score: scores.map(|s| s[rank]),
             selected,
         });
@@ -76,6 +79,14 @@ pub(crate) fn fill_baseline_decision(
 /// own. Matches the default `kn` of SbQA so that proposal-driven
 /// dissatisfaction is comparable across techniques.
 pub(crate) const DEFAULT_CONSIDERATION: usize = 4;
+
+/// How many providers a ranking baseline considers for `query` over
+/// `candidate_count` candidates: its consideration window, widened to the
+/// query's winners `min(q.n, |Pq|)`, so the considered prefix is never
+/// shorter than the winner count.
+pub(crate) fn considered_len(consideration: usize, query: &Query, candidate_count: usize) -> usize {
+    consideration.max(query.replication).min(candidate_count)
+}
 
 /// Fills `order` with the positions `0..candidate_count` ranked by `compare`,
 /// keeping only the `considered_len` best. Only the considered prefix is ever
@@ -102,15 +113,13 @@ pub(crate) fn rank_considered_prefix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbqa_core::allocator::{ProviderSnapshot, StaticIntentions};
-    use sbqa_types::{Capability, CapabilitySet, ConsumerId, Intention, ProviderId, QueryId};
+    use sbqa_core::allocator::StaticIntentions;
+    use sbqa_types::{Capability, ConsumerId, Intention, QueryId};
 
     #[test]
     fn fill_baseline_decision_resolves_intentions_for_all_considered() {
         let query = Query::builder(QueryId::new(1), ConsumerId::new(1), Capability::new(0)).build();
-        let pool: Vec<ProviderSnapshot> = (0..3)
-            .map(|i| ProviderSnapshot::idle(ProviderId::new(i), CapabilitySet::ALL, 1.0))
-            .collect();
+        let pool: Vec<ProviderId> = (0..3).map(ProviderId::new).collect();
         let mut oracle = StaticIntentions::new();
         oracle.set_consumer_intention(ProviderId::new(1), Intention::new(0.7));
         oracle.set_provider_intention(ProviderId::new(2), Intention::new(-0.4));
@@ -119,9 +128,7 @@ mod tests {
         let mut decision = AllocationDecision::default();
         fill_baseline_decision(
             &query,
-            Candidates::from_slice(&pool),
-            &[1, 2, 0],
-            1,
+            &[pool[1], pool[2], pool[0]],
             &oracle,
             Some(&[0.9, 0.4, 0.1]),
             &mut decision,
@@ -149,15 +156,7 @@ mod tests {
         assert_eq!(p2.score, Some(0.4));
 
         // Refilling a used decision starts from a clean slate.
-        fill_baseline_decision(
-            &query,
-            Candidates::from_slice(&pool),
-            &[0],
-            1,
-            &oracle,
-            None,
-            &mut decision,
-        );
+        fill_baseline_decision(&query, &[pool[0]], &oracle, None, &mut decision);
         assert_eq!(decision.selected, vec![ProviderId::new(0)]);
         assert_eq!(decision.proposals.len(), 1);
         assert_eq!(decision.proposals[0].score, None);

@@ -8,10 +8,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use sbqa_core::allocator::{AllocationDecision, Candidates, IntentionOracle, QueryAllocator};
+use sbqa_core::allocator::{
+    AllocationDecision, Candidates, Drawn, IntentionOracle, QueryAllocator, RankKey,
+};
 use sbqa_core::knbest::IndexPool;
 use sbqa_satisfaction::SatisfactionRegistry;
-use sbqa_types::{Query, SbqaError, SbqaResult};
+use sbqa_types::{Query, SbqaResult};
 
 use crate::fill_baseline_decision;
 
@@ -39,29 +41,36 @@ impl QueryAllocator for RandomAllocator {
         "Random"
     }
 
-    fn allocate_into(
+    fn fork(&self) -> Box<dyn QueryAllocator> {
+        Box::new(Self {
+            rng: self.rng.clone(),
+            pool: IndexPool::new(),
+        })
+    }
+
+    /// Draws `min(q.n, |Pq|)` providers, all of them winners.
+    fn select_into(
         &mut self,
         query: &Query,
         candidates: Candidates<'_>,
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize> {
+        let positions = self
+            .pool
+            .draw(candidates.len(), query.replication, &mut self.rng);
+        candidates.load_ids(positions, drawn);
+        None
+    }
+
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
         oracle: &dyn IntentionOracle,
         _satisfaction: &SatisfactionRegistry,
         decision: &mut AllocationDecision,
     ) -> SbqaResult<()> {
-        if candidates.is_empty() {
-            return Err(SbqaError::NoProviderOnline { query: query.id });
-        }
-        let drawn = self
-            .pool
-            .draw(candidates.len(), query.replication, &mut self.rng);
-        fill_baseline_decision(
-            query,
-            candidates,
-            drawn,
-            drawn.len(),
-            oracle,
-            None,
-            decision,
-        );
+        fill_baseline_decision(query, drawn.ids, oracle, None, decision);
         Ok(())
     }
 }

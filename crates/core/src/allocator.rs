@@ -14,19 +14,26 @@
 //! It fills an [`AllocationDecision`]: which providers to allocate the
 //! query to, and the full list of proposals made (needed to update provider
 //! satisfaction — a provider that was consulted but not selected becomes less
-//! satisfied, exactly as in Definition 2). Techniques implement
-//! [`QueryAllocator::allocate_into`], which writes into a caller-provided
-//! decision so steady-state mediation can reuse buffers instead of
-//! allocating; the provided [`QueryAllocator::allocate`] wrapper returns an
-//! owned decision for tests and one-off callers.
+//! satisfied, exactly as in Definition 2).
+//!
+//! Every technique works in two phases ([`QueryAllocator`]): a select phase
+//! that draws or ranks over the view and keeps provider ids, and a score
+//! phase that asks the oracle, scores and fills a caller-provided decision,
+//! so steady-state mediation reuses buffers instead of allocating. The
+//! mediator runs the select phases of a group of queries ahead of their
+//! score phases; the provided [`QueryAllocator::allocate_into`] runs both
+//! for one query, and [`QueryAllocator::allocate`] returns an owned
+//! decision for tests and one-off callers.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use sbqa_satisfaction::{GapSample, RowHint, SatisfactionRegistry};
-use sbqa_types::{Intention, ProviderId, Query, SbqaResult};
+use sbqa_types::{Intention, ProviderId, Query, SbqaError, SbqaResult};
 
 pub use sbqa_types::{ProviderColumns, ProviderSnapshot};
 
+use crate::knbest::keep_lightest;
 use crate::postings::{IdIter, IdSet, MergedSet, PostingsMap};
 
 /// A borrowed, zero-clone view of the candidate set `Pq`.
@@ -154,6 +161,13 @@ impl<'a> Candidates<'a> {
     pub fn load_keys(&self, positions: &[u32], keys: &mut Vec<RankKey>) {
         keys.clear();
         self.load_ids(positions, keys);
+        self.resolve(keys);
+    }
+
+    /// The rest of the gather for keys [`Candidates::load_ids`] left
+    /// unresolved over this view ([`resolve_keys`]); a slice view's keys
+    /// are whole already.
+    fn resolve(&self, keys: &mut [RankKey]) {
         if let View::Ids { columns, .. } = self.view {
             resolve_keys(columns, keys);
         }
@@ -516,42 +530,53 @@ impl AllocationDecision {
     }
 }
 
-/// An allocation technique: SbQA or any baseline.
+/// An allocation technique: SbQA or any baseline, in two phases.
+///
+/// The select phase runs ahead of the scoring of earlier queries, so it may
+/// read only what they cannot change — the candidate view and the
+/// technique's own draw state — and must consume that state in stream
+/// order. The score phase runs in stream order and does the rest. A query's
+/// [`select_into`](Self::select_into), then the ids of the keys it keeps,
+/// then its [`score_into`](Self::score_into) are its whole allocation
+/// ([`allocate_into`](Self::allocate_into)).
 pub trait QueryAllocator: Send {
     /// Human-readable name used in experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Decides which providers should perform `query`, writing the decision
-    /// into `decision` (which is cleared first, retaining its capacity).
-    ///
-    /// `candidates` is the set `Pq` restricted to online providers; it is
-    /// never empty (the mediator short-circuits starvation before calling the
-    /// allocator). `oracle` answers intention questions and `satisfaction` is
-    /// the mediator's registry. Implementations are expected to keep their
-    /// working state in internal scratch buffers so that steady-state calls
-    /// perform no heap allocation.
-    fn allocate_into(
+    /// The select phase: appends the keys of the providers the query draws
+    /// or ranks to `drawn` ([`Candidates::load_ids`]: slots and
+    /// utilizations may be left unresolved for the mediator to gather with
+    /// other queries' keys) and returns how many of the least-utilized of
+    /// them to keep, KnBest's kn-of-k filter; `None` keeps every drawn key,
+    /// in the order drawn, whatever its utilization. `candidates` is never
+    /// empty.
+    fn select_into(
         &mut self,
         query: &Query,
         candidates: Candidates<'_>,
+        drawn: &mut Vec<RankKey>,
+    ) -> Option<usize>;
+
+    /// The score phase over the providers [`select_into`](Self::select_into)
+    /// kept: gathers intentions, reads satisfaction and fills `decision`
+    /// (cleared first). Implementations keep their working state in
+    /// internal scratch buffers, so that steady-state calls perform no heap
+    /// allocation.
+    fn score_into(
+        &mut self,
+        query: &Query,
+        drawn: Drawn<'_>,
         oracle: &dyn IntentionOracle,
         satisfaction: &SatisfactionRegistry,
         decision: &mut AllocationDecision,
     ) -> SbqaResult<()>;
 
-    /// Convenience wrapper over [`QueryAllocator::allocate_into`] that
-    /// returns a freshly allocated decision.
-    fn allocate(
-        &mut self,
-        query: &Query,
-        candidates: Candidates<'_>,
-        oracle: &dyn IntentionOracle,
-        satisfaction: &SatisfactionRegistry,
-    ) -> SbqaResult<AllocationDecision> {
-        let mut decision = AllocationDecision::default();
-        self.allocate_into(query, candidates, oracle, satisfaction, &mut decision)?;
-        Ok(decision)
-    }
+    /// Forks the allocator's decision state — RNG stream position,
+    /// exploration width, configuration — into an independent copy, so a
+    /// standby can continue the exact decision sequence from this point if
+    /// the original is lost. Scratch buffers need not be copied (they carry
+    /// no decision state).
+    fn fork(&self) -> Box<dyn QueryAllocator>;
 
     /// Re-sizes the technique's exploration width (SbQA's `kn`) before the
     /// next allocation. The adaptive-`kn` controller
@@ -573,28 +598,78 @@ pub trait QueryAllocator: Send {
         None
     }
 
-    /// Forks the allocator's decision state — RNG stream position,
-    /// exploration width, configuration — into an independent copy, so a
-    /// standby can continue the exact decision sequence from this point if
-    /// the original is lost. Scratch buffers need not be copied (they carry
-    /// no decision state). `None` (the default) marks techniques that cannot
-    /// be checkpointed; replication refuses to arm on top of them rather
-    /// than silently diverging after a failover.
-    fn fork(&self) -> Option<Box<dyn QueryAllocator>> {
-        None
+    /// Decides which providers should perform `query`, writing the decision
+    /// into `decision` (which is cleared first, retaining its capacity): the
+    /// two phases for one query, with `candidates` as `Pq` restricted to
+    /// online providers and `satisfaction` the mediator's registry. The
+    /// kept ids and their satisfaction rows are found in one pass before
+    /// the score phase reads any, in buffers the calling thread reuses, so
+    /// a warm call allocates nothing. The mediator runs the phases itself,
+    /// over a group of queries.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::NoProviderOnline`] when `candidates` is empty, or the
+    /// score phase's error.
+    fn allocate_into(
+        &mut self,
+        query: &Query,
+        candidates: Candidates<'_>,
+        oracle: &dyn IntentionOracle,
+        satisfaction: &SatisfactionRegistry,
+        decision: &mut AllocationDecision,
+    ) -> SbqaResult<()> {
+        if candidates.is_empty() {
+            return Err(SbqaError::NoProviderOnline { query: query.id });
+        }
+        let (mut keys, mut ids, mut rows) = ALLOCATE_SCRATCH.take();
+        keys.clear();
+        ids.clear();
+        rows.clear();
+        let keep = self.select_into(query, candidates, &mut keys);
+        candidates.resolve(&mut keys);
+        let kept = keep.map_or(keys.len(), |kn| keep_lightest(&mut keys, kn));
+        ids.extend(keys[..kept].iter().map(|key| key.id));
+        rows.extend(
+            ids.iter()
+                .map(|&provider| satisfaction.provider_row(provider)),
+        );
+        let drawn = Drawn {
+            ids: &ids,
+            rows: &rows,
+            consumer_row: satisfaction.consumer_row(query.consumer),
+        };
+        let outcome = self.score_into(query, drawn, oracle, satisfaction, decision);
+        ALLOCATE_SCRATCH.set((keys, ids, rows));
+        outcome
     }
 
-    /// The technique's two phases, for a technique that splits its work
-    /// between a batch's select phase and its score phase (see
-    /// [`Mediator::select_at`](crate::Mediator::select_at)). `None` (the
-    /// default) leaves all of it to
-    /// [`allocate_into`](QueryAllocator::allocate_into), in the score phase.
-    fn phased(&mut self) -> Option<&mut dyn PhasedAllocator> {
-        None
+    /// Convenience wrapper over [`QueryAllocator::allocate_into`] that
+    /// returns a freshly allocated decision.
+    fn allocate(
+        &mut self,
+        query: &Query,
+        candidates: Candidates<'_>,
+        oracle: &dyn IntentionOracle,
+        satisfaction: &SatisfactionRegistry,
+    ) -> SbqaResult<AllocationDecision> {
+        let mut decision = AllocationDecision::default();
+        self.allocate_into(query, candidates, oracle, satisfaction, &mut decision)?;
+        Ok(decision)
     }
 }
 
-/// What a select phase drew for one query, as its score phase reads it.
+/// The keys, kept ids and rows of a [`QueryAllocator::allocate_into`] call.
+type AllocateScratch = (Vec<RankKey>, Vec<ProviderId>, Vec<RowHint>);
+
+thread_local! {
+    /// [`QueryAllocator::allocate_into`]'s buffers, taken for a call and
+    /// put back after it, so a nested call starts from empty ones.
+    static ALLOCATE_SCRATCH: Cell<AllocateScratch> =
+        const { Cell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
+
+/// What a select phase kept for one query, as its score phase reads it.
 #[derive(Debug, Clone, Copy)]
 pub struct Drawn<'a> {
     /// The providers to consult, in the order the score phase consults them.
@@ -612,41 +687,6 @@ impl Drawn<'_> {
     pub fn row(&self, position: usize) -> RowHint {
         self.rows.get(position).copied().unwrap_or(RowHint::NONE)
     }
-}
-
-/// A technique's work, split in two (see [`QueryAllocator::phased`]).
-///
-/// The select phase runs ahead of the scoring of earlier queries, so it may
-/// read only what they cannot change — the candidate view and the
-/// technique's own draw state — and must consume that state exactly as the
-/// whole allocation would. The score phase runs in stream order and does
-/// the rest. `select_into`, then the kept keys' ids, then `score_into` must
-/// decide what [`QueryAllocator::allocate_into`] decides.
-pub trait PhasedAllocator {
-    /// The select phase: appends the keys of the providers the query draws
-    /// to `drawn` ([`Candidates::load_ids`]: slots and utilizations may be
-    /// left unresolved for the mediator to gather with other queries' keys)
-    /// and returns how many of the least-utilized of them to keep, KnBest's
-    /// kn-of-k filter; `None` keeps every drawn key, in the order drawn,
-    /// whatever its utilization. `candidates` is never empty.
-    fn select_into(
-        &mut self,
-        query: &Query,
-        candidates: Candidates<'_>,
-        drawn: &mut Vec<RankKey>,
-    ) -> Option<usize>;
-
-    /// The score phase over the providers [`select_into`](Self::select_into)
-    /// kept: gathers intentions, reads satisfaction and fills `decision`
-    /// (cleared first).
-    fn score_into(
-        &mut self,
-        query: &Query,
-        drawn: Drawn<'_>,
-        oracle: &dyn IntentionOracle,
-        satisfaction: &SatisfactionRegistry,
-        decision: &mut AllocationDecision,
-    ) -> SbqaResult<()>;
 }
 
 #[cfg(test)]

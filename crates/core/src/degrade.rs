@@ -35,12 +35,10 @@
 //! entered at `threshold × capacity` and left only once the modeled depth
 //! falls below `(threshold − hysteresis) × capacity`.
 
-use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{f64_total_cmp, ProviderId, Query, SbqaError, SbqaResult, VirtualTime};
 
 use crate::allocator::{
-    AllocationDecision, Candidates, Drawn, IntentionOracle, PhasedAllocator, ProposalRecord,
-    RankKey,
+    AllocationDecision, Candidates, Drawn, IntentionOracle, ProposalRecord, RankKey,
 };
 
 /// How many candidates the capacity fallback considers, counted from the
@@ -338,13 +336,10 @@ impl DegradationLadder {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BaselineFallback;
 
-impl PhasedAllocator for BaselineFallback {
-    fn select_into(
-        &mut self,
-        query: &Query,
-        candidates: Candidates<'_>,
-        drawn: &mut Vec<RankKey>,
-    ) -> Option<usize> {
+impl BaselineFallback {
+    /// The select phase: appends the winners' keys to `drawn`, best first,
+    /// all of them to be kept in that order.
+    pub fn select_into(query: &Query, candidates: Candidates<'_>, drawn: &mut Vec<RankKey>) {
         // (relative load, id) keys of the consideration prefix, on the stack
         // and streamed: a positional read would select and probe once per
         // candidate.
@@ -367,17 +362,16 @@ impl PhasedAllocator for BaselineFallback {
                 .zip(winners)
                 .map(|(rank, &(_, provider))| RankKey::unresolved(provider, rank)),
         );
-        None
     }
 
-    fn score_into(
-        &mut self,
+    /// The score phase: both sides' intentions towards each winner, into
+    /// `decision` (cleared first).
+    pub fn score_into(
         query: &Query,
         drawn: Drawn<'_>,
         oracle: &dyn IntentionOracle,
-        _satisfaction: &SatisfactionRegistry,
         decision: &mut AllocationDecision,
-    ) -> SbqaResult<()> {
+    ) {
         decision.clear();
         for &provider in drawn.ids {
             let consumer_intention = oracle.consumer_intention(query, provider);
@@ -391,7 +385,6 @@ impl PhasedAllocator for BaselineFallback {
             });
             decision.selected.push(provider);
         }
-        Ok(())
     }
 }
 
@@ -610,20 +603,14 @@ mod tests {
         decision: &mut AllocationDecision,
     ) {
         let mut keys = Vec::new();
-        assert_eq!(
-            BaselineFallback.select_into(query, candidates, &mut keys),
-            None
-        );
+        BaselineFallback::select_into(query, candidates, &mut keys);
         let drawn: Vec<ProviderId> = keys.iter().map(|key| key.id).collect();
         let drawn = Drawn {
             ids: &drawn,
             rows: &[],
             consumer_row: RowHint::NONE,
         };
-        let satisfaction = SatisfactionRegistry::new(1);
-        BaselineFallback
-            .score_into(query, drawn, oracle, &satisfaction, decision)
-            .unwrap();
+        BaselineFallback::score_into(query, drawn, oracle, decision);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub mod scoring;
 
 pub use adaptive::{KnAdjustment, KnController, KnControllerConfig};
 pub use allocator::{
-    AllocationDecision, CandidateBlock, Candidates, Drawn, IntentionOracle, PhasedAllocator,
-    ProposalRecord, ProviderColumns, ProviderSnapshot, QueryAllocator, StaticIntentions,
+    AllocationDecision, CandidateBlock, Candidates, Drawn, IntentionOracle, ProposalRecord,
+    ProviderColumns, ProviderSnapshot, QueryAllocator, StaticIntentions,
 };
 pub use degrade::{
     Admission, BaselineFallback, DegradationConfig, DegradationLadder, DegradationStats,

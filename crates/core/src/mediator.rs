@@ -24,17 +24,21 @@
 //! ## Two phases
 //!
 //! A mediation is a select phase ([`Mediator::select_at`]) and a score phase
-//! ([`Mediator::score_next`]). Only the score phase — intentions, ω, scores,
+//! ([`Mediator::score_next`]), for every technique
+//! ([`QueryAllocator::select_into`], [`QueryAllocator::score_into`]) and the
+//! ladder's fallback alike. Only the score phase — intentions, ω, scores,
 //! ranking, the satisfaction feedback — reads what the previous query wrote.
-//! The select phase — `Pq`, the KnBest draw, the draw's keys and the
+//! The select phase — `Pq`, the technique's draw (SbQA's KnBest, Random's
+//! pick) or ranking (Capacity, Economic, the fallback), the keys and the
 //! satisfaction rows of what it keeps — reads only the registry, which is
-//! read-only within a batch. So a batch selects a group of queries ahead
-//! ([`SELECT_GROUP`]), draws in stream order, gathers the whole group's keys
-//! and rows at once, and then scores the group in order: many queries' cache
-//! misses are in flight together instead of one query's at a time. At
-//! 100 000 providers that is most of what a query waits on. A single
-//! `submit_in_place` is the same two phases over a group of one, so both
-//! paths decide, consume RNG and count plan-cache events alike.
+//! read-only within a batch, and the technique's own draw state. So a batch
+//! selects a group of queries ahead ([`SELECT_GROUP`]), draws in stream
+//! order, gathers the whole group's keys and rows at once, and then scores
+//! the group in order: many queries' cache misses are in flight together
+//! instead of one query's at a time. At 100 000 providers that is most of
+//! what a query waits on. A single `submit_in_place` is the same two phases
+//! over a group of one, so both paths decide, consume RNG and count
+//! plan-cache events alike.
 
 use std::ops::Range;
 
@@ -48,8 +52,8 @@ use sbqa_types::{
 
 use crate::adaptive::{KnController, KnControllerConfig};
 use crate::allocator::{
-    resolve_keys, AllocationDecision, Candidates, Drawn, IntentionOracle, PhasedAllocator,
-    ProposalRecord, QueryAllocator, RankKey,
+    resolve_keys, AllocationDecision, Candidates, Drawn, IntentionOracle, ProposalRecord,
+    QueryAllocator, RankKey,
 };
 use crate::degrade::{BaselineFallback, DegradationTier, SHRINK_KN_FLOOR};
 use crate::knbest::{keep_lightest, KnBestScratch, KnBestSelector};
@@ -65,9 +69,6 @@ pub struct SbqaAllocator {
     rng: ChaCha8Rng,
     /// Working memory for the KnBest draw, reused across queries.
     knbest: KnBestScratch,
-    /// The kept ids of a whole [`QueryAllocator::allocate_into`] and their
-    /// satisfaction rows.
-    kept: (Vec<ProviderId>, Vec<RowHint>),
     /// Scores aligned with the proposals of the current decision.
     scores: Vec<f64>,
     /// Proposal indices in ranking order (the vector `R`).
@@ -94,7 +95,6 @@ impl SbqaAllocator {
             selector,
             rng: ChaCha8Rng::seed_from_u64(seed),
             knbest: KnBestScratch::new(),
-            kept: (Vec::new(), Vec::new()),
             scores: Vec::new(),
             ranking: Vec::new(),
             last_signal: None,
@@ -120,56 +120,19 @@ impl QueryAllocator for SbqaAllocator {
         "SbQA"
     }
 
-    fn fork(&self) -> Option<Box<dyn QueryAllocator>> {
+    fn fork(&self) -> Box<dyn QueryAllocator> {
         // Decision state is (config, selector, RNG position, last signal);
         // the scratch buffers are rebuilt empty — they never outlive one
         // allocation, so a fresh fork reproduces the decision stream exactly.
-        Some(Box::new(Self {
+        Box::new(Self {
             config: self.config.clone(),
             selector: self.selector,
             rng: self.rng.clone(),
             knbest: KnBestScratch::new(),
-            kept: (Vec::new(), Vec::new()),
             scores: Vec::new(),
             ranking: Vec::new(),
             last_signal: self.last_signal,
-        }))
-    }
-
-    fn allocate_into(
-        &mut self,
-        query: &Query,
-        candidates: Candidates<'_>,
-        oracle: &dyn IntentionOracle,
-        satisfaction: &SatisfactionRegistry,
-        decision: &mut AllocationDecision,
-    ) -> SbqaResult<()> {
-        if candidates.is_empty() {
-            return Err(SbqaError::NoProviderOnline { query: query.id });
-        }
-        // Step 1 — KnBest: the kn least-utilized of k random capable
-        // providers, as owned ids, and their satisfaction rows found in one
-        // pass before any is read: the two halves of a batch's select phase,
-        // for one query.
-        let (mut kept, mut rows) = std::mem::take(&mut self.kept);
-        kept.clear();
-        rows.clear();
-        let kn = self
-            .selector
-            .select_block(candidates, &mut self.rng, &mut self.knbest);
-        kept.extend_from_slice(kn.ids);
-        rows.extend(
-            kept.iter()
-                .map(|&provider| satisfaction.provider_row(provider)),
-        );
-        let drawn = Drawn {
-            ids: &kept,
-            rows: &rows,
-            consumer_row: satisfaction.consumer_row(query.consumer),
-        };
-        let outcome = self.score_into(query, drawn, oracle, satisfaction, decision);
-        self.kept = (kept, rows);
-        outcome
+        })
     }
 
     fn set_exploration_width(&mut self, kn: usize) {
@@ -184,15 +147,8 @@ impl QueryAllocator for SbqaAllocator {
         self.last_signal
     }
 
-    fn phased(&mut self) -> Option<&mut dyn PhasedAllocator> {
-        Some(self)
-    }
-}
-
-impl PhasedAllocator for SbqaAllocator {
     /// Step 1 — KnBest's random draw of k capable providers, keeping the kn
-    /// least utilized: the same RNG the whole allocation consumes, at the
-    /// width set for this query.
+    /// least utilized, at the width set for this query.
     fn select_into(
         &mut self,
         _query: &Query,
@@ -322,7 +278,7 @@ enum Selected {
     /// No capable provider was online.
     Starved(SbqaError),
     /// The query drew `keys[drawn]` at `tier`, of which its technique keeps
-    /// `keep` ([`PhasedAllocator::select_into`]); the group step of the
+    /// `keep` ([`QueryAllocator::select_into`]); the group step of the
     /// select phase puts the kept ids at `ids[kept]` and their rows at
     /// `rows[kept]`.
     Drawn {
@@ -332,9 +288,6 @@ enum Selected {
         kept: Range<usize>,
         consumer_row: RowHint,
     },
-    /// A technique that does not split: its whole mediation at `tier`
-    /// waits for the score phase.
-    Whole(DegradationTier),
 }
 
 /// Reusable per-mediator working memory: the queries selected and not yet
@@ -553,11 +506,8 @@ impl Mediator {
     /// registries are not forked — a standby advances its registry copy from
     /// the delta log and its satisfaction copy from
     /// [`SatisfactionRegistry::sync_touched_into`].
-    ///
-    /// Returns `None` when the technique does not support
-    /// [`QueryAllocator::fork`].
     #[must_use]
-    pub fn fork_allocator(&self) -> Option<Box<dyn QueryAllocator>> {
+    pub fn fork_allocator(&self) -> Box<dyn QueryAllocator> {
         self.allocator.fork()
     }
 
@@ -641,12 +591,8 @@ impl Mediator {
     /// the draw consumes the same RNG whatever the width.
     ///
     /// The query waits for [`score_next`](Self::score_next), which must see
-    /// the selected queries in the order they were selected. Returns `false`
-    /// when the query could not be selected ahead — its technique does not
-    /// split ([`QueryAllocator::phased`]) — and must be scored before the
-    /// next query is selected.
-    #[must_use = "a query that cannot be selected ahead must be scored before the next is selected"]
-    pub fn select_at(&mut self, query: &Query, tier: DegradationTier) -> bool {
+    /// the selected queries in the order they were selected.
+    pub fn select_at(&mut self, query: &Query, tier: DegradationTier) {
         let Self {
             allocator,
             providers,
@@ -668,10 +614,6 @@ impl Mediator {
         // the host admitted the query anyway; serve it at the cheapest
         // quality rather than inventing a starvation.)
         let fallback = matches!(tier, DegradationTier::Baseline | DegradationTier::Shed);
-        if !fallback && allocator.phased().is_none() {
-            scratch.selected.push(Selected::Whole(tier));
-            return false;
-        }
         if let Some(controller) = kn_controller {
             allocator.set_exploration_width(controller.kn_for_query(query));
         }
@@ -679,16 +621,15 @@ impl Mediator {
         if candidates.is_empty() {
             let starved = providers.starvation_error(query);
             scratch.selected.push(Selected::Starved(starved));
-            return true;
+            return;
         }
         let start = scratch.keys.len();
         let keep = if fallback {
-            BaselineFallback.select_into(query, candidates, &mut scratch.keys)
+            BaselineFallback::select_into(query, candidates, &mut scratch.keys);
+            None
         } else {
             with_tier_width(allocator.as_mut(), tier, |allocator| {
-                allocator
-                    .phased()
-                    .and_then(|phased| phased.select_into(query, candidates, &mut scratch.keys))
+                allocator.select_into(query, candidates, &mut scratch.keys)
             })
         };
         scratch.selected.push(Selected::Drawn {
@@ -698,7 +639,6 @@ impl Mediator {
             kept: 0..0,
             consumer_row: satisfaction.consumer_row(query.consumer),
         });
-        true
     }
 
     /// The score phase of the oldest selected query, which must be `query`:
@@ -742,45 +682,26 @@ impl Mediator {
             ));
         };
         *next += 1;
-        let (tier, rows, consumer_row) = match step {
+        let (tier, kept, consumer_row) = match step {
             Selected::Starved(starved) => return Err(starved.clone()),
             Selected::Drawn {
                 tier,
                 kept,
                 consumer_row,
                 ..
-            } => {
-                let drawn = Drawn {
-                    ids: &ids[kept.clone()],
-                    rows: &rows[kept.clone()],
-                    consumer_row: *consumer_row,
-                };
-                if matches!(tier, DegradationTier::Baseline | DegradationTier::Shed) {
-                    BaselineFallback.score_into(query, drawn, oracle, satisfaction, decision)?;
-                } else {
-                    let Some(phased) = allocator.phased() else {
-                        return Err(SbqaError::invalid_config(
-                            "the technique stopped splitting between its phases",
-                        ));
-                    };
-                    phased.score_into(query, drawn, oracle, satisfaction, decision)?;
-                }
-                (*tier, &rows[kept.clone()], *consumer_row)
-            }
-            &Selected::Whole(tier) => {
-                if let Some(controller) = kn_controller.as_mut() {
-                    allocator.set_exploration_width(controller.kn_for_query(query));
-                }
-                let candidates = providers.candidates(query);
-                if candidates.is_empty() {
-                    return Err(providers.starvation_error(query));
-                }
-                with_tier_width(allocator.as_mut(), tier, |allocator| {
-                    allocator.allocate_into(query, candidates, oracle, satisfaction, decision)
-                })?;
-                (tier, &[][..], RowHint::NONE)
-            }
+            } => (*tier, kept.clone(), *consumer_row),
         };
+        let rows = &rows[kept.clone()];
+        let drawn = Drawn {
+            ids: &ids[kept],
+            rows,
+            consumer_row,
+        };
+        if matches!(tier, DegradationTier::Baseline | DegradationTier::Shed) {
+            BaselineFallback::score_into(query, drawn, oracle, decision);
+        } else {
+            allocator.score_into(query, drawn, oracle, satisfaction, decision)?;
+        }
         // The controller adapts only on evidence from widths it chose
         // itself: forced-floor samples would read as "small kn is fine"
         // exactly when the system is drowning.
@@ -841,8 +762,7 @@ impl Mediator {
         oracle: &dyn IntentionOracle,
         tier: DegradationTier,
     ) -> SbqaResult<&AllocationDecision> {
-        // Scored at once, so whether it could wait does not matter.
-        let _ = self.select_at(query, tier);
+        self.select_at(query, tier);
         self.score_next(query, oracle)
     }
 
@@ -869,16 +789,14 @@ impl Mediator {
         // evidence decided (a pure no-op when adaptation is disabled).
         self.adapt_kn();
         let mut report = BatchReport::default();
-        let mut scored = 0;
-        while scored < queries.len() {
-            let mut selected = scored;
-            while selected < queries.len() && selected - scored < SELECT_GROUP {
-                selected += 1;
-                if !self.select_at(&queries[selected - 1], DegradationTier::Normal) {
-                    break;
-                }
+        for (first, group) in (0..)
+            .step_by(SELECT_GROUP)
+            .zip(queries.chunks(SELECT_GROUP))
+        {
+            for query in group {
+                self.select_at(query, DegradationTier::Normal);
             }
-            for (position, query) in queries.iter().enumerate().take(selected).skip(scored) {
+            for (position, query) in (first..).zip(group) {
                 let result = self.score_next(query, oracle);
                 match result {
                     Ok(_) => report.mediated += 1,
@@ -886,7 +804,6 @@ impl Mediator {
                 }
                 on_result(position, query, result);
             }
-            scored = selected;
         }
         report
     }

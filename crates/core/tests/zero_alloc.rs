@@ -26,7 +26,9 @@
 //! then their score phases — and both are measured warm: the mediator's own
 //! `submit_batch`, and the service's batch step (`ShardedMediator` over one
 //! shard) with a degradation ladder armed, through a burst that takes the
-//! ladder through every tier and back.
+//! ladder through every tier and back. The baselines (Capacity, Economic,
+//! Random) run the same phases, and a warm `submit_batch` under each is
+//! measured too.
 //!
 //! Last, a warm one-shard `MediationService`: the producer's chunk buffers
 //! come back to it through the ingest ring, so a further chunk allocates
@@ -41,13 +43,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use sbqa_baselines::build_allocator;
 use sbqa_core::postings::WORDS_MIN;
 use sbqa_core::{DegradationConfig, Mediator, StaticIntentions};
 use sbqa_satisfaction::{InteractionWindow, ProviderInteraction};
 use sbqa_service::{IngestConfig, MediationService, ShardedMediator};
 use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
-    QueryId, SystemConfig, VirtualTime,
+    AllocationPolicyKind, Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention,
+    ProviderId, Query, QueryId, SystemConfig, VirtualTime,
 };
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
@@ -488,6 +491,66 @@ fn steady_state_mediation_does_not_allocate() {
         "every tier was met: {stats:?}"
     );
     assert!(tiers.iter().all(|&count| count > 0), "{tiers:?}");
+
+    // A warm baseline group: Capacity and Economic rank the view in the
+    // select phase and Random draws from it, so their batches run the same
+    // two phases over the mediator's reused scratch. 64 providers with
+    // loads that differ, single- and multi-class queries; satisfaction
+    // windows of 8 slots are full-sized from a participant's first record,
+    // which warm-up makes for every provider a technique ever consults.
+    for kind in [
+        AllocationPolicyKind::Capacity,
+        AllocationPolicyKind::Economic,
+        AllocationPolicyKind::Random,
+    ] {
+        let allocator = build_allocator(kind, &SystemConfig::default(), 42).unwrap();
+        let mut mediator = Mediator::new(allocator, 8);
+        for p in 0..64u64 {
+            let caps = CapabilitySet::from_capabilities([
+                Capability::new((p % 3) as u8),
+                Capability::new(((p + 1) % 3) as u8),
+            ]);
+            mediator.register_provider(ProviderId::new(p), caps, 1.0 + (p % 4) as f64);
+            mediator
+                .update_provider_load(ProviderId::new(p), (p * 7 % 11) as f64, 0)
+                .unwrap();
+        }
+        mediator.register_consumer(ConsumerId::new(1));
+        let batches: Vec<Vec<Query>> = (0..24u64)
+            .map(|batch| {
+                (0..64u64)
+                    .map(|i| {
+                        let id = 70_000 + batch * 64 + i;
+                        if i % 2 == 0 {
+                            query(id)
+                        } else {
+                            multi_query(id)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let run = |mediator: &mut Mediator, batches: &[Vec<Query>]| {
+            for batch in batches {
+                let report = mediator.submit_batch(batch, &oracle, |_, _, result| {
+                    assert_eq!(result.map(|decision| decision.selected.len()), Ok(2));
+                });
+                assert_eq!(report.mediated, batch.len());
+            }
+        };
+        run(&mut mediator, &batches[..16]);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        run(&mut mediator, &batches[16..]);
+        COUNTING.store(false, Ordering::SeqCst);
+        let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert_eq!(
+            allocations,
+            0,
+            "a warm {} group must not touch the heap",
+            kind.label()
+        );
+    }
 
     // A warm one-shard threaded service. Its ring holds exactly one chunk
     // of 64, so `enqueue_batch` of chunk n returns only once chunk n - 1's

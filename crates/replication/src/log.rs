@@ -425,7 +425,7 @@ mod tests {
         assert_eq!(state(standby), before);
         let (providers, satisfaction) = standby.checkpoint();
         let copy = StandbyShard::new(
-            primary.fork_allocator().expect("SbQA forks"),
+            primary.fork_allocator(),
             providers.clone(),
             satisfaction.clone(),
             standby.watermark(),

@@ -191,8 +191,8 @@ impl StandbyShard {
     ///
     /// [`SbqaError::InvalidConfiguration`], with the standby and the log left
     /// exactly as they were, on a `replication gap` (see
-    /// [`catch_up`](Self::catch_up)), when the technique cannot fork, or
-    /// when `primary`'s satisfaction registry is not tracking touched ids. A
+    /// [`catch_up`](Self::catch_up)), or when `primary`'s satisfaction
+    /// registry is not tracking touched ids. A
     /// replayed mutation that does not apply is propagated, and it leaves
     /// the standby half-cut and the log unpruned: the rule is that a standby
     /// whose cut failed is never cut or promoted again, only discarded (the
@@ -207,12 +207,6 @@ impl StandbyShard {
             mutations += usize::from(matches!(entry, Entry::Mutation(_)));
             Ok(())
         })?;
-        let allocator =
-            primary
-                .fork_allocator()
-                .ok_or_else(|| SbqaError::InvalidConfiguration {
-                    reason: "primary's allocation technique cannot be checkpointed".to_string(),
-                })?;
         primary
             .satisfaction_mut()
             .sync_touched_into(&mut self.satisfaction)
@@ -224,7 +218,7 @@ impl StandbyShard {
         } else {
             replay_mutations(log, self.watermark, &mut self.providers)?;
         }
-        self.allocator = allocator;
+        self.allocator = primary.fork_allocator();
         self.watermark += records;
         self.checkpoints += 1;
         log.prune_through(self.watermark);
@@ -328,7 +322,7 @@ pub(crate) mod tests {
         let mut primary = Mediator::sbqa(config, 7).expect("valid config");
         let log = SharedDeltaLog::new();
         let mut standby = StandbyShard::new(
-            primary.fork_allocator().expect("SbQA forks"),
+            primary.fork_allocator(),
             primary.providers().clone(),
             primary.satisfaction().clone(),
             log.last_sequence(),

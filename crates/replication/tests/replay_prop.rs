@@ -268,7 +268,7 @@ impl Replicated {
     fn arm(mut primary: Mediator) -> Self {
         let log = SharedDeltaLog::new();
         let standby = StandbyShard::new(
-            primary.fork_allocator().expect("SbQA forks"),
+            primary.fork_allocator(),
             primary.providers().clone(),
             primary.satisfaction().clone(),
             log.last_sequence(),
@@ -607,7 +607,7 @@ fn assert_a_gap(replicated: &mut Replicated, log: &SharedDeltaLog) {
     is_gap(replicated.standby.replay_digest(log).expect_err("a gap"));
     assert_eq!(standby_state(&replicated.standby, log), before);
     let standby = StandbyShard::new(
-        replicated.primary.fork_allocator().expect("SbQA forks"),
+        replicated.primary.fork_allocator(),
         replicated.standby.checkpoint().0.clone(),
         replicated.standby.checkpoint().1.clone(),
         replicated.standby.watermark(),

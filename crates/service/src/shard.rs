@@ -43,17 +43,6 @@ use crate::report::ShardReport;
 /// Default number of batches between automatic checkpoints.
 const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4;
 
-/// Forks a mediator's allocation technique for a standby, or says why not.
-fn fork_allocator(mediator: &Mediator) -> SbqaResult<Box<dyn QueryAllocator>> {
-    mediator.fork_allocator().ok_or_else(|| {
-        SbqaError::invalid_config(format!(
-            "allocation technique '{}' cannot be checkpointed \
-             (QueryAllocator::fork returned None)",
-            mediator.technique()
-        ))
-    })
-}
-
 /// The standby side of a replicated shard: the shard's log, the standby
 /// checkpoint it carries forward, and the first replication fault met.
 #[derive(Debug)]
@@ -150,16 +139,16 @@ impl MediatorShard {
     ///
     /// # Errors
     ///
-    /// [`SbqaError::InvalidConfiguration`] when the allocation technique
-    /// does not implement [`QueryAllocator::fork`], or when adaptive `kn` is
-    /// enabled — either would silently diverge after a failover.
+    /// [`SbqaError::InvalidConfiguration`] when adaptive `kn` is enabled: a
+    /// checkpoint does not carry the controller, so the run would silently
+    /// diverge after a failover.
     pub fn replicate(&mut self) -> SbqaResult<()> {
         if self.mediator.adaptive_kn().is_some() {
             return Err(SbqaError::invalid_config(
                 "adaptive kn is not checkpointed and cannot be replicated",
             ));
         }
-        let allocator = fork_allocator(&self.mediator)?;
+        let allocator = self.mediator.fork_allocator();
         // Nothing to reuse yet: the copy goes into an empty registry.
         self.arm(allocator, SatisfactionRegistry::new(1));
         Ok(())
@@ -282,16 +271,15 @@ impl MediatorShard {
         oracle: &dyn IntentionOracle,
         start: Instant,
     ) -> SbqaResult<SbqaResult<&AllocationDecision>> {
-        let (admission, _) = self.select(query)?;
+        let admission = self.select(query)?;
         Ok(self.score(query, admission, oracle, start))
     }
 
     /// The select phase of [`submit`](Self::submit): the fault check, the
     /// ladder's verdict, its log append and, for an admitted query, the
     /// mediator's select phase ([`Mediator::select_at`]). Returns the
-    /// verdict, for [`score`](Self::score), and whether the next query may
-    /// be selected before this one is scored.
-    fn select(&mut self, query: &Query) -> SbqaResult<(Admission, bool)> {
+    /// verdict, for [`score`](Self::score).
+    fn select(&mut self, query: &Query) -> SbqaResult<Admission> {
         check(self.fault())?;
         let admission = match &mut self.ladder {
             None => Admission::Admit(DegradationTier::Normal),
@@ -300,11 +288,10 @@ impl MediatorShard {
         if let Some(replica) = &self.replica {
             replica.log.append_query(query, admission);
         }
-        let ahead = match admission {
-            Admission::Admit(tier) => self.mediator.select_at(query, tier),
-            Admission::Shed => true,
-        };
-        Ok((admission, ahead))
+        if let Admission::Admit(tier) = admission {
+            self.mediator.select_at(query, tier);
+        }
+        Ok(admission)
     }
 
     /// The score phase of [`submit`](Self::submit) for the oldest query
@@ -361,9 +348,7 @@ impl MediatorShard {
     /// # Errors
     ///
     /// A replication fault, kept on the shard ([`fault`](Self::fault)): the
-    /// pending one, a gap, a logged mutation the cut's replay meets, or
-    /// [`SbqaError::InvalidConfiguration`] if the technique lost fork
-    /// support (cannot happen after [`replicate`](Self::replicate)). A
+    /// pending one, a gap or a logged mutation the cut's replay meets. A
     /// record that fails mid-replay leaves the standby half-cut, so a
     /// faulted standby is never cut or promoted again; the next
     /// [`promote`](Self::promote) discards it.
@@ -401,7 +386,7 @@ impl MediatorShard {
     /// replication is re-armed around the untouched mediator.
     pub fn promote(&mut self, oracle: &dyn IntentionOracle) -> SbqaResult<ReplayReport> {
         // Forked before anything is taken apart, for the calling-off path.
-        let spare = fork_allocator(&self.mediator)?;
+        let spare = self.mediator.fork_allocator();
         let Some(Replica {
             log,
             standby,
@@ -415,7 +400,7 @@ impl MediatorShard {
         };
         let promotion = check(fault.as_ref())
             .and_then(|()| standby.promote(&log, oracle))
-            .and_then(|(mediator, report)| Ok((fork_allocator(&mediator)?, mediator, report)));
+            .map(|(mediator, report)| (mediator.fork_allocator(), mediator, report));
         match promotion {
             Ok((allocator, mediator, report)) => {
                 // The crash: the live mediator is taken apart, its
@@ -505,10 +490,10 @@ impl MediatorShard {
 /// queries — query `i` is `query_at(i)`, its shard, the query and the
 /// instant its latency counts from (the threaded driver passes the
 /// *enqueue* instant, so its samples include queueing; the inline one the
-/// instant it asks, as the query's select phase starts) — in two phases. The select phases of up
-/// to [`SELECT_GROUP`] queries run first, in order, cut short after a query
-/// whose technique does not split; then their score phases run in the same
-/// order, each outcome going to `on_result` with the query's index and
+/// instant it asks, as the query's select phase starts) — in two phases. The
+/// select phases of up to [`SELECT_GROUP`] queries run first, in order, cut
+/// short only by a replication fault; then their score phases run in the
+/// same order, each outcome going to `on_result` with the query's index and
 /// shard. Every shard sees its queries in the order given, the ladder's
 /// verdicts and log appends included, so each decides what per-query
 /// submits would; only the reads of up to a group's worth of queries are in
@@ -534,12 +519,9 @@ pub(crate) fn submit_grouped<'q>(
         while selected < len && selected - scored < SELECT_GROUP {
             let (shard, query, start) = query_at(selected);
             match shards[shard].select(query) {
-                Ok((admission, ahead)) => {
+                Ok(admission) => {
                     group[selected - scored] = Some((shard, query, admission, start));
                     selected += 1;
-                    if !ahead {
-                        break;
-                    }
                 }
                 Err(error) => {
                     fault = Some(error);

@@ -266,8 +266,7 @@ impl ShardedMediator {
     ///
     /// # Errors
     ///
-    /// [`SbqaError::InvalidConfiguration`] when a shard's technique cannot
-    /// be checkpointed or adaptive `kn` is enabled.
+    /// [`SbqaError::InvalidConfiguration`] when adaptive `kn` is enabled.
     pub fn replicate(&mut self) -> SbqaResult<()> {
         self.shards
             .iter_mut()

@@ -17,15 +17,16 @@
 //! over a plan cache of one or two entries (so a cold resolve recycles a plan
 //! an earlier query of the same group drew from), queries that starve in the
 //! middle of a batch, bursts that drive an armed ladder through its tiers,
-//! armed adaptive `kn`, replicated shards, and the threaded front with a ring
-//! smaller than a producer chunk (so waves split chunks).
+//! armed adaptive `kn`, replicated shards, the threaded front with a ring
+//! smaller than a producer chunk (so waves split chunks), and each baseline
+//! (Capacity, Economic, Random) in SbQA's place, plain or replicated.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use proptest::prelude::*;
 
-use sbqa_baselines::CapacityAllocator;
+use sbqa_baselines::build_allocator;
 use sbqa_core::{
     AllocationDecision, DegradationConfig, DegradationLadder, IntentionOracle, KnControllerConfig,
     Mediator,
@@ -35,8 +36,8 @@ use sbqa_service::{
     IngestConfig, MediationService, MediatorShard, OutcomeRecord, ShardRouter, ShardedMediator,
 };
 use sbqa_types::{
-    Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
-    QueryId, SbqaResult, SystemConfig, VirtualTime,
+    AllocationPolicyKind, Capability, CapabilityRequirement, CapabilitySet, ConsumerId, Intention,
+    ProviderId, Query, QueryId, SbqaResult, SystemConfig, VirtualTime,
 };
 
 /// Classes providers advertise; class `STARVING` is advertised by nobody.
@@ -84,9 +85,8 @@ struct Setup {
     replicate: Option<u64>,
     /// Ring capacity of the threaded front; `None` drives it inline.
     threaded: Option<usize>,
-    /// Hosts the capacity baseline, a technique that does not split, in
-    /// place of SbQA.
-    baseline: bool,
+    /// The baseline hosted in place of SbQA, if any.
+    baseline: Option<AllocationPolicyKind>,
 }
 
 fn classes(mask: u8) -> CapabilitySet {
@@ -114,13 +114,12 @@ fn build(setup: Setup) -> ShardedMediator {
     let config = SystemConfig::default().with_knbest(6, 3);
     let mediators = (0..setup.shards as u64)
         .map(|index| {
-            let mut mediator = if setup.baseline {
-                Mediator::new(
-                    Box::new(CapacityAllocator::new()),
+            let mut mediator = match setup.baseline {
+                Some(kind) => Mediator::new(
+                    build_allocator(kind, &config, setup.seed + index).unwrap(),
                     config.satisfaction_window,
-                )
-            } else {
-                Mediator::sbqa(config.clone(), setup.seed + index).unwrap()
+                ),
+                None => Mediator::sbqa(config.clone(), setup.seed + index).unwrap(),
             };
             mediator.set_plan_cache_capacity(setup.plan_cache);
             mediator
@@ -429,9 +428,15 @@ fn setup(
         plan_cache,
         ladder,
         adaptive: mode == 1,
-        replicate: (mode == 2 || mode == 4).then_some(1 + seed % 2),
+        replicate: matches!(mode, 2 | 4 | 6).then_some(1 + seed % 2),
         threaded: (mode == 3 || mode == 4).then_some(ring),
-        baseline: mode == 5,
+        baseline: (mode >= 5).then(|| {
+            [
+                AllocationPolicyKind::Capacity,
+                AllocationPolicyKind::Economic,
+                AllocationPolicyKind::Random,
+            ][(seed % 3) as usize]
+        }),
     }
 }
 
@@ -449,8 +454,9 @@ proptest! {
     #[test]
     fn phased_batches_decide_like_per_query_submits(
         // 0 plain, 1 adaptive kn, 2 replicated, 3 threaded, 4 threaded and
-        // replicated, 5 the capacity baseline.
-        mode in 0u8..6,
+        // replicated, 5 a baseline picked by the seed, 6 that baseline
+        // replicated.
+        mode in 0u8..7,
         shards in 1usize..4,
         seed in 0u64..1_000,
         plan_cache in 1usize..3,

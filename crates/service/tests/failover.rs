@@ -1,8 +1,8 @@
 //! Integration tests of the replication subsystem at the service layer:
 //! crash/promotion byte-identity under registry churn, standby lockstep,
 //! checkpoint pruning, delta-driven live resize, the allocation bound of
-//! an incremental checkpoint cut, and the composition of replication with
-//! the threaded driver and the degradation ladder.
+//! an incremental checkpoint cut, the composition of replication with the
+//! threaded driver and the degradation ladder, and replicated baselines.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,13 +10,16 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
+use sbqa_baselines::build_allocator;
 use sbqa_core::{
-    DegradationConfig, DegradationStats, IntentionOracle, KnControllerConfig, StaticIntentions,
+    DegradationConfig, DegradationStats, IntentionOracle, KnControllerConfig, Mediator,
+    StaticIntentions,
 };
+use sbqa_replication::satisfaction_digest;
 use sbqa_service::{IngestConfig, MediationService, OutcomeRecord, ServiceReport, ShardedMediator};
 use sbqa_types::{
-    Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
-    VirtualTime,
+    AllocationPolicyKind, Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query,
+    QueryId, SystemConfig, VirtualTime,
 };
 
 thread_local! {
@@ -536,4 +539,141 @@ fn replication_and_adaptive_kn_refuse_each_other_in_both_orders() {
     assert!(replicated_first
         .shards()
         .all(|s| s.mediator().adaptive_kn().is_none()));
+}
+
+// ---------------------------------------------------------------------------
+// Replicated × baseline
+// ---------------------------------------------------------------------------
+
+/// Intentions that differ per (query, provider), so the satisfaction both
+/// sides accumulate depends on exactly who was consulted and selected.
+struct HashIntentions;
+
+impl HashIntentions {
+    fn value(salt: u64, query: &Query, provider: ProviderId) -> Intention {
+        let mut x = salt ^ query.id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x = x.wrapping_add(provider.raw().wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        Intention::new((x >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
+    }
+}
+
+impl IntentionOracle for HashIntentions {
+    fn consumer_intention(&self, query: &Query, provider: ProviderId) -> Intention {
+        Self::value(1, query, provider)
+    }
+
+    fn provider_intention(&self, provider: ProviderId, query: &Query) -> Intention {
+        Self::value(2, query, provider)
+    }
+}
+
+/// A replicated 2-shard front hosting baseline `kind` on every shard.
+fn replicated_baseline(kind: AllocationPolicyKind) -> ShardedMediator {
+    let config = SystemConfig::default();
+    let mediators = (0..2)
+        .map(|shard| {
+            let allocator = build_allocator(kind, &config, 17 + shard).unwrap();
+            Mediator::new(allocator, config.satisfaction_window)
+        })
+        .collect();
+    let mut service = ShardedMediator::new(42, mediators).unwrap();
+    service.replicate().unwrap();
+    for p in 0..40u64 {
+        service.register_provider(
+            ProviderId::new(p),
+            caps((p % 2) as u8),
+            1.0 + (p % 3) as f64,
+        );
+    }
+    for c in 1..=3 {
+        service.register_consumer(ConsumerId::new(c));
+    }
+    service
+}
+
+/// Each shard's satisfaction digest and the bits of both sides' mean
+/// satisfaction over the front.
+fn satisfaction_state(service: &ShardedMediator) -> (Vec<u64>, u64, u64) {
+    let digests = service
+        .shards()
+        .map(|shard| satisfaction_digest(shard.mediator().satisfaction()))
+        .collect();
+    let (mut consumers, mut providers) = (0.0, 0.0);
+    for shard in service.shards() {
+        let satisfaction = shard.mediator().satisfaction();
+        for c in 1..=3 {
+            consumers += satisfaction
+                .consumer_satisfaction(ConsumerId::new(c))
+                .value();
+        }
+        providers += satisfaction
+            .provider_satisfactions()
+            .map(|(_, sat)| sat.value())
+            .sum::<f64>();
+    }
+    (digests, consumers.to_bits(), providers.to_bits())
+}
+
+#[test]
+fn replicated_baselines_survive_a_midpoint_crash_byte_identically() {
+    // Capacity ranks the view; Random draws from an RNG the checkpoint has
+    // to carry.
+    for kind in [AllocationPolicyKind::Capacity, AllocationPolicyKind::Random] {
+        let oracle = HashIntentions;
+        let mut crashed = replicated_baseline(kind);
+        let mut uncrashed = replicated_baseline(kind);
+        let stream: Vec<Query> = (0..240u64)
+            .map(|i| {
+                Query::builder(
+                    QueryId::new(i),
+                    ConsumerId::new(1 + i % 3),
+                    Capability::new(0),
+                )
+                .replication(1 + (i % 3) as usize)
+                .issued_at(VirtualTime::new(i as f64 * 0.05))
+                .build()
+            })
+            .collect();
+        let mut outcomes = [Vec::new(), Vec::new()];
+        for (round, chunk) in stream.chunks(24).enumerate() {
+            churn(&mut crashed, round as u64, 40);
+            churn(&mut uncrashed, round as u64, 40);
+            if round == 5 {
+                // A checkpoint was cut after round 3: each promotion
+                // re-mediates round 4's queries from the log.
+                for shard in 0..2 {
+                    let replay = crashed.crash_shard(shard, &oracle).unwrap();
+                    assert!(replay.queries_mediated > 0, "{kind:?}");
+                }
+            }
+            for (service, outcomes) in [&mut crashed, &mut uncrashed]
+                .into_iter()
+                .zip(&mut outcomes)
+            {
+                service
+                    .try_submit_batch(chunk, &oracle, |_, query, result| {
+                        outcomes.push((query.id, result.ok().cloned()));
+                    })
+                    .unwrap();
+            }
+        }
+        let [crashed_outcomes, uncrashed_outcomes] = outcomes;
+        assert_eq!(crashed_outcomes, uncrashed_outcomes, "{kind:?}");
+        assert!(crashed_outcomes
+            .iter()
+            .all(|(_, decision)| decision.is_some()));
+        assert_eq!(
+            satisfaction_state(&crashed),
+            satisfaction_state(&uncrashed),
+            "{kind:?}"
+        );
+        let promotions: u64 = crashed
+            .shards()
+            .map(|s| s.replication_stats().promotions)
+            .sum();
+        assert_eq!(promotions, 2, "{kind:?}");
+        assert!(crashed.standbys_in_lockstep());
+    }
 }

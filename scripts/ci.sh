@@ -197,7 +197,7 @@ echo "== 1M-provider smoke: scenario_sharded --providers 1000000 --quick"
 cargo run --release -p sbqa_bench --bin scenario_sharded -- \
     --providers 1000000 --quick --shards 1,2 > /dev/null
 
-echo "== golden determinism gates (scenario1, scenario4, multicap, sharded service, failover, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, plan_cache_prop, maintained_prop, directory_prop)"
+echo "== golden determinism gates (scenario1, scenario4, multicap, baselines, sharded service, failover, replicated baselines, overload, adaptive, compositions, threaded+replicated+degrading composition, replay_prop, postings_prop, candidates_prop, plan_cache_prop, maintained_prop, directory_prop)"
 # Byte-identical-per-seed is a hard invariant (ARCHITECTURE.md): these run
 # as part of the test suites above, but are re-run here by name so a
 # filtered or partial test invocation can never skip them silently. Every
@@ -295,10 +295,16 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, sharded servi
 # satisfaction bits, controller trail); golden_compositions pins what one declared run composes: a crash
 # while shedding after a live resize (crashed = uncrashed, inline = threaded,
 # chunk 64 = chunk 17) and both primaries lost behind a churned standby that
-# never checkpoints.
+# never checkpoints. golden_baselines pins the decision and oracle-call
+# digests of Capacity, Economic and Random through a batched mediator over
+# single-class and All/Any views; failover's
+# replicated_baselines_survive_a_midpoint_crash_byte_identically holds a
+# replicated Capacity and Random front crashed at its midpoint to the
+# uncrashed one (outcomes and both sides' satisfaction).
 cargo test --release -p sbqa --test golden_scenario1 --test golden_scenario4 --test golden_multicap \
-    --test determinism -q
-# batch_phases_prop: both fronts' phased batch step decides, records and logs what per-query submits do.
+    --test golden_baselines --test determinism -q
+# batch_phases_prop: both fronts' phased batch step decides, records and logs what per-query submits do,
+# for SbQA and for each baseline, plain and replicated.
 # ring_prop: the ingest ring's room (a popped chunk holds its room until released; only a lone chunk
 # heavier than the ring exceeds it), FIFO order, buffer recycling, drain on close and the wake of a
 # producer blocked for room. The shard-panic test: a shard thread that dies closes its ring, so the
