@@ -329,7 +329,7 @@ fn check(setup: Setup, specs: &[Vec<Spec>]) -> [u64; 4] {
                 phased
                     .try_submit_batch(batch, &oracle, |position, query, result| {
                         assert_eq!(batch[position].id, query.id);
-                        let shard = phased_shard(setup, query);
+                        let shard = shard_of(setup, query);
                         outcomes.push(record(shard, query, result));
                     })
                     .unwrap();
@@ -390,7 +390,7 @@ fn check(setup: Setup, specs: &[Vec<Spec>]) -> [u64; 4] {
         let mut got = Vec::new();
         phased
             .try_submit_batch(&next, &oracle, |_, query, result| {
-                got.push(record(phased_shard(setup, query), query, result));
+                got.push(record(shard_of(setup, query), query, result));
             })
             .unwrap();
         assert_eq!(got, expected, "decisions after promotion, {setup:?}");
@@ -410,7 +410,7 @@ fn check(setup: Setup, specs: &[Vec<Spec>]) -> [u64; 4] {
 }
 
 /// The shard a query routes to (the router is pure in the seed).
-fn phased_shard(setup: Setup, query: &Query) -> usize {
+fn shard_of(setup: Setup, query: &Query) -> usize {
     ShardRouter::new(setup.shards, setup.seed).shard_of_query(query.id)
 }
 
@@ -452,7 +452,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn phased_batches_decide_like_per_query_submits(
+    fn grouped_batches_decide_like_per_query_submits(
         // 0 plain, 1 adaptive kn, 2 replicated, 3 threaded, 4 threaded and
         // replicated, 5 a baseline picked by the seed, 6 that baseline
         // replicated.
