@@ -148,7 +148,6 @@ impl ServiceRun {
 
 /// What a [`World`] is shown at a batch boundary.
 #[derive(Debug, Clone, Copy)]
-// sbqa-lint: allow(dead-pub, "the argument of the public World::before_batch hook; worlds read it unnamed")
 pub struct Boundary<'a> {
     /// The run being driven.
     pub run: &'a ServiceRun,

@@ -303,6 +303,11 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, baselines, sh
 # uncrashed one (outcomes and both sides' satisfaction).
 cargo test --release -p sbqa --test golden_scenario1 --test golden_scenario4 --test golden_multicap \
     --test golden_baselines --test determinism -q
+# crash_sweep: a replicated two-shard front crashed at every batch boundary of every shard, ladder off
+# and on, under a pure hash oracle and online/load churn, equals the uncrashed run in every outcome and
+# every participant's final satisfaction. Tier-1 runs a sample; the full sweep is ignored there and runs
+# here.
+cargo test --release -p sbqa --test crash_sweep -q -- --include-ignored
 # batch_phases_prop: both fronts' phased batch step decides, records and logs what per-query submits do,
 # for SbQA and for each baseline, plain and replicated.
 # ring_prop: the ingest ring's room (a popped chunk holds its room until released; only a lone chunk
