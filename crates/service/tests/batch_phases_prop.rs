@@ -217,8 +217,14 @@ fn batches(specs: &[Vec<Spec>]) -> Vec<Vec<Query>> {
         .collect()
 }
 
-/// One outcome as both paths report it.
-type Outcome = (u64, Vec<u64>, bool, bool);
+/// What a decision decided, bit for bit: every proposal's provider, both
+/// intentions, score and selected flag, in proposal order, and ω.
+type Decided = (Vec<(u64, u64, u64, Option<u64>, bool)>, Option<u64>);
+
+/// One outcome as both paths report it: the query, the selection, the
+/// starved and shed flags, and what was decided. The threaded front reports
+/// outcome records only, so its outcomes carry no decision.
+type Outcome = (u64, Vec<u64>, bool, bool, Option<Decided>);
 
 fn outcome(record: &OutcomeRecord) -> Outcome {
     (
@@ -226,11 +232,28 @@ fn outcome(record: &OutcomeRecord) -> Outcome {
         record.selected.iter().map(|p| p.raw()).collect(),
         record.starved,
         record.shed,
+        None,
     )
 }
 
+fn decided(decision: &AllocationDecision) -> Decided {
+    let proposals = decision.proposals.iter().map(|proposal| {
+        (
+            proposal.provider.raw(),
+            proposal.provider_intention.value().to_bits(),
+            proposal.consumer_intention.value().to_bits(),
+            proposal.score.map(f64::to_bits),
+            proposal.selected,
+        )
+    });
+    (proposals.collect(), decision.omega.map(f64::to_bits))
+}
+
 fn record(shard: usize, query: &Query, result: SbqaResult<&AllocationDecision>) -> Outcome {
-    outcome(&OutcomeRecord::from_result(shard, query, result))
+    let decision = result.as_ref().ok().map(|decision| decided(decision));
+    let mut outcome = outcome(&OutcomeRecord::from_result(shard, query, result));
+    outcome.4 = decision;
+    outcome
 }
 
 /// The registry writes before batch `batch`, the same on both sides: new
@@ -352,12 +375,16 @@ fn check(setup: Setup, specs: &[Vec<Spec>]) -> [u64; 4] {
                 running.enqueue_batch(batch.iter().cloned());
                 let (report, shards) = running.finish_with_shards();
                 phased = ShardedMediator::from_shards(router, shards).unwrap();
-                // Both in the merged `(issued_at, id)` order.
+                // Both in the merged `(issued_at, id)` order, without the
+                // decisions the threaded report does not carry.
                 let outcomes: Vec<Outcome> = report.outcomes.iter().map(outcome).collect();
-                assert_eq!(
-                    outcomes, expected[index],
-                    "outcomes of {setup:?}, batch {index}"
-                );
+                let records: Vec<Outcome> = expected[index]
+                    .iter()
+                    .map(|(query, selected, starved, shed, _)| {
+                        (*query, selected.clone(), *starved, *shed, None)
+                    })
+                    .collect();
+                assert_eq!(outcomes, records, "outcomes of {setup:?}, batch {index}");
                 churn(&mut phased, index + 1);
             }
         }
