@@ -6,12 +6,12 @@
 //!
 //! * `replay/churn_1k` — applying a 1k-record churn tail to a standby
 //!   registry: the per-record cost of a replaying cut and of promotion replay.
-//! * `submit/hook_{off,on}` — the acceptance series: one load update (the
-//!   mutation that emits a delta when the hook is armed) plus one
-//!   `submit_in_place` mediation, against 10k- and 100k-provider
-//!   registries, with and without a delta sink attached. The hook-on series
-//!   must stay within 5% of hook-off at 100k providers — mediation work
-//!   dwarfs the append, and a disabled hook is a single branch.
+//! * `submit/hook_{off,on}` — the acceptance series: one load update plus
+//!   one mediation through a one-shard `ShardedMediator` over 10k and 100k
+//!   providers, unreplicated and replicated (where the shard appends the
+//!   update and the query to its log). The replicated series must stay
+//!   within 5% of the unreplicated one at 100k providers — mediation work
+//!   dwarfs the appends.
 //! * `checkpoint_cut/{10k,100k}` — one checkpoint window of a one-shard
 //!   replicated `ShardedMediator` at the default cadence: 256 queries in 4 batches,
 //!   32 load deltas, then `checkpoint_all`. The cut is incremental, so the
@@ -24,8 +24,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sbqa_core::allocator::StaticIntentions;
-use sbqa_core::{Mediator, ProviderRegistry};
-use sbqa_replication::{Entry, SharedDeltaLog};
+use sbqa_core::{Mediator, ProviderRegistry, RegistryDelta};
 use sbqa_service::ShardedMediator;
 use sbqa_types::{
     Capability, CapabilitySet, ConsumerId, Intention, ProviderId, Query, QueryId, SystemConfig,
@@ -76,32 +75,31 @@ fn query() -> Query {
 fn bench_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("replication");
 
-    // Record a real churn tail by mutating a sink-armed registry. A
-    // no-op `set_online` emits nothing, so loop on the log depth rather
-    // than the op count to land on exactly 1k records.
-    let log = SharedDeltaLog::new();
+    // Record a real churn tail the way a shard logs it: the effective
+    // mutations only. A no-op `SetOnline` is not recorded, so loop on the
+    // tail's length rather than the op count to land on exactly 1k records.
     let mut live = registry(10_000);
-    live.set_delta_sink(Box::new(log.clone()));
+    let mut tail = Vec::new();
     let mut i = 0usize;
-    while log.depth() < 1_000 {
+    while tail.len() < 1_000 {
         let id = ProviderId::new((i as u64 * 37) % 10_000);
-        if i.is_multiple_of(4) {
-            live.set_online(id, !i.is_multiple_of(8))
-                .expect("provider exists");
+        let delta = if i.is_multiple_of(4) {
+            RegistryDelta::SetOnline {
+                id,
+                online: !i.is_multiple_of(8),
+            }
         } else {
-            live.update_load(id, (i % 32) as f64 * 0.25, i % 6)
-                .expect("provider exists");
+            RegistryDelta::UpdateLoad {
+                id,
+                utilization: (i % 32) as f64 * 0.25,
+                queue_length: i % 6,
+            }
+        };
+        if delta.apply(&mut live).expect("provider exists") {
+            tail.push(delta);
         }
         i += 1;
     }
-    let mut tail = Vec::new();
-    log.visit_after(0, |_, entry| {
-        if let Some(Entry::Mutation(delta)) = entry {
-            tail.push(delta);
-        }
-        Ok::<(), ()>(())
-    });
-    assert_eq!(tail.len(), 1_000);
 
     // Churn deltas only (no membership changes), so replaying the same tail
     // repeatedly into the same standby is valid and allocation-free.
@@ -117,49 +115,39 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance series: load-update + mediation with the hook off vs on.
+/// The acceptance series: load update + mediation on a one-shard service,
+/// unreplicated (`hook_off`) and replicated (`hook_on`).
 fn bench_submit_hook(c: &mut Criterion) {
     let mut group = c.benchmark_group("replication");
     let oracle = StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.2));
-    let q = query();
+    let q = [query()];
 
     for size in [10_000usize, 100_000] {
-        let mut plain = mediator(size);
-        let mut tick = 0u64;
-        group.bench_function(BenchmarkId::new("submit/hook_off", size), |b| {
-            b.iter(|| {
-                tick = tick.wrapping_add(1);
-                let id = ProviderId::new(tick % size as u64);
-                plain
-                    .update_provider_load(id, (tick % 16) as f64 * 0.5, (tick % 4) as usize)
-                    .expect("provider exists");
-                let decision = plain.submit_in_place(black_box(&q), &oracle);
-                black_box(decision.is_ok())
+        for (series, replicate) in [("submit/hook_off", false), ("submit/hook_on", true)] {
+            let mut service =
+                ShardedMediator::new(42, vec![mediator(size)]).expect("one shard fits");
+            if replicate {
+                service.replicate().expect("SbQA forks");
+                // Bound the log the way a deployment does: a checkpoint
+                // every few thousand records (each iteration appends two).
+                // Letting it grow unboundedly instead would measure cache
+                // pollution from a multi-megabyte log no real configuration
+                // retains.
+                service.set_checkpoint_interval(1 << 11);
+            }
+            let mut tick = 0u64;
+            group.bench_function(BenchmarkId::new(series, size), |b| {
+                b.iter(|| {
+                    tick = tick.wrapping_add(1);
+                    let id = ProviderId::new(tick % size as u64);
+                    service
+                        .update_provider_load(id, (tick % 16) as f64 * 0.5, (tick % 4) as usize)
+                        .expect("provider exists");
+                    let report = service.submit_batch(black_box(&q), &oracle, |_, _, _| {});
+                    black_box(report.mediated)
+                });
             });
-        });
-
-        let mut hooked = mediator(size);
-        let log = SharedDeltaLog::new();
-        hooked.set_delta_sink(Box::new(log.clone()));
-        let mut tick = 0u64;
-        group.bench_function(BenchmarkId::new("submit/hook_on", size), |b| {
-            b.iter(|| {
-                tick = tick.wrapping_add(1);
-                let id = ProviderId::new(tick % size as u64);
-                hooked
-                    .update_provider_load(id, (tick % 16) as f64 * 0.5, (tick % 4) as usize)
-                    .expect("provider exists");
-                let decision = hooked.submit_in_place(black_box(&q), &oracle);
-                // Bound the log the way a deployment does: checkpoints every
-                // few batches keep it a few thousand records deep. Letting it
-                // grow unboundedly instead would measure cache pollution from
-                // a multi-megabyte log no real configuration retains.
-                if log.depth() >= 1 << 12 {
-                    log.prune_through(log.last_sequence());
-                }
-                black_box(decision.is_ok())
-            });
-        });
+        }
     }
     group.finish();
 }

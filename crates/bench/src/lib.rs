@@ -35,7 +35,7 @@ use sbqa_boinc::{ScenarioId, ScenarioOutcome};
 pub use cli::{parse_env_or_exit, HarnessOptions};
 
 /// Prints a scenario outcome and optionally writes its CSV.
-pub fn emit(outcome: &ScenarioOutcome, options: &HarnessOptions) -> Result<(), String> {
+fn emit(outcome: &ScenarioOutcome, options: &HarnessOptions) -> Result<(), String> {
     println!("{}", outcome.table());
     if let Some(path) = &options.csv {
         fs::write(path, outcome.series_csv())

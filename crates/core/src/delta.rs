@@ -1,26 +1,23 @@
 //! Registry mutation deltas: the unit of replication.
 //!
 //! Every state change a [`ProviderRegistry`]
-//! can undergo is describable by one of four [`RegistryDelta`] records. A
-//! registry with a [`DeltaSink`] attached emits one record per *effective*
-//! mutation — a call that changed state — and nothing for a no-op, so a
-//! replica that replays the stream performs exactly the primary's mutations.
-//! Per mutator:
+//! can undergo is describable by one of four [`RegistryDelta`] records.
+//! [`RegistryDelta::apply`] performs one and says whether it was
+//! *effective* — whether it changed state — so that a replicated shard logs
+//! exactly the effective ones and a replica that replays its log performs
+//! exactly the primary's mutations. Per mutator:
 //!
-//! * `register` always mutates (it inserts or replaces) → always emits;
-//! * `unregister` emits only when the provider existed;
-//! * `set_online` emits only when the flag actually toggled (the no-op
-//!   early-return emits nothing);
-//! * `update_load` emits only on success (unknown provider → error, no
-//!   emission).
+//! * `register` always mutates (it inserts or replaces) → always effective;
+//! * `unregister` is effective only when the provider existed (an unknown
+//!   provider is an error);
+//! * `set_online` is effective only when the flag actually toggled;
+//! * `update_load` is effective whenever it succeeds (an unknown provider is
+//!   an error).
 //!
 //! Records carry the *arguments* of the mutation, not a diff of the result:
-//! replaying a record through the identically-named public mutator on any
-//! registry that has seen the same prefix reproduces the same state,
-//! including the slab layout, postings membership and load columns.
-//!
-//! The hook is zero-cost when disabled: an unattached registry pays one
-//! `Option` null check per mutation, no allocation, no dynamic dispatch.
+//! applying a record to any registry that has seen the same prefix
+//! reproduces the same state, including the slab layout, postings
+//! membership and load columns.
 
 use sbqa_types::{CapabilitySet, ProviderId, SbqaError, SbqaResult};
 
@@ -76,84 +73,47 @@ impl RegistryDelta {
         }
     }
 
-    /// Replays this delta through the corresponding public mutator of
-    /// `registry`.
+    /// Performs this mutation on `registry` through the corresponding public
+    /// mutator and returns whether it was effective (the rule is in the
+    /// module docs): `false` only for a `SetOnline` to the flag the provider
+    /// already has.
     ///
-    /// Because the log records only *effective* mutations, a replica that
-    /// has applied the same prefix can never hit the no-op or error paths:
-    /// any failure here means the stream is being applied to a registry that
-    /// did not see the prefix (a corrupt or misrouted log).
+    /// Because a log records only effective mutations, a replica that has
+    /// applied the same prefix never meets an error here: any failure means
+    /// the stream is being applied to a registry that did not see the prefix
+    /// (a corrupt or misrouted log).
     ///
     /// # Errors
     ///
     /// [`SbqaError::UnknownProvider`] when the delta addresses a provider
     /// the target registry does not know — the out-of-sync signal above.
-    pub fn apply(&self, registry: &mut ProviderRegistry) -> SbqaResult<()> {
+    pub fn apply(&self, registry: &mut ProviderRegistry) -> SbqaResult<bool> {
         match *self {
             RegistryDelta::Register {
                 id,
                 capabilities,
                 capacity,
-            } => {
-                registry.register(id, capabilities, capacity);
-                Ok(())
-            }
+            } => registry.register(id, capabilities, capacity),
             RegistryDelta::Unregister { id } => {
-                if registry.unregister(id) {
-                    Ok(())
-                } else {
-                    Err(SbqaError::UnknownProvider { provider: id })
+                if !registry.unregister(id) {
+                    return Err(SbqaError::UnknownProvider { provider: id });
                 }
             }
-            RegistryDelta::SetOnline { id, online } => registry.set_online(id, online),
+            RegistryDelta::SetOnline { id, online } => return registry.toggle_online(id, online),
             RegistryDelta::UpdateLoad {
                 id,
                 utilization,
                 queue_length,
-            } => registry.update_load(id, utilization, queue_length),
+            } => registry.update_load(id, utilization, queue_length)?,
         }
+        Ok(true)
     }
-}
-
-/// A consumer of the registry's delta stream.
-///
-/// Attached via
-/// [`ProviderRegistry::set_delta_sink`](crate::registry::ProviderRegistry::set_delta_sink),
-/// the sink observes every effective mutation in commit order, synchronously,
-/// from inside the mutating call. Implementations must not call back into the
-/// registry (the registry is `&mut`-borrowed for the duration) and should be
-/// cheap: the hot path pays the full cost of `record`.
-///
-/// Registry *clones* never inherit the sink — a clone is a state fork (a
-/// checkpoint, a replica), and two registries feeding one log would corrupt
-/// its sequencing.
-pub trait DeltaSink: std::fmt::Debug + Send {
-    /// Observes one effective mutation, after it has been applied.
-    fn record(&mut self, delta: &RegistryDelta);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sbqa_types::Capability;
-    use std::sync::{Arc, Mutex};
-
-    /// Sink that collects every record into a shared tape, so the test keeps
-    /// a reading handle while the registry owns the erased sink.
-    #[derive(Debug, Default, Clone)]
-    struct Tape(Arc<Mutex<Vec<RegistryDelta>>>);
-
-    impl Tape {
-        fn records(&self) -> Vec<RegistryDelta> {
-            self.0.lock().expect("test tape lock").clone()
-        }
-    }
-
-    impl DeltaSink for Tape {
-        fn record(&mut self, delta: &RegistryDelta) {
-            self.0.lock().expect("test tape lock").push(*delta);
-        }
-    }
 
     fn caps(class: u8) -> CapabilitySet {
         CapabilitySet::singleton(Capability::new(class))
@@ -161,59 +121,86 @@ mod tests {
 
     #[test]
     fn emission_mirrors_effective_mutations() {
-        let tape = Tape::default();
         let mut registry = ProviderRegistry::new();
-        registry.set_delta_sink(Box::new(tape.clone()));
         let id = ProviderId::new(7);
+        let unknown = ProviderId::new(99);
+        let mut apply = |delta: RegistryDelta| delta.apply(&mut registry);
 
-        registry.register(id, caps(1), 2.0);
-        // No-op toggle: already online, nothing emitted.
-        registry.set_online(id, true).unwrap();
-        registry.set_online(id, false).unwrap();
-        registry.update_load(id, 1.5, 3).unwrap();
-        // Errors emit nothing.
-        assert!(registry.update_load(ProviderId::new(99), 1.0, 1).is_err());
-        assert!(!registry.unregister(ProviderId::new(99)));
-        assert!(registry.unregister(id));
-
+        let register = RegistryDelta::Register {
+            id,
+            capabilities: caps(1),
+            capacity: 2.0,
+        };
+        assert_eq!(apply(register), Ok(true));
+        // No-op toggle: already online, not effective.
         assert_eq!(
-            tape.records(),
-            vec![
-                RegistryDelta::Register {
-                    id,
-                    capabilities: caps(1),
-                    capacity: 2.0
-                },
-                RegistryDelta::SetOnline { id, online: false },
-                RegistryDelta::UpdateLoad {
-                    id,
-                    utilization: 1.5,
-                    queue_length: 3
-                },
-                RegistryDelta::Unregister { id },
-            ]
+            apply(RegistryDelta::SetOnline { id, online: true }),
+            Ok(false)
         );
+        assert_eq!(
+            apply(RegistryDelta::SetOnline { id, online: false }),
+            Ok(true)
+        );
+        let load = RegistryDelta::UpdateLoad {
+            id,
+            utilization: 1.5,
+            queue_length: 3,
+        };
+        assert_eq!(apply(load), Ok(true));
+        // Errors are not effective.
+        let unknown_load = RegistryDelta::UpdateLoad {
+            id: unknown,
+            utilization: 1.0,
+            queue_length: 1,
+        };
+        assert!(apply(unknown_load).is_err());
+        assert!(apply(RegistryDelta::Unregister { id: unknown }).is_err());
+        assert_eq!(apply(RegistryDelta::Unregister { id }), Ok(true));
     }
 
     #[test]
     fn replay_reproduces_state() {
-        let tape = Tape::default();
         let mut primary = ProviderRegistry::new();
-        primary.set_delta_sink(Box::new(tape.clone()));
-        for raw in 0..8u64 {
-            primary.register(
-                ProviderId::new(raw),
-                caps((raw % 3) as u8),
-                1.0 + raw as f64,
-            );
+        let mut tape = Vec::new();
+        let mut mutations: Vec<RegistryDelta> = (0..8u64)
+            .map(|raw| RegistryDelta::Register {
+                id: ProviderId::new(raw),
+                capabilities: caps((raw % 3) as u8),
+                capacity: 1.0 + raw as f64,
+            })
+            .collect();
+        mutations.extend([
+            RegistryDelta::SetOnline {
+                id: ProviderId::new(2),
+                online: false,
+            },
+            RegistryDelta::SetOnline {
+                id: ProviderId::new(4),
+                online: true,
+            },
+            RegistryDelta::UpdateLoad {
+                id: ProviderId::new(3),
+                utilization: 4.0,
+                queue_length: 9,
+            },
+            RegistryDelta::Unregister {
+                id: ProviderId::new(5),
+            },
+        ]);
+        for delta in mutations {
+            if delta.apply(&mut primary).expect("known provider") {
+                tape.push(delta);
+            }
         }
-        primary.set_online(ProviderId::new(2), false).unwrap();
-        primary.update_load(ProviderId::new(3), 4.0, 9).unwrap();
-        primary.unregister(ProviderId::new(5));
+        assert_eq!(tape.len(), 11, "the no-op toggle is not recorded");
 
         let mut replica = ProviderRegistry::new();
-        for delta in &tape.records() {
-            delta.apply(&mut replica).expect("replay over same prefix");
+        for delta in &tape {
+            assert_eq!(
+                delta.apply(&mut replica),
+                Ok(true),
+                "replay over same prefix"
+            );
         }
 
         assert_eq!(replica.len(), primary.len());
@@ -221,15 +208,5 @@ mod tests {
         let lhs: Vec<_> = primary.iter().collect();
         let rhs: Vec<_> = replica.iter().collect();
         assert_eq!(lhs, rhs, "slab layout must replay byte-identically");
-    }
-
-    #[test]
-    fn clones_do_not_inherit_the_sink() {
-        let mut registry = ProviderRegistry::new();
-        registry.set_delta_sink(Box::new(Tape::default()));
-        assert!(registry.delta_sink_attached());
-        let fork = registry.clone();
-        assert!(!fork.delta_sink_attached());
-        assert!(registry.delta_sink_attached());
     }
 }

@@ -53,7 +53,7 @@ pub use degrade::{
     Admission, BaselineFallback, DegradationConfig, DegradationLadder, DegradationStats,
     DegradationTier,
 };
-pub use delta::{DeltaSink, RegistryDelta};
+pub use delta::RegistryDelta;
 pub use intention::{
     ConsumerIntentionStrategy, ConsumerProfile, ProviderIntentionStrategy, ProviderProfile,
 };

@@ -56,6 +56,7 @@ use crate::allocator::{
     QueryAllocator, RankKey,
 };
 use crate::degrade::{BaselineFallback, DegradationTier, SHRINK_KN_FLOOR};
+use crate::delta::RegistryDelta;
 use crate::knbest::{keep_lightest, KnBestScratch, KnBestSelector};
 use crate::ranking::rank_indices_by_score;
 use crate::registry::{PlanCacheStats, ProviderRegistry};
@@ -449,6 +450,24 @@ impl Mediator {
         self.allocator.name()
     }
 
+    /// Applies one registry mutation and returns whether it was effective
+    /// ([`RegistryDelta::apply`]): the one function every mutation of the
+    /// mediator's providers goes through, live and on a promotion's replay.
+    /// A `Register` also registers the provider's satisfaction tracker,
+    /// which keeps a returning provider's window.
+    ///
+    /// # Errors
+    ///
+    /// [`sbqa_types::SbqaError::UnknownProvider`] for an `Unregister`,
+    /// `SetOnline` or `UpdateLoad` of a provider the registry does not know.
+    pub fn mutate(&mut self, delta: &RegistryDelta) -> SbqaResult<bool> {
+        let effective = delta.apply(&mut self.providers)?;
+        if let RegistryDelta::Register { id, .. } = *delta {
+            self.satisfaction.register_provider(id);
+        }
+        Ok(effective)
+    }
+
     /// Registers a provider with its capabilities and capacity.
     pub fn register_provider(
         &mut self,
@@ -456,8 +475,12 @@ impl Mediator {
         capabilities: CapabilitySet,
         capacity: f64,
     ) {
-        self.providers.register(id, capabilities, capacity);
-        self.satisfaction.register_provider(id);
+        // A registration names no provider it needs to know: it cannot fail.
+        let _ = self.mutate(&RegistryDelta::Register {
+            id,
+            capabilities,
+            capacity,
+        });
     }
 
     /// Registers a consumer so its satisfaction is tracked from the start.
@@ -467,7 +490,8 @@ impl Mediator {
 
     /// Marks a provider online or offline.
     pub fn set_provider_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
-        self.providers.set_online(id, online)
+        self.mutate(&RegistryDelta::SetOnline { id, online })
+            .map(drop)
     }
 
     /// Updates a provider's load state.
@@ -477,7 +501,12 @@ impl Mediator {
         utilization: f64,
         queue_length: usize,
     ) -> SbqaResult<()> {
-        self.providers.update_load(id, utilization, queue_length)
+        self.mutate(&RegistryDelta::UpdateLoad {
+            id,
+            utilization,
+            queue_length,
+        })
+        .map(drop)
     }
 
     /// Removes a provider from the registry entirely. Returns `true` if the
@@ -486,19 +515,7 @@ impl Mediator {
     /// this way — a leaving provider goes offline
     /// ([`Mediator::set_provider_online`]) and keeps its row.
     pub fn unregister_provider(&mut self, id: ProviderId) -> bool {
-        self.providers.unregister(id)
-    }
-
-    /// Attaches a replication sink to the provider registry: every effective
-    /// registry mutation from here on is emitted as a
-    /// [`RegistryDelta`](crate::delta::RegistryDelta) in commit order.
-    pub fn set_delta_sink(&mut self, sink: Box<dyn crate::delta::DeltaSink>) {
-        self.providers.set_delta_sink(sink);
-    }
-
-    /// Detaches and returns the registry's replication sink, if any.
-    pub fn take_delta_sink(&mut self) -> Option<Box<dyn crate::delta::DeltaSink>> {
-        self.providers.take_delta_sink()
+        self.mutate(&RegistryDelta::Unregister { id }).is_ok()
     }
 
     /// Forks the hosted allocation technique, RNG position included: the one

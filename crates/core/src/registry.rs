@@ -41,7 +41,6 @@ use sbqa_types::{
 };
 
 use crate::allocator::{Candidates, ProviderSnapshot};
-use crate::delta::{DeltaSink, RegistryDelta};
 use crate::postings::{MergedSet, PostingsMap};
 
 /// Index of the postings map that tracks every online provider (used for
@@ -190,7 +189,7 @@ impl PlanCache {
 
 /// Mediator-side registry of provider state: a dense struct-of-arrays slab
 /// plus a per-capability postings index of online providers.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ProviderRegistry {
     /// Dense column store of provider state, with its id → slot directory;
     /// slots are compacted with a column-wise `swap_remove` on unregister,
@@ -215,28 +214,6 @@ pub struct ProviderRegistry {
     /// Materialised multi-capability merge plans, keyed by requirement (see
     /// [`PlanCache`]).
     plan_cache: PlanCache,
-    /// Replication hook: observes every *effective* mutation (the rule is in
-    /// [`crate::delta`]) in commit order. `None` — the default — costs one
-    /// null check per mutation. Clones never inherit it (see [`Clone`]
-    /// below): a clone is a state fork, and two registries feeding one log
-    /// would corrupt its sequencing.
-    sink: Option<Box<dyn DeltaSink>>,
-}
-
-/// Clones everything *except* the delta sink, which stays with the original:
-/// a cloned registry is a checkpoint or replica, not a second producer for
-/// the primary's log.
-impl Clone for ProviderRegistry {
-    fn clone(&self) -> Self {
-        Self {
-            columns: self.columns.clone(),
-            postings: self.postings.clone(),
-            class_counts: self.class_counts,
-            mask_counts: self.mask_counts.clone(),
-            plan_cache: self.plan_cache.clone(),
-            sink: None,
-        }
-    }
 }
 
 impl Default for ProviderRegistry {
@@ -247,7 +224,6 @@ impl Default for ProviderRegistry {
             class_counts: [0; MAX_CAPABILITY_CLASSES as usize],
             mask_counts: BTreeMap::new(),
             plan_cache: PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY),
-            sink: None,
         }
     }
 }
@@ -297,32 +273,6 @@ impl ProviderRegistry {
         }
     }
 
-    /// Hands the effective mutation to the attached sink, if any: each
-    /// mutator calls it once after a call that changed state, never on a
-    /// no-op.
-    fn emit(&mut self, delta: RegistryDelta) {
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(&delta);
-        }
-    }
-
-    /// Attaches a replication sink that will observe every effective
-    /// mutation from here on. Replaces (and drops) any previous sink.
-    pub fn set_delta_sink(&mut self, sink: Box<dyn DeltaSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Detaches and returns the replication sink, leaving the hook disabled.
-    pub fn take_delta_sink(&mut self) -> Option<Box<dyn DeltaSink>> {
-        self.sink.take()
-    }
-
-    /// Whether a replication sink is currently attached.
-    #[must_use]
-    pub fn delta_sink_attached(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Registers (or replaces) a provider with the given capabilities and
     /// capacity, initially online and idle.
     pub fn register(&mut self, id: ProviderId, capabilities: CapabilitySet, capacity: f64) {
@@ -339,11 +289,6 @@ impl ProviderRegistry {
         }
         self.set_indexed(snapshot, true);
         self.count_profile(capabilities, 1);
-        self.emit(RegistryDelta::Register {
-            id,
-            capabilities,
-            capacity,
-        });
     }
 
     /// Removes a provider entirely (it left the system for good).
@@ -360,23 +305,27 @@ impl ProviderRegistry {
         // The last row moves into `slot`; the column store re-points its
         // directory entry, and nothing else names a slot.
         self.columns.swap_remove(slot as usize);
-        self.emit(RegistryDelta::Unregister { id });
         true
     }
 
     /// Marks a provider online or offline. Unknown providers are an error.
     pub fn set_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
+        self.toggle_online(id, online).map(drop)
+    }
+
+    /// [`set_online`](Self::set_online), returning whether the flag
+    /// actually toggled.
+    pub(crate) fn toggle_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<bool> {
         let Some(slot) = self.columns.slot_of(id) else {
             return Err(SbqaError::UnknownProvider { provider: id });
         };
         let provider = self.columns.snapshot(slot as usize);
         if provider.online == online {
-            return Ok(());
+            return Ok(false);
         }
         self.columns.set_online(slot as usize, online);
         self.set_indexed(provider, online);
-        self.emit(RegistryDelta::SetOnline { id, online });
-        Ok(())
+        Ok(true)
     }
 
     /// Updates a provider's load state (utilization in virtual seconds of
@@ -393,11 +342,6 @@ impl ProviderRegistry {
                 // untouched.
                 self.columns
                     .set_load(slot as usize, utilization, queue_length);
-                self.emit(RegistryDelta::UpdateLoad {
-                    id,
-                    utilization,
-                    queue_length,
-                });
                 Ok(())
             }
             None => Err(SbqaError::UnknownProvider { provider: id }),

@@ -18,8 +18,6 @@ use sbqa_core::{Mediator, ProviderSnapshot, RegistryDelta};
 use sbqa_satisfaction::ProviderSatisfaction;
 use sbqa_types::SbqaResult;
 
-use crate::apply_delta;
-
 /// A batch of providers (snapshots + satisfaction trackers) being moved to
 /// one destination shard.
 #[derive(Debug, Default)]
@@ -89,7 +87,7 @@ impl HandoffPackage {
         let mut applied = 0;
         for (snapshot, satisfaction) in self.providers {
             for delta in Self::snapshot_deltas(&snapshot) {
-                apply_delta(mediator, &delta)?;
+                mediator.mutate(&delta)?;
                 applied += 1;
             }
             if let Some(tracker) = satisfaction {

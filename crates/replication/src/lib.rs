@@ -12,11 +12,12 @@
 //! construction), the satisfaction registry (ω per pair) and the allocator's
 //! RNG position. All three are reproducible:
 //!
-//! * registry state replays from the [log](log::SharedDeltaLog) — a registry
-//!   emits one record per effective mutation (every `register`, an
-//!   `unregister` or `update_load` of a known provider, a `set_online` that
-//!   toggles the flag) and none for a no-op, so a replica that applies the
-//!   stream performs exactly the primary's mutations;
+//! * registry state replays from the [log](log::SharedDeltaLog) — the shard
+//!   applies every mutation through [`sbqa_core::Mediator::mutate`] and logs
+//!   the effective ones (every `register`, an `unregister` or `update_load`
+//!   of a known provider, a `set_online` that toggles the flag) and none
+//!   for a no-op, so a replica that applies the stream through the same
+//!   function performs exactly the primary's mutations;
 //! * the allocator forks ([`sbqa_core::QueryAllocator::fork`]) with its RNG
 //!   stream position intact;
 //! * satisfaction and RNG state *between* checkpoint and crash depend on the
@@ -50,9 +51,7 @@ pub use handoff::HandoffPackage;
 pub use log::{Entry, SharedDeltaLog};
 pub use standby::{ReplayReport, StandbyShard};
 
-use sbqa_core::{Mediator, RegistryDelta};
 use sbqa_satisfaction::SatisfactionRegistry;
-use sbqa_types::SbqaResult;
 
 /// Counters describing one shard's replication machinery, surfaced through
 /// the service's `ShardReport` tables next to the cache and latency rows.
@@ -82,43 +81,6 @@ impl ReplicationStats {
         self.replay_lag = self.replay_lag.max(other.replay_lag);
         self.checkpoints += other.checkpoints;
         self.promotions += other.promotions;
-    }
-}
-
-/// Replays one registry delta through the mediator-level mutators, so the
-/// side effects beyond the registry match the primary's ingest path:
-/// `Register` also (idempotently) registers the provider's satisfaction
-/// tracker, exactly as [`Mediator::register_provider`] does live; the other
-/// three touch the registry alone.
-///
-/// # Errors
-///
-/// Propagates the registry's [`sbqa_types::SbqaError::UnknownProvider`] when
-/// the delta addresses a provider the mediator does not know — the
-/// out-of-sync signal of a corrupt or misrouted stream.
-pub fn apply_delta(mediator: &mut Mediator, delta: &RegistryDelta) -> SbqaResult<()> {
-    match *delta {
-        RegistryDelta::Register {
-            id,
-            capabilities,
-            capacity,
-        } => {
-            mediator.register_provider(id, capabilities, capacity);
-            Ok(())
-        }
-        RegistryDelta::Unregister { id } => {
-            if mediator.unregister_provider(id) {
-                Ok(())
-            } else {
-                Err(sbqa_types::SbqaError::UnknownProvider { provider: id })
-            }
-        }
-        RegistryDelta::SetOnline { id, online } => mediator.set_provider_online(id, online),
-        RegistryDelta::UpdateLoad {
-            id,
-            utilization,
-            queue_length,
-        } => mediator.update_provider_load(id, utilization, queue_length),
     }
 }
 

@@ -1,18 +1,19 @@
 //! The append-only shard log.
 //!
 //! One log per replicated shard, and the only record of what the shard did
-//! since its standby's checkpoint: every effective registry mutation (fed by
-//! the shard's `ProviderRegistry` through the [`sbqa_core::DeltaSink`] hook),
-//! every offered query with its admission verdict, and every consumer
-//! registration, each under a monotonically increasing sequence number in
-//! the order the shard met them. A promotion replays it in that order.
+//! since its standby's checkpoint: every effective registry mutation (the
+//! ones [`sbqa_core::Mediator::mutate`] reports as effective), every offered
+//! query with its admission verdict, and every consumer registration, each
+//! under a monotonically increasing sequence number in the order the shard
+//! met them. The shard is the log's one writer; a promotion replays it in
+//! that order.
 //!
 //! A query's body is kept beside the records, not in its record, so every
 //! record stays the size of a registry delta.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use sbqa_core::{Admission, DeltaSink, RegistryDelta};
+use sbqa_core::{Admission, RegistryDelta};
 use sbqa_types::{ConsumerId, Query};
 
 /// One entry of the log: what happened, and its position in the total order.
@@ -74,24 +75,10 @@ fn queries_in(records: &[DeltaRecord]) -> usize {
 }
 
 impl DeltaLog {
-    /// Appends a mutation record, returning its sequence.
-    pub fn append_mutation(&mut self, delta: RegistryDelta) -> u64 {
-        self.append(DeltaOp::Mutation(delta))
-    }
-
-    /// Appends an offered query with its admission verdict, returning its
-    /// sequence.
-    pub fn append_query(&mut self, query: &Query, admission: Admission) -> u64 {
-        self.queries.push(query.clone());
-        self.append(DeltaOp::Query(admission))
-    }
-
-    /// Appends a consumer registration, returning its sequence.
-    pub fn append_consumer(&mut self, id: ConsumerId) -> u64 {
-        self.append(DeltaOp::RegisterConsumer(id))
-    }
-
-    fn append(&mut self, op: DeltaOp) -> u64 {
+    /// Appends a record, with its query's body for a query record,
+    /// returning its sequence.
+    fn push(&mut self, op: DeltaOp, body: Option<&Query>) -> u64 {
+        self.queries.extend(body.cloned());
         self.appended += 1;
         self.records.push(DeltaRecord {
             sequence: self.appended,
@@ -162,9 +149,8 @@ impl DeltaLog {
     }
 }
 
-/// A cloneable handle on a shared append-only log: the form the registry's
-/// delta hook consumes (the registry owns one erased handle, the shard
-/// holds another).
+/// A cloneable handle on a shared append-only log: the shard appends to it
+/// and its standby reads it.
 ///
 /// Lock poisoning is absorbed with `PoisonError::into_inner` rather than a
 /// panic: the log's state is a plain `Vec` append, valid after any
@@ -189,18 +175,18 @@ impl SharedDeltaLog {
 
     /// Appends a mutation record, returning its sequence.
     pub fn append_mutation(&self, delta: RegistryDelta) -> u64 {
-        self.with(|log| log.append_mutation(delta))
+        self.with(|log| log.push(DeltaOp::Mutation(delta), None))
     }
 
     /// Appends an offered query with its admission verdict, returning its
     /// sequence.
     pub fn append_query(&self, query: &Query, admission: Admission) -> u64 {
-        self.with(|log| log.append_query(query, admission))
+        self.with(|log| log.push(DeltaOp::Query(admission), Some(query)))
     }
 
     /// Appends a consumer registration, returning its sequence.
     pub fn append_consumer(&self, id: ConsumerId) -> u64 {
-        self.with(|log| log.append_consumer(id))
+        self.with(|log| log.push(DeltaOp::RegisterConsumer(id), None))
     }
 
     /// Sequence of the most recently appended record; 0 if none ever.
@@ -234,12 +220,6 @@ impl SharedDeltaLog {
     /// Drops every record with sequence at or below `through`.
     pub fn prune_through(&self, through: u64) {
         self.with(|log| log.prune_through(through));
-    }
-}
-
-impl DeltaSink for SharedDeltaLog {
-    fn record(&mut self, delta: &RegistryDelta) {
-        self.append_mutation(*delta);
     }
 }
 
@@ -286,10 +266,16 @@ mod tests {
         assert_eq!(log.last_sequence(), 0);
         assert_eq!(log.depth(), 0);
         for i in 1..=4u64 {
-            assert_eq!(log.append_mutation(load(i, 1)), i);
+            assert_eq!(log.push(DeltaOp::Mutation(load(i, 1)), None), i);
         }
-        assert_eq!(log.append_query(&query(9), Admission::Shed), 5);
-        assert_eq!(log.append_consumer(ConsumerId::new(3)), 6);
+        assert_eq!(
+            log.push(DeltaOp::Query(Admission::Shed), Some(&query(9))),
+            5
+        );
+        assert_eq!(
+            log.push(DeltaOp::RegisterConsumer(ConsumerId::new(3)), None),
+            6
+        );
         assert_eq!(log.last_sequence(), 6);
         assert_eq!(log.depth(), 6);
         let seqs: Vec<u64> = log.records.iter().map(|r| r.sequence).collect();
@@ -308,7 +294,7 @@ mod tests {
     fn tail_and_prune_respect_the_watermark() {
         let mut log = DeltaLog::default();
         for i in 1..=8u64 {
-            log.append_mutation(load(i, i as usize));
+            log.push(DeltaOp::Mutation(load(i, i as usize)), None);
         }
         let len = |after| log.tail_after(after).map(|tail| tail.len());
         assert_eq!(len(0), Some(8));
@@ -330,11 +316,11 @@ mod tests {
     #[test]
     fn every_query_record_reads_its_own_body_across_prunes() {
         let mut log = DeltaLog::default();
-        log.append_query(&query(10), ADMITTED);
-        log.append_mutation(load(1, 1));
-        log.append_query(&query(11), Admission::Shed);
-        log.append_consumer(ConsumerId::new(4));
-        log.append_query(&query(12), ADMITTED);
+        log.push(DeltaOp::Query(ADMITTED), Some(&query(10)));
+        log.push(DeltaOp::Mutation(load(1, 1)), None);
+        log.push(DeltaOp::Query(Admission::Shed), Some(&query(11)));
+        log.push(DeltaOp::RegisterConsumer(ConsumerId::new(4)), None);
+        log.push(DeltaOp::Query(ADMITTED), Some(&query(12)));
 
         let tail = read(log.tail_after(2).expect("retained"));
         assert_eq!(
@@ -351,11 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_log_visits_what_the_sink_recorded() {
+    fn shared_log_visits_what_its_handles_appended() {
         let shared = SharedDeltaLog::new();
-        let mut sink: Box<dyn DeltaSink> = Box::new(shared.clone());
-        sink.record(&load(1, 2));
-        sink.record(&load(2, 4));
+        let handle = shared.clone();
+        handle.append_mutation(load(1, 2));
+        handle.append_mutation(load(2, 4));
         shared.append_query(&query(7), ADMITTED);
         assert_eq!(shared.last_sequence(), 3);
 
@@ -443,7 +429,7 @@ mod tests {
         let lossy = damaged(&log, |log| {
             let lost = log.records.len();
             for id in 0..3 {
-                log.append_mutation(load(id, 1));
+                log.push(DeltaOp::Mutation(load(id, 1)), None);
             }
             log.records.remove(lost);
         });

@@ -34,7 +34,7 @@ use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{SbqaError, SbqaResult};
 
 use crate::log::{Entry, SharedDeltaLog};
-use crate::{apply_delta, registry_digest};
+use crate::registry_digest;
 
 /// Tallies of one promotion's replay work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,7 +119,7 @@ fn replay_mutations(
     providers: &mut ProviderRegistry,
 ) -> SbqaResult<u64> {
     replay_after(log, watermark, |entry| match entry {
-        Entry::Mutation(delta) => delta.apply(providers),
+        Entry::Mutation(delta) => delta.apply(providers).map(drop),
         Entry::Query(..) | Entry::RegisterConsumer(_) => Ok(()),
     })
 }
@@ -246,7 +246,7 @@ impl StandbyShard {
         replay_after(log, self.watermark, |entry| {
             match entry {
                 Entry::Mutation(delta) => {
-                    apply_delta(&mut mediator, &delta)?;
+                    mediator.mutate(&delta)?;
                     report.deltas_replayed += 1;
                 }
                 Entry::RegisterConsumer(id) => mediator.register_consumer(id),
@@ -314,9 +314,11 @@ pub(crate) mod tests {
 
     /// An empty mediator armed the way `MediatorShard::replicate` arms one,
     /// then loaded through its log — 40 providers, a consumer registered,
-    /// one provider gone, mediations and load writes — with a standby
-    /// bootstrapped before any of it. With `mid_cut` the standby is also
-    /// cut once, after the registrations, so the log past it is short.
+    /// one provider gone, mediations and load writes, each mutation logged
+    /// if `Mediator::mutate` found it effective, as the shard logs it — with
+    /// a standby bootstrapped before any of it. With `mid_cut` the standby
+    /// is also cut once, after the registrations, so the log past it is
+    /// short.
     pub(crate) fn bulk_loaded(mid_cut: bool) -> (Mediator, SharedDeltaLog, StandbyShard) {
         let config = SystemConfig::default().with_knbest(4, 2).with_window(3);
         let mut primary = Mediator::sbqa(config, 7).expect("valid config");
@@ -327,16 +329,21 @@ pub(crate) mod tests {
             primary.satisfaction().clone(),
             log.last_sequence(),
         );
-        primary.set_delta_sink(Box::new(log.clone()));
         primary.satisfaction_mut().track_touched();
 
         for id in 0..40u64 {
             let class = Capability::new((id % 3) as u8);
-            primary.register_provider(ProviderId::new(id), CapabilitySet::singleton(class), 1.0);
+            let delta = RegistryDelta::Register {
+                id: ProviderId::new(id),
+                capabilities: CapabilitySet::singleton(class),
+                capacity: 1.0,
+            };
+            mutate(&mut primary, &log, delta);
         }
         primary.register_consumer(ConsumerId::new(0));
         log.append_consumer(ConsumerId::new(0));
-        primary.unregister_provider(ProviderId::new(5));
+        let gone = ProviderId::new(5);
+        mutate(&mut primary, &log, RegistryDelta::Unregister { id: gone });
         if mid_cut {
             standby
                 .cut_checkpoint(&mut primary, &log)
@@ -356,11 +363,22 @@ pub(crate) mod tests {
             primary
                 .submit_in_place(&query, &oracle)
                 .expect("capable providers");
-            primary
-                .update_provider_load(ProviderId::new(10 + id), id as f64, 1)
-                .expect("registered");
+            let load = RegistryDelta::UpdateLoad {
+                id: ProviderId::new(10 + id),
+                utilization: id as f64,
+                queue_length: 1,
+            };
+            mutate(&mut primary, &log, load);
         }
         (primary, log, standby)
+    }
+
+    /// Applies a mutation to `primary` and appends it to `log` if it was
+    /// effective, as `MediatorShard::mutate` does.
+    fn mutate(primary: &mut Mediator, log: &SharedDeltaLog, delta: RegistryDelta) {
+        if primary.mutate(&delta).expect("a known provider") {
+            log.append_mutation(delta);
+        }
     }
 
     /// Mutation records in the log past the standby's checkpoint.
@@ -429,9 +447,12 @@ pub(crate) mod tests {
     #[test]
     fn a_replaying_cut_meets_a_record_that_does_not_apply() {
         let (mut primary, log, mut standby) = bulk_loaded(true);
-        primary
-            .update_provider_load(ProviderId::new(1), 2.0, 1)
-            .expect("registered");
+        let load = RegistryDelta::UpdateLoad {
+            id: ProviderId::new(1),
+            utilization: 2.0,
+            queue_length: 1,
+        };
+        mutate(&mut primary, &log, load);
         append_misrouted(&log);
         assert!(mutations_past(&log, &standby) < primary.providers().len());
 

@@ -49,25 +49,34 @@ fn capability_set(mask: u8) -> CapabilitySet {
 /// One raw churn op: `(selector, provider id, mask/load byte, flag)`.
 type RawOp = (u8, u64, u8, bool);
 
-/// Applies one decoded op to a registry (the live one, or nothing — replay
-/// reaches the replica through the delta log instead).
-fn apply_op(registry: &mut ProviderRegistry, op: RawOp) {
+/// The mutation one raw churn op asks for.
+fn delta_of(op: RawOp) -> RegistryDelta {
     let (selector, id, byte, flag) = op;
     let id = ProviderId::new(id % IDS);
     match selector % 4 {
-        0 => {
-            registry.register(id, capability_set(byte), 1.0 + f64::from(byte % 4));
-        }
-        1 => {
-            registry.unregister(id);
-        }
-        2 => {
-            // Unknown providers are an error at the API; not a mutation.
-            let _ = registry.set_online(id, flag);
-        }
-        _ => {
-            let _ = registry.update_load(id, f64::from(byte) * 0.25, usize::from(byte % 8));
-        }
+        0 => RegistryDelta::Register {
+            id,
+            capabilities: capability_set(byte),
+            capacity: 1.0 + f64::from(byte % 4),
+        },
+        1 => RegistryDelta::Unregister { id },
+        2 => RegistryDelta::SetOnline { id, online: flag },
+        _ => RegistryDelta::UpdateLoad {
+            id,
+            utilization: f64::from(byte) * 0.25,
+            queue_length: usize::from(byte % 8),
+        },
+    }
+}
+
+/// Applies one decoded op to the live registry and appends it to `log` if
+/// it was effective, as the shard does (replay reaches the replica through
+/// the log instead). Unknown providers are an error at the API; not a
+/// mutation.
+fn apply_op(registry: &mut ProviderRegistry, log: &SharedDeltaLog, op: RawOp) {
+    let delta = delta_of(op);
+    if delta.apply(registry) == Ok(true) {
+        log.append_mutation(delta);
     }
 }
 
@@ -128,19 +137,16 @@ proptest! {
     ) {
         let log = SharedDeltaLog::new();
         let mut live = ProviderRegistry::new();
-        live.set_delta_sink(Box::new(log.clone()));
 
         // Apply the prefix, cut a snapshot, then apply the suffix.
         let cut = ops.len() * usize::from(cut_fraction) / 100;
         for &op in &ops[..cut] {
-            apply_op(&mut live, op);
+            apply_op(&mut live, &log, op);
         }
-        // Clones never inherit the sink: the snapshot is a passive fork.
         let snapshot = live.clone();
-        prop_assert!(!snapshot.delta_sink_attached());
         let watermark = log.last_sequence();
         for &op in &ops[cut..] {
-            apply_op(&mut live, op);
+            apply_op(&mut live, &log, op);
         }
 
         // Replay the tail into the snapshot and compare against the live
@@ -166,7 +172,6 @@ proptest! {
     ) {
         let log = SharedDeltaLog::new();
         let mut live = ProviderRegistry::new();
-        live.set_delta_sink(Box::new(log.clone()));
 
         let early_cut = ops.len() * usize::from(early_fraction) / 100;
         let late_cut = ops.len() * usize::from(late_fraction) / 100;
@@ -180,7 +185,7 @@ proptest! {
             if position == late_cut {
                 late_snapshot = Some((live.clone(), log.last_sequence()));
             }
-            apply_op(&mut live, op);
+            apply_op(&mut live, &log, op);
         }
         let (mut early_replica, early_mark) =
             early_snapshot.unwrap_or_else(|| (ProviderRegistry::new(), 0));
@@ -201,10 +206,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// A primary mediator wired the way `MediatorShard::replicate` wires one —
-/// registry feeding the shard's log, satisfaction registry tracking touched
-/// ids — with its standby bootstrapped from full clones. Queries and
-/// consumer registrations are appended to the log the way
-/// `MediatorShard::{submit, register_consumer}` append them.
+/// satisfaction registry tracking touched ids — with its standby
+/// bootstrapped from full clones. Effective mutations, queries and consumer
+/// registrations are appended to the log the way
+/// `MediatorShard::{mutate, submit, register_consumer}` append them.
 struct Replicated {
     primary: Mediator,
     log: SharedDeltaLog,
@@ -228,17 +233,22 @@ fn unpopulated_mediator() -> Mediator {
     Mediator::sbqa(config, 42).expect("valid config")
 }
 
-/// Every run's population: 12 providers over the class space, one consumer.
-fn populate(mediator: &mut Mediator) {
-    for id in 0..12u64 {
-        mediator.register_provider(ProviderId::new(id), capability_set(1 << (id % 5)), 1.0);
-    }
-    mediator.register_consumer(ConsumerId::new(0));
+/// Every run's provider population: 12 providers over the class space. The
+/// one consumer, 0, is registered beside it.
+fn population() -> impl Iterator<Item = RegistryDelta> {
+    (0..12u64).map(|id| RegistryDelta::Register {
+        id: ProviderId::new(id),
+        capabilities: capability_set(1 << (id % 5)),
+        capacity: 1.0,
+    })
 }
 
 fn seeded_mediator() -> Mediator {
     let mut mediator = unpopulated_mediator();
-    populate(&mut mediator);
+    for delta in population() {
+        mediator.mutate(&delta).expect("a registration applies");
+    }
+    mediator.register_consumer(ConsumerId::new(0));
     mediator
 }
 
@@ -274,7 +284,6 @@ impl Replicated {
             log.last_sequence(),
         );
         let all_touched = participants(primary.satisfaction()) == 0;
-        primary.set_delta_sink(Box::new(log.clone()));
         primary.satisfaction_mut().track_touched();
         Self {
             primary,
@@ -294,9 +303,19 @@ impl Replicated {
     /// population registered through the log.
     fn bootstrap() -> Self {
         let mut replicated = Self::arm(unpopulated_mediator());
-        populate(&mut replicated.primary);
+        population().for_each(|delta| replicated.mutate(delta));
+        replicated.primary.register_consumer(ConsumerId::new(0));
         replicated.log.append_consumer(ConsumerId::new(0));
         replicated
+    }
+
+    /// Applies a mutation to the primary and logs it if it was effective,
+    /// as `MediatorShard::mutate` does. Unknown providers are an error at
+    /// the API; not a mutation.
+    fn mutate(&mut self, delta: RegistryDelta) {
+        if self.primary.mutate(&delta) == Ok(true) {
+            self.log.append_mutation(delta);
+        }
     }
 
     /// Offers `query` to the primary, logged first as the shard logs it.
@@ -421,26 +440,9 @@ fn build_query(id: u64, consumer: u64, byte: u8, multi: bool, any: bool) -> Quer
 /// Applies a non-cut op to a bare mediator; a query returns its outcome.
 fn apply(mediator: &mut Mediator, op: Op, oracle: &StaticIntentions) -> Option<Option<Vec<u64>>> {
     match op {
-        Op::Registry((selector, id, byte, flag)) => {
-            let id = ProviderId::new(id % IDS);
-            match selector % 4 {
-                0 => {
-                    mediator.register_provider(id, capability_set(byte), 1.0 + f64::from(byte % 4));
-                }
-                1 => {
-                    mediator.unregister_provider(id);
-                }
-                2 => {
-                    let _ = mediator.set_provider_online(id, flag);
-                }
-                _ => {
-                    let _ = mediator.update_provider_load(
-                        id,
-                        f64::from(byte) * 0.25,
-                        usize::from(byte % 8),
-                    );
-                }
-            }
+        Op::Registry(raw) => {
+            // Unknown providers are an error at the API; not a mutation.
+            let _ = mediator.mutate(&delta_of(raw));
             None
         }
         Op::ForgetAndCut(id) => {
@@ -542,9 +544,7 @@ proptest! {
                     let query = build_query(id, consumer, byte, multi, any);
                     outcomes.push(replicated.submit(&query, &oracle));
                 }
-                Op::Registry(_) => {
-                    apply(&mut replicated.primary, op, &oracle);
-                }
+                Op::Registry(raw) => replicated.mutate(delta_of(raw)),
             }
             expected.extend(apply(&mut uninterrupted, op, &oracle));
             // Snapshot + replay equals the live registry after every op.
@@ -582,10 +582,11 @@ fn warm(replicated: &mut Replicated, queries: std::ops::Range<u64>) {
     let oracle = oracle();
     for id in queries {
         replicated.submit(&build_query(id, id % 2, id as u8, false, false), &oracle);
-        replicated
-            .primary
-            .update_provider_load(ProviderId::new(id % 12), id as f64, 1)
-            .expect("registered");
+        replicated.mutate(RegistryDelta::UpdateLoad {
+            id: ProviderId::new(id % 12),
+            utilization: id as f64,
+            queue_length: 1,
+        });
     }
 }
 

@@ -49,9 +49,9 @@
 //!
 //! When the touched ids are as many as the participants, the copy becomes
 //! a clone instead, written with `clone_from` into the memory the copy
-//! already owns. Ids, not rows, are noted: rows move under compaction. Like
-//! the provider registry's delta sink the hook is `None` by default (one
-//! null check per mutating call) and never inherited by clones.
+//! already owns. Ids, not rows, are noted: rows move under compaction. The
+//! hook is `None` by default (one null check per mutating call) and never
+//! inherited by clones.
 
 use sbqa_types::{ConsumerId, IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
 

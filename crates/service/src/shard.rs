@@ -5,9 +5,10 @@
 //! provider population, plus everything the service keeps *about* it:
 //! cumulative [`BatchReport`] tallies, a [`LatencyRecorder`], an optional
 //! [`DegradationLadder`] and an optional standby behind a log of everything
-//! the shard did: the registry's mutations, each offered query with its
-//! admission verdict and each consumer registration. Between two
-//! checkpoints a replicated shard only appends to that log.
+//! the shard did: the registry's effective mutations, each offered query
+//! with its admission verdict and each consumer registration. The shard is
+//! that log's one writer, and between two checkpoints a replicated shard
+//! only appends to it.
 //!
 //! The split is the crash boundary. [`MediatorShard::promote`] replaces the
 //! `mediator` field — registry, satisfaction state, allocator RNG — with the
@@ -29,7 +30,7 @@ use std::time::Instant;
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{
     Admission, BatchReport, DegradationConfig, DegradationLadder, DegradationTier,
-    KnControllerConfig, Mediator, QueryAllocator, SELECT_GROUP,
+    KnControllerConfig, Mediator, QueryAllocator, RegistryDelta, SELECT_GROUP,
 };
 use sbqa_metrics::LatencyRecorder;
 use sbqa_replication::{
@@ -132,7 +133,7 @@ impl MediatorShard {
     }
 
     /// Arms replication: a standby is bootstrapped from the mediator's
-    /// current state, the registry starts feeding a fresh log and the
+    /// current state, the shard starts writing a fresh log and the
     /// satisfaction registry starts tracking the ids it touches (which is
     /// what lets every later [`checkpoint`](Self::checkpoint) be cut
     /// incrementally).
@@ -168,7 +169,6 @@ impl MediatorShard {
             memory,
             log.last_sequence(),
         );
-        self.mediator.set_delta_sink(Box::new(log.clone()));
         self.mediator.satisfaction_mut().track_touched();
         self.replica = Some(Replica {
             log,
@@ -241,11 +241,21 @@ impl MediatorShard {
         }
     }
 
-    /// The live mediator, for a registry mutation (registration, load,
-    /// online flag): a replicated shard's registry appends each one to the
-    /// log itself.
-    pub(crate) fn mediator_mut(&mut self) -> &mut Mediator {
-        &mut self.mediator
+    /// Applies a registry mutation (registration, load, online flag) to the
+    /// mediator ([`Mediator::mutate`]) and appends it to a replicated
+    /// shard's log if it was effective: a no-op online flip is not logged.
+    ///
+    /// # Errors
+    ///
+    /// [`SbqaError::UnknownProvider`] for a mutation of a provider the shard
+    /// does not host; nothing is logged.
+    pub(crate) fn mutate(&mut self, delta: RegistryDelta) -> SbqaResult<()> {
+        if self.mediator.mutate(&delta)? {
+            if let Some(replica) = &self.replica {
+                replica.log.append_mutation(delta);
+            }
+        }
+        Ok(())
     }
 
     /// The per-query step: take the ladder's verdict, log it with the
@@ -476,12 +486,9 @@ impl MediatorShard {
     }
 
     /// Unwraps the shard back into its mediator, dropping the
-    /// instrumentation and the standby (the registry stops feeding its log).
+    /// instrumentation, the standby and its log.
     #[must_use]
-    pub fn into_mediator(mut self) -> Mediator {
-        if self.replica.is_some() {
-            self.mediator.take_delta_sink();
-        }
+    pub fn into_mediator(self) -> Mediator {
         self.mediator
     }
 }
@@ -573,11 +580,9 @@ mod tests {
         /// record would: the departure of a provider nobody registered.
         pub(crate) fn corrupt_log(&self) {
             let replica = self.replica.as_ref().expect("replicated shard");
-            replica
-                .log
-                .append_mutation(sbqa_core::RegistryDelta::Unregister {
-                    id: ProviderId::new(9_999),
-                });
+            replica.log.append_mutation(RegistryDelta::Unregister {
+                id: ProviderId::new(9_999),
+            });
         }
 
         fn submit_now(

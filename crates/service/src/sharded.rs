@@ -53,7 +53,7 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
-use sbqa_core::{BatchReport, DegradationConfig, KnControllerConfig, Mediator};
+use sbqa_core::{BatchReport, DegradationConfig, KnControllerConfig, Mediator, RegistryDelta};
 use sbqa_replication::{HandoffPackage, ReplayReport};
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
@@ -169,9 +169,12 @@ impl ShardedMediator {
         capacity: f64,
     ) -> usize {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard]
-            .mediator_mut()
-            .register_provider(id, capabilities, capacity);
+        // A registration names no provider it needs to know: it cannot fail.
+        let _ = self.shards[shard].mutate(RegistryDelta::Register {
+            id,
+            capabilities,
+            capacity,
+        });
         shard
     }
 
@@ -190,9 +193,7 @@ impl ShardedMediator {
     /// Unknown provider.
     pub fn set_provider_online(&mut self, id: ProviderId, online: bool) -> SbqaResult<()> {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard]
-            .mediator_mut()
-            .set_provider_online(id, online)
+        self.shards[shard].mutate(RegistryDelta::SetOnline { id, online })
     }
 
     /// Updates a provider's load state at its owning shard.
@@ -207,9 +208,11 @@ impl ShardedMediator {
         queue_length: usize,
     ) -> SbqaResult<()> {
         let shard = self.router.shard_of_provider(id);
-        self.shards[shard]
-            .mediator_mut()
-            .update_provider_load(id, utilization, queue_length)
+        self.shards[shard].mutate(RegistryDelta::UpdateLoad {
+            id,
+            utilization,
+            queue_length,
+        })
     }
 
     /// Total number of registered providers across all shards.
@@ -460,9 +463,10 @@ impl ShardedMediator {
     /// An empty `mediators`, or any handoff replay error (a corrupt
     /// package); the service is consumed either way, so resize at a
     /// quiescent point.
-    pub fn resize(self, mediators: Vec<Mediator>) -> SbqaResult<Self> {
-        let mut resized = Self::new(self.router.seed(), mediators)?;
-        let mut packages: Vec<HandoffPackage> = (0..resized.shards.len())
+    pub fn resize(self, mut mediators: Vec<Mediator>) -> SbqaResult<Self> {
+        let seed = self.router.seed();
+        let router = ShardRouter::new(mediators.len(), seed);
+        let mut packages: Vec<HandoffPackage> = (0..router.shards())
             .map(|_| HandoffPackage::new())
             .collect();
         let mut consumers: BTreeSet<ConsumerId> = BTreeSet::new();
@@ -470,18 +474,18 @@ impl ShardedMediator {
             let (_allocator, providers, mut satisfaction) = shard.into_mediator().into_parts();
             consumers.extend(satisfaction.consumer_satisfactions().map(|(id, _)| id));
             for snapshot in providers.iter() {
-                let target = resized.router.shard_of_provider(snapshot.id);
+                let target = router.shard_of_provider(snapshot.id);
                 let tracker = satisfaction.extract_provider(snapshot.id);
                 packages[target].push_provider(snapshot, tracker);
             }
         }
-        for (shard, package) in resized.shards.iter_mut().zip(packages) {
+        for (mediator, package) in mediators.iter_mut().zip(packages) {
             for &consumer in &consumers {
-                shard.register_consumer(consumer);
+                mediator.register_consumer(consumer);
             }
-            package.apply(shard.mediator_mut())?;
+            package.apply(mediator)?;
         }
-        Ok(resized)
+        Self::new(seed, mediators)
     }
 
     /// [`resize`](Self::resize) with SbQA mediators: new shard `i` hosts an

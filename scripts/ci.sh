@@ -127,6 +127,18 @@ if grep -rnE "SnapshotMark|mark_snapshot|observe_query|journal_depth|tail_depth|
     exit 1
 fi
 
+echo "== a shard's log has one writer and a mutation one applier: no registry delta hook"
+# MediatorShard appends every record of its log: the effective registry
+# mutations, the offered queries and the consumer registrations.
+# Mediator::mutate applies a registry mutation live and on a promotion's
+# replay alike. The names of the deleted registry hook and of the second
+# applier must not come back.
+if grep -rnE "DeltaSink|set_delta_sink|take_delta_sink|delta_sink_attached|apply_delta" \
+    crates src tests examples; then
+    echo "a second log writer or mutation applier is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== a postings chunk has one shape: sorted keys, no Bitmap container"
 # A PostingsMap chunk is its sorted low keys at any size (plus bitset words
 # from WORDS_MIN keys on), so a select is an index. The names of the deleted
