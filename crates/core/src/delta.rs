@@ -73,7 +73,7 @@ impl RegistryDelta {
         }
     }
 
-    /// Performs this mutation on `registry` through the corresponding public
+    /// Performs this mutation on `registry` through the corresponding
     /// mutator and returns whether it was effective (the rule is in the
     /// module docs): `false` only for a `SetOnline` to the flag the provider
     /// already has.

@@ -582,6 +582,32 @@ mod tests {
     }
 
     #[test]
+    fn a_replicated_shard_logs_only_effective_mutations() {
+        let mut service = service(2);
+        service.replicate().unwrap();
+        let appended = |service: &ShardedMediator| -> u64 {
+            let stats = service.shards().map(MediatorShard::replication_stats);
+            stats.map(|stats| stats.last_appended).sum()
+        };
+        let id = ProviderId::new(7);
+        service.register_provider(id, caps(1), 2.0);
+        service.update_provider_load(id, 1.5, 3).unwrap();
+        service.set_provider_online(id, false).unwrap();
+        assert_eq!(appended(&service), 3, "one record per effective mutation");
+
+        // A no-op flip and a mutation of an unknown provider change nothing.
+        service.set_provider_online(id, false).unwrap();
+        service
+            .set_provider_online(ProviderId::new(8), true)
+            .unwrap();
+        let unknown = ProviderId::new(999);
+        assert!(service.update_provider_load(unknown, 1.0, 1).is_err());
+        assert!(service.set_provider_online(unknown, true).is_err());
+        assert_eq!(appended(&service), 3, "nothing logged");
+        assert!(service.standbys_in_lockstep());
+    }
+
+    #[test]
     fn batch_callback_sees_merged_time_then_id_order() {
         let mut service = service(2);
         let oracle =
