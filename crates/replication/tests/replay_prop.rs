@@ -303,19 +303,21 @@ impl Replicated {
     /// population registered through the log.
     fn bootstrap() -> Self {
         let mut replicated = Self::arm(unpopulated_mediator());
-        population().for_each(|delta| replicated.mutate(delta));
+        for delta in population() {
+            replicated.mutate(delta).expect("a registration applies");
+        }
         replicated.primary.register_consumer(ConsumerId::new(0));
         replicated.log.append_consumer(ConsumerId::new(0));
         replicated
     }
 
     /// Applies a mutation to the primary and logs it if it was effective,
-    /// as `MediatorShard::mutate` does. Unknown providers are an error at
-    /// the API; not a mutation.
-    fn mutate(&mut self, delta: RegistryDelta) {
-        if self.primary.mutate(&delta) == Ok(true) {
+    /// as `MediatorShard::mutate` does.
+    fn mutate(&mut self, delta: RegistryDelta) -> Result<(), SbqaError> {
+        if self.primary.mutate(&delta)? {
             self.log.append_mutation(delta);
         }
+        Ok(())
     }
 
     /// Offers `query` to the primary, logged first as the shard logs it.
@@ -544,7 +546,11 @@ proptest! {
                     let query = build_query(id, consumer, byte, multi, any);
                     outcomes.push(replicated.submit(&query, &oracle));
                 }
-                Op::Registry(raw) => replicated.mutate(delta_of(raw)),
+                Op::Registry(raw) => {
+                    // Unknown providers are an error at the API; not a
+                    // mutation.
+                    let _ = replicated.mutate(delta_of(raw));
+                }
             }
             expected.extend(apply(&mut uninterrupted, op, &oracle));
             // Snapshot + replay equals the live registry after every op.
@@ -582,11 +588,13 @@ fn warm(replicated: &mut Replicated, queries: std::ops::Range<u64>) {
     let oracle = oracle();
     for id in queries {
         replicated.submit(&build_query(id, id % 2, id as u8, false, false), &oracle);
-        replicated.mutate(RegistryDelta::UpdateLoad {
-            id: ProviderId::new(id % 12),
-            utilization: id as f64,
-            queue_length: 1,
-        });
+        replicated
+            .mutate(RegistryDelta::UpdateLoad {
+                id: ProviderId::new(id % 12),
+                utilization: id as f64,
+                queue_length: 1,
+            })
+            .expect("registered");
     }
 }
 
