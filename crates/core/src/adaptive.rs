@@ -9,11 +9,13 @@
 //! *self-adaptation* — wants the mediator to move `kn` at runtime from what
 //! it observes.
 //!
-//! [`KnController`] closes that loop. Per **capability class** it keeps a
-//! sliding [`GapWindow`] of per-mediation [`GapSample`]s (the satisfaction
-//! of the issuing consumer vs the mean satisfaction of the consulted
-//! providers — values SbQA already reads to resolve ω, so sampling is free)
-//! and an **EWMA** of the windowed gap. At every batch boundary the mediator
+//! [`KnController`] closes that loop. The mediator asks it for every
+//! query's width and applies that width to the technique's kn-of-k filter.
+//! Per **capability class** it keeps a sliding [`GapWindow`] of
+//! per-mediation [`GapSample`]s (the issuing consumer's satisfaction with
+//! the allocation vs the mean satisfaction of the consulted providers, read
+//! off each finished decision, so sampling reads no registry) and an
+//! **EWMA** of the windowed gap. At every batch boundary the mediator
 //! calls [`KnController::adapt`]; classes whose EWMA leaves the hysteresis
 //! band `target_gap ± deadband` get their `kn` stepped down (gap above the
 //! band: providers are falling behind — shrink exploration, reject fewer,
@@ -86,6 +88,8 @@
 use sbqa_satisfaction::{GapSample, GapWindow};
 use sbqa_types::{Query, SbqaError, SbqaResult, MAX_CAPABILITY_CLASSES};
 
+use crate::allocator::AllocationDecision;
+
 /// The class bucket used for queries that mention no capability class at all
 /// (an `All{}` wildcard requirement).
 const WILDCARD_CLASS: u8 = MAX_CAPABILITY_CLASSES;
@@ -105,7 +109,7 @@ pub struct KnControllerConfig {
     /// Lower clamp of the adapted width (≥ 1).
     pub min_kn: usize,
     /// Upper clamp of the adapted width. The effective width is additionally
-    /// capped by the allocator's `k` at apply time.
+    /// capped by the KnBest draw's `k` at apply time.
     pub max_kn: usize,
     /// EWMA smoothing factor in `(0, 1]`: the weight of the newest windowed
     /// gap mean. `1` disables smoothing.
@@ -178,6 +182,35 @@ impl KnControllerConfig {
         }
         Ok(())
     }
+}
+
+/// The gap sample of one finished mediation, straight off its decision:
+/// Definition 1 for the consumer (the selected proposals' unit consumer
+/// intentions over `q.n`; missing results count 0) and the per-proposal
+/// Definition 2 averaged over the consulted providers (the selected
+/// proposals' unit provider intentions over the number of proposals; a
+/// rejected proposal counts 0). `None` when nobody was consulted.
+///
+/// Unlike the registry's long-run values, this instantaneous signal cannot
+/// be censored by dissatisfied participants departing, and it is sharply
+/// `kn`-sensitive (every consulted-but-rejected provider contributes a
+/// zero), which is what makes it a usable control input.
+pub(crate) fn gap_sample(query: &Query, decision: &AllocationDecision) -> Option<GapSample> {
+    if decision.proposals.is_empty() {
+        return None;
+    }
+    let mut consumer_gain = 0.0;
+    let mut provider_gain = 0.0;
+    for proposal in decision.proposals.iter().filter(|p| p.selected) {
+        consumer_gain += proposal.consumer_intention.to_unit().value();
+        provider_gain += proposal.provider_intention.to_unit().value();
+    }
+    Some(GapSample::from_sums(
+        consumer_gain,
+        query.replication,
+        provider_gain,
+        decision.proposals.len(),
+    ))
 }
 
 /// One recorded `kn` change — an entry of the controller's trajectory.

@@ -23,12 +23,16 @@
 //! mediator runs the select phases of a group of queries ahead of their
 //! score phases; the provided [`QueryAllocator::allocate_into`] runs both
 //! for one query, and [`QueryAllocator::allocate`] returns an owned
-//! decision for tests and one-off callers.
+//! decision for tests and one-off callers. A technique holds no state the
+//! mediator mutates: its select phase returns a static kn-of-k filter, and
+//! the mediator decides each query's width from it (the adaptive-`kn`
+//! controller's width for the query's class, then the ladder's ShrinkKn
+//! clamp).
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use sbqa_satisfaction::{GapSample, RowHint, SatisfactionRegistry};
+use sbqa_satisfaction::{RowHint, SatisfactionRegistry};
 use sbqa_types::{Intention, ProviderId, Query, SbqaError, SbqaResult};
 
 pub use sbqa_types::{ProviderColumns, ProviderSnapshot};
@@ -547,9 +551,10 @@ pub trait QueryAllocator: Send {
     /// or ranks to `drawn` ([`Candidates::load_ids`]: slots and
     /// utilizations may be left unresolved for the mediator to gather with
     /// other queries' keys) and returns how many of the least-utilized of
-    /// them to keep, KnBest's kn-of-k filter; `None` keeps every drawn key,
-    /// in the order drawn, whatever its utilization. `candidates` is never
-    /// empty.
+    /// them to keep, KnBest's kn-of-k filter at the technique's static
+    /// width, which the mediator may re-size for the query; `None` keeps
+    /// every drawn key, in the order drawn, whatever its utilization, and
+    /// nothing re-sizes it. `candidates` is never empty.
     fn select_into(
         &mut self,
         query: &Query,
@@ -572,31 +577,11 @@ pub trait QueryAllocator: Send {
     ) -> SbqaResult<()>;
 
     /// Forks the allocator's decision state — RNG stream position,
-    /// exploration width, configuration — into an independent copy, so a
+    /// configuration — into an independent copy, so a
     /// standby can continue the exact decision sequence from this point if
     /// the original is lost. Scratch buffers need not be copied (they carry
     /// no decision state).
     fn fork(&self) -> Box<dyn QueryAllocator>;
-
-    /// Re-sizes the technique's exploration width (SbQA's `kn`) before the
-    /// next allocation. The adaptive-`kn` controller
-    /// ([`KnController`](crate::adaptive::KnController)) calls this per
-    /// query; techniques without a width knob ignore it (the default).
-    fn set_exploration_width(&mut self, _kn: usize) {}
-
-    /// The technique's current exploration width, if it has one.
-    fn exploration_width(&self) -> Option<usize> {
-        None
-    }
-
-    /// The satisfaction-gap sample of the most recent allocation, for
-    /// techniques that read both sides' satisfaction anyway (SbQA fetches
-    /// them to resolve ω, so the sample is free). Feeds the adaptive-`kn`
-    /// controller; `None` (the default) simply disables gap-driven
-    /// adaptation for the technique.
-    fn satisfaction_signal(&self) -> Option<GapSample> {
-        None
-    }
 
     /// Decides which providers should perform `query`, writing the decision
     /// into `decision` (which is cleared first, retaining its capacity): the

@@ -6,10 +6,11 @@
 //! This module defines what the system does when the ingest queue grows
 //! faster than mediation drains it, as an explicit, deterministic ladder:
 //!
-//! 1. **ShrinkKn** — clamp the KnBest exploration width to
-//!    [`SHRINK_KN_FLOOR`]. The allocation stays intention-aware (SQLB
-//!    scoring over a narrower `Kn`), it just explores less. Cheapest quality
-//!    concession first.
+//! 1. **ShrinkKn** — the mediator clamps the query's KnBest width (the
+//!    configured or adapted `kn`) to [`SHRINK_KN_FLOOR`], for that query
+//!    only. The allocation stays intention-aware (SQLB scoring over a
+//!    narrower `Kn`), it just explores less. Cheapest quality concession
+//!    first.
 //! 2. **Baseline** — fall back to a capacity-based allocation
 //!    ([`BaselineFallback`]): no random pre-selection, no scoring over
 //!    `kn` candidates, intentions gathered for the winners only.

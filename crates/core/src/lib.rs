@@ -22,9 +22,10 @@
 //!    ([`mediator`]).
 //!
 //! The exploration width `kn` can additionally **self-tune** at runtime: the
-//! [`adaptive`] module's [`KnController`] re-sizes it per capability class
-//! from the observed consumer/provider satisfaction gap, which is the
-//! paper's self-adaptation claim applied to KnBest itself.
+//! [`adaptive`] module's [`KnController`] picks it per capability class from
+//! the observed consumer/provider satisfaction gap, and the mediator applies
+//! it to each query's draw, which is the paper's self-adaptation claim
+//! applied to KnBest itself.
 //!
 //! Baseline techniques (capacity-based, economic, …) implement the same
 //! [`QueryAllocator`] trait in the `sbqa-baselines` crate, which is what lets

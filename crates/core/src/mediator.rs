@@ -45,12 +45,12 @@ use std::ops::Range;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use sbqa_satisfaction::{GapSample, RowHint, SatisfactionRegistry};
+use sbqa_satisfaction::{RowHint, SatisfactionRegistry};
 use sbqa_types::{
     CapabilitySet, Intention, ProviderId, Query, SbqaError, SbqaResult, SystemConfig,
 };
 
-use crate::adaptive::{KnController, KnControllerConfig};
+use crate::adaptive::{gap_sample, KnController, KnControllerConfig};
 use crate::allocator::{
     resolve_keys, AllocationDecision, Candidates, Drawn, IntentionOracle, ProposalRecord,
     QueryAllocator, RankKey,
@@ -74,15 +74,6 @@ pub struct SbqaAllocator {
     scores: Vec<f64>,
     /// Proposal indices in ranking order (the vector `R`).
     ranking: Vec<u32>,
-    /// Gap sample of the most recent allocation: the *instantaneous*
-    /// per-mediation satisfaction of both sides (Definition 1 for the
-    /// consumer, the per-proposal Definition-2 value averaged over `Kn` for
-    /// the providers), computed from the decision the allocator just built —
-    /// no registry reads. Unlike the registry's long-run values, this signal
-    /// cannot be censored by dissatisfied participants departing, and it is
-    /// sharply `kn`-sensitive (every consulted-but-rejected provider
-    /// contributes a zero), which is what makes it a usable control input.
-    last_signal: Option<GapSample>,
 }
 
 impl SbqaAllocator {
@@ -98,7 +89,6 @@ impl SbqaAllocator {
             knbest: KnBestScratch::new(),
             scores: Vec::new(),
             ranking: Vec::new(),
-            last_signal: None,
         })
     }
 
@@ -122,9 +112,9 @@ impl QueryAllocator for SbqaAllocator {
     }
 
     fn fork(&self) -> Box<dyn QueryAllocator> {
-        // Decision state is (config, selector, RNG position, last signal);
-        // the scratch buffers are rebuilt empty — they never outlive one
-        // allocation, so a fresh fork reproduces the decision stream exactly.
+        // Decision state is (config, selector, RNG position); the scratch
+        // buffers are rebuilt empty — they never outlive one allocation, so
+        // a fresh fork reproduces the decision stream exactly.
         Box::new(Self {
             config: self.config.clone(),
             selector: self.selector,
@@ -132,24 +122,12 @@ impl QueryAllocator for SbqaAllocator {
             knbest: KnBestScratch::new(),
             scores: Vec::new(),
             ranking: Vec::new(),
-            last_signal: self.last_signal,
         })
     }
 
-    fn set_exploration_width(&mut self, kn: usize) {
-        self.selector.kn = kn.clamp(1, self.selector.k);
-    }
-
-    fn exploration_width(&self) -> Option<usize> {
-        Some(self.selector.kn)
-    }
-
-    fn satisfaction_signal(&self) -> Option<GapSample> {
-        self.last_signal
-    }
-
     /// Step 1 — KnBest's random draw of k capable providers, keeping the kn
-    /// least utilized, at the width set for this query.
+    /// least utilized: the configured kn, which the mediator may re-size
+    /// for the query (adaptive `kn`, the ShrinkKn clamp).
     fn select_into(
         &mut self,
         _query: &Query,
@@ -221,28 +199,6 @@ impl QueryAllocator for SbqaAllocator {
         } else {
             Some(omega_sum / kn.len() as f64)
         };
-        // The per-mediation gap sample, straight off the decision:
-        // Definition 1 for the consumer (missing results count 0),
-        // per-proposal Definition 2 averaged over Kn for the providers
-        // (rejected proposals count 0).
-        self.last_signal = if kn.is_empty() {
-            None
-        } else {
-            let mut consumer_gain = 0.0;
-            let mut provider_gain = 0.0;
-            for proposal in &decision.proposals {
-                if proposal.selected {
-                    consumer_gain += proposal.consumer_intention.to_unit().value();
-                    provider_gain += proposal.provider_intention.to_unit().value();
-                }
-            }
-            Some(GapSample::from_sums(
-                consumer_gain,
-                query.replication,
-                provider_gain,
-                kn.len(),
-            ))
-        };
         Ok(())
     }
 }
@@ -278,10 +234,11 @@ pub const SELECT_GROUP: usize = 8;
 enum Selected {
     /// No capable provider was online.
     Starved(SbqaError),
-    /// The query drew `keys[drawn]` at `tier`, of which its technique keeps
-    /// `keep` ([`QueryAllocator::select_into`]); the group step of the
-    /// select phase puts the kept ids at `ids[kept]` and their rows at
-    /// `rows[kept]`.
+    /// The query drew `keys[drawn]` at `tier`, of which it keeps `keep`:
+    /// its technique's kn-of-k filter ([`QueryAllocator::select_into`]) at
+    /// the width the mediator decided, or `None` for every drawn key. The
+    /// group step of the select phase puts the kept ids at `ids[kept]` and
+    /// their rows at `rows[kept]`.
     Drawn {
         tier: DegradationTier,
         drawn: Range<usize>,
@@ -559,12 +516,13 @@ impl Mediator {
         &mut self.satisfaction
     }
 
-    /// Enables adaptive `kn`: the mediator consults the
-    /// [`KnController`] before every KnBest draw (re-sizing the hosted
-    /// technique's exploration width per capability class) and feeds it the
-    /// per-mediation satisfaction-gap samples the technique reports. One
-    /// adaptation round runs at the start of every [`Mediator::submit_batch`]
-    /// (hosts with their own batching cadence call [`Mediator::adapt_kn`]).
+    /// Enables adaptive `kn`: the mediator asks the [`KnController`] for
+    /// every query's width by capability class, keeps that many of the
+    /// query's draw when the technique has a kn-of-k filter, and feeds the
+    /// controller the satisfaction-gap sample of every Normal-tier decision
+    /// made with such a filter. One adaptation round runs at the start of
+    /// every [`Mediator::submit_batch`] (hosts with their own batching
+    /// cadence call [`Mediator::adapt_kn`]).
     ///
     /// # Errors
     ///
@@ -598,14 +556,15 @@ impl Mediator {
         self.kn_controller.as_mut().map_or(0, KnController::adapt)
     }
 
-    /// The select phase of one query at admission tier `tier`: the
-    /// query's width (adaptive `kn`, then the ShrinkKn clamp), `Pq`, the
+    /// The select phase of one query at admission tier `tier`: `Pq`, the
     /// technique's draw over it — mapped to owned ids at once, because a
-    /// later query's cold resolve may recycle the plan behind the view — and
-    /// the satisfaction rows the score phase will read and write. It reads
-    /// nothing an earlier query's score phase writes: within a batch the
-    /// registry is read-only, the width moves only at a batch boundary and
-    /// the draw consumes the same RNG whatever the width.
+    /// later query's cold resolve may recycle the plan behind the view —,
+    /// the query's width (the technique's kn-of-k filter, re-sized to the
+    /// adaptive-`kn` width of the query's class, then clamped by ShrinkKn)
+    /// and the satisfaction rows the score phase will read and write. It
+    /// reads nothing an earlier query's score phase writes: within a batch
+    /// the registry is read-only, the controller's widths move only at a
+    /// batch boundary and the draw consumes the same RNG whatever the width.
     ///
     /// The query waits for [`score_next`](Self::score_next), which must see
     /// the selected queries in the order they were selected.
@@ -631,9 +590,9 @@ impl Mediator {
         // the host admitted the query anyway; serve it at the cheapest
         // quality rather than inventing a starvation.)
         let fallback = matches!(tier, DegradationTier::Baseline | DegradationTier::Shed);
-        if let Some(controller) = kn_controller {
-            allocator.set_exploration_width(controller.kn_for_query(query));
-        }
+        let adapted = kn_controller
+            .as_mut()
+            .map(|controller| controller.kn_for_query(query));
         let candidates = providers.candidates(query);
         if candidates.is_empty() {
             let starved = providers.starvation_error(query);
@@ -645,8 +604,15 @@ impl Mediator {
             BaselineFallback::select_into(query, candidates, &mut scratch.keys);
             None
         } else {
-            with_tier_width(allocator.as_mut(), tier, |allocator| {
-                allocator.select_into(query, candidates, &mut scratch.keys)
+            // A width past the draw keeps all of it (`keep_lightest`).
+            let keep = allocator.select_into(query, candidates, &mut scratch.keys);
+            keep.map(|kn| {
+                let kn = adapted.unwrap_or(kn);
+                if tier == DegradationTier::ShrinkKn {
+                    kn.min(SHRINK_KN_FLOOR)
+                } else {
+                    kn
+                }
             })
         };
         scratch.selected.push(Selected::Drawn {
@@ -699,14 +665,15 @@ impl Mediator {
             ));
         };
         *next += 1;
-        let (tier, kept, consumer_row) = match step {
+        let (tier, filtered, kept, consumer_row) = match step {
             Selected::Starved(starved) => return Err(starved.clone()),
             Selected::Drawn {
                 tier,
+                keep,
                 kept,
                 consumer_row,
                 ..
-            } => (*tier, kept.clone(), *consumer_row),
+            } => (*tier, keep.is_some(), kept.clone(), *consumer_row),
         };
         let rows = &rows[kept.clone()];
         let drawn = Drawn {
@@ -721,10 +688,11 @@ impl Mediator {
         }
         // The controller adapts only on evidence from widths it chose
         // itself: forced-floor samples would read as "small kn is fine"
-        // exactly when the system is drowning.
-        if tier == DegradationTier::Normal {
-            if let Some(controller) = kn_controller {
-                if let Some(sample) = allocator.satisfaction_signal() {
+        // exactly when the system is drowning, and a technique without a
+        // kn-of-k filter has no width to adapt.
+        if let Some(controller) = kn_controller {
+            if tier == DegradationTier::Normal && filtered {
+                if let Some(sample) = gap_sample(query, decision) {
                     controller.observe_query(query, sample);
                 }
             }
@@ -824,32 +792,6 @@ impl Mediator {
         }
         report
     }
-}
-
-/// Runs `f` with the technique's exploration width clamped to
-/// [`SHRINK_KN_FLOOR`] under the ShrinkKn tier, and restores the width
-/// afterwards, so the tier leaves no width residue once pressure subsides.
-/// The KnBest draw consumes RNG independently of the width, so the RNG
-/// stream — and with it replay byte-identity — is unaffected by when the
-/// clamp engages.
-fn with_tier_width<R>(
-    allocator: &mut dyn QueryAllocator,
-    tier: DegradationTier,
-    f: impl FnOnce(&mut dyn QueryAllocator) -> R,
-) -> R {
-    let saved = if tier == DegradationTier::ShrinkKn {
-        allocator.exploration_width()
-    } else {
-        None
-    };
-    if let Some(previous) = saved {
-        allocator.set_exploration_width(previous.min(SHRINK_KN_FLOOR));
-    }
-    let outcome = f(allocator);
-    if let Some(previous) = saved {
-        allocator.set_exploration_width(previous);
-    }
-    outcome
 }
 
 impl std::fmt::Debug for Mediator {
@@ -1303,16 +1245,13 @@ mod tests {
     }
 
     #[test]
-    fn allocator_reports_a_gap_sample_and_resizes() {
+    fn a_decision_yields_its_gap_sample() {
         let config = SystemConfig::default().with_knbest(10, 3);
         let mut alloc = SbqaAllocator::new(config, 42).unwrap();
-        assert_eq!(alloc.exploration_width(), Some(3));
-        assert!(alloc.satisfaction_signal().is_none(), "no allocation yet");
-
         let satisfaction = SatisfactionRegistry::new(10);
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.5));
-        alloc
+        let decision = alloc
             .allocate(
                 &query(1, 1),
                 Candidates::from_slice(&snapshots(20)),
@@ -1323,17 +1262,13 @@ mod tests {
         // Intentions 0.5 map to a 0.75 per-result gain: the one winner gives
         // the consumer 0.75 (q.n = 1) and the provider side 0.75 diluted
         // over the kn = 3 consulted providers.
-        let sample = alloc.satisfaction_signal().unwrap();
+        let sample = gap_sample(&query(1, 1), &decision).unwrap();
         assert!((sample.consumer - 0.75).abs() < 1e-12);
         assert!((sample.provider - 0.25).abs() < 1e-12);
-
-        // Re-sizing clamps to [1, k].
-        alloc.set_exploration_width(7);
-        assert_eq!(alloc.exploration_width(), Some(7));
-        alloc.set_exploration_width(0);
-        assert_eq!(alloc.exploration_width(), Some(1));
-        alloc.set_exploration_width(99);
-        assert_eq!(alloc.exploration_width(), Some(10), "capped at k");
+        assert!(
+            gap_sample(&query(2, 1), &AllocationDecision::default()).is_none(),
+            "nobody consulted"
+        );
     }
 
     #[test]

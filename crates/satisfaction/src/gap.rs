@@ -55,9 +55,9 @@ impl GapSample {
     /// number of *consulted* providers: every rejected proposal contributes
     /// a zero, the per-proposal Definition-2 reading).
     ///
-    /// This is the normalisation SbQA's allocator goes through for its
-    /// instantaneous samples. A mediation that consulted nobody reports the
-    /// neutral `0.5` on the provider side.
+    /// This is the normalisation the mediator's instantaneous samples of
+    /// SbQA decisions go through. A mediation that consulted nobody reports
+    /// the neutral `0.5` on the provider side.
     #[must_use]
     pub fn from_sums(
         consumer_gain: f64,
