@@ -43,12 +43,6 @@ impl HandoffPackage {
         self.providers.push((snapshot, satisfaction));
     }
 
-    /// Providers carried by this package.
-    #[must_use]
-    pub fn provider_count(&self) -> usize {
-        self.providers.len()
-    }
-
     /// The delta sequence that reproduces `snapshot` on a registry that does
     /// not know the provider: register (online, idle), restore the load
     /// columns, then restore the online flag. The `SetOnline` entry is
@@ -76,19 +70,17 @@ impl HandoffPackage {
 
     /// Applies the package to a destination mediator: every provider is
     /// rebuilt through its snapshot deltas and its satisfaction tracker is
-    /// adopted window-intact. Returns the number of deltas applied.
+    /// adopted window-intact.
     ///
     /// # Errors
     ///
     /// Any delta-application error — in a correctly routed handoff the
     /// expansion cannot fail, so an error means the package was built
     /// against a different topology than it is being applied to.
-    pub fn apply(self, mediator: &mut Mediator) -> SbqaResult<usize> {
-        let mut applied = 0;
+    pub fn apply(self, mediator: &mut Mediator) -> SbqaResult<()> {
         for (snapshot, satisfaction) in self.providers {
             for delta in Self::snapshot_deltas(&snapshot) {
                 mediator.mutate(&delta)?;
-                applied += 1;
             }
             if let Some(tracker) = satisfaction {
                 mediator
@@ -96,6 +88,6 @@ impl HandoffPackage {
                     .adopt_provider(snapshot.id, tracker);
             }
         }
-        Ok(applied)
+        Ok(())
     }
 }

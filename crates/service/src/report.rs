@@ -304,25 +304,6 @@ impl ServiceReport {
     pub fn fault(&self) -> Option<&SbqaError> {
         self.shards.iter().find_map(|shard| shard.fault.as_ref())
     }
-
-    /// Every shard's adaptive-`kn` trajectory, flattened in `(shard, round)`
-    /// order — the service-level kn-over-time series. Empty when adaptation
-    /// is disabled.
-    #[must_use]
-    pub fn kn_trajectory(&self) -> Vec<(usize, KnAdjustment)> {
-        let mut trajectory: Vec<(usize, KnAdjustment)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .kn_trail
-                    .iter()
-                    .map(move |adjustment| (shard.shard, *adjustment))
-            })
-            .collect();
-        trajectory.sort_by_key(|(shard, adjustment)| (*shard, adjustment.round));
-        trajectory
-    }
 }
 
 #[cfg(test)]
