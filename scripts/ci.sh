@@ -139,6 +139,20 @@ if grep -rnE "DeltaSink|set_delta_sink|take_delta_sink|delta_sink_attached|apply
     exit 1
 fi
 
+echo "== the mediator decides each query's kn: no width or gap-signal hook on a technique"
+# A technique's select phase returns its static kn-of-k filter.
+# Mediator::select_at re-sizes it to the adaptive-kn controller's width for
+# the query's class, then clamps it under ShrinkKn; Mediator::score_next
+# reads the controller's gap sample off the finished decision. No technique
+# holds state the mediator mutates. The names of the deleted width hooks,
+# the width save-and-restore, the technique's cached sample and the
+# flattened trajectory nothing read must not come back.
+if grep -rnE "set_exploration_width|exploration_width|satisfaction_signal|with_tier_width|last_signal|kn_trajectory" \
+    crates src tests examples; then
+    echo "a width or gap sample kept by the technique is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== a postings chunk has one shape: sorted keys, no Bitmap container"
 # A PostingsMap chunk is its sorted low keys at any size (plus bitset words
 # from WORDS_MIN keys on), so a select is an index. The names of the deleted
