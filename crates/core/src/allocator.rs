@@ -577,10 +577,9 @@ pub trait QueryAllocator: Send {
     ) -> SbqaResult<()>;
 
     /// Forks the allocator's decision state — RNG stream position,
-    /// configuration — into an independent copy, so a
-    /// standby can continue the exact decision sequence from this point if
-    /// the original is lost. Scratch buffers need not be copied (they carry
-    /// no decision state).
+    /// configuration — into an independent copy, so a standby can continue
+    /// the exact decision sequence from this point if the original is lost.
+    /// Scratch buffers need not be copied (they carry no decision state).
     fn fork(&self) -> Box<dyn QueryAllocator>;
 
     /// Decides which providers should perform `query`, writing the decision
