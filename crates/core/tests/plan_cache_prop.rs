@@ -12,6 +12,10 @@
 //!   eviction paths all execute;
 //! * the LRU layer — a requirement working set larger than the cache
 //!   capacity (evictions on every probe) stays correct;
+//! * populous class lists — about 10 000 providers in one 2^16-id chunk,
+//!   where every mentioned class keeps bitset words and one holds more than
+//!   [`ARRAY_MAX`] keys: a cold miss, a warm hit, a stale rebuild and
+//!   evictions each answer like the slab filter and count as what they are;
 //! * the mediation layer — full `submit_batch` mediation with the default
 //!   cache and with a one-plan cache is decision-for-decision and
 //!   satisfaction-bit-for-bit identical to a [`Reference`] step that shares
@@ -19,9 +23,10 @@
 
 use proptest::prelude::*;
 
+use sbqa_core::postings::{ARRAY_MAX, WORDS_MIN};
 use sbqa_core::{
-    AllocationDecision, Candidates, Mediator, ProviderRegistry, ProviderSnapshot, QueryAllocator,
-    SbqaAllocator, StaticIntentions,
+    AllocationDecision, Candidates, Mediator, PlanCacheStats, ProviderRegistry, ProviderSnapshot,
+    QueryAllocator, SbqaAllocator, StaticIntentions,
 };
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
@@ -356,4 +361,70 @@ proptest! {
 
         prop_assert!(thrashing.plan_cache_stats().entries <= 1);
     }
+}
+
+/// The plan cache over class lists that keep bitset words, a shape the
+/// proptests above (at most 40 ids) never build: ids `1..=10 000`, all in
+/// chunk 0, where class `c` holds the multiples of `DIVISORS[c]` — 5 000,
+/// 3 333, 2 000 and 1 428 members, so every mentioned list is past
+/// [`WORDS_MIN`] and one past [`ARRAY_MAX`]. Each 2- and 3-way `All` and
+/// `Any` requirement goes through a cold miss, a warm hit, a stale rebuild
+/// after provider 210 (a member of every class) goes offline, and a miss that
+/// evicts under a one-plan bound. After every resolution the set equals the
+/// brute-force slab filter and that step's counter has moved by one.
+#[test]
+fn populous_class_lists_resolve_like_the_slab_through_every_cache_path() {
+    const PROVIDERS: u64 = 10_000;
+    const DIVISORS: [u64; 4] = [2, 3, 5, 7];
+    let mut registry = ProviderRegistry::new();
+    for id in 1..=PROVIDERS {
+        // Class 4, which no requirement mentions, keeps every profile non-empty.
+        let mask = DIVISORS
+            .iter()
+            .enumerate()
+            .filter(|&(_, d)| id % d == 0)
+            .fold(1u8 << 4, |mask, (class, _)| mask | 1 << class);
+        registry.register(ProviderId::new(id), capability_set(mask), 1.0);
+    }
+    for class in 0..DIVISORS.len() {
+        let members = brute_force(&registry, requirement(1 << class, true)).len();
+        assert!(members >= WORDS_MIN, "class {class} holds {members} ids");
+    }
+    assert!(brute_force(&registry, requirement(1, true)).len() > ARRAY_MAX);
+
+    let requirements = [
+        requirement(0b0011, true),
+        requirement(0b0111, true),
+        requirement(0b1100, false),
+        requirement(0b1110, false),
+    ];
+    let step = |registry: &mut ProviderRegistry,
+                req: CapabilityRequirement,
+                counter: fn(&PlanCacheStats) -> u64,
+                label: &str| {
+        let before = registry.plan_cache_stats();
+        let expected = brute_force(registry, req);
+        assert!(!expected.is_empty(), "{label} {req}");
+        assert_eq!(resolve(registry, req), expected, "{label} {req}");
+        let after = registry.plan_cache_stats();
+        assert_eq!(counter(&after), counter(&before) + 1, "{label} {req}");
+        assert_eq!(after.lookups(), before.lookups() + 1, "{label} {req}");
+    };
+
+    for req in requirements {
+        step(&mut registry, req, |s| s.misses, "cold miss");
+    }
+    for req in requirements {
+        step(&mut registry, req, |s| s.hits, "warm hit");
+    }
+    registry.set_online(ProviderId::new(210), false).unwrap();
+    for req in requirements {
+        step(&mut registry, req, |s| s.stale_rebuilds, "stale rebuild");
+    }
+    registry.set_plan_cache_capacity(1);
+    step(&mut registry, requirements[3], |s| s.misses, "refill");
+    for req in requirements {
+        step(&mut registry, req, |s| s.evictions, "eviction");
+    }
+    assert_eq!(registry.plan_cache_stats().entries, 1);
 }
