@@ -79,7 +79,7 @@ impl ConsumerProfile {
 
     /// The static preference towards a provider (falling back to the default).
     #[must_use]
-    pub fn preference_for(&self, provider: ProviderId) -> Intention {
+    fn preference_for(&self, provider: ProviderId) -> Intention {
         self.preferences
             .get(&provider)
             .copied()

@@ -89,7 +89,7 @@ impl ProviderProfile {
 
     /// The static preference component for a query.
     #[must_use]
-    pub fn preference_for(&self, query: &Query) -> Intention {
+    fn preference_for(&self, query: &Query) -> Intention {
         let consumer_pref = self
             .consumer_preferences
             .get(&query.consumer)
