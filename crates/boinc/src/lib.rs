@@ -14,8 +14,7 @@
 //!
 //! and a population of volunteers (providers) that donate heterogeneous
 //! computational resources and hold preferences over the projects. Queries
-//! are independent work units, optionally replicated for result validation
-//! because volunteers may be malicious.
+//! are independent work units, each asking for one result (`q.n = 1`).
 //!
 //! [`scenarios`] packages the seven demo scenarios as runnable experiment
 //! presets; the `sbqa-bench` binaries and the examples are thin wrappers
@@ -26,13 +25,11 @@
 pub mod interactive;
 pub mod population;
 pub mod project;
-pub mod replication;
 pub mod scenarios;
 pub mod volunteer;
 
 pub use interactive::InteractiveParticipant;
 pub use population::{BoincPopulation, PopulationConfig};
 pub use project::{Project, ProjectKind};
-pub use replication::ReplicationPolicy;
 pub use scenarios::{Scenario, ScenarioId, ScenarioOutcome, TechniqueResult};
 pub use volunteer::{VolunteerConfig, VolunteerGenerator};

@@ -6,7 +6,6 @@ use sbqa_sim::{ConsumerSpec, ProviderSpec, SimRng};
 use sbqa_types::{Capability, ConsumerId, Intention};
 
 use crate::project::{Project, ProjectKind};
-use crate::replication::ReplicationPolicy;
 use crate::volunteer::{VolunteerConfig, VolunteerGenerator};
 
 /// How the projects (consumers) compute their intentions towards volunteers.
@@ -32,8 +31,6 @@ pub struct PopulationConfig {
     pub arrival_rate_per_project: f64,
     /// Mean work-unit size, per project.
     pub mean_work_units: f64,
-    /// Replication policy used by every project.
-    pub replication: ReplicationPolicy,
     /// How projects compute their intentions.
     pub project_behaviour: ProjectBehaviour,
     /// Overrides the volunteers' intention strategy (None keeps the default
@@ -50,7 +47,6 @@ impl Default for PopulationConfig {
             volunteer: VolunteerConfig::default(),
             arrival_rate_per_project: 20.0,
             mean_work_units: 0.2,
-            replication: ReplicationPolicy::Fixed(1),
             project_behaviour: ProjectBehaviour::ReputationDriven,
             volunteer_strategy: None,
             seed: 7,
@@ -87,13 +83,6 @@ impl PopulationConfig {
         self
     }
 
-    /// Builder-style replication override.
-    #[must_use]
-    pub fn with_replication(mut self, replication: ReplicationPolicy) -> Self {
-        self.replication = replication;
-        self
-    }
-
     /// Builder-style seed override.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -120,7 +109,6 @@ impl BoincPopulation {
     #[must_use]
     pub fn generate(config: &PopulationConfig) -> Self {
         let mut rng = SimRng::new(config.seed);
-        let replication = config.replication.replicas();
 
         let projects: Vec<Project> = ProjectKind::all()
             .iter()
@@ -129,7 +117,6 @@ impl BoincPopulation {
                 Project::demo(ConsumerId::new(i as u64), *kind, Capability::new(i as u8))
                     .with_arrival_rate(config.arrival_rate_per_project)
                     .with_mean_work(config.mean_work_units)
-                    .with_replication(replication)
             })
             .collect();
 
@@ -231,21 +218,6 @@ mod tests {
                 consumer.profile.strategy,
                 ConsumerIntentionStrategy::ResponseTimeDriven { .. }
             ));
-        }
-    }
-
-    #[test]
-    fn replication_policy_propagates_to_projects() {
-        let population = BoincPopulation::generate(
-            &PopulationConfig::default()
-                .with_volunteers(5)
-                .with_replication(ReplicationPolicy::Fixed(3)),
-        );
-        for consumer in &population.consumers {
-            assert_eq!(consumer.replication, 3);
-        }
-        for project in &population.projects {
-            assert_eq!(project.replication, 3);
         }
     }
 

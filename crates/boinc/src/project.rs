@@ -74,7 +74,7 @@ impl ProjectKind {
     }
 }
 
-/// A BOINC project: a consumer that issues replicated work units.
+/// A BOINC project: a consumer that issues work units.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Project {
     /// The consumer identity of the project.
@@ -90,8 +90,6 @@ pub struct Project {
     pub arrival_rate: f64,
     /// Mean size of a work unit.
     pub mean_work_units: f64,
-    /// Result-validation replication factor (`q.n`).
-    pub replication: usize,
 }
 
 impl Project {
@@ -105,7 +103,6 @@ impl Project {
             capability,
             arrival_rate: 1.0,
             mean_work_units: 1.0,
-            replication: 1,
         }
     }
 
@@ -116,13 +113,6 @@ impl Project {
         self
     }
 
-    /// Overrides the replication factor.
-    #[must_use]
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication.max(1);
-        self
-    }
-
     /// Overrides the mean work-unit size.
     #[must_use]
     pub fn with_mean_work(mut self, work: f64) -> Self {
@@ -130,7 +120,8 @@ impl Project {
         self
     }
 
-    /// Builds the simulator consumer spec for this project.
+    /// Builds the simulator consumer spec for this project. Every work unit
+    /// asks for one result (`q.n = 1`).
     ///
     /// `profile` decides how the project ranks volunteers (default:
     /// reputation-like static preferences, neutral by default; Scenario 5
@@ -142,7 +133,7 @@ impl Project {
             self.capability,
             self.arrival_rate,
             self.mean_work_units,
-            self.replication,
+            1,
             profile,
         )
     }
@@ -192,10 +183,8 @@ mod tests {
     fn builder_overrides_apply_and_spec_conversion_works() {
         let project = Project::demo(ConsumerId::new(1), ProjectKind::Popular, Capability::new(2))
             .with_arrival_rate(3.0)
-            .with_replication(2)
             .with_mean_work(0.5);
         assert_eq!(project.arrival_rate, 3.0);
-        assert_eq!(project.replication, 2);
         assert_eq!(project.mean_work_units, 0.5);
 
         let spec = project.to_consumer_spec(ConsumerProfile::default());
@@ -205,13 +194,6 @@ mod tests {
             sbqa_types::CapabilityRequirement::single(Capability::new(2))
         );
         assert_eq!(spec.arrival_rate, 3.0);
-        assert_eq!(spec.replication, 2);
-    }
-
-    #[test]
-    fn replication_is_at_least_one() {
-        let project = Project::demo(ConsumerId::new(1), ProjectKind::Normal, Capability::new(0))
-            .with_replication(0);
-        assert_eq!(project.replication, 1);
+        assert_eq!(spec.replication, 1);
     }
 }
