@@ -6,8 +6,8 @@
 //! harnesses over [`world`]'s population — the `scenario_sharded`
 //! mediation-service sweep, the `scenario_adaptive` self-tuned-`kn`
 //! comparison, the `scenario_failover` crash-and-promote check and the
-//! `scenario_overload` degradation frontier) and the Criterion
-//! micro-benchmarks in `benches/`.
+//! `scenario_overload` degradation frontier). Stage costs are measured by
+//! the benchmark under `perf/`, not here.
 //!
 //! Every binary accepts the same flags, parsed by the shared [`cli`] module:
 //!

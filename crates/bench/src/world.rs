@@ -18,10 +18,9 @@ fn set(classes: &[u8]) -> CapabilitySet {
 }
 
 /// Overlapping capability profiles: each provider advertises its base class
-/// plus, for thirds/fifths of the population, one or two neighbours — the
-/// same shape the registry bench uses, so multi-class merges see non-empty
-/// intersections on every shard. `capacity` maps a provider's position to
-/// its capacity.
+/// plus, for thirds/fifths of the population, one or two neighbours, so
+/// multi-class merges see non-empty intersections on every shard.
+/// `capacity` maps a provider's position to its capacity.
 pub fn providers_with(count: usize, capacity: impl Fn(u64) -> f64) -> Vec<ProviderSpec> {
     (0..count as u64)
         .map(|i| {

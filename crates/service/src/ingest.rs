@@ -53,7 +53,8 @@
 //! time spent blocked on a full ring and the time waiting inside it. A
 //! producer takes a ring's lock and wakes its shard thread once per chunk,
 //! so larger batches amortize ring traffic — the batch-size/latency
-//! trade-off the `service` bench sweeps. Emptied chunk buffers go back
+//! trade-off (`perf` reads it off `service.ingest.enqueue_ns` and
+//! `service.ingest.p99_us.rate80k`). Emptied chunk buffers go back
 //! through the ring to the producer, so a warm front allocates nothing per
 //! chunk beyond the doubling steps of the shard's outcome and latency
 //! vectors (`zero_alloc.rs` counts them).
