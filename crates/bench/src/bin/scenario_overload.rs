@@ -68,7 +68,6 @@ fn ladder() -> DegradationConfig {
     DegradationConfig {
         capacity: 256,
         drain_rate: 250.0,
-        ..DegradationConfig::default()
     }
 }
 

@@ -32,4 +32,3 @@ pub use interactive::InteractiveParticipant;
 pub use population::{BoincPopulation, PopulationConfig};
 pub use project::{Project, ProjectKind};
 pub use scenarios::{Scenario, ScenarioId, ScenarioOutcome, TechniqueResult};
-pub use volunteer::{VolunteerConfig, VolunteerGenerator};

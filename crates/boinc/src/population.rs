@@ -6,7 +6,7 @@ use sbqa_sim::{ConsumerSpec, ProviderSpec, SimRng};
 use sbqa_types::{Capability, ConsumerId, Intention};
 
 use crate::project::{Project, ProjectKind};
-use crate::volunteer::{VolunteerConfig, VolunteerGenerator};
+use crate::volunteer;
 
 /// How the projects (consumers) compute their intentions towards volunteers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,8 +25,6 @@ pub enum ProjectBehaviour {
 pub struct PopulationConfig {
     /// Number of volunteers.
     pub volunteers: usize,
-    /// Volunteer generation parameters (capacity range, hybrid weights).
-    pub volunteer: VolunteerConfig,
     /// Work units issued per virtual second, per project.
     pub arrival_rate_per_project: f64,
     /// Mean work-unit size, per project.
@@ -44,7 +42,6 @@ impl Default for PopulationConfig {
     fn default() -> Self {
         Self {
             volunteers: 200,
-            volunteer: VolunteerConfig::default(),
             arrival_rate_per_project: 20.0,
             mean_work_units: 0.2,
             project_behaviour: ProjectBehaviour::ReputationDriven,
@@ -120,8 +117,7 @@ impl BoincPopulation {
             })
             .collect();
 
-        let generator = VolunteerGenerator::new(config.volunteer);
-        let providers = generator.generate_population(
+        let providers = volunteer::generate_population(
             1_000,
             config.volunteers,
             &projects,

@@ -12,111 +12,79 @@ use sbqa_types::{CapabilitySet, Intention, ProviderId};
 
 use crate::project::Project;
 
-/// Parameters of the volunteer population.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VolunteerConfig {
-    /// Lowest volunteer capacity (work units per virtual second).
-    pub min_capacity: f64,
-    /// Highest volunteer capacity.
-    pub max_capacity: f64,
-    /// Weight of static preferences in the volunteers' hybrid intention
-    /// strategy (`1.0` = pure preference, `0.0` = pure load).
-    pub preference_weight: f64,
-    /// Backlog (in virtual seconds) a volunteer considers acceptable before
-    /// its load-driven component starts refusing work.
-    pub acceptable_backlog: f64,
+/// Lowest volunteer capacity (work units per virtual second).
+const MIN_CAPACITY: f64 = 0.5;
+
+/// Highest volunteer capacity.
+const MAX_CAPACITY: f64 = 4.0;
+
+/// Weight of static preferences in the volunteers' hybrid intention strategy
+/// (`1.0` = pure preference, `0.0` = pure load).
+const PREFERENCE_WEIGHT: f64 = 0.7;
+
+/// Backlog (in virtual seconds) a volunteer considers acceptable before its
+/// load-driven component starts refusing work.
+const ACCEPTABLE_BACKLOG: f64 = 4.0;
+
+/// Generates one volunteer attached to every given project.
+///
+/// The volunteer advertises the union of the projects' capabilities (in
+/// BOINC terms, it installed every project's application), has a capacity
+/// drawn uniformly from 0.5 to 4.0 work units per virtual second, and holds a
+/// preference per project drawn from the project's popularity class. Without
+/// a `strategy` it blends preference and load (a hybrid at weight 0.7 with a
+/// 4-second acceptable backlog).
+#[must_use]
+pub fn generate(
+    id: ProviderId,
+    projects: &[Project],
+    strategy: Option<ProviderIntentionStrategy>,
+    rng: &mut SimRng,
+) -> ProviderSpec {
+    let strategy = strategy.unwrap_or(ProviderIntentionStrategy::Hybrid {
+        preference_weight: PREFERENCE_WEIGHT,
+        acceptable_backlog: ACCEPTABLE_BACKLOG,
+    });
+    let mut profile = ProviderProfile::new(strategy, Intention::NEUTRAL);
+
+    let mut capabilities = CapabilitySet::new();
+    for project in projects {
+        capabilities.insert(project.capability);
+        let enthusiastic = rng.chance(project.kind.enthusiasm_probability());
+        let base = if enthusiastic {
+            project.kind.enthusiastic_preference()
+        } else {
+            project.kind.reluctant_preference()
+        };
+        // Small per-volunteer jitter so the population is not a set of
+        // identical clones.
+        let jitter = rng.uniform_in(-0.1, 0.1);
+        profile.set_consumer_preference(project.id, Intention::new(base + jitter));
+    }
+
+    let capacity = rng.uniform_in(MIN_CAPACITY, MAX_CAPACITY);
+    ProviderSpec::new(id, capabilities, capacity, profile)
 }
 
-impl Default for VolunteerConfig {
-    fn default() -> Self {
-        Self {
-            min_capacity: 0.5,
-            max_capacity: 4.0,
-            preference_weight: 0.7,
-            acceptable_backlog: 4.0,
-        }
-    }
-}
-
-/// Generates volunteers with preferences drawn from project popularity.
-#[derive(Debug, Clone)]
-pub struct VolunteerGenerator {
-    config: VolunteerConfig,
-}
-
-impl VolunteerGenerator {
-    /// Creates a generator.
-    #[must_use]
-    pub fn new(config: VolunteerConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &VolunteerConfig {
-        &self.config
-    }
-
-    /// Generates one volunteer attached to every given project.
-    ///
-    /// The volunteer advertises the union of the projects' capabilities (in
-    /// BOINC terms, it installed every project's application), has a capacity
-    /// drawn uniformly from the configured range, and holds a preference per
-    /// project drawn from the project's popularity class.
-    #[must_use]
-    pub fn generate(
-        &self,
-        id: ProviderId,
-        projects: &[Project],
-        strategy: Option<ProviderIntentionStrategy>,
-        rng: &mut SimRng,
-    ) -> ProviderSpec {
-        let strategy = strategy.unwrap_or(ProviderIntentionStrategy::Hybrid {
-            preference_weight: self.config.preference_weight,
-            acceptable_backlog: self.config.acceptable_backlog,
-        });
-        let mut profile = ProviderProfile::new(strategy, Intention::NEUTRAL);
-
-        let mut capabilities = CapabilitySet::new();
-        for project in projects {
-            capabilities.insert(project.capability);
-            let enthusiastic = rng.chance(project.kind.enthusiasm_probability());
-            let base = if enthusiastic {
-                project.kind.enthusiastic_preference()
-            } else {
-                project.kind.reluctant_preference()
-            };
-            // Small per-volunteer jitter so the population is not a set of
-            // identical clones.
-            let jitter = rng.uniform_in(-0.1, 0.1);
-            profile.set_consumer_preference(project.id, Intention::new(base + jitter));
-        }
-
-        let capacity = rng.uniform_in(self.config.min_capacity, self.config.max_capacity);
-        ProviderSpec::new(id, capabilities, capacity, profile)
-    }
-
-    /// Generates `count` volunteers with ids starting at `first_id`.
-    #[must_use]
-    pub fn generate_population(
-        &self,
-        first_id: u64,
-        count: usize,
-        projects: &[Project],
-        strategy: Option<ProviderIntentionStrategy>,
-        rng: &mut SimRng,
-    ) -> Vec<ProviderSpec> {
-        (0..count)
-            .map(|i| {
-                self.generate(
-                    ProviderId::new(first_id + i as u64),
-                    projects,
-                    strategy,
-                    rng,
-                )
-            })
-            .collect()
-    }
+/// Generates `count` volunteers with ids starting at `first_id`.
+#[must_use]
+pub fn generate_population(
+    first_id: u64,
+    count: usize,
+    projects: &[Project],
+    strategy: Option<ProviderIntentionStrategy>,
+    rng: &mut SimRng,
+) -> Vec<ProviderSpec> {
+    (0..count)
+        .map(|i| {
+            generate(
+                ProviderId::new(first_id + i as u64),
+                projects,
+                strategy,
+                rng,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -139,21 +107,19 @@ mod tests {
 
     #[test]
     fn generated_volunteers_cover_all_project_capabilities() {
-        let generator = VolunteerGenerator::new(VolunteerConfig::default());
         let mut rng = SimRng::new(1);
-        let spec = generator.generate(ProviderId::new(100), &projects(), None, &mut rng);
+        let spec = generate(ProviderId::new(100), &projects(), None, &mut rng);
         for p in projects() {
             assert!(spec.capabilities.contains(p.capability));
         }
-        assert!(spec.capacity >= 0.5 && spec.capacity <= 4.0);
+        assert!(spec.capacity >= MIN_CAPACITY && spec.capacity <= MAX_CAPACITY);
     }
 
     #[test]
     fn popularity_shapes_mean_preferences() {
-        let generator = VolunteerGenerator::new(VolunteerConfig::default());
         let mut rng = SimRng::new(2);
         let projects = projects();
-        let population = generator.generate_population(100, 400, &projects, None, &mut rng);
+        let population = generate_population(100, 400, &projects, None, &mut rng);
 
         // Measure the mean preference per project by probing the profiles
         // with a query from each project on an idle volunteer (pure
@@ -186,9 +152,8 @@ mod tests {
 
     #[test]
     fn population_ids_are_sequential_and_unique() {
-        let generator = VolunteerGenerator::new(VolunteerConfig::default());
         let mut rng = SimRng::new(3);
-        let population = generator.generate_population(500, 20, &projects(), None, &mut rng);
+        let population = generate_population(500, 20, &projects(), None, &mut rng);
         let ids: Vec<u64> = population.iter().map(|v| v.id.raw()).collect();
         let expected: Vec<u64> = (500..520).collect();
         assert_eq!(ids, expected);
@@ -196,9 +161,8 @@ mod tests {
 
     #[test]
     fn explicit_strategy_overrides_default_hybrid() {
-        let generator = VolunteerGenerator::new(VolunteerConfig::default());
         let mut rng = SimRng::new(4);
-        let spec = generator.generate(
+        let spec = generate(
             ProviderId::new(1),
             &projects(),
             Some(ProviderIntentionStrategy::LoadDriven {

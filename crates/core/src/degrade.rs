@@ -91,11 +91,36 @@ pub enum Admission {
     Shed,
 }
 
-/// Configuration of the [`DegradationLadder`].
-///
-/// Thresholds are fractions of `capacity`; the defaults put most of the
-/// overload region in the ShrinkKn band (quality degrades gently first) and
-/// keep the Baseline band thin, with shedding as the last resort.
+/// Enter [`DegradationTier::ShrinkKn`] at this fraction of the capacity.
+/// Most of the overload region lies in the ShrinkKn band, so quality
+/// degrades gently first.
+const SHRINK_THRESHOLD: f64 = 0.25;
+
+/// Enter [`DegradationTier::Baseline`] at this fraction of the capacity: a
+/// thin band below shedding.
+const BASELINE_THRESHOLD: f64 = 0.85;
+
+/// Enter [`DegradationTier::Shed`], the last resort, at this fraction of the
+/// capacity.
+const SHED_THRESHOLD: f64 = 0.90;
+
+/// A tier is left only once depth falls this fraction of the capacity below
+/// its entry threshold.
+const HYSTERESIS: f64 = 0.05;
+
+const _: () = assert!(
+    0.0 < SHRINK_THRESHOLD
+        && SHRINK_THRESHOLD <= BASELINE_THRESHOLD
+        && BASELINE_THRESHOLD <= SHED_THRESHOLD
+        && SHED_THRESHOLD <= 1.0
+        && 0.0 <= HYSTERESIS
+        && HYSTERESIS < SHRINK_THRESHOLD,
+    "the ladder needs 0 < shrink ≤ baseline ≤ shed ≤ 1 and 0 ≤ hysteresis < shrink"
+);
+
+/// Configuration of the [`DegradationLadder`]: the modeled queue's size and
+/// drain. The tier thresholds are fixed fractions of `capacity` (25 %, 85 %
+/// and 90 %, each with a 5 % hysteresis band).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationConfig {
     /// Capacity of the modeled queue, in queries. Also the capacity the
@@ -105,15 +130,6 @@ pub struct DegradationConfig {
     /// arrival rate the deployment is provisioned for: a 1× stream then
     /// stays at depth ≈ 0 and a 10× step builds pressure at 9× that rate.
     pub drain_rate: f64,
-    /// Enter [`DegradationTier::ShrinkKn`] at `shrink_threshold × capacity`.
-    pub shrink_threshold: f64,
-    /// Enter [`DegradationTier::Baseline`] at `baseline_threshold × capacity`.
-    pub baseline_threshold: f64,
-    /// Enter [`DegradationTier::Shed`] at `shed_threshold × capacity`.
-    pub shed_threshold: f64,
-    /// A tier is left only once depth falls `hysteresis × capacity` below
-    /// its entry threshold.
-    pub hysteresis: f64,
 }
 
 impl Default for DegradationConfig {
@@ -121,10 +137,6 @@ impl Default for DegradationConfig {
         Self {
             capacity: 1024,
             drain_rate: 1000.0,
-            shrink_threshold: 0.25,
-            baseline_threshold: 0.85,
-            shed_threshold: 0.90,
-            hysteresis: 0.05,
         }
     }
 }
@@ -140,23 +152,6 @@ impl DegradationConfig {
         if !(self.drain_rate.is_finite() && self.drain_rate > 0.0) {
             return Err(SbqaError::invalid_config(
                 "degradation drain_rate must be finite and positive",
-            ));
-        }
-        let ordered = 0.0 < self.shrink_threshold
-            && self.shrink_threshold <= self.baseline_threshold
-            && self.baseline_threshold <= self.shed_threshold
-            && self.shed_threshold <= 1.0;
-        if !ordered {
-            return Err(SbqaError::invalid_config(
-                "degradation thresholds must satisfy 0 < shrink ≤ baseline ≤ shed ≤ 1",
-            ));
-        }
-        if !(self.hysteresis.is_finite()
-            && self.hysteresis >= 0.0
-            && self.hysteresis < self.shrink_threshold)
-        {
-            return Err(SbqaError::invalid_config(
-                "degradation hysteresis must be in [0, shrink_threshold)",
             ));
         }
         Ok(())
@@ -267,22 +262,22 @@ impl DegradationLadder {
     /// below it.
     fn adjust_tier(&mut self) {
         let cap = self.config.capacity as f64;
-        let hyst = self.config.hysteresis * cap;
+        let hyst = HYSTERESIS * cap;
         let entry = |threshold: f64| threshold * cap;
-        let escalate = if self.depth >= entry(self.config.shed_threshold) {
+        let escalate = if self.depth >= entry(SHED_THRESHOLD) {
             DegradationTier::Shed
-        } else if self.depth >= entry(self.config.baseline_threshold) {
+        } else if self.depth >= entry(BASELINE_THRESHOLD) {
             DegradationTier::Baseline
-        } else if self.depth >= entry(self.config.shrink_threshold) {
+        } else if self.depth >= entry(SHRINK_THRESHOLD) {
             DegradationTier::ShrinkKn
         } else {
             DegradationTier::Normal
         };
-        let relax = if self.depth >= entry(self.config.shed_threshold) - hyst {
+        let relax = if self.depth >= entry(SHED_THRESHOLD) - hyst {
             DegradationTier::Shed
-        } else if self.depth >= entry(self.config.baseline_threshold) - hyst {
+        } else if self.depth >= entry(BASELINE_THRESHOLD) - hyst {
             DegradationTier::Baseline
-        } else if self.depth >= entry(self.config.shrink_threshold) - hyst {
+        } else if self.depth >= entry(SHRINK_THRESHOLD) - hyst {
             DegradationTier::ShrinkKn
         } else {
             DegradationTier::Normal
@@ -316,12 +311,6 @@ impl DegradationLadder {
     #[must_use]
     pub fn stats(&self) -> DegradationStats {
         self.stats
-    }
-
-    /// The configuration the ladder runs with.
-    #[must_use]
-    pub fn config(&self) -> &DegradationConfig {
-        &self.config
     }
 }
 
@@ -400,7 +389,6 @@ mod tests {
         DegradationConfig {
             capacity: 100,
             drain_rate: 10.0,
-            ..DegradationConfig::default()
         }
     }
 
@@ -425,16 +413,6 @@ mod tests {
             ..config()
         };
         assert!(bad.validate().is_err());
-        let bad = DegradationConfig {
-            shrink_threshold: 0.95,
-            ..config()
-        };
-        assert!(bad.validate().is_err(), "shrink above baseline");
-        let bad = DegradationConfig {
-            hysteresis: 0.5,
-            ..config()
-        };
-        assert!(bad.validate().is_err(), "hysteresis swallows shrink band");
     }
 
     #[test]

@@ -445,7 +445,6 @@ fn steady_state_mediation_does_not_allocate() {
         .enable_degradation(DegradationConfig {
             capacity: 32,
             drain_rate: 1_000.0,
-            ..DegradationConfig::default()
         })
         .unwrap();
     let bursts: Vec<Vec<Query>> = (0..31u64)

@@ -43,8 +43,6 @@ pub enum FileKind {
     Library,
     /// Under `tests/` — exempt from all rules except `unsafe-audit`.
     Test,
-    /// Under `benches/` — exempt like tests.
-    Bench,
     /// Under `examples/` — exempt like tests.
     Example,
 }
@@ -171,7 +169,7 @@ fn spec(name: &str) -> &'static RuleSpec {
 fn applies(rule_name: &str, class: &FileClass) -> bool {
     let crate_name = class.crate_name.as_str();
     match rule_name {
-        // unsafe-audit holds everywhere, including tests/benches/examples:
+        // unsafe-audit holds everywhere, including tests and examples:
         // an unreviewed unsafe block in a test harness can invalidate the
         // very property the test claims to prove.
         "unsafe-audit" | "bad-pragma" | "unused-suppression" => true,

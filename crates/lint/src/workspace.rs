@@ -40,7 +40,6 @@ pub fn classify(rel: &Path) -> Option<FileClass> {
     let kind = match rest.first() {
         Some(&"src") => FileKind::Library,
         Some(&"tests") => FileKind::Test,
-        Some(&"benches") => FileKind::Bench,
         Some(&"examples") => FileKind::Example,
         _ => return None,
     };
@@ -128,9 +127,6 @@ mod tests {
         let root_test = classify(Path::new("tests/golden_scenario1.rs")).unwrap();
         assert_eq!(root_test.crate_name, "sbqa");
         assert_eq!(root_test.kind, FileKind::Test);
-
-        let bench = classify(Path::new("crates/bench/benches/registry.rs")).unwrap();
-        assert_eq!(bench.kind, FileKind::Bench);
 
         let example = classify(Path::new("examples/quickstart.rs")).unwrap();
         assert_eq!(example.kind, FileKind::Example);

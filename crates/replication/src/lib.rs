@@ -2,8 +2,7 @@
 //!
 //! Crash-tolerance for the mediator: an append-only, monotonically-sequenced
 //! log of everything a shard did, a standby that reproduces a live shard by
-//! checkpoint + replay of that log, and the handoff package that moves
-//! providers between shards without re-registering the world.
+//! checkpoint + replay of that log.
 //!
 //! ## Why replay can promise byte-identity
 //!
@@ -43,11 +42,9 @@
 //! skipped. One checkpoint + the contiguous log past it is therefore
 //! sufficient *and necessary* to reconstruct the primary.
 
-pub mod handoff;
 pub mod log;
 pub mod standby;
 
-pub use handoff::HandoffPackage;
 pub use log::{Entry, SharedDeltaLog};
 pub use standby::{ReplayReport, StandbyShard};
 

@@ -11,7 +11,7 @@
 //! A query's body is kept beside the records, not in its record, so every
 //! record stays the size of a registry delta.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::cell::RefCell;
 
 use sbqa_core::{Admission, RegistryDelta};
 use sbqa_types::{ConsumerId, Query};
@@ -149,28 +149,24 @@ impl DeltaLog {
     }
 }
 
-/// A cloneable handle on a shared append-only log: the shard appends to it
-/// and its standby reads it.
-///
-/// Lock poisoning is absorbed with `PoisonError::into_inner` rather than a
-/// panic: the log's state is a plain `Vec` append, valid after any
-/// interrupted writer.
+/// A shard's append-only log, owned by the shard: the shard appends to it
+/// through `&self` and lends it to its standby to read. A clone is a copy of
+/// the log, not a second handle on it.
 #[derive(Debug, Clone, Default)]
 pub struct SharedDeltaLog {
-    inner: Arc<Mutex<DeltaLog>>,
+    inner: RefCell<DeltaLog>,
 }
 
 impl SharedDeltaLog {
-    /// Creates a handle on a fresh, empty log.
+    /// Creates a fresh, empty log.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Runs `f` under the log lock.
+    /// Runs `f` on the log.
     fn with<T>(&self, f: impl FnOnce(&mut DeltaLog) -> T) -> T {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
+        f(&mut self.inner.borrow_mut())
     }
 
     /// Appends a mutation record, returning its sequence.
@@ -202,10 +198,11 @@ impl SharedDeltaLog {
     }
 
     /// Hands the records with sequence strictly greater than `after` to
-    /// `visit` as `(sequence, entry)`, oldest first, under the log lock and
-    /// without copying them, stopping at its first error. The entry is
-    /// `None` for a query record whose body is missing. `None` if that range
-    /// has been partially pruned. `visit` must not append to this log.
+    /// `visit` as `(sequence, entry)`, oldest first, without copying them,
+    /// stopping at its first error. The entry is `None` for a query record
+    /// whose body is missing. `None` if that range has been partially
+    /// pruned. `visit` must not touch this log: the log is borrowed for the
+    /// whole visit.
     pub fn visit_after<E>(
         &self,
         after: u64,
@@ -337,11 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_log_visits_what_its_handles_appended() {
+    fn shared_log_visits_what_was_appended() {
         let shared = SharedDeltaLog::new();
-        let handle = shared.clone();
-        handle.append_mutation(load(1, 2));
-        handle.append_mutation(load(2, 4));
+        shared.append_mutation(load(1, 2));
+        shared.append_mutation(load(2, 4));
         shared.append_query(&query(7), ADMITTED);
         assert_eq!(shared.last_sequence(), 3);
 
@@ -381,7 +377,7 @@ mod tests {
         let mut copy = log.with(|log| log.clone());
         lose(&mut copy);
         SharedDeltaLog {
-            inner: Arc::new(Mutex::new(copy)),
+            inner: RefCell::new(copy),
         }
     }
 

@@ -155,35 +155,6 @@ impl<T> InteractionWindow<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
-
-    /// The most recent interaction, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<&T> {
-        self.items.back()
-    }
-
-    /// The oldest remembered interaction, if any.
-    #[must_use]
-    pub fn oldest(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Forgets all remembered interactions (but keeps the total counter).
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// Changes the window capacity.
-    ///
-    /// Shrinking evicts the oldest interactions so that only the newest
-    /// `new_k` remain; growing never discards anything.
-    pub fn resize(&mut self, new_k: usize) {
-        let new_k = new_k.max(1);
-        while self.items.len() > new_k {
-            self.items.pop_front();
-        }
-        self.capacity = new_k;
-    }
 }
 
 impl<T: Clone + PartialEq> InteractionWindow<T> {
@@ -220,18 +191,17 @@ impl<T: Clone + PartialEq> InteractionWindow<T> {
     }
 }
 
-impl<T> Extend<T> for InteractionWindow<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.record(item);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Records every item, oldest first.
+    fn record_all<T>(window: &mut InteractionWindow<T>, items: impl IntoIterator<Item = T>) {
+        for item in items {
+            window.record(item);
+        }
+    }
 
     #[test]
     fn zero_capacity_is_promoted_to_one() {
@@ -254,12 +224,12 @@ mod tests {
         assert_eq!(w.len(), 50);
 
         let mut small = InteractionWindow::new(3);
-        small.extend(0..10u32);
+        record_all(&mut small, 0..10u32);
         assert_eq!(small.allocated_slots(), 3);
 
         // A copy takes the source's ring size, not a doubling past it.
         let mut copy = InteractionWindow::new(50);
-        copy.extend(0..32u32);
+        record_all(&mut copy, 0..32u32);
         copy.clone_from(&w);
         assert_eq!(copy, w);
         assert_eq!(copy.allocated_slots(), 50);
@@ -275,7 +245,7 @@ mod tests {
         // stale copy of itself: always an exact copy.
         let mut empty = InteractionWindow::new(1);
         let mut fuller = InteractionWindow::new(8);
-        fuller.extend((10..18u32).map(|i| vec![i]));
+        record_all(&mut fuller, (10..18u32).map(|i| vec![i]));
         let mut stale = source.clone();
         source.record(vec![9]);
         for target in [&mut empty, &mut fuller, &mut stale] {
@@ -287,31 +257,31 @@ mod tests {
     #[test]
     fn catch_up_records_what_the_source_recorded_since_or_declines() {
         let mut source: InteractionWindow<Vec<u32>> = InteractionWindow::new(3);
-        source.extend((0..4u32).map(|i| vec![i]));
+        record_all(&mut source, (0..4u32).map(|i| vec![i]));
         let mut copy = source.clone();
         let early = source.clone();
-        source.extend((4..6u32).map(|i| vec![i; 2]));
+        record_all(&mut source, (4..6u32).map(|i| vec![i; 2]));
         assert_eq!(copy.catch_up(&source), Some(2));
         assert_eq!(copy, source);
         assert_eq!(copy.catch_up(&source), Some(0));
 
         // Not yet full: the records since are appended.
         let mut young = InteractionWindow::new(8);
-        young.extend([1u32, 2]);
+        record_all(&mut young, [1u32, 2]);
         let mut grown = young.clone();
-        grown.extend([3, 4, 5]);
+        record_all(&mut grown, [3, 4, 5]);
         assert_eq!(young.catch_up(&grown), Some(3));
         assert_eq!(young, grown);
 
         // A whole window since, a source behind, another capacity, another
         // history: declined, and the window is left as it was.
         let mut far = source.clone();
-        far.extend((6..9u32).map(|i| vec![i]));
+        record_all(&mut far, (6..9u32).map(|i| vec![i]));
         let mut wide = InteractionWindow::new(4);
         wide.clone_from(&source);
         wide.capacity = 4;
         let mut forked = early.clone();
-        forked.extend([vec![4], vec![9]]);
+        record_all(&mut forked, [vec![4], vec![9]]);
         for other in [&far, &early, &wide, &forked] {
             assert_eq!(copy.catch_up(other), None);
             assert_eq!(copy, source);
@@ -329,36 +299,7 @@ mod tests {
         assert_eq!(w.len(), w.capacity());
         assert_eq!(w.record(4), Some(1));
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(w.oldest(), Some(&2));
-        assert_eq!(w.latest(), Some(&4));
         assert_eq!(w.total_recorded(), 4);
-    }
-
-    #[test]
-    fn clear_keeps_total_counter() {
-        let mut w = InteractionWindow::new(2);
-        w.record("a");
-        w.record("b");
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.total_recorded(), 2);
-    }
-
-    #[test]
-    fn resize_shrinks_from_the_oldest_side() {
-        let mut w = InteractionWindow::new(5);
-        w.extend([1, 2, 3, 4, 5]);
-        w.resize(2);
-        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![4, 5]);
-        assert_eq!(w.capacity(), 2);
-        // Growing keeps everything.
-        w.resize(10);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.capacity(), 10);
-        // Resize to zero is promoted to one.
-        w.resize(0);
-        assert_eq!(w.capacity(), 1);
-        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![5]);
     }
 
     proptest! {

@@ -480,7 +480,6 @@ mod tests {
             degradation: Some(DegradationConfig {
                 capacity: 50,
                 drain_rate: 100.0,
-                ..DegradationConfig::default()
             }),
         };
         let run = |chunk: usize| {

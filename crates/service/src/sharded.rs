@@ -54,7 +54,7 @@ use std::time::Instant;
 
 use sbqa_core::allocator::{AllocationDecision, IntentionOracle};
 use sbqa_core::{BatchReport, DegradationConfig, KnControllerConfig, Mediator, RegistryDelta};
-use sbqa_replication::{HandoffPackage, ReplayReport};
+use sbqa_replication::ReplayReport;
 use sbqa_satisfaction::SatisfactionRegistry;
 use sbqa_types::{
     CapabilitySet, ConsumerId, ProviderId, Query, SbqaError, SbqaResult, SystemConfig,
@@ -438,11 +438,12 @@ impl ShardedMediator {
             .collect()
     }
 
-    /// Re-partitions the service across `mediators.len()` shards **live**,
-    /// via replication [`HandoffPackage`]s: every provider's full registry
-    /// snapshot (capabilities, capacity, load columns, online flag) and its
-    /// satisfaction tracker travel to the shard the re-seeded router
-    /// assigns, replayed there as snapshot deltas — no provider is
+    /// Re-partitions the service across `mediators.len()` shards **live**:
+    /// every provider's full registry snapshot (capabilities, capacity, load
+    /// columns, online flag) and its satisfaction tracker travel to the shard
+    /// the re-seeded router assigns. There the snapshot is replayed in the
+    /// log's delta vocabulary (`Register`, then `UpdateLoad`, then
+    /// `SetOnline`) and the tracker is adopted window-intact — no provider is
     /// re-registered from the outside world, and no accumulated state
     /// (utilization, queue depth, offline flags, satisfaction windows) is
     /// lost in transit.
@@ -460,15 +461,14 @@ impl ShardedMediator {
     ///
     /// # Errors
     ///
-    /// An empty `mediators`, or any handoff replay error (a corrupt
-    /// package); the service is consumed either way, so resize at a
-    /// quiescent point.
+    /// An empty `mediators`, or any error replaying a snapshot (in a
+    /// correctly routed move the replay cannot fail); the service is
+    /// consumed either way, so resize at a quiescent point.
     pub fn resize(self, mut mediators: Vec<Mediator>) -> SbqaResult<Self> {
         let seed = self.router.seed();
         let router = ShardRouter::new(mediators.len(), seed);
-        let mut packages: Vec<HandoffPackage> = (0..router.shards())
-            .map(|_| HandoffPackage::new())
-            .collect();
+        // Per new shard: the providers it receives, in source order.
+        let mut moving: Vec<Vec<_>> = (0..router.shards()).map(|_| Vec::new()).collect();
         let mut consumers: BTreeSet<ConsumerId> = BTreeSet::new();
         for shard in self.shards {
             let (_allocator, providers, mut satisfaction) = shard.into_mediator().into_parts();
@@ -476,14 +476,33 @@ impl ShardedMediator {
             for snapshot in providers.iter() {
                 let target = router.shard_of_provider(snapshot.id);
                 let tracker = satisfaction.extract_provider(snapshot.id);
-                packages[target].push_provider(snapshot, tracker);
+                moving[target].push((snapshot, tracker));
             }
         }
-        for (mediator, package) in mediators.iter_mut().zip(packages) {
+        for (mediator, providers) in mediators.iter_mut().zip(moving) {
             for &consumer in &consumers {
                 mediator.register_consumer(consumer);
             }
-            package.apply(mediator)?;
+            for (snapshot, tracker) in providers {
+                let id = snapshot.id;
+                mediator.mutate(&RegistryDelta::Register {
+                    id,
+                    capabilities: snapshot.capabilities,
+                    capacity: snapshot.capacity,
+                })?;
+                mediator.mutate(&RegistryDelta::UpdateLoad {
+                    id,
+                    utilization: snapshot.utilization,
+                    queue_length: snapshot.queue_length,
+                })?;
+                mediator.mutate(&RegistryDelta::SetOnline {
+                    id,
+                    online: snapshot.online,
+                })?;
+                if let Some(tracker) = tracker {
+                    mediator.satisfaction_mut().adopt_provider(id, tracker);
+                }
+            }
         }
         Self::new(seed, mediators)
     }

@@ -141,7 +141,6 @@ fn build(setup: Setup) -> ShardedMediator {
             .enable_degradation(DegradationConfig {
                 capacity: 8,
                 drain_rate: 200.0,
-                ..DegradationConfig::default()
             })
             .unwrap();
     }

@@ -255,7 +255,6 @@ fn crash_while_shedding_preserves_the_overload_decision_stream() {
     let degradation = DegradationConfig {
         capacity: 40,
         drain_rate: 50.0,
-        ..DegradationConfig::default()
     };
     let mut crashed = replicated(2, 24);
     let mut calm = replicated(2, 24);
@@ -418,7 +417,6 @@ fn burst_ladder() -> DegradationConfig {
     DegradationConfig {
         capacity: 80,
         drain_rate: 100.0,
-        ..DegradationConfig::default()
     }
 }
 

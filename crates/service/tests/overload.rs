@@ -69,7 +69,6 @@ fn ladder() -> DegradationConfig {
     DegradationConfig {
         capacity: 80,
         drain_rate: 100.0,
-        ..DegradationConfig::default()
     }
 }
 

@@ -937,7 +937,6 @@ mod tests {
             ladder: Some(DegradationConfig {
                 capacity: 64,
                 drain_rate: 40.0,
-                ..DegradationConfig::default()
             }),
             ..ServiceRun::new(SystemConfig::default().with_knbest(10, 4), 42)
         }

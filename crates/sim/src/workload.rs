@@ -17,15 +17,19 @@ use sbqa_types::{
 use crate::consumer::ConsumerSpec;
 use crate::rng::SimRng;
 
-/// Probabilities of each query class in the generated mix.
+/// Probability of a short query.
+const SHORT_FRACTION: f64 = 0.25;
+
+/// Probability of a long query (the remainder is medium).
+const LONG_FRACTION: f64 = 0.25;
+
+/// Lower bound on sampled work sizes, to avoid zero-length queries.
+const MIN_WORK_UNITS: f64 = 0.05;
+
+/// The generated query mix: a fixed Short/Medium/Long class mix (25 % short,
+/// 25 % long, the rest medium) and a configurable multi-capability mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadModel {
-    /// Probability of a short query.
-    pub short_fraction: f64,
-    /// Probability of a long query (the remainder is medium).
-    pub long_fraction: f64,
-    /// Lower bound on sampled work sizes, to avoid zero-length queries.
-    pub min_work_units: f64,
     /// Probability that a query widens its requirement to the consumer's
     /// base classes *plus* its [`extra_capabilities`]. Only applies to
     /// consumers that declare extra classes; at the default of `0.0` no RNG
@@ -46,9 +50,6 @@ pub struct WorkloadModel {
 impl Default for WorkloadModel {
     fn default() -> Self {
         Self {
-            short_fraction: 0.25,
-            long_fraction: 0.25,
-            min_work_units: 0.05,
             multi_capability_fraction: 0.0,
             any_semantics_fraction: 0.0,
         }
@@ -72,15 +73,13 @@ impl WorkloadModel {
         Duration::new(rng.exponential(spec.arrival_rate))
     }
 
-    /// Samples a query class according to the configured mix.
+    /// Samples a query class according to the fixed mix.
     #[must_use]
-    fn sample_class(&self, rng: &mut SimRng) -> QueryClass {
+    fn sample_class(rng: &mut SimRng) -> QueryClass {
         let u = rng.uniform();
-        let short = self.short_fraction.clamp(0.0, 1.0);
-        let long = self.long_fraction.clamp(0.0, 1.0 - short);
-        if u < short {
+        if u < SHORT_FRACTION {
             QueryClass::Short
-        } else if u < short + long {
+        } else if u < SHORT_FRACTION + LONG_FRACTION {
             QueryClass::Long
         } else {
             QueryClass::Medium
@@ -120,19 +119,13 @@ impl WorkloadModel {
         now: VirtualTime,
         rng: &mut SimRng,
     ) -> Query {
-        let work = if self.short_fraction == 0.0
-            && self.long_fraction == 0.0
-            && self.min_work_units == 0.0
-        {
-            spec.mean_work_units
-        } else {
-            rng.exponential(1.0 / spec.mean_work_units)
-                .max(self.min_work_units)
-        };
+        let work = rng
+            .exponential(1.0 / spec.mean_work_units)
+            .max(MIN_WORK_UNITS);
         Query::requiring(id, spec.id, self.sample_requirement(spec, rng))
             .replication(spec.replication)
             .work_units(work)
-            .class(self.sample_class(rng))
+            .class(Self::sample_class(rng))
             .issued_at(now)
             .build()
     }
@@ -290,22 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn a_medium_only_model_reproduces_mean_work() {
-        let model = WorkloadModel {
-            short_fraction: 0.0,
-            long_fraction: 0.0,
-            min_work_units: 0.0,
-            ..WorkloadModel::default()
-        };
+    fn a_query_carries_its_consumers_replication_requirement_and_time() {
         let mut rng = SimRng::new(1);
-        let q = model.next_query(
+        let q = WorkloadModel::default().next_query(
             QueryId::new(1),
             &spec(1.0, 3.0),
             VirtualTime::new(5.0),
             &mut rng,
         );
-        assert_eq!(q.work_units, 3.0);
-        assert_eq!(q.class, QueryClass::Medium);
         assert_eq!(q.replication, 2);
         assert_eq!(
             q.required,
@@ -336,7 +321,7 @@ mod tests {
         let mut sum = 0.0;
         for i in 0..n {
             let q = model.next_query(QueryId::new(i), &s, VirtualTime::ZERO, &mut rng);
-            assert!(q.work_units >= model.min_work_units * QueryClass::Short.work_factor());
+            assert!(q.work_units >= MIN_WORK_UNITS * QueryClass::Short.work_factor());
             sum += q.work_units;
         }
         // Mean of the exponential is 2.0, scaled by the class mix
@@ -436,25 +421,19 @@ mod tests {
     }
 
     #[test]
-    fn class_mix_follows_configured_fractions() {
-        let model = WorkloadModel {
-            short_fraction: 0.5,
-            long_fraction: 0.3,
-            min_work_units: 0.01,
-            ..WorkloadModel::default()
-        };
+    fn class_mix_follows_the_fixed_fractions() {
         let mut rng = SimRng::new(4);
         let n = 20_000;
         let mut short = 0;
         let mut long = 0;
         for _ in 0..n {
-            match model.sample_class(&mut rng) {
+            match WorkloadModel::sample_class(&mut rng) {
                 QueryClass::Short => short += 1,
                 QueryClass::Long => long += 1,
                 QueryClass::Medium => {}
             }
         }
-        assert!((short as f64 / n as f64 - 0.5).abs() < 0.02);
-        assert!((long as f64 / n as f64 - 0.3).abs() < 0.02);
+        assert!((short as f64 / n as f64 - SHORT_FRACTION).abs() < 0.02);
+        assert!((long as f64 / n as f64 - LONG_FRACTION).abs() < 0.02);
     }
 }

@@ -96,7 +96,6 @@ fn a_crash_while_shedding_after_a_resize_changes_nothing() {
             ladder: Some(DegradationConfig {
                 capacity: 64,
                 drain_rate: 40.0,
-                ..DegradationConfig::default()
             }),
             // Co-prime with both chunkings' batch counts at the crash, so
             // every variant's promotion has logged queries to replay.

@@ -73,7 +73,6 @@ fn overloaded(batch: usize, stream: &[sbqa_types::Query]) -> ServiceReport {
         ladder: Some(DegradationConfig {
             capacity: 64,
             drain_rate: 40.0,
-            ..DegradationConfig::default()
         }),
         ..ServiceRun::new(SystemConfig::default().with_knbest(10, 3), 42)
     };

@@ -173,7 +173,6 @@ fn ladder() -> DegradationConfig {
     DegradationConfig {
         capacity: 8,
         drain_rate: 16.0,
-        ..DegradationConfig::default()
     }
 }
 

@@ -5,17 +5,13 @@
 use sbqa::core::{Admission, DegradationConfig, DegradationLadder, DegradationTier};
 use sbqa::types::VirtualTime;
 
-/// Binary-exact thresholds over a 64-query bucket draining 1 query per
-/// virtual second: ShrinkKn enters at depth 16, Baseline at 32, Shed at 48,
-/// and each hysteresis band is 4 queries deep.
+/// A 100-query bucket draining 1 query per virtual second, so the ladder's
+/// fixed thresholds land on whole depths: ShrinkKn enters at 25, Baseline
+/// at 85, Shed at 90, and each hysteresis band is 5 queries deep.
 fn exact_ladder() -> DegradationLadder {
     DegradationLadder::new(DegradationConfig {
-        capacity: 64,
+        capacity: 100,
         drain_rate: 1.0,
-        shrink_threshold: 0.25,
-        baseline_threshold: 0.5,
-        shed_threshold: 0.75,
-        hysteresis: 0.0625,
     })
     .unwrap()
 }
@@ -24,16 +20,16 @@ fn exact_ladder() -> DegradationLadder {
 fn a_depth_inside_the_hysteresis_band_keeps_the_tier() {
     use DegradationTier::{Baseline, Normal, Shed, ShrinkKn};
     // (simultaneous arrivals, the tier they reach, then an arrival that
-    // finds the depth two below that tier's entry — inside its band — and
-    // one that finds it five below, under the band).
+    // finds the depth inside that tier's band and one that finds it under
+    // the band).
     let cases = [
-        // Depth 20; then 14 (band 12..16), then 15 − 4 = 11.
-        (20, ShrinkKn, 6.0, Admission::Admit(ShrinkKn), 10.0, Normal),
-        // Depth 34; then 30 (band 28..32), then 31 − 4 = 27.
-        (34, Baseline, 4.0, Admission::Admit(Baseline), 8.0, ShrinkKn),
-        // Depth 48, as sheds do not deepen the bucket; then 46 (band
-        // 44..48), shed, then 46 − 3 = 43.
-        (60, Shed, 2.0, Admission::Shed, 5.0, Baseline),
+        // Depth 30; then 22 (band 20..25), then 23 − 4 = 19.
+        (30, ShrinkKn, 8.0, Admission::Admit(ShrinkKn), 12.0, Normal),
+        // Depth 87; then 83 (band 80..85), then 84 − 5 = 79.
+        (87, Baseline, 4.0, Admission::Admit(Baseline), 9.0, ShrinkKn),
+        // Depth 90, as sheds do not deepen the bucket; then 88 (band
+        // 85..90), shed, then 88 − 4 = 84.
+        (100, Shed, 2.0, Admission::Shed, 6.0, Baseline),
     ];
     for (arrivals, entered, in_band, kept, below, relaxed) in cases {
         let mut ladder = exact_ladder();
