@@ -510,7 +510,8 @@ impl Mediator {
     }
 
     /// Mutable access to the satisfaction registry, for replication (arming
-    /// touched-id tracking, handing trackers between shards) and tests.
+    /// touched-id tracking), resizing (copying provider rows between
+    /// shards) and tests.
     /// Departures do not go through it: a leaving participant keeps its row.
     pub fn satisfaction_mut(&mut self) -> &mut SatisfactionRegistry {
         &mut self.satisfaction

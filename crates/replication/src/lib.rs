@@ -98,41 +98,43 @@ pub fn registry_digest(registry: &sbqa_core::ProviderRegistry) -> u64 {
 }
 
 /// Order-stable digest of a satisfaction registry's whole state: every
-/// consumer tracker, then every provider tracker, in ascending id order,
-/// folded through FNV-1a over the exact `Debug` rendering (window length,
-/// every remembered interaction with its `f64` intentions, lifetime count)
-/// of the tracker — a provider's materialised from its row
-/// ([`sbqa_satisfaction::ProviderView::to_tracker`]), so the digest sees
-/// what the registry remembers and nothing of how it stores it.
-/// Two registries with equal digests answer every satisfaction and ω query
-/// alike now and after any common sequence of further mediations — what an
-/// incrementally cut checkpoint is held to against its primary.
+/// consumer tracker, then every provider's view, in ascending id order,
+/// folded through FNV-1a over the exact `Debug` rendering (which
+/// round-trips `f64` values). A consumer renders its window length, every
+/// remembered interaction and its count of records ever made; a provider
+/// ([`sbqa_satisfaction::ProviderView`]) its window size, its proposals
+/// oldest first and the maintained `(sum, performed)` — what the registry
+/// remembers and nothing of how its rows lay it out, so a synced copy
+/// digests as its source. Two registries with equal digests answer every
+/// satisfaction and ω query alike now and after any common sequence of
+/// further mediations — what an incrementally cut checkpoint is held to
+/// against its primary.
 #[must_use]
 pub fn satisfaction_digest(registry: &SatisfactionRegistry) -> u64 {
     let mut hash = FNV_OFFSET;
-    fold_trackers(
+    fold_states(
         &mut hash,
         registry.consumer_satisfactions().map(|(id, _)| id),
         |id| registry.consumer(id),
     );
-    fold_trackers(
+    fold_states(
         &mut hash,
         registry.provider_satisfactions().map(|(id, _)| id),
-        |id| registry.provider(id).map(|view| view.to_tracker()),
+        |id| registry.provider(id),
     );
     hash
 }
 
-/// Folds `id=tracker;` for every id, ascending.
-fn fold_trackers<I: Ord + Copy + std::fmt::Debug, T: std::fmt::Debug>(
+/// Folds `id=state;` for every id, ascending.
+fn fold_states<I: Ord + Copy + std::fmt::Debug, T: std::fmt::Debug>(
     hash: &mut u64,
     ids: impl Iterator<Item = I>,
-    tracker: impl Fn(I) -> T,
+    state: impl Fn(I) -> T,
 ) {
     let mut ids: Vec<I> = ids.collect();
     ids.sort_unstable();
     for id in ids {
-        fold(hash, &format!("{id:?}={:?};", tracker(id)));
+        fold(hash, &format!("{id:?}={:?};", state(id)));
     }
 }
 

@@ -4,8 +4,8 @@
 //! or fewer provider rows, pool chunks and consumers, another window size,
 //! a removed provider of its own, touched-id tracking armed — must be the
 //! registry a plain `clone` gives: equal at once, and equal after every step
-//! of one stream of records, removals, registrations and hand-offs sent to
-//! both. Equal means the same `satisfaction_digest`, the same satisfaction
+//! of one stream of records, removals, registrations and provider rows
+//! copied in from a donor registry sent to both. Equal means the same `satisfaction_digest`, the same satisfaction
 //! iterators in the same row order, and the same view of every provider and
 //! consumer. A copy that kept a stale free-list link, pool chunk, directory
 //! slot or window record of the registry it overwrote parts from the clone
@@ -62,8 +62,14 @@ fn grown(k: usize, shape: usize, salt: u64, removed: bool) -> SatisfactionRegist
     registry
 }
 
-/// One step of the stream both registries receive.
-fn apply(registry: &mut SatisfactionRegistry, step: u64, (op, a, b): (u8, u64, u64)) {
+/// One step of the stream both registries receive; `donor` lends the rows
+/// op 9 copies in.
+fn apply(
+    registry: &mut SatisfactionRegistry,
+    donor: &SatisfactionRegistry,
+    step: u64,
+    (op, a, b): (u8, u64, u64),
+) {
     let provider = ProviderId::new(b);
     match op {
         0..=5 => {
@@ -103,9 +109,9 @@ fn apply(registry: &mut SatisfactionRegistry, step: u64, (op, a, b): (u8, u64, u
             registry.register_consumer(ConsumerId::new(a % 7));
         }
         _ => {
-            if let Some(tracker) = registry.extract_provider(provider) {
-                registry.adopt_provider(ProviderId::new(b + 5_000), tracker);
-            }
+            // The donor's 40 providers less provider 1: a row of another
+            // window size copied over or appended, or nothing copied.
+            registry.copy_provider_from(donor, ProviderId::new(b % 48));
         }
     }
 }
@@ -138,8 +144,8 @@ fn assert_same(copy: &SatisfactionRegistry, clone: &SatisfactionRegistry, what: 
         let (ours, theirs) = (copy.provider(id), clone.provider(id));
         let (ours, theirs) = (ours.expect("listed"), theirs.expect("listed"));
         assert_eq!(
-            ours.to_tracker(),
-            theirs.to_tracker(),
+            format!("{ours:?}"),
+            format!("{theirs:?}"),
             "provider {id} {what}"
         );
         assert_eq!(ours.performed_count(), theirs.performed_count());
@@ -169,7 +175,7 @@ proptest! {
         armed in proptest::bool::ANY,
         salt in 0u64..1_000,
         // (op, a, b): 0–5 a mediation, 6 a removal, 7 a registration, 8 a
-        // consumer registration, 9 a hand-off to another id.
+        // consumer registration, 9 a row copied in from the donor.
         stream in proptest::collection::vec((0u8..10, 0u64..64, 0u64..1_200), 1..40),
     ) {
         let source = grown(windows.0, source_shape, salt, removed.0);
@@ -179,14 +185,15 @@ proptest! {
         }
         copy.clone_from(&source);
         let mut clone = source.clone();
+        let donor = grown(windows.0 + windows.1, 2, salt + 2, true);
         assert_same(&copy, &clone, "after the copy");
         assert_same(&copy, &source, "against the source");
         let mut probe = SatisfactionRegistry::new(1);
         prop_assert_eq!(copy.sync_touched_into(&mut probe), None, "a copy is untracked");
 
         for (step, &op) in stream.iter().enumerate() {
-            apply(&mut copy, step as u64, op);
-            apply(&mut clone, step as u64, op);
+            apply(&mut copy, &donor, step as u64, op);
+            apply(&mut clone, &donor, step as u64, op);
             assert_same(&copy, &clone, &format!("after step {step} ({op:?})"));
         }
     }

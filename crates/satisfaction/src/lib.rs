@@ -12,9 +12,9 @@
 //! * **consumer satisfaction** ([`ConsumerSatisfaction`]): for each of the
 //!   last `k` queries, how much the consumer wanted the providers that
 //!   actually performed it (Definition 1);
-//! * **provider satisfaction** ([`ProviderSatisfaction`]): over the last `k`
-//!   queries *proposed* to the provider, how much it wanted the ones it
-//!   actually got to perform (Definition 2);
+//! * **provider satisfaction** (a [`ProviderView`] of the registry's row):
+//!   over the last `k` queries *proposed* to the provider, how much it
+//!   wanted the ones it actually got to perform (Definition 2);
 //!
 //! The mediator keeps its own mirror of everybody's satisfaction in a
 //! [`SatisfactionRegistry`], which is what the ω computation of Equation 2
@@ -36,7 +36,7 @@ pub mod window;
 pub use analysis::{SatisfactionAnalysis, SatisfactionSnapshot, SideSummary};
 pub use consumer::{ConsumerInteraction, ConsumerSatisfaction};
 pub use gap::{GapSample, GapWindow};
-pub use provider::{ProviderInteraction, ProviderSatisfaction};
+pub use provider::ProviderInteraction;
 pub use registry::{RowHint, SatisfactionRegistry};
 pub use rows::ProviderView;
 pub use window::InteractionWindow;

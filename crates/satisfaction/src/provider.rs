@@ -17,10 +17,13 @@
 //! *performed* queries, not `k`: a provider that performs few but
 //! well-matching queries is still satisfied — starvation is penalised through
 //! the empty-set clause, not through dilution.
+//!
+//! A [`SatisfactionRegistry`](crate::SatisfactionRegistry) keeps that state
+//! as one pooled row per provider, read through
+//! [`ProviderView`](crate::ProviderView); this module holds what the rows
+//! are made of: the proposal record and Definition 2's maintained pair.
 
 use sbqa_types::{Intention, Satisfaction};
-
-use crate::window::InteractionWindow;
 
 /// One proposal the provider received: the intention the provider expressed
 /// for performing the query, and whether the mediator selected it.
@@ -52,10 +55,10 @@ impl ProviderInteraction {
 /// `(PPIp[q] + 1) / 2` over its performed proposals, oldest first, and their
 /// count (`|SQ^k_p|`).
 ///
-/// Kept beside a window — by the standalone [`ProviderSatisfaction`] and by
-/// a registry's pooled rows alike — so that reading a satisfaction is one
-/// division. [`PerformedSum::after_record`] is the one rule that keeps the
-/// pair bit-equal to a fresh oldest→newest sum over the window at all times.
+/// Kept in a registry's row beside its window, so that reading a
+/// satisfaction is one division. [`PerformedSum::after_record`] is the one
+/// rule that keeps the pair bit-equal to a fresh oldest→newest sum over the
+/// window at all times.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct PerformedSum {
     pub(crate) sum: f64,
@@ -107,8 +110,11 @@ impl PerformedSum {
         self
     }
 
-    /// `δs(p)` over a window of `observed` proposals (Definition 2, with the
-    /// cold-start refinement of [`ProviderSatisfaction::satisfaction`]).
+    /// `δs(p)` over a window of `observed` proposals (Definition 2), with
+    /// one refinement for the cold start: a provider that has received *no
+    /// proposal at all* is fully satisfied (it has not been wronged yet),
+    /// whereas one proposed queries but selected for none gets the paper's
+    /// `0`.
     pub(crate) fn satisfaction(self, observed: usize) -> Satisfaction {
         if observed == 0 {
             return Satisfaction::MAX;
@@ -128,113 +134,29 @@ impl PerformedSum {
     }
 }
 
-/// Rolling provider satisfaction over the last `k` proposed queries
-/// (Definition 2).
-///
-/// Definition 2's numerator and denominator are kept beside the window, so
-/// [`ProviderSatisfaction::satisfaction`] is one division. They are
-/// bit-equal to a fresh oldest→newest sum over the window at all times (see
-/// [`ProviderSatisfaction::record`]).
-///
-/// This is the standalone form of a provider's state — what a participant
-/// keeps for itself and what travels in a shard handoff. Inside a
-/// [`SatisfactionRegistry`](crate::SatisfactionRegistry) the same state lives
-/// in pooled rows, read through [`ProviderView`](crate::ProviderView).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProviderSatisfaction {
-    window: InteractionWindow<ProviderInteraction>,
-    maintained: PerformedSum,
-}
-
-impl ProviderSatisfaction {
-    /// Creates a tracker remembering the last `k` proposals.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        Self {
-            window: InteractionWindow::new(k),
-            maintained: PerformedSum::default(),
-        }
-    }
-
-    /// Reassembles a tracker from a window and the pair maintained over it.
-    pub(crate) fn from_parts(
-        window: InteractionWindow<ProviderInteraction>,
-        maintained: PerformedSum,
-    ) -> Self {
-        Self { window, maintained }
-    }
-
-    /// The window and the pair maintained over it.
-    pub(crate) fn into_parts(self) -> (InteractionWindow<ProviderInteraction>, PerformedSum) {
-        (self.window, self.maintained)
-    }
-
-    /// The window size `k`.
-    #[must_use]
-    pub fn window_size(&self) -> usize {
-        self.window.capacity()
-    }
-
-    /// Number of proposals currently remembered.
-    #[must_use]
-    pub fn observed_proposals(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Records a proposal and whether the provider performed it, keeping
-    /// the maintained sum the oldest→newest sum of the window
-    /// (`PerformedSum::after_record`).
-    pub fn record(&mut self, interaction: ProviderInteraction) {
-        let evicted = self.window.record(interaction);
-        let window = &self.window;
-        self.maintained = self
-            .maintained
-            .after_record(&interaction, evicted, || window.iter());
-    }
-
-    /// Convenience wrapper over [`ProviderSatisfaction::record`].
-    pub fn record_proposal(&mut self, intention: Intention, performed: bool) {
-        self.record(ProviderInteraction::new(intention, performed));
-    }
-
-    /// Long-run satisfaction `δs(p)` over the remembered window.
-    ///
-    /// Follows Definition 2, with one refinement for the cold-start case: a
-    /// provider that has received *no proposal at all* is treated as fully
-    /// satisfied (it has not been wronged yet), whereas a provider that has
-    /// been proposed queries but performed none of them gets the paper's `0`.
-    ///
-    /// Reads the maintained sum: this sits on the mediation hot path (SbQA
-    /// reads every candidate's satisfaction to resolve ω).
-    #[must_use]
-    pub fn satisfaction(&self) -> Satisfaction {
-        self.maintained.satisfaction(self.window.len())
-    }
-
-    /// Number of remembered proposals the provider actually performed
-    /// (`|SQ^k_p|`).
-    #[must_use]
-    pub fn performed_count(&self) -> usize {
-        self.maintained.performed
-    }
-
-    /// Fraction of remembered proposals the provider performed. Returns 1.0
-    /// when there is no proposal yet.
-    #[must_use]
-    pub fn selection_rate(&self) -> f64 {
-        self.maintained.selection_rate(self.window.len())
-    }
-
-    /// Iterates over the remembered proposals, oldest first.
-    pub fn interactions(&self) -> impl Iterator<Item = &ProviderInteraction> {
-        self.window.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SatisfactionRegistry;
     use proptest::prelude::*;
+    use sbqa_types::{ConsumerId, ProviderId, QueryId};
+
+    const P: ProviderId = ProviderId::new(1);
+
+    /// A registry of window `k` holding provider `P`, proposed one query
+    /// per `(intention, performed)`, oldest first.
+    fn proposed(
+        k: usize,
+        proposals: impl IntoIterator<Item = (f64, bool)>,
+    ) -> SatisfactionRegistry {
+        let mut registry = SatisfactionRegistry::new(k);
+        registry.register_provider(P);
+        for (q, (intention, performed)) in (0u64..).zip(proposals) {
+            let proposal = [(P, Intention::new(intention), performed)];
+            registry.record_mediation(QueryId::new(q), ConsumerId::new(1), 1, &[], &proposal);
+        }
+        registry
+    }
 
     #[test]
     fn a_proposal_record_is_16_bytes() {
@@ -243,55 +165,48 @@ mod tests {
 
     #[test]
     fn satisfaction_matches_definition_two() {
-        let mut sat = ProviderSatisfaction::new(10);
         // Performed a wanted query (intention 1) and an unwanted one (-1),
         // plus a proposal it did not perform (ignored by the numerator):
         // δs = ((1+1)/2 + (-1+1)/2) / 2 = (1 + 0) / 2 = 0.5
-        sat.record_proposal(Intention::new(1.0), true);
-        sat.record_proposal(Intention::new(-1.0), true);
-        sat.record_proposal(Intention::new(1.0), false);
+        let registry = proposed(10, [(1.0, true), (-1.0, true), (1.0, false)]);
+        let sat = registry.provider(P).expect("registered");
         assert!((sat.satisfaction().value() - 0.5).abs() < 1e-12);
         assert_eq!(sat.performed_count(), 2);
     }
 
     #[test]
     fn proposed_but_never_selected_means_zero() {
-        let mut sat = ProviderSatisfaction::new(5);
-        sat.record_proposal(Intention::new(0.9), false);
-        sat.record_proposal(Intention::new(0.8), false);
+        let registry = proposed(5, [(0.9, false), (0.8, false)]);
+        let sat = registry.provider(P).expect("registered");
         assert_eq!(sat.satisfaction(), Satisfaction::MIN);
         assert_eq!(sat.selection_rate(), 0.0);
     }
 
     #[test]
     fn no_proposal_yet_means_fully_satisfied() {
-        let sat = ProviderSatisfaction::new(5);
+        let registry = proposed(5, []);
+        let sat = registry.provider(P).expect("registered");
         assert_eq!(sat.satisfaction(), Satisfaction::MAX);
         assert_eq!(sat.selection_rate(), 1.0);
     }
 
     #[test]
     fn denominator_is_performed_queries_not_k() {
-        let mut sat = ProviderSatisfaction::new(100);
         // One performed query it loved, many proposals it did not perform:
         // satisfaction stays 1.0 because the mean is over performed queries.
-        sat.record_proposal(Intention::new(1.0), true);
-        for _ in 1..50 {
-            sat.record_proposal(Intention::new(0.5), false);
-        }
+        let registry = proposed(100, std::iter::once((1.0, true)).chain([(0.5, false); 49]));
+        let sat = registry.provider(P).expect("registered");
         assert_eq!(sat.satisfaction(), Satisfaction::MAX);
         assert!((sat.selection_rate() - 0.02).abs() < 1e-12);
     }
 
     #[test]
     fn window_eviction_forgets_old_interactions() {
-        let mut sat = ProviderSatisfaction::new(2);
-        sat.record_proposal(Intention::new(1.0), true);
-        sat.record_proposal(Intention::new(1.0), true);
-        assert_eq!(sat.satisfaction(), Satisfaction::MAX);
+        let loved = proposed(2, [(1.0, true); 2]);
+        assert_eq!(loved.provider_satisfaction(P), Satisfaction::MAX);
         // Two bad interactions push the good ones out of the window.
-        sat.record_proposal(Intention::new(-1.0), true);
-        sat.record_proposal(Intention::new(-1.0), true);
+        let registry = proposed(2, [(1.0, true), (1.0, true), (-1.0, true), (-1.0, true)]);
+        let sat = registry.provider(P).expect("registered");
         assert_eq!(sat.satisfaction(), Satisfaction::MIN);
         assert_eq!(sat.observed_proposals(), 2);
         assert_eq!(sat.window_size(), 2);
@@ -304,11 +219,7 @@ mod tests {
             proposals in proptest::collection::vec((-1.0f64..=1.0, proptest::bool::ANY), 0..50),
             k in 1usize..60,
         ) {
-            let mut sat = ProviderSatisfaction::new(k);
-            for (intent, performed) in &proposals {
-                sat.record_proposal(Intention::new(*intent), *performed);
-            }
-            let s = sat.satisfaction().value();
+            let s = proposed(k, proposals).provider_satisfaction(P).value();
             prop_assert!((0.0..=1.0).contains(&s));
         }
 
@@ -316,22 +227,16 @@ mod tests {
         fn prop_performing_only_loved_queries_gives_max(
             count in 1usize..30,
         ) {
-            let mut sat = ProviderSatisfaction::new(64);
-            for _ in 0..count {
-                sat.record_proposal(Intention::MAX, true);
-            }
-            prop_assert_eq!(sat.satisfaction(), Satisfaction::MAX);
+            let registry = proposed(64, std::iter::repeat_n((1.0, true), count));
+            prop_assert_eq!(registry.provider_satisfaction(P), Satisfaction::MAX);
         }
 
         #[test]
         fn prop_selection_rate_in_unit_interval(
             proposals in proptest::collection::vec(proptest::bool::ANY, 0..50),
         ) {
-            let mut sat = ProviderSatisfaction::new(32);
-            for performed in &proposals {
-                sat.record_proposal(Intention::NEUTRAL, *performed);
-            }
-            let rate = sat.selection_rate();
+            let registry = proposed(32, proposals.into_iter().map(|performed| (0.0, performed)));
+            let rate = registry.provider(P).expect("registered").selection_rate();
             prop_assert!((0.0..=1.0).contains(&rate));
         }
     }

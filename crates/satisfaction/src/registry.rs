@@ -3,8 +3,8 @@
 //! To compute ω (Equation 2) the mediator needs to know, at mediation time,
 //! the current satisfaction of the issuing consumer and of every candidate
 //! provider. [`SatisfactionRegistry`] is that bookkeeping: it owns one
-//! [`ConsumerSatisfaction`] per registered consumer and the state of one
-//! [`ProviderSatisfaction`] per registered provider, and is updated after
+//! [`ConsumerSatisfaction`] per registered consumer and one pooled row of
+//! Definition 2 state per registered provider, and is updated after
 //! every mediation with the information the paper says the mediator sends out
 //! ("the mediation result to the consumer and all providers in set Kn").
 //!
@@ -56,7 +56,7 @@
 use sbqa_types::{ConsumerId, IdDirectory, Intention, ProviderId, QueryId, Satisfaction};
 
 use crate::consumer::ConsumerSatisfaction;
-use crate::provider::{ProviderInteraction, ProviderSatisfaction};
+use crate::provider::ProviderInteraction;
 use crate::rows::{ProviderRows, ProviderView};
 
 /// Where a participant's row was found ([`SatisfactionRegistry::provider_row`],
@@ -331,22 +331,14 @@ impl SatisfactionRegistry {
         self.providers.remove(provider)
     }
 
-    /// Takes a provider's state out of the registry as a tracker, history
-    /// intact, so a shard handoff can move the provider's satisfaction state
-    /// to another registry instead of resetting it. The counterpart of
-    /// [`SatisfactionRegistry::adopt_provider`].
-    pub fn extract_provider(&mut self, provider: ProviderId) -> Option<ProviderSatisfaction> {
-        self.touch_provider(provider);
-        self.providers.extract(provider)
-    }
-
-    /// Installs a provider tracker extracted from another registry
-    /// (replacing any existing state for that id). The tracker keeps its
-    /// own window length: a provider mid-handoff must not have its
-    /// interaction history rescaled by the destination's configuration.
-    pub fn adopt_provider(&mut self, provider: ProviderId, tracker: ProviderSatisfaction) {
-        self.touch_provider(provider);
-        self.providers.install(provider, tracker);
+    /// Makes this registry's state of `provider` equal to `source`'s — its
+    /// window size, proposals and maintained sum — appending a row if it
+    /// held none. A provider `source` has no row for is skipped: a row this
+    /// registry holds for it stays.
+    pub fn copy_provider_from(&mut self, source: &SatisfactionRegistry, provider: ProviderId) {
+        if self.providers.copy_row(&source.providers, provider) {
+            self.touch_provider(provider);
+        }
     }
 
     /// Number of registered consumers.
@@ -418,9 +410,8 @@ impl SatisfactionRegistry {
             .map(|at| &self.consumers.trackers[at])
     }
 
-    /// A view of a provider's state: the accessors of
-    /// [`ProviderSatisfaction`] over the registry's own storage, nothing
-    /// copied ([`ProviderView::to_tracker`] materialises the owned tracker).
+    /// A view of a provider's state over the registry's own storage,
+    /// nothing copied.
     #[must_use]
     pub fn provider(&self, provider: ProviderId) -> Option<ProviderView<'_>> {
         self.providers.view(provider)
@@ -665,7 +656,8 @@ mod tests {
         assert!(reg.provider(pid(99)).is_none());
     }
 
-    /// Every tracker of a registry rendered in id order, for equality checks.
+    /// Every consumer tracker and provider view of a registry rendered in
+    /// id order, for equality checks.
     fn trackers(reg: &SatisfactionRegistry) -> String {
         let consumers: BTreeMap<_, _> = reg
             .consumers
@@ -676,7 +668,7 @@ mod tests {
         let providers: BTreeMap<_, _> = reg
             .providers
             .satisfactions()
-            .map(|(id, _)| (id, reg.providers.view(id).map(|view| view.to_tracker())))
+            .map(|(id, _)| (id, reg.providers.view(id)))
             .collect();
         format!("{consumers:?} {providers:?}")
     }
@@ -718,7 +710,8 @@ mod tests {
         copy.track_touched();
 
         // Every mutator: mediations (which also register an unknown consumer
-        // and provider), removals, a handoff out and one in, a re-register.
+        // and provider), removals, a row copied in from a registry of
+        // another k and one the donor lacks, a re-register.
         for q in 0..5u64 {
             reg.record_mediation(
                 QueryId::new(q),
@@ -732,8 +725,19 @@ mod tests {
             );
         }
         reg.remove_provider(pid(4));
-        let moved = reg.extract_provider(pid(0)).expect("registered");
-        reg.adopt_provider(pid(9), moved);
+        reg.remove_provider(pid(0));
+        let mut donor = SatisfactionRegistry::new(5);
+        donor.record_mediation(
+            QueryId::new(6),
+            cid(1),
+            1,
+            &[],
+            &[(pid(9), Intention::new(0.3), true)],
+        );
+        reg.copy_provider_from(&donor, pid(9));
+        reg.copy_provider_from(&donor, pid(1)); // the donor has no row: kept
+        assert_eq!(reg.provider(pid(9)).map(|view| view.window_size()), Some(5));
+        assert!(reg.provider(pid(1)).is_some());
         reg.remove_provider(pid(5));
         reg.register_provider(pid(5));
         reg.remove_provider(pid(77)); // never existed on either side

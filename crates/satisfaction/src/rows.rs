@@ -31,17 +31,20 @@
 //! [`ProviderRows::sync_from`] copies a touched row's header and the live
 //! part of its block with `copy_from_slice`.
 //!
+//! The row is the only form a provider's state takes, and that copy is the
+//! only way it moves between registries: a standby's sync and a resize's
+//! move between shards ([`ProviderRows::copy_row`]) alike.
+//!
 //! Rows are compacted by `swap_remove`, so a row index is only stable
 //! between removals; everything outside this module addresses providers by
-//! id. The tracker a provider travels as between registries is still
-//! [`ProviderSatisfaction`]: [`ProviderView::to_tracker`]
-//! materialises it and [`ProviderRows::install`] takes it apart.
+//! id.
+
+use std::fmt;
 
 use sbqa_types::{IdDirectory, Intention, ProviderId, Satisfaction};
 
-use crate::provider::{PerformedSum, ProviderInteraction, ProviderSatisfaction};
+use crate::provider::{PerformedSum, ProviderInteraction};
 use crate::registry::RowHint;
-use crate::window::InteractionWindow;
 
 /// Slots of a class-0 block, the ring a window takes at its first record.
 const FIRST_SLOTS: usize = 8;
@@ -95,17 +98,6 @@ fn next_free(slot: &ProviderInteraction) -> u32 {
 /// Slots of one block of `class`.
 fn slots_of(class: u8) -> usize {
     FIRST_SLOTS << class
-}
-
-/// The smallest class whose blocks hold `len` proposals.
-fn class_for(len: usize) -> u8 {
-    let class =
-        usize::BITS - (len.saturating_sub(1) >> FIRST_SLOTS.trailing_zeros()).leading_zeros();
-    assert!(
-        class <= u32::from(MAX_CLASS),
-        "a window of {len} proposals exceeds the pool's largest block"
-    );
-    class as u8
 }
 
 /// `log2` of the blocks in one chunk of `class`.
@@ -264,7 +256,6 @@ struct Row {
     id: ProviderId,
     /// Definition 2's numerator and denominator over the window.
     maintained: PerformedSum,
-    total_recorded: u64,
     /// The window size `k` the provider declared.
     capacity: usize,
     len: u32,
@@ -278,7 +269,6 @@ impl Row {
         Self {
             id,
             maintained: PerformedSum::default(),
-            total_recorded: 0,
             capacity: capacity.max(1),
             len: 0,
             head: 0,
@@ -308,10 +298,9 @@ fn window_of<'a>(
 }
 
 /// A read-only view of one provider's satisfaction state inside a
-/// [`SatisfactionRegistry`](crate::SatisfactionRegistry): the accessors of
-/// [`ProviderSatisfaction`] over the registry's own storage, plus
-/// [`ProviderView::to_tracker`] for callers that need the owned value.
-#[derive(Debug, Clone, Copy)]
+/// [`SatisfactionRegistry`](crate::SatisfactionRegistry), over the
+/// registry's own storage.
+#[derive(Clone, Copy)]
 pub struct ProviderView<'a> {
     row: &'a Row,
     /// The row's block; empty while it has none.
@@ -320,7 +309,7 @@ pub struct ProviderView<'a> {
 
 impl<'a> ProviderView<'a> {
     /// Long-run satisfaction `δs(p)` (Definition 2), from the maintained
-    /// sum; see [`ProviderSatisfaction::satisfaction`].
+    /// sum: 1 before any proposal, 0 while none was performed.
     #[must_use]
     pub fn satisfaction(&self) -> Satisfaction {
         self.row.satisfaction()
@@ -355,18 +344,18 @@ impl<'a> ProviderView<'a> {
     pub fn interactions(&self) -> impl Iterator<Item = &'a ProviderInteraction> {
         window_of(self.row, self.block)
     }
+}
 
-    /// The provider's state as the owned tracker it travels as.
-    #[must_use]
-    pub fn to_tracker(&self) -> ProviderSatisfaction {
-        ProviderSatisfaction::from_parts(
-            InteractionWindow::from_parts(
-                self.row.capacity,
-                self.interactions().copied().collect(),
-                self.row.total_recorded,
-            ),
-            self.row.maintained,
-        )
+/// What the view answers, not where it lives: the window size, the
+/// proposals oldest first and the maintained `(sum, performed)`. The head,
+/// block and class stay out, so a synced copy renders as its source.
+impl fmt::Debug for ProviderView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProviderView")
+            .field("capacity", &self.row.capacity)
+            .field("proposals", &self.interactions().collect::<Vec<_>>())
+            .field("maintained", &self.row.maintained)
+            .finish()
     }
 }
 
@@ -496,14 +485,6 @@ impl ProviderRows {
         }
     }
 
-    /// Removes a provider, returning its state as a tracker.
-    pub(crate) fn extract(&mut self, id: ProviderId) -> Option<ProviderSatisfaction> {
-        let at = self.find(id)?;
-        let tracker = self.view_at(&self.rows[at]).to_tracker();
-        self.remove_at(at);
-        Some(tracker)
-    }
-
     /// Removes a provider. Returns `true` if it existed.
     pub(crate) fn remove(&mut self, id: ProviderId) -> bool {
         let found = self.find(id);
@@ -511,28 +492,6 @@ impl ProviderRows {
             self.remove_at(at);
         }
         found.is_some()
-    }
-
-    /// Installs `tracker` as the state of `id`, replacing any it had. The
-    /// tracker keeps its own window size.
-    pub(crate) fn install(&mut self, id: ProviderId, tracker: ProviderSatisfaction) {
-        let (window, maintained) = tracker.into_parts();
-        let at = self.row_or_new(id, RowHint::NONE, window.capacity());
-        let len = window.len();
-        let class = if len == 0 { NO_BLOCK } else { class_for(len) };
-        self.reblock(at, class);
-        let row = &mut self.rows[at];
-        row.maintained = maintained;
-        row.total_recorded = window.total_recorded();
-        row.capacity = window.capacity();
-        row.len = len as u32;
-        row.head = 0;
-        if len > 0 {
-            let block = self.pool.block_mut(row.class, row.block);
-            for (slot, interaction) in block.iter_mut().zip(window.iter()) {
-                *slot = *interaction;
-            }
-        }
     }
 
     /// Makes the row at `at` hold a block of `class` (or none), without
@@ -562,7 +521,6 @@ impl ProviderRows {
     ) {
         let at = self.row_or_new(id, hint, capacity);
         let row = &mut self.rows[at];
-        row.total_recorded += 1;
         let evicted = if row.len == row.limit() {
             // Full: the newest proposal takes the oldest one's slot.
             let slot = &mut self.pool.block_mut(row.class, row.block)[row.head as usize];
@@ -616,6 +574,17 @@ impl ProviderRows {
         }
     }
 
+    /// Copies `source`'s row of `id` over this side's, as
+    /// [`sync_from`](Self::sync_from) does, or returns `false` and changes
+    /// nothing when `source` has none.
+    pub(crate) fn copy_row(&mut self, source: &ProviderRows, id: ProviderId) -> bool {
+        let live = source.find(id);
+        if live.is_some() {
+            self.sync_row(source, id, live, RowHint::NONE);
+        }
+        live.is_some()
+    }
+
     /// One row of [`sync_from`](Self::sync_from): `live` is the source's
     /// row of `id`, `hint` where this side's was.
     fn sync_row(
@@ -646,6 +615,12 @@ impl ProviderRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_row_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Row>(), 64);
+        assert_eq!(std::mem::align_of::<Row>(), 64);
+    }
 
     #[test]
     fn a_free_list_link_holds_every_block_index() {

@@ -75,17 +75,6 @@ impl<T> InteractionWindow<T> {
         }
     }
 
-    /// Reassembles a window from its parts; `items` holds at most `capacity`
-    /// interactions, oldest first.
-    pub(crate) fn from_parts(capacity: usize, items: VecDeque<T>, total_recorded: u64) -> Self {
-        debug_assert!(capacity >= 1 && items.len() <= capacity);
-        Self {
-            capacity,
-            items,
-            total_recorded,
-        }
-    }
-
     /// The window capacity `k`.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -102,12 +91,6 @@ impl<T> InteractionWindow<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Total number of interactions ever recorded (monotonically increasing).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.total_recorded
     }
 
     /// Slots the ring currently has storage for: at most `k` for a window
@@ -159,8 +142,8 @@ impl<T> InteractionWindow<T> {
 
 impl<T: Clone + PartialEq> InteractionWindow<T> {
     /// Brings this window level with `source`, a later state of the same
-    /// history: the interactions `source` recorded since this window's
-    /// [`total_recorded`](Self::total_recorded) are recorded here, each
+    /// history: the interactions `source` recorded since this window, by
+    /// the two windows' counts of records ever made, are recorded here, each
     /// cloned into the interaction it evicts, so their buffers are reused.
     /// Returns how many, or `None`, leaving the window as it was, when that
     /// would not make the two equal: `source` is behind or has another
@@ -299,7 +282,7 @@ mod tests {
         assert_eq!(w.len(), w.capacity());
         assert_eq!(w.record(4), Some(1));
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(w.total_recorded(), 4);
+        assert_eq!(w.total_recorded, 4);
     }
 
     proptest! {
@@ -310,7 +293,7 @@ mod tests {
                 w.record(*item);
             }
             prop_assert!(w.len() <= k);
-            prop_assert_eq!(w.total_recorded(), items.len() as u64);
+            prop_assert_eq!(w.total_recorded, items.len() as u64);
         }
 
         #[test]

@@ -440,13 +440,14 @@ impl ShardedMediator {
 
     /// Re-partitions the service across `mediators.len()` shards **live**:
     /// every provider's full registry snapshot (capabilities, capacity, load
-    /// columns, online flag) and its satisfaction tracker travel to the shard
+    /// columns, online flag) and its satisfaction row travel to the shard
     /// the re-seeded router assigns. There the snapshot is replayed in the
     /// log's delta vocabulary (`Register`, then `UpdateLoad`, then
-    /// `SetOnline`) and the tracker is adopted window-intact — no provider is
-    /// re-registered from the outside world, and no accumulated state
-    /// (utilization, queue depth, offline flags, satisfaction windows) is
-    /// lost in transit.
+    /// `SetOnline`) and the row is copied over from the old shard's
+    /// registry ([`SatisfactionRegistry::copy_provider_from`]), window intact
+    /// — no provider is re-registered from the outside world, and no
+    /// accumulated state (utilization, queue depth, offline flags,
+    /// satisfaction windows) is lost in transit.
     ///
     /// `mediators` become the new shards (fresh allocators: each new shard's
     /// RNG stream starts at its seed, exactly as if the service had been
@@ -467,23 +468,25 @@ impl ShardedMediator {
     pub fn resize(self, mut mediators: Vec<Mediator>) -> SbqaResult<Self> {
         let seed = self.router.seed();
         let router = ShardRouter::new(mediators.len(), seed);
-        // Per new shard: the providers it receives, in source order.
+        // Per new shard: the providers it receives, in source order, each
+        // with the index of its old shard's satisfaction registry.
         let mut moving: Vec<Vec<_>> = (0..router.shards()).map(|_| Vec::new()).collect();
+        let mut sources = Vec::with_capacity(self.shards.len());
         let mut consumers: BTreeSet<ConsumerId> = BTreeSet::new();
         for shard in self.shards {
-            let (_allocator, providers, mut satisfaction) = shard.into_mediator().into_parts();
+            let (_allocator, providers, satisfaction) = shard.into_mediator().into_parts();
             consumers.extend(satisfaction.consumer_satisfactions().map(|(id, _)| id));
             for snapshot in providers.iter() {
                 let target = router.shard_of_provider(snapshot.id);
-                let tracker = satisfaction.extract_provider(snapshot.id);
-                moving[target].push((snapshot, tracker));
+                moving[target].push((snapshot, sources.len()));
             }
+            sources.push(satisfaction);
         }
         for (mediator, providers) in mediators.iter_mut().zip(moving) {
             for &consumer in &consumers {
                 mediator.register_consumer(consumer);
             }
-            for (snapshot, tracker) in providers {
+            for (snapshot, source) in providers {
                 let id = snapshot.id;
                 mediator.mutate(&RegistryDelta::Register {
                     id,
@@ -499,9 +502,9 @@ impl ShardedMediator {
                     id,
                     online: snapshot.online,
                 })?;
-                if let Some(tracker) = tracker {
-                    mediator.satisfaction_mut().adopt_provider(id, tracker);
-                }
+                mediator
+                    .satisfaction_mut()
+                    .copy_provider_from(&sources[source], id);
             }
         }
         Self::new(seed, mediators)
@@ -516,7 +519,7 @@ impl ShardedMediator {
     /// # Errors
     ///
     /// Configuration validation errors, or any [`resize`](Self::resize)
-    /// handoff error.
+    /// error.
     pub fn resize_sbqa(self, config: SystemConfig, new_shards: usize) -> SbqaResult<Self> {
         let mediators = sbqa_mediators(&config, self.router.seed(), new_shards)?;
         self.resize(mediators)
@@ -676,7 +679,7 @@ mod tests {
         let mut service = service(2);
         let oracle =
             StaticIntentions::new().with_defaults(Intention::new(0.5), Intention::new(0.5));
-        // Accumulate state the handoff must preserve: loads, an offline
+        // Accumulate state the resize must preserve: loads, an offline
         // provider and live satisfaction windows.
         service
             .update_provider_load(ProviderId::new(3), 2.5, 7)
@@ -748,6 +751,115 @@ mod tests {
                 .unwrap()
                 .online
         );
+    }
+
+    /// What a registry says of one provider: window size (`None` without a
+    /// row), proposals oldest first, performed count, satisfaction bits.
+    type Window = (Option<usize>, Vec<(u64, bool)>, usize, u64);
+
+    fn window_of(registry: &SatisfactionRegistry, id: ProviderId) -> Window {
+        let view = registry.provider(id);
+        (
+            view.map(|view| view.window_size()),
+            view.into_iter()
+                .flat_map(|view| view.interactions())
+                .map(|i| (i.intention.value().to_bits(), i.performed))
+                .collect(),
+            view.map_or(0, |view| view.performed_count()),
+            registry.provider_satisfaction(id).value().to_bits(),
+        )
+    }
+
+    #[test]
+    fn resize_keeps_every_provider_window_as_it_was() {
+        // Two source shards of k = 4 and k = 3, resized to three of k = 4.
+        let router = ShardRouter::new(2, 42);
+        let on = |shard: usize| {
+            (0u64..)
+                .map(ProviderId::new)
+                .filter(move |&id| router.shard_of_provider(id) == shard)
+        };
+        let mut zero = on(0);
+        // No proposal, a partial window, a wrapped ring (6 records), a
+        // window of k = 3 (wrapped too), and one removed from its source
+        // satisfaction registry before the resize.
+        let (empty, partial, wrapped, removed) = (
+            zero.next().unwrap(),
+            zero.next().unwrap(),
+            zero.next().unwrap(),
+            zero.next().unwrap(),
+        );
+        let narrow = on(1).next().unwrap();
+        let histories = [
+            (empty, 0),
+            (partial, 2),
+            (wrapped, 6),
+            (narrow, 5),
+            (removed, 3),
+        ];
+        let config = |k: usize| SystemConfig::default().with_knbest(10, 3).with_window(k);
+        let mut mediators = vec![
+            Mediator::sbqa(config(4), 42).unwrap(),
+            Mediator::sbqa(config(3), 43).unwrap(),
+        ];
+        let values = [0.1, -0.7, 0.3, 1.0, 0.1, -0.2];
+        for (id, records) in histories {
+            let mediator = &mut mediators[router.shard_of_provider(id)];
+            mediator.register_provider(id, caps(0), 1.0);
+            for r in 0..records {
+                let proposal = (id, Intention::new(values[r % 6]), r % 3 != 1);
+                mediator.satisfaction_mut().record_mediation(
+                    QueryId::new(r as u64),
+                    ConsumerId::new(1),
+                    1,
+                    &[],
+                    &[proposal],
+                );
+            }
+        }
+        assert!(mediators[0].satisfaction_mut().remove_provider(removed));
+        let service = ShardedMediator::new(42, mediators).unwrap();
+        let before: Vec<Window> = histories
+            .iter()
+            .map(|&(id, _)| window_of(service.satisfaction(router.shard_of_provider(id)), id))
+            .collect();
+        assert_eq!(before[2].1.len(), 4, "the ring wrapped");
+        assert_eq!(before[3].0, Some(3));
+        assert_eq!(before[4].0, None, "no row left at the source");
+        let mut twins: Vec<SatisfactionRegistry> =
+            (0..2).map(|s| service.satisfaction(s).clone()).collect();
+
+        let grown = service.resize_sbqa(config(4), 3).unwrap();
+        let (grown_router, shards) = grown.into_shards();
+        let mut moved: Vec<Mediator> = shards
+            .into_iter()
+            .map(MediatorShard::into_mediator)
+            .collect();
+        for (&(id, _), before) in histories.iter().zip(&before) {
+            let registry = moved[grown_router.shard_of_provider(id)].satisfaction();
+            let after = window_of(registry, id);
+            if id == removed {
+                // The destination's fresh row from the re-registration.
+                assert_eq!(after, (Some(4), vec![], 0, before.3), "provider {id}");
+            } else {
+                assert_eq!(&after, before, "provider {id}");
+            }
+        }
+        // The same later proposal reads alike on the moved row and on its
+        // unmoved twin.
+        for (q, &(id, _)) in (100u64..).zip(&histories) {
+            let proposal = [(id, Intention::new(0.3), true)];
+            let at = grown_router.shard_of_provider(id);
+            let twin = &mut twins[router.shard_of_provider(id)];
+            for registry in [moved[at].satisfaction_mut(), twin] {
+                registry.record_mediation(QueryId::new(q), ConsumerId::new(1), 1, &[], &proposal);
+            }
+            assert_eq!(
+                window_of(moved[at].satisfaction(), id),
+                window_of(&twins[router.shard_of_provider(id)], id),
+                "provider {id}"
+            );
+        }
     }
 
     #[test]

@@ -163,6 +163,19 @@ if grep -rnE "Container::Bitmap|BITMAP_MIN|hysteresis_gap" crates/core/src; then
     exit 1
 fi
 
+echo "== one form of provider satisfaction: the pooled row, moved by a row copy"
+# A provider's Definition 2 state is one row over a pooled window block in
+# its SatisfactionRegistry. The row copy a standby's sync runs is also how a
+# resize moves a provider between shards
+# (SatisfactionRegistry::copy_provider_from), and satisfaction_digest
+# renders the row's view. The names of the deleted heap tracker, its
+# materialiser and the extract/adopt hand-off must not come back.
+if grep -rnE "ProviderSatisfaction|to_tracker|extract_provider|adopt_provider" \
+    crates src tests examples; then
+    echo "a second form of provider satisfaction is not allowed (see above)" >&2
+    exit 1
+fi
+
 echo "== one benchmark harness: no criterion benches, bench script or bench manifests"
 # Stage costs are measured by one harness, the benchmark under perf/
 # (BENCHMARK.json's per-layer metrics: medians over fixed-work segments of
@@ -311,18 +324,19 @@ echo "== golden determinism gates (scenario1, scenario4, multicap, baselines, sh
 # kept for the whole sequence, so a gather memo that missed a mutation would
 # fail it; and KnBest's bounded-insertion filter to
 # a partition-and-sort of the same draw. maintained_prop holds the maintained
-# satisfaction values (a provider's running Definition-2 sum, a consumer's
-# ring of per-query values) bit-equal to a from-scratch evaluation over the
-# window after every record, clone, in-place copy, copy materialised from a
-# registry row and registry hand-off — and a registry's pooled provider rows
-# equal to a shadow of standalone trackers through record, removal,
-# re-registration, hand-off between registries, clone, a rebuild from the
-# trackers and an armed sync onto a stale copy.
+# satisfaction values (a consumer's ring of per-query values, a registry's
+# reads on both sides) bit-equal to a from-scratch evaluation over the
+# window after every record, clone and in-place copy — and a registry's
+# pooled provider rows equal to a shadow of each provider's last k
+# proposals, judged by Definition 2 alone, through record, removal,
+# re-registration, a row copied between registries, clone, a rebuild by
+# copying every row and an armed sync onto a stale copy.
 # clone_from_prop (sbqa_replication) holds a satisfaction registry written
 # with clone_from over one of another size — more or fewer provider rows,
 # pool chunks and consumers, a removed provider on either side — to a plain
 # clone of its source (satisfaction_digest, row order, every view) through
-# a stream of records, removals, registrations and hand-offs.
+# a stream of records, removals, registrations and rows copied in from a
+# donor registry.
 # directory_prop holds the keyless id directory under both registries to an
 # ordered map through inserts, growth, removals and the re-pointing that
 # follows a swap_remove, on sequential, shifted and colliding ids — on its
